@@ -7,19 +7,25 @@
 //!
 //! * **Priority shedding** — every `emergency_period`-th arrival is an
 //!   emergency registration (TS 23.501 §5.16.4), marked with
-//!   [`PRIORITY_HEADER`]; the replica-side [`AdmissionLayer`] reserves
+//!   [`PRIORITY_HEADER`](shield5g_sim::engine::PRIORITY_HEADER); the
+//!   replica-side [`AdmissionLayer`](shield5g_mw::AdmissionLayer) reserves
 //!   `emergency_headroom` queue slots for it, so under overload the
 //!   normal class is shed first and emergency availability degrades
 //!   strictly slower.
 //! * **Health-gated routing** — client-observed completions feed
-//!   [`EnclavePool::note_outcome`]; replicas whose failure EWMA trips
-//!   are ejected from the ring, half-open probed after the hold-off,
-//!   and reinstated on probe success.
+//!   [`EnclavePool::note_outcome`](shield5g_scale::EnclavePool::note_outcome);
+//!   replicas whose failure EWMA trips are ejected from the ring,
+//!   half-open probed after the hold-off, and reinstated on probe
+//!   success.
 //! * **Brownout** — when the response-latency EWMA climbs past
 //!   `enter_above` the frontend stops AV batch prefetching (each miss
 //!   pays one single-AV round trip instead of a batch) and serves hits
-//!   from the [`AvCache`] alone; it exits the brownout with hysteresis
-//!   once the EWMA falls below `exit_fraction` of the threshold.
+//!   from the [`AvCache`](shield5g_scale::AvCache) alone; it exits the
+//!   brownout with hysteresis once the EWMA falls below `exit_fraction`
+//!   of the threshold.
+//!
+//! The run itself is the shared open-loop driver,
+//! [`shield5g_scale::openloop`].
 //!
 //! Everything is a pure function of the seed: workload, fault schedule,
 //! retry jitter, and the emergency-marking pattern (by arrival index,
@@ -27,47 +33,19 @@
 //! across bench thread counts.
 
 use crate::plan::{FaultConfig, FaultCounts, SbiFaultPlan};
-use shield5g_core::paka::PakaKind;
 use shield5g_mw::{ClassSheds, RetryPolicy, RetryStats};
-use shield5g_nf::backend::decode_he_av_batch;
 use shield5g_obs::{hub as obs, labels};
-use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
-use shield5g_scale::avcache::{AvCache, AvCacheConfig};
-use shield5g_scale::pool::{replica_addr, EnclavePool, PoolConfig};
+use shield5g_ran::workload::WorkloadSpec;
+use shield5g_scale::avcache::AvCacheConfig;
+use shield5g_scale::metrics::PoolReport;
+use shield5g_scale::openloop::{run_scenario, Scenario};
+use shield5g_scale::pool::PoolConfig;
 use shield5g_scale::queue::QueueConfig;
-use shield5g_scale::{HealthEvent, HealthPolicy};
-use shield5g_sim::engine::{Completion, Engine, PriorityClass, ERROR_HEADER, PRIORITY_HEADER};
-use shield5g_sim::http::HttpRequest;
-use shield5g_sim::rng::DetRng;
-use shield5g_sim::time::{SimDuration, SimTime};
-use shield5g_sim::Env;
-use std::collections::BTreeMap;
+use shield5g_scale::HealthPolicy;
+use shield5g_sim::time::SimDuration;
 
-use super::sweep::{batch_request, single_request, K};
-
-/// Brownout trigger thresholds (hysteresis on the client-observed
-/// response-latency EWMA).
-#[derive(Clone, Copy, Debug)]
-pub struct BrownoutPolicy {
-    /// Enter brownout when the latency EWMA exceeds this.
-    pub enter_above: SimDuration,
-    /// Exit once the EWMA falls below `exit_fraction * enter_above`
-    /// (strictly below the entry threshold, so the mode doesn't
-    /// flap at the boundary).
-    pub exit_fraction: f64,
-    /// EWMA smoothing factor.
-    pub alpha: f64,
-}
-
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        BrownoutPolicy {
-            enter_above: SimDuration::from_millis(5),
-            exit_fraction: 0.7,
-            alpha: 0.3,
-        }
-    }
-}
+pub use shield5g_scale::avcache::BrownoutPolicy;
+pub use shield5g_scale::metrics::ClassReport;
 
 /// Parameters of one graceful-degradation experiment.
 #[derive(Clone, Copy, Debug)]
@@ -80,7 +58,8 @@ pub struct DegradationConfig {
     pub offered_per_sec: f64,
     /// Arrivals in the trace.
     pub arrivals: u32,
-    /// Subscriber population (one extra is provisioned for probes).
+    /// Subscriber population (with `health` on, one extra is provisioned
+    /// for probes).
     pub ues: u32,
     /// Per-replica admission queue parameters.
     pub queue: QueueConfig,
@@ -124,41 +103,12 @@ impl Default for DegradationConfig {
     }
 }
 
-/// Per-priority-class outcome figures.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ClassReport {
-    /// Arrivals of this class offered to the pool.
-    pub arrivals: u64,
-    /// Arrivals eventually served (cache hits included).
-    pub served: u64,
-    /// Arrivals abandoned after the retry budget (shed or failed to the
-    /// end).
-    pub lost: u64,
-    /// `served / arrivals` (1.0 for an empty class).
-    pub availability: f64,
-    /// Served completions per second of virtual run time.
-    pub goodput_per_sec: f64,
-}
-
-impl ClassReport {
-    fn finish(&mut self, span: SimDuration) {
-        self.availability = if self.arrivals == 0 {
-            1.0
-        } else {
-            self.served as f64 / self.arrivals as f64
-        };
-        let secs = span.as_nanos() as f64 / 1e9;
-        self.goodput_per_sec = if secs > 0.0 {
-            self.served as f64 / secs
-        } else {
-            0.0
-        };
-    }
-}
-
 /// Results of one graceful-degradation run.
 #[derive(Clone, Debug)]
 pub struct DegradationReport {
+    /// The usual pool figures (throughput, response and queueing
+    /// summaries, per-replica load) over both classes.
+    pub pool: PoolReport,
     /// Normal-class outcome figures.
     pub normal: ClassReport,
     /// Emergency-class outcome figures.
@@ -210,198 +160,9 @@ impl std::fmt::Display for DegradationReport {
     }
 }
 
-/// One in-flight (possibly retransmitted) pool request.
-struct Pending {
-    supi: String,
-    req: HttpRequest,
-    attempt: u32,
-    class: PriorityClass,
-    /// The replica the request was scheduled on (health accounting).
-    replica: u32,
-    /// `Some(id)` marks a half-open health probe aimed at ejected
-    /// replica `id`: its outcome feeds `note_probe`, not the tallies.
-    probe: Option<u32>,
-    /// Whether the request was a batch prefetch (so a success refills
-    /// the cache) or a brownout-mode single AV.
-    batch: bool,
-}
-
-/// Mutable run state threaded through the settle loop.
-struct DegradationState {
-    cache: Option<AvCache>,
-    sqn_counters: BTreeMap<String, [u8; 6]>,
-    stats: RetryStats,
-    in_flight: BTreeMap<u64, Pending>,
-    retry_rng: DetRng,
-    policy: RetryPolicy,
-    health_on: bool,
-    normal: ClassReport,
-    emergency: ClassReport,
-    brownout: Option<BrownoutPolicy>,
-    latency_ewma: Option<f64>,
-    browned_out: bool,
-    brownout_entries: u64,
-    brownout_exits: u64,
-    ejections: u64,
-    reinstatements: u64,
-    probes: u64,
-    last_finish: SimTime,
-}
-
-impl DegradationState {
-    fn class_mut(&mut self, class: PriorityClass) -> &mut ClassReport {
-        match class {
-            PriorityClass::Normal => &mut self.normal,
-            PriorityClass::Emergency => &mut self.emergency,
-        }
-    }
-
-    /// Updates the latency EWMA and the brownout mode with hysteresis.
-    fn observe_latency(&mut self, latency: SimDuration) {
-        let Some(policy) = self.brownout else { return };
-        let sample = latency.as_nanos() as f64;
-        let ewma = match self.latency_ewma {
-            Some(e) => policy.alpha * sample + (1.0 - policy.alpha) * e,
-            None => sample,
-        };
-        self.latency_ewma = Some(ewma);
-        let enter = policy.enter_above.as_nanos() as f64;
-        if !self.browned_out && ewma > enter {
-            self.browned_out = true;
-            self.brownout_entries += 1;
-            obs::count("faults", "brownout", labels::BROWNOUT_ENTRIES, 1);
-        } else if self.browned_out && ewma < policy.exit_fraction * enter {
-            self.browned_out = false;
-            self.brownout_exits += 1;
-            obs::count("faults", "brownout", labels::BROWNOUT_EXITS, 1);
-        }
-    }
-
-    /// Absorbs a batch of engine completions: probe outcomes feed the
-    /// health tracker, successes feed the cache and the class tallies,
-    /// failures are retransmitted through the pool's *current* ring
-    /// until the retry budget is spent, then abandoned against their
-    /// class.
-    fn settle(
-        &mut self,
-        engine: &mut Engine,
-        pool: &mut EnclavePool,
-        floor: SimTime,
-        done: Vec<Completion>,
-    ) {
-        for completion in done {
-            let pending = self
-                .in_flight
-                .remove(&completion.tag)
-                .expect("completion for unscheduled tag");
-            let finished = completion.finished;
-            self.last_finish = self.last_finish.max(finished);
-            let ok = completion.response.is_success();
-            if let Some(id) = pending.probe {
-                if let Some(HealthEvent::Reinstated(_)) = pool.note_probe(id, ok, finished) {
-                    self.reinstatements += 1;
-                }
-                continue;
-            }
-            if self.health_on {
-                let latency = finished - completion.submitted;
-                if let Some(HealthEvent::Ejected(_)) =
-                    pool.note_outcome(pending.replica, ok, latency, finished)
-                {
-                    self.ejections += 1;
-                }
-            }
-            self.observe_latency(finished - completion.submitted);
-            if ok {
-                if pending.batch {
-                    if let Some(c) = self.cache.as_mut() {
-                        let avs =
-                            decode_he_av_batch(&completion.response.body).expect("batch wire");
-                        c.put_batch(&pending.supi, avs);
-                        // The missing request consumes the batch head.
-                        let _ = c.pop_uncounted(&pending.supi);
-                    }
-                }
-                if pending.attempt > 0 {
-                    self.stats.recovered += 1;
-                }
-                self.class_mut(pending.class).served += 1;
-                continue;
-            }
-            let retryable = completion.response.status >= 500
-                && completion.response.header(ERROR_HEADER) != Some("loop");
-            if retryable && pending.attempt < self.policy.max_retries {
-                let attempt = pending.attempt + 1;
-                self.stats.retries += 1;
-                let backoff = self.policy.backoff(attempt);
-                let jittered = SimDuration::from_nanos(
-                    self.retry_rng
-                        .jitter(backoff.as_nanos(), self.policy.jitter),
-                );
-                let at = (finished + jittered).max(floor);
-                let id = pool.route(&pending.supi);
-                let tag = engine.schedule_request(
-                    at,
-                    &replica_addr(pool.kind(), id),
-                    pending.req.clone(),
-                );
-                self.in_flight.insert(
-                    tag,
-                    Pending {
-                        attempt,
-                        replica: id,
-                        ..pending
-                    },
-                );
-            } else {
-                self.stats.exhausted += 1;
-                self.class_mut(pending.class).lost += 1;
-            }
-        }
-    }
-
-    /// Sends one half-open probe to every ejected replica whose hold-off
-    /// expired. Probes are real single-AV requests against a dedicated
-    /// probe subscriber, scheduled directly at the ejected endpoint
-    /// (which the ring no longer routes to).
-    fn send_probes(
-        &mut self,
-        engine: &mut Engine,
-        pool: &mut EnclavePool,
-        env: &mut Env,
-        probe_supi: &str,
-        now: SimTime,
-    ) {
-        if !self.health_on {
-            return;
-        }
-        for id in pool.due_probes(now) {
-            let req = single_request(env, &mut self.sqn_counters, probe_supi);
-            let tag = engine.schedule_request(now, &replica_addr(pool.kind(), id), req.clone());
-            self.probes += 1;
-            obs::count(
-                "pool",
-                &replica_addr(pool.kind(), id),
-                labels::BREAKER_PROBES,
-                1,
-            );
-            self.in_flight.insert(
-                tag,
-                Pending {
-                    supi: probe_supi.to_owned(),
-                    req,
-                    attempt: 0,
-                    class: PriorityClass::Normal,
-                    replica: id,
-                    probe: Some(id),
-                    batch: false,
-                },
-            );
-        }
-    }
-}
-
-/// Runs one graceful-degradation experiment (see the module docs).
+/// Runs one graceful-degradation experiment (see the module docs): the
+/// shared open-loop driver with the SBI plan armed and every
+/// overload-control mechanism the config enables.
 ///
 /// # Panics
 ///
@@ -409,157 +170,36 @@ impl DegradationState {
 /// engine leaves requests unsettled.
 #[must_use]
 pub fn degradation_sweep(seed: u64, cfg: &DegradationConfig) -> DegradationReport {
-    let mut env = Env::new(seed);
-    env.log.disable();
-    let mut pool = EnclavePool::deploy(
-        &mut env,
-        PakaKind::EUdm,
-        PoolConfig {
-            replicas: cfg.replicas,
-            warm_standby: cfg.warm_standby,
-            queue: cfg.queue,
-            emergency_headroom: cfg.emergency_headroom,
-            ..PoolConfig::default()
-        },
-    );
-    for i in 0..cfg.ues {
-        pool.provision_subscriber(&mut env, &test_supi(i), K);
-    }
-    // One extra subscriber reserved for half-open health probes.
-    let probe_supi = test_supi(cfg.ues);
-    pool.provision_subscriber(&mut env, &probe_supi, K);
-    if cfg.thrash_pages > 0 {
-        for replica in pool.replicas() {
-            replica
-                .module()
-                .borrow_mut()
-                .set_epc_thrash(cfg.thrash_pages);
-        }
-    }
-    pool.rebaseline();
-    if let Some(policy) = cfg.health {
-        pool.enable_health(policy);
-    }
-
-    let mut wl_rng = env.rng.fork("degradation-workload");
-    let trace = poisson_registrations(
-        &mut wl_rng,
-        env.clock.now(),
-        &WorkloadSpec {
-            ues: cfg.ues,
-            arrivals: cfg.arrivals,
-            rate_per_sec: cfg.offered_per_sec,
-        },
-    );
-    let first_arrival = trace.first().map_or(env.clock.now(), |a| a.at);
-
-    let mut engine = Engine::new();
-    pool.register_on(&mut engine);
-    let plan = SbiFaultPlan::install(pool.fault_switch(), &mut env, cfg.sbi);
-
-    let mut state = DegradationState {
-        cache: cfg.cache.map(AvCache::new),
-        sqn_counters: BTreeMap::new(),
-        stats: RetryStats::default(),
-        in_flight: BTreeMap::new(),
-        retry_rng: env.rng.fork("degradation-retry"),
-        policy: cfg.retry,
-        health_on: cfg.health.is_some(),
-        normal: ClassReport::default(),
-        emergency: ClassReport::default(),
-        brownout: cfg.brownout,
-        latency_ewma: None,
-        browned_out: false,
-        brownout_entries: 0,
-        brownout_exits: 0,
-        ejections: 0,
-        reinstatements: 0,
-        probes: 0,
-        last_finish: env.clock.now(),
-    };
-
-    for (i, arrival) in trace.iter().enumerate() {
-        let horizon = arrival.at.max(env.clock.now());
-        let done = engine.run_until(&mut env, horizon);
-        state.settle(&mut engine, &mut pool, horizon, done);
-        state.send_probes(&mut engine, &mut pool, &mut env, &probe_supi, horizon);
-
-        let class = if cfg.emergency_period > 0 && (i as u32).is_multiple_of(cfg.emergency_period) {
-            PriorityClass::Emergency
-        } else {
-            PriorityClass::Normal
-        };
-        state.class_mut(class).arrivals += 1;
-        if let Some(c) = state.cache.as_mut() {
-            if c.take(&arrival.supi).is_some() {
-                state.class_mut(class).served += 1;
-                state.last_finish = state.last_finish.max(horizon);
-                continue;
-            }
-        }
-        // Brownout disables batch prefetching: each miss pays one
-        // single-AV round trip and the cache refills only from hits
-        // already banked.
-        let batch = state.cache.is_some() && !state.browned_out;
-        let mut request = if batch {
-            batch_request(
-                &mut env,
-                state.cache.as_ref().expect("batch implies cache"),
-                &arrival.supi,
-            )
-        } else {
-            single_request(&mut env, &mut state.sqn_counters, &arrival.supi)
-        };
-        if class == PriorityClass::Emergency {
-            request = request.with_header(PRIORITY_HEADER, "emergency");
-        }
-        state.stats.calls += 1;
-        let id = pool.route(&arrival.supi);
-        let tag = engine.schedule_request(horizon, &replica_addr(pool.kind(), id), request.clone());
-        state.in_flight.insert(
-            tag,
-            Pending {
-                supi: arrival.supi.clone(),
-                req: request,
-                attempt: 0,
-                class,
-                replica: id,
-                probe: None,
-                batch,
+    let mut plan = None;
+    let outcome = run_scenario(
+        seed,
+        &Scenario {
+            name: "degradation",
+            pool: PoolConfig {
+                replicas: cfg.replicas,
+                warm_standby: cfg.warm_standby,
+                queue: cfg.queue,
+                emergency_headroom: cfg.emergency_headroom,
+                ..PoolConfig::default()
             },
-        );
-    }
-    // Drain: each settle pass may retransmit or probe, scheduling fresh
-    // work.
-    while !state.in_flight.is_empty() {
-        let done = engine.run_until_idle(&mut env);
-        if done.is_empty() {
-            break;
-        }
-        let floor = env.clock.now();
-        state.settle(&mut engine, &mut pool, floor, done);
-        state.send_probes(&mut engine, &mut pool, &mut env, &probe_supi, floor);
-    }
-    assert!(state.in_flight.is_empty(), "requests left in flight");
-    pool.absorb_engine(&engine);
-
-    let sbi = plan.map_or_else(FaultCounts::default, |p| p.borrow().counts());
-    let span = state.last_finish - first_arrival;
-    let DegradationState {
-        mut normal,
-        mut emergency,
-        stats,
-        ejections,
-        reinstatements,
-        probes,
-        brownout_entries,
-        brownout_exits,
-        latency_ewma,
-        ..
-    } = state;
-    normal.finish(span);
-    emergency.finish(span);
-    let sheds = pool.class_sheds();
+            workload: WorkloadSpec {
+                ues: cfg.ues,
+                arrivals: cfg.arrivals,
+                rate_per_sec: cfg.offered_per_sec,
+            },
+            emergency_period: cfg.emergency_period,
+            cache: cfg.cache,
+            retry: cfg.retry,
+            health: cfg.health,
+            brownout: cfg.brownout,
+            thrash_pages: cfg.thrash_pages,
+            kill_at: None,
+            crash_at: None,
+            aex_storm: 0,
+        },
+        |switch, env| plan = SbiFaultPlan::install(switch, env, cfg.sbi),
+    );
+    let sheds = outcome.sheds;
     obs::count("faults", "degradation", labels::SHED_NORMAL, sheds.normal);
     obs::count(
         "faults",
@@ -568,18 +208,19 @@ pub fn degradation_sweep(seed: u64, cfg: &DegradationConfig) -> DegradationRepor
         sheds.emergency,
     );
     DegradationReport {
-        normal,
-        emergency,
+        pool: outcome.pool,
+        normal: outcome.tallies.normal,
+        emergency: outcome.tallies.emergency,
         sheds,
-        sbi,
-        retry: stats,
-        ejections,
-        reinstatements,
-        probes,
-        brownout_entries,
-        brownout_exits,
-        span,
-        latency_ewma_ns: latency_ewma,
+        sbi: plan.map_or_else(FaultCounts::default, |p| p.borrow().counts()),
+        retry: outcome.tallies.retry,
+        ejections: outcome.tallies.ejections,
+        reinstatements: outcome.tallies.reinstatements,
+        probes: outcome.tallies.probes,
+        brownout_entries: outcome.brownout.map_or(0, |b| b.entries),
+        brownout_exits: outcome.brownout.map_or(0, |b| b.exits),
+        span: outcome.span,
+        latency_ewma_ns: outcome.brownout.and_then(|b| b.latency_ewma_ns),
     }
 }
 

@@ -27,6 +27,10 @@
 //!   health-gated routing, and AV-cache brownout modes hold the
 //!   emergency class up; reports availability / goodput / shed-rate
 //!   curves per priority class.
+//!
+//! Both experiments are scenarios over the one open-loop pool driver,
+//! [`shield5g_scale::openloop::run_scenario`]; what this crate adds is
+//! the fault plan it arms, the point lists, and the reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@
 //! 3. **whole replicas** — a kill takes host and enclave down together;
 //!    the pool fails over to a warm standby and the frontend purges the
 //!    dead replica's pre-generated AVs
-//!    ([`AvCache::purge_where`]).
+//!    ([`AvCache::purge_where`](shield5g_scale::avcache::AvCache::purge_where)).
 //!
 //! Recovery is client-driven: every failed completion is retransmitted
 //! under a capped-exponential [`RetryPolicy`] with deterministic jitter,
@@ -22,32 +22,19 @@
 //! amplification alongside the usual pool figures.
 //!
 //! Everything is a pure function of the seed: workload, fault schedule,
-//! and retry jitter come from separately forked [`DetRng`] streams.
+//! and retry jitter come from separately forked
+//! [`DetRng`](shield5g_sim::rng::DetRng) streams. The run itself is the
+//! shared open-loop driver, [`shield5g_scale::openloop`].
 
 use crate::plan::{FaultConfig, FaultCounts, SbiFaultPlan};
-use shield5g_core::paka::PakaKind;
-use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_mw::{RetryPolicy, RetryStats};
-use shield5g_nf::backend::{decode_he_av_batch, sqn_add, UdmAkaBatchRequest, UdmAkaRequest};
-use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
-use shield5g_scale::avcache::{AvCache, AvCacheConfig};
-use shield5g_scale::metrics::{PoolReport, RecoveryStats, RecoveryTracker, RunRecorder};
-use shield5g_scale::pool::{replica_addr, EnclavePool, FailoverReport, PoolConfig};
+use shield5g_obs::{hub as obs, labels};
+use shield5g_ran::workload::WorkloadSpec;
+use shield5g_scale::avcache::AvCacheConfig;
+use shield5g_scale::metrics::{PoolReport, RecoveryStats};
+use shield5g_scale::openloop::{run_scenario, Scenario};
+use shield5g_scale::pool::{FailoverReport, PoolConfig};
 use shield5g_scale::queue::QueueConfig;
-use shield5g_sim::engine::{Completion, Engine, ERROR_HEADER, FAULT_HEADER};
-use shield5g_sim::http::HttpRequest;
-use shield5g_sim::rng::DetRng;
-use shield5g_sim::time::{SimDuration, SimTime};
-use shield5g_sim::Env;
-use std::collections::BTreeMap;
-
-/// Long-term key of every workload subscriber (the standard test K).
-pub(crate) const K: [u8; 16] = [0x46; 16];
-const OPC: [u8; 16] = [0xcd; 16];
-
-/// Frontend cost of serving an authentication from the AV cache
-/// (matches the pool-scaling harness).
-const CACHE_HIT_NANOS: u64 = 1_500;
 
 /// Parameters of one fault-injection experiment.
 #[derive(Clone, Copy, Debug)]
@@ -143,260 +130,63 @@ impl std::fmt::Display for FaultReport {
     }
 }
 
-/// One in-flight (possibly retransmitted) pool request.
-struct Pending {
-    supi: String,
-    req: HttpRequest,
-    attempt: u32,
-}
-
-/// Mutable run state threaded through the settle loop.
-struct SweepState {
-    cache: Option<AvCache>,
-    sqn_counters: BTreeMap<String, [u8; 6]>,
-    recorder: RunRecorder,
-    recovery: RecoveryTracker,
-    stats: RetryStats,
-    in_flight: BTreeMap<u64, Pending>,
-    retry_rng: DetRng,
-    policy: RetryPolicy,
-}
-
-impl SweepState {
-    /// Absorbs a batch of engine completions: successes feed the cache
-    /// and the recorder; failures are retransmitted (re-routed through
-    /// the pool's current ring, never earlier than `floor`) until the
-    /// retry budget is spent, then abandoned fail-fast.
-    fn settle(
-        &mut self,
-        engine: &mut Engine,
-        pool: &EnclavePool,
-        floor: SimTime,
-        done: Vec<Completion>,
-    ) {
-        for completion in done {
-            let pending = self
-                .in_flight
-                .remove(&completion.tag)
-                .expect("completion for unscheduled tag");
-            let finished = completion.finished;
-            if completion.response.is_success() {
-                self.recovery.success(finished);
-                if let Some(c) = self.cache.as_mut() {
-                    let avs = decode_he_av_batch(&completion.response.body).expect("batch wire");
-                    c.put_batch(&pending.supi, avs);
-                    // The missing request consumes the batch head itself.
-                    let _ = c.pop_uncounted(&pending.supi);
-                }
-                if pending.attempt > 0 {
-                    self.stats.recovered += 1;
-                }
-                self.recorder
-                    .served(completion.submitted, completion.queued, finished);
-                continue;
-            }
-            // A failure marked by the fault layer is a manifested fault;
-            // sheds (admission control) are failures but not faults.
-            if completion.response.header(FAULT_HEADER).is_some() {
-                self.recovery.fault(finished);
-            }
-            self.recovery.failure(finished);
-            let retryable = completion.response.status >= 500
-                && completion.response.header(ERROR_HEADER) != Some("loop");
-            if retryable && pending.attempt < self.policy.max_retries {
-                let attempt = pending.attempt + 1;
-                self.stats.retries += 1;
-                let backoff = self.policy.backoff(attempt);
-                let jittered = SimDuration::from_nanos(
-                    self.retry_rng
-                        .jitter(backoff.as_nanos(), self.policy.jitter),
-                );
-                // Not before `floor`: the engine has already run up to it.
-                let at = (finished + jittered).max(floor);
-                let id = pool.route(&pending.supi);
-                let tag = engine.schedule_request(
-                    at,
-                    &replica_addr(pool.kind(), id),
-                    pending.req.clone(),
-                );
-                self.in_flight.insert(tag, Pending { attempt, ..pending });
-            } else {
-                self.stats.exhausted += 1;
-                self.recorder.shed();
-            }
-        }
-    }
-}
-
-/// Runs one fault-injection experiment (see the module docs).
+/// Runs one fault-injection experiment (see the module docs): the
+/// shared open-loop driver with the SBI plan armed.
 ///
 /// # Panics
 ///
-/// Panics when `cfg.kill_at` fires with a single-replica ring and no
-/// standby available would leave the ring empty, or when a cache refill
-/// response fails to decode.
+/// Panics when a cache refill response fails to decode.
 #[must_use]
 pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
-    let mut env = Env::new(seed);
-    env.log.disable();
-    let mut pool = EnclavePool::deploy(
-        &mut env,
-        PakaKind::EUdm,
-        PoolConfig {
-            replicas: cfg.replicas,
-            warm_standby: cfg.warm_standby,
-            queue: cfg.queue,
-            ..PoolConfig::default()
-        },
-    );
-    for i in 0..cfg.ues {
-        pool.provision_subscriber(&mut env, &test_supi(i), K);
-    }
-    if cfg.thrash_pages > 0 {
-        for replica in pool.replicas() {
-            replica
-                .module()
-                .borrow_mut()
-                .set_epc_thrash(cfg.thrash_pages);
-        }
-    }
-    pool.rebaseline();
-
-    let mut wl_rng = env.rng.fork("fault-workload");
-    let trace = poisson_registrations(
-        &mut wl_rng,
-        env.clock.now(),
-        &WorkloadSpec {
-            ues: cfg.ues,
-            arrivals: cfg.arrivals,
-            rate_per_sec: cfg.offered_per_sec,
-        },
-    );
-
-    let mut engine = Engine::new();
-    pool.register_on(&mut engine);
-    let plan = SbiFaultPlan::install(pool.fault_switch(), &mut env, cfg.sbi);
-
-    let mut state = SweepState {
-        cache: cfg.cache.map(AvCache::new),
-        sqn_counters: BTreeMap::new(),
-        recorder: RunRecorder::new(),
-        recovery: RecoveryTracker::new(),
-        stats: RetryStats::default(),
-        in_flight: BTreeMap::new(),
-        retry_rng: env.rng.fork("fault-retry"),
-        policy: cfg.retry,
-    };
-    let mut failover: Option<FailoverReport> = None;
-    let mut purged_avs = 0usize;
-
-    for (i, arrival) in trace.iter().enumerate() {
-        let idx = i as u32;
-        // A cold failover (or crash reload) can push the clock past the
-        // next arrival instants; offered load then piles up at `now`,
-        // which is exactly what an outage does to a real frontend.
-        let horizon = arrival.at.max(env.clock.now());
-        let done = engine.run_until(&mut env, horizon);
-        state.settle(&mut engine, &pool, horizon, done);
-
-        if cfg.kill_at == Some(idx) {
-            let victim = pool.route(&arrival.supi);
-            // The SUPIs whose pre-generated AVs die with the replica —
-            // computed against the ring *before* the kill remaps it.
-            let owned: Vec<String> = (0..cfg.ues)
-                .map(test_supi)
-                .filter(|s| pool.route(s) == victim)
-                .collect();
-            let report = pool.fail_over_on_engine(&mut env, &mut engine, victim);
-            purged_avs = state
-                .cache
-                .as_mut()
-                .map_or(0, |c| c.purge_where(|s| owned.iter().any(|o| o == s)));
-            state.recovery.fault(report.at);
-            failover = Some(report);
-        }
-        if cfg.crash_at == Some(idx) {
-            let victim = pool.route(&arrival.supi);
-            let module = pool.replica(victim).module();
-            let mut m = module.borrow_mut();
-            if m.inject_crash(&mut env) {
-                state.recovery.fault(env.clock.now());
-            }
-            if cfg.aex_storm > 0 {
-                m.inject_aex_storm(&mut env, cfg.aex_storm);
-            }
-        }
-
-        state.recorder.arrival(horizon);
-        if let Some(c) = state.cache.as_mut() {
-            if c.take(&arrival.supi).is_some() {
-                let finish = horizon + SimDuration::from_nanos(CACHE_HIT_NANOS);
-                state.recovery.success(finish);
-                state.recorder.served(horizon, SimDuration::ZERO, finish);
-                continue;
-            }
-        }
-        let id = pool.route(&arrival.supi);
-        let request = match state.cache.as_ref() {
-            Some(c) => batch_request(&mut env, c, &arrival.supi),
-            None => single_request(&mut env, &mut state.sqn_counters, &arrival.supi),
-        };
-        state.stats.calls += 1;
-        let tag = engine.schedule_request(horizon, &replica_addr(pool.kind(), id), request.clone());
-        state.in_flight.insert(
-            tag,
-            Pending {
-                supi: arrival.supi.clone(),
-                req: request,
-                attempt: 0,
+    let mut plan = None;
+    let outcome = run_scenario(
+        seed,
+        &Scenario {
+            name: "fault",
+            pool: PoolConfig {
+                replicas: cfg.replicas,
+                warm_standby: cfg.warm_standby,
+                queue: cfg.queue,
+                ..PoolConfig::default()
             },
-        );
-    }
-    // Drain: each settle pass may retransmit, scheduling fresh work.
-    while !state.in_flight.is_empty() {
-        let done = engine.run_until_idle(&mut env);
-        if done.is_empty() {
-            break;
-        }
-        let floor = env.clock.now();
-        state.settle(&mut engine, &pool, floor, done);
-    }
-    assert!(state.in_flight.is_empty(), "requests left in flight");
-    pool.absorb_engine(&engine);
-
-    let crash_recoveries = pool
-        .replicas()
-        .iter()
-        .map(|r| r.module().borrow().crash_recoveries())
-        .sum();
+            workload: WorkloadSpec {
+                ues: cfg.ues,
+                arrivals: cfg.arrivals,
+                rate_per_sec: cfg.offered_per_sec,
+            },
+            emergency_period: 0,
+            cache: cfg.cache,
+            retry: cfg.retry,
+            health: None,
+            brownout: None,
+            thrash_pages: cfg.thrash_pages,
+            kill_at: cfg.kill_at,
+            crash_at: cfg.crash_at,
+            aex_storm: cfg.aex_storm,
+        },
+        |switch, env| plan = SbiFaultPlan::install(switch, env, cfg.sbi),
+    );
     let sbi = plan.map_or_else(FaultCounts::default, |p| p.borrow().counts());
-    let SweepState {
-        cache,
-        recorder,
-        recovery,
-        stats,
-        ..
-    } = state;
-    let recovery = recovery.finish((stats.calls, stats.retries));
-    let pool_report = recorder.finish(&pool, cache.map(|c| c.stats()));
-    recovery.record_obs("sweep");
-    pool_report.record_obs("faulted");
-    {
-        use shield5g_obs::{hub as obs, labels};
-        obs::count("faults", "sbi", labels::DROPS, sbi.drops);
-        obs::count("faults", "sbi", labels::DELAYS, sbi.delays);
-        obs::count("faults", "sbi", labels::ERRORS, sbi.errors);
-        obs::count("faults", "retry", labels::RETRANSMISSIONS, stats.retries);
-        obs::count("faults", "crash", labels::RELOADS, crash_recoveries);
-    }
+    outcome.recovery.record_obs("sweep");
+    outcome.pool.record_obs("faulted");
+    obs::count("faults", "sbi", labels::DROPS, sbi.drops);
+    obs::count("faults", "sbi", labels::DELAYS, sbi.delays);
+    obs::count("faults", "sbi", labels::ERRORS, sbi.errors);
+    obs::count(
+        "faults",
+        "retry",
+        labels::RETRANSMISSIONS,
+        outcome.tallies.retry.retries,
+    );
+    obs::count("faults", "crash", labels::RELOADS, outcome.crash_recoveries);
     FaultReport {
-        recovery,
-        pool: pool_report,
+        pool: outcome.pool,
+        recovery: outcome.recovery,
         sbi,
-        retry: stats,
-        failover,
-        purged_avs,
-        crash_recoveries,
+        retry: outcome.tallies.retry,
+        failover: outcome.tallies.failover,
+        purged_avs: outcome.tallies.purged_avs,
+        crash_recoveries: outcome.crash_recoveries,
     }
 }
 
@@ -483,52 +273,10 @@ pub fn run_point(point: &FaultSweepPoint) -> FaultReport {
     fault_sweep(point.seed, &point.cfg)
 }
 
-fn snn() -> ServingNetworkName {
-    ServingNetworkName::new("001", "01")
-}
-
-pub(crate) fn single_request(
-    env: &mut Env,
-    sqn_counters: &mut BTreeMap<String, [u8; 6]>,
-    supi: &str,
-) -> HttpRequest {
-    let sqn = sqn_counters
-        .entry(supi.to_owned())
-        .and_modify(|s| *s = sqn_add(s, 1))
-        .or_insert([0, 0, 0, 0, 0, 1]);
-    HttpRequest::post(
-        "/eudm/generate-av",
-        UdmAkaRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand: env.rng.bytes(),
-            sqn: *sqn,
-            amf_field: [0x80, 0],
-            snn: snn(),
-        }
-        .encode(),
-    )
-}
-
-pub(crate) fn batch_request(env: &mut Env, cache: &AvCache, supi: &str) -> HttpRequest {
-    HttpRequest::post(
-        "/eudm/generate-av-batch",
-        UdmAkaBatchRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand_seed: env.rng.bytes(),
-            sqn_start: cache.next_sqn(supi),
-            amf_field: [0x80, 0],
-            snn: snn(),
-            count: cache.batch_size(),
-        }
-        .encode(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_sim::time::SimDuration;
 
     #[test]
     fn fault_free_run_reports_clean_recovery() {
@@ -548,6 +296,30 @@ mod tests {
         assert_eq!(report.pool.shed, 0);
         assert!(report.failover.is_none());
         assert_eq!(report.crash_recoveries, 0);
+    }
+
+    #[test]
+    fn total_loss_reports_zero_rates() {
+        // Every message dropped and no retries: nothing ever finishes, so
+        // no rate is defined — the report must say 0, not arrivals / 1 ns.
+        let report = fault_sweep(
+            707,
+            &FaultSweepConfig {
+                arrivals: 40,
+                sbi: FaultConfig {
+                    drop_rate: 1.0,
+                    ..FaultConfig::default()
+                },
+                retry: RetryPolicy::disabled(),
+                ..FaultSweepConfig::default()
+            },
+        );
+        assert_eq!(report.pool.served, 0);
+        assert_eq!(report.pool.shed, 40);
+        assert_eq!(report.retry.exhausted, 40);
+        assert_eq!(report.pool.offered_per_sec, 0.0);
+        assert_eq!(report.pool.throughput_per_sec, 0.0);
+        assert_eq!(report.recovery.goodput_per_sec, 0.0);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 
 use shield5g_crypto::keys::HeAv;
 use shield5g_nf::backend::sqn_add;
+use shield5g_obs::{hub as obs, labels};
+use shield5g_sim::time::SimDuration;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -194,6 +196,82 @@ impl AvCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+}
+
+/// Brownout trigger thresholds (hysteresis on the client-observed
+/// response-latency EWMA).
+#[derive(Clone, Copy, Debug)]
+pub struct BrownoutPolicy {
+    /// Enter brownout when the latency EWMA exceeds this.
+    pub enter_above: SimDuration,
+    /// Exit once the EWMA falls below `exit_fraction * enter_above`
+    /// (strictly below the entry threshold, so the mode doesn't
+    /// flap at the boundary).
+    pub exit_fraction: f64,
+    /// EWMA smoothing factor.
+    pub alpha: f64,
+}
+
+impl Default for BrownoutPolicy {
+    fn default() -> Self {
+        BrownoutPolicy {
+            enter_above: SimDuration::from_millis(5),
+            exit_fraction: 0.7,
+            alpha: 0.3,
+        }
+    }
+}
+
+/// The frontend's brownout mode: while [`Brownout::active`], batch
+/// prefetching is off — each miss pays one single-AV round trip and
+/// hits are served from what the cache already banked.
+#[derive(Clone, Copy, Debug)]
+pub struct Brownout {
+    policy: BrownoutPolicy,
+    /// Response-latency EWMA in nanoseconds (the trigger signal), once
+    /// a pool round trip was observed.
+    pub latency_ewma_ns: Option<f64>,
+    /// Whether prefetching is currently disabled.
+    pub active: bool,
+    /// Times the mode was entered.
+    pub entries: u64,
+    /// Times the mode was exited.
+    pub exits: u64,
+}
+
+impl Brownout {
+    /// Prefetching on, nothing observed yet.
+    #[must_use]
+    pub fn new(policy: BrownoutPolicy) -> Self {
+        Brownout {
+            policy,
+            latency_ewma_ns: None,
+            active: false,
+            entries: 0,
+            exits: 0,
+        }
+    }
+
+    /// Folds one observed pool round trip into the EWMA and switches
+    /// the mode with hysteresis.
+    pub fn observe(&mut self, latency: SimDuration) {
+        let sample = latency.as_nanos() as f64;
+        let ewma = match self.latency_ewma_ns {
+            Some(e) => self.policy.alpha * sample + (1.0 - self.policy.alpha) * e,
+            None => sample,
+        };
+        self.latency_ewma_ns = Some(ewma);
+        let enter = self.policy.enter_above.as_nanos() as f64;
+        if !self.active && ewma > enter {
+            self.active = true;
+            self.entries += 1;
+            obs::count("faults", "brownout", labels::BROWNOUT_ENTRIES, 1);
+        } else if self.active && ewma < self.policy.exit_fraction * enter {
+            self.active = false;
+            self.exits += 1;
+            obs::count("faults", "brownout", labels::BROWNOUT_EXITS, 1);
+        }
     }
 }
 

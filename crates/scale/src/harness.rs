@@ -5,34 +5,21 @@
 //! one enclave and multiplying. Here every row comes from an actual pool:
 //! distinct enclave replicas, consistent-hash SUPI routing, bounded
 //! admission queues, and (optionally) the batched AV pre-generation
-//! cache. Each replica is a discrete-event endpoint on the simulation
-//! engine: the harness routes every Poisson arrival by SUPI and schedules
-//! it on the owner's address, so who waits, who sheds, and when each
-//! request finishes all emerge from event ordering over the modules'
-//! *measured* service occupancies — never from an analytic schedule.
+//! cache. Each run is one pass of the shared open-loop driver
+//! ([`crate::openloop`]) with no fault armed and retries off.
 
-use crate::avcache::{AvCache, AvCacheConfig};
-use crate::metrics::{PoolReport, RunRecorder};
-use crate::pool::{replica_addr, EnclavePool, PoolConfig};
+use crate::avcache::AvCacheConfig;
+use crate::metrics::PoolReport;
+use crate::openloop::{run_scenario, single_request, Scenario, K};
+use crate::pool::{EnclavePool, PoolConfig};
 use crate::queue::QueueConfig;
 use shield5g_core::paka::PakaKind;
 use shield5g_core::stats::Summary;
-use shield5g_crypto::keys::ServingNetworkName;
-use shield5g_nf::backend::{decode_he_av_batch, sqn_add, UdmAkaBatchRequest, UdmAkaRequest};
-use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
-use shield5g_sim::engine::{Completion, Engine};
-use shield5g_sim::http::HttpRequest;
+use shield5g_mw::RetryPolicy;
+use shield5g_ran::workload::{test_supi, WorkloadSpec};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::collections::BTreeMap;
-
-/// Long-term key of every workload subscriber (the standard test K).
-const K: [u8; 16] = [0x46; 16];
-const OPC: [u8; 16] = [0xcd; 16];
-
-/// VNF-side cost of serving an authentication from the AV cache: a hash
-/// lookup and a vector copy in frontend memory — no enclave, no TLS hop.
-const CACHE_HIT_NANOS: u64 = 1_500;
 
 /// Parameters of one pool experiment.
 #[derive(Clone, Copy, Debug)]
@@ -65,11 +52,9 @@ impl Default for SweepConfig {
     }
 }
 
-fn snn() -> ServingNetworkName {
-    ServingNetworkName::new("001", "01")
-}
-
-/// Runs one open-loop experiment against a freshly deployed eUDM pool.
+/// Runs one open-loop experiment against a freshly deployed eUDM pool:
+/// the fault-free, classless, retry-less view of
+/// [`run_scenario`].
 ///
 /// # Panics
 ///
@@ -77,145 +62,39 @@ fn snn() -> ServingNetworkName {
 /// provisions every subscriber it offers.
 #[must_use]
 pub fn pool_sweep(seed: u64, cfg: &SweepConfig) -> PoolReport {
-    let mut env = Env::new(seed);
-    env.log.disable();
-    let mut pool = EnclavePool::deploy(
-        &mut env,
-        PakaKind::EUdm,
-        PoolConfig {
-            replicas: cfg.replicas,
-            warm_standby: 0,
-            queue: cfg.queue,
-            ..PoolConfig::default()
+    let outcome = run_scenario(
+        seed,
+        &Scenario {
+            name: "pool",
+            pool: PoolConfig {
+                replicas: cfg.replicas,
+                warm_standby: 0,
+                queue: cfg.queue,
+                ..PoolConfig::default()
+            },
+            workload: WorkloadSpec {
+                ues: cfg.ues,
+                arrivals: cfg.arrivals,
+                rate_per_sec: cfg.offered_per_sec,
+            },
+            emergency_period: 0,
+            cache: cfg.cache,
+            retry: RetryPolicy::disabled(),
+            health: None,
+            brownout: None,
+            thrash_pages: 0,
+            kill_at: None,
+            crash_at: None,
+            aex_storm: 0,
         },
+        |_, _| {},
     );
-    for i in 0..cfg.ues {
-        pool.provision_subscriber(&mut env, &test_supi(i), K);
-    }
-    pool.rebaseline();
-
-    let mut wl_rng = env.rng.fork("pool-workload");
-    let trace = poisson_registrations(
-        &mut wl_rng,
-        env.clock.now(),
-        &WorkloadSpec {
-            ues: cfg.ues,
-            arrivals: cfg.arrivals,
-            rate_per_sec: cfg.offered_per_sec,
-        },
+    assert_eq!(
+        outcome.tallies.failed_admitted, 0,
+        "admitted pool requests failed without a fault armed"
     );
-
-    let mut engine = Engine::new();
-    pool.register_on(&mut engine);
-
-    let mut cache = cfg.cache.map(AvCache::new);
-    // Cache-off bookkeeping: the UDM's per-subscriber SQN generator.
-    let mut sqn_counters: BTreeMap<String, [u8; 6]> = BTreeMap::new();
-    let mut recorder = RunRecorder::new();
-    // Tag → SUPI of every scheduled (in-flight) request, so completions
-    // can refill the cache for the right subscriber.
-    let mut in_flight: BTreeMap<u64, String> = BTreeMap::new();
-
-    let settle = |recorder: &mut RunRecorder,
-                  cache: &mut Option<AvCache>,
-                  in_flight: &mut BTreeMap<u64, String>,
-                  done: Vec<Completion>| {
-        for completion in done {
-            let supi = in_flight
-                .remove(&completion.tag)
-                .expect("completion for unscheduled tag");
-            if completion.shed() {
-                recorder.shed();
-                continue;
-            }
-            assert!(
-                completion.response.is_success(),
-                "pool request failed: {}",
-                String::from_utf8_lossy(&completion.response.body)
-            );
-            if let Some(c) = cache.as_mut() {
-                let avs = decode_he_av_batch(&completion.response.body).expect("batch wire");
-                c.put_batch(&supi, avs);
-                // The missing request consumes the batch head itself.
-                let _ = c.pop_uncounted(&supi);
-            }
-            recorder.served(completion.submitted, completion.queued, completion.finished);
-        }
-    };
-
-    for arrival in &trace {
-        // Drain everything that finished before this arrival so the
-        // frontend cache reflects completed batch refills.
-        let done = engine.run_until(&mut env, arrival.at);
-        settle(&mut recorder, &mut cache, &mut in_flight, done);
-
-        recorder.arrival(arrival.at);
-
-        // Frontend cache check — hits never reach a replica, so they
-        // cannot be queued or shed.
-        if let Some(c) = cache.as_mut() {
-            if c.take(&arrival.supi).is_some() {
-                let finish = arrival.at + SimDuration::from_nanos(CACHE_HIT_NANOS);
-                recorder.served(arrival.at, SimDuration::ZERO, finish);
-                continue;
-            }
-        }
-
-        let id = pool.route(&arrival.supi);
-        let request = match cache.as_ref() {
-            Some(c) => batch_request(&mut env, c, &arrival.supi),
-            None => single_request(&mut env, &mut sqn_counters, &arrival.supi),
-        };
-        let tag = engine.schedule_request(arrival.at, &replica_addr(pool.kind(), id), request);
-        in_flight.insert(tag, arrival.supi.clone());
-    }
-    let done = engine.run_until_idle(&mut env);
-    settle(&mut recorder, &mut cache, &mut in_flight, done);
-    assert!(in_flight.is_empty(), "requests left in flight");
-    pool.absorb_engine(&engine);
-
-    let report = recorder.finish(&pool, cache.map(|c| c.stats()));
-    report.record_obs(&format!("n{}", cfg.replicas));
-    report
-}
-
-fn single_request(
-    env: &mut Env,
-    sqn_counters: &mut BTreeMap<String, [u8; 6]>,
-    supi: &str,
-) -> HttpRequest {
-    let sqn = sqn_counters
-        .entry(supi.to_owned())
-        .and_modify(|s| *s = sqn_add(s, 1))
-        .or_insert([0, 0, 0, 0, 0, 1]);
-    HttpRequest::post(
-        "/eudm/generate-av",
-        UdmAkaRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand: env.rng.bytes(),
-            sqn: *sqn,
-            amf_field: [0x80, 0],
-            snn: snn(),
-        }
-        .encode(),
-    )
-}
-
-fn batch_request(env: &mut Env, cache: &AvCache, supi: &str) -> HttpRequest {
-    HttpRequest::post(
-        "/eudm/generate-av-batch",
-        UdmAkaBatchRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand_seed: env.rng.bytes(),
-            sqn_start: cache.next_sqn(supi),
-            amf_field: [0x80, 0],
-            snn: snn(),
-            count: cache.batch_size(),
-        }
-        .encode(),
-    )
+    outcome.pool.record_obs(&format!("n{}", cfg.replicas));
+    outcome.pool
 }
 
 /// Median stable service occupancy of a single warmed replica — the

@@ -1,15 +1,16 @@
 //! Per-pool observability: the figures a scaling experiment reports.
 //!
-//! Everything here is computed from ground truth — admission counters in
-//! the queues, served counts on the replicas, and real SGX transition
-//! counter deltas read from each replica's own enclave — then summarised
-//! with [`shield5g_core::stats::Summary`] like every other experiment in
-//! the workspace.
+//! Everything here is computed from ground truth — admission counters
+//! absorbed from the engine endpoints, served counts on the replicas,
+//! and real SGX transition counter deltas read from each replica's own
+//! enclave — then summarised with [`shield5g_core::stats::Summary`] like
+//! every other experiment in the workspace.
 
 use crate::avcache::CacheStats;
-use crate::pool::EnclavePool;
+use crate::pool::{replica_addr, EnclavePool};
 use crate::router::ReplicaId;
 use shield5g_core::stats::Summary;
+use shield5g_sim::engine::Engine;
 use shield5g_sim::time::{SimDuration, SimTime};
 
 /// Load and enclave-cost breakdown for one replica.
@@ -163,6 +164,44 @@ impl std::fmt::Display for PoolReport {
     }
 }
 
+/// `count` per second of `span`; 0.0 over a degenerate span (a run in
+/// which nothing finished has no rate, not an astronomically large one).
+fn per_sec(count: u64, span: SimDuration) -> f64 {
+    if span == SimDuration::ZERO {
+        0.0
+    } else {
+        count as f64 / span.as_secs_f64()
+    }
+}
+
+/// Per-priority-class outcome figures.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ClassReport {
+    /// Arrivals of this class offered to the pool.
+    pub arrivals: u64,
+    /// Arrivals eventually served (cache hits included).
+    pub served: u64,
+    /// Arrivals abandoned after the retry budget (shed or failed to the
+    /// end).
+    pub lost: u64,
+    /// `served / arrivals` (1.0 for an empty class).
+    pub availability: f64,
+    /// Served completions per second of virtual run time.
+    pub goodput_per_sec: f64,
+}
+
+impl ClassReport {
+    /// Fills in the derived figures once the tallies are final.
+    pub(crate) fn finish(&mut self, span: SimDuration) {
+        self.availability = if self.arrivals == 0 {
+            1.0
+        } else {
+            self.served as f64 / self.arrivals as f64
+        };
+        self.goodput_per_sec = per_sec(self.served, span);
+    }
+}
+
 /// Collects response samples during a run and finalises a [`PoolReport`]
 /// from them plus the pool's own counters.
 #[derive(Debug, Default)]
@@ -211,14 +250,20 @@ impl RunRecorder {
         self.response_samples.len() as u64
     }
 
-    /// Finalises the report against the pool's per-replica state. A run
+    /// Finalises the report against the pool's per-replica state and the
+    /// admission counters of the replicas' endpoints on `engine`. A run
     /// that served nothing (e.g. 100% shed under fault injection) yields
-    /// empty summaries and zero throughput rather than panicking.
+    /// empty summaries and zero rates.
     #[must_use]
-    pub fn finish(self, pool: &EnclavePool, cache: Option<CacheStats>) -> PoolReport {
+    pub fn finish(
+        self,
+        pool: &EnclavePool,
+        engine: &Engine,
+        cache: Option<CacheStats>,
+    ) -> PoolReport {
         let span = match (self.first_arrival, self.last_finish) {
             (Some(a), Some(f)) if f > a => f - a,
-            _ => SimDuration::from_nanos(1),
+            _ => SimDuration::ZERO,
         };
         let served = self.response_samples.len() as u64;
         let per_replica: Vec<ReplicaLoadStats> = pool
@@ -226,11 +271,13 @@ impl RunRecorder {
             .iter()
             .map(|r| {
                 let delta = r.counters_delta();
+                let addr = replica_addr(pool.kind(), r.id);
+                let (shed_full, shed_deadline) = engine.shed_counts(&addr);
                 ReplicaLoadStats {
                     replica: r.id,
                     served: r.served(),
-                    shed: r.shed_total(),
-                    depth_peak: r.depth_peak(),
+                    shed: shed_full + shed_deadline,
+                    depth_peak: engine.depth_peak(&addr),
                     eenter_delta: delta.eenter,
                     eexit_delta: delta.eexit,
                     aex_delta: delta.aex,
@@ -239,11 +286,11 @@ impl RunRecorder {
             .collect();
         PoolReport {
             replicas: pool.ready_ids().len() as u32,
-            offered_per_sec: self.arrivals as f64 / span.as_secs_f64(),
+            offered_per_sec: per_sec(self.arrivals, span),
             arrivals: self.arrivals,
             served,
             shed: self.shed,
-            throughput_per_sec: served as f64 / span.as_secs_f64(),
+            throughput_per_sec: per_sec(served, span),
             response: Summary::of(&self.response_samples),
             queued: Summary::of(&self.queued_samples),
             cache,
@@ -395,18 +442,17 @@ impl RecoveryTracker {
         for f in self.pending.drain(..) {
             self.recovery_samples.push(end.max(f) - f);
         }
-        let (mttr, mttr_max) = if self.recovery_samples.is_empty() {
-            (SimDuration::ZERO, SimDuration::ZERO)
-        } else {
-            let total: u64 = self.recovery_samples.iter().map(|d| d.as_nanos()).sum();
-            (
-                SimDuration::from_nanos(total / self.recovery_samples.len() as u64),
-                *self.recovery_samples.iter().max().expect("non-empty"),
-            )
+        let (mttr, mttr_max) = match self.recovery_samples.iter().max() {
+            None => (SimDuration::ZERO, SimDuration::ZERO),
+            Some(&max) => {
+                let total: u64 = self.recovery_samples.iter().map(|d| d.as_nanos()).sum();
+                let mean = total / self.recovery_samples.len() as u64;
+                (SimDuration::from_nanos(mean), max)
+            }
         };
         let span = match (self.first_event, self.last_event) {
             (Some(a), Some(b)) if b > a => b - a,
-            _ => SimDuration::from_nanos(1),
+            _ => SimDuration::ZERO,
         };
         let (calls, retries) = retry;
         RecoveryStats {
@@ -414,7 +460,7 @@ impl RecoveryTracker {
             failed: self.failed,
             mttr,
             mttr_max,
-            goodput_per_sec: self.successes as f64 / span.as_secs_f64(),
+            goodput_per_sec: per_sec(self.successes, span),
             retry_amplification: if calls == 0 {
                 1.0
             } else {
@@ -533,5 +579,11 @@ mod tests {
         let empty = RecoveryTracker::new().finish((0, 0));
         assert_eq!(empty.faults, 0);
         assert_eq!(empty.mttr, SimDuration::ZERO);
+
+        // One success is one instant, not a span: no rate, rather than
+        // one event per nanosecond.
+        let mut single = RecoveryTracker::new();
+        single.success(t(5));
+        assert_eq!(single.finish((1, 0)).goodput_per_sec, 0.0);
     }
 }

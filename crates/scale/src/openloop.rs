@@ -1,0 +1,520 @@
+//! The one open-loop pool driver.
+//!
+//! Every pool experiment has the same shape: Poisson registrations,
+//! routed by SUPI onto an eUDM replica pool whose replicas are endpoints
+//! on the simulation engine, so who waits, who is shed and when each
+//! request finishes fall out of event ordering over the modules'
+//! *measured* service occupancies. [`run_scenario`] is that shape,
+//! written once; `pool_sweep`, `fault_sweep` and `degradation_sweep` each
+//! map their config onto a [`Scenario`], arm their faults, and project
+//! the [`Outcome`] into their own report.
+//!
+//! What the three rely on — behaviours of the loop, not options:
+//!
+//! * **RNG streams.** `DetRng::fork` consumes one draw from the parent,
+//!   so a stream is forked only when it is used: `"{name}-workload"`
+//!   always, `"{name}-retry"` only when the retry policy is enabled (the
+//!   zero-rate rule fault plans follow). `arm` runs between the two.
+//! * **Horizon.** An arrival is offered at
+//!   `arrival.at.max(env.clock.now())`: a cold failover or crash reload
+//!   can push the clock past the next arrival instants, and offered load
+//!   then piles up at `now`, as it does at a real frontend in an outage.
+//!   Otherwise the horizon is `arrival.at`, because `Engine::run_until`
+//!   leaves the clock at its target.
+//! * **Sheds are 503 completions**: with retries disabled they fall
+//!   straight through to "budget spent" and count as lost.
+//! * **Probe subscriber.** Half-open probes authenticate a subscriber of
+//!   their own, provisioned only when health gating is on (provisioning
+//!   advances the clock). Probes go out after every settle pass.
+//! * **Refill on success** only for requests sent as batch prefetches
+//!   (cache on and not browned out at send time).
+//! * **Retransmission copy** of a request only when retries are enabled;
+//!   a cache hit allocates nothing.
+
+use crate::avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy};
+use crate::health::{HealthEvent, HealthPolicy};
+use crate::metrics::{ClassReport, PoolReport, RecoveryStats, RecoveryTracker, RunRecorder};
+use crate::pool::{replica_addr, EnclavePool, FailoverReport, PoolConfig};
+use crate::router::ReplicaId;
+use shield5g_core::paka::PakaKind;
+use shield5g_crypto::keys::ServingNetworkName;
+use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
+use shield5g_nf::backend::{decode_he_av_batch, sqn_add, UdmAkaBatchRequest, UdmAkaRequest};
+use shield5g_obs::{hub as obs, labels};
+use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
+use shield5g_sim::engine::{
+    Completion, Engine, PriorityClass, ERROR_HEADER, FAULT_HEADER, PRIORITY_HEADER,
+};
+use shield5g_sim::http::HttpRequest;
+use shield5g_sim::rng::DetRng;
+use shield5g_sim::time::{SimDuration, SimTime};
+use shield5g_sim::Env;
+use std::collections::BTreeMap;
+
+/// Long-term key of every workload subscriber (the standard test K).
+pub(crate) const K: [u8; 16] = [0x46; 16];
+const OPC: [u8; 16] = [0xcd; 16];
+
+/// VNF-side cost of serving an authentication from the AV cache: a hash
+/// lookup and a vector copy in frontend memory — no enclave, no TLS hop.
+const CACHE_HIT_NANOS: u64 = 1_500;
+
+/// One open-loop pool experiment, as plain data.
+#[derive(Clone, Copy, Debug)]
+pub struct Scenario {
+    /// Prefix of the RNG fork labels (`"{name}-workload"`,
+    /// `"{name}-retry"`).
+    pub name: &'static str,
+    /// The pool to deploy: replicas, warm standbys, admission queue and
+    /// emergency headroom.
+    pub pool: PoolConfig,
+    /// The trace to offer: subscriber population, arrivals and rate.
+    pub workload: WorkloadSpec,
+    /// Every n-th arrival (by index) is an emergency registration;
+    /// 0 = no emergency traffic.
+    pub emergency_period: u32,
+    /// AV pre-generation; `None` = one enclave round trip per request.
+    pub cache: Option<AvCacheConfig>,
+    /// Client supervision retries guarding every pool request.
+    pub retry: RetryPolicy,
+    /// Health-gated routing thresholds; `None` disables ejection.
+    pub health: Option<HealthPolicy>,
+    /// Brownout trigger; `None` keeps batch prefetching unconditionally.
+    pub brownout: Option<BrownoutPolicy>,
+    /// EPC thrash pages charged to every replica for the whole run.
+    pub thrash_pages: u64,
+    /// Kill the replica owning the n-th arrival's SUPI just before that
+    /// arrival is offered.
+    pub kill_at: Option<u32>,
+    /// Crash the enclave of the replica owning the n-th arrival's SUPI:
+    /// it stays on the ring and its next request pays the full reload.
+    pub crash_at: Option<u32>,
+    /// AEX burst injected into the crashed enclave alongside the crash.
+    pub aex_storm: u64,
+}
+
+/// Frontend-side counters of one run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tallies {
+    /// Client supervision-retry counters.
+    pub retry: RetryStats,
+    /// Normal-class outcome figures.
+    pub normal: ClassReport,
+    /// Emergency-class outcome figures.
+    pub emergency: ClassReport,
+    /// Final failures that admission control did *not* cause — zero
+    /// whenever nothing injects faults.
+    pub failed_admitted: u64,
+    /// The failover, when a replica was killed.
+    pub failover: Option<FailoverReport>,
+    /// Pre-generated AVs purged when their replica died.
+    pub purged_avs: usize,
+    /// Replicas ejected from the ring by health gating.
+    pub ejections: u64,
+    /// Replicas reinstated after a successful half-open probe.
+    pub reinstatements: u64,
+    /// Half-open probes sent.
+    pub probes: u64,
+}
+
+/// Everything one run measured; each experiment reports a subset.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// Throughput, response/queueing summaries, per-replica load.
+    pub pool: PoolReport,
+    /// MTTR / goodput-under-fault / retry amplification.
+    pub recovery: RecoveryStats,
+    /// What the frontend counted while driving the run.
+    pub tallies: Tallies,
+    /// Replica-side per-class admission sheds (queue-full + deadline).
+    pub sheds: ClassSheds,
+    /// Enclave reloads paid for injected crashes.
+    pub crash_recoveries: u64,
+    /// End-of-run brownout state, when the trigger was armed.
+    pub brownout: Option<Brownout>,
+    /// Virtual time from first arrival to the last completion of any
+    /// kind (failures and probes included).
+    pub span: SimDuration,
+}
+
+/// One in-flight (possibly retransmitted) pool request.
+#[derive(Default)]
+struct Pending {
+    supi: String,
+    /// Retransmission copy; kept only while retries are enabled.
+    req: Option<HttpRequest>,
+    attempt: u32,
+    class: PriorityClass,
+    /// The replica the request was scheduled on (health accounting).
+    replica: ReplicaId,
+    /// A half-open health probe aimed at this (ejected) replica: its
+    /// outcome feeds `note_probe`, not the tallies.
+    probe: bool,
+    /// Sent as a batch prefetch, so a success refills the cache.
+    batch: bool,
+}
+
+/// Mutable run state threaded through the settle loop.
+struct Run {
+    policy: RetryPolicy,
+    /// Jitter stream; `Some` iff the policy retries.
+    retry_rng: Option<DetRng>,
+    probe_supi: String,
+    cache: Option<AvCache>,
+    /// Cache-off bookkeeping: the UDM's per-subscriber SQN generator.
+    sqn_counters: BTreeMap<String, [u8; 6]>,
+    brownout: Option<Brownout>,
+    in_flight: BTreeMap<u64, Pending>,
+    recorder: RunRecorder,
+    recovery: RecoveryTracker,
+    tallies: Tallies,
+    last_event: SimTime,
+}
+
+impl Run {
+    fn class_mut(&mut self, class: PriorityClass) -> &mut ClassReport {
+        match class {
+            PriorityClass::Normal => &mut self.tallies.normal,
+            PriorityClass::Emergency => &mut self.tallies.emergency,
+        }
+    }
+
+    /// Absorbs a batch of engine completions: probe outcomes feed the
+    /// health tracker; successes feed the cache, the recorder and the
+    /// class tallies; failures are retransmitted (re-routed through the
+    /// pool's *current* ring, never earlier than `floor`) until the
+    /// retry budget is spent, then abandoned against their class. Then
+    /// sends one half-open probe — a real single-AV request, scheduled
+    /// directly at the endpoint the ring no longer routes to — to every
+    /// ejected replica whose hold-off expired.
+    fn settle(
+        &mut self,
+        engine: &mut Engine,
+        pool: &mut EnclavePool,
+        env: &mut Env,
+        floor: SimTime,
+        done: Vec<Completion>,
+    ) {
+        for completion in done {
+            let pending = self
+                .in_flight
+                .remove(&completion.tag)
+                .expect("completion for unscheduled tag");
+            let finished = completion.finished;
+            self.last_event = self.last_event.max(finished);
+            let ok = completion.response.is_success();
+            if pending.probe {
+                if let Some(HealthEvent::Reinstated(_)) =
+                    pool.note_probe(pending.replica, ok, finished)
+                {
+                    self.tallies.reinstatements += 1;
+                }
+                continue;
+            }
+            let latency = finished - completion.submitted;
+            if let Some(HealthEvent::Ejected(_)) =
+                pool.note_outcome(pending.replica, ok, latency, finished)
+            {
+                self.tallies.ejections += 1;
+            }
+            if let Some(b) = self.brownout.as_mut() {
+                b.observe(latency);
+            }
+            if ok {
+                self.recovery.success(finished);
+                if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
+                    let avs = decode_he_av_batch(&completion.response.body).expect("batch wire");
+                    c.put_batch(&pending.supi, avs);
+                    // The missing request consumes the batch head itself.
+                    let _ = c.pop_uncounted(&pending.supi);
+                }
+                if pending.attempt > 0 {
+                    self.tallies.retry.recovered += 1;
+                }
+                self.recorder
+                    .served(completion.submitted, completion.queued, finished);
+                self.class_mut(pending.class).served += 1;
+                continue;
+            }
+            // A failure marked by the fault layer is a manifested fault;
+            // sheds (admission control) are failures but not faults.
+            if completion.response.header(FAULT_HEADER).is_some() {
+                self.recovery.fault(finished);
+            }
+            self.recovery.failure(finished);
+            let retryable = completion.response.status >= 500
+                && completion.response.header(ERROR_HEADER) != Some("loop");
+            match (self.retry_rng.as_mut(), &pending.req) {
+                (Some(rng), Some(req))
+                    if retryable && pending.attempt < self.policy.max_retries =>
+                {
+                    let attempt = pending.attempt + 1;
+                    self.tallies.retry.retries += 1;
+                    let backoff = self.policy.backoff(attempt);
+                    let jittered =
+                        SimDuration::from_nanos(rng.jitter(backoff.as_nanos(), self.policy.jitter));
+                    // Not before `floor`: the engine has already run up to it.
+                    let at = (finished + jittered).max(floor);
+                    let replica = pool.route(&pending.supi);
+                    let tag = engine.schedule_request(
+                        at,
+                        &replica_addr(pool.kind(), replica),
+                        req.clone(),
+                    );
+                    self.in_flight.insert(
+                        tag,
+                        Pending {
+                            attempt,
+                            replica,
+                            ..pending
+                        },
+                    );
+                }
+                _ => {
+                    self.tallies.retry.exhausted += 1;
+                    self.recorder.shed();
+                    self.class_mut(pending.class).lost += 1;
+                    if !completion.shed() {
+                        self.tallies.failed_admitted += 1;
+                    }
+                }
+            }
+        }
+        for replica in pool.due_probes(floor) {
+            let addr = replica_addr(pool.kind(), replica);
+            let req = single_request(env, &mut self.sqn_counters, &self.probe_supi);
+            let tag = engine.schedule_request(floor, &addr, req);
+            self.tallies.probes += 1;
+            obs::count("pool", &addr, labels::BREAKER_PROBES, 1);
+            self.in_flight.insert(
+                tag,
+                Pending {
+                    supi: self.probe_supi.clone(),
+                    replica,
+                    probe: true,
+                    ..Pending::default()
+                },
+            );
+        }
+    }
+}
+
+/// Runs one open-loop experiment against a freshly deployed eUDM pool
+/// (see the module docs). `arm` is called once with the pool's fault
+/// switch, after the replicas are registered on the engine and before
+/// the first arrival — the place to install a fault plan.
+///
+/// # Panics
+///
+/// Panics when a cache refill response fails to decode, or when the
+/// engine leaves requests unsettled.
+#[must_use]
+pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mut Env)) -> Outcome {
+    let mut env = Env::new(seed);
+    env.log.disable();
+    let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
+    let ues = sc.workload.ues;
+    for i in 0..ues {
+        pool.provision_subscriber(&mut env, &test_supi(i), K);
+    }
+    let mut probe_supi = String::new();
+    if sc.health.is_some() {
+        probe_supi = test_supi(ues);
+        pool.provision_subscriber(&mut env, &probe_supi, K);
+    }
+    if sc.thrash_pages > 0 {
+        for replica in pool.replicas() {
+            replica
+                .module()
+                .borrow_mut()
+                .set_epc_thrash(sc.thrash_pages);
+        }
+    }
+    pool.rebaseline();
+    if let Some(policy) = sc.health {
+        pool.enable_health(policy);
+    }
+
+    let mut wl_rng = env.rng.fork(&format!("{}-workload", sc.name));
+    let trace = poisson_registrations(&mut wl_rng, env.clock.now(), &sc.workload);
+    let first_arrival = trace.first().map_or(env.clock.now(), |a| a.at);
+
+    let mut engine = Engine::new();
+    pool.register_on(&mut engine);
+    arm(pool.fault_switch(), &mut env);
+
+    let mut run = Run {
+        policy: sc.retry,
+        retry_rng: sc
+            .retry
+            .enabled()
+            .then(|| env.rng.fork(&format!("{}-retry", sc.name))),
+        probe_supi,
+        cache: sc.cache.map(AvCache::new),
+        sqn_counters: BTreeMap::new(),
+        brownout: sc.brownout.map(Brownout::new),
+        in_flight: BTreeMap::new(),
+        recorder: RunRecorder::new(),
+        recovery: RecoveryTracker::new(),
+        tallies: Tallies::default(),
+        last_event: env.clock.now(),
+    };
+
+    for (i, arrival) in trace.iter().enumerate() {
+        let idx = i as u32;
+        // Drain everything that finished before this arrival so the
+        // frontend cache reflects completed batch refills.
+        let horizon = arrival.at.max(env.clock.now());
+        let done = engine.run_until(&mut env, horizon);
+        run.settle(&mut engine, &mut pool, &mut env, horizon, done);
+
+        if sc.kill_at == Some(idx) {
+            let victim = pool.route(&arrival.supi);
+            // Its pre-generated AVs die with the replica — purged against
+            // the ring *before* the kill remaps it.
+            if let Some(c) = run.cache.as_mut() {
+                run.tallies.purged_avs = c.purge_where(|s| pool.route(s) == victim);
+            }
+            let report = pool.fail_over_on_engine(&mut env, &mut engine, victim);
+            run.recovery.fault(report.at);
+            run.tallies.failover = Some(report);
+        }
+        if sc.crash_at == Some(idx) {
+            let module = pool.replica(pool.route(&arrival.supi)).module();
+            let mut m = module.borrow_mut();
+            if m.inject_crash(&mut env) {
+                run.recovery.fault(env.clock.now());
+            }
+            if sc.aex_storm > 0 {
+                m.inject_aex_storm(&mut env, sc.aex_storm);
+            }
+        }
+
+        let class = if sc.emergency_period > 0 && idx.is_multiple_of(sc.emergency_period) {
+            PriorityClass::Emergency
+        } else {
+            PriorityClass::Normal
+        };
+        run.class_mut(class).arrivals += 1;
+        run.recorder.arrival(horizon);
+        run.last_event = run.last_event.max(horizon);
+
+        // Frontend cache check — hits never reach a replica, so they
+        // cannot be queued or shed.
+        if run
+            .cache
+            .as_mut()
+            .is_some_and(|c| c.take(&arrival.supi).is_some())
+        {
+            let finish = horizon + SimDuration::from_nanos(CACHE_HIT_NANOS);
+            run.recovery.success(finish);
+            run.recorder.served(horizon, SimDuration::ZERO, finish);
+            run.class_mut(class).served += 1;
+            continue;
+        }
+        // Brownout disables batch prefetching: each miss pays one
+        // single-AV round trip and the cache refills only from batches
+        // already in flight.
+        let browned_out = run.brownout.is_some_and(|b| b.active);
+        let prefetch = run.cache.as_ref().filter(|_| !browned_out);
+        let mut request = match prefetch {
+            Some(c) => batch_request(&mut env, c, &arrival.supi),
+            None => single_request(&mut env, &mut run.sqn_counters, &arrival.supi),
+        };
+        let batch = prefetch.is_some();
+        if class == PriorityClass::Emergency {
+            request = request.with_header(PRIORITY_HEADER, "emergency");
+        }
+        run.tallies.retry.calls += 1;
+        let replica = pool.route(&arrival.supi);
+        let copy = run.retry_rng.is_some().then(|| request.clone());
+        let tag = engine.schedule_request(horizon, &replica_addr(pool.kind(), replica), request);
+        run.in_flight.insert(
+            tag,
+            Pending {
+                supi: arrival.supi.clone(),
+                req: copy,
+                class,
+                replica,
+                batch,
+                ..Pending::default()
+            },
+        );
+    }
+    // Drain: each settle pass may retransmit or probe, scheduling fresh
+    // work.
+    while !run.in_flight.is_empty() {
+        let done = engine.run_until_idle(&mut env);
+        if done.is_empty() {
+            break;
+        }
+        let floor = env.clock.now();
+        run.settle(&mut engine, &mut pool, &mut env, floor, done);
+    }
+    assert!(run.in_flight.is_empty(), "requests left in flight");
+
+    let span = run.last_event - first_arrival;
+    run.tallies.normal.finish(span);
+    run.tallies.emergency.finish(span);
+    Outcome {
+        recovery: run
+            .recovery
+            .finish((run.tallies.retry.calls, run.tallies.retry.retries)),
+        pool: run
+            .recorder
+            .finish(&pool, &engine, run.cache.map(|c| c.stats())),
+        tallies: run.tallies,
+        sheds: pool.class_sheds(),
+        crash_recoveries: pool
+            .replicas()
+            .iter()
+            .map(|r| r.module().borrow().crash_recoveries())
+            .sum(),
+        brownout: run.brownout,
+        span,
+    }
+}
+
+fn snn() -> ServingNetworkName {
+    ServingNetworkName::new("001", "01")
+}
+
+/// One single-AV request for `supi`, stepping its SQN.
+pub(crate) fn single_request(
+    env: &mut Env,
+    sqn_counters: &mut BTreeMap<String, [u8; 6]>,
+    supi: &str,
+) -> HttpRequest {
+    let sqn = sqn_counters
+        .entry(supi.to_owned())
+        .and_modify(|s| *s = sqn_add(s, 1))
+        .or_insert([0, 0, 0, 0, 0, 1]);
+    HttpRequest::post(
+        "/eudm/generate-av",
+        UdmAkaRequest {
+            supi: supi.into(),
+            opc: OPC.into(),
+            rand: env.rng.bytes(),
+            sqn: *sqn,
+            amf_field: [0x80, 0],
+            snn: snn(),
+        }
+        .encode(),
+    )
+}
+
+fn batch_request(env: &mut Env, cache: &AvCache, supi: &str) -> HttpRequest {
+    HttpRequest::post(
+        "/eudm/generate-av-batch",
+        UdmAkaBatchRequest {
+            supi: supi.into(),
+            opc: OPC.into(),
+            rand_seed: env.rng.bytes(),
+            sqn_start: cache.next_sqn(supi),
+            amf_field: [0x80, 0],
+            snn: snn(),
+            count: cache.batch_size(),
+        }
+        .encode(),
+    )
+}

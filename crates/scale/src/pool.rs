@@ -13,7 +13,7 @@
 //! reads, not divisions of an aggregate.
 
 use crate::health::{HealthEvent, HealthPolicy, HealthTracker};
-use crate::queue::{Admission, QueueConfig, ReplicaQueue};
+use crate::queue::QueueConfig;
 use crate::router::{HashRing, ReplicaId};
 use shield5g_core::paka::{populate_registry, PakaKind, PakaModule, ServeMetrics, SgxConfig};
 use shield5g_hmee::counters::SgxCounters;
@@ -129,7 +129,7 @@ impl Default for PoolConfig {
     }
 }
 
-/// One replica: a distinct enclave deployment plus its queue state.
+/// One replica: a distinct enclave deployment.
 pub struct Replica {
     /// Stable pool-wide identifier.
     pub id: ReplicaId,
@@ -140,15 +140,10 @@ pub struct Replica {
     /// Virtual time the replica finished preheating.
     pub serving_since: Option<SimTime>,
     module: Rc<RefCell<PakaModule>>,
-    queue: ReplicaQueue,
     /// Counter snapshot at the end of preheat — deltas from here are
     /// pure request-serving cost, excluding boot and warm-up.
     baseline: Option<SgxCounters>,
     served: Rc<Cell<u64>>,
-    /// Shed counts (full, deadline) absorbed from an engine run.
-    engine_shed: (u64, u64),
-    /// Peak in-flight depth absorbed from an engine run.
-    engine_depth_peak: usize,
     /// Shared with the engine-facing service: when set, the endpoint
     /// fails fast instead of serving (fault-injected death).
     dead: Rc<Cell<bool>>,
@@ -173,26 +168,6 @@ impl Replica {
             Some(base) => now.delta_since(base),
             None => now,
         }
-    }
-
-    /// The replica's admission queue (closed-loop/synchronous path).
-    #[must_use]
-    pub fn queue(&self) -> &ReplicaQueue {
-        &self.queue
-    }
-
-    /// Requests shed at this replica, across both the synchronous queue
-    /// and any absorbed engine run.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        let (full, deadline) = self.queue.shed();
-        full + deadline + self.engine_shed.0 + self.engine_shed.1
-    }
-
-    /// Peak in-flight depth observed, across both admission paths.
-    #[must_use]
-    pub fn depth_peak(&self) -> usize {
-        self.queue.depth_peak().max(self.engine_depth_peak)
     }
 
     /// Shared handle to the replica's enclave module.
@@ -301,11 +276,8 @@ impl EnclavePool {
             spawned_at,
             serving_since: None,
             module: Rc::new(RefCell::new(module)),
-            queue: ReplicaQueue::new(self.cfg.queue),
             baseline: None,
             served: Rc::new(Cell::new(0)),
-            engine_shed: (0, 0),
-            engine_depth_peak: 0,
             dead: Rc::new(Cell::new(false)),
         };
         Self::preheat(env, self.kind, &mut replica);
@@ -396,20 +368,6 @@ impl EnclavePool {
     #[must_use]
     pub fn fault_switch(&self) -> &FaultSwitch {
         &self.fault_switch
-    }
-
-    /// Copies per-endpoint shed counters and depth peaks from a finished
-    /// engine run back onto the replicas, so [`Replica::shed_total`] and
-    /// [`Replica::depth_peak`] report engine-run ground truth.
-    pub fn absorb_engine(&mut self, engine: &Engine) {
-        let kind = self.kind;
-        for replica in &mut self.replicas {
-            let addr = replica_addr(kind, replica.id);
-            if engine.knows(&addr) {
-                replica.engine_shed = engine.shed_counts(&addr);
-                replica.engine_depth_peak = engine.depth_peak(&addr);
-            }
-        }
     }
 
     /// Moves a standby replica onto the routing ring (the fast scale-up
@@ -576,13 +534,13 @@ impl EnclavePool {
         latency: SimDuration,
         now: SimTime,
     ) -> Option<HealthEvent> {
+        let tracker = self.health.as_mut()?;
         // Only ready ring members generate health signal: the dead fail
         // fast by design and the ejected are already routed around.
         let ready = self
             .replicas
             .iter()
             .any(|r| r.id == id && r.state == ReplicaState::Ready);
-        let tracker = self.health.as_mut()?;
         if !ready || tracker.is_ejected(id) {
             return None;
         }
@@ -641,18 +599,10 @@ impl EnclavePool {
         ev
     }
 
-    /// Offers a request arriving at `now` to the replica owning `supi`.
-    /// Returns the owning replica and the admission decision; on
-    /// [`Admission::Shed`] the enclave is never touched.
-    pub fn admit(&mut self, supi: &str, now: SimTime) -> (ReplicaId, Admission) {
-        let id = self.route(supi);
-        let decision = self.replica_mut(id).queue.offer(now);
-        (id, decision)
-    }
-
-    /// Serves an admitted request on `id`, returning the response, the
-    /// module-side metrics, and the service occupancy (wall time the
-    /// replica spent on it, connection choreography included).
+    /// Serves a request on `id` synchronously, off the engine (no
+    /// admission, no queueing), returning the response, the module-side
+    /// metrics, and the service occupancy (wall time the replica spent
+    /// on it, connection choreography included).
     pub fn serve_on(
         &mut self,
         env: &mut Env,
@@ -669,12 +619,6 @@ impl EnclavePool {
         let (response, metrics) = replica.module.borrow_mut().serve(env, request);
         replica.served.set(replica.served.get() + 1);
         (response, metrics, env.clock.now() - t0)
-    }
-
-    /// Records the virtual-time completion of the last admitted request
-    /// on `id`.
-    pub fn complete(&mut self, id: ReplicaId, finish: SimTime) {
-        self.replica_mut(id).queue.complete(finish);
     }
 
     /// Provisions a subscriber key into every replica (current and, via
@@ -894,37 +838,6 @@ mod tests {
             }
         }
         assert_eq!(p.replica(1).state, ReplicaState::Retired);
-    }
-
-    #[test]
-    fn shed_requests_never_touch_the_enclave() {
-        let mut env = env();
-        let mut p = EnclavePool::deploy(
-            &mut env,
-            PakaKind::EUdm,
-            PoolConfig {
-                replicas: 1,
-                warm_standby: 0,
-                queue: QueueConfig {
-                    capacity: 1,
-                    deadline: SimDuration::from_secs(10),
-                },
-                ..PoolConfig::default()
-            },
-        );
-        p.provision_subscriber(&mut env, &test_supi(0), [0x46; 16]);
-        let supi = test_supi(0);
-        let now = env.clock.now();
-        let before = p.replica(0).counters_delta();
-        let (id, a1) = p.admit(&supi, now);
-        let Admission::Admitted { start, .. } = a1 else {
-            panic!("first arrival shed");
-        };
-        p.complete(id, start + SimDuration::from_millis(5));
-        let (_, a2) = p.admit(&supi, now);
-        assert!(matches!(a2, Admission::Shed(_)));
-        // No serve happened: counters unchanged by admission control.
-        assert_eq!(p.replica(0).counters_delta().eenter, before.eenter);
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Bounded admission queues with deadline-based load shedding.
+//! Per-replica admission parameters.
 //!
-//! Each replica serves one authentication flow at a time (the paper's
-//! single-flow Pistache server under `sgx.max_threads = 4`); arrivals
-//! beyond its service rate wait in a bounded FIFO. Admission is decided
-//! in virtual time at the arrival instant: a request is shed immediately
-//! when the queue is full **or** when its predicted wait already exceeds
-//! the deadline — serving it anyway would return an authentication
-//! response the AMF-side timer has long abandoned, while still burning
-//! enclave transitions.
+//! Each replica endpoint sits behind a [`shield5g_mw::AdmissionLayer`]
+//! configured from a [`QueueConfig`]: arrivals beyond its service rate
+//! wait in a bounded FIFO; a request is shed at arrival when the queue
+//! is full, or when a worker frees up only after it has waited past the
+//! deadline — serving it anyway would return an authentication response
+//! the AMF-side timer has long abandoned, while still burning enclave
+//! transitions.
 
-use shield5g_sim::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use shield5g_sim::time::SimDuration;
 
 /// Admission-control parameters for one replica queue.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueConfig {
     /// Maximum requests in flight (serving + waiting).
     pub capacity: usize,
-    /// Maximum predicted wait before a request is shed. Mirrors the NAS
+    /// Maximum queueing wait before a request is shed. Mirrors the NAS
     /// authentication supervision timer: a response slower than this is
     /// useless to the caller.
     pub deadline: SimDuration,
@@ -29,235 +27,5 @@ impl Default for QueueConfig {
             capacity: 64,
             deadline: SimDuration::from_millis(250),
         }
-    }
-}
-
-/// Why a request was shed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The bounded queue was full at arrival.
-    QueueFull,
-    /// Predicted wait exceeded the admission deadline.
-    DeadlineExceeded,
-}
-
-/// Outcome of offering a request to a replica queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
-    /// Admitted; service begins at `start` (>= arrival).
-    Admitted {
-        /// Virtual time service begins.
-        start: SimTime,
-        /// Time spent waiting behind earlier requests.
-        queued: SimDuration,
-    },
-    /// Rejected without touching the enclave.
-    Shed(ShedReason),
-}
-
-/// The virtual-time queue state of one replica.
-#[derive(Clone, Debug)]
-pub struct ReplicaQueue {
-    cfg: QueueConfig,
-    /// Completion times of admitted, not-yet-finished requests
-    /// (non-decreasing; front finishes first).
-    completions: VecDeque<SimTime>,
-    admitted: u64,
-    shed_full: u64,
-    shed_deadline: u64,
-    depth_peak: usize,
-}
-
-impl ReplicaQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new(cfg: QueueConfig) -> Self {
-        ReplicaQueue {
-            cfg,
-            completions: VecDeque::new(),
-            admitted: 0,
-            shed_full: 0,
-            shed_deadline: 0,
-            depth_peak: 0,
-        }
-    }
-
-    /// Drops requests that have completed by `now`.
-    fn drain(&mut self, now: SimTime) {
-        while self.completions.front().is_some_and(|&f| f <= now) {
-            self.completions.pop_front();
-        }
-    }
-
-    /// Offers a request arriving at `now`. On admission the caller must
-    /// serve the request and report its completion via
-    /// [`ReplicaQueue::complete`] before offering the next arrival.
-    pub fn offer(&mut self, now: SimTime) -> Admission {
-        self.drain(now);
-        if self.completions.len() >= self.cfg.capacity {
-            self.shed_full += 1;
-            return Admission::Shed(ShedReason::QueueFull);
-        }
-        let start = match self.completions.back() {
-            Some(&busy_until) if busy_until > now => busy_until,
-            _ => now,
-        };
-        let queued = start - now;
-        if queued > self.cfg.deadline {
-            self.shed_deadline += 1;
-            return Admission::Shed(ShedReason::DeadlineExceeded);
-        }
-        self.admitted += 1;
-        self.depth_peak = self.depth_peak.max(self.completions.len() + 1);
-        Admission::Admitted { start, queued }
-    }
-
-    /// Records the completion time of the most recently admitted request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `finish` precedes the previous completion — admitted
-    /// requests are served FIFO, so completions are non-decreasing.
-    pub fn complete(&mut self, finish: SimTime) {
-        if let Some(&last) = self.completions.back() {
-            assert!(finish >= last, "FIFO completions must be non-decreasing");
-        }
-        self.completions.push_back(finish);
-    }
-
-    /// Requests admitted so far.
-    #[must_use]
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Requests shed, by reason (full, deadline).
-    #[must_use]
-    pub fn shed(&self) -> (u64, u64) {
-        (self.shed_full, self.shed_deadline)
-    }
-
-    /// Highest in-flight depth observed.
-    #[must_use]
-    pub fn depth_peak(&self) -> usize {
-        self.depth_peak
-    }
-
-    /// Virtual time the replica becomes idle (arrival time for an empty
-    /// queue).
-    #[must_use]
-    pub fn busy_until(&self, now: SimTime) -> SimTime {
-        match self.completions.back() {
-            Some(&t) if t > now => t,
-            _ => now,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_nanos(ms * 1_000_000)
-    }
-
-    fn d(ms: u64) -> SimDuration {
-        SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn idle_queue_starts_immediately() {
-        let mut q = ReplicaQueue::new(QueueConfig::default());
-        match q.offer(t(10)) {
-            Admission::Admitted { start, queued } => {
-                assert_eq!(start, t(10));
-                assert_eq!(queued, SimDuration::ZERO);
-            }
-            Admission::Shed(r) => panic!("shed {r:?}"),
-        }
-    }
-
-    #[test]
-    fn back_to_back_arrivals_queue_fifo() {
-        let mut q = ReplicaQueue::new(QueueConfig::default());
-        // Three arrivals at t=0, each served in 5 ms.
-        let mut starts = Vec::new();
-        for _ in 0..3 {
-            match q.offer(t(0)) {
-                Admission::Admitted { start, .. } => {
-                    starts.push(start);
-                    q.complete(start + d(5));
-                }
-                Admission::Shed(r) => panic!("shed {r:?}"),
-            }
-        }
-        assert_eq!(starts, vec![t(0), t(5), t(10)]);
-        assert_eq!(q.depth_peak(), 3);
-    }
-
-    #[test]
-    fn full_queue_sheds() {
-        let mut q = ReplicaQueue::new(QueueConfig {
-            capacity: 2,
-            deadline: d(10_000),
-        });
-        for _ in 0..2 {
-            if let Admission::Admitted { start, .. } = q.offer(t(0)) {
-                q.complete(start + d(5));
-            }
-        }
-        assert_eq!(q.offer(t(0)), Admission::Shed(ShedReason::QueueFull));
-        assert_eq!(q.shed(), (1, 0));
-        // Once the head drains, admission resumes.
-        assert!(matches!(q.offer(t(6)), Admission::Admitted { .. }));
-    }
-
-    #[test]
-    fn deadline_sheds_before_capacity() {
-        let mut q = ReplicaQueue::new(QueueConfig {
-            capacity: 1_000,
-            deadline: d(8),
-        });
-        for _ in 0..2 {
-            if let Admission::Admitted { start, .. } = q.offer(t(0)) {
-                q.complete(start + d(5));
-            }
-        }
-        // Predicted wait is now 10 ms > the 8 ms deadline.
-        assert_eq!(q.offer(t(0)), Admission::Shed(ShedReason::DeadlineExceeded));
-        assert_eq!(q.shed(), (0, 1));
-        assert_eq!(q.admitted(), 2);
-    }
-
-    #[test]
-    fn drained_queue_forgets_history() {
-        let mut q = ReplicaQueue::new(QueueConfig {
-            capacity: 2,
-            deadline: d(100),
-        });
-        for _ in 0..2 {
-            if let Admission::Admitted { start, .. } = q.offer(t(0)) {
-                q.complete(start + d(5));
-            }
-        }
-        // Well past both completions: queue empty again, no queuing delay.
-        match q.offer(t(500)) {
-            Admission::Admitted { start, queued } => {
-                assert_eq!(start, t(500));
-                assert_eq!(queued, SimDuration::ZERO);
-            }
-            Admission::Shed(r) => panic!("shed {r:?}"),
-        }
-    }
-
-    #[test]
-    fn busy_until_tracks_backlog() {
-        let mut q = ReplicaQueue::new(QueueConfig::default());
-        assert_eq!(q.busy_until(t(3)), t(3));
-        if let Admission::Admitted { start, .. } = q.offer(t(3)) {
-            q.complete(start + d(7));
-        }
-        assert_eq!(q.busy_until(t(3)), t(10));
     }
 }
