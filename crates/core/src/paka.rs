@@ -686,7 +686,7 @@ impl PakaModule {
         self.warm = true;
 
         // --- Connection phase: accept + TLS handshake + reactor upkeep.
-        self.run_syscalls(env, &setup_syscalls());
+        self.run_syscalls(env, &SETUP_SYSCALLS);
         let handshake = env.rng.jitter(TLS_HANDSHAKE_CRYPTO_NANOS, 0.05);
         self.charge_compute(env, handshake);
         if first_request {
@@ -724,7 +724,7 @@ impl PakaModule {
         let total = env.clock.now() - t_total_start;
 
         // --- Teardown (outside the measured windows).
-        self.run_syscalls(env, &teardown_syscalls());
+        self.run_syscalls(env, &TEARDOWN_SYSCALLS);
 
         (
             response,
@@ -824,37 +824,52 @@ impl PakaModule {
     }
 }
 
-/// Connection setup: accept, socket options, TLS handshake I/O, Pistache
-/// reactor/timer upkeep — 61 syscalls.
-fn setup_syscalls() -> Vec<Syscall> {
-    let mut v = Vec::with_capacity(61);
-    v.push(Syscall::Accept);
-    v.extend([Syscall::Fcntl; 2]);
-    v.extend([Syscall::Setsockopt; 3]);
-    v.push(Syscall::Getpeername);
-    v.extend([Syscall::EpollCtl; 2]);
-    // TLS handshake I/O.
-    v.extend([Syscall::EpollWait; 4]);
-    v.extend([Syscall::Read { bytes: 620 }; 3]);
-    v.extend([Syscall::Write { bytes: 810 }; 2]);
-    v.extend([Syscall::GetRandom; 2]);
-    v.extend([Syscall::ClockGettime; 8]);
-    v.extend([Syscall::Futex; 2]);
-    // Pistache timer maintenance.
-    v.extend([Syscall::ClockGettime; 12]);
-    v.extend([Syscall::EpollWait; 4]);
-    v.extend([Syscall::Futex; 3]);
-    // Reactor bookkeeping.
-    v.extend([Syscall::ClockGettime; 8]);
-    v.extend([Syscall::Futex; 2]);
-    v.extend([Syscall::EpollCtl; 2]);
-    debug_assert_eq!(v.len(), 61);
-    v
+/// Expands `(syscall, repeat)` runs into a fixed choreography at compile
+/// time; a run list that does not total `N` fails the build.
+const fn choreography<const N: usize>(runs: &[(Syscall, usize)]) -> [Syscall; N] {
+    let mut calls = [Syscall::Close; N];
+    let (mut n, mut run) = (0, 0);
+    while run < runs.len() {
+        let mut repeat = 0;
+        while repeat < runs[run].1 {
+            calls[n] = runs[run].0;
+            n += 1;
+            repeat += 1;
+        }
+        run += 1;
+    }
+    assert!(n == N, "runs must total N syscalls");
+    calls
 }
 
+/// Connection setup: accept, socket options, TLS handshake I/O, Pistache
+/// reactor/timer upkeep — 61 syscalls.
+const SETUP_SYSCALLS: [Syscall; 61] = choreography(&[
+    (Syscall::Accept, 1),
+    (Syscall::Fcntl, 2),
+    (Syscall::Setsockopt, 3),
+    (Syscall::Getpeername, 1),
+    (Syscall::EpollCtl, 2),
+    // TLS handshake I/O.
+    (Syscall::EpollWait, 4),
+    (Syscall::Read { bytes: 620 }, 3),
+    (Syscall::Write { bytes: 810 }, 2),
+    (Syscall::GetRandom, 2),
+    (Syscall::ClockGettime, 8),
+    (Syscall::Futex, 2),
+    // Pistache timer maintenance.
+    (Syscall::ClockGettime, 12),
+    (Syscall::EpollWait, 4),
+    (Syscall::Futex, 3),
+    // Reactor bookkeeping.
+    (Syscall::ClockGettime, 8),
+    (Syscall::Futex, 2),
+    (Syscall::EpollCtl, 2),
+]);
+
 /// Request-receipt window: 5 syscalls.
-fn read_syscalls(req_bytes: usize) -> Vec<Syscall> {
-    vec![
+const fn read_syscalls(req_bytes: usize) -> [Syscall; 5] {
+    [
         Syscall::EpollWait,
         Syscall::Read { bytes: req_bytes },
         Syscall::Read { bytes: 0 },
@@ -864,8 +879,8 @@ fn read_syscalls(req_bytes: usize) -> Vec<Syscall> {
 }
 
 /// Response-dispatch window: 4 syscalls.
-fn write_syscalls(resp_bytes: usize) -> Vec<Syscall> {
-    vec![
+const fn write_syscalls(resp_bytes: usize) -> [Syscall; 4] {
+    [
         Syscall::Write { bytes: resp_bytes },
         Syscall::ClockGettime,
         Syscall::ClockGettime,
@@ -875,27 +890,24 @@ fn write_syscalls(resp_bytes: usize) -> Vec<Syscall> {
 
 /// Connection teardown: close-notify exchange, epoll cleanup, timers —
 /// 21 syscalls (91 total per request).
-fn teardown_syscalls() -> Vec<Syscall> {
-    let mut v = Vec::with_capacity(21);
-    v.push(Syscall::Read { bytes: 24 });
-    v.push(Syscall::Write { bytes: 24 });
-    v.push(Syscall::Close);
-    v.extend([Syscall::EpollCtl; 2]);
-    v.extend([Syscall::ClockGettime; 11]);
-    v.extend([Syscall::EpollWait; 3]);
-    v.extend([Syscall::Futex; 2]);
-    debug_assert_eq!(v.len(), 21);
-    v
-}
+const TEARDOWN_SYSCALLS: [Syscall; 21] = choreography(&[
+    (Syscall::Read { bytes: 24 }, 1),
+    (Syscall::Write { bytes: 24 }, 1),
+    (Syscall::Close, 1),
+    (Syscall::EpollCtl, 2),
+    (Syscall::ClockGettime, 11),
+    (Syscall::EpollWait, 3),
+    (Syscall::Futex, 2),
+]);
 
 /// Total syscalls per served request (what drives the per-registration
 /// EENTER/EEXIT delta of ~91 in Table III).
 #[must_use]
 pub fn syscalls_per_request() -> usize {
-    setup_syscalls().len()
+    SETUP_SYSCALLS.len()
         + read_syscalls(0).len()
         + write_syscalls(0).len()
-        + teardown_syscalls().len()
+        + TEARDOWN_SYSCALLS.len()
 }
 
 #[cfg(test)]

@@ -5,6 +5,23 @@
 //! HMEE simulator encrypts Enclave Page Cache pages and sim-TLS records with
 //! CTR as well — so this module is the workhorse of the whole workspace.
 //!
+//! # Implementation
+//!
+//! The forward direction ([`Aes128::encrypt_block`], [`Aes128::ctr_apply`])
+//! keeps the state as four big-endian `u32` columns and does
+//! `SubBytes`/`ShiftRows`/`MixColumns` of one column as four lookups in a
+//! single 256-entry round table, rotated per row. The table is computed at
+//! compile time from [`SBOX`], so the S-box stays the only hand-typed
+//! table. [`Aes128::decrypt_block`] has no caller outside tests and stays
+//! a byte-wise transcription of FIPS-197: it shares only the S-box and the
+//! key schedule with the forward core, which makes the encrypt/decrypt
+//! round-trip tests a differential check of one against the other.
+//!
+//! The code favours clarity over side-channel hardening: the S-box and the
+//! round table are both indexed by secret bytes, so neither direction is
+//! constant-time with respect to the cache. The workspace's threat model
+//! excludes side channels (DESIGN.md).
+//!
 //! # Example
 //!
 //! ```rust
@@ -19,6 +36,7 @@
 //! assert_eq!(block, original);
 //! ```
 
+use crate::secret::Secret;
 use std::sync::OnceLock;
 
 /// The AES S-box (FIPS-197 figure 7).
@@ -58,9 +76,10 @@ fn inv_sbox() -> &'static [u8; 256] {
 }
 
 /// Multiplication in GF(2^8) with the AES reduction polynomial `x^8 + x^4 + x^3 + x + 1`.
-fn gmul(mut a: u8, mut b: u8) -> u8 {
+const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    let mut bit = 0;
+    while bit < 8 {
         if b & 1 != 0 {
             p ^= a;
         }
@@ -70,9 +89,25 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
             a ^= 0x1b;
         }
         b >>= 1;
+        bit += 1;
     }
     p
 }
+
+/// The forward round table: entry `x` is the `MixColumns` contribution of
+/// a row-0 byte `x` after `SubBytes`, i.e. the column `(2·S[x], S[x],
+/// S[x], 3·S[x])` packed big-endian. Rows 1–3 use the same entry rotated
+/// right by 8, 16 and 24 bits.
+static ROUND_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        table[x] = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
+        x += 1;
+    }
+    table
+};
 
 /// An expanded AES-128 key.
 ///
@@ -138,12 +173,6 @@ impl Aes128 {
         }
     }
 
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for s in state.iter_mut() {
-            *s = SBOX[*s as usize];
-        }
-    }
-
     fn inv_sub_bytes(state: &mut [u8; 16]) {
         let inv = inv_sbox();
         for s in state.iter_mut() {
@@ -152,37 +181,13 @@ impl Aes128 {
     }
 
     /// State layout follows FIPS-197: byte `i` of the block sits at row
-    /// `i % 4`, column `i / 4`; `ShiftRows` rotates row `r` left by `r`.
-    fn shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
+    /// `i % 4`, column `i / 4`; `InvShiftRows` rotates row `r` right by `r`.
     fn inv_shift_rows(state: &mut [u8; 16]) {
         let s = *state;
         for r in 1..4 {
             for c in 0..4 {
                 state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
             }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
         }
     }
 
@@ -205,21 +210,51 @@ impl Aes128 {
         }
     }
 
+    /// The round keys as big-endian column words, the form the forward
+    /// core consumes. A second copy of the schedule, so wiped on drop too.
+    fn round_key_words(&self) -> Secret<[[u32; 4]; 11]> {
+        Secret::new(self.round_keys.map(|rk| columns(u128::from_be_bytes(rk))))
+    }
+
+    /// The forward cipher on column words. Column `c` of a round's output
+    /// takes its row-`r` byte from column `c + r` of the input
+    /// (`ShiftRows`); the table lookup does `SubBytes` and `MixColumns`.
+    fn encrypt_columns(rk: &[[u32; 4]; 11], mut s: [u32; 4]) -> [u32; 4] {
+        for c in 0..4 {
+            s[c] ^= rk[0][c];
+        }
+        for round_key in &rk[1..10] {
+            let mut t = *round_key;
+            for c in 0..4 {
+                t[c] ^= ROUND_TABLE[(s[c] >> 24) as usize]
+                    ^ ROUND_TABLE[(s[(c + 1) % 4] >> 16) as u8 as usize].rotate_right(8)
+                    ^ ROUND_TABLE[(s[(c + 2) % 4] >> 8) as u8 as usize].rotate_right(16)
+                    ^ ROUND_TABLE[s[(c + 3) % 4] as u8 as usize].rotate_right(24);
+            }
+            s = t;
+        }
+        // Final round: no MixColumns, so the plain S-box.
+        let mut t = rk[10];
+        for c in 0..4 {
+            t[c] ^= u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+                SBOX[s[(c + 3) % 4] as u8 as usize],
+            ]);
+        }
+        t
+    }
+
     /// Encrypts one 16-byte block in place.
     ///
     /// FIPS-197 stores the state column-major; a flat byte buffer in
-    /// transmission order *is* that layout, so no transposition is needed.
+    /// transmission order *is* that layout, so each column is one
+    /// big-endian word of the block.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-        }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        let rk = self.round_key_words();
+        let state = columns(u128::from_be_bytes(*block));
+        *block = join(Self::encrypt_columns(rk.expose(), state)).to_be_bytes();
     }
 
     /// Decrypts one 16-byte block in place.
@@ -250,21 +285,35 @@ impl Aes128 {
     /// incremented big-endian per block, as required by SP 800-38A and the
     /// SUCI Profile A key data layout (TS 33.501 C.3.4).
     pub fn ctr_apply(&self, icb: &[u8; 16], data: &mut [u8]) {
-        let mut counter = *icb;
+        let rk = self.round_key_words();
+        let mut counter = u128::from_be_bytes(*icb);
         for chunk in data.chunks_mut(16) {
-            let keystream = self.encrypt_block_copy(&counter);
+            let keystream =
+                join(Self::encrypt_columns(rk.expose(), columns(counter))).to_be_bytes();
             for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
                 *d ^= k;
             }
-            // Big-endian increment across the whole block.
-            for byte in counter.iter_mut().rev() {
-                *byte = byte.wrapping_add(1);
-                if *byte != 0 {
-                    break;
-                }
-            }
+            counter = counter.wrapping_add(1);
         }
     }
+}
+
+/// Splits a block, read as one big-endian integer, into its four column
+/// words.
+fn columns(block: u128) -> [u32; 4] {
+    [
+        (block >> 96) as u32,
+        (block >> 64) as u32,
+        (block >> 32) as u32,
+        block as u32,
+    ]
+}
+
+/// Joins four column words back into a block.
+fn join(columns: [u32; 4]) -> u128 {
+    columns
+        .iter()
+        .fold(0, |block, &column| (block << 32) | u128::from(column))
 }
 
 #[cfg(test)]
@@ -294,16 +343,25 @@ mod tests {
 
     #[test]
     fn nist_ctr_vector() {
-        // SP 800-38A F.5.1 CTR-AES128.Encrypt, blocks 1-2.
+        // SP 800-38A F.5.1 CTR-AES128.Encrypt, blocks 1-4.
         let key = hex::decode_array::<16>("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
         let icb = hex::decode_array::<16>("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").unwrap();
-        let mut data =
-            hex::decode("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51")
-                .unwrap();
+        let mut data = hex::decode(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ))
+        .unwrap();
         Aes128::new(&key).ctr_apply(&icb, &mut data);
         assert_eq!(
             hex::encode(&data),
-            "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+            concat!(
+                "874d6191b620e3261bef6864990db6ce",
+                "9806f66b7970fdff8617187bb9fffdff",
+                "5ae4df3edbd5d35e5b4f09020db03eab",
+                "1e031dda2fbe03d1792170a0f3009cee",
+            )
         );
     }
 
@@ -321,16 +379,35 @@ mod tests {
 
     #[test]
     fn ctr_counter_wraps_across_byte_boundary() {
+        // The counter is one 128-bit big-endian integer: the carry out of
+        // the low 8, 32 and 64 bits propagates, the carry out of all 128
+        // wraps to zero. Expected counters are incremented by hand.
         let cipher = Aes128::new(&[1u8; 16]);
-        let mut icb = [0u8; 16];
-        icb[15] = 0xff; // next increment carries into byte 14
-        let mut data = vec![0u8; 48];
-        cipher.ctr_apply(&icb, &mut data);
-        // Block 2 keystream must equal encryption of counter 0x...0100.
-        let mut ctr2 = [0u8; 16];
-        ctr2[14] = 0x01;
-        let expected = cipher.encrypt_block_copy(&ctr2);
-        assert_eq!(&data[16..32], &expected[..]);
+        for (icb, next) in [
+            (
+                "000000000000000000000000000000ff",
+                "00000000000000000000000000000100",
+            ),
+            (
+                "000102030405060708090a0bffffffff",
+                "000102030405060708090a0c00000000",
+            ),
+            (
+                "0001020304050607ffffffffffffffff",
+                "00010203040506080000000000000000",
+            ),
+            (
+                "ffffffffffffffffffffffffffffffff",
+                "00000000000000000000000000000000",
+            ),
+        ] {
+            let icb = hex::decode_array::<16>(icb).unwrap();
+            let next = hex::decode_array::<16>(next).unwrap();
+            let mut data = [0u8; 32];
+            cipher.ctr_apply(&icb, &mut data);
+            assert_eq!(data[..16], cipher.encrypt_block_copy(&icb));
+            assert_eq!(data[16..], cipher.encrypt_block_copy(&next));
+        }
     }
 
     #[test]
@@ -389,6 +466,19 @@ mod tests {
             cipher.ctr_apply(&icb, &mut buf);
             cipher.ctr_apply(&icb, &mut buf);
             proptest::prop_assert_eq!(buf, data);
+        }
+
+        #[test]
+        fn ctr_over_a_prefix_is_the_prefix_of_ctr_over_the_whole(key in proptest::array::uniform16(0u8..), icb in proptest::array::uniform16(0u8..), data in proptest::collection::vec(0u8.., 0..200), cut in 0usize..200) {
+            // The keystream is seekable from the start: the EPC vault
+            // decrypts only the bytes of a page that hold the value.
+            let cipher = Aes128::new(&key);
+            let cut = cut % (data.len() + 1);
+            let mut whole = data.clone();
+            cipher.ctr_apply(&icb, &mut whole);
+            let mut prefix = data[..cut].to_vec();
+            cipher.ctr_apply(&icb, &mut prefix);
+            proptest::prop_assert_eq!(&prefix[..], &whole[..cut]);
         }
     }
 }

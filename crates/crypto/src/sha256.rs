@@ -109,15 +109,14 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len * 8;
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Write the length directly into the buffer and compress.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        // Padding: 0x80, zeros up to 56 mod 64, 64-bit big-endian bit
+        // length — at most 64 + 8 bytes, absorbed in one step.
+        let zeros_end = if self.buf_len < 56 { 56 } else { 120 } - self.buf_len;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..zeros_end + 8]);
+        debug_assert_eq!(self.buf_len, 0, "padding ends on a block boundary");
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

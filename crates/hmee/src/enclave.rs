@@ -13,7 +13,7 @@ use crate::epc::{EncryptedPage, EpcRegion, EpcSnapshot};
 use crate::platform::SgxPlatform;
 use crate::HmeeError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::hmac_sha256;
+use shield5g_crypto::hmac::HmacSha256;
 use shield5g_crypto::sha256::Sha256;
 use shield5g_obs::hub as obs;
 use shield5g_obs::span::SpanKind;
@@ -180,7 +180,7 @@ impl EnclaveBuilder {
 }
 
 /// Metadata for one named vault slot.
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 struct SlotMeta {
     page_indices: Vec<usize>,
     len: usize,
@@ -602,43 +602,78 @@ impl Enclave {
 
     /// Writes `plaintext` into the named vault slot, encrypting it into
     /// EPC pages for real.
+    ///
+    /// A rewrite re-encrypts the slot's pages where they are: page `i` of
+    /// the new value lands on the slot's `i`-th page index under a fresh
+    /// version (so a fresh nonce and tag), and EPC occupancy does not
+    /// move. A longer value appends fresh pages for the excess; a shorter
+    /// one releases the slot's surplus pages, whose indices are retired.
+    ///
+    /// A page that is evicted when its slot is rewritten is re-created
+    /// resident, and its version-tree record moves to the new version:
+    /// the blob still in untrusted memory is stale from then on and
+    /// [`Enclave::reload_page`] rejects it as a rollback.
     pub fn vault_write(&mut self, env: &mut Env, slot: &str, plaintext: &[u8]) {
-        // Retire any previous pages by overwriting the slot metadata; the
-        // old pages stay as unreferenced ciphertext (like freed memory).
-        let mut indices = Vec::new();
-        for chunk in plaintext.chunks(PAGE_SIZE).chain(
-            // Zero-length writes still occupy one page of metadata.
-            std::iter::once(&b""[..]).take(usize::from(plaintext.is_empty())),
-        ) {
-            self.version_counter += 1;
-            let version = self.version_counter;
-            let mut page = vec![0u8; PAGE_SIZE];
-            page[..chunk.len()].copy_from_slice(chunk);
-            let mut nonce = [0u8; 16];
-            nonce[..8].copy_from_slice(&version.to_be_bytes());
-            self.epc_cipher.ctr_apply(&nonce, &mut page);
-            let tag = Self::page_tag(&self.epc_mac_key, version, &page);
-            let idx = self.epc.push_page(EncryptedPage {
-                ciphertext: page,
-                tag,
-                version,
-            });
-            indices.push(idx);
+        let (name, mut meta) = self
+            .vault
+            .remove_entry(slot)
+            .unwrap_or_else(|| (slot.to_owned(), SlotMeta::default()));
+        let indices = &mut meta.page_indices;
+        // Zero-length writes still occupy one (all-padding) page.
+        let pages = plaintext.len().div_ceil(PAGE_SIZE).max(1);
+        let mut chunks = plaintext.chunks(PAGE_SIZE);
+        for i in 0..pages {
+            let chunk = chunks.next().unwrap_or_default();
+            match indices.get(i) {
+                Some(&idx) => {
+                    let buf = self.epc.take_page(idx).map(|old| old.ciphertext);
+                    let page = self.seal_page(chunk, buf.unwrap_or_default());
+                    if let Some(expected) = self.evicted_versions.get_mut(&idx) {
+                        *expected = page.version;
+                    }
+                    self.epc.replace_page(idx, page);
+                }
+                None => {
+                    let page = self.seal_page(chunk, Vec::new());
+                    indices.push(self.epc.push_page(page));
+                }
+            }
         }
-        self.vault.insert(
-            slot.to_owned(),
-            SlotMeta {
-                page_indices: indices,
-                len: plaintext.len(),
-            },
-        );
+        for idx in indices.drain(pages..) {
+            self.epc.release_page(idx);
+            self.evicted_versions.remove(&idx);
+        }
+        meta.len = plaintext.len();
+        self.vault.insert(name, meta);
         // Charge encryption work: ~1 cycle/byte MEE write-through.
-        let pages = plaintext.len().div_ceil(PAGE_SIZE).max(1) as u64;
         env.clock
-            .advance(self.cost.cycles(pages * PAGE_SIZE as u64 / 2));
+            .advance(self.cost.cycles(pages as u64 * PAGE_SIZE as u64 / 2));
     }
 
-    /// Reads and decrypts a vault slot, verifying integrity.
+    /// Encrypts `chunk`, zero-padded to a whole page, into `buf` under the
+    /// next version: the version is the CTR nonce, so no `(key, nonce)`
+    /// pair is ever used twice, and the tag covers version and page.
+    fn seal_page(&mut self, chunk: &[u8], mut buf: Vec<u8>) -> EncryptedPage {
+        self.version_counter += 1;
+        let version = self.version_counter;
+        buf.clear();
+        buf.reserve_exact(PAGE_SIZE);
+        buf.extend_from_slice(chunk);
+        buf.resize(PAGE_SIZE, 0);
+        self.epc_cipher
+            .ctr_apply(&Self::page_nonce(version), &mut buf);
+        let tag = Self::page_tag(&self.epc_mac_key, version, &buf);
+        EncryptedPage {
+            ciphertext: buf,
+            tag,
+            version,
+        }
+    }
+
+    /// Reads and decrypts a vault slot, verifying integrity: every page is
+    /// MAC-checked whole before any of it is trusted, then only the bytes
+    /// the value occupies are decrypted (CTR is seekable from the start of
+    /// a page, and the padding is never returned).
     ///
     /// # Errors
     ///
@@ -654,8 +689,7 @@ impl Enclave {
         let meta = self
             .vault
             .get(slot)
-            .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?
-            .clone();
+            .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?;
         let mut out = Vec::with_capacity(meta.len);
         for &idx in &meta.page_indices {
             let page = self
@@ -668,13 +702,12 @@ impl Enclave {
                     "slot {slot:?} page {idx} failed EPCM verification"
                 )));
             }
-            let mut nonce = [0u8; 16];
-            nonce[..8].copy_from_slice(&page.version.to_be_bytes());
-            let mut plain = page.ciphertext.clone();
-            self.epc_cipher.ctr_apply(&nonce, &mut plain);
-            out.extend_from_slice(&plain);
+            let start = out.len();
+            let take = (meta.len - start).min(PAGE_SIZE);
+            out.extend_from_slice(&page.ciphertext[..take]);
+            self.epc_cipher
+                .ctr_apply(&Self::page_nonce(page.version), &mut out[start..]);
         }
-        out.truncate(meta.len);
         let pages = meta.page_indices.len() as u64;
         env.clock
             .advance(self.cost.cycles(pages * PAGE_SIZE as u64 / 2));
@@ -689,11 +722,18 @@ impl Enclave {
         v
     }
 
+    /// The CTR initial counter block of a page: its version, then zeros.
+    fn page_nonce(version: u64) -> [u8; 16] {
+        let mut nonce = [0u8; 16];
+        nonce[..8].copy_from_slice(&version.to_be_bytes());
+        nonce
+    }
+
     fn page_tag(mac_key: &[u8; 32], version: u64, ciphertext: &[u8]) -> [u8; 32] {
-        let mut input = Vec::with_capacity(8 + ciphertext.len());
-        input.extend_from_slice(&version.to_be_bytes());
-        input.extend_from_slice(ciphertext);
-        hmac_sha256(mac_key, &input)
+        let mut mac = HmacSha256::new(mac_key);
+        mac.update(&version.to_be_bytes());
+        mac.update(ciphertext);
+        mac.finalize()
     }
 
     /// **Attacker interface**: what memory introspection sees.
@@ -921,25 +961,137 @@ mod tests {
     #[test]
     fn rollback_replay_rejected() {
         // The attacker captures an old version of a page and replays it
-        // after the enclave updated the value — the version tree catches it.
+        // after the enclave updated the value in place — same page index,
+        // valid MAC, and still the version tree catches it.
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "k", b"value v1");
         let stale = e.evict_page(&mut env, 0).unwrap();
         e.reload_page(&mut env, 0, stale.clone()).unwrap();
-        // Enclave overwrites the slot (new version, new page index).
+        // Enclave overwrites the slot (new version, same page index).
         e.vault_write(&mut env, "k", b"value v2");
-        let meta_pages = e.epc_snapshot().pages.len();
-        assert!(meta_pages >= 2);
-        // Evict the *new* page (index 1) and replay the *old* blob.
-        let fresh = e.evict_page(&mut env, 1).unwrap();
+        assert_eq!(e.epc_snapshot().pages.len(), 1);
+        // Evict the rewritten page and replay the *old* blob into its slot.
+        let fresh = e.evict_page(&mut env, 0).unwrap();
         assert_ne!(fresh.version, stale.version);
-        let err = e.reload_page(&mut env, 1, stale).unwrap_err();
+        let err = e.reload_page(&mut env, 0, stale).unwrap_err();
         assert!(matches!(err, HmeeError::IntegrityViolation(_)), "{err}");
         assert!(err.to_string().contains("rollback"));
         // The genuine blob still reloads.
-        e.reload_page(&mut env, 1, fresh).unwrap();
+        e.reload_page(&mut env, 0, fresh).unwrap();
         assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"value v2");
+    }
+
+    #[test]
+    fn rewrites_leave_epc_occupancy_where_the_first_write_put_it() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "scratch:kausf", &[0x11; 32]);
+        let pressure = e.epc_pressure();
+        let accounted = e.epc.accounted_pages();
+        let slots = e.epc.data_page_count();
+        for i in 0..10_000u32 {
+            let mut value = [0x22u8; 32];
+            value[..4].copy_from_slice(&i.to_be_bytes());
+            e.vault_write(&mut env, "scratch:kausf", &value);
+        }
+        assert_eq!(e.epc_pressure(), pressure);
+        assert_eq!(e.epc.accounted_pages(), accounted);
+        assert_eq!(e.epc.data_page_count(), slots);
+        let last = e.vault_read(&mut env, "scratch:kausf").unwrap();
+        assert_eq!(last[..4], 9_999u32.to_be_bytes());
+    }
+
+    #[test]
+    fn rewrite_across_page_counts_reuses_then_releases() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "other", b"neighbour");
+        e.vault_write(&mut env, "s", &[0x33; 32]);
+        let one_page = e.epc.accounted_pages();
+        // Growing keeps the first page's index and appends one fresh page.
+        let big: Vec<u8> = (0..PAGE_SIZE + 9).map(|i| (i % 251) as u8).collect();
+        e.vault_write(&mut env, "s", &big);
+        assert_eq!(e.vault_read(&mut env, "s").unwrap(), big);
+        assert_eq!(e.epc.accounted_pages(), one_page + 1);
+        assert_eq!(e.epc.data_page_count(), 3);
+        // Shrinking rewrites the first page in place and releases the
+        // second: its occupancy is returned and its index retired.
+        e.vault_write(&mut env, "s", &[0x44; 32]);
+        assert_eq!(e.vault_read(&mut env, "s").unwrap(), [0x44; 32]);
+        assert_eq!(e.epc.accounted_pages(), one_page);
+        assert_eq!(e.epc.data_page_count(), 3);
+        assert!(e.epc.page(2).is_none(), "surplus page released");
+        assert_eq!(e.epc_snapshot().pages.len(), 2);
+        assert!(matches!(
+            e.evict_page(&mut env, 2),
+            Err(HmeeError::UnknownSlot(_))
+        ));
+        assert_eq!(e.vault_read(&mut env, "other").unwrap(), b"neighbour");
+    }
+
+    #[test]
+    fn write_to_evicted_page_supersedes_the_eviction() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "k", b"value v1");
+        let stale = e.evict_page(&mut env, 0).unwrap();
+        // The slot is rewritten while its page sits in untrusted memory.
+        e.vault_write(&mut env, "k", b"value v2");
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"value v2");
+        assert!(e.epc.page(0).is_some(), "page re-created resident");
+        assert_eq!(e.epc.data_page_count(), 1);
+        assert_eq!(e.epc.accounted_pages(), 1);
+        // The blob evicted before the rewrite must not come back.
+        let err = e.reload_page(&mut env, 0, stale).unwrap_err();
+        assert!(matches!(err, HmeeError::IntegrityViolation(_)), "{err}");
+        assert!(err.to_string().contains("rollback"));
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"value v2");
+        // The page still evicts and reloads normally afterwards.
+        let fresh = e.evict_page(&mut env, 0).unwrap();
+        e.reload_page(&mut env, 0, fresh).unwrap();
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"value v2");
+    }
+
+    #[test]
+    fn rewriting_the_same_plaintext_uses_a_fresh_nonce() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "s", b"same-bytes");
+        let first = e.epc.page(0).unwrap().clone();
+        e.vault_write(&mut env, "s", b"same-bytes");
+        let second = e.epc.page(0).unwrap();
+        assert_ne!(first.version, second.version);
+        assert_ne!(first.ciphertext, second.ciphertext);
+        assert_ne!(first.tag, second.tag);
+    }
+
+    #[test]
+    fn tampering_beyond_the_value_is_detected() {
+        // Reads decrypt only the value's prefix of the page, but the tag
+        // covers all of it: a flipped padding byte must not go unnoticed.
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "k", &[0x46; 16]);
+        assert!(e.epc_tamper(0, 4000));
+        assert!(matches!(
+            e.vault_read(&mut env, "k"),
+            Err(HmeeError::IntegrityViolation(_))
+        ));
+    }
+
+    #[test]
+    fn overwrite_leaves_neither_value_visible() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        let old = b"K_AUSF of the previous request..";
+        let new = b"K_AUSF of the current request...";
+        e.vault_write(&mut env, "scratch:kausf", old);
+        e.vault_write(&mut env, "scratch:kausf", new);
+        let snap = e.epc_snapshot();
+        assert!(!snap.contains_plaintext(old));
+        assert!(!snap.contains_plaintext(new));
+        assert_eq!(snap.total_bytes(), PAGE_SIZE);
     }
 
     #[test]

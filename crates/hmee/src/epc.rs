@@ -67,7 +67,8 @@ impl EpcRegion {
         }
     }
 
-    /// Replaces the page at `index`.
+    /// Replaces the page at `index` — resident or evicted — without
+    /// changing the accounted occupancy.
     ///
     /// # Panics
     ///
@@ -78,13 +79,27 @@ impl EpcRegion {
         self.data_pages[index] = Some(page);
     }
 
+    /// Frees the page at `index` (`EREMOVE`): the slot is emptied for good
+    /// — indices are never handed out twice — and its accounted page is
+    /// given back.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of bounds (enclave-internal callers
+    /// always use indices they allocated).
+    pub fn release_page(&mut self, index: usize) {
+        self.data_pages[index] = None;
+        self.accounted_pages -= 1;
+    }
+
     /// Reads the page at `index`, if present and resident.
     #[must_use]
     pub fn page(&self, index: usize) -> Option<&EncryptedPage> {
         self.data_pages.get(index).and_then(Option::as_ref)
     }
 
-    /// Number of materialised data pages.
+    /// Number of data page slots ever allocated: resident, evicted and
+    /// released ones alike.
     #[must_use]
     pub fn data_page_count(&self) -> usize {
         self.data_pages.len()
@@ -240,5 +255,27 @@ mod tests {
         assert_eq!(epc.page(idx).unwrap().ciphertext[0], 2);
         // Replacement does not double-count occupancy.
         assert_eq!(epc.accounted_pages(), 1);
+    }
+
+    #[test]
+    fn replace_fills_an_evicted_slot() {
+        let mut epc = EpcRegion::new();
+        let idx = epc.push_page(page(1));
+        epc.take_page(idx).unwrap();
+        epc.replace_page(idx, page(3));
+        assert_eq!(epc.page(idx).unwrap().ciphertext[0], 3);
+        assert_eq!(epc.accounted_pages(), 1);
+    }
+
+    #[test]
+    fn release_returns_occupancy_and_retires_the_index() {
+        let mut epc = EpcRegion::new();
+        let a = epc.push_page(page(1));
+        let b = epc.push_page(page(2));
+        epc.release_page(a);
+        assert!(epc.page(a).is_none());
+        assert_eq!(epc.accounted_pages(), 1);
+        assert_eq!(epc.data_page_count(), 2);
+        assert_eq!(epc.push_page(page(3)), b + 1, "released index not reused");
     }
 }
