@@ -17,7 +17,9 @@ use shield5g_infra::image::Registry;
 use shield5g_libos::gsc::{transform, ImageSpec};
 use shield5g_libos::libos::GramineLibos;
 use shield5g_libos::manifest::Manifest;
-use shield5g_nf::backend::{AmfAkaRequest, AusfAkaRequest, UdmAkaRequest};
+use shield5g_nf::backend::{
+    AkaOp, AmfAkaRequest, AusfAkaRequest, DeriveKamf, DeriveSe, GenerateAv, UdmAkaRequest,
+};
 use shield5g_sim::http::HttpRequest;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
@@ -40,37 +42,25 @@ pub enum ModuleDeployment {
 pub fn standard_request(kind: PakaKind) -> HttpRequest {
     let snn = ServingNetworkName::new("001", "01");
     match kind {
-        PakaKind::EUdm => HttpRequest::post(
-            "/eudm/generate-av",
-            UdmAkaRequest {
-                supi: SUPI.into(),
-                opc: OPC.into(),
-                rand: [0x23; 16],
-                sqn: [0, 0, 0, 0, 0, 1],
-                amf_field: [0x80, 0],
-                snn,
-            }
-            .encode(),
-        ),
-        PakaKind::EAusf => HttpRequest::post(
-            "/eausf/derive-se",
-            AusfAkaRequest {
-                rand: [0x23; 16],
-                xres_star: [0x5a; 16],
-                kausf: [0x11; 32].into(),
-                snn,
-            }
-            .encode(),
-        ),
-        PakaKind::EAmf => HttpRequest::post(
-            "/eamf/derive-kamf",
-            AmfAkaRequest {
-                kseaf: [0x22; 32].into(),
-                supi: SUPI.into(),
-                abba: [0, 0],
-            }
-            .encode(),
-        ),
+        PakaKind::EUdm => GenerateAv::request(&UdmAkaRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand: [0x23; 16],
+            sqn: [0, 0, 0, 0, 0, 1],
+            amf_field: [0x80, 0],
+            snn,
+        }),
+        PakaKind::EAusf => DeriveSe::request(&AusfAkaRequest {
+            rand: [0x23; 16],
+            xres_star: [0x5a; 16],
+            kausf: [0x11; 32].into(),
+            snn,
+        }),
+        PakaKind::EAmf => DeriveKamf::request(&AmfAkaRequest {
+            kseaf: [0x22; 32].into(),
+            supi: SUPI.into(),
+            abba: [0, 0],
+        }),
     }
 }
 

@@ -11,9 +11,10 @@
 //!   syscall-accurate request choreography; deployable in a plain
 //!   container or inside an SGX enclave (**P-AKA** proper), with the
 //!   exact Table I enclave I/O.
-//! * [`remote`] — implementations of the `shield5g-nf` backend traits
-//!   that offload to a P-AKA module over TLS through the OAI bridge
-//!   (paper Fig. 4/5), measuring response times as the VNF sees them.
+//! * [`remote`] — the VNF side of the split: one client, and one
+//!   `shield5g-nf` `AkaBackend` for every row of the operation table, that
+//!   offloads to a P-AKA module over TLS through the OAI bridge (paper
+//!   Fig. 4/5), measuring response times as the VNF sees them.
 //! * [`slice`] — the network-slice builder: provisions subscribers,
 //!   deploys the core VNFs and P-AKA modules on a host in a chosen
 //!   [`slice::AkaDeployment`], and wires everything together.

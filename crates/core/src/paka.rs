@@ -14,9 +14,6 @@
 //! an OCALL and secrets live in the encrypted enclave vault.
 
 use crate::CoreError;
-use shield5g_crypto::keys::generate_he_av;
-use shield5g_crypto::milenage::Milenage;
-use shield5g_crypto::sqn::Auts;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_infra::host::{ContainerHandle, Host};
 use shield5g_infra::image::{ContainerImage, Registry};
@@ -25,8 +22,7 @@ use shield5g_libos::libos::BootReport;
 use shield5g_libos::manifest::Manifest;
 use shield5g_libos::syscalls::{NativeSyscalls, Syscall, SyscallInterface};
 use shield5g_nf::backend::{
-    batch_rand, encode_he_av, encode_he_av_batch, sqn_add, AmfAkaRequest, AusfAkaRequest,
-    AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest, MAX_AV_BATCH,
+    error_reply, AkaOp, DeriveKamf, DeriveSe, GenerateAv, GenerateAvBatch, Resync, Wire,
 };
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
@@ -528,73 +524,48 @@ impl PakaModule {
         }
     }
 
-    /// The AKA endpoint handlers (the code "inside" the module).
+    /// Runs one row of the operation table with `K` from this module's
+    /// secret store, leaving the row's derived key (if any) in the
+    /// module's working memory under `scratch`.
+    fn run<O: AkaOp>(
+        &mut self,
+        env: &mut Env,
+        body: &[u8],
+        scratch: impl FnOnce(&O::Response) -> Option<(&'static str, &[u8])>,
+    ) -> Result<Vec<u8>, NfError> {
+        let req = O::Request::decode(body)?;
+        let resp = O::compute(&req, |supi| self.load_subscriber_key(env, supi))?;
+        // `serve` charges one AKA-function execution after dispatch; the
+        // remaining batch members are extra in-window compute.
+        for _ in 1..O::executions(&req) {
+            let extra = env.rng.jitter(self.kind.func_nanos(), 0.05);
+            self.charge_compute(env, extra);
+        }
+        if let Some((slot, key)) = scratch(&resp) {
+            self.store_scratch(env, slot, key);
+        }
+        Ok(resp.encode())
+    }
+
+    /// The AKA endpoint handlers (the code "inside" the module): which
+    /// rows of the operation table this module kind hosts.
     fn dispatch(&mut self, env: &mut Env, path: &str, body: &[u8]) -> Result<Vec<u8>, NfError> {
         match (self.kind, path) {
-            (PakaKind::EUdm, "/eudm/generate-av") => {
-                let req = UdmAkaRequest::decode(body)?;
-                let k = self.load_subscriber_key(env, &req.supi)?;
-                let mil = Milenage::with_opc(&k, req.opc.expose());
-                let av = generate_he_av(&mil, &req.rand, &req.sqn, &req.amf_field, &req.snn);
-                self.store_scratch(env, "scratch:kausf", av.kausf.expose());
-                Ok(encode_he_av(&av))
+            (PakaKind::EUdm, GenerateAv::PATH) => {
+                self.run::<GenerateAv>(env, body, |av| Some(("scratch:kausf", av.kausf.expose())))
             }
-            (PakaKind::EUdm, "/eudm/generate-av-batch") => {
-                let req = UdmAkaBatchRequest::decode(body)?;
-                if req.count == 0 || req.count > MAX_AV_BATCH {
-                    return Err(NfError::Protocol(format!(
-                        "AV batch count {} outside 1..={MAX_AV_BATCH}",
-                        req.count
-                    )));
-                }
-                let k = self.load_subscriber_key(env, &req.supi)?;
-                let mil = Milenage::with_opc(&k, req.opc.expose());
-                let avs: Vec<_> = (0..req.count)
-                    .map(|i| {
-                        let sqn = sqn_add(&req.sqn_start, u64::from(i));
-                        let rand = batch_rand(&req.rand_seed, &sqn);
-                        generate_he_av(&mil, &rand, &sqn, &req.amf_field, &req.snn)
-                    })
-                    .collect();
-                // `serve` charges one AKA-function execution after dispatch;
-                // the remaining batch members are extra in-window compute.
-                for _ in 1..req.count {
-                    let extra = env.rng.jitter(self.kind.func_nanos(), 0.05);
-                    self.charge_compute(env, extra);
-                }
-                self.store_scratch(env, "scratch:kausf", avs[avs.len() - 1].kausf.expose());
-                Ok(encode_he_av_batch(&avs))
+            (PakaKind::EUdm, GenerateAvBatch::PATH) => {
+                self.run::<GenerateAvBatch>(env, body, |avs| {
+                    avs.last()
+                        .map(|av| ("scratch:kausf", &av.kausf.expose()[..]))
+                })
             }
-            (PakaKind::EUdm, "/eudm/resync") => {
-                let mut r = shield5g_sim::codec::Reader::new(body);
-                let supi = r.str()?;
-                let opc: [u8; 16] = r.array()?;
-                let rand: [u8; 16] = r.array()?;
-                let auts = Auts {
-                    sqn_ms_xor_ak: r.array()?,
-                    mac_s: r.array()?,
-                };
-                r.finish()?;
-                let k = self.load_subscriber_key(env, &supi)?;
-                let mil = Milenage::with_opc(&k, &opc);
-                let sqn_ms = auts.verify(&mil, &rand)?;
-                Ok(sqn_ms.to_vec())
+            (PakaKind::EUdm, Resync::PATH) => self.run::<Resync>(env, body, |_| None),
+            (PakaKind::EAusf, DeriveSe::PATH) => {
+                self.run::<DeriveSe>(env, body, |se| Some(("scratch:kseaf", se.kseaf.expose())))
             }
-            (PakaKind::EAusf, "/eausf/derive-se") => {
-                let req = AusfAkaRequest::decode(body)?;
-                let resp = AusfAkaResponse {
-                    hxres_star: shield5g_crypto::keys::derive_hxres_star(&req.rand, &req.xres_star),
-                    kseaf: shield5g_crypto::keys::derive_kseaf(req.kausf.expose(), &req.snn).into(),
-                };
-                self.store_scratch(env, "scratch:kseaf", resp.kseaf.expose());
-                Ok(resp.encode())
-            }
-            (PakaKind::EAmf, "/eamf/derive-kamf") => {
-                let req = AmfAkaRequest::decode(body)?;
-                let kamf =
-                    shield5g_crypto::keys::derive_kamf(req.kseaf.expose(), &req.supi, &req.abba);
-                self.store_scratch(env, "scratch:kamf", &kamf);
-                Ok(kamf.to_vec())
+            (PakaKind::EAmf, DeriveKamf::PATH) => {
+                self.run::<DeriveKamf>(env, body, |kamf| Some(("scratch:kamf", kamf.expose())))
             }
             _ => Err(NfError::Protocol(format!(
                 "module {} has no handler for {path}",
@@ -711,14 +682,7 @@ impl PakaModule {
         let functional = env.clock.now() - t_func_start;
 
         // --- Response out; L_T window closes.
-        let response = match result {
-            Ok(body) => HttpResponse::ok(body),
-            Err(NfError::SubscriberUnknown(s)) => {
-                HttpResponse::error(404, format!("unknown subscriber {s}"))
-            }
-            Err(NfError::Crypto(e)) => HttpResponse::error(403, e.to_string()),
-            Err(e) => HttpResponse::error(400, e.to_string()),
-        };
+        let response = result.map_or_else(|e| error_reply(&e), HttpResponse::ok);
         self.charge_compute(env, TLS_RECORD_NANOS);
         self.run_syscalls(env, &write_syscalls(response.wire_len()));
         let total = env.clock.now() - t_total_start;
@@ -913,8 +877,16 @@ pub fn syscalls_per_request() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_crypto::keys::ServingNetworkName;
+    use crate::harness::standard_request;
+    use proptest::prelude::*;
+    use shield5g_crypto::keys::{HeAv, ServingNetworkName};
+    use shield5g_crypto::milenage::Milenage;
+    use shield5g_crypto::sqn::Auts;
     use shield5g_hmee::platform::SgxPlatform;
+    use shield5g_nf::backend::{
+        AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest,
+        UdmAkaResyncRequest, MAX_AV_BATCH,
+    };
 
     const K: [u8; 16] = [0x46; 16];
     const OPC: [u8; 16] = [0xcd; 16];
@@ -944,15 +916,14 @@ mod tests {
     }
 
     fn udm_request() -> HttpRequest {
-        let req = UdmAkaRequest {
+        GenerateAv::request(&UdmAkaRequest {
             supi: SUPI.into(),
             opc: OPC.into(),
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 9],
             amf_field: [0x80, 0],
             snn: ServingNetworkName::new("001", "01"),
-        };
-        HttpRequest::post("/eudm/generate-av", req.encode())
+        })
     }
 
     #[test]
@@ -969,7 +940,7 @@ mod tests {
             "{:?}",
             String::from_utf8_lossy(&resp.body)
         );
-        let av = shield5g_nf::backend::decode_he_av(&resp.body).unwrap();
+        let av = HeAv::decode(&resp.body).unwrap();
         // A real USIM accepts the AV.
         let mil = Milenage::with_opc(&K, &OPC);
         let snn = ServingNetworkName::new("001", "01");
@@ -1002,28 +973,7 @@ mod tests {
         ] {
             let (mut env_c, mut container) = deploy(false, kind);
             let (mut env_s, mut sgx) = deploy(true, kind);
-            let req = match kind {
-                PakaKind::EUdm => udm_request(),
-                PakaKind::EAusf => HttpRequest::post(
-                    "/eausf/derive-se",
-                    AusfAkaRequest {
-                        rand: [1; 16],
-                        xres_star: [2; 16],
-                        kausf: [3; 32].into(),
-                        snn: ServingNetworkName::new("001", "01"),
-                    }
-                    .encode(),
-                ),
-                PakaKind::EAmf => HttpRequest::post(
-                    "/eamf/derive-kamf",
-                    AmfAkaRequest {
-                        kseaf: [4; 32].into(),
-                        supi: SUPI.into(),
-                        abba: [0, 0],
-                    }
-                    .encode(),
-                ),
-            };
+            let req = standard_request(kind);
             // Warm both, then measure medians over a few requests.
             let _ = container.serve(&mut env_c, req.clone());
             let _ = sgx.serve(&mut env_s, req.clone());
@@ -1102,7 +1052,7 @@ mod tests {
     #[test]
     fn unknown_subscriber_404() {
         let (mut env, mut module) = deploy(true, PakaKind::EUdm);
-        let mut req = UdmAkaRequest {
+        let req = UdmAkaRequest {
             supi: "imsi-001010000000777".into(),
             opc: OPC.into(),
             rand: [0; 16],
@@ -1110,18 +1060,15 @@ mod tests {
             amf_field: [0x80, 0],
             snn: ServingNetworkName::new("001", "01"),
         };
-        req.supi = "imsi-001010000000777".into();
-        let (resp, _) = module.serve(
-            &mut env,
-            HttpRequest::post("/eudm/generate-av", req.encode()),
-        );
+        let (resp, _) = module.serve(&mut env, GenerateAv::request(&req));
         assert_eq!(resp.status, 404);
+        assert_eq!(resp.body, b"unknown subscriber imsi-001010000000777");
     }
 
     #[test]
     fn wrong_endpoint_400() {
         let (mut env, mut module) = deploy(false, PakaKind::EAmf);
-        let (resp, _) = module.serve(&mut env, HttpRequest::post("/eudm/generate-av", vec![]));
+        let (resp, _) = module.serve(&mut env, HttpRequest::post(GenerateAv::PATH, vec![]));
         assert_eq!(resp.status, 400);
     }
 
@@ -1134,10 +1081,7 @@ mod tests {
             kausf: [3; 32].into(),
             snn: ServingNetworkName::new("001", "01"),
         };
-        let (resp, _) = module.serve(
-            &mut env,
-            HttpRequest::post("/eausf/derive-se", req.encode()),
-        );
+        let (resp, _) = module.serve(&mut env, DeriveSe::request(&req));
         assert!(resp.is_success());
         let se = AusfAkaResponse::decode(&resp.body).unwrap();
         assert_eq!(
@@ -1154,10 +1098,7 @@ mod tests {
             supi: SUPI.into(),
             abba: [0, 0],
         };
-        let (resp, _) = module.serve(
-            &mut env,
-            HttpRequest::post("/eamf/derive-kamf", req.encode()),
-        );
+        let (resp, _) = module.serve(&mut env, DeriveKamf::request(&req));
         assert!(resp.is_success());
         assert_eq!(
             resp.body,
@@ -1179,12 +1120,9 @@ mod tests {
             count: 8,
         };
         let before = module.sgx_stats().unwrap();
-        let (resp, metrics) = module.serve(
-            &mut env,
-            HttpRequest::post("/eudm/generate-av-batch", req.encode()),
-        );
+        let (resp, metrics) = module.serve(&mut env, GenerateAvBatch::request(&req));
         assert!(resp.is_success());
-        let avs = shield5g_nf::backend::decode_he_av_batch(&resp.body).unwrap();
+        let avs = Vec::<HeAv>::decode(&resp.body).unwrap();
         assert_eq!(avs.len(), 8);
         // Every AV in the batch passes USIM verification.
         let mil = Milenage::with_opc(&K, &OPC);
@@ -1214,10 +1152,7 @@ mod tests {
                 snn: ServingNetworkName::new("001", "01"),
                 count,
             };
-            let (resp, _) = module.serve(
-                &mut env,
-                HttpRequest::post("/eudm/generate-av-batch", req.encode()),
-            );
+            let (resp, _) = module.serve(&mut env, GenerateAvBatch::request(&req));
             assert_eq!(resp.status, 400, "count {count}");
         }
     }
@@ -1229,13 +1164,13 @@ mod tests {
         let rand = [0x23; 16];
         let sqn_ms = [0, 0, 0, 0, 2, 5];
         let auts = Auts::generate(&mil, &rand, &sqn_ms);
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(SUPI)
-            .put_array(&OPC)
-            .put_array(&rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let (resp, _) = module.serve(&mut env, HttpRequest::post("/eudm/resync", w.into_bytes()));
+        let req = UdmAkaResyncRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand,
+            auts,
+        };
+        let (resp, _) = module.serve(&mut env, Resync::request(&req));
         assert!(resp.is_success());
         assert_eq!(resp.body, sqn_ms.to_vec());
     }
@@ -1309,5 +1244,120 @@ mod tests {
         let (resp, after) = module.serve(&mut env, udm_request());
         assert!(resp.is_success());
         assert_eq!(after.paged, 0, "lifting thrash restores residence");
+    }
+
+    /// A hostile rewrite of a valid request body, after 5Greplay's
+    /// mutation catalogue: truncate, flip one bit, lie in the length
+    /// prefix at `len_at`, or splice with another row's encoding. The flag
+    /// says whether the result can still be a well-formed request.
+    fn mutate(valid: &[u8], other: &[u8], len_at: usize, word: u64) -> (Vec<u8>, bool) {
+        let at = (word >> 8) as usize % valid.len();
+        let mut body = valid.to_vec();
+        match word % 4 {
+            0 => body.truncate(at),
+            1 => body[at] ^= 1 << ((word >> 4) % 8),
+            2 => {
+                let field: &mut [u8; 4] = (&mut body[len_at..len_at + 4]).try_into().unwrap();
+                let lie = (word >> 8) as u32 % u32::MAX + 1;
+                *field = u32::from_be_bytes(*field).wrapping_add(lie).to_be_bytes();
+            }
+            _ => {
+                body.truncate(at);
+                body.extend_from_slice(&other[(word >> 32) as usize % other.len()..]);
+            }
+        }
+        (body, word % 4 == 1 || word % 4 == 3)
+    }
+
+    /// Serves every hostile body on a container and an SGX module hosting
+    /// row `O`: a typed 4xx (or 200 where the body may still be
+    /// well-formed), no lost enclave, and the next valid request is served.
+    fn survives<O: AkaOp>(
+        modules: &mut [(Env, PakaModule)],
+        valid: &O::Request,
+        hostile: impl Iterator<Item = (Vec<u8>, bool)>,
+    ) -> Result<(), TestCaseError> {
+        for (body, maybe_valid) in hostile {
+            for (env, module) in modules.iter_mut() {
+                let (resp, _) = module.serve(env, HttpRequest::post(O::PATH, body.clone()));
+                let cause = String::from_utf8_lossy(&resp.body).into_owned();
+                prop_assert!(
+                    matches!(resp.status, 400 | 403 | 404) || (maybe_valid && resp.is_success()),
+                    "{} answered {} {cause:?} to {body:02x?}",
+                    O::PATH,
+                    resp.status
+                );
+                prop_assert!(resp.is_success() || !cause.is_empty());
+                prop_assert!(!module.is_crashed());
+                let (resp, _) = module.serve(env, O::request(valid));
+                prop_assert!(resp.is_success(), "{} no longer serves", O::PATH);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn hostile_bodies_get_a_typed_4xx_and_leave_the_module_serving(
+            script in proptest::collection::vec(0u64.., 16..=16),
+        ) {
+            let snn = ServingNetworkName::new("001", "01");
+            let av = UdmAkaRequest {
+                supi: SUPI.into(),
+                opc: OPC.into(),
+                rand: [0x23; 16],
+                sqn: [0, 0, 0, 0, 0, 9],
+                amf_field: [0x80, 0],
+                snn: snn.clone(),
+            };
+            let batch = |count| UdmAkaBatchRequest {
+                supi: SUPI.into(),
+                opc: OPC.into(),
+                rand_seed: [0x77; 16],
+                sqn_start: [0, 0, 0, 0, 1, 0],
+                amf_field: [0x80, 0],
+                snn: snn.clone(),
+                count,
+            };
+            let rand = [0x23; 16];
+            let resync = UdmAkaResyncRequest {
+                supi: SUPI.into(),
+                opc: OPC.into(),
+                rand,
+                auts: Auts::generate(&Milenage::with_opc(&K, &OPC), &rand, &[0, 0, 0, 0, 2, 5]),
+            };
+            let se = AusfAkaRequest {
+                rand: [1; 16],
+                xres_star: [2; 16],
+                kausf: [3; 32].into(),
+                snn: snn.clone(),
+            };
+            let kamf = AmfAkaRequest {
+                kseaf: [4; 32].into(),
+                supi: SUPI.into(),
+                abba: [0, 0],
+            };
+            // Each row's length-prefixed field: the SUPI leads the eUDM
+            // requests, follows K_SEAF in eAMF's; the SNN ends eAUSF's.
+            let (av_b, batch_b, resync_b) = (av.encode(), batch(2).encode(), resync.encode());
+            let (se_b, kamf_b) = (se.encode(), kamf.encode());
+            let hostile = |valid: &[u8], other: &[u8], len_at: usize| {
+                let (valid, other) = (valid.to_vec(), other.to_vec());
+                script.clone().into_iter().map(move |w| mutate(&valid, &other, len_at, w))
+            };
+            let modules = |kind| [deploy(false, kind), deploy(true, kind)];
+
+            let mut eudm = modules(PakaKind::EUdm);
+            survives::<GenerateAv>(&mut eudm, &av, hostile(&av_b, &batch_b, 0))?;
+            let counts = [0, MAX_AV_BATCH + 1].map(|count| (batch(count).encode(), false));
+            let bodies = hostile(&batch_b, &av_b, 0).chain(counts);
+            survives::<GenerateAvBatch>(&mut eudm, &batch(2), bodies)?;
+            survives::<Resync>(&mut eudm, &resync, hostile(&resync_b, &av_b, 0))?;
+            let mut eausf = modules(PakaKind::EAusf);
+            survives::<DeriveSe>(&mut eausf, &se, hostile(&se_b, &kamf_b, 64))?;
+            let mut eamf = modules(PakaKind::EAmf);
+            survives::<DeriveKamf>(&mut eamf, &kamf, hostile(&kamf_b, &se_b, 32))?;
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Offload backends: the VNF side of the P-AKA split.
+//! The VNF side of the P-AKA split.
 //!
 //! Paper §IV-A: "the VNFs offload the sensitive functionality to their
 //! respective external AKA modules", communicating "over TLS using REST
@@ -7,26 +7,21 @@
 //! records across the (tappable) bridge, and measures the response time
 //! `R` exactly as §V-A2 experiment 4 defines it — "from when a request is
 //! sent to the P-AKA module (i.e., from the OAI VNF) until the reception
-//! of a response".
+//! of a response". It is also the one remote [`AkaBackend`]: for any row
+//! of `shield5g-nf`'s operation table, `begin` is [`PakaClient::begin_call`]
+//! on the row's path and `finish` is [`PakaClient::finish_call`] plus the
+//! row's response codec.
 
-use crate::paka::{PakaKind, PakaModule, ServeMetrics};
+use crate::paka::{PakaKind, PakaModule};
 use crate::CoreError;
-use shield5g_crypto::keys::HeAv;
-use shield5g_crypto::secret::SecretBytes;
-use shield5g_crypto::sqn::Auts;
 use shield5g_infra::bridge::BridgeNetwork;
-use shield5g_nf::backend::BackendOp;
-use shield5g_nf::backend::{
-    decode_he_av, AmfAkaBackend, AmfAkaRequest, AusfAkaBackend, AusfAkaRequest, AusfAkaResponse,
-    UdmAkaBackend, UdmAkaRequest,
-};
+use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken, Wire};
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::Service;
-use shield5g_sim::time::{SimDuration, SimTime};
+use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::{establish, TlsIdentity, TlsSession};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -57,24 +52,6 @@ pub struct ModuleMetricsLog {
     pub total: Vec<SimDuration>,
     /// EPC pages paged during requests.
     pub paged: u64,
-}
-
-impl ModuleMetricsLog {
-    /// Clears all samples (between experiment phases).
-    pub fn reset(&mut self) {
-        self.response_times.clear();
-        self.functional.clear();
-        self.total.clear();
-        self.paged = 0;
-    }
-}
-
-/// Continuation token for a split [`PakaClient::begin_call`] /
-/// [`PakaClient::finish_call`] pair.
-#[derive(Clone, Copy, Debug)]
-pub struct CallToken {
-    /// When the VNF issued the request (anchors the R measurement).
-    t0: SimTime,
 }
 
 /// The module side of the offload path as a discrete-event endpoint: a
@@ -148,12 +125,6 @@ impl PakaClient {
         self.metrics.clone()
     }
 
-    /// The module handle.
-    #[must_use]
-    pub fn module(&self) -> Rc<RefCell<PakaModule>> {
-        self.module.clone()
-    }
-
     /// Builds the engine-side endpoint for this client's module, sharing
     /// the metric log so L_F/L_T land next to the R samples.
     #[must_use]
@@ -169,15 +140,18 @@ impl PakaClient {
     /// negotiate a fresh connection per request, as their 91-syscall
     /// choreography reflects); reusing the cipher state just avoids
     /// re-running real X25519 500× per experiment.
-    fn sessions(&mut self, env: &mut Env) -> &mut (TlsSession, TlsSession) {
-        if self.sessions.is_none() {
-            let client_id = TlsIdentity::new(self.vnf_name.clone(), env.rng.bytes());
-            let server_id = self.module.borrow().tls_identity().clone();
-            let (c, s, _info) = establish(&client_id, &server_id, env.rng.bytes(), env.rng.bytes())
-                .expect("honest local handshake cannot fail");
-            self.sessions = Some((c, s));
-        }
-        self.sessions.as_mut().expect("just initialised")
+    fn sessions(&mut self, env: &mut Env) -> Result<&mut (TlsSession, TlsSession), CoreError> {
+        Ok(match &mut self.sessions {
+            Some(established) => established,
+            unset => {
+                let client_id = TlsIdentity::new(self.vnf_name.clone(), env.rng.bytes());
+                let server_id = self.module.borrow().tls_identity().clone();
+                let (c, s, _info) =
+                    establish(&client_id, &server_id, env.rng.bytes(), env.rng.bytes())
+                        .map_err(NfError::Sim)?;
+                unset.insert((c, s))
+            }
+        })
     }
 
     /// Attests the module before trusting its TLS identity (the paper's
@@ -219,14 +193,19 @@ impl PakaClient {
     /// bridge, and returns the engine destination, the request to yield as
     /// a `CallOut`, and the [`CallToken`] the matching [`Self::finish_call`]
     /// needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Nf`] when the TLS session to the module cannot
+    /// be established.
     pub fn begin_call(
         &mut self,
         env: &mut Env,
         path: &str,
         body: Vec<u8>,
-    ) -> (String, HttpRequest, CallToken) {
+    ) -> Result<(String, HttpRequest, CallToken), CoreError> {
         let kind = self.module.borrow().kind();
-        let t0 = env.clock.now();
+        let issued = env.clock.now();
 
         // VNF-side client work (TLS handshake crypto, socket setup).
         env.clock
@@ -244,15 +223,12 @@ impl PakaClient {
         // The request record: genuinely encrypted on the wire.
         let request = HttpRequest::post(path, body);
         let request_bytes = request.to_bytes();
-        let record = {
-            let (client_sess, _) = self.sessions(env);
-            client_sess.seal(&request_bytes)
-        };
+        let record = self.sessions(env)?.0.seal(&request_bytes);
         self.bridge
             .borrow_mut()
             .carry(env, &self.vnf_name, endpoint, &record);
 
-        (endpoint.to_owned(), request, CallToken { t0 })
+        Ok((endpoint.to_owned(), request, CallToken { issued }))
     }
 
     /// Second half of an offloaded call: carries the sealed response record
@@ -273,10 +249,7 @@ impl PakaClient {
 
         // Response record back across the bridge.
         let resp_bytes = resp.to_bytes();
-        let resp_record = {
-            let (_, server_sess) = self.sessions(env);
-            server_sess.seal(&resp_bytes)
-        };
+        let resp_record = self.sessions(env)?.1.seal(&resp_bytes);
         self.bridge
             .borrow_mut()
             .carry(env, endpoint, &self.vnf_name, &resp_record);
@@ -287,7 +260,7 @@ impl PakaClient {
         self.metrics
             .borrow_mut()
             .response_times
-            .push(env.clock.now() - token.t0);
+            .push(env.clock.now() - token.issued);
         if resp.is_success() {
             Ok(resp.body)
         } else {
@@ -308,301 +281,37 @@ impl PakaClient {
     ///
     /// Returns [`CoreError::Module`] for non-2xx module responses.
     pub fn call(&mut self, env: &mut Env, path: &str, body: Vec<u8>) -> Result<Vec<u8>, CoreError> {
-        let (_dest, request, token) = self.begin_call(env, path, body);
-
-        // Module serves inline (its own choreography charges the clock).
-        let (resp, serve_metrics) = self.module.borrow_mut().serve(env, request);
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.functional.push(serve_metrics.functional);
-            m.total.push(serve_metrics.total);
-            m.paged += serve_metrics.paged;
-        }
-
+        let (_dest, request, token) = self.begin_call(env, path, body)?;
+        // The module serves inline (its own choreography charges the clock).
+        let resp = self.endpoint().handle(env, request);
         self.finish_call(env, resp, token)
     }
-
-    /// Last serve metrics convenience (None before any call).
-    #[must_use]
-    pub fn last_serve_metrics(&self) -> Option<ServeMetrics> {
-        let m = self.metrics.borrow();
-        match (m.functional.last(), m.total.last()) {
-            (Some(&functional), Some(&total)) => Some(ServeMetrics {
-                functional,
-                total,
-                paged: 0,
-            }),
-            _ => None,
-        }
-    }
-}
-
-fn downcast_token(token: Box<dyn Any>) -> Result<CallToken, NfError> {
-    token
-        .downcast::<CallToken>()
-        .map(|t| *t)
-        .map_err(|_| NfError::Backend("foreign backend continuation token".into()))
 }
 
 fn to_nf_error(e: CoreError) -> NfError {
     match e {
-        CoreError::Module {
-            module,
-            status,
-            detail,
-        } => {
-            if status == 404 {
-                NfError::SubscriberUnknown(detail)
-            } else if status == 403 {
-                NfError::Crypto(shield5g_crypto::CryptoError::MacMismatch)
-            } else {
-                NfError::Backend(format!("{module}: {status} {detail}"))
-            }
-        }
+        CoreError::Module { status, detail, .. } => reply_error(status, &detail),
+        CoreError::Nf(e) => e,
         other => NfError::Backend(other.to_string()),
     }
 }
 
-/// UDM backend that offloads to the eUDM P-AKA module.
-pub struct RemoteUdmAka {
-    client: PakaClient,
-}
-
-impl RemoteUdmAka {
-    /// Wraps a client pointed at an eUDM module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteUdmAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl UdmAkaBackend for RemoteUdmAka {
-    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> Result<HeAv, NfError> {
-        let body = self
-            .client
-            .call(env, "/eudm/generate-av", req.encode())
-            .map_err(to_nf_error)?;
-        decode_he_av(&body)
-    }
-
-    fn resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> Result<[u8; 6], NfError> {
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(supi)
-            .put_array(opc)
-            .put_array(rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let body = self
-            .client
-            .call(env, "/eudm/resync", w.into_bytes())
-            .map_err(to_nf_error)?;
-        body.try_into()
-            .map_err(|_| NfError::Backend("bad resync response length".into()))
-    }
-
-    fn begin_generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eudm/generate-av", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
+impl<O: AkaOp> AkaBackend<O> for PakaClient {
+    fn begin(&mut self, env: &mut Env, req: &O::Request) -> BackendOp<O::Response> {
+        match self.begin_call(env, O::PATH, req.encode()) {
+            Ok((dest, req, token)) => BackendOp::Call { dest, req, token },
+            Err(e) => BackendOp::Done(Err(to_nf_error(e))),
         }
     }
 
-    fn finish_generate_av(
+    fn finish(
         &mut self,
         env: &mut Env,
-        token: Box<dyn Any>,
+        token: CallToken,
         resp: HttpResponse,
-    ) -> Result<HeAv, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
-        decode_he_av(&body)
-    }
-
-    fn begin_resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> BackendOp<[u8; 6]> {
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(supi)
-            .put_array(opc)
-            .put_array(rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let (dest, request, token) = self.client.begin_call(env, "/eudm/resync", w.into_bytes());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
-    }
-
-    fn finish_resynchronise(
-        &mut self,
-        env: &mut Env,
-        token: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Result<[u8; 6], NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
-        body.try_into()
-            .map_err(|_| NfError::Backend("bad resync response length".into()))
-    }
-}
-
-/// AUSF backend that offloads to the eAUSF P-AKA module.
-pub struct RemoteAusfAka {
-    client: PakaClient,
-}
-
-impl RemoteAusfAka {
-    /// Wraps a client pointed at an eAUSF module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteAusfAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl AusfAkaBackend for RemoteAusfAka {
-    fn derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> Result<AusfAkaResponse, NfError> {
-        let body = self
-            .client
-            .call(env, "/eausf/derive-se", req.encode())
-            .map_err(to_nf_error)?;
-        AusfAkaResponse::decode(&body)
-    }
-
-    fn begin_derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> BackendOp<AusfAkaResponse> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eausf/derive-se", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
-    }
-
-    fn finish_derive_se(
-        &mut self,
-        env: &mut Env,
-        token: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Result<AusfAkaResponse, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
-        AusfAkaResponse::decode(&body)
-    }
-}
-
-/// AMF backend that offloads to the eAMF P-AKA module.
-pub struct RemoteAmfAka {
-    client: PakaClient,
-}
-
-impl RemoteAmfAka {
-    /// Wraps a client pointed at an eAMF module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteAmfAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl AmfAkaBackend for RemoteAmfAka {
-    fn derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> Result<SecretBytes<32>, NfError> {
-        let body = self
-            .client
-            .call(env, "/eamf/derive-kamf", req.encode())
-            .map_err(to_nf_error)?;
-        let kamf: [u8; 32] = body
-            .try_into()
-            .map_err(|_| NfError::Backend("bad kamf response length".into()))?;
-        Ok(SecretBytes::new(kamf))
-    }
-
-    fn begin_derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> BackendOp<SecretBytes<32>> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eamf/derive-kamf", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
-    }
-
-    fn finish_derive_kamf(
-        &mut self,
-        env: &mut Env,
-        token: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Result<SecretBytes<32>, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
-        let kamf: [u8; 32] = body
-            .try_into()
-            .map_err(|_| NfError::Backend("bad kamf response length".into()))?;
-        Ok(SecretBytes::new(kamf))
+    ) -> Result<O::Response, NfError> {
+        let body = self.finish_call(env, resp, token).map_err(to_nf_error)?;
+        O::Response::decode(&body)
     }
 }
 
@@ -610,14 +319,24 @@ impl AmfAkaBackend for RemoteAmfAka {
 mod tests {
     use super::*;
     use crate::paka::{populate_registry, SgxConfig};
-    use shield5g_crypto::keys::ServingNetworkName;
+    use shield5g_crypto::keys::{self, HeAv, ServingNetworkName};
+    use shield5g_crypto::milenage::Milenage;
+    use shield5g_crypto::secret::SecretBytes;
+    use shield5g_crypto::sqn::Auts;
+    use shield5g_crypto::CryptoError;
     use shield5g_hmee::platform::SgxPlatform;
     use shield5g_infra::host::Host;
     use shield5g_infra::image::Registry;
+    use shield5g_nf::backend::{
+        AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, DeriveKamf, DeriveSe, GenerateAv,
+        GenerateAvBatch, LocalAka, Resync, UdmAkaBatchRequest, UdmAkaRequest, UdmAkaResyncRequest,
+    };
+    use std::fmt::Debug;
 
     const K: [u8; 16] = [0x46; 16];
     const OPC: [u8; 16] = [0xcd; 16];
     const SUPI: &str = "imsi-001010000000001";
+    const STRANGER: &str = "imsi-001010000000042";
 
     fn setup(shielded: bool, kind: PakaKind) -> (Env, PakaClient) {
         let mut env = Env::new(23);
@@ -639,6 +358,14 @@ mod tests {
         (env, client)
     }
 
+    fn snn() -> ServingNetworkName {
+        ServingNetworkName::new("001", "01")
+    }
+
+    fn mil() -> Milenage {
+        Milenage::with_opc(&K, &OPC)
+    }
+
     fn av_request() -> UdmAkaRequest {
         UdmAkaRequest {
             supi: SUPI.into(),
@@ -646,41 +373,243 @@ mod tests {
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 7],
             amf_field: [0x80, 0],
-            snn: ServingNetworkName::new("001", "01"),
+            snn: snn(),
         }
     }
 
-    #[test]
-    fn remote_udm_backend_generates_av() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
-        let av = backend.generate_av(&mut env, &av_request()).unwrap();
-        let mil = shield5g_crypto::milenage::Milenage::with_opc(&K, &OPC);
-        let snn = ServingNetworkName::new("001", "01");
-        let ue =
-            shield5g_crypto::keys::ue_process_challenge(&mil, &av.rand, &av.autn, &snn).unwrap();
+    fn batch_request(count: u32) -> UdmAkaBatchRequest {
+        UdmAkaBatchRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand_seed: [0x77; 16],
+            sqn_start: [0, 0, 0, 0, 0xff, 0xfe],
+            amf_field: [0x80, 0],
+            snn: snn(),
+            count,
+        }
+    }
+
+    fn resync_request(auts: Auts) -> UdmAkaResyncRequest {
+        UdmAkaResyncRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand: [0x23; 16],
+            auts,
+        }
+    }
+
+    /// Drives one operation the way an NF does: `begin`, the module's
+    /// engine endpoint when the backend calls out, `finish`.
+    fn drive<O: AkaOp>(
+        env: &mut Env,
+        backend: &mut impl AkaBackend<O>,
+        module: Option<PakaEndpoint>,
+        req: &O::Request,
+    ) -> Result<O::Response, NfError> {
+        match (backend.begin(env, req), module) {
+            (BackendOp::Done(out), _) => out,
+            (BackendOp::Call { req, token, .. }, Some(mut module)) => {
+                let resp = module.handle(env, req);
+                backend.finish(env, token, resp)
+            }
+            (BackendOp::Call { dest, .. }, None) => panic!("call-out to {dest} without a module"),
+        }
+    }
+
+    /// The monolithic, container and SGX outcome of one operation, in
+    /// that order.
+    fn three_ways<O: AkaOp>(kind: PakaKind, req: &O::Request) -> [Result<O::Response, NfError>; 3] {
+        let mut local = LocalAka::default();
+        local.provision(SUPI, K);
+        let (mut env_c, mut container) = setup(false, kind);
+        let (mut env_s, mut sgx) = setup(true, kind);
+        let (module_c, module_s) = (container.endpoint(), sgx.endpoint());
+        [
+            drive::<O>(&mut Env::new(23), &mut local, None, req),
+            drive::<O>(&mut env_c, &mut container, Some(module_c), req),
+            drive::<O>(&mut env_s, &mut sgx, Some(module_s), req),
+        ]
+    }
+
+    /// One row of the table-driven test: `req` yields the same output —
+    /// and the same bytes on the module wire — from the in-process
+    /// backend, a container module and an SGX module; both codecs
+    /// round-trip; `verify` checks the output against the 3GPP functions.
+    fn check_row<O: AkaOp>(kind: PakaKind, req: &O::Request, verify: impl Fn(&O::Response))
+    where
+        O::Request: PartialEq + Debug,
+        O::Response: PartialEq + Debug,
+    {
+        assert_eq!(
+            &O::Request::decode(&req.encode()).unwrap(),
+            req,
+            "{}",
+            O::PATH
+        );
+        let [local, container, sgx] = three_ways::<O>(kind, req).map(Result::unwrap);
+        assert_eq!(container, local, "{} in a container", O::PATH);
+        assert_eq!(sgx, local, "{} in an enclave", O::PATH);
+        verify(&local);
+        let bytes = local.encode();
+        assert_eq!(O::Response::decode(&bytes).unwrap(), local, "{}", O::PATH);
+        for shielded in [false, true] {
+            let (mut env, mut client) = setup(shielded, kind);
+            let body = client.call(&mut env, O::PATH, req.encode()).unwrap();
+            assert_eq!(body, bytes, "{} wire bytes (shielded: {shielded})", O::PATH);
+        }
+    }
+
+    fn usim_accepts(av: &HeAv) {
+        let ue = keys::ue_process_challenge(&mil(), &av.rand, &av.autn, &snn()).unwrap();
         assert_eq!(ue.res_star, av.xres_star);
     }
 
     #[test]
+    fn one_compute_three_deployments() {
+        check_row::<GenerateAv>(PakaKind::EUdm, &av_request(), usim_accepts);
+        // The batch steps SQN across a byte carry and RAND per SQN.
+        check_row::<GenerateAvBatch>(PakaKind::EUdm, &batch_request(3), |avs| {
+            assert_eq!(avs.len(), 3);
+            avs.iter().for_each(usim_accepts);
+            assert_ne!(avs[1].rand, avs[2].rand);
+        });
+        let sqn_ms = [0, 0, 0, 0, 3, 3];
+        let auts = Auts::generate(&mil(), &[0x23; 16], &sqn_ms);
+        check_row::<Resync>(PakaKind::EUdm, &resync_request(auts), |out| {
+            assert_eq!(out, &sqn_ms);
+        });
+        let se = AusfAkaRequest {
+            rand: [1; 16],
+            xres_star: [2; 16],
+            kausf: [3; 32].into(),
+            snn: snn(),
+        };
+        check_row::<DeriveSe>(PakaKind::EAusf, &se, |out| {
+            let expected = AusfAkaResponse {
+                hxres_star: keys::derive_hxres_star(&[1; 16], &[2; 16]),
+                kseaf: keys::derive_kseaf(&[3; 32], &snn()).into(),
+            };
+            assert_eq!(out, &expected);
+        });
+        let kamf = AmfAkaRequest {
+            kseaf: [4; 32].into(),
+            supi: SUPI.into(),
+            abba: [0, 0],
+        };
+        check_row::<DeriveKamf>(PakaKind::EAmf, &kamf, |out| {
+            assert_eq!(
+                out,
+                &SecretBytes::new(keys::derive_kamf(&[4; 32], SUPI, &[0, 0]))
+            );
+        });
+    }
+
+    #[test]
+    fn failures_are_the_same_error_in_every_deployment() {
+        let mut stranger = av_request();
+        stranger.supi = STRANGER.into();
+        let unknown = NfError::SubscriberUnknown(STRANGER.into());
+        assert_eq!(
+            three_ways::<GenerateAv>(PakaKind::EUdm, &stranger),
+            [Err(unknown.clone()), Err(unknown.clone()), Err(unknown)]
+        );
+
+        let forged = resync_request(Auts {
+            sqn_ms_xor_ak: [1; 6],
+            mac_s: [2; 8],
+        });
+        let bad_mac = NfError::Crypto(CryptoError::MacMismatch);
+        assert_eq!(
+            three_ways::<Resync>(PakaKind::EUdm, &forged),
+            [Err(bad_mac.clone()), Err(bad_mac.clone()), Err(bad_mac)]
+        );
+
+        // The one malformed body the typed interface can express.
+        let empty = NfError::Protocol("AV batch count 0 outside 1..=256".into());
+        assert_eq!(
+            three_ways::<GenerateAvBatch>(PakaKind::EUdm, &batch_request(0)),
+            [Err(empty.clone()), Err(empty.clone()), Err(empty)]
+        );
+    }
+
+    #[test]
+    fn an_operation_sent_to_another_nfs_module_is_a_typed_error() {
+        let (mut env, mut client) = setup(true, PakaKind::EAmf);
+        let module = client.endpoint();
+        let out = drive::<GenerateAv>(&mut env, &mut client, Some(module), &av_request());
+        assert_eq!(
+            out,
+            Err(NfError::Protocol(
+                "module eAMF has no handler for /eudm/generate-av".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn module_error_propagates_as_subscriber_unknown() {
+        use shield5g_nf::sbi::{SbiClient, UdmAuthGetRequest};
+        use shield5g_nf::{addr, messages::UeIdentity, udm::UdmService, udr::UdrService};
+        use shield5g_sim::engine::Engine;
+        use shield5g_sim::service::service_handle;
+
+        // A subscriber the UDR knows and the eUDM module was never given a
+        // key for: the module's 404 must reach the AUSF as the UDM's own.
+        let (mut env, client) = setup(true, PakaKind::EUdm);
+        let mut engine = Engine::new();
+        let mut udr = UdrService::new();
+        udr.provision(STRANGER, OPC, [0x80, 0]);
+        engine.register(addr::UDR, 4, Engine::leaf(service_handle(udr)));
+        engine.register(
+            PakaKind::EUdm.endpoint(),
+            1,
+            Engine::leaf(service_handle(client.endpoint())),
+        );
+        let hn = shield5g_crypto::ecies::HomeNetworkKeyPair::from_private(1, [7; 32]);
+        let udm = UdmService::new(hn, SbiClient::new(), addr::UDR, Box::new(client));
+        engine.register(addr::UDM, 4, Rc::new(RefCell::new(udm)));
+        let req = UdmAuthGetRequest {
+            identity: UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)),
+            known_supi: STRANGER.into(),
+            snn_mcc: "001".into(),
+            snn_mnc: "01".into(),
+        };
+        let resp = engine
+            .dispatch(
+                &mut env,
+                addr::UDM,
+                HttpRequest::post("/nudm-ueau/generate-auth-data", req.encode()),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 404);
+        assert_eq!(
+            resp.body,
+            format!("unknown subscriber {STRANGER}").into_bytes()
+        );
+    }
+
+    #[test]
     fn response_time_logged_and_sgx_slower() {
-        let (mut env_c, client_c) = setup(false, PakaKind::EUdm);
-        let (mut env_s, client_s) = setup(true, PakaKind::EUdm);
-        let mut bc = RemoteUdmAka::new(client_c);
-        let mut bs = RemoteUdmAka::new(client_s);
+        let (mut env_c, mut client_c) = setup(false, PakaKind::EUdm);
+        let (mut env_s, mut client_s) = setup(true, PakaKind::EUdm);
+        let body = av_request().encode();
         // Warm both, then sample.
-        bc.generate_av(&mut env_c, &av_request()).unwrap();
-        bs.generate_av(&mut env_s, &av_request()).unwrap();
-        for _ in 0..20 {
-            bc.generate_av(&mut env_c, &av_request()).unwrap();
-            bs.generate_av(&mut env_s, &av_request()).unwrap();
+        for _ in 0..=20 {
+            client_c
+                .call(&mut env_c, GenerateAv::PATH, body.clone())
+                .unwrap();
+            client_s
+                .call(&mut env_s, GenerateAv::PATH, body.clone())
+                .unwrap();
         }
-        let mc = bc.metrics();
-        let ms = bs.metrics();
+        let mc = client_c.metrics();
+        let ms = client_s.metrics();
         let rc = crate::stats::Summary::of(&mc.borrow().response_times[1..]);
         let rs = crate::stats::Summary::of(&ms.borrow().response_times[1..]);
         let ratio = rs.median_ratio_to(&rc);
         assert!(ratio > 1.8 && ratio < 3.5, "R_S/R_C = {ratio:.2}");
+        // `call` logs the module's L_F/L_T beside each R.
+        assert_eq!(mc.borrow().functional.len(), 21);
+        assert_eq!(ms.borrow().total.len(), 21);
     }
 
     #[test]
@@ -696,69 +625,5 @@ mod tests {
         // Neither OPc nor the path appear in the clear on the wire.
         assert!(!bridge.captured_contains(&OPC));
         assert!(!bridge.captured_contains(b"/eudm/generate-av"));
-    }
-
-    #[test]
-    fn module_error_propagates_as_subscriber_unknown() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
-        let mut req = av_request();
-        req.supi = "imsi-001010000000042".into();
-        assert!(matches!(
-            backend.generate_av(&mut env, &req),
-            Err(NfError::SubscriberUnknown(_))
-        ));
-    }
-
-    #[test]
-    fn remote_ausf_and_amf_backends() {
-        let (mut env, client) = setup(true, PakaKind::EAusf);
-        let mut ausf = RemoteAusfAka::new(client);
-        let resp = ausf
-            .derive_se(
-                &mut env,
-                &AusfAkaRequest {
-                    rand: [1; 16],
-                    xres_star: [2; 16],
-                    kausf: [3; 32].into(),
-                    snn: ServingNetworkName::new("001", "01"),
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            resp.hxres_star,
-            shield5g_crypto::keys::derive_hxres_star(&[1; 16], &[2; 16])
-        );
-
-        let (mut env2, client2) = setup(false, PakaKind::EAmf);
-        let mut amf = RemoteAmfAka::new(client2);
-        let kamf = amf
-            .derive_kamf(
-                &mut env2,
-                &AmfAkaRequest {
-                    kseaf: [4; 32].into(),
-                    supi: SUPI.into(),
-                    abba: [0, 0],
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            kamf,
-            shield5g_crypto::keys::derive_kamf(&[4; 32], SUPI, &[0, 0])
-        );
-    }
-
-    #[test]
-    fn remote_resync_round_trip() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
-        let mil = shield5g_crypto::milenage::Milenage::with_opc(&K, &OPC);
-        let rand = [0x23; 16];
-        let sqn_ms = [0, 0, 0, 0, 3, 3];
-        let auts = Auts::generate(&mil, &rand, &sqn_ms);
-        let out = backend
-            .resynchronise(&mut env, SUPI, &OPC, &rand, &auts)
-            .unwrap();
-        assert_eq!(out, sqn_ms);
     }
 }

@@ -13,7 +13,7 @@
 //! module/backend key tables, and [`Subscriber`] credentials for USIMs.
 
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
-use crate::remote::{ModuleMetricsLog, PakaClient, RemoteAmfAka, RemoteAusfAka, RemoteUdmAka};
+use crate::remote::{ModuleMetricsLog, PakaClient};
 use crate::CoreError;
 use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::ident::{Plmn, Supi};
@@ -27,7 +27,7 @@ use shield5g_mw::{
 };
 use shield5g_nf::amf::AmfService;
 use shield5g_nf::ausf::AusfService;
-use shield5g_nf::backend::{LocalAmfAka, LocalAusfAka, LocalUdmAka};
+use shield5g_nf::backend::{AkaBackend, DeriveKamf, DeriveSe, LocalAka, UdmAkaBackend};
 use shield5g_nf::nrf::{NfProfile, NrfService};
 use shield5g_nf::sbi::SbiClient;
 use shield5g_nf::smf::SmfService;
@@ -213,6 +213,13 @@ fn vnf_image(name: &str) -> ContainerImage {
     ))
 }
 
+/// The AKA backends of the UDM, AUSF and AMF, in that order.
+type Backends = (
+    Box<dyn UdmAkaBackend>,
+    Box<dyn AkaBackend<DeriveSe>>,
+    Box<dyn AkaBackend<DeriveKamf>>,
+);
+
 /// Builds and wires a complete slice on a fresh SGX-capable host.
 ///
 /// # Errors
@@ -274,13 +281,47 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
     // AKA backends per deployment.
     let mut modules = Vec::new();
     let mut backend_metrics = Vec::new();
-    let (udm_backend, ausf_backend, amf_backend): (
-        Box<dyn shield5g_nf::backend::UdmAkaBackend>,
-        Box<dyn shield5g_nf::backend::AusfAkaBackend>,
-        Box<dyn shield5g_nf::backend::AmfAkaBackend>,
-    ) = match config.deployment {
+    // Deploys one extracted module for `vnf` (container, or enclave under
+    // `sgx`) and returns the VNF's client to it. Each module is an engine
+    // endpoint whose worker count is the enclave's serving-thread budget:
+    // module concurrency (and the Fig. 8 thread-sweep knee) comes from
+    // event ordering.
+    let mut offload = |env: &mut Env,
+                       kind: PakaKind,
+                       vnf: &str,
+                       sgx: Option<SgxConfig>|
+     -> Result<PakaClient, CoreError> {
+        let mut module = match sgx {
+            Some(cfg) => PakaModule::deploy_sgx(env, &mut host, &registry, kind, cfg)?,
+            None => PakaModule::deploy_container(env, &mut host, &registry, kind)?,
+        };
+        if kind == PakaKind::EUdm {
+            for sub in &subscribers {
+                module.provision_subscriber_key(env, &sub.supi.to_string(), sub.k);
+            }
+        }
+        let workers = module.app_threads();
+        let module = Rc::new(RefCell::new(module));
+        let client = PakaClient::new(module.clone(), bridge.clone(), vnf);
+        modules.push((kind, module));
+        backend_metrics.push((kind, client.metrics()));
+        engine.borrow_mut().register(
+            kind.endpoint(),
+            workers,
+            stacked(Engine::leaf(service_handle(client.endpoint()))),
+        );
+        Ok(client)
+    };
+    let mut offload_all = |env: &mut Env, sgx: Option<SgxConfig>| -> Result<Backends, CoreError> {
+        Ok((
+            Box::new(offload(env, PakaKind::EUdm, "udm.oai", sgx)?),
+            Box::new(offload(env, PakaKind::EAusf, "ausf.oai", sgx)?),
+            Box::new(offload(env, PakaKind::EAmf, "amf.oai", sgx)?),
+        ))
+    };
+    let (udm_backend, ausf_backend, amf_backend): Backends = match config.deployment {
         AkaDeployment::Monolithic => {
-            let mut local = LocalUdmAka::new();
+            let mut local = LocalAka::default();
             for sub in &subscribers {
                 local.provision(sub.supi.to_string(), sub.k);
             }
@@ -296,68 +337,12 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
             }
             (
                 Box::new(local),
-                Box::new(LocalAusfAka::new()),
-                Box::new(LocalAmfAka::new()),
+                Box::new(LocalAka::default()),
+                Box::new(LocalAka::default()),
             )
         }
-        AkaDeployment::Container | AkaDeployment::Sgx(_) => {
-            let mut deployed = Vec::new();
-            for kind in PakaKind::all() {
-                let mut module = match config.deployment {
-                    AkaDeployment::Container => {
-                        PakaModule::deploy_container(env, &mut host, &registry, kind)?
-                    }
-                    AkaDeployment::Sgx(cfg) => {
-                        PakaModule::deploy_sgx(env, &mut host, &registry, kind, cfg)?
-                    }
-                    AkaDeployment::Monolithic => unreachable!("outer match"),
-                };
-                if kind == PakaKind::EUdm {
-                    for sub in &subscribers {
-                        module.provision_subscriber_key(env, &sub.supi.to_string(), sub.k);
-                    }
-                }
-                deployed.push((kind, Rc::new(RefCell::new(module))));
-            }
-            let client = |kind: PakaKind, vnf: &str| {
-                let module = deployed
-                    .iter()
-                    .find(|(k, _)| *k == kind)
-                    .map(|(_, m)| m.clone())
-                    .expect("all kinds deployed");
-                PakaClient::new(module, bridge.clone(), vnf)
-            };
-            let udm_client = client(PakaKind::EUdm, "udm.oai");
-            let ausf_client = client(PakaKind::EAusf, "ausf.oai");
-            let amf_client = client(PakaKind::EAmf, "amf.oai");
-            backend_metrics.push((PakaKind::EUdm, udm_client.metrics()));
-            backend_metrics.push((PakaKind::EAusf, ausf_client.metrics()));
-            backend_metrics.push((PakaKind::EAmf, amf_client.metrics()));
-            // Each module is an engine endpoint whose worker count is the
-            // enclave's serving-thread budget: module concurrency (and the
-            // Fig. 8 thread-sweep knee) comes from event ordering.
-            {
-                let mut e = engine.borrow_mut();
-                for c in [&udm_client, &ausf_client, &amf_client] {
-                    let module = c.module();
-                    let (endpoint_addr, workers) = {
-                        let m = module.borrow();
-                        (m.kind().endpoint(), m.app_threads())
-                    };
-                    e.register(
-                        endpoint_addr,
-                        workers,
-                        stacked(Engine::leaf(service_handle(c.endpoint()))),
-                    );
-                }
-            }
-            modules = deployed;
-            (
-                Box::new(RemoteUdmAka::new(udm_client)),
-                Box::new(RemoteAusfAka::new(ausf_client)),
-                Box::new(RemoteAmfAka::new(amf_client)),
-            )
-        }
+        AkaDeployment::Container => offload_all(env, None)?,
+        AkaDeployment::Sgx(cfg) => offload_all(env, Some(cfg))?,
     };
 
     // The VNF service chain.

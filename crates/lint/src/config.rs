@@ -101,7 +101,8 @@ impl Config {
                 secret("nf/src/backend.rs", "AusfAkaRequest", true),
                 secret("nf/src/backend.rs", "AusfAkaResponse", true),
                 secret("nf/src/backend.rs", "AmfAkaRequest", true),
-                secret("nf/src/backend.rs", "LocalUdmAka", true),
+                secret("nf/src/backend.rs", "UdmAkaResyncRequest", true),
+                secret("nf/src/backend.rs", "LocalAka", true),
                 secret("nf/src/ausf.rs", "AuthContext", true),
                 secret("nf/src/sbi.rs", "ConfirmResponse", true),
                 secret("nf/src/sbi.rs", "UdrAuthDataResponse", true),

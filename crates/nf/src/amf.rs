@@ -5,9 +5,10 @@
 //! drives 5G-AKA against the AUSF, performs the SEAF's HRES*/HXRES*
 //! check, activates NAS security, allocates GUTIs and anchors PDU-session
 //! requests to the SMF. Its K_AMF derivation is delegated to an
-//! [`AmfAkaBackend`] (the eAMF P-AKA module in the paper's deployments).
+//! [`AkaBackend`] for [`DeriveKamf`] (the eAMF P-AKA module in the paper's
+//! deployments).
 
-use crate::backend::{AmfAkaBackend, AmfAkaRequest, BackendOp};
+use crate::backend::{AkaBackend, AmfAkaRequest, BackendOp, CallToken, DeriveKamf};
 use crate::messages::{AuthFailureCause, NasDownlink, NasUplink, Ngap, UeIdentity};
 use crate::nas_security::{NasSecurityContext, ProtectedNas, CIPHER_ALG_AES, INTEGRITY_ALG_HMAC};
 use crate::sbi::{
@@ -68,7 +69,7 @@ pub struct AmfService {
     client: SbiClient,
     ausf_addr: String,
     smf_addr: String,
-    backend: Box<dyn AmfAkaBackend>,
+    backend: Box<dyn AkaBackend<DeriveKamf>>,
     serving_mcc: String,
     serving_mnc: String,
     contexts: BTreeMap<u64, UeState>,
@@ -96,7 +97,7 @@ impl AmfService {
         client: SbiClient,
         ausf_addr: impl Into<String>,
         smf_addr: impl Into<String>,
-        backend: Box<dyn AmfAkaBackend>,
+        backend: Box<dyn AkaBackend<DeriveKamf>>,
         mcc: &str,
         mnc: &str,
     ) -> Self {
@@ -627,7 +628,7 @@ impl AmfService {
                     supi: confirm.supi.clone(),
                     abba: ABBA,
                 };
-                match self.backend.begin_derive_kamf(env, &req) {
+                match self.backend.begin(env, &req) {
                     BackendOp::Done(kamf) => {
                         Ok(self.enter_security_mode(ran_ue_id, confirm.supi, kamf?.expose()))
                     }
@@ -647,7 +648,7 @@ impl AmfService {
                 supi,
                 token,
             } => {
-                let kamf = self.backend.finish_derive_kamf(env, token, resp)?;
+                let kamf = self.backend.finish(env, token, resp)?;
                 Ok(self.enter_security_mode(ran_ue_id, supi, kamf.expose()))
             }
             AmfFlow::AwaitSupiResolve {
@@ -708,7 +709,7 @@ enum AmfFlow {
     AwaitKamf {
         ran_ue_id: u64,
         supi: String,
-        token: Box<dyn Any>,
+        token: CallToken,
     },
     /// Waiting for a UDM round that de-conceals the SUCI for a resync.
     AwaitSupiResolve {
@@ -769,7 +770,7 @@ mod tests {
     // in the `shield5g-ran` crate and the workspace integration tests;
     // unit tests here cover the plumbing edges.
     use super::*;
-    use crate::backend::LocalAmfAka;
+    use crate::backend::LocalAka;
     use shield5g_sim::engine::Engine;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -779,7 +780,7 @@ mod tests {
             SbiClient::new(),
             crate::addr::AUSF,
             crate::addr::SMF,
-            Box::new(LocalAmfAka::new()),
+            Box::new(LocalAka::default()),
             "001",
             "01",
         )

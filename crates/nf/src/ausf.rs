@@ -1,12 +1,12 @@
 //! The Authentication Server Function.
 //!
 //! Receives authentication requests from the AMF/SEAF, obtains the HE AV
-//! from the UDM, derives the SE AV parameters through its
-//! [`AusfAkaBackend`] (the eAUSF P-AKA module in the paper's deployments),
+//! from the UDM, derives the SE AV parameters through its [`AkaBackend`]
+//! for [`DeriveSe`] (the eAUSF P-AKA module in the paper's deployments),
 //! stores XRES*/K_SEAF, and performs the final RES* confirmation
 //! (TS 33.501 §6.1.3.2 step 10/11).
 
-use crate::backend::{decode_he_av, AusfAkaBackend, AusfAkaRequest, BackendOp};
+use crate::backend::{AkaBackend, AusfAkaRequest, BackendOp, CallToken, DeriveSe, Wire};
 use crate::sbi::{
     AuthenticateRequest, AuthenticateResponse, ConfirmRequest, ConfirmResponse, ResyncRequest,
     SbiClient, UdmAuthGetRequest, UdmAuthGetResponse,
@@ -35,7 +35,7 @@ struct AuthContext {
 pub struct AusfService {
     client: SbiClient,
     udm_addr: String,
-    backend: Box<dyn AusfAkaBackend>,
+    backend: Box<dyn AkaBackend<DeriveSe>>,
     contexts: BTreeMap<u64, AuthContext>,
     next_ctx: u64,
 }
@@ -55,7 +55,7 @@ impl AusfService {
     pub fn new(
         client: SbiClient,
         udm_addr: impl Into<String>,
-        backend: Box<dyn AusfAkaBackend>,
+        backend: Box<dyn AkaBackend<DeriveSe>>,
     ) -> Self {
         AusfService {
             client,
@@ -175,7 +175,7 @@ enum AusfFlow {
     AwaitSe {
         supi: String,
         he_av: HeAv,
-        token: Box<dyn Any>,
+        token: CallToken,
     },
     /// Waiting on the UDM's resync acknowledgement.
     AwaitUdmResync,
@@ -256,7 +256,7 @@ impl EngineService for AusfService {
                     Ok(r) => r,
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
-                let he_av = match decode_he_av(&udm_resp.he_av) {
+                let he_av = match HeAv::decode(&udm_resp.he_av) {
                     Ok(av) => av,
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
@@ -267,7 +267,7 @@ impl EngineService for AusfService {
                     kausf: he_av.kausf.clone(),
                     snn,
                 };
-                match self.backend.begin_derive_se(env, &aka_req) {
+                match self.backend.begin(env, &aka_req) {
                     BackendOp::Done(Ok(se)) => self.finish_authenticate(
                         env,
                         udm_resp.supi,
@@ -288,7 +288,7 @@ impl EngineService for AusfService {
                 }
             }
             AusfFlow::AwaitSe { supi, he_av, token } => {
-                match self.backend.finish_derive_se(env, token, resp) {
+                match self.backend.finish(env, token, resp) {
                     Ok(se) => self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf),
                     Err(e) => Step::Reply(Self::upstream_error(e)),
                 }
@@ -304,7 +304,7 @@ impl EngineService for AusfService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LocalAusfAka, LocalUdmAka};
+    use crate::backend::LocalAka;
     use crate::messages::UeIdentity;
     use crate::udm::UdmService;
     use crate::udr::UdrService;
@@ -328,7 +328,7 @@ mod tests {
         udr.provision(SUPI, OPC, [0x80, 0]);
         engine.register(crate::addr::UDR, 4, Engine::leaf(service_handle(udr)));
         let hn = HomeNetworkKeyPair::from_private(1, env.rng.bytes());
-        let mut udm_backend = LocalUdmAka::new();
+        let mut udm_backend = LocalAka::default();
         udm_backend.provision(SUPI, K);
         let udm = UdmService::new(
             hn.clone(),
@@ -340,7 +340,7 @@ mod tests {
         let ausf = AusfService::new(
             SbiClient::new(),
             crate::addr::UDM,
-            Box::new(LocalAusfAka::new()),
+            Box::new(LocalAka::default()),
         );
         engine.register(crate::addr::AUSF, 4, Rc::new(RefCell::new(ausf)));
         (env, engine, hn)

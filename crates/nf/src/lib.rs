@@ -9,13 +9,14 @@
 //! security mode, GUTI allocation, sequence-number re-synchronisation and
 //! PDU session establishment.
 //!
-//! The sensitive AKA computations are *pluggable*: each of UDM, AUSF and
-//! AMF delegates to a [`backend`] trait. The in-process implementations
-//! here model the monolithic OAI deployment; the `shield5g-core` crate
-//! provides the paper's extracted P-AKA microservice backends (container
-//! and SGX-enclave deployments) behind the same traits, so the registration
-//! flow is byte-identical across deployments — exactly the paper's §IV-B
-//! design goal of not altering the regular UE registration flow.
+//! The sensitive AKA computations are *pluggable*: each is one row of the
+//! operation table in [`backend`], and UDM, AUSF and AMF reach their rows
+//! through [`backend::AkaBackend`]. The in-process backend here models the
+//! monolithic OAI deployment; the `shield5g-core` crate runs the same rows
+//! in the paper's extracted P-AKA microservices (container and SGX-enclave
+//! deployments) behind the same trait, so the registration flow is
+//! byte-identical across deployments — exactly the paper's §IV-B design
+//! goal of not altering the regular UE registration flow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -387,7 +387,7 @@ impl UdmAuthGetRequest {
 pub struct UdmAuthGetResponse {
     /// De-concealed subscriber identity.
     pub supi: String,
-    /// Wire-encoded HE AV ([`crate::backend::encode_he_av`]).
+    /// Wire-encoded HE AV ([`crate::backend::Wire`]).
     pub he_av: Vec<u8>,
 }
 

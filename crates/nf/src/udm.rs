@@ -6,7 +6,10 @@
 //! for the monolithic baseline, the eUDM P-AKA module in the paper's
 //! deployments) → return SUPI + HE AV to the AUSF.
 
-use crate::backend::{encode_he_av, BackendOp, UdmAkaBackend, UdmAkaRequest};
+use crate::backend::{
+    self, AkaBackend, BackendOp, CallToken, GenerateAv, Resync, UdmAkaBackend, UdmAkaRequest,
+    UdmAkaResyncRequest, Wire,
+};
 use crate::messages::UeIdentity;
 use crate::sbi::{
     ResyncRequest, SbiClient, UdmAuthGetRequest, UdmAuthGetResponse, UdrAuthDataRequest,
@@ -98,11 +101,7 @@ impl UdmService {
             NfError::Sim(shield5g_sim::SimError::ServiceFailure { status: 404, .. }) => {
                 HttpResponse::error(404, "subscriber not found")
             }
-            NfError::SubscriberUnknown(s) => {
-                HttpResponse::error(404, format!("unknown subscriber {s}"))
-            }
-            NfError::Crypto(e) => HttpResponse::error(403, e.to_string()),
-            e => HttpResponse::error(400, e.to_string()),
+            e => backend::error_reply(&e),
         }
     }
 
@@ -146,7 +145,7 @@ impl UdmService {
         Step::Reply(HttpResponse::ok(
             UdmAuthGetResponse {
                 supi,
-                he_av: encode_he_av(av),
+                he_av: av.encode(),
             }
             .encode(),
         ))
@@ -176,7 +175,7 @@ impl UdmService {
             amf_field: auth_data.amf_field,
             snn: ServingNetworkName::new(&req.snn_mcc, &req.snn_mnc),
         };
-        match self.backend.begin_generate_av(env, &aka_req) {
+        match AkaBackend::<GenerateAv>::begin(&mut *self.backend, env, &aka_req) {
             BackendOp::Done(Ok(av)) => self.finish_av(env, supi, &av),
             BackendOp::Done(Err(e)) => Step::Reply(Self::auth_error(e)),
             BackendOp::Call { dest, req, token } => Step::CallOut {
@@ -214,11 +213,11 @@ enum UdmFlow {
         supi: String,
     },
     /// Auth-data flow: waiting on the remote AKA module.
-    AwaitAv { supi: String, token: Box<dyn Any> },
+    AwaitAv { supi: String, token: CallToken },
     /// Resync flow: waiting on the UDR subscription fetch (OPc for MAC-S).
     ResyncAuthData { req: ResyncRequest },
     /// Resync flow: waiting on the remote AKA module's AUTS verdict.
-    AwaitModuleResync { supi: String, token: Box<dyn Any> },
+    AwaitModuleResync { supi: String, token: CallToken },
     /// Resync flow: waiting on the UDR SQN update.
     AwaitUdrResync { supi: String },
 }
@@ -280,7 +279,7 @@ impl EngineService for UdmService {
                 self.start_av(env, &req, supi, &body)
             }
             UdmFlow::AwaitAv { supi, token } => {
-                match self.backend.finish_generate_av(env, token, resp) {
+                match AkaBackend::<GenerateAv>::finish(&mut *self.backend, env, token, resp) {
                     Ok(av) => self.finish_av(env, supi, &av),
                     Err(e) => Step::Reply(Self::auth_error(e)),
                 }
@@ -295,13 +294,13 @@ impl EngineService for UdmService {
                     Err(e) => return Step::Reply(Self::resync_error(e)),
                 };
                 let supi = req.supi.clone();
-                match self.backend.begin_resynchronise(
-                    env,
-                    &req.supi,
-                    auth_data.opc.expose(),
-                    &req.rand,
-                    &req.auts,
-                ) {
+                let aka_req = UdmAkaResyncRequest {
+                    supi: req.supi,
+                    opc: auth_data.opc,
+                    rand: req.rand,
+                    auts: req.auts,
+                };
+                match AkaBackend::<Resync>::begin(&mut *self.backend, env, &aka_req) {
                     BackendOp::Done(Ok(sqn_ms)) => self.push_resync(env, supi, sqn_ms),
                     BackendOp::Done(Err(e)) => Step::Reply(Self::resync_error(e)),
                     BackendOp::Call { dest, req, token } => Step::CallOut {
@@ -312,7 +311,7 @@ impl EngineService for UdmService {
                 }
             }
             UdmFlow::AwaitModuleResync { supi, token } => {
-                match self.backend.finish_resynchronise(env, token, resp) {
+                match AkaBackend::<Resync>::finish(&mut *self.backend, env, token, resp) {
                     Ok(sqn_ms) => self.push_resync(env, supi, sqn_ms),
                     Err(e) => Step::Reply(Self::resync_error(e)),
                 }
@@ -337,7 +336,7 @@ impl EngineService for UdmService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{decode_he_av, LocalUdmAka};
+    use crate::backend::LocalAka;
     use crate::udr::UdrService;
     use shield5g_crypto::ident::{Plmn, Supi};
     use shield5g_crypto::milenage::Milenage;
@@ -357,7 +356,7 @@ mod tests {
         udr.provision(SUPI, OPC, [0x80, 0]);
         engine.register(crate::addr::UDR, 4, Engine::leaf(service_handle(udr)));
         let hn = HomeNetworkKeyPair::from_private(1, env.rng.bytes());
-        let mut backend = LocalUdmAka::new();
+        let mut backend = LocalAka::default();
         backend.provision(SUPI, K);
         let udm = UdmService::new(
             hn.clone(),
@@ -399,7 +398,7 @@ mod tests {
         let resp = UdmAuthGetResponse::decode(&body).unwrap();
         assert_eq!(resp.supi, SUPI);
         // The AV verifies on a USIM with the same credentials.
-        let av = decode_he_av(&resp.he_av).unwrap();
+        let av = shield5g_crypto::keys::HeAv::decode(&resp.he_av).unwrap();
         let mil = Milenage::with_opc(&K, &OPC);
         let snn = ServingNetworkName::new("001", "01");
         let ue =

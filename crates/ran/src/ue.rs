@@ -298,11 +298,6 @@ impl CotsUe {
                 other => return Err(RanError::Protocol(format!("unexpected downlink {other:?}"))),
             };
             let protected = self.encode_uplink(&uplink);
-            // The taint pass is field-insensitive: the protected PDU
-            // rides inside the HttpRequest whose *path/method* reach the
-            // engine trace; the ciphered NAS payload itself is never
-            // rendered.
-            // shield5g-lint: allow(SH004)
             downlink = gnb.nas_exchange(env, ran_ue_id, protected, false)?;
         }
 

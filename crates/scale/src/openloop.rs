@@ -39,7 +39,9 @@ use crate::router::ReplicaId;
 use shield5g_core::paka::PakaKind;
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
-use shield5g_nf::backend::{decode_he_av_batch, sqn_add, UdmAkaBatchRequest, UdmAkaRequest};
+use shield5g_nf::backend::{
+    sqn_add, AkaOp, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest, Wire,
+};
 use shield5g_obs::{hub as obs, labels};
 use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
 use shield5g_sim::engine::{
@@ -223,7 +225,7 @@ impl Run {
             if ok {
                 self.recovery.success(finished);
                 if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
-                    let avs = decode_he_av_batch(&completion.response.body).expect("batch wire");
+                    let avs = Vec::decode(&completion.response.body).expect("batch wire");
                     c.put_batch(&pending.supi, avs);
                     // The missing request consumes the batch head itself.
                     let _ = c.pop_uncounted(&pending.supi);
@@ -489,32 +491,24 @@ pub(crate) fn single_request(
         .entry(supi.to_owned())
         .and_modify(|s| *s = sqn_add(s, 1))
         .or_insert([0, 0, 0, 0, 0, 1]);
-    HttpRequest::post(
-        "/eudm/generate-av",
-        UdmAkaRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand: env.rng.bytes(),
-            sqn: *sqn,
-            amf_field: [0x80, 0],
-            snn: snn(),
-        }
-        .encode(),
-    )
+    GenerateAv::request(&UdmAkaRequest {
+        supi: supi.into(),
+        opc: OPC.into(),
+        rand: env.rng.bytes(),
+        sqn: *sqn,
+        amf_field: [0x80, 0],
+        snn: snn(),
+    })
 }
 
 fn batch_request(env: &mut Env, cache: &AvCache, supi: &str) -> HttpRequest {
-    HttpRequest::post(
-        "/eudm/generate-av-batch",
-        UdmAkaBatchRequest {
-            supi: supi.into(),
-            opc: OPC.into(),
-            rand_seed: env.rng.bytes(),
-            sqn_start: cache.next_sqn(supi),
-            amf_field: [0x80, 0],
-            snn: snn(),
-            count: cache.batch_size(),
-        }
-        .encode(),
-    )
+    GenerateAvBatch::request(&UdmAkaBatchRequest {
+        supi: supi.into(),
+        opc: OPC.into(),
+        rand_seed: env.rng.bytes(),
+        sqn_start: cache.next_sqn(supi),
+        amf_field: [0x80, 0],
+        snn: snn(),
+        count: cache.batch_size(),
+    })
 }

@@ -24,6 +24,7 @@ use shield5g_mw::{
     AdmissionLayer, ClassSheds, ClassShedsHandle, FaultLayer, FaultSwitch, ObsCoreHandle, ObsLayer,
     Stack,
 };
+use shield5g_nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{AdmissionPolicy, Engine, FAULT_HEADER};
@@ -295,7 +296,7 @@ impl EnclavePool {
                 // subscribers; an unknown SUPI still walks the full TLS +
                 // dispatch + vault-lookup path (404 is fine — the lazy
                 // init it triggers is what we are here for).
-                HttpRequest::post("/eudm/generate-av", warmup_udm_body())
+                GenerateAv::request(&warmup_udm_request())
             }
             PakaKind::EAusf | PakaKind::EAmf => shield5g_core::harness::standard_request(kind),
         };
@@ -696,10 +697,10 @@ impl EnclavePool {
     }
 }
 
-/// Body of the eUDM preheat probe: a syntactically valid AV request for a
-/// reserved SUPI no operator provisions.
-fn warmup_udm_body() -> Vec<u8> {
-    shield5g_nf::backend::UdmAkaRequest {
+/// The eUDM preheat probe: a valid AV request for a reserved SUPI no
+/// operator provisions.
+fn warmup_udm_request() -> UdmAkaRequest {
+    UdmAkaRequest {
         supi: "imsi-00101999999999".into(),
         opc: [0; 16].into(),
         rand: [0; 16],
@@ -707,7 +708,6 @@ fn warmup_udm_body() -> Vec<u8> {
         amf_field: [0x80, 0],
         snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
     }
-    .encode()
 }
 
 #[cfg(test)]
@@ -734,18 +734,14 @@ mod tests {
     }
 
     fn av_request(supi: &str) -> HttpRequest {
-        HttpRequest::post(
-            "/eudm/generate-av",
-            shield5g_nf::backend::UdmAkaRequest {
-                supi: supi.into(),
-                opc: [0xcd; 16].into(),
-                rand: [0x23; 16],
-                sqn: [0, 0, 0, 0, 0, 1],
-                amf_field: [0x80, 0],
-                snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
-            }
-            .encode(),
-        )
+        GenerateAv::request(&UdmAkaRequest {
+            supi: supi.into(),
+            opc: [0xcd; 16].into(),
+            rand: [0x23; 16],
+            sqn: [0, 0, 0, 0, 0, 1],
+            amf_field: [0x80, 0],
+            snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
+        })
     }
 
     #[test]

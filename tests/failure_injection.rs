@@ -7,6 +7,7 @@ use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
 use shield5g::hmee::enclave::EnclaveBuilder;
 use shield5g::hmee::seal::{seal, SealPolicy};
 use shield5g::nf::addr;
+use shield5g::nf::backend::{AkaOp, GenerateAv};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::RanError;
 use shield5g::sim::Env;
@@ -297,7 +298,7 @@ fn paka_module_survives_request_fuzz() {
     for _ in 0..100 {
         let len = (rng.next_u64() % 128) as usize;
         let body: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
-        let req = shield5g::sim::http::HttpRequest::post("/eudm/generate-av", body);
+        let req = shield5g::sim::http::HttpRequest::post(GenerateAv::PATH, body);
         let (resp, _) = module.serve(&mut env, req);
         assert!(!resp.is_success());
     }

@@ -10,12 +10,13 @@ use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig, Subscriber}
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::keys::ServingNetworkName;
 use shield5g::crypto::sqn::{sqn_from_bytes, sqn_to_bytes, SqnGenerator};
-use shield5g::nf::backend::{decode_he_av_batch, UdmAkaBatchRequest};
+use shield5g::nf::backend::{
+    AkaOp, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest, Wire,
+};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::{ChallengeOutcome, Usim};
 use shield5g::scale::avcache::{AvCache, AvCacheConfig};
 use shield5g::scale::pool::{EnclavePool, PoolConfig};
-use shield5g::sim::http::HttpRequest;
 use shield5g::sim::Env;
 
 /// Full NAS-level regression: a UE registered against a shielded
@@ -107,19 +108,15 @@ fn pool_failover_resync_restores_the_av_stream() {
     align(&mut cache, &mut generator);
 
     let batch_req = |env: &mut Env, cache: &AvCache| {
-        HttpRequest::post(
-            "/eudm/generate-av-batch",
-            UdmAkaBatchRequest {
-                supi: supi.clone(),
-                opc: sub.opc.into(),
-                rand_seed: env.rng.bytes(),
-                sqn_start: cache.next_sqn(&supi),
-                amf_field: [0x80, 0],
-                snn: snn.clone(),
-                count: cache.batch_size(),
-            }
-            .encode(),
-        )
+        GenerateAvBatch::request(&UdmAkaBatchRequest {
+            supi: supi.clone(),
+            opc: sub.opc.into(),
+            rand_seed: env.rng.bytes(),
+            sqn_start: cache.next_sqn(&supi),
+            amf_field: [0x80, 0],
+            snn: snn.clone(),
+            count: cache.batch_size(),
+        })
     };
 
     // Consume a full batch through the primary; every AV authenticates
@@ -128,7 +125,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache);
     let (resp, _, _) = pool.serve_on(&mut env, primary, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, decode_he_av_batch(&resp.body).unwrap());
+    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
     while let Some(av) = cache.take(&supi) {
         match usim.evaluate_challenge(&av.rand, &av.autn, &snn) {
             ChallengeOutcome::Success(_) => {}
@@ -152,7 +149,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, decode_he_av_batch(&resp.body).unwrap());
+    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
     let stale = cache.take(&supi).unwrap();
     let auts = match usim.evaluate_challenge(&stale.rand, &stale.autn, &snn) {
         ChallengeOutcome::SyncFailure(auts) => auts,
@@ -161,22 +158,18 @@ fn pool_failover_resync_restores_the_av_stream() {
 
     // AUTS → the promoted replica's resync endpoint. It recovers SQN_MS
     // under the subscriber key it was provisioned with.
-    let mut w = shield5g::sim::codec::Writer::new();
-    w.put_str(&supi)
-        .put_array(&sub.opc)
-        .put_array(&stale.rand)
-        .put_array(&auts.sqn_ms_xor_ak)
-        .put_array(&auts.mac_s);
-    let (resp, _, _) = pool.serve_on(
-        &mut env,
-        survivor,
-        HttpRequest::post("/eudm/resync", w.into_bytes()),
-    );
+    let resync = UdmAkaResyncRequest {
+        supi: supi.clone(),
+        opc: sub.opc.into(),
+        rand: stale.rand,
+        auts,
+    };
+    let (resp, _, _) = pool.serve_on(&mut env, survivor, Resync::request(&resync));
     assert!(
         resp.is_success(),
         "AUTS must verify on the promoted replica"
     );
-    let sqn_ms: [u8; 6] = resp.body.as_slice().try_into().unwrap();
+    let sqn_ms = <[u8; 6]>::decode(&resp.body).unwrap();
 
     // Jump the generator past SQN_MS (the UDR `push_resync` step) and
     // re-anchor the cache: the UE is back in sync on the very next
@@ -186,7 +179,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, decode_he_av_batch(&resp.body).unwrap());
+    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
     let fresh = cache.take(&supi).unwrap();
     assert!(
         matches!(
