@@ -167,9 +167,15 @@ impl HomeNetworkKeyPair {
     /// # Errors
     ///
     /// Returns [`CryptoError::MacMismatch`] when the tag does not verify
-    /// (wrong key, corrupted ciphertext, or a tampered ephemeral key).
+    /// (wrong key, corrupted ciphertext, or a tampered ephemeral key), and
+    /// [`CryptoError::LowOrderPoint`] when the ephemeral key is a low-order
+    /// point: the shared secret would be all zeros whatever our private
+    /// key, so anyone could compute a tag that verifies.
     pub fn deconceal(&self, ct: &EciesCiphertext) -> Result<Vec<u8>, CryptoError> {
         let shared = x25519(self.private.expose(), &ct.ephemeral_public);
+        if ct_eq(&shared, &[0u8; 32]) {
+            return Err(CryptoError::LowOrderPoint);
+        }
         let (aes_key, icb, mac_key) = derive_key_data(&shared, &ct.ephemeral_public);
         let tag = hmac_sha256(&mac_key, &ct.ciphertext);
         if !ct_eq(&tag[..MAC_LEN], &ct.mac) {
@@ -236,6 +242,30 @@ mod tests {
         let other = HomeNetworkKeyPair::from_private(2, [0x43; 32]);
         let ct = conceal(b"0000000001", hn.public(), &[0x99; 32]);
         assert_eq!(other.deconceal(&ct), Err(CryptoError::MacMismatch));
+    }
+
+    #[test]
+    fn low_order_ephemeral_key_is_rejected() {
+        // The shared secret of a low-order point is all zeros, so the
+        // forger below needs nothing of the home network's to make the
+        // tag verify.
+        let hn = hn();
+        for point in crate::x25519::tests::LOW_ORDER_POINTS {
+            let ephemeral_public = crate::hex::decode_array::<32>(point).unwrap();
+            let (aes_key, icb, mac_key) = derive_key_data(&[0; 32], &ephemeral_public);
+            let mut ciphertext = b"0000000001".to_vec();
+            Aes128::new(&aes_key).ctr_apply(&icb, &mut ciphertext);
+            let mut mac = [0u8; MAC_LEN];
+            mac.copy_from_slice(&hmac_sha256(&mac_key, &ciphertext)[..MAC_LEN]);
+            let forged = EciesCiphertext {
+                ephemeral_public,
+                ciphertext,
+                mac,
+            };
+            assert_eq!(hn.deconceal(&forged), Err(CryptoError::LowOrderPoint));
+            let honest = conceal(b"0000000001", hn.public(), &[0x99; 32]);
+            assert_eq!(hn.deconceal(&honest).unwrap(), b"0000000001");
+        }
     }
 
     #[test]

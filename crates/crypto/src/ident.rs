@@ -231,6 +231,7 @@ impl Suci {
     /// * [`CryptoError::UnknownKeyId`] when the SUCI references a key this
     ///   home network does not hold.
     /// * [`CryptoError::MacMismatch`] for tampered ciphertexts.
+    /// * [`CryptoError::LowOrderPoint`] for a low-order ephemeral key.
     /// * [`CryptoError::MalformedIdentifier`] if the decrypted MSIN is not
     ///   valid BCD digits.
     pub fn deconceal(&self, hn_key: &HomeNetworkKeyPair) -> Result<Supi, CryptoError> {

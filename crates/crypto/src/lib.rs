@@ -88,6 +88,10 @@ pub enum CryptoError {
     },
     /// A message authentication code did not verify.
     MacMismatch,
+    /// A key agreement produced the all-zero shared secret: the peer's
+    /// public key is a low-order point (RFC 7748 §6.1), so the secret does
+    /// not depend on our private key.
+    LowOrderPoint,
     /// A received sequence number was outside the acceptable window
     /// (triggers re-synchronisation, TS 33.102 C.2).
     SqnOutOfRange {
@@ -111,6 +115,7 @@ impl fmt::Display for CryptoError {
                 write!(f, "invalid length for {what}: expected {expected} bytes, got {actual}")
             }
             CryptoError::MacMismatch => write!(f, "message authentication code mismatch"),
+            CryptoError::LowOrderPoint => write!(f, "low-order public key in key agreement"),
             CryptoError::SqnOutOfRange { received, highest_accepted } => write!(
                 f,
                 "sequence number {received} outside acceptance window (highest accepted {highest_accepted})"

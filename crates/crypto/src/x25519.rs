@@ -2,8 +2,7 @@
 //!
 //! The SUCI protection scheme Profile A (TS 33.501 Annex C.3.4.1) conceals
 //! the subscriber's permanent identifier with an ECIES construction whose
-//! key agreement is Curve25519 — this module provides that primitive, built
-//! on 4×64-bit limb field arithmetic modulo `2^255 - 19`.
+//! key agreement is Curve25519 — this module provides that primitive.
 //!
 //! ```rust
 //! use shield5g_crypto::x25519::{x25519, x25519_base};
@@ -13,22 +12,46 @@
 //! let bob_pub = x25519_base(&bob_priv);
 //! assert_eq!(x25519(&alice_priv, &bob_pub), x25519(&bob_priv, &alice_pub));
 //! ```
+//!
+//! # Field arithmetic
+//!
+//! An element of GF(`2^255 - 19`) is five `u64` limbs in radix `2^51`:
+//! `l0 + l1·2^51 + l2·2^102 + l3·2^153 + l4·2^204`. Reduction is lazy: a
+//! limb may run past 51 bits, and only `Fe::to_bytes` produces the
+//! canonical value `< p`. Each operation states the limb size it accepts
+//! and the one it returns; a *carried* element has limbs `< 2^52`, so the
+//! sum of two sums of carried elements (`< 2^54`) is still a valid operand
+//! everywhere, which is all the Montgomery ladder needs.
+//!
+//! | operation | accepts limbs | returns limbs |
+//! |---|---|---|
+//! | `from_bytes` | any 32 bytes, bit 255 ignored | `< 2^51` |
+//! | `add` | sum `< 2^64` | `a_i + b_i`, not carried |
+//! | `sub` | `< 2^54` | `< 2^52` (adds `16p`, one carry pass) |
+//! | `mul`, `square`, `mul_small` | `< 2^54` | `< 2^52` |
+//! | `invert` | `< 2^54` | `< 2^52`; `0` maps to `0` |
+//! | `to_bytes` | `< 2^54` | the 32 canonical bytes |
+//!
+//! # Constant time
+//!
+//! Outside `cfg(test)` this file contains no `if`, `while`, `match`, `&&`,
+//! `||` or `?`: every loop has a public trip count and secret bits reach
+//! the data only through masks (`cswap`), so neither the instruction
+//! stream nor the host cost depends on the scalar or the point. The
+//! workspace linter enforces it (rule `CT001`).
 
-/// The prime `2^255 - 19` as little-endian 64-bit limbs.
-const P: [u64; 4] = [
-    0xffff_ffff_ffff_ffed,
-    0xffff_ffff_ffff_ffff,
-    0xffff_ffff_ffff_ffff,
-    0x7fff_ffff_ffff_ffff,
-];
+const MASK: u64 = (1 << 51) - 1;
+
+/// `16p` limb by limb: what [`Fe::sub`] adds so no limb goes negative.
+const P16: [u64; 5] = [(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK << 4];
 
 /// `(486662 - 2) / 4`, the ladder constant.
 const A24: u64 = 121_665;
 
-/// A field element modulo `2^255 - 19`, kept fully reduced (`< p`) after
-/// every operation. Limbs are little-endian.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Fe([u64; 4]);
+/// A field element modulo `2^255 - 19`: five little-endian 51-bit limbs,
+/// lazily reduced (see the module docs for the bounds).
+#[derive(Clone, Copy)]
+struct Fe([u64; 5]);
 
 impl std::fmt::Debug for Fe {
     // Field elements carry private-scalar-derived ladder state: a derived
@@ -40,156 +63,158 @@ impl std::fmt::Debug for Fe {
     }
 }
 
-impl Fe {
-    const ZERO: Fe = Fe([0; 4]);
-    const ONE: Fe = Fe([1, 0, 0, 0]);
+/// The full 64 × 64 → 128-bit product.
+fn m(x: u64, y: u64) -> u128 {
+    u128::from(x) * u128::from(y)
+}
 
-    /// Parses a little-endian 32-byte string, masking the top bit and
-    /// reducing modulo `p` (RFC 7748 §5 decodeUCoordinate).
+impl Fe {
+    const ZERO: Fe = Fe([0; 5]);
+    const ONE: Fe = Fe([1, 0, 0, 0, 0]);
+
+    /// Parses a little-endian 32-byte string, ignoring the top bit (RFC 7748
+    /// §5 decodeUCoordinate). Values in `[p, 2^255)` are kept as they are:
+    /// the arithmetic works on any representative.
     fn from_bytes(bytes: &[u8; 32]) -> Fe {
-        let mut limbs = [0u64; 4];
-        for (i, limb) in limbs.iter_mut().enumerate() {
-            *limb = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        let mut w = [0u64; 4];
+        for (i, &byte) in bytes.iter().enumerate() {
+            w[i / 8] |= u64::from(byte) << (8 * (i % 8));
         }
-        limbs[3] &= 0x7fff_ffff_ffff_ffff;
-        Fe(limbs).cond_sub_p()
+        Fe([
+            w[0] & MASK,
+            (w[0] >> 51 | w[1] << 13) & MASK,
+            (w[1] >> 38 | w[2] << 26) & MASK,
+            (w[2] >> 25 | w[3] << 39) & MASK,
+            (w[3] >> 12) & MASK,
+        ])
     }
 
+    /// The canonical encoding: the one place that reduces fully.
     fn to_bytes(self) -> [u8; 32] {
+        // After one pass the value is below 2p, so at most one p comes off.
+        let mut l = self.carry().0;
+        // q = 1 exactly when the value is >= p: the carry out of bit 255
+        // of value + 19.
+        let mut q = (l[0] + 19) >> 51;
+        for limb in &l[1..] {
+            q = (limb + q) >> 51;
+        }
+        // Adding 19q and dropping bit 255 subtracts q·p.
+        let mut carry = 19 * q;
+        for limb in &mut l {
+            *limb += carry;
+            carry = *limb >> 51;
+            *limb &= MASK;
+        }
+        let w = [
+            l[0] | l[1] << 51,
+            l[1] >> 13 | l[2] << 38,
+            l[2] >> 26 | l[3] << 25,
+            l[3] >> 39 | l[4] << 12,
+        ];
         let mut out = [0u8; 32];
-        for (i, limb) in self.0.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&limb.to_le_bytes());
+        for (chunk, word) in out.chunks_exact_mut(8).zip(w) {
+            chunk.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
 
-    /// Subtracts `p` if the value is `>= p` (branch-free select).
-    fn cond_sub_p(self) -> Fe {
-        let mut t = [0u64; 4];
-        let mut borrow = 0u64;
-        for (out, (&limb, &p)) in t.iter_mut().zip(self.0.iter().zip(P.iter())) {
-            let (d1, b1) = limb.overflowing_sub(p);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *out = d2;
-            borrow = (b1 | b2) as u64;
-        }
-        // borrow == 0 means self >= p: take t. Select without branching.
-        let mask = borrow.wrapping_sub(1); // all-ones when borrow == 0
-        let mut out = [0u64; 4];
-        for i in 0..4 {
-            out[i] = (t[i] & mask) | (self.0[i] & !mask);
-        }
-        Fe(out)
+    /// One parallel carry pass with the `2^255 ≡ 19` wrap: limbs `< 2^64`
+    /// in, limbs `< 2^51 + 19·2^13` out. The value is unchanged modulo `p`.
+    fn carry(self) -> Fe {
+        let l = self.0;
+        Fe([
+            (l[0] & MASK) + (l[4] >> 51) * 19,
+            (l[1] & MASK) + (l[0] >> 51),
+            (l[2] & MASK) + (l[1] >> 51),
+            (l[3] & MASK) + (l[2] >> 51),
+            (l[4] & MASK) + (l[3] >> 51),
+        ])
     }
 
     fn add(self, rhs: Fe) -> Fe {
-        let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for (o, (&a, &b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            let (s1, c1) = a.overflowing_add(b);
-            let (s2, c2) = s1.overflowing_add(carry);
-            *o = s2;
-            carry = (c1 | c2) as u64;
-        }
-        // Both inputs < p < 2^255, so the sum fits in 256 bits.
-        debug_assert_eq!(carry, 0);
-        Fe(out).cond_sub_p()
+        Fe(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
 
     fn sub(self, rhs: Fe) -> Fe {
-        let mut out = [0u64; 4];
-        let mut borrow = 0u64;
-        for (o, (&a, &b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            let (d1, b1) = a.overflowing_sub(b);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *o = d2;
-            borrow = (b1 | b2) as u64;
+        Fe(std::array::from_fn(|i| self.0[i] + P16[i] - rhs.0[i])).carry()
+    }
+
+    /// The carry chain shared by `mul`, `square` and `mul_small`: five
+    /// column sums `< 2^115` in, a carried element out.
+    fn fold(columns: [u128; 5]) -> Fe {
+        let mut out = [0u64; 5];
+        let mut carry = 0u128;
+        for (limb, column) in out.iter_mut().zip(columns) {
+            let acc = column + carry;
+            *limb = acc as u64 & MASK;
+            carry = acc >> 51;
         }
-        if borrow != 0 {
-            // Wrapped below zero: add p back (exactly cancels the 2^256 wrap).
-            let mut carry = 0u64;
-            for i in 0..4 {
-                let (s1, c1) = out[i].overflowing_add(P[i]);
-                let (s2, c2) = s1.overflowing_add(carry);
-                out[i] = s2;
-                carry = (c1 | c2) as u64;
-            }
-        }
+        // Column 4 has no ×19 term (< 2^111), so this carry is < 2^60 and
+        // its ×19 wrap into limb 0 fits a u64.
+        out[0] += carry as u64 * 19;
+        out[1] += out[0] >> 51;
+        out[0] &= MASK;
         Fe(out)
     }
 
-    /// Reduces a 512-bit product using `2^256 ≡ 38 (mod p)`.
-    fn from_wide(t: [u64; 8]) -> Fe {
-        // lo += hi * 38; the carry out of limb 3 is a residual multiple of
-        // 2^256 that gets folded as another ×38 until it settles (the carry
-        // shrinks 38 → ≤1 → 0, so the loop runs at most twice).
-        let mut lo = [t[0], t[1], t[2], t[3]];
-        let mut carry: u128 = 0;
-        for (l, &hi) in lo.iter_mut().zip(t[4..].iter()) {
-            let acc = *l as u128 + hi as u128 * 38 + carry;
-            *l = acc as u64;
-            carry = acc >> 64;
-        }
-        let mut top = carry as u64;
-        while top != 0 {
-            let mut fold: u128 = top as u128 * 38;
-            for limb in &mut lo {
-                let acc = *limb as u128 + (fold & u64::MAX as u128);
-                *limb = acc as u64;
-                fold = (fold >> 64) + (acc >> 64);
-            }
-            top = fold as u64;
-        }
-        // lo < 2^256 = 2p + 38, so at most two subtractions of p remain.
-        Fe(lo).cond_sub_p().cond_sub_p()
-    }
-
+    /// 25-product schoolbook; products that land on `2^255` and above are
+    /// folded back with `2^255 ≡ 19`.
     fn mul(self, rhs: Fe) -> Fe {
-        let mut t = [0u64; 8];
-        for i in 0..4 {
-            let mut carry: u128 = 0;
-            for j in 0..4 {
-                let acc = t[i + j] as u128 + self.0[i] as u128 * rhs.0[j] as u128 + carry;
-                t[i + j] = acc as u64;
-                carry = acc >> 64;
-            }
-            t[i + 4] = carry as u64;
-        }
-        Fe::from_wide(t)
+        let (a, b) = (self.0, rhs.0);
+        let (b1, b2, b3, b4) = (b[1] * 19, b[2] * 19, b[3] * 19, b[4] * 19);
+        Fe::fold([
+            m(a[0], b[0]) + m(a[4], b1) + m(a[3], b2) + m(a[2], b3) + m(a[1], b4),
+            m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2) + m(a[3], b3) + m(a[2], b4),
+            m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3) + m(a[3], b4),
+            m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4),
+            m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]),
+        ])
     }
 
+    /// 15 products: each cross term is computed once and doubled.
     fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        let (a3, a4) = (a[3] * 19, a[4] * 19);
+        Fe::fold([
+            m(a[0], a[0]) + 2 * (m(a[1], a4) + m(a[2], a3)),
+            m(a[3], a3) + 2 * (m(a[0], a[1]) + m(a[2], a4)),
+            m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3)),
+            m(a[4], a4) + 2 * (m(a[0], a[3]) + m(a[1], a[2])),
+            m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3])),
+        ])
     }
 
     fn mul_small(self, small: u64) -> Fe {
-        let mut t = [0u64; 8];
-        let mut carry: u128 = 0;
-        for (out, &limb) in t.iter_mut().zip(self.0.iter()) {
-            let acc = limb as u128 * small as u128 + carry;
-            *out = acc as u64;
-            carry = acc >> 64;
-        }
-        t[4] = carry as u64;
-        Fe::from_wide(t)
+        Fe::fold(self.0.map(|limb| m(limb, small)))
     }
 
-    /// Computes `self^(p-2)`, the multiplicative inverse for nonzero input.
-    fn invert(self) -> Fe {
-        // p - 2 = 2^255 - 21, big-endian: 7f ff*30 eb.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0x7f;
-        exp[31] = 0xeb;
-        let mut result = Fe::ONE;
-        for byte in exp {
-            for bit in (0..8).rev() {
-                result = result.square();
-                if (byte >> bit) & 1 == 1 {
-                    result = result.mul(self);
-                }
-            }
+    /// `self^(2^k)`.
+    fn square_times(mut self, k: u32) -> Fe {
+        for _ in 0..k {
+            self = self.square();
         }
-        result
+        self
+    }
+
+    /// Computes `self^(p-2)`, the multiplicative inverse for nonzero input,
+    /// by the usual addition chain: 254 squarings and 11 multiplications,
+    /// the same ones for every input.
+    fn invert(self) -> Fe {
+        let z2 = self.square();
+        let z9 = z2.square_times(2).mul(self);
+        let z11 = z9.mul(z2);
+        // zN_0 = self^(2^N - 1)
+        let z5_0 = z11.square().mul(z9);
+        let z10_0 = z5_0.square_times(5).mul(z5_0);
+        let z20_0 = z10_0.square_times(10).mul(z10_0);
+        let z40_0 = z20_0.square_times(20).mul(z20_0);
+        let z50_0 = z40_0.square_times(10).mul(z10_0);
+        let z100_0 = z50_0.square_times(50).mul(z50_0);
+        let z200_0 = z100_0.square_times(100).mul(z100_0);
+        let z250_0 = z200_0.square_times(50).mul(z50_0);
+        // 2^255 - 32 + 11 = p - 2
+        z250_0.square_times(5).mul(z11)
     }
 }
 
@@ -197,7 +222,7 @@ impl Fe {
 /// secret bit.
 fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
     let mask = swap.wrapping_neg();
-    for i in 0..4 {
+    for i in 0..5 {
         let x = mask & (a.0[i] ^ b.0[i]);
         a.0[i] ^= x;
         b.0[i] ^= x;
@@ -263,9 +288,21 @@ pub fn x25519_base(scalar: &[u8; 32]) -> [u8; 32] {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hex;
+
+    /// The u-coordinates of small order below 2^255 (RFC 7748 §6.1,
+    /// cr.yp.to/ecdh.html): 0, 1, the two of order 8, p - 1, p, p + 1.
+    pub(crate) const LOW_ORDER_POINTS: [&str; 7] = [
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    ];
 
     #[test]
     fn rfc7748_vector_1() {
@@ -352,40 +389,196 @@ mod tests {
         );
     }
 
+    /// `2^255 - 19` as the 32 little-endian bytes `from_bytes` reads.
+    const P_BYTES: [u8; 32] = {
+        let mut p = [0xff; 32];
+        p[0] = 0xed;
+        p[31] = 0x7f;
+        p
+    };
+
+    /// Little-endian bytes of `base + small`.
+    fn plus(base: [u8; 32], small: u8) -> [u8; 32] {
+        let mut out = base;
+        let mut carry = u16::from(small);
+        for byte in &mut out {
+            carry += u16::from(*byte);
+            *byte = carry as u8;
+            carry >>= 8;
+        }
+        out
+    }
+
+    fn pow2(bit: usize) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out[bit / 8] = 1 << (bit % 8);
+        out
+    }
+
+    /// 0, 1, 2^51 - 1, 2^51, p - 1, p, p + 1, 2^255 - 1, all-0xff.
+    fn boundary() -> Vec<[u8; 32]> {
+        let mut limb_ones = [0u8; 32];
+        limb_ones[..7].copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x07]);
+        let mut p_minus_1 = P_BYTES;
+        p_minus_1[0] -= 1;
+        let mut top = [0xff; 32];
+        top[31] = 0x7f;
+        vec![
+            [0; 32],
+            pow2(0),
+            limb_ones,
+            pow2(51),
+            p_minus_1,
+            P_BYTES,
+            plus(P_BYTES, 1),
+            top,
+            [0xff; 32],
+        ]
+    }
+
+    fn fe(bytes: &[u8; 32]) -> Fe {
+        Fe::from_bytes(bytes)
+    }
+
+    /// `x` pushed to the documented operand limit: the sum of two sums,
+    /// limbs just under 2^54 when `x` is carried. Its value is `4x`.
+    fn headroom(x: Fe) -> Fe {
+        x.add(x).add(x.add(x))
+    }
+
+    /// Every limb at the largest value `sub`, `mul`, `square` and
+    /// `mul_small` document as an operand.
+    const SATURATED: Fe = Fe([(1 << 54) - 1; 5]);
+
+    /// Every field identity the ladder relies on, for one triple, on
+    /// freshly parsed operands and on operands at the headroom limit.
+    fn check_identities(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) {
+        for lift in [std::convert::identity as fn(Fe) -> Fe, headroom] {
+            let (a, b, c) = (lift(fe(a)), lift(fe(b)), lift(fe(c)));
+            assert_eq!(a.mul(b).mul(c).to_bytes(), a.mul(b.mul(c)).to_bytes());
+            assert_eq!(a.mul(b).to_bytes(), b.mul(a).to_bytes());
+            assert_eq!(a.square().to_bytes(), a.mul(a).to_bytes());
+            assert_eq!(
+                a.mul_small(A24).to_bytes(),
+                a.mul(Fe([A24, 0, 0, 0, 0])).to_bytes()
+            );
+            assert_eq!(
+                a.add(b).mul(c).to_bytes(),
+                a.mul(c).add(b.mul(c)).to_bytes()
+            );
+            assert_eq!(a.sub(b).add(b).to_bytes(), a.to_bytes());
+            assert_eq!(a.add(b).sub(b).to_bytes(), a.to_bytes());
+            assert_eq!(a.sub(a).to_bytes(), [0; 32]);
+            let is_zero = a.to_bytes() == [0; 32];
+            let expected = if is_zero { Fe::ZERO } else { Fe::ONE };
+            assert_eq!(a.mul(a.invert()).to_bytes(), expected.to_bytes());
+        }
+    }
+
+    #[test]
+    fn field_identities_on_the_boundary_set() {
+        let set = boundary();
+        for a in &set {
+            for b in &set {
+                for c in &set {
+                    check_identities(a, b, c);
+                }
+            }
+        }
+    }
+
     #[test]
     fn field_add_sub_round_trip() {
-        let a = Fe([u64::MAX - 5, 3, 9, 0x7fff_ffff_0000_0000]);
-        let b = Fe([17, 0, u64::MAX, 12]).cond_sub_p();
-        let a = a.cond_sub_p();
-        assert_eq!(a.add(b).sub(b), a);
-        assert_eq!(a.sub(b).add(b), a);
+        let top = SATURATED;
+        assert_eq!(top.sub(top).to_bytes(), [0; 32]);
+        assert_eq!(Fe::ZERO.sub(top).add(top).to_bytes(), [0; 32]);
+        assert_eq!(top.sub(Fe::ZERO).to_bytes(), top.to_bytes());
     }
 
     #[test]
     fn field_inverse() {
-        let a = Fe([1234567, 89, 0, 42]);
-        assert_eq!(a.mul(a.invert()), Fe::ONE);
+        // 0 has no inverse and maps to 0; p is 0; p + 1 is 1.
+        assert_eq!(Fe::ZERO.invert().to_bytes(), [0; 32]);
+        assert_eq!(fe(&P_BYTES).invert().to_bytes(), [0; 32]);
+        assert_eq!(fe(&plus(P_BYTES, 1)).invert().to_bytes(), pow2(0));
+        // 2^-1 = (p + 1) / 2 = 2^254 - 9.
+        let mut half = [0xff; 32];
+        half[0] = 0xf7;
+        half[31] = 0x3f;
+        assert_eq!(fe(&pow2(1)).invert().to_bytes(), half);
     }
 
     #[test]
     fn field_mul_distributes_over_add() {
-        let a = Fe([7, 1, 0, 2]);
-        let b = Fe([u64::MAX, u64::MAX, 3, 0]);
-        let c = Fe([9, 9, 9, 9]);
-        assert_eq!(a.add(b).mul(c), a.mul(c).add(b.mul(c)));
+        // The widest column sums `fold` ever sees (a debug build would
+        // trap an overflow).
+        let top = SATURATED;
+        let sum = top.mul(top).add(top.mul(top));
+        assert_eq!(top.add(top).carry().mul(top).to_bytes(), sum.to_bytes());
+        assert_eq!(top.square().to_bytes(), top.mul(top).to_bytes());
+        assert!(top.mul(top).0.iter().all(|&l| l < 1 << 52));
+        assert!(top.square().0.iter().all(|&l| l < 1 << 52));
+        assert!(top.mul_small(A24).0.iter().all(|&l| l < 1 << 52));
+        assert!(top.sub(top).0.iter().all(|&l| l < 1 << 52));
     }
 
     #[test]
     fn from_bytes_reduces_noncanonical() {
-        // p + 1 must decode to 1.
-        let mut bytes = [0u8; 32];
-        let one_plus_p = Fe(P).0; // p itself, then add 1 below
-        for (i, limb) in one_plus_p.iter().enumerate() {
-            bytes[i * 8..i * 8 + 8].copy_from_slice(&limb.to_le_bytes());
+        // to_bytes ∘ from_bytes is the canonical form: p + k reads as k,
+        // bit 255 is ignored, and a second pass changes nothing.
+        for k in 0..19 {
+            assert_eq!(fe(&plus(P_BYTES, k)).to_bytes(), plus([0; 32], k));
         }
-        bytes[0] = bytes[0].wrapping_add(1);
-        // p has top bit clear so no masking interference for p+1 < 2^255.
-        assert_eq!(Fe::from_bytes(&bytes), Fe::ONE);
+        assert_eq!(fe(&[0xff; 32]).to_bytes(), plus([0; 32], 18));
+        for bytes in boundary() {
+            let once = fe(&bytes).to_bytes();
+            assert_eq!(fe(&once).to_bytes(), once);
+            assert_eq!(once[31] & 0x80, 0);
+            let mut flipped = bytes;
+            flipped[31] ^= 0x80;
+            assert_eq!(fe(&flipped).to_bytes(), once);
+        }
+    }
+
+    #[test]
+    fn cswap_is_exact() {
+        let a = Fe([1, 2, 3, 4, u64::MAX]);
+        let b = Fe([u64::MAX, 7, 0, MASK, 5]);
+        let (mut x, mut y) = (a, b);
+        cswap(0, &mut x, &mut y);
+        assert_eq!((x.0, y.0), (a.0, b.0));
+        cswap(1, &mut x, &mut y);
+        assert_eq!((x.0, y.0), (b.0, a.0));
+    }
+
+    #[test]
+    fn noncanonical_u_coordinates_agree() {
+        // u, u + p and u with bit 255 set name the same point.
+        let k = [0x5a; 32];
+        for u in 0..19u8 {
+            let canonical = x25519(&k, &plus([0; 32], u));
+            assert_eq!(x25519(&k, &plus(P_BYTES, u)), canonical);
+            let mut high = plus([0; 32], u);
+            high[31] |= 0x80;
+            assert_eq!(x25519(&k, &high), canonical);
+        }
+    }
+
+    #[test]
+    #[ignore = "RFC 7748 §5.2, 1 000 000 iterations: about a minute in release"]
+    fn rfc7748_iterated_million() {
+        let mut k = [0u8; 32];
+        k[0] = 9;
+        let mut u = k;
+        for _ in 0..1_000_000 {
+            let next = x25519(&k, &u);
+            u = k;
+            k = next;
+        }
+        assert_eq!(
+            hex::encode(&k),
+            "7c3911e0ab2586fd864497297e575e6f3bc601c0883c30df5f4dd2d24f665424"
+        );
     }
 
     #[test]
@@ -402,11 +595,14 @@ mod tests {
 
     #[test]
     fn low_order_zero_point_yields_zero() {
-        // u = 0 is a low-order point: the output is all zeros, which
-        // callers needing contributory behaviour must reject themselves
+        // A low-order point gives the all-zero output whatever the scalar;
+        // callers needing contributory behaviour must reject it themselves
         // (documented on `x25519`).
-        let out = x25519(&[0x42; 32], &[0u8; 32]);
-        assert_eq!(out, [0u8; 32]);
+        for u in LOW_ORDER_POINTS {
+            let u = hex::decode_array::<32>(u).unwrap();
+            assert_eq!(x25519(&[0x42; 32], &u), [0u8; 32]);
+            assert_eq!(x25519(&[0xa7; 32], &u), [0u8; 32]);
+        }
     }
 
     proptest::proptest! {
@@ -416,6 +612,23 @@ mod tests {
             let pa = x25519_base(&a);
             let pb = x25519_base(&b);
             proptest::prop_assert_eq!(x25519(&a, &pb), x25519(&b, &pa));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn field_identities_on_random_elements(
+            a in proptest::array::uniform32(0u8..),
+            b in proptest::array::uniform32(0u8..),
+            c in proptest::array::uniform32(0u8..),
+            edge in 0usize..9,
+        ) {
+            check_identities(&a, &b, &c);
+            check_identities(&a, &boundary()[edge], &c);
+            let once = fe(&a).to_bytes();
+            proptest::prop_assert_eq!(fe(&once).to_bytes(), once);
+            proptest::prop_assert_eq!(once[31] & 0x80, 0);
         }
     }
 }

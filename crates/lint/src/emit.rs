@@ -10,7 +10,7 @@ use crate::Report;
 
 /// `(id, short description)` for every rule the linter can emit —
 /// SARIF consumers surface these next to each result.
-pub const RULE_TABLE: [(&str, &str); 12] = [
+pub const RULE_TABLE: [(&str, &str); 13] = [
     (
         "SH001",
         "Registered secret type derives or hand-writes a leaking Debug/Display/Serialize",
@@ -51,6 +51,10 @@ pub const RULE_TABLE: [(&str, &str); 12] = [
     (
         "OB001",
         "Non-RAII hub span is not closed on every return path",
+    ),
+    (
+        "CT001",
+        "Constant-time file branches (if/while/match/&&/||/?) outside cfg(test)",
     ),
     (
         "LN001",
@@ -184,7 +188,7 @@ mod tests {
         let ids: Vec<&str> = RULE_TABLE.iter().map(|(id, _)| *id).collect();
         for id in [
             "SH001", "SH002", "SH003", "SH004", "EB001", "DT001", "DT002", "PB001", "MW001",
-            "MW002", "OB001", "LN001",
+            "MW002", "OB001", "CT001", "LN001",
         ] {
             assert!(ids.contains(&id), "{id} missing from RULE_TABLE");
         }

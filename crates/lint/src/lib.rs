@@ -26,6 +26,9 @@
 //!   outside retry, admission outside fault).
 //! * **Span discipline** (OB001) — a non-RAII hub span opened in a
 //!   function must be closed on every return path of that function.
+//! * **Constant time** (CT001) — files of field arithmetic on
+//!   secret-derived values (`constant_time_files`) contain no `if`,
+//!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
 //! * **Suppression hygiene** (LN001) — allow markers that no longer
 //!   suppress a live finding are themselves findings.
 //!
@@ -102,6 +105,7 @@ pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
         rules::determinism::check(analysis, config, &mut findings);
         rules::mw_boundary::check(analysis, config, &mut findings);
         rules::layer_order::check(analysis, config, &mut findings);
+        rules::constant_time::check(analysis, config, &mut findings);
     }
     let graph = symbols::SymbolGraph::build(analyses);
     rules::secret_taint::check(analyses, &graph, config, &mut findings);

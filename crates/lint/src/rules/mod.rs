@@ -5,6 +5,7 @@
 //! [`Config`]: crate::config::Config
 //! [`Finding`]: crate::Finding
 
+pub mod constant_time;
 pub mod determinism;
 pub mod enclave_boundary;
 pub mod layer_order;

@@ -187,6 +187,47 @@ fn nf_crate_is_mw_boundary_covered() {
 }
 
 #[test]
+fn constant_time_fixture_violations_are_caught() {
+    let mut config = Config::default();
+    config
+        .constant_time_files
+        .push("constant_time/branchy_field.rs".into());
+    let report = run_rules(&[fixture("constant_time/branchy_field.rs")], &config);
+    let found: Vec<(&str, usize)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.line))
+        .collect();
+    // `if borrow != 0` in sub, `while top != 0` in from_wide, the `&&`
+    // of is_small and the `?`s of parse (one finding per token and
+    // line); the comment, the marked line and the cfg(test) module are
+    // not findings.
+    assert_eq!(
+        found,
+        vec![("CT001", 26), ("CT001", 47), ("CT001", 65), ("CT001", 69)],
+        "{:?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("`if`"));
+    assert!(report.findings[1].message.contains("`while`"));
+    // Not listed, not checked.
+    let unlisted = run_rules(
+        &[fixture("constant_time/branchy_field.rs")],
+        &Config::default(),
+    );
+    assert!(
+        !rules_of(&unlisted.findings).contains(&"CT001"),
+        "{:?}",
+        unlisted.findings
+    );
+    // The repository's own list covers the X25519 field arithmetic.
+    assert!(Config::repo_default()
+        .constant_time_files
+        .iter()
+        .any(|f| f == "crates/crypto/src/x25519.rs"));
+}
+
+#[test]
 fn panic_budget_fixture_exceeds_baseline() {
     let mut config = Config::default();
     // The fixture has four unwrap/expect sites; allow only one.

@@ -18,6 +18,7 @@ use crate::sbi::{
 use crate::NfError;
 use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::keys::ServingNetworkName;
+use shield5g_crypto::CryptoError;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
@@ -80,7 +81,12 @@ impl UdmService {
             UeIdentity::Suci(suci) => {
                 env.clock
                     .advance(SimDuration::from_nanos(SIDF_DECONCEAL_NANOS));
-                let supi = suci.deconceal(&self.sidf_key)?;
+                // A SUCI minted without the home-network key is refused the
+                // same way whichever check caught it.
+                let supi = suci.deconceal(&self.sidf_key).map_err(|e| match e {
+                    CryptoError::LowOrderPoint => CryptoError::MacMismatch,
+                    e => e,
+                })?;
                 Ok(supi.to_string())
             }
             UeIdentity::Guti(_) => {
@@ -338,7 +344,7 @@ mod tests {
     use super::*;
     use crate::backend::LocalAka;
     use crate::udr::UdrService;
-    use shield5g_crypto::ident::{Plmn, Supi};
+    use shield5g_crypto::ident::{Plmn, Suci, Supi};
     use shield5g_crypto::milenage::Milenage;
     use shield5g_sim::engine::Engine;
     use shield5g_sim::service::service_handle;
@@ -442,6 +448,48 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.status, 403);
+    }
+
+    #[test]
+    fn low_order_suci_is_answered_like_a_bad_mac() {
+        use shield5g_crypto::ecies::EciesCiphertext;
+        use shield5g_crypto::{aes::Aes128, hmac::hmac_sha256, kdf::kdf_x963};
+        let (mut env, mut engine, hn) = world();
+        let supi = Supi::parse(SUPI).unwrap();
+        let honest = supi.conceal_profile_a(1, hn.public(), &[9; 32]);
+        let mut ask = |suci: Suci| {
+            let req = HttpRequest::post(
+                "/nudm-ueau/generate-auth-data",
+                auth_get(UeIdentity::Suci(suci)),
+            );
+            engine.dispatch(&mut env, crate::addr::UDM, req).unwrap()
+        };
+        let mut tampered = honest.clone();
+        *tampered.scheme_output.last_mut().unwrap() ^= 1;
+        let bad_mac = ask(tampered);
+        assert_eq!(bad_mac.status, 403);
+
+        // u = 0, 1 and p - 1: the shared secret is all zeros, so the forger
+        // derives the keys and a verifying tag without the home key.
+        let msin_bcd = hn
+            .deconceal(&EciesCiphertext::from_bytes(&honest.scheme_output).unwrap())
+            .unwrap();
+        let mut one = [0; 32];
+        one[0] = 1;
+        let mut p_minus_1 = [0xff; 32];
+        (p_minus_1[0], p_minus_1[31]) = (0xec, 0x7f);
+        for low_order in [[0; 32], one, p_minus_1] {
+            let kd = kdf_x963(&[0; 32], &low_order, 64);
+            let mut body = msin_bcd.clone();
+            Aes128::new(kd[..16].try_into().unwrap())
+                .ctr_apply(kd[16..32].try_into().unwrap(), &mut body);
+            let tag = hmac_sha256(&kd[32..], &body);
+            let mut forged = honest.clone();
+            forged.scheme_output = [&low_order[..], &body, &tag[..8]].concat();
+            let resp = ask(forged);
+            assert_eq!((resp.status, &resp.body), (bad_mac.status, &bad_mac.body));
+            assert_eq!(ask(honest.clone()).status, 200);
+        }
     }
 
     #[test]

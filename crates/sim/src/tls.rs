@@ -197,8 +197,7 @@ pub fn establish(
     let client_eph_pub = x25519_base(&client_ephemeral);
     let server_eph_pub = x25519_base(&server_ephemeral);
     let shared_c = x25519(&client_ephemeral, &server_eph_pub);
-    let shared_s = x25519(&server_ephemeral, &client_eph_pub);
-    debug_assert_eq!(shared_c, shared_s);
+    debug_assert_eq!(shared_c, x25519(&server_ephemeral, &client_eph_pub));
 
     // Transcript binds both ephemerals, both certificates (name + static
     // public key) — as a real TLS transcript hash would.

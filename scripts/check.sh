@@ -40,6 +40,9 @@ cargo build --offline --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+echo "==> RFC 7748 million-iteration X25519 vector (release, ignored in tier-1)"
+cargo test --offline --release -p shield5g-crypto -- --ignored
+
 echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
 # with the *package* directory as cwd, so a relative artifact dir would
