@@ -13,6 +13,8 @@
 //! * [`kdf`] — the 3GPP generic KDF (TS 33.220 Annex B) and ANSI X9.63 KDF.
 //! * [`milenage`] — the MILENAGE algorithm set f1–f5* (TS 35.206, validated
 //!   against the TS 35.207/35.208 conformance test sets).
+//! * [`poly1305`] — the Poly1305 Carter–Wegman MAC (RFC 8439 §2.5), pad
+//!   supplied by the caller (Poly1305-AES for EPC pages).
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748).
 //! * [`ecies`] — SUCI ECIES protection scheme Profile A (TS 33.501 Annex C).
 //! * [`ident`] — SUPI / SUCI / 5G-GUTI subscriber identifiers.
@@ -63,6 +65,7 @@ pub mod ident;
 pub mod kdf;
 pub mod keys;
 pub mod milenage;
+pub mod poly1305;
 pub mod secret;
 pub mod sha256;
 pub mod sqn;

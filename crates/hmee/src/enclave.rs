@@ -6,6 +6,12 @@
 //! [`Enclave::compute`], [`Enclave::prefault_heap`] and the vault methods,
 //! each of which charges the virtual clock and increments the
 //! [`SgxCounters`] exactly as the corresponding hardware events would.
+//!
+//! Vault pages are AES-CTR ciphertext under a Poly1305-AES tag (the
+//! construction, its nonce rule and the parallel with SGX's Memory
+//! Encryption Engine are in the [`crate::epc`] module docs). The enclave
+//! holds the three per-instance keys and the one version counter that
+//! keeps every `(key, version)` pair unique.
 
 use crate::cost::{CostModel, PAGE_SIZE};
 use crate::counters::SgxCounters;
@@ -13,7 +19,7 @@ use crate::epc::{EncryptedPage, EpcRegion, EpcSnapshot};
 use crate::platform::SgxPlatform;
 use crate::HmeeError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::HmacSha256;
+use shield5g_crypto::poly1305::Poly1305;
 use shield5g_crypto::sha256::Sha256;
 use shield5g_obs::hub as obs;
 use shield5g_obs::span::SpanKind;
@@ -144,6 +150,12 @@ impl EnclaveBuilder {
         let epc_enc = platform.derive_key("epc-enc", &epc_context);
         let mut enc_key = [0u8; 16];
         enc_key.copy_from_slice(&epc_enc[..16]);
+        // Poly1305-AES key `r ‖ k`: its own derivation, so the pad key is
+        // never the page-cipher key.
+        let epc_mac = platform.derive_key("epc-mac", &epc_context);
+        let (mut mac_r, mut pad_key) = ([0u8; 16], [0u8; 16]);
+        mac_r.copy_from_slice(&epc_mac[..16]);
+        pad_key.copy_from_slice(&epc_mac[16..]);
 
         env.log.record(
             env.clock.now(),
@@ -160,7 +172,8 @@ impl EnclaveBuilder {
             mrsigner,
             debug: self.debug,
             epc_cipher: Aes128::new(&enc_key),
-            epc_mac_key: platform.derive_key("epc-mac", &epc_context),
+            epc_mac: Poly1305::new(&mac_r),
+            epc_pad: Aes128::new(&pad_key),
             report_key: platform.report_key(),
             seal_base: platform.derive_key("seal-base", &mrsigner),
             cost,
@@ -193,7 +206,8 @@ pub struct Enclave {
     mrsigner: [u8; 32],
     debug: bool,
     epc_cipher: Aes128,
-    epc_mac_key: [u8; 32],
+    epc_mac: Poly1305,
+    epc_pad: Aes128,
     report_key: [u8; 32],
     seal_base: [u8; 32],
     cost: CostModel,
@@ -571,7 +585,7 @@ impl Enclave {
                 page.version
             )));
         }
-        let expected_tag = Self::page_tag(&self.epc_mac_key, page.version, &page.ciphertext);
+        let expected_tag = self.page_tag(page.version, &page.ciphertext);
         if !shield5g_crypto::ct_eq(&expected_tag, &page.tag) {
             return Err(HmeeError::IntegrityViolation(format!(
                 "page {index} failed MAC on reload"
@@ -651,8 +665,11 @@ impl Enclave {
     }
 
     /// Encrypts `chunk`, zero-padded to a whole page, into `buf` under the
-    /// next version: the version is the CTR nonce, so no `(key, nonce)`
-    /// pair is ever used twice, and the tag covers version and page.
+    /// next version. The version is both the CTR nonce and the input of
+    /// the tag's pad, and the counter only ever moves forward, so neither
+    /// key ever meets a version twice — the rule the cipher *and* the
+    /// Carter–Wegman tag stand on. The tag covers the page and, through
+    /// the pad, the version.
     fn seal_page(&mut self, chunk: &[u8], mut buf: Vec<u8>) -> EncryptedPage {
         self.version_counter += 1;
         let version = self.version_counter;
@@ -662,7 +679,7 @@ impl Enclave {
         buf.resize(PAGE_SIZE, 0);
         self.epc_cipher
             .ctr_apply(&Self::page_nonce(version), &mut buf);
-        let tag = Self::page_tag(&self.epc_mac_key, version, &buf);
+        let tag = self.page_tag(version, &buf);
         EncryptedPage {
             ciphertext: buf,
             tag,
@@ -696,7 +713,7 @@ impl Enclave {
                 .epc
                 .page(idx)
                 .ok_or_else(|| HmeeError::IntegrityViolation("page vanished".into()))?;
-            let expected = Self::page_tag(&self.epc_mac_key, page.version, &page.ciphertext);
+            let expected = self.page_tag(page.version, &page.ciphertext);
             if !shield5g_crypto::ct_eq(&expected, &page.tag) {
                 return Err(HmeeError::IntegrityViolation(format!(
                     "slot {slot:?} page {idx} failed EPCM verification"
@@ -722,18 +739,21 @@ impl Enclave {
         v
     }
 
-    /// The CTR initial counter block of a page: its version, then zeros.
+    /// The per-version block `version ‖ 0⁶⁴`: the CTR initial counter block
+    /// under the page-cipher key, the pad input under the pad key.
     fn page_nonce(version: u64) -> [u8; 16] {
         let mut nonce = [0u8; 16];
         nonce[..8].copy_from_slice(&version.to_be_bytes());
         nonce
     }
 
-    fn page_tag(mac_key: &[u8; 32], version: u64, ciphertext: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(mac_key);
-        mac.update(&version.to_be_bytes());
-        mac.update(ciphertext);
-        mac.finalize()
+    /// The Poly1305-AES tag of a page: `(Poly1305_r(ciphertext) +
+    /// AES_k(version ‖ 0⁶⁴)) mod 2¹²⁸`. The version is bound through the
+    /// pad, so the same ciphertext under another version has an unrelated
+    /// tag.
+    fn page_tag(&self, version: u64, ciphertext: &[u8]) -> [u8; 16] {
+        let pad = self.epc_pad.encrypt_block_copy(&Self::page_nonce(version));
+        self.epc_mac.tag(ciphertext, &pad)
     }
 
     /// **Attacker interface**: what memory introspection sees.
@@ -1108,13 +1128,78 @@ mod tests {
     }
 
     #[test]
+    fn tag_bit_flips_in_an_evicted_blob_are_rejected() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "k", b"secret");
+        let blob = e.evict_page(&mut env, 0).unwrap();
+        for bit in 0..128 {
+            let mut forged = blob.clone();
+            forged.tag[bit / 8] ^= 1 << (bit % 8);
+            let err = e.reload_page(&mut env, 0, forged).unwrap_err();
+            assert!(err.to_string().contains("failed MAC"), "bit {bit}: {err}");
+        }
+        // Rejections leave the eviction pending for the genuine blob.
+        e.reload_page(&mut env, 0, blob).unwrap();
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"secret");
+    }
+
+    #[test]
+    fn the_tag_binds_the_version() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "k", b"secret");
+        let blob = e.evict_page(&mut env, 0).unwrap();
+        // Same ciphertext, another version: another pad, another tag.
+        assert_eq!(e.page_tag(blob.version, &blob.ciphertext), blob.tag);
+        assert_ne!(e.page_tag(blob.version + 1, &blob.ciphertext), blob.tag);
+        // An edited version field trips the version tree ...
+        let mut edited = blob.clone();
+        edited.version += 1;
+        let err = e.reload_page(&mut env, 0, edited.clone()).unwrap_err();
+        assert!(err.to_string().contains("rollback"), "{err}");
+        // ... and were the tree to agree with it, the tag would not.
+        e.evicted_versions.insert(0, edited.version);
+        let err = e.reload_page(&mut env, 0, edited).unwrap_err();
+        assert!(err.to_string().contains("failed MAC"), "{err}");
+        e.evicted_versions.insert(0, blob.version);
+        e.reload_page(&mut env, 0, blob).unwrap();
+    }
+
+    #[test]
+    fn ciphertext_spliced_between_resident_pages_is_rejected() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "a", b"same-bytes");
+        e.vault_write(&mut env, "b", b"same-bytes");
+        let a = e.epc.page(0).unwrap().clone();
+        let b = e.epc.page(1).unwrap().clone();
+        // A's ciphertext under B's tag and version, then with A's tag too.
+        for tag in [b.tag, a.tag] {
+            let spliced = EncryptedPage {
+                ciphertext: a.ciphertext.clone(),
+                tag,
+                version: b.version,
+            };
+            e.epc.replace_page(1, spliced);
+            assert!(matches!(
+                e.vault_read(&mut env, "b"),
+                Err(HmeeError::IntegrityViolation(_))
+            ));
+        }
+        e.epc.replace_page(1, b);
+        assert_eq!(e.vault_read(&mut env, "b").unwrap(), b"same-bytes");
+        assert_eq!(e.vault_read(&mut env, "a").unwrap(), b"same-bytes");
+    }
+
+    #[test]
     fn reload_without_eviction_rejected() {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "k", b"secret");
         let page = EncryptedPage {
             ciphertext: vec![0; PAGE_SIZE],
-            tag: [0; 32],
+            tag: [0; 16],
             version: 0,
         };
         assert!(matches!(
@@ -1234,5 +1319,72 @@ mod tests {
         let native = SimDuration::from_micros(100);
         let charged = e.compute(&mut env, native);
         assert!(charged >= native);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The page cipher and the Carter–Wegman tag are both only as
+        /// good as this: whatever the vault is put through, no version is
+        /// ever handed to `seal_page` twice.
+        #[test]
+        fn no_version_is_ever_sealed_twice(
+            ops in proptest::collection::vec(proptest::array::uniform3(0u16..), 1..64),
+        ) {
+            use std::collections::{BTreeMap, HashSet};
+            let (mut env, platform) = world();
+            let mut e = small_enclave(&mut env, &platform);
+            // Blobs sitting in untrusted memory, what was last seen at each
+            // page index, every version seen, and the pages written.
+            let mut outside: BTreeMap<usize, EncryptedPage> = BTreeMap::new();
+            let mut current: HashMap<usize, (u64, [u8; 16])> = HashMap::new();
+            let mut seen = HashSet::new();
+            let mut sealed = 0u64;
+            for [kind, slot, arg] in ops {
+                let arg = usize::from(arg);
+                match kind % 6 {
+                    // Zero to three pages: rewrites grow, shrink, stay,
+                    // repeat a value, and land on evicted pages.
+                    0..=2 => {
+                        let value = vec![arg as u8; arg * 5 % (2 * PAGE_SIZE + 64)];
+                        e.vault_write(&mut env, &format!("slot{}", slot % 3), &value);
+                        sealed += value.len().div_ceil(PAGE_SIZE).max(1) as u64;
+                    }
+                    3 => {
+                        let index = arg % e.epc.data_page_count().max(1);
+                        if let Ok(blob) = e.evict_page(&mut env, index) {
+                            // A blob carries what was resident, nothing new.
+                            proptest::prop_assert_eq!(current[&index], (blob.version, blob.tag));
+                            outside.insert(index, blob);
+                        }
+                    }
+                    // Possibly stale by now, and then rightly refused.
+                    4 => {
+                        let index = outside.keys().nth(arg % outside.len().max(1)).copied();
+                        if let Some((index, blob)) = index.and_then(|i| outside.remove_entry(&i)) {
+                            let _ = e.reload_page(&mut env, index, blob);
+                        }
+                    }
+                    _ => {
+                        e.mark_lost(&mut env);
+                        e.reload(&mut env, SimDuration::from_secs(1));
+                    }
+                }
+                // Every seal leaves a resident page that differs from what
+                // its index held before, in version or in tag.
+                for index in 0..e.epc.data_page_count() {
+                    let Some(page) = e.epc.page(index) else { continue };
+                    let state = (page.version, page.tag);
+                    if current.insert(index, state) != Some(state) {
+                        proptest::prop_assert!(
+                            seen.insert(page.version),
+                            "version {} sealed twice",
+                            page.version
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(seen.len() as u64, sealed);
+            proptest::prop_assert_eq!(e.version_counter, sealed);
+        }
     }
 }

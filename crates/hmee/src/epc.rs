@@ -2,9 +2,29 @@
 //!
 //! Pages stored here are *actually encrypted*: what an out-of-enclave
 //! observer (hypervisor, container engine, co-resident attacker) can read
-//! from "RAM" is AES-CTR ciphertext with an HMAC integrity tag. Decryption
-//! happens only "inside the CPU package" — i.e. through the owning
+//! from "RAM" is AES-CTR ciphertext, and what they write there is caught
+//! by a Carter–Wegman integrity tag. Decryption and verification happen
+//! only "inside the CPU package" — i.e. through the owning
 //! [`crate::enclave::Enclave`], which holds the derived EPC keys.
+//!
+//! # Page protection
+//!
+//! The pairing is the one SGX's Memory Encryption Engine uses (Gueron,
+//! *A Memory Encryption Engine Suitable for General Purpose Processors*,
+//! ePrint 2016/204): a counter-mode cipher and a polynomial MAC whose
+//! output is masked by a block-cipher pad, because a hash-based MAC is too
+//! slow for the memory path. Here the tag is Poly1305-AES over the page's
+//! 256 ciphertext blocks,
+//! `tag = (Poly1305_r(ciphertext) + AES_k(version ‖ 0⁶⁴)) mod 2¹²⁸`,
+//! with `r ‖ k` the 32-byte `epc-mac` key (never the `epc-enc` cipher
+//! key). The page's version is bound through the pad. The tag is 128 bits
+//! where the MEE keeps 56; the version plays the MEE's per-line counter
+//! and the enclave's trusted version record its counter tree.
+//!
+//! **Nonce rule.** The tag (like the CTR keystream) is only as good as
+//! this: no `(key, version)` pair is ever used twice. The enclave draws
+//! versions from one counter that only moves forward — every write, of
+//! whatever page, takes the next one — and keys are per enclave instance.
 //!
 //! The region also tracks *accounted* occupancy (heap pages pre-faulted by
 //! Gramine's `preheat_enclave`), which can exceed the physical EPC and
@@ -19,9 +39,10 @@ use serde::{Deserialize, Serialize};
 pub struct EncryptedPage {
     /// Ciphertext, exactly [`PAGE_SIZE`] bytes.
     pub ciphertext: Vec<u8>,
-    /// Integrity tag held in the (tamper-proof) EPCM, not in RAM — an
-    /// attacker can flip ciphertext bits but cannot forge this.
-    pub tag: [u8; 32],
+    /// Poly1305-AES tag over the ciphertext under this version's pad. Held
+    /// in the (tamper-proof) EPCM, not in RAM — an attacker can flip
+    /// ciphertext bits but cannot forge this.
+    pub tag: [u8; 16],
     /// Anti-replay version (Merkle-tree counter analogue).
     pub version: u64,
 }
@@ -179,7 +200,7 @@ mod tests {
     fn page(fill: u8) -> EncryptedPage {
         EncryptedPage {
             ciphertext: vec![fill; PAGE_SIZE],
-            tag: [0; 32],
+            tag: [0; 16],
             version: 0,
         }
     }

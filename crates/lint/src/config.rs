@@ -94,6 +94,7 @@ impl Config {
                 secret("crypto/src/hmac.rs", "HmacSha256", true),
                 secret("crypto/src/ecies.rs", "HomeNetworkKeyPair", true),
                 secret("crypto/src/aes.rs", "Aes128", true),
+                secret("crypto/src/poly1305.rs", "Poly1305", true),
                 // Redact-only: Fe must stay Copy for the x25519 ladder;
                 // Sha256's chaining state may be HMAC-keyed but the
                 // struct is moved-out by `finalize`.
@@ -199,7 +200,10 @@ impl Config {
             span_open_fns: vec![s("open_span"), s("open_child")],
             span_close_fns: vec![s("close_span")],
             span_impl_dirs: vec![s("crates/obs/src")],
-            constant_time_files: vec![s("crates/crypto/src/x25519.rs")],
+            constant_time_files: vec![
+                s("crates/crypto/src/x25519.rs"),
+                s("crates/crypto/src/poly1305.rs"),
+            ],
         }
     }
 }

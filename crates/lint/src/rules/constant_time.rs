@@ -3,14 +3,15 @@
 //! * **CT001** — a file listed in `constant_time_files` contains an
 //!   `if`, `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
 //!   Those files hold arithmetic on secret-derived values (the X25519
-//!   ladder state), where a data-dependent branch makes both the
-//!   timing and — through mispredictions — the host cost a function of
-//!   the key. The rule is deliberately syntactic: `for` over a public
-//!   range, masks and arithmetic selects are all that such code needs,
-//!   so the branching constructs are banned outright rather than
-//!   proved public. It is token-level: a zero-argument closure (`||`)
-//!   or a double reference (`&&x`) trips it as well and has to be
-//!   written another way or carry an allow marker.
+//!   ladder state, the Poly1305 key and accumulator), where a
+//!   data-dependent branch makes both the timing and — through
+//!   mispredictions — the host cost a function of the key. The rule is
+//!   deliberately syntactic: `for` over a public range, masks and
+//!   arithmetic selects are all that such code needs, so the branching
+//!   constructs are banned outright rather than proved public. It is
+//!   token-level: a zero-argument closure (`||`) or a double reference
+//!   (`&&x`) trips it as well and has to be written another way or
+//!   carry an allow marker.
 
 use crate::config::Config;
 use crate::lexer::find_word;

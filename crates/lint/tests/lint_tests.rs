@@ -220,11 +220,15 @@ fn constant_time_fixture_violations_are_caught() {
         "{:?}",
         unlisted.findings
     );
-    // The repository's own list covers the X25519 field arithmetic.
-    assert!(Config::repo_default()
-        .constant_time_files
-        .iter()
-        .any(|f| f == "crates/crypto/src/x25519.rs"));
+    // The repository's own list covers the X25519 and Poly1305 limb
+    // arithmetic.
+    let listed = Config::repo_default().constant_time_files;
+    for file in [
+        "crates/crypto/src/x25519.rs",
+        "crates/crypto/src/poly1305.rs",
+    ] {
+        assert!(listed.iter().any(|f| f == file), "{file}");
+    }
 }
 
 #[test]

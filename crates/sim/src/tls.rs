@@ -17,7 +17,7 @@
 use crate::SimError;
 use serde::{Deserialize, Serialize};
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::hmac_sha256;
+use shield5g_crypto::hmac::{hmac_sha256, HmacSha256};
 use shield5g_crypto::kdf::kdf_x963;
 use shield5g_crypto::x25519::{x25519, x25519_base};
 
@@ -93,14 +93,22 @@ impl DirectionKeys {
         icb
     }
 
+    /// The truncated HMAC over `seq ‖ ct`, streamed rather than assembled.
+    fn record_tag(&self, ct: &[u8]) -> [u8; TAG_LEN] {
+        let mut mac = HmacSha256::new(&self.mac_key);
+        mac.update(&self.seq.to_be_bytes());
+        mac.update(ct);
+        let mut tag = [0u8; TAG_LEN];
+        tag.copy_from_slice(&mac.finalize()[..TAG_LEN]);
+        tag
+    }
+
     fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        let mut ct = plaintext.to_vec();
-        self.cipher.ctr_apply(&Self::nonce(self.seq), &mut ct);
-        let mut mac_input = self.seq.to_be_bytes().to_vec();
-        mac_input.extend_from_slice(&ct);
-        let tag = hmac_sha256(&self.mac_key, &mac_input);
-        let mut record = ct;
-        record.extend_from_slice(&tag[..TAG_LEN]);
+        let mut record = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        record.extend_from_slice(plaintext);
+        self.cipher.ctr_apply(&Self::nonce(self.seq), &mut record);
+        let tag = self.record_tag(&record);
+        record.extend_from_slice(&tag);
         self.seq += 1;
         record
     }
@@ -112,10 +120,7 @@ impl DirectionKeys {
             ));
         }
         let (ct, tag) = record.split_at(record.len() - TAG_LEN);
-        let mut mac_input = self.seq.to_be_bytes().to_vec();
-        mac_input.extend_from_slice(ct);
-        let expected = hmac_sha256(&self.mac_key, &mac_input);
-        if !shield5g_crypto::ct_eq(&expected[..TAG_LEN], tag) {
+        if !shield5g_crypto::ct_eq(&self.record_tag(ct), tag) {
             return Err(SimError::TlsRecordRejected("bad record mac".into()));
         }
         let mut pt = ct.to_vec();

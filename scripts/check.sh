@@ -40,8 +40,8 @@ cargo build --offline --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
-echo "==> RFC 7748 million-iteration X25519 vector (release, ignored in tier-1)"
-cargo test --offline --release -p shield5g-crypto -- --ignored
+echo "==> crypto + hmee in release (overflow checks off, as shipped; incl. the ignored RFC 7748 million-iteration vector)"
+cargo test --offline --release -p shield5g-crypto -p shield5g-hmee -- --include-ignored
 
 echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
