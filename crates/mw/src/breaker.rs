@@ -209,7 +209,11 @@ impl<K: Ord + Clone> BreakerCore<K> {
     /// only place time is consulted, so the machine needs no timers.
     pub fn admit(&mut self, peer: &K, now: SimTime) -> BreakerDecision {
         let half_open_probes = self.policy.half_open_probes;
-        let p = self.peers.entry(peer.clone()).or_default();
+        // Look up first: the key is cloned only for a peer not yet seen.
+        let p = match self.peers.get_mut(peer) {
+            Some(p) => p,
+            None => self.peers.entry(peer.clone()).or_default(),
+        };
         if p.state == BreakerState::Open {
             if now < p.open_until {
                 self.stats.rejected += 1;
@@ -245,7 +249,10 @@ impl<K: Ord + Clone> BreakerCore<K> {
         now: SimTime,
     ) -> Option<BreakerTransition> {
         let policy = self.policy;
-        let p = self.peers.entry(peer.clone()).or_default();
+        let p = match self.peers.get_mut(peer) {
+            Some(p) => p,
+            None => self.peers.entry(peer.clone()).or_default(),
+        };
         if probe {
             p.probes_in_flight = p.probes_in_flight.saturating_sub(1);
             if p.state != BreakerState::HalfOpen {

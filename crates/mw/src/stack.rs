@@ -417,7 +417,7 @@ mod tests {
                 );
             }
             engine.run_until_idle(&mut env);
-            engine.trace().join("\n")
+            engine.trace_lines()
         };
         assert_eq!(run(false), run(true));
     }

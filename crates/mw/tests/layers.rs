@@ -274,7 +274,7 @@ fn disarmed_fault_layer_leaves_trace_byte_identical() {
             );
         }
         engine.run_until_idle(&mut env);
-        engine.trace().join("\n")
+        engine.trace_lines()
     };
     let bare = run(0);
     assert_eq!(bare, run(1));
@@ -449,7 +449,7 @@ fn deadline_within_budget_is_invisible() {
             );
         }
         engine.run_until_idle(&mut env);
-        engine.trace().join("\n")
+        engine.trace_lines()
     };
     // A generous deadline never fires: byte-identical to no layer.
     assert_eq!(run(None), run(Some(SimDuration::from_millis(10))));

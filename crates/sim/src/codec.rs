@@ -15,10 +15,14 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// An empty writer.
+    /// An empty writer with room for the SBI / NAS / NGAP messages of a
+    /// registration (all under 128 bytes), so pushing their fields does
+    /// not regrow the buffer.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Writer {
+            buf: Vec::with_capacity(128),
+        }
     }
 
     /// Appends a `u8`.

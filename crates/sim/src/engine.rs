@@ -18,15 +18,20 @@
 //! admission shedding all emerge from event ordering.
 //!
 //! The engine itself is a *pure scheduler*: heap, worker budgets, and
-//! the byte-exact event trace. Cross-cutting per-endpoint concerns —
-//! admission control, fault injection, observability, retries, deadlines
-//! — live in middleware layers (the `shield5g-mw` crate) stacked around
-//! each registered service. The scheduler exposes the seams those layers
-//! need as default-no-op [`EngineService`] hooks (`on_arrive`,
-//! `on_begin`, `request_fate`, `response_fate`, ...): a bare service
-//! scheduled directly behaves exactly like one wrapped in an empty
-//! stack, and a hook that declines to act is byte-invisible in the
-//! trace.
+//! the event trace — one structured [`TraceRecord`] per decision,
+//! rendered to its byte-exact line only when somebody reads it
+//! ([`Engine::trace_lines`]). The hot path owns no strings: an endpoint's
+//! address lives once, as its registry key, and every leg, release event
+//! and trace record naming it holds an `Rc<str>` clone of that key; a
+//! leg's path is shared once from its request. Cross-cutting
+//! per-endpoint concerns — admission control, fault injection,
+//! observability, retries, deadlines — live in middleware layers (the
+//! `shield5g-mw` crate) stacked around each registered service. The
+//! scheduler exposes the seams those layers need as default-no-op
+//! [`EngineService`] hooks (`on_arrive`, `on_begin`, `request_fate`,
+//! `response_fate`, ...): a bare service scheduled directly behaves
+//! exactly like one wrapped in an empty stack, and a hook that declines
+//! to act is byte-invisible in the trace.
 //!
 //! Two driving modes:
 //!
@@ -41,7 +46,7 @@
 //! # Threading model
 //!
 //! One engine is one single-threaded simulated world: services are
-//! `Rc`-based, the event heap is unsynchronized, and the byte-exact
+//! `Rc`-based, the event heap is unsynchronized, and the rendered
 //! trace depends only on the seed. The engine neither spawns OS threads
 //! nor tolerates being shared across them — the "worker threads" above
 //! are simulated capacity, not parallelism. Host-level parallelism
@@ -212,10 +217,11 @@ impl std::fmt::Debug for Step {
 pub struct LegMeta {
     /// Engine-unique context id of this leg.
     pub id: u64,
-    /// Destination endpoint address.
-    pub dest: String,
-    /// Request path.
-    pub path: String,
+    /// Destination endpoint address: a clone of the registry's own
+    /// handle for it, shared by every leg and trace record that names it.
+    pub dest: Rc<str>,
+    /// Request path, shared once per leg from the request.
+    pub path: Rc<str>,
     /// When the root request entered the engine.
     pub submitted: SimTime,
     /// When this leg reached (or will reach) its destination endpoint.
@@ -437,29 +443,55 @@ struct ParentLink {
 }
 
 struct Ctx {
-    dest: String,
-    path: String,
+    leg: LegMeta,
     req: Option<HttpRequest>,
     parent: Option<ParentLink>,
     tag: u64,
-    submitted: SimTime,
-    arrived: SimTime,
     queued: SimDuration,
-    ancestors: Vec<String>,
-    class: PriorityClass,
 }
 
-impl Ctx {
-    fn leg(&self, id: u64) -> LegMeta {
-        LegMeta {
-            id,
-            dest: self.dest.clone(),
-            path: self.path.clone(),
-            submitted: self.submitted,
-            arrived: self.arrived,
-            root: self.parent.is_none(),
-            class: self.class,
+/// The second half of a [`TraceRecord`]: what the decision was about.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceDetail {
+    /// The request path of the leg (every kind but the two below).
+    Path(Rc<str>),
+    /// The response status (`reply` and `complete`).
+    Status(u16),
+}
+
+impl std::fmt::Display for TraceDetail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceDetail::Path(path) => f.write_str(path),
+            TraceDetail::Status(status) => write!(f, "{status}"),
         }
+    }
+}
+
+/// One scheduler decision, kept as data: recording it formats nothing
+/// and copies no string (`dest` and the path are shared handles).
+/// [`TraceRecord::line`] renders it when somebody reads the trace.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceRecord {
+    /// Virtual instant of the decision.
+    pub at: SimTime,
+    /// `arrive`, `queue`, `begin`, `callout`, `reply`, `resume`,
+    /// `complete`, `fault-drop`, `fault-delay`, `fault-5xx`, or the note
+    /// of a [`Gate::Shed`] (`shed-full`, `shed-deadline`, ...).
+    pub kind: &'static str,
+    /// The endpoint the decision concerns.
+    pub dest: Rc<str>,
+    /// Path or status.
+    pub detail: TraceDetail,
+}
+
+impl TraceRecord {
+    /// The record as the trace line `t=<nanos> seq=<n> <kind> <endpoint>
+    /// <path|status>`, `seq` being its index in [`Engine::trace`].
+    #[must_use]
+    pub fn line(&self, seq: usize) -> String {
+        let (at, kind, dest, detail) = (self.at.as_nanos(), self.kind, &self.dest, &self.detail);
+        format!("t={at} seq={seq} {kind} {dest} {detail}")
     }
 }
 
@@ -472,7 +504,7 @@ enum EventKind {
     /// that a worker busy until virtual time `t` stays busy for every
     /// arrival popping before `t` — same-instant arrival order decides
     /// who queues, deterministically.
-    Release { dest: String },
+    Release { dest: Rc<str> },
     /// A response travels back: resume the parent or complete the root.
     Deliver { ctx: u64, resp: HttpResponse },
 }
@@ -502,13 +534,13 @@ impl Ord for Event {
 
 /// The discrete-event scheduler and endpoint registry of one world.
 pub struct Engine {
-    endpoints: BTreeMap<String, Endpoint>,
+    endpoints: BTreeMap<Rc<str>, Endpoint>,
     heap: BinaryHeap<Reverse<Event>>,
     ctxs: BTreeMap<u64, Ctx>,
     next_ctx: u64,
     next_seq: u64,
     completions: Vec<Completion>,
-    trace: Vec<String>,
+    trace: Vec<TraceRecord>,
     trace_enabled: bool,
 }
 
@@ -563,8 +595,10 @@ impl Engine {
         service: EngineServiceHandle,
     ) {
         assert!(workers > 0, "an endpoint needs at least one worker");
+        // Re-registering keeps the map's existing key, so handles held by
+        // legs in flight stay the registry's own.
         self.endpoints.insert(
-            addr.into(),
+            Rc::from(addr.into()),
             Endpoint {
                 service,
                 workers,
@@ -598,7 +632,7 @@ impl Engine {
     /// All registered addresses, sorted.
     #[must_use]
     pub fn addresses(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.endpoints.keys().cloned().collect();
+        let mut out: Vec<String> = self.endpoints.keys().map(|k| k.to_string()).collect();
         out.sort();
         out
     }
@@ -631,12 +665,20 @@ impl Engine {
         }
     }
 
-    /// The event trace so far: one line per scheduler decision, in
-    /// execution order (`t=<nanos> seq=<n> <kind> <endpoint> <path>`).
+    /// The event trace so far: one record per scheduler decision, in
+    /// execution order. Identical across same-seed runs.
+    #[must_use]
+    pub fn trace(&self) -> &[TraceRecord] {
+        &self.trace
+    }
+
+    /// The trace rendered on read, one [`TraceRecord::line`] per record
+    /// (`t=<nanos> seq=<n> <kind> <endpoint> <path|status>`).
     /// Byte-identical across same-seed runs.
     #[must_use]
-    pub fn trace(&self) -> &[String] {
-        &self.trace
+    pub fn trace_lines(&self) -> Vec<String> {
+        let numbered = self.trace.iter().enumerate();
+        numbered.map(|(seq, record)| record.line(seq)).collect()
     }
 
     /// Injects one request at the current clock instant and runs the
@@ -701,36 +743,58 @@ impl Engine {
     pub fn schedule_request(&mut self, at: SimTime, addr: &str, req: HttpRequest) -> u64 {
         let id = self.next_ctx;
         self.next_ctx += 1;
-        let class = PriorityClass::of(&req);
-        self.ctxs.insert(
+        let leg = LegMeta {
             id,
-            Ctx {
-                dest: addr.to_owned(),
-                path: req.path.clone(),
-                req: Some(req),
-                parent: None,
-                tag: id,
-                submitted: at,
-                arrived: at,
-                queued: SimDuration::ZERO,
-                ancestors: Vec::new(),
-                class,
-            },
-        );
+            dest: self.handle(addr),
+            path: Rc::from(req.path.as_str()),
+            submitted: at,
+            arrived: at,
+            root: true,
+            class: PriorityClass::of(&req),
+        };
         // Root legs announce themselves to the destination stack (an obs
         // layer roots the leg's request span under the ambient harness
         // stage span here, so a whole registration's hops share one
         // trace). Unknown destinations get no announcement — the arrival
         // will synthesize the error.
         if let Some(ep) = self.endpoints.get(addr) {
-            let service = ep.service.clone();
-            if let Some(ctx) = self.ctxs.get(&id) {
-                let leg = ctx.leg(id);
-                service.borrow_mut().on_submit(&leg);
-            }
+            ep.service.borrow_mut().on_submit(&leg);
         }
+        self.ctxs.insert(
+            id,
+            Ctx {
+                leg,
+                req: Some(req),
+                parent: None,
+                tag: id,
+                queued: SimDuration::ZERO,
+            },
+        );
         self.push_event(at, EventKind::Arrive { ctx: id });
         id
+    }
+
+    /// The registry's own handle for `addr`, so naming an endpoint on a
+    /// leg or a trace record is a reference-count bump. An unknown
+    /// address gets a fresh handle; its arrival synthesizes the 502.
+    fn handle(&self, addr: &str) -> Rc<str> {
+        let known = self.endpoints.get_key_value(addr);
+        known.map_or_else(|| Rc::from(addr), |(key, _)| key.clone())
+    }
+
+    /// Whether a context up `ctx`'s call chain is already addressed to its
+    /// endpoint. Every ancestor is still in the table: a context is only
+    /// removed once its own response is delivered, after its children's.
+    fn loops(&self, ctx: &Ctx) -> bool {
+        let up = |c: &Ctx| c.parent.as_ref().and_then(|link| self.ctxs.get(&link.ctx));
+        let mut ancestor = up(ctx);
+        while let Some(a) = ancestor {
+            if a.leg.dest == ctx.leg.dest {
+                return true;
+            }
+            ancestor = up(a);
+        }
+        false
     }
 
     /// Runs every event with `at <= until`, leaves the clock at `until`,
@@ -759,14 +823,21 @@ impl Engine {
         self.heap.push(Reverse(Event { at, seq, kind }));
     }
 
-    fn note(&mut self, at: SimTime, kind: &str, dest: &str, detail: &str) {
+    fn note(&mut self, at: SimTime, kind: &'static str, dest: &Rc<str>, detail: TraceDetail) {
         if self.trace_enabled {
-            self.trace.push(format!(
-                "t={} seq={} {kind} {dest} {detail}",
-                at.as_nanos(),
-                self.trace.len()
-            ));
+            let dest = dest.clone();
+            self.trace.push(TraceRecord {
+                at,
+                kind,
+                dest,
+                detail,
+            });
         }
+    }
+
+    /// [`Engine::note`] about the leg's own endpoint and path.
+    fn note_leg(&mut self, at: SimTime, kind: &'static str, leg: &LegMeta) {
+        self.note(at, kind, &leg.dest, TraceDetail::Path(leg.path.clone()));
     }
 
     fn process(&mut self, env: &mut Env, ev: Event) {
@@ -781,56 +852,47 @@ impl Engine {
 
     fn on_arrive(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
-        let (dest, path, looped) = {
-            let ctx = self.ctxs.get(&id).expect("arriving context exists");
-            (
-                ctx.dest.clone(),
-                ctx.path.clone(),
-                ctx.ancestors.contains(&ctx.dest),
-            )
-        };
-        self.note(now, "arrive", &dest, &path);
+        let ctx = self.ctxs.get(&id).expect("arriving context exists");
+        let (leg, looped) = (ctx.leg.clone(), self.loops(ctx));
+        self.note_leg(now, "arrive", &leg);
         if looped {
-            let resp = HttpResponse::error(508, format!("call loop through {dest}"))
+            let resp = HttpResponse::error(508, format!("call loop through {}", leg.dest))
                 .with_header(ERROR_HEADER, "loop");
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
         }
-        let Some(ep) = self.endpoints.get(&dest) else {
+        let Some(ep) = self.endpoints.get_mut(&leg.dest) else {
             // Roots get a distinct marker so `dispatch` can surface a hard
             // error; nested callers see an ordinary 502 they can map.
-            let is_root = self.ctxs.get(&id).is_some_and(|c| c.parent.is_none());
-            let marker = if is_root {
+            let marker = if leg.root {
                 "unknown-root"
             } else {
                 "unknown-endpoint"
             };
-            let resp = HttpResponse::error(502, format!("unknown endpoint {dest}"))
+            let resp = HttpResponse::error(502, format!("unknown endpoint {}", leg.dest))
                 .with_header(ERROR_HEADER, marker);
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
         };
         let service = ep.service.clone();
         let depth = ep.busy as usize + ep.waiting.len();
-        let leg = self.ctxs.get(&id).expect("arriving context").leg(id);
         match service.borrow_mut().on_arrive(env, &leg, depth) {
             Gate::Admit => {}
             Gate::Shed { resp, note } => {
                 // Shed at the door: no worker was taken, so no Release —
                 // the synthesized reply completes at the arrival instant.
-                self.note(now, note, &dest, &path);
+                self.note_leg(now, note, &leg);
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
         }
         service.borrow_mut().on_admitted(env, &leg, depth + 1);
-        let ep = self.endpoints.get_mut(&dest).expect("endpoint exists");
         if ep.busy < ep.workers {
             ep.busy += 1;
             self.run_begin(env, id);
         } else {
             ep.waiting.push_back(id);
-            self.note(now, "queue", &dest, &path);
+            self.note_leg(now, "queue", &leg);
             service.borrow_mut().on_queued(env, &leg);
         }
     }
@@ -839,21 +901,15 @@ impl Engine {
     /// worker (its endpoint's `busy` already counts it).
     fn run_begin(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
-        let (leg, dest, path, wait, req) = {
+        let (leg, wait, req) = {
             let ctx = self.ctxs.get_mut(&id).expect("beginning context exists");
-            ctx.queued = now - ctx.arrived;
+            ctx.queued = now - ctx.leg.arrived;
             let req = ctx.req.take().expect("request not yet started");
-            (
-                ctx.leg(id),
-                ctx.dest.clone(),
-                ctx.path.clone(),
-                ctx.queued,
-                req,
-            )
+            (ctx.leg.clone(), ctx.queued, req)
         };
         let service = self
             .endpoints
-            .get(&dest)
+            .get(&leg.dest)
             .expect("endpoint exists")
             .service
             .clone();
@@ -862,13 +918,13 @@ impl Engine {
             Gate::Shed { resp, note } => {
                 // Shed at begin: the worker granted to this leg is
                 // released before the synthesized reply travels back.
-                self.note(now, note, &dest, &path);
-                self.push_event(now, EventKind::Release { dest: dest.clone() });
+                self.note_leg(now, note, &leg);
+                self.push_event(now, EventKind::Release { dest: leg.dest });
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
         }
-        self.note(now, "begin", &dest, &path);
+        self.note_leg(now, "begin", &leg);
         let step = service.borrow_mut().start(env, &leg, req);
         self.apply_step(env, id, step);
     }
@@ -877,8 +933,8 @@ impl Engine {
         let now = env.clock.now();
         match step {
             Step::Reply(resp) => {
-                let leg = self.ctxs.get(&id).expect("replying context").leg(id);
-                self.note(now, "reply", &leg.dest, &resp.status.to_string());
+                let leg = self.ctxs.get(&id).expect("replying context").leg.clone();
+                self.note(now, "reply", &leg.dest, TraceDetail::Status(resp.status));
                 // The worker did its work regardless of what happens to
                 // the response in flight: release fires at `now`.
                 self.push_event(
@@ -900,18 +956,18 @@ impl Engine {
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Drop { timeout } => {
-                        self.note(now, "fault-drop", &leg.dest, &leg.path);
+                        self.note_leg(now, "fault-drop", &leg);
                         let resp = HttpResponse::error(504, "injected response drop")
                             .with_header(FAULT_HEADER, "drop");
                         self.push_event(now + timeout, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Delay(d) => {
-                        self.note(now, "fault-delay", &leg.dest, &leg.path);
+                        self.note_leg(now, "fault-delay", &leg);
                         let resp = resp.with_header(FAULT_HEADER, "delay");
                         self.push_event(now + d, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Error { status } => {
-                        self.note(now, "fault-5xx", &leg.dest, &leg.path);
+                        self.note_leg(now, "fault-5xx", &leg);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
@@ -921,14 +977,8 @@ impl Engine {
             Step::CallOut { dest, req, state } => {
                 let child = self.next_ctx;
                 self.next_ctx += 1;
-                let (ancestors, tag, submitted, parent_leg) = {
-                    let parent = self.ctxs.get(&id).expect("calling context");
-                    let mut chain = parent.ancestors.clone();
-                    chain.push(parent.dest.clone());
-                    (chain, parent.tag, parent.submitted, parent.leg(id))
-                };
-                self.note(now, "callout", &dest, &req.path);
-                let path = req.path.clone();
+                let parent = self.ctxs.get(&id).expect("calling context");
+                let (tag, parent_leg) = (parent.tag, parent.leg.clone());
                 // A callout inherits the caller's priority class unless
                 // the outbound request re-marks itself — an emergency
                 // registration's whole SBI chain stays emergency.
@@ -937,15 +987,16 @@ impl Engine {
                 } else {
                     parent_leg.class
                 };
-                let child_leg = LegMeta {
+                let mut child_leg = LegMeta {
                     id: child,
-                    dest: dest.clone(),
-                    path: path.clone(),
-                    submitted,
+                    dest: self.handle(&dest),
+                    path: Rc::from(req.path.as_str()),
+                    submitted: parent_leg.submitted,
                     arrived: now,
                     root: false,
                     class,
                 };
+                self.note_leg(now, "callout", &child_leg);
                 // The *caller's* stack observes the new leg and decides
                 // its request-leg fate — the callee may not even exist.
                 let parent_service = self
@@ -956,53 +1007,47 @@ impl Engine {
                     Some(service) => {
                         let mut svc = service.borrow_mut();
                         svc.on_callout(env, &parent_leg, &child_leg);
-                        svc.request_fate(env, &dest, &path)
+                        svc.request_fate(env, &child_leg.dest, &child_leg.path)
                     }
                     None => FaultAction::Deliver,
                 };
-                self.ctxs.insert(
-                    child,
-                    Ctx {
-                        dest: dest.clone(),
-                        path: path.clone(),
-                        req: Some(req),
-                        parent: Some(ParentLink { ctx: id, state }),
-                        tag,
-                        submitted,
-                        arrived: now,
-                        queued: SimDuration::ZERO,
-                        ancestors,
-                        class,
-                    },
-                );
-                match action {
-                    FaultAction::Deliver => {
-                        self.push_event(now, EventKind::Arrive { ctx: child });
-                    }
+                let (at, kind) = match action {
+                    FaultAction::Deliver => (now, EventKind::Arrive { ctx: child }),
                     FaultAction::Drop { timeout } => {
                         // The request never reaches `dest`; the caller
                         // sits on its supervision timer and resumes with
                         // a synthesized 504.
-                        self.note(now, "fault-drop", &dest, &path);
+                        self.note_leg(now, "fault-drop", &child_leg);
                         let resp = HttpResponse::error(504, "injected request drop")
                             .with_header(FAULT_HEADER, "drop");
-                        self.push_event(now + timeout, EventKind::Deliver { ctx: child, resp });
+                        (now + timeout, EventKind::Deliver { ctx: child, resp })
                     }
                     FaultAction::Delay(d) => {
-                        self.note(now, "fault-delay", &dest, &path);
+                        self.note_leg(now, "fault-delay", &child_leg);
                         // In-network delay is not queueing delay: move the
                         // arrival instant so admission deadlines measure
                         // only the wait at the endpoint.
-                        self.ctxs.get_mut(&child).expect("child context").arrived = now + d;
-                        self.push_event(now + d, EventKind::Arrive { ctx: child });
+                        child_leg.arrived = now + d;
+                        (now + d, EventKind::Arrive { ctx: child })
                     }
                     FaultAction::Error { status } => {
-                        self.note(now, "fault-5xx", &dest, &path);
+                        self.note_leg(now, "fault-5xx", &child_leg);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
-                        self.push_event(now, EventKind::Deliver { ctx: child, resp });
+                        (now, EventKind::Deliver { ctx: child, resp })
                     }
-                }
+                };
+                self.ctxs.insert(
+                    child,
+                    Ctx {
+                        leg: child_leg,
+                        req: Some(req),
+                        parent: Some(ParentLink { ctx: id, state }),
+                        tag,
+                        queued: SimDuration::ZERO,
+                    },
+                );
+                self.push_event(at, kind);
             }
         }
     }
@@ -1023,39 +1068,41 @@ impl Engine {
 
     fn on_deliver(&mut self, env: &mut Env, id: u64, resp: HttpResponse) {
         let now = env.clock.now();
-        let ctx = self.ctxs.remove(&id).expect("delivered context exists");
-        let leg = ctx.leg(id);
+        let Ctx {
+            leg,
+            parent,
+            tag,
+            queued,
+            ..
+        } = self.ctxs.remove(&id).expect("delivered context exists");
         // The destination stack sees every delivery for its legs —
         // service-produced and engine-synthesized alike (an obs layer
         // closes the leg's request span here). A leg to an unregistered
         // address has no stack to notify.
-        if let Some(ep) = self.endpoints.get(&ctx.dest) {
+        if let Some(ep) = self.endpoints.get(&leg.dest) {
             let service = ep.service.clone();
             service.borrow_mut().on_deliver(env, &leg, &resp);
         }
-        match ctx.parent {
+        match parent {
             None => {
-                self.note(now, "complete", &ctx.dest, &resp.status.to_string());
+                self.note(now, "complete", &leg.dest, TraceDetail::Status(resp.status));
                 self.completions.push(Completion {
-                    tag: ctx.tag,
+                    tag,
                     response: resp,
-                    submitted: ctx.submitted,
+                    submitted: leg.submitted,
                     finished: now,
-                    queued: ctx.queued,
+                    queued,
                 });
             }
             Some(link) => {
-                let parent_dest = self
-                    .ctxs
-                    .get(&link.ctx)
-                    .expect("parent context exists")
-                    .dest
-                    .clone();
-                self.note(now, "resume", &parent_dest, &ctx.path);
-                let Some(ep) = self.endpoints.get(&parent_dest) else {
+                let parent = self.ctxs.get(&link.ctx).expect("parent context exists");
+                let parent_leg = parent.leg.clone();
+                self.note(now, "resume", &parent_leg.dest, TraceDetail::Path(leg.path));
+                let Some(ep) = self.endpoints.get(&parent_leg.dest) else {
                     // Parent's endpoint was deregistered mid-flight: the
                     // whole chain collapses with a synthesized error.
-                    let resp = HttpResponse::error(502, format!("unknown endpoint {parent_dest}"))
+                    let text = format!("unknown endpoint {}", parent_leg.dest);
+                    let resp = HttpResponse::error(502, text)
                         .with_header(ERROR_HEADER, "unknown-endpoint");
                     self.push_event(
                         now,
@@ -1067,11 +1114,6 @@ impl Engine {
                     return;
                 };
                 let service = ep.service.clone();
-                let parent_leg = self
-                    .ctxs
-                    .get(&link.ctx)
-                    .expect("parent context exists")
-                    .leg(link.ctx);
                 let step = service
                     .borrow_mut()
                     .resume(env, &parent_leg, link.state, resp);
@@ -1184,6 +1226,182 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, 508);
         assert_eq!(resp.header(ERROR_HEADER), Some("loop"));
+    }
+
+    #[test]
+    fn self_calls_and_three_hop_loops_are_cut_with_508() {
+        for ring in [&["a"][..], &["a", "b", "c"]] {
+            let mut env = Env::new(4);
+            let mut engine = Engine::new();
+            for (i, name) in ring.iter().enumerate() {
+                let next = ring[(i + 1) % ring.len()].into();
+                engine.register(*name, 1, Rc::new(RefCell::new(Relay { next })));
+            }
+            let resp = engine
+                .dispatch(&mut env, "a", HttpRequest::get("/loop"))
+                .unwrap();
+            assert_eq!(resp.status, 508, "{ring:?}");
+            assert_eq!(resp.header(ERROR_HEADER), Some("loop"));
+        }
+    }
+
+    /// Calls `next` twice in sequence from one context, then replies.
+    struct TwiceRelay {
+        next: String,
+    }
+
+    impl EngineService for TwiceRelay {
+        fn start(&mut self, _env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
+            Step::CallOut {
+                dest: self.next.clone(),
+                req,
+                state: Box::new(true),
+            }
+        }
+
+        fn resume(
+            &mut self,
+            _env: &mut Env,
+            _leg: &LegMeta,
+            state: Box<dyn Any>,
+            resp: HttpResponse,
+        ) -> Step {
+            if state.downcast_ref() == Some(&true) {
+                Step::CallOut {
+                    dest: self.next.clone(),
+                    req: HttpRequest::post("/again", resp.body),
+                    state: Box::new(false),
+                }
+            } else {
+                Step::Reply(resp)
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_callouts_to_one_peer_are_not_a_loop() {
+        let mut env = Env::new(12);
+        let mut engine = engine_with_echo(1, 1_000);
+        let front = TwiceRelay {
+            next: "echo".into(),
+        };
+        engine.register("front", 1, Rc::new(RefCell::new(front)));
+        let t0 = env.clock.now();
+        let resp = engine
+            .dispatch(&mut env, "front", HttpRequest::post("/x", b"hi".to_vec()))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, b"hi");
+        assert_eq!(env.clock.now() - t0, SimDuration::from_nanos(2_000));
+    }
+
+    /// A [`Relay`] whose outbound request legs spend `delay` in flight.
+    struct DelayedRelay {
+        relay: Relay,
+        delay: SimDuration,
+    }
+
+    impl EngineService for DelayedRelay {
+        fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
+            self.relay.start(env, leg, req)
+        }
+
+        fn resume(
+            &mut self,
+            env: &mut Env,
+            leg: &LegMeta,
+            state: Box<dyn Any>,
+            resp: HttpResponse,
+        ) -> Step {
+            self.relay.resume(env, leg, state, resp)
+        }
+
+        fn request_fate(&mut self, _env: &mut Env, _dest: &str, _path: &str) -> FaultAction {
+            FaultAction::Delay(self.delay)
+        }
+    }
+
+    #[test]
+    fn endpoint_deregistered_mid_flight_collapses_with_502() {
+        // `callee_goes`: echo vanishes while the relay's request leg is
+        // still in flight towards it. Otherwise the relay itself vanishes
+        // while echo is serving — nobody is left to resume.
+        for callee_goes in [true, false] {
+            let mut env = Env::new(13);
+            let mut engine = engine_with_echo(1, 10_000);
+            let front = DelayedRelay {
+                relay: Relay {
+                    next: "echo".into(),
+                },
+                delay: SimDuration::from_nanos(if callee_goes { 10_000 } else { 0 }),
+            };
+            engine.register("front", 1, Rc::new(RefCell::new(front)));
+            let t0 = env.clock.now();
+            engine.schedule_request(t0, "front", HttpRequest::get("/x"));
+            let half_way = t0 + SimDuration::from_nanos(5_000);
+            assert!(engine.run_until(&mut env, half_way).is_empty());
+            assert!(engine.deregister(if callee_goes { "echo" } else { "front" }));
+            let done = engine.run_until_idle(&mut env);
+            assert_eq!(done.len(), 1);
+            assert_eq!(done[0].response.status, 502);
+            assert_eq!(
+                done[0].response.header(ERROR_HEADER),
+                Some("unknown-endpoint")
+            );
+        }
+    }
+
+    #[test]
+    fn trace_renders_one_documented_line_per_decision() {
+        let mut env = Env::new(14);
+        let mut engine = engine_with_echo(1, 1_000);
+        let front = DelayedRelay {
+            relay: Relay {
+                next: "echo".into(),
+            },
+            delay: SimDuration::from_nanos(500),
+        };
+        engine.register("front", 2, Rc::new(RefCell::new(front)));
+        for body in [1, 2] {
+            engine.schedule_request(SimTime::ZERO, "front", HttpRequest::post("/x", vec![body]));
+        }
+        engine.run_until_idle(&mut env);
+        let lines = engine.trace_lines();
+        assert_eq!(lines.len(), engine.trace().len());
+        assert_eq!(
+            lines,
+            [
+                "t=0 seq=0 arrive front /x",
+                "t=0 seq=1 begin front /x",
+                "t=0 seq=2 callout echo /x",
+                "t=0 seq=3 fault-delay echo /x",
+                "t=0 seq=4 arrive front /x",
+                "t=0 seq=5 begin front /x",
+                "t=0 seq=6 callout echo /x",
+                "t=0 seq=7 fault-delay echo /x",
+                "t=500 seq=8 arrive echo /x",
+                "t=500 seq=9 begin echo /x",
+                "t=1500 seq=10 reply echo 200",
+                "t=500 seq=11 arrive echo /x",
+                "t=500 seq=12 queue echo /x",
+                "t=1500 seq=13 resume front /x",
+                "t=1500 seq=14 reply front 200",
+                "t=1500 seq=15 begin echo /x",
+                "t=2500 seq=16 reply echo 200",
+                "t=1500 seq=17 complete front 200",
+                "t=2500 seq=18 resume front /x",
+                "t=2500 seq=19 reply front 200",
+                "t=2500 seq=20 complete front 200",
+            ]
+        );
+        // Turning the trace off drops it; back on, `seq` restarts at 0.
+        engine.set_trace(false);
+        engine.set_trace(true);
+        assert!(engine.trace().is_empty());
+        engine
+            .dispatch(&mut env, "echo", HttpRequest::get("/y"))
+            .unwrap();
+        assert_eq!(engine.trace_lines()[0], "t=2500 seq=0 arrive echo /y");
     }
 
     #[test]
@@ -1395,7 +1613,7 @@ mod tests {
                 );
             }
             engine.run_until_idle(&mut env);
-            engine.trace().join("\n")
+            engine.trace_lines()
         };
         assert_eq!(run(11), run(11));
     }

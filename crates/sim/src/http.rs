@@ -146,10 +146,12 @@ impl HttpRequest {
         })
     }
 
-    /// Total serialised size in bytes.
+    /// Total serialised size in bytes: what [`HttpRequest::to_bytes`]
+    /// would write, counted without writing it.
     #[must_use]
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let request_line = self.method.as_str().len() + 1 + self.path.len() + " HTTP/1.1\r\n".len();
+        request_line + tail_len(&self.headers, &self.body)
     }
 }
 
@@ -254,11 +256,25 @@ impl HttpResponse {
         })
     }
 
-    /// Total serialised size in bytes.
+    /// Total serialised size in bytes: what [`HttpResponse::to_bytes`]
+    /// would write, counted without writing it.
     #[must_use]
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let status = digits(usize::from(self.status)) + 1 + reason(self.status).len();
+        "HTTP/1.1 ".len() + status + 2 + tail_len(&self.headers, &self.body)
     }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Bytes `to_bytes` writes after the first line: the header lines, the
+/// `Content-Length` line, the blank line and the body.
+fn tail_len(headers: &[(String, String)], body: &[u8]) -> usize {
+    let lines: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
+    lines + "Content-Length: \r\n\r\n".len() + digits(body.len()) + body.len()
 }
 
 fn malformed(why: &str) -> SimError {
@@ -401,6 +417,30 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn wire_len_is_the_serialised_length(
+            method in 0usize..4,
+            path in "[a-z/-]{0,40}",
+            names in proptest::collection::vec("[A-Za-z-]{1,12}", 0..=4),
+            values in proptest::collection::vec("[ -~]{0,24}", 4),
+            status in 0usize..10,
+            body_len in 0usize..10,
+        ) {
+            // Known and unknown reason phrases of 1..5 digits; body lengths
+            // on both sides of every `Content-Length` digit boundary.
+            let status = [200u16, 204, 404, 500, 503, 508, 0, 7, 99, 65_535][status];
+            let body_len = [0usize, 1, 9, 10, 99, 100, 999, 1000, 65_535, 65_536][body_len];
+            let method = [Method::Get, Method::Post, Method::Put, Method::Delete][method];
+            let mut req = HttpRequest::new(method, path, vec![0x5a; body_len]);
+            let mut resp = HttpResponse::error(status, "x".repeat(body_len));
+            for (n, v) in names.into_iter().zip(values) {
+                req = req.with_header(n.clone(), v.clone());
+                resp = resp.with_header(n, v);
+            }
+            proptest::prop_assert_eq!(req.wire_len(), req.to_bytes().len());
+            proptest::prop_assert_eq!(resp.wire_len(), resp.to_bytes().len());
+        }
+
         #[test]
         fn arbitrary_bodies_round_trip(body in proptest::collection::vec(0u8.., 0..500)) {
             let req = HttpRequest::post("/fuzz", body.clone());

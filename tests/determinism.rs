@@ -3,7 +3,7 @@
 
 use shield5g::core::harness::{measure_lf_lt, measure_response_times, ModuleDeployment};
 use shield5g::core::paka::{PakaKind, SgxConfig};
-use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
+use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::sim::Env;
 
@@ -57,23 +57,59 @@ fn same_seed_same_registration_transcript() {
     assert_eq!(run(103), run(103));
 }
 
-/// One SGX-slice registration run with the engine trace on, returning
-/// the byte-exact event log.
-fn engine_trace_of(seed: u64) -> Vec<String> {
+/// A fresh SGX slice with `subscribers` provisioned, the event log off
+/// and the engine trace on.
+fn traced_sgx_slice(seed: u64, subscribers: u32) -> (Env, Slice) {
     let mut env = Env::new(seed);
     env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
-            subscriber_count: 2,
+            subscriber_count: subscribers,
         },
     )
     .unwrap();
     slice.engine.borrow_mut().set_trace(true);
+    (env, slice)
+}
+
+/// Compares `lines` byte for byte with `tests/golden/<file>`; under
+/// `SHIELD5G_REGEN_GOLDEN` rewrites the file instead (intentional
+/// trace-format changes only).
+fn assert_matches_golden(file: &str, lines: &[String]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let trace = lines.join("\n") + "\n";
+    if std::env::var_os("SHIELD5G_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &trace).expect("write golden trace");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden trace present");
+    assert!(
+        golden == trace,
+        "engine trace diverged from {file} (first differing line: {:?})",
+        golden
+            .lines()
+            .zip(trace.lines())
+            .find(|(g, t)| g != t)
+            .map(|(g, t)| format!("golden `{g}` vs live `{t}`"))
+            .unwrap_or_else(|| format!(
+                "length {} vs {}",
+                golden.lines().count(),
+                trace.lines().count()
+            ))
+    );
+}
+
+/// One SGX-slice registration run with the engine trace on, returning
+/// the byte-exact event log.
+fn engine_trace_of(seed: u64) -> Vec<String> {
+    let (mut env, slice) = traced_sgx_slice(seed, 2);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
+    let trace = slice.engine.borrow().trace_lines();
     trace
 }
 
@@ -97,29 +133,7 @@ fn engine_trace_matches_pre_refactor_golden() {
     // inlined in the scheduler); regenerate only for an intentional
     // trace-format change:
     //   SHIELD5G_REGEN_GOLDEN=1 cargo test engine_trace_matches
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/engine_trace_seed300.txt");
-    let trace = engine_trace_of(300).join("\n") + "\n";
-    if std::env::var_os("SHIELD5G_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &trace).expect("write golden trace");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("golden trace present");
-    assert!(
-        golden == trace,
-        "engine trace diverged from the pre-refactor golden \
-         (first differing line: {:?})",
-        golden
-            .lines()
-            .zip(trace.lines())
-            .find(|(g, t)| g != t)
-            .map(|(g, t)| format!("golden `{g}` vs live `{t}`"))
-            .unwrap_or_else(|| format!(
-                "length {} vs {}",
-                golden.lines().count(),
-                trace.lines().count()
-            ))
-    );
+    assert_matches_golden("engine_trace_seed300.txt", &engine_trace_of(300));
 }
 
 #[test]
@@ -129,20 +143,10 @@ fn overload_layers_disarmed_are_trace_invisible() {
     // no faults armed nothing ever fails, so the breaker must neither
     // draw randomness nor reshape the schedule — the seed-300 trace
     // stays byte-identical to the pre-overload golden file.
-    let mut env = Env::new(300);
-    env.log.disable();
-    let slice = build_slice(
-        &mut env,
-        &SliceConfig {
-            deployment: AkaDeployment::Sgx(SgxConfig::default()),
-            subscriber_count: 2,
-        },
-    )
-    .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
+    let (mut env, slice) = traced_sgx_slice(300, 2);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
+    let trace = slice.engine.borrow().trace_lines();
 
     // Not vacuous: the breaker really sampled the slice's outbound legs…
     let breaker = slice.breaker.borrow();
@@ -176,21 +180,11 @@ fn different_seed_diverging_engine_event_log() {
 /// Like [`engine_trace_of`], but with a seeded SBI fault plan installed
 /// on the slice engine before the registrations run.
 fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String> {
-    let mut env = Env::new(seed);
-    env.log.disable();
-    let slice = build_slice(
-        &mut env,
-        &SliceConfig {
-            deployment: AkaDeployment::Sgx(SgxConfig::default()),
-            subscriber_count: 2,
-        },
-    )
-    .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
+    let (mut env, slice) = traced_sgx_slice(seed, 2);
     let _ = shield5g::faults::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
+    let trace = slice.engine.borrow().trace_lines();
     trace
 }
 
@@ -226,6 +220,82 @@ fn same_seed_byte_identical_fault_annotated_trace() {
     );
     // ...which therefore differs from the fault-free baseline.
     assert_ne!(a, engine_trace_of(300));
+}
+
+/// The fault-annotated run with all three fault kinds armed, followed on
+/// the same engine by four simultaneous arrivals at a one-worker echo
+/// behind an admission stack (capacity 3, 15 µs deadline, 10 µs service):
+/// one begins, two queue, one is shed at the door, and the second waiter
+/// is shed at begin. Registrations may fail under the plan — the trace
+/// is the product.
+fn faulted_gated_trace_of(seed: u64) -> Vec<String> {
+    use shield5g::mw::{AdmissionLayer, Stack};
+    use shield5g::sim::engine::{AdmissionPolicy, Engine};
+    use shield5g::sim::http::{HttpRequest, HttpResponse};
+    use shield5g::sim::service::{service_handle, Service};
+    use shield5g::sim::time::SimDuration;
+
+    struct SlowEcho;
+    impl Service for SlowEcho {
+        fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
+            env.clock.advance(SimDuration::from_nanos(10_000));
+            HttpResponse::ok(req.body)
+        }
+    }
+
+    let (mut env, slice) = traced_sgx_slice(seed, 6);
+    let cfg = shield5g::faults::FaultConfig {
+        drop_rate: 0.03,
+        delay_rate: 0.15,
+        error_rate: 0.08,
+        ..shield5g::faults::FaultConfig::default()
+    };
+    let _ = shield5g::faults::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
+    let mut sim = GnbSim::new(&slice);
+    for i in 0..6 {
+        let _ = sim.register_with_session(&mut env, &slice, i);
+    }
+    let mut engine = slice.engine.borrow_mut();
+    let gate = Stack::new(Engine::leaf(service_handle(SlowEcho))).with(AdmissionLayer::new(
+        AdmissionPolicy {
+            capacity: Some(3),
+            deadline: Some(SimDuration::from_nanos(15_000)),
+        },
+    ));
+    engine.register("gate.test", 1, gate.into_handle());
+    let t0 = env.clock.now();
+    for i in 0..4 {
+        engine.schedule_request(t0, "gate.test", HttpRequest::post("/gated", vec![i]));
+    }
+    engine.run_until_idle(&mut env);
+    engine.trace_lines()
+}
+
+#[test]
+fn faulted_engine_trace_matches_pre_refactor_golden() {
+    // The refactor gate for the structured trace: the seed-300 golden
+    // above holds only arrive / begin / callout / reply / resume /
+    // complete. This one, captured from the string-formatting engine,
+    // pins the rest — queue, shed-full, shed-deadline, fault-drop,
+    // fault-delay, fault-5xx — byte for byte. Regenerate only for an
+    // intentional trace-format change:
+    //   SHIELD5G_REGEN_GOLDEN=1 cargo test faulted_engine_trace_matches
+    let lines = faulted_gated_trace_of(300);
+    for kind in [
+        "queue",
+        "shed-full",
+        "shed-deadline",
+        "fault-drop",
+        "fault-delay",
+        "fault-5xx",
+    ] {
+        let needle = format!(" {kind} ");
+        assert!(
+            lines.iter().any(|line| line.contains(&needle)),
+            "no `{kind}` line in the faulted trace"
+        );
+    }
+    assert_matches_golden("engine_trace_faulted_seed300.txt", &lines);
 }
 
 #[test]

@@ -238,8 +238,7 @@ fn fig5_sequence_flows_through_the_engine() {
     slice.engine.borrow_mut().set_trace(true);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 1).unwrap();
-    let engine = slice.engine.borrow();
-    let trace = engine.trace();
+    let trace = slice.engine.borrow().trace_lines();
     let pos = |needle: &str| {
         trace
             .iter()
