@@ -20,10 +20,27 @@ fn bench_crypto(c: &mut Criterion) {
             cipher.encrypt_block(black_box(&mut block));
         });
     });
+    // The vault's shape: one 4 KiB page under the nonce `version ‖ 0⁶⁴`,
+    // a fresh version per write.
     c.bench_function("aes128_ctr_4096B", |b| {
         let mut page = vec![0u8; 4096];
+        let mut version = 0u64;
+        b.iter(|| {
+            version += 1;
+            let icb = u128::from(version) << 64;
+            cipher.ctr_apply(black_box(&icb.to_be_bytes()), black_box(&mut page));
+        });
+    });
+    // A TLS/NAS-sized message: shows what a call costs before its first
+    // block.
+    c.bench_function("aes128_ctr_64B", |b| {
+        let mut message = [0u8; 64];
         let icb = [7u8; 16];
-        b.iter(|| cipher.ctr_apply(black_box(&icb), black_box(&mut page)));
+        b.iter(|| cipher.ctr_apply(black_box(&icb), black_box(&mut message)));
+    });
+    // `NasSecurityContext` and ECIES expand a key per message.
+    c.bench_function("aes128_key_schedule", |b| {
+        b.iter(|| Aes128::new(black_box(&key)));
     });
     c.bench_function("sha256_1KiB", |b| {
         let data = vec![0xa5u8; 1024];

@@ -7,20 +7,35 @@
 //!
 //! # Implementation
 //!
-//! The forward direction ([`Aes128::encrypt_block`], [`Aes128::ctr_apply`])
-//! keeps the state as four big-endian `u32` columns and does
-//! `SubBytes`/`ShiftRows`/`MixColumns` of one column as four lookups in a
-//! single 256-entry round table, rotated per row. The table is computed at
-//! compile time from [`SBOX`], so the S-box stays the only hand-typed
-//! table. [`Aes128::decrypt_block`] has no caller outside tests and stays
-//! a byte-wise transcription of FIPS-197: it shares only the S-box and the
+//! There is one key schedule, held as big-endian column words
+//! (`[[u32; 4]; 11]`, built by the word-oriented FIPS-197 expansion), and
+//! one forward core behind [`Aes128::encrypt_block`] and
+//! [`Aes128::ctr_apply`]. The state is four `u32` columns and a round is
+//! sixteen lookups in four 256-entry tables — table `r` does
+//! `SubBytes`/`MixColumns` for a row-`r` byte, so no lookup is rotated —
+//! with the last round read from the same tables under byte masks. The
+//! tables are computed at compile time from [`SBOX`], so the S-box stays
+//! the only hand-typed table.
+//!
+//! CTR mode caches what consecutive counters share (Bernstein–Schwabe,
+//! *New AES software speed records*, INDOCRYPT 2008). Counter blocks that
+//! differ only in their last byte — a *run*: all 256 blocks of an EPC
+//! page, whose nonce is `version ‖ 0⁶⁴` — agree after round 0 in fifteen
+//! bytes, after round 1 in three columns and in twelve of round 2's
+//! sixteen lookups. A run computes those once; each of its blocks then
+//! costs 1 + 4 + 7·16 + 16 = 133 lookups instead of 160. A run ends where
+//! the low counter byte wraps, so any 128-bit initial counter block gives
+//! the bytes of the plain block-by-block definition.
+//!
+//! [`Aes128::decrypt_block`] has no caller outside tests and stays a
+//! byte-wise transcription of FIPS-197: it shares only the S-box and the
 //! key schedule with the forward core, which makes the encrypt/decrypt
 //! round-trip tests a differential check of one against the other.
 //!
 //! The code favours clarity over side-channel hardening: the S-box and the
-//! round table are both indexed by secret bytes, so neither direction is
-//! constant-time with respect to the cache. The workspace's threat model
-//! excludes side channels (DESIGN.md).
+//! 4 KiB of round tables are indexed by secret bytes, so neither direction
+//! is constant-time with respect to the cache. The workspace's threat
+//! model excludes side channels (DESIGN.md).
 //!
 //! # Example
 //!
@@ -36,7 +51,6 @@
 //! assert_eq!(block, original);
 //! ```
 
-use crate::secret::Secret;
 use std::sync::OnceLock;
 
 /// The AES S-box (FIPS-197 figure 7).
@@ -94,19 +108,24 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// The forward round table: entry `x` is the `MixColumns` contribution of
-/// a row-0 byte `x` after `SubBytes`, i.e. the column `(2·S[x], S[x],
-/// S[x], 3·S[x])` packed big-endian. Rows 1–3 use the same entry rotated
-/// right by 8, 16 and 24 bits.
-static ROUND_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The forward round tables. `TABLES[0][x]` is the `MixColumns`
+/// contribution of a row-0 byte `x` after `SubBytes`, i.e. the column
+/// `(2·S[x], S[x], S[x], 3·S[x])` packed big-endian; `TABLES[r][x]` is the
+/// same for a row-`r` byte, the entry rotated right by `8·r` bits.
+static TABLES: [[u32; 256]; 4] = {
+    let mut tables = [[0u32; 256]; 4];
     let mut x = 0;
     while x < 256 {
         let s = SBOX[x];
-        table[x] = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
+        let column = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
+        let mut r = 0;
+        while r < 4 {
+            tables[r][x] = column.rotate_right(8 * r as u32);
+            r += 1;
+        }
         x += 1;
     }
-    table
+    tables
 };
 
 /// An expanded AES-128 key.
@@ -115,15 +134,15 @@ static ROUND_TABLE: [u32; 256] = {
 /// operations then only read the schedule.
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each.
-    round_keys: [[u8; 16]; 11],
+    /// 11 round keys, each four big-endian column words.
+    schedule: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never leak key schedule material through Debug output.
         f.debug_struct("Aes128")
-            .field("round_keys", &"<redacted>")
+            .field("schedule", &"<redacted>")
             .finish()
     }
 }
@@ -131,7 +150,7 @@ impl std::fmt::Debug for Aes128 {
 impl Drop for Aes128 {
     fn drop(&mut self) {
         use crate::secret::Zeroize;
-        self.round_keys.zeroize();
+        self.schedule.zeroize();
     }
 }
 
@@ -139,38 +158,23 @@ impl Aes128 {
     /// Expands `key` into the 11-round AES-128 key schedule.
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
-        }
-        for i in 4..44 {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                // RotWord + SubWord + Rcon.
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
+        let mut schedule = [columns(u128::from_be_bytes(*key)); 11];
+        for round in 1..11 {
+            let previous = schedule[round - 1];
+            // RotWord + SubWord + Rcon on the previous key's last word.
+            let rotated = previous[3].rotate_left(8).to_be_bytes();
+            let mut word = u32::from_be_bytes(rotated.map(|b| SBOX[b as usize]))
+                ^ (u32::from(RCON[round - 1]) << 24);
             for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+                word ^= previous[c];
+                schedule[round][c] = word;
             }
         }
-        Aes128 { round_keys }
+        Aes128 { schedule }
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk.iter()) {
-            *s ^= k;
-        }
+    fn add_round_key(state: &mut [u8; 16], round_key: &[u32; 4]) {
+        *state = (u128::from_be_bytes(*state) ^ join(*round_key)).to_be_bytes();
     }
 
     fn inv_sub_bytes(state: &mut [u8; 16]) {
@@ -210,38 +214,22 @@ impl Aes128 {
         }
     }
 
-    /// The round keys as big-endian column words, the form the forward
-    /// core consumes. A second copy of the schedule, so wiped on drop too.
-    fn round_key_words(&self) -> Secret<[[u32; 4]; 11]> {
-        Secret::new(self.round_keys.map(|rk| columns(u128::from_be_bytes(rk))))
-    }
-
-    /// The forward cipher on column words. Column `c` of a round's output
-    /// takes its row-`r` byte from column `c + r` of the input
-    /// (`ShiftRows`); the table lookup does `SubBytes` and `MixColumns`.
-    fn encrypt_columns(rk: &[[u32; 4]; 11], mut s: [u32; 4]) -> [u32; 4] {
-        for c in 0..4 {
-            s[c] ^= rk[0][c];
+    /// Rounds `from..=10` of the forward cipher on column words: the full
+    /// rounds up to 9, then the last, which has no `MixColumns` and takes
+    /// the plain `S[x]` from whichever byte of a table entry holds it.
+    /// Inlined so that `from` is a constant where the rounds run and the
+    /// state stays in registers between them.
+    #[inline(always)]
+    fn finish(&self, from: usize, mut s: [u32; 4]) -> [u32; 4] {
+        for round_key in &self.schedule[from..10] {
+            s = round(s, round_key);
         }
-        for round_key in &rk[1..10] {
-            let mut t = *round_key;
-            for c in 0..4 {
-                t[c] ^= ROUND_TABLE[(s[c] >> 24) as usize]
-                    ^ ROUND_TABLE[(s[(c + 1) % 4] >> 16) as u8 as usize].rotate_right(8)
-                    ^ ROUND_TABLE[(s[(c + 2) % 4] >> 8) as u8 as usize].rotate_right(16)
-                    ^ ROUND_TABLE[s[(c + 3) % 4] as u8 as usize].rotate_right(24);
-            }
-            s = t;
-        }
-        // Final round: no MixColumns, so the plain S-box.
-        let mut t = rk[10];
+        let mut t = self.schedule[10];
         for c in 0..4 {
-            t[c] ^= u32::from_be_bytes([
-                SBOX[(s[c] >> 24) as usize],
-                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
-                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
-                SBOX[s[(c + 3) % 4] as u8 as usize],
-            ]);
+            t[c] ^= (TABLES[2][(s[c] >> 24) as usize] & 0xff00_0000)
+                ^ (TABLES[3][(s[(c + 1) % 4] >> 16) as u8 as usize] & 0x00ff_0000)
+                ^ (TABLES[0][(s[(c + 2) % 4] >> 8) as u8 as usize] & 0x0000_ff00)
+                ^ (TABLES[1][s[(c + 3) % 4] as u8 as usize] & 0x0000_00ff);
         }
         t
     }
@@ -252,23 +240,22 @@ impl Aes128 {
     /// transmission order *is* that layout, so each column is one
     /// big-endian word of the block.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let rk = self.round_key_words();
-        let state = columns(u128::from_be_bytes(*block));
-        *block = join(Self::encrypt_columns(rk.expose(), state)).to_be_bytes();
+        let state = xor(columns(u128::from_be_bytes(*block)), self.schedule[0]);
+        *block = join(self.finish(1, state)).to_be_bytes();
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
+        Self::add_round_key(block, &self.schedule[10]);
         for round in (1..10).rev() {
             Self::inv_shift_rows(block);
             Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+            Self::add_round_key(block, &self.schedule[round]);
             Self::inv_mix_columns(block);
         }
         Self::inv_shift_rows(block);
         Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        Self::add_round_key(block, &self.schedule[0]);
     }
 
     /// Encrypts a copy of `block` and returns it, leaving the input intact.
@@ -284,18 +271,70 @@ impl Aes128 {
     /// `icb` is the initial counter block; the full 128-bit counter is
     /// incremented big-endian per block, as required by SP 800-38A and the
     /// SUCI Profile A key data layout (TS 33.501 C.3.4).
+    ///
+    /// The data is processed in runs of blocks whose counters differ only
+    /// in the last byte. Rounds 0–2 are computed in full for a run's first
+    /// counter; the lookups that byte reaches — one in round 1, through
+    /// column 0 of its output four in round 2 — are XORed out of that
+    /// state once and back in per block (the round is linear in its
+    /// lookups).
     pub fn ctr_apply(&self, icb: &[u8; 16], data: &mut [u8]) {
-        let rk = self.round_key_words();
         let mut counter = u128::from_be_bytes(*icb);
-        for chunk in data.chunks_mut(16) {
-            let keystream =
-                join(Self::encrypt_columns(rk.expose(), columns(counter))).to_be_bytes();
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let run_bytes = 16 * (256 - usize::from(counter as u8));
+            let (run, tail) = rest.split_at_mut(rest.len().min(run_bytes));
+            rest = tail;
+            let s = xor(columns(counter), self.schedule[0]);
+            let mut t = round(s, &self.schedule[1]);
+            t[0] ^= TABLES[3][s[3] as u8 as usize];
+            let u = xor(round(t, &self.schedule[2]), column_0_lookups(t[0]));
+            for chunk in run.chunks_mut(16) {
+                let low = counter as u8 ^ self.schedule[0][3] as u8;
+                let t0 = t[0] ^ TABLES[3][low as usize];
+                let keystream = join(self.finish(3, xor(u, column_0_lookups(t0))));
+                match <&mut [u8; 16]>::try_from(&mut *chunk) {
+                    Ok(block) => *block = (u128::from_be_bytes(*block) ^ keystream).to_be_bytes(),
+                    Err(_) => {
+                        for (d, k) in chunk.iter_mut().zip(keystream.to_be_bytes()) {
+                            *d ^= k;
+                        }
+                    }
+                }
+                counter = counter.wrapping_add(1);
             }
-            counter = counter.wrapping_add(1);
         }
     }
+}
+
+/// One full round on column words. Column `c` of the output takes its
+/// row-`r` byte from column `c + r` of the input (`ShiftRows`); the table
+/// lookup does `SubBytes` and `MixColumns`.
+fn round(s: [u32; 4], round_key: &[u32; 4]) -> [u32; 4] {
+    let mut t = *round_key;
+    for c in 0..4 {
+        t[c] ^= TABLES[0][(s[c] >> 24) as usize]
+            ^ TABLES[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+            ^ TABLES[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+            ^ TABLES[3][s[(c + 3) % 4] as u8 as usize];
+    }
+    t
+}
+
+/// What [`round`] looks up for the four bytes of input column 0, placed
+/// in the output columns they reach.
+fn column_0_lookups(s0: u32) -> [u32; 4] {
+    [
+        TABLES[0][(s0 >> 24) as usize],
+        TABLES[3][s0 as u8 as usize],
+        TABLES[2][(s0 >> 8) as u8 as usize],
+        TABLES[1][(s0 >> 16) as u8 as usize],
+    ]
+}
+
+/// Column-wise XOR of two states.
+fn xor(a: [u32; 4], b: [u32; 4]) -> [u32; 4] {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
 }
 
 /// Splits a block, read as one big-endian integer, into its four column
@@ -414,15 +453,24 @@ mod tests {
     fn key_schedule_first_words_match_fips197_appendix_a() {
         let key = hex::decode_array::<16>("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
         let cipher = Aes128::new(&key);
-        // w[4..8] from FIPS-197 Appendix A.1 forms round key 1.
-        assert_eq!(
-            hex::encode(&cipher.round_keys[1]),
-            "a0fafe1788542cb123a339392a6c7605"
-        );
-        assert_eq!(
-            hex::encode(&cipher.round_keys[10]),
-            "d014f9a8c9ee2589e13f0cc8b6630ca6"
-        );
+        // w[0..44] of FIPS-197 Appendix A.1, four words per round key.
+        let expected = [
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "a0fafe1788542cb123a339392a6c7605",
+            "f2c295f27a96b9435935807a7359f67f",
+            "3d80477d4716fe3e1e237e446d7a883b",
+            "ef44a541a8525b7fb671253bdb0bad00",
+            "d4d1c6f87c839d87caf2b8bc11f915bc",
+            "6d88a37a110b3efddbf98641ca0093fd",
+            "4e54f70e5f5fc9f384a64fb24ea6dc4f",
+            "ead27321b58dbad2312bf5607f8d292f",
+            "ac7766f319fadc2128d12941575c006e",
+            "d014f9a8c9ee2589e13f0cc8b6630ca6",
+        ];
+        for (round, (round_key, expected)) in cipher.schedule.iter().zip(expected).enumerate() {
+            let bytes = join(*round_key).to_be_bytes();
+            assert_eq!(hex::encode(&bytes), expected, "round key {round}");
+        }
     }
 
     #[test]
@@ -479,6 +527,39 @@ mod tests {
             let mut prefix = data[..cut].to_vec();
             cipher.ctr_apply(&icb, &mut prefix);
             proptest::prop_assert_eq!(&prefix[..], &whole[..cut]);
+        }
+
+        #[test]
+        fn ctr_is_the_block_by_block_definition(
+            key in proptest::array::uniform16(0u8..),
+            icb in proptest::array::uniform16(0u8..),
+            low in 0xf0u8..=0xff,
+            saturated in 0usize..5,
+            data in proptest::collection::vec(0u8.., 0..=9000),
+        ) {
+            // The reference knows nothing of runs: one `encrypt_block_copy`
+            // per counter. The ICB is biased so that the low byte wraps
+            // within sixteen blocks and the carry then crosses 8, 32, 64 or
+            // all 128 bits (0, 3, 7 or 15 bytes of 0xff above it), with one
+            // case in five left uniform; 9000 bytes span up to two more
+            // run boundaries.
+            let mut icb = icb;
+            if let Some(&ones) = [0, 3, 7, 15].get(saturated) {
+                icb[15 - ones..15].fill(0xff);
+                icb[15] = low;
+            }
+            let cipher = Aes128::new(&key);
+            let mut expected = data.clone();
+            for (i, chunk) in expected.chunks_mut(16).enumerate() {
+                let counter = u128::from_be_bytes(icb).wrapping_add(i as u128);
+                let keystream = cipher.encrypt_block_copy(&counter.to_be_bytes());
+                for (d, k) in chunk.iter_mut().zip(keystream) {
+                    *d ^= k;
+                }
+            }
+            let mut actual = data;
+            cipher.ctr_apply(&icb, &mut actual);
+            proptest::prop_assert_eq!(actual, expected);
         }
     }
 }

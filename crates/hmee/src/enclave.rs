@@ -1087,6 +1087,44 @@ mod tests {
     }
 
     #[test]
+    fn a_rewrite_re_encrypts_every_page_byte_under_the_fresh_version() {
+        // The page rule: whatever the value's length, the resident image
+        // is `(value ‖ 0…0) ⊕ keystream(new version)` over all 4 KiB. A
+        // rewrite that skipped the padding would leave old ciphertext
+        // blocks behind and fail the first two checks.
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "s", &[0x5a; 48]);
+        for value in [&[0xa5u8; 48][..], &[0x3c; 16], &[]] {
+            let previous = e.epc.page(0).unwrap().clone();
+            e.vault_write(&mut env, "s", value);
+            let page = e.epc.page(0).unwrap().clone();
+            assert!(page.version > previous.version);
+            let icb = u128::from_be_bytes(Enclave::page_nonce(page.version));
+            let mut expected = value.to_vec();
+            expected.resize(PAGE_SIZE, 0);
+            for (i, block) in expected.chunks_mut(16).enumerate() {
+                let counter = (icb + i as u128).to_be_bytes();
+                let keystream = e.epc_cipher.encrypt_block_copy(&counter);
+                for (b, k) in block.iter_mut().zip(keystream) {
+                    *b ^= k;
+                }
+            }
+            assert_eq!(page.ciphertext, expected);
+            let blocks = page
+                .ciphertext
+                .chunks(16)
+                .zip(previous.ciphertext.chunks(16));
+            assert_eq!(blocks.len(), 256);
+            for (i, (new, old)) in blocks.enumerate() {
+                assert_ne!(new, old, "block {i} kept its old ciphertext");
+            }
+            assert_eq!(e.page_tag(page.version, &page.ciphertext), page.tag);
+            assert_eq!(e.vault_read(&mut env, "s").unwrap(), value);
+        }
+    }
+
+    #[test]
     fn tampering_beyond_the_value_is_detected() {
         // Reads decrypt only the value's prefix of the page, but the tag
         // covers all of it: a flipped padding byte must not go unnoticed.

@@ -8,8 +8,8 @@
 //! * handshake: X25519 ephemeral key agreement, authenticated by an
 //!   HMAC transcript tag under each peer's static key (a stand-in for
 //!   certificate signatures that keeps the wire sizes realistic),
-//! * record protection: AES-128-CTR with per-record sequence nonces and a
-//!   truncated HMAC-SHA-256 tag.
+//! * record protection: AES-128-CTR under the counter block `record
+//!   sequence ‖ block counter` and a truncated HMAC-SHA-256 tag.
 //!
 //! Records really are encrypted — the infrastructure attacker model
 //! demonstrates that sniffing the bridge yields ciphertext only.
@@ -87,9 +87,12 @@ impl DirectionKeys {
         }
     }
 
+    /// The record's initial counter block `seq ‖ 0⁶⁴`. The sequence sits
+    /// in the high half because CTR's block counter runs in the low one:
+    /// no two blocks of a direction may share a counter.
     fn nonce(seq: u64) -> [u8; 16] {
         let mut icb = [0u8; 16];
-        icb[8..].copy_from_slice(&seq.to_be_bytes());
+        icb[..8].copy_from_slice(&seq.to_be_bytes());
         icb
     }
 
@@ -327,6 +330,23 @@ mod tests {
         // still works afterwards.
         assert_eq!(ss.open(&r1).unwrap(), b"first");
         assert_eq!(ss.open(&r2).unwrap(), b"second");
+    }
+
+    #[test]
+    fn no_keystream_block_is_used_twice() {
+        // All-zero plaintext makes the ciphertext the keystream: were the
+        // sequence number to share the ICB's low half with the block
+        // counter, block 1 of record n would equal block 0 of record n+1.
+        let (c, s) = pair();
+        let (mut cs, mut ss, _) = establish(&c, &s, [3; 32], [4; 32]).unwrap();
+        for session in [&mut cs, &mut ss] {
+            let mut blocks = std::collections::BTreeSet::new();
+            for _ in 0..3 {
+                let record = session.seal(&[0u8; 64]);
+                blocks.extend(record[..64].chunks(16).map(<[u8]>::to_vec));
+            }
+            assert_eq!(blocks.len(), 12, "a keystream block repeated");
+        }
     }
 
     #[test]
