@@ -23,6 +23,10 @@ use shield5g_sim::time::SimDuration;
 /// EPC page size (SGX uses 4 KiB pages).
 pub const PAGE_SIZE: usize = 4096;
 
+/// Cache-line size: the unit the Memory Encryption Engine protects, and
+/// the unit in which a vault page's image is materialised.
+pub const LINE_SIZE: usize = 64;
+
 /// The platform cost model (Xeon Silver 4314 analogue, 2.40 GHz).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {

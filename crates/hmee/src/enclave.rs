@@ -7,9 +7,10 @@
 //! each of which charges the virtual clock and increments the
 //! [`SgxCounters`] exactly as the corresponding hardware events would.
 //!
-//! Vault pages are AES-CTR ciphertext under a Poly1305-AES tag (the
-//! construction, its nonce rule and the parallel with SGX's Memory
-//! Encryption Engine are in the [`crate::epc`] module docs). The enclave
+//! Vault pages are AES-CTR ciphertext under a Poly1305-AES tag, kept for
+//! the 64-byte lines a value occupies (the construction, its nonce rule,
+//! what is materialised and the parallel with SGX's Memory Encryption
+//! Engine are in the [`crate::epc`] module docs). The enclave
 //! holds the three per-instance keys and the one version counter that
 //! keeps every `(key, version)` pair unique.
 
@@ -563,13 +564,15 @@ impl Enclave {
     }
 
     /// Reloads an evicted page (`ELDU`), verifying both the integrity tag
-    /// and the anti-replay version against the trusted record.
+    /// and the anti-replay version against the trusted record. The blob's
+    /// length is the OS's to choose, so its shape is checked first; a
+    /// well-formed image that lost or gained lines fails the tag.
     ///
     /// # Errors
     ///
-    /// Returns [`HmeeError::IntegrityViolation`] for a stale (rolled-back)
-    /// or tampered blob, and [`HmeeError::UnknownSlot`] when no eviction
-    /// is pending for `index`.
+    /// Returns [`HmeeError::IntegrityViolation`] for a stale (rolled-back),
+    /// tampered or malformed blob — the eviction stays pending — and
+    /// [`HmeeError::UnknownSlot`] when no eviction is pending for `index`.
     pub fn reload_page(
         &mut self,
         env: &mut Env,
@@ -583,6 +586,12 @@ impl Enclave {
             return Err(HmeeError::IntegrityViolation(format!(
                 "page {index} version {} does not match the version tree ({expected_version}) — rollback attempt",
                 page.version
+            )));
+        }
+        if !page.is_well_formed() {
+            return Err(HmeeError::IntegrityViolation(format!(
+                "page {index} reloaded with a {}-byte image: not 1..=64 whole lines",
+                page.ciphertext.len()
             )));
         }
         let expected_tag = self.page_tag(page.version, &page.ciphertext);
@@ -615,13 +624,17 @@ impl Enclave {
     }
 
     /// Writes `plaintext` into the named vault slot, encrypting it into
-    /// EPC pages for real.
+    /// EPC pages for real. Each page materialises the lines its chunk
+    /// occupies ([`crate::epc`], *What is materialised*) and is accounted
+    /// and charged as a whole page.
     ///
     /// A rewrite re-encrypts the slot's pages where they are: page `i` of
     /// the new value lands on the slot's `i`-th page index under a fresh
-    /// version (so a fresh nonce and tag), and EPC occupancy does not
-    /// move. A longer value appends fresh pages for the excess; a shorter
-    /// one releases the slot's surplus pages, whose indices are retired.
+    /// version (so a fresh nonce and tag) as a whole new image — no line
+    /// of the old one survives, a shorter chunk drops the surplus lines —
+    /// and EPC occupancy does not move. A longer value appends fresh pages
+    /// for the excess; a shorter one releases the slot's surplus pages,
+    /// whose indices are retired.
     ///
     /// A page that is evicted when its slot is rewritten is re-created
     /// resident, and its version-tree record moves to the new version:
@@ -633,7 +646,7 @@ impl Enclave {
             .remove_entry(slot)
             .unwrap_or_else(|| (slot.to_owned(), SlotMeta::default()));
         let indices = &mut meta.page_indices;
-        // Zero-length writes still occupy one (all-padding) page.
+        // Zero-length writes still occupy one page (one all-padding line).
         let pages = plaintext.len().div_ceil(PAGE_SIZE).max(1);
         let mut chunks = plaintext.chunks(PAGE_SIZE);
         for i in 0..pages {
@@ -659,24 +672,28 @@ impl Enclave {
         }
         meta.len = plaintext.len();
         self.vault.insert(name, meta);
-        // Charge encryption work: ~1 cycle/byte MEE write-through.
+        // Charge MEE write-through: `PAGE_SIZE / 2` cycles per *accounted*
+        // page, deliberately not per materialised line — moving it is a
+        // virtual-time change (ROADMAP item 2's cause table).
         env.clock
             .advance(self.cost.cycles(pages as u64 * PAGE_SIZE as u64 / 2));
     }
 
-    /// Encrypts `chunk`, zero-padded to a whole page, into `buf` under the
-    /// next version. The version is both the CTR nonce and the input of
-    /// the tag's pad, and the counter only ever moves forward, so neither
-    /// key ever meets a version twice — the rule the cipher *and* the
-    /// Carter–Wegman tag stand on. The tag covers the page and, through
-    /// the pad, the version.
+    /// Encrypts `chunk`, zero-padded to [`EncryptedPage::image_len`] — whole lines,
+    /// not the whole page — into `buf` under the next version. The version
+    /// is both the CTR nonce and the input of the tag's pad, and the
+    /// counter only ever moves forward, so neither key ever meets a
+    /// version twice — the rule the cipher *and* the Carter–Wegman tag
+    /// stand on. The tag covers every materialised line and, through the
+    /// pad, the version.
     fn seal_page(&mut self, chunk: &[u8], mut buf: Vec<u8>) -> EncryptedPage {
         self.version_counter += 1;
         let version = self.version_counter;
+        let len = EncryptedPage::image_len(chunk.len());
         buf.clear();
-        buf.reserve_exact(PAGE_SIZE);
+        buf.reserve_exact(len);
         buf.extend_from_slice(chunk);
-        buf.resize(PAGE_SIZE, 0);
+        buf.resize(len, 0);
         self.epc_cipher
             .ctr_apply(&Self::page_nonce(version), &mut buf);
         let tag = self.page_tag(version, &buf);
@@ -687,16 +704,18 @@ impl Enclave {
         }
     }
 
-    /// Reads and decrypts a vault slot, verifying integrity: every page is
-    /// MAC-checked whole before any of it is trusted, then only the bytes
-    /// the value occupies are decrypted (CTR is seekable from the start of
-    /// a page, and the padding is never returned).
+    /// Reads and decrypts a vault slot, verifying integrity: every page's
+    /// image must have the length the slot's trusted record implies and is
+    /// MAC-checked whole — every materialised line — before any of it is
+    /// trusted; then only the bytes the value occupies are decrypted (CTR
+    /// is seekable from the start of a page, and the line padding is never
+    /// returned).
     ///
     /// # Errors
     ///
     /// * [`HmeeError::UnknownSlot`] when nothing was written under `slot`.
     /// * [`HmeeError::IntegrityViolation`] when the EPC ciphertext was
-    ///   altered from outside (tag mismatch).
+    ///   altered from outside (wrong image length or tag mismatch).
     /// * [`HmeeError::EnclaveLost`] after a crash (until
     ///   [`Enclave::reload`]).
     pub fn vault_read(&mut self, env: &mut Env, slot: &str) -> Result<Vec<u8>, HmeeError> {
@@ -713,14 +732,20 @@ impl Enclave {
                 .epc
                 .page(idx)
                 .ok_or_else(|| HmeeError::IntegrityViolation("page vanished".into()))?;
+            let start = out.len();
+            let take = (meta.len - start).min(PAGE_SIZE);
+            if page.ciphertext.len() != EncryptedPage::image_len(take) {
+                return Err(HmeeError::IntegrityViolation(format!(
+                    "slot {slot:?} page {idx} holds a {}-byte image for {take} value bytes",
+                    page.ciphertext.len()
+                )));
+            }
             let expected = self.page_tag(page.version, &page.ciphertext);
             if !shield5g_crypto::ct_eq(&expected, &page.tag) {
                 return Err(HmeeError::IntegrityViolation(format!(
                     "slot {slot:?} page {idx} failed EPCM verification"
                 )));
             }
-            let start = out.len();
-            let take = (meta.len - start).min(PAGE_SIZE);
             out.extend_from_slice(&page.ciphertext[..take]);
             self.epc_cipher
                 .ctr_apply(&Self::page_nonce(page.version), &mut out[start..]);
@@ -763,7 +788,8 @@ impl Enclave {
     }
 
     /// **Attacker interface**: corrupt EPC ciphertext from outside.
-    /// Returns whether the targeted byte existed.
+    /// Returns whether the targeted byte existed — `false` past a page's
+    /// materialised lines.
     pub fn epc_tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
         self.epc.tamper(page_index, byte_index)
     }
@@ -772,6 +798,7 @@ impl Enclave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LINE_SIZE;
 
     fn world() -> (Env, SgxPlatform) {
         let mut env = Env::new(11);
@@ -826,7 +853,7 @@ mod tests {
         e.vault_write(&mut env, "k", secret);
         assert_eq!(e.vault_read(&mut env, "k").unwrap(), secret);
         assert!(!e.epc_snapshot().contains_plaintext(secret));
-        assert!(e.epc_snapshot().total_bytes() >= PAGE_SIZE);
+        assert_eq!(e.epc_snapshot().total_bytes(), LINE_SIZE);
     }
 
     #[test]
@@ -1088,21 +1115,31 @@ mod tests {
 
     #[test]
     fn a_rewrite_re_encrypts_every_page_byte_under_the_fresh_version() {
-        // The page rule: whatever the value's length, the resident image
-        // is `(value ‖ 0…0) ⊕ keystream(new version)` over all 4 KiB. A
-        // rewrite that skipped the padding would leave old ciphertext
-        // blocks behind and fail the first two checks.
+        // The page rule: the resident image is `(value ‖ 0-pad to the next
+        // line, at least one line) ⊕ keystream(new version)`, sealed
+        // whole. A rewrite that kept any block of the old image — line
+        // padding included — or left a longer predecessor's surplus lines
+        // behind would fail below.
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "s", &[0x5a; 48]);
-        for value in [&[0xa5u8; 48][..], &[0x3c; 16], &[]] {
+        let rewrites = [
+            (0xa5u8, 48),
+            (0x3c, 16),
+            (0, 0),
+            (0x77, 200),
+            (0x99, PAGE_SIZE),
+            (0x11, 32),
+        ];
+        for (fill, len) in rewrites {
+            let value = vec![fill; len];
             let previous = e.epc.page(0).unwrap().clone();
-            e.vault_write(&mut env, "s", value);
+            e.vault_write(&mut env, "s", &value);
             let page = e.epc.page(0).unwrap().clone();
             assert!(page.version > previous.version);
             let icb = u128::from_be_bytes(Enclave::page_nonce(page.version));
-            let mut expected = value.to_vec();
-            expected.resize(PAGE_SIZE, 0);
+            let mut expected = value.clone();
+            expected.resize(len.div_ceil(LINE_SIZE).max(1) * LINE_SIZE, 0);
             for (i, block) in expected.chunks_mut(16).enumerate() {
                 let counter = (icb + i as u128).to_be_bytes();
                 let keystream = e.epc_cipher.encrypt_block_copy(&counter);
@@ -1111,11 +1148,13 @@ mod tests {
                 }
             }
             assert_eq!(page.ciphertext, expected);
+            // Nothing else is resident: a longer predecessor's surplus
+            // lines are gone, not merely unread.
+            assert_eq!(e.epc_snapshot().pages, [expected]);
             let blocks = page
                 .ciphertext
                 .chunks(16)
                 .zip(previous.ciphertext.chunks(16));
-            assert_eq!(blocks.len(), 256);
             for (i, (new, old)) in blocks.enumerate() {
                 assert_ne!(new, old, "block {i} kept its old ciphertext");
             }
@@ -1126,16 +1165,68 @@ mod tests {
 
     #[test]
     fn tampering_beyond_the_value_is_detected() {
-        // Reads decrypt only the value's prefix of the page, but the tag
-        // covers all of it: a flipped padding byte must not go unnoticed.
+        // Reads decrypt only the value's prefix of the image, but the tag
+        // covers every materialised line: a flipped padding byte must not
+        // go unnoticed. Past the lines there is nothing to flip.
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "k", &[0x46; 16]);
-        assert!(e.epc_tamper(0, 4000));
+        assert!(!e.epc_tamper(0, LINE_SIZE));
+        assert!(!e.epc_tamper(0, 4000));
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), [0x46; 16]);
+        assert!(e.epc_tamper(0, LINE_SIZE - 1));
         assert!(matches!(
             e.vault_read(&mut env, "k"),
             Err(HmeeError::IntegrityViolation(_))
         ));
+    }
+
+    #[test]
+    fn reloaded_blobs_of_the_wrong_length_are_rejected() {
+        // The blob's length is whatever the OS hands back.
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        let value = [0x6b; 100];
+        e.vault_write(&mut env, "k", &value);
+        let blob = e.evict_page(&mut env, 0).unwrap();
+        assert_eq!(blob.ciphertext.len(), 2 * LINE_SIZE);
+        let resized = |len: usize| {
+            let mut forged = blob.clone();
+            forged.ciphertext.resize(len, 0);
+            forged
+        };
+        for len in [0, 63, 65, PAGE_SIZE + LINE_SIZE] {
+            let err = e.reload_page(&mut env, 0, resized(len)).unwrap_err();
+            assert!(matches!(err, HmeeError::IntegrityViolation(_)), "{err}");
+            assert!(err.to_string().contains("whole lines"), "{len}: {err}");
+        }
+        // Well-formed, but a line short or a (zero) line long: the tag.
+        for len in [LINE_SIZE, 3 * LINE_SIZE] {
+            let err = e.reload_page(&mut env, 0, resized(len)).unwrap_err();
+            assert!(err.to_string().contains("failed MAC"), "{len}: {err}");
+        }
+        // Rejections leave the eviction pending for the genuine blob.
+        e.reload_page(&mut env, 0, blob).unwrap();
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), value);
+    }
+
+    #[test]
+    fn a_resident_page_cut_to_its_first_line_fails_closed() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "other", b"neighbour");
+        let value = [0x6b; 200];
+        e.vault_write(&mut env, "k", &value);
+        let genuine = e.epc.page(1).unwrap().clone();
+        assert_eq!(genuine.ciphertext.len(), 4 * LINE_SIZE);
+        let mut cut = genuine.clone();
+        cut.ciphertext.truncate(LINE_SIZE);
+        e.epc.replace_page(1, cut);
+        let err = e.vault_read(&mut env, "k").unwrap_err();
+        assert!(matches!(err, HmeeError::IntegrityViolation(_)), "{err}");
+        assert_eq!(e.vault_read(&mut env, "other").unwrap(), b"neighbour");
+        e.epc.replace_page(1, genuine);
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), value);
     }
 
     #[test]
@@ -1149,7 +1240,7 @@ mod tests {
         let snap = e.epc_snapshot();
         assert!(!snap.contains_plaintext(old));
         assert!(!snap.contains_plaintext(new));
-        assert_eq!(snap.total_bytes(), PAGE_SIZE);
+        assert_eq!(snap.total_bytes(), LINE_SIZE);
     }
 
     #[test]
@@ -1423,6 +1514,81 @@ mod tests {
             }
             proptest::prop_assert_eq!(seen.len() as u64, sealed);
             proptest::prop_assert_eq!(e.version_counter, sealed);
+        }
+
+        /// The line rule over arbitrary write sequences: what is resident
+        /// is exactly the lines the last values occupy, all of it
+        /// ciphertext under the tag, none of it shared between slots.
+        #[test]
+        fn every_image_is_the_lines_its_value_occupies(
+            writes in proptest::collection::vec(proptest::array::uniform3(0u64..), 1..10),
+            flip in 0usize..,
+        ) {
+            use std::collections::{BTreeMap, HashSet};
+            let (mut env, platform) = world();
+            let mut e = small_enclave(&mut env, &platform);
+            let mut last: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+            let mut written = Vec::new();
+            let mut newest = 0;
+            for [slot, len, seed] in writes {
+                // Half the lengths sit around the first line boundaries,
+                // where every value this tree stores lives.
+                let bound = if len & 1 == 0 { 3 * LINE_SIZE } else { 2 * PAGE_SIZE + 18 };
+                let len = (len >> 1) as usize % bound;
+                // High-entropy bytes: a keystream under the drawn seed.
+                let mut value = vec![0u8; len];
+                Aes128::new(&u128::from(seed).to_be_bytes()).ctr_apply(&[0; 16], &mut value);
+                let slot = format!("slot{}", slot % 3);
+                e.vault_write(&mut env, &slot, &value);
+                for &idx in &e.vault[&slot].page_indices {
+                    let version = e.epc.page(idx).unwrap().version;
+                    proptest::prop_assert!(version > newest, "version {version} after {newest}");
+                    newest = version;
+                }
+                written.push(value.clone());
+                last.insert(slot, value);
+            }
+            let mut pages = 0;
+            for (slot, value) in &last {
+                proptest::prop_assert_eq!(&e.vault_read(&mut env, slot).unwrap(), value);
+                let indices = &e.vault[slot].page_indices;
+                proptest::prop_assert_eq!(indices.len(), value.len().div_ceil(PAGE_SIZE).max(1));
+                let mut chunks = value.chunks(PAGE_SIZE);
+                for &idx in indices {
+                    let lines = chunks.next().unwrap_or_default().len().div_ceil(LINE_SIZE).max(1);
+                    proptest::prop_assert_eq!(e.epc.page(idx).unwrap().ciphertext.len(), lines * LINE_SIZE);
+                }
+                pages += indices.len();
+            }
+            // Accounting counts whole pages, as it did when they were whole.
+            proptest::prop_assert_eq!(e.epc.accounted_pages(), pages as u64);
+            let snap = e.epc_snapshot();
+            proptest::prop_assert_eq!(snap.pages.len(), pages);
+            let visible: HashSet<&[u8]> = snap.pages.iter().flat_map(|p| p.windows(16)).collect();
+            for value in &written {
+                proptest::prop_assert!(!value.windows(16).any(|w| visible.contains(w)));
+            }
+            // One flipped byte, anywhere that exists: its slot alone fails.
+            let (mut page, mut byte) = (0, flip % snap.total_bytes());
+            let image_len = loop {
+                // Released indices hold nothing.
+                let len = e.epc.page(page).map_or(0, |p| p.ciphertext.len());
+                if byte < len {
+                    break len;
+                }
+                byte -= len;
+                page += 1;
+            };
+            proptest::prop_assert!(!e.epc_tamper(page, image_len), "nothing past the lines");
+            proptest::prop_assert!(e.epc_tamper(page, byte));
+            for (slot, value) in &last {
+                let read = e.vault_read(&mut env, slot);
+                if e.vault[slot].page_indices.contains(&page) {
+                    proptest::prop_assert!(matches!(read, Err(HmeeError::IntegrityViolation(_))));
+                } else {
+                    proptest::prop_assert_eq!(&read.unwrap(), value);
+                }
+            }
         }
     }
 }

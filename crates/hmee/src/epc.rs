@@ -14,7 +14,7 @@
 //! ePrint 2016/204): a counter-mode cipher and a polynomial MAC whose
 //! output is masked by a block-cipher pad, because a hash-based MAC is too
 //! slow for the memory path. Here the tag is Poly1305-AES over the page's
-//! 256 ciphertext blocks,
+//! materialised ciphertext,
 //! `tag = (Poly1305_r(ciphertext) + AES_k(version ‖ 0⁶⁴)) mod 2¹²⁸`,
 //! with `r ‖ k` the 32-byte `epc-mac` key (never the `epc-enc` cipher
 //! key). The page's version is bound through the pad. The tag is 128 bits
@@ -26,18 +26,37 @@
 //! versions from one counter that only moves forward — every write, of
 //! whatever page, takes the next one — and keys are per enclave instance.
 //!
+//! # What is materialised
+//!
+//! The MEE works per 64-byte cache line, and so does the vault: a page's
+//! image is `(chunk ‖ 0-pad to the next line, at least one line) ⊕
+//! keystream(version)` — a whole number of [`LINE_SIZE`] lines, `1..=64`
+//! — under one tag over exactly those lines. The rest of the page is
+//! *accounted* enclave memory with no ciphertext behind it, as the
+//! pre-faulted heap has always been ([`EpcRegion::account_pages`]):
+//! occupancy, EPC pressure and every charged cycle count whole pages.
+//! The observer thus learns a value's length to 64-byte granularity (K
+//! and the keys derived from it are one line each, alike in size); past
+//! the materialised lines there is nothing to read or flip, and every
+//! byte that exists is under the tag. One version and tag per page, not
+//! per line, suffice because values are rewritten whole: a write replaces
+//! the page's entire image under a fresh version, so no line outlives the
+//! version it was sealed under. An image's length comes back from
+//! untrusted memory; the enclave checks it before slicing.
+//!
 //! The region also tracks *accounted* occupancy (heap pages pre-faulted by
 //! Gramine's `preheat_enclave`), which can exceed the physical EPC and
 //! triggers the paging behaviour behind the paper's Figure 8 (8 GB EPC
 //! degradation).
 
-use crate::cost::PAGE_SIZE;
+use crate::cost::{LINE_SIZE, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// One encrypted page plus its integrity metadata (EPCM analogue).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EncryptedPage {
-    /// Ciphertext, exactly [`PAGE_SIZE`] bytes.
+    /// Ciphertext of the materialised lines: a whole number of
+    /// [`LINE_SIZE`] lines, at least one and at most [`PAGE_SIZE`] bytes.
     pub ciphertext: Vec<u8>,
     /// Poly1305-AES tag over the ciphertext under this version's pad. Held
     /// in the (tamper-proof) EPCM, not in RAM — an attacker can flip
@@ -45,6 +64,23 @@ pub struct EncryptedPage {
     pub tag: [u8; 16],
     /// Anti-replay version (Merkle-tree counter analogue).
     pub version: u64,
+}
+
+impl EncryptedPage {
+    /// Materialised bytes of a page holding `chunk_len` value bytes: whole
+    /// lines, at least one.
+    #[must_use]
+    pub(crate) fn image_len(chunk_len: usize) -> usize {
+        chunk_len.div_ceil(LINE_SIZE).max(1) * LINE_SIZE
+    }
+
+    /// Whether the image has a shape the enclave ever produces: `1..=64`
+    /// whole lines. Blobs handed back by the OS are checked with this.
+    #[must_use]
+    pub(crate) fn is_well_formed(&self) -> bool {
+        let len = self.ciphertext.len();
+        len != 0 && len.is_multiple_of(LINE_SIZE) && len <= PAGE_SIZE
+    }
 }
 
 /// The per-enclave page store. Slots may be transiently empty while a
@@ -64,7 +100,7 @@ impl EpcRegion {
 
     /// Appends an encrypted page, returning its index.
     pub fn push_page(&mut self, page: EncryptedPage) -> usize {
-        debug_assert_eq!(page.ciphertext.len(), PAGE_SIZE);
+        debug_assert!(page.is_well_formed());
         self.data_pages.push(Some(page));
         self.accounted_pages += 1;
         self.data_pages.len() - 1
@@ -96,7 +132,7 @@ impl EpcRegion {
     /// Panics when `index` is out of bounds (enclave-internal callers
     /// always use indices they allocated).
     pub fn replace_page(&mut self, index: usize, page: EncryptedPage) {
-        debug_assert_eq!(page.ciphertext.len(), PAGE_SIZE);
+        debug_assert!(page.is_well_formed());
         self.data_pages[index] = Some(page);
     }
 
@@ -141,7 +177,8 @@ impl EpcRegion {
     ///
     /// Real SGX lets a privileged attacker write to the encrypted memory
     /// region; integrity protection means the *enclave* detects it on next
-    /// access. Returns `false` when the page does not exist.
+    /// access. Returns `false` when the page is not resident or
+    /// `byte_index` is past its materialised lines: nothing is there.
     pub fn tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
         match self.data_pages.get_mut(page_index) {
             Some(Some(p)) if byte_index < p.ciphertext.len() => {
@@ -169,7 +206,7 @@ impl EpcRegion {
 /// What memory introspection of the EPC yields: raw (encrypted) page bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpcSnapshot {
-    /// Ciphertext of each materialised page.
+    /// The materialised lines of each resident page.
     pub pages: Vec<Vec<u8>>,
 }
 
@@ -186,7 +223,7 @@ impl EpcSnapshot {
                 .any(|p| p.windows(needle.len()).any(|w| w == needle))
     }
 
-    /// Total bytes visible.
+    /// Total bytes visible: materialised lines only, not accounted pages.
     #[must_use]
     pub fn total_bytes(&self) -> usize {
         self.pages.iter().map(Vec::len).sum()
@@ -198,8 +235,12 @@ mod tests {
     use super::*;
 
     fn page(fill: u8) -> EncryptedPage {
+        image(fill, PAGE_SIZE)
+    }
+
+    fn image(fill: u8, len: usize) -> EncryptedPage {
         EncryptedPage {
-            ciphertext: vec![fill; PAGE_SIZE],
+            ciphertext: vec![fill; len],
             tag: [0; 16],
             version: 0,
         }
@@ -230,6 +271,22 @@ mod tests {
         assert_eq!(epc.page(idx).unwrap().ciphertext[5], 0xff);
         assert!(!epc.tamper(99, 0));
         assert!(!epc.tamper(idx, PAGE_SIZE + 1));
+        // A one-line image has nothing past byte 63 to flip.
+        let line = epc.push_page(image(0, LINE_SIZE));
+        assert!(epc.tamper(line, LINE_SIZE - 1));
+        assert!(!epc.tamper(line, LINE_SIZE));
+        assert_eq!(epc.snapshot().total_bytes(), PAGE_SIZE + LINE_SIZE);
+        assert_eq!(epc.accounted_pages(), 2, "accounted whole all the same");
+    }
+
+    #[test]
+    fn well_formed_images_are_one_to_sixty_four_whole_lines() {
+        for len in [LINE_SIZE, 2 * LINE_SIZE, PAGE_SIZE] {
+            assert!(image(0, len).is_well_formed(), "{len}");
+        }
+        for len in [0, 1, LINE_SIZE - 1, LINE_SIZE + 1, PAGE_SIZE + LINE_SIZE] {
+            assert!(!image(0, len).is_well_formed(), "{len}");
+        }
     }
 
     #[test]
