@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::hmac_sha256;
 use shield5g_crypto::keys::{self, ServingNetworkName};
 use shield5g_crypto::milenage::Milenage;
 use shield5g_crypto::poly1305::Poly1305;
@@ -46,12 +45,8 @@ fn bench_crypto(c: &mut Criterion) {
         let data = vec![0xa5u8; 1024];
         b.iter(|| Sha256::digest(black_box(&data)));
     });
-    // One EPC page under the MAC the vault used to use and the one it
-    // uses now (whose pad is one more AES block, `aes128_encrypt_block`).
-    c.bench_function("hmac_sha256_4k", |b| {
-        let page = vec![0xa5u8; 4096];
-        b.iter(|| hmac_sha256(black_box(&[0x2b; 32]), black_box(&page)));
-    });
+    // One EPC page under the vault's MAC (whose pad is one more AES
+    // block, `aes128_encrypt_block`).
     c.bench_function("poly1305_4k", |b| {
         let page = vec![0xa5u8; 4096];
         let mac = Poly1305::new(&[0x2b; 16]);

@@ -17,7 +17,7 @@ use crate::CoreError;
 use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken, Wire};
 use shield5g_nf::NfError;
-use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::Service;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::{establish, TlsIdentity, TlsSession};
@@ -40,6 +40,10 @@ fn vnf_client_overhead_nanos(kind: PakaKind) -> u64 {
 /// TCP + TLS handshake frames exchanged on the bridge before the request
 /// (SYN/SYN-ACK/ACK + hellos/finished).
 const HANDSHAKE_FRAMES: [usize; 7] = [74, 74, 66, 517, 1290, 324, 280];
+
+/// What a handshake frame carries in the simulation: each is a slice of
+/// this block, which is as long as the longest.
+static HANDSHAKE_ZEROS: [u8; 1290] = [0; 1290];
 
 /// Latency samples collected at the VNF for one module.
 #[derive(Clone, Debug, Default)]
@@ -89,7 +93,14 @@ pub struct PakaClient {
     module: Rc<RefCell<PakaModule>>,
     bridge: Rc<RefCell<BridgeNetwork>>,
     vnf_name: String,
+    /// The module's engine address, shared with every call-out to it.
+    endpoint: Rc<str>,
+    paths: SharedPaths,
     sessions: Option<(TlsSession, TlsSession)>,
+    /// The last record carried, kept for its capacity. A message is framed
+    /// here only with the session in hand and sealed in place at once, so
+    /// between calls this is ciphertext, never an OPc or a K_AUSF.
+    record: Vec<u8>,
     metrics: Rc<RefCell<ModuleMetricsLog>>,
 }
 
@@ -110,11 +121,15 @@ impl PakaClient {
         bridge: Rc<RefCell<BridgeNetwork>>,
         vnf_name: impl Into<String>,
     ) -> Self {
+        let endpoint = module.borrow().kind().endpoint().into();
         PakaClient {
             module,
             bridge,
             vnf_name: vnf_name.into(),
+            endpoint,
+            paths: SharedPaths::default(),
             sessions: None,
+            record: Vec::new(),
             metrics: Rc::new(RefCell::new(ModuleMetricsLog::default())),
         }
     }
@@ -188,6 +203,32 @@ impl PakaClient {
         Ok(())
     }
 
+    /// Carries one sealed record across the bridge: `frame` writes the
+    /// message into the record buffer, the sender's half of the session
+    /// (the VNF's when `from_client`, else the module's) seals it there,
+    /// and the ciphertext travels to the other side.
+    fn carry_sealed(
+        &mut self,
+        env: &mut Env,
+        from_client: bool,
+        frame: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), CoreError> {
+        let mut record = std::mem::take(&mut self.record);
+        record.clear();
+        let (client, server) = self.sessions(env)?;
+        frame(&mut record);
+        let (from, to) = if from_client {
+            client.seal_in_place(&mut record);
+            (self.vnf_name.as_str(), &*self.endpoint)
+        } else {
+            server.seal_in_place(&mut record);
+            (&*self.endpoint, self.vnf_name.as_str())
+        };
+        self.bridge.borrow_mut().carry(env, from, to, &record);
+        self.record = record;
+        Ok(())
+    }
+
     /// First half of an offloaded call: charges the VNF-side client work,
     /// carries the handshake and the sealed request record across the
     /// bridge, and returns the engine destination, the request to yield as
@@ -203,7 +244,7 @@ impl PakaClient {
         env: &mut Env,
         path: &str,
         body: Vec<u8>,
-    ) -> Result<(String, HttpRequest, CallToken), CoreError> {
+    ) -> Result<(Rc<str>, HttpRequest, CallToken), CoreError> {
         let kind = self.module.borrow().kind();
         let issued = env.clock.now();
 
@@ -212,23 +253,17 @@ impl PakaClient {
             .advance(SimDuration::from_nanos(vnf_client_overhead_nanos(kind)));
 
         // TCP + TLS handshake frames on the bridge.
-        let endpoint = kind.endpoint();
         for bytes in HANDSHAKE_FRAMES {
-            let dummy = vec![0u8; bytes];
-            self.bridge
-                .borrow_mut()
-                .carry(env, &self.vnf_name, endpoint, &dummy);
+            let frame = &HANDSHAKE_ZEROS[..bytes];
+            let mut bridge = self.bridge.borrow_mut();
+            bridge.carry(env, &self.vnf_name, &self.endpoint, frame);
         }
 
         // The request record: genuinely encrypted on the wire.
-        let request = HttpRequest::post(path, body);
-        let request_bytes = request.to_bytes();
-        let record = self.sessions(env)?.0.seal(&request_bytes);
-        self.bridge
-            .borrow_mut()
-            .carry(env, &self.vnf_name, endpoint, &record);
+        let request = HttpRequest::post(self.paths.get(path), body);
+        self.carry_sealed(env, true, |record| request.write_to(record))?;
 
-        Ok((endpoint.to_owned(), request, CallToken { issued }))
+        Ok((self.endpoint.clone(), request, CallToken { issued }))
     }
 
     /// Second half of an offloaded call: carries the sealed response record
@@ -244,15 +279,8 @@ impl PakaClient {
         resp: HttpResponse,
         token: CallToken,
     ) -> Result<Vec<u8>, CoreError> {
-        let kind = self.module.borrow().kind();
-        let endpoint = kind.endpoint();
-
         // Response record back across the bridge.
-        let resp_bytes = resp.to_bytes();
-        let resp_record = self.sessions(env)?.1.seal(&resp_bytes);
-        self.bridge
-            .borrow_mut()
-            .carry(env, endpoint, &self.vnf_name, &resp_record);
+        self.carry_sealed(env, false, |record| resp.write_to(record))?;
 
         // Client-side record decrypt + read path.
         env.clock.advance(SimDuration::from_micros(9));
@@ -265,7 +293,7 @@ impl PakaClient {
             Ok(resp.body)
         } else {
             Err(CoreError::Module {
-                module: kind.name().to_owned(),
+                module: self.module.borrow().kind().name().to_owned(),
                 status: resp.status,
                 detail: String::from_utf8_lossy(&resp.body).into_owned(),
             })

@@ -27,8 +27,9 @@
 //! the low counter byte wraps, so any 128-bit initial counter block gives
 //! the bytes of the plain block-by-block definition.
 //!
-//! [`Aes128::decrypt_block`] has no caller outside tests and stays a
-//! byte-wise transcription of FIPS-197: it shares only the S-box and the
+//! Nothing in the workspace decrypts a block (CTR and MILENAGE run the
+//! cipher forwards only), so the inverse cipher lives with the tests: a
+//! byte-wise transcription of FIPS-197 that shares only the S-box and the
 //! key schedule with the forward core, which makes the encrypt/decrypt
 //! round-trip tests a differential check of one against the other.
 //!
@@ -47,11 +48,9 @@
 //! let mut block = *b"sixteen byte blk";
 //! let original = block;
 //! cipher.encrypt_block(&mut block);
-//! cipher.decrypt_block(&mut block);
-//! assert_eq!(block, original);
+//! assert_ne!(block, original);
+//! assert_eq!(block, cipher.encrypt_block_copy(&original));
 //! ```
-
-use std::sync::OnceLock;
 
 /// The AES S-box (FIPS-197 figure 7).
 const SBOX: [u8; 256] = [
@@ -75,19 +74,6 @@ const SBOX: [u8; 256] = [
 
 /// Round constants for the AES-128 key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
-
-/// The inverse S-box, derived from [`SBOX`] on first use so that no
-/// hand-transcribed second table can disagree with the first.
-fn inv_sbox() -> &'static [u8; 256] {
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
 
 /// Multiplication in GF(2^8) with the AES reduction polynomial `x^8 + x^4 + x^3 + x + 1`.
 const fn gmul(mut a: u8, mut b: u8) -> u8 {
@@ -173,47 +159,6 @@ impl Aes128 {
         Aes128 { schedule }
     }
 
-    fn add_round_key(state: &mut [u8; 16], round_key: &[u32; 4]) {
-        *state = (u128::from_be_bytes(*state) ^ join(*round_key)).to_be_bytes();
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let inv = inv_sbox();
-        for s in state.iter_mut() {
-            *s = inv[*s as usize];
-        }
-    }
-
-    /// State layout follows FIPS-197: byte `i` of the block sits at row
-    /// `i % 4`, column `i / 4`; `InvShiftRows` rotates row `r` right by `r`.
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] =
-                gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-            state[4 * c + 1] =
-                gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-            state[4 * c + 2] =
-                gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-            state[4 * c + 3] =
-                gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
-        }
-    }
-
     /// Rounds `from..=10` of the forward cipher on column words: the full
     /// rounds up to 9, then the last, which has no `MixColumns` and takes
     /// the plain `S[x]` from whichever byte of a table entry holds it.
@@ -242,20 +187,6 @@ impl Aes128 {
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let state = xor(columns(u128::from_be_bytes(*block)), self.schedule[0]);
         *block = join(self.finish(1, state)).to_be_bytes();
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.schedule[10]);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.schedule[round]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.schedule[0]);
     }
 
     /// Encrypts a copy of `block` and returns it, leaving the input intact.
@@ -359,6 +290,87 @@ fn join(columns: [u32; 4]) -> u128 {
 mod tests {
     use super::*;
     use crate::hex;
+    use std::sync::OnceLock;
+
+    /// The inverse S-box, derived from [`SBOX`] on first use so that no
+    /// hand-transcribed second table can disagree with the first.
+    fn inv_sbox() -> &'static [u8; 256] {
+        static INV: OnceLock<[u8; 256]> = OnceLock::new();
+        INV.get_or_init(|| {
+            let mut inv = [0u8; 256];
+            for (i, &s) in SBOX.iter().enumerate() {
+                inv[s as usize] = i as u8;
+            }
+            inv
+        })
+    }
+
+    /// The inverse cipher, FIPS-197 step by step: the forward core's
+    /// differential reference.
+    impl Aes128 {
+        fn add_round_key(state: &mut [u8; 16], round_key: &[u32; 4]) {
+            *state = (u128::from_be_bytes(*state) ^ join(*round_key)).to_be_bytes();
+        }
+
+        fn inv_sub_bytes(state: &mut [u8; 16]) {
+            let inv = inv_sbox();
+            for s in state.iter_mut() {
+                *s = inv[*s as usize];
+            }
+        }
+
+        /// State layout follows FIPS-197: byte `i` of the block sits at row
+        /// `i % 4`, column `i / 4`; `InvShiftRows` rotates row `r` right by `r`.
+        fn inv_shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for r in 1..4 {
+                for c in 0..4 {
+                    state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+                }
+            }
+        }
+
+        fn inv_mix_columns(state: &mut [u8; 16]) {
+            for c in 0..4 {
+                let col = [
+                    state[4 * c],
+                    state[4 * c + 1],
+                    state[4 * c + 2],
+                    state[4 * c + 3],
+                ];
+                state[4 * c] = gmul(col[0], 0x0e)
+                    ^ gmul(col[1], 0x0b)
+                    ^ gmul(col[2], 0x0d)
+                    ^ gmul(col[3], 0x09);
+                state[4 * c + 1] = gmul(col[0], 0x09)
+                    ^ gmul(col[1], 0x0e)
+                    ^ gmul(col[2], 0x0b)
+                    ^ gmul(col[3], 0x0d);
+                state[4 * c + 2] = gmul(col[0], 0x0d)
+                    ^ gmul(col[1], 0x09)
+                    ^ gmul(col[2], 0x0e)
+                    ^ gmul(col[3], 0x0b);
+                state[4 * c + 3] = gmul(col[0], 0x0b)
+                    ^ gmul(col[1], 0x0d)
+                    ^ gmul(col[2], 0x09)
+                    ^ gmul(col[3], 0x0e);
+            }
+        }
+
+        /// Decrypts one 16-byte block in place.
+        fn decrypt_block(&self, block: &mut [u8; 16]) {
+            Self::add_round_key(block, &self.schedule[10]);
+            for round in (1..10).rev() {
+                Self::inv_shift_rows(block);
+                Self::inv_sub_bytes(block);
+                Self::add_round_key(block, &self.schedule[round]);
+                Self::inv_mix_columns(block);
+            }
+            Self::inv_shift_rows(block);
+            Self::inv_sub_bytes(block);
+            Self::add_round_key(block, &self.schedule[0]);
+        }
+    }
 
     #[test]
     fn fips197_appendix_c1_vector() {

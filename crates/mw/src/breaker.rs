@@ -154,7 +154,7 @@ struct Peer {
 /// arbitrary interleavings. All state is `BTreeMap`-ordered and every
 /// decision is a pure function of (policy, history, virtual now).
 #[derive(Debug)]
-pub struct BreakerCore<K: Ord + Clone = String> {
+pub struct BreakerCore<K: Ord + Clone = Rc<str>> {
     policy: BreakerPolicy,
     peers: BTreeMap<K, Peer>,
     stats: BreakerStats,
@@ -300,11 +300,11 @@ impl<K: Ord + Clone> BreakerCore<K> {
 
 /// Shared handle to a breaker core (the harness keeps a clone to read
 /// states and stats after runs).
-pub type BreakerHandle = Rc<RefCell<BreakerCore<String>>>;
+pub type BreakerHandle = Rc<RefCell<BreakerCore<Rc<str>>>>;
 
 /// Continuation wrapper carried through the engine for a guarded call.
 struct BreakerLeg {
-    dest: String,
+    dest: Rc<str>,
     probe: bool,
     inner: Box<dyn Any>,
 }

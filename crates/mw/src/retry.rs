@@ -119,7 +119,7 @@ pub type RetryStatsHandle = Rc<RefCell<RetryStats>>;
 
 /// Continuation wrapper carried through the engine for a guarded call.
 struct RetryState {
-    dest: String,
+    dest: Rc<str>,
     req: HttpRequest,
     attempt: u32,
     inner: Box<dyn Any>,
@@ -350,8 +350,8 @@ mod tests {
         let Resume::Break(Step::CallOut { dest, req, .. }) = out else {
             panic!("expected a retransmission");
         };
-        assert_eq!(dest, "ausf.oai");
-        assert_eq!(req.path, "/p");
+        assert_eq!(&*dest, "ausf.oai");
+        assert_eq!(&*req.path, "/p");
         assert_eq!(req.body, vec![9]);
         // The backoff was charged on the caller's timeline.
         assert!(env.clock.now() - before >= SimDuration::from_micros(3_000));

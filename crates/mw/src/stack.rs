@@ -357,7 +357,7 @@ mod tests {
     }
 
     struct Relay {
-        next: String,
+        next: Rc<str>,
     }
     impl EngineService for Relay {
         fn start(&mut self, _env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {

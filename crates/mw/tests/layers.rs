@@ -35,7 +35,7 @@ impl Service for SlowEcho {
 
 /// A relay that forwards to `next` and returns the response unchanged.
 struct Relay {
-    next: String,
+    next: Rc<str>,
 }
 
 impl EngineService for Relay {

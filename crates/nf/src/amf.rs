@@ -19,12 +19,14 @@ use crate::NfError;
 use shield5g_crypto::ident::Guti;
 use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::sqn::Auts;
+use shield5g_sim::codec::Writer;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// NAS decode/validate/route overhead per message on the OAI C++ path.
 const AMF_NAS_HANDLER_NANOS: u64 = 62_000;
@@ -67,8 +69,8 @@ enum UeState {
 /// The AMF service.
 pub struct AmfService {
     client: SbiClient,
-    ausf_addr: String,
-    smf_addr: String,
+    ausf_addr: Rc<str>,
+    smf_addr: Rc<str>,
     backend: Box<dyn AkaBackend<DeriveKamf>>,
     serving_mcc: String,
     serving_mnc: String,
@@ -95,8 +97,8 @@ impl AmfService {
     #[must_use]
     pub fn new(
         client: SbiClient,
-        ausf_addr: impl Into<String>,
-        smf_addr: impl Into<String>,
+        ausf_addr: impl Into<Rc<str>>,
+        smf_addr: impl Into<Rc<str>>,
         backend: Box<dyn AkaBackend<DeriveKamf>>,
         mcc: &str,
         mnc: &str,
@@ -130,7 +132,7 @@ impl AmfService {
     fn call_out(
         &self,
         env: &mut Env,
-        dest: String,
+        dest: Rc<str>,
         path: &str,
         body: Vec<u8>,
         state: Box<dyn Any>,
@@ -316,7 +318,7 @@ impl AmfService {
                     };
                     return Ok(self.call_out(
                         env,
-                        crate::addr::UDM.to_owned(),
+                        crate::addr::UDM.into(),
                         "/nudm-ueau/generate-auth-data",
                         req.encode(),
                         Box::new(AmfFlow::AwaitSupiResolve {
@@ -378,7 +380,7 @@ impl AmfService {
         &mut self,
         env: &mut Env,
         ran_ue_id: u64,
-        pdu: &ProtectedNas,
+        pdu: &ProtectedNas<&[u8]>,
     ) -> Result<Step, NfError> {
         let state = self
             .contexts
@@ -497,18 +499,20 @@ impl AmfService {
         }
     }
 
-    /// Protects a downlink NAS message when a security context exists for
-    /// the association (post security-mode messages are protected).
+    /// Encodes a downlink NAS message, protected where it is written when
+    /// a security context exists for the association (post security-mode
+    /// messages are protected).
     fn encode_downlink(&mut self, ran_ue_id: u64, msg: &NasDownlink) -> Vec<u8> {
-        let plain = msg.encode();
-        match (self.contexts.get_mut(&ran_ue_id), msg) {
+        Writer::build(|w| match self.contexts.get_mut(&ran_ue_id) {
             // The SecurityModeCommand itself and everything after travel
             // under the new context.
-            (Some(UeState::SecurityMode { sec, .. }), _)
-            | (Some(UeState::AcceptSent { sec, .. }), _)
-            | (Some(UeState::Registered { sec, .. }), _) => sec.protect(&plain).encode(),
-            _ => plain,
-        }
+            Some(
+                UeState::SecurityMode { sec, .. }
+                | UeState::AcceptSent { sec, .. }
+                | UeState::Registered { sec, .. },
+            ) => sec.protect_into(w, |w| msg.encode_into(w)),
+            _ => msg.encode_into(w),
+        })
     }
 
     /// Wraps a downlink NAS message into the NGAP reply: protect under the
@@ -550,7 +554,7 @@ impl AmfService {
             )
         );
         if has_sec_context {
-            let pdu = ProtectedNas::decode(nas_bytes)?;
+            let pdu = ProtectedNas::borrow(nas_bytes)?;
             self.handle_secured_uplink(env, ran_ue_id, &pdu)
         } else {
             match NasUplink::decode(nas_bytes)? {
@@ -731,7 +735,7 @@ enum AmfFlow {
 
 impl EngineService for AmfService {
     fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-        if req.path != "/ngap" {
+        if &*req.path != "/ngap" {
             return Step::Reply(HttpResponse::error(
                 404,
                 format!("no handler for {}", req.path),

@@ -9,7 +9,7 @@
 use crate::backend::{AkaBackend, AusfAkaRequest, BackendOp, CallToken, DeriveSe, Wire};
 use crate::sbi::{
     AuthenticateRequest, AuthenticateResponse, ConfirmRequest, ConfirmResponse, ResyncRequest,
-    SbiClient, UdmAuthGetRequest, UdmAuthGetResponse,
+    SbiClient, UdmAuthGetResponse,
 };
 use crate::NfError;
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
@@ -20,6 +20,7 @@ use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// AUSF handler parsing/auth-service-authorisation overhead.
 const AUSF_HANDLER_NANOS: u64 = 48_000;
@@ -34,7 +35,7 @@ struct AuthContext {
 /// The AUSF service.
 pub struct AusfService {
     client: SbiClient,
-    udm_addr: String,
+    udm_addr: Rc<str>,
     backend: Box<dyn AkaBackend<DeriveSe>>,
     contexts: BTreeMap<u64, AuthContext>,
     next_ctx: u64,
@@ -54,7 +55,7 @@ impl AusfService {
     #[must_use]
     pub fn new(
         client: SbiClient,
-        udm_addr: impl Into<String>,
+        udm_addr: impl Into<Rc<str>>,
         backend: Box<dyn AkaBackend<DeriveSe>>,
     ) -> Self {
         AusfService {
@@ -183,7 +184,7 @@ enum AusfFlow {
 
 impl EngineService for AusfService {
     fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-        match req.path.as_str() {
+        match &*req.path {
             "/nausf-auth/authenticate" => {
                 env.clock
                     .advance(SimDuration::from_nanos(AUSF_HANDLER_NANOS));
@@ -192,17 +193,11 @@ impl EngineService for AusfService {
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
                 // Forward to UDM for the HE AV.
-                let udm_req = UdmAuthGetRequest {
-                    identity: decoded.identity.clone(),
-                    known_supi: decoded.known_supi.clone(),
-                    snn_mcc: decoded.snn_mcc.clone(),
-                    snn_mnc: decoded.snn_mnc.clone(),
-                };
                 let snn = ServingNetworkName::new(&decoded.snn_mcc, &decoded.snn_mnc);
                 {
                     let req =
                         self.client
-                            .send(env, "/nudm-ueau/generate-auth-data", udm_req.encode());
+                            .send(env, "/nudm-ueau/generate-auth-data", decoded.encode());
                     Step::CallOut {
                         dest: self.udm_addr.clone(),
                         req,

@@ -5,6 +5,7 @@
 //! every message has a definite wire size — the radio and backhaul
 //! latency models charge per byte.
 
+use crate::NfError;
 use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci};
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Reader, Writer};
@@ -115,32 +116,85 @@ pub enum NasDownlink {
     IdentityRequest,
 }
 
+/// A SUCI on the wire — its one field list, for NAS (registration
+/// request, identity response) and the SBI bodies that forward it.
+fn put_suci(w: &mut Writer, suci: &Suci) {
+    w.put_str(suci.plmn.mcc())
+        .put_str(suci.plmn.mnc())
+        .put_u16(suci.routing_indicator)
+        .put_u8(suci.scheme.id())
+        .put_u8(suci.hn_key_id)
+        .put_bytes(&suci.scheme_output);
+}
+
+fn get_suci(r: &mut Reader<'_>) -> Result<Suci, NfError> {
+    // The digit strings are only parsed: borrowed, not copied out.
+    let (mcc, mnc) = (r.str_ref()?, r.str_ref()?);
+    let routing_indicator = r.u16()?;
+    let scheme = ProtectionScheme::from_id(r.u8()?)?;
+    let hn_key_id = r.u8()?;
+    let scheme_output = r.bytes()?;
+    Ok(Suci {
+        plmn: Plmn::new(mcc, mnc)?,
+        routing_indicator,
+        hn_key_id,
+        scheme,
+        scheme_output,
+    })
+}
+
+fn put_guti(w: &mut Writer, guti: &Guti) {
+    w.put_u8(guti.amf_region_id)
+        .put_u16(guti.amf_set_id)
+        .put_u8(guti.amf_pointer)
+        .put_u32(guti.tmsi);
+}
+
+fn get_guti(r: &mut Reader<'_>) -> Result<Guti, SimError> {
+    Ok(Guti::new(r.u8()?, r.u16()?, r.u8()?, r.u32()?))
+}
+
+/// A UE identity on the wire: a discriminant, then the SUCI or GUTI.
+pub(crate) fn put_ue_identity(w: &mut Writer, id: &UeIdentity) {
+    match id {
+        UeIdentity::Suci(suci) => put_suci(w.put_u8(0), suci),
+        UeIdentity::Guti(guti) => put_guti(w.put_u8(1), guti),
+    }
+}
+
+pub(crate) fn get_ue_identity(r: &mut Reader<'_>) -> Result<UeIdentity, NfError> {
+    match r.u8()? {
+        0 => Ok(UeIdentity::Suci(get_suci(r)?)),
+        1 => Ok(UeIdentity::Guti(get_guti(r)?)),
+        other => Err(NfError::Protocol(format!(
+            "bad identity discriminant {other}"
+        ))),
+    }
+}
+
+/// NAS decoders report every violation as a framing error, in the words
+/// of its cause.
+fn framing(e: NfError) -> SimError {
+    match e {
+        NfError::Sim(e) => e,
+        NfError::Crypto(e) => SimError::MalformedHttp(e.to_string()),
+        NfError::Protocol(why) => SimError::MalformedHttp(why),
+        e => SimError::MalformedHttp(e.to_string()),
+    }
+}
+
 impl NasUplink {
     /// Encodes to wire bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        Writer::build(|w| self.encode_into(w))
+    }
+
+    /// Writes the wire bytes into `w` (a protected PDU being built).
+    pub fn encode_into(&self, w: &mut Writer) {
         match self {
             NasUplink::RegistrationRequest { identity } => {
-                w.put_u8(0x41);
-                match identity {
-                    UeIdentity::Suci(suci) => {
-                        w.put_u8(0);
-                        w.put_str(suci.plmn.mcc());
-                        w.put_str(suci.plmn.mnc());
-                        w.put_u16(suci.routing_indicator);
-                        w.put_u8(suci.scheme.id());
-                        w.put_u8(suci.hn_key_id);
-                        w.put_bytes(&suci.scheme_output);
-                    }
-                    UeIdentity::Guti(guti) => {
-                        w.put_u8(1);
-                        w.put_u8(guti.amf_region_id);
-                        w.put_u16(guti.amf_set_id);
-                        w.put_u8(guti.amf_pointer);
-                        w.put_u32(guti.tmsi);
-                    }
-                }
+                put_ue_identity(w.put_u8(0x41), identity);
             }
             NasUplink::AuthenticationResponse { res_star } => {
                 w.put_u8(0x57);
@@ -173,17 +227,8 @@ impl NasUplink {
                 w.put_u8(0x45);
                 w.put_bool(*switch_off);
             }
-            NasUplink::IdentityResponse { suci } => {
-                w.put_u8(0x5c);
-                w.put_str(suci.plmn.mcc());
-                w.put_str(suci.plmn.mnc());
-                w.put_u16(suci.routing_indicator);
-                w.put_u8(suci.scheme.id());
-                w.put_u8(suci.hn_key_id);
-                w.put_bytes(&suci.scheme_output);
-            }
+            NasUplink::IdentityResponse { suci } => put_suci(w.put_u8(0x5c), suci),
         }
-        w.into_bytes()
     }
 
     /// Decodes wire bytes.
@@ -195,35 +240,8 @@ impl NasUplink {
     pub fn decode(bytes: &[u8]) -> Result<Self, SimError> {
         let mut r = Reader::new(bytes);
         let msg = match r.u8()? {
-            0x41 => match r.u8()? {
-                0 => {
-                    let mcc = r.str()?;
-                    let mnc = r.str()?;
-                    let routing_indicator = r.u16()?;
-                    let scheme = ProtectionScheme::from_id(r.u8()?)
-                        .map_err(|e| SimError::MalformedHttp(e.to_string()))?;
-                    let hn_key_id = r.u8()?;
-                    let scheme_output = r.bytes()?;
-                    let plmn = Plmn::new(&mcc, &mnc)
-                        .map_err(|e| SimError::MalformedHttp(e.to_string()))?;
-                    NasUplink::RegistrationRequest {
-                        identity: UeIdentity::Suci(Suci {
-                            plmn,
-                            routing_indicator,
-                            scheme,
-                            hn_key_id,
-                            scheme_output,
-                        }),
-                    }
-                }
-                1 => NasUplink::RegistrationRequest {
-                    identity: UeIdentity::Guti(Guti::new(r.u8()?, r.u16()?, r.u8()?, r.u32()?)),
-                },
-                other => {
-                    return Err(SimError::MalformedHttp(format!(
-                        "bad identity discriminant {other}"
-                    )))
-                }
+            0x41 => NasUplink::RegistrationRequest {
+                identity: get_ue_identity(&mut r).map_err(framing)?,
             },
             0x57 => NasUplink::AuthenticationResponse {
                 res_star: r.array()?,
@@ -252,25 +270,9 @@ impl NasUplink {
             0x45 => NasUplink::DeregistrationRequest {
                 switch_off: r.bool()?,
             },
-            0x5c => {
-                let mcc = r.str()?;
-                let mnc = r.str()?;
-                let routing_indicator = r.u16()?;
-                let scheme = ProtectionScheme::from_id(r.u8()?)
-                    .map_err(|e| SimError::MalformedHttp(e.to_string()))?;
-                let hn_key_id = r.u8()?;
-                let scheme_output = r.bytes()?;
-                NasUplink::IdentityResponse {
-                    suci: Suci {
-                        plmn: Plmn::new(&mcc, &mnc)
-                            .map_err(|e| SimError::MalformedHttp(e.to_string()))?,
-                        routing_indicator,
-                        scheme,
-                        hn_key_id,
-                        scheme_output,
-                    },
-                }
-            }
+            0x5c => NasUplink::IdentityResponse {
+                suci: get_suci(&mut r).map_err(framing)?,
+            },
             other => {
                 return Err(SimError::MalformedHttp(format!(
                     "unknown NAS uplink type {other:#x}"
@@ -286,7 +288,11 @@ impl NasDownlink {
     /// Encodes to wire bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        Writer::build(|w| self.encode_into(w))
+    }
+
+    /// Writes the wire bytes into `w` (a protected PDU being built).
+    pub fn encode_into(&self, w: &mut Writer) {
         match self {
             NasDownlink::AuthenticationRequest {
                 rand,
@@ -311,13 +317,7 @@ impl NasDownlink {
                 w.put_u8(*integrity_alg);
                 w.put_u8(*ciphering_alg);
             }
-            NasDownlink::RegistrationAccept { guti } => {
-                w.put_u8(0x42);
-                w.put_u8(guti.amf_region_id);
-                w.put_u16(guti.amf_set_id);
-                w.put_u8(guti.amf_pointer);
-                w.put_u32(guti.tmsi);
-            }
+            NasDownlink::RegistrationAccept { guti } => put_guti(w.put_u8(0x42), guti),
             NasDownlink::RegistrationReject { cause } => {
                 w.put_u8(0x44);
                 w.put_u8(*cause);
@@ -337,7 +337,6 @@ impl NasDownlink {
                 w.put_u8(0x5b);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes wire bytes.
@@ -361,7 +360,7 @@ impl NasDownlink {
                 ciphering_alg: r.u8()?,
             },
             0x42 => NasDownlink::RegistrationAccept {
-                guti: Guti::new(r.u8()?, r.u16()?, r.u8()?, r.u32()?),
+                guti: get_guti(&mut r)?,
             },
             0x44 => NasDownlink::RegistrationReject { cause: r.u8()? },
             0xc2 => NasDownlink::PduSessionEstablishmentAccept {
@@ -468,6 +467,17 @@ impl Ngap {
     /// The carried NAS payload.
     #[must_use]
     pub fn nas(&self) -> &[u8] {
+        match self {
+            Ngap::InitialUeMessage { nas, .. }
+            | Ngap::UplinkNasTransport { nas, .. }
+            | Ngap::DownlinkNasTransport { nas, .. }
+            | Ngap::InitialContextSetup { nas, .. } => nas,
+        }
+    }
+
+    /// The carried NAS payload, moved out (the gNB hands it to the UE).
+    #[must_use]
+    pub fn into_nas(self) -> Vec<u8> {
         match self {
             Ngap::InitialUeMessage { nas, .. }
             | Ngap::UplinkNasTransport { nas, .. }

@@ -5,10 +5,15 @@
 //! UE" — this module is that connection. Algorithms are simulation
 //! equivalents of 5G-EA2/5G-IA2 (AES-CTR ciphering, HMAC-based 32-bit
 //! integrity MAC) keyed from K_AMF via the TS 33.501 A.8 derivations.
+//!
+//! A sender protects a message where it is written
+//! ([`NasSecurityContext::protect_into`]) and a receiver unprotects it
+//! from the message that carried it ([`ProtectedNas::borrow`]), so a
+//! protected PDU is never a buffer of its own.
 
 use crate::NfError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::hmac_sha256;
+use shield5g_crypto::hmac::HmacSha256;
 use shield5g_crypto::keys::derive_nas_key;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::codec::{Reader, Writer};
@@ -18,15 +23,34 @@ pub const CIPHER_ALG_AES: u8 = 2;
 /// Identifier of the simulated HMAC-based integrity algorithm (5G-IA2-like).
 pub const INTEGRITY_ALG_HMAC: u8 = 2;
 
-/// A protected NAS PDU: `count || mac32 || ciphertext`.
+/// A protected NAS PDU: `count || mac32 || ciphertext`, the ciphertext
+/// owned (`Vec<u8>`) or borrowed from the wire bytes (`&[u8]`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProtectedNas {
+pub struct ProtectedNas<B = Vec<u8>> {
     /// NAS COUNT used for replay protection and keystream freshness.
     pub count: u32,
     /// Truncated 32-bit message authentication code.
     pub mac: [u8; 4],
     /// Ciphered inner NAS message.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: B,
+}
+
+impl<'a> ProtectedNas<&'a [u8]> {
+    /// Decodes wire bytes, the ciphertext left where it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NfError::Sim`] on framing violations.
+    pub fn borrow(bytes: &'a [u8]) -> Result<Self, NfError> {
+        let mut r = Reader::new(bytes);
+        let pdu = ProtectedNas {
+            count: r.u32()?,
+            mac: r.array()?,
+            ciphertext: r.bytes_ref()?,
+        };
+        r.finish()?;
+        Ok(pdu)
+    }
 }
 
 impl ProtectedNas {
@@ -44,16 +68,13 @@ impl ProtectedNas {
     ///
     /// # Errors
     ///
-    /// Returns [`NfError::Protocol`] on framing violations.
+    /// Returns [`NfError::Sim`] on framing violations.
     pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let pdu = ProtectedNas {
-            count: r.u32()?,
-            mac: r.array()?,
-            ciphertext: r.bytes()?,
-        };
-        r.finish()?;
-        Ok(pdu)
+        ProtectedNas::borrow(bytes).map(|pdu| ProtectedNas {
+            count: pdu.count,
+            mac: pdu.mac,
+            ciphertext: pdu.ciphertext.to_vec(),
+        })
     }
 }
 
@@ -99,28 +120,51 @@ impl NasSecurityContext {
         nonce
     }
 
+    /// The truncated HMAC over `direction ‖ count ‖ ciphertext`, streamed
+    /// rather than assembled.
     fn mac(&self, count: u32, uplink: bool, ciphertext: &[u8]) -> [u8; 4] {
-        let mut input = Vec::with_capacity(6 + ciphertext.len());
-        input.push(u8::from(uplink));
-        input.extend_from_slice(&count.to_be_bytes());
-        input.extend_from_slice(ciphertext);
-        let tag = hmac_sha256(self.knas_int.expose(), &input);
-        tag[..4].try_into().expect("4 bytes")
+        let mut mac = HmacSha256::new(self.knas_int.expose());
+        mac.update(&[u8::from(uplink)]);
+        mac.update(&count.to_be_bytes());
+        mac.update(ciphertext);
+        let mut tag = [0u8; 4];
+        tag.copy_from_slice(&mac.finalize()[..4]);
+        tag
     }
 
-    /// Protects an outgoing plain NAS message: cipher then MAC.
-    pub fn protect(&mut self, plain: &[u8]) -> ProtectedNas {
+    /// Cipher then MAC: ciphers `body` in place under the TX COUNT, spends
+    /// that COUNT and returns the MAC over the result.
+    fn seal(&mut self, body: &mut [u8]) -> [u8; 4] {
         let count = self.tx_count;
         self.tx_count += 1;
-        let mut ciphertext = plain.to_vec();
         Aes128::new(self.knas_enc.expose())
-            .ctr_apply(&Self::keystream_nonce(count, self.uplink), &mut ciphertext);
-        let mac = self.mac(count, self.uplink, &ciphertext);
+            .ctr_apply(&Self::keystream_nonce(count, self.uplink), body);
+        self.mac(count, self.uplink, body)
+    }
+
+    /// Protects an outgoing plain NAS message.
+    pub fn protect(&mut self, plain: &[u8]) -> ProtectedNas {
+        let count = self.tx_count;
+        let mut ciphertext = plain.to_vec();
+        let mac = self.seal(&mut ciphertext);
         ProtectedNas {
             count,
             mac,
             ciphertext,
         }
+    }
+
+    /// Writes the protected PDU of the message `plain` writes into `w`,
+    /// ciphering it where it was written: the bytes
+    /// `protect(&plain).encode()` would append, with no buffer between.
+    pub fn protect_into(&mut self, w: &mut Writer, plain: impl FnOnce(&mut Writer)) {
+        w.put_u32(self.tx_count);
+        // The MAC is known once the body is ciphered.
+        let mac_at = w.len();
+        w.put_array(&[0; 4]);
+        let body = w.put_nested(plain);
+        let mac = self.seal(&mut w.written_mut()[body]);
+        w.written_mut()[mac_at..mac_at + 4].copy_from_slice(&mac);
     }
 
     /// Verifies and deciphers an incoming protected NAS message.
@@ -129,21 +173,21 @@ impl NasSecurityContext {
     ///
     /// Returns [`NfError::AuthenticationRejected`] on MAC failure or a
     /// replayed/regressed COUNT.
-    pub fn unprotect(&mut self, pdu: &ProtectedNas) -> Result<Vec<u8>, NfError> {
+    pub fn unprotect<B: AsRef<[u8]>>(&mut self, pdu: &ProtectedNas<B>) -> Result<Vec<u8>, NfError> {
         if pdu.count < self.rx_count {
             return Err(NfError::AuthenticationRejected(format!(
                 "NAS COUNT replay: got {}, expected >= {}",
                 pdu.count, self.rx_count
             )));
         }
-        let expected = self.mac(pdu.count, !self.uplink, &pdu.ciphertext);
+        let expected = self.mac(pdu.count, !self.uplink, pdu.ciphertext.as_ref());
         if !shield5g_crypto::ct_eq(&expected, &pdu.mac) {
             return Err(NfError::AuthenticationRejected(
                 "NAS integrity check failed".into(),
             ));
         }
         self.rx_count = pdu.count + 1;
-        let mut plain = pdu.ciphertext.clone();
+        let mut plain = pdu.ciphertext.as_ref().to_vec();
         Aes128::new(self.knas_enc.expose())
             .ctr_apply(&Self::keystream_nonce(pdu.count, !self.uplink), &mut plain);
         Ok(plain)

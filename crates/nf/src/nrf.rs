@@ -82,7 +82,7 @@ impl NrfService {
 impl Service for NrfService {
     fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
         env.clock.advance(SimDuration::from_micros(18)); // registry lookup path
-        match req.path.as_str() {
+        match &*req.path {
             "/nnrf-nfm/register" => match NfProfile::decode(&req.body) {
                 Ok(profile) => {
                     env.log.record(

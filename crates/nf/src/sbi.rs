@@ -1,18 +1,18 @@
 //! Service-based interface plumbing: the SBI client and the inter-NF
 //! message payloads (CAPIF-style REST bodies with explicit encodings).
 
-use crate::messages::UeIdentity;
+use crate::messages::{get_ue_identity, put_ue_identity, UeIdentity};
 use crate::NfError;
-use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci};
 use shield5g_crypto::keys::SeAv;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Reader, Writer};
 use shield5g_sim::engine;
-use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::latency::LinkProfile;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
+use std::cell::RefCell;
 
 /// Per-record TLS processing on persistent SBI connections (encrypt +
 /// MAC on one side, verify + decrypt on the other).
@@ -28,17 +28,11 @@ const TLS_RECORD_NANOS: u64 = 2_100;
 /// cost and maps transport-level failures. The two halves together charge
 /// exactly what the old nested synchronous `post` did, so closed-loop
 /// latencies are unchanged — only the waiting is now mechanistic.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SbiClient {
     profile: LinkProfile,
-}
-
-impl std::fmt::Debug for SbiClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SbiClient")
-            .field("profile", &self.profile)
-            .finish()
-    }
+    /// The paths this client has sent, so a request shares its path.
+    paths: RefCell<SharedPaths>,
 }
 
 impl Default for SbiClient {
@@ -53,6 +47,7 @@ impl SbiClient {
     pub fn new() -> Self {
         SbiClient {
             profile: LinkProfile::docker_bridge(),
+            paths: RefCell::default(),
         }
     }
 
@@ -67,7 +62,7 @@ impl SbiClient {
     /// on the link) and returns the request to hand to the scheduler in a
     /// `Step::CallOut`.
     pub fn send(&self, env: &mut Env, path: &str, body: Vec<u8>) -> HttpRequest {
-        let req = HttpRequest::post(path, body);
+        let req = HttpRequest::post(self.paths.borrow_mut().get(path), body);
         env.clock.advance(SimDuration::from_nanos(TLS_RECORD_NANOS));
         self.profile.transfer(env, req.wire_len());
         req
@@ -112,56 +107,6 @@ impl SbiClient {
                 status: resp.status,
             }))
         }
-    }
-}
-
-fn put_ue_identity(w: &mut Writer, id: &UeIdentity) {
-    match id {
-        UeIdentity::Suci(suci) => {
-            w.put_u8(0);
-            w.put_str(suci.plmn.mcc());
-            w.put_str(suci.plmn.mnc());
-            w.put_u16(suci.routing_indicator);
-            w.put_u8(suci.scheme.id());
-            w.put_u8(suci.hn_key_id);
-            w.put_bytes(&suci.scheme_output);
-        }
-        UeIdentity::Guti(guti) => {
-            w.put_u8(1);
-            w.put_u8(guti.amf_region_id);
-            w.put_u16(guti.amf_set_id);
-            w.put_u8(guti.amf_pointer);
-            w.put_u32(guti.tmsi);
-        }
-    }
-}
-
-fn get_ue_identity(r: &mut Reader<'_>) -> Result<UeIdentity, NfError> {
-    match r.u8()? {
-        0 => {
-            let mcc = r.str()?;
-            let mnc = r.str()?;
-            let routing_indicator = r.u16()?;
-            let scheme = ProtectionScheme::from_id(r.u8()?)?;
-            let hn_key_id = r.u8()?;
-            let scheme_output = r.bytes()?;
-            Ok(UeIdentity::Suci(Suci {
-                plmn: Plmn::new(&mcc, &mnc)?,
-                routing_indicator,
-                scheme,
-                hn_key_id,
-                scheme_output,
-            }))
-        }
-        1 => Ok(UeIdentity::Guti(Guti::new(
-            r.u8()?,
-            r.u16()?,
-            r.u8()?,
-            r.u32()?,
-        ))),
-        other => Err(NfError::Protocol(format!(
-            "bad identity discriminant {other}"
-        ))),
     }
 }
 
@@ -336,51 +281,9 @@ impl ConfirmResponse {
     }
 }
 
-/// `Nudm_UEAuthentication_Get` request (AUSF → UDM).
-#[derive(Clone, Debug, PartialEq)]
-pub struct UdmAuthGetRequest {
-    /// SUCI (initial) or resolved SUPI carried as a GUTI-free identity.
-    pub identity: UeIdentity,
-    /// Known SUPI when re-authenticating a GUTI (empty otherwise).
-    pub known_supi: String,
-    /// Serving network MCC.
-    pub snn_mcc: String,
-    /// Serving network MNC.
-    pub snn_mnc: String,
-}
-
-impl UdmAuthGetRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        put_ue_identity(&mut w, &self.identity);
-        w.put_str(&self.known_supi)
-            .put_str(&self.snn_mcc)
-            .put_str(&self.snn_mnc);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`]/[`NfError::Protocol`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let identity = get_ue_identity(&mut r)?;
-        let known_supi = r.str()?;
-        let snn_mcc = r.str()?;
-        let snn_mnc = r.str()?;
-        r.finish()?;
-        Ok(UdmAuthGetRequest {
-            identity,
-            known_supi,
-            snn_mcc,
-            snn_mnc,
-        })
-    }
-}
+/// `Nudm_UEAuthentication_Get` request (AUSF → UDM): what the AMF asked
+/// the AUSF, forwarded as it came — the same fields in the same bytes.
+pub type UdmAuthGetRequest = AuthenticateRequest;
 
 /// `Nudm_UEAuthentication_Get` response (UDM → AUSF): SUPI + HE AV.
 #[derive(Clone, PartialEq, Eq)]
@@ -650,7 +553,7 @@ impl CreateSessionResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_crypto::ident::Supi;
+    use shield5g_crypto::ident::{Guti, Plmn, Supi};
     use shield5g_sim::engine::Engine;
     use shield5g_sim::http::HttpResponse;
     use shield5g_sim::service::{service_handle, Service};

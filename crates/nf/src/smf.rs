@@ -11,6 +11,7 @@ use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// SMF session-establishment handler time.
 const SMF_HANDLER_NANOS: u64 = 85_000;
@@ -65,7 +66,7 @@ pub struct SmfSession {
 /// The SMF service.
 pub struct SmfService {
     client: SbiClient,
-    upf_addr: String,
+    upf_addr: Rc<str>,
     sessions: BTreeMap<(String, u8), SmfSession>,
     next_ip_suffix: u8,
     next_teid: u32,
@@ -82,7 +83,7 @@ impl std::fmt::Debug for SmfService {
 impl SmfService {
     /// Creates an SMF programming the UPF at `upf_addr`.
     #[must_use]
-    pub fn new(client: SbiClient, upf_addr: impl Into<String>) -> Self {
+    pub fn new(client: SbiClient, upf_addr: impl Into<Rc<str>>) -> Self {
         SmfService {
             client,
             upf_addr: upf_addr.into(),
@@ -142,7 +143,7 @@ enum SmfFlow {
 
 impl EngineService for SmfService {
     fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-        match req.path.as_str() {
+        match &*req.path {
             "/nsmf-pdusession/create" => match CreateSessionRequest::decode(&req.body) {
                 Ok(decoded) => self.start_create(env, &decoded),
                 Err(e) => Step::Reply(HttpResponse::error(400, e.to_string())),

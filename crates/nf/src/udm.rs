@@ -24,6 +24,7 @@ use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::any::Any;
+use std::rc::Rc;
 
 /// ECIES Profile A de-concealment compute time (X25519 + KDF + AES-CTR on
 /// the OAI C++ path).
@@ -35,7 +36,7 @@ const UDM_HANDLER_NANOS: u64 = 55_000;
 pub struct UdmService {
     sidf_key: HomeNetworkKeyPair,
     client: SbiClient,
-    udr_addr: String,
+    udr_addr: Rc<str>,
     backend: Box<dyn UdmAkaBackend>,
 }
 
@@ -53,7 +54,7 @@ impl UdmService {
     pub fn new(
         sidf_key: HomeNetworkKeyPair,
         client: SbiClient,
-        udr_addr: impl Into<String>,
+        udr_addr: impl Into<Rc<str>>,
         backend: Box<dyn UdmAkaBackend>,
     ) -> Self {
         UdmService {
@@ -230,7 +231,7 @@ enum UdmFlow {
 
 impl EngineService for UdmService {
     fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-        match req.path.as_str() {
+        match &*req.path {
             "/nudm-ueau/generate-auth-data" => {
                 env.clock
                     .advance(SimDuration::from_nanos(UDM_HANDLER_NANOS));

@@ -87,7 +87,7 @@ impl Service for UdrService {
     fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
         // Database lookup + row serialisation.
         env.clock.advance(SimDuration::from_micros(35));
-        match req.path.as_str() {
+        match &*req.path {
             "/nudr-dr/auth-data" => {
                 match UdrAuthDataRequest::decode(&req.body).and_then(|r| self.auth_data(&r.supi)) {
                     Ok(resp) => HttpResponse::ok(resp.encode()),

@@ -80,7 +80,7 @@ impl UpfService {
 
 impl Service for UpfService {
     fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
-        match req.path.as_str() {
+        match &*req.path {
             "/n4/establish" => match N4Establish::decode(&req.body) {
                 Ok(msg) => {
                     env.clock.advance(SimDuration::from_micros(40));

@@ -31,6 +31,8 @@ pub struct Gnb {
     broadcast_plmn: Plmn,
     next_ran_ue_id: u64,
     tunnels: HashMap<u64, u32>,
+    /// The N2 request path, shared by every NGAP request and its leg.
+    ngap_path: Rc<str>,
 }
 
 impl std::fmt::Debug for Gnb {
@@ -52,6 +54,7 @@ impl Gnb {
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
             tunnels: HashMap::new(),
+            ngap_path: "/ngap".into(),
         }
     }
 
@@ -66,6 +69,7 @@ impl Gnb {
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
             tunnels: HashMap::new(),
+            ngap_path: "/ngap".into(),
         }
     }
 
@@ -135,10 +139,8 @@ impl Gnb {
         };
         let body = ngap.encode();
         self.backhaul.transfer(env, body.len());
-        let resp =
-            self.engine
-                .borrow_mut()
-                .dispatch(env, addr::AMF, HttpRequest::post("/ngap", body))?;
+        let req = HttpRequest::post(self.ngap_path.clone(), body);
+        let resp = self.engine.borrow_mut().dispatch(env, addr::AMF, req)?;
         if !resp.is_success() {
             return Err(RanError::Rejected {
                 stage: "ngap",
@@ -151,7 +153,7 @@ impl Gnb {
             // PDU session resource setup: remember the GTP tunnel.
             self.tunnels.insert(ran_ue_id, *teid);
         }
-        let nas = downlink.nas().to_vec();
+        let nas = downlink.into_nas();
         // Downlink over the air.
         self.radio_transfer(env, nas.len());
         Ok(nas)

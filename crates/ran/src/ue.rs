@@ -17,6 +17,7 @@ use shield5g_nf::messages::{AuthFailureCause, NasDownlink, NasUplink, UeIdentity
 use shield5g_nf::nas_security::{NasSecurityContext, ProtectedNas};
 use shield5g_obs::hub as obs;
 use shield5g_obs::hub::StageSpan;
+use shield5g_sim::codec::Writer;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -394,15 +395,17 @@ impl CotsUe {
     }
 
     fn encode_uplink(&mut self, msg: &NasUplink) -> Vec<u8> {
-        let plain = msg.encode();
-        match (&mut self.sec, msg) {
-            // Everything from SecurityModeComplete onwards is protected.
+        Writer::build(|w| match (&mut self.sec, msg) {
+            // Everything from SecurityModeComplete onwards is protected,
+            // where it is written.
             (Some(sec), NasUplink::SecurityModeComplete)
             | (Some(sec), NasUplink::RegistrationComplete)
             | (Some(sec), NasUplink::PduSessionEstablishmentRequest { .. })
-            | (Some(sec), NasUplink::DeregistrationRequest { .. }) => sec.protect(&plain).encode(),
-            _ => plain,
-        }
+            | (Some(sec), NasUplink::DeregistrationRequest { .. }) => {
+                sec.protect_into(w, |w| msg.encode_into(w));
+            }
+            _ => msg.encode_into(w),
+        })
     }
 
     fn decode_downlink(&mut self, bytes: &[u8]) -> Result<NasDownlink, RanError> {
@@ -414,7 +417,7 @@ impl CotsUe {
             .sec
             .as_mut()
             .ok_or_else(|| RanError::Protocol("protected NAS before security mode".into()))?;
-        let pdu = ProtectedNas::decode(bytes)
+        let pdu = ProtectedNas::borrow(bytes)
             .map_err(|e| RanError::Protocol(format!("bad protected NAS: {e}")))?;
         let plain = sec
             .unprotect(&pdu)

@@ -7,7 +7,7 @@
 //! every other experiment in the workspace.
 
 use crate::avcache::CacheStats;
-use crate::pool::{replica_addr, EnclavePool};
+use crate::pool::EnclavePool;
 use crate::router::ReplicaId;
 use shield5g_core::stats::Summary;
 use shield5g_sim::engine::Engine;
@@ -271,13 +271,13 @@ impl RunRecorder {
             .iter()
             .map(|r| {
                 let delta = r.counters_delta();
-                let addr = replica_addr(pool.kind(), r.id);
-                let (shed_full, shed_deadline) = engine.shed_counts(&addr);
+                let addr = r.addr();
+                let (shed_full, shed_deadline) = engine.shed_counts(addr);
                 ReplicaLoadStats {
                     replica: r.id,
                     served: r.served(),
                     shed: shed_full + shed_deadline,
-                    depth_peak: engine.depth_peak(&addr),
+                    depth_peak: engine.depth_peak(addr),
                     eenter_delta: delta.eenter,
                     eexit_delta: delta.eexit,
                     aex_delta: delta.aex,

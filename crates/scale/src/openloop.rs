@@ -34,7 +34,7 @@
 use crate::avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy};
 use crate::health::{HealthEvent, HealthPolicy};
 use crate::metrics::{ClassReport, PoolReport, RecoveryStats, RecoveryTracker, RunRecorder};
-use crate::pool::{replica_addr, EnclavePool, FailoverReport, PoolConfig};
+use crate::pool::{EnclavePool, FailoverReport, PoolConfig};
 use crate::router::ReplicaId;
 use shield5g_core::paka::PakaKind;
 use shield5g_crypto::keys::ServingNetworkName;
@@ -258,11 +258,8 @@ impl Run {
                     // Not before `floor`: the engine has already run up to it.
                     let at = (finished + jittered).max(floor);
                     let replica = pool.route(&pending.supi);
-                    let tag = engine.schedule_request(
-                        at,
-                        &replica_addr(pool.kind(), replica),
-                        req.clone(),
-                    );
+                    let addr = pool.replica(replica).addr();
+                    let tag = engine.schedule_request(at, addr, req.clone());
                     self.in_flight.insert(
                         tag,
                         Pending {
@@ -283,11 +280,11 @@ impl Run {
             }
         }
         for replica in pool.due_probes(floor) {
-            let addr = replica_addr(pool.kind(), replica);
+            let addr = pool.replica(replica).addr();
             let req = single_request(env, &mut self.sqn_counters, &self.probe_supi);
-            let tag = engine.schedule_request(floor, &addr, req);
+            let tag = engine.schedule_request(floor, addr, req);
             self.tallies.probes += 1;
-            obs::count("pool", &addr, labels::BREAKER_PROBES, 1);
+            obs::count("pool", addr, labels::BREAKER_PROBES, 1);
             self.in_flight.insert(
                 tag,
                 Pending {
@@ -430,7 +427,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         run.tallies.retry.calls += 1;
         let replica = pool.route(&arrival.supi);
         let copy = run.retry_rng.is_some().then(|| request.clone());
-        let tag = engine.schedule_request(horizon, &replica_addr(pool.kind(), replica), request);
+        let tag = engine.schedule_request(horizon, pool.replica(replica).addr(), request);
         run.in_flight.insert(
             tag,
             Pending {

@@ -35,14 +35,6 @@ use shield5g_sim::Env;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// Engine address of one pool replica: each replica is its own endpoint
-/// with its own worker budget and admission policy, so the open-loop
-/// harness routes by SUPI and then schedules on the owner's address.
-#[must_use]
-pub fn replica_addr(kind: PakaKind, id: ReplicaId) -> String {
-    format!("{}-r{id}", kind.endpoint())
-}
-
 /// The engine-facing face of one replica: serves requests on the
 /// replica's enclave module and counts them on the shared tally the pool
 /// reports from.
@@ -140,6 +132,7 @@ pub struct Replica {
     pub spawned_at: SimTime,
     /// Virtual time the replica finished preheating.
     pub serving_since: Option<SimTime>,
+    addr: Rc<str>,
     module: Rc<RefCell<PakaModule>>,
     /// Counter snapshot at the end of preheat — deltas from here are
     /// pure request-serving cost, excluding boot and warm-up.
@@ -151,6 +144,15 @@ pub struct Replica {
 }
 
 impl Replica {
+    /// Engine address of the replica, spelled once at spawn: each replica
+    /// is its own endpoint with its own worker budget and admission
+    /// policy, so the open-loop harness routes by SUPI and then schedules
+    /// on the owner's address.
+    #[must_use]
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
     /// Requests served by this replica (direct serves and engine serves).
     #[must_use]
     pub fn served(&self) -> u64 {
@@ -276,6 +278,7 @@ impl EnclavePool {
             state: ReplicaState::Preheating,
             spawned_at,
             serving_since: None,
+            addr: format!("{}-r{id}", self.kind.endpoint()).into(),
             module: Rc::new(RefCell::new(module)),
             baseline: None,
             served: Rc::new(Cell::new(0)),
@@ -306,7 +309,7 @@ impl EnclavePool {
     }
 
     /// Registers every *ready* replica as its own engine endpoint
-    /// (address [`replica_addr`], worker count = the module's
+    /// (address [`Replica::addr`], worker count = the module's
     /// serving-thread budget, admission policy = the pool's queue
     /// config). The open-loop harness then schedules routed arrivals and
     /// lets queueing, overlap, and shedding fall out of event ordering.
@@ -328,8 +331,8 @@ impl EnclavePool {
     }
 
     fn register_replica(&self, engine: &mut Engine, replica: &Replica) {
-        let addr = replica_addr(self.kind, replica.id);
-        if engine.knows(&addr) {
+        let addr = replica.addr();
+        if engine.knows(addr) {
             return;
         }
         let workers = replica.module.borrow().app_threads();
@@ -353,7 +356,7 @@ impl EnclavePool {
             .share_class_sheds(self.class_sheds.clone()),
         )
         .with(FaultLayer::new(self.fault_switch.clone()));
-        engine.register(addr.clone(), workers, stack.into_handle());
+        engine.register(addr, workers, stack.into_handle());
     }
 
     /// Pool-wide per-priority-class shed totals, aggregated across every
@@ -549,12 +552,7 @@ impl EnclavePool {
             Some(HealthEvent::Ejected(id)) => {
                 if self.ring.len() > 1 {
                     self.ring.remove(id);
-                    obs::count(
-                        "pool",
-                        &replica_addr(self.kind, id),
-                        labels::REPLICA_EJECTED,
-                        1,
-                    );
+                    obs::count("pool", self.replica(id).addr(), labels::REPLICA_EJECTED, 1);
                     Some(HealthEvent::Ejected(id))
                 } else {
                     self.health
@@ -592,7 +590,7 @@ impl EnclavePool {
             self.ring.add(id);
             obs::count(
                 "pool",
-                &replica_addr(self.kind, id),
+                self.replica(id).addr(),
                 labels::REPLICA_REINSTATED,
                 1,
             );
@@ -902,10 +900,10 @@ mod tests {
         p.provision_subscriber(&mut env, &test_supi(0), [0x46; 16]);
         let mut engine = shield5g_sim::engine::Engine::new();
         p.register_on(&mut engine);
-        let dead_addr = replica_addr(p.kind(), 0);
+        let dead_addr = p.replica(0).addr().to_owned();
 
         let report = p.fail_over_on_engine(&mut env, &mut engine, 0);
-        let new_addr = replica_addr(p.kind(), report.replacement);
+        let new_addr = p.replica(report.replacement).addr().to_owned();
         assert!(engine.knows(&new_addr), "replacement endpoint registered");
 
         // A request still aimed at the dead endpoint fails fast with the

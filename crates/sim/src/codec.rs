@@ -5,8 +5,14 @@
 //! That keeps wire sizes deterministic and inspectable — which matters,
 //! because message sizes feed the latency model (paper Table I counts
 //! bytes in and out of each enclave).
+//!
+//! Messages nest (NAS in a protected PDU in NGAP in an HTTP body), so an
+//! encoder writes *into* a [`Writer`] ([`Writer::put_nested`]) and a
+//! decoder borrows what it only parses and drops ([`Reader::bytes_ref`],
+//! [`Reader::str_ref`]): each message is written once, into one buffer.
 
 use crate::SimError;
+use std::ops::Range;
 
 /// Builds a wire message field by field.
 #[derive(Clone, Debug, Default)]
@@ -70,6 +76,33 @@ impl Writer {
     /// Appends a boolean as one byte.
     pub fn put_bool(&mut self, v: bool) -> &mut Self {
         self.put_u8(u8::from(v))
+    }
+
+    /// Appends what `inner` writes as one length-prefixed field: what
+    /// [`Writer::put_bytes`] appends for the finished inner message,
+    /// without building it first. Returns where the inner bytes sit.
+    pub fn put_nested(&mut self, inner: impl FnOnce(&mut Writer)) -> Range<usize> {
+        self.put_u32(0);
+        let start = self.buf.len();
+        inner(self);
+        let len = (self.buf.len() - start) as u32;
+        self.buf[start - 4..start].copy_from_slice(&len.to_be_bytes());
+        start..self.buf.len()
+    }
+
+    /// The bytes written so far, to cipher a nested field or fill in a
+    /// field (a MAC) that depends on later ones.
+    pub fn written_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
+    /// The wire bytes of the message `message` writes: the owned form of
+    /// an `encode_into`.
+    #[must_use]
+    pub fn build(message: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        message(&mut w);
+        w.buf
     }
 
     /// Finishes and returns the wire bytes.
@@ -153,21 +186,32 @@ impl<'a> Reader<'a> {
         Ok(self.take(N)?.try_into().expect("N bytes"))
     }
 
-    /// Reads length-prefixed bytes.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SimError> {
+    /// Reads length-prefixed bytes, borrowed from the message: for a
+    /// field that is parsed and dropped (a nested PDU, a digit string).
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], SimError> {
         let len = self.u32()? as usize;
         if len > 16 * 1024 * 1024 {
             return Err(SimError::MalformedHttp(format!(
                 "implausible field length {len}"
             )));
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SimError> {
-        String::from_utf8(self.bytes()?)
+    /// Reads a length-prefixed UTF-8 string, borrowed from the message.
+    pub fn str_ref(&mut self) -> Result<&'a str, SimError> {
+        std::str::from_utf8(self.bytes_ref()?)
             .map_err(|_| SimError::MalformedHttp("non-utf8 string field".into()))
+    }
+
+    /// Reads length-prefixed bytes into an owned field.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, SimError> {
+        self.bytes_ref().map(<[u8]>::to_vec)
+    }
+
+    /// Reads a length-prefixed UTF-8 string into an owned field.
+    pub fn str(&mut self) -> Result<String, SimError> {
+        self.str_ref().map(str::to_owned)
     }
 
     /// Reads a boolean byte.
@@ -217,6 +261,31 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"variable");
         assert_eq!(r.str().unwrap(), "imsi-001010000000001");
         assert!(r.bool().unwrap());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn nested_field_is_the_length_prefixed_inner_message() {
+        let inner = Writer::build(|w| {
+            w.put_u8(0x5e).put_str("inner");
+        });
+        let mut w = Writer::new();
+        w.put_u8(1);
+        let at = w.put_nested(|w| {
+            w.put_u8(0x5e).put_str("inner");
+        });
+        w.put_u8(2);
+        // Where the inner bytes sit, for in-place transforms.
+        assert_eq!(&w.written_mut()[at], &inner[..]);
+        let mut flat = Writer::new();
+        flat.put_u8(1).put_bytes(&inner).put_u8(2);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, flat.into_bytes());
+        // A reader borrows the nested field straight from the message.
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 1);
+        assert_eq!(r.bytes_ref().unwrap(), &inner[..]);
+        assert_eq!(r.u8().unwrap(), 2);
         r.finish().unwrap();
     }
 

@@ -21,9 +21,10 @@
 //! the event trace — one structured [`TraceRecord`] per decision,
 //! rendered to its byte-exact line only when somebody reads it
 //! ([`Engine::trace_lines`]). The hot path owns no strings: an endpoint's
-//! address lives once, as its registry key, and every leg, release event
-//! and trace record naming it holds an `Rc<str>` clone of that key; a
-//! leg's path is shared once from its request. Cross-cutting
+//! address lives once — as its registry key for a root leg, as the
+//! caller's handle for its peer on a [`Step::CallOut`] — and every leg,
+//! release event and trace record naming it holds an `Rc<str>` clone; a
+//! leg's path is the request's own handle. Cross-cutting
 //! per-endpoint concerns — admission control, fault injection,
 //! observability, retries, deadlines — live in middleware layers (the
 //! `shield5g-mw` crate) stacked around each registered service. The
@@ -186,8 +187,9 @@ pub enum Step {
     /// worker (thread-per-request, as in OAI's NFs); `state` is handed
     /// back verbatim to [`EngineService::resume`] with the response.
     CallOut {
-        /// Destination endpoint address.
-        dest: String,
+        /// Destination endpoint address: the handle the caller keeps for
+        /// its peer, shared by the leg and every trace record naming it.
+        dest: Rc<str>,
         /// The outbound request. Send-side latency (TLS record, link
         /// transfer) must already be charged: the arrival is scheduled at
         /// the clock instant this step is returned.
@@ -743,10 +745,14 @@ impl Engine {
     pub fn schedule_request(&mut self, at: SimTime, addr: &str, req: HttpRequest) -> u64 {
         let id = self.next_ctx;
         self.next_ctx += 1;
+        // The registry's own handle for `addr`, so naming the endpoint on
+        // the leg and its trace records is a reference-count bump. An
+        // unknown address gets a fresh one; its arrival synthesizes the 502.
+        let known = self.endpoints.get_key_value(addr);
         let leg = LegMeta {
             id,
-            dest: self.handle(addr),
-            path: Rc::from(req.path.as_str()),
+            dest: known.map_or_else(|| Rc::from(addr), |(key, _)| key.clone()),
+            path: req.path.clone(),
             submitted: at,
             arrived: at,
             root: true,
@@ -772,14 +778,6 @@ impl Engine {
         );
         self.push_event(at, EventKind::Arrive { ctx: id });
         id
-    }
-
-    /// The registry's own handle for `addr`, so naming an endpoint on a
-    /// leg or a trace record is a reference-count bump. An unknown
-    /// address gets a fresh handle; its arrival synthesizes the 502.
-    fn handle(&self, addr: &str) -> Rc<str> {
-        let known = self.endpoints.get_key_value(addr);
-        known.map_or_else(|| Rc::from(addr), |(key, _)| key.clone())
     }
 
     /// Whether a context up `ctx`'s call chain is already addressed to its
@@ -989,8 +987,8 @@ impl Engine {
                 };
                 let mut child_leg = LegMeta {
                     id: child,
-                    dest: self.handle(&dest),
-                    path: Rc::from(req.path.as_str()),
+                    dest,
+                    path: req.path.clone(),
                     submitted: parent_leg.submitted,
                     arrived: now,
                     root: false,
@@ -1142,7 +1140,7 @@ mod tests {
 
     /// A relay that forwards to `next` and tags the response.
     struct Relay {
-        next: String,
+        next: Rc<str>,
     }
 
     impl EngineService for Relay {
@@ -1247,7 +1245,7 @@ mod tests {
 
     /// Calls `next` twice in sequence from one context, then replies.
     struct TwiceRelay {
-        next: String,
+        next: Rc<str>,
     }
 
     impl EngineService for TwiceRelay {

@@ -5,9 +5,15 @@
 //! (§IV-A). Messages here really serialise to bytes so the latency model's
 //! per-byte costs and the Table I parameter sizes are grounded in actual
 //! wire lengths.
+//!
+//! A message is framed in place: `write_to` appends head and body to a
+//! buffer the caller owns (a TLS record about to be sealed) and `to_bytes`
+//! is that into a fresh one. A request names its resource by a shared
+//! handle ([`SharedPaths`]), which its engine leg and trace records hold too.
 
 use crate::SimError;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// HTTP request methods used on the SBIs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -43,14 +49,39 @@ impl Method {
     }
 }
 
+/// The request paths a client sends, as shared handles. A client calls a
+/// handful of constant paths (its peers' REST resources), so each is
+/// allocated the first time it is sent; every later request for it, with
+/// its engine leg and trace records, takes a reference-count bump.
+#[derive(Clone, Debug, Default)]
+pub struct SharedPaths(Vec<Rc<str>>);
+
+impl SharedPaths {
+    /// Distinct paths kept. A caller past this is sending generated
+    /// paths, which get a fresh handle each instead of growing the table.
+    const KEPT: usize = 16;
+
+    /// The shared handle for `path`.
+    pub fn get(&mut self, path: &str) -> Rc<str> {
+        if let Some(known) = self.0.iter().find(|known| known[..] == *path) {
+            return known.clone();
+        }
+        let fresh: Rc<str> = Rc::from(path);
+        if self.0.len() < Self::KEPT {
+            self.0.push(fresh.clone());
+        }
+        fresh
+    }
+}
+
 /// An HTTP request.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
     /// Absolute path, e.g. `/nudm-ueau/v1/generate-auth-data`.
-    pub path: String,
-    /// Header name/value pairs (names case-sensitive within the sim).
+    pub path: Rc<str>,
+    /// Header name/value pairs (names match case-insensitively).
     pub headers: Vec<(String, String)>,
     /// Message body.
     pub body: Vec<u8>,
@@ -59,7 +90,7 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// Creates a request with an empty header set.
     #[must_use]
-    pub fn new(method: Method, path: impl Into<String>, body: Vec<u8>) -> Self {
+    pub fn new(method: Method, path: impl Into<Rc<str>>, body: Vec<u8>) -> Self {
         HttpRequest {
             method,
             path: path.into(),
@@ -70,13 +101,13 @@ impl HttpRequest {
 
     /// Convenience POST constructor (the dominant SBI verb).
     #[must_use]
-    pub fn post(path: impl Into<String>, body: Vec<u8>) -> Self {
+    pub fn post(path: impl Into<Rc<str>>, body: Vec<u8>) -> Self {
         Self::new(Method::Post, path, body)
     }
 
     /// Convenience GET constructor.
     #[must_use]
-    pub fn get(path: impl Into<String>) -> Self {
+    pub fn get(path: impl Into<Rc<str>>) -> Self {
         Self::new(Method::Get, path, Vec::new())
     }
 
@@ -87,31 +118,27 @@ impl HttpRequest {
         self
     }
 
-    /// First value of header `name`, if present.
+    /// First value of header `name` (case-insensitive), if present.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
-    /// Serialises to wire bytes, appending a `Content-Length` header.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.body.len());
+    /// Appends the wire form to `out`: request line, headers, a
+    /// `Content-Length` header, the body.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.method.as_str().as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.path.as_bytes());
         out.extend_from_slice(b" HTTP/1.1\r\n");
-        for (n, v) in &self.headers {
-            out.extend_from_slice(n.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(v.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(&self.body);
+        write_tail(out, &self.headers, &self.body);
+    }
+
+    /// Serialises to wire bytes ([`HttpRequest::write_to`] a fresh buffer).
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out);
         out
     }
 
@@ -119,28 +146,20 @@ impl HttpRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedHttp`] on framing violations.
+    /// Returns [`SimError::MalformedHttp`] on framing violations: a
+    /// request line that is not exactly `METHOD SP path SP HTTP/1.1`, a
+    /// bad header line, a missing or wrong `Content-Length`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
-        let (head, body) = split_head(bytes)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines
-            .next()
-            .ok_or_else(|| malformed("missing request line"))?;
-        let mut parts = request_line.split(' ');
-        let method = Method::parse(parts.next().unwrap_or(""))?;
-        let path = parts
-            .next()
-            .ok_or_else(|| malformed("missing path"))?
-            .to_owned();
-        let headers = parse_headers(lines)?;
-        let body = check_content_length(&headers, body)?;
-        let headers = headers
-            .into_iter()
-            .filter(|(n, _)| n != "Content-Length")
-            .collect();
+        let (first, headers, body) = parse(bytes)?;
+        let mut parts = first.split(' ');
+        let (Some(method), Some(path), Some("HTTP/1.1"), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return Err(malformed("bad request line"));
+        };
         Ok(HttpRequest {
-            method,
-            path,
+            method: Method::parse(method)?,
+            path: path.into(),
             headers,
             body,
         })
@@ -200,30 +219,28 @@ impl HttpResponse {
         self
     }
 
-    /// Looks up a header value (case-insensitive name).
+    /// First value of header `name` (case-insensitive), if present.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
-    /// Serialises to wire bytes, appending `Content-Length`.
+    /// Appends the wire form to `out`: status line, headers, a
+    /// `Content-Length` header, the body.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, usize::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(reason(self.status).as_bytes());
+        out.extend_from_slice(b"\r\n");
+        write_tail(out, &self.headers, &self.body);
+    }
+
+    /// Serialises to wire bytes ([`HttpResponse::write_to`] a fresh buffer).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
-        );
-        for (n, v) in &self.headers {
-            out.extend_from_slice(n.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(v.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(&self.body);
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out);
         out
     }
 
@@ -233,22 +250,12 @@ impl HttpResponse {
     ///
     /// Returns [`SimError::MalformedHttp`] on framing violations.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
-        let (head, body) = split_head(bytes)?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines
-            .next()
-            .ok_or_else(|| malformed("missing status line"))?;
-        let status = status_line
+        let (first, headers, body) = parse(bytes)?;
+        let status = first
             .split(' ')
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| malformed("bad status line"))?;
-        let headers = parse_headers(lines)?;
-        let body = check_content_length(&headers, body)?;
-        let headers = headers
-            .into_iter()
-            .filter(|(n, _)| n != "Content-Length")
-            .collect();
         Ok(HttpResponse {
             status,
             headers,
@@ -265,16 +272,48 @@ impl HttpResponse {
     }
 }
 
+const CONTENT_LENGTH: &str = "Content-Length";
+
 /// Decimal digits of `n`.
 fn digits(n: usize) -> usize {
     n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// Bytes `to_bytes` writes after the first line: the header lines, the
-/// `Content-Length` line, the blank line and the body.
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut text = [0u8; 20];
+    let mut at = text.len();
+    loop {
+        at -= 1;
+        text[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&text[at..]);
+}
+
+/// What both message types write after their first line: the header
+/// lines, the `Content-Length` line, the blank line and the body.
+fn write_tail(out: &mut Vec<u8>, headers: &[(String, String)], body: &[u8]) {
+    for (n, v) in headers {
+        out.extend_from_slice(n.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(v.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(CONTENT_LENGTH.as_bytes());
+    out.extend_from_slice(b": ");
+    push_decimal(out, body.len());
+    out.extend_from_slice(b"\r\n\r\n");
+    out.extend_from_slice(body);
+}
+
+/// Bytes [`write_tail`] writes.
 fn tail_len(headers: &[(String, String)], body: &[u8]) -> usize {
     let lines: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
-    lines + "Content-Length: \r\n\r\n".len() + digits(body.len()) + body.len()
+    lines + CONTENT_LENGTH.len() + ": \r\n\r\n".len() + digits(body.len()) + body.len()
 }
 
 fn malformed(why: &str) -> SimError {
@@ -296,41 +335,47 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn split_head(bytes: &[u8]) -> Result<(&str, &[u8]), SimError> {
+/// The one header lookup of both message types: first match, names
+/// compared case-insensitively (RFC 9110 §5.1).
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+type Headers = Vec<(String, String)>;
+
+/// Splits a message into its first line, its headers without
+/// `Content-Length`, and the body that header must account for exactly.
+fn parse(bytes: &[u8]) -> Result<(&str, Headers, Vec<u8>), SimError> {
     let sep = bytes
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .ok_or_else(|| malformed("missing header terminator"))?;
     let head = std::str::from_utf8(&bytes[..sep]).map_err(|_| malformed("non-utf8 header"))?;
-    Ok((head, &bytes[sep + 4..]))
-}
-
-fn parse_headers<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(String, String)>, SimError> {
+    let body = &bytes[sep + 4..];
+    let mut lines = head.split("\r\n");
+    let first = lines.next().unwrap_or_default();
     let mut headers = Vec::new();
+    let mut declared = None;
     for line in lines {
-        if line.is_empty() {
-            continue;
-        }
         let (name, value) = line
             .split_once(": ")
             .ok_or_else(|| malformed("bad header line"))?;
-        headers.push((name.to_owned(), value.to_owned()));
+        if !name.eq_ignore_ascii_case(CONTENT_LENGTH) {
+            headers.push((name.to_owned(), value.to_owned()));
+        } else if declared.is_none() {
+            declared = Some(value);
+        }
     }
-    Ok(headers)
-}
-
-fn check_content_length(headers: &[(String, String)], body: &[u8]) -> Result<Vec<u8>, SimError> {
-    let declared = headers
-        .iter()
-        .find(|(n, _)| n == "Content-Length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
+    let declared = declared
+        .and_then(|v| v.parse::<usize>().ok())
         .ok_or_else(|| malformed("missing content-length"))?;
     if declared != body.len() {
         return Err(malformed("content-length mismatch"));
     }
-    Ok(body.to_vec())
+    Ok((first, headers, body.to_vec()))
 }
 
 #[cfg(test)]
@@ -406,6 +451,69 @@ mod tests {
         assert!(HttpRequest::from_bytes(b"not http at all").is_err());
         assert!(HttpResponse::from_bytes(b"\r\n\r\n").is_err());
         assert!(HttpRequest::from_bytes(b"FROB /x HTTP/1.1\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn header_lookup_ignores_case_on_both_message_types() {
+        let req = HttpRequest::get("/x").with_header("X-Sim-Priority", "emergency");
+        let resp = HttpResponse::ok(Vec::new()).with_header("X-Sim-Shed", "queue-full");
+        assert_eq!(req.header("x-sim-priority"), Some("emergency"));
+        assert_eq!(resp.header("x-sim-shed"), Some("queue-full"));
+        assert_eq!(req.header("x-sim-shed"), None);
+    }
+
+    #[test]
+    fn content_length_is_recognised_and_stripped_in_any_case() {
+        let req = HttpRequest::from_bytes(b"POST /x HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi");
+        assert_eq!(req, Ok(HttpRequest::post("/x", b"hi".to_vec())));
+        let resp = HttpResponse::from_bytes(b"HTTP/1.1 200 OK\r\nCONTENT-LENGTH: 2\r\n\r\nhi");
+        assert_eq!(resp, Ok(HttpResponse::ok(b"hi".to_vec())));
+        // And it must still account for the body exactly.
+        let lie = HttpRequest::from_bytes(b"POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nhi");
+        assert!(matches!(lie, Err(SimError::MalformedHttp(_))));
+    }
+
+    #[test]
+    fn request_line_must_be_method_path_version() {
+        for line in [
+            "GET /x",
+            "GET /x HTTP/1.1 extra",
+            "GET /x HTTP/1.0",
+            "GET  /x HTTP/1.1",
+            "GET",
+            "",
+        ] {
+            let bytes = format!("{line}\r\nContent-Length: 0\r\n\r\n");
+            assert!(
+                matches!(
+                    HttpRequest::from_bytes(bytes.as_bytes()),
+                    Err(SimError::MalformedHttp(_))
+                ),
+                "{line:?} parsed"
+            );
+        }
+        let exact = HttpRequest::from_bytes(b"GET /x HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert_eq!(exact, Ok(HttpRequest::get("/x")));
+    }
+
+    #[test]
+    fn shared_paths_hand_out_one_handle_per_path() {
+        let mut paths = SharedPaths::default();
+        let first = paths.get("/nausf-auth/authenticate");
+        assert!(Rc::ptr_eq(&first, &paths.get("/nausf-auth/authenticate")));
+        assert_eq!(&*paths.get("/nausf-auth/confirm"), "/nausf-auth/confirm");
+        // Generated paths past the kept set still get a handle, unshared.
+        for i in 0..2 * SharedPaths::KEPT {
+            assert_eq!(
+                &*paths.get(&format!("/generated/{i}")),
+                format!("/generated/{i}")
+            );
+        }
+        assert!(!Rc::ptr_eq(
+            &paths.get("/generated/31"),
+            &paths.get("/generated/31")
+        ));
+        assert!(Rc::ptr_eq(&first, &paths.get("/nausf-auth/authenticate")));
     }
 
     #[test]

@@ -106,14 +106,13 @@ impl DirectionKeys {
         tag
     }
 
-    fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        let mut record = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        record.extend_from_slice(plaintext);
-        self.cipher.ctr_apply(&Self::nonce(self.seq), &mut record);
-        let tag = self.record_tag(&record);
+    /// Turns the plaintext `record` holds into its sealed record, in
+    /// place: ciphertext, then the tag.
+    fn seal_in_place(&mut self, record: &mut Vec<u8>) {
+        self.cipher.ctr_apply(&Self::nonce(self.seq), record);
+        let tag = self.record_tag(record);
         record.extend_from_slice(&tag);
         self.seq += 1;
-        record
     }
 
     fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, SimError> {
@@ -159,9 +158,20 @@ impl TlsSession {
         &self.peer_name
     }
 
-    /// Encrypts and authenticates an outgoing record.
+    /// Encrypts and authenticates the outgoing record whose plaintext
+    /// `record` holds, in the same buffer (it grows by [`TAG_LEN`]), which
+    /// holds ciphertext from here on.
+    pub fn seal_in_place(&mut self, record: &mut Vec<u8>) {
+        self.write.seal_in_place(record);
+    }
+
+    /// Encrypts and authenticates an outgoing record
+    /// ([`TlsSession::seal_in_place`] on a copy of `plaintext`).
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        self.write.seal(plaintext)
+        let mut record = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        record.extend_from_slice(plaintext);
+        self.seal_in_place(&mut record);
+        record
     }
 
     /// Verifies and decrypts an incoming record.

@@ -89,7 +89,7 @@ fn assert_matches_golden(file: &str, lines: &[String]) {
     let golden = std::fs::read_to_string(&path).expect("golden trace present");
     assert!(
         golden == trace,
-        "engine trace diverged from {file} (first differing line: {:?})",
+        "diverged from golden {file} (first differing line: {:?})",
         golden
             .lines()
             .zip(trace.lines())
@@ -134,6 +134,32 @@ fn engine_trace_matches_pre_refactor_golden() {
     // trace-format change:
     //   SHIELD5G_REGEN_GOLDEN=1 cargo test engine_trace_matches
     assert_matches_golden("engine_trace_seed300.txt", &engine_trace_of(300));
+}
+
+#[test]
+fn bridge_frames_match_golden() {
+    // Every frame one seed-300 SGX registration puts on the OAI bridge, as
+    // the §III attacker's tap records it: `from to len sha256(payload)`.
+    // The payloads are the TCP/TLS handshake frames and the sealed P-AKA
+    // request/response records, so this pins HTTP framing, the module
+    // bodies and TLS sealing — keys and sequence numbers included — end
+    // to end. Regenerate only for an intentional wire-format change.
+    let (mut env, slice) = traced_sgx_slice(300, 1);
+    slice.bridge.borrow_mut().enable_tap();
+    let mut sim = GnbSim::new(&slice);
+    sim.register_ues(&mut env, &slice, 1).unwrap();
+    let bridge = slice.bridge.borrow();
+    let frames: Vec<String> = bridge
+        .captured()
+        .iter()
+        .map(|f| {
+            let digest = shield5g::crypto::sha256::Sha256::digest(&f.payload);
+            let digest = shield5g::crypto::hex::encode(&digest);
+            format!("{} {} {} {digest}", f.from, f.to, f.payload.len())
+        })
+        .collect();
+    assert!(!frames.is_empty());
+    assert_matches_golden("bridge_frames_seed300.txt", &frames);
 }
 
 #[test]
