@@ -15,7 +15,7 @@
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
 use crate::remote::{ModuleMetricsLog, PakaClient};
 use crate::CoreError;
-use shield5g_crypto::ecies::HomeNetworkKeyPair;
+use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::bridge::BridgeNetwork;
@@ -137,8 +137,9 @@ pub struct Slice {
     pub deployment: AkaDeployment,
     /// Provisioned subscribers.
     pub subscribers: Vec<Subscriber>,
-    /// Home-network ECIES public key (for USIM provisioning).
-    pub hn_public: [u8; 32],
+    /// Home-network ECIES public key (for USIM provisioning): a shared
+    /// handle, so program USIMs with a clone of it.
+    pub hn_public: HomeNetworkPublicKey,
     /// Home-network key identifier.
     pub hn_key_id: u8,
     /// Typed AMF handle (it is also registered on the engine).
@@ -426,7 +427,7 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
         registry,
         deployment: config.deployment,
         subscribers,
-        hn_public: *hn_key.public(),
+        hn_public: hn_key.public().clone(),
         hn_key_id: hn_key.id(),
         amf,
         nrf,

@@ -6,7 +6,7 @@
 //! UE only attaches when the SIM is programmed with the test network
 //! `001/01`, which this module models.
 
-use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair};
+use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair, HomeNetworkPublicKey};
 use crate::CryptoError;
 use serde::{Deserialize, Serialize};
 
@@ -152,7 +152,7 @@ impl Supi {
     pub fn conceal_profile_a(
         &self,
         hn_key_id: u8,
-        hn_public: &[u8; 32],
+        hn_public: &HomeNetworkPublicKey,
         ephemeral_private: &[u8; 32],
     ) -> Suci {
         let ct = ecies::conceal(&bcd_encode(&self.msin), hn_public, ephemeral_private);

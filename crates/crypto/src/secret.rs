@@ -34,6 +34,12 @@ impl Zeroize for u8 {
     }
 }
 
+impl Zeroize for i8 {
+    fn zeroize(&mut self) {
+        *self = 0;
+    }
+}
+
 impl Zeroize for u32 {
     fn zeroize(&mut self) {
         *self = 0;

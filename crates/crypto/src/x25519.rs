@@ -13,6 +13,22 @@
 //! assert_eq!(x25519(&alice_priv, &bob_pub), x25519(&bob_priv, &alice_pub));
 //! ```
 //!
+//! # Two routines, one function
+//!
+//! [`x25519`] is the Montgomery ladder: 255 steps, any `u`, nothing to
+//! prepare. It multiplies every *fresh* point — the ephemeral key a SUCI
+//! carries, the peer's share in a sim-TLS handshake. A *fixed* point is
+//! multiplied by the comb in the `comb` submodule, a signed radix-16
+//! fixed-window walk over a table of the point's multiples on the Edwards
+//! form of the curve: 64 table additions and 4 doublings, about a third of
+//! the ladder's time, for a table that costs two and a half ladders to
+//! build. [`x25519_base`] is the comb on the base point (table built on
+//! first use, once per process); `ecies::HomeNetworkPublicKey` carries the
+//! table of a home network's key. Both routines return the same bytes for
+//! every scalar and every `u` that has a table; a `u` without one (the
+//! twist, 0) stays with the ladder, decided once from the public `u` when
+//! the key is built.
+//!
 //! # Field arithmetic
 //!
 //! An element of GF(`2^255 - 19`) is five `u64` limbs in radix `2^51`:
@@ -21,24 +37,36 @@
 //! canonical value `< p`. Each operation states the limb size it accepts
 //! and the one it returns; a *carried* element has limbs `< 2^52`, so the
 //! sum of two sums of carried elements (`< 2^54`) is still a valid operand
-//! everywhere, which is all the Montgomery ladder needs.
+//! everywhere, which is all the ladder and the comb's point formulas (their
+//! own table is in `comb`) need.
 //!
 //! | operation | accepts limbs | returns limbs |
 //! |---|---|---|
 //! | `from_bytes` | any 32 bytes, bit 255 ignored | `< 2^51` |
 //! | `add` | sum `< 2^64` | `a_i + b_i`, not carried |
-//! | `sub` | `< 2^54` | `< 2^52` (adds `16p`, one carry pass) |
+//! | `carry` | `< 2^64` | `< 2^51 + 2^18` |
+//! | `sub`, `neg` | `< 2^54` | `< 2^52` (adds `16p`, one carry pass) |
 //! | `mul`, `square`, `mul_small` | `< 2^54` | `< 2^52` |
 //! | `invert` | `< 2^54` | `< 2^52`; `0` maps to `0` |
-//! | `to_bytes` | `< 2^54` | the 32 canonical bytes |
+//! | `invsqrt` | `< 2^54` | root `< 2^52`, flag 0 or 1; `0` is "no root" |
+//! | `to_bytes`, `is_zero` | `< 2^54` | the 32 canonical bytes; 0 or 1 |
+//! | `cswap`, `cmov` | any | the operands' limbs, moved |
+//!
+//! `invert` and `invsqrt` share one addition chain to `x^(2^250 - 1)`
+//! (`pow_250`).
 //!
 //! # Constant time
 //!
-//! Outside `cfg(test)` this file contains no `if`, `while`, `match`, `&&`,
-//! `||` or `?`: every loop has a public trip count and secret bits reach
-//! the data only through masks (`cswap`), so neither the instruction
-//! stream nor the host cost depends on the scalar or the point. The
-//! workspace linter enforces it (rule `CT001`).
+//! Outside `cfg(test)` this file and `comb` contain no `if`, `while`,
+//! `match`, `&&`, `||` or `?`: every loop has a public trip count and secret
+//! bits reach the data only through masks (`cswap`, `cmov`), so neither the
+//! instruction stream nor the host cost depends on the scalar or the point.
+//! The workspace linter enforces it (rule `CT001`).
+
+mod comb;
+
+pub(crate) use comb::CombTable;
+use std::sync::OnceLock;
 
 const MASK: u64 = (1 << 51) - 1;
 
@@ -47,6 +75,22 @@ const P16: [u64; 5] = [(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK <
 
 /// `(486662 - 2) / 4`, the ladder constant.
 const A24: u64 = 121_665;
+
+/// The base point, `u = 9`.
+const BASE_POINT: [u8; 32] = {
+    let mut u = [0; 32];
+    u[0] = 9;
+    u
+};
+
+/// A square root of `-1`: `2^((p-1)/4)`.
+const SQRT_M1: Fe = Fe([
+    1_718_705_420_411_056,
+    234_908_883_556_509,
+    2_233_514_472_574_048,
+    2_117_202_627_021_982,
+    765_476_049_583_133,
+]);
 
 /// A field element modulo `2^255 - 19`: five little-endian 51-bit limbs,
 /// lazily reduced (see the module docs for the bounds).
@@ -197,10 +241,10 @@ impl Fe {
         self
     }
 
-    /// Computes `self^(p-2)`, the multiplicative inverse for nonzero input,
-    /// by the usual addition chain: 254 squarings and 11 multiplications,
-    /// the same ones for every input.
-    fn invert(self) -> Fe {
+    /// `(self^(2^250 - 1), self^11)`: the addition chain `invert` and
+    /// `invsqrt` share, 249 squarings and 10 multiplications, the same ones
+    /// for every input.
+    fn pow_250(self) -> (Fe, Fe) {
         let z2 = self.square();
         let z9 = z2.square_times(2).mul(self);
         let z11 = z9.mul(z2);
@@ -212,9 +256,49 @@ impl Fe {
         let z50_0 = z40_0.square_times(10).mul(z10_0);
         let z100_0 = z50_0.square_times(50).mul(z50_0);
         let z200_0 = z100_0.square_times(100).mul(z100_0);
-        let z250_0 = z200_0.square_times(50).mul(z50_0);
+        (z200_0.square_times(50).mul(z50_0), z11)
+    }
+
+    /// Computes `self^(p-2)`, the multiplicative inverse for nonzero input.
+    fn invert(self) -> Fe {
+        let (z250_0, z11) = self.pow_250();
         // 2^255 - 32 + 11 = p - 2
         z250_0.square_times(5).mul(z11)
+    }
+
+    /// `(r, 1)` with `self · r^2 = 1` when `self` is a nonzero square,
+    /// `(_, 0)` when it is not: the root and the Euler test in one
+    /// exponentiation.
+    fn invsqrt(self) -> (Fe, u64) {
+        let w3 = self.square().mul(self);
+        let w7 = w3.square().mul(self);
+        // w^3 · (w^7)^((p-5)/8), and (p - 5)/8 = 2^252 - 4 + 1.
+        let r = w3.mul(w7.pow_250().0.square_times(2).mul(w7));
+        // w · r^2 = (w^7)^((p-1)/4): a fourth root of unity, ±1 exactly
+        // when `w` is a square; 0 for w = 0.
+        let check = self.mul(r.square());
+        let minus = check.add(Fe::ONE).is_zero();
+        let mut root = r;
+        cmov(minus, &mut root, &r.mul(SQRT_M1));
+        (root, check.sub(Fe::ONE).is_zero() | minus)
+    }
+
+    /// `-self`.
+    fn neg(self) -> Fe {
+        Fe::ZERO.sub(self)
+    }
+
+    /// 1 when the value is `0 mod p`, else 0.
+    fn is_zero(self) -> u64 {
+        u64::from(crate::ct_eq(&self.to_bytes(), &[0; 32]))
+    }
+}
+
+/// Replaces `a` with `b` when `flag == 1`, without branching on the flag.
+fn cmov(flag: u64, a: &mut Fe, b: &Fe) {
+    let mask = flag.wrapping_neg();
+    for i in 0..5 {
+        a.0[i] ^= mask & (a.0[i] ^ b.0[i]);
     }
 }
 
@@ -279,12 +363,16 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     x2.mul(z2.invert()).to_bytes()
 }
 
-/// X25519 with the standard base point `u = 9` (public-key generation).
+/// X25519 with the standard base point `u = 9` (public-key generation):
+/// the comb on a table built once per process.
 #[must_use]
 pub fn x25519_base(scalar: &[u8; 32]) -> [u8; 32] {
-    let mut base = [0u8; 32];
-    base[0] = 9;
-    x25519(scalar, &base)
+    static TABLE: OnceLock<CombTable> = OnceLock::new();
+    TABLE.get_or_init(base_table).mul(scalar)
+}
+
+fn base_table() -> CombTable {
+    CombTable::new(&BASE_POINT).0
 }
 
 #[cfg(test)]
@@ -390,7 +478,7 @@ pub(crate) mod tests {
     }
 
     /// `2^255 - 19` as the 32 little-endian bytes `from_bytes` reads.
-    const P_BYTES: [u8; 32] = {
+    pub(crate) const P_BYTES: [u8; 32] = {
         let mut p = [0xff; 32];
         p[0] = 0xed;
         p[31] = 0x7f;
@@ -398,7 +486,7 @@ pub(crate) mod tests {
     };
 
     /// Little-endian bytes of `base + small`.
-    fn plus(base: [u8; 32], small: u8) -> [u8; 32] {
+    pub(crate) fn plus(base: [u8; 32], small: u8) -> [u8; 32] {
         let mut out = base;
         let mut carry = u16::from(small);
         for byte in &mut out {
@@ -416,7 +504,7 @@ pub(crate) mod tests {
     }
 
     /// 0, 1, 2^51 - 1, 2^51, p - 1, p, p + 1, 2^255 - 1, all-0xff.
-    fn boundary() -> Vec<[u8; 32]> {
+    pub(crate) fn boundary() -> Vec<[u8; 32]> {
         let mut limb_ones = [0u8; 32];
         limb_ones[..7].copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x07]);
         let mut p_minus_1 = P_BYTES;
@@ -448,7 +536,7 @@ pub(crate) mod tests {
 
     /// Every limb at the largest value `sub`, `mul`, `square` and
     /// `mul_small` document as an operand.
-    const SATURATED: Fe = Fe([(1 << 54) - 1; 5]);
+    pub(super) const SATURATED: Fe = Fe([(1 << 54) - 1; 5]);
 
     /// Every field identity the ladder relies on, for one triple, on
     /// freshly parsed operands and on operands at the headroom limit.
@@ -506,6 +594,49 @@ pub(crate) mod tests {
         half[0] = 0xf7;
         half[31] = 0x3f;
         assert_eq!(fe(&pow2(1)).invert().to_bytes(), half);
+    }
+
+    #[test]
+    fn inverse_square_root() {
+        assert_eq!(SQRT_M1.square().add(Fe::ONE).is_zero(), 1);
+        // 4 = 2^2 and 2 is not a square (p = 5 mod 8); 0 has no inverse.
+        let (root, square) = fe(&pow2(2)).invsqrt();
+        assert_eq!(square, 1);
+        assert_eq!(root.square().mul(fe(&pow2(2))).to_bytes(), pow2(0));
+        assert_eq!(fe(&pow2(1)).invsqrt().1, 0);
+        assert_eq!(Fe::ZERO.invsqrt().1, 0);
+        assert_eq!(fe(&P_BYTES).invsqrt().1, 0);
+        // Both fourth roots of unity that mean "square": x^2 and -(x^2)
+        // for x running over the boundary set, at the operand limit too.
+        for x in boundary().iter().map(fe) {
+            for w in [x.square(), x.square().neg(), headroom(x.square())] {
+                let (root, square) = w.invsqrt();
+                assert_eq!(square, 1 - w.is_zero());
+                if square == 1 {
+                    assert_eq!(root.square().mul(w).to_bytes(), pow2(0));
+                }
+                assert!(root.0.iter().all(|&l| l < 1 << 52));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_test_negation_and_conditional_move() {
+        for bytes in boundary() {
+            let x = fe(&bytes);
+            assert_eq!(x.is_zero(), u64::from(x.to_bytes() == [0; 32]));
+            assert_eq!(headroom(x).is_zero(), x.is_zero());
+            assert_eq!(x.neg().add(x).is_zero(), 1);
+            assert_eq!(SATURATED.neg().add(SATURATED).is_zero(), 1);
+            assert!(SATURATED.neg().0.iter().all(|&l| l < 1 << 52));
+        }
+        let a = Fe([1, 2, 3, 4, u64::MAX]);
+        let b = Fe([u64::MAX, 7, 0, MASK, 5]);
+        let mut x = a;
+        cmov(0, &mut x, &b);
+        assert_eq!(x.0, a.0);
+        cmov(1, &mut x, &b);
+        assert_eq!(x.0, b.0);
     }
 
     #[test]

@@ -93,12 +93,16 @@ impl Config {
                 secret("crypto/src/milenage.rs", "F2345Output", true),
                 secret("crypto/src/hmac.rs", "HmacSha256", true),
                 secret("crypto/src/ecies.rs", "HomeNetworkKeyPair", true),
+                secret("crypto/src/ecies.rs", "KeyData", true),
+                secret("crypto/src/x25519/comb.rs", "Digits", true),
                 secret("crypto/src/aes.rs", "Aes128", true),
                 secret("crypto/src/poly1305.rs", "Poly1305", true),
-                // Redact-only: Fe must stay Copy for the x25519 ladder;
-                // Sha256's chaining state may be HMAC-keyed but the
-                // struct is moved-out by `finalize`.
+                // Redact-only: Fe and the comb's points must stay Copy
+                // for the x25519 arithmetic; Sha256's chaining state may
+                // be HMAC-keyed but the struct is moved-out by `finalize`.
                 secret("crypto/src/x25519.rs", "Fe", false),
+                secret("crypto/src/x25519/comb.rs", "Point", false),
+                secret("crypto/src/x25519/comb.rs", "Niels", false),
                 secret("crypto/src/sha256.rs", "Sha256", false),
                 // nf: key material crossing the SBI / module wire.
                 secret("nf/src/backend.rs", "UdmAkaRequest", true),
@@ -202,6 +206,7 @@ impl Config {
             span_impl_dirs: vec![s("crates/obs/src")],
             constant_time_files: vec![
                 s("crates/crypto/src/x25519.rs"),
+                s("crates/crypto/src/x25519/comb.rs"),
                 s("crates/crypto/src/poly1305.rs"),
             ],
         }

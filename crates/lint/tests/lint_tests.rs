@@ -20,6 +20,10 @@ fn rules_of(findings: &[shield5g_lint::Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule.as_str()).collect()
 }
 
+fn rule_lines(findings: &[shield5g_lint::Finding]) -> Vec<(&str, usize)> {
+    findings.iter().map(|f| (f.rule.as_str(), f.line)).collect()
+}
+
 #[test]
 fn secret_hygiene_fixture_violations_are_caught() {
     let mut config = Config::default();
@@ -193,23 +197,32 @@ fn constant_time_fixture_violations_are_caught() {
         .constant_time_files
         .push("constant_time/branchy_field.rs".into());
     let report = run_rules(&[fixture("constant_time/branchy_field.rs")], &config);
-    let found: Vec<(&str, usize)> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule.as_str(), f.line))
-        .collect();
     // `if borrow != 0` in sub, `while top != 0` in from_wide, the `&&`
     // of is_small and the `?`s of parse (one finding per token and
     // line); the comment, the marked line and the cfg(test) module are
     // not findings.
     assert_eq!(
-        found,
+        rule_lines(&report.findings),
         vec![("CT001", 26), ("CT001", 47), ("CT001", 65), ("CT001", 69)],
         "{:?}",
         report.findings
     );
     assert!(report.findings[0].message.contains("`if`"));
     assert!(report.findings[1].message.contains("`while`"));
+    // A comb's table lookup: the `if` on a zero digit and the `match` on
+    // its sign; the masked scan next to them is clean.
+    config
+        .constant_time_files
+        .push("constant_time/branchy_comb.rs".into());
+    let comb = run_rules(&[fixture("constant_time/branchy_comb.rs")], &config);
+    assert_eq!(
+        rule_lines(&comb.findings),
+        vec![("CT001", 12), ("CT001", 16)],
+        "{:?}",
+        comb.findings
+    );
+    assert!(comb.findings[0].message.contains("`if`"));
+    assert!(comb.findings[1].message.contains("`match`"));
     // Not listed, not checked.
     let unlisted = run_rules(
         &[fixture("constant_time/branchy_field.rs")],
@@ -220,11 +233,12 @@ fn constant_time_fixture_violations_are_caught() {
         "{:?}",
         unlisted.findings
     );
-    // The repository's own list covers the X25519 and Poly1305 limb
-    // arithmetic.
+    // The repository's own list covers the X25519 (ladder and comb) and
+    // Poly1305 limb arithmetic.
     let listed = Config::repo_default().constant_time_files;
     for file in [
         "crates/crypto/src/x25519.rs",
+        "crates/crypto/src/x25519/comb.rs",
         "crates/crypto/src/poly1305.rs",
     ] {
         assert!(listed.iter().any(|f| f == file), "{file}");

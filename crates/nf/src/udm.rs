@@ -16,7 +16,7 @@ use crate::sbi::{
     UdrAuthDataResponse, UdrResyncRequest,
 };
 use crate::NfError;
-use shield5g_crypto::ecies::HomeNetworkKeyPair;
+use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_crypto::CryptoError;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
@@ -67,7 +67,7 @@ impl UdmService {
 
     /// The home-network public key USIMs must be provisioned with.
     #[must_use]
-    pub fn hn_public_key(&self) -> &[u8; 32] {
+    pub fn hn_public_key(&self) -> &HomeNetworkPublicKey {
         self.sidf_key.public()
     }
 

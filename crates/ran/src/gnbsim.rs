@@ -54,7 +54,7 @@ impl GnbSim {
             sub.k,
             sub.opc,
             slice.hn_key_id,
-            slice.hn_public,
+            slice.hn_public.clone(),
         );
         CotsUe::sim_ue(usim)
     }
@@ -138,6 +138,18 @@ mod tests {
         let mut tmsis: Vec<u32> = regs.iter().map(|r| r.report.guti.tmsi).collect();
         tmsis.dedup();
         assert_eq!(tmsis.len(), 5);
+    }
+
+    #[test]
+    fn every_ue_shares_the_slices_key_table() {
+        // Building a key's table costs about half a registration, more
+        // than the comb saves: the USIMs must hold the slice's handle.
+        let (_env, slice) = world(AkaDeployment::Monolithic);
+        let sim = GnbSim::new(&slice);
+        for i in 0..100 {
+            let ue = sim.ue_for(&slice, i % slice.subscribers.len());
+            assert!(ue.usim().hn_public().shares_table_with(&slice.hn_public));
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl OtaTestbed {
             sub.k,
             sub.opc,
             slice.hn_key_id,
-            slice.hn_public,
+            slice.hn_public.clone(),
         );
         let ue = CotsUe::oneplus8(usim);
         OtaTestbed {
@@ -266,7 +266,13 @@ mod tests {
         let foreign_supi =
             shield5g_crypto::ident::Supi::new(Plmn::new("310", "260").unwrap(), "0000000001")
                 .unwrap();
-        let usim = Usim::program(foreign_supi, sub.k, sub.opc, 1, testbed.slice().hn_public);
+        let usim = Usim::program(
+            foreign_supi,
+            sub.k,
+            sub.opc,
+            1,
+            testbed.slice().hn_public.clone(),
+        );
         testbed.swap_ue(CotsUe::oneplus8(usim));
         match testbed.run() {
             Err(RanError::NetworkNotFound { .. }) => {}
@@ -283,7 +289,7 @@ mod tests {
             sub.k,
             sub.opc,
             testbed.slice().hn_key_id,
-            testbed.slice().hn_public,
+            testbed.slice().hn_public.clone(),
         );
         testbed.swap_ue(CotsUe::oneplus8(usim).with_os_build("Oxygen 12.1"));
         assert!(matches!(

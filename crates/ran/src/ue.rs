@@ -112,6 +112,12 @@ impl CotsUe {
         self
     }
 
+    /// The SIM in the device.
+    #[must_use]
+    pub fn usim(&self) -> &Usim {
+        &self.usim
+    }
+
     /// Whether the UE completed registration.
     #[must_use]
     pub fn is_registered(&self) -> bool {
@@ -431,6 +437,7 @@ mod tests {
     // The UE is exercised end-to-end in `gnbsim`/`ota` tests and the
     // workspace integration tests; here we cover the guards.
     use super::*;
+    use shield5g_crypto::ecies::HomeNetworkPublicKey;
     use shield5g_crypto::ident::{Plmn, Supi};
 
     fn usim() -> Usim {
@@ -439,7 +446,7 @@ mod tests {
             [0x46; 16],
             [0xcd; 16],
             1,
-            [9; 32],
+            HomeNetworkPublicKey::from_bytes([9; 32]).unwrap(),
         )
     }
 

@@ -3,11 +3,12 @@
 //! OpenCells SIM card is programmed to the test Public Land Mobile
 //! Network (PLMN) 00101").
 
+use shield5g_crypto::ecies::HomeNetworkPublicKey;
 use shield5g_crypto::ident::{Plmn, Suci, Supi};
 use shield5g_crypto::keys::{self, ServingNetworkName, UeChallengeResult};
 use shield5g_crypto::milenage::Milenage;
 use shield5g_crypto::sqn::{Auts, SqnVerifier};
-use shield5g_crypto::CryptoError;
+use shield5g_crypto::Zeroize;
 use shield5g_sim::Env;
 
 /// The outcome of a USIM challenge evaluation (TS 33.501 §6.1.3.2).
@@ -27,7 +28,7 @@ pub struct Usim {
     mil: Milenage,
     sqn: SqnVerifier,
     hn_key_id: u8,
-    hn_public: [u8; 32],
+    hn_public: HomeNetworkPublicKey,
 }
 
 impl std::fmt::Debug for Usim {
@@ -41,14 +42,15 @@ impl std::fmt::Debug for Usim {
 
 impl Usim {
     /// Programs a SIM with subscriber credentials and the home-network
-    /// public key.
+    /// public key (a clone of the operator's handle, which shares its
+    /// multiplication table).
     #[must_use]
     pub fn program(
         supi: Supi,
         k: [u8; 16],
         opc: [u8; 16],
         hn_key_id: u8,
-        hn_public: [u8; 32],
+        hn_public: HomeNetworkPublicKey,
     ) -> Self {
         Usim {
             supi,
@@ -71,13 +73,22 @@ impl Usim {
         &self.supi
     }
 
+    /// The home-network public key the SIM conceals under.
+    #[must_use]
+    pub fn hn_public(&self) -> &HomeNetworkPublicKey {
+        &self.hn_public
+    }
+
     /// Conceals the SUPI into a fresh SUCI (new ECIES ephemeral per call,
     /// so successive registrations are unlinkable).
     #[must_use]
     pub fn conceal_identity(&self, env: &mut Env) -> Suci {
-        let eph: [u8; 32] = env.rng.bytes();
-        self.supi
-            .conceal_profile_a(self.hn_key_id, &self.hn_public, &eph)
+        let mut eph: [u8; 32] = env.rng.bytes();
+        let suci = self
+            .supi
+            .conceal_profile_a(self.hn_key_id, &self.hn_public, &eph);
+        eph.zeroize();
+        suci
     }
 
     /// Evaluates an authentication challenge: MAC check, SQN window,
@@ -90,7 +101,6 @@ impl Usim {
         snn: &ServingNetworkName,
     ) -> ChallengeOutcome {
         match keys::ue_process_challenge(&self.mil, rand, autn, snn) {
-            Err(CryptoError::MacMismatch) => ChallengeOutcome::MacFailure,
             Err(_) => ChallengeOutcome::MacFailure,
             Ok(result) => match self.sqn.accept(&result.sqn) {
                 Ok(()) => ChallengeOutcome::Success(Box::new(result)),
@@ -117,7 +127,7 @@ mod tests {
     fn usim() -> Usim {
         let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
         let supi = Supi::new(Plmn::test_network(), "0000000001").unwrap();
-        Usim::program(supi, K, OPC, 1, *hn.public())
+        Usim::program(supi, K, OPC, 1, hn.public().clone())
     }
 
     fn snn() -> ServingNetworkName {

@@ -35,7 +35,7 @@ fn main() {
         sub.k,
         sub.opc,
         testbed.slice().hn_key_id,
-        testbed.slice().hn_public,
+        testbed.slice().hn_public.clone(),
     )));
     match testbed.run() {
         Err(RanError::NetworkNotFound {
@@ -55,7 +55,7 @@ fn main() {
         sub.k,
         sub.opc,
         testbed.slice().hn_key_id,
-        testbed.slice().hn_public,
+        testbed.slice().hn_public.clone(),
     );
     testbed.swap_ue(CotsUe::oneplus8(usim).with_os_build("Oxygen 12.1"));
     match testbed.run() {

@@ -111,7 +111,7 @@ fn subscriber_with_wrong_key_is_rejected() {
         [0xEE; 16], // wrong K
         sub.opc,
         slice.hn_key_id,
-        slice.hn_public,
+        slice.hn_public.clone(),
     );
     let mut ue = shield5g::ran::ue::CotsUe::sim_ue(usim);
     let mut gnb = shield5g::ran::gnb::Gnb::simulated(
@@ -138,7 +138,7 @@ fn unknown_subscriber_is_rejected_cleanly() {
         unknown.k,
         unknown.opc,
         slice.hn_key_id,
-        slice.hn_public,
+        slice.hn_public.clone(),
     );
     let mut ue = shield5g::ran::ue::CotsUe::sim_ue(usim);
     let mut gnb = shield5g::ran::gnb::Gnb::simulated(

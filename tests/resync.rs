@@ -89,7 +89,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     pool.provision_subscriber(&mut env, &supi, sub.k);
 
     let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
-    let mut usim = Usim::program(sub.supi.clone(), sub.k, sub.opc, 1, *hn.public());
+    let mut usim = Usim::program(sub.supi.clone(), sub.k, sub.opc, 1, hn.public().clone());
     let snn = ServingNetworkName::new("001", "01");
 
     // The frontend owns the home-network SQN authority: a generator
