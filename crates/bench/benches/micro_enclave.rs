@@ -1,9 +1,9 @@
-//! Criterion microbenches for the HMEE simulator: transition accounting,
-//! vault crypto, and the full P-AKA serve path (real time, not virtual).
+//! Criterion microbenches for the HMEE simulator's vault crypto (real
+//! time, not virtual) — the rows no gated `benchmark/src/kernels.rs`
+//! kernel times. An OCALL round trip is `hmee.ocall_ns` there, a P-AKA
+//! serve `core.serve_eudm_{container,sgx}_ns`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shield5g_core::harness::{deploy_module, standard_request, ModuleDeployment};
-use shield5g_core::paka::{PakaKind, SgxConfig};
 use shield5g_hmee::enclave::{Enclave, EnclaveBuilder};
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_sim::Env;
@@ -17,12 +17,6 @@ fn small_enclave(env: &mut Env, platform: &SgxPlatform) -> Enclave {
 }
 
 fn bench_enclave(c: &mut Criterion) {
-    c.bench_function("enclave_ocall_roundtrip", |b| {
-        let mut env = Env::new(1);
-        let platform = SgxPlatform::new(&mut env);
-        let mut enclave = small_enclave(&mut env, &platform);
-        b.iter(|| enclave.ocall(black_box(&mut env), 64));
-    });
     // 32 B is what the P-AKA modules rewrite per request (K_AUSF and
     // friends): one 64-byte line. 65 B is two lines — the cost steps per
     // line, not per page. 4 KiB fills the page, all 64 lines.
@@ -55,22 +49,6 @@ fn bench_enclave(c: &mut Criterion) {
             }
             black_box(enclave);
         });
-    });
-    c.bench_function("paka_serve_container", |b| {
-        let (mut env, mut module) = deploy_module(3, PakaKind::EUdm, ModuleDeployment::Container);
-        let req = standard_request(PakaKind::EUdm);
-        let _ = module.serve(&mut env, req.clone());
-        b.iter(|| black_box(module.serve(&mut env, req.clone())));
-    });
-    c.bench_function("paka_serve_sgx", |b| {
-        let (mut env, mut module) = deploy_module(
-            4,
-            PakaKind::EUdm,
-            ModuleDeployment::Sgx(SgxConfig::default()),
-        );
-        let req = standard_request(PakaKind::EUdm);
-        let _ = module.serve(&mut env, req.clone());
-        b.iter(|| black_box(module.serve(&mut env, req.clone())));
     });
 }
 

@@ -16,7 +16,15 @@
 //!
 //! `EXPERIMENTS.md` records the paper-vs-measured outcome for every table
 //! and figure produced from this model.
+//!
+//! The [`CostModel`] is the single source of these constants, but not what
+//! a transition reads when it is charged: an enclave converts the model to
+//! nanosecond prices once, when it is built (`EnclaveBuilder::build`,
+//! after [`CostModel::validate`]), through the getters below — so every
+//! term is truncated exactly where its getter truncates it — and from
+//! then on charging a transition is integer addition.
 
+use crate::HmeeError;
 use serde::{Deserialize, Serialize};
 use shield5g_sim::time::SimDuration;
 
@@ -92,6 +100,26 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Checks the three floating-point divisors and factors: a zero, negative
+    /// or non-finite one would turn a conversion into `u64::MAX` ns (or 0)
+    /// instead of a price.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HmeeError::InvalidCostModel`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), HmeeError> {
+        let field = if !(self.cpu_ghz.is_finite() && self.cpu_ghz > 0.0) {
+            "cpu_ghz"
+        } else if !(self.epc_compute_factor.is_finite() && self.epc_compute_factor >= 1.0) {
+            "epc_compute_factor"
+        } else if !(self.hash_bytes_per_ns.is_finite() && self.hash_bytes_per_ns > 0.0) {
+            "hash_bytes_per_ns"
+        } else {
+            return Ok(());
+        };
+        Err(HmeeError::InvalidCostModel { field })
+    }
+
     /// Converts a cycle count to a [`SimDuration`].
     #[must_use]
     pub fn cycles(&self, n: u64) -> SimDuration {
@@ -142,6 +170,15 @@ impl CostModel {
     #[must_use]
     pub fn paging_round_trip(&self) -> SimDuration {
         self.cycles(self.ewb_cycles + self.eldu_cycles)
+    }
+
+    /// MEE traffic of `pages` accounted vault pages written through or
+    /// read back: `PAGE_SIZE / 2` cycles each, truncated on the sum — per
+    /// accounted page, deliberately not per materialised line (moving it
+    /// is a virtual-time change: ROADMAP item 2's cause table).
+    #[must_use]
+    pub fn mee_transfer(&self, pages: u64) -> SimDuration {
+        self.cycles(pages * PAGE_SIZE as u64 / 2)
     }
 
     /// In-enclave compute time for work that takes `native` outside.
@@ -202,6 +239,29 @@ mod tests {
         let m = CostModel::default();
         // ~80k cycles ≈ 33 µs at 2.4 GHz.
         assert!(m.paging_round_trip() > SimDuration::from_micros(30));
+    }
+
+    #[test]
+    fn mee_transfer_truncates_the_sum_not_each_page() {
+        let m = CostModel::default();
+        // 2048 cycles a page at 2.4 GHz: 853.3 ns.
+        assert_eq!(m.mee_transfer(1).as_nanos(), 853);
+        assert_eq!(m.mee_transfer(3).as_nanos(), 2_560);
+    }
+
+    #[test]
+    fn the_shipped_model_is_usable_and_a_bad_divisor_is_named() {
+        assert_eq!(CostModel::default().validate(), Ok(()));
+        let stopped = CostModel {
+            cpu_ghz: 0.0,
+            hash_bytes_per_ns: f64::NAN,
+            ..CostModel::default()
+        };
+        let field = "cpu_ghz";
+        assert_eq!(
+            stopped.validate(),
+            Err(HmeeError::InvalidCostModel { field })
+        );
     }
 
     #[test]

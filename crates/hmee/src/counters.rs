@@ -37,11 +37,11 @@ impl SgxCounters {
         Self::default()
     }
 
-    /// Records an OCALL round trip: exit then re-entry.
-    pub fn record_ocall(&mut self) {
-        self.ocalls += 1;
-        self.eexit += 1;
-        self.eenter += 1;
+    /// Records `n` OCALL round trips: each an exit then a re-entry.
+    pub fn record_ocalls(&mut self, n: u64) {
+        self.ocalls += n;
+        self.eexit += n;
+        self.eenter += n;
     }
 
     /// Records an ECALL (entry that will eventually EEXIT when it returns;
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn ocall_increments_both_directions() {
         let mut c = SgxCounters::new();
-        c.record_ocall();
+        c.record_ocalls(1);
         assert_eq!((c.eenter, c.eexit, c.ocalls), (1, 1, 1));
     }
 
@@ -143,11 +143,11 @@ mod tests {
     fn delta_computes_per_registration_cost() {
         let mut c = SgxCounters::new();
         for _ in 0..10 {
-            c.record_ocall();
+            c.record_ocalls(1);
         }
         let snap = c;
         for _ in 0..91 {
-            c.record_ocall();
+            c.record_ocalls(1);
         }
         let d = c.delta_since(&snap);
         assert_eq!(d.eenter, 91);
@@ -158,7 +158,7 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn delta_panics_on_reversed_snapshots() {
         let mut c = SgxCounters::new();
-        c.record_ocall();
+        c.record_ocalls(1);
         let later = c;
         let _ = SgxCounters::new().delta_since(&later);
     }
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let mut c = SgxCounters::new();
-        c.record_ocall();
+        c.record_ocalls(1);
         let s = c.to_string();
         assert!(s.contains("EENTER=1"));
         assert!(s.contains("EEXIT=1"));

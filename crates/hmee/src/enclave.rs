@@ -7,6 +7,12 @@
 //! each of which charges the virtual clock and increments the
 //! [`SgxCounters`] exactly as the corresponding hardware events would.
 //!
+//! What a transition costs is fixed when the enclave is built: `build`
+//! turns the platform's [`CostModel`] into nanosecond [`Prices`], each term
+//! truncated where the model's getter truncates it, so a charge is integer
+//! addition and a run of OCALLs ([`Enclave::ocalls`]) is priced in one pass
+//! to the nanosecond of the same calls made one by one.
+//!
 //! Vault pages are AES-CTR ciphertext under a Poly1305-AES tag, kept for
 //! the 64-byte lines a value occupies (the construction, its nonce rule,
 //! what is materialised and the parallel with SGX's Memory Encryption
@@ -31,6 +37,21 @@ use std::collections::HashMap;
 /// Hard ceiling on enclave virtual size (64 GiB), mirroring practical
 /// SGXv2 limits; requests beyond it fail at build time.
 const MAX_ENCLAVE_PAGES: u64 = (64u64 * 1024 * 1024 * 1024) / PAGE_SIZE as u64;
+
+/// An enclave's transition prices, derived once from its [`CostModel`].
+struct Prices {
+    eenter: SimDuration,
+    eexit: SimDuration,
+    /// `AEX` + `ERESUME`, each truncated on its own.
+    aex_resume: SimDuration,
+    /// `EEXIT` + `EENTER` + marshalling: an OCALL round trip before the
+    /// per-byte copy of its payload.
+    ocall: SimDuration,
+    ewb: SimDuration,
+    eldu: SimDuration,
+    /// `EWB` + `ELDU` of one page, truncated on the cycle sum.
+    paging: SimDuration,
+}
 
 /// Configures and builds an [`Enclave`] (`ECREATE` → `EADD`/`EEXTEND` →
 /// `EINIT`).
@@ -103,8 +124,21 @@ impl EnclaveBuilder {
     /// # Errors
     ///
     /// Returns [`HmeeError::EpcExhausted`] when the requested virtual size
-    /// exceeds the platform's maximum mappable enclave size.
+    /// exceeds the platform's maximum mappable enclave size, and
+    /// [`HmeeError::InvalidCostModel`] when the platform's cost model
+    /// cannot price a transition.
     pub fn build(self, env: &mut Env, platform: &SgxPlatform) -> Result<Enclave, HmeeError> {
+        let cost = platform.cost().clone();
+        cost.validate()?;
+        let price = Prices {
+            eenter: cost.eenter(),
+            eexit: cost.eexit(),
+            aex_resume: cost.aex() + cost.eresume(),
+            ocall: cost.ocall_round_trip(0),
+            ewb: cost.cycles(cost.ewb_cycles),
+            eldu: cost.cycles(cost.eldu_cycles),
+            paging: cost.paging_round_trip(),
+        };
         let heap_pages = self.heap_bytes.div_ceil(PAGE_SIZE as u64);
         let content_pages: u64 = self
             .measured_content
@@ -135,7 +169,6 @@ impl EnclaveBuilder {
         let mrsigner = Sha256::digest(&self.signer);
 
         // Charge EADD+EEXTEND for initial content pages and EINIT.
-        let cost = platform.cost().clone();
         env.clock
             .advance(SimDuration::from_nanos(cost.eadd_page_ns * content_pages));
         env.clock.advance(SimDuration::from_micros(50)); // EINIT + launch token
@@ -178,6 +211,7 @@ impl EnclaveBuilder {
             report_key: platform.report_key(),
             seal_base: platform.derive_key("seal-base", &mrsigner),
             cost,
+            price,
             counters: SgxCounters::new(),
             epc: EpcRegion::new(),
             vault: HashMap::new(),
@@ -212,6 +246,7 @@ pub struct Enclave {
     report_key: [u8; 32],
     seal_base: [u8; 32],
     cost: CostModel,
+    price: Prices,
     counters: SgxCounters,
     epc: EpcRegion,
     vault: HashMap<String, SlotMeta>,
@@ -311,15 +346,26 @@ impl Enclave {
         start_ns: u64,
         events: &[(&'static str, u64)],
     ) {
-        if !obs::is_active() {
-            return;
+        if obs::is_active() {
+            self.emit_transition(name, start_ns, env.clock.now().as_nanos(), events);
         }
+    }
+
+    /// [`Enclave::record_transition`] with the hub known to be installed
+    /// and the end instant given.
+    fn emit_transition(
+        &self,
+        name: &str,
+        start_ns: u64,
+        end_ns: u64,
+        events: &[(&'static str, u64)],
+    ) {
         let span = obs::open_span(SpanKind::Enclave, &self.name, name, start_ns);
         for &(event, n) in events {
             obs::span_attr(span, event, n);
             obs::count(&self.name, "sgx", event, n);
         }
-        obs::close_span(span, env.clock.now().as_nanos());
+        obs::close_span(span, end_ns);
     }
 
     /// Enters the enclave on a new thread (`ECALL`).
@@ -340,7 +386,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.threads_inside += 1;
         self.counters.record_ecall();
-        env.clock.advance(self.cost.eenter());
+        env.clock.advance(self.price.eenter);
         self.record_transition(env, "eenter", t0, &[("eenter", 1)]);
         Ok(())
     }
@@ -354,7 +400,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.threads_inside = self.threads_inside.saturating_sub(1);
         self.counters.record_ecall_return();
-        env.clock.advance(self.cost.eexit());
+        env.clock.advance(self.price.eexit);
         self.record_transition(env, "eexit", t0, &[("eexit", 1)]);
     }
 
@@ -362,15 +408,31 @@ impl Enclave {
     /// (syscall delegation). The *host-side* work is charged by the caller;
     /// this charges transition + marshalling costs only.
     pub fn ocall(&mut self, env: &mut Env, bytes: usize) {
-        let t0 = env.clock.now().as_nanos();
-        self.counters.record_ocall();
-        env.clock.advance(self.cost.ocall_round_trip(bytes));
-        self.record_transition(
-            env,
-            "ocall",
-            t0,
-            &[("ocalls", 1), ("eexit", 1), ("eenter", 1)],
-        );
+        self.ocalls(env, [(bytes, 0)]);
+    }
+
+    /// Performs a run of OCALL round trips, one per `(boundary bytes, host
+    /// ns spent outside)`: walks them on a local instant, counts them and
+    /// advances the clock once by their sum. With an observability hub
+    /// installed (asked once per run) each call emits the `ocall` span and
+    /// `sgx` counts it would emit alone.
+    pub fn ocalls(&mut self, env: &mut Env, calls: impl IntoIterator<Item = (usize, u64)>) {
+        let start = env.clock.now().as_nanos();
+        let fixed = self.price.ocall.as_nanos();
+        let per_byte = self.cost.boundary_copy_ns_per_byte;
+        let traced = obs::is_active();
+        let events = [("ocalls", 1), ("eexit", 1), ("eenter", 1)];
+        let (mut now, mut n) = (start, 0);
+        for (bytes, host_ns) in calls {
+            let back = now + fixed + per_byte * bytes as u64;
+            if traced {
+                self.emit_transition("ocall", now, back, &events);
+            }
+            now = back + host_ns;
+            n += 1;
+        }
+        self.counters.record_ocalls(n);
+        env.clock.advance(SimDuration::from_nanos(now - start));
     }
 
     /// Records a one-way event injection: the host enters the enclave at a
@@ -386,7 +448,7 @@ impl Enclave {
     pub fn aex(&mut self, env: &mut Env) {
         let t0 = env.clock.now().as_nanos();
         self.counters.record_aex_resume();
-        env.clock.advance(self.cost.aex() + self.cost.eresume());
+        env.clock.advance(self.price.aex_resume);
         self.record_transition(env, "aex", t0, &[("aex", 1), ("eresume", 1)]);
     }
 
@@ -492,9 +554,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.counters.aex += count;
         self.counters.eresume += count;
-        env.clock.advance(SimDuration::from_nanos(
-            (self.cost.aex() + self.cost.eresume()).as_nanos() * count,
-        ));
+        env.clock.advance(self.price.aex_resume * count);
         self.record_transition(env, "aex_storm", t0, &[("aex", count), ("eresume", count)]);
         env.log.record(
             env.clock.now(),
@@ -532,7 +592,7 @@ impl Enclave {
         for _ in 0..4 {
             if env.rng.chance(miss_prob) {
                 self.counters.record_paging();
-                env.clock.advance(self.cost.paging_round_trip());
+                env.clock.advance(self.price.paging);
                 paged += 1;
             }
         }
@@ -558,7 +618,7 @@ impl Enclave {
         self.evicted_versions.insert(index, page.version);
         let t0 = env.clock.now().as_nanos();
         self.counters.ewb += 1;
-        env.clock.advance(self.cost.cycles(self.cost.ewb_cycles));
+        env.clock.advance(self.price.ewb);
         self.record_transition(env, "ewb", t0, &[("ewb", 1)]);
         Ok(page)
     }
@@ -608,7 +668,7 @@ impl Enclave {
         }
         let t0 = env.clock.now().as_nanos();
         self.counters.eldu += 1;
-        env.clock.advance(self.cost.cycles(self.cost.eldu_cycles));
+        env.clock.advance(self.price.eldu);
         self.record_transition(env, "eldu", t0, &[("eldu", 1)]);
         Ok(())
     }
@@ -672,11 +732,7 @@ impl Enclave {
         }
         meta.len = plaintext.len();
         self.vault.insert(name, meta);
-        // Charge MEE write-through: `PAGE_SIZE / 2` cycles per *accounted*
-        // page, deliberately not per materialised line — moving it is a
-        // virtual-time change (ROADMAP item 2's cause table).
-        env.clock
-            .advance(self.cost.cycles(pages as u64 * PAGE_SIZE as u64 / 2));
+        env.clock.advance(self.cost.mee_transfer(pages as u64));
     }
 
     /// Encrypts `chunk`, zero-padded to [`EncryptedPage::image_len`] — whole lines,
@@ -751,8 +807,7 @@ impl Enclave {
                 .ctr_apply(&Self::page_nonce(page.version), &mut out[start..]);
         }
         let pages = meta.page_indices.len() as u64;
-        env.clock
-            .advance(self.cost.cycles(pages * PAGE_SIZE as u64 / 2));
+        env.clock.advance(self.cost.mee_transfer(pages));
         Ok(out)
     }
 
@@ -843,6 +898,94 @@ mod tests {
             .heap_bytes(65 * 1024 * 1024 * 1024 * 1024)
             .build(&mut env, &platform);
         assert!(matches!(result, Err(HmeeError::EpcExhausted { .. })));
+    }
+
+    #[test]
+    fn an_unusable_cost_model_is_refused_by_field() {
+        let fields = ["cpu_ghz", "epc_compute_factor", "hash_bytes_per_ns"];
+        let unusable = [0.0, -2.4, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let cases = fields.iter().flat_map(|f| unusable.map(|bad| (*f, bad)));
+        // The MEE factor is a slowdown: below 1.0 is out of range too.
+        for (field, bad) in cases.chain([("epc_compute_factor", 0.99)]) {
+            let mut cost = CostModel::default();
+            match field {
+                "cpu_ghz" => cost.cpu_ghz = bad,
+                "epc_compute_factor" => cost.epc_compute_factor = bad,
+                _ => cost.hash_bytes_per_ns = bad,
+            }
+            let mut env = Env::new(11);
+            let platform = SgxPlatform::new(&mut env).with_cost(cost);
+            let refused = EnclaveBuilder::new("bad").build(&mut env, &platform).err();
+            assert_eq!(
+                refused,
+                Some(HmeeError::InvalidCostModel { field }),
+                "{bad}"
+            );
+            assert_eq!(env.clock.now().as_nanos(), 0, "{field} = {bad} was charged");
+        }
+    }
+
+    #[test]
+    fn transitions_charge_the_models_getters_truncated_per_term() {
+        let faster = CostModel {
+            cpu_ghz: 2.3,
+            ..CostModel::default()
+        };
+        // eenter, eexit, aex + eresume, ocall of 32 B, ewb, eldu
+        for (cost, pinned) in [
+            (
+                CostModel::default(),
+                [4_000, 3_500, 2_916 + 1_458, 8_582, 16_666, 16_666],
+            ),
+            (faster, [4_173, 3_652, 3_043 + 1_521, 8_907, 17_391, 17_391]),
+        ] {
+            let mut env = Env::new(11);
+            let platform = SgxPlatform::new(&mut env).with_cost(cost.clone());
+            let mut e = small_enclave(&mut env, &platform);
+            e.vault_write(&mut env, "k", b"v");
+            let mut at = Vec::new();
+            let mut mark = |env: &Env| at.push(env.clock.now().as_nanos());
+            mark(&env);
+            e.ecall_enter(&mut env).unwrap();
+            mark(&env);
+            e.ecall_return(&mut env);
+            mark(&env);
+            e.aex(&mut env);
+            mark(&env);
+            e.ocall(&mut env, 32);
+            mark(&env);
+            let blob = e.evict_page(&mut env, 0).unwrap();
+            mark(&env);
+            e.reload_page(&mut env, 0, blob).unwrap();
+            mark(&env);
+            let spent: Vec<u64> = at.windows(2).map(|w| w[1] - w[0]).collect();
+            assert_eq!(spent, pinned, "{} GHz", cost.cpu_ghz);
+            let getters = [
+                cost.eenter(),
+                cost.eexit(),
+                cost.aex() + cost.eresume(),
+                cost.ocall_round_trip(32),
+                cost.cycles(cost.ewb_cycles),
+                cost.cycles(cost.eldu_cycles),
+            ];
+            assert_eq!(spent, getters.map(SimDuration::as_nanos));
+            e.aex_storm(&mut env, 7);
+            assert_eq!(env.clock.now().as_nanos() - at[6], 7 * pinned[2]);
+        }
+    }
+
+    #[test]
+    fn a_run_of_ocalls_is_each_ocall_then_its_host_time() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        let t0 = env.clock.now();
+        e.ocalls(&mut env, [(32, 654), (0, 0), (4096, 962)]);
+        let spent = (env.clock.now() - t0).as_nanos();
+        assert_eq!(spent, (8_582 + 654) + 8_550 + (8_550 + 4_096 + 962));
+        assert_eq!(e.counters().ocalls, 3);
+        e.ocalls(&mut env, []);
+        assert_eq!((env.clock.now() - t0).as_nanos(), spent);
+        assert_eq!(e.counters().eenter, 3);
     }
 
     #[test]

@@ -90,6 +90,11 @@ pub enum HmeeError {
     /// The enclave instance was destroyed (host crash, EPC power event,
     /// `EREMOVE` by the OS) and must be rebuilt before further use.
     EnclaveLost(String),
+    /// The platform's [`cost::CostModel`] cannot price a transition.
+    InvalidCostModel {
+        /// The field that is non-finite or out of range.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for HmeeError {
@@ -114,6 +119,9 @@ impl fmt::Display for HmeeError {
             HmeeError::UnsealDenied(w) => write!(f, "unseal denied: {w}"),
             HmeeError::EnclaveLost(name) => {
                 write!(f, "enclave {name} was lost and must be reloaded")
+            }
+            HmeeError::InvalidCostModel { field } => {
+                write!(f, "cost model field {field} is non-finite or out of range")
             }
         }
     }

@@ -16,6 +16,7 @@ use shield5g_hmee::enclave::{Enclave, EnclaveBuilder};
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
+use std::iter::repeat_n;
 
 /// Fixed OCALLs Gramine + glibc issue at boot besides trusted-file loads
 /// (manifest open/parse, brk/mmap storm, locale, TLS setup). Calibrated so
@@ -103,18 +104,13 @@ impl GramineLibos {
         }
 
         // Gramine/glibc init OCALL storm.
-        for _ in 0..GRAMINE_BOOT_OCALLS {
-            enclave.ocall(env, 64);
-        }
+        enclave.ocalls(env, repeat_n((64, 0), GRAMINE_BOOT_OCALLS as usize));
 
         // Trusted-file verification: open/read/close OCALLs per file plus
         // chunked hashing of the content (the dominant cost: Fig. 7).
         let trusted_bytes = image.manifest.trusted_bytes();
-        for _ in &image.manifest.trusted_files {
-            for _ in 0..OCALLS_PER_TRUSTED_FILE {
-                enclave.ocall(env, 96);
-            }
-        }
+        let file_ocalls = OCALLS_PER_TRUSTED_FILE as usize * image.manifest.trusted_files.len();
+        enclave.ocalls(env, repeat_n((96, 0), file_ocalls));
         // Verification throughput varies run to run with I/O conditions
         // (the ~±0.5 s spread visible in the paper's Fig. 7 box plots).
         let nominal = enclave.cost().hash_time(trusted_bytes);
@@ -215,16 +211,15 @@ impl GramineLibos {
 }
 
 impl SyscallInterface for GramineLibos {
-    fn syscall(&mut self, env: &mut Env, call: Syscall) {
+    fn run(&mut self, env: &mut Env, calls: &[Syscall]) {
+        let calls = calls.iter().map(|c| (c.boundary_bytes(), c.host_ns()));
         if self.exitless {
             // Exitless mode (§V-B7): a spinning untrusted helper performs
             // the syscall; no EENTER/EEXIT, only shared-memory handoff.
-            let handoff = SimDuration::from_nanos(600 + call.boundary_bytes() as u64);
-            env.clock
-                .advance(handoff + SimDuration::from_nanos(call.host_ns()));
+            let ns = calls.map(|(bytes, host_ns)| 600 + bytes as u64 + host_ns);
+            env.clock.advance(SimDuration::from_nanos(ns.sum()));
         } else {
-            self.enclave.ocall(env, call.boundary_bytes());
-            env.clock.advance(SimDuration::from_nanos(call.host_ns()));
+            self.enclave.ocalls(env, calls);
         }
     }
 
@@ -238,6 +233,8 @@ mod tests {
     use super::*;
     use crate::gsc::{transform, ImageSpec};
     use crate::manifest::Manifest;
+    use crate::syscalls::NativeSyscalls;
+    use shield5g_hmee::cost::CostModel;
 
     fn boot_world(preheat: bool) -> (Env, GramineLibos) {
         let mut env = Env::new(5);
@@ -319,6 +316,167 @@ mod tests {
         assert_eq!(delta.ocalls, 0);
         assert_eq!(delta.eenter, 0);
         assert!(spent < SimDuration::from_micros(3), "{spent}");
+    }
+
+    /// All 17 syscall kinds, the three that carry a payload with `bytes`.
+    fn kinds(bytes: usize) -> [Syscall; 17] {
+        [
+            Syscall::EpollWait,
+            Syscall::EpollCtl,
+            Syscall::Accept,
+            Syscall::Read { bytes },
+            Syscall::Write { bytes },
+            Syscall::Close,
+            Syscall::ClockGettime,
+            Syscall::Fcntl,
+            Syscall::Setsockopt,
+            Syscall::Getpeername,
+            Syscall::Socket,
+            Syscall::Bind,
+            Syscall::Listen,
+            Syscall::Futex,
+            Syscall::Mmap { bytes },
+            Syscall::OpenFile,
+            Syscall::GetRandom,
+        ]
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Interface {
+        Sgx,
+        Exitless,
+        Native,
+    }
+
+    /// Drives a fresh `interface` under `cost` and returns what moved:
+    /// nanoseconds on the clock, SGX counters, native call count.
+    fn moved_by(
+        interface: Interface,
+        cost: &CostModel,
+        drive: impl Fn(&mut dyn SyscallInterface, &mut Env),
+    ) -> (u64, SgxCounters, u64) {
+        let mut env = Env::new(6);
+        if let Interface::Native = interface {
+            let mut sys = NativeSyscalls::new(cost.clone());
+            drive(&mut sys, &mut env);
+            return (
+                env.clock.now().as_nanos(),
+                SgxCounters::new(),
+                sys.call_count(),
+            );
+        }
+        let platform = SgxPlatform::new(&mut env).with_cost(cost.clone());
+        let image = ImageSpec::synthetic("run", "/app", 1_000_000, 5);
+        let manifest =
+            Manifest::paka_default("x").with_exitless(matches!(interface, Interface::Exitless));
+        let shielded = transform(&image, manifest, &[9; 32]).unwrap();
+        let mut libos = GramineLibos::boot(&mut env, &shielded, &platform).unwrap();
+        let (t0, before) = (env.clock.now(), libos.sgx_stats());
+        drive(&mut libos, &mut env);
+        let spent = (env.clock.now() - t0).as_nanos();
+        (spent, libos.sgx_stats().delta_since(&before), 0)
+    }
+
+    /// 8400 / 2.3 and 9600 / 2.3 are not integers: truncating each term
+    /// and truncating their sum differ by a nanosecond per OCALL.
+    fn model_2_3_ghz() -> CostModel {
+        CostModel {
+            cpu_ghz: 2.3,
+            ..CostModel::default()
+        }
+    }
+
+    #[test]
+    fn every_syscall_kind_costs_its_pinned_nanoseconds() {
+        // (shielded, native) under the default model, payloads of 100 B.
+        // An OCALL of 32 B is 3500 + 4000 + 1050 + 32 = 8582 ns + host ns;
+        // a native trap is 290 ns + host ns.
+        let pinned = [
+            (9_236, 944),
+            (8_966, 674),
+            (10_386, 2_094),
+            (9_112, 752),
+            (9_162, 802),
+            (8_936, 644),
+            (8_646, 354),
+            (8_836, 544),
+            (8_886, 594),
+            (8_866, 574),
+            (9_486, 1_194),
+            (9_086, 794),
+            (9_036, 744),
+            (9_136, 844),
+            (9_650, 1_390),
+            (9_486, 1_194),
+            (9_004, 696),
+        ];
+        let cost = CostModel::default();
+        for (call, (shielded, native)) in kinds(100).into_iter().zip(pinned) {
+            let spent = |i| moved_by(i, &cost, |sys, env| sys.syscall(env, call)).0;
+            assert_eq!(spent(Interface::Sgx), shielded, "{call:?} shielded");
+            assert_eq!(spent(Interface::Native), native, "{call:?} native");
+        }
+        // Per-term truncation: 3652 + 4173 + 1050 + 32, not ⌊18000 / 2.3⌋ + 1082.
+        let close =
+            |sys: &mut dyn SyscallInterface, env: &mut Env| sys.syscall(env, Syscall::Close);
+        let spent = moved_by(Interface::Sgx, &model_2_3_ghz(), close).0;
+        assert_eq!(spent, 8_907 + Syscall::Close.host_ns());
+    }
+
+    proptest::proptest! {
+        /// The one-pass charge is the per-call sum: on every interface and
+        /// under both models a run leaves the clock, the counters and the
+        /// call count where the same calls leave them split in two runs
+        /// and issued one by one — and where the model's own getters,
+        /// truncating per term, say they should be.
+        #[test]
+        fn a_run_is_the_sum_of_its_calls(
+            calls in proptest::collection::vec(0usize..17 * 8193, 0..=128),
+            split in 0usize..=128,
+        ) {
+            // Kind `c % 17` with a payload of `c / 17` bytes: 0..=8192.
+            let calls: Vec<Syscall> = calls.into_iter().map(|c| kinds(c / 17)[c % 17]).collect();
+            let (a, b) = calls.split_at(split % (calls.len() + 1));
+            let n = calls.len() as u64;
+            for cost in [CostModel::default(), model_2_3_ghz()] {
+                for interface in [Interface::Sgx, Interface::Exitless, Interface::Native] {
+                    let whole = moved_by(interface, &cost, |sys, env| sys.run(env, &calls));
+                    let halves = moved_by(interface, &cost, |sys, env| {
+                        sys.run(env, a);
+                        sys.run(env, b);
+                    });
+                    let singles = moved_by(interface, &cost, |sys, env| {
+                        calls.iter().for_each(|call| sys.syscall(env, *call));
+                    });
+                    proptest::prop_assert!(
+                        whole == halves,
+                        "{:?} split: {:?} != {:?}", interface, whole, halves
+                    );
+                    proptest::prop_assert!(
+                        whole == singles,
+                        "{:?} one by one: {:?} != {:?}", interface, whole, singles
+                    );
+                    let each = |call: &Syscall| call.host_ns() + match interface {
+                        Interface::Sgx => cost.ocall_round_trip(call.boundary_bytes()).as_nanos(),
+                        Interface::Exitless => 600 + call.boundary_bytes() as u64,
+                        Interface::Native => cost.native_syscall_ns,
+                    };
+                    let ocalls = if let Interface::Sgx = interface { n } else { 0 };
+                    let counters = SgxCounters {
+                        ocalls,
+                        eexit: ocalls,
+                        eenter: ocalls,
+                        ..SgxCounters::new()
+                    };
+                    let native_calls = if let Interface::Native = interface { n } else { 0 };
+                    let expected = (calls.iter().map(each).sum::<u64>(), counters, native_calls);
+                    proptest::prop_assert!(
+                        whole == expected,
+                        "{:?} against the model: {:?} != {:?}", interface, whole, expected
+                    );
+                }
+            }
+        }
     }
 
     #[test]

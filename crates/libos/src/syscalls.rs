@@ -7,6 +7,11 @@
 //! each call costs a ~300 ns native trap or a ~8 µs enclave round trip is
 //! decided by which implementation is plugged in — that asymmetry, times
 //! the call counts, *is* the paper's SGX overhead.
+//!
+//! [`SyscallInterface::run`] is the interface: a choreography is charged
+//! in one pass as the integer sum of its calls' prices, and a single call
+//! is a run of one — so a run costs what its calls cost one by one, to
+//! the nanosecond.
 
 use shield5g_hmee::cost::CostModel;
 use shield5g_sim::time::SimDuration;
@@ -103,18 +108,17 @@ impl Syscall {
 
 /// What a workload issues syscalls through.
 pub trait SyscallInterface {
-    /// Executes one syscall, charging the clock appropriately.
-    fn syscall(&mut self, env: &mut Env, call: Syscall);
+    /// Executes a run of syscalls in order, advancing the clock once by
+    /// the sum of what each costs.
+    fn run(&mut self, env: &mut Env, calls: &[Syscall]);
+
+    /// Executes one syscall: the run of one.
+    fn syscall(&mut self, env: &mut Env, call: Syscall) {
+        self.run(env, &[call]);
+    }
 
     /// Whether calls cross an enclave boundary.
     fn is_shielded(&self) -> bool;
-
-    /// Convenience: issue `call` `n` times.
-    fn syscall_n(&mut self, env: &mut Env, call: Syscall, n: u32) {
-        for _ in 0..n {
-            self.syscall(env, call);
-        }
-    }
 }
 
 /// Direct syscalls: the container / monolithic deployment path.
@@ -140,10 +144,12 @@ impl NativeSyscalls {
 }
 
 impl SyscallInterface for NativeSyscalls {
-    fn syscall(&mut self, env: &mut Env, call: Syscall) {
-        self.calls += 1;
+    fn run(&mut self, env: &mut Env, calls: &[Syscall]) {
+        let n = calls.len() as u64;
+        self.calls += n;
+        let host: u64 = calls.iter().map(Syscall::host_ns).sum();
         env.clock
-            .advance(self.cost.native_syscall() + SimDuration::from_nanos(call.host_ns()));
+            .advance(self.cost.native_syscall() * n + SimDuration::from_nanos(host));
     }
 
     fn is_shielded(&self) -> bool {
@@ -175,14 +181,6 @@ mod tests {
         assert!(env.clock.now() > t0);
         assert_eq!(sys.call_count(), 1);
         assert!(!sys.is_shielded());
-    }
-
-    #[test]
-    fn syscall_n_repeats() {
-        let mut env = Env::new(1);
-        let mut sys = NativeSyscalls::new(CostModel::default());
-        sys.syscall_n(&mut env, Syscall::ClockGettime, 30);
-        assert_eq!(sys.call_count(), 30);
     }
 
     #[test]

@@ -30,10 +30,14 @@ impl Clock {
         SimTime::from_nanos(self.nanos.load(Ordering::Relaxed))
     }
 
-    /// Advances virtual time by `d` and returns the new instant.
+    /// Advances virtual time by `d` and returns the new instant. Saturates
+    /// at the end of time: virtual time never wraps backwards.
     pub fn advance(&self, d: SimDuration) -> SimTime {
-        let new = self.nanos.fetch_add(d.as_nanos(), Ordering::Relaxed) + d.as_nanos();
-        SimTime::from_nanos(new)
+        let add = |t: u64| t.saturating_add(d.as_nanos());
+        let (Ok(before) | Err(before)) =
+            self.nanos
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| Some(add(t)));
+        SimTime::from_nanos(add(before))
     }
 
     /// Sets the clock to an absolute instant.
@@ -46,13 +50,6 @@ impl Clock {
     /// interval arithmetic.
     pub fn set(&self, t: SimTime) {
         self.nanos.store(t.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Measures the virtual time consumed by `f`.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, SimDuration) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
     }
 }
 
@@ -93,13 +90,12 @@ mod tests {
     }
 
     #[test]
-    fn measure_brackets_closure() {
+    fn advance_saturates_at_the_end_of_time() {
         let c = Clock::new();
-        let (value, spent) = c.measure(|| {
-            c.advance(SimDuration::from_micros(9));
-            "done"
-        });
-        assert_eq!(value, "done");
-        assert_eq!(spent, SimDuration::from_micros(9));
+        c.set(SimTime::from_nanos(u64::MAX - 5));
+        let t = c.advance(SimDuration::from_nanos(u64::MAX));
+        assert_eq!(t, SimTime::from_nanos(u64::MAX));
+        assert_eq!(c.advance(SimDuration::from_nanos(1)), t);
+        assert_eq!(c.now(), t);
     }
 }

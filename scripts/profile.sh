@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Frame-pointer sampling profile of one benchmark workload — the profile
+# ROADMAP item 4's reopen rule asks for. Not part of check.sh or CI; needs
+# gcc, nm and python3 besides cargo.
+#
+#   scripts/profile.sh <workload> [seconds] [frame]
+#
+# Builds benchmark/ with frame pointers into target/profile, preloads
+# scripts/profile_sampler.c (SIGALRM every 200 us, rbp walk) and prints the
+# top self and inclusive symbols over the samples whose stack contains
+# `frame`, so set-up and the heap pre-touch stay out of the shares. `frame`
+# defaults to the timed phase: RegWorld::op for reg_*, fault_sweep for
+# pool_faulted, pool_sweep otherwise. --seconds 40 gives about 8k timed
+# samples on pool_open.
+set -euo pipefail
+
+[ $# -ge 1 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+workload="$1" seconds="${2:-10}"
+case "$workload" in
+  reg_*) frame="RegWorld::op" ;;
+  pool_faulted) frame="fault_sweep" ;;
+  *) frame="pool_sweep" ;;
+esac
+frame="${3:-$frame}"
+
+dir="$root/target/profile"
+RUSTFLAGS="-C force-frame-pointers=yes -C debuginfo=1" CARGO_TARGET_DIR="$dir" \
+  cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+gcc -O2 -shared -fPIC -o "$dir/profile_sampler.so" "$root/scripts/profile_sampler.c"
+
+bin="$dir/release/shield5g-benchmark"
+PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$dir/profile_sampler.so" \
+  "$bin" --workload "$workload" --seed 300 --seconds "$seconds" --trace 0 \
+  --out "$dir/out" --repo "$root" > "$dir/run.log"
+tail -n 1 "$dir/run.log" | cut -c 1-200
+python3 "$root/scripts/profile_report.py" "$bin" "$dir/samples.txt" "$frame"
