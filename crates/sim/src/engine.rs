@@ -18,13 +18,15 @@
 //! admission shedding all emerge from event ordering.
 //!
 //! The engine itself is a *pure scheduler*: heap, worker budgets, and
-//! the event trace — one structured [`TraceRecord`] per decision,
+//! the event trace — one 16-byte [`TraceRecord`] per decision,
 //! rendered to its byte-exact line only when somebody reads it
 //! ([`Engine::trace_lines`]). The hot path owns no strings: an endpoint's
 //! address lives once — as its registry key for a root leg, as the
-//! caller's handle for its peer on a [`Step::CallOut`] — and every leg,
-//! release event and trace record naming it holds an `Rc<str>` clone; a
-//! leg's path is the request's own handle. Cross-cutting
+//! caller's handle for its peer on a [`Step::CallOut`] — and every leg
+//! and release event naming it holds an `Rc<str>` clone; a leg's path is
+//! the request's own handle. Trace records hold ids into the world's
+//! name table, where a leg's address and path are interned once, when it
+//! is minted: recording a decision touches integers only. Cross-cutting
 //! per-endpoint concerns — admission control, fault injection,
 //! observability, retries, deadlines — live in middleware layers (the
 //! `shield5g-mw` crate) stacked around each registered service. The
@@ -446,54 +448,54 @@ struct ParentLink {
 
 struct Ctx {
     leg: LegMeta,
+    /// Name-table ids of `leg.dest` and `leg.path`, learnt at minting.
+    ids: (u32, u32),
     req: Option<HttpRequest>,
     parent: Option<ParentLink>,
     tag: u64,
     queued: SimDuration,
 }
 
-/// The second half of a [`TraceRecord`]: what the decision was about.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceDetail {
-    /// The request path of the leg (every kind but the two below).
-    Path(Rc<str>),
-    /// The response status (`reply` and `complete`).
-    Status(u16),
-}
+/// The scheduler's own trace kinds, in id order; a world's kind table starts
+/// with them and grows by the notes of [`Gate::Shed`] (`shed-full`, ...).
+const KINDS: &str =
+    "arrive queue begin callout reply resume complete fault-drop fault-delay fault-5xx";
+const ARRIVE: u32 = 0;
+const QUEUE: u32 = 1;
+const BEGIN: u32 = 2;
+const CALLOUT: u32 = 3;
+const REPLY: u32 = 4;
+const RESUME: u32 = 5;
+const COMPLETE: u32 = 6;
+const FAULT_DROP: u32 = 7;
+const FAULT_DELAY: u32 = 8;
+const FAULT_5XX: u32 = 9;
+/// The kind that ends a trace which ran out of ids (never in the table).
+const TRACE_FULL: u32 = 0xFF;
+/// Last id of the name table (24 bits); names past it are all `NO_NAME`.
+const MAX_NAME: u32 = (1 << 24) - 1;
+const NO_NAME: u32 = u32::MAX;
+/// Marks a record's second word as a response status, not a path id.
+const STATUS_BIT: u32 = 1 << 31;
 
-impl std::fmt::Display for TraceDetail {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceDetail::Path(path) => f.write_str(path),
-            TraceDetail::Status(status) => write!(f, "{status}"),
-        }
-    }
-}
-
-/// One scheduler decision, kept as data: recording it formats nothing
-/// and copies no string (`dest` and the path are shared handles).
-/// [`TraceRecord::line`] renders it when somebody reads the trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One scheduler decision in 16 bytes of integers: the instant,
+/// `kind << 24 | endpoint id`, and the path id or `STATUS_BIT | status`
+/// (`reply`, `complete`); [`Engine::trace_lines`] renders it from the name
+/// table. Past 2^24 names or 255 kinds the engine stops recording and says
+/// so, ending the trace with one `trace-full` record: it never aliases.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Virtual instant of the decision.
-    pub at: SimTime,
-    /// `arrive`, `queue`, `begin`, `callout`, `reply`, `resume`,
-    /// `complete`, `fault-drop`, `fault-delay`, `fault-5xx`, or the note
-    /// of a [`Gate::Shed`] (`shed-full`, `shed-deadline`, ...).
-    pub kind: &'static str,
-    /// The endpoint the decision concerns.
-    pub dest: Rc<str>,
-    /// Path or status.
-    pub detail: TraceDetail,
+    at: SimTime,
+    who: u32,
+    what: u32,
 }
 
 impl TraceRecord {
-    /// The record as the trace line `t=<nanos> seq=<n> <kind> <endpoint>
-    /// <path|status>`, `seq` being its index in [`Engine::trace`].
-    #[must_use]
-    pub fn line(&self, seq: usize) -> String {
-        let (at, kind, dest, detail) = (self.at.as_nanos(), self.kind, &self.dest, &self.detail);
-        format!("t={at} seq={seq} {kind} {dest} {detail}")
+    /// Packs a decision, or the `trace-full` marker when a field overflows.
+    fn pack(at: SimTime, kind: u32, dest: u32, what: u32) -> TraceRecord {
+        let fits = kind < TRACE_FULL && dest <= MAX_NAME && what <= STATUS_BIT | 0xFFFF;
+        let who = if fits { kind << 24 | dest } else { u32::MAX };
+        TraceRecord { at, who, what }
     }
 }
 
@@ -534,6 +536,19 @@ impl Ord for Event {
     }
 }
 
+/// What a world's scheduler counted about itself, tracing or not.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Events processed so far.
+    pub events: u64,
+    /// Most events ever pending at once.
+    pub peak_queue_depth: usize,
+    /// Request contexts in flight now.
+    pub live_contexts: usize,
+    /// Most request contexts ever in flight at once.
+    pub peak_live_contexts: usize,
+}
+
 /// The discrete-event scheduler and endpoint registry of one world.
 pub struct Engine {
     endpoints: BTreeMap<Rc<str>, Endpoint>,
@@ -541,9 +556,16 @@ pub struct Engine {
     ctxs: BTreeMap<u64, Ctx>,
     next_ctx: u64,
     next_seq: u64,
+    /// Instant of the last event processed.
+    now: SimTime,
     completions: Vec<Completion>,
+    /// The name table: every address and path a leg has named, by id.
+    names: Vec<Rc<str>>,
+    name_ids: BTreeMap<Rc<str>, u32>,
+    kinds: Vec<&'static str>,
     trace: Vec<TraceRecord>,
     trace_enabled: bool,
+    stats: EngineStats,
 }
 
 impl Default for Engine {
@@ -571,9 +593,14 @@ impl Engine {
             ctxs: BTreeMap::new(),
             next_ctx: 1,
             next_seq: 0,
+            now: SimTime::ZERO,
             completions: Vec::new(),
+            names: Vec::new(),
+            name_ids: BTreeMap::new(),
+            kinds: KINDS.split(' ').collect(),
             trace: Vec::new(),
             trace_enabled: true,
+            stats: EngineStats::default(),
         }
     }
 
@@ -584,8 +611,9 @@ impl Engine {
         Rc::new(RefCell::new(LeafService { inner }))
     }
 
-    /// Registers (or replaces) `service` at `addr` with a pool of
-    /// `workers` threads.
+    /// Registers `service` at `addr` with a pool of `workers` threads.
+    /// At a live address it replaces service and pool size only: workers
+    /// already busy and the FIFO carry over, so legs in flight survive.
     ///
     /// # Panics
     ///
@@ -597,17 +625,14 @@ impl Engine {
         service: EngineServiceHandle,
     ) {
         assert!(workers > 0, "an endpoint needs at least one worker");
-        // Re-registering keeps the map's existing key, so handles held by
-        // legs in flight stay the registry's own.
-        self.endpoints.insert(
-            Rc::from(addr.into()),
-            Endpoint {
-                service,
-                workers,
-                busy: 0,
-                waiting: VecDeque::new(),
-            },
-        );
+        let ep = self.endpoints.entry(Rc::from(addr.into()));
+        let ep = ep.or_insert_with(|| Endpoint {
+            service: service.clone(),
+            workers,
+            busy: 0,
+            waiting: VecDeque::new(),
+        });
+        (ep.service, ep.workers) = (service, workers);
     }
 
     /// Routes an admission policy to the service registered at `addr`
@@ -620,9 +645,16 @@ impl Engine {
             .is_some_and(|e| e.service.borrow_mut().set_admission_policy(policy))
     }
 
-    /// Removes an endpoint; returns whether it existed.
+    /// Removes an endpoint; returns whether it existed. Its waiters get
+    /// the 502 of the mid-flight collapse, in FIFO order, at the instant
+    /// of the last event processed; legs being served run to their reply.
     pub fn deregister(&mut self, addr: &str) -> bool {
-        self.endpoints.remove(addr).is_some()
+        let gone = self.endpoints.remove(addr);
+        for &ctx in gone.iter().flat_map(|ep| &ep.waiting) {
+            let resp = unknown_endpoint(addr, "unknown-endpoint");
+            self.push_event(self.now, EventKind::Deliver { ctx, resp });
+        }
+        gone.is_some()
     }
 
     /// Whether `addr` is registered.
@@ -658,8 +690,8 @@ impl Engine {
             .map_or(0, |e| e.service.borrow().admission_stats().depth_peak)
     }
 
-    /// Disables (or re-enables) event tracing — long open-loop sweeps
-    /// don't need the per-event transcript.
+    /// Disables (or re-enables) event tracing, as a sweep world nobody can read a
+    /// trace from does. Off drops the records, not the names; on restarts `seq` at 0.
     pub fn set_trace(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         if !enabled {
@@ -674,13 +706,32 @@ impl Engine {
         &self.trace
     }
 
-    /// The trace rendered on read, one [`TraceRecord::line`] per record
-    /// (`t=<nanos> seq=<n> <kind> <endpoint> <path|status>`).
-    /// Byte-identical across same-seed runs.
+    /// The trace rendered on read from the name table, one line per
+    /// record: `t=<nanos> seq=<n> <kind> <endpoint> <path|status>`, `seq`
+    /// its index in [`Engine::trace`]. Byte-identical across same-seed runs.
     #[must_use]
     pub fn trace_lines(&self) -> Vec<String> {
-        let numbered = self.trace.iter().enumerate();
-        numbered.map(|(seq, record)| record.line(seq)).collect()
+        let name = |id: u32| &self.names[id as usize];
+        let line = |(seq, r): (usize, &TraceRecord)| {
+            let (at, kind, dest) = (r.at.as_nanos(), r.who >> 24, r.who & MAX_NAME);
+            if kind == TRACE_FULL {
+                return format!("t={at} seq={seq} trace-full");
+            }
+            let (kind, dest) = (self.kinds[kind as usize], name(dest));
+            match r.what & STATUS_BIT {
+                0 => format!("t={at} seq={seq} {kind} {dest} {}", name(r.what)),
+                _ => format!("t={at} seq={seq} {kind} {dest} {}", r.what ^ STATUS_BIT),
+            }
+        };
+        self.trace.iter().enumerate().map(line).collect()
+    }
+
+    /// What the scheduler has counted so far.
+    #[must_use]
+    pub fn stats(&self) -> EngineStats {
+        let mut stats = self.stats;
+        stats.live_contexts = self.ctxs.len();
+        stats
     }
 
     /// Injects one request at the current clock instant and runs the
@@ -766,17 +817,31 @@ impl Engine {
         if let Some(ep) = self.endpoints.get(addr) {
             ep.service.borrow_mut().on_submit(&leg);
         }
-        self.ctxs.insert(
-            id,
-            Ctx {
-                leg,
-                req: Some(req),
-                parent: None,
-                tag: id,
-                queued: SimDuration::ZERO,
-            },
-        );
+        let ctx = Ctx {
+            ids: (self.intern(&leg.dest), self.intern(&leg.path)),
+            leg,
+            req: Some(req),
+            parent: None,
+            tag: id,
+            queued: SimDuration::ZERO,
+        };
+        self.ctxs.insert(id, ctx);
         self.push_event(at, EventKind::Arrive { ctx: id });
+        id
+    }
+
+    /// Id of `name` in the world's name table, appended on first sight;
+    /// `NO_NAME` once the table is full.
+    fn intern(&mut self, name: &Rc<str>) -> u32 {
+        if let Some(&id) = self.name_ids.get(name) {
+            return id;
+        }
+        if self.names.len() > MAX_NAME as usize {
+            return NO_NAME;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.clone());
+        self.name_ids.insert(name.clone(), id);
         id
     }
 
@@ -819,27 +884,37 @@ impl Engine {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Event { at, seq, kind }));
+        // A context is minted just before the event that will run it.
+        let (stats, live, depth) = (&mut self.stats, self.ctxs.len(), self.heap.len());
+        stats.peak_live_contexts = stats.peak_live_contexts.max(live);
+        stats.peak_queue_depth = stats.peak_queue_depth.max(depth);
     }
 
-    fn note(&mut self, at: SimTime, kind: &'static str, dest: &Rc<str>, detail: TraceDetail) {
+    /// Records one decision from integers alone; ids that do not fit a
+    /// record end the trace with its `trace-full` marker.
+    fn note(&mut self, at: SimTime, kind: u32, dest: u32, what: u32) {
         if self.trace_enabled {
-            let dest = dest.clone();
-            self.trace.push(TraceRecord {
-                at,
-                kind,
-                dest,
-                detail,
-            });
+            let record = TraceRecord::pack(at, kind, dest, what);
+            self.trace_enabled = record.who >> 24 != TRACE_FULL;
+            self.trace.push(record);
         }
     }
 
-    /// [`Engine::note`] about the leg's own endpoint and path.
-    fn note_leg(&mut self, at: SimTime, kind: &'static str, leg: &LegMeta) {
-        self.note(at, kind, &leg.dest, TraceDetail::Path(leg.path.clone()));
+    /// [`Engine::note`] about a leg under the note of a [`Gate::Shed`],
+    /// interned here: a world has a dozen kinds, and sheds are rare.
+    fn note_shed(&mut self, at: SimTime, note: &'static str, ids: (u32, u32)) {
+        let known = self.kinds.iter().position(|kind| *kind == note);
+        let kind = known.unwrap_or(self.kinds.len());
+        if known.is_none() && kind < TRACE_FULL as usize {
+            self.kinds.push(note);
+        }
+        self.note(at, kind as u32, ids.0, ids.1);
     }
 
     fn process(&mut self, env: &mut Env, ev: Event) {
         env.clock.set(ev.at);
+        self.now = ev.at;
+        self.stats.events += 1;
         match ev.kind {
             EventKind::Arrive { ctx } => self.on_arrive(env, ctx),
             EventKind::Begin { ctx } => self.run_begin(env, ctx),
@@ -851,8 +926,8 @@ impl Engine {
     fn on_arrive(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
         let ctx = self.ctxs.get(&id).expect("arriving context exists");
-        let (leg, looped) = (ctx.leg.clone(), self.loops(ctx));
-        self.note_leg(now, "arrive", &leg);
+        let (leg, ids, looped) = (ctx.leg.clone(), ctx.ids, self.loops(ctx));
+        self.note(now, ARRIVE, ids.0, ids.1);
         if looped {
             let resp = HttpResponse::error(508, format!("call loop through {}", leg.dest))
                 .with_header(ERROR_HEADER, "loop");
@@ -867,8 +942,7 @@ impl Engine {
             } else {
                 "unknown-endpoint"
             };
-            let resp = HttpResponse::error(502, format!("unknown endpoint {}", leg.dest))
-                .with_header(ERROR_HEADER, marker);
+            let resp = unknown_endpoint(&leg.dest, marker);
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
         };
@@ -879,7 +953,7 @@ impl Engine {
             Gate::Shed { resp, note } => {
                 // Shed at the door: no worker was taken, so no Release —
                 // the synthesized reply completes at the arrival instant.
-                self.note_leg(now, note, &leg);
+                self.note_shed(now, note, ids);
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
@@ -890,7 +964,7 @@ impl Engine {
             self.run_begin(env, id);
         } else {
             ep.waiting.push_back(id);
-            self.note_leg(now, "queue", &leg);
+            self.note(now, QUEUE, ids.0, ids.1);
             service.borrow_mut().on_queued(env, &leg);
         }
     }
@@ -899,11 +973,11 @@ impl Engine {
     /// worker (its endpoint's `busy` already counts it).
     fn run_begin(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
-        let (leg, wait, req) = {
+        let (leg, ids, wait, req) = {
             let ctx = self.ctxs.get_mut(&id).expect("beginning context exists");
             ctx.queued = now - ctx.leg.arrived;
             let req = ctx.req.take().expect("request not yet started");
-            (ctx.leg.clone(), ctx.queued, req)
+            (ctx.leg.clone(), ctx.ids, ctx.queued, req)
         };
         let service = self
             .endpoints
@@ -916,13 +990,13 @@ impl Engine {
             Gate::Shed { resp, note } => {
                 // Shed at begin: the worker granted to this leg is
                 // released before the synthesized reply travels back.
-                self.note_leg(now, note, &leg);
+                self.note_shed(now, note, ids);
                 self.push_event(now, EventKind::Release { dest: leg.dest });
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
         }
-        self.note_leg(now, "begin", &leg);
+        self.note(now, BEGIN, ids.0, ids.1);
         let step = service.borrow_mut().start(env, &leg, req);
         self.apply_step(env, id, step);
     }
@@ -931,8 +1005,9 @@ impl Engine {
         let now = env.clock.now();
         match step {
             Step::Reply(resp) => {
-                let leg = self.ctxs.get(&id).expect("replying context").leg.clone();
-                self.note(now, "reply", &leg.dest, TraceDetail::Status(resp.status));
+                let ctx = self.ctxs.get(&id).expect("replying context");
+                let (leg, ids) = (ctx.leg.clone(), ctx.ids);
+                self.note(now, REPLY, ids.0, STATUS_BIT | u32::from(resp.status));
                 // The worker did its work regardless of what happens to
                 // the response in flight: release fires at `now`.
                 self.push_event(
@@ -954,18 +1029,18 @@ impl Engine {
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Drop { timeout } => {
-                        self.note_leg(now, "fault-drop", &leg);
+                        self.note(now, FAULT_DROP, ids.0, ids.1);
                         let resp = HttpResponse::error(504, "injected response drop")
                             .with_header(FAULT_HEADER, "drop");
                         self.push_event(now + timeout, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Delay(d) => {
-                        self.note_leg(now, "fault-delay", &leg);
+                        self.note(now, FAULT_DELAY, ids.0, ids.1);
                         let resp = resp.with_header(FAULT_HEADER, "delay");
                         self.push_event(now + d, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Error { status } => {
-                        self.note_leg(now, "fault-5xx", &leg);
+                        self.note(now, FAULT_5XX, ids.0, ids.1);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
@@ -975,6 +1050,7 @@ impl Engine {
             Step::CallOut { dest, req, state } => {
                 let child = self.next_ctx;
                 self.next_ctx += 1;
+                let ids = (self.intern(&dest), self.intern(&req.path));
                 let parent = self.ctxs.get(&id).expect("calling context");
                 let (tag, parent_leg) = (parent.tag, parent.leg.clone());
                 // A callout inherits the caller's priority class unless
@@ -994,7 +1070,7 @@ impl Engine {
                     root: false,
                     class,
                 };
-                self.note_leg(now, "callout", &child_leg);
+                self.note(now, CALLOUT, ids.0, ids.1);
                 // The *caller's* stack observes the new leg and decides
                 // its request-leg fate — the callee may not even exist.
                 let parent_service = self
@@ -1015,13 +1091,13 @@ impl Engine {
                         // The request never reaches `dest`; the caller
                         // sits on its supervision timer and resumes with
                         // a synthesized 504.
-                        self.note_leg(now, "fault-drop", &child_leg);
+                        self.note(now, FAULT_DROP, ids.0, ids.1);
                         let resp = HttpResponse::error(504, "injected request drop")
                             .with_header(FAULT_HEADER, "drop");
                         (now + timeout, EventKind::Deliver { ctx: child, resp })
                     }
                     FaultAction::Delay(d) => {
-                        self.note_leg(now, "fault-delay", &child_leg);
+                        self.note(now, FAULT_DELAY, ids.0, ids.1);
                         // In-network delay is not queueing delay: move the
                         // arrival instant so admission deadlines measure
                         // only the wait at the endpoint.
@@ -1029,22 +1105,21 @@ impl Engine {
                         (now + d, EventKind::Arrive { ctx: child })
                     }
                     FaultAction::Error { status } => {
-                        self.note_leg(now, "fault-5xx", &child_leg);
+                        self.note(now, FAULT_5XX, ids.0, ids.1);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
                         (now, EventKind::Deliver { ctx: child, resp })
                     }
                 };
-                self.ctxs.insert(
-                    child,
-                    Ctx {
-                        leg: child_leg,
-                        req: Some(req),
-                        parent: Some(ParentLink { ctx: id, state }),
-                        tag,
-                        queued: SimDuration::ZERO,
-                    },
-                );
+                let ctx = Ctx {
+                    leg: child_leg,
+                    ids,
+                    req: Some(req),
+                    parent: Some(ParentLink { ctx: id, state }),
+                    tag,
+                    queued: SimDuration::ZERO,
+                };
+                self.ctxs.insert(child, ctx);
                 self.push_event(at, kind);
             }
         }
@@ -1068,6 +1143,7 @@ impl Engine {
         let now = env.clock.now();
         let Ctx {
             leg,
+            ids,
             parent,
             tag,
             queued,
@@ -1083,7 +1159,7 @@ impl Engine {
         }
         match parent {
             None => {
-                self.note(now, "complete", &leg.dest, TraceDetail::Status(resp.status));
+                self.note(now, COMPLETE, ids.0, STATUS_BIT | u32::from(resp.status));
                 self.completions.push(Completion {
                     tag,
                     response: resp,
@@ -1094,14 +1170,12 @@ impl Engine {
             }
             Some(link) => {
                 let parent = self.ctxs.get(&link.ctx).expect("parent context exists");
-                let parent_leg = parent.leg.clone();
-                self.note(now, "resume", &parent_leg.dest, TraceDetail::Path(leg.path));
+                let (parent_leg, parent_ids) = (parent.leg.clone(), parent.ids);
+                self.note(now, RESUME, parent_ids.0, ids.1);
                 let Some(ep) = self.endpoints.get(&parent_leg.dest) else {
                     // Parent's endpoint was deregistered mid-flight: the
                     // whole chain collapses with a synthesized error.
-                    let text = format!("unknown endpoint {}", parent_leg.dest);
-                    let resp = HttpResponse::error(502, text)
-                        .with_header(ERROR_HEADER, "unknown-endpoint");
+                    let resp = unknown_endpoint(&parent_leg.dest, "unknown-endpoint");
                     self.push_event(
                         now,
                         EventKind::Deliver {
@@ -1119,6 +1193,11 @@ impl Engine {
             }
         }
     }
+}
+
+/// The 502 a leg to, or resumed at, an unregistered address resolves to.
+fn unknown_endpoint(addr: &str, marker: &str) -> HttpResponse {
+    HttpResponse::error(502, format!("unknown endpoint {addr}")).with_header(ERROR_HEADER, marker)
 }
 
 #[cfg(test)]
@@ -1392,14 +1471,187 @@ mod tests {
                 "t=2500 seq=20 complete front 200",
             ]
         );
-        // Turning the trace off drops it; back on, `seq` restarts at 0.
+        // Turning the trace off drops it; back on, `seq` restarts at 0 and
+        // names interned before the gap (`echo`) or in it (`/gap`) render
+        // beside new ones (`/y`).
         engine.set_trace(false);
+        engine
+            .dispatch(&mut env, "echo", HttpRequest::get("/gap"))
+            .unwrap();
+        assert!(engine.trace().is_empty());
         engine.set_trace(true);
         assert!(engine.trace().is_empty());
+        for path in ["/y", "/gap"] {
+            engine
+                .dispatch(&mut env, "echo", HttpRequest::get(path))
+                .unwrap();
+        }
+        assert_eq!(
+            engine.trace_lines(),
+            [
+                "t=3500 seq=0 arrive echo /y",
+                "t=3500 seq=1 begin echo /y",
+                "t=4500 seq=2 reply echo 200",
+                "t=4500 seq=3 complete echo 200",
+                "t=4500 seq=4 arrive echo /gap",
+                "t=4500 seq=5 begin echo /gap",
+                "t=5500 seq=6 reply echo 200",
+                "t=5500 seq=7 complete echo 200",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_trace_record_is_sixteen_bytes_of_integers() {
+        assert!(std::mem::size_of::<TraceRecord>() <= 16);
+        // `pack` at each field's boundary: the largest kind, endpoint id
+        // and path id, status 0 and 65535 come back out unchanged ...
+        let at = SimTime::from_nanos(u64::MAX);
+        let fields = |r: TraceRecord| (r.at, r.who >> 24, r.who & MAX_NAME, r.what);
+        let (kind, path) = (TRACE_FULL - 1, STATUS_BIT - 1);
+        for what in [0, path, STATUS_BIT, STATUS_BIT | 0xFFFF] {
+            let record = TraceRecord::pack(at, kind, MAX_NAME, what);
+            assert_eq!(fields(record), (at, kind, MAX_NAME, what));
+            assert_eq!(fields(TraceRecord::pack(at, 0, 0, what)), (at, 0, 0, what));
+        }
+        // ... and one step past any limit is the marker, never a
+        // neighbouring field's bits.
+        for (kind, dest, what) in [
+            (TRACE_FULL, 0, 0),
+            (0, MAX_NAME + 1, 0),
+            (0, NO_NAME, 0),
+            (0, 0, STATUS_BIT | 0x1_0000),
+            (0, 0, NO_NAME),
+        ] {
+            assert_eq!(
+                TraceRecord::pack(at, kind, dest, what).who >> 24,
+                TRACE_FULL
+            );
+        }
+    }
+
+    /// Sheds every arrival under a note nobody used before.
+    struct FreshNotes;
+
+    impl EngineService for FreshNotes {
+        fn start(&mut self, _env: &mut Env, _leg: &LegMeta, _req: HttpRequest) -> Step {
+            Step::Reply(HttpResponse::error(500, "never admitted"))
+        }
+
+        fn resume(
+            &mut self,
+            env: &mut Env,
+            leg: &LegMeta,
+            _state: Box<dyn Any>,
+            _resp: HttpResponse,
+        ) -> Step {
+            self.start(env, leg, HttpRequest::get("/"))
+        }
+
+        fn on_arrive(&mut self, _env: &mut Env, leg: &LegMeta, _depth: usize) -> Gate {
+            Gate::Shed {
+                resp: HttpResponse::error(503, "shed"),
+                note: Box::leak(format!("note-{}", leg.id).into_boxed_str()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_world_out_of_kind_ids_stops_recording_and_says_so() {
+        let mut env = Env::new(15);
+        let mut engine = Engine::new();
+        engine.register("gate", 1, Rc::new(RefCell::new(FreshNotes)));
+        for i in 1..=300 {
+            engine.schedule_request(SimTime::from_nanos(i), "gate", HttpRequest::get("/x"));
+        }
+        // Nothing panics and scheduling goes on untraced ...
+        assert_eq!(engine.run_until_idle(&mut env).len(), 300);
+        assert_eq!(engine.stats().events, 600);
+        // ... the kind field's 255 ids went to the scheduler's ten and the
+        // first 245 notes, each rendered under its own name; the 246th
+        // shed is the marker, and the last record.
+        let lines = engine.trace_lines();
+        let room = TRACE_FULL as usize - KINDS.split(' ').count();
+        assert_eq!(lines.len(), engine.trace().len());
+        assert_eq!(lines.len(), 3 * room + 2);
+        for (i, shed) in lines.chunks(3).take(room).enumerate() {
+            let (t, seq) = (i + 1, 3 * i);
+            assert_eq!(shed[0], format!("t={t} seq={seq} arrive gate /x"));
+            assert_eq!(shed[1], format!("t={t} seq={} note-{t} gate /x", seq + 1));
+            assert_eq!(shed[2], format!("t={t} seq={} complete gate 503", seq + 2));
+        }
+        assert_eq!(lines[3 * room], "t=246 seq=735 arrive gate /x");
+        assert_eq!(lines[3 * room + 1], "t=246 seq=736 trace-full");
+    }
+
+    /// The statuses of `done`, in completion order.
+    fn statuses(done: &[Completion]) -> Vec<u16> {
+        done.iter().map(|c| c.response.status).collect()
+    }
+
+    /// One worker, three simultaneous arrivals, the clock half-way
+    /// through the first service: one leg being served, two in the FIFO.
+    fn echo_with_two_waiters(env: &mut Env) -> Engine {
+        let mut engine = engine_with_echo(1, 10_000);
+        let t0 = env.clock.now();
+        for i in 0..3 {
+            engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![i]));
+        }
+        let half_way = t0 + SimDuration::from_nanos(5_000);
+        assert!(engine.run_until(env, half_way).is_empty());
+        assert_eq!(engine.stats().live_contexts, 3);
         engine
-            .dispatch(&mut env, "echo", HttpRequest::get("/y"))
-            .unwrap();
-        assert_eq!(engine.trace_lines()[0], "t=2500 seq=0 arrive echo /y");
+    }
+
+    #[test]
+    fn deregister_answers_the_waiters_it_strands() {
+        let mut env = Env::new(16);
+        let t0 = env.clock.now();
+        let mut engine = echo_with_two_waiters(&mut env);
+        assert!(engine.deregister("echo"));
+        let done = engine.run_until_idle(&mut env);
+        // The waiters collapse first, in FIFO order, at the last instant
+        // the engine processed; the leg being served runs to its reply.
+        assert_eq!(statuses(&done), [502, 502, 200]);
+        assert_eq!([done[0].tag, done[1].tag, done[2].tag], [2, 3, 1]);
+        for waiter in &done[..2] {
+            assert_eq!(waiter.finished, t0);
+            assert_eq!(
+                waiter.response.header(ERROR_HEADER),
+                Some("unknown-endpoint")
+            );
+        }
+        assert_eq!(engine.stats().live_contexts, 0);
+        assert_eq!(engine.stats().peak_live_contexts, 3);
+    }
+
+    #[test]
+    fn re_register_keeps_busy_workers_and_the_fifo() {
+        let mut env = Env::new(17);
+        let t0 = env.clock.now();
+        let mut engine = echo_with_two_waiters(&mut env);
+        let faster = Engine::leaf(service_handle(SlowEcho { nanos: 1_000 }));
+        engine.register("echo", 1, faster);
+        // The one worker is still the old leg's: a later arrival joins the
+        // FIFO it found instead of starting beside it ...
+        let late = t0 + SimDuration::from_nanos(6_000);
+        engine.schedule_request(late, "echo", HttpRequest::post("/x", vec![3]));
+        let done = engine.run_until_idle(&mut env);
+        assert_eq!(statuses(&done), [200; 4]);
+        // ... and the old leg's release (t0 + 10 µs) hands that worker down
+        // the FIFO, to the new service.
+        let finished: Vec<u64> = done.iter().map(|c| (c.finished - t0).as_nanos()).collect();
+        assert_eq!(finished, [10_000, 11_000, 12_000, 13_000]);
+        assert_eq!(engine.stats().live_contexts, 0);
+        // The worker came back exactly once: the next arrival starts at
+        // once, a simultaneous second one waits for it.
+        let t1 = env.clock.now();
+        for i in 0..2 {
+            engine.schedule_request(t1, "echo", HttpRequest::post("/x", vec![i]));
+        }
+        let done = engine.run_until_idle(&mut env);
+        let waits: Vec<u64> = done.iter().map(|c| c.queued.as_nanos()).collect();
+        assert_eq!(waits, [0, 1_000]);
     }
 
     #[test]
@@ -1614,6 +1866,233 @@ mod tests {
             engine.trace_lines()
         };
         assert_eq!(run(11), run(11));
+    }
+
+    /// One endpoint of the property world below. Through its hooks alone
+    /// it writes, for every decision it is shown, the line the
+    /// string-holding record used to render — endpoint, path and status
+    /// read from the hook's own [`LegMeta`] and response, never from the
+    /// engine's name table.
+    struct Witness {
+        oracle: Rc<RefCell<Vec<String>>>,
+        /// Where a relay forwards; `None` is a leaf, which replies itself.
+        next: Option<Rc<str>>,
+        dice: u64,
+    }
+
+    const PATHS: [&str; 3] = ["/x", "/nudm-ueau/generate-auth-data", "/x/y"];
+
+    fn say(oracle: &RefCell<Vec<String>>, at: SimTime, kind: &str, dest: &str, detail: &str) {
+        let (at, mut oracle) = (at.as_nanos(), oracle.borrow_mut());
+        let seq = oracle.len();
+        oracle.push(format!("t={at} seq={seq} {kind} {dest} {detail}"));
+    }
+
+    impl Witness {
+        fn say(&self, env: &Env, kind: &str, dest: &str, detail: impl ToString) {
+            say(
+                &self.oracle,
+                env.clock.now(),
+                kind,
+                dest,
+                &detail.to_string(),
+            );
+        }
+
+        /// Xorshift: the world's every choice follows from its script.
+        fn roll(&mut self, sides: u64) -> u64 {
+            self.dice ^= self.dice << 13;
+            self.dice ^= self.dice >> 7;
+            self.dice ^= self.dice << 17;
+            self.dice % sides
+        }
+
+        fn fate(&mut self, env: &Env, dest: &str, path: &str) -> FaultAction {
+            let span = SimDuration::from_nanos(self.roll(3_000));
+            let status = 500 + self.roll(100) as u16;
+            let (kind, action) = match self.roll(12) {
+                0 => ("fault-drop", FaultAction::Drop { timeout: span }),
+                1 => ("fault-delay", FaultAction::Delay(span)),
+                2 => ("fault-5xx", FaultAction::Error { status }),
+                _ => return FaultAction::Deliver,
+            };
+            self.say(env, kind, dest, path);
+            action
+        }
+
+        fn gate(&mut self, env: &Env, leg: &LegMeta, note: &'static str) -> Gate {
+            if self.roll(8) > 0 {
+                return Gate::Admit;
+            }
+            self.say(env, note, &leg.dest, &leg.path);
+            let resp = HttpResponse::error(503, note);
+            Gate::Shed { resp, note }
+        }
+
+        fn reply(&self, env: &Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+            self.say(env, "reply", &leg.dest, resp.status);
+            Step::Reply(resp)
+        }
+    }
+
+    impl EngineService for Witness {
+        fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
+            env.clock.advance(SimDuration::from_nanos(self.roll(4_000)));
+            let Some(dest) = self.next.clone() else {
+                let status = self.roll(1 << 16) as u16;
+                return self.reply(env, leg, HttpResponse::error(status, "leaf"));
+            };
+            let req = HttpRequest::post(PATHS[self.roll(3) as usize], req.body);
+            let state = Box::new(req.path.clone());
+            Step::CallOut { dest, req, state }
+        }
+
+        fn resume(
+            &mut self,
+            env: &mut Env,
+            leg: &LegMeta,
+            state: Box<dyn Any>,
+            resp: HttpResponse,
+        ) -> Step {
+            let sent = state.downcast::<Rc<str>>().expect("the path `start` sent");
+            self.say(env, "resume", &leg.dest, sent);
+            self.reply(env, leg, resp)
+        }
+
+        fn on_arrive(&mut self, env: &mut Env, leg: &LegMeta, _depth: usize) -> Gate {
+            self.say(env, "arrive", &leg.dest, &leg.path);
+            let note = ["shed-full", "shed-class"][self.roll(2) as usize];
+            self.gate(env, leg, note)
+        }
+
+        fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {
+            self.say(env, "queue", &leg.dest, &leg.path);
+        }
+
+        fn on_begin(&mut self, env: &mut Env, leg: &LegMeta, _waited: SimDuration) -> Gate {
+            let gate = self.gate(env, leg, "shed-deadline");
+            if matches!(gate, Gate::Admit) {
+                self.say(env, "begin", &leg.dest, &leg.path);
+            }
+            gate
+        }
+
+        fn on_callout(&mut self, env: &mut Env, _parent: &LegMeta, child: &LegMeta) {
+            self.say(env, "callout", &child.dest, &child.path);
+        }
+
+        fn request_fate(&mut self, env: &mut Env, dest: &str, path: &str) -> FaultAction {
+            self.fate(env, dest, path)
+        }
+
+        fn response_fate(&mut self, env: &mut Env, leg: &LegMeta, _status: u16) -> FaultAction {
+            self.fate(env, &leg.dest, &leg.path)
+        }
+
+        fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {
+            if leg.root {
+                self.say(env, "complete", &leg.dest, resp.status);
+            }
+        }
+    }
+
+    /// Runs the events due by `until` one at a time, writing the two
+    /// decisions no hook is shown: a leg reaching, and a root completing
+    /// at, an address nobody has registered.
+    fn drain(engine: &mut Engine, env: &mut Env, oracle: &RefCell<Vec<String>>, until: SimTime) {
+        while engine.heap.peek().is_some_and(|Reverse(ev)| ev.at <= until) {
+            let Some(Reverse(ev)) = engine.heap.pop() else {
+                break;
+            };
+            let unseen = match &ev.kind {
+                EventKind::Arrive { ctx } => Some((&engine.ctxs[ctx].leg, "arrive", None)),
+                EventKind::Deliver { ctx, resp } => {
+                    let leg = &engine.ctxs[ctx].leg;
+                    leg.root.then_some((leg, "complete", Some(resp.status)))
+                }
+                _ => None,
+            };
+            if let Some((leg, kind, status)) = unseen.filter(|(leg, ..)| !engine.knows(&leg.dest)) {
+                let detail = status.map_or(leg.path.to_string(), |s| s.to_string());
+                say(oracle, ev.at, kind, &leg.dest, &detail);
+            }
+            engine.process(env, ev);
+        }
+    }
+
+    struct Witnessed {
+        oracle: Vec<String>,
+        lines: Vec<String>,
+        completions: String,
+        stats: EngineStats,
+    }
+
+    /// Plays `script` on a fresh world: relays `a` → `b` → `c`, `d` → an
+    /// address nobody registers, leaves `c` and `e`. A word of the script
+    /// registers one of the five (once), or posts a root arrival a little
+    /// later at any of them, registered yet or not, or at `ghost`.
+    fn witnessed(script: &[u64], trace: bool) -> Witnessed {
+        let world = [
+            ("a", Some("b")),
+            ("b", Some("c")),
+            ("c", None),
+            ("d", Some("ghost")),
+            ("e", None),
+        ];
+        let (mut env, mut engine) = (Env::new(18), Engine::new());
+        engine.set_trace(trace);
+        let oracle = Rc::new(RefCell::new(Vec::new()));
+        let mut at = SimTime::ZERO;
+        for &word in script {
+            let [op, who, path, gap] = [word, word >> 8, word >> 16, word >> 24];
+            if op % 4 == 0 {
+                let (name, next) = world[(who % 5) as usize];
+                if !engine.knows(name) {
+                    let (oracle, next, dice) = (oracle.clone(), next.map(Rc::from), word | 1);
+                    let witness = Witness { oracle, next, dice };
+                    let workers = 1 + (gap % 2) as u32;
+                    engine.register(name, workers, Rc::new(RefCell::new(witness)));
+                }
+                continue;
+            }
+            at += SimDuration::from_nanos(gap % 2_000);
+            drain(&mut engine, &mut env, &oracle, at);
+            let dest = world
+                .get((who % 6) as usize)
+                .map_or("ghost", |(name, _)| name);
+            engine.schedule_request(at, dest, HttpRequest::get(PATHS[(path % 3) as usize]));
+        }
+        drain(
+            &mut engine,
+            &mut env,
+            &oracle,
+            SimTime::from_nanos(u64::MAX),
+        );
+        let oracle = oracle.take();
+        Witnessed {
+            oracle,
+            lines: engine.trace_lines(),
+            completions: format!("{:?}", engine.completions),
+            stats: engine.stats(),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_compact_trace_is_the_line_per_decision_the_hooks_saw(
+            script in proptest::collection::vec(0u64.., 1..80),
+        ) {
+            let traced = witnessed(&script, true);
+            proptest::prop_assert_eq!(&traced.lines, &traced.oracle);
+            proptest::prop_assert_eq!(traced.stats.live_contexts, 0);
+            // Tracing is scheduling-invisible: the same script untraced
+            // decides, completes and counts the same.
+            let blind = witnessed(&script, false);
+            proptest::prop_assert!(blind.lines.is_empty());
+            proptest::prop_assert_eq!(blind.oracle, traced.oracle);
+            proptest::prop_assert_eq!(blind.completions, traced.completions);
+            proptest::prop_assert_eq!(blind.stats, traced.stats);
+        }
     }
 
     #[test]
