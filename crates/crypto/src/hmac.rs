@@ -1,15 +1,21 @@
 //! HMAC-SHA-256 (RFC 2104), validated against the RFC 4231 test vectors.
 //!
 //! HMAC-SHA-256 *is* the 3GPP generic KDF core (TS 33.220 Annex B), protects
-//! sim-TLS records, and provides the SUCI Profile A MAC tag.
+//! sim-TLS records and NAS messages, and provides the SUCI Profile A MAC tag.
+//!
+//! A key is keyed once: [`HmacKey`] holds the chaining states after the
+//! `key ⊕ ipad` and `key ⊕ opad` blocks, and each MAC under it resumes
+//! from them, two compressions fewer than keying afresh. Every key that
+//! outlives one MAC is held as an `HmacKey`; [`hmac_sha256`] keys once.
 //!
 //! ```rust
-//! use shield5g_crypto::hmac::hmac_sha256;
-//! let tag = hmac_sha256(b"key", b"message");
-//! assert_eq!(tag.len(), 32);
+//! use shield5g_crypto::hmac::{hmac_sha256, HmacKey};
+//! let mut mac = HmacKey::new(b"key").start();
+//! mac.update(b"message");
+//! assert_eq!(mac.finalize(), hmac_sha256(b"key", b"message"));
 //! ```
 
-use crate::secret::SecretBytes;
+use crate::secret::Zeroize;
 use crate::sha256::Sha256;
 
 /// SHA-256 block size in bytes.
@@ -23,14 +29,65 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     hmac.finalize()
 }
 
+/// An HMAC-SHA-256 key prepared once: the chaining states after the two
+/// pad blocks, redacted in `Debug` and zeroized on drop.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
+impl Drop for HmacKey {
+    fn drop(&mut self) {
+        self.inner.zeroize();
+        self.outer.zeroize();
+    }
+}
+
+impl HmacKey {
+    /// Prepares `key` (any length; keys longer than one block are hashed
+    /// first, per RFC 2104).
+    #[must_use]
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        key_block.iter_mut().for_each(|b| *b ^= 0x36);
+        let inner = Sha256::block_state(&key_block);
+        // ipad → opad in place.
+        key_block.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        let outer = Sha256::block_state(&key_block);
+        key_block.zeroize();
+        HmacKey { inner, outer }
+    }
+
+    /// Starts one MAC under this key.
+    #[must_use]
+    pub fn start(&self) -> HmacSha256 {
+        HmacSha256 {
+            inner: Sha256::resume(self.inner),
+            key: self.clone(),
+        }
+    }
+}
+
 /// Incremental HMAC-SHA-256.
 ///
-/// The derived key blocks (and the keyed inner hash state) are secret
-/// material: `Debug` is redacted and the outer pad zeroizes on drop.
+/// The keyed inner hash state is secret material: `Debug` is redacted,
+/// and the prepared key it finishes under zeroizes on drop.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: SecretBytes<BLOCK>,
+    key: HmacKey,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -42,31 +99,11 @@ impl std::fmt::Debug for HmacSha256 {
 }
 
 impl HmacSha256 {
-    /// Creates an HMAC context keyed with `key` (any length; keys longer
-    /// than one block are hashed first, per RFC 2104).
+    /// Creates an HMAC context keyed with `key`, prepared for this one MAC
+    /// (`HmacKey::new(key).start()`).
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            key_block[..32].copy_from_slice(&Sha256::digest(key));
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad_key = [0u8; BLOCK];
-        let mut opad_key = [0u8; BLOCK];
-        for i in 0..BLOCK {
-            ipad_key[i] = key_block[i] ^ 0x36;
-            opad_key[i] = key_block[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        use crate::secret::Zeroize;
-        key_block.zeroize();
-        ipad_key.zeroize();
-        HmacSha256 {
-            inner,
-            opad_key: SecretBytes::new(opad_key),
-        }
+        HmacKey::new(key).start()
     }
 
     /// Absorbs message bytes.
@@ -78,8 +115,7 @@ impl HmacSha256 {
     #[must_use]
     pub fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(self.opad_key.expose());
+        let mut outer = Sha256::resume(self.key.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -159,23 +195,81 @@ mod tests {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
     }
 
+    #[test]
+    fn debug_is_redacted() {
+        let key = HmacKey::new(b"secret");
+        assert_eq!(format!("{key:?}"), "HmacKey(<redacted>)");
+        assert!(format!("{:?}", key.start()).contains("redacted"));
+    }
+
+    #[test]
+    fn a_prepared_key_saves_two_compressions_per_mac() {
+        use crate::sha256::tests::compressions;
+        let msg = [0x5a; 100];
+        for key_len in [0, 16, 32, 64] {
+            let key = vec![0x0b; key_len];
+            let (fresh, fresh_cost) = compressions(|| hmac_sha256(&key, &msg));
+            let prepared = HmacKey::new(&key);
+            let (tag, cost) = compressions(|| {
+                let mut mac = prepared.start();
+                mac.update(&msg);
+                mac.finalize()
+            });
+            assert_eq!(tag, fresh);
+            assert_eq!(cost + 2, fresh_cost, "{key_len}-byte key");
+        }
+    }
+
+    /// RFC 2104 written out: `H(K' ⊕ opad ‖ H(K' ⊕ ipad ‖ m))`.
+    fn rfc2104(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        inner.update(msg);
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
     proptest::proptest! {
         #[test]
         fn key_exactly_block_size_is_used_raw(key in proptest::collection::vec(0u8.., 64..=64), msg in proptest::collection::vec(0u8.., 0..100)) {
-            // A 64-byte key must not be hashed first: compare against a manual construction.
-            let mut ipad = [0u8; 64];
-            let mut opad = [0u8; 64];
-            for i in 0..64 {
-                ipad[i] = key[i] ^ 0x36;
-                opad[i] = key[i] ^ 0x5c;
+            // A 64-byte key must not be hashed first.
+            proptest::prop_assert_eq!(rfc2104(&key, &msg), hmac_sha256(&key, &msg));
+        }
+
+        #[test]
+        fn a_prepared_key_is_rfc2104(
+            key_len in 0usize..=200,
+            key_byte in 0u8..,
+            msgs in proptest::collection::vec(proptest::collection::vec(0u8.., 0..300), 1..4),
+            split in 0usize..300,
+        ) {
+            // The drawn length, and every length around the block size.
+            for key_len in [key_len, 63, 64, 65] {
+                let key: Vec<u8> = (0..key_len).map(|i| key_byte.wrapping_add(i as u8)).collect();
+                let prepared = HmacKey::new(&key);
+                // Interleaved MACs under one key: every one starts from the
+                // prepared states, none disturbs another.
+                let mut macs: Vec<HmacSha256> = msgs.iter().map(|_| prepared.start()).collect();
+                for (mac, msg) in macs.iter_mut().zip(&msgs) {
+                    mac.update(&msg[..split.min(msg.len())]);
+                }
+                for (mac, msg) in macs.iter_mut().zip(&msgs).rev() {
+                    mac.update(&msg[split.min(msg.len())..]);
+                }
+                for (mac, msg) in macs.into_iter().zip(&msgs) {
+                    let expected = rfc2104(&key, msg);
+                    proptest::prop_assert_eq!(mac.finalize(), expected);
+                    proptest::prop_assert_eq!(hmac_sha256(&key, msg), expected);
+                }
             }
-            let mut inner = Sha256::new();
-            inner.update(&ipad);
-            inner.update(&msg);
-            let mut outer = Sha256::new();
-            outer.update(&opad);
-            outer.update(&inner.finalize());
-            proptest::prop_assert_eq!(outer.finalize(), hmac_sha256(&key, &msg));
         }
     }
 }

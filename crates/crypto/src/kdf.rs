@@ -2,10 +2,12 @@
 //!
 //! * [`kdf_3gpp`] — the generic 3GPP KDF of TS 33.220 Annex B.2, used for
 //!   every key in the 5G hierarchy (K_AUSF, K_SEAF, K_AMF, RES*, ...).
+//!   Its key comes prepared ([`HmacKey`]), so a key with two outputs
+//!   (CK‖IK: K_AUSF and RES*; K_AMF: both NAS keys) is keyed once.
 //! * [`kdf_x963`] — the ANSI X9.63 KDF with SHA-256, used by the SUCI ECIES
 //!   protection scheme Profile A (TS 33.501 Annex C.3.4.1).
 
-use crate::hmac::HmacSha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
 
 /// The generic 3GPP key-derivation function (TS 33.220 B.2.0).
@@ -21,13 +23,14 @@ use crate::sha256::Sha256;
 /// longer input indicates a caller bug rather than a runtime condition.
 ///
 /// ```rust
+/// use shield5g_crypto::hmac::HmacKey;
 /// use shield5g_crypto::kdf::kdf_3gpp;
-/// let k = kdf_3gpp(&[0u8; 32], 0x6C, &[b"5G:mnc001.mcc001.3gppnetwork.org"]);
+/// let k = kdf_3gpp(&HmacKey::new(&[0u8; 32]), 0x6C, &[b"5G:mnc001.mcc001.3gppnetwork.org"]);
 /// assert_eq!(k.len(), 32);
 /// ```
 #[must_use]
-pub fn kdf_3gpp(key: &[u8], fc: u8, params: &[&[u8]]) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
+pub fn kdf_3gpp(key: &HmacKey, fc: u8, params: &[&[u8]]) -> [u8; 32] {
+    let mut mac = key.start();
     mac.update(&[fc]);
     for p in params {
         assert!(
@@ -80,14 +83,14 @@ mod tests {
         s.extend_from_slice(&p1);
         s.extend_from_slice(&(p1.len() as u16).to_be_bytes());
         let expected = crate::hmac::hmac_sha256(&key, &s);
-        assert_eq!(kdf_3gpp(&key, 0x6A, &[p0, &p1]), expected);
+        assert_eq!(kdf_3gpp(&HmacKey::new(&key), 0x6A, &[p0, &p1]), expected);
     }
 
     #[test]
     fn kdf_3gpp_no_params() {
         let key = [0u8; 32];
         assert_eq!(
-            kdf_3gpp(&key, 0x42, &[]),
+            kdf_3gpp(&HmacKey::new(&key), 0x42, &[]),
             crate::hmac::hmac_sha256(&key, &[0x42])
         );
     }
@@ -97,7 +100,7 @@ mod tests {
         let key = [0u8; 32];
         // FC || "" || 0x0000
         let expected = crate::hmac::hmac_sha256(&key, &[0x42, 0, 0]);
-        assert_eq!(kdf_3gpp(&key, 0x42, &[b""]), expected);
+        assert_eq!(kdf_3gpp(&HmacKey::new(&key), 0x42, &[b""]), expected);
     }
 
     #[test]
@@ -134,7 +137,7 @@ mod tests {
 
     #[test]
     fn kdf_3gpp_fc_separates_domains() {
-        let key = [1u8; 32];
+        let key = HmacKey::new(&[1u8; 32]);
         assert_ne!(kdf_3gpp(&key, 0x6A, &[b"x"]), kdf_3gpp(&key, 0x6B, &[b"x"]));
     }
 
@@ -142,7 +145,7 @@ mod tests {
     fn kdf_3gpp_param_boundaries_matter() {
         // ["ab", "c"] and ["a", "bc"] must derive different keys because the
         // length fields delimit parameters.
-        let key = [1u8; 32];
+        let key = HmacKey::new(&[1u8; 32]);
         assert_ne!(
             kdf_3gpp(&key, 0x10, &[b"ab", b"c"]),
             kdf_3gpp(&key, 0x10, &[b"a", b"bc"])
@@ -151,11 +154,18 @@ mod tests {
 
     #[test]
     fn known_answer_stability() {
-        // Pinned output guards against accidental changes to S-string layout.
-        let out = kdf_3gpp(&[0u8; 32], 0x6C, &[b"5G:mnc001.mcc001.3gppnetwork.org"]);
-        assert_eq!(hex::encode(&out).len(), 64);
-        // Deterministic: same inputs, same output.
-        let again = kdf_3gpp(&[0u8; 32], 0x6C, &[b"5G:mnc001.mcc001.3gppnetwork.org"]);
-        assert_eq!(out, again);
+        // Pinned output (HMAC-SHA-256 of the S string, computed outside
+        // this crate) guards the S-string layout and the prepared key.
+        let key = HmacKey::new(&[0u8; 32]);
+        let snn: &[u8] = b"5G:mnc001.mcc001.3gppnetwork.org";
+        assert_eq!(
+            hex::encode(&kdf_3gpp(&key, 0x6C, &[snn])),
+            "08d236c96081e173c0c898bf4a4adf3be51a7b332981b1b01031747be38fc2fd"
+        );
+        // The same key derives again, unchanged by the first use.
+        assert_eq!(
+            kdf_3gpp(&key, 0x6C, &[snn]),
+            kdf_3gpp(&HmacKey::new(&[0u8; 32]), 0x6C, &[snn])
+        );
     }
 }

@@ -77,6 +77,22 @@ impl Sha256 {
         h.finalize()
     }
 
+    /// The chaining state after absorbing `block` alone (an HMAC pad).
+    pub(crate) fn block_state(block: &[u8; 64]) -> [u32; 8] {
+        let mut h = Self::new();
+        h.update(block);
+        h.state
+    }
+
+    /// A hasher past the one block whose [`Sha256::block_state`] is `state`.
+    pub(crate) fn resume(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            len: 64,
+            ..Self::new()
+        }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.len += data.len() as u64;
@@ -88,6 +104,8 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
+                #[cfg(test)]
+                tests::count_compression();
                 self.compress(&block);
                 self.buf_len = 0;
             }
@@ -96,6 +114,8 @@ impl Sha256 {
             let (block, tail) = rest.split_at(64);
             let mut b = [0u8; 64];
             b.copy_from_slice(block);
+            #[cfg(test)]
+            tests::count_compression();
             self.compress(&b);
             rest = tail;
         }
@@ -170,9 +190,43 @@ impl Sha256 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hex;
+    use std::cell::Cell;
+
+    thread_local! {
+        static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count_compression() {
+        COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The block compressions `f` performs on this thread.
+    pub(crate) fn compressions<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = COMPRESSIONS.with(Cell::get);
+        let out = f();
+        (out, COMPRESSIONS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn the_counter_sees_every_block() {
+        // 55 bytes pad into one block, 56 into two; 64 + padding is two.
+        for (len, blocks) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            assert_eq!(compressions(|| Sha256::digest(&vec![7; len])).1, blocks);
+        }
+    }
+
+    #[test]
+    fn resume_continues_after_the_block() {
+        let block = [0x36u8; 64];
+        let mut h = Sha256::resume(Sha256::block_state(&block));
+        h.update(b"tail");
+        let mut whole = block.to_vec();
+        whole.extend_from_slice(b"tail");
+        assert_eq!(h.finalize(), Sha256::digest(&whole));
+    }
 
     #[test]
     fn nist_vector_empty() {

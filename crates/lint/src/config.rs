@@ -10,7 +10,8 @@ pub struct SecretType {
     /// The type name as written at its `struct` declaration.
     pub name: String,
     /// Whether the type must zeroize its key material on drop (via
-    /// `SecretBytes`/`Secret` fields or an explicit `Drop` impl). Types
+    /// `SecretBytes`/`Secret` fields, fields of another registered type
+    /// that must zeroize, or an explicit `Drop` impl). Types
     /// that must stay `Copy` (field-element arithmetic) opt out and are
     /// only held to the redacted-`Debug` rule.
     pub require_zeroize: bool,
@@ -91,6 +92,7 @@ impl Config {
                 secret("crypto/src/keys.rs", "UeChallengeResult", true),
                 secret("crypto/src/milenage.rs", "Milenage", true),
                 secret("crypto/src/milenage.rs", "F2345Output", true),
+                secret("crypto/src/hmac.rs", "HmacKey", true),
                 secret("crypto/src/hmac.rs", "HmacSha256", true),
                 secret("crypto/src/ecies.rs", "HomeNetworkKeyPair", true),
                 secret("crypto/src/ecies.rs", "KeyData", true),

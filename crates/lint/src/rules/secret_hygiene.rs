@@ -6,7 +6,8 @@
 //!   redacted `Debug`: either wrap the fields in `SecretBytes`/`Secret`
 //!   or provide an explicitly redacted impl.
 //! * **SH003** — a registered secret type does not zeroize on drop
-//!   (no `SecretBytes`/`Secret` fields and no `Drop` impl).
+//!   (no `SecretBytes`/`Secret` field, no field of a registered zeroizing
+//!   type such as `HmacKey` or `Aes128`, and no `Drop` impl).
 
 use crate::config::Config;
 use crate::lexer::{brace_block, find_word};
@@ -19,7 +20,7 @@ pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Findin
         if !analysis.rel_path.ends_with(&ty.path_suffix) {
             continue;
         }
-        check_type(analysis, &ty.name, ty.require_zeroize, findings);
+        check_type(analysis, config, &ty.name, ty.require_zeroize, findings);
     }
 }
 
@@ -43,6 +44,7 @@ fn push(
 
 fn check_type(
     analysis: &FileAnalysis,
+    config: &Config,
     name: &str,
     require_zeroize: bool,
     findings: &mut Vec<Finding>,
@@ -115,16 +117,22 @@ fn check_type(
         );
     }
 
-    // SH003: no zeroize-on-drop path.
-    if require_zeroize && !has_container && find_impl(analysis, "Drop", name).is_none() {
+    // SH003: no zeroize-on-drop path. A field of another registered
+    // zeroizing type wipes itself; a redact-only one (`Sha256`) does not.
+    let zeroizes = has_container
+        || config
+            .secret_types
+            .iter()
+            .any(|t| t.require_zeroize && t.name != name && find_word(body, &t.name, 0).is_some());
+    if require_zeroize && !zeroizes && find_impl(analysis, "Drop", name).is_none() {
         push(
             findings,
             analysis,
             "SH003",
             decl,
             format!(
-                "`{name}` does not zeroize on drop; use `SecretBytes`/`Secret` fields or \
-                 implement `Drop`"
+                "`{name}` does not zeroize on drop; use `SecretBytes`/`Secret` fields, \
+                 fields of a registered zeroizing type, or implement `Drop`"
             ),
         );
     }

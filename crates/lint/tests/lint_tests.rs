@@ -62,6 +62,45 @@ fn secret_hygiene_clean_fixture_passes() {
     );
 }
 
+/// Registers a fixture's key holder and the key type it holds.
+fn composed_config(file: &str, key_type: &str, key_zeroizes: bool) -> Config {
+    let mut config = Config::default();
+    for (name, require_zeroize) in [(key_type, key_zeroizes), ("IntegrityContext", true)] {
+        config.secret_types.push(SecretType {
+            path_suffix: file.into(),
+            name: name.into(),
+            require_zeroize,
+        });
+    }
+    config
+}
+
+#[test]
+fn a_field_of_a_zeroizing_type_satisfies_sh003() {
+    let config = composed_config("composed.rs", "PreparedKey", true);
+    let report = run_rules(&[fixture("secret_hygiene/composed.rs")], &config);
+    assert!(
+        report.findings.is_empty(),
+        "unexpected: {:?}",
+        report.findings
+    );
+}
+
+#[test]
+fn a_field_of_a_redact_only_type_does_not_satisfy_sh003() {
+    let config = composed_config("composed_redact_only.rs", "KeyedHasher", false);
+    let report = run_rules(
+        &[fixture("secret_hygiene/composed_redact_only.rs")],
+        &config,
+    );
+    assert_eq!(
+        rule_lines(&report.findings),
+        [("SH003", 17)],
+        "{:?}",
+        report.findings
+    );
+}
+
 #[test]
 fn enclave_boundary_fixture_violations_are_caught() {
     let mut config = Config::default();

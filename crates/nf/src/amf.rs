@@ -147,6 +147,12 @@ impl AmfService {
         self.deregistrations
     }
 
+    /// UE associations holding a context, in any state (diagnostics).
+    #[must_use]
+    pub fn active_contexts(&self) -> usize {
+        self.contexts.len()
+    }
+
     /// Whether the UE association is in the `Registered` state.
     #[must_use]
     pub fn is_registered(&self, ran_ue_id: u64) -> bool {
@@ -365,13 +371,17 @@ impl AmfService {
         ))
     }
 
-    fn allocate_guti(&mut self, supi: &str) -> Guti {
+    fn allocate_guti(&mut self, ran_ue_id: u64, supi: &str) -> Guti {
         let tmsi = self.next_tmsi;
         self.next_tmsi += 1;
         // A subscriber holds exactly one valid 5G-GUTI: allocating a new
         // one invalidates any earlier mapping (GUTI hygiene — a superseded
-        // temporary identity must not keep resolving).
+        // temporary identity must not keep resolving), and with it the
+        // registration it named: one `Registered` context per subscriber.
         self.guti_to_supi.retain(|_, s| s != supi);
+        self.contexts.retain(|&id, state| {
+            id == ran_ue_id || !matches!(state, UeState::Registered { supi: s, .. } if s == supi)
+        });
         self.guti_to_supi.insert(tmsi, supi.to_owned());
         Guti::new(1, 1, 1, tmsi)
     }
@@ -391,7 +401,7 @@ impl AmfService {
                 let plain = sec.unprotect(pdu)?;
                 match NasUplink::decode(&plain)? {
                     NasUplink::SecurityModeComplete => {
-                        let guti = self.allocate_guti(&supi);
+                        let guti = self.allocate_guti(ran_ue_id, &supi);
                         self.contexts
                             .insert(ran_ue_id, UeState::AcceptSent { supi, sec, guti });
                         Ok(self.finish_ngap(ran_ue_id, &NasDownlink::RegistrationAccept { guti }))
@@ -883,6 +893,49 @@ mod tests {
             crate::messages::NasDownlink::decode(downlink.nas()).unwrap(),
             crate::messages::NasDownlink::IdentityRequest
         );
+    }
+
+    #[test]
+    fn a_new_guti_retires_the_subscribers_old_context() {
+        // The subscriber is registered under ran_ue_id 1 and completes
+        // security mode again under ran_ue_id 2.
+        let supi = "imsi-001010000000001".to_owned();
+        let kamf = [0x42; 32];
+        let mut env = Env::new(1);
+        let mut amf = amf();
+        let guti = amf.allocate_guti(1, &supi);
+        let sec = NasSecurityContext::from_kamf(&kamf, false);
+        let (old, new) = (
+            UeState::Registered {
+                supi: supi.clone(),
+                sec: sec.clone(),
+                guti,
+            },
+            UeState::SecurityMode { supi, sec },
+        );
+        amf.contexts.extend([(1, old), (2, new)]);
+        let mut ue = NasSecurityContext::from_kamf(&kamf, true);
+        let complete = ue
+            .protect(&NasUplink::SecurityModeComplete.encode())
+            .encode();
+        amf.handle_secured_uplink(&mut env, 2, &ProtectedNas::borrow(&complete).unwrap())
+            .unwrap();
+        assert_eq!(amf.active_contexts(), 1);
+        assert!(!amf.is_registered(1));
+        // The superseded association's next secured uplink finds nothing.
+        let nas = ue
+            .protect(&NasUplink::DeregistrationRequest { switch_off: false }.encode())
+            .encode();
+        let Err(NfError::Protocol(why)) =
+            amf.handle_secured_uplink(&mut env, 1, &ProtectedNas::borrow(&nas).unwrap())
+        else {
+            panic!("expected the typed protocol error");
+        };
+        assert_eq!(why, "secured NAS without context");
+        let ngap = Ngap::UplinkNasTransport { ran_ue_id: 1, nas }.encode();
+        let resp = reply(&mut amf, &mut env, HttpRequest::post("/ngap", ngap));
+        assert_eq!(resp.status, 400);
+        assert_eq!(amf.active_contexts(), 1);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! UE" — this module is that connection. Algorithms are simulation
 //! equivalents of 5G-EA2/5G-IA2 (AES-CTR ciphering, HMAC-based 32-bit
 //! integrity MAC) keyed from K_AMF via the TS 33.501 A.8 derivations.
+//! The integrity key is held prepared ([`HmacKey`]): every MAC resumes
+//! from its pad states instead of keying HMAC afresh.
 //!
 //! A sender protects a message where it is written
 //! ([`NasSecurityContext::protect_into`]) and a receiver unprotects it
@@ -13,7 +15,7 @@
 
 use crate::NfError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::HmacSha256;
+use shield5g_crypto::hmac::HmacKey;
 use shield5g_crypto::keys::derive_nas_key;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::codec::{Reader, Writer};
@@ -81,7 +83,7 @@ impl ProtectedNas {
 /// One side's NAS security context (the peer holds the mirror image).
 #[derive(Clone)]
 pub struct NasSecurityContext {
-    knas_int: SecretBytes<16>,
+    knas_int: HmacKey,
     knas_enc: SecretBytes<16>,
     uplink: bool,
     tx_count: u32,
@@ -104,9 +106,10 @@ impl NasSecurityContext {
     /// side (sends uplink, receives downlink) and false for the AMF side.
     #[must_use]
     pub fn from_kamf(kamf: &[u8; 32], uplink_sender: bool) -> Self {
+        let kamf = HmacKey::new(kamf);
         NasSecurityContext {
-            knas_int: SecretBytes::new(derive_nas_key(kamf, 0x02, INTEGRITY_ALG_HMAC)),
-            knas_enc: SecretBytes::new(derive_nas_key(kamf, 0x01, CIPHER_ALG_AES)),
+            knas_int: HmacKey::new(&derive_nas_key(&kamf, 0x02, INTEGRITY_ALG_HMAC)),
+            knas_enc: SecretBytes::new(derive_nas_key(&kamf, 0x01, CIPHER_ALG_AES)),
             uplink: uplink_sender,
             tx_count: 0,
             rx_count: 0,
@@ -123,7 +126,7 @@ impl NasSecurityContext {
     /// The truncated HMAC over `direction ‖ count ‖ ciphertext`, streamed
     /// rather than assembled.
     fn mac(&self, count: u32, uplink: bool, ciphertext: &[u8]) -> [u8; 4] {
-        let mut mac = HmacSha256::new(self.knas_int.expose());
+        let mut mac = self.knas_int.start();
         mac.update(&[u8::from(uplink)]);
         mac.update(&count.to_be_bytes());
         mac.update(ciphertext);

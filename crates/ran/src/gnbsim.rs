@@ -197,6 +197,26 @@ mod tests {
     }
 
     #[test]
+    fn a_subscriber_keeps_one_amf_context() {
+        // Every registration connects under a fresh ran_ue_id; the new
+        // GUTI supersedes the old registration, whose context goes too.
+        let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()));
+        let mut sim = GnbSim::new(&slice);
+        for _ in 0..3 {
+            sim.register_with_session(&mut env, &slice, 0).unwrap();
+        }
+        assert_eq!(slice.amf.borrow().registrations_completed(), 3);
+        assert_eq!(slice.amf.borrow().active_contexts(), 1);
+        // The live association still deregisters, leaving nothing behind.
+        let mut ue = sim.ue_for(&slice, 0);
+        ue.register(&mut env, sim.gnb_mut()).unwrap();
+        assert_eq!(slice.amf.borrow().active_contexts(), 1);
+        ue.deregister(&mut env, sim.gnb_mut()).unwrap();
+        assert_eq!(slice.amf.borrow().deregistrations(), 1);
+        assert_eq!(slice.amf.borrow().active_contexts(), 0);
+    }
+
+    #[test]
     fn resync_recovers_transparently() {
         // Register the same subscriber twice with a *fresh* USIM the
         // second time: its SQN window is behind the network's generator,

@@ -9,7 +9,8 @@
 //!   HMAC transcript tag under each peer's static key (a stand-in for
 //!   certificate signatures that keeps the wire sizes realistic),
 //! * record protection: AES-128-CTR under the counter block `record
-//!   sequence ‖ block counter` and a truncated HMAC-SHA-256 tag.
+//!   sequence ‖ block counter` and a truncated HMAC-SHA-256 tag, each
+//!   direction's MAC key held prepared ([`HmacKey`]).
 //!
 //! Records really are encrypted — the infrastructure attacker model
 //! demonstrates that sniffing the bridge yields ciphertext only.
@@ -17,7 +18,7 @@
 use crate::SimError;
 use serde::{Deserialize, Serialize};
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::{hmac_sha256, HmacSha256};
+use shield5g_crypto::hmac::{hmac_sha256, HmacKey};
 use shield5g_crypto::kdf::kdf_x963;
 use shield5g_crypto::x25519::{x25519, x25519_base};
 
@@ -74,15 +75,15 @@ impl TlsIdentity {
 #[derive(Clone)]
 struct DirectionKeys {
     cipher: Aes128,
-    mac_key: [u8; 32],
+    mac: HmacKey,
     seq: u64,
 }
 
 impl DirectionKeys {
-    fn new(key: [u8; 16], mac_key: [u8; 32]) -> Self {
+    fn new(key: &[u8; 16], mac_key: &[u8]) -> Self {
         DirectionKeys {
-            cipher: Aes128::new(&key),
-            mac_key,
+            cipher: Aes128::new(key),
+            mac: HmacKey::new(mac_key),
             seq: 0,
         }
     }
@@ -98,7 +99,7 @@ impl DirectionKeys {
 
     /// The truncated HMAC over `seq ‖ ct`, streamed rather than assembled.
     fn record_tag(&self, ct: &[u8]) -> [u8; TAG_LEN] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.start();
         mac.update(&self.seq.to_be_bytes());
         mac.update(ct);
         let mut tag = [0u8; TAG_LEN];
@@ -249,26 +250,25 @@ pub fn establish(
         ));
     }
 
-    // Traffic keys from the ephemeral secret + transcript.
+    // Traffic keys from the ephemeral secret + transcript; each direction
+    // is keyed once and shared by its two ends.
     let key_data = kdf_x963(&shared_c, &transcript, 96);
     let mut c2s_key = [0u8; 16];
     let mut s2c_key = [0u8; 16];
-    let mut c2s_mac = [0u8; 32];
-    let mut s2c_mac = [0u8; 32];
     c2s_key.copy_from_slice(&key_data[0..16]);
     s2c_key.copy_from_slice(&key_data[16..32]);
-    c2s_mac.copy_from_slice(&key_data[32..64]);
-    s2c_mac.copy_from_slice(&key_data[64..96]);
+    let c2s = DirectionKeys::new(&c2s_key, &key_data[32..64]);
+    let s2c = DirectionKeys::new(&s2c_key, &key_data[64..96]);
 
     let client_session = TlsSession {
         peer_name: server.name.clone(),
-        write: DirectionKeys::new(c2s_key, c2s_mac),
-        read: DirectionKeys::new(s2c_key, s2c_mac),
+        write: c2s.clone(),
+        read: s2c.clone(),
     };
     let server_session = TlsSession {
         peer_name: client.name.clone(),
-        write: DirectionKeys::new(s2c_key, s2c_mac),
-        read: DirectionKeys::new(c2s_key, c2s_mac),
+        write: s2c,
+        read: c2s,
     };
     Ok((
         client_session,
