@@ -22,8 +22,9 @@ use shield5g_libos::libos::BootReport;
 use shield5g_libos::manifest::Manifest;
 use shield5g_libos::syscalls::{NativeSyscalls, Syscall, SyscallInterface};
 use shield5g_nf::backend::{
-    error_reply, AkaOp, DeriveKamf, DeriveSe, GenerateAv, GenerateAvBatch, Resync, Wire,
+    error_reply, AkaOp, DeriveKamf, DeriveSe, GenerateAv, GenerateAvBatch, Resync,
 };
+use shield5g_nf::wire::Wire;
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;

@@ -15,7 +15,8 @@
 use crate::paka::{PakaKind, PakaModule};
 use crate::CoreError;
 use shield5g_infra::bridge::BridgeNetwork;
-use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken, Wire};
+use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken};
+use shield5g_nf::wire::Wire;
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::Service;

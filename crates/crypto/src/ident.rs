@@ -31,9 +31,23 @@ impl Plmn {
     ///
     /// # Errors
     ///
+    /// As [`Plmn::check`].
+    pub fn new(mcc: &str, mnc: &str) -> Result<Self, CryptoError> {
+        Self::check(mcc, mnc)?;
+        Ok(Plmn {
+            mcc: mcc.to_owned(),
+            mnc: mnc.to_owned(),
+        })
+    }
+
+    /// Checks mobile country and network codes without building the PLMN
+    /// (for codes that are only parsed, like a serving network's).
+    ///
+    /// # Errors
+    ///
     /// Returns [`CryptoError::MalformedIdentifier`] unless the MCC is
     /// exactly 3 digits and the MNC is 2 or 3 digits.
-    pub fn new(mcc: &str, mnc: &str) -> Result<Self, CryptoError> {
+    pub fn check(mcc: &str, mnc: &str) -> Result<(), CryptoError> {
         let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
         if mcc.len() != 3 || !digits(mcc) {
             return Err(CryptoError::MalformedIdentifier(format!(
@@ -45,10 +59,7 @@ impl Plmn {
                 "MNC must be 2-3 digits: {mnc:?}"
             )));
         }
-        Ok(Plmn {
-            mcc: mcc.to_owned(),
-            mnc: mnc.to_owned(),
-        })
+        Ok(())
     }
 
     /// The mobile country code.

@@ -15,6 +15,7 @@ use crate::sbi::{
     AuthenticateRequest, AuthenticateResponse, ConfirmRequest, ConfirmResponse,
     CreateSessionRequest, CreateSessionResponse, ResyncRequest, SbiClient,
 };
+use crate::wire::Wire;
 use crate::NfError;
 use shield5g_crypto::ident::Guti;
 use shield5g_crypto::keys::derive_hxres_star;
@@ -751,10 +752,7 @@ impl EngineService for AmfService {
                 format!("no handler for {}", req.path),
             ));
         }
-        match Ngap::decode(&req.body)
-            .map_err(NfError::from)
-            .and_then(|ngap| self.process_ngap(env, &ngap))
-        {
+        match Ngap::decode(&req.body).and_then(|ngap| self.process_ngap(env, &ngap)) {
             Ok(step) => step,
             Err(e) => Step::Reply(Self::ngap_error(e)),
         }

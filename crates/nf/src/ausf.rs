@@ -6,12 +6,14 @@
 //! stores XRES*/K_SEAF, and performs the final RES* confirmation
 //! (TS 33.501 §6.1.3.2 step 10/11).
 
-use crate::backend::{AkaBackend, AusfAkaRequest, BackendOp, CallToken, DeriveSe, Wire};
+use crate::backend::{AkaBackend, AusfAkaRequest, BackendOp, CallToken, DeriveSe};
 use crate::sbi::{
     AuthenticateRequest, AuthenticateResponse, ConfirmRequest, ConfirmResponse, ResyncRequest,
     SbiClient, UdmAuthGetResponse,
 };
+use crate::wire::implausible;
 use crate::NfError;
+use shield5g_crypto::ident::Plmn;
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
@@ -192,8 +194,13 @@ impl EngineService for AusfService {
                     Ok(r) => r,
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
-                // Forward to UDM for the HE AV.
+                // The SEAF's PLMN becomes the SNN the keys bind: refuse
+                // one no serving network can have.
+                if let Err(e) = Plmn::check(&decoded.snn_mcc, &decoded.snn_mnc) {
+                    return Step::Reply(Self::upstream_error(implausible(e)));
+                }
                 let snn = ServingNetworkName::new(&decoded.snn_mcc, &decoded.snn_mnc);
+                // Forward to UDM for the HE AV.
                 {
                     let req =
                         self.client
@@ -247,12 +254,8 @@ impl EngineService for AusfService {
                     Ok(b) => b,
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
-                let udm_resp = match UdmAuthGetResponse::decode(&body) {
+                let UdmAuthGetResponse { supi, he_av } = match UdmAuthGetResponse::decode(&body) {
                     Ok(r) => r,
-                    Err(e) => return Step::Reply(Self::upstream_error(e)),
-                };
-                let he_av = match HeAv::decode(&udm_resp.he_av) {
-                    Ok(av) => av,
                     Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
                 // SE parameters via the (possibly enclave-hosted) backend.
@@ -263,22 +266,14 @@ impl EngineService for AusfService {
                     snn,
                 };
                 match self.backend.begin(env, &aka_req) {
-                    BackendOp::Done(Ok(se)) => self.finish_authenticate(
-                        env,
-                        udm_resp.supi,
-                        &he_av,
-                        se.hxres_star,
-                        se.kseaf,
-                    ),
+                    BackendOp::Done(Ok(se)) => {
+                        self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf)
+                    }
                     BackendOp::Done(Err(e)) => Step::Reply(Self::upstream_error(e)),
                     BackendOp::Call { dest, req, token } => Step::CallOut {
                         dest,
                         req,
-                        state: Box::new(AusfFlow::AwaitSe {
-                            supi: udm_resp.supi,
-                            he_av,
-                            token,
-                        }),
+                        state: Box::new(AusfFlow::AwaitSe { supi, he_av, token }),
                     },
                 }
             }
@@ -462,6 +457,26 @@ mod tests {
         let a2 = authenticate(&mut env, &mut engine, &hn);
         assert_ne!(a1.se_av.rand, a2.se_av.rand);
         assert_ne!(a1.auth_ctx_id, a2.auth_ctx_id);
+    }
+
+    #[test]
+    fn an_implausible_serving_plmn_is_refused_400() {
+        let (mut env, mut engine, _) = world();
+        let supi = Supi::parse(SUPI).unwrap();
+        let req = AuthenticateRequest {
+            identity: UeIdentity::Suci(supi.conceal_null()),
+            known_supi: String::new(),
+            snn_mcc: "!!".into(),
+            snn_mnc: "01".into(),
+        };
+        let resp = engine
+            .dispatch(
+                &mut env,
+                crate::addr::AUSF,
+                HttpRequest::post("/nausf-auth/authenticate", req.encode()),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 400);
     }
 
     #[test]

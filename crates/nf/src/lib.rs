@@ -17,6 +17,9 @@
 //! deployments) behind the same trait, so the registration flow is
 //! byte-identical across deployments — exactly the paper's §IV-B design
 //! goal of not altering the regular UE registration flow.
+//!
+//! Every message on those interfaces (NAS, NGAP, SBI, P-AKA) states its
+//! field list once and gets its codec from [`wire`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +35,7 @@ pub mod smf;
 pub mod udm;
 pub mod udr;
 pub mod upf;
+pub mod wire;
 
 use shield5g_crypto::CryptoError;
 use shield5g_sim::SimError;

@@ -1,15 +1,13 @@
-//! NAS and NGAP message types with explicit wire encodings.
+//! NAS and NGAP message types and their tagged field lists.
 //!
 //! NAS (Non-Access Stratum) messages travel UE ↔ AMF through the gNB;
-//! NGAP wraps them on the N2 interface. Encodings use the byte codec so
-//! every message has a definite wire size — the radio and backhaul
-//! latency models charge per byte.
+//! NGAP wraps them on the N2 interface. Each message's codec comes from
+//! its field list ([`crate::wire`]), so every message has a definite wire
+//! size — the radio and backhaul latency models charge per byte.
 
-use crate::NfError;
-use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci};
+use crate::wire::wire;
+use shield5g_crypto::ident::{Guti, Suci};
 use shield5g_crypto::sqn::Auts;
-use shield5g_sim::codec::{Reader, Writer};
-use shield5g_sim::SimError;
 
 /// How the UE identifies itself in a registration request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,269 +114,37 @@ pub enum NasDownlink {
     IdentityRequest,
 }
 
-/// A SUCI on the wire — its one field list, for NAS (registration
-/// request, identity response) and the SBI bodies that forward it.
-fn put_suci(w: &mut Writer, suci: &Suci) {
-    w.put_str(suci.plmn.mcc())
-        .put_str(suci.plmn.mnc())
-        .put_u16(suci.routing_indicator)
-        .put_u8(suci.scheme.id())
-        .put_u8(suci.hn_key_id)
-        .put_bytes(&suci.scheme_output);
-}
+wire!(enum UeIdentity {
+    0 => Suci(suci),
+    1 => Guti(guti),
+});
 
-fn get_suci(r: &mut Reader<'_>) -> Result<Suci, NfError> {
-    // The digit strings are only parsed: borrowed, not copied out.
-    let (mcc, mnc) = (r.str_ref()?, r.str_ref()?);
-    let routing_indicator = r.u16()?;
-    let scheme = ProtectionScheme::from_id(r.u8()?)?;
-    let hn_key_id = r.u8()?;
-    let scheme_output = r.bytes()?;
-    Ok(Suci {
-        plmn: Plmn::new(mcc, mnc)?,
-        routing_indicator,
-        hn_key_id,
-        scheme,
-        scheme_output,
-    })
-}
+wire!(enum AuthFailureCause {
+    20 => MacFailure,
+    21 => SynchFailure(auts),
+});
 
-fn put_guti(w: &mut Writer, guti: &Guti) {
-    w.put_u8(guti.amf_region_id)
-        .put_u16(guti.amf_set_id)
-        .put_u8(guti.amf_pointer)
-        .put_u32(guti.tmsi);
-}
+wire!(enum NasUplink {
+    0x41 => RegistrationRequest { identity },
+    0x57 => AuthenticationResponse { res_star },
+    0x59 => AuthenticationFailure { cause },
+    0x5e => SecurityModeComplete,
+    0x43 => RegistrationComplete,
+    0xc1 => PduSessionEstablishmentRequest { pdu_session_id },
+    0x5c => IdentityResponse { suci },
+    0x45 => DeregistrationRequest { switch_off },
+});
 
-fn get_guti(r: &mut Reader<'_>) -> Result<Guti, SimError> {
-    Ok(Guti::new(r.u8()?, r.u16()?, r.u8()?, r.u32()?))
-}
-
-/// A UE identity on the wire: a discriminant, then the SUCI or GUTI.
-pub(crate) fn put_ue_identity(w: &mut Writer, id: &UeIdentity) {
-    match id {
-        UeIdentity::Suci(suci) => put_suci(w.put_u8(0), suci),
-        UeIdentity::Guti(guti) => put_guti(w.put_u8(1), guti),
-    }
-}
-
-pub(crate) fn get_ue_identity(r: &mut Reader<'_>) -> Result<UeIdentity, NfError> {
-    match r.u8()? {
-        0 => Ok(UeIdentity::Suci(get_suci(r)?)),
-        1 => Ok(UeIdentity::Guti(get_guti(r)?)),
-        other => Err(NfError::Protocol(format!(
-            "bad identity discriminant {other}"
-        ))),
-    }
-}
-
-/// NAS decoders report every violation as a framing error, in the words
-/// of its cause.
-fn framing(e: NfError) -> SimError {
-    match e {
-        NfError::Sim(e) => e,
-        NfError::Crypto(e) => SimError::MalformedHttp(e.to_string()),
-        NfError::Protocol(why) => SimError::MalformedHttp(why),
-        e => SimError::MalformedHttp(e.to_string()),
-    }
-}
-
-impl NasUplink {
-    /// Encodes to wire bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        Writer::build(|w| self.encode_into(w))
-    }
-
-    /// Writes the wire bytes into `w` (a protected PDU being built).
-    pub fn encode_into(&self, w: &mut Writer) {
-        match self {
-            NasUplink::RegistrationRequest { identity } => {
-                put_ue_identity(w.put_u8(0x41), identity);
-            }
-            NasUplink::AuthenticationResponse { res_star } => {
-                w.put_u8(0x57);
-                w.put_array(res_star);
-            }
-            NasUplink::AuthenticationFailure { cause } => {
-                w.put_u8(0x59);
-                match cause {
-                    AuthFailureCause::MacFailure => {
-                        w.put_u8(20);
-                    }
-                    AuthFailureCause::SynchFailure(auts) => {
-                        w.put_u8(21);
-                        w.put_array(&auts.sqn_ms_xor_ak);
-                        w.put_array(&auts.mac_s);
-                    }
-                }
-            }
-            NasUplink::SecurityModeComplete => {
-                w.put_u8(0x5e);
-            }
-            NasUplink::RegistrationComplete => {
-                w.put_u8(0x43);
-            }
-            NasUplink::PduSessionEstablishmentRequest { pdu_session_id } => {
-                w.put_u8(0xc1);
-                w.put_u8(*pdu_session_id);
-            }
-            NasUplink::DeregistrationRequest { switch_off } => {
-                w.put_u8(0x45);
-                w.put_bool(*switch_off);
-            }
-            NasUplink::IdentityResponse { suci } => put_suci(w.put_u8(0x5c), suci),
-        }
-    }
-
-    /// Decodes wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MalformedHttp`] on framing violations or an
-    /// unknown message type.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SimError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            0x41 => NasUplink::RegistrationRequest {
-                identity: get_ue_identity(&mut r).map_err(framing)?,
-            },
-            0x57 => NasUplink::AuthenticationResponse {
-                res_star: r.array()?,
-            },
-            0x59 => match r.u8()? {
-                20 => NasUplink::AuthenticationFailure {
-                    cause: AuthFailureCause::MacFailure,
-                },
-                21 => NasUplink::AuthenticationFailure {
-                    cause: AuthFailureCause::SynchFailure(Auts {
-                        sqn_ms_xor_ak: r.array()?,
-                        mac_s: r.array()?,
-                    }),
-                },
-                other => {
-                    return Err(SimError::MalformedHttp(format!(
-                        "bad failure cause {other}"
-                    )))
-                }
-            },
-            0x5e => NasUplink::SecurityModeComplete,
-            0x43 => NasUplink::RegistrationComplete,
-            0xc1 => NasUplink::PduSessionEstablishmentRequest {
-                pdu_session_id: r.u8()?,
-            },
-            0x45 => NasUplink::DeregistrationRequest {
-                switch_off: r.bool()?,
-            },
-            0x5c => NasUplink::IdentityResponse {
-                suci: get_suci(&mut r).map_err(framing)?,
-            },
-            other => {
-                return Err(SimError::MalformedHttp(format!(
-                    "unknown NAS uplink type {other:#x}"
-                )))
-            }
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-impl NasDownlink {
-    /// Encodes to wire bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        Writer::build(|w| self.encode_into(w))
-    }
-
-    /// Writes the wire bytes into `w` (a protected PDU being built).
-    pub fn encode_into(&self, w: &mut Writer) {
-        match self {
-            NasDownlink::AuthenticationRequest {
-                rand,
-                autn,
-                abba,
-                ngksi,
-            } => {
-                w.put_u8(0x56);
-                w.put_array(rand);
-                w.put_array(autn);
-                w.put_array(abba);
-                w.put_u8(*ngksi);
-            }
-            NasDownlink::AuthenticationReject => {
-                w.put_u8(0x58);
-            }
-            NasDownlink::SecurityModeCommand {
-                integrity_alg,
-                ciphering_alg,
-            } => {
-                w.put_u8(0x5d);
-                w.put_u8(*integrity_alg);
-                w.put_u8(*ciphering_alg);
-            }
-            NasDownlink::RegistrationAccept { guti } => put_guti(w.put_u8(0x42), guti),
-            NasDownlink::RegistrationReject { cause } => {
-                w.put_u8(0x44);
-                w.put_u8(*cause);
-            }
-            NasDownlink::PduSessionEstablishmentAccept {
-                pdu_session_id,
-                ue_ip,
-            } => {
-                w.put_u8(0xc2);
-                w.put_u8(*pdu_session_id);
-                w.put_array(ue_ip);
-            }
-            NasDownlink::DeregistrationAccept => {
-                w.put_u8(0x46);
-            }
-            NasDownlink::IdentityRequest => {
-                w.put_u8(0x5b);
-            }
-        }
-    }
-
-    /// Decodes wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MalformedHttp`] on framing violations or an
-    /// unknown message type.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SimError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            0x56 => NasDownlink::AuthenticationRequest {
-                rand: r.array()?,
-                autn: r.array()?,
-                abba: r.array()?,
-                ngksi: r.u8()?,
-            },
-            0x58 => NasDownlink::AuthenticationReject,
-            0x5d => NasDownlink::SecurityModeCommand {
-                integrity_alg: r.u8()?,
-                ciphering_alg: r.u8()?,
-            },
-            0x42 => NasDownlink::RegistrationAccept {
-                guti: get_guti(&mut r)?,
-            },
-            0x44 => NasDownlink::RegistrationReject { cause: r.u8()? },
-            0xc2 => NasDownlink::PduSessionEstablishmentAccept {
-                pdu_session_id: r.u8()?,
-                ue_ip: r.array()?,
-            },
-            0x46 => NasDownlink::DeregistrationAccept,
-            0x5b => NasDownlink::IdentityRequest,
-            other => {
-                return Err(SimError::MalformedHttp(format!(
-                    "unknown NAS downlink type {other:#x}"
-                )))
-            }
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
+wire!(enum NasDownlink {
+    0x56 => AuthenticationRequest { rand, autn, abba, ngksi },
+    0x58 => AuthenticationReject,
+    0x5d => SecurityModeCommand { integrity_alg, ciphering_alg },
+    0x42 => RegistrationAccept { guti },
+    0x44 => RegistrationReject { cause },
+    0xc2 => PduSessionEstablishmentAccept { pdu_session_id, ue_ip },
+    0x46 => DeregistrationAccept,
+    0x5b => IdentityRequest,
+});
 
 /// NGAP messages on N2 (gNB ↔ AMF). NAS payloads are carried opaque —
 /// and, after security mode, ciphered — exactly as real NGAP does.
@@ -417,53 +183,15 @@ pub enum Ngap {
     },
 }
 
+// The tag leads, so `InitialContextSetup`'s tunnel endpoint trails its NAS.
+wire!(enum Ngap {
+    1 => InitialUeMessage { ran_ue_id, nas },
+    2 => UplinkNasTransport { ran_ue_id, nas },
+    3 => DownlinkNasTransport { ran_ue_id, nas },
+    4 => InitialContextSetup { ran_ue_id, nas, teid },
+});
+
 impl Ngap {
-    /// Encodes to wire bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        let (tag, ran_ue_id, nas, teid) = match self {
-            Ngap::InitialUeMessage { ran_ue_id, nas } => (1u8, ran_ue_id, nas, 0),
-            Ngap::UplinkNasTransport { ran_ue_id, nas } => (2, ran_ue_id, nas, 0),
-            Ngap::DownlinkNasTransport { ran_ue_id, nas } => (3, ran_ue_id, nas, 0),
-            Ngap::InitialContextSetup {
-                ran_ue_id,
-                nas,
-                teid,
-            } => (4, ran_ue_id, nas, *teid),
-        };
-        w.put_u8(tag).put_u64(*ran_ue_id).put_bytes(nas);
-        if tag == 4 {
-            w.put_u32(teid);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MalformedHttp`] on framing violations.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SimError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let ran_ue_id = r.u64()?;
-        let nas = r.bytes()?;
-        let msg = match tag {
-            1 => Ngap::InitialUeMessage { ran_ue_id, nas },
-            2 => Ngap::UplinkNasTransport { ran_ue_id, nas },
-            3 => Ngap::DownlinkNasTransport { ran_ue_id, nas },
-            4 => Ngap::InitialContextSetup {
-                ran_ue_id,
-                nas,
-                teid: r.u32()?,
-            },
-            other => return Err(SimError::MalformedHttp(format!("unknown NGAP tag {other}"))),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-
     /// The carried NAS payload.
     #[must_use]
     pub fn nas(&self) -> &[u8] {
@@ -501,7 +229,7 @@ impl Ngap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_crypto::ident::Supi;
+    use shield5g_crypto::ident::{Plmn, Supi};
 
     fn suci() -> Suci {
         Supi::new(Plmn::test_network(), "0000000001")
@@ -642,14 +370,5 @@ mod tests {
         .encode()
         .len();
         assert!(a_len > null_len + 30);
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn nas_decoder_never_panics(bytes in proptest::collection::vec(0u8.., 0..64)) {
-            let _ = NasUplink::decode(&bytes);
-            let _ = NasDownlink::decode(&bytes);
-            let _ = Ngap::decode(&bytes);
-        }
     }
 }

@@ -13,6 +13,7 @@
 //! from the message that carried it ([`ProtectedNas::borrow`]), so a
 //! protected PDU is never a buffer of its own.
 
+use crate::wire::wire;
 use crate::NfError;
 use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::HmacKey;
@@ -38,7 +39,8 @@ pub struct ProtectedNas<B = Vec<u8>> {
 }
 
 impl<'a> ProtectedNas<&'a [u8]> {
-    /// Decodes wire bytes, the ciphertext left where it is.
+    /// Decodes wire bytes, the ciphertext left where it is: the zero-copy
+    /// form of [`ProtectedNas::decode`].
     ///
     /// # Errors
     ///
@@ -55,30 +57,11 @@ impl<'a> ProtectedNas<&'a [u8]> {
     }
 }
 
-impl ProtectedNas {
-    /// Encodes to wire bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(self.count)
-            .put_array(&self.mac)
-            .put_bytes(&self.ciphertext);
-        w.into_bytes()
-    }
-
-    /// Decodes wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on framing violations.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        ProtectedNas::borrow(bytes).map(|pdu| ProtectedNas {
-            count: pdu.count,
-            mac: pdu.mac,
-            ciphertext: pdu.ciphertext.to_vec(),
-        })
-    }
-}
+wire!(ProtectedNas {
+    count,
+    mac,
+    ciphertext
+});
 
 /// One side's NAS security context (the peer holds the mirror image).
 #[derive(Clone)]

@@ -2,8 +2,8 @@
 //! (paper Fig. 2: "stores metadata for each VNF and orchestrates mutual
 //! discovery procedures between them").
 
-use crate::{NfError, NfType};
-use shield5g_sim::codec::{Reader, Writer};
+use crate::wire::wire;
+use crate::NfType;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::Service;
 use shield5g_sim::time::SimDuration;
@@ -19,39 +19,7 @@ pub struct NfProfile {
     pub addr: String,
 }
 
-impl NfProfile {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.nf_type.to_string()).put_str(&self.addr);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Protocol`] for unknown NF types and
-    /// [`NfError::Sim`] on framing violations.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let type_str = r.str()?;
-        let addr = r.str()?;
-        r.finish()?;
-        let nf_type = match type_str.as_str() {
-            "NRF" => NfType::NRF,
-            "UDR" => NfType::UDR,
-            "UDM" => NfType::UDM,
-            "AUSF" => NfType::AUSF,
-            "AMF" => NfType::AMF,
-            "SMF" => NfType::SMF,
-            "UPF" => NfType::UPF,
-            other => return Err(NfError::Protocol(format!("unknown NF type {other:?}"))),
-        };
-        Ok(NfProfile { nf_type, addr })
-    }
-}
+wire!(NfProfile { nf_type, addr });
 
 /// The NRF service.
 #[derive(Debug, Default)]

@@ -1,12 +1,13 @@
 //! Service-based interface plumbing: the SBI client and the inter-NF
-//! message payloads (CAPIF-style REST bodies with explicit encodings).
+//! message payloads (CAPIF-style REST bodies, each a [`crate::wire`]
+//! field list).
 
-use crate::messages::{get_ue_identity, put_ue_identity, UeIdentity};
+use crate::messages::UeIdentity;
+use crate::wire::wire;
 use crate::NfError;
-use shield5g_crypto::keys::SeAv;
+use shield5g_crypto::keys::{HeAv, SeAv};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
-use shield5g_sim::codec::{Reader, Writer};
 use shield5g_sim::engine;
 use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::latency::LinkProfile;
@@ -124,38 +125,12 @@ pub struct AuthenticateRequest {
     pub snn_mnc: String,
 }
 
-impl AuthenticateRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        put_ue_identity(&mut w, &self.identity);
-        w.put_str(&self.known_supi)
-            .put_str(&self.snn_mcc)
-            .put_str(&self.snn_mnc);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`]/[`NfError::Protocol`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let identity = get_ue_identity(&mut r)?;
-        let known_supi = r.str()?;
-        let snn_mcc = r.str()?;
-        let snn_mnc = r.str()?;
-        r.finish()?;
-        Ok(AuthenticateRequest {
-            identity,
-            known_supi,
-            snn_mcc,
-            snn_mnc,
-        })
-    }
-}
+wire!(AuthenticateRequest {
+    identity,
+    known_supi,
+    snn_mcc,
+    snn_mnc
+});
 
 /// `Nausf_UEAuthentication_Authenticate` response (AUSF → AMF): the SE AV
 /// plus a context reference for the confirmation step.
@@ -167,35 +142,7 @@ pub struct AuthenticateResponse {
     pub se_av: SeAv,
 }
 
-impl AuthenticateResponse {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.auth_ctx_id)
-            .put_array(&self.se_av.rand)
-            .put_array(&self.se_av.autn)
-            .put_array(&self.se_av.hxres_star);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let auth_ctx_id = r.u64()?;
-        let se_av = SeAv {
-            rand: r.array()?,
-            autn: r.array()?,
-            hxres_star: r.array()?,
-        };
-        r.finish()?;
-        Ok(AuthenticateResponse { auth_ctx_id, se_av })
-    }
-}
+wire!(AuthenticateResponse { auth_ctx_id, se_av });
 
 /// RES* confirmation (AMF → AUSF).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,30 +153,10 @@ pub struct ConfirmRequest {
     pub res_star: [u8; 16],
 }
 
-impl ConfirmRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.auth_ctx_id).put_array(&self.res_star);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let req = ConfirmRequest {
-            auth_ctx_id: r.u64()?,
-            res_star: r.array()?,
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
+wire!(ConfirmRequest {
+    auth_ctx_id,
+    res_star
+});
 
 /// Confirmation result (AUSF → AMF): on success, the SUPI and K_SEAF.
 #[derive(Clone, PartialEq, Eq)]
@@ -253,33 +180,11 @@ impl std::fmt::Debug for ConfirmResponse {
     }
 }
 
-impl ConfirmResponse {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_bool(self.success)
-            .put_str(&self.supi)
-            .put_array(self.kseaf.expose());
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let resp = ConfirmResponse {
-            success: r.bool()?,
-            supi: r.str()?,
-            kseaf: SecretBytes::new(r.array()?),
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-}
+wire!(ConfirmResponse {
+    success,
+    supi,
+    kseaf
+});
 
 /// `Nudm_UEAuthentication_Get` request (AUSF → UDM): what the AMF asked
 /// the AUSF, forwarded as it came — the same fields in the same bytes.
@@ -290,8 +195,8 @@ pub type UdmAuthGetRequest = AuthenticateRequest;
 pub struct UdmAuthGetResponse {
     /// De-concealed subscriber identity.
     pub supi: String,
-    /// Wire-encoded HE AV ([`crate::backend::Wire`]).
-    pub he_av: Vec<u8>,
+    /// The HE AV, nested in the body as a length-prefixed field.
+    pub he_av: HeAv,
 }
 
 impl std::fmt::Debug for UdmAuthGetResponse {
@@ -303,30 +208,11 @@ impl std::fmt::Debug for UdmAuthGetResponse {
     }
 }
 
-impl UdmAuthGetResponse {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.supi).put_bytes(&self.he_av);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let resp = UdmAuthGetResponse {
-            supi: r.str()?,
-            he_av: r.bytes()?,
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-}
+wire!(UdmAuthGetResponse {
+    supi,
+    #[nested]
+    he_av
+});
 
 /// Re-synchronisation request (AUSF → UDM, triggered by an AUTS).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -339,37 +225,7 @@ pub struct ResyncRequest {
     pub auts: Auts,
 }
 
-impl ResyncRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.supi)
-            .put_array(&self.rand)
-            .put_array(&self.auts.sqn_ms_xor_ak)
-            .put_array(&self.auts.mac_s);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let req = ResyncRequest {
-            supi: r.str()?,
-            rand: r.array()?,
-            auts: Auts {
-                sqn_ms_xor_ak: r.array()?,
-                mac_s: r.array()?,
-            },
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
+wire!(ResyncRequest { supi, rand, auts });
 
 /// UDR authentication-data request (UDM → UDR).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -378,27 +234,7 @@ pub struct UdrAuthDataRequest {
     pub supi: String,
 }
 
-impl UdrAuthDataRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.supi);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let req = UdrAuthDataRequest { supi: r.str()? };
-        r.finish()?;
-        Ok(req)
-    }
-}
+wire!(UdrAuthDataRequest { supi });
 
 /// UDR authentication-data response: OPc, a fresh SQN, the AMF field.
 #[derive(Clone, PartialEq, Eq)]
@@ -420,33 +256,11 @@ impl std::fmt::Debug for UdrAuthDataResponse {
     }
 }
 
-impl UdrAuthDataResponse {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_array(self.opc.expose())
-            .put_array(&self.sqn)
-            .put_array(&self.amf_field);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let resp = UdrAuthDataResponse {
-            opc: SecretBytes::new(r.array()?),
-            sqn: r.array()?,
-            amf_field: r.array()?,
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-}
+wire!(UdrAuthDataResponse {
+    opc,
+    sqn,
+    amf_field
+});
 
 /// UDR SQN re-synchronisation (UDM → UDR).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -457,30 +271,7 @@ pub struct UdrResyncRequest {
     pub sqn_ms: [u8; 6],
 }
 
-impl UdrResyncRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.supi).put_array(&self.sqn_ms);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let req = UdrResyncRequest {
-            supi: r.str()?,
-            sqn_ms: r.array()?,
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
+wire!(UdrResyncRequest { supi, sqn_ms });
 
 /// PDU session creation (AMF → SMF).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -491,30 +282,10 @@ pub struct CreateSessionRequest {
     pub pdu_session_id: u8,
 }
 
-impl CreateSessionRequest {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str(&self.supi).put_u8(self.pdu_session_id);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let req = CreateSessionRequest {
-            supi: r.str()?,
-            pdu_session_id: r.u8()?,
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
+wire!(CreateSessionRequest {
+    supi,
+    pdu_session_id
+});
 
 /// PDU session creation result (SMF → AMF).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -525,30 +296,7 @@ pub struct CreateSessionResponse {
     pub upf_teid: u32,
 }
 
-impl CreateSessionResponse {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_array(&self.ue_ip).put_u32(self.upf_teid);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let resp = CreateSessionResponse {
-            ue_ip: r.array()?,
-            upf_teid: r.u32()?,
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-}
+wire!(CreateSessionResponse { ue_ip, upf_teid });
 
 #[cfg(test)]
 mod tests {
@@ -608,7 +356,12 @@ mod tests {
         assert_eq!(UdmAuthGetRequest::decode(&req.encode()).unwrap(), req);
         let resp = UdmAuthGetResponse {
             supi: "imsi-1".into(),
-            he_av: vec![1, 2, 3],
+            he_av: HeAv {
+                rand: [1; 16],
+                autn: [2; 16],
+                xres_star: [3; 16],
+                kausf: [4; 32].into(),
+            },
         };
         assert_eq!(UdmAuthGetResponse::decode(&resp.encode()).unwrap(), resp);
         let udr_req = UdrAuthDataRequest {
@@ -731,22 +484,5 @@ mod tests {
             client.receive(&mut env, "x", looped),
             Err(NfError::Sim(shield5g_sim::SimError::ReentrantCall(_)))
         ));
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn sbi_decoders_never_panic(bytes in proptest::collection::vec(0u8.., 0..64)) {
-            let _ = AuthenticateRequest::decode(&bytes);
-            let _ = AuthenticateResponse::decode(&bytes);
-            let _ = ConfirmRequest::decode(&bytes);
-            let _ = ConfirmResponse::decode(&bytes);
-            let _ = UdmAuthGetRequest::decode(&bytes);
-            let _ = UdmAuthGetResponse::decode(&bytes);
-            let _ = ResyncRequest::decode(&bytes);
-            let _ = UdrAuthDataRequest::decode(&bytes);
-            let _ = UdrAuthDataResponse::decode(&bytes);
-            let _ = CreateSessionRequest::decode(&bytes);
-            let _ = CreateSessionResponse::decode(&bytes);
-        }
     }
 }

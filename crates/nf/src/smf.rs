@@ -3,8 +3,7 @@
 //! session anchors for the client").
 
 use crate::sbi::{CreateSessionRequest, CreateSessionResponse, SbiClient};
-use crate::NfError;
-use shield5g_sim::codec::{Reader, Writer};
+use crate::wire::wire;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
@@ -25,30 +24,7 @@ pub struct N4Establish {
     pub ue_ip: [u8; 4],
 }
 
-impl N4Establish {
-    /// Encodes to SBI body bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(self.teid).put_array(&self.ue_ip);
-        w.into_bytes()
-    }
-
-    /// Decodes SBI body bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on framing violations.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let msg = N4Establish {
-            teid: r.u32()?,
-            ue_ip: r.array()?,
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
+wire!(N4Establish { teid, ue_ip });
 
 /// One established session.
 #[derive(Clone, Debug, PartialEq, Eq)]

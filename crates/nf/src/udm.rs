@@ -8,7 +8,7 @@
 
 use crate::backend::{
     self, AkaBackend, BackendOp, CallToken, GenerateAv, Resync, UdmAkaBackend, UdmAkaRequest,
-    UdmAkaResyncRequest, Wire,
+    UdmAkaResyncRequest,
 };
 use crate::messages::UeIdentity;
 use crate::sbi::{
@@ -17,7 +17,7 @@ use crate::sbi::{
 };
 use crate::NfError;
 use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
-use shield5g_crypto::keys::ServingNetworkName;
+use shield5g_crypto::keys::{HeAv, ServingNetworkName};
 use shield5g_crypto::CryptoError;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
@@ -137,7 +137,7 @@ impl UdmService {
         }
     }
 
-    fn finish_av(&mut self, env: &mut Env, supi: String, av: &shield5g_crypto::keys::HeAv) -> Step {
+    fn finish_av(&mut self, env: &mut Env, supi: String, he_av: HeAv) -> Step {
         shield5g_obs::hub::count(
             "udm",
             "/nudm-ueau",
@@ -150,11 +150,7 @@ impl UdmService {
             format!("UDM generated HE AV for {supi}"),
         );
         Step::Reply(HttpResponse::ok(
-            UdmAuthGetResponse {
-                supi,
-                he_av: av.encode(),
-            }
-            .encode(),
+            UdmAuthGetResponse { supi, he_av }.encode(),
         ))
     }
 
@@ -183,7 +179,7 @@ impl UdmService {
             snn: ServingNetworkName::new(&req.snn_mcc, &req.snn_mnc),
         };
         match AkaBackend::<GenerateAv>::begin(&mut *self.backend, env, &aka_req) {
-            BackendOp::Done(Ok(av)) => self.finish_av(env, supi, &av),
+            BackendOp::Done(Ok(av)) => self.finish_av(env, supi, av),
             BackendOp::Done(Err(e)) => Step::Reply(Self::auth_error(e)),
             BackendOp::Call { dest, req, token } => Step::CallOut {
                 dest,
@@ -287,7 +283,7 @@ impl EngineService for UdmService {
             }
             UdmFlow::AwaitAv { supi, token } => {
                 match AkaBackend::<GenerateAv>::finish(&mut *self.backend, env, token, resp) {
-                    Ok(av) => self.finish_av(env, supi, &av),
+                    Ok(av) => self.finish_av(env, supi, av),
                     Err(e) => Step::Reply(Self::auth_error(e)),
                 }
             }
@@ -405,7 +401,7 @@ mod tests {
         let resp = UdmAuthGetResponse::decode(&body).unwrap();
         assert_eq!(resp.supi, SUPI);
         // The AV verifies on a USIM with the same credentials.
-        let av = shield5g_crypto::keys::HeAv::decode(&resp.he_av).unwrap();
+        let av = resp.he_av;
         let mil = Milenage::with_opc(&K, &OPC);
         let snn = ServingNetworkName::new("001", "01");
         let ue =

@@ -6,8 +6,7 @@
 //! of paper §V-B6).
 
 use crate::smf::N4Establish;
-use crate::NfError;
-use shield5g_sim::codec::{Reader, Writer};
+use crate::wire::wire;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::Service;
 use shield5g_sim::time::SimDuration;
@@ -26,30 +25,7 @@ pub struct GtpPacket {
     pub payload: Vec<u8>,
 }
 
-impl GtpPacket {
-    /// Encodes to wire bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(self.teid).put_bytes(&self.payload);
-        w.into_bytes()
-    }
-
-    /// Decodes wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Sim`] on framing violations.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
-        let mut r = Reader::new(bytes);
-        let pkt = GtpPacket {
-            teid: r.u32()?,
-            payload: r.bytes()?,
-        };
-        r.finish()?;
-        Ok(pkt)
-    }
-}
+wire!(GtpPacket { teid, payload });
 
 /// The UPF service.
 #[derive(Debug, Default)]

@@ -5,6 +5,10 @@
 //! refactor must reproduce every line; regenerate only for an intentional
 //! wire-format change (`SHIELD5G_REGEN_GOLDEN=1 cargo test -p shield5g-nf
 //! --test wire_vectors`).
+//!
+//! Pinned both ways: every line is also decoded and re-encoded byte for
+//! byte. And every [`Wire`] type here meets one generic hostile-input
+//! property ([`hostile`]).
 
 use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::hex;
@@ -14,7 +18,7 @@ use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_nf::backend::{
     AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest,
-    UdmAkaResyncRequest, Wire,
+    UdmAkaResyncRequest,
 };
 use shield5g_nf::messages::{AuthFailureCause, NasDownlink, NasUplink, Ngap, UeIdentity};
 use shield5g_nf::nas_security::NasSecurityContext;
@@ -26,10 +30,100 @@ use shield5g_nf::sbi::{
 };
 use shield5g_nf::smf::N4Establish;
 use shield5g_nf::upf::GtpPacket;
-use shield5g_nf::NfType;
+use shield5g_nf::wire::Wire;
+use shield5g_nf::{NfError, NfType};
 use shield5g_sim::http::{HttpRequest, HttpResponse, Method};
+use shield5g_sim::SimError;
+use std::fmt::Debug;
 
 const SUPI: &str = "imsi-001010000000001";
+
+/// Decodes wire bytes and encodes what was accepted.
+type Again = fn(&[u8]) -> Result<Vec<u8>, String>;
+
+/// One pinned message: its name, its bytes, the codec that must read the
+/// pinned bytes back and write them again, and its hostile property.
+struct Vector {
+    name: &'static str,
+    bytes: Vec<u8>,
+    again: Again,
+    hostile: Box<dyn Fn()>,
+}
+
+fn wire<T: Wire + PartialEq + Debug + 'static>(name: &'static str, msg: T) -> Vector {
+    Vector {
+        name,
+        bytes: msg.encode(),
+        again: |bytes| {
+            T::decode(bytes)
+                .map(|msg| msg.encode())
+                .map_err(|e| e.to_string())
+        },
+        hostile: Box::new(move || hostile(&msg)),
+    }
+}
+
+/// HTTP framing has its own parser, and its hostile property lives in the
+/// workspace's `tests/hostile_wire.rs`.
+fn http_vector(name: &'static str, bytes: Vec<u8>, again: Again) -> Vector {
+    Vector {
+        name,
+        bytes,
+        again,
+        hostile: Box::new(|| {}),
+    }
+}
+
+fn request(name: &'static str, req: HttpRequest) -> Vector {
+    http_vector(name, req.to_bytes(), |bytes| {
+        HttpRequest::from_bytes(bytes)
+            .map(|req| req.to_bytes())
+            .map_err(|e| e.to_string())
+    })
+}
+
+fn response(name: &'static str, resp: HttpResponse) -> Vector {
+    http_vector(name, resp.to_bytes(), |bytes| {
+        HttpResponse::from_bytes(bytes)
+            .map(|resp| resp.to_bytes())
+            .map_err(|e| e.to_string())
+    })
+}
+
+/// The stateless hostile-input property of one codec, on mutants of a
+/// valid message after 5Greplay's field mutations (arXiv:2304.05719):
+/// every single-bit flip, every truncation, a false `u32` at every offset
+/// (so at every length prefix and count), and one appended byte. The
+/// contract: no panic; what is accepted re-encodes to exactly the bytes
+/// given; a refusal is a framing error or a protocol violation.
+fn hostile<T: Wire + PartialEq + Debug>(valid: &T) {
+    let bytes = valid.encode();
+    assert_eq!(T::decode(&bytes).as_ref(), Ok(valid));
+    let mut mutants: Vec<Vec<u8>> = (0..bytes.len()).map(|at| bytes[..at].to_vec()).collect();
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            mutants.push(flipped);
+        }
+    }
+    for at in 0..bytes.len().saturating_sub(3) {
+        let field = u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+        for lie in [field.wrapping_add(1), field.wrapping_sub(1), u32::MAX] {
+            let mut lied = bytes.clone();
+            lied[at..at + 4].copy_from_slice(&lie.to_be_bytes());
+            mutants.push(lied);
+        }
+    }
+    mutants.push([&bytes[..], &[0]].concat());
+    for mutant in &mutants {
+        match T::decode(mutant) {
+            Ok(got) => assert_eq!(&got.encode(), mutant, "{valid:?} accepted as {got:?}"),
+            Err(NfError::Sim(SimError::MalformedHttp(_)) | NfError::Protocol(_)) => {}
+            Err(e) => panic!("{valid:?}: {mutant:02x?} refused as {e:?}"),
+        }
+    }
+}
 
 fn profile_a(supi: &Supi) -> UeIdentity {
     let hn = HomeNetworkKeyPair::from_private(1, [0x8f; 32]);
@@ -60,203 +154,182 @@ fn he_av(tag: u8) -> HeAv {
     }
 }
 
-fn nas_uplink(supi: &Supi) -> Vec<(&'static str, Vec<u8>)> {
-    let identity_response = NasUplink::IdentityResponse {
-        suci: supi.conceal_null(),
-    };
+fn nas_uplink(supi: &Supi) -> Vec<Vector> {
     vec![
-        (
+        wire(
             "nas.up.registration_request.suci_null",
             NasUplink::RegistrationRequest {
                 identity: UeIdentity::Suci(supi.conceal_null()),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.up.registration_request.suci_profile_a",
             NasUplink::RegistrationRequest {
                 identity: profile_a(supi),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.up.registration_request.guti",
             NasUplink::RegistrationRequest {
                 identity: UeIdentity::Guti(guti()),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.up.authentication_response",
-            NasUplink::AuthenticationResponse { res_star: [7; 16] }.encode(),
+            NasUplink::AuthenticationResponse { res_star: [7; 16] },
         ),
-        (
+        wire(
             "nas.up.authentication_failure.mac",
             NasUplink::AuthenticationFailure {
                 cause: AuthFailureCause::MacFailure,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.up.authentication_failure.synch",
             NasUplink::AuthenticationFailure {
                 cause: AuthFailureCause::SynchFailure(auts()),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.up.security_mode_complete",
-            NasUplink::SecurityModeComplete.encode(),
+            NasUplink::SecurityModeComplete,
         ),
-        (
+        wire(
             "nas.up.registration_complete",
-            NasUplink::RegistrationComplete.encode(),
+            NasUplink::RegistrationComplete,
         ),
-        (
+        wire(
             "nas.up.pdu_session_establishment_request",
-            NasUplink::PduSessionEstablishmentRequest { pdu_session_id: 5 }.encode(),
+            NasUplink::PduSessionEstablishmentRequest { pdu_session_id: 5 },
         ),
-        ("nas.up.identity_response", identity_response.encode()),
-        (
+        wire(
+            "nas.up.identity_response",
+            NasUplink::IdentityResponse {
+                suci: supi.conceal_null(),
+            },
+        ),
+        wire(
             "nas.up.deregistration_request",
-            NasUplink::DeregistrationRequest { switch_off: true }.encode(),
+            NasUplink::DeregistrationRequest { switch_off: true },
         ),
     ]
 }
 
-fn nas_downlink() -> Vec<(&'static str, Vec<u8>)> {
+fn nas_downlink() -> Vec<Vector> {
     vec![
-        (
+        wire(
             "nas.down.authentication_request",
             NasDownlink::AuthenticationRequest {
                 rand: [1; 16],
                 autn: [2; 16],
                 abba: [0, 0],
                 ngksi: 3,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.down.authentication_reject",
-            NasDownlink::AuthenticationReject.encode(),
+            NasDownlink::AuthenticationReject,
         ),
-        (
+        wire(
             "nas.down.security_mode_command",
             NasDownlink::SecurityModeCommand {
                 integrity_alg: 2,
                 ciphering_alg: 2,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.down.registration_accept",
-            NasDownlink::RegistrationAccept { guti: guti() }.encode(),
+            NasDownlink::RegistrationAccept { guti: guti() },
         ),
-        (
+        wire(
             "nas.down.registration_reject",
-            NasDownlink::RegistrationReject { cause: 111 }.encode(),
+            NasDownlink::RegistrationReject { cause: 111 },
         ),
-        (
+        wire(
             "nas.down.pdu_session_establishment_accept",
             NasDownlink::PduSessionEstablishmentAccept {
                 pdu_session_id: 5,
                 ue_ip: [10, 0, 0, 2],
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "nas.down.deregistration_accept",
-            NasDownlink::DeregistrationAccept.encode(),
+            NasDownlink::DeregistrationAccept,
         ),
-        (
-            "nas.down.identity_request",
-            NasDownlink::IdentityRequest.encode(),
-        ),
+        wire("nas.down.identity_request", NasDownlink::IdentityRequest),
     ]
 }
 
 /// A protected PDU per direction and COUNT under one fixed K_AMF, alone and
 /// as carried in NGAP.
-fn protected_and_ngap(supi: &Supi) -> Vec<(&'static str, Vec<u8>)> {
+fn protected_and_ngap(supi: &Supi) -> Vec<Vector> {
     let kamf = [0x42; 32];
     let mut ue = NasSecurityContext::from_kamf(&kamf, true);
     let mut amf = NasSecurityContext::from_kamf(&kamf, false);
-    let up0 = ue
-        .protect(&NasUplink::SecurityModeComplete.encode())
-        .encode();
-    let up1 = ue
-        .protect(&NasUplink::RegistrationComplete.encode())
-        .encode();
-    let down0 = amf
-        .protect(&NasDownlink::RegistrationAccept { guti: guti() }.encode())
-        .encode();
+    let up0 = ue.protect(&NasUplink::SecurityModeComplete.encode());
+    let up1 = ue.protect(&NasUplink::RegistrationComplete.encode());
+    let down0 = amf.protect(&NasDownlink::RegistrationAccept { guti: guti() }.encode());
     let plain = NasUplink::RegistrationRequest {
         identity: profile_a(supi),
     }
     .encode();
     vec![
-        ("nas.protected.uplink.count0", up0.clone()),
-        ("nas.protected.uplink.count1", up1.clone()),
-        ("nas.protected.downlink.count0", down0.clone()),
-        (
+        wire("nas.protected.uplink.count0", up0.clone()),
+        wire("nas.protected.uplink.count1", up1),
+        wire("nas.protected.downlink.count0", down0.clone()),
+        wire(
             "ngap.initial_ue_message",
             Ngap::InitialUeMessage {
                 ran_ue_id: 7,
                 nas: plain,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "ngap.uplink_nas_transport",
             Ngap::UplinkNasTransport {
                 ran_ue_id: 7,
-                nas: up0,
-            }
-            .encode(),
+                nas: up0.encode(),
+            },
         ),
-        (
+        wire(
             "ngap.downlink_nas_transport",
             Ngap::DownlinkNasTransport {
                 ran_ue_id: 7,
-                nas: down0.clone(),
-            }
-            .encode(),
+                nas: down0.encode(),
+            },
         ),
-        (
+        wire(
             "ngap.initial_context_setup",
             Ngap::InitialContextSetup {
                 ran_ue_id: 7,
-                nas: down0,
+                nas: down0.encode(),
                 teid: 0x0102_0304,
-            }
-            .encode(),
+            },
         ),
     ]
 }
 
-fn sbi(supi: &Supi) -> Vec<(&'static str, Vec<u8>)> {
+fn sbi(supi: &Supi) -> Vec<Vector> {
     vec![
-        (
+        wire(
             "sbi.authenticate_request.suci",
             AuthenticateRequest {
                 identity: profile_a(supi),
                 known_supi: String::new(),
                 snn_mcc: "001".into(),
                 snn_mnc: "01".into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.authenticate_request.guti",
             AuthenticateRequest {
                 identity: UeIdentity::Guti(guti()),
                 known_supi: SUPI.into(),
                 snn_mcc: "001".into(),
                 snn_mnc: "01".into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.authenticate_response",
             AuthenticateResponse {
                 auth_ctx_id: 99,
@@ -265,130 +338,116 @@ fn sbi(supi: &Supi) -> Vec<(&'static str, Vec<u8>)> {
                     autn: [2; 16],
                     hxres_star: [3; 16],
                 },
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.confirm_request",
             ConfirmRequest {
                 auth_ctx_id: 99,
                 res_star: [9; 16],
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.confirm_response",
             ConfirmResponse {
                 success: true,
                 supi: SUPI.into(),
                 kseaf: [4; 32].into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.udm_auth_get_request.suci",
             UdmAuthGetRequest {
                 identity: UeIdentity::Suci(supi.conceal_null()),
                 known_supi: String::new(),
                 snn_mcc: "001".into(),
                 snn_mnc: "01".into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.udm_auth_get_request.guti",
             UdmAuthGetRequest {
                 identity: UeIdentity::Guti(guti()),
                 known_supi: SUPI.into(),
                 snn_mcc: "310".into(),
                 snn_mnc: "260".into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.udm_auth_get_response",
             UdmAuthGetResponse {
                 supi: SUPI.into(),
-                he_av: he_av(0x10).encode(),
-            }
-            .encode(),
+                he_av: he_av(0x10),
+            },
         ),
-        (
+        wire(
             "sbi.resync_request",
             ResyncRequest {
                 supi: SUPI.into(),
                 rand: [5; 16],
                 auts: auts(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.udr_auth_data_request",
-            UdrAuthDataRequest { supi: SUPI.into() }.encode(),
+            UdrAuthDataRequest { supi: SUPI.into() },
         ),
-        (
+        wire(
             "sbi.udr_auth_data_response",
             UdrAuthDataResponse {
                 opc: [0xcd; 16].into(),
                 sqn: [0, 0, 0, 0, 1, 2],
                 amf_field: [0x80, 0],
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.udr_resync_request",
             UdrResyncRequest {
                 supi: SUPI.into(),
                 sqn_ms: [0, 0, 0, 0, 3, 4],
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.create_session_request",
             CreateSessionRequest {
                 supi: SUPI.into(),
                 pdu_session_id: 5,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.create_session_response",
             CreateSessionResponse {
                 ue_ip: [10, 0, 0, 2],
                 upf_teid: 77,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "sbi.nf_profile",
             NfProfile {
                 nf_type: NfType::AUSF,
                 addr: "ausf.oai".into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "n4.establish",
             N4Establish {
                 teid: 77,
                 ue_ip: [10, 0, 0, 2],
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "gtp.packet",
             GtpPacket {
                 teid: 77,
                 payload: b"ping".to_vec(),
-            }
-            .encode(),
+            },
         ),
     ]
 }
 
-fn paka() -> Vec<(&'static str, Vec<u8>)> {
+fn paka() -> Vec<Vector> {
     vec![
-        (
+        wire(
             "paka.udm_aka_request",
             UdmAkaRequest {
                 supi: SUPI.into(),
@@ -397,10 +456,9 @@ fn paka() -> Vec<(&'static str, Vec<u8>)> {
                 sqn: [0, 0, 0, 0, 0, 7],
                 amf_field: [0x80, 0],
                 snn: snn(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "paka.udm_aka_batch_request",
             UdmAkaBatchRequest {
                 supi: SUPI.into(),
@@ -410,124 +468,143 @@ fn paka() -> Vec<(&'static str, Vec<u8>)> {
                 amf_field: [0x80, 0],
                 snn: ServingNetworkName::new("310", "260"),
                 count: 8,
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "paka.udm_aka_resync_request",
             UdmAkaResyncRequest {
                 supi: SUPI.into(),
                 opc: [0xcd; 16].into(),
                 rand: [0x23; 16],
                 auts: auts(),
-            }
-            .encode(),
+            },
         ),
-        ("paka.he_av", he_av(0x10).encode()),
-        ("paka.he_av_batch", vec![he_av(0x10), he_av(0x20)].encode()),
-        ("paka.he_av_batch.empty", Vec::<HeAv>::new().encode()),
-        (
+        wire("paka.he_av", he_av(0x10)),
+        wire("paka.he_av_batch", vec![he_av(0x10), he_av(0x20)]),
+        wire("paka.he_av_batch.empty", Vec::<HeAv>::new()),
+        wire(
             "paka.ausf_aka_request",
             AusfAkaRequest {
                 rand: [1; 16],
                 xres_star: [2; 16],
                 kausf: [3; 32].into(),
                 snn: snn(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "paka.ausf_aka_response",
             AusfAkaResponse {
                 hxres_star: [5; 16],
                 kseaf: [6; 32].into(),
-            }
-            .encode(),
+            },
         ),
-        (
+        wire(
             "paka.amf_aka_request",
             AmfAkaRequest {
                 kseaf: [4; 32].into(),
                 supi: SUPI.into(),
                 abba: [0, 0],
-            }
-            .encode(),
+            },
         ),
-        ("paka.sqn_ms", [0u8, 0, 0, 0, 3, 3].encode()),
-        ("paka.kamf", SecretBytes::new([8u8; 32]).encode()),
+        wire("paka.sqn_ms", [0u8, 0, 0, 0, 3, 3]),
+        wire("paka.kamf", SecretBytes::new([8u8; 32])),
     ]
 }
 
-fn http() -> Vec<(&'static str, Vec<u8>)> {
+fn http() -> Vec<Vector> {
     let body: Vec<u8> = (0u8..=31).collect();
     vec![
-        (
+        request(
             "http.request.post",
-            HttpRequest::post("/nausf-auth/authenticate", body.clone()).to_bytes(),
+            HttpRequest::post("/nausf-auth/authenticate", body.clone()),
         ),
-        (
+        request(
             "http.request.post.headers",
             HttpRequest::post("/eudm/generate-av", body.clone())
                 .with_header("x-sim-priority", "emergency")
-                .with_header("Accept", "application/json")
-                .to_bytes(),
+                .with_header("Accept", "application/json"),
         ),
-        ("http.request.get", HttpRequest::get("/status").to_bytes()),
-        (
+        request("http.request.get", HttpRequest::get("/status")),
+        request(
             "http.request.put.empty",
-            HttpRequest::new(Method::Put, "/p", Vec::new()).to_bytes(),
+            HttpRequest::new(Method::Put, "/p", Vec::new()),
         ),
-        (
+        request(
             "http.request.delete.body1000",
-            HttpRequest::new(Method::Delete, "/d", vec![0x5a; 1000]).to_bytes(),
+            HttpRequest::new(Method::Delete, "/d", vec![0x5a; 1000]),
         ),
-        ("http.response.ok", HttpResponse::ok(body).to_bytes()),
-        (
-            "http.response.ok.empty",
-            HttpResponse::ok(Vec::new()).to_bytes(),
-        ),
-        (
+        response("http.response.ok", HttpResponse::ok(body)),
+        response("http.response.ok.empty", HttpResponse::ok(Vec::new())),
+        response(
             "http.response.error.404",
-            HttpResponse::error(404, "unknown subscriber imsi-001010000000042").to_bytes(),
+            HttpResponse::error(404, "unknown subscriber imsi-001010000000042"),
         ),
-        (
+        response(
             "http.response.error.503.header",
-            HttpResponse::error(503, "shed")
-                .with_header("x-sim-shed", "queue-full")
-                .to_bytes(),
+            HttpResponse::error(503, "shed").with_header("x-sim-shed", "queue-full"),
         ),
-        (
+        response(
             "http.response.error.unknown_status",
-            HttpResponse::error(508, "call loop through amf.oai").to_bytes(),
+            HttpResponse::error(508, "call loop through amf.oai"),
         ),
     ]
 }
 
-#[test]
-fn every_message_type_encodes_to_its_pinned_bytes() -> Result<(), Box<dyn std::error::Error>> {
+fn vectors() -> Result<Vec<Vector>, Box<dyn std::error::Error>> {
     let supi = Supi::new(Plmn::test_network(), "0000000001")?;
-    let groups = [
+    Ok([
         nas_uplink(&supi),
         nas_downlink(),
         protected_and_ngap(&supi),
         sbi(&supi),
         paka(),
         http(),
-    ];
-    let live: String = groups
+    ]
+    .into_iter()
+    .flatten()
+    .collect())
+}
+
+fn golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire_vectors.txt")
+}
+
+#[test]
+fn every_message_type_encodes_to_its_pinned_bytes() -> Result<(), Box<dyn std::error::Error>> {
+    let live: String = vectors()?
         .iter()
-        .flatten()
-        .map(|(name, bytes)| format!("{name} {}\n", hex::encode(bytes)))
+        .map(|v| format!("{} {}\n", v.name, hex::encode(&v.bytes)))
         .collect();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire_vectors.txt");
     if std::env::var_os("SHIELD5G_REGEN_GOLDEN").is_some() {
-        return Ok(std::fs::write(&path, &live)?);
+        return Ok(std::fs::write(golden_path(), &live)?);
     }
-    let golden = std::fs::read_to_string(&path)?;
+    let golden = std::fs::read_to_string(golden_path())?;
     for (g, l) in golden.lines().zip(live.lines()) {
         assert_eq!(g, l, "wire bytes moved");
     }
     assert_eq!(golden.lines().count(), live.lines().count(), "vector count");
+    Ok(())
+}
+
+#[test]
+fn every_pinned_line_decodes_and_re_encodes_byte_for_byte() -> Result<(), Box<dyn std::error::Error>>
+{
+    let golden = std::fs::read_to_string(golden_path())?;
+    let vectors = vectors()?;
+    assert_eq!(golden.lines().count(), vectors.len(), "vector count");
+    for (line, vector) in golden.lines().zip(&vectors) {
+        let (name, pinned) = line.split_once(' ').ok_or("unnamed line")?;
+        assert_eq!(name, vector.name);
+        let pinned = hex::decode(pinned)?;
+        assert_eq!((vector.again)(&pinned)?, pinned, "{name}");
+    }
+    Ok(())
+}
+
+#[test]
+fn every_wire_type_survives_hostile_bytes() -> Result<(), Box<dyn std::error::Error>> {
+    for vector in vectors()? {
+        (vector.hostile)();
+    }
     Ok(())
 }

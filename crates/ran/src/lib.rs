@@ -97,6 +97,17 @@ impl From<shield5g_sim::SimError> for RanError {
     }
 }
 
+/// A NAS / NGAP decode failure: a framing violation is the transport's,
+/// implausible contents a protocol violation.
+impl From<shield5g_nf::NfError> for RanError {
+    fn from(e: shield5g_nf::NfError) -> Self {
+        match e {
+            shield5g_nf::NfError::Sim(e) => RanError::Transport(e),
+            e => RanError::Protocol(e.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

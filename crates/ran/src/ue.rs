@@ -15,6 +15,7 @@ use shield5g_crypto::ident::Guti;
 use shield5g_crypto::keys::{derive_kamf, ServingNetworkName};
 use shield5g_nf::messages::{AuthFailureCause, NasDownlink, NasUplink, UeIdentity};
 use shield5g_nf::nas_security::{NasSecurityContext, ProtectedNas};
+use shield5g_nf::wire::Wire;
 use shield5g_obs::hub as obs;
 use shield5g_obs::hub::StageSpan;
 use shield5g_sim::codec::Writer;

@@ -40,8 +40,9 @@ use shield5g_core::paka::PakaKind;
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
 use shield5g_nf::backend::{
-    sqn_add, AkaOp, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest, Wire,
+    sqn_add, AkaOp, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest,
 };
+use shield5g_nf::wire::Wire;
 use shield5g_obs::{hub as obs, labels};
 use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
 use shield5g_sim::engine::{

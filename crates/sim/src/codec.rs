@@ -1,10 +1,11 @@
 //! A minimal length-prefixed byte codec for wire messages.
 //!
-//! The workspace's dependency policy has no serde *format* crate, so SBI
-//! and NAS messages implement explicit `encode`/`decode` with this helper.
-//! That keeps wire sizes deterministic and inspectable — which matters,
-//! because message sizes feed the latency model (paper Table I counts
-//! bytes in and out of each enclave).
+//! The workspace's dependency policy has no serde *format* crate, so every
+//! NAS, NGAP, SBI and P-AKA message states its field list once, in
+//! `shield5g_nf::wire`, and each field's codec makes the [`Writer`] /
+//! [`Reader`] calls here. That keeps wire sizes deterministic and
+//! inspectable — which matters, because message sizes feed the latency
+//! model (paper Table I counts bytes in and out of each enclave).
 //!
 //! Messages nest (NAS in a protected PDU in NGAP in an HTTP body), so an
 //! encoder writes *into* a [`Writer`] ([`Writer::put_nested`]) and a
@@ -214,11 +215,6 @@ impl<'a> Reader<'a> {
         self.str_ref().map(str::to_owned)
     }
 
-    /// Reads a boolean byte.
-    pub fn bool(&mut self) -> Result<bool, SimError> {
-        Ok(self.u8()? != 0)
-    }
-
     /// Asserts the whole buffer was consumed.
     ///
     /// # Errors
@@ -260,7 +256,7 @@ mod tests {
         assert_eq!(r.array::<16>().unwrap(), [9u8; 16]);
         assert_eq!(r.bytes().unwrap(), b"variable");
         assert_eq!(r.str().unwrap(), "imsi-001010000000001");
-        assert!(r.bool().unwrap());
+        assert_eq!(r.u8().unwrap(), 1);
         r.finish().unwrap();
     }
 

@@ -55,7 +55,7 @@ SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench ablation_
 SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench fault_sweep
 SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench degradation_sweep
 
-echo "==> thread-count byte-identity (pool_scaling smoke: 1 vs 2 threads, runner line masked)"
+echo "==> thread-count byte-identity (pool_scaling, degradation_sweep and fault_sweep smokes: 1 vs 2 threads, runner line masked)"
 # The sweep runner promises artifacts that are a pure function of the
 # job list: the same smoke sweep on 1 and 2 threads must render
 # byte-identical BENCH points and observability exports. Only the
@@ -65,16 +65,14 @@ echo "==> thread-count byte-identity (pool_scaling smoke: 1 vs 2 threads, runner
 IDENT_DIR="$SHIELD5G_OBS_DIR/thread_identity"
 rm -rf "$IDENT_DIR"
 mkdir -p "$IDENT_DIR/t1" "$IDENT_DIR/t2"
-SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=1 SHIELD5G_OBS_DIR="$IDENT_DIR/t1" \
-  cargo bench --offline -p shield5g-bench --bench pool_scaling > /dev/null
-SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=2 SHIELD5G_OBS_DIR="$IDENT_DIR/t2" \
-  cargo bench --offline -p shield5g-bench --bench pool_scaling > /dev/null
-SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=1 SHIELD5G_OBS_DIR="$IDENT_DIR/t1" \
-  cargo bench --offline -p shield5g-bench --bench degradation_sweep > /dev/null
-SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=2 SHIELD5G_OBS_DIR="$IDENT_DIR/t2" \
-  cargo bench --offline -p shield5g-bench --bench degradation_sweep > /dev/null
+for bench in pool_scaling degradation_sweep fault_sweep; do
+  for threads in 1 2; do
+    SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=$threads SHIELD5G_OBS_DIR="$IDENT_DIR/t$threads" \
+      cargo bench --offline -p shield5g-bench --bench "$bench" > /dev/null
+  done
+done
 for artifact in \
-  BENCH_pool_scaling.json BENCH_degradation.json \
+  BENCH_pool_scaling.json BENCH_degradation.json BENCH_fault_sweep.json \
   pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl; do
   grep -v '"runner"' "$IDENT_DIR/t1/$artifact" > "$IDENT_DIR/t1/$artifact.masked"
   grep -v '"runner"' "$IDENT_DIR/t2/$artifact" > "$IDENT_DIR/t2/$artifact.masked"
@@ -100,5 +98,8 @@ for artifact in \
   fi
   echo "    ok $path ($(wc -c < "$path") bytes)"
 done
+
+echo "==> non-test lines per crate (scripts/loc.sh; reported, not gated)"
+sh scripts/loc.sh | sed 's/^/    /'
 
 echo "All checks passed."

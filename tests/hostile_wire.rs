@@ -1,9 +1,10 @@
 //! Hostile input on the decoders outside the P-AKA operation table, and
 //! the in-place writers against their owned forms.
 //!
-//! The never-panic tests beside each decoder feed a few dozen random
-//! bytes, which die at the first tag check. Here every input starts from
-//! a *valid* message and is rewritten after 5Greplay's mutation catalogue
+//! Every `Wire` message meets the exhaustive generic property of
+//! `crates/nf/tests/wire_vectors.rs` on its one pinned instance. Here the
+//! raw `Reader`, HTTP framing, NGAP and protected NAS get random valid
+//! messages instead, each rewritten after 5Greplay's mutation catalogue
 //! (arXiv:2304.05719) — truncate, flip one bit, lie about a length, splice
 //! with another message — so the mutant reaches the length arithmetic, the
 //! borrowed getters and the header parser. The contract: no panic; a typed
@@ -16,6 +17,7 @@ use proptest::prelude::*;
 use shield5g::crypto::ident::Guti;
 use shield5g::nf::messages::{NasDownlink, NasUplink, Ngap};
 use shield5g::nf::nas_security::{NasSecurityContext, ProtectedNas};
+use shield5g::nf::wire::Wire;
 use shield5g::nf::NfError;
 use shield5g::sim::codec::{Reader, Writer};
 use shield5g::sim::http::{HttpRequest, HttpResponse, Method};
@@ -192,7 +194,10 @@ proptest! {
             let hostile = mutate(&ngap, &uplink, word, lie_at(9));
             match Ngap::decode(&hostile) {
                 Ok(got) => prop_assert_eq!(&got.encode(), &hostile),
-                Err(e) => prop_assert!(matches!(e, SimError::MalformedHttp(_))),
+                Err(e) => prop_assert!(matches!(
+                    e,
+                    NfError::Sim(SimError::MalformedHttp(_)) | NfError::Protocol(_)
+                )),
             }
             // Protected NAS: count, mac, then the length-prefixed ciphertext.
             let hostile = mutate(&pdu, &ngap, word, lie_at(8));

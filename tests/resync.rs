@@ -11,8 +11,9 @@ use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::keys::ServingNetworkName;
 use shield5g::crypto::sqn::{sqn_from_bytes, sqn_to_bytes, SqnGenerator};
 use shield5g::nf::backend::{
-    AkaOp, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest, Wire,
+    AkaOp, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest,
 };
+use shield5g::nf::wire::Wire;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::{ChallengeOutcome, Usim};
 use shield5g::scale::avcache::{AvCache, AvCacheConfig};
