@@ -164,7 +164,7 @@ pub fn migrate_module(
     env.log.record(
         env.clock.now(),
         "slice",
-        format!(
+        format_args!(
             "migrated {} to host {} ({keys_transferred} keys)",
             kind.name(),
             target.name()

@@ -46,28 +46,21 @@ const HANDSHAKE_FRAMES: [usize; 7] = [74, 74, 66, 517, 1290, 324, 280];
 /// this block, which is as long as the longest.
 static HANDSHAKE_ZEROS: [u8; 1290] = [0; 1290];
 
-/// Latency samples collected at the VNF for one module.
+/// Latency samples collected at the VNF for one module. L_F and L_T are
+/// the module's own: [`PakaModule::serve`] reports them per request.
 #[derive(Clone, Debug, Default)]
 pub struct ModuleMetricsLog {
     /// Response times (R) as seen by the VNF.
     pub response_times: Vec<SimDuration>,
-    /// Module-reported functional latencies (L_F).
-    pub functional: Vec<SimDuration>,
-    /// Module-reported total latencies (L_T).
-    pub total: Vec<SimDuration>,
-    /// EPC pages paged during requests.
-    pub paged: u64,
 }
 
 /// The module side of the offload path as a discrete-event endpoint: a
 /// leaf service the engine schedules like any other, so module worker
 /// occupancy (the `sgx.max_threads` ceiling) is enforced by event
 /// ordering rather than assumed. Serves requests straight into the
-/// wrapped [`PakaModule`] and publishes L_F/L_T/paging samples to the
-/// shared metric log.
+/// wrapped [`PakaModule`].
 pub struct PakaEndpoint {
     module: Rc<RefCell<PakaModule>>,
-    metrics: Rc<RefCell<ModuleMetricsLog>>,
 }
 
 impl std::fmt::Debug for PakaEndpoint {
@@ -80,12 +73,7 @@ impl std::fmt::Debug for PakaEndpoint {
 
 impl Service for PakaEndpoint {
     fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
-        let (resp, serve_metrics) = self.module.borrow_mut().serve(env, req);
-        let mut m = self.metrics.borrow_mut();
-        m.functional.push(serve_metrics.functional);
-        m.total.push(serve_metrics.total);
-        m.paged += serve_metrics.paged;
-        resp
+        self.module.borrow_mut().serve(env, req).0
     }
 }
 
@@ -141,13 +129,11 @@ impl PakaClient {
         self.metrics.clone()
     }
 
-    /// Builds the engine-side endpoint for this client's module, sharing
-    /// the metric log so L_F/L_T land next to the R samples.
+    /// Builds the engine-side endpoint for this client's module.
     #[must_use]
     pub fn endpoint(&self) -> PakaEndpoint {
         PakaEndpoint {
             module: self.module.clone(),
-            metrics: self.metrics.clone(),
         }
     }
 
@@ -301,7 +287,7 @@ impl PakaClient {
         }
     }
 
-    /// One offloaded call: returns the response body and logs R/L_F/L_T.
+    /// One offloaded call: returns the response body and logs R.
     /// The synchronous form used by the direct-characterization harness
     /// (§V-A2 experiments 1–3 measure the module in isolation, with no
     /// engine contention in the path).
@@ -636,9 +622,9 @@ mod tests {
         let rs = crate::stats::Summary::of(&ms.borrow().response_times[1..]);
         let ratio = rs.median_ratio_to(&rc);
         assert!(ratio > 1.8 && ratio < 3.5, "R_S/R_C = {ratio:.2}");
-        // `call` logs the module's L_F/L_T beside each R.
-        assert_eq!(mc.borrow().functional.len(), 21);
-        assert_eq!(ms.borrow().total.len(), 21);
+        // `call` logs one R per call.
+        assert_eq!(mc.borrow().response_times.len(), 21);
+        assert_eq!(ms.borrow().response_times.len(), 21);
     }
 
     #[test]

@@ -144,6 +144,10 @@ pub struct Slice {
     pub hn_key_id: u8,
     /// Typed AMF handle (it is also registered on the engine).
     pub amf: Rc<RefCell<AmfService>>,
+    /// Typed SMF handle.
+    pub smf: Rc<RefCell<SmfService>>,
+    /// Typed UPF handle.
+    pub upf: Rc<RefCell<UpfService>>,
     /// Typed NRF handle.
     pub nrf: Rc<RefCell<NrfService>>,
     /// Arms/disarms fault injection across every slice endpoint at once
@@ -178,8 +182,8 @@ impl Slice {
             .map(|(_, m)| m.clone())
     }
 
-    /// The in-slice backend metric log for a module (R/L_F/L_T samples
-    /// collected from real registrations flowing through the slice).
+    /// The in-slice backend metric log for a module (R samples collected
+    /// from real registrations flowing through the slice).
     #[must_use]
     pub fn backend_metrics(&self, kind: PakaKind) -> Option<Rc<RefCell<ModuleMetricsLog>>> {
         self.backend_metrics
@@ -357,8 +361,8 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
         "001",
         "01",
     )));
-    let smf = SmfService::new(SbiClient::new(), addr::UPF);
-    let upf = UpfService::new();
+    let smf = Rc::new(RefCell::new(SmfService::new(SbiClient::new(), addr::UPF)));
+    let upf = Rc::new(RefCell::new(UpfService::new()));
     let nrf = Rc::new(RefCell::new(NrfService::new()));
 
     {
@@ -375,12 +379,8 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
             stacked(Rc::new(RefCell::new(ausf))),
         );
         e.register(addr::AMF, VNF_WORKERS, stacked(amf.clone()));
-        e.register(addr::SMF, VNF_WORKERS, stacked(Rc::new(RefCell::new(smf))));
-        e.register(
-            addr::UPF,
-            LEAF_WORKERS,
-            stacked(Engine::leaf(service_handle(upf))),
-        );
+        e.register(addr::SMF, VNF_WORKERS, stacked(smf.clone()));
+        e.register(addr::UPF, LEAF_WORKERS, stacked(Engine::leaf(upf.clone())));
         e.register(addr::NRF, LEAF_WORKERS, stacked(Engine::leaf(nrf.clone())));
     }
 
@@ -413,7 +413,7 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
     env.log.record(
         env.clock.now(),
         "slice",
-        format!(
+        format_args!(
             "slice deployed ({}) with {} subscribers",
             config.deployment.label(),
             subscribers.len()
@@ -430,6 +430,8 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
         hn_public: hn_key.public().clone(),
         hn_key_id: hn_key.id(),
         amf,
+        smf,
+        upf,
         nrf,
         fault_switch,
         breaker,

@@ -194,7 +194,7 @@ impl EnclaveBuilder {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!(
+            format_args!(
                 "EINIT {} ({} content pages, {} heap pages)",
                 self.name, content_pages, heap_pages
             ),
@@ -471,7 +471,7 @@ impl Enclave {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: preheated {pages} heap pages", self.name),
+            format_args!("{}: preheated {pages} heap pages", self.name),
         );
     }
 
@@ -513,7 +513,7 @@ impl Enclave {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: instance lost (crash injected)", self.name),
+            format_args!("{}: instance lost (crash injected)", self.name),
         );
     }
 
@@ -539,7 +539,7 @@ impl Enclave {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!(
+            format_args!(
                 "{}: reloaded after crash ({} ms load time)",
                 self.name,
                 load_time.as_nanos() / 1_000_000
@@ -559,7 +559,7 @@ impl Enclave {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: AEX storm ({count} exits)", self.name),
+            format_args!("{}: AEX storm ({count} exits)", self.name),
         );
     }
 

@@ -97,7 +97,7 @@ impl Attacker {
         env.log.record(
             env.clock.now(),
             "attacker",
-            format!("{} co-resident on {}", self.name, host.name()),
+            format_args!("{} co-resident on {}", self.name, host.name()),
         );
         Ok(())
     }
@@ -125,7 +125,7 @@ impl Attacker {
         env.log.record(
             env.clock.now(),
             "attacker",
-            format!("{} escalated to root on {}", self.name, host.name()),
+            format_args!("{} escalated to root on {}", self.name, host.name()),
         );
         Ok(())
     }
@@ -163,7 +163,7 @@ impl Attacker {
         env.log.record(
             env.clock.now(),
             "attacker",
-            format!(
+            format_args!(
                 "{} swept {} containers for secrets",
                 self.name,
                 findings.len()

@@ -242,7 +242,7 @@ impl Layer for RetryLayer {
             env.log.record(
                 env.clock.now(),
                 "retry",
-                format!(
+                format_args!(
                     "retransmit {} {} (attempt {}/{})",
                     rs.dest, rs.req.path, rs.attempt, self.policy.max_retries
                 ),

@@ -149,7 +149,7 @@ impl EngineService for SmfService {
         env.log.record(
             env.clock.now(),
             "session",
-            format!(
+            format_args!(
                 "SMF anchored PDU session {} for {} at 10.0.0.{}",
                 session.pdu_session_id, session.supi, session.ue_ip[3]
             ),

@@ -102,9 +102,20 @@ impl Gnb {
         env.log.record(
             env.clock.now(),
             "ran",
-            format!("RRC connected (ran_ue_id {id})"),
+            format_args!("RRC connected (ran_ue_id {id})"),
         );
         Ok(id)
+    }
+
+    /// RRC release of connection `ran_ue_id`: its GTP tunnel goes with it.
+    pub fn release(&mut self, ran_ue_id: u64) {
+        self.tunnels.remove(&ran_ue_id);
+    }
+
+    /// GTP tunnels of the connections not yet released.
+    #[must_use]
+    pub fn tunnel_count(&self) -> usize {
+        self.tunnels.len()
     }
 
     /// One radio transfer with HARQ: a fraction of transport blocks fail

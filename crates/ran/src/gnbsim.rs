@@ -59,6 +59,13 @@ impl GnbSim {
         CotsUe::sim_ue(usim)
     }
 
+    /// Releases the RRC connection of a UE gNBSIM is about to drop.
+    fn drop_ue(&mut self, ue: &CotsUe) {
+        if let Some(ran_ue_id) = ue.ran_ue_id() {
+            self.gnb.release(ran_ue_id);
+        }
+    }
+
     /// Registers subscribers `0..count` back to back.
     ///
     /// # Errors
@@ -73,10 +80,11 @@ impl GnbSim {
         let mut out = Vec::with_capacity(count);
         for i in 0..count {
             let mut ue = self.ue_for(slice, i % slice.subscribers.len());
-            let report = ue.register(env, &mut self.gnb)?;
+            let report = ue.register(env, &mut self.gnb);
+            self.drop_ue(&ue);
             out.push(SimRegistration {
                 subscriber_index: i % slice.subscribers.len(),
-                report,
+                report: report?,
             });
         }
         Ok(out)
@@ -84,7 +92,7 @@ impl GnbSim {
 
     /// Registers one UE and also establishes its PDU session, returning
     /// the setup time for the full sequence (the §V-B4 "end-to-end UE
-    /// session setup").
+    /// session setup"). The UE is dropped after, its connection released.
     ///
     /// # Errors
     ///
@@ -96,9 +104,11 @@ impl GnbSim {
         index: usize,
     ) -> Result<(RegistrationReport, [u8; 4]), RanError> {
         let mut ue = self.ue_for(slice, index);
-        let report = ue.register(env, &mut self.gnb)?;
-        let ip = ue.establish_session(env, &mut self.gnb)?;
-        Ok((report, ip))
+        let out = ue
+            .register(env, &mut self.gnb)
+            .and_then(|report| Ok((report, ue.establish_session(env, &mut self.gnb)?)));
+        self.drop_ue(&ue);
+        out
     }
 
     /// Mutable access to the underlying gNB (tests).
@@ -207,13 +217,42 @@ mod tests {
         }
         assert_eq!(slice.amf.borrow().registrations_completed(), 3);
         assert_eq!(slice.amf.borrow().active_contexts(), 1);
-        // The live association still deregisters, leaving nothing behind.
+        // The live association still deregisters, leaving nothing behind:
+        // no AMF context, and no GTP tunnel at the gNB.
         let mut ue = sim.ue_for(&slice, 0);
         ue.register(&mut env, sim.gnb_mut()).unwrap();
+        ue.establish_session(&mut env, sim.gnb_mut()).unwrap();
         assert_eq!(slice.amf.borrow().active_contexts(), 1);
+        assert_eq!(sim.gnb_mut().tunnel_count(), 1);
         ue.deregister(&mut env, sim.gnb_mut()).unwrap();
         assert_eq!(slice.amf.borrow().deregistrations(), 1);
         assert_eq!(slice.amf.borrow().active_contexts(), 0);
+        assert_eq!((sim.gnb_mut().tunnel_count(), ue.ran_ue_id()), (0, None));
+    }
+
+    #[test]
+    fn back_to_back_registrations_leave_one_of_everything_per_subscriber() {
+        // gNBSIM drops each UE after its op: three rounds over every
+        // subscriber leave one AMF context, one SMF and UPF session per
+        // subscriber, no gNB tunnel and no engine context behind.
+        let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()));
+        let mut sim = GnbSim::new(&slice);
+        let n = slice.subscribers.len();
+        for _ in 0..3 {
+            for index in 0..n {
+                sim.register_with_session(&mut env, &slice, index).unwrap();
+            }
+        }
+        assert_eq!(slice.amf.borrow().active_contexts(), n);
+        assert_eq!(slice.smf.borrow().session_count(), n);
+        assert_eq!(slice.upf.borrow().session_count(), n);
+        assert_eq!(sim.gnb_mut().tunnel_count(), 0);
+        assert_eq!(slice.engine.borrow().stats().live_contexts, 0);
+        // What a registration world must keep: one R per module call.
+        for kind in PakaKind::all() {
+            let log = slice.backend_metrics(kind).unwrap();
+            assert_eq!(log.borrow().response_times.len(), 3 * n, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -131,6 +131,12 @@ impl CotsUe {
         self.guti
     }
 
+    /// The gNB's id for the UE's RRC connection, once it has one.
+    #[must_use]
+    pub fn ran_ue_id(&self) -> Option<u64> {
+        self.ran_ue_id
+    }
+
     /// The UE IP once a PDU session is up.
     #[must_use]
     pub fn ue_ip(&self) -> Option<[u8; 4]> {
@@ -352,8 +358,8 @@ impl CotsUe {
         }
     }
 
-    /// Deregisters from the network (TS 24.501 §5.5.2): the GUTI and NAS
-    /// security context are discarded on both sides.
+    /// Deregisters from the network (TS 24.501 §5.5.2): the GUTI, the NAS
+    /// security context on both sides and the gNB connection are released.
     ///
     /// # Errors
     ///
@@ -371,6 +377,8 @@ impl CotsUe {
         let downlink = gnb.nas_exchange(env, ran_ue_id, nas, false)?;
         match self.decode_downlink(&downlink)? {
             NasDownlink::DeregistrationAccept => {
+                gnb.release(ran_ue_id);
+                self.ran_ue_id = None;
                 self.state = UeState::Deregistered;
                 self.sec = None;
                 self.guti = None;

@@ -18,8 +18,8 @@
 //! admission shedding all emerge from event ordering.
 //!
 //! The engine itself is a *pure scheduler*: heap, worker budgets, and
-//! the event trace — one 16-byte [`TraceRecord`] per decision,
-//! rendered to its byte-exact line only when somebody reads it
+//! the event trace — one 16-byte record per decision in 64 KiB chunks
+//! ([`Trace`]), rendered to its byte-exact line only when somebody reads it
 //! ([`Engine::trace_lines`]). The hot path owns no strings: an endpoint's
 //! address lives once — as its registry key for a root leg, as the
 //! caller's handle for its peer on a [`Step::CallOut`] — and every leg
@@ -481,13 +481,48 @@ const STATUS_BIT: u32 = 1 << 31;
 /// One scheduler decision in 16 bytes of integers: the instant,
 /// `kind << 24 | endpoint id`, and the path id or `STATUS_BIT | status`
 /// (`reply`, `complete`); [`Engine::trace_lines`] renders it from the name
-/// table. Past 2^24 names or 255 kinds the engine stops recording and says
-/// so, ending the trace with one `trace-full` record: it never aliases.
+/// table. A [`Trace`] holds them in chunks of [`CHUNK`]. Past 2^24 names
+/// or 255 kinds the engine stops recording and says so, ending the trace
+/// with one `trace-full` record: it never aliases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
+struct TraceRecord {
     at: SimTime,
     who: u32,
     what: u32,
+}
+
+/// Records per trace chunk: 4096 × 16 bytes = 64 KiB.
+const CHUNK: usize = 4096;
+
+/// A world's event trace in 64 KiB chunks of 4096 records, each allocated
+/// whole when the last one fills: a long trace holds its records and at
+/// most one chunk of slack, and no record moves once written.
+#[derive(Debug, Default)]
+pub struct Trace {
+    chunks: Vec<Vec<TraceRecord>>,
+}
+
+impl Trace {
+    /// Records so far: every chunk but the last is full.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.chunks.len().saturating_sub(1) * CHUNK + self.chunks.last().map_or(0, Vec::len)
+    }
+
+    /// True when nothing has been recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    fn push(&mut self, record: TraceRecord) {
+        if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        if let Some(last) = self.chunks.last_mut() {
+            last.push(record);
+        }
+    }
 }
 
 impl TraceRecord {
@@ -563,7 +598,7 @@ pub struct Engine {
     names: Vec<Rc<str>>,
     name_ids: BTreeMap<Rc<str>, u32>,
     kinds: Vec<&'static str>,
-    trace: Vec<TraceRecord>,
+    trace: Trace,
     trace_enabled: bool,
     stats: EngineStats,
 }
@@ -598,7 +633,7 @@ impl Engine {
             names: Vec::new(),
             name_ids: BTreeMap::new(),
             kinds: KINDS.split(' ').collect(),
-            trace: Vec::new(),
+            trace: Trace::default(),
             trace_enabled: true,
             stats: EngineStats::default(),
         }
@@ -691,18 +726,18 @@ impl Engine {
     }
 
     /// Disables (or re-enables) event tracing, as a sweep world nobody can read a
-    /// trace from does. Off drops the records, not the names; on restarts `seq` at 0.
+    /// trace from does. Off drops the chunks, not the names; on restarts `seq` at 0.
     pub fn set_trace(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         if !enabled {
-            self.trace.clear();
+            self.trace = Trace::default();
         }
     }
 
     /// The event trace so far: one record per scheduler decision, in
     /// execution order. Identical across same-seed runs.
     #[must_use]
-    pub fn trace(&self) -> &[TraceRecord] {
+    pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
@@ -723,7 +758,8 @@ impl Engine {
                 _ => format!("t={at} seq={seq} {kind} {dest} {}", r.what ^ STATUS_BIT),
             }
         };
-        self.trace.iter().enumerate().map(line).collect()
+        let records = self.trace.chunks.iter().flatten();
+        records.enumerate().map(line).collect()
     }
 
     /// What the scheduler has counted so far.
@@ -1528,6 +1564,54 @@ mod tests {
                 TRACE_FULL
             );
         }
+    }
+
+    #[test]
+    fn the_trace_is_exact_across_chunk_boundaries() {
+        // Roots alternate between `echo` (its arrival writes arrive, begin
+        // and reply, its delivery complete) and `ghost` (arrive, then
+        // complete), run one event at a time: the trace passes through
+        // every length around a chunk boundary.
+        let mut env = Env::new(19);
+        let mut engine = engine_with_echo(1, 1_000);
+        assert_eq!((engine.trace().len(), engine.trace().is_empty()), (0, true));
+        let (mut reference, mut lengths) = (Vec::new(), std::collections::BTreeSet::new());
+        for i in 0u64.. {
+            if engine.trace().len() > 3 * CHUNK + 1 {
+                break;
+            }
+            let (at, seq, done) = (i * 10_000, reference.len(), i * 10_000 + 1_000);
+            let dest = if i % 2 == 0 { "echo" } else { "ghost" };
+            engine.schedule_request(SimTime::from_nanos(at), dest, HttpRequest::get("/x"));
+            reference.push(format!("t={at} seq={seq} arrive {dest} /x"));
+            if dest == "echo" {
+                reference.push(format!("t={at} seq={} begin echo /x", seq + 1));
+                reference.push(format!("t={done} seq={} reply echo 200", seq + 2));
+                reference.push(format!("t={done} seq={} complete echo 200", seq + 3));
+            } else {
+                reference.push(format!("t={at} seq={} complete ghost 502", seq + 1));
+            }
+            while let Some(Reverse(ev)) = engine.heap.pop() {
+                engine.process(&mut env, ev);
+                let (len, chunks) = (engine.trace().len(), &engine.trace.chunks);
+                assert_eq!(len, chunks.iter().map(Vec::len).sum::<usize>());
+                assert!(chunks.iter().map(Vec::capacity).sum::<usize>() <= len + CHUNK);
+                lengths.insert(len);
+            }
+        }
+        for len in [CHUNK - 1, CHUNK, CHUNK + 1] {
+            assert!(lengths.contains(&len), "never at {len} records");
+        }
+        // Every record renders as the reference line, `seq` running on
+        // unbroken from one chunk into the next.
+        let lines = engine.trace_lines();
+        assert_eq!(engine.trace.chunks.len(), 4);
+        for boundary in [CHUNK, 2 * CHUNK, 3 * CHUNK] {
+            assert!(lines[boundary].contains(&format!(" seq={boundary} ")));
+        }
+        assert_eq!(lines, reference);
+        engine.set_trace(false);
+        assert!(engine.trace.chunks.is_empty());
     }
 
     /// Sheds every arrival under a note nobody used before.

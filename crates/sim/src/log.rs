@@ -6,6 +6,7 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One logged event.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,13 +46,13 @@ impl EventLog {
         self.disabled = false;
     }
 
-    /// Records an event (no-op while disabled).
-    pub fn record(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
+    /// Records an event; while disabled, a no-op that never renders `message`.
+    pub fn record(&mut self, at: SimTime, category: &'static str, message: fmt::Arguments<'_>) {
         if !self.disabled {
             self.events.push(Event {
                 at,
                 category,
-                message: message.into(),
+                message: fmt::format(message),
             });
         }
     }
@@ -91,11 +92,13 @@ impl EventLog {
 mod tests {
     use super::*;
 
+    use std::cell::Cell;
+
     #[test]
     fn records_in_order() {
         let mut log = EventLog::new();
-        log.record(SimTime::from_nanos(1), "aka", "start");
-        log.record(SimTime::from_nanos(2), "aka", "finish");
+        log.record(SimTime::from_nanos(1), "aka", format_args!("start"));
+        log.record(SimTime::from_nanos(2), "aka", format_args!("finish"));
         assert_eq!(log.len(), 2);
         assert_eq!(log.events()[0].message, "start");
     }
@@ -103,8 +106,8 @@ mod tests {
     #[test]
     fn category_filter() {
         let mut log = EventLog::new();
-        log.record(SimTime::ZERO, "aka", "challenge");
-        log.record(SimTime::ZERO, "enclave", "eenter");
+        log.record(SimTime::ZERO, "aka", format_args!("challenge"));
+        log.record(SimTime::ZERO, "enclave", format_args!("eenter"));
         assert_eq!(log.in_category("enclave").count(), 1);
         assert!(log.contains("aka", "chall"));
         assert!(!log.contains("aka", "eenter"));
@@ -113,13 +116,35 @@ mod tests {
     #[test]
     fn disable_suppresses_recording() {
         let mut log = EventLog::new();
-        log.record(SimTime::ZERO, "a", "kept");
+        log.record(SimTime::ZERO, "a", format_args!("kept"));
         log.disable();
-        log.record(SimTime::ZERO, "a", "dropped");
+        log.record(SimTime::ZERO, "a", format_args!("dropped"));
         assert_eq!(log.len(), 1);
         log.enable();
-        log.record(SimTime::ZERO, "a", "kept2");
+        log.record(SimTime::ZERO, "a", format_args!("kept2"));
         assert_eq!(log.len(), 2);
+    }
+
+    /// Counts how often it is formatted.
+    struct Counted(Cell<u32>);
+
+    impl fmt::Display for Counted {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("counted")
+        }
+    }
+
+    #[test]
+    fn a_disabled_log_formats_nothing() {
+        let (mut log, counted) = (EventLog::new(), Counted(Cell::new(0)));
+        log.disable();
+        log.record(SimTime::ZERO, "a", format_args!("{counted} once"));
+        assert_eq!((counted.0.get(), log.len()), (0, 0));
+        log.enable();
+        log.record(SimTime::ZERO, "a", format_args!("{counted} once"));
+        assert_eq!(counted.0.get(), 1);
+        assert_eq!(log.events()[0].message, "counted once");
     }
 
     #[test]

@@ -43,7 +43,7 @@ cargo test --offline --workspace -q
 echo "==> crypto + hmee in release (overflow checks off, as shipped; incl. the ignored RFC 7748 million-iteration vector)"
 cargo test --offline --release -p shield5g-crypto -p shield5g-hmee -- --include-ignored
 
-echo "==> allocation + heap budget (benchmark allocs_per_op and peak_heap_mb on reg_sgx + pool_open + pool_faulted vs scripts/alloc_budget.txt, +2 %)"
+echo "==> allocation + heap budget (benchmark allocs_per_op and peak_heap_mb on all five workloads vs scripts/alloc_budget.txt, +2 %)"
 sh scripts/alloc_budget.sh
 
 echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
