@@ -225,13 +225,30 @@ type Backends = (
     Box<dyn AkaBackend<DeriveKamf>>,
 );
 
-/// Builds and wires a complete slice on a fresh SGX-capable host.
+/// Builds and wires a complete slice on a fresh SGX-capable host. Its
+/// engine counts decisions but records no trace.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError`] when module deployment fails (e.g. invalid SGX
 /// configuration).
 pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreError> {
+    build_on(env, config, Engine::new())
+}
+
+/// [`build_slice`] with the engine trace recorded from the first decision,
+/// the build's own NRF registrations included, as golden traces begin.
+///
+/// # Errors
+///
+/// As [`build_slice`].
+pub fn build_traced_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreError> {
+    let mut engine = Engine::new();
+    engine.set_trace(true);
+    build_on(env, config, engine)
+}
+
+fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice, CoreError> {
     let platform = SgxPlatform::new(env);
     let mut host = Host::with_sgx("r450", platform);
     let mut registry = Registry::new();
@@ -240,7 +257,7 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
         registry.push(vnf_image(vnf));
     }
     let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
-    let engine = Rc::new(RefCell::new(Engine::new()));
+    let engine = Rc::new(RefCell::new(engine));
     // One span table and one fault switch per slice, shared by every
     // endpoint's middleware stack (canonical order: Obs outermost, then
     // Breaker, then Fault — admission/retry layers are added by

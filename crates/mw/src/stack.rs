@@ -402,6 +402,7 @@ mod tests {
         let run = |wrap: bool| {
             let mut env = Env::new(3);
             let mut engine = Engine::new();
+            engine.set_trace(true);
             let leaf = Engine::leaf(service_handle(Echo));
             let handle = if wrap {
                 Stack::new(leaf).into_handle()
@@ -419,6 +420,8 @@ mod tests {
             engine.run_until_idle(&mut env);
             engine.trace_lines()
         };
-        assert_eq!(run(false), run(true));
+        let bare = run(false);
+        assert!(!bare.is_empty());
+        assert_eq!(bare, run(true));
     }
 }

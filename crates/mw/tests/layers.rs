@@ -245,6 +245,7 @@ fn disarmed_fault_layer_leaves_trace_byte_identical() {
     let run = |mode: u8| {
         let mut env = Env::new(24);
         let mut engine = Engine::new();
+        engine.set_trace(true);
         let switch = FaultSwitch::new();
         if mode == 2 {
             switch.install(Some(ScriptedFaults::on_responses(vec![])));
@@ -277,6 +278,7 @@ fn disarmed_fault_layer_leaves_trace_byte_identical() {
         engine.trace_lines()
     };
     let bare = run(0);
+    assert!(!bare.is_empty());
     assert_eq!(bare, run(1));
     assert_eq!(bare, run(2));
 }
@@ -434,6 +436,7 @@ fn deadline_within_budget_is_invisible() {
     let run = |timeout: Option<SimDuration>| {
         let mut env = Env::new(34);
         let mut engine = Engine::new();
+        engine.set_trace(true);
         let handle = match timeout {
             Some(t) => Stack::new(echo_leaf(5_000))
                 .with(DeadlineLayer::new(t))
@@ -452,5 +455,7 @@ fn deadline_within_budget_is_invisible() {
         engine.trace_lines()
     };
     // A generous deadline never fires: byte-identical to no layer.
-    assert_eq!(run(None), run(Some(SimDuration::from_millis(10))));
+    let bare = run(None);
+    assert!(!bare.is_empty());
+    assert_eq!(bare, run(Some(SimDuration::from_millis(10))));
 }

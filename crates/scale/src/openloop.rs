@@ -340,7 +340,6 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     let first_arrival = trace.first().map_or(env.clock.now(), |a| a.at);
 
     let mut engine = Engine::new();
-    engine.set_trace(false); // a local no caller can read a trace from
     pool.register_on(&mut engine);
     arm(pool.fault_switch(), &mut env);
 

@@ -18,13 +18,14 @@
 //! admission shedding all emerge from event ordering.
 //!
 //! The engine itself is a *pure scheduler*: heap, worker budgets, and
-//! the event trace — one 16-byte record per decision in 64 KiB chunks
-//! ([`Trace`]), rendered to its byte-exact line only when somebody reads it
-//! ([`Engine::trace_lines`]). The hot path owns no strings: an endpoint's
-//! address lives once — as its registry key for a root leg, as the
-//! caller's handle for its peer on a [`Step::CallOut`] — and every leg
-//! and release event naming it holds an `Rc<str>` clone; a leg's path is
-//! the request's own handle. Trace records hold ids into the world's
+//! the event trace ([`Trace`]) — a count of every decision and, only in a
+//! world that opts in ([`Engine::set_trace`]), one 16-byte record per
+//! decision in 64 KiB chunks, rendered to its byte-exact line only when
+//! somebody reads it ([`Engine::trace_lines`]). The hot path owns no
+//! strings: an endpoint's address lives once — as its registry key for a
+//! root leg, as the caller's handle for its peer on a [`Step::CallOut`] —
+//! and every leg and release event naming it holds an `Rc<str>` clone; a
+//! leg's path is the request's own handle. Trace records hold ids into the world's
 //! name table, where a leg's address and path are interned once, when it
 //! is minted: recording a decision touches integers only. Cross-cutting
 //! per-endpoint concerns — admission control, fault injection,
@@ -494,25 +495,28 @@ struct TraceRecord {
 /// Records per trace chunk: 4096 × 16 bytes = 64 KiB.
 const CHUNK: usize = 4096;
 
-/// A world's event trace in 64 KiB chunks of 4096 records, each allocated
-/// whole when the last one fills: a long trace holds its records and at
-/// most one chunk of slack, and no record moves once written.
+/// A world's event trace: the count of every scheduler decision, and the
+/// records of those made while tracing was on, in 64 KiB chunks of 4096
+/// records, each allocated whole when the last one fills: a long trace
+/// holds its records and at most one chunk of slack, and no record moves
+/// once written. An untraced world holds the count alone.
 #[derive(Debug, Default)]
 pub struct Trace {
     chunks: Vec<Vec<TraceRecord>>,
+    decisions: usize,
 }
 
 impl Trace {
-    /// Records so far: every chunk but the last is full.
+    /// Decisions made so far, recorded or not.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.chunks.len().saturating_sub(1) * CHUNK + self.chunks.last().map_or(0, Vec::len)
+        self.decisions
     }
 
-    /// True when nothing has been recorded.
+    /// True when no decision has been made.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.decisions == 0
     }
 
     fn push(&mut self, record: TraceRecord) {
@@ -634,7 +638,7 @@ impl Engine {
             name_ids: BTreeMap::new(),
             kinds: KINDS.split(' ').collect(),
             trace: Trace::default(),
-            trace_enabled: true,
+            trace_enabled: false,
             stats: EngineStats::default(),
         }
     }
@@ -725,17 +729,19 @@ impl Engine {
             .map_or(0, |e| e.service.borrow().admission_stats().depth_peak)
     }
 
-    /// Disables (or re-enables) event tracing, as a sweep world nobody can read a
-    /// trace from does. Off drops the chunks, not the names; on restarts `seq` at 0.
+    /// Turns recording on or off; a new engine records nothing. On keeps a
+    /// record per decision from here, `seq` counting from 0; off drops the
+    /// chunks, not the names. [`Trace::len`] counts every decision either way.
     pub fn set_trace(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         if !enabled {
-            self.trace = Trace::default();
+            self.trace.chunks = Vec::new();
         }
     }
 
-    /// The event trace so far: one record per scheduler decision, in
-    /// execution order. Identical across same-seed runs.
+    /// The event trace so far: every scheduler decision counted, those made
+    /// while tracing was on recorded in execution order. Identical across
+    /// same-seed runs.
     #[must_use]
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -743,7 +749,8 @@ impl Engine {
 
     /// The trace rendered on read from the name table, one line per
     /// record: `t=<nanos> seq=<n> <kind> <endpoint> <path|status>`, `seq`
-    /// its index in [`Engine::trace`]. Byte-identical across same-seed runs.
+    /// the record's index. Empty unless tracing was on; byte-identical
+    /// across same-seed runs.
     #[must_use]
     pub fn trace_lines(&self) -> Vec<String> {
         let name = |id: u32| &self.names[id as usize];
@@ -926,9 +933,11 @@ impl Engine {
         stats.peak_queue_depth = stats.peak_queue_depth.max(depth);
     }
 
-    /// Records one decision from integers alone; ids that do not fit a
-    /// record end the trace with its `trace-full` marker.
+    /// Counts one decision and, while tracing, records it from integers
+    /// alone; ids that do not fit a record end the records with the
+    /// `trace-full` marker.
     fn note(&mut self, at: SimTime, kind: u32, dest: u32, what: u32) {
+        self.trace.decisions += 1;
         if self.trace_enabled {
             let record = TraceRecord::pack(at, kind, dest, what);
             self.trace_enabled = record.who >> 24 != TRACE_FULL;
@@ -1468,6 +1477,7 @@ mod tests {
     fn trace_renders_one_documented_line_per_decision() {
         let mut env = Env::new(14);
         let mut engine = engine_with_echo(1, 1_000);
+        engine.set_trace(true);
         let front = DelayedRelay {
             relay: Relay {
                 next: "echo".into(),
@@ -1507,16 +1517,17 @@ mod tests {
                 "t=2500 seq=20 complete front 200",
             ]
         );
-        // Turning the trace off drops it; back on, `seq` restarts at 0 and
-        // names interned before the gap (`echo`) or in it (`/gap`) render
-        // beside new ones (`/y`).
+        // Turning the trace off drops its records, not its count; back on,
+        // `seq` is the record index again from 0 while `len` goes on counting
+        // every decision, and names interned before the gap (`echo`) or in
+        // it (`/gap`) render beside new ones (`/y`).
         engine.set_trace(false);
         engine
             .dispatch(&mut env, "echo", HttpRequest::get("/gap"))
             .unwrap();
-        assert!(engine.trace().is_empty());
+        assert!(engine.trace_lines().is_empty());
+        assert_eq!(engine.trace().len(), 21 + 4);
         engine.set_trace(true);
-        assert!(engine.trace().is_empty());
         for path in ["/y", "/gap"] {
             engine
                 .dispatch(&mut env, "echo", HttpRequest::get(path))
@@ -1535,6 +1546,7 @@ mod tests {
                 "t=5500 seq=7 complete echo 200",
             ]
         );
+        assert_eq!(engine.trace().len(), 21 + 4 + 8);
     }
 
     #[test]
@@ -1574,6 +1586,7 @@ mod tests {
         // every length around a chunk boundary.
         let mut env = Env::new(19);
         let mut engine = engine_with_echo(1, 1_000);
+        engine.set_trace(true);
         assert_eq!((engine.trace().len(), engine.trace().is_empty()), (0, true));
         let (mut reference, mut lengths) = (Vec::new(), std::collections::BTreeSet::new());
         for i in 0u64.. {
@@ -1644,6 +1657,7 @@ mod tests {
     fn a_world_out_of_kind_ids_stops_recording_and_says_so() {
         let mut env = Env::new(15);
         let mut engine = Engine::new();
+        engine.set_trace(true);
         engine.register("gate", 1, Rc::new(RefCell::new(FreshNotes)));
         for i in 1..=300 {
             engine.schedule_request(SimTime::from_nanos(i), "gate", HttpRequest::get("/x"));
@@ -1653,10 +1667,11 @@ mod tests {
         assert_eq!(engine.stats().events, 600);
         // ... the kind field's 255 ids went to the scheduler's ten and the
         // first 245 notes, each rendered under its own name; the 246th
-        // shed is the marker, and the last record.
+        // shed is the marker, and the last record. The count goes on: three
+        // decisions per shed.
         let lines = engine.trace_lines();
         let room = TRACE_FULL as usize - KINDS.split(' ').count();
-        assert_eq!(lines.len(), engine.trace().len());
+        assert_eq!(engine.trace().len(), 3 * 300);
         assert_eq!(lines.len(), 3 * room + 2);
         for (i, shed) in lines.chunks(3).take(room).enumerate() {
             let (t, seq) = (i + 1, 3 * i);
@@ -1932,6 +1947,7 @@ mod tests {
         let run = |seed: u64| {
             let mut env = Env::new(seed);
             let mut engine = engine_with_echo(2, 7_000);
+            engine.set_trace(true);
             engine.register(
                 "front",
                 2,
@@ -1949,7 +1965,9 @@ mod tests {
             engine.run_until_idle(&mut env);
             engine.trace_lines()
         };
-        assert_eq!(run(11), run(11));
+        let lines = run(11);
+        assert!(!lines.is_empty());
+        assert_eq!(lines, run(11));
     }
 
     /// One endpoint of the property world below. Through its hooks alone
@@ -2107,6 +2125,7 @@ mod tests {
     struct Witnessed {
         oracle: Vec<String>,
         lines: Vec<String>,
+        decisions: usize,
         completions: String,
         stats: EngineStats,
     }
@@ -2156,6 +2175,7 @@ mod tests {
         Witnessed {
             oracle,
             lines: engine.trace_lines(),
+            decisions: engine.trace().len(),
             completions: format!("{:?}", engine.completions),
             stats: engine.stats(),
         }
@@ -2170,9 +2190,11 @@ mod tests {
             proptest::prop_assert_eq!(&traced.lines, &traced.oracle);
             proptest::prop_assert_eq!(traced.stats.live_contexts, 0);
             // Tracing is scheduling-invisible: the same script untraced
-            // decides, completes and counts the same.
+            // decides, completes and counts the same, storing no record.
             let blind = witnessed(&script, false);
             proptest::prop_assert!(blind.lines.is_empty());
+            proptest::prop_assert_eq!(blind.decisions, traced.lines.len());
+            proptest::prop_assert_eq!(traced.decisions, traced.lines.len());
             proptest::prop_assert_eq!(blind.oracle, traced.oracle);
             proptest::prop_assert_eq!(blind.completions, traced.completions);
             proptest::prop_assert_eq!(blind.stats, traced.stats);

@@ -407,4 +407,43 @@ mod tests {
             proptest::prop_assert_eq!(ss.open(&record).unwrap(), payload);
         }
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn a_hostile_record_is_rejected_and_leaves_no_state(
+            junk in proptest::collection::vec(0u8.., 0..300),
+            payload in proptest::collection::vec(0u8.., 0..300),
+            bit in 0usize..,
+            cut in 0usize..,
+            extra in 0u8..,
+        ) {
+            let (c, s) = pair();
+            let (mut cs, mut ss, _) = establish(&c, &s, [3; 32], [4; 32]).unwrap();
+            // Random bytes, then a bit flip, a truncation and an appended
+            // byte of the very record that comes next: each is rejected
+            // with a typed error, after which that honest record still
+            // opens, so a reject consumed nothing.
+            let rejected = ss.open(&junk);
+            proptest::prop_assert!(matches!(rejected, Err(SimError::TlsRecordRejected(_))));
+            for mutation in ["flip", "truncate", "append"] {
+                let honest = cs.seal(&payload);
+                let mut hostile = honest.clone();
+                match mutation {
+                    "flip" => {
+                        let bit = bit % (honest.len() * 8);
+                        hostile[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    "truncate" => hostile.truncate(cut % honest.len()),
+                    _ => hostile.push(extra),
+                }
+                let rejected = ss.open(&hostile);
+                proptest::prop_assert!(
+                    matches!(rejected, Err(SimError::TlsRecordRejected(_))),
+                    "{} accepted", mutation
+                );
+                proptest::prop_assert_eq!(ss.open(&honest).unwrap(), payload.clone());
+            }
+        }
+    }
 }

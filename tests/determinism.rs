@@ -3,7 +3,7 @@
 
 use shield5g::core::harness::{measure_lf_lt, measure_response_times, ModuleDeployment};
 use shield5g::core::paka::{PakaKind, SgxConfig};
-use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
+use shield5g::core::slice::{build_slice, build_traced_slice, AkaDeployment, Slice, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::sim::Env;
 
@@ -62,7 +62,7 @@ fn same_seed_same_registration_transcript() {
 fn traced_sgx_slice(seed: u64, subscribers: u32) -> (Env, Slice) {
     let mut env = Env::new(seed);
     env.log.disable();
-    let slice = build_slice(
+    let slice = build_traced_slice(
         &mut env,
         &SliceConfig {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
@@ -70,7 +70,6 @@ fn traced_sgx_slice(seed: u64, subscribers: u32) -> (Env, Slice) {
         },
     )
     .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
     (env, slice)
 }
 
@@ -110,6 +109,7 @@ fn engine_trace_of(seed: u64) -> Vec<String> {
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
     let trace = slice.engine.borrow().trace_lines();
+    assert!(!trace.is_empty(), "a traced slice records its decisions");
     trace
 }
 
@@ -122,6 +122,36 @@ fn same_seed_byte_identical_engine_event_log() {
     let b = engine_trace_of(300);
     assert!(!a.is_empty());
     assert_eq!(a, b);
+}
+
+#[test]
+fn an_untraced_registration_counts_what_its_traced_twin_records() {
+    // `build_slice` records nothing but still counts every decision; the
+    // count is the traced twin's line count, and tracing moves nothing a
+    // UE or the scheduler can see.
+    let run = |build: fn(&mut Env, &SliceConfig) -> Result<Slice, _>| {
+        let mut env = Env::new(300);
+        env.log.disable();
+        let config = SliceConfig {
+            deployment: AkaDeployment::Sgx(SgxConfig::default()),
+            subscriber_count: 2,
+        };
+        let slice = build(&mut env, &config).unwrap();
+        let mut sim = GnbSim::new(&slice);
+        let seen: Vec<String> = (0..2)
+            .map(|i| format!("{:?}", sim.register_with_session(&mut env, &slice, i)))
+            .collect();
+        let engine = slice.engine.borrow();
+        let visible = (seen, env.clock.now(), engine.stats());
+        (visible, engine.trace().len(), engine.trace_lines())
+    };
+    let (untraced, decisions, none) = run(build_slice);
+    let (traced, recorded, lines) = run(build_traced_slice);
+    assert!(none.is_empty(), "an untraced world stores no record");
+    assert!(!lines.is_empty());
+    assert_eq!(decisions, lines.len());
+    assert_eq!(recorded, lines.len());
+    assert_eq!(untraced, traced);
 }
 
 #[test]
@@ -211,6 +241,7 @@ fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
     let trace = slice.engine.borrow().trace_lines();
+    assert!(!trace.is_empty(), "a traced slice records its decisions");
     trace
 }
 

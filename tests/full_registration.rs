@@ -2,7 +2,7 @@
 //! AKA deployments, exercising every crate in the workspace at once.
 
 use shield5g::core::paka::{PakaKind, SgxConfig};
-use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
+use shield5g::core::slice::{build_slice, build_traced_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::ota::OtaTestbed;
 use shield5g::ran::RanError;
@@ -234,8 +234,13 @@ fn fig5_sequence_flows_through_the_engine() {
     // engine event (callout/resume), not a nested synchronous call. The
     // engine trace is the ground truth: if any NF called another NF
     // directly, its hop would be missing here.
-    let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()), 12);
-    slice.engine.borrow_mut().set_trace(true);
+    let mut env = Env::new(12);
+    env.log.disable();
+    let config = SliceConfig {
+        deployment: AkaDeployment::Sgx(SgxConfig::default()),
+        subscriber_count: 4,
+    };
+    let slice = build_traced_slice(&mut env, &config).unwrap();
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 1).unwrap();
     let trace = slice.engine.borrow().trace_lines();
