@@ -208,6 +208,9 @@ pub struct PakaModule {
     userspace_net: bool,
     tls_identity: TlsIdentity,
     crash_recoveries: u64,
+    /// Where a request's key slot name `k:{supi}` is spelled, so serving
+    /// does not format one per request.
+    key_slot: String,
 }
 
 impl std::fmt::Debug for PakaModule {
@@ -273,6 +276,7 @@ impl PakaModule {
             userspace_net: false,
             tls_identity: TlsIdentity::new(kind.endpoint(), env.rng.bytes()),
             crash_recoveries: 0,
+            key_slot: String::new(),
         })
     }
 
@@ -343,6 +347,7 @@ impl PakaModule {
             userspace_net: false,
             tls_identity: TlsIdentity::new(kind.endpoint(), env.rng.bytes()),
             crash_recoveries: 0,
+            key_slot: String::new(),
         })
     }
 
@@ -491,13 +496,16 @@ impl PakaModule {
         }
     }
 
-    fn load_subscriber_key(&self, env: &mut Env, supi: &str) -> Result<[u8; 16], NfError> {
+    fn load_subscriber_key(&mut self, env: &mut Env, supi: &str) -> Result<[u8; 16], NfError> {
+        let slot = &mut self.key_slot;
+        slot.clear();
+        slot.push_str("k:");
+        slot.push_str(supi);
         let mut c = self.container.borrow_mut();
-        let slot = format!("k:{supi}");
         let bytes = if let Some(libos) = c.shielded.as_mut() {
             libos
                 .enclave_mut()
-                .vault_read(env, &slot)
+                .vault_read(env, slot)
                 .map_err(|e| match e {
                     shield5g_hmee::HmeeError::UnknownSlot(_) => {
                         NfError::SubscriberUnknown(supi.to_owned())
@@ -506,7 +514,7 @@ impl PakaModule {
                 })?
         } else {
             c.plain_memory
-                .read(&slot)
+                .read(slot)
                 .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?
                 .to_vec()
         };

@@ -58,12 +58,19 @@ impl Summary {
     /// [`Summary::EMPTY`].
     #[must_use]
     pub fn of(samples: &[SimDuration]) -> Summary {
+        Summary::of_in_place(&mut samples.to_vec())
+    }
+
+    /// [`Summary::of`] without the copy: sorts `samples` in place.
+    #[must_use]
+    pub fn of_in_place(samples: &mut [SimDuration]) -> Summary {
         if samples.is_empty() {
             return Summary::EMPTY;
         }
-        let mut sorted: Vec<u64> = samples.iter().map(|d| d.as_nanos()).collect();
-        sorted.sort_unstable();
+        samples.sort_unstable();
+        let sorted: &[SimDuration] = samples;
         let count = sorted.len();
+        let ns = |i: usize| sorted[i].as_nanos();
         let pct = |p: f64| -> u64 {
             // Linear interpolation between the two closest ranks (the
             // "linear"/type-7 method of NumPy and R) — NOT nearest-rank:
@@ -74,27 +81,27 @@ impl Summary {
             let lo = idx.floor() as usize;
             let hi = idx.ceil() as usize;
             if lo == hi {
-                sorted[lo]
+                ns(lo)
             } else {
                 let frac = idx - lo as f64;
-                (sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac).round() as u64
+                (ns(lo) as f64 * (1.0 - frac) + ns(hi) as f64 * frac).round() as u64
             }
         };
-        let mean = sorted.iter().sum::<u64>() as f64 / count as f64;
+        let mean = sorted.iter().map(|d| d.as_nanos()).sum::<u64>() as f64 / count as f64;
         let var = sorted
             .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
+            .map(|d| (d.as_nanos() as f64 - mean).powi(2))
             .sum::<f64>()
             / count as f64;
         Summary {
             count,
-            min: SimDuration::from_nanos(sorted[0]),
+            min: sorted[0],
             p25: SimDuration::from_nanos(pct(0.25)),
             median: SimDuration::from_nanos(pct(0.5)),
             p75: SimDuration::from_nanos(pct(0.75)),
             p95: SimDuration::from_nanos(pct(0.95)),
             p99: SimDuration::from_nanos(pct(0.99)),
-            max: SimDuration::from_nanos(sorted[count - 1]),
+            max: sorted[count - 1],
             mean: SimDuration::from_nanos(mean.round() as u64),
             stddev: SimDuration::from_nanos(var.sqrt().round() as u64),
         }
@@ -236,6 +243,16 @@ mod tests {
         assert_eq!(s.min, us(1));
         assert_eq!(s.median, us(5));
         assert_eq!(s.max, us(9));
+    }
+
+    #[test]
+    fn in_place_sorts_its_samples() {
+        let mut samples = [us(9), us(1), us(5), us(1)];
+        let s = Summary::of_in_place(&mut samples);
+        assert_eq!(samples, [us(1), us(1), us(5), us(9)]);
+        assert_eq!(s, Summary::of(&[us(9), us(1), us(5), us(1)]));
+        assert_eq!(s.median, us(3));
+        assert_eq!(Summary::of_in_place(&mut []), Summary::EMPTY);
     }
 
     #[test]

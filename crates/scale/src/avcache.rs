@@ -133,7 +133,11 @@ impl AvCache {
     /// regenerates it.
     pub fn put_batch(&mut self, supi: &str, avs: Vec<HeAv>) {
         let count = avs.len() as u64;
-        let entry = self.entries.entry(supi.to_owned()).or_default();
+        // The key is allocated on a SUPI's first batch only.
+        let entry = match self.entries.get_mut(supi) {
+            Some(entry) => entry,
+            None => self.entries.entry(supi.to_owned()).or_default(),
+        };
         if entry.next_sqn == [0; 6] {
             entry.next_sqn = [0, 0, 0, 0, 0, 1];
         }

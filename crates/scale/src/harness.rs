@@ -19,7 +19,6 @@ use shield5g_mw::RetryPolicy;
 use shield5g_ran::workload::{test_supi, WorkloadSpec};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::collections::BTreeMap;
 
 /// Parameters of one pool experiment.
 #[derive(Clone, Copy, Debug)]
@@ -112,12 +111,13 @@ pub fn probe_service_time(seed: u64) -> SimDuration {
             ..PoolConfig::default()
         },
     );
-    pool.provision_subscriber(&mut env, &test_supi(0), K);
-    let mut sqn_counters = BTreeMap::new();
+    let supi = test_supi(0);
+    pool.provision_subscriber(&mut env, &supi, K);
+    let mut sqn = [0; 6];
     let id = pool.ready_ids()[0];
     let samples: Vec<SimDuration> = (0..25)
         .map(|_| {
-            let request = single_request(&mut env, &mut sqn_counters, &test_supi(0));
+            let request = single_request(&mut env, &mut sqn, &supi);
             let (resp, _, occupancy) = pool.serve_on(&mut env, id, request);
             assert!(resp.is_success());
             occupancy

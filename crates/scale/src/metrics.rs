@@ -215,10 +215,16 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// An empty recorder.
+    /// An empty recorder with room for the samples of `arrivals` served
+    /// requests, reserved once.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(arrivals: u32) -> Self {
+        let n = arrivals as usize;
+        RunRecorder {
+            response_samples: Vec::with_capacity(n),
+            queued_samples: Vec::with_capacity(n),
+            ..Self::default()
+        }
     }
 
     /// Records an arrival (served or not).
@@ -256,7 +262,7 @@ impl RunRecorder {
     /// empty summaries and zero rates.
     #[must_use]
     pub fn finish(
-        self,
+        mut self,
         pool: &EnclavePool,
         engine: &Engine,
         cache: Option<CacheStats>,
@@ -291,8 +297,8 @@ impl RunRecorder {
             served,
             shed: self.shed,
             throughput_per_sec: per_sec(served, span),
-            response: Summary::of(&self.response_samples),
-            queued: Summary::of(&self.queued_samples),
+            response: Summary::of_in_place(&mut self.response_samples),
+            queued: Summary::of_in_place(&mut self.queued_samples),
             cache,
             per_replica,
         }
@@ -486,7 +492,7 @@ mod tests {
 
     #[test]
     fn recorder_tracks_span_and_counts() {
-        let mut r = RunRecorder::new();
+        let mut r = RunRecorder::new(3);
         let t = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
         r.arrival(t(0));
         r.served(t(0), SimDuration::ZERO, t(10));

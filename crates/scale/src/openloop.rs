@@ -15,6 +15,11 @@
 //!   so a stream is forked only when it is used: `"{name}-workload"`
 //!   always, `"{name}-retry"` only when the retry policy is enabled (the
 //!   zero-rate rule fault plans follow). `arm` runs between the two.
+//! * **Arrivals and subscribers.** Arrivals are drawn lazily from their
+//!   own fork, one ahead of the one being offered, so the driver's memory
+//!   follows work in flight, not trace length. A subscriber is an index
+//!   into a table of SUPIs formatted once; the entry after the population
+//!   is the probe subscriber.
 //! * **Horizon.** An arrival is offered at
 //!   `arrival.at.max(env.clock.now())`: a cold failover or crash reload
 //!   can push the clock past the next arrival instants, and offered load
@@ -44,7 +49,7 @@ use shield5g_nf::backend::{
 };
 use shield5g_nf::wire::Wire;
 use shield5g_obs::{hub as obs, labels};
-use shield5g_ran::workload::{poisson_registrations, test_supi, WorkloadSpec};
+use shield5g_ran::workload::{poisson_arrivals, test_supi, WorkloadSpec};
 use shield5g_sim::engine::{
     Completion, Engine, PriorityClass, ERROR_HEADER, FAULT_HEADER, PRIORITY_HEADER,
 };
@@ -143,7 +148,8 @@ pub struct Outcome {
 /// One in-flight (possibly retransmitted) pool request.
 #[derive(Default)]
 struct Pending {
-    supi: String,
+    /// The subscriber, as an index into `Run::supis`.
+    ue: u32,
     /// Retransmission copy; kept only while retries are enabled.
     req: Option<HttpRequest>,
     attempt: u32,
@@ -162,10 +168,12 @@ struct Run {
     policy: RetryPolicy,
     /// Jitter stream; `Some` iff the policy retries.
     retry_rng: Option<DetRng>,
-    probe_supi: String,
+    /// `test_supi(i)` of every subscriber, then the probe subscriber's.
+    supis: Vec<String>,
     cache: Option<AvCache>,
-    /// Cache-off bookkeeping: the UDM's per-subscriber SQN generator.
-    sqn_counters: BTreeMap<String, [u8; 6]>,
+    /// Cache-off bookkeeping: the UDM's SQN generator per subscriber,
+    /// indexed like `supis`; all zero before the first request.
+    sqn_counters: Vec<[u8; 6]>,
     brownout: Option<Brownout>,
     in_flight: BTreeMap<u64, Pending>,
     recorder: RunRecorder,
@@ -227,9 +235,10 @@ impl Run {
                 self.recovery.success(finished);
                 if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
                     let avs = Vec::decode(&completion.response.body).expect("batch wire");
-                    c.put_batch(&pending.supi, avs);
+                    let supi = &self.supis[pending.ue as usize];
+                    c.put_batch(supi, avs);
                     // The missing request consumes the batch head itself.
-                    let _ = c.pop_uncounted(&pending.supi);
+                    let _ = c.pop_uncounted(supi);
                 }
                 if pending.attempt > 0 {
                     self.tallies.retry.recovered += 1;
@@ -258,7 +267,7 @@ impl Run {
                         SimDuration::from_nanos(rng.jitter(backoff.as_nanos(), self.policy.jitter));
                     // Not before `floor`: the engine has already run up to it.
                     let at = (finished + jittered).max(floor);
-                    let replica = pool.route(&pending.supi);
+                    let replica = pool.route(&self.supis[pending.ue as usize]);
                     let addr = pool.replica(replica).addr();
                     let tag = engine.schedule_request(at, addr, req.clone());
                     self.in_flight.insert(
@@ -280,16 +289,17 @@ impl Run {
                 }
             }
         }
+        let probe = self.supis.len() - 1;
         for replica in pool.due_probes(floor) {
             let addr = pool.replica(replica).addr();
-            let req = single_request(env, &mut self.sqn_counters, &self.probe_supi);
+            let req = single_request(env, &mut self.sqn_counters[probe], &self.supis[probe]);
             let tag = engine.schedule_request(floor, addr, req);
             self.tallies.probes += 1;
             obs::count("pool", addr, labels::BREAKER_PROBES, 1);
             self.in_flight.insert(
                 tag,
                 Pending {
-                    supi: self.probe_supi.clone(),
+                    ue: probe as u32,
                     replica,
                     probe: true,
                     ..Pending::default()
@@ -313,14 +323,11 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     let mut env = Env::new(seed);
     env.log.disable();
     let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
-    let ues = sc.workload.ues;
-    for i in 0..ues {
-        pool.provision_subscriber(&mut env, &test_supi(i), K);
-    }
-    let mut probe_supi = String::new();
-    if sc.health.is_some() {
-        probe_supi = test_supi(ues);
-        pool.provision_subscriber(&mut env, &probe_supi, K);
+    let ues = sc.workload.ues as usize;
+    let supis: Vec<String> = (0..=sc.workload.ues).map(test_supi).collect();
+    let provisioned = if sc.health.is_some() { ues + 1 } else { ues };
+    for supi in &supis[..provisioned] {
+        pool.provision_subscriber(&mut env, supi, K);
     }
     if sc.thrash_pages > 0 {
         for replica in pool.replicas() {
@@ -336,8 +343,8 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     }
 
     let mut wl_rng = env.rng.fork(&format!("{}-workload", sc.name));
-    let trace = poisson_registrations(&mut wl_rng, env.clock.now(), &sc.workload);
-    let first_arrival = trace.first().map_or(env.clock.now(), |a| a.at);
+    let mut arrivals = poisson_arrivals(&mut wl_rng, env.clock.now(), &sc.workload).peekable();
+    let first_arrival = arrivals.peek().map_or(env.clock.now(), |a| a.at);
 
     let mut engine = Engine::new();
     pool.register_on(&mut engine);
@@ -349,19 +356,20 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             .retry
             .enabled()
             .then(|| env.rng.fork(&format!("{}-retry", sc.name))),
-        probe_supi,
+        sqn_counters: vec![[0; 6]; supis.len()],
+        supis,
         cache: sc.cache.map(AvCache::new),
-        sqn_counters: BTreeMap::new(),
         brownout: sc.brownout.map(Brownout::new),
         in_flight: BTreeMap::new(),
-        recorder: RunRecorder::new(),
+        recorder: RunRecorder::new(sc.workload.arrivals),
         recovery: RecoveryTracker::new(),
         tallies: Tallies::default(),
         last_event: env.clock.now(),
     };
 
-    for (i, arrival) in trace.iter().enumerate() {
+    for (i, arrival) in arrivals.enumerate() {
         let idx = i as u32;
+        let ue = arrival.ue as usize;
         // Drain everything that finished before this arrival so the
         // frontend cache reflects completed batch refills.
         let horizon = arrival.at.max(env.clock.now());
@@ -369,7 +377,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         run.settle(&mut engine, &mut pool, &mut env, horizon, done);
 
         if sc.kill_at == Some(idx) {
-            let victim = pool.route(&arrival.supi);
+            let victim = pool.route(&run.supis[ue]);
             // Its pre-generated AVs die with the replica — purged against
             // the ring *before* the kill remaps it.
             if let Some(c) = run.cache.as_mut() {
@@ -380,7 +388,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             run.tallies.failover = Some(report);
         }
         if sc.crash_at == Some(idx) {
-            let module = pool.replica(pool.route(&arrival.supi)).module();
+            let module = pool.replica(pool.route(&run.supis[ue])).module();
             let mut m = module.borrow_mut();
             if m.inject_crash(&mut env) {
                 run.recovery.fault(env.clock.now());
@@ -404,7 +412,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         if run
             .cache
             .as_mut()
-            .is_some_and(|c| c.take(&arrival.supi).is_some())
+            .is_some_and(|c| c.take(&run.supis[ue]).is_some())
         {
             let finish = horizon + SimDuration::from_nanos(CACHE_HIT_NANOS);
             run.recovery.success(finish);
@@ -418,21 +426,21 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         let browned_out = run.brownout.is_some_and(|b| b.active);
         let prefetch = run.cache.as_ref().filter(|_| !browned_out);
         let mut request = match prefetch {
-            Some(c) => batch_request(&mut env, c, &arrival.supi),
-            None => single_request(&mut env, &mut run.sqn_counters, &arrival.supi),
+            Some(c) => batch_request(&mut env, c, &run.supis[ue]),
+            None => single_request(&mut env, &mut run.sqn_counters[ue], &run.supis[ue]),
         };
         let batch = prefetch.is_some();
         if class == PriorityClass::Emergency {
             request = request.with_header(PRIORITY_HEADER, "emergency");
         }
         run.tallies.retry.calls += 1;
-        let replica = pool.route(&arrival.supi);
+        let replica = pool.route(&run.supis[ue]);
         let copy = run.retry_rng.is_some().then(|| request.clone());
         let tag = engine.schedule_request(horizon, pool.replica(replica).addr(), request);
         run.in_flight.insert(
             tag,
             Pending {
-                supi: arrival.supi.clone(),
+                ue: arrival.ue,
                 req: copy,
                 class,
                 replica,
@@ -479,16 +487,10 @@ fn snn() -> ServingNetworkName {
     ServingNetworkName::new("001", "01")
 }
 
-/// One single-AV request for `supi`, stepping its SQN.
-pub(crate) fn single_request(
-    env: &mut Env,
-    sqn_counters: &mut BTreeMap<String, [u8; 6]>,
-    supi: &str,
-) -> HttpRequest {
-    let sqn = sqn_counters
-        .entry(supi.to_owned())
-        .and_modify(|s| *s = sqn_add(s, 1))
-        .or_insert([0, 0, 0, 0, 0, 1]);
+/// One single-AV request for `supi`, stepping its SQN counter `sqn`
+/// (zero before the first request, so that one carries SQN 1).
+pub(crate) fn single_request(env: &mut Env, sqn: &mut [u8; 6], supi: &str) -> HttpRequest {
+    *sqn = sqn_add(sqn, 1);
     GenerateAv::request(&UdmAkaRequest {
         supi: supi.into(),
         opc: OPC.into(),
