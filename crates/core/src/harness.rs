@@ -9,6 +9,7 @@
 
 use crate::paka::{paka_image, populate_registry, PakaKind, PakaModule, SgxConfig};
 use crate::stats::Summary;
+use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::platform::SgxPlatform;
@@ -24,7 +25,6 @@ use shield5g_sim::http::HttpRequest;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
-const SUPI: &str = "imsi-001010000000001";
 const K: [u8; 16] = [0x46; 16];
 const OPC: [u8; 16] = [0xcd; 16];
 
@@ -40,10 +40,11 @@ pub enum ModuleDeployment {
 /// The standard AKA request for a module (Table I inputs).
 #[must_use]
 pub fn standard_request(kind: PakaKind) -> HttpRequest {
-    let snn = ServingNetworkName::new("001", "01");
+    let snn = ServingNetworkName::of(&Plmn::test_network());
+    let supi = Supi::numbered(Plmn::test_network(), 1, 10);
     match kind {
         PakaKind::EUdm => GenerateAv::request(&UdmAkaRequest {
-            supi: SUPI.into(),
+            supi,
             opc: OPC.into(),
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 1],
@@ -58,7 +59,7 @@ pub fn standard_request(kind: PakaKind) -> HttpRequest {
         }),
         PakaKind::EAmf => DeriveKamf::request(&AmfAkaRequest {
             kseaf: [0x22; 32].into(),
-            supi: SUPI.into(),
+            supi,
             abba: [0, 0],
         }),
     }
@@ -88,7 +89,8 @@ pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) ->
         }
     };
     if kind == PakaKind::EUdm {
-        module.provision_subscriber_key(&mut env, SUPI, K);
+        let supi = Supi::numbered(Plmn::test_network(), 1, 10);
+        module.provision_subscriber_key(&mut env, supi.as_str(), K);
     }
     (env, module)
 }

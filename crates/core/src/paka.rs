@@ -895,6 +895,10 @@ mod tests {
     const OPC: [u8; 16] = [0xcd; 16];
     const SUPI: &str = "imsi-001010000000001";
 
+    fn imsi(text: &str) -> shield5g_crypto::ident::Supi {
+        shield5g_crypto::ident::Supi::parse(text).unwrap()
+    }
+
     fn registry() -> Registry {
         let mut reg = Registry::new();
         populate_registry(&mut reg);
@@ -920,7 +924,7 @@ mod tests {
 
     fn udm_request() -> HttpRequest {
         GenerateAv::request(&UdmAkaRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 9],
@@ -1142,7 +1146,7 @@ mod tests {
     fn unknown_subscriber_404() {
         let (mut env, mut module) = deploy(true, PakaKind::EUdm);
         let req = UdmAkaRequest {
-            supi: "imsi-001010000000777".into(),
+            supi: imsi("imsi-001010000000777"),
             opc: OPC.into(),
             rand: [0; 16],
             sqn: [0; 6],
@@ -1184,7 +1188,7 @@ mod tests {
         let (mut env, mut module) = deploy(false, PakaKind::EAmf);
         let req = AmfAkaRequest {
             kseaf: [4; 32].into(),
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             abba: [0, 0],
         };
         let (resp, _) = module.serve(&mut env, DeriveKamf::request(&req));
@@ -1200,7 +1204,7 @@ mod tests {
         let (mut env, mut module) = deploy(true, PakaKind::EUdm);
         let _ = module.serve(&mut env, udm_request()); // warm
         let req = UdmAkaBatchRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand_seed: [0x77; 16],
             sqn_start: [0, 0, 0, 0, 1, 0],
@@ -1233,7 +1237,7 @@ mod tests {
         let (mut env, mut module) = deploy(true, PakaKind::EUdm);
         for count in [0, MAX_AV_BATCH + 1] {
             let req = UdmAkaBatchRequest {
-                supi: SUPI.into(),
+                supi: imsi(SUPI),
                 opc: OPC.into(),
                 rand_seed: [0; 16],
                 sqn_start: [0; 6],
@@ -1254,7 +1258,7 @@ mod tests {
         let sqn_ms = [0, 0, 0, 0, 2, 5];
         let auts = Auts::generate(&mil, &rand, &sqn_ms);
         let req = UdmAkaResyncRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand,
             auts,
@@ -1393,25 +1397,25 @@ mod tests {
         ) {
             let snn = ServingNetworkName::new("001", "01");
             let av = UdmAkaRequest {
-                supi: SUPI.into(),
+                supi: imsi(SUPI),
                 opc: OPC.into(),
                 rand: [0x23; 16],
                 sqn: [0, 0, 0, 0, 0, 9],
                 amf_field: [0x80, 0],
-                snn: snn.clone(),
+                snn,
             };
             let batch = |count| UdmAkaBatchRequest {
-                supi: SUPI.into(),
+                supi: imsi(SUPI),
                 opc: OPC.into(),
                 rand_seed: [0x77; 16],
                 sqn_start: [0, 0, 0, 0, 1, 0],
                 amf_field: [0x80, 0],
-                snn: snn.clone(),
+                snn,
                 count,
             };
             let rand = [0x23; 16];
             let resync = UdmAkaResyncRequest {
-                supi: SUPI.into(),
+                supi: imsi(SUPI),
                 opc: OPC.into(),
                 rand,
                 auts: Auts::generate(&Milenage::with_opc(&K, &OPC), &rand, &[0, 0, 0, 0, 2, 5]),
@@ -1420,11 +1424,11 @@ mod tests {
                 rand: [1; 16],
                 xres_star: [2; 16],
                 kausf: [3; 32].into(),
-                snn: snn.clone(),
+                snn,
             };
             let kamf = AmfAkaRequest {
                 kseaf: [4; 32].into(),
-                supi: SUPI.into(),
+                supi: imsi(SUPI),
                 abba: [0, 0],
             };
             // Each row's length-prefixed field: the SUPI leads the eUDM

@@ -353,6 +353,10 @@ mod tests {
     const SUPI: &str = "imsi-001010000000001";
     const STRANGER: &str = "imsi-001010000000042";
 
+    fn imsi(text: &str) -> shield5g_crypto::ident::Supi {
+        shield5g_crypto::ident::Supi::parse(text).unwrap()
+    }
+
     fn setup(shielded: bool, kind: PakaKind) -> (Env, PakaClient) {
         let mut env = Env::new(23);
         env.log.disable();
@@ -383,7 +387,7 @@ mod tests {
 
     fn av_request() -> UdmAkaRequest {
         UdmAkaRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 7],
@@ -394,7 +398,7 @@ mod tests {
 
     fn batch_request(count: u32) -> UdmAkaBatchRequest {
         UdmAkaBatchRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand_seed: [0x77; 16],
             sqn_start: [0, 0, 0, 0, 0xff, 0xfe],
@@ -406,7 +410,7 @@ mod tests {
 
     fn resync_request(auts: Auts) -> UdmAkaResyncRequest {
         UdmAkaResyncRequest {
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             opc: OPC.into(),
             rand: [0x23; 16],
             auts,
@@ -508,7 +512,7 @@ mod tests {
         });
         let kamf = AmfAkaRequest {
             kseaf: [4; 32].into(),
-            supi: SUPI.into(),
+            supi: imsi(SUPI),
             abba: [0, 0],
         };
         check_row::<DeriveKamf>(PakaKind::EAmf, &kamf, |out| {
@@ -522,7 +526,7 @@ mod tests {
     #[test]
     fn failures_are_the_same_error_in_every_deployment() {
         let mut stranger = av_request();
-        stranger.supi = STRANGER.into();
+        stranger.supi = imsi(STRANGER);
         let unknown = NfError::SubscriberUnknown(STRANGER.into());
         assert_eq!(
             three_ways::<GenerateAv>(PakaKind::EUdm, &stranger),

@@ -90,12 +90,10 @@ impl Subscriber {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= 10^10` (MSIN space exhausted) — unreachable in
-    /// practice.
+    /// Never: the two credential constants are valid hex.
     #[must_use]
     pub fn test(i: u32) -> Self {
-        let msin = format!("{:010}", u64::from(i) + 1);
-        let supi = Supi::new(Plmn::test_network(), &msin).expect("valid test msin");
+        let supi = Supi::numbered(Plmn::test_network(), u64::from(i) + 1, 10);
         let mut k = shield5g_crypto::hex::decode_array::<16>("465b5ce8b199b49faa5f0a2ee238a6bc")
             .expect("valid hex");
         k[12..16].copy_from_slice(&i.to_be_bytes());

@@ -5,16 +5,22 @@
 //! OTA feasibility test (§V-B6) additionally depends on the PLMN: the COTS
 //! UE only attaches when the SIM is programmed with the test network
 //! `001/01`, which this module models.
+//!
+//! [`Plmn`] and [`Supi`] are inline `Copy` values: naming a subscriber or
+//! a network never allocates, and no constructor builds a malformed one.
 
 use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair, HomeNetworkPublicKey};
 use crate::CryptoError;
 use serde::{Deserialize, Serialize};
 
-/// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits),
+/// held inline as ASCII digits.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Plmn {
-    mcc: String,
-    mnc: String,
+    /// The MCC, then the MNC; a 2-digit MNC leaves the last byte zero.
+    digits: [u8; 6],
+    /// 2 or 3.
+    mnc_len: u8,
 }
 
 impl Plmn {
@@ -22,8 +28,8 @@ impl Plmn {
     #[must_use]
     pub fn test_network() -> Self {
         Plmn {
-            mcc: "001".to_owned(),
-            mnc: "01".to_owned(),
+            digits: *b"00101\0",
+            mnc_len: 2,
         }
     }
 
@@ -31,61 +37,69 @@ impl Plmn {
     ///
     /// # Errors
     ///
-    /// As [`Plmn::check`].
-    pub fn new(mcc: &str, mnc: &str) -> Result<Self, CryptoError> {
-        Self::check(mcc, mnc)?;
-        Ok(Plmn {
-            mcc: mcc.to_owned(),
-            mnc: mnc.to_owned(),
-        })
-    }
-
-    /// Checks mobile country and network codes without building the PLMN
-    /// (for codes that are only parsed, like a serving network's).
-    ///
-    /// # Errors
-    ///
     /// Returns [`CryptoError::MalformedIdentifier`] unless the MCC is
     /// exactly 3 digits and the MNC is 2 or 3 digits.
-    pub fn check(mcc: &str, mnc: &str) -> Result<(), CryptoError> {
-        let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
+    pub fn new(mcc: &str, mnc: &str) -> Result<Self, CryptoError> {
+        let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
         if mcc.len() != 3 || !digits(mcc) {
             return Err(CryptoError::MalformedIdentifier(format!(
                 "MCC must be 3 digits: {mcc:?}"
             )));
         }
-        if !(mnc.len() == 2 || mnc.len() == 3) || !digits(mnc) {
+        if !(2..=3).contains(&mnc.len()) || !digits(mnc) {
             return Err(CryptoError::MalformedIdentifier(format!(
                 "MNC must be 2-3 digits: {mnc:?}"
             )));
         }
-        Ok(())
+        let mut digits = [0; 6];
+        digits[..3].copy_from_slice(mcc.as_bytes());
+        digits[3..3 + mnc.len()].copy_from_slice(mnc.as_bytes());
+        Ok(Plmn {
+            digits,
+            mnc_len: mnc.len() as u8,
+        })
     }
 
     /// The mobile country code.
     #[must_use]
     pub fn mcc(&self) -> &str {
-        &self.mcc
+        ascii(&self.digits[..3])
     }
 
     /// The mobile network code.
     #[must_use]
     pub fn mnc(&self) -> &str {
-        &self.mnc
+        ascii(&self.digits[3..3 + usize::from(self.mnc_len)])
+    }
+}
+
+/// Digits this module validated, as text.
+fn ascii(digits: &[u8]) -> &str {
+    std::str::from_utf8(digits).unwrap_or_default()
+}
+
+impl std::fmt::Debug for Plmn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Plmn({}/{})", self.mcc(), self.mnc())
     }
 }
 
 impl std::fmt::Display for Plmn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}", self.mcc, self.mnc)
+        write!(f, "{}{}", self.mcc(), self.mnc())
     }
 }
 
-/// Subscription Permanent Identifier in IMSI format: PLMN + MSIN.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Subscription Permanent Identifier in IMSI format: PLMN + MSIN, held
+/// inline as its `imsi-<digits>` text. Equality, order and hash are the
+/// text's.
+#[derive(Clone, Copy, Serialize, Deserialize)]
 pub struct Supi {
-    plmn: Plmn,
-    msin: String,
+    /// `imsi-<MCC><MNC><MSIN>`: at most 5 + 3 + 3 + 10 bytes, zero past
+    /// `len`.
+    text: [u8; 21],
+    len: u8,
+    mnc_len: u8,
 }
 
 impl Supi {
@@ -96,47 +110,88 @@ impl Supi {
     /// Returns [`CryptoError::MalformedIdentifier`] for a non-digit or
     /// over-long MSIN.
     pub fn new(plmn: Plmn, msin: &str) -> Result<Self, CryptoError> {
-        if msin.is_empty() || msin.len() > 10 || !msin.chars().all(|c| c.is_ascii_digit()) {
+        if msin.is_empty() || msin.len() > 10 || !msin.bytes().all(|b| b.is_ascii_digit()) {
             return Err(CryptoError::MalformedIdentifier(format!(
                 "MSIN must be 1-10 digits: {msin:?}"
             )));
         }
-        Ok(Supi {
-            plmn,
-            msin: msin.to_owned(),
-        })
+        Ok(Self::assemble(plmn, msin.as_bytes()))
     }
 
-    /// Parses the `imsi-<digits>` URI form used on service-based interfaces.
+    /// The SUPI whose MSIN is `n` in decimal, zero-padded to `digits`
+    /// places and cut to its last `digits` (test subscriber populations).
+    /// `digits` outside 1–10 is taken as the nearer bound.
+    #[must_use]
+    pub fn numbered(plmn: Plmn, n: u64, digits: usize) -> Self {
+        let mut msin = [b'0'; 10];
+        let msin = &mut msin[..digits.clamp(1, 10)];
+        let mut rest = n;
+        for digit in msin.iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        Self::assemble(plmn, msin)
+    }
+
+    /// `imsi-`, the PLMN's digits and `msin`, which the caller validated.
+    fn assemble(plmn: Plmn, msin: &[u8]) -> Self {
+        let home = 8 + usize::from(plmn.mnc_len);
+        let len = home + msin.len();
+        let mut text = [0; 21];
+        text[..5].copy_from_slice(b"imsi-");
+        text[5..home].copy_from_slice(&plmn.digits[..home - 5]);
+        text[home..len].copy_from_slice(msin);
+        Supi {
+            text,
+            len: len as u8,
+            mnc_len: plmn.mnc_len,
+        }
+    }
+
+    /// Parses the `imsi-<digits>` URI form used on service-based interfaces:
+    /// exactly the text `Display` writes for some SUPI.
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::MalformedIdentifier`] when the prefix or digit
-    /// count is wrong. A 2-digit MNC split is assumed, matching the paper's
-    /// test PLMN.
+    /// Returns [`CryptoError::MalformedIdentifier`] unless `s` is `imsi-`
+    /// and 6–16 digits. The MNC is taken as 2 digits, matching the paper's
+    /// test PLMN, unless that would leave an MSIN longer than 10.
     pub fn parse(s: &str) -> Result<Self, CryptoError> {
-        let digits = s.strip_prefix("imsi-").ok_or_else(|| {
-            CryptoError::MalformedIdentifier(format!("missing imsi- prefix: {s:?}"))
-        })?;
-        if digits.len() < 6 {
-            return Err(CryptoError::MalformedIdentifier(format!(
-                "IMSI too short: {s:?}"
-            )));
-        }
-        let plmn = Plmn::new(&digits[..3], &digits[3..5])?;
-        Supi::new(plmn, &digits[5..])
+        let digits = s
+            .strip_prefix("imsi-")
+            .filter(|d| (6..=16).contains(&d.len()) && d.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| {
+                CryptoError::MalformedIdentifier(format!("not imsi- and 6-16 digits: {s:?}"))
+            })?;
+        let mnc_end = if digits.len() == 16 { 6 } else { 5 };
+        Supi::new(
+            Plmn::new(&digits[..3], &digits[3..mnc_end])?,
+            &digits[mnc_end..],
+        )
+    }
+
+    /// The `imsi-<digits>` text, as `Display` writes it.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        ascii(&self.text[..usize::from(self.len)])
     }
 
     /// The home PLMN.
     #[must_use]
-    pub fn plmn(&self) -> &Plmn {
-        &self.plmn
+    pub fn plmn(&self) -> Plmn {
+        let mut digits = [0; 6];
+        let n = 3 + usize::from(self.mnc_len);
+        digits[..n].copy_from_slice(&self.text[5..5 + n]);
+        Plmn {
+            digits,
+            mnc_len: self.mnc_len,
+        }
     }
 
     /// The mobile subscriber identification number.
     #[must_use]
     pub fn msin(&self) -> &str {
-        &self.msin
+        ascii(&self.text[8 + usize::from(self.mnc_len)..usize::from(self.len)])
     }
 
     /// Conceals this SUPI into a SUCI with the null scheme (MSIN in clear).
@@ -147,11 +202,11 @@ impl Supi {
     #[must_use]
     pub fn conceal_null(&self) -> Suci {
         Suci {
-            plmn: self.plmn.clone(),
+            plmn: self.plmn(),
             routing_indicator: 0,
             hn_key_id: 0,
             scheme: ProtectionScheme::Null,
-            scheme_output: bcd_encode(&self.msin),
+            scheme_output: bcd_encode(self.msin()),
         }
     }
 
@@ -166,9 +221,9 @@ impl Supi {
         hn_public: &HomeNetworkPublicKey,
         ephemeral_private: &[u8; 32],
     ) -> Suci {
-        let ct = ecies::conceal(&bcd_encode(&self.msin), hn_public, ephemeral_private);
+        let ct = ecies::conceal(&bcd_encode(self.msin()), hn_public, ephemeral_private);
         Suci {
-            plmn: self.plmn.clone(),
+            plmn: self.plmn(),
             routing_indicator: 0,
             hn_key_id,
             scheme: ProtectionScheme::ProfileA,
@@ -177,9 +232,43 @@ impl Supi {
     }
 }
 
+// The text is zero-padded and never holds a zero byte, so comparing the
+// whole arrays compares the texts: equal, or ordered as `str` orders them.
+impl PartialEq for Supi {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for Supi {}
+
+impl PartialOrd for Supi {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Supi {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.text.cmp(&other.text)
+    }
+}
+
+impl std::hash::Hash for Supi {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Supi {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Supi({:?})", self.as_str())
+    }
+}
+
 impl std::fmt::Display for Supi {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "imsi-{}{}{}", self.plmn.mcc, self.plmn.mnc, self.msin)
+        f.write_str(self.as_str())
     }
 }
 
@@ -246,24 +335,27 @@ impl Suci {
     /// * [`CryptoError::MalformedIdentifier`] if the decrypted MSIN is not
     ///   valid BCD digits.
     pub fn deconceal(&self, hn_key: &HomeNetworkKeyPair) -> Result<Supi, CryptoError> {
+        let opened;
         let msin_bcd = match self.scheme {
-            ProtectionScheme::Null => self.scheme_output.clone(),
+            ProtectionScheme::Null => &self.scheme_output,
             ProtectionScheme::ProfileA => {
                 if self.hn_key_id != hn_key.id() {
                     return Err(CryptoError::UnknownKeyId(self.hn_key_id));
                 }
                 let ct = EciesCiphertext::from_bytes(&self.scheme_output)?;
-                hn_key.deconceal(&ct)?
+                opened = hn_key.deconceal(&ct)?;
+                &opened
             }
         };
-        let msin = bcd_decode(&msin_bcd)?;
-        Supi::new(self.plmn.clone(), &msin)
-    }
-
-    /// Size in bytes of the scheme output (used by the wire model).
-    #[must_use]
-    pub fn scheme_output_len(&self) -> usize {
-        self.scheme_output.len()
+        // The digits unpack straight into the SUPI; eleven are already too
+        // many for an MSIN.
+        let mut msin = [0; 11];
+        let mut len = 0;
+        for (slot, digit) in msin.iter_mut().zip(bcd_digits(msin_bcd)) {
+            *slot = digit?;
+            len += 1;
+        }
+        Supi::new(self.plmn, ascii(&msin[..len]))
     }
 }
 
@@ -272,8 +364,8 @@ impl std::fmt::Display for Suci {
         write!(
             f,
             "suci-0-{}-{}-{}-{}-{}-{}",
-            self.plmn.mcc,
-            self.plmn.mnc,
+            self.plmn.mcc(),
+            self.plmn.mnc(),
             self.routing_indicator,
             self.scheme.id(),
             self.hn_key_id,
@@ -322,43 +414,37 @@ impl std::fmt::Display for Guti {
 /// with `0xF` (TS 24.501 conventions).
 #[must_use]
 pub fn bcd_encode(digits: &str) -> Vec<u8> {
-    let d: Vec<u8> = digits.bytes().map(|b| b - b'0').collect();
-    let mut out = Vec::with_capacity(d.len().div_ceil(2));
-    for pair in d.chunks(2) {
-        let lo = pair[0];
-        let hi = if pair.len() == 2 { pair[1] } else { 0xF };
-        out.push(lo | (hi << 4));
-    }
-    out
+    digits
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| {
+            let hi = pair.get(1).map_or(0xF, |d| d - b'0');
+            (pair[0] - b'0') | (hi << 4)
+        })
+        .collect()
 }
 
-/// Unpacks BCD into a digit string, stopping at a `0xF` filler nibble.
-///
-/// # Errors
-///
-/// Returns [`CryptoError::MalformedIdentifier`] when a nibble is neither a
-/// decimal digit nor the filler.
-pub fn bcd_decode(bcd: &[u8]) -> Result<String, CryptoError> {
-    let mut out = String::with_capacity(bcd.len() * 2);
-    for &byte in bcd {
-        for nibble in [byte & 0xF, byte >> 4] {
-            match nibble {
-                0..=9 => out.push(char::from(b'0' + nibble)),
-                0xF => return Ok(out),
-                _ => {
-                    return Err(CryptoError::MalformedIdentifier(format!(
-                        "invalid BCD nibble {nibble:#x}"
-                    )))
-                }
-            }
-        }
-    }
-    Ok(out)
+/// The ASCII digits of a BCD string, low nibble first, up to a `0xF`
+/// filler nibble; a nibble that is neither is an error.
+fn bcd_digits(bcd: &[u8]) -> impl Iterator<Item = Result<u8, CryptoError>> + '_ {
+    bcd.iter()
+        .flat_map(|&byte| [byte & 0xF, byte >> 4])
+        .take_while(|&nibble| nibble != 0xF)
+        .map(|nibble| match nibble {
+            0..=9 => Ok(b'0' + nibble),
+            _ => Err(CryptoError::MalformedIdentifier(format!(
+                "invalid BCD nibble {nibble:#x}"
+            ))),
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bcd_decode(bcd: &[u8]) -> Result<String, CryptoError> {
+        bcd_digits(bcd).map(|d| d.map(char::from)).collect()
+    }
 
     fn test_supi() -> Supi {
         Supi::new(Plmn::test_network(), "0000000001").unwrap()

@@ -17,7 +17,7 @@ use crate::sbi::{
 };
 use crate::wire::Wire;
 use crate::NfError;
-use shield5g_crypto::ident::Guti;
+use shield5g_crypto::ident::{Guti, Supi};
 use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::Writer;
@@ -47,19 +47,16 @@ enum UeState {
         resync_attempts: u8,
     },
     /// Security mode command sent; NAS context live.
-    SecurityMode {
-        supi: String,
-        sec: NasSecurityContext,
-    },
+    SecurityMode { supi: Supi, sec: NasSecurityContext },
     /// Registration accepted; waiting for complete.
     AcceptSent {
-        supi: String,
+        supi: Supi,
         sec: NasSecurityContext,
         guti: Guti,
     },
     /// Fully registered.
     Registered {
-        supi: String,
+        supi: Supi,
         sec: NasSecurityContext,
         guti: Guti,
     },
@@ -78,7 +75,7 @@ pub struct AmfService {
     contexts: BTreeMap<u64, UeState>,
     pending_teid: BTreeMap<u64, u32>,
     pending_teardown: BTreeSet<u64>,
-    guti_to_supi: BTreeMap<u32, String>,
+    guti_to_supi: BTreeMap<u32, Supi>,
     next_tmsi: u32,
     registrations_completed: u64,
     deregistrations: u64,
@@ -187,7 +184,7 @@ impl AmfService {
         let known_supi = match &identity {
             UeIdentity::Suci(_) => String::new(),
             UeIdentity::Guti(guti) => match self.guti_to_supi.get(&guti.tmsi) {
-                Some(supi) => supi.clone(),
+                Some(supi) => supi.to_string(),
                 None => {
                     // TS 23.502 §4.2.2.2.2: the AMF cannot resolve the 5G-GUTI
                     // and asks the UE for its (concealed) permanent identity.
@@ -261,7 +258,7 @@ impl AmfService {
     }
 
     /// With K_AMF in hand: activate NAS security and command the UE.
-    fn enter_security_mode(&mut self, ran_ue_id: u64, supi: String, kamf: &[u8; 32]) -> Step {
+    fn enter_security_mode(&mut self, ran_ue_id: u64, supi: Supi, kamf: &[u8; 32]) -> Step {
         let sec = NasSecurityContext::from_kamf(kamf, false);
         self.contexts
             .insert(ran_ue_id, UeState::SecurityMode { supi, sec });
@@ -315,14 +312,10 @@ impl AmfService {
                 // the AMF runs the identity through a `generate-auth-data`
                 // round first (which also returns the SUPI).
                 let supi = match &identity {
-                    UeIdentity::Suci(_) => String::new(),
-                    UeIdentity::Guti(guti) => self
-                        .guti_to_supi
-                        .get(&guti.tmsi)
-                        .cloned()
-                        .unwrap_or_default(),
+                    UeIdentity::Suci(_) => None,
+                    UeIdentity::Guti(guti) => self.guti_to_supi.get(&guti.tmsi).copied(),
                 };
-                if supi.is_empty() {
+                let Some(supi) = supi else {
                     let req = crate::sbi::UdmAuthGetRequest {
                         identity: identity.clone(),
                         known_supi: String::new(),
@@ -342,7 +335,7 @@ impl AmfService {
                             resync_attempts,
                         }),
                     ));
-                }
+                };
                 self.send_resync(env, ran_ue_id, identity, supi, rand, &auts, resync_attempts)
             }
         }
@@ -355,7 +348,7 @@ impl AmfService {
         env: &mut Env,
         ran_ue_id: u64,
         identity: UeIdentity,
-        supi: String,
+        supi: Supi,
         rand: [u8; 16],
         auts: &Auts,
         resync_attempts: u8,
@@ -378,18 +371,18 @@ impl AmfService {
         ))
     }
 
-    fn allocate_guti(&mut self, ran_ue_id: u64, supi: &str) -> Guti {
+    fn allocate_guti(&mut self, ran_ue_id: u64, supi: Supi) -> Guti {
         let tmsi = self.next_tmsi;
         self.next_tmsi += 1;
         // A subscriber holds exactly one valid 5G-GUTI: allocating a new
         // one invalidates any earlier mapping (GUTI hygiene — a superseded
         // temporary identity must not keep resolving), and with it the
         // registration it named: one `Registered` context per subscriber.
-        self.guti_to_supi.retain(|_, s| s != supi);
+        self.guti_to_supi.retain(|_, s| *s != supi);
         self.contexts.retain(|&id, state| {
-            id == ran_ue_id || !matches!(state, UeState::Registered { supi: s, .. } if s == supi)
+            id == ran_ue_id || !matches!(state, UeState::Registered { supi: s, .. } if *s == supi)
         });
-        self.guti_to_supi.insert(tmsi, supi.to_owned());
+        self.guti_to_supi.insert(tmsi, supi);
         Guti::new(1, 1, 1, tmsi)
     }
 
@@ -408,7 +401,7 @@ impl AmfService {
                 let plain = sec.unprotect(pdu)?;
                 match NasUplink::decode(&plain)? {
                     NasUplink::SecurityModeComplete => {
-                        let guti = self.allocate_guti(ran_ue_id, &supi);
+                        let guti = self.allocate_guti(ran_ue_id, supi);
                         self.contexts
                             .insert(ran_ue_id, UeState::AcceptSent { supi, sec, guti });
                         Ok(self.finish_ngap(ran_ue_id, &NasDownlink::RegistrationAccept { guti }))
@@ -482,14 +475,8 @@ impl AmfService {
                     NasUplink::PduSessionEstablishmentRequest { pdu_session_id } => {
                         // Re-arm the context before yielding so the resumed
                         // flow finds the security context for the downlink.
-                        self.contexts.insert(
-                            ran_ue_id,
-                            UeState::Registered {
-                                supi: supi.clone(),
-                                sec,
-                                guti,
-                            },
-                        );
+                        self.contexts
+                            .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
                         Ok(self.call_out(
                             env,
                             self.smf_addr.clone(),
@@ -639,26 +626,26 @@ impl AmfService {
             AmfFlow::AwaitConfirm { ran_ue_id } => {
                 let body = self.client.receive(env, &self.ausf_addr, resp)?;
                 let confirm = ConfirmResponse::decode(&body)?;
-                if !confirm.success {
+                let Some(supi) = confirm.supi.filter(|_| confirm.success) else {
                     self.contexts.remove(&ran_ue_id);
                     return Ok(self.finish_ngap(ran_ue_id, &NasDownlink::AuthenticationReject));
-                }
+                };
                 // K_AMF via the (possibly enclave-hosted) backend.
                 let req = AmfAkaRequest {
                     kseaf: confirm.kseaf,
-                    supi: confirm.supi.clone(),
+                    supi,
                     abba: ABBA,
                 };
                 match self.backend.begin(env, &req) {
                     BackendOp::Done(kamf) => {
-                        Ok(self.enter_security_mode(ran_ue_id, confirm.supi, kamf?.expose()))
+                        Ok(self.enter_security_mode(ran_ue_id, supi, kamf?.expose()))
                     }
                     BackendOp::Call { dest, req, token } => Ok(Step::CallOut {
                         dest,
                         req,
                         state: Box::new(AmfFlow::AwaitKamf {
                             ran_ue_id,
-                            supi: confirm.supi,
+                            supi,
                             token,
                         }),
                     }),
@@ -729,7 +716,7 @@ enum AmfFlow {
     /// Waiting for the eAMF module's K_AMF derivation.
     AwaitKamf {
         ran_ue_id: u64,
-        supi: String,
+        supi: Supi,
         token: CallToken,
     },
     /// Waiting for a UDM round that de-conceals the SUCI for a resync.
@@ -903,15 +890,15 @@ mod tests {
     fn a_new_guti_retires_the_subscribers_old_context() {
         // The subscriber is registered under ran_ue_id 1 and completes
         // security mode again under ran_ue_id 2.
-        let supi = "imsi-001010000000001".to_owned();
+        let supi = Supi::parse("imsi-001010000000001").unwrap();
         let kamf = [0x42; 32];
         let mut env = Env::new(1);
         let mut amf = amf();
-        let guti = amf.allocate_guti(1, &supi);
+        let guti = amf.allocate_guti(1, supi);
         let sec = NasSecurityContext::from_kamf(&kamf, false);
         let (old, new) = (
             UeState::Registered {
-                supi: supi.clone(),
+                supi,
                 sec: sec.clone(),
                 guti,
             },

@@ -13,7 +13,7 @@ use crate::sbi::{
 };
 use crate::wire::implausible;
 use crate::NfError;
-use shield5g_crypto::ident::Plmn;
+use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
@@ -29,7 +29,7 @@ const AUSF_HANDLER_NANOS: u64 = 48_000;
 
 /// Stored per pending authentication.
 struct AuthContext {
-    supi: String,
+    supi: Supi,
     xres_star: [u8; 16],
     kseaf: SecretBytes<32>,
 }
@@ -89,7 +89,7 @@ impl AusfService {
     fn finish_authenticate(
         &mut self,
         env: &mut Env,
-        supi: String,
+        supi: Supi,
         he_av: &HeAv,
         hxres_star: [u8; 16],
         kseaf: SecretBytes<32>,
@@ -148,7 +148,7 @@ impl AusfService {
             );
             Ok(ConfirmResponse {
                 success: true,
-                supi: ctx.supi,
+                supi: Some(ctx.supi),
                 kseaf: ctx.kseaf,
             })
         } else {
@@ -162,7 +162,7 @@ impl AusfService {
                 .record(env.clock.now(), "aka", format_args!("AUSF rejected RES*"));
             Ok(ConfirmResponse {
                 success: false,
-                supi: String::new(),
+                supi: None,
                 kseaf: SecretBytes::new([0; 32]),
             })
         }
@@ -176,7 +176,7 @@ enum AusfFlow {
     AwaitUdm { snn: ServingNetworkName },
     /// Waiting on the remote AKA module's SE parameters.
     AwaitSe {
-        supi: String,
+        supi: Supi,
         he_av: HeAv,
         token: CallToken,
     },
@@ -196,10 +196,10 @@ impl EngineService for AusfService {
                 };
                 // The SEAF's PLMN becomes the SNN the keys bind: refuse
                 // one no serving network can have.
-                if let Err(e) = Plmn::check(&decoded.snn_mcc, &decoded.snn_mnc) {
-                    return Step::Reply(Self::upstream_error(implausible(e)));
-                }
-                let snn = ServingNetworkName::new(&decoded.snn_mcc, &decoded.snn_mnc);
+                let snn = match Plmn::new(&decoded.snn_mcc, &decoded.snn_mnc) {
+                    Ok(plmn) => ServingNetworkName::of(&plmn),
+                    Err(e) => return Step::Reply(Self::upstream_error(implausible(e))),
+                };
                 // Forward to UDM for the HE AV.
                 {
                     let req =
@@ -395,7 +395,7 @@ mod tests {
             .body;
         let resp = ConfirmResponse::decode(&body).unwrap();
         assert!(resp.success);
-        assert_eq!(resp.supi, SUPI);
+        assert_eq!(resp.supi, Some(crate::tests::imsi(SUPI)));
         assert_ne!(resp.kseaf, [0; 32]);
     }
 

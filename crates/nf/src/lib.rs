@@ -143,6 +143,11 @@ impl From<SimError> for NfError {
 mod tests {
     use super::*;
 
+    /// A SUPI from its `imsi-` text, for the crate's tests.
+    pub(crate) fn imsi(text: &str) -> shield5g_crypto::ident::Supi {
+        shield5g_crypto::ident::Supi::parse(text).unwrap()
+    }
+
     #[test]
     fn error_display_and_source() {
         let e = NfError::from(CryptoError::MacMismatch);

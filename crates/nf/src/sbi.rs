@@ -5,6 +5,7 @@
 use crate::messages::UeIdentity;
 use crate::wire::wire;
 use crate::NfError;
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::keys::{HeAv, SeAv};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
@@ -163,8 +164,9 @@ wire!(ConfirmRequest {
 pub struct ConfirmResponse {
     /// Whether RES* matched XRES*.
     pub success: bool,
-    /// The de-concealed subscriber identity.
-    pub supi: String,
+    /// The de-concealed subscriber identity, released only on success
+    /// (TS 33.501 §6.1.3.2 step 11).
+    pub supi: Option<Supi>,
     /// The anchor key (all zeros when `success` is false; zeroizes on
     /// drop).
     pub kseaf: SecretBytes<32>,
@@ -194,7 +196,7 @@ pub type UdmAuthGetRequest = AuthenticateRequest;
 #[derive(Clone, PartialEq, Eq)]
 pub struct UdmAuthGetResponse {
     /// De-concealed subscriber identity.
-    pub supi: String,
+    pub supi: Supi,
     /// The HE AV, nested in the body as a length-prefixed field.
     pub he_av: HeAv,
 }
@@ -218,7 +220,7 @@ wire!(UdmAuthGetResponse {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResyncRequest {
     /// Subscriber being re-synchronised.
-    pub supi: String,
+    pub supi: Supi,
     /// The RAND of the failed challenge.
     pub rand: [u8; 16],
     /// The UE's AUTS token.
@@ -231,7 +233,7 @@ wire!(ResyncRequest { supi, rand, auts });
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UdrAuthDataRequest {
     /// Subscriber identity.
-    pub supi: String,
+    pub supi: Supi,
 }
 
 wire!(UdrAuthDataRequest { supi });
@@ -266,7 +268,7 @@ wire!(UdrAuthDataResponse {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UdrResyncRequest {
     /// Subscriber identity.
-    pub supi: String,
+    pub supi: Supi,
     /// The UE-reported SQN_MS.
     pub sqn_ms: [u8; 6],
 }
@@ -277,7 +279,7 @@ wire!(UdrResyncRequest { supi, sqn_ms });
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CreateSessionRequest {
     /// Subscriber identity.
-    pub supi: String,
+    pub supi: Supi,
     /// UE-chosen PDU session id.
     pub pdu_session_id: u8,
 }
@@ -338,7 +340,7 @@ mod tests {
         assert_eq!(ConfirmRequest::decode(&req.encode()).unwrap(), req);
         let resp = ConfirmResponse {
             success: true,
-            supi: "imsi-1".into(),
+            supi: Some(crate::tests::imsi("imsi-001010000000001")),
             kseaf: [4; 32].into(),
         };
         assert_eq!(ConfirmResponse::decode(&resp.encode()).unwrap(), resp);
@@ -355,7 +357,7 @@ mod tests {
         };
         assert_eq!(UdmAuthGetRequest::decode(&req.encode()).unwrap(), req);
         let resp = UdmAuthGetResponse {
-            supi: "imsi-1".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
             he_av: HeAv {
                 rand: [1; 16],
                 autn: [2; 16],
@@ -365,7 +367,7 @@ mod tests {
         };
         assert_eq!(UdmAuthGetResponse::decode(&resp.encode()).unwrap(), resp);
         let udr_req = UdrAuthDataRequest {
-            supi: "imsi-1".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
         };
         assert_eq!(
             UdrAuthDataRequest::decode(&udr_req.encode()).unwrap(),
@@ -385,7 +387,7 @@ mod tests {
     #[test]
     fn resync_and_session_round_trips() {
         let req = ResyncRequest {
-            supi: "imsi-1".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
             rand: [5; 16],
             auts: Auts {
                 sqn_ms_xor_ak: [6; 6],
@@ -394,12 +396,12 @@ mod tests {
         };
         assert_eq!(ResyncRequest::decode(&req.encode()).unwrap(), req);
         let udr = UdrResyncRequest {
-            supi: "imsi-1".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
             sqn_ms: [8; 6],
         };
         assert_eq!(UdrResyncRequest::decode(&udr.encode()).unwrap(), udr);
         let cs = CreateSessionRequest {
-            supi: "imsi-1".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
             pdu_session_id: 5,
         };
         assert_eq!(CreateSessionRequest::decode(&cs.encode()).unwrap(), cs);

@@ -4,6 +4,7 @@
 
 use crate::sbi::{CreateSessionRequest, CreateSessionResponse, SbiClient};
 use crate::wire::wire;
+use shield5g_crypto::ident::Supi;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
@@ -30,7 +31,7 @@ wire!(N4Establish { teid, ue_ip });
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SmfSession {
     /// Owning subscriber.
-    pub supi: String,
+    pub supi: Supi,
     /// UE-side session identity.
     pub pdu_session_id: u8,
     /// Assigned UE address.
@@ -43,7 +44,7 @@ pub struct SmfSession {
 pub struct SmfService {
     client: SbiClient,
     upf_addr: Rc<str>,
-    sessions: BTreeMap<(String, u8), SmfSession>,
+    sessions: BTreeMap<(Supi, u8), SmfSession>,
     next_ip_suffix: u8,
     next_teid: u32,
 }
@@ -78,7 +79,7 @@ impl SmfService {
     fn start_create(&mut self, env: &mut Env, req: &CreateSessionRequest) -> Step {
         env.clock
             .advance(SimDuration::from_nanos(SMF_HANDLER_NANOS));
-        if let Some(existing) = self.sessions.get(&(req.supi.clone(), req.pdu_session_id)) {
+        if let Some(existing) = self.sessions.get(&(req.supi, req.pdu_session_id)) {
             // Idempotent re-establishment returns the same anchor.
             return Step::Reply(HttpResponse::ok(
                 CreateSessionResponse {
@@ -101,7 +102,7 @@ impl SmfService {
             req: out,
             state: Box::new(SmfFlow::AwaitUpf {
                 session: SmfSession {
-                    supi: req.supi.clone(),
+                    supi: req.supi,
                     pdu_session_id: req.pdu_session_id,
                     ue_ip,
                     teid,
@@ -155,7 +156,7 @@ impl EngineService for SmfService {
             ),
         );
         self.sessions
-            .insert((session.supi.clone(), session.pdu_session_id), session);
+            .insert((session.supi, session.pdu_session_id), session);
         Step::Reply(HttpResponse::ok(reply.encode()))
     }
 }
@@ -184,7 +185,7 @@ mod tests {
 
     fn create(env: &mut Env, engine: &mut Engine, supi: &str, id: u8) -> CreateSessionResponse {
         let req = CreateSessionRequest {
-            supi: supi.into(),
+            supi: crate::tests::imsi(supi),
             pdu_session_id: id,
         };
         let body = engine
@@ -201,8 +202,8 @@ mod tests {
     #[test]
     fn creates_session_with_unique_ips() {
         let (mut env, mut engine) = world();
-        let s1 = create(&mut env, &mut engine, "imsi-1", 1);
-        let s2 = create(&mut env, &mut engine, "imsi-2", 1);
+        let s1 = create(&mut env, &mut engine, "imsi-001010000000001", 1);
+        let s2 = create(&mut env, &mut engine, "imsi-001010000000002", 1);
         assert_ne!(s1.ue_ip, s2.ue_ip);
         assert_ne!(s1.upf_teid, s2.upf_teid);
         assert_eq!(s1.ue_ip[0], 10);
@@ -211,8 +212,8 @@ mod tests {
     #[test]
     fn re_establishment_is_idempotent() {
         let (mut env, mut engine) = world();
-        let s1 = create(&mut env, &mut engine, "imsi-1", 5);
-        let s2 = create(&mut env, &mut engine, "imsi-1", 5);
+        let s1 = create(&mut env, &mut engine, "imsi-001010000000001", 5);
+        let s2 = create(&mut env, &mut engine, "imsi-001010000000001", 5);
         assert_eq!(s1, s2);
     }
 

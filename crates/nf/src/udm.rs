@@ -15,8 +15,10 @@ use crate::sbi::{
     ResyncRequest, SbiClient, UdmAuthGetRequest, UdmAuthGetResponse, UdrAuthDataRequest,
     UdrAuthDataResponse, UdrResyncRequest,
 };
+use crate::wire::implausible;
 use crate::NfError;
 use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
+use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::{HeAv, ServingNetworkName};
 use shield5g_crypto::CryptoError;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
@@ -77,7 +79,7 @@ impl UdmService {
         self.sidf_key.id()
     }
 
-    fn resolve_supi(&mut self, env: &mut Env, req: &UdmAuthGetRequest) -> Result<String, NfError> {
+    fn resolve_supi(&mut self, env: &mut Env, req: &UdmAuthGetRequest) -> Result<Supi, NfError> {
         match &req.identity {
             UeIdentity::Suci(suci) => {
                 env.clock
@@ -88,17 +90,10 @@ impl UdmService {
                     CryptoError::LowOrderPoint => CryptoError::MacMismatch,
                     e => e,
                 })?;
-                Ok(supi.to_string())
+                Ok(supi)
             }
-            UeIdentity::Guti(_) => {
-                if req.known_supi.is_empty() {
-                    Err(NfError::Protocol(
-                        "GUTI identity without resolved SUPI".into(),
-                    ))
-                } else {
-                    Ok(req.known_supi.clone())
-                }
-            }
+            // The AMF resolved the GUTI; a missing SUPI is an empty string.
+            UeIdentity::Guti(_) => Supi::parse(&req.known_supi).map_err(implausible),
         }
     }
 
@@ -121,14 +116,11 @@ impl UdmService {
     }
 
     /// Issues the UDR subscription-data fetch shared by both flows.
-    fn fetch_auth_data(&mut self, env: &mut Env, supi: &str, next: UdmFlow) -> Step {
+    fn fetch_auth_data(&mut self, env: &mut Env, supi: Supi, next: UdmFlow) -> Step {
         let req = self.client.send(
             env,
             "/nudr-dr/auth-data",
-            UdrAuthDataRequest {
-                supi: supi.to_owned(),
-            }
-            .encode(),
+            UdrAuthDataRequest { supi }.encode(),
         );
         Step::CallOut {
             dest: self.udr_addr.clone(),
@@ -137,7 +129,7 @@ impl UdmService {
         }
     }
 
-    fn finish_av(&mut self, env: &mut Env, supi: String, he_av: HeAv) -> Step {
+    fn finish_av(&mut self, env: &mut Env, supi: Supi, he_av: HeAv) -> Step {
         shield5g_obs::hub::count(
             "udm",
             "/nudm-ueau",
@@ -159,8 +151,8 @@ impl UdmService {
     fn start_av(
         &mut self,
         env: &mut Env,
-        req: &UdmAuthGetRequest,
-        supi: String,
+        snn: ServingNetworkName,
+        supi: Supi,
         body: &[u8],
     ) -> Step {
         let auth_data = match UdrAuthDataResponse::decode(body) {
@@ -171,12 +163,12 @@ impl UdmService {
         // the eUDM P-AKA module).
         let rand: [u8; 16] = env.rng.bytes();
         let aka_req = UdmAkaRequest {
-            supi: supi.clone(),
+            supi,
             opc: auth_data.opc,
             rand,
             sqn: auth_data.sqn,
             amf_field: auth_data.amf_field,
-            snn: ServingNetworkName::new(&req.snn_mcc, &req.snn_mnc),
+            snn,
         };
         match AkaBackend::<GenerateAv>::begin(&mut *self.backend, env, &aka_req) {
             BackendOp::Done(Ok(av)) => self.finish_av(env, supi, av),
@@ -190,15 +182,11 @@ impl UdmService {
     }
 
     /// After MAC-S checked out: push SQN_MS back to the UDR.
-    fn push_resync(&mut self, env: &mut Env, supi: String, sqn_ms: [u8; 6]) -> Step {
+    fn push_resync(&mut self, env: &mut Env, supi: Supi, sqn_ms: [u8; 6]) -> Step {
         let req = self.client.send(
             env,
             "/nudr-dr/resync",
-            UdrResyncRequest {
-                supi: supi.clone(),
-                sqn_ms,
-            }
-            .encode(),
+            UdrResyncRequest { supi, sqn_ms }.encode(),
         );
         Step::CallOut {
             dest: self.udr_addr.clone(),
@@ -211,18 +199,15 @@ impl UdmService {
 /// Continuation state across the UDM's outbound round trips.
 enum UdmFlow {
     /// Auth-data flow: waiting on the UDR subscription fetch.
-    AwaitAuthData {
-        req: UdmAuthGetRequest,
-        supi: String,
-    },
+    AwaitAuthData { snn: ServingNetworkName, supi: Supi },
     /// Auth-data flow: waiting on the remote AKA module.
-    AwaitAv { supi: String, token: CallToken },
+    AwaitAv { supi: Supi, token: CallToken },
     /// Resync flow: waiting on the UDR subscription fetch (OPc for MAC-S).
     ResyncAuthData { req: ResyncRequest },
     /// Resync flow: waiting on the remote AKA module's AUTS verdict.
-    AwaitModuleResync { supi: String, token: CallToken },
+    AwaitModuleResync { supi: Supi, token: CallToken },
     /// Resync flow: waiting on the UDR SQN update.
-    AwaitUdrResync { supi: String },
+    AwaitUdrResync { supi: Supi },
 }
 
 impl EngineService for UdmService {
@@ -235,16 +220,18 @@ impl EngineService for UdmService {
                     Ok(r) => r,
                     Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
+                // The serving PLMN becomes the SNN the keys bind: refuse
+                // one no serving network can have, as the AUSF does.
+                let snn = match Plmn::new(&decoded.snn_mcc, &decoded.snn_mnc) {
+                    Ok(plmn) => ServingNetworkName::of(&plmn),
+                    Err(e) => return Step::Reply(Self::auth_error(implausible(e))),
+                };
                 let supi = match self.resolve_supi(env, &decoded) {
                     Ok(s) => s,
                     Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
                 // Fetch OPc / fresh SQN / AMF field from the UDR.
-                self.fetch_auth_data(
-                    env,
-                    &supi.clone(),
-                    UdmFlow::AwaitAuthData { req: decoded, supi },
-                )
+                self.fetch_auth_data(env, supi, UdmFlow::AwaitAuthData { snn, supi })
             }
             "/nudm-ueau/resync" => {
                 env.clock
@@ -255,8 +242,7 @@ impl EngineService for UdmService {
                 };
                 // Need the OPc to check MAC-S; fetch subscription data
                 // (the extra SQN this burns is inconsequential).
-                let supi = decoded.supi.clone();
-                self.fetch_auth_data(env, &supi, UdmFlow::ResyncAuthData { req: decoded })
+                self.fetch_auth_data(env, decoded.supi, UdmFlow::ResyncAuthData { req: decoded })
             }
             other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
         }
@@ -274,12 +260,12 @@ impl EngineService for UdmService {
             Err(_) => return Step::Reply(HttpResponse::error(500, "udm: foreign state")),
         };
         match flow {
-            UdmFlow::AwaitAuthData { req, supi } => {
+            UdmFlow::AwaitAuthData { snn, supi } => {
                 let body = match self.client.receive(env, &self.udr_addr, resp) {
                     Ok(b) => b,
                     Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
-                self.start_av(env, &req, supi, &body)
+                self.start_av(env, snn, supi, &body)
             }
             UdmFlow::AwaitAv { supi, token } => {
                 match AkaBackend::<GenerateAv>::finish(&mut *self.backend, env, token, resp) {
@@ -296,9 +282,9 @@ impl EngineService for UdmService {
                     Ok(d) => d,
                     Err(e) => return Step::Reply(Self::resync_error(e)),
                 };
-                let supi = req.supi.clone();
+                let supi = req.supi;
                 let aka_req = UdmAkaResyncRequest {
-                    supi: req.supi,
+                    supi,
                     opc: auth_data.opc,
                     rand: req.rand,
                     auts: req.auts,
@@ -399,7 +385,7 @@ mod tests {
             .unwrap()
             .body;
         let resp = UdmAuthGetResponse::decode(&body).unwrap();
-        assert_eq!(resp.supi, SUPI);
+        assert_eq!(resp.supi.as_str(), SUPI);
         // The AV verifies on a USIM with the same credentials.
         let av = resp.he_av;
         let mil = Milenage::with_opc(&K, &OPC);
@@ -490,6 +476,33 @@ mod tests {
     }
 
     #[test]
+    fn an_implausible_serving_plmn_is_refused_400() {
+        // The AUSF refuses these before they reach the UDM; a UDM asked
+        // directly must not bind keys to them either (nor pad "1" into
+        // "mnc001").
+        let (mut env, mut engine, hn) = world();
+        let suci = Supi::parse(SUPI)
+            .unwrap()
+            .conceal_profile_a(1, hn.public(), &[9; 32]);
+        for (mcc, mnc) in [("!!", "01"), ("0001", "01"), ("001", "1")] {
+            let req = UdmAuthGetRequest {
+                identity: UeIdentity::Suci(suci.clone()),
+                known_supi: String::new(),
+                snn_mcc: mcc.into(),
+                snn_mnc: mnc.into(),
+            };
+            let resp = engine
+                .dispatch(
+                    &mut env,
+                    crate::addr::UDM,
+                    HttpRequest::post("/nudm-ueau/generate-auth-data", req.encode()),
+                )
+                .unwrap();
+            assert_eq!(resp.status, 400, "{mcc}/{mnc}");
+        }
+    }
+
+    #[test]
     fn guti_identity_requires_known_supi() {
         let (mut env, mut engine, _hn) = world();
         let req = UdmAuthGetRequest {
@@ -525,7 +538,10 @@ mod tests {
             )
             .unwrap()
             .body;
-        assert_eq!(UdmAuthGetResponse::decode(&body).unwrap().supi, SUPI);
+        assert_eq!(
+            UdmAuthGetResponse::decode(&body).unwrap().supi.as_str(),
+            SUPI
+        );
     }
 
     #[test]
@@ -536,7 +552,7 @@ mod tests {
         let sqn_ms = shield5g_crypto::sqn::sqn_to_bytes(700 << 5);
         let auts = shield5g_crypto::sqn::Auts::generate(&mil, &rand, &sqn_ms);
         let req = ResyncRequest {
-            supi: SUPI.into(),
+            supi: crate::tests::imsi(SUPI),
             rand,
             auts,
         };
@@ -558,7 +574,7 @@ mod tests {
     fn forged_auts_rejected() {
         let (mut env, mut engine, _hn) = world();
         let req = ResyncRequest {
-            supi: SUPI.into(),
+            supi: crate::tests::imsi(SUPI),
             rand: [0x23; 16],
             auts: shield5g_crypto::sqn::Auts {
                 sqn_ms_xor_ak: [1; 6],

@@ -89,7 +89,9 @@ impl Service for UdrService {
         env.clock.advance(SimDuration::from_micros(35));
         match &*req.path {
             "/nudr-dr/auth-data" => {
-                match UdrAuthDataRequest::decode(&req.body).and_then(|r| self.auth_data(&r.supi)) {
+                match UdrAuthDataRequest::decode(&req.body)
+                    .and_then(|r| self.auth_data(r.supi.as_str()))
+                {
                     Ok(resp) => HttpResponse::ok(resp.encode()),
                     Err(NfError::SubscriberUnknown(s)) => {
                         HttpResponse::error(404, format!("unknown subscriber {s}"))
@@ -98,7 +100,7 @@ impl Service for UdrService {
                 }
             }
             "/nudr-dr/resync" => match UdrResyncRequest::decode(&req.body)
-                .and_then(|r| self.resync(&r.supi, &r.sqn_ms))
+                .and_then(|r| self.resync(r.supi.as_str(), &r.sqn_ms))
             {
                 Ok(()) => HttpResponse::ok(Vec::new()),
                 Err(NfError::SubscriberUnknown(s)) => {
@@ -127,7 +129,7 @@ mod tests {
         let mut env = Env::new(1);
         let mut udr = udr();
         let req = UdrAuthDataRequest {
-            supi: "imsi-001010000000001".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
         }
         .encode();
         let r1 = udr.handle(
@@ -147,7 +149,7 @@ mod tests {
         let mut env = Env::new(1);
         let mut udr = udr();
         let req = UdrAuthDataRequest {
-            supi: "imsi-001010000000099".into(),
+            supi: crate::tests::imsi("imsi-001010000000099"),
         }
         .encode();
         assert_eq!(
@@ -163,7 +165,7 @@ mod tests {
         let mut udr = udr();
         let sqn_ms = shield5g_crypto::sqn::sqn_to_bytes(500 << 5);
         let req = UdrResyncRequest {
-            supi: "imsi-001010000000001".into(),
+            supi: crate::tests::imsi("imsi-001010000000001"),
             sqn_ms,
         }
         .encode();

@@ -26,7 +26,7 @@
 //! re-encodes to exactly the bytes it was given.
 
 use crate::{NfError, NfType};
-use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci};
+use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci, Supi};
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
@@ -299,18 +299,42 @@ impl Wire for ServingNetworkName {
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
+        // The codes sit at fixed offsets: the name is rebuilt from them and
+        // must be the bytes that were sent.
         let s = r.str_ref()?;
-        let refuse = || NfError::Protocol(format!("bad serving network name {s:?}"));
-        let (mnc, mcc) = s
-            .strip_prefix("5G:mnc")
-            .and_then(|s| s.strip_suffix(".3gppnetwork.org"))
-            .and_then(|s| s.split_once(".mcc"))
-            .ok_or_else(refuse)?;
-        if mnc.len() != 3 {
-            return Err(refuse());
+        let code = |at: usize| s.get(at..at + 3).unwrap_or_default();
+        let snn = ServingNetworkName::of(&Plmn::new(code(13), code(6)).map_err(implausible)?);
+        if snn.as_bytes() != s.as_bytes() {
+            return Err(NfError::Protocol(format!("bad serving network name {s:?}")));
         }
-        Plmn::check(mcc, mnc).map_err(implausible)?;
-        Ok(ServingNetworkName::new(mcc, mnc))
+        Ok(snn)
+    }
+}
+
+/// A SUPI as its `imsi-` text. Only text a SUPI displays as is accepted,
+/// borrowed while it is checked.
+impl Wire for Supi {
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_str(self.as_str());
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
+        Supi::parse(r.str_ref()?).map_err(implausible)
+    }
+}
+
+/// A SUPI that is released only on success: absent is the empty string.
+impl Wire for Option<Supi> {
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_str(self.as_ref().map_or("", Supi::as_str));
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
+        let s = r.str_ref()?;
+        (!s.is_empty())
+            .then(|| Supi::parse(s))
+            .transpose()
+            .map_err(implausible)
     }
 }
 
@@ -327,5 +351,51 @@ impl Wire for NfType {
             .into_iter()
             .find(|t| t.to_string() == name)
             .ok_or_else(|| NfError::Protocol(format!("unknown NF type {name:?}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn copy<T: Copy>() {}
+
+    #[test]
+    fn identifiers_are_inline_copy_values() {
+        copy::<Plmn>();
+        copy::<Supi>();
+        copy::<ServingNetworkName>();
+        assert!(std::mem::size_of::<Supi>() <= 24);
+    }
+
+    proptest! {
+        #[test]
+        fn identifiers_are_exact_values(
+            mcc in "[0-9]{3}",
+            mnc in "[0-9]{2,3}",
+            msin in "[0-9]{1,10}",
+            peer_mcc in "[0-9]{3}",
+            peer_mnc in "[0-9]{2,3}",
+            peer_msin in "[0-9]{1,10}",
+        ) {
+            let plmn = Plmn::new(&mcc, &mnc).unwrap();
+            let supi = Supi::new(plmn, &msin).unwrap();
+            // The text the String-backed SUPI formatted, and its wire bytes.
+            let text = format!("imsi-{mcc}{mnc}{msin}");
+            prop_assert_eq!(supi.as_str(), text.as_str());
+            prop_assert_eq!(supi.to_string(), text.clone());
+            prop_assert_eq!(supi.encode(), text.encode());
+            prop_assert_eq!(Supi::decode(&supi.encode()), Ok(supi));
+
+            let peer = Supi::new(Plmn::new(&peer_mcc, &peer_mnc).unwrap(), &peer_msin).unwrap();
+            prop_assert_eq!(supi.cmp(&peer), text.cmp(&peer.to_string()));
+            prop_assert_eq!(supi == peer, text == peer.to_string());
+
+            let snn = format!("5G:mnc{mnc:0>3}.mcc{mcc}.3gppnetwork.org");
+            let of = ServingNetworkName::of(&plmn);
+            prop_assert_eq!(of.as_bytes(), snn.as_bytes());
+            prop_assert_eq!(ServingNetworkName::new(&mcc, &mnc), of);
+        }
     }
 }

@@ -32,6 +32,7 @@ use shield5g_nf::smf::N4Establish;
 use shield5g_nf::upf::GtpPacket;
 use shield5g_nf::wire::Wire;
 use shield5g_nf::{NfError, NfType};
+use shield5g_sim::codec::Writer;
 use shield5g_sim::http::{HttpRequest, HttpResponse, Method};
 use shield5g_sim::SimError;
 use std::fmt::Debug;
@@ -351,7 +352,7 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
             "sbi.confirm_response",
             ConfirmResponse {
                 success: true,
-                supi: SUPI.into(),
+                supi: Some(*supi),
                 kseaf: [4; 32].into(),
             },
         ),
@@ -376,21 +377,21 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
         wire(
             "sbi.udm_auth_get_response",
             UdmAuthGetResponse {
-                supi: SUPI.into(),
+                supi: *supi,
                 he_av: he_av(0x10),
             },
         ),
         wire(
             "sbi.resync_request",
             ResyncRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 rand: [5; 16],
                 auts: auts(),
             },
         ),
         wire(
             "sbi.udr_auth_data_request",
-            UdrAuthDataRequest { supi: SUPI.into() },
+            UdrAuthDataRequest { supi: *supi },
         ),
         wire(
             "sbi.udr_auth_data_response",
@@ -403,14 +404,14 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
         wire(
             "sbi.udr_resync_request",
             UdrResyncRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 sqn_ms: [0, 0, 0, 0, 3, 4],
             },
         ),
         wire(
             "sbi.create_session_request",
             CreateSessionRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 pdu_session_id: 5,
             },
         ),
@@ -445,12 +446,12 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
     ]
 }
 
-fn paka() -> Vec<Vector> {
+fn paka(supi: &Supi) -> Vec<Vector> {
     vec![
         wire(
             "paka.udm_aka_request",
             UdmAkaRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 opc: [0xcd; 16].into(),
                 rand: [0x23; 16],
                 sqn: [0, 0, 0, 0, 0, 7],
@@ -461,7 +462,7 @@ fn paka() -> Vec<Vector> {
         wire(
             "paka.udm_aka_batch_request",
             UdmAkaBatchRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 opc: [0xcd; 16].into(),
                 rand_seed: [0x77; 16],
                 sqn_start: [0, 0, 0, 0, 0xff, 0xfe],
@@ -473,7 +474,7 @@ fn paka() -> Vec<Vector> {
         wire(
             "paka.udm_aka_resync_request",
             UdmAkaResyncRequest {
-                supi: SUPI.into(),
+                supi: *supi,
                 opc: [0xcd; 16].into(),
                 rand: [0x23; 16],
                 auts: auts(),
@@ -502,7 +503,7 @@ fn paka() -> Vec<Vector> {
             "paka.amf_aka_request",
             AmfAkaRequest {
                 kseaf: [4; 32].into(),
-                supi: SUPI.into(),
+                supi: *supi,
                 abba: [0, 0],
             },
         ),
@@ -557,7 +558,7 @@ fn vectors() -> Result<Vec<Vector>, Box<dyn std::error::Error>> {
         nas_downlink(),
         protected_and_ngap(&supi),
         sbi(&supi),
-        paka(),
+        paka(&supi),
         http(),
     ]
     .into_iter()
@@ -606,5 +607,107 @@ fn every_wire_type_survives_hostile_bytes() -> Result<(), Box<dyn std::error::Er
     for vector in vectors()? {
         (vector.hostile)();
     }
+    Ok(())
+}
+
+/// `bytes` with the wire form of [`SUPI`] replaced by that of `text`, if
+/// they carry it.
+fn with_supi_text(bytes: &[u8], text: &str) -> Option<Vec<u8>> {
+    let wire = |s: &str| {
+        Writer::build(|w| {
+            w.put_str(s);
+        })
+    };
+    let (valid, forged) = (wire(SUPI), wire(text));
+    let at = bytes.windows(valid.len()).position(|w| w == valid)?;
+    Some([&bytes[..at], &forged[..], &bytes[at + valid.len()..]].concat())
+}
+
+/// A SUPI field takes only text a SUPI displays as: a valid one
+/// round-trips, anything else is a protocol violation.
+fn refuses_non_imsi<T: Wire + PartialEq + Debug>(valid: &T) {
+    let bytes = valid.encode();
+    assert_eq!(T::decode(&bytes).as_ref(), Ok(valid));
+    for text in [
+        "imsi-1",
+        "imsi-00101000000000a",
+        "imsi-00101000000000000001",
+        "IMSI-001010000000001",
+        "imsi-001010000000001 ",
+        "imsi-0010100000000\u{e9}",
+        "nai-alice@example.org",
+    ] {
+        let Some(forged) = with_supi_text(&bytes, text) else {
+            panic!("{valid:?} carries no SUPI");
+        };
+        assert!(
+            matches!(T::decode(&forged), Err(NfError::Protocol(_))),
+            "{valid:?} took {text:?}"
+        );
+    }
+}
+
+#[test]
+fn every_supi_bearing_message_refuses_a_non_imsi_supi() -> Result<(), Box<dyn std::error::Error>> {
+    let supi = Supi::parse(SUPI)?;
+    refuses_non_imsi(&ConfirmResponse {
+        success: true,
+        supi: Some(supi),
+        kseaf: [4; 32].into(),
+    });
+    refuses_non_imsi(&UdmAuthGetResponse {
+        supi,
+        he_av: he_av(0x10),
+    });
+    refuses_non_imsi(&ResyncRequest {
+        supi,
+        rand: [5; 16],
+        auts: auts(),
+    });
+    refuses_non_imsi(&UdrAuthDataRequest { supi });
+    refuses_non_imsi(&UdrResyncRequest {
+        supi,
+        sqn_ms: [0, 0, 0, 0, 3, 4],
+    });
+    refuses_non_imsi(&CreateSessionRequest {
+        supi,
+        pdu_session_id: 5,
+    });
+    refuses_non_imsi(&UdmAkaRequest {
+        supi,
+        opc: [0xcd; 16].into(),
+        rand: [0x23; 16],
+        sqn: [0, 0, 0, 0, 0, 7],
+        amf_field: [0x80, 0],
+        snn: snn(),
+    });
+    refuses_non_imsi(&UdmAkaBatchRequest {
+        supi,
+        opc: [0xcd; 16].into(),
+        rand_seed: [0x77; 16],
+        sqn_start: [0, 0, 0, 0, 0xff, 0xfe],
+        amf_field: [0x80, 0],
+        snn: snn(),
+        count: 8,
+    });
+    refuses_non_imsi(&UdmAkaResyncRequest {
+        supi,
+        opc: [0xcd; 16].into(),
+        rand: [0x23; 16],
+        auts: auts(),
+    });
+    refuses_non_imsi(&AmfAkaRequest {
+        kseaf: [4; 32].into(),
+        supi,
+        abba: [0, 0],
+    });
+    // The one optional SUPI, withheld on a failed confirmation, is the
+    // empty string on the wire.
+    let refused = ConfirmResponse {
+        success: false,
+        supi: None,
+        kseaf: [0; 32].into(),
+    };
+    assert_eq!(ConfirmResponse::decode(&refused.encode()), Ok(refused));
     Ok(())
 }

@@ -50,7 +50,7 @@ impl GnbSim {
     pub fn ue_for(&self, slice: &Slice, index: usize) -> CotsUe {
         let sub = &slice.subscribers[index];
         let usim = Usim::program(
-            sub.supi.clone(),
+            sub.supi,
             sub.k,
             sub.opc,
             slice.hn_key_id,

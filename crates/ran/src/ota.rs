@@ -84,7 +84,7 @@ impl OtaTestbed {
         let gnb = Gnb::usrp(slice.engine.clone(), Plmn::test_network());
         let sub = &slice.subscribers[0];
         let usim = Usim::program(
-            sub.supi.clone(),
+            sub.supi,
             sub.k,
             sub.opc,
             slice.hn_key_id,

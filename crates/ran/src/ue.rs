@@ -144,7 +144,7 @@ impl CotsUe {
     }
 
     fn serving_network(&self, gnb: &Gnb) -> ServingNetworkName {
-        ServingNetworkName::new(gnb.broadcast_plmn().mcc(), gnb.broadcast_plmn().mnc())
+        ServingNetworkName::of(gnb.broadcast_plmn())
     }
 
     fn charge(env: &mut Env, nanos: u64) {
@@ -209,7 +209,7 @@ impl CotsUe {
         // decomposes `setup_time` exactly. Dropped (abandoned) on the
         // error returns below.
         let stage = StageSpan::open("ue", "registration", t0.as_nanos());
-        let ran_ue_id = gnb.rrc_connect(env, self.usim.plmn())?;
+        let ran_ue_id = gnb.rrc_connect(env, &self.usim.plmn())?;
         self.ran_ue_id = Some(ran_ue_id);
         let snn = self.serving_network(gnb);
 
@@ -231,7 +231,7 @@ impl CotsUe {
                             // Stash keys for the security-mode step.
                             let kamf = derive_kamf(
                                 result.kseaf.expose(),
-                                &self.usim.supi().to_string(),
+                                self.usim.supi().as_str(),
                                 &abba,
                             );
                             self.sec = Some(NasSecurityContext::from_kamf(&kamf, true));
@@ -423,21 +423,27 @@ impl CotsUe {
         })
     }
 
+    /// Reads a downlink NAS message by the UE's state (TS 24.501
+    /// §4.4.4.2): with a security context it must be protected, unless it
+    /// is one the spec lets arrive plain.
     fn decode_downlink(&mut self, bytes: &[u8]) -> Result<NasDownlink, RanError> {
-        // Try plain first (pre-security messages), then protected.
-        if let Ok(msg) = NasDownlink::decode(bytes) {
-            return Ok(msg);
+        let Some(sec) = self.sec.as_mut() else {
+            return Ok(NasDownlink::decode(bytes)?);
+        };
+        if let Ok(pdu) = ProtectedNas::borrow(bytes) {
+            let plain = sec.unprotect(&pdu).map_err(|e| {
+                RanError::NetworkAuthenticationFailed(format!("NAS integrity: {e}"))
+            })?;
+            return Ok(NasDownlink::decode(&plain)?);
         }
-        let sec = self
-            .sec
-            .as_mut()
-            .ok_or_else(|| RanError::Protocol("protected NAS before security mode".into()))?;
-        let pdu = ProtectedNas::borrow(bytes)
-            .map_err(|e| RanError::Protocol(format!("bad protected NAS: {e}")))?;
-        let plain = sec
-            .unprotect(&pdu)
-            .map_err(|e| RanError::NetworkAuthenticationFailed(format!("NAS integrity: {e}")))?;
-        Ok(NasDownlink::decode(&plain)?)
+        match NasDownlink::decode(bytes)? {
+            msg @ (NasDownlink::AuthenticationRequest { .. }
+            | NasDownlink::AuthenticationReject
+            | NasDownlink::IdentityRequest
+            | NasDownlink::RegistrationReject { .. }
+            | NasDownlink::DeregistrationAccept) => Ok(msg),
+            other => Err(RanError::Protocol(format!("unprotected {other:?}"))),
+        }
     }
 }
 
@@ -479,6 +485,60 @@ mod tests {
         let mut ue = CotsUe::oneplus8(usim());
         assert!(ue.establish_session(&mut env, &mut gnb).is_err());
         assert!(ue.send_data(&mut env, &mut gnb, b"ping").is_err());
+    }
+
+    #[test]
+    fn under_a_security_context_only_the_listed_messages_arrive_plain() {
+        use shield5g_nf::nas_security::{CIPHER_ALG_AES, INTEGRITY_ALG_HMAC};
+        let kamf = [0x42; 32];
+        let mut amf = NasSecurityContext::from_kamf(&kamf, false);
+        let refused = [
+            NasDownlink::RegistrationAccept {
+                guti: Guti::new(1, 1, 1, 7),
+            },
+            NasDownlink::SecurityModeCommand {
+                integrity_alg: INTEGRITY_ALG_HMAC,
+                ciphering_alg: CIPHER_ALG_AES,
+            },
+            NasDownlink::PduSessionEstablishmentAccept {
+                pdu_session_id: 5,
+                ue_ip: [10, 0, 0, 2],
+            },
+        ];
+        // TS 24.501 §4.4.4.2.
+        let allowed = [
+            NasDownlink::AuthenticationRequest {
+                rand: [1; 16],
+                autn: [2; 16],
+                abba: [0, 0],
+                ngksi: 0,
+            },
+            NasDownlink::AuthenticationReject,
+            NasDownlink::IdentityRequest,
+            NasDownlink::RegistrationReject { cause: 111 },
+            NasDownlink::DeregistrationAccept,
+        ];
+        let mut ue = CotsUe::sim_ue(usim());
+        for msg in refused.iter().chain(&allowed) {
+            assert_eq!(&ue.decode_downlink(&msg.encode()).unwrap(), msg);
+        }
+        ue.sec = Some(NasSecurityContext::from_kamf(&kamf, true));
+        for msg in &refused {
+            assert!(
+                matches!(
+                    ue.decode_downlink(&msg.encode()),
+                    Err(RanError::Protocol(_))
+                ),
+                "{msg:?} accepted plain"
+            );
+        }
+        for msg in &allowed {
+            assert_eq!(&ue.decode_downlink(&msg.encode()).unwrap(), msg);
+        }
+        for msg in refused.iter().chain(&allowed) {
+            let protected = amf.protect(&msg.encode()).encode();
+            assert_eq!(&ue.decode_downlink(&protected).unwrap(), msg);
+        }
     }
 
     #[test]

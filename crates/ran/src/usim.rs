@@ -34,7 +34,7 @@ pub struct Usim {
 impl std::fmt::Debug for Usim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Usim")
-            .field("supi", &self.supi.to_string())
+            .field("supi", &self.supi.as_str())
             .field("keys", &"<redacted>")
             .finish()
     }
@@ -63,7 +63,7 @@ impl Usim {
 
     /// The home PLMN the SIM is programmed for.
     #[must_use]
-    pub fn plmn(&self) -> &Plmn {
+    pub fn plmn(&self) -> Plmn {
         self.supi.plmn()
     }
 

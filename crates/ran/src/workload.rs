@@ -12,6 +12,7 @@
 //! only the next arrival, never the trace, and an arrival names its
 //! subscriber by population index (its SUPI is [`test_supi`] of it).
 
+use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_sim::rng::DetRng;
 use shield5g_sim::time::{SimDuration, SimTime};
 
@@ -41,8 +42,14 @@ pub struct WorkloadSpec {
 /// The SUPI of test subscriber `i` (PLMN 001/01, matching
 /// `shield5g_core::slice::Subscriber::test`).
 #[must_use]
+pub fn test_subscriber(i: u32) -> Supi {
+    Supi::numbered(Plmn::test_network(), u64::from(i) + 1, 10)
+}
+
+/// [`test_subscriber`]'s SUPI as text.
+#[must_use]
 pub fn test_supi(i: u32) -> String {
-    format!("imsi-00101{:010}", u64::from(i) + 1)
+    test_subscriber(i).to_string()
 }
 
 /// The Poisson arrival stream starting at `start`, drawn lazily: each

@@ -16,7 +16,7 @@ use crate::queue::QueueConfig;
 use shield5g_core::paka::PakaKind;
 use shield5g_core::stats::Summary;
 use shield5g_mw::RetryPolicy;
-use shield5g_ran::workload::{test_supi, WorkloadSpec};
+use shield5g_ran::workload::{test_subscriber, WorkloadSpec};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -111,13 +111,13 @@ pub fn probe_service_time(seed: u64) -> SimDuration {
             ..PoolConfig::default()
         },
     );
-    let supi = test_supi(0);
-    pool.provision_subscriber(&mut env, &supi, K);
+    let supi = test_subscriber(0);
+    pool.provision_subscriber(&mut env, supi.as_str(), K);
     let mut sqn = [0; 6];
     let id = pool.ready_ids()[0];
     let samples: Vec<SimDuration> = (0..25)
         .map(|_| {
-            let request = single_request(&mut env, &mut sqn, &supi);
+            let request = single_request(&mut env, &mut sqn, supi);
             let (resp, _, occupancy) = pool.serve_on(&mut env, id, request);
             assert!(resp.is_success());
             occupancy

@@ -42,6 +42,7 @@ use crate::metrics::{ClassReport, PoolReport, RecoveryStats, RecoveryTracker, Ru
 use crate::pool::{EnclavePool, FailoverReport, PoolConfig};
 use crate::router::ReplicaId;
 use shield5g_core::paka::PakaKind;
+use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
 use shield5g_nf::backend::{
@@ -49,7 +50,7 @@ use shield5g_nf::backend::{
 };
 use shield5g_nf::wire::Wire;
 use shield5g_obs::{hub as obs, labels};
-use shield5g_ran::workload::{poisson_arrivals, test_supi, WorkloadSpec};
+use shield5g_ran::workload::{poisson_arrivals, test_subscriber, WorkloadSpec};
 use shield5g_sim::engine::{
     Completion, Engine, PriorityClass, ERROR_HEADER, FAULT_HEADER, PRIORITY_HEADER,
 };
@@ -168,8 +169,9 @@ struct Run {
     policy: RetryPolicy,
     /// Jitter stream; `Some` iff the policy retries.
     retry_rng: Option<DetRng>,
-    /// `test_supi(i)` of every subscriber, then the probe subscriber's.
-    supis: Vec<String>,
+    /// `test_subscriber(i)` of every subscriber, then the probe
+    /// subscriber's.
+    supis: Vec<Supi>,
     cache: Option<AvCache>,
     /// Cache-off bookkeeping: the UDM's SQN generator per subscriber,
     /// indexed like `supis`; all zero before the first request.
@@ -235,7 +237,7 @@ impl Run {
                 self.recovery.success(finished);
                 if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
                     let avs = Vec::decode(&completion.response.body).expect("batch wire");
-                    let supi = &self.supis[pending.ue as usize];
+                    let supi = self.supis[pending.ue as usize].as_str();
                     c.put_batch(supi, avs);
                     // The missing request consumes the batch head itself.
                     let _ = c.pop_uncounted(supi);
@@ -267,7 +269,7 @@ impl Run {
                         SimDuration::from_nanos(rng.jitter(backoff.as_nanos(), self.policy.jitter));
                     // Not before `floor`: the engine has already run up to it.
                     let at = (finished + jittered).max(floor);
-                    let replica = pool.route(&self.supis[pending.ue as usize]);
+                    let replica = pool.route(self.supis[pending.ue as usize].as_str());
                     let addr = pool.replica(replica).addr();
                     let tag = engine.schedule_request(at, addr, req.clone());
                     self.in_flight.insert(
@@ -292,7 +294,7 @@ impl Run {
         let probe = self.supis.len() - 1;
         for replica in pool.due_probes(floor) {
             let addr = pool.replica(replica).addr();
-            let req = single_request(env, &mut self.sqn_counters[probe], &self.supis[probe]);
+            let req = single_request(env, &mut self.sqn_counters[probe], self.supis[probe]);
             let tag = engine.schedule_request(floor, addr, req);
             self.tallies.probes += 1;
             obs::count("pool", addr, labels::BREAKER_PROBES, 1);
@@ -324,10 +326,10 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     env.log.disable();
     let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
     let ues = sc.workload.ues as usize;
-    let supis: Vec<String> = (0..=sc.workload.ues).map(test_supi).collect();
+    let supis: Vec<Supi> = (0..=sc.workload.ues).map(test_subscriber).collect();
     let provisioned = if sc.health.is_some() { ues + 1 } else { ues };
     for supi in &supis[..provisioned] {
-        pool.provision_subscriber(&mut env, supi, K);
+        pool.provision_subscriber(&mut env, supi.as_str(), K);
     }
     if sc.thrash_pages > 0 {
         for replica in pool.replicas() {
@@ -377,7 +379,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         run.settle(&mut engine, &mut pool, &mut env, horizon, done);
 
         if sc.kill_at == Some(idx) {
-            let victim = pool.route(&run.supis[ue]);
+            let victim = pool.route(run.supis[ue].as_str());
             // Its pre-generated AVs die with the replica — purged against
             // the ring *before* the kill remaps it.
             if let Some(c) = run.cache.as_mut() {
@@ -388,7 +390,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             run.tallies.failover = Some(report);
         }
         if sc.crash_at == Some(idx) {
-            let module = pool.replica(pool.route(&run.supis[ue])).module();
+            let module = pool.replica(pool.route(run.supis[ue].as_str())).module();
             let mut m = module.borrow_mut();
             if m.inject_crash(&mut env) {
                 run.recovery.fault(env.clock.now());
@@ -412,7 +414,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         if run
             .cache
             .as_mut()
-            .is_some_and(|c| c.take(&run.supis[ue]).is_some())
+            .is_some_and(|c| c.take(run.supis[ue].as_str()).is_some())
         {
             let finish = horizon + SimDuration::from_nanos(CACHE_HIT_NANOS);
             run.recovery.success(finish);
@@ -426,15 +428,15 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         let browned_out = run.brownout.is_some_and(|b| b.active);
         let prefetch = run.cache.as_ref().filter(|_| !browned_out);
         let mut request = match prefetch {
-            Some(c) => batch_request(&mut env, c, &run.supis[ue]),
-            None => single_request(&mut env, &mut run.sqn_counters[ue], &run.supis[ue]),
+            Some(c) => batch_request(&mut env, c, run.supis[ue]),
+            None => single_request(&mut env, &mut run.sqn_counters[ue], run.supis[ue]),
         };
         let batch = prefetch.is_some();
         if class == PriorityClass::Emergency {
             request = request.with_header(PRIORITY_HEADER, "emergency");
         }
         run.tallies.retry.calls += 1;
-        let replica = pool.route(&run.supis[ue]);
+        let replica = pool.route(run.supis[ue].as_str());
         let copy = run.retry_rng.is_some().then(|| request.clone());
         let tag = engine.schedule_request(horizon, pool.replica(replica).addr(), request);
         run.in_flight.insert(
@@ -484,15 +486,15 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
 }
 
 fn snn() -> ServingNetworkName {
-    ServingNetworkName::new("001", "01")
+    ServingNetworkName::of(&Plmn::test_network())
 }
 
 /// One single-AV request for `supi`, stepping its SQN counter `sqn`
 /// (zero before the first request, so that one carries SQN 1).
-pub(crate) fn single_request(env: &mut Env, sqn: &mut [u8; 6], supi: &str) -> HttpRequest {
+pub(crate) fn single_request(env: &mut Env, sqn: &mut [u8; 6], supi: Supi) -> HttpRequest {
     *sqn = sqn_add(sqn, 1);
     GenerateAv::request(&UdmAkaRequest {
-        supi: supi.into(),
+        supi,
         opc: OPC.into(),
         rand: env.rng.bytes(),
         sqn: *sqn,
@@ -501,12 +503,12 @@ pub(crate) fn single_request(env: &mut Env, sqn: &mut [u8; 6], supi: &str) -> Ht
     })
 }
 
-fn batch_request(env: &mut Env, cache: &AvCache, supi: &str) -> HttpRequest {
+fn batch_request(env: &mut Env, cache: &AvCache, supi: Supi) -> HttpRequest {
     GenerateAvBatch::request(&UdmAkaBatchRequest {
-        supi: supi.into(),
+        supi,
         opc: OPC.into(),
         rand_seed: env.rng.bytes(),
-        sqn_start: cache.next_sqn(supi),
+        sqn_start: cache.next_sqn(supi.as_str()),
         amf_field: [0x80, 0],
         snn: snn(),
         count: cache.batch_size(),

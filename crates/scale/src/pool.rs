@@ -16,6 +16,8 @@ use crate::health::{HealthEvent, HealthPolicy, HealthTracker};
 use crate::queue::QueueConfig;
 use crate::router::{HashRing, ReplicaId};
 use shield5g_core::paka::{populate_registry, PakaKind, PakaModule, ServeMetrics, SgxConfig};
+use shield5g_crypto::ident::{Plmn, Supi};
+use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::host::Host;
@@ -696,15 +698,16 @@ impl EnclavePool {
 }
 
 /// The eUDM preheat probe: a valid AV request for a reserved SUPI no
-/// operator provisions.
+/// operator provisions, `imsi-00101999999999`.
 fn warmup_udm_request() -> UdmAkaRequest {
+    let home = Plmn::test_network();
     UdmAkaRequest {
-        supi: "imsi-00101999999999".into(),
+        supi: Supi::numbered(home, 999_999_999, 9),
         opc: [0; 16].into(),
         rand: [0; 16],
         sqn: [0; 6],
         amf_field: [0x80, 0],
-        snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
+        snn: ServingNetworkName::of(&home),
     }
 }
 
@@ -733,7 +736,7 @@ mod tests {
 
     fn av_request(supi: &str) -> HttpRequest {
         GenerateAv::request(&UdmAkaRequest {
-            supi: supi.into(),
+            supi: Supi::parse(supi).unwrap(),
             opc: [0xcd; 16].into(),
             rand: [0x23; 16],
             sqn: [0, 0, 0, 0, 0, 1],

@@ -3,7 +3,7 @@
 # ROADMAP item 4's reopen rule asks for. Not part of check.sh or CI; needs
 # gcc, nm and python3 besides cargo.
 #
-#   scripts/profile.sh <workload> [seconds] [frame]
+#   scripts/profile.sh [--allocs] <workload> [seconds] [frame]
 #
 # Builds benchmark/ with frame pointers into target/profile, preloads
 # scripts/profile_sampler.c (SIGALRM every 200 us, rbp walk) and prints the
@@ -12,9 +12,15 @@
 # defaults to the timed phase: RegWorld::op for reg_*, fault_sweep for
 # pool_faulted, pool_sweep otherwise. --seconds 40 gives about 8k timed
 # samples on pool_open.
+#
+# --allocs preloads scripts/alloc_sampler.c instead: one sample per 4th
+# malloc/calloc/realloc on the main thread, so a sample is 4 allocations
+# and the inclusive list names the sites that allocate.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+sampler=profile_sampler
+if [ "${1:-}" = --allocs ]; then sampler=alloc_sampler; shift; fi
+[ $# -ge 1 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 workload="$1" seconds="${2:-10}"
 case "$workload" in
@@ -27,10 +33,10 @@ frame="${3:-$frame}"
 dir="$root/target/profile"
 RUSTFLAGS="-C force-frame-pointers=yes -C debuginfo=1" CARGO_TARGET_DIR="$dir" \
   cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
-gcc -O2 -shared -fPIC -o "$dir/profile_sampler.so" "$root/scripts/profile_sampler.c"
+gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o "$dir/$sampler.so" "$root/scripts/$sampler.c"
 
 bin="$dir/release/shield5g-benchmark"
-PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$dir/profile_sampler.so" \
+PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$dir/$sampler.so" \
   "$bin" --workload "$workload" --seed 300 --seconds "$seconds" --trace 0 \
   --out "$dir/out" --repo "$root" > "$dir/run.log"
 tail -n 1 "$dir/run.log" | cut -c 1-200

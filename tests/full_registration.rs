@@ -107,7 +107,7 @@ fn subscriber_with_wrong_key_is_rejected() {
     // RES*, and the SEAF's HRES* check must fail.
     let sub = &slice.subscribers[0];
     let usim = shield5g::ran::usim::Usim::program(
-        sub.supi.clone(),
+        sub.supi,
         [0xEE; 16], // wrong K
         sub.opc,
         slice.hn_key_id,

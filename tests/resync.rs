@@ -90,7 +90,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     pool.provision_subscriber(&mut env, &supi, sub.k);
 
     let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
-    let mut usim = Usim::program(sub.supi.clone(), sub.k, sub.opc, 1, hn.public().clone());
+    let mut usim = Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
     let snn = ServingNetworkName::new("001", "01");
 
     // The frontend owns the home-network SQN authority: a generator
@@ -110,12 +110,12 @@ fn pool_failover_resync_restores_the_av_stream() {
 
     let batch_req = |env: &mut Env, cache: &AvCache| {
         GenerateAvBatch::request(&UdmAkaBatchRequest {
-            supi: supi.clone(),
+            supi: sub.supi,
             opc: sub.opc.into(),
             rand_seed: env.rng.bytes(),
             sqn_start: cache.next_sqn(&supi),
             amf_field: [0x80, 0],
-            snn: snn.clone(),
+            snn,
             count: cache.batch_size(),
         })
     };
@@ -160,7 +160,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     // AUTS → the promoted replica's resync endpoint. It recovers SQN_MS
     // under the subscriber key it was provisioned with.
     let resync = UdmAkaResyncRequest {
-        supi: supi.clone(),
+        supi: sub.supi,
         opc: sub.opc.into(),
         rand: stale.rand,
         auts,

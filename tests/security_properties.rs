@@ -242,13 +242,7 @@ fn suci_concealment_hides_the_imsi_on_the_air() {
     let mut env = Env::new(18);
     let sub = shield5g::core::slice::Subscriber::test(0);
     let hn = shield5g::crypto::ecies::HomeNetworkKeyPair::from_private(1, [3; 32]);
-    let usim = shield5g::ran::usim::Usim::program(
-        sub.supi.clone(),
-        sub.k,
-        sub.opc,
-        1,
-        hn.public().clone(),
-    );
+    let usim = shield5g::ran::usim::Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
     let suci = usim.conceal_identity(&mut env);
     let nas = shield5g::nf::messages::NasUplink::RegistrationRequest {
         identity: shield5g::nf::messages::UeIdentity::Suci(suci),
