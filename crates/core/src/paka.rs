@@ -14,6 +14,7 @@
 //! an OCALL and secrets live in the encrypted enclave vault.
 
 use crate::CoreError;
+use shield5g_crypto::secret::{KeySink, SecretBytes};
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_infra::host::{ContainerHandle, Host};
 use shield5g_infra::image::{ContainerImage, Registry};
@@ -220,6 +221,27 @@ impl std::fmt::Debug for PakaModule {
             .field("shielded", &self.shielded)
             .field("requests_served", &self.requests_served)
             .finish()
+    }
+}
+
+/// A module's working memory, where a row leaves the key it derived: the
+/// EPC vault when shielded, the container's plain memory otherwise. One of
+/// the two places a `SecretBytes` may copy its bytes to (see
+/// `shield5g_crypto::secret`); only [`PakaModule::store_scratch`] builds one.
+struct Scratch<'a> {
+    container: &'a ContainerHandle,
+    env: &'a mut Env,
+    slot: &'static str,
+}
+
+impl KeySink for Scratch<'_> {
+    fn put_key(&mut self, key: &[u8]) {
+        let mut c = self.container.borrow_mut();
+        if let Some(libos) = c.shielded.as_mut() {
+            libos.enclave_mut().vault_write(self.env, self.slot, key);
+        } else {
+            c.plain_memory.write(self.slot.to_owned(), key.to_vec());
+        }
     }
 }
 
@@ -496,7 +518,11 @@ impl PakaModule {
         }
     }
 
-    fn load_subscriber_key(&mut self, env: &mut Env, supi: &str) -> Result<[u8; 16], NfError> {
+    fn load_subscriber_key(
+        &mut self,
+        env: &mut Env,
+        supi: &str,
+    ) -> Result<SecretBytes<16>, NfError> {
         let slot = &mut self.key_slot;
         slot.clear();
         slot.push_str("k:");
@@ -520,16 +546,17 @@ impl PakaModule {
         };
         bytes
             .try_into()
+            .map(SecretBytes::new)
             .map_err(|_| NfError::Backend("stored key has wrong length".into()))
     }
 
-    fn store_scratch(&self, env: &mut Env, slot: &str, bytes: &[u8]) {
-        let mut c = self.container.borrow_mut();
-        if let Some(libos) = c.shielded.as_mut() {
-            libos.enclave_mut().vault_write(env, slot, bytes);
-        } else {
-            c.plain_memory.write(slot.to_owned(), bytes.to_vec());
-        }
+    /// Leaves `key` in the module's working memory under `slot`.
+    fn store_scratch(&self, env: &mut Env, slot: &'static str, key: &SecretBytes<32>) {
+        key.write_to(&mut Scratch {
+            container: &self.container,
+            env,
+            slot,
+        });
     }
 
     /// Runs one row of the operation table with `K` from this module's
@@ -539,7 +566,7 @@ impl PakaModule {
         &mut self,
         env: &mut Env,
         body: &[u8],
-        scratch: impl FnOnce(&O::Response) -> Option<(&'static str, &[u8])>,
+        scratch: impl FnOnce(&O::Response) -> Option<(&'static str, &SecretBytes<32>)>,
     ) -> Result<Vec<u8>, NfError> {
         let req = O::Request::decode(body)?;
         let resp = O::compute(&req, |supi| self.load_subscriber_key(env, supi))?;
@@ -560,20 +587,19 @@ impl PakaModule {
     fn dispatch(&mut self, env: &mut Env, path: &str, body: &[u8]) -> Result<Vec<u8>, NfError> {
         match (self.kind, path) {
             (PakaKind::EUdm, GenerateAv::PATH) => {
-                self.run::<GenerateAv>(env, body, |av| Some(("scratch:kausf", av.kausf.expose())))
+                self.run::<GenerateAv>(env, body, |av| Some(("scratch:kausf", &av.kausf)))
             }
             (PakaKind::EUdm, GenerateAvBatch::PATH) => {
                 self.run::<GenerateAvBatch>(env, body, |avs| {
-                    avs.last()
-                        .map(|av| ("scratch:kausf", &av.kausf.expose()[..]))
+                    avs.last().map(|av| ("scratch:kausf", &av.kausf))
                 })
             }
             (PakaKind::EUdm, Resync::PATH) => self.run::<Resync>(env, body, |_| None),
             (PakaKind::EAusf, DeriveSe::PATH) => {
-                self.run::<DeriveSe>(env, body, |se| Some(("scratch:kseaf", se.kseaf.expose())))
+                self.run::<DeriveSe>(env, body, |se| Some(("scratch:kseaf", &se.kseaf)))
             }
             (PakaKind::EAmf, DeriveKamf::PATH) => {
-                self.run::<DeriveKamf>(env, body, |kamf| Some(("scratch:kamf", kamf.expose())))
+                self.run::<DeriveKamf>(env, body, |kamf| Some(("scratch:kamf", kamf)))
             }
             _ => Err(NfError::Protocol(format!(
                 "module {} has no handler for {path}",
@@ -1195,7 +1221,7 @@ mod tests {
         assert!(resp.is_success());
         assert_eq!(
             resp.body,
-            shield5g_crypto::keys::derive_kamf(&[4; 32], SUPI, &[0, 0]).to_vec()
+            shield5g_crypto::keys::derive_kamf(&[4; 32].into(), SUPI, &[0, 0]).encode()
         );
     }
 

@@ -336,7 +336,6 @@ mod tests {
     use crate::paka::{populate_registry, SgxConfig};
     use shield5g_crypto::keys::{self, HeAv, ServingNetworkName};
     use shield5g_crypto::milenage::Milenage;
-    use shield5g_crypto::secret::SecretBytes;
     use shield5g_crypto::sqn::Auts;
     use shield5g_crypto::CryptoError;
     use shield5g_hmee::platform::SgxPlatform;
@@ -506,7 +505,7 @@ mod tests {
         check_row::<DeriveSe>(PakaKind::EAusf, &se, |out| {
             let expected = AusfAkaResponse {
                 hxres_star: keys::derive_hxres_star(&[1; 16], &[2; 16]),
-                kseaf: keys::derive_kseaf(&[3; 32], &snn()).into(),
+                kseaf: keys::derive_kseaf(&[3; 32].into(), &snn()),
             };
             assert_eq!(out, &expected);
         });
@@ -516,10 +515,7 @@ mod tests {
             abba: [0, 0],
         };
         check_row::<DeriveKamf>(PakaKind::EAmf, &kamf, |out| {
-            assert_eq!(
-                out,
-                &SecretBytes::new(keys::derive_kamf(&[4; 32], SUPI, &[0, 0]))
-            );
+            assert_eq!(out, &keys::derive_kamf(&[4; 32].into(), SUPI, &[0, 0]));
         });
     }
 

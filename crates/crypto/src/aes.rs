@@ -238,6 +238,14 @@ impl Aes128 {
     }
 }
 
+/// The schedule of a key held as a secret (a NAS ciphering key), with no
+/// copy of its bytes outside the container.
+impl From<&crate::secret::SecretBytes<16>> for Aes128 {
+    fn from(key: &crate::secret::SecretBytes<16>) -> Self {
+        Aes128::new(key.expose())
+    }
+}
+
 /// One full round on column words. Column `c` of the output takes its
 /// row-`r` byte from column `c + r` of the input (`ShiftRows`); the table
 /// lookup does `SubBytes` and `MixColumns`.

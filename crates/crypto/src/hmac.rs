@@ -15,7 +15,7 @@
 //! assert_eq!(mac.finalize(), hmac_sha256(b"key", b"message"));
 //! ```
 
-use crate::secret::Zeroize;
+use crate::secret::{SecretBytes, Zeroize};
 use crate::sha256::Sha256;
 
 /// SHA-256 block size in bytes.
@@ -77,6 +77,14 @@ impl HmacKey {
             inner: Sha256::resume(self.inner),
             key: self.clone(),
         }
+    }
+}
+
+/// A key held as a secret (K_SEAF, K_AMF, a NAS integrity key), prepared
+/// with no copy of its bytes outside the container.
+impl<const N: usize> From<&SecretBytes<N>> for HmacKey {
+    fn from(key: &SecretBytes<N>) -> Self {
+        HmacKey::new(key.expose())
     }
 }
 

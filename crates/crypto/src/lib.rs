@@ -44,7 +44,10 @@
 //! let snn = ServingNetworkName::new("001", "01");
 //! let av = keys::generate_he_av(&mil, &rand, &sqn, &amf, &snn);
 //! assert_eq!(av.autn.len(), 16);
-//! assert_eq!(av.kausf.expose().len(), 32);
+//! // K_AUSF is a 32-byte secret: comparable, never printable.
+//! let kseaf = keys::derive_kseaf(&av.kausf, &snn);
+//! assert_ne!(kseaf, av.kausf);
+//! assert_eq!(format!("{:?}", av.kausf), "<redacted>");
 //! # }
 //! ```
 //!

@@ -14,7 +14,9 @@
 //! let mil = Milenage::with_op(&[0x46; 16], &[0xcd; 16]);
 //! let out = mil.f2345(&[0x23; 16]);
 //! assert_eq!(out.res.len(), 8);
-//! assert_eq!(out.ck.expose().len(), 16);
+//! // CK and IK are 16-byte secrets: comparable, never printable.
+//! assert_ne!(out.ck, out.ik);
+//! assert_eq!(format!("{:?}", out.ck), "<redacted>");
 //! ```
 
 use crate::aes::Aes128;
@@ -95,10 +97,11 @@ impl Milenage {
         }
     }
 
-    /// The derived (or provided) `OPc` value.
+    /// [`Milenage::with_opc`] over a `K` and `OPc` held as secrets: the
+    /// form a network function or P-AKA module keys it from.
     #[must_use]
-    pub fn opc(&self) -> &[u8; 16] {
-        self.opc.expose()
+    pub fn new(k: &SecretBytes<16>, opc: &SecretBytes<16>) -> Self {
+        Self::with_opc(k.expose(), opc.expose())
     }
 
     /// `TEMP = E_K(RAND ⊕ OPc)`.
@@ -209,7 +212,10 @@ mod tests {
     #[test]
     fn test_set_1_opc() {
         let (mil, _, _, _) = test_set_1();
-        assert_eq!(hex::encode(mil.opc()), "cd63cb71954a9f4e48a5994e37a02baf");
+        assert_eq!(
+            hex::encode(mil.opc.expose()),
+            "cd63cb71954a9f4e48a5994e37a02baf"
+        );
     }
 
     #[test]
@@ -248,7 +254,7 @@ mod tests {
     fn with_opc_matches_with_op() {
         let (mil, rand, sqn, amf) = test_set_1();
         let k = hex::decode_array::<16>("465b5ce8b199b49faa5f0a2ee238a6bc").unwrap();
-        let opc = *mil.opc();
+        let opc = *mil.opc.expose();
         let mil2 = Milenage::with_opc(&k, &opc);
         assert_eq!(mil.f1(&rand, &sqn, &amf), mil2.f1(&rand, &sqn, &amf));
         assert_eq!(mil.f2345(&rand).res, mil2.f2345(&rand).res);

@@ -1,5 +1,6 @@
 //! Secret-material containers: zeroize-on-drop, redacted `Debug`,
-//! constant-time comparison.
+//! constant-time comparison, and no way to read the bytes from outside
+//! this crate.
 //!
 //! The paper's threat model (§III) assumes an attacker who can read VNF
 //! memory and logs; the enclave split keeps long-lived keys out of both.
@@ -10,11 +11,43 @@
 //!
 //! * `{:?}`/`{}` formatting can never print the bytes (no accidental
 //!   log/trace leak — the failure mode 5Greplay-style fuzzing surfaces),
-//! * equality is constant-time (via [`crate::ct_eq`]), and
-//! * the bytes are wiped when the value is dropped.
+//! * equality is constant-time (via [`crate::ct_eq`]),
+//! * the bytes are wiped when the value is dropped, and
+//! * code outside this crate cannot hold them as a `&[u8; N]`: read
+//!   access (`expose`) is crate-private, and every primitive a network
+//!   function keys — Milenage, AES, HMAC, the K_SEAF/K_AMF/NAS
+//!   derivations — takes the container itself.
 //!
-//! `shield5g-lint`'s secret-hygiene rules (SH001–SH003) enforce that the
-//! registered secret-bearing types actually use these wrappers.
+//! The compiler enforces the last point. Formatting a key's raw bytes
+//! from another crate does not build:
+//!
+//! ```compile_fail,E0624
+//! use shield5g_crypto::secret::SecretBytes;
+//! let key = SecretBytes::new([0x46u8; 16]);
+//! assert_eq!(format!("{:?}", key.expose()), "<redacted>");
+//! ```
+//!
+//! while its twin without the `expose` call does, and prints nothing:
+//!
+//! ```
+//! use shield5g_crypto::secret::SecretBytes;
+//! let key = SecretBytes::new([0x46u8; 16]);
+//! assert_eq!(format!("{:?}", key), "<redacted>");
+//! ```
+//!
+//! Key bytes still have to leave the container in exactly two places,
+//! and both go through one [`KeySink`] call, [`SecretBytes::write_to`]:
+//! a wire encoder (`shield5g_sim::codec::Writer`), which carries K_AUSF,
+//! K_SEAF and K_AMF between a network function and its P-AKA module
+//! (Table I counts those bytes), and a P-AKA module's
+//! working memory (the EPC vault, or a container's plain memory), where
+//! the module leaves the key it derived. Anything else that needs the
+//! bytes is a crypto primitive and lives here.
+//!
+//! What the types cannot see, `shield5g-lint` still polices: SH001–SH003
+//! check that each registered key-bearing struct redacts its
+//! `Debug`/`Display`/`Serialize` output, stores no raw key array without
+//! one, and zeroizes on drop.
 
 use std::fmt;
 
@@ -74,9 +107,9 @@ impl<T: Zeroize> Zeroize for Vec<T> {
 /// A fixed-size block of secret bytes.
 ///
 /// Construction is explicit ([`SecretBytes::new`] / `From<[u8; N]>`);
-/// read access is explicit ([`SecretBytes::expose`]) so key uses are
-/// grep-able. `Debug` prints `<redacted>`, `PartialEq` is constant-time,
-/// and `Drop` zeroizes.
+/// the bytes leave only into a crypto primitive of this crate or, through
+/// [`SecretBytes::write_to`], a [`KeySink`]. `Debug` prints `<redacted>`,
+/// `PartialEq` is constant-time, and `Drop` zeroizes.
 #[derive(Clone)]
 pub struct SecretBytes<const N: usize>([u8; N]);
 
@@ -87,11 +120,26 @@ impl<const N: usize> SecretBytes<N> {
         SecretBytes(bytes)
     }
 
-    /// Explicit read access to the wrapped bytes.
+    /// Read access for this crate's primitives.
     #[must_use]
-    pub fn expose(&self) -> &[u8; N] {
+    pub(crate) fn expose(&self) -> &[u8; N] {
         &self.0
     }
+
+    /// Copies the key into `sink`: the one way its bytes leave this crate.
+    pub fn write_to(&self, sink: &mut impl KeySink) {
+        sink.put_key(&self.0);
+    }
+}
+
+/// A place key bytes may be written in the clear. There are two (see the
+/// module docs): the wire encoder `shield5g_sim::codec::Writer`, and a
+/// P-AKA module's working memory in `shield5g-core`. Each implements this
+/// trait once; a third implementation is a third exit and needs the same
+/// justification.
+pub trait KeySink {
+    /// Takes a copy of a key's bytes.
+    fn put_key(&mut self, key: &[u8]);
 }
 
 impl<const N: usize> From<[u8; N]> for SecretBytes<N> {
@@ -149,16 +197,10 @@ impl<T: Zeroize> Secret<T> {
         Secret(value)
     }
 
-    /// Explicit read access to the wrapped value.
+    /// Read access for this crate's primitives.
     #[must_use]
-    pub fn expose(&self) -> &T {
+    pub(crate) fn expose(&self) -> &T {
         &self.0
-    }
-
-    /// Explicit mutable access to the wrapped value.
-    #[must_use]
-    pub fn expose_mut(&mut self) -> &mut T {
-        &mut self.0
     }
 }
 
@@ -232,10 +274,22 @@ mod tests {
 
     #[test]
     fn secret_generic_round_trip() {
-        let mut g = Secret::new(vec![1u8, 2, 3]);
-        g.expose_mut().push(4);
+        let g = Secret::new(vec![1u8, 2, 3, 4]);
         assert_eq!(g.expose().as_slice(), &[1, 2, 3, 4]);
         let h = g.clone();
         assert_eq!(h.expose(), g.expose());
+    }
+
+    #[test]
+    fn write_to_appends_the_key_to_its_sink() {
+        struct Collect(Vec<u8>);
+        impl KeySink for Collect {
+            fn put_key(&mut self, key: &[u8]) {
+                self.0.extend_from_slice(key);
+            }
+        }
+        let mut sink = Collect(vec![0xEE]);
+        SecretBytes::new([1, 2, 3]).write_to(&mut sink);
+        assert_eq!(sink.0, [0xEE, 1, 2, 3]);
     }
 }

@@ -360,12 +360,17 @@ impl Enclave {
         end_ns: u64,
         events: &[(&'static str, u64)],
     ) {
-        let span = obs::open_span(SpanKind::Enclave, &self.name, name, start_ns);
+        obs::record_span(
+            SpanKind::Enclave,
+            &self.name,
+            name,
+            start_ns,
+            end_ns,
+            events,
+        );
         for &(event, n) in events {
-            obs::span_attr(span, event, n);
             obs::count(&self.name, "sgx", event, n);
         }
-        obs::close_span(span, end_ns);
     }
 
     /// Enters the enclave on a new thread (`ECALL`).

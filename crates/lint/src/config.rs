@@ -38,34 +38,11 @@ pub struct Config {
     /// Per-crate panic budget (rule PB001), loaded from the checked-in
     /// baseline. Crates not listed have budget zero.
     pub panic_budget: Vec<(String, usize)>,
-    /// Secret container type names (rule SH004): values of these types
-    /// redact and zeroize, so holding or returning one is safe — taint
-    /// starts where the *raw bytes* come out.
-    pub secret_containers: Vec<String>,
-    /// Accessor method names that yield raw bytes from a container
-    /// (rule SH004 sources).
-    pub taint_source_methods: Vec<String>,
-    /// Format-family macros that render their arguments (SH004 sinks).
-    pub taint_sink_macros: Vec<String>,
-    /// Functions whose arguments end up in exported artifacts or the
-    /// engine trace (SH004 policy sinks): `obs::hub` metrics and span
-    /// attrs, the artifact writer.
-    pub taint_sink_fns: Vec<String>,
-    /// Interprocedural propagation bound: summary fixpoint rounds, i.e.
-    /// the maximum call depth a flow is tracked across.
-    pub taint_depth: usize,
     /// Declared middleware layer partial order (rule MW002):
     /// `(outer, inner)` pairs — when both appear in one `Stack::with`
     /// chain, `outer` must be added first. Mirrors the dynamic
     /// permutation pins in `crates/mw/tests/layers.rs`.
     pub layer_order: Vec<(String, String)>,
-    /// Span-opening hub functions (rule OB001).
-    pub span_open_fns: Vec<String>,
-    /// Span-closing hub functions (rule OB001).
-    pub span_close_fns: Vec<String>,
-    /// Path prefixes implementing the span machinery itself, exempt
-    /// from OB001 (opening without closing *is* their API).
-    pub span_impl_dirs: Vec<String>,
     /// Path suffixes of files that must be straight-line outside
     /// `cfg(test)` (rule CT001): arithmetic on secret-derived values,
     /// where a branch would make timing depend on the key.
@@ -158,33 +135,6 @@ impl Config {
             ],
             mw_boundary_dirs: vec![s("crates/nf/src")],
             panic_budget: Vec::new(),
-            secret_containers: vec![s("SecretBytes"), s("Secret")],
-            taint_source_methods: vec![s("expose"), s("expose_mut")],
-            taint_sink_macros: vec![
-                s("format"),
-                s("print"),
-                s("println"),
-                s("eprint"),
-                s("eprintln"),
-                s("write"),
-                s("writeln"),
-                s("panic"),
-                s("todo"),
-                s("unimplemented"),
-                s("dbg"),
-            ],
-            taint_sink_fns: vec![
-                // obs::hub metric values and span attributes land in
-                // the Prometheus/JSONL exports verbatim.
-                s("count"),
-                s("gauge"),
-                s("gauge_max"),
-                s("observe"),
-                s("span_attr"),
-                // The obs artifact writer.
-                s("write_artifact"),
-            ],
-            taint_depth: 4,
             layer_order: vec![
                 // The pairs `crates/mw/tests/layers.rs` pins dynamically:
                 // obs counts shed arrivals only from outside admission;
@@ -203,9 +153,6 @@ impl Config {
                 (s("BreakerLayer"), s("FaultLayer")),
                 (s("BreakerLayer"), s("RetryLayer")),
             ],
-            span_open_fns: vec![s("open_span"), s("open_child")],
-            span_close_fns: vec![s("close_span")],
-            span_impl_dirs: vec![s("crates/obs/src")],
             constant_time_files: vec![
                 s("crates/crypto/src/x25519.rs"),
                 s("crates/crypto/src/x25519/comb.rs"),

@@ -1,7 +1,9 @@
 //! `shield5g-lint`: project-specific static analysis for the shield5g
 //! workspace.
 //!
-//! Four rule families, each guarding an invariant the compiler cannot:
+//! Rule families, each guarding an invariant the compiler cannot (what a
+//! type can hold — raw key bytes stay inside `shield5g_crypto`, spans
+//! close — is held by a type or a runtime check instead, not here):
 //!
 //! * **Secret hygiene** (SH001–SH003) — registered key-bearing types
 //!   must redact `Debug`/`Display`/`Serialize` output and zeroize on
@@ -17,15 +19,9 @@
 //! * **Middleware boundary** (MW001) — NF service crates must not
 //!   construct retriers, consult fault injectors, or manage admission
 //!   queues; those concerns live in the `shield5g-mw` layer stack.
-//! * **Secret taint** (SH004) — raw secret bytes (`.expose()` results,
-//!   secret-returning helpers) must not flow — across function calls —
-//!   into format macros, `obs::hub` metric/span values, or exporter
-//!   writes. Interprocedural: see [`taint`].
 //! * **Layer order** (MW002) — `Stack::with` chains must respect the
 //!   declared layer partial order (obs outside admission, deadline
 //!   outside retry, admission outside fault).
-//! * **Span discipline** (OB001) — a non-RAII hub span opened in a
-//!   function must be closed on every return path of that function.
 //! * **Constant time** (CT001) — files of field arithmetic on
 //!   secret-derived values (`constant_time_files`) contain no `if`,
 //!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
@@ -38,23 +34,18 @@
 //!
 //! The linter is dependency-free: a small lexer ([`lexer`]) blanks
 //! comments and literal bodies so the rules can use honest substring
-//! and word matching, with `#[cfg(test)]` spans excluded. On top of
-//! the lexer sit an item/signature parser and workspace symbol graph
-//! ([`symbols`]), a name-resolved call graph ([`callgraph`]), and the
-//! bounded interprocedural taint pass ([`taint`]) that powers SH004.
-//! [`emit`] renders findings as JSON or SARIF for CI annotation.
+//! and word matching, with `#[cfg(test)]` spans excluded; every rule is
+//! a pass over one file's lexed text. [`emit`] renders findings as JSON
+//! or SARIF for CI annotation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod config;
 pub mod emit;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
-pub mod symbols;
-pub mod taint;
 
 use config::Config;
 use scan::FileAnalysis;
@@ -93,9 +84,9 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-/// Runs every rule family — per-file passes, then the graph-powered
-/// interprocedural passes, then suppression hygiene (which must come
-/// last: it audits the markers the other passes consumed).
+/// Runs every rule family — per-file passes, then the per-crate panic
+/// budget, then suppression hygiene (which must come last: it audits the
+/// markers the other passes consumed).
 #[must_use]
 pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();
@@ -107,9 +98,6 @@ pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
         rules::layer_order::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);
     }
-    let graph = symbols::SymbolGraph::build(analyses);
-    rules::secret_taint::check(analyses, &graph, config, &mut findings);
-    rules::span_discipline::check(analyses, &graph, config, &mut findings);
     let panic_counts = rules::panic_budget::count(analyses);
     rules::panic_budget::check(&panic_counts, &config.panic_budget, &mut findings);
     rules::suppressions::check(analyses, &mut findings);

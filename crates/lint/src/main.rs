@@ -56,8 +56,8 @@ fn main() -> ExitCode {
             "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 println!(
-                    "shield5g-lint: secret-hygiene/taint, enclave-boundary, determinism, \
-                     layer-order, span-discipline and panic-budget checks\n\n\
+                    "shield5g-lint: secret-hygiene, enclave-boundary, determinism, \
+                     panic-budget, mw-boundary, layer-order and constant-time checks\n\n\
                      USAGE: shield5g-lint [--root PATH] [--format text|json|sarif] \
                      [--update-baseline]"
                 );

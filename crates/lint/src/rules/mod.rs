@@ -12,6 +12,4 @@ pub mod layer_order;
 pub mod mw_boundary;
 pub mod panic_budget;
 pub mod secret_hygiene;
-pub mod secret_taint;
-pub mod span_discipline;
 pub mod suppressions;

@@ -13,7 +13,7 @@
 use crate::scan::FileAnalysis;
 use crate::Finding;
 
-/// Matches rule identifiers (`SH004`, `PB001` …) so prose mentions of
+/// Matches rule identifiers (`SH001`, `PB001` …) so prose mentions of
 /// `allow(RULE)` in docs are not treated as markers.
 fn is_rule_id(s: &str) -> bool {
     s.len() == 5

@@ -22,10 +22,8 @@ pub struct FileAnalysis {
 
 /// Is this path an integration-test tree (workspace `tests/` or a
 /// crate's `tests/` directory)? Such files are exercised by the panic
-/// budget and the per-file pattern rules, but the graph rules
-/// (SH004/MW002/OB001) skip them: tests legitimately format key
-/// material to assert redaction and compose mis-ordered stacks on
-/// purpose.
+/// budget and the per-file pattern rules, but the layer-order rule
+/// (MW002) skips them: tests compose mis-ordered stacks on purpose.
 #[must_use]
 pub fn is_test_path(rel_path: &str) -> bool {
     rel_path.starts_with("tests/") || rel_path.contains("/tests/")

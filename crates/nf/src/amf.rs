@@ -19,6 +19,7 @@ use crate::wire::Wire;
 use crate::NfError;
 use shield5g_crypto::ident::{Guti, Supi};
 use shield5g_crypto::keys::derive_hxres_star;
+use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::Writer;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
@@ -258,8 +259,8 @@ impl AmfService {
     }
 
     /// With K_AMF in hand: activate NAS security and command the UE.
-    fn enter_security_mode(&mut self, ran_ue_id: u64, supi: Supi, kamf: &[u8; 32]) -> Step {
-        let sec = NasSecurityContext::from_kamf(kamf, false);
+    fn enter_security_mode(&mut self, ran_ue_id: u64, supi: Supi, kamf: &SecretBytes<32>) -> Step {
+        let sec = NasSecurityContext::new(kamf, false);
         self.contexts
             .insert(ran_ue_id, UeState::SecurityMode { supi, sec });
         self.finish_ngap(
@@ -637,9 +638,7 @@ impl AmfService {
                     abba: ABBA,
                 };
                 match self.backend.begin(env, &req) {
-                    BackendOp::Done(kamf) => {
-                        Ok(self.enter_security_mode(ran_ue_id, supi, kamf?.expose()))
-                    }
+                    BackendOp::Done(kamf) => Ok(self.enter_security_mode(ran_ue_id, supi, &kamf?)),
                     BackendOp::Call { dest, req, token } => Ok(Step::CallOut {
                         dest,
                         req,
@@ -657,7 +656,7 @@ impl AmfService {
                 token,
             } => {
                 let kamf = self.backend.finish(env, token, resp)?;
-                Ok(self.enter_security_mode(ran_ue_id, supi, kamf.expose()))
+                Ok(self.enter_security_mode(ran_ue_id, supi, &kamf))
             }
             AmfFlow::AwaitSupiResolve {
                 ran_ue_id,

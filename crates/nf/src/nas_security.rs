@@ -88,15 +88,21 @@ impl NasSecurityContext {
     /// Derives a context from K_AMF. `uplink_sender` is true for the UE
     /// side (sends uplink, receives downlink) and false for the AMF side.
     #[must_use]
-    pub fn from_kamf(kamf: &[u8; 32], uplink_sender: bool) -> Self {
-        let kamf = HmacKey::new(kamf);
+    pub fn new(kamf: &SecretBytes<32>, uplink_sender: bool) -> Self {
+        let kamf = HmacKey::from(kamf);
         NasSecurityContext {
-            knas_int: HmacKey::new(&derive_nas_key(&kamf, 0x02, INTEGRITY_ALG_HMAC)),
-            knas_enc: SecretBytes::new(derive_nas_key(&kamf, 0x01, CIPHER_ALG_AES)),
+            knas_int: HmacKey::from(&derive_nas_key(&kamf, 0x02, INTEGRITY_ALG_HMAC)),
+            knas_enc: derive_nas_key(&kamf, 0x01, CIPHER_ALG_AES),
             uplink: uplink_sender,
             tx_count: 0,
             rx_count: 0,
         }
+    }
+
+    /// [`NasSecurityContext::new`] from a literal K_AMF (tests, benchmarks).
+    #[must_use]
+    pub fn from_kamf(kamf: &[u8; 32], uplink_sender: bool) -> Self {
+        Self::new(&SecretBytes::new(*kamf), uplink_sender)
     }
 
     fn keystream_nonce(count: u32, uplink: bool) -> [u8; 16] {
@@ -123,8 +129,7 @@ impl NasSecurityContext {
     fn seal(&mut self, body: &mut [u8]) -> [u8; 4] {
         let count = self.tx_count;
         self.tx_count += 1;
-        Aes128::new(self.knas_enc.expose())
-            .ctr_apply(&Self::keystream_nonce(count, self.uplink), body);
+        Aes128::from(&self.knas_enc).ctr_apply(&Self::keystream_nonce(count, self.uplink), body);
         self.mac(count, self.uplink, body)
     }
 
@@ -174,7 +179,7 @@ impl NasSecurityContext {
         }
         self.rx_count = pdu.count + 1;
         let mut plain = pdu.ciphertext.as_ref().to_vec();
-        Aes128::new(self.knas_enc.expose())
+        Aes128::from(&self.knas_enc)
             .ctr_apply(&Self::keystream_nonce(pdu.count, !self.uplink), &mut plain);
         Ok(plain)
     }

@@ -227,7 +227,7 @@ impl<const N: usize> Wire for [u8; N] {
 /// A fixed-size key, unframed.
 impl<const N: usize> Wire for SecretBytes<N> {
     fn encode_into(&self, w: &mut Writer) {
-        w.put_array(self.expose());
+        self.write_to(w);
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {

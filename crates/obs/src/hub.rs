@@ -226,6 +226,28 @@ pub fn close_span(id: Option<SpanId>, end_ns: u64) {
     }
 }
 
+/// Records a closed interval in one step: opens a span parented to the
+/// innermost currently-executing span, adds `attrs`, and closes it at
+/// `end_ns`. Nothing is left open for a caller to forget.
+pub fn record_span(
+    kind: SpanKind,
+    nf: &str,
+    name: &str,
+    start_ns: u64,
+    end_ns: u64,
+    attrs: &[(&'static str, u64)],
+) {
+    with(|o| {
+        let parent = o.current();
+        if let Some(id) = o.spans.open(kind, parent, nf, name, start_ns) {
+            for &(key, n) in attrs {
+                o.spans.add_attr(id, key, n);
+            }
+            o.spans.close(id, end_ns);
+        }
+    });
+}
+
 /// Adds to an attribute of an open span.
 pub fn span_attr(id: Option<SpanId>, key: &'static str, n: u64) {
     if let Some(id) = id {
@@ -433,6 +455,33 @@ mod tests {
             assert_eq!(spans[0].trace, outer.unwrap());
             assert_eq!(spans[1].parent, None);
         });
+    }
+
+    #[test]
+    fn record_span_is_open_attrs_close() {
+        let by_hand = ObsHandle::new();
+        {
+            let _scope = scoped(&by_hand);
+            let id = open_span(SpanKind::Enclave, "e", "ocall", 3);
+            span_attr(id, "eenter", 1);
+            span_attr(id, "eexit", 1);
+            close_span(id, 9);
+        }
+        let recorded = ObsHandle::new();
+        {
+            let _scope = scoped(&recorded);
+            record_span(
+                SpanKind::Enclave,
+                "e",
+                "ocall",
+                3,
+                9,
+                &[("eenter", 1), ("eexit", 1)],
+            );
+        }
+        let jsonl = |h: &ObsHandle| h.with(|o| crate::export::spans_jsonl(&o.spans));
+        assert_eq!(jsonl(&recorded), jsonl(&by_hand));
+        recorded.with(|o| assert_eq!(o.spans.open_count(), 0));
     }
 
     #[test]

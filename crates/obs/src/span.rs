@@ -251,6 +251,13 @@ impl SpanLog {
         &self.finished
     }
 
+    /// Spans opened and not yet closed or abandoned. Zero once a run is
+    /// over: a span still open then was leaked by whoever opened it.
+    #[must_use]
+    pub fn open_count(&self) -> usize {
+        self.open.len()
+    }
+
     /// Spans dropped after the retention cap was hit.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -504,7 +511,9 @@ mod tests {
     fn abandon_discards_without_recording() {
         let mut log = SpanLog::new();
         let id = log.open(SpanKind::Stage, None, "ue", "reg", 0).unwrap();
+        assert_eq!(log.open_count(), 1);
         log.abandon(id);
+        assert_eq!(log.open_count(), 0);
         log.close(id, 10); // no-op
         assert!(log.finished().is_empty());
     }

@@ -229,12 +229,8 @@ impl CotsUe {
                     match self.usim.evaluate_challenge(&rand, &autn, &snn) {
                         ChallengeOutcome::Success(result) => {
                             // Stash keys for the security-mode step.
-                            let kamf = derive_kamf(
-                                result.kseaf.expose(),
-                                self.usim.supi().as_str(),
-                                &abba,
-                            );
-                            self.sec = Some(NasSecurityContext::from_kamf(&kamf, true));
+                            let kamf = derive_kamf(&result.kseaf, self.usim.supi().as_str(), &abba);
+                            self.sec = Some(NasSecurityContext::new(&kamf, true));
                             NasUplink::AuthenticationResponse {
                                 res_star: result.res_star,
                             }

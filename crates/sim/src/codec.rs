@@ -13,6 +13,7 @@
 //! [`Reader::str_ref`]): each message is written once, into one buffer.
 
 use crate::SimError;
+use shield5g_crypto::secret::KeySink;
 use std::ops::Range;
 
 /// Builds a wire message field by field.
@@ -122,6 +123,15 @@ impl Writer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+/// A key written onto the wire, unframed like [`Writer::put_array`]: one of
+/// the two places a `SecretBytes` may copy its bytes to (see
+/// `shield5g_crypto::secret`).
+impl KeySink for Writer {
+    fn put_key(&mut self, key: &[u8]) {
+        self.buf.extend_from_slice(key);
     }
 }
 

@@ -26,7 +26,7 @@ export SHIELD5G_OBS_DIR
 
 mkdir -p "$SHIELD5G_OBS_DIR"
 
-echo "==> shield5g-lint (secret taint / enclave boundary / determinism / layer order / span discipline / panic budget)"
+echo "==> shield5g-lint (secret hygiene / enclave boundary / determinism / mw boundary / layer order / constant time / panic budget)"
 cargo run --offline -q -p shield5g-lint -- --format sarif > /dev/null || {
   echo "lint findings (full report):" >&2
   cargo run --offline -q -p shield5g-lint || true

@@ -28,6 +28,8 @@ fn observed_registration(seed: u64) -> (ObsHandle, u64) {
     let mut sim = GnbSim::new(&slice);
     let regs = sim.register_ues(&mut env, &slice, 1).expect("registration");
     let setup_ns = regs[0].report.setup_time.as_nanos();
+    // Every span the run opened, parked ones included, was closed.
+    assert_eq!(recorder.with(|o| o.spans.open_count()), 0, "leaked spans");
     (recorder, setup_ns)
 }
 
@@ -143,6 +145,7 @@ fn contention_opens_queue_spans() {
             .collect();
         assert!(!queued.is_empty(), "overload produced no queue spans");
         assert!(queued.iter().any(|s| s.duration_ns() > 0));
+        assert_eq!(o.spans.open_count(), 0, "leaked spans");
     });
 }
 
