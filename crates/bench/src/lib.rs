@@ -1,58 +1,56 @@
-//! Benchmark harness support: shared table-printing helpers for the
-//! per-figure/per-table bench targets in `benches/`.
-//!
-//! Each bench target is a plain `main` (no criterion harness) that runs
-//! the corresponding experiment from `shield5g-core::harness` /
-//! `shield5g-ran` and prints the rows the paper reports, side by side
-//! with the published values where the paper gives absolute numbers.
+//! The paper's evaluation harness: [`experiments::EXPERIMENTS`] is the
+//! table of every figure, table and extension sweep the `experiments`
+//! bench prints and `tests/{experiments,paper_reproduction}.rs` check;
+//! [`sweeps`] builds the parallel sweeps on the deterministic [`runner`].
+//! The criterion microbenches in `benches/` time the substrates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod runner;
 pub mod sweeps;
 
 use shield5g_core::stats::Summary;
 use shield5g_obs::export;
 use shield5g_obs::hub::ObsHandle;
+use std::ffi::OsStr;
 
-/// Default repetition count for bench runs. The paper uses 500; the
-/// default here keeps `cargo bench` comfortably fast while remaining
-/// statistically stable (the simulation is deterministic per seed).
-/// Override with the `SHIELD5G_REPS` environment variable.
-#[must_use]
-pub fn reps() -> u32 {
-    std::env::var("SHIELD5G_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
+/// Repetitions per experiment: `SHIELD5G_REPS`, 200 when unset. The
+/// paper uses 500; the default keeps a full `experiments` run to
+/// seconds while staying statistically stable (the simulation is
+/// deterministic per seed).
+///
+/// # Errors
+///
+/// A set value that is not a positive integer, named in the message.
+pub fn reps() -> Result<u32, String> {
+    parse_reps(std::env::var_os("SHIELD5G_REPS").as_deref())
 }
 
-/// True when `SHIELD5G_BENCH_SMOKE` is set to anything but `0`: CI smoke
-/// mode. Bench targets shrink their sweeps to one cheap configuration
-/// and a single repetition so the whole binary runs in seconds — the
-/// point is catching harness regressions (panics, API drift, degenerate
-/// outputs), not producing paper-grade statistics.
+fn parse_reps(value: Option<&OsStr>) -> Result<u32, String> {
+    let Some(value) = value else { return Ok(200) };
+    value
+        .to_str()
+        .and_then(|s| s.parse::<u32>().ok())
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("SHIELD5G_REPS must be a positive integer, not {value:?}"))
+}
+
+/// True when `SHIELD5G_BENCH_SMOKE` is set to anything but `0`: smoke
+/// mode. The sweep rows shrink to one cheap configuration and a single
+/// repetition so they run in seconds — the point is catching harness
+/// regressions (panics, API drift, degenerate outputs, thread-count
+/// drift), not producing paper-grade statistics.
 #[must_use]
 pub fn smoke() -> bool {
     std::env::var("SHIELD5G_BENCH_SMOKE").is_ok_and(|v| v != "0")
-}
-
-/// Prints a banner for an experiment.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!("\n=== {title} ===");
-    println!("    (reproduces {paper_ref})");
 }
 
 /// Formats a summary as `median [p25..p75]`.
 #[must_use]
 pub fn fmt_summary(s: &Summary) -> String {
     format!("{} [{}..{}]", s.median, s.p25, s.p75)
-}
-
-/// Prints a `measured vs paper` line.
-pub fn compare(label: &str, measured: impl std::fmt::Display, paper: &str) {
-    println!("    {label:44} measured {measured:>14}   paper {paper}");
 }
 
 /// Writes `contents` as `name` into the observability artifact directory
@@ -67,26 +65,6 @@ pub fn write_obs_artifact(name: &str, contents: &str) {
             std::process::exit(1);
         }
     }
-}
-
-/// Emits a machine-readable `BENCH_<name>.json` perf-point document —
-/// one object per measured configuration (`points` are pre-rendered JSON
-/// objects, e.g. from [`shield5g_obs::export::JsonObj`]).
-pub fn emit_bench_json(name: &str, points: &[String]) {
-    write_obs_artifact(
-        &format!("BENCH_{name}.json"),
-        &export::bench_json(name, points),
-    );
-}
-
-/// Emits a `BENCH_<name>.json` document whose trailing `"runner"` line
-/// carries the sweep runner's wall-time/threads/speedup block — the one
-/// line excluded from thread-count byte-identity comparisons.
-pub fn emit_bench_json_with_runner(name: &str, points: &[String], stats: &runner::RunnerStats) {
-    write_obs_artifact(
-        &format!("BENCH_{name}.json"),
-        &export::bench_json_with_runner(name, points, &stats.to_json()),
-    );
 }
 
 /// Dumps a recording hub's registry (Prometheus text + JSONL) and span
@@ -114,9 +92,12 @@ mod tests {
     use shield5g_sim::time::SimDuration;
 
     #[test]
-    fn reps_default() {
-        if std::env::var("SHIELD5G_REPS").is_err() {
-            assert_eq!(reps(), 200);
+    fn reps_defaults_to_200_and_refuses_garbage() {
+        assert_eq!(parse_reps(None), Ok(200));
+        assert_eq!(parse_reps(Some(OsStr::new("50"))), Ok(50));
+        for bad in ["", "0", "-3", "2.5", "many", " 50"] {
+            let err = parse_reps(Some(OsStr::new(bad)));
+            assert!(err.is_err_and(|e| e.contains("SHIELD5G_REPS")), "{bad:?}");
         }
     }
 

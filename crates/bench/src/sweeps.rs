@@ -1,13 +1,14 @@
-//! Library-level sweep builders for the bench targets.
+//! Library-level sweep builders for the sweep rows of the experiment
+//! table.
 //!
 //! Each builder expands its experiment into independent (sweep-point,
 //! seed) jobs, fans them out through [`runner::run_sweep`], and
 //! assembles the human-readable table lines and machine-readable BENCH
 //! points in **canonical point order** — so both the printed tables and
 //! every artifact rendered from the merged hub are byte-identical
-//! regardless of `SHIELD5G_BENCH_THREADS`. The bench binaries in
-//! `benches/` are thin mains over these functions, and the
-//! merge-determinism tests call them directly.
+//! regardless of `SHIELD5G_BENCH_THREADS`. The rows of
+//! [`crate::experiments`] are thin wrappers over these functions, and
+//! the golden and merge-determinism tests call them directly.
 
 use crate::runner::{self, Job, RunnerStats};
 use shield5g_core::harness::ablation_optimizations;
@@ -27,6 +28,8 @@ use shield5g_sim::time::SimDuration;
 /// order; only `stats` (wall-clock) varies with the thread count.
 #[derive(Clone, Debug)]
 pub struct SweepRun {
+    /// The artifact's name: `BENCH_<name>.json`.
+    pub name: &'static str,
     /// Human-readable table lines, one `println!` each (empty entries
     /// render blank lines).
     pub lines: Vec<String>,
@@ -144,6 +147,7 @@ pub fn pool_scaling_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Sweep
     lines.push("    the enclave, so EENTER/request falls roughly by the batch factor.".to_owned());
 
     SweepRun {
+        name: "pool_scaling",
         lines,
         points,
         stats,
@@ -254,6 +258,7 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
     lines.push("    rerunning any row reproduces it byte-for-byte.".to_owned());
 
     SweepRun {
+        name: "fault_sweep",
         lines,
         points,
         stats,
@@ -372,28 +377,21 @@ pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> 
     lines.push("    and emergency availability degrades strictly slower.".to_owned());
 
     SweepRun {
+        name: "degradation",
         lines,
         points,
         stats,
     }
 }
 
-/// Output of one ablation-sweep job: either the optimisation-ablation
-/// row set or one horizontal-scaling row.
-enum AblationOut {
-    Rows(Vec<shield5g_core::harness::AblationRow>),
-    Scaling(ScalingRow),
-}
+/// Table lines and BENCH points one ablation-sweep job rendered.
+type Rendered = (Vec<String>, Vec<String>);
 
 /// The §V-B7 ablation sweep: the optimisation ablation (one job — its
 /// rows share an engine run) plus one job per horizontal-scaling
-/// instance count. The single-replica capacity probe runs on the
-/// calling thread.
-///
-/// # Panics
-///
-/// Panics if the runner returns a job list shape it was not given (an
-/// internal error).
+/// instance count. Each job renders its own lines and points, so the
+/// merge is their concatenation in job order. The single-replica
+/// capacity probe runs on the calling thread.
 #[must_use]
 pub fn ablation_sweep(hub: &ObsHandle, threads: usize, smoke: bool, reps: u32) -> SweepRun {
     let _scope = hub::scoped(hub);
@@ -401,24 +399,33 @@ pub fn ablation_sweep(hub: &ObsHandle, threads: usize, smoke: bool, reps: u32) -
     let scaling_reps = (reps / 4).max(10);
     let service = probe_service_time(1900);
 
-    let mut jobs: Vec<Job<AblationOut>> = Vec::new();
-    jobs.push(Box::new(move || {
-        AblationOut::Rows(ablation_optimizations(1800, reps))
-    }));
+    let mut jobs: Vec<Job<Rendered>> = vec![Box::new(move || ablation_rows(1800, reps))];
     for point in scaling_points(1900, scaling_reps, max_instances, service) {
-        jobs.push(Box::new(move || {
-            AblationOut::Scaling(run_scaling_point(&point))
-        }));
+        jobs.push(Box::new(move || scaling_row(&run_scaling_point(&point))));
     }
     let (outputs, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
     let mut points = Vec::new();
-    let mut outputs = outputs.into_iter();
-    let Some(AblationOut::Rows(rows)) = outputs.next() else {
-        panic!("ablation rows must be the first job");
-    };
+    for (job_lines, job_points) in outputs {
+        lines.extend(job_lines);
+        points.extend(job_points);
+    }
+    SweepRun {
+        name: "ablation",
+        lines,
+        points,
+        stats,
+    }
+}
+
+/// The optimisation-ablation rows against the first (the SGX baseline),
+/// then the header of the horizontal-scaling rows that follow.
+fn ablation_rows(seed: u64, reps: u32) -> Rendered {
+    let rows = ablation_optimizations(seed, reps);
     let baseline = rows[0].r_stable.median;
+    let mut lines = Vec::new();
+    let mut points = Vec::new();
     for row in &rows {
         let speedup = baseline.as_nanos() as f64 / row.r_stable.median.as_nanos() as f64;
         lines.push(format!(
@@ -438,30 +445,22 @@ pub fn ablation_sweep(hub: &ObsHandle, threads: usize, smoke: bool, reps: u32) -
     }
     lines.push(String::new());
     lines.push("    Horizontal scaling (real eUDM replica pool, shield5g-scale):".to_owned());
-    for output in outputs {
-        let AblationOut::Scaling(row) = output else {
-            panic!("scaling rows must follow the ablation rows");
-        };
-        lines.push(format!(
-            "      {} instance(s): stable R {} -> {:.0} authentications/s ({} shed)",
-            row.instances, row.stable_response, row.throughput_per_sec, row.shed
-        ));
-        points.push(
-            JsonObj::new()
-                .str("scenario", "horizontal_scaling")
-                .u64("instances", u64::from(row.instances))
-                .u64("stable_response_ns", row.stable_response.as_nanos())
-                .f64("throughput_per_sec", row.throughput_per_sec)
-                .u64("shed", row.shed)
-                .render(),
-        );
-    }
+    (lines, points)
+}
 
-    SweepRun {
-        lines,
-        points,
-        stats,
-    }
+fn scaling_row(row: &ScalingRow) -> Rendered {
+    let line = format!(
+        "      {} instance(s): stable R {} -> {:.0} authentications/s ({} shed)",
+        row.instances, row.stable_response, row.throughput_per_sec, row.shed
+    );
+    let point = JsonObj::new()
+        .str("scenario", "horizontal_scaling")
+        .u64("instances", u64::from(row.instances))
+        .u64("stable_response_ns", row.stable_response.as_nanos())
+        .f64("throughput_per_sec", row.throughput_per_sec)
+        .u64("shed", row.shed)
+        .render();
+    (vec![line], vec![point])
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ fn check_golden(file: &str, live: &str) {
 }
 
 /// Everything a smoke sweep renders on one thread, as one document.
-fn rendered(name: &str, sweep: fn(&ObsHandle, usize, bool) -> SweepRun) -> String {
+fn rendered(sweep: fn(&ObsHandle, usize, bool) -> SweepRun) -> String {
     let hub = ObsHandle::new();
     let run = sweep(&hub, 1, true);
     let digest = |text: &str| hex::encode(&Sha256::digest(text.as_bytes()));
@@ -64,7 +64,7 @@ fn rendered(name: &str, sweep: fn(&ObsHandle, usize, bool) -> SweepRun) -> Strin
             "== lines ==\n{}\n== bench_json ==\n{}\n== prometheus ==\n{}\n\
              == sha256 metrics_jsonl ==\n{}\n== sha256 spans_jsonl ==\n{}\n",
             run.lines.join("\n"),
-            export::bench_json(name, &run.points),
+            export::bench_json(run.name, &run.points),
             export::prometheus(&o.registry),
             digest(&export::metrics_jsonl(&o.registry)),
             digest(&export::spans_jsonl(&o.spans)),
@@ -74,26 +74,17 @@ fn rendered(name: &str, sweep: fn(&ObsHandle, usize, bool) -> SweepRun) -> Strin
 
 #[test]
 fn pool_scaling_smoke_matches_golden() {
-    check_golden(
-        "pool_scaling_smoke.txt",
-        &rendered("pool_scaling", pool_scaling_sweep),
-    );
+    check_golden("pool_scaling_smoke.txt", &rendered(pool_scaling_sweep));
 }
 
 #[test]
 fn fault_sweep_smoke_matches_golden() {
-    check_golden(
-        "fault_sweep_smoke.txt",
-        &rendered("fault_sweep", fault_recovery_sweep),
-    );
+    check_golden("fault_sweep_smoke.txt", &rendered(fault_recovery_sweep));
 }
 
 #[test]
 fn degradation_smoke_matches_golden() {
-    check_golden(
-        "degradation_smoke.txt",
-        &rendered("degradation", degradation_curve_sweep),
-    );
+    check_golden("degradation_smoke.txt", &rendered(degradation_curve_sweep));
 }
 
 /// The benchmark's pool shape: 4 replicas, 400 UEs, queue 16 / 100 ms,

@@ -5,7 +5,7 @@
 //! span JSONL — only the (masked) `"runner"` wall-time block may vary.
 
 use shield5g_bench::sweeps::{
-    ablation_sweep, degradation_curve_sweep, fault_recovery_sweep, pool_scaling_sweep,
+    ablation_sweep, degradation_curve_sweep, fault_recovery_sweep, pool_scaling_sweep, SweepRun,
 };
 use shield5g_obs::export;
 use shield5g_obs::hub::ObsHandle;
@@ -20,10 +20,10 @@ struct Rendered {
     spans_jsonl: String,
 }
 
-fn render(name: &str, hub: &ObsHandle, lines: Vec<String>, points: &[String]) -> Rendered {
+fn render(hub: &ObsHandle, run: SweepRun) -> Rendered {
     hub.with(|o| Rendered {
-        lines,
-        bench_json: export::bench_json(name, points),
+        lines: run.lines,
+        bench_json: export::bench_json(run.name, &run.points),
         prometheus: export::prometheus(&o.registry),
         metrics_jsonl: export::metrics_jsonl(&o.registry),
         spans_jsonl: export::spans_jsonl(&o.spans),
@@ -56,7 +56,7 @@ fn pool_scaling_is_thread_count_invariant() {
         let hub = ObsHandle::new();
         let run = pool_scaling_sweep(&hub, threads, true);
         assert_eq!(run.stats.threads, threads);
-        render("pool_scaling", &hub, run.lines, &run.points)
+        render(&hub, run)
     };
     let serial = run_at(1);
     assert!(!serial.prometheus.is_empty(), "sweep must record metrics");
@@ -69,8 +69,7 @@ fn pool_scaling_is_thread_count_invariant() {
 fn fault_sweep_is_thread_count_invariant() {
     let run_at = |threads: usize| {
         let hub = ObsHandle::new();
-        let run = fault_recovery_sweep(&hub, threads, true);
-        render("fault_sweep", &hub, run.lines, &run.points)
+        render(&hub, fault_recovery_sweep(&hub, threads, true))
     };
     let serial = run_at(1);
     assert!(!serial.prometheus.is_empty(), "sweep must record metrics");
@@ -81,8 +80,7 @@ fn fault_sweep_is_thread_count_invariant() {
 fn degradation_sweep_is_thread_count_invariant() {
     let run_at = |threads: usize| {
         let hub = ObsHandle::new();
-        let run = degradation_curve_sweep(&hub, threads, true);
-        render("degradation", &hub, run.lines, &run.points)
+        render(&hub, degradation_curve_sweep(&hub, threads, true))
     };
     let serial = run_at(1);
     assert!(!serial.prometheus.is_empty(), "sweep must record metrics");
@@ -94,8 +92,7 @@ fn degradation_sweep_is_thread_count_invariant() {
 fn ablation_is_thread_count_invariant() {
     let run_at = |threads: usize| {
         let hub = ObsHandle::new();
-        let run = ablation_sweep(&hub, threads, true, 1);
-        render("ablation", &hub, run.lines, &run.points)
+        render(&hub, ablation_sweep(&hub, threads, true, 1))
     };
     let serial = run_at(1);
     assert_identical(&serial, &run_at(4), "ablation 1 vs 4 threads");

@@ -584,8 +584,9 @@ pub fn concurrency_sweep(
 }
 
 // The §V-B7 horizontal-scaling experiment lives in `shield5g-scale`
-// (`shield5g_scale::harness::horizontal_scaling`), which drives real
-// replica pools instead of extrapolating from a single instance.
+// (`shield5g_scale::harness::{scaling_points, run_scaling_point}`, run by
+// `shield5g_bench::sweeps::ablation_sweep`), which drives real replica
+// pools instead of extrapolating from a single instance.
 
 /// Verification that the Table I parameter sizes hold on the wire.
 #[derive(Clone, Copy, Debug)]

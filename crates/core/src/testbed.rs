@@ -1,8 +1,9 @@
 //! The Table IV testbed configuration descriptor.
 //!
 //! Static facts about the hardware and software the paper's testbed used
-//! and their simulation counterparts — printed by the `table4_testbed`
-//! bench target and consumed by the RAN's OTA configuration checks.
+//! and their simulation counterparts — printed by the `table4` row of
+//! the `experiments` bench and consumed by the RAN's OTA configuration
+//! checks.
 
 use serde::{Deserialize, Serialize};
 

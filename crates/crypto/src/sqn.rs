@@ -52,13 +52,6 @@ impl SqnGenerator {
         Self::default()
     }
 
-    /// Resumes a generator from a persisted SEQ value (e.g. after a UDR
-    /// reload).
-    #[must_use]
-    pub fn from_seq(seq: u64) -> Self {
-        SqnGenerator { seq, next_ind: 0 }
-    }
-
     /// The current SEQ counter value.
     #[must_use]
     pub fn seq(&self) -> u64 {

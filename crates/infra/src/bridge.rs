@@ -43,13 +43,6 @@ impl BridgeNetwork {
         }
     }
 
-    /// Overrides the latency profile.
-    #[must_use]
-    pub fn with_profile(mut self, profile: LinkProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// The bridge name.
     #[must_use]
     pub fn name(&self) -> &str {

@@ -14,7 +14,7 @@ use crate::LibosError;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::enclave::{Enclave, EnclaveBuilder};
 use shield5g_hmee::platform::SgxPlatform;
-use shield5g_sim::time::{SimDuration, SimTime};
+use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::iter::repeat_n;
 
@@ -58,9 +58,7 @@ pub struct BootReport {
 pub struct GramineLibos {
     enclave: Enclave,
     exitless: bool,
-    stats: bool,
     boot_report: BootReport,
-    boot_time: SimTime,
 }
 
 impl std::fmt::Debug for GramineLibos {
@@ -155,9 +153,7 @@ impl GramineLibos {
         Ok(GramineLibos {
             enclave,
             exitless: image.manifest.exitless,
-            stats: image.manifest.stats,
             boot_report: report,
-            boot_time: env.clock.now(),
         })
     }
 
@@ -165,18 +161,6 @@ impl GramineLibos {
     #[must_use]
     pub fn boot_report(&self) -> BootReport {
         self.boot_report
-    }
-
-    /// The instant boot completed.
-    #[must_use]
-    pub fn boot_completed_at(&self) -> SimTime {
-        self.boot_time
-    }
-
-    /// Whether Gramine statistics collection is on (`stats` manifest key).
-    #[must_use]
-    pub fn stats_enabled(&self) -> bool {
-        self.stats
     }
 
     /// Current SGX statistics (requires `stats`; real Gramine only reports

@@ -196,6 +196,6 @@ mod tests {
         assert!(is_test_path("crates/mw/tests/layers.rs"));
         assert!(!is_test_path("crates/mw/src/stack.rs"));
         assert!(!is_test_path("examples/quickstart.rs"));
-        assert!(!is_test_path("crates/bench/benches/pool_scaling.rs"));
+        assert!(!is_test_path("crates/bench/benches/experiments.rs"));
     }
 }

@@ -11,9 +11,7 @@ use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 fn expired_resp() -> HttpResponse {
     HttpResponse::error(503, "deadline exceeded").with_header(SHED_HEADER, "deadline")
@@ -37,7 +35,6 @@ fn expired_resp() -> HttpResponse {
 pub struct DeadlineLayer {
     timeout: SimDuration,
     deadlines: BTreeMap<u64, SimTime>,
-    expired: Rc<RefCell<u64>>,
 }
 
 impl DeadlineLayer {
@@ -47,14 +44,7 @@ impl DeadlineLayer {
         DeadlineLayer {
             timeout,
             deadlines: BTreeMap::new(),
-            expired: Rc::new(RefCell::new(0)),
         }
-    }
-
-    /// Requests shed by this layer so far (shared handle).
-    #[must_use]
-    pub fn expired_handle(&self) -> Rc<RefCell<u64>> {
-        self.expired.clone()
     }
 
     fn past_deadline(&self, leg: &LegMeta, now: SimTime) -> bool {
@@ -71,7 +61,6 @@ impl Layer for DeadlineLayer {
 
     fn on_begin(&mut self, env: &mut Env, leg: &LegMeta, _waited: SimDuration) -> Gate {
         if self.past_deadline(leg, env.clock.now()) {
-            *self.expired.borrow_mut() += 1;
             obs::count(&leg.dest, &leg.path, labels::SHED_DEADLINE, 1);
             return Gate::Shed {
                 resp: expired_resp(),
@@ -89,7 +78,6 @@ impl Layer for DeadlineLayer {
         resp: HttpResponse,
     ) -> Resume {
         if self.past_deadline(leg, env.clock.now()) {
-            *self.expired.borrow_mut() += 1;
             obs::count(&leg.dest, &leg.path, labels::SHED_DEADLINE, 1);
             let _ = (state, resp); // the chain is dead; drop the continuation
             return Resume::Break(Step::Reply(expired_resp()));

@@ -53,13 +53,6 @@ impl SbiClient {
         }
     }
 
-    /// Overrides the link profile (e.g. backhaul for split deployments).
-    #[must_use]
-    pub fn with_profile(mut self, profile: LinkProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Charges the send-side cost of a POST (TLS record + request bytes
     /// on the link) and returns the request to hand to the scheduler in a
     /// `Step::CallOut`.

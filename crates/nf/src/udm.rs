@@ -17,7 +17,7 @@ use crate::sbi::{
 };
 use crate::wire::implausible;
 use crate::NfError;
-use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
+use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::{HeAv, ServingNetworkName};
 use shield5g_crypto::CryptoError;
@@ -65,12 +65,6 @@ impl UdmService {
             udr_addr: udr_addr.into(),
             backend,
         }
-    }
-
-    /// The home-network public key USIMs must be provisioned with.
-    #[must_use]
-    pub fn hn_public_key(&self) -> &HomeNetworkPublicKey {
-        self.sidf_key.public()
     }
 
     /// The home-network key identifier.

@@ -158,9 +158,13 @@ pub struct ScalingPoint {
     pub cfg: SweepConfig,
 }
 
-/// Expands the §V-B7 sweep into its independent per-instance-count
-/// points. `service` is the single-replica occupancy from
-/// [`probe_service_time`] — probed once, shared by every point.
+/// Expands the **§V-B7 horizontal-scaling** sweep into its independent
+/// per-instance-count points: pools of `1..=max_instances` real eUDM
+/// replicas, each driven by a gnbsim-style open-loop registration
+/// workload at a fixed per-replica utilisation, so that below saturation
+/// the measured throughput is near-linear in the replica count.
+/// `service` is the single-replica occupancy from [`probe_service_time`]
+/// — probed once, shared by every point.
 #[must_use]
 pub fn scaling_points(
     base_seed: u64,
@@ -196,28 +200,17 @@ pub fn run_scaling_point(point: &ScalingPoint) -> ScalingRow {
     }
 }
 
-/// **§V-B7 horizontal scaling**: deploys pools of `1..=max_instances`
-/// real eUDM replicas, drives each with a gnbsim-style open-loop
-/// registration workload at a fixed per-replica utilisation, and reports
-/// measured throughput. Below saturation the rows are near-linear in the
-/// replica count; the multiplier is the pool actually serving, not
-/// arithmetic.
-#[must_use]
-pub fn horizontal_scaling(base_seed: u64, reps: u32, max_instances: u32) -> Vec<ScalingRow> {
-    let service = probe_service_time(base_seed);
-    scaling_points(base_seed, reps, max_instances, service)
-        .iter()
-        .map(run_scaling_point)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn horizontal_scaling_is_linear() {
-        let rows = horizontal_scaling(900, 10, 3);
+        let service = probe_service_time(900);
+        let rows: Vec<ScalingRow> = scaling_points(900, 10, 3, service)
+            .iter()
+            .map(run_scaling_point)
+            .collect();
         assert_eq!(rows.len(), 3);
         let t1 = rows[0].throughput_per_sec;
         let t3 = rows[2].throughput_per_sec;

@@ -46,8 +46,8 @@ pub mod router;
 
 pub use avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy, CacheStats};
 pub use harness::{
-    horizontal_scaling, pool_sweep, probe_service_time, run_scaling_point, scaling_points,
-    ScalingPoint, ScalingRow, SweepConfig,
+    pool_sweep, probe_service_time, run_scaling_point, scaling_points, ScalingPoint, ScalingRow,
+    SweepConfig,
 };
 pub use health::{HealthEvent, HealthPolicy, HealthTracker};
 pub use metrics::{ClassReport, PoolReport, ReplicaLoadStats, RunRecorder};

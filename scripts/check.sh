@@ -46,16 +46,13 @@ cargo test --offline --release -p shield5g-crypto -p shield5g-hmee -- --include-
 echo "==> allocation + heap budget (benchmark allocs_per_op and peak_heap_mb on all five workloads vs scripts/alloc_budget.txt, +2 %)"
 sh scripts/alloc_budget.sh
 
-echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
+echo "==> experiments (every paper figure, table and sweep at bench reps; fails on an out-of-band paper check)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
 # with the *package* directory as cwd, so a relative artifact dir would
 # land under crates/bench/.
-SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench pool_scaling
-SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench ablation_optimizations
-SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench fault_sweep
-SHIELD5G_BENCH_SMOKE=1 cargo bench --offline -p shield5g-bench --bench degradation_sweep
+cargo bench --offline -p shield5g-bench --bench experiments
 
-echo "==> thread-count byte-identity (pool_scaling, degradation_sweep and fault_sweep smokes: 1 vs 2 threads, runner line masked)"
+echo "==> thread-count byte-identity (pool_scaling, ablation, fault_sweep and degradation_sweep smokes: 1 vs 2 threads, runner line masked)"
 # The sweep runner promises artifacts that are a pure function of the
 # job list: the same smoke sweep on 1 and 2 threads must render
 # byte-identical BENCH points and observability exports. Only the
@@ -65,14 +62,13 @@ echo "==> thread-count byte-identity (pool_scaling, degradation_sweep and fault_
 IDENT_DIR="$SHIELD5G_OBS_DIR/thread_identity"
 rm -rf "$IDENT_DIR"
 mkdir -p "$IDENT_DIR/t1" "$IDENT_DIR/t2"
-for bench in pool_scaling degradation_sweep fault_sweep; do
-  for threads in 1 2; do
-    SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=$threads SHIELD5G_OBS_DIR="$IDENT_DIR/t$threads" \
-      cargo bench --offline -p shield5g-bench --bench "$bench" > /dev/null
-  done
+for threads in 1 2; do
+  SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=$threads SHIELD5G_OBS_DIR="$IDENT_DIR/t$threads" \
+    cargo bench --offline -p shield5g-bench --bench experiments -- \
+    pool_scaling ablation fault_sweep degradation_sweep > /dev/null
 done
 for artifact in \
-  BENCH_pool_scaling.json BENCH_degradation.json BENCH_fault_sweep.json \
+  BENCH_pool_scaling.json BENCH_ablation.json BENCH_degradation.json BENCH_fault_sweep.json \
   pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl; do
   grep -v '"runner"' "$IDENT_DIR/t1/$artifact" > "$IDENT_DIR/t1/$artifact.masked"
   grep -v '"runner"' "$IDENT_DIR/t2/$artifact" > "$IDENT_DIR/t2/$artifact.masked"
