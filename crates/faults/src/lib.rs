@@ -11,9 +11,9 @@
 //! failover, AV-cache invalidation — holds up:
 //!
 //! - [`plan`] — a seed-driven [`plan::SbiFaultPlan`] implementing the
-//!   engine's `FaultInjector` hook: per-message drop / delay / 5xx
-//!   decisions drawn from a forked [`shield5g_sim::rng::DetRng`], never
-//!   ambient randomness. Same seed ⇒ byte-identical fault schedule; all
+//!   middleware's [`shield5g_mw::FaultInjector`]: per-message drop /
+//!   delay / 5xx decisions drawn from a forked
+//!   [`shield5g_sim::rng::DetRng`], never ambient randomness. Same seed ⇒ byte-identical fault schedule; all
 //!   rates zero ⇒ nothing is installed and nothing is drawn, so
 //!   fault-free traces are bit-for-bit those of a build without this
 //!   crate.

@@ -19,8 +19,8 @@
 //! fault-free runs bit-identical to builds that have never heard of this
 //! crate (the regression gate the determinism suite enforces).
 
-use shield5g_mw::FaultSwitch;
-use shield5g_sim::engine::{FaultAction, FaultInjector};
+use shield5g_mw::{FaultInjector, FaultSwitch};
+use shield5g_sim::engine::FaultAction;
 use shield5g_sim::rng::DetRng;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;

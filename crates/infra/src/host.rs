@@ -138,11 +138,9 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// * [`InfraError::UnknownImage`] when the image is missing.
-    /// * [`InfraError::CapabilityMissing`] when the host has no SGX.
-    /// * [`InfraError::AttackFailed`] is never returned here; GSC transform
-    ///   and boot errors surface as `CapabilityMissing`-adjacent
-    ///   `UnknownImage`/`LibosError` conversions by the caller.
+    /// [`shield5g_libos::LibosError::ManifestInvalid`] when the image is
+    /// missing or the host has no SGX platform; GSC transform and boot
+    /// errors as they come.
     pub fn run_shielded(
         &mut self,
         env: &mut Env,

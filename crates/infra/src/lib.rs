@@ -14,8 +14,6 @@
 //!   payload whose memory is EPC ciphertext.
 //! * [`host`] — a physical host: SGX platform + runtime + trust domain.
 //! * [`bridge`] — the OAI docker bridge with an attacker-accessible tap.
-//! * [`compose`] — docker-compose-style declarative slice deployment
-//!   (Table IV's `docker-compose` 1.29.2).
 //! * [`attacker`] — the §III attack chain: co-residency → engine escape →
 //!   lateral movement → memory introspection/tampering, plus image-secret
 //!   extraction and bridge sniffing.
@@ -25,7 +23,6 @@
 
 pub mod attacker;
 pub mod bridge;
-pub mod compose;
 pub mod container;
 pub mod host;
 pub mod image;
@@ -41,13 +38,6 @@ pub enum InfraError {
     UnknownImage(String),
     /// Container name not found on the host.
     UnknownContainer(String),
-    /// The host lacks a capability (e.g. SGX for a shielded deployment).
-    CapabilityMissing {
-        /// The missing capability.
-        capability: &'static str,
-        /// The host involved.
-        host: String,
-    },
     /// An attack step failed (prerequisite not met or probabilistic miss).
     AttackFailed {
         /// The step attempted.
@@ -62,9 +52,6 @@ impl fmt::Display for InfraError {
         match self {
             InfraError::UnknownImage(i) => write!(f, "unknown image {i:?}"),
             InfraError::UnknownContainer(c) => write!(f, "unknown container {c:?}"),
-            InfraError::CapabilityMissing { capability, host } => {
-                write!(f, "host {host:?} lacks {capability}")
-            }
             InfraError::AttackFailed { step, reason } => {
                 write!(f, "attack step {step} failed: {reason}")
             }
@@ -83,12 +70,12 @@ mod tests {
         assert!(InfraError::UnknownImage("x".into())
             .to_string()
             .contains('x'));
-        assert!(InfraError::CapabilityMissing {
-            capability: "sgx",
-            host: "h".into()
+        assert!(InfraError::AttackFailed {
+            step: "escape",
+            reason: "patched".into()
         }
         .to_string()
-        .contains("sgx"));
+        .contains("escape"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Machine-readable finding output: plain JSON and SARIF 2.1.0.
+//! Machine-readable finding output: SARIF 2.1.0.
 //!
-//! Dependency-free like the rest of the linter: the two emitters build
-//! the documents by hand with a conservative string escaper. The SARIF
+//! Dependency-free like the rest of the linter: the emitter builds the
+//! document by hand with a conservative string escaper. The SARIF
 //! output targets the subset GitHub code scanning and `sarif-tools`
 //! consume: one run, one driver, a rule table, and one result per
 //! finding with a physical location.
@@ -71,37 +71,6 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Plain JSON findings document (`{"findings": [...], "panic_counts": {...}}`).
-#[must_use]
-pub fn to_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            esc(&f.rule),
-            esc(&f.path),
-            f.line,
-            esc(&f.message)
-        ));
-    }
-    out.push_str("\n  ],\n  \"panic_counts\": {");
-    for (i, (krate, n)) in report.panic_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{}\": {n}", esc(krate)));
-    }
-    out.push_str("\n  },\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {}\n}}\n",
-        report.files_scanned
-    ));
-    out
-}
-
 /// SARIF 2.1.0 document with one run and one result per finding.
 #[must_use]
 pub fn to_sarif(report: &Report) -> String {
@@ -155,9 +124,8 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes() {
-        let doc = to_json(&sample());
+        let doc = to_sarif(&sample());
         assert!(doc.contains("secret \\\"bytes\\\" reach"));
-        assert!(doc.contains("\"files_scanned\": 42"));
     }
 
     #[test]

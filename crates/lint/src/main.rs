@@ -3,32 +3,23 @@
 //! ```text
 //! cargo run -p shield5g-lint                        # lint the repo, exit 1 on findings
 //! cargo run -p shield5g-lint -- --root PATH         # lint another tree
-//! cargo run -p shield5g-lint -- --format sarif      # SARIF 2.1.0 on stdout
-//! cargo run -p shield5g-lint -- --format json       # plain JSON on stdout
 //! cargo run -p shield5g-lint -- --update-baseline
 //! ```
 //!
-//! Whatever the stdout format, when `$SHIELD5G_OBS_DIR` is set a SARIF
-//! copy of the findings is written there (`lint_findings.sarif`) so CI
-//! can upload it next to the other observability artifacts. A
-//! self-benchmark line (files scanned, wall time) goes to stderr so
-//! lint cost stays visible without corrupting machine-readable stdout.
+//! Findings go to stdout as text, one per line. When `$SHIELD5G_OBS_DIR`
+//! is set a SARIF 2.1.0 copy of them is written there
+//! (`lint_findings.sarif`) so CI can upload it next to the other
+//! observability artifacts. A self-benchmark line (files scanned, wall
+//! time) goes to stderr.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut update_baseline = false;
-    let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -39,27 +30,14 @@ fn main() -> ExitCode {
                 };
                 root = PathBuf::from(p);
             }
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        eprintln!(
-                            "--format requires text|json|sarif (got {})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "shield5g-lint: secret-hygiene, enclave-boundary, determinism, \
                      panic-budget, mw-boundary, layer-order and constant-time checks\n\n\
-                     USAGE: shield5g-lint [--root PATH] [--format text|json|sarif] \
-                     [--update-baseline]"
+                     USAGE: shield5g-lint [--root PATH] [--update-baseline]\n\n\
+                     Findings print as text; with $SHIELD5G_OBS_DIR set, a SARIF \
+                     copy goes to $SHIELD5G_OBS_DIR/lint_findings.sarif."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -107,27 +85,18 @@ fn main() -> ExitCode {
         .iter()
         .filter(|f| !(update_baseline && f.rule == "PB001"))
         .collect();
-    match format {
-        Format::Json => print!("{}", shield5g_lint::emit::to_json(&report)),
-        Format::Sarif => print!("{}", shield5g_lint::emit::to_sarif(&report)),
-        Format::Text => {
-            for finding in &findings {
-                println!("{finding}");
-            }
-            if findings.is_empty() {
-                let total: usize = report.panic_counts.values().sum();
-                println!(
-                    "shield5g-lint: clean ({} panic-path sites within budget)",
-                    total
-                );
-            } else {
-                println!("shield5g-lint: {} finding(s)", findings.len());
-            }
-        }
+    for finding in &findings {
+        println!("{finding}");
     }
     if findings.is_empty() {
+        let total: usize = report.panic_counts.values().sum();
+        println!(
+            "shield5g-lint: clean ({} panic-path sites within budget)",
+            total
+        );
         ExitCode::SUCCESS
     } else {
+        println!("shield5g-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

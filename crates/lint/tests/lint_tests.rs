@@ -501,48 +501,12 @@ fn assert_well_formed_json(doc: &str) {
     );
 }
 
-#[test]
-fn sarif_output_is_valid_and_lists_findings() {
+/// Lints the bad fixture tree with `$SHIELD5G_OBS_DIR` set to a fresh
+/// directory named after `tag`, asserts the run fails, and returns the
+/// SARIF copy it wrote there.
+fn badrepo_sarif_artifact(tag: &str) -> String {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/badrepo");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
-        .args(["--format", "sarif", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run shield5g-lint");
-    assert!(!out.status.success(), "badrepo must still fail the lint");
-    let doc = String::from_utf8_lossy(&out.stdout);
-    assert_well_formed_json(&doc);
-    for needle in [
-        "\"version\": \"2.1.0\"",
-        "\"name\": \"shield5g-lint\"",
-        "\"ruleId\": \"DT001\"",
-        "physicalLocation",
-    ] {
-        assert!(
-            needle.is_empty() || doc.contains(needle),
-            "missing {needle}"
-        );
-    }
-}
-
-#[test]
-fn json_output_is_valid() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/badrepo");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
-        .args(["--format", "json", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run shield5g-lint");
-    let doc = String::from_utf8_lossy(&out.stdout);
-    assert_well_formed_json(&doc);
-    assert!(doc.contains("\"findings\""));
-    assert!(doc.contains("\"files_scanned\""));
-}
-
-#[test]
-fn obs_dir_gets_a_sarif_artifact() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/badrepo");
-    let dir = std::env::temp_dir().join(format!("lint_sarif_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("lint_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
         .args(["--root"])
@@ -550,11 +514,31 @@ fn obs_dir_gets_a_sarif_artifact() {
         .env("SHIELD5G_OBS_DIR", &dir)
         .output()
         .expect("run shield5g-lint");
-    assert!(!out.status.success());
+    assert!(!out.status.success(), "badrepo must still fail the lint");
     let artifact = dir.join("lint_findings.sarif");
     let doc = std::fs::read_to_string(&artifact).expect("sarif artifact written");
-    assert_well_formed_json(&doc);
     let _ = std::fs::remove_dir_all(&dir);
+    doc
+}
+
+#[test]
+fn sarif_output_is_valid_and_lists_findings() {
+    let doc = badrepo_sarif_artifact("sarif_findings");
+    assert_well_formed_json(&doc);
+    for needle in [
+        "\"version\": \"2.1.0\"",
+        "\"name\": \"shield5g-lint\"",
+        "\"ruleId\": \"DT001\"",
+        "physicalLocation",
+    ] {
+        assert!(doc.contains(needle), "missing {needle}");
+    }
+}
+
+#[test]
+fn obs_dir_gets_a_sarif_artifact() {
+    let doc = badrepo_sarif_artifact("sarif_artifact");
+    assert_well_formed_json(&doc);
 }
 
 #[test]

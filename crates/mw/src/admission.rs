@@ -5,12 +5,9 @@
 //! shed early at `capacity - emergency_headroom` so overload degrades
 //! the classes at different rates instead of uniformly.
 
-use crate::stack::Layer;
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{
-    AdmissionPolicy, AdmissionStats, Gate, LegMeta, PriorityClass, SHED_HEADER,
-};
+use shield5g_sim::engine::{AdmissionPolicy, Gate, Layer, LegMeta, PriorityClass, SHED_HEADER};
 use shield5g_sim::http::HttpResponse;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
@@ -43,15 +40,15 @@ pub type ClassShedsHandle = Rc<RefCell<ClassSheds>>;
 /// admitted until depth reaches the full `capacity`. Headroom zero (the
 /// default) reproduces the classless behavior bit-for-bit.
 ///
-/// Tracks the shed counters and the peak in-flight depth the engine
-/// reports through [`shield5g_sim::engine::Engine::shed_counts`] /
-/// [`shield5g_sim::engine::Engine::depth_peak`]. Claims policies routed
-/// via [`shield5g_sim::engine::Engine::set_policy`].
+/// The engine counts what this layer sheds, at the door and at begin,
+/// and the peak depth it admits to
+/// ([`shield5g_sim::engine::Engine::shed_counts`] /
+/// [`shield5g_sim::engine::Engine::depth_peak`]); the layer counts its
+/// sheds per class.
 #[derive(Debug, Default)]
 pub struct AdmissionLayer {
     policy: AdmissionPolicy,
     emergency_headroom: usize,
-    stats: AdmissionStats,
     class_sheds: ClassShedsHandle,
 }
 
@@ -63,7 +60,6 @@ impl AdmissionLayer {
         AdmissionLayer {
             policy,
             emergency_headroom: 0,
-            stats: AdmissionStats::default(),
             class_sheds: ClassShedsHandle::default(),
         }
     }
@@ -85,18 +81,6 @@ impl AdmissionLayer {
     pub fn share_class_sheds(mut self, handle: ClassShedsHandle) -> Self {
         self.class_sheds = handle;
         self
-    }
-
-    /// The currently enforced policy.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Capacity slots reserved for emergency arrivals.
-    #[must_use]
-    pub fn emergency_headroom(&self) -> usize {
-        self.emergency_headroom
     }
 
     /// The shared per-class shed counters (clone to read after a run).
@@ -134,7 +118,6 @@ impl Layer for AdmissionLayer {
     fn on_arrive(&mut self, _env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
         if let Some(cap) = self.capacity_for(leg.class) {
             if depth >= cap {
-                self.stats.shed_full += 1;
                 obs::count(&leg.dest, &leg.path, labels::SHED_QUEUE_FULL, 1);
                 self.count_class_shed(leg);
                 return Gate::Shed {
@@ -147,13 +130,8 @@ impl Layer for AdmissionLayer {
         Gate::Admit
     }
 
-    fn on_admitted(&mut self, _env: &mut Env, _leg: &LegMeta, depth: usize) {
-        self.stats.depth_peak = self.stats.depth_peak.max(depth);
-    }
-
     fn on_begin(&mut self, _env: &mut Env, leg: &LegMeta, waited: SimDuration) -> Gate {
         if self.policy.deadline.is_some_and(|d| waited > d) {
-            self.stats.shed_deadline += 1;
             obs::count(&leg.dest, &leg.path, labels::SHED_DEADLINE, 1);
             self.count_class_shed(leg);
             return Gate::Shed {
@@ -163,15 +141,6 @@ impl Layer for AdmissionLayer {
             };
         }
         Gate::Admit
-    }
-
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        self.policy = policy;
-        true
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        self.stats
     }
 }
 

@@ -21,10 +21,9 @@
 //! circuit, records nothing, and its engine trace is byte-identical to a
 //! stack without this layer.
 
-use crate::stack::{Layer, Resume};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{LegMeta, Step, SHED_HEADER};
+use shield5g_sim::engine::{Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::HttpResponse;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;

@@ -3,10 +3,9 @@
 //! *queued*; this layer sheds a request whose deadline passed at any
 //! point, including mid-chain while a downstream call was in flight.
 
-use crate::stack::{Layer, Resume};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{Gate, LegMeta, Step, SHED_HEADER};
+use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;

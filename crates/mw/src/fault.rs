@@ -1,15 +1,40 @@
-//! [`FaultLayer`]: seed-driven fault injection as a layer, extracted
-//! from the engine's old `set_fault_injector` hook.
+//! [`FaultLayer`]: seed-driven fault injection as a layer, consulting
+//! the world's [`FaultInjector`].
 
-use crate::stack::Layer;
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{FaultAction, FaultInjectorHandle, LegMeta};
+use shield5g_sim::engine::{FaultAction, Layer, LegMeta};
 use shield5g_sim::Env;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A shared slot for the world's [`shield5g_sim::engine::FaultInjector`].
+/// Decides the fate of each engine message delivery. Implementations
+/// must be deterministic functions of their own seeded state — every
+/// [`FaultLayer`] consults the armed injector from the engine's
+/// [`Layer::request_fate`] / [`Layer::response_fate`] hooks, in event
+/// order, so a seed-driven injector yields byte-identical fault
+/// schedules across same-seed runs.
+pub trait FaultInjector {
+    /// Consulted when a `Step::CallOut` request is about to travel to
+    /// `dest` (the SBI request leg).
+    fn on_request(&mut self, dest: &str, path: &str) -> FaultAction {
+        let _ = (dest, path);
+        FaultAction::Deliver
+    }
+
+    /// Consulted when a service's reply from `dest` is about to travel
+    /// back to its caller (the SBI response leg).
+    fn on_response(&mut self, dest: &str, path: &str, status: u16) -> FaultAction {
+        let _ = (dest, path, status);
+        FaultAction::Deliver
+    }
+}
+
+/// Shared handle to a fault injector (the harness keeps a clone to read
+/// its counters after a run).
+pub type FaultInjectorHandle = Rc<RefCell<dyn FaultInjector>>;
+
+/// A shared slot for the world's [`FaultInjector`].
 ///
 /// Stacks are built once at slice construction, but fault plans are
 /// installed (and swapped) per experiment. The switch decouples the two:

@@ -21,8 +21,18 @@
 //!
 //! ## The layer contract
 //!
-//! A layer sees traffic twice per service segment, preserving the
-//! engine's resumability:
+//! [`Layer`] is the engine's own trait (`shield5g_sim::engine::Layer`,
+//! re-exported here), and one contract. Its nine scheduler hooks
+//! (`on_submit`, `on_arrive`, `on_admitted`, `on_queued`, `on_begin`,
+//! `on_callout`, `request_fate`, `response_fate`, `on_deliver`) are
+//! called by the engine itself, over the layers a [`Stack`] hands it:
+//! gates stop at the first [`Gate::Shed`], fates at the first
+//! non-`Deliver`, notifications reach every layer. The engine also
+//! counts what any layer sheds and the depth it admits to
+//! (`Engine::shed_counts`, `Engine::depth_peak`).
+//!
+//! The stack runs the rest: a layer sees traffic twice per service
+//! segment, preserving the engine's resumability:
 //!
 //! * **Inbound** — `on_request` (fresh request, outermost layer first)
 //!   or `on_response` (a downstream response resuming a continuation).
@@ -33,12 +43,6 @@
 //! * **Outbound** — `on_step`: the [`Step`] the service (or a breaking
 //!   layer) produced traverses the layers it passed through inbound, in
 //!   reverse (innermost first), on its way back to the scheduler.
-//!
-//! Around the segment methods, the scheduler's routing hooks
-//! (`on_arrive`, `on_begin`, `request_fate`, ... — see
-//! [`shield5g_sim::engine::EngineService`]) fan out across the stack:
-//! admission gates short-circuit on the first [`Gate::Shed`], fates on
-//! the first non-`Deliver`, notifications reach every layer.
 //!
 //! ## Ordering rules
 //!
@@ -79,11 +83,11 @@ pub use breaker::{
     BreakerStats, BreakerTransition,
 };
 pub use deadline::DeadlineLayer;
-pub use fault::{FaultLayer, FaultSwitch};
+pub use fault::{FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch};
 pub use obs::{ObsCore, ObsCoreHandle, ObsLayer};
 pub use retry::{RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
-pub use stack::{Layer, Resume, Stack};
+pub use stack::Stack;
 
-// Re-exported so stack construction sites need only this crate plus the
-// engine handle types.
-pub use shield5g_sim::engine::{AdmissionPolicy, AdmissionStats, Gate};
+// Re-exported so layers and stack construction sites need only this
+// crate plus the engine handle types.
+pub use shield5g_sim::engine::{AdmissionPolicy, Gate, Layer, Resume};

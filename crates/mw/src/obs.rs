@@ -1,11 +1,10 @@
 //! [`ObsLayer`]: request/queue/service span tracing and per-endpoint
 //! counters, extracted from the engine's old inline `hub::` call sites.
 
-use crate::stack::{Layer, Resume};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_obs::span::{SpanId, SpanKind};
-use shield5g_sim::engine::{Gate, LegMeta, Step, SHED_HEADER};
+use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;

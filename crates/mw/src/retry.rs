@@ -23,8 +23,7 @@
 //! All jitter comes from the seeded [`Env`] RNG: same seed, same fault
 //! schedule, same backoff sequence, byte-identical trace.
 
-use crate::stack::{Layer, Resume};
-use shield5g_sim::engine::{LegMeta, Step, ERROR_HEADER};
+use shield5g_sim::engine::{Layer, LegMeta, Resume, Step, ERROR_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
@@ -132,18 +131,11 @@ fn retryable(resp: &HttpResponse) -> bool {
     resp.status >= 500 && resp.header(ERROR_HEADER) != Some("loop")
 }
 
-/// Callback charging the send-side cost of a retransmission (TLS record,
-/// link transfer) on the caller's timeline before the request is
-/// re-issued. Without one, retransmissions reuse the stored request
-/// as-is — the backoff dominates by orders of magnitude.
-pub type ResendCharge = Box<dyn FnMut(&mut Env, &HttpRequest)>;
-
 /// Guards every `CallOut` the wrapped service emits with the policy's
 /// retransmission budget.
 pub struct RetryLayer {
     policy: RetryPolicy,
     stats: RetryStatsHandle,
-    charge: Option<ResendCharge>,
 }
 
 impl std::fmt::Debug for RetryLayer {
@@ -162,7 +154,6 @@ impl RetryLayer {
         RetryLayer {
             policy,
             stats: Rc::new(RefCell::new(RetryStats::default())),
-            charge: None,
         }
     }
 
@@ -170,13 +161,6 @@ impl RetryLayer {
     #[must_use]
     pub fn disabled() -> Self {
         Self::new(RetryPolicy::disabled())
-    }
-
-    /// Adds a per-retransmission send-cost charge.
-    #[must_use]
-    pub fn with_charge(mut self, charge: ResendCharge) -> Self {
-        self.charge = Some(charge);
-        self
     }
 
     /// The active policy.
@@ -247,9 +231,6 @@ impl Layer for RetryLayer {
                     rs.dest, rs.req.path, rs.attempt, self.policy.max_retries
                 ),
             );
-            if let Some(charge) = &mut self.charge {
-                charge(env, &rs.req);
-            }
             let req = rs.req.clone();
             return Resume::Break(Step::CallOut {
                 dest: rs.dest.clone(),
@@ -458,26 +439,5 @@ mod tests {
             times
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn resend_charge_runs_per_retransmission() {
-        let mut env = env();
-        let charged = Rc::new(RefCell::new(0u32));
-        let seen = charged.clone();
-        let mut layer =
-            RetryLayer::new(RetryPolicy::supervision()).with_charge(Box::new(move |_env, _req| {
-                *seen.borrow_mut() += 1;
-            }));
-        let step = layer.on_step(&mut env, &leg(), callout(vec![], Box::new(0u8)));
-        let Step::CallOut { state, .. } = step else {
-            panic!("expected callout");
-        };
-        let Resume::Break(_) =
-            layer.on_response(&mut env, &leg(), state, HttpResponse::error(504, "x"))
-        else {
-            panic!("expected a retransmission");
-        };
-        assert_eq!(*charged.borrow(), 1);
     }
 }

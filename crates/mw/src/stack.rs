@@ -1,113 +1,18 @@
-//! The [`Layer`] contract and the [`Stack`] combinator that composes
-//! layers around an [`EngineService`].
+//! The [`Stack`] combinator that composes [`Layer`]s around an
+//! [`EngineService`].
 
-use shield5g_sim::engine::{
-    AdmissionPolicy, AdmissionStats, EngineService, EngineServiceHandle, FaultAction, Gate,
-    LegMeta, Step,
-};
+use shield5g_sim::engine::{EngineService, EngineServiceHandle, Layer, LegMeta, Resume, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
-use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// What a layer's [`Layer::on_response`] decided about a resumed
-/// downstream response.
-pub enum Resume {
-    /// Hand `(state, resp)` to the next layer inward (and eventually to
-    /// the service's own `resume`).
-    Continue(Box<dyn Any>, HttpResponse),
-    /// Consume the response and substitute this [`Step`] — a
-    /// retransmission, a synthesized abandon-reply. Inner layers and the
-    /// service never see the response; the step traverses only the
-    /// layers *outside* the breaking one on its way out.
-    Break(Step),
-}
-
-/// One middleware layer. Every method is a default no-op (or pass-
-/// through), so a layer implements exactly the seams it cares about.
-///
-/// The scheduler-hook methods (`on_submit` through `admission_stats`)
-/// mirror [`EngineService`]'s hooks one-to-one — [`Stack`] fans each
-/// engine hook out across its layers. The three traversal methods
-/// (`on_request`, `on_response`, `on_step`) wrap the service's resumable
-/// segments.
-#[allow(unused_variables)]
-pub trait Layer {
-    /// A root leg for the wrapped endpoint was posted to the engine.
-    fn on_submit(&mut self, leg: &LegMeta) {}
-
-    /// A leg reached the endpoint; `depth` is in-flight count before it.
-    /// First [`Gate::Shed`] across the stack wins.
-    fn on_arrive(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
-        Gate::Admit
-    }
-
-    /// The arrival was admitted; `depth` includes it.
-    fn on_admitted(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) {}
-
-    /// The admitted leg joined the endpoint FIFO.
-    fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {}
-
-    /// A worker is about to run the leg after `waited` in the FIFO.
-    /// First [`Gate::Shed`] across the stack wins.
-    fn on_begin(&mut self, env: &mut Env, leg: &LegMeta, waited: SimDuration) -> Gate {
-        Gate::Admit
-    }
-
-    /// The wrapped service spawned downstream leg `child`.
-    fn on_callout(&mut self, env: &mut Env, parent: &LegMeta, child: &LegMeta) {}
-
-    /// Fate of an outbound request leg. First non-`Deliver` wins.
-    fn request_fate(&mut self, env: &mut Env, dest: &str, path: &str) -> FaultAction {
-        FaultAction::Deliver
-    }
-
-    /// Fate of the response leg this endpoint produced. First
-    /// non-`Deliver` wins.
-    fn response_fate(&mut self, env: &mut Env, leg: &LegMeta, status: u16) -> FaultAction {
-        FaultAction::Deliver
-    }
-
-    /// A response is being delivered for a leg of this endpoint.
-    fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {}
-
-    /// Offer an admission policy to the layer. Return `true` to claim it.
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        false
-    }
-
-    /// Admission counters this layer accumulated.
-    fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats::default()
-    }
-
-    /// Inbound: a fresh request is about to start on the service
-    /// (outermost layer first).
-    fn on_request(&mut self, env: &mut Env, leg: &LegMeta, req: &HttpRequest) {}
-
-    /// Inbound: a downstream response is resuming the continuation.
-    /// Layers see it outermost-first; see [`Resume`].
-    fn on_response(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
-        Resume::Continue(state, resp)
-    }
-
-    /// Outbound: the produced [`Step`] on its way back to the scheduler
-    /// (innermost layer first, reverse of inbound).
-    fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {
-        step
-    }
-}
-
 /// An [`EngineService`] built from an inner service and an ordered set
-/// of [`Layer`]s ([`Stack::with`] adds outermost-first).
+/// of [`Layer`]s ([`Stack::with`] adds outermost-first). The stack runs
+/// the layers' traversal around the service's segments; the engine asks
+/// the same layers its scheduler hooks, through
+/// [`EngineService::layers`].
 pub struct Stack {
     service: EngineServiceHandle,
     layers: Vec<Box<dyn Layer>>,
@@ -184,102 +89,17 @@ impl EngineService for Stack {
         self.outbound(env, leg, step, from)
     }
 
-    fn on_submit(&mut self, leg: &LegMeta) {
-        for layer in &mut self.layers {
-            layer.on_submit(leg);
-        }
-    }
-
-    fn on_arrive(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
-        for layer in &mut self.layers {
-            match layer.on_arrive(env, leg, depth) {
-                Gate::Admit => {}
-                shed @ Gate::Shed { .. } => return shed,
-            }
-        }
-        Gate::Admit
-    }
-
-    fn on_admitted(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) {
-        for layer in &mut self.layers {
-            layer.on_admitted(env, leg, depth);
-        }
-    }
-
-    fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {
-        for layer in &mut self.layers {
-            layer.on_queued(env, leg);
-        }
-    }
-
-    fn on_begin(&mut self, env: &mut Env, leg: &LegMeta, waited: SimDuration) -> Gate {
-        for layer in &mut self.layers {
-            match layer.on_begin(env, leg, waited) {
-                Gate::Admit => {}
-                shed @ Gate::Shed { .. } => return shed,
-            }
-        }
-        Gate::Admit
-    }
-
-    fn on_callout(&mut self, env: &mut Env, parent: &LegMeta, child: &LegMeta) {
-        for layer in &mut self.layers {
-            layer.on_callout(env, parent, child);
-        }
-    }
-
-    fn request_fate(&mut self, env: &mut Env, dest: &str, path: &str) -> FaultAction {
-        for layer in &mut self.layers {
-            let action = layer.request_fate(env, dest, path);
-            if action != FaultAction::Deliver {
-                return action;
-            }
-        }
-        FaultAction::Deliver
-    }
-
-    fn response_fate(&mut self, env: &mut Env, leg: &LegMeta, status: u16) -> FaultAction {
-        for layer in &mut self.layers {
-            let action = layer.response_fate(env, leg, status);
-            if action != FaultAction::Deliver {
-                return action;
-            }
-        }
-        FaultAction::Deliver
-    }
-
-    fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {
-        for layer in &mut self.layers {
-            layer.on_deliver(env, leg, resp);
-        }
-    }
-
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        let mut claimed = false;
-        for layer in &mut self.layers {
-            claimed |= layer.set_admission_policy(policy);
-        }
-        claimed
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        let mut merged = AdmissionStats::default();
-        for layer in &self.layers {
-            let s = layer.admission_stats();
-            merged.shed_full += s.shed_full;
-            merged.shed_deadline += s.shed_deadline;
-            merged.depth_peak = merged.depth_peak.max(s.depth_peak);
-        }
-        merged
+    fn layers(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut self.layers
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_sim::engine::Engine;
+    use shield5g_sim::engine::{Engine, Gate};
     use shield5g_sim::service::{service_handle, Service};
-    use shield5g_sim::time::SimTime;
+    use shield5g_sim::time::{SimDuration, SimTime};
 
     struct Echo;
     impl Service for Echo {

@@ -4,13 +4,13 @@
 //! documented differences.
 
 use shield5g_mw::{
-    AdmissionLayer, DeadlineLayer, FaultLayer, FaultSwitch, ObsLayer, RetryLayer, RetryPolicy,
-    Stack,
+    AdmissionLayer, DeadlineLayer, FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch,
+    ObsLayer, RetryLayer, RetryPolicy, Stack,
 };
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_sim::engine::{
-    AdmissionPolicy, Engine, EngineService, EngineServiceHandle, FaultAction, FaultInjector,
-    FaultInjectorHandle, LegMeta, Step, FAULT_HEADER,
+    AdmissionPolicy, Engine, EngineService, EngineServiceHandle, FaultAction, LegMeta, Step,
+    FAULT_HEADER,
 };
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::{service_handle, Service};
@@ -100,16 +100,11 @@ impl FaultInjector for ScriptedFaults {
 fn capacity_policy_sheds_excess_arrivals() {
     let mut env = Env::new(7);
     let mut engine = Engine::new();
-    let stack = Stack::new(echo_leaf(10_000)).with(AdmissionLayer::default());
+    let stack = Stack::new(echo_leaf(10_000)).with(AdmissionLayer::new(AdmissionPolicy {
+        capacity: Some(2),
+        deadline: None,
+    }));
     engine.register("echo", 1, stack.into_handle());
-    // The policy routes through the scheduler to the stack's layer.
-    assert!(engine.set_policy(
-        "echo",
-        AdmissionPolicy {
-            capacity: Some(2),
-            deadline: None,
-        },
-    ));
     let t0 = env.clock.now();
     for i in 0..5 {
         engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![i]));

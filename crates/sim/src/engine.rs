@@ -31,11 +31,17 @@
 //! per-endpoint concerns — admission control, fault injection,
 //! observability, retries, deadlines — live in middleware layers (the
 //! `shield5g-mw` crate) stacked around each registered service. The
-//! scheduler exposes the seams those layers need as default-no-op
-//! [`EngineService`] hooks (`on_arrive`, `on_begin`, `request_fate`,
-//! `response_fate`, ...): a bare service scheduled directly behaves
-//! exactly like one wrapped in an empty stack, and a hook that declines
-//! to act is byte-invisible in the trace.
+//! seams those layers need are the nine scheduler hooks of [`Layer`]
+//! (`on_arrive`, `on_begin`, `request_fate`, `response_fate`, ...),
+//! declared once, here: a service hands the engine its layers through
+//! [`EngineService::layers`], and the engine asks them in order — the
+//! first [`Gate::Shed`] wins, the first fate that is not
+//! [`FaultAction::Deliver`] wins, every layer hears each notification. A
+//! bare service has no layers and behaves exactly like one wrapped in an
+//! empty stack, and a hook that declines to act is byte-invisible in the
+//! trace. The engine counts only its own decisions per endpoint: the
+//! legs shed at arrival and at begin, and the peak admitted depth
+//! ([`Engine::shed_counts`], [`Engine::depth_peak`]).
 //!
 //! Two driving modes:
 //!
@@ -155,32 +161,6 @@ pub enum FaultAction {
     },
 }
 
-/// Decides the fate of each engine message delivery. Implementations
-/// must be deterministic functions of their own seeded state — the
-/// engine consults them (through the [`EngineService::request_fate`] /
-/// [`EngineService::response_fate`] hooks) in event order, so a
-/// seed-driven injector yields byte-identical fault schedules across
-/// same-seed runs.
-pub trait FaultInjector {
-    /// Consulted when a `Step::CallOut` request is about to travel to
-    /// `dest` (the SBI request leg).
-    fn on_request(&mut self, dest: &str, path: &str) -> FaultAction {
-        let _ = (dest, path);
-        FaultAction::Deliver
-    }
-
-    /// Consulted when a service's reply from `dest` is about to travel
-    /// back to its caller (the SBI response leg).
-    fn on_response(&mut self, dest: &str, path: &str, status: u16) -> FaultAction {
-        let _ = (dest, path, status);
-        FaultAction::Deliver
-    }
-}
-
-/// Shared handle to a fault injector (the harness keeps a clone to read
-/// its counters after a run).
-pub type FaultInjectorHandle = Rc<RefCell<dyn FaultInjector>>;
-
 /// What a service segment does next.
 pub enum Step {
     /// The request is answered; the worker is released and the response
@@ -216,7 +196,7 @@ impl std::fmt::Debug for Step {
 }
 
 /// Identity and timing of one request leg, handed to every
-/// [`EngineService`] hook. Built by the scheduler from its context
+/// [`Layer`] hook. Built by the scheduler from its context
 /// table; layers key any per-leg state they carry on [`LegMeta::id`].
 #[derive(Clone, Debug)]
 pub struct LegMeta {
@@ -237,8 +217,8 @@ pub struct LegMeta {
     pub class: PriorityClass,
 }
 
-/// An admission decision from [`EngineService::on_arrive`] /
-/// [`EngineService::on_begin`]. On [`Gate::Shed`] the scheduler writes
+/// An admission decision from [`Layer::on_arrive`] /
+/// [`Layer::on_begin`]. On [`Gate::Shed`] the scheduler writes
 /// `note` into the event trace and delivers `resp` to the caller without
 /// running the service — so a shedding layer controls the synthesized
 /// response while the trace format stays the scheduler's.
@@ -254,31 +234,14 @@ pub enum Gate {
     },
 }
 
-/// Admission counters reported by a service stack through
-/// [`EngineService::admission_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Arrivals refused because the bounded queue was full.
-    pub shed_full: u64,
-    /// Waiters refused because their queueing delay exceeded the
-    /// admission deadline.
-    pub shed_deadline: u64,
-    /// Peak in-flight depth (serving + waiting) seen at the endpoint.
-    pub depth_peak: usize,
-}
-
 /// A service in continuation-passing form: `start` handles a fresh
 /// request, `resume` continues after a downstream response. Handlers
 /// never touch the engine — they advance the clock for their own compute
 /// and return a [`Step`]; the scheduler owns all routing.
 ///
-/// Beyond the two segment methods, the trait carries the *scheduler
-/// hooks*: default-no-op seams the engine invokes at each routing
-/// decision so a middleware stack (`shield5g-mw`) can interpose
-/// admission control, fault injection, observability, retries and
-/// deadlines without the scheduler knowing any of those concerns. A
-/// plain service that overrides nothing behaves exactly as if no hook
-/// existed.
+/// A service may also hand the scheduler its [`Layer`]s, whose hooks the
+/// engine consults at each routing decision. A plain service has none
+/// and is asked nothing.
 pub trait EngineService {
     /// Begins handling `req`. Called once per request, with the clock set
     /// to the instant the request reached a free worker.
@@ -296,78 +259,129 @@ pub trait EngineService {
         resp: HttpResponse,
     ) -> Step;
 
-    /// Hook: a root leg for this endpoint was posted via
+    /// The layers whose scheduler hooks the engine fans out for this
+    /// endpoint, outermost first. None by default.
+    fn layers(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut []
+    }
+}
+
+/// What a layer's [`Layer::on_response`] decided about a resumed
+/// downstream response.
+pub enum Resume {
+    /// Hand `(state, resp)` to the next layer inward (and eventually to
+    /// the service's own `resume`).
+    Continue(Box<dyn Any>, HttpResponse),
+    /// Consume the response and substitute this [`Step`] — a
+    /// retransmission, a synthesized abandon-reply. Inner layers and the
+    /// service never see the response; the step traverses only the
+    /// layers *outside* the breaking one on its way out.
+    Break(Step),
+}
+
+/// One middleware layer (`shield5g-mw`): admission control, fault
+/// injection, observability, retries, deadlines. Every method is a
+/// default no-op (or pass-through), so a layer implements exactly the
+/// seams it cares about.
+///
+/// The nine *scheduler hooks* (`on_submit` through `on_deliver`) are
+/// called by the engine, in order over [`EngineService::layers`]: the
+/// first [`Gate::Shed`] of a gate wins and the layers after it are not
+/// asked, the first fate that is not [`FaultAction::Deliver`] wins
+/// likewise, and notifications reach every layer. A hook that declines
+/// to act is byte-invisible in the trace. The three *traversal* methods
+/// (`on_request`, `on_response`, `on_step`) wrap the service's
+/// resumable segments; the stack that owns the layers calls them.
+#[allow(unused_variables)]
+pub trait Layer {
+    /// A root leg for the endpoint was posted via
     /// [`Engine::schedule_request`] (clock may not be at
     /// `leg.submitted` yet — open-loop arrivals are scheduled ahead).
-    fn on_submit(&mut self, leg: &LegMeta) {
-        let _ = leg;
-    }
+    fn on_submit(&mut self, leg: &LegMeta) {}
 
-    /// Hook: a leg reached this endpoint. `depth` is the in-flight count
+    /// A leg reached the endpoint. `depth` is the in-flight count
     /// (serving + waiting) *before* this arrival. Returning
     /// [`Gate::Shed`] refuses it at the door.
     fn on_arrive(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
-        let _ = (env, leg, depth);
         Gate::Admit
     }
 
-    /// Hook: the arrival was admitted; `depth` now counts it
-    /// (serving + waiting, inclusive).
-    fn on_admitted(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) {
-        let _ = (env, leg, depth);
-    }
+    /// The arrival was admitted; `depth` now counts it (serving +
+    /// waiting, inclusive).
+    fn on_admitted(&mut self, env: &mut Env, leg: &LegMeta, depth: usize) {}
 
-    /// Hook: the admitted leg found no free worker and joined the FIFO.
-    fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {
-        let _ = (env, leg);
-    }
+    /// The admitted leg found no free worker and joined the FIFO.
+    fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {}
 
-    /// Hook: a worker is about to run the leg after waiting `waited` in
-    /// the FIFO. Returning [`Gate::Shed`] refuses it (the worker is
+    /// A worker is about to run the leg after waiting `waited` in the
+    /// FIFO. Returning [`Gate::Shed`] refuses it (the worker is
     /// released) — this is where deadline shedding lives.
     fn on_begin(&mut self, env: &mut Env, leg: &LegMeta, waited: SimDuration) -> Gate {
-        let _ = (env, leg, waited);
         Gate::Admit
     }
 
-    /// Hook: this service returned a [`Step::CallOut`]; `child` is the
-    /// freshly minted downstream leg.
-    fn on_callout(&mut self, env: &mut Env, parent: &LegMeta, child: &LegMeta) {
-        let _ = (env, parent, child);
-    }
+    /// The service returned a [`Step::CallOut`]; `child` is the freshly
+    /// minted downstream leg.
+    fn on_callout(&mut self, env: &mut Env, parent: &LegMeta, child: &LegMeta) {}
 
-    /// Hook: fate of an outbound request leg this service is sending to
-    /// `dest` (consulted on the *caller's* stack).
+    /// Fate of an outbound request leg the service is sending to `dest`
+    /// (consulted on the *caller's* layers).
     fn request_fate(&mut self, env: &mut Env, dest: &str, path: &str) -> FaultAction {
-        let _ = (env, dest, path);
         FaultAction::Deliver
     }
 
-    /// Hook: fate of the response leg this service just produced
-    /// (consulted on the *replier's* stack).
+    /// Fate of the response leg the service just produced (consulted on
+    /// the *replier's* layers).
     fn response_fate(&mut self, env: &mut Env, leg: &LegMeta, status: u16) -> FaultAction {
-        let _ = (env, leg, status);
         FaultAction::Deliver
     }
 
-    /// Hook: a response (service-produced or synthesized) is being
-    /// delivered for a leg addressed to this endpoint; the leg is done.
-    fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {
-        let _ = (env, leg, resp);
+    /// A response (service-produced or synthesized) is being delivered
+    /// for a leg addressed to the endpoint; the leg is done.
+    fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {}
+
+    /// Inbound: a fresh request is about to start on the service
+    /// (outermost layer first).
+    fn on_request(&mut self, env: &mut Env, leg: &LegMeta, req: &HttpRequest) {}
+
+    /// Inbound: a downstream response is resuming the continuation.
+    /// Layers see it outermost-first; see [`Resume`].
+    fn on_response(
+        &mut self,
+        env: &mut Env,
+        leg: &LegMeta,
+        state: Box<dyn Any>,
+        resp: HttpResponse,
+    ) -> Resume {
+        Resume::Continue(state, resp)
     }
 
-    /// Hook: install an admission policy. Returns whether anything in
-    /// the service accepted it (a bare service has no admission layer
-    /// and returns `false`).
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        let _ = policy;
-        false
+    /// Outbound: the produced [`Step`] on its way back to the scheduler
+    /// (innermost layer first, reverse of inbound).
+    fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {
+        step
     }
+}
 
-    /// Hook: admission counters accumulated by the service's stack.
-    fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats::default()
-    }
+/// The first [`Gate::Shed`] `hook` returns over `layers`, which are not
+/// asked past it; [`Gate::Admit`] when none sheds.
+fn gate(layers: &mut [Box<dyn Layer>], mut hook: impl FnMut(&mut dyn Layer) -> Gate) -> Gate {
+    let mut gates = layers.iter_mut().map(|layer| hook(layer.as_mut()));
+    gates
+        .find(|gate| matches!(gate, Gate::Shed { .. }))
+        .unwrap_or(Gate::Admit)
+}
+
+/// The first fate `hook` returns over `layers` that is not
+/// [`FaultAction::Deliver`], which are not asked past it.
+fn fate(
+    layers: &mut [Box<dyn Layer>],
+    mut hook: impl FnMut(&mut dyn Layer) -> FaultAction,
+) -> FaultAction {
+    let mut fates = layers.iter_mut().map(|layer| hook(layer.as_mut()));
+    fates
+        .find(|fate| *fate != FaultAction::Deliver)
+        .unwrap_or(FaultAction::Deliver)
 }
 
 /// Shared handle to an engine service.
@@ -396,9 +410,9 @@ impl EngineService for LeafService {
 }
 
 /// Admission-control policy of one endpoint. Defaults to unbounded: every
-/// arrival waits as long as it takes. Enforced by an admission layer
-/// stacked on the endpoint's service (`shield5g-mw`), not by the
-/// scheduler itself.
+/// arrival waits as long as it takes. Enforced by `shield5g-mw`'s
+/// admission layer, not by the scheduler; the type lives here only
+/// because the benchmark's kernels name it at this path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AdmissionPolicy {
     /// Maximum in-flight requests (serving + waiting); arrivals beyond it
@@ -440,6 +454,10 @@ struct Endpoint {
     workers: u32,
     busy: u32,
     waiting: VecDeque<u64>,
+    /// Legs its layers shed at arrival and at begin.
+    sheds: (u64, u64),
+    /// Peak admitted depth (serving + waiting).
+    depth_peak: usize,
 }
 
 struct ParentLink {
@@ -670,18 +688,10 @@ impl Engine {
             workers,
             busy: 0,
             waiting: VecDeque::new(),
+            sheds: (0, 0),
+            depth_peak: 0,
         });
         (ep.service, ep.workers) = (service, workers);
-    }
-
-    /// Routes an admission policy to the service registered at `addr`
-    /// (its admission layer, when it has one). Returns `false` when
-    /// `addr` is unknown or the service has nothing that accepts a
-    /// policy — callers that require enforcement must check.
-    pub fn set_policy(&mut self, addr: &str, policy: AdmissionPolicy) -> bool {
-        self.endpoints
-            .get(addr)
-            .is_some_and(|e| e.service.borrow_mut().set_admission_policy(policy))
     }
 
     /// Removes an endpoint; returns whether it existed. Its waiters get
@@ -710,23 +720,19 @@ impl Engine {
         out
     }
 
-    /// `(queue-full, deadline)` shed counters reported by an endpoint's
-    /// service stack.
+    /// `(at arrival, at begin)`: the legs the endpoint's layers shed, by
+    /// whichever layer. A pool replica's only shedding layer is its
+    /// admission layer, so these are its queue-full and deadline sheds.
     #[must_use]
     pub fn shed_counts(&self, addr: &str) -> (u64, u64) {
-        self.endpoints.get(addr).map_or((0, 0), |e| {
-            let s = e.service.borrow().admission_stats();
-            (s.shed_full, s.shed_deadline)
-        })
+        self.endpoints.get(addr).map_or((0, 0), |e| e.sheds)
     }
 
-    /// Peak in-flight depth (serving + waiting) reported by an
-    /// endpoint's service stack.
+    /// Peak in-flight depth (serving + waiting) the endpoint reached on
+    /// admitting a leg.
     #[must_use]
     pub fn depth_peak(&self, addr: &str) -> usize {
-        self.endpoints
-            .get(addr)
-            .map_or(0, |e| e.service.borrow().admission_stats().depth_peak)
+        self.endpoints.get(addr).map_or(0, |e| e.depth_peak)
     }
 
     /// Turns recording on or off; a new engine records nothing. On keeps a
@@ -858,7 +864,9 @@ impl Engine {
         // trace). Unknown destinations get no announcement — the arrival
         // will synthesize the error.
         if let Some(ep) = self.endpoints.get(addr) {
-            ep.service.borrow_mut().on_submit(&leg);
+            for layer in ep.service.borrow_mut().layers() {
+                layer.on_submit(&leg);
+            }
         }
         let ctx = Ctx {
             ids: (self.intern(&leg.dest), self.intern(&leg.path)),
@@ -992,25 +1000,32 @@ impl Engine {
             return;
         };
         let service = ep.service.clone();
+        let mut service = service.borrow_mut();
         let depth = ep.busy as usize + ep.waiting.len();
-        match service.borrow_mut().on_arrive(env, &leg, depth) {
-            Gate::Admit => {}
-            Gate::Shed { resp, note } => {
-                // Shed at the door: no worker was taken, so no Release —
-                // the synthesized reply completes at the arrival instant.
-                self.note_shed(now, note, ids);
-                self.push_event(now, EventKind::Deliver { ctx: id, resp });
-                return;
-            }
+        if let Gate::Shed { resp, note } =
+            gate(service.layers(), |layer| layer.on_arrive(env, &leg, depth))
+        {
+            // Shed at the door: no worker was taken, so no Release —
+            // the synthesized reply completes at the arrival instant.
+            ep.sheds.0 += 1;
+            self.note_shed(now, note, ids);
+            self.push_event(now, EventKind::Deliver { ctx: id, resp });
+            return;
         }
-        service.borrow_mut().on_admitted(env, &leg, depth + 1);
+        ep.depth_peak = ep.depth_peak.max(depth + 1);
+        for layer in service.layers() {
+            layer.on_admitted(env, &leg, depth + 1);
+        }
         if ep.busy < ep.workers {
             ep.busy += 1;
+            drop(service);
             self.run_begin(env, id);
         } else {
             ep.waiting.push_back(id);
             self.note(now, QUEUE, ids.0, ids.1);
-            service.borrow_mut().on_queued(env, &leg);
+            for layer in service.layers() {
+                layer.on_queued(env, &leg);
+            }
         }
     }
 
@@ -1024,22 +1039,18 @@ impl Engine {
             let req = ctx.req.take().expect("request not yet started");
             (ctx.leg.clone(), ctx.ids, ctx.queued, req)
         };
-        let service = self
-            .endpoints
-            .get(&leg.dest)
-            .expect("endpoint exists")
-            .service
-            .clone();
-        match service.borrow_mut().on_begin(env, &leg, wait) {
-            Gate::Admit => {}
-            Gate::Shed { resp, note } => {
-                // Shed at begin: the worker granted to this leg is
-                // released before the synthesized reply travels back.
-                self.note_shed(now, note, ids);
-                self.push_event(now, EventKind::Release { dest: leg.dest });
-                self.push_event(now, EventKind::Deliver { ctx: id, resp });
-                return;
-            }
+        let ep = self.endpoints.get_mut(&leg.dest).expect("endpoint exists");
+        let service = ep.service.clone();
+        if let Gate::Shed { resp, note } = gate(service.borrow_mut().layers(), |layer| {
+            layer.on_begin(env, &leg, wait)
+        }) {
+            // Shed at begin: the worker granted to this leg is
+            // released before the synthesized reply travels back.
+            ep.sheds.1 += 1;
+            self.note_shed(now, note, ids);
+            self.push_event(now, EventKind::Release { dest: leg.dest });
+            self.push_event(now, EventKind::Deliver { ctx: id, resp });
+            return;
         }
         self.note(now, BEGIN, ids.0, ids.1);
         let step = service.borrow_mut().start(env, &leg, req);
@@ -1062,35 +1073,13 @@ impl Engine {
                     },
                 );
                 let action = match self.endpoints.get(&leg.dest) {
-                    Some(ep) => {
-                        let service = ep.service.clone();
-                        let a = service.borrow_mut().response_fate(env, &leg, resp.status);
-                        a
-                    }
+                    Some(ep) => fate(ep.service.borrow_mut().layers(), |layer| {
+                        layer.response_fate(env, &leg, resp.status)
+                    }),
                     None => FaultAction::Deliver,
                 };
-                match action {
-                    FaultAction::Deliver => {
-                        self.push_event(now, EventKind::Deliver { ctx: id, resp });
-                    }
-                    FaultAction::Drop { timeout } => {
-                        self.note(now, FAULT_DROP, ids.0, ids.1);
-                        let resp = HttpResponse::error(504, "injected response drop")
-                            .with_header(FAULT_HEADER, "drop");
-                        self.push_event(now + timeout, EventKind::Deliver { ctx: id, resp });
-                    }
-                    FaultAction::Delay(d) => {
-                        self.note(now, FAULT_DELAY, ids.0, ids.1);
-                        let resp = resp.with_header(FAULT_HEADER, "delay");
-                        self.push_event(now + d, EventKind::Deliver { ctx: id, resp });
-                    }
-                    FaultAction::Error { status } => {
-                        self.note(now, FAULT_5XX, ids.0, ids.1);
-                        let resp = HttpResponse::error(status, "injected upstream failure")
-                            .with_header(FAULT_HEADER, "injected-5xx");
-                        self.push_event(now, EventKind::Deliver { ctx: id, resp });
-                    }
-                }
+                let (at, kind) = self.carry(now, id, ids, action, Some(resp));
+                self.push_event(at, kind);
             }
             Step::CallOut { dest, req, state } => {
                 let child = self.next_ctx;
@@ -1118,44 +1107,25 @@ impl Engine {
                 self.note(now, CALLOUT, ids.0, ids.1);
                 // The *caller's* stack observes the new leg and decides
                 // its request-leg fate — the callee may not even exist.
-                let parent_service = self
-                    .endpoints
-                    .get(&parent_leg.dest)
-                    .map(|ep| ep.service.clone());
-                let action = match parent_service {
-                    Some(service) => {
-                        let mut svc = service.borrow_mut();
-                        svc.on_callout(env, &parent_leg, &child_leg);
-                        svc.request_fate(env, &child_leg.dest, &child_leg.path)
+                let action = match self.endpoints.get(&parent_leg.dest) {
+                    Some(ep) => {
+                        let mut service = ep.service.borrow_mut();
+                        for layer in service.layers() {
+                            layer.on_callout(env, &parent_leg, &child_leg);
+                        }
+                        fate(service.layers(), |layer| {
+                            layer.request_fate(env, &child_leg.dest, &child_leg.path)
+                        })
                     }
                     None => FaultAction::Deliver,
                 };
-                let (at, kind) = match action {
-                    FaultAction::Deliver => (now, EventKind::Arrive { ctx: child }),
-                    FaultAction::Drop { timeout } => {
-                        // The request never reaches `dest`; the caller
-                        // sits on its supervision timer and resumes with
-                        // a synthesized 504.
-                        self.note(now, FAULT_DROP, ids.0, ids.1);
-                        let resp = HttpResponse::error(504, "injected request drop")
-                            .with_header(FAULT_HEADER, "drop");
-                        (now + timeout, EventKind::Deliver { ctx: child, resp })
-                    }
-                    FaultAction::Delay(d) => {
-                        self.note(now, FAULT_DELAY, ids.0, ids.1);
-                        // In-network delay is not queueing delay: move the
-                        // arrival instant so admission deadlines measure
-                        // only the wait at the endpoint.
-                        child_leg.arrived = now + d;
-                        (now + d, EventKind::Arrive { ctx: child })
-                    }
-                    FaultAction::Error { status } => {
-                        self.note(now, FAULT_5XX, ids.0, ids.1);
-                        let resp = HttpResponse::error(status, "injected upstream failure")
-                            .with_header(FAULT_HEADER, "injected-5xx");
-                        (now, EventKind::Deliver { ctx: child, resp })
-                    }
-                };
+                let (at, kind) = self.carry(now, child, ids, action, None);
+                if let EventKind::Arrive { .. } = kind {
+                    // In-network delay is not queueing delay: move the
+                    // arrival instant so admission deadlines measure
+                    // only the wait at the endpoint.
+                    child_leg.arrived = at;
+                }
                 let ctx = Ctx {
                     leg: child_leg,
                     ids,
@@ -1167,6 +1137,49 @@ impl Engine {
                 self.ctxs.insert(child, ctx);
                 self.push_event(at, kind);
             }
+        }
+    }
+
+    /// The event that carries leg `ctx`'s message leaving at `now` under
+    /// `action`, and its instant: the leg's arrival when `reply` is `None`
+    /// (a request), else the delivery of `reply`. A fault is noted under
+    /// `ids`; a dropped message resolves to the 504 the waiting side's
+    /// supervision timer synthesizes, an injected error to an immediate
+    /// 5xx.
+    fn carry(
+        &mut self,
+        now: SimTime,
+        ctx: u64,
+        ids: (u32, u32),
+        action: FaultAction,
+        reply: Option<HttpResponse>,
+    ) -> (SimTime, EventKind) {
+        let (kind, at, resp) = match action {
+            FaultAction::Deliver => (None, now, reply),
+            FaultAction::Drop { timeout } => {
+                let what = match reply {
+                    Some(_) => "injected response drop",
+                    None => "injected request drop",
+                };
+                let resp = HttpResponse::error(504, what).with_header(FAULT_HEADER, "drop");
+                (Some(FAULT_DROP), now + timeout, Some(resp))
+            }
+            FaultAction::Delay(d) => {
+                let reply = reply.map(|resp| resp.with_header(FAULT_HEADER, "delay"));
+                (Some(FAULT_DELAY), now + d, reply)
+            }
+            FaultAction::Error { status } => {
+                let resp = HttpResponse::error(status, "injected upstream failure")
+                    .with_header(FAULT_HEADER, "injected-5xx");
+                (Some(FAULT_5XX), now, Some(resp))
+            }
+        };
+        if let Some(kind) = kind {
+            self.note(now, kind, ids.0, ids.1);
+        }
+        match resp {
+            Some(resp) => (at, EventKind::Deliver { ctx, resp }),
+            None => (at, EventKind::Arrive { ctx }),
         }
     }
 
@@ -1199,8 +1212,9 @@ impl Engine {
         // closes the leg's request span here). A leg to an unregistered
         // address has no stack to notify.
         if let Some(ep) = self.endpoints.get(&leg.dest) {
-            let service = ep.service.clone();
-            service.borrow_mut().on_deliver(env, &leg, &resp);
+            for layer in ep.service.borrow_mut().layers() {
+                layer.on_deliver(env, &leg, &resp);
+            }
         }
         match parent {
             None => {
@@ -1285,6 +1299,40 @@ mod tests {
         ) -> Step {
             Step::Reply(resp)
         }
+    }
+
+    /// A service whose `layers` the engine consults; no traversal.
+    struct Layered {
+        service: EngineServiceHandle,
+        layers: Vec<Box<dyn Layer>>,
+    }
+
+    impl EngineService for Layered {
+        fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
+            self.service.borrow_mut().start(env, leg, req)
+        }
+
+        fn resume(
+            &mut self,
+            env: &mut Env,
+            leg: &LegMeta,
+            state: Box<dyn Any>,
+            resp: HttpResponse,
+        ) -> Step {
+            self.service.borrow_mut().resume(env, leg, state, resp)
+        }
+
+        fn layers(&mut self) -> &mut [Box<dyn Layer>] {
+            &mut self.layers
+        }
+    }
+
+    fn layered(service: EngineServiceHandle, layers: Vec<Box<dyn Layer>>) -> EngineServiceHandle {
+        Rc::new(RefCell::new(Layered { service, layers }))
+    }
+
+    fn echo(nanos: u64) -> EngineServiceHandle {
+        Engine::leaf(service_handle(SlowEcho { nanos }))
     }
 
     fn engine_with_echo(workers: u32, nanos: u64) -> Engine {
@@ -1417,30 +1465,22 @@ mod tests {
         assert_eq!(env.clock.now() - t0, SimDuration::from_nanos(2_000));
     }
 
-    /// A [`Relay`] whose outbound request legs spend `delay` in flight.
-    struct DelayedRelay {
-        relay: Relay,
-        delay: SimDuration,
+    /// Holds every outbound request leg `.0` in flight.
+    struct DelayRequests(SimDuration);
+
+    impl Layer for DelayRequests {
+        fn request_fate(&mut self, _env: &mut Env, _dest: &str, _path: &str) -> FaultAction {
+            FaultAction::Delay(self.0)
+        }
     }
 
-    impl EngineService for DelayedRelay {
-        fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
-            self.relay.start(env, leg, req)
-        }
-
-        fn resume(
-            &mut self,
-            env: &mut Env,
-            leg: &LegMeta,
-            state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
-            self.relay.resume(env, leg, state, resp)
-        }
-
-        fn request_fate(&mut self, _env: &mut Env, _dest: &str, _path: &str) -> FaultAction {
-            FaultAction::Delay(self.delay)
-        }
+    /// A [`Relay`] to `echo` whose outbound request legs spend `delay` in
+    /// flight.
+    fn delayed_relay(delay: SimDuration) -> EngineServiceHandle {
+        let relay = Rc::new(RefCell::new(Relay {
+            next: "echo".into(),
+        }));
+        layered(relay, vec![Box::new(DelayRequests(delay))])
     }
 
     #[test]
@@ -1451,13 +1491,8 @@ mod tests {
         for callee_goes in [true, false] {
             let mut env = Env::new(13);
             let mut engine = engine_with_echo(1, 10_000);
-            let front = DelayedRelay {
-                relay: Relay {
-                    next: "echo".into(),
-                },
-                delay: SimDuration::from_nanos(if callee_goes { 10_000 } else { 0 }),
-            };
-            engine.register("front", 1, Rc::new(RefCell::new(front)));
+            let delay = SimDuration::from_nanos(if callee_goes { 10_000 } else { 0 });
+            engine.register("front", 1, delayed_relay(delay));
             let t0 = env.clock.now();
             engine.schedule_request(t0, "front", HttpRequest::get("/x"));
             let half_way = t0 + SimDuration::from_nanos(5_000);
@@ -1478,13 +1513,7 @@ mod tests {
         let mut env = Env::new(14);
         let mut engine = engine_with_echo(1, 1_000);
         engine.set_trace(true);
-        let front = DelayedRelay {
-            relay: Relay {
-                next: "echo".into(),
-            },
-            delay: SimDuration::from_nanos(500),
-        };
-        engine.register("front", 2, Rc::new(RefCell::new(front)));
+        engine.register("front", 2, delayed_relay(SimDuration::from_nanos(500)));
         for body in [1, 2] {
             engine.schedule_request(SimTime::ZERO, "front", HttpRequest::post("/x", vec![body]));
         }
@@ -1630,21 +1659,7 @@ mod tests {
     /// Sheds every arrival under a note nobody used before.
     struct FreshNotes;
 
-    impl EngineService for FreshNotes {
-        fn start(&mut self, _env: &mut Env, _leg: &LegMeta, _req: HttpRequest) -> Step {
-            Step::Reply(HttpResponse::error(500, "never admitted"))
-        }
-
-        fn resume(
-            &mut self,
-            env: &mut Env,
-            leg: &LegMeta,
-            _state: Box<dyn Any>,
-            _resp: HttpResponse,
-        ) -> Step {
-            self.start(env, leg, HttpRequest::get("/"))
-        }
-
+    impl Layer for FreshNotes {
         fn on_arrive(&mut self, _env: &mut Env, leg: &LegMeta, _depth: usize) -> Gate {
             Gate::Shed {
                 resp: HttpResponse::error(503, "shed"),
@@ -1658,7 +1673,7 @@ mod tests {
         let mut env = Env::new(15);
         let mut engine = Engine::new();
         engine.set_trace(true);
-        engine.register("gate", 1, Rc::new(RefCell::new(FreshNotes)));
+        engine.register("gate", 1, layered(echo(0), vec![Box::new(FreshNotes)]));
         for i in 1..=300 {
             engine.schedule_request(SimTime::from_nanos(i), "gate", HttpRequest::get("/x"));
         }
@@ -1790,51 +1805,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn set_policy_reports_unhandled_policies() {
-        // A pure scheduler has nowhere to put a policy: routing one to an
-        // unknown address or to a bare (stackless) service must say so
-        // instead of silently half-working.
-        let mut engine = engine_with_echo(1, 1_000);
-        let policy = AdmissionPolicy {
-            capacity: Some(4),
-            deadline: None,
-        };
-        assert!(!engine.set_policy("ghost", policy));
-        assert!(!engine.set_policy("echo", policy));
-        assert_eq!(engine.shed_counts("echo"), (0, 0));
-        assert_eq!(engine.depth_peak("echo"), 0);
+    /// Sheds by script: the first `at_arrive` arrivals at the door, then
+    /// the first `at_begin` legs at worker grant.
+    struct Shedding {
+        at_arrive: u32,
+        at_begin: u32,
     }
 
-    /// A service whose hooks shed by script: first `shed_at_arrive`
-    /// arrivals at the door, then `shed_at_begin` at worker grant.
-    struct SheddingEcho {
-        nanos: u64,
-        shed_at_arrive: u32,
-        shed_at_begin: u32,
-        stats: AdmissionStats,
-    }
-
-    impl EngineService for SheddingEcho {
-        fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-            env.clock.advance(SimDuration::from_nanos(self.nanos));
-            Step::Reply(HttpResponse::ok(req.body))
-        }
-
-        fn resume(
-            &mut self,
-            _env: &mut Env,
-            _leg: &LegMeta,
-            _state: Box<dyn Any>,
-            _resp: HttpResponse,
-        ) -> Step {
-            Step::Reply(HttpResponse::error(500, "leaf"))
-        }
-
+    impl Layer for Shedding {
         fn on_arrive(&mut self, _env: &mut Env, _leg: &LegMeta, _depth: usize) -> Gate {
-            if self.shed_at_arrive > 0 {
-                self.shed_at_arrive -= 1;
-                self.stats.shed_full += 1;
+            if self.at_arrive > 0 {
+                self.at_arrive -= 1;
                 return Gate::Shed {
                     resp: HttpResponse::error(503, "admission queue full")
                         .with_header(SHED_HEADER, "queue-full"),
@@ -1845,9 +1826,8 @@ mod tests {
         }
 
         fn on_begin(&mut self, _env: &mut Env, _leg: &LegMeta, _waited: SimDuration) -> Gate {
-            if self.shed_at_begin > 0 {
-                self.shed_at_begin -= 1;
-                self.stats.shed_deadline += 1;
+            if self.at_begin > 0 {
+                self.at_begin -= 1;
                 return Gate::Shed {
                     resp: HttpResponse::error(503, "admission deadline exceeded")
                         .with_header(SHED_HEADER, "deadline"),
@@ -1856,26 +1836,21 @@ mod tests {
             }
             Gate::Admit
         }
+    }
 
-        fn admission_stats(&self) -> AdmissionStats {
-            self.stats
-        }
+    fn shedding_echo(at_arrive: u32, at_begin: u32) -> EngineServiceHandle {
+        let shedding = Shedding {
+            at_arrive,
+            at_begin,
+        };
+        layered(echo(10_000), vec![Box::new(shedding)])
     }
 
     #[test]
     fn shed_at_arrive_completes_instantly_without_a_worker() {
         let mut env = Env::new(7);
         let mut engine = Engine::new();
-        engine.register(
-            "echo",
-            1,
-            Rc::new(RefCell::new(SheddingEcho {
-                nanos: 10_000,
-                shed_at_arrive: 1,
-                shed_at_begin: 0,
-                stats: AdmissionStats::default(),
-            })),
-        );
+        engine.register("echo", 1, shedding_echo(1, 0));
         let t0 = env.clock.now();
         engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![0]));
         engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![1]));
@@ -1895,16 +1870,7 @@ mod tests {
     fn shed_at_begin_releases_the_granted_worker() {
         let mut env = Env::new(8);
         let mut engine = Engine::new();
-        engine.register(
-            "echo",
-            1,
-            Rc::new(RefCell::new(SheddingEcho {
-                nanos: 10_000,
-                shed_at_begin: 1,
-                shed_at_arrive: 0,
-                stats: AdmissionStats::default(),
-            })),
-        );
+        engine.register("echo", 1, shedding_echo(0, 1));
         let t0 = env.clock.now();
         for i in 0..3 {
             engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![i]));
@@ -1927,6 +1893,148 @@ mod tests {
                 SimDuration::from_nanos(20_000),
             ]
         );
+    }
+
+    /// Writes `name:hook` for every scheduler hook it is asked; sheds
+    /// every arrival when `shed`, and gives every request leg `fate`.
+    struct Probe {
+        name: String,
+        log: Rc<RefCell<Vec<String>>>,
+        shed: bool,
+        fate: FaultAction,
+    }
+
+    impl Probe {
+        fn asked(&self, hook: &str) {
+            self.log.borrow_mut().push(format!("{}:{hook}", self.name));
+        }
+    }
+
+    impl Layer for Probe {
+        fn on_submit(&mut self, _leg: &LegMeta) {
+            self.asked("submit");
+        }
+
+        fn on_arrive(&mut self, _env: &mut Env, _leg: &LegMeta, _depth: usize) -> Gate {
+            self.asked("arrive");
+            if !self.shed {
+                return Gate::Admit;
+            }
+            let resp = HttpResponse::error(503, "probe").with_header(SHED_HEADER, "probe");
+            let note = "shed-probe";
+            Gate::Shed { resp, note }
+        }
+
+        fn on_admitted(&mut self, _env: &mut Env, _leg: &LegMeta, _depth: usize) {
+            self.asked("admitted");
+        }
+
+        fn on_queued(&mut self, _env: &mut Env, _leg: &LegMeta) {
+            self.asked("queued");
+        }
+
+        fn on_begin(&mut self, _env: &mut Env, _leg: &LegMeta, _waited: SimDuration) -> Gate {
+            self.asked("begin");
+            Gate::Admit
+        }
+
+        fn on_callout(&mut self, _env: &mut Env, _parent: &LegMeta, _child: &LegMeta) {
+            self.asked("callout");
+        }
+
+        fn request_fate(&mut self, _env: &mut Env, _dest: &str, _path: &str) -> FaultAction {
+            self.asked("request_fate");
+            self.fate
+        }
+
+        fn response_fate(&mut self, _env: &mut Env, _leg: &LegMeta, _status: u16) -> FaultAction {
+            self.asked("response_fate");
+            FaultAction::Deliver
+        }
+
+        fn on_deliver(&mut self, _env: &mut Env, _leg: &LegMeta, _resp: &HttpResponse) {
+            self.asked("deliver");
+        }
+    }
+
+    #[test]
+    fn the_engine_fans_each_hook_out_over_the_layers() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        // Probes `<addr>.1` and `<addr>.2` around `service`; the first
+        // sheds or faults.
+        let probed = |addr: &str, service, shed, fate| {
+            let probe = |i| {
+                let (name, log) = (format!("{addr}.{i}"), log.clone());
+                let fate = if i == 1 { fate } else { FaultAction::Deliver };
+                let shed = shed && i == 1;
+                Box::new(Probe {
+                    name,
+                    log,
+                    shed,
+                    fate,
+                }) as Box<dyn Layer>
+            };
+            layered(service, vec![probe(1), probe(2)])
+        };
+        let relay_to = |next: &str| -> EngineServiceHandle {
+            let next = next.into();
+            Rc::new(RefCell::new(Relay { next }))
+        };
+        let mut env = Env::new(20);
+        let mut engine = Engine::new();
+        let deliver = FaultAction::Deliver;
+        engine.register("gate", 1, probed("gate", echo(1_000), true, deliver));
+        engine.register("back", 1, probed("back", echo(1_000), false, deliver));
+        engine.register("bare", 1, relay_to("back"));
+        let fail = FaultAction::Error { status: 599 };
+        engine.register("front", 1, probed("front", relay_to("back"), false, fail));
+        let mut asked = |addr| {
+            let resp = engine.dispatch(&mut env, addr, HttpRequest::get("/x"));
+            (resp.unwrap().status, log.take())
+        };
+        // A shed from the first layer: the second is not asked at the door,
+        // and no layer hears of an admission; every layer hears the delivery.
+        let (status, hooks) = asked("gate");
+        assert_eq!(status, 503);
+        let shed = "gate.1:submit gate.2:submit gate.1:arrive gate.1:deliver gate.2:deliver";
+        assert_eq!(hooks.join(" "), shed);
+        // The first fate that is not `Deliver` wins and the second layer is
+        // not consulted: `back` is never asked to admit the leg, and hears
+        // only of the 5xx delivered in its place.
+        let (status, hooks) = asked("front");
+        assert_eq!(status, 599);
+        let faulted = [
+            "front.1:submit front.2:submit front.1:arrive front.2:arrive",
+            "front.1:admitted front.2:admitted front.1:begin front.2:begin",
+            "front.1:callout front.2:callout front.1:request_fate",
+            "back.1:deliver back.2:deliver",
+            "front.1:response_fate front.2:response_fate front.1:deliver front.2:deliver",
+        ];
+        assert_eq!(hooks.join(" "), faulted.join(" "));
+        // A layerless endpoint is asked nothing: only `back`'s probes hear
+        // of the leg `bare` sends them.
+        let (status, hooks) = asked("bare");
+        assert_eq!(status, 200);
+        let callee = [
+            "back.1:arrive back.2:arrive back.1:admitted back.2:admitted",
+            "back.1:begin back.2:begin back.1:response_fate back.2:response_fate",
+            "back.1:deliver back.2:deliver",
+        ];
+        assert_eq!(hooks.join(" "), callee.join(" "));
+        // The engine counts what any layer sheds, at the door or at begin
+        // (a deadline-style shed), and the depth of every admitted leg.
+        assert_eq!(engine.shed_counts("gate"), (1, 0));
+        assert_eq!(engine.depth_peak("gate"), 0);
+        engine.register("late", 1, shedding_echo(1, 1));
+        let t0 = env.clock.now();
+        for i in 0..3 {
+            engine.schedule_request(t0, "late", HttpRequest::post("/x", vec![i]));
+        }
+        let done = engine.run_until_idle(&mut env);
+        assert_eq!(done.iter().filter(|c| c.shed()).count(), 2);
+        assert_eq!(engine.shed_counts("late"), (1, 1));
+        assert_eq!(engine.depth_peak("late"), 2);
+        assert_eq!(engine.depth_peak("back"), 1);
     }
 
     #[test]
@@ -1970,16 +2078,17 @@ mod tests {
         assert_eq!(lines, run(11));
     }
 
-    /// One endpoint of the property world below. Through its hooks alone
-    /// it writes, for every decision it is shown, the line the
-    /// string-holding record used to render — endpoint, path and status
-    /// read from the hook's own [`LegMeta`] and response, never from the
-    /// engine's name table.
+    /// One endpoint of the property world below, and its one layer (a
+    /// clone sharing the dice). Through its hooks alone it writes, for
+    /// every decision it is shown, the line the string-holding record
+    /// used to render — endpoint, path and status read from the hook's
+    /// own [`LegMeta`] and response, never from the engine's name table.
+    #[derive(Clone)]
     struct Witness {
         oracle: Rc<RefCell<Vec<String>>>,
         /// Where a relay forwards; `None` is a leaf, which replies itself.
         next: Option<Rc<str>>,
-        dice: u64,
+        dice: Rc<std::cell::Cell<u64>>,
     }
 
     const PATHS: [&str; 3] = ["/x", "/nudm-ueau/generate-auth-data", "/x/y"];
@@ -2003,10 +2112,12 @@ mod tests {
 
         /// Xorshift: the world's every choice follows from its script.
         fn roll(&mut self, sides: u64) -> u64 {
-            self.dice ^= self.dice << 13;
-            self.dice ^= self.dice >> 7;
-            self.dice ^= self.dice << 17;
-            self.dice % sides
+            let mut dice = self.dice.get();
+            dice ^= dice << 13;
+            dice ^= dice >> 7;
+            dice ^= dice << 17;
+            self.dice.set(dice);
+            dice % sides
         }
 
         fn fate(&mut self, env: &Env, dest: &str, path: &str) -> FaultAction {
@@ -2060,7 +2171,9 @@ mod tests {
             self.say(env, "resume", &leg.dest, sent);
             self.reply(env, leg, resp)
         }
+    }
 
+    impl Layer for Witness {
         fn on_arrive(&mut self, env: &mut Env, leg: &LegMeta, _depth: usize) -> Gate {
             self.say(env, "arrive", &leg.dest, &leg.path);
             let note = ["shed-full", "shed-class"][self.roll(2) as usize];
@@ -2151,10 +2264,12 @@ mod tests {
             if op % 4 == 0 {
                 let (name, next) = world[(who % 5) as usize];
                 if !engine.knows(name) {
-                    let (oracle, next, dice) = (oracle.clone(), next.map(Rc::from), word | 1);
+                    let (oracle, next) = (oracle.clone(), next.map(Rc::from));
+                    let dice = Rc::new(std::cell::Cell::new(word | 1));
                     let witness = Witness { oracle, next, dice };
+                    let service = Rc::new(RefCell::new(witness.clone()));
                     let workers = 1 + (gap % 2) as u32;
-                    engine.register(name, workers, Rc::new(RefCell::new(witness)));
+                    engine.register(name, workers, layered(service, vec![Box::new(witness)]));
                 }
                 continue;
             }
