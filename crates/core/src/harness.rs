@@ -21,7 +21,7 @@ use shield5g_libos::manifest::Manifest;
 use shield5g_nf::backend::{
     AkaOp, AmfAkaRequest, AusfAkaRequest, DeriveKamf, DeriveSe, GenerateAv, UdmAkaRequest,
 };
-use shield5g_sim::http::HttpRequest;
+use shield5g_sim::http::{HttpRequest, SharedPaths};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -43,25 +43,34 @@ pub fn standard_request(kind: PakaKind) -> HttpRequest {
     let snn = ServingNetworkName::of(&Plmn::test_network());
     let supi = Supi::numbered(Plmn::test_network(), 1, 10);
     match kind {
-        PakaKind::EUdm => GenerateAv::request(&UdmAkaRequest {
-            supi,
-            opc: OPC.into(),
-            rand: [0x23; 16],
-            sqn: [0, 0, 0, 0, 0, 1],
-            amf_field: [0x80, 0],
-            snn,
-        }),
-        PakaKind::EAusf => DeriveSe::request(&AusfAkaRequest {
-            rand: [0x23; 16],
-            xres_star: [0x5a; 16],
-            kausf: [0x11; 32].into(),
-            snn,
-        }),
-        PakaKind::EAmf => DeriveKamf::request(&AmfAkaRequest {
-            kseaf: [0x22; 32].into(),
-            supi,
-            abba: [0, 0],
-        }),
+        PakaKind::EUdm => GenerateAv::request(
+            &mut SharedPaths::default(),
+            &UdmAkaRequest {
+                supi,
+                opc: OPC.into(),
+                rand: [0x23; 16],
+                sqn: [0, 0, 0, 0, 0, 1],
+                amf_field: [0x80, 0],
+                snn,
+            },
+        ),
+        PakaKind::EAusf => DeriveSe::request(
+            &mut SharedPaths::default(),
+            &AusfAkaRequest {
+                rand: [0x23; 16],
+                xres_star: [0x5a; 16],
+                kausf: [0x11; 32].into(),
+                snn,
+            },
+        ),
+        PakaKind::EAmf => DeriveKamf::request(
+            &mut SharedPaths::default(),
+            &AmfAkaRequest {
+                kseaf: [0x22; 32].into(),
+                supi,
+                abba: [0, 0],
+            },
+        ),
     }
 }
 

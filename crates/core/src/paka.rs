@@ -27,6 +27,7 @@ use shield5g_nf::backend::{
 };
 use shield5g_nf::wire::Wire;
 use shield5g_nf::NfError;
+use shield5g_sim::codec::Body;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::TlsIdentity;
@@ -567,7 +568,7 @@ impl PakaModule {
         env: &mut Env,
         body: &[u8],
         scratch: impl FnOnce(&O::Response) -> Option<(&'static str, &SecretBytes<32>)>,
-    ) -> Result<Vec<u8>, NfError> {
+    ) -> Result<Body, NfError> {
         let req = O::Request::decode(body)?;
         let resp = O::compute(&req, |supi| self.load_subscriber_key(env, supi))?;
         // `serve` charges one AKA-function execution after dispatch; the
@@ -584,7 +585,7 @@ impl PakaModule {
 
     /// The AKA endpoint handlers (the code "inside" the module): which
     /// rows of the operation table this module kind hosts.
-    fn dispatch(&mut self, env: &mut Env, path: &str, body: &[u8]) -> Result<Vec<u8>, NfError> {
+    fn dispatch(&mut self, env: &mut Env, path: &str, body: &[u8]) -> Result<Body, NfError> {
         match (self.kind, path) {
             (PakaKind::EUdm, GenerateAv::PATH) => {
                 self.run::<GenerateAv>(env, body, |av| Some(("scratch:kausf", &av.kausf)))
@@ -916,6 +917,7 @@ mod tests {
         AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest,
         UdmAkaResyncRequest, MAX_AV_BATCH,
     };
+    use shield5g_sim::http::SharedPaths;
 
     const K: [u8; 16] = [0x46; 16];
     const OPC: [u8; 16] = [0xcd; 16];
@@ -949,14 +951,17 @@ mod tests {
     }
 
     fn udm_request() -> HttpRequest {
-        GenerateAv::request(&UdmAkaRequest {
-            supi: imsi(SUPI),
-            opc: OPC.into(),
-            rand: [0x23; 16],
-            sqn: [0, 0, 0, 0, 0, 9],
-            amf_field: [0x80, 0],
-            snn: ServingNetworkName::new("001", "01"),
-        })
+        GenerateAv::request(
+            &mut SharedPaths::default(),
+            &UdmAkaRequest {
+                supi: imsi(SUPI),
+                opc: OPC.into(),
+                rand: [0x23; 16],
+                sqn: [0, 0, 0, 0, 0, 9],
+                amf_field: [0x80, 0],
+                snn: ServingNetworkName::new("001", "01"),
+            },
+        )
     }
 
     #[test]
@@ -1179,7 +1184,10 @@ mod tests {
             amf_field: [0x80, 0],
             snn: ServingNetworkName::new("001", "01"),
         };
-        let (resp, _) = module.serve(&mut env, GenerateAv::request(&req));
+        let (resp, _) = module.serve(
+            &mut env,
+            GenerateAv::request(&mut SharedPaths::default(), &req),
+        );
         assert_eq!(resp.status, 404);
         assert_eq!(resp.body, b"unknown subscriber imsi-001010000000777");
     }
@@ -1200,7 +1208,10 @@ mod tests {
             kausf: [3; 32].into(),
             snn: ServingNetworkName::new("001", "01"),
         };
-        let (resp, _) = module.serve(&mut env, DeriveSe::request(&req));
+        let (resp, _) = module.serve(
+            &mut env,
+            DeriveSe::request(&mut SharedPaths::default(), &req),
+        );
         assert!(resp.is_success());
         let se = AusfAkaResponse::decode(&resp.body).unwrap();
         assert_eq!(
@@ -1217,7 +1228,10 @@ mod tests {
             supi: imsi(SUPI),
             abba: [0, 0],
         };
-        let (resp, _) = module.serve(&mut env, DeriveKamf::request(&req));
+        let (resp, _) = module.serve(
+            &mut env,
+            DeriveKamf::request(&mut SharedPaths::default(), &req),
+        );
         assert!(resp.is_success());
         assert_eq!(
             resp.body,
@@ -1239,7 +1253,10 @@ mod tests {
             count: 8,
         };
         let before = module.sgx_stats().unwrap();
-        let (resp, metrics) = module.serve(&mut env, GenerateAvBatch::request(&req));
+        let (resp, metrics) = module.serve(
+            &mut env,
+            GenerateAvBatch::request(&mut SharedPaths::default(), &req),
+        );
         assert!(resp.is_success());
         let avs = Vec::<HeAv>::decode(&resp.body).unwrap();
         assert_eq!(avs.len(), 8);
@@ -1271,7 +1288,10 @@ mod tests {
                 snn: ServingNetworkName::new("001", "01"),
                 count,
             };
-            let (resp, _) = module.serve(&mut env, GenerateAvBatch::request(&req));
+            let (resp, _) = module.serve(
+                &mut env,
+                GenerateAvBatch::request(&mut SharedPaths::default(), &req),
+            );
             assert_eq!(resp.status, 400, "count {count}");
         }
     }
@@ -1289,7 +1309,7 @@ mod tests {
             rand,
             auts,
         };
-        let (resp, _) = module.serve(&mut env, Resync::request(&req));
+        let (resp, _) = module.serve(&mut env, Resync::request(&mut SharedPaths::default(), &req));
         assert!(resp.is_success());
         assert_eq!(resp.body, sqn_ms.to_vec());
     }
@@ -1408,7 +1428,7 @@ mod tests {
                 );
                 prop_assert!(resp.is_success() || !cause.is_empty());
                 prop_assert!(!module.is_crashed());
-                let (resp, _) = module.serve(env, O::request(valid));
+                let (resp, _) = module.serve(env, O::request(&mut SharedPaths::default(), valid));
                 prop_assert!(resp.is_success(), "{} no longer serves", O::PATH);
             }
         }
@@ -1469,7 +1489,7 @@ mod tests {
 
             let mut eudm = modules(PakaKind::EUdm);
             survives::<GenerateAv>(&mut eudm, &av, hostile(&av_b, &batch_b, 0))?;
-            let counts = [0, MAX_AV_BATCH + 1].map(|count| (batch(count).encode(), false));
+            let counts = [0, MAX_AV_BATCH + 1].map(|count| (batch(count).encode().to_vec(), false));
             let bodies = hostile(&batch_b, &av_b, 0).chain(counts);
             survives::<GenerateAvBatch>(&mut eudm, &batch(2), bodies)?;
             survives::<Resync>(&mut eudm, &resync, hostile(&resync_b, &av_b, 0))?;

@@ -18,6 +18,7 @@ use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken};
 use shield5g_nf::wire::Wire;
 use shield5g_nf::NfError;
+use shield5g_sim::codec::Body;
 use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::Service;
 use shield5g_sim::time::SimDuration;
@@ -230,7 +231,7 @@ impl PakaClient {
         &mut self,
         env: &mut Env,
         path: &str,
-        body: Vec<u8>,
+        body: impl Into<Body>,
     ) -> Result<(Rc<str>, HttpRequest, CallToken), CoreError> {
         let kind = self.module.borrow().kind();
         let issued = env.clock.now();
@@ -265,7 +266,7 @@ impl PakaClient {
         env: &mut Env,
         resp: HttpResponse,
         token: CallToken,
-    ) -> Result<Vec<u8>, CoreError> {
+    ) -> Result<Body, CoreError> {
         // Response record back across the bridge.
         self.carry_sealed(env, false, |record| resp.write_to(record))?;
 
@@ -295,7 +296,12 @@ impl PakaClient {
     /// # Errors
     ///
     /// Returns [`CoreError::Module`] for non-2xx module responses.
-    pub fn call(&mut self, env: &mut Env, path: &str, body: Vec<u8>) -> Result<Vec<u8>, CoreError> {
+    pub fn call(
+        &mut self,
+        env: &mut Env,
+        path: &str,
+        body: impl Into<Body>,
+    ) -> Result<Body, CoreError> {
         let (_dest, request, token) = self.begin_call(env, path, body)?;
         // The module serves inline (its own choreography charges the clock).
         let resp = self.endpoint().handle(env, request);

@@ -97,7 +97,7 @@ impl KeyData {
             out.copy_from_slice(bytes);
             SecretBytes::new(out)
         }
-        let kd = Secret::new(kdf_x963(shared.expose(), ephemeral_public, KEY_DATA_LEN));
+        let kd = Secret::new(kdf_x963::<KEY_DATA_LEN>(shared.expose(), ephemeral_public));
         let kd = kd.expose();
         KeyData {
             aes_key: part(&kd[..16]),

@@ -45,23 +45,21 @@ pub fn kdf_3gpp(key: &HmacKey, fc: u8, params: &[&[u8]]) -> [u8; 32] {
 
 /// ANSI X9.63 KDF with SHA-256 (SEC 1 §3.6.1).
 ///
-/// Produces `out_len` bytes of key data from the ECDH shared secret `z` and
+/// Produces `N` bytes of key data from the ECDH shared secret `z` and
 /// `shared_info` (the ephemeral public key for SUCI Profile A):
 /// `K = SHA-256(z || counter_1 || info) || SHA-256(z || counter_2 || info) || ...`
-/// with a 32-bit big-endian counter starting at 1.
+/// with a 32-bit big-endian counter starting at 1. Its callers take a
+/// fixed length (64 bytes for ECIES, 96 for the sim-TLS traffic keys), so
+/// the key data is an array, not a heap buffer.
 #[must_use]
-pub fn kdf_x963(z: &[u8], shared_info: &[u8], out_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(out_len);
-    let mut counter: u32 = 1;
-    while out.len() < out_len {
+pub fn kdf_x963<const N: usize>(z: &[u8], shared_info: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (counter, block) in (1u32..).zip(out.chunks_mut(32)) {
         let mut h = Sha256::new();
         h.update(z);
         h.update(&counter.to_be_bytes());
         h.update(shared_info);
-        let digest = h.finalize();
-        let take = (out_len - out.len()).min(32);
-        out.extend_from_slice(&digest[..take]);
-        counter += 1;
+        block.copy_from_slice(&h.finalize()[..block.len()]);
     }
     out
 }
@@ -105,16 +103,36 @@ mod tests {
 
     #[test]
     fn x963_lengths() {
-        for len in [0usize, 1, 16, 31, 32, 33, 64, 100] {
-            assert_eq!(kdf_x963(b"z", b"info", len).len(), len);
+        // Each length is the first bytes of the counter-block stream.
+        fn check<const N: usize>() {
+            let blocks: Vec<u8> = (1u32..=4)
+                .flat_map(|counter| {
+                    let mut h = Sha256::new();
+                    h.update(b"z");
+                    h.update(&counter.to_be_bytes());
+                    h.update(b"info");
+                    h.finalize()
+                })
+                .collect();
+            let out = kdf_x963::<N>(b"z", b"info");
+            assert_eq!(out.len(), N);
+            assert_eq!(&out[..], &blocks[..N]);
         }
+        check::<0>();
+        check::<1>();
+        check::<16>();
+        check::<31>();
+        check::<32>();
+        check::<33>();
+        check::<64>();
+        check::<100>();
     }
 
     #[test]
     fn x963_prefix_property() {
         // A shorter output must be a prefix of a longer one.
-        let long = kdf_x963(b"secret", b"si", 96);
-        let short = kdf_x963(b"secret", b"si", 40);
+        let long = kdf_x963::<96>(b"secret", b"si");
+        let short = kdf_x963::<40>(b"secret", b"si");
         assert_eq!(&long[..40], &short[..]);
     }
 
@@ -127,12 +145,12 @@ mod tests {
         h.update(&z);
         h.update(&1u32.to_be_bytes());
         h.update(info);
-        assert_eq!(kdf_x963(&z, info, 32), h.finalize().to_vec());
+        assert_eq!(kdf_x963::<32>(&z, info), h.finalize());
     }
 
     #[test]
     fn x963_depends_on_shared_info() {
-        assert_ne!(kdf_x963(b"z", b"a", 32), kdf_x963(b"z", b"b", 32));
+        assert_ne!(kdf_x963::<32>(b"z", b"a"), kdf_x963::<32>(b"z", b"b"));
     }
 
     #[test]

@@ -145,6 +145,14 @@ struct Peer {
     probes_in_flight: u32,
 }
 
+/// A call admitted by [`BreakerCore::admit_call`] and not yet settled.
+#[derive(Debug)]
+struct Call<K> {
+    id: u64,
+    peer: K,
+    probe: bool,
+}
+
 /// The pure closed → open → half-open machine, one circuit per peer key.
 ///
 /// Engine-free on purpose: [`BreakerLayer`] drives it with SBI peer
@@ -152,11 +160,17 @@ struct Peer {
 /// ids for health-gated routing, and the property tests drive it with
 /// arbitrary interleavings. All state is `BTreeMap`-ordered and every
 /// decision is a pure function of (policy, history, virtual now).
+///
+/// A caller that cannot carry an admitted call's peer and probe flag to
+/// its outcome hands the core a call id instead ([`Self::admit_call`],
+/// [`Self::settle`]); the core keeps the calls in flight in a small
+/// table that is reused, so a call allocates nothing.
 #[derive(Debug)]
 pub struct BreakerCore<K: Ord + Clone = Rc<str>> {
     policy: BreakerPolicy,
     peers: BTreeMap<K, Peer>,
     stats: BreakerStats,
+    calls: Vec<Call<K>>,
 }
 
 impl<K: Ord + Clone> BreakerCore<K> {
@@ -167,6 +181,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
             policy,
             peers: BTreeMap::new(),
             stats: BreakerStats::default(),
+            calls: Vec::new(),
         }
     }
 
@@ -285,6 +300,49 @@ impl<K: Ord + Clone> BreakerCore<K> {
         None
     }
 
+    /// [`Self::admit`] for call `id`, whose peer and probe flag are kept
+    /// until [`Self::settle`] or [`Self::abandon`] names the id again. An
+    /// id still in flight is replaced: one caller has one call out.
+    pub fn admit_call(&mut self, id: u64, peer: &K, now: SimTime) -> BreakerDecision {
+        let decision = self.admit(peer, now);
+        if decision != BreakerDecision::Reject {
+            self.abandon(id);
+            self.calls.push(Call {
+                id,
+                peer: peer.clone(),
+                probe: decision == BreakerDecision::Probe,
+            });
+        }
+        decision
+    }
+
+    /// [`Self::on_outcome`] for call `id`: its peer and the transition
+    /// taken, or `None` when no call `id` is in flight.
+    pub fn settle(
+        &mut self,
+        id: u64,
+        ok: bool,
+        now: SimTime,
+    ) -> Option<(K, Option<BreakerTransition>)> {
+        let at = self.calls.iter().position(|call| call.id == id)?;
+        let call = self.calls.swap_remove(at);
+        let transition = self.on_outcome(&call.peer, call.probe, ok, now);
+        Some((call.peer, transition))
+    }
+
+    /// Forgets call `id` without an outcome (its caller finished first).
+    pub fn abandon(&mut self, id: u64) {
+        if let Some(at) = self.calls.iter().position(|call| call.id == id) {
+            self.calls.swap_remove(at);
+        }
+    }
+
+    /// Calls admitted and neither settled nor abandoned.
+    #[must_use]
+    pub fn calls_in_flight(&self) -> usize {
+        self.calls.len()
+    }
+
     /// Reset the peer's circuit to closed regardless of history (e.g.
     /// the routing tier cannot afford to eject its last replica).
     pub fn force_close(&mut self, peer: &K) {
@@ -301,18 +359,16 @@ impl<K: Ord + Clone> BreakerCore<K> {
 /// states and stats after runs).
 pub type BreakerHandle = Rc<RefCell<BreakerCore<Rc<str>>>>;
 
-/// Continuation wrapper carried through the engine for a guarded call.
-struct BreakerLeg {
-    dest: Rc<str>,
-    probe: bool,
-    inner: Box<dyn Any>,
-}
-
 /// Guards every `CallOut` the wrapped service emits with a per-peer
 /// circuit breaker. Slot it outside [`crate::RetryLayer`] so an open
 /// circuit also cuts retransmission storms off, and inside
 /// [`crate::AdmissionLayer`] — inbound shedding happens at the door,
 /// breaking happens on the way out.
+///
+/// A guarded call leaves its continuation state alone: the core keeps
+/// its peer and probe flag under the calling leg's [`LegMeta::id`] (a leg
+/// has one call out at a time), settles it on the response and, should
+/// the leg finish without one reaching this layer, drops it on delivery.
 pub struct BreakerLayer {
     core: BreakerHandle,
 }
@@ -384,23 +440,16 @@ impl Layer for BreakerLayer {
     fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {
         match step {
             Step::CallOut { dest, req, state } => {
-                let decision = self.core.borrow_mut().admit(&dest, env.clock.now());
+                let decision = self
+                    .core
+                    .borrow_mut()
+                    .admit_call(leg.id, &dest, env.clock.now());
                 match decision {
                     BreakerDecision::Admit | BreakerDecision::Probe => {
-                        let probe = decision == BreakerDecision::Probe;
-                        if probe {
+                        if decision == BreakerDecision::Probe {
                             obs::count(&leg.dest, &dest, labels::BREAKER_PROBES, 1);
                         }
-                        let wrapped = BreakerLeg {
-                            dest: dest.clone(),
-                            probe,
-                            inner: state,
-                        };
-                        Step::CallOut {
-                            dest,
-                            req,
-                            state: Box::new(wrapped),
-                        }
+                        Step::CallOut { dest, req, state }
                     }
                     BreakerDecision::Reject => {
                         obs::count(&leg.dest, &dest, labels::BREAKER_REJECTED, 1);
@@ -427,20 +476,17 @@ impl Layer for BreakerLayer {
         state: Box<dyn Any>,
         resp: HttpResponse,
     ) -> Resume {
-        let bl = match state.downcast::<BreakerLeg>() {
-            Ok(bl) => *bl,
-            Err(other) => return Resume::Continue(other, resp),
-        };
         let ok = resp.status < 500;
-        let transition = self
-            .core
-            .borrow_mut()
-            .on_outcome(&bl.dest, bl.probe, ok, env.clock.now());
-        if let Some(t) = transition {
-            let state_now = self.core.borrow().state(&bl.dest);
-            Self::note_transition(env, &leg.dest, &bl.dest, t, state_now);
+        let settled = self.core.borrow_mut().settle(leg.id, ok, env.clock.now());
+        if let Some((peer, Some(t))) = settled {
+            let state_now = self.core.borrow().state(&peer);
+            Self::note_transition(env, &leg.dest, &peer, t, state_now);
         }
-        Resume::Continue(bl.inner, resp)
+        Resume::Continue(state, resp)
+    }
+
+    fn on_deliver(&mut self, _env: &mut Env, leg: &LegMeta, _resp: &HttpResponse) {
+        self.core.borrow_mut().abandon(leg.id);
     }
 }
 

@@ -4,8 +4,8 @@
 //! documented differences.
 
 use shield5g_mw::{
-    AdmissionLayer, DeadlineLayer, FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch,
-    ObsLayer, RetryLayer, RetryPolicy, Stack,
+    AdmissionLayer, BreakerLayer, BreakerPolicy, DeadlineLayer, FaultInjector, FaultInjectorHandle,
+    FaultLayer, FaultSwitch, ObsLayer, RetryLayer, RetryPolicy, Stack,
 };
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_sim::engine::{
@@ -230,6 +230,49 @@ fn dropped_request_leg_times_out_before_reaching_service() {
     assert_eq!(resp.status, 504);
     assert_eq!(resp.header(FAULT_HEADER), Some("drop"));
     assert_eq!(env.clock.now() - t0, SimDuration::from_nanos(50_000));
+}
+
+#[test]
+fn the_breakers_call_table_is_empty_after_a_faulted_open_loop() {
+    let mut env = Env::new(24);
+    let mut engine = Engine::new();
+    // Echo drops, fails and delays its responses in rotation.
+    let script = (0..240)
+        .map(|i| match i % 5 {
+            0 => FaultAction::Drop {
+                timeout: SimDuration::from_nanos(80_000),
+            },
+            1 | 2 => FaultAction::Error { status: 503 },
+            3 => FaultAction::Delay(SimDuration::from_nanos(30_000)),
+            _ => FaultAction::Deliver,
+        })
+        .collect();
+    let switch = FaultSwitch::new();
+    switch.install(Some(ScriptedFaults::on_responses(script)));
+    let echo = Stack::new(echo_leaf(5_000)).with(FaultLayer::new(switch.clone()));
+    engine.register("echo", 2, echo.into_handle());
+    // The deadline, outside the breaker, abandons legs whose call is
+    // still out: their entries go when the leg is delivered.
+    let breaker = BreakerLayer::new(BreakerPolicy::default());
+    let core = breaker.core();
+    let relay: EngineServiceHandle = Rc::new(RefCell::new(Relay {
+        next: "echo".into(),
+    }));
+    let front = Stack::new(relay)
+        .with(DeadlineLayer::new(SimDuration::from_nanos(60_000)))
+        .with(breaker)
+        .with(RetryLayer::new(RetryPolicy::supervision()));
+    engine.register("front", 4, front.into_handle());
+    for i in 0..120 {
+        let at = SimTime::from_nanos(i * 7_000);
+        engine.schedule_request(at, "front", HttpRequest::post("/x", vec![i as u8]));
+    }
+    let done = engine.run_until_idle(&mut env);
+    assert_eq!(done.len(), 120);
+    assert!(done.iter().any(|c| c.response.status == 503));
+    let core = core.borrow();
+    assert!(core.stats().opened > 0, "the faults tripped the circuit");
+    assert_eq!(core.calls_in_flight(), 0);
 }
 
 #[test]

@@ -21,7 +21,7 @@ use shield5g_crypto::ident::{Guti, Supi};
 use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
-use shield5g_sim::codec::Writer;
+use shield5g_sim::codec::{Body, Writer};
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
@@ -133,7 +133,7 @@ impl AmfService {
         env: &mut Env,
         dest: Rc<str>,
         path: &str,
-        body: Vec<u8>,
+        body: Body,
         state: Box<dyn Any>,
     ) -> Step {
         let req = self.client.send(env, path, body);
@@ -507,7 +507,7 @@ impl AmfService {
     /// Encodes a downlink NAS message, protected where it is written when
     /// a security context exists for the association (post security-mode
     /// messages are protected).
-    fn encode_downlink(&mut self, ran_ue_id: u64, msg: &NasDownlink) -> Vec<u8> {
+    fn encode_downlink(&mut self, ran_ue_id: u64, msg: &NasDownlink) -> Body {
         Writer::build(|w| match self.contexts.get_mut(&ran_ue_id) {
             // The SecurityModeCommand itself and everything after travel
             // under the new context.
@@ -531,6 +531,7 @@ impl AmfService {
         if self.pending_teardown.remove(&ran_ue_id) {
             self.contexts.remove(&ran_ue_id);
         }
+        let nas = &nas[..];
         let ngap = if let Some(teid) = self.pending_teid.remove(&ran_ue_id) {
             Ngap::InitialContextSetup {
                 ran_ue_id,
@@ -543,7 +544,7 @@ impl AmfService {
         Step::Reply(HttpResponse::ok(ngap.encode()))
     }
 
-    fn process_ngap(&mut self, env: &mut Env, ngap: &Ngap) -> Result<Step, NfError> {
+    fn process_ngap(&mut self, env: &mut Env, ngap: &Ngap<&[u8]>) -> Result<Step, NfError> {
         env.clock
             .advance(SimDuration::from_nanos(AMF_NAS_HANDLER_NANOS));
         let ran_ue_id = ngap.ran_ue_id();
@@ -744,7 +745,7 @@ impl EngineService for AmfService {
                 format!("no handler for {}", req.path),
             ));
         }
-        match Ngap::decode(&req.body).and_then(|ngap| self.process_ngap(env, &ngap)) {
+        match Ngap::borrow(&req.body).and_then(|ngap| self.process_ngap(env, &ngap)) {
             Ok(step) => step,
             Err(e) => Step::Reply(Self::ngap_error(e)),
         }

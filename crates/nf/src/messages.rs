@@ -5,9 +5,11 @@
 //! its field list ([`crate::wire`]), so every message has a definite wire
 //! size — the radio and backhaul latency models charge per byte.
 
-use crate::wire::wire;
+use crate::wire::{wire, Wire};
+use crate::NfError;
 use shield5g_crypto::ident::{Guti, Suci};
 use shield5g_crypto::sqn::Auts;
+use shield5g_sim::codec::{Body, Reader, Writer};
 
 /// How the UE identifies itself in a registration request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,29 +149,32 @@ wire!(enum NasDownlink {
 });
 
 /// NGAP messages on N2 (gNB ↔ AMF). NAS payloads are carried opaque —
-/// and, after security mode, ciphered — exactly as real NGAP does.
+/// and, after security mode, ciphered — exactly as real NGAP does: owned
+/// (`Vec<u8>`, any other byte buffer) or borrowed from the wire bytes
+/// (`&[u8]`, [`Ngap::borrow`]), so a relay reads the NAS PDU where the
+/// NGAP message carried it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Ngap {
+pub enum Ngap<B = Vec<u8>> {
     /// First uplink NAS from a UE: establishes the UE-association.
     InitialUeMessage {
         /// gNB-assigned RAN UE identifier.
         ran_ue_id: u64,
         /// Encoded (possibly protected) NAS payload.
-        nas: Vec<u8>,
+        nas: B,
     },
     /// Subsequent uplink NAS.
     UplinkNasTransport {
         /// gNB-assigned RAN UE identifier.
         ran_ue_id: u64,
         /// Encoded NAS payload.
-        nas: Vec<u8>,
+        nas: B,
     },
     /// Downlink NAS to the UE.
     DownlinkNasTransport {
         /// gNB-assigned RAN UE identifier.
         ran_ue_id: u64,
         /// Encoded NAS payload.
-        nas: Vec<u8>,
+        nas: B,
     },
     /// Context setup carrying user-plane tunnel information alongside a
     /// NAS payload (PDU session resource setup).
@@ -177,21 +182,38 @@ pub enum Ngap {
         /// gNB-assigned RAN UE identifier.
         ran_ue_id: u64,
         /// Encoded NAS payload.
-        nas: Vec<u8>,
+        nas: B,
         /// UPF tunnel endpoint for the session (0 when none).
         teid: u32,
     },
 }
 
-// The tag leads, so `InitialContextSetup`'s tunnel endpoint trails its NAS.
-wire!(enum Ngap {
-    1 => InitialUeMessage { ran_ue_id, nas },
-    2 => UplinkNasTransport { ran_ue_id, nas },
-    3 => DownlinkNasTransport { ran_ue_id, nas },
-    4 => InitialContextSetup { ran_ue_id, nas, teid },
-});
+// Wire form: the tag, `ran_ue_id`, the length-prefixed NAS, and for
+// `InitialContextSetup` the tunnel endpoint after it. Written by hand
+// rather than by `wire!`, which knows no borrowed field.
+impl<B: AsRef<[u8]>> Ngap<B> {
+    /// Writes the wire form into `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        let tag = match self {
+            Ngap::InitialUeMessage { .. } => 1,
+            Ngap::UplinkNasTransport { .. } => 2,
+            Ngap::DownlinkNasTransport { .. } => 3,
+            Ngap::InitialContextSetup { .. } => 4,
+        };
+        w.put_u8(tag)
+            .put_u64(self.ran_ue_id())
+            .put_bytes(self.nas());
+        if let Ngap::InitialContextSetup { teid, .. } = self {
+            w.put_u32(*teid);
+        }
+    }
 
-impl Ngap {
+    /// The wire bytes.
+    #[must_use]
+    pub fn encode(&self) -> Body {
+        Writer::build(|w| self.encode_into(w))
+    }
+
     /// The carried NAS payload.
     #[must_use]
     pub fn nas(&self) -> &[u8] {
@@ -199,21 +221,12 @@ impl Ngap {
             Ngap::InitialUeMessage { nas, .. }
             | Ngap::UplinkNasTransport { nas, .. }
             | Ngap::DownlinkNasTransport { nas, .. }
-            | Ngap::InitialContextSetup { nas, .. } => nas,
+            | Ngap::InitialContextSetup { nas, .. } => nas.as_ref(),
         }
     }
+}
 
-    /// The carried NAS payload, moved out (the gNB hands it to the UE).
-    #[must_use]
-    pub fn into_nas(self) -> Vec<u8> {
-        match self {
-            Ngap::InitialUeMessage { nas, .. }
-            | Ngap::UplinkNasTransport { nas, .. }
-            | Ngap::DownlinkNasTransport { nas, .. }
-            | Ngap::InitialContextSetup { nas, .. } => nas,
-        }
-    }
-
+impl<B> Ngap<B> {
     /// The RAN UE identifier.
     #[must_use]
     pub fn ran_ue_id(&self) -> u64 {
@@ -223,6 +236,91 @@ impl Ngap {
             | Ngap::DownlinkNasTransport { ran_ue_id, .. }
             | Ngap::InitialContextSetup { ran_ue_id, .. } => *ran_ue_id,
         }
+    }
+
+    /// The same message with its NAS payload mapped by `f`.
+    #[must_use]
+    pub fn map<C>(self, f: impl FnOnce(B) -> C) -> Ngap<C> {
+        match self {
+            Ngap::InitialUeMessage { ran_ue_id, nas } => Ngap::InitialUeMessage {
+                ran_ue_id,
+                nas: f(nas),
+            },
+            Ngap::UplinkNasTransport { ran_ue_id, nas } => Ngap::UplinkNasTransport {
+                ran_ue_id,
+                nas: f(nas),
+            },
+            Ngap::DownlinkNasTransport { ran_ue_id, nas } => Ngap::DownlinkNasTransport {
+                ran_ue_id,
+                nas: f(nas),
+            },
+            Ngap::InitialContextSetup {
+                ran_ue_id,
+                nas,
+                teid,
+            } => Ngap::InitialContextSetup {
+                ran_ue_id,
+                nas: f(nas),
+                teid,
+            },
+        }
+    }
+}
+
+impl<'a> Ngap<&'a [u8]> {
+    /// Decodes wire bytes, the NAS payload left where it is: the
+    /// zero-copy form of [`Ngap::decode`], which accepts and refuses the
+    /// same bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`NfError::Sim`] on a framing violation, [`NfError::Protocol`] on
+    /// an unknown tag.
+    pub fn borrow(bytes: &'a [u8]) -> Result<Self, NfError> {
+        let mut r = Reader::new(bytes);
+        let msg = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(msg)
+    }
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, NfError> {
+        let tag = r.u8()?;
+        if !(1..=4).contains(&tag) {
+            return Err(NfError::Protocol(format!("unknown Ngap tag {tag:#x}")));
+        }
+        let (ran_ue_id, nas) = (r.u64()?, r.bytes_ref()?);
+        Ok(match tag {
+            1 => Ngap::InitialUeMessage { ran_ue_id, nas },
+            2 => Ngap::UplinkNasTransport { ran_ue_id, nas },
+            3 => Ngap::DownlinkNasTransport { ran_ue_id, nas },
+            _ => Ngap::InitialContextSetup {
+                ran_ue_id,
+                nas,
+                teid: r.u32()?,
+            },
+        })
+    }
+}
+
+impl Wire for Ngap {
+    fn encode_into(&self, w: &mut Writer) {
+        Ngap::encode_into(self, w);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
+        Ok(Ngap::read(r)?.map(<[u8]>::to_vec))
+    }
+}
+
+impl Ngap {
+    /// Decodes a whole message into an owned one
+    /// ([`Wire::decode`](crate::wire::Wire::decode)).
+    ///
+    /// # Errors
+    ///
+    /// As [`Ngap::borrow`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
+        Wire::decode(bytes)
     }
 }
 
@@ -311,7 +409,7 @@ mod tests {
 
     #[test]
     fn ngap_round_trip_all_variants() {
-        let nas = NasUplink::SecurityModeComplete.encode();
+        let nas = NasUplink::SecurityModeComplete.encode().to_vec();
         let messages = vec![
             Ngap::InitialUeMessage {
                 ran_ue_id: 7,
@@ -348,7 +446,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = NasUplink::SecurityModeComplete.encode();
+        let mut bytes = NasUplink::SecurityModeComplete.encode().to_vec();
         bytes.push(0);
         assert!(NasUplink::decode(&bytes).is_err());
     }

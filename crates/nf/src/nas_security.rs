@@ -19,7 +19,7 @@ use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::HmacKey;
 use shield5g_crypto::keys::derive_nas_key;
 use shield5g_crypto::secret::SecretBytes;
-use shield5g_sim::codec::{Reader, Writer};
+use shield5g_sim::codec::{Body, Reader, Writer};
 
 /// Identifier of the simulated AES-based ciphering algorithm (5G-EA2-like).
 pub const CIPHER_ALG_AES: u8 = 2;
@@ -158,13 +158,14 @@ impl NasSecurityContext {
         w.written_mut()[mac_at..mac_at + 4].copy_from_slice(&mac);
     }
 
-    /// Verifies and deciphers an incoming protected NAS message.
+    /// Verifies and deciphers an incoming protected NAS message, into a
+    /// recycled buffer.
     ///
     /// # Errors
     ///
     /// Returns [`NfError::AuthenticationRejected`] on MAC failure or a
     /// replayed/regressed COUNT.
-    pub fn unprotect<B: AsRef<[u8]>>(&mut self, pdu: &ProtectedNas<B>) -> Result<Vec<u8>, NfError> {
+    pub fn unprotect<B: AsRef<[u8]>>(&mut self, pdu: &ProtectedNas<B>) -> Result<Body, NfError> {
         if pdu.count < self.rx_count {
             return Err(NfError::AuthenticationRejected(format!(
                 "NAS COUNT replay: got {}, expected >= {}",
@@ -178,7 +179,7 @@ impl NasSecurityContext {
             ));
         }
         self.rx_count = pdu.count + 1;
-        let mut plain = pdu.ciphertext.as_ref().to_vec();
+        let mut plain = Body::from(pdu.ciphertext.as_ref());
         Aes128::from(&self.knas_enc)
             .ctr_apply(&Self::keystream_nonce(pdu.count, !self.uplink), &mut plain);
         Ok(plain)

@@ -9,6 +9,7 @@ use shield5g_crypto::ident::Supi;
 use shield5g_crypto::keys::{HeAv, SeAv};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
+use shield5g_sim::codec::Body;
 use shield5g_sim::engine;
 use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::latency::LinkProfile;
@@ -56,7 +57,7 @@ impl SbiClient {
     /// Charges the send-side cost of a POST (TLS record + request bytes
     /// on the link) and returns the request to hand to the scheduler in a
     /// `Step::CallOut`.
-    pub fn send(&self, env: &mut Env, path: &str, body: Vec<u8>) -> HttpRequest {
+    pub fn send(&self, env: &mut Env, path: &str, body: impl Into<Body>) -> HttpRequest {
         let req = HttpRequest::post(self.paths.borrow_mut().get(path), body);
         env.clock.advance(SimDuration::from_nanos(TLS_RECORD_NANOS));
         self.profile.transfer(env, req.wire_len());
@@ -73,12 +74,7 @@ impl SbiClient {
     ///   the call chain looped back into `addr`.
     /// * [`NfError::Sim`] with `ServiceFailure` for any non-2xx status,
     ///   including admission-control sheds (503).
-    pub fn receive(
-        &self,
-        env: &mut Env,
-        addr: &str,
-        resp: HttpResponse,
-    ) -> Result<Vec<u8>, NfError> {
+    pub fn receive(&self, env: &mut Env, addr: &str, resp: HttpResponse) -> Result<Body, NfError> {
         env.clock.advance(SimDuration::from_nanos(TLS_RECORD_NANOS));
         self.profile.transfer(env, resp.wire_len());
         match resp.header(engine::ERROR_HEADER) {
@@ -424,7 +420,7 @@ mod tests {
         env: &mut Env,
         addr: &str,
         body: Vec<u8>,
-    ) -> Result<Vec<u8>, NfError> {
+    ) -> Result<Body, NfError> {
         let client = SbiClient::new();
         let req = client.send(env, "/x", body);
         let resp = engine.dispatch(env, addr, req).map_err(NfError::Sim)?;

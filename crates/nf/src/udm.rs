@@ -323,6 +323,7 @@ mod tests {
     use crate::udr::UdrService;
     use shield5g_crypto::ident::{Plmn, Suci, Supi};
     use shield5g_crypto::milenage::Milenage;
+    use shield5g_sim::codec::Body;
     use shield5g_sim::engine::Engine;
     use shield5g_sim::service::service_handle;
     use std::cell::RefCell;
@@ -351,7 +352,7 @@ mod tests {
         (env, engine, hn)
     }
 
-    fn auth_get(identity: UeIdentity) -> Vec<u8> {
+    fn auth_get(identity: UeIdentity) -> Body {
         UdmAuthGetRequest {
             identity,
             known_supi: String::new(),
@@ -456,7 +457,7 @@ mod tests {
         let mut p_minus_1 = [0xff; 32];
         (p_minus_1[0], p_minus_1[31]) = (0xec, 0x7f);
         for low_order in [[0; 32], one, p_minus_1] {
-            let kd = kdf_x963(&[0; 32], &low_order, 64);
+            let kd = kdf_x963::<64>(&[0; 32], &low_order);
             let mut body = msin_bcd.clone();
             Aes128::new(kd[..16].try_into().unwrap())
                 .ctr_apply(kd[16..32].try_into().unwrap(), &mut body);

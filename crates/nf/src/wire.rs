@@ -31,7 +31,7 @@ use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_crypto::CryptoError;
-use shield5g_sim::codec::{Reader, Writer};
+use shield5g_sim::codec::{Body, Reader, Writer};
 
 /// The wire form of a message or of one of its fields.
 pub trait Wire: Sized {
@@ -46,9 +46,9 @@ pub trait Wire: Sized {
     /// implausible contents.
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError>;
 
-    /// The wire bytes.
+    /// The wire bytes, in a recycled buffer.
     #[must_use]
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Body {
         Writer::build(|w| self.encode_into(w))
     }
 
@@ -141,7 +141,7 @@ macro_rules! wire {
         impl $ty {
             /// The wire bytes ([`Wire::encode`](crate::wire::Wire::encode)).
             #[must_use]
-            pub fn encode(&self) -> Vec<u8> {
+            pub fn encode(&self) -> ::shield5g_sim::codec::Body {
                 $crate::wire::Wire::encode(self)
             }
 

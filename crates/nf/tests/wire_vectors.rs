@@ -54,10 +54,10 @@ struct Vector {
 fn wire<T: Wire + PartialEq + Debug + 'static>(name: &'static str, msg: T) -> Vector {
     Vector {
         name,
-        bytes: msg.encode(),
+        bytes: msg.encode().to_vec(),
         again: |bytes| {
             T::decode(bytes)
-                .map(|msg| msg.encode())
+                .map(|msg| msg.encode().to_vec())
                 .map_err(|e| e.to_string())
         },
         hostile: Box::new(move || hostile(&msg)),
@@ -91,19 +91,15 @@ fn response(name: &'static str, resp: HttpResponse) -> Vector {
     })
 }
 
-/// The stateless hostile-input property of one codec, on mutants of a
-/// valid message after 5Greplay's field mutations (arXiv:2304.05719):
-/// every single-bit flip, every truncation, a false `u32` at every offset
-/// (so at every length prefix and count), and one appended byte. The
-/// contract: no panic; what is accepted re-encodes to exactly the bytes
-/// given; a refusal is a framing error or a protocol violation.
-fn hostile<T: Wire + PartialEq + Debug>(valid: &T) {
-    let bytes = valid.encode();
-    assert_eq!(T::decode(&bytes).as_ref(), Ok(valid));
+/// Mutants of valid wire bytes after 5Greplay's field mutations
+/// (arXiv:2304.05719): every single-bit flip, every truncation, a false
+/// `u32` at every offset (so at every length prefix and count), and one
+/// appended byte.
+fn mutants(bytes: &[u8]) -> Vec<Vec<u8>> {
     let mut mutants: Vec<Vec<u8>> = (0..bytes.len()).map(|at| bytes[..at].to_vec()).collect();
     for at in 0..bytes.len() {
         for bit in 0..8 {
-            let mut flipped = bytes.clone();
+            let mut flipped = bytes.to_vec();
             flipped[at] ^= 1 << bit;
             mutants.push(flipped);
         }
@@ -111,13 +107,23 @@ fn hostile<T: Wire + PartialEq + Debug>(valid: &T) {
     for at in 0..bytes.len().saturating_sub(3) {
         let field = u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
         for lie in [field.wrapping_add(1), field.wrapping_sub(1), u32::MAX] {
-            let mut lied = bytes.clone();
+            let mut lied = bytes.to_vec();
             lied[at..at + 4].copy_from_slice(&lie.to_be_bytes());
             mutants.push(lied);
         }
     }
-    mutants.push([&bytes[..], &[0]].concat());
-    for mutant in &mutants {
+    mutants.push([bytes, &[0]].concat());
+    mutants
+}
+
+/// The stateless hostile-input property of one codec, on the [`mutants`]
+/// of a valid message. The contract: no panic; what is accepted
+/// re-encodes to exactly the bytes given; a refusal is a framing error or
+/// a protocol violation.
+fn hostile<T: Wire + PartialEq + Debug>(valid: &T) {
+    let bytes = valid.encode();
+    assert_eq!(T::decode(&bytes).as_ref(), Ok(valid));
+    for mutant in &mutants(&bytes) {
         match T::decode(mutant) {
             Ok(got) => assert_eq!(&got.encode(), mutant, "{valid:?} accepted as {got:?}"),
             Err(NfError::Sim(SimError::MalformedHttp(_)) | NfError::Protocol(_)) => {}
@@ -282,28 +288,28 @@ fn protected_and_ngap(supi: &Supi) -> Vec<Vector> {
             "ngap.initial_ue_message",
             Ngap::InitialUeMessage {
                 ran_ue_id: 7,
-                nas: plain,
+                nas: plain.to_vec(),
             },
         ),
         wire(
             "ngap.uplink_nas_transport",
             Ngap::UplinkNasTransport {
                 ran_ue_id: 7,
-                nas: up0.encode(),
+                nas: up0.encode().to_vec(),
             },
         ),
         wire(
             "ngap.downlink_nas_transport",
             Ngap::DownlinkNasTransport {
                 ran_ue_id: 7,
-                nas: down0.encode(),
+                nas: down0.encode().to_vec(),
             },
         ),
         wire(
             "ngap.initial_context_setup",
             Ngap::InitialContextSetup {
                 ran_ue_id: 7,
-                nas: down0.encode(),
+                nas: down0.encode().to_vec(),
                 teid: 0x0102_0304,
             },
         ),
@@ -602,6 +608,30 @@ fn every_pinned_line_decodes_and_re_encodes_byte_for_byte() -> Result<(), Box<dy
     Ok(())
 }
 
+/// The gNB and the AMF read NGAP through `Ngap::borrow`: on every pinned
+/// NGAP line and each of its mutants it accepts and refuses what
+/// `Ngap::decode` does, with the same fields.
+#[test]
+fn ngap_borrow_is_decode_without_the_copy() -> Result<(), Box<dyn std::error::Error>> {
+    let ngap: Vec<Vector> = vectors()?
+        .into_iter()
+        .filter(|v| v.name.starts_with("ngap."))
+        .collect();
+    assert_eq!(ngap.len(), 4, "one pinned line per NGAP message");
+    for vector in &ngap {
+        for bytes in [vec![vector.bytes.clone()], mutants(&vector.bytes)].concat() {
+            let borrowed = Ngap::borrow(&bytes).map(|msg| msg.map(<[u8]>::to_vec));
+            assert_eq!(
+                borrowed,
+                Ngap::decode(&bytes),
+                "{}: {bytes:02x?}",
+                vector.name
+            );
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn every_wire_type_survives_hostile_bytes() -> Result<(), Box<dyn std::error::Error>> {
     for vector in vectors()? {
@@ -619,7 +649,7 @@ fn with_supi_text(bytes: &[u8], text: &str) -> Option<Vec<u8>> {
         })
     };
     let (valid, forged) = (wire(SUPI), wire(text));
-    let at = bytes.windows(valid.len()).position(|w| w == valid)?;
+    let at = bytes.windows(valid.len()).position(|w| *w == valid[..])?;
     Some([&bytes[..at], &forged[..], &bytes[at + valid.len()..]].concat())
 }
 

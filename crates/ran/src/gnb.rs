@@ -6,6 +6,7 @@ use shield5g_crypto::ident::Plmn;
 use shield5g_nf::addr;
 use shield5g_nf::messages::Ngap;
 use shield5g_nf::upf::GtpPacket;
+use shield5g_sim::codec::Body;
 use shield5g_sim::engine::Engine;
 use shield5g_sim::http::HttpRequest;
 use shield5g_sim::latency::LinkProfile;
@@ -128,7 +129,9 @@ impl Gnb {
     }
 
     /// Carries one uplink NAS PDU to the AMF and returns the downlink NAS
-    /// from the response (synchronous N2 exchange).
+    /// from the response (synchronous N2 exchange). Both PDUs are relayed
+    /// as bytes: written straight into the NGAP request, and read straight
+    /// out of the NGAP response.
     ///
     /// # Errors
     ///
@@ -138,9 +141,9 @@ impl Gnb {
         &mut self,
         env: &mut Env,
         ran_ue_id: u64,
-        nas: Vec<u8>,
+        nas: &[u8],
         initial: bool,
-    ) -> Result<Vec<u8>, RanError> {
+    ) -> Result<Body, RanError> {
         // Uplink over the air.
         self.radio_transfer(env, nas.len());
         let ngap = if initial {
@@ -159,12 +162,12 @@ impl Gnb {
             });
         }
         self.backhaul.transfer(env, resp.body.len());
-        let downlink = Ngap::decode(&resp.body)?;
+        let downlink = Ngap::borrow(&resp.body)?;
         if let Ngap::InitialContextSetup { teid, .. } = &downlink {
             // PDU session resource setup: remember the GTP tunnel.
             self.tunnels.insert(ran_ue_id, *teid);
         }
-        let nas = downlink.into_nas();
+        let nas = Body::from(downlink.nas());
         // Downlink over the air.
         self.radio_transfer(env, nas.len());
         Ok(nas)
@@ -182,7 +185,7 @@ impl Gnb {
         env: &mut Env,
         ran_ue_id: u64,
         payload: &[u8],
-    ) -> Result<Vec<u8>, RanError> {
+    ) -> Result<Body, RanError> {
         let teid = *self.tunnels.get(&ran_ue_id).ok_or_else(|| {
             RanError::Protocol(format!("no GTP tunnel for ran_ue_id {ran_ue_id}"))
         })?;
@@ -261,6 +264,6 @@ mod tests {
         let engine = Rc::new(RefCell::new(Engine::new()));
         let mut gnb = Gnb::simulated(engine, Plmn::test_network());
         let id = gnb.rrc_connect(&mut env, &Plmn::test_network()).unwrap();
-        assert!(gnb.nas_exchange(&mut env, id, vec![1, 2], true).is_err());
+        assert!(gnb.nas_exchange(&mut env, id, &[1, 2], true).is_err());
     }
 }

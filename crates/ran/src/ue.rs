@@ -18,7 +18,7 @@ use shield5g_nf::nas_security::{NasSecurityContext, ProtectedNas};
 use shield5g_nf::wire::Wire;
 use shield5g_obs::hub as obs;
 use shield5g_obs::hub::StageSpan;
-use shield5g_sim::codec::Writer;
+use shield5g_sim::codec::{Body, Writer};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -214,7 +214,7 @@ impl CotsUe {
         let snn = self.serving_network(gnb);
 
         let nas = NasUplink::RegistrationRequest { identity }.encode();
-        let mut downlink = gnb.nas_exchange(env, ran_ue_id, nas, true)?;
+        let mut downlink = gnb.nas_exchange(env, ran_ue_id, &nas, true)?;
         let mut resyncs: u8 = 0;
         let mut complete_sent = false;
 
@@ -250,7 +250,7 @@ impl CotsUe {
                                 cause: AuthFailureCause::MacFailure,
                             }
                             .encode();
-                            let _ = gnb.nas_exchange(env, ran_ue_id, nas, false);
+                            let _ = gnb.nas_exchange(env, ran_ue_id, &nas, false);
                             return Err(RanError::NetworkAuthenticationFailed(
                                 "AUTN MAC verification failed".into(),
                             ));
@@ -308,7 +308,7 @@ impl CotsUe {
                 other => return Err(RanError::Protocol(format!("unexpected downlink {other:?}"))),
             };
             let protected = self.encode_uplink(&uplink);
-            downlink = gnb.nas_exchange(env, ran_ue_id, protected, false)?;
+            downlink = gnb.nas_exchange(env, ran_ue_id, &protected, false)?;
         }
 
         stage.close(env.clock.now().as_nanos());
@@ -343,7 +343,7 @@ impl CotsUe {
         Self::charge(env, UE_NAS_PROC_NANOS);
         let nas =
             self.encode_uplink(&NasUplink::PduSessionEstablishmentRequest { pdu_session_id: 5 });
-        let downlink = gnb.nas_exchange(env, ran_ue_id, nas, false)?;
+        let downlink = gnb.nas_exchange(env, ran_ue_id, &nas, false)?;
         Self::charge(env, UE_NAS_PROC_NANOS);
         match self.decode_downlink(&downlink)? {
             NasDownlink::PduSessionEstablishmentAccept { ue_ip, .. } => {
@@ -370,7 +370,7 @@ impl CotsUe {
         }
         Self::charge(env, UE_NAS_PROC_NANOS);
         let nas = self.encode_uplink(&NasUplink::DeregistrationRequest { switch_off: false });
-        let downlink = gnb.nas_exchange(env, ran_ue_id, nas, false)?;
+        let downlink = gnb.nas_exchange(env, ran_ue_id, &nas, false)?;
         match self.decode_downlink(&downlink)? {
             NasDownlink::DeregistrationAccept => {
                 gnb.release(ran_ue_id);
@@ -397,7 +397,7 @@ impl CotsUe {
         env: &mut Env,
         gnb: &mut Gnb,
         payload: &[u8],
-    ) -> Result<Vec<u8>, RanError> {
+    ) -> Result<Body, RanError> {
         let ran_ue_id = self
             .ran_ue_id
             .filter(|_| self.ue_ip.is_some())
@@ -405,7 +405,7 @@ impl CotsUe {
         gnb.gtp_uplink(env, ran_ue_id, payload)
     }
 
-    fn encode_uplink(&mut self, msg: &NasUplink) -> Vec<u8> {
+    fn encode_uplink(&mut self, msg: &NasUplink) -> Body {
         Writer::build(|w| match (&mut self.sec, msg) {
             // Everything from SecurityModeComplete onwards is protected,
             // where it is written.

@@ -17,6 +17,7 @@ use shield5g_core::paka::PakaKind;
 use shield5g_core::stats::Summary;
 use shield5g_mw::RetryPolicy;
 use shield5g_ran::workload::{test_subscriber, WorkloadSpec};
+use shield5g_sim::http::SharedPaths;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -113,11 +114,11 @@ pub fn probe_service_time(seed: u64) -> SimDuration {
     );
     let supi = test_subscriber(0);
     pool.provision_subscriber(&mut env, supi.as_str(), K);
-    let mut sqn = [0; 6];
+    let (mut paths, mut sqn) = (SharedPaths::default(), [0; 6]);
     let id = pool.ready_ids()[0];
     let samples: Vec<SimDuration> = (0..25)
         .map(|_| {
-            let request = single_request(&mut env, &mut sqn, supi);
+            let request = single_request(&mut env, &mut paths, &mut sqn, supi);
             let (resp, _, occupancy) = pool.serve_on(&mut env, id, request);
             assert!(resp.is_success());
             occupancy

@@ -54,7 +54,7 @@ use shield5g_ran::workload::{poisson_arrivals, test_subscriber, WorkloadSpec};
 use shield5g_sim::engine::{
     Completion, Engine, PriorityClass, ERROR_HEADER, FAULT_HEADER, PRIORITY_HEADER,
 };
-use shield5g_sim::http::HttpRequest;
+use shield5g_sim::http::{HttpRequest, SharedPaths};
 use shield5g_sim::rng::DetRng;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
@@ -176,6 +176,8 @@ struct Run {
     /// Cache-off bookkeeping: the UDM's SQN generator per subscriber,
     /// indexed like `supis`; all zero before the first request.
     sqn_counters: Vec<[u8; 6]>,
+    /// The request path handles, one per AV row, shared by every request.
+    paths: SharedPaths,
     brownout: Option<Brownout>,
     in_flight: BTreeMap<u64, Pending>,
     recorder: RunRecorder,
@@ -294,7 +296,12 @@ impl Run {
         let probe = self.supis.len() - 1;
         for replica in pool.due_probes(floor) {
             let addr = pool.replica(replica).addr();
-            let req = single_request(env, &mut self.sqn_counters[probe], self.supis[probe]);
+            let req = single_request(
+                env,
+                &mut self.paths,
+                &mut self.sqn_counters[probe],
+                self.supis[probe],
+            );
             let tag = engine.schedule_request(floor, addr, req);
             self.tallies.probes += 1;
             obs::count("pool", addr, labels::BREAKER_PROBES, 1);
@@ -359,6 +366,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             .enabled()
             .then(|| env.rng.fork(&format!("{}-retry", sc.name))),
         sqn_counters: vec![[0; 6]; supis.len()],
+        paths: SharedPaths::default(),
         supis,
         cache: sc.cache.map(AvCache::new),
         brownout: sc.brownout.map(Brownout::new),
@@ -428,8 +436,13 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         let browned_out = run.brownout.is_some_and(|b| b.active);
         let prefetch = run.cache.as_ref().filter(|_| !browned_out);
         let mut request = match prefetch {
-            Some(c) => batch_request(&mut env, c, run.supis[ue]),
-            None => single_request(&mut env, &mut run.sqn_counters[ue], run.supis[ue]),
+            Some(c) => batch_request(&mut env, &mut run.paths, c, run.supis[ue]),
+            None => single_request(
+                &mut env,
+                &mut run.paths,
+                &mut run.sqn_counters[ue],
+                run.supis[ue],
+            ),
         };
         let batch = prefetch.is_some();
         if class == PriorityClass::Emergency {
@@ -491,26 +504,42 @@ fn snn() -> ServingNetworkName {
 
 /// One single-AV request for `supi`, stepping its SQN counter `sqn`
 /// (zero before the first request, so that one carries SQN 1).
-pub(crate) fn single_request(env: &mut Env, sqn: &mut [u8; 6], supi: Supi) -> HttpRequest {
+pub(crate) fn single_request(
+    env: &mut Env,
+    paths: &mut SharedPaths,
+    sqn: &mut [u8; 6],
+    supi: Supi,
+) -> HttpRequest {
     *sqn = sqn_add(sqn, 1);
-    GenerateAv::request(&UdmAkaRequest {
-        supi,
-        opc: OPC.into(),
-        rand: env.rng.bytes(),
-        sqn: *sqn,
-        amf_field: [0x80, 0],
-        snn: snn(),
-    })
+    GenerateAv::request(
+        paths,
+        &UdmAkaRequest {
+            supi,
+            opc: OPC.into(),
+            rand: env.rng.bytes(),
+            sqn: *sqn,
+            amf_field: [0x80, 0],
+            snn: snn(),
+        },
+    )
 }
 
-fn batch_request(env: &mut Env, cache: &AvCache, supi: Supi) -> HttpRequest {
-    GenerateAvBatch::request(&UdmAkaBatchRequest {
-        supi,
-        opc: OPC.into(),
-        rand_seed: env.rng.bytes(),
-        sqn_start: cache.next_sqn(supi.as_str()),
-        amf_field: [0x80, 0],
-        snn: snn(),
-        count: cache.batch_size(),
-    })
+fn batch_request(
+    env: &mut Env,
+    paths: &mut SharedPaths,
+    cache: &AvCache,
+    supi: Supi,
+) -> HttpRequest {
+    GenerateAvBatch::request(
+        paths,
+        &UdmAkaBatchRequest {
+            supi,
+            opc: OPC.into(),
+            rand_seed: env.rng.bytes(),
+            sqn_start: cache.next_sqn(supi.as_str()),
+            amf_field: [0x80, 0],
+            snn: snn(),
+            count: cache.batch_size(),
+        },
+    )
 }

@@ -30,7 +30,7 @@ use shield5g_nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{AdmissionPolicy, Engine, FAULT_HEADER};
-use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::{service_handle, Service};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
@@ -301,7 +301,7 @@ impl EnclavePool {
                 // subscribers; an unknown SUPI still walks the full TLS +
                 // dispatch + vault-lookup path (404 is fine — the lazy
                 // init it triggers is what we are here for).
-                GenerateAv::request(&warmup_udm_request())
+                GenerateAv::request(&mut SharedPaths::default(), &warmup_udm_request())
             }
             PakaKind::EAusf | PakaKind::EAmf => shield5g_core::harness::standard_request(kind),
         };
@@ -735,14 +735,17 @@ mod tests {
     }
 
     fn av_request(supi: &str) -> HttpRequest {
-        GenerateAv::request(&UdmAkaRequest {
-            supi: Supi::parse(supi).unwrap(),
-            opc: [0xcd; 16].into(),
-            rand: [0x23; 16],
-            sqn: [0, 0, 0, 0, 0, 1],
-            amf_field: [0x80, 0],
-            snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
-        })
+        GenerateAv::request(
+            &mut SharedPaths::default(),
+            &UdmAkaRequest {
+                supi: Supi::parse(supi).unwrap(),
+                opc: [0xcd; 16].into(),
+                rand: [0x23; 16],
+                sqn: [0, 0, 0, 0, 0, 1],
+                amf_field: [0x80, 0],
+                snn: shield5g_crypto::keys::ServingNetworkName::new("001", "01"),
+            },
+        )
     }
 
     #[test]

@@ -11,62 +11,222 @@
 //! encoder writes *into* a [`Writer`] ([`Writer::put_nested`]) and a
 //! decoder borrows what it only parses and drops ([`Reader::bytes_ref`],
 //! [`Reader::str_ref`]): each message is written once, into one buffer.
+//!
+//! That buffer is a [`Body`], and a buffer is written once and recycled
+//! zeroed: when a `Body` drops, its written bytes are overwritten with
+//! zeros and the buffer joins a small per-thread spare list, where the
+//! next [`Writer::new`] (or [`Body::from`] a slice) picks it up — the
+//! smallest spare with room, so short messages keep short buffers. A
+//! steady-state registration therefore encodes its messages into the
+//! buffers its earlier messages released, and no buffer carries one
+//! message's bytes (a K_SEAF, an OPc) into the next. The list is bounded
+//! by two constants, not a setting: at most [`SPARE_BUFFERS`] buffers of
+//! at most [`SPARE_CAPACITY`] bytes each; a larger or surplus buffer is
+//! zeroed and freed.
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;
-use std::ops::Range;
+use std::cell::Cell;
+use std::fmt;
+use std::ops::{Deref, DerefMut, Range};
 
-/// Builds a wire message field by field.
+/// Most buffers a thread keeps for reuse.
+pub const SPARE_BUFFERS: usize = 32;
+
+/// Largest capacity, in bytes, of a buffer kept for reuse.
+pub const SPARE_CAPACITY: usize = 4096;
+
+/// Capacity of a fresh buffer: room for the SBI / NAS / NGAP messages
+/// of a registration (all under 128 bytes), so pushing their fields
+/// does not regrow it.
+const FRESH_CAPACITY: usize = 128;
+
+thread_local! {
+    /// Zeroed buffers released by dropped [`Body`]s.
+    static SPARE: Cell<Vec<Vec<u8>>> = const { Cell::new(Vec::new()) };
+}
+
+/// An empty buffer with room for `len` bytes: the smallest spare that
+/// has it, so a short message does not hold a long one's buffer, or a
+/// fresh one of exactly that room.
+fn spare_buffer(len: usize) -> Vec<u8> {
+    let reused = SPARE
+        .try_with(|spare| {
+            let mut list = spare.take();
+            let fit = (0..list.len())
+                .filter(|&at| list[at].capacity() >= len)
+                .min_by_key(|&at| list[at].capacity());
+            let buf = fit.map(|at| list.swap_remove(at));
+            spare.set(list);
+            buf
+        })
+        .ok()
+        .flatten();
+    match reused {
+        Some(mut buf) => {
+            buf.clear();
+            buf
+        }
+        None => Vec::with_capacity(len),
+    }
+}
+
+/// Zeroes `buf` over its written length and keeps it for reuse, unless
+/// it is empty, too large, or the list is full.
+fn recycle(mut buf: Vec<u8>) {
+    buf.fill(0);
+    if buf.capacity() == 0 || buf.capacity() > SPARE_CAPACITY {
+        return;
+    }
+    // Past thread exit there is no list, and the buffer is freed.
+    let _ = SPARE.try_with(|spare| {
+        let mut list = spare.take();
+        if list.len() < SPARE_BUFFERS {
+            // The list itself is allocated once, at its cap.
+            list.reserve_exact(SPARE_BUFFERS - list.len());
+            list.push(buf);
+        }
+        spare.set(list);
+    });
+}
+
+/// An owned wire buffer: an encoded message, an HTTP body. Reads as the
+/// bytes it holds (`Deref<Target = [u8]>`); when dropped it is zeroed
+/// and recycled (see the module docs). `Body::default()` is empty and
+/// holds no buffer.
+#[derive(Default, PartialEq, Eq)]
+pub struct Body(Vec<u8>);
+
+impl Drop for Body {
+    fn drop(&mut self) {
+        recycle(std::mem::take(&mut self.0));
+    }
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl DerefMut for Body {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
+}
+
+impl AsRef<[u8]> for Body {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// Takes the vector as the buffer: it is recycled like any other.
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Self {
+        Body(bytes)
+    }
+}
+
+/// Copies the bytes into a spare buffer.
+impl From<&[u8]> for Body {
+    fn from(bytes: &[u8]) -> Self {
+        let mut buf = spare_buffer(bytes.len());
+        buf.extend_from_slice(bytes);
+        Body(buf)
+    }
+}
+
+/// A text body (an error message).
+impl From<String> for Body {
+    fn from(text: String) -> Self {
+        Body(text.into_bytes())
+    }
+}
+
+impl Clone for Body {
+    fn clone(&self) -> Self {
+        Body::from(&self[..])
+    }
+}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for Body {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        self.0 == other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Body {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        self.0 == *other
+    }
+}
+
+impl PartialEq<Vec<u8>> for Body {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.0 == *other
+    }
+}
+
+/// Builds a wire message field by field, into a [`Body`].
 #[derive(Clone, Debug, Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    buf: Body,
 }
 
 impl Writer {
-    /// An empty writer with room for the SBI / NAS / NGAP messages of a
-    /// registration (all under 128 bytes), so pushing their fields does
-    /// not regrow the buffer.
+    /// An empty writer on a spare buffer (see the module docs), or on a
+    /// fresh one with room for the SBI / NAS / NGAP messages of a
+    /// registration.
     #[must_use]
     pub fn new() -> Self {
         Writer {
-            buf: Vec::with_capacity(128),
+            buf: Body(spare_buffer(FRESH_CAPACITY)),
         }
     }
 
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
+        self.buf.0.push(v);
         self
     }
 
     /// Appends a big-endian `u16`.
     pub fn put_u16(&mut self, v: u16) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.0.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Appends a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.0.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Appends a big-endian `u64`.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.0.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Appends a fixed-size array verbatim.
     pub fn put_array<const N: usize>(&mut self, v: &[u8; N]) -> &mut Self {
-        self.buf.extend_from_slice(v);
+        self.buf.0.extend_from_slice(v);
         self
     }
 
     /// Appends variable-length bytes with a `u32` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.buf.0.extend_from_slice(v);
         self
     }
 
@@ -101,7 +261,7 @@ impl Writer {
     /// The wire bytes of the message `message` writes: the owned form of
     /// an `encode_into`.
     #[must_use]
-    pub fn build(message: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    pub fn build(message: impl FnOnce(&mut Writer)) -> Body {
         let mut w = Writer::new();
         message(&mut w);
         w.buf
@@ -109,7 +269,7 @@ impl Writer {
 
     /// Finishes and returns the wire bytes.
     #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(self) -> Body {
         self.buf
     }
 
@@ -131,7 +291,7 @@ impl Writer {
 /// `shield5g_crypto::secret`).
 impl KeySink for Writer {
     fn put_key(&mut self, key: &[u8]) {
-        self.buf.extend_from_slice(key);
+        self.buf.0.extend_from_slice(key);
     }
 }
 
@@ -173,28 +333,24 @@ impl<'a> Reader<'a> {
 
     /// Reads a big-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SimError> {
-        Ok(u16::from_be_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.array().map(u16::from_be_bytes)
     }
 
     /// Reads a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SimError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SimError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_be_bytes)
     }
 
     /// Reads a fixed-size array.
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], SimError> {
-        Ok(self.take(N)?.try_into().expect("N bytes"))
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Reads length-prefixed bytes, borrowed from the message: for a
@@ -337,6 +493,77 @@ mod tests {
         let w = Writer::new();
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
+    }
+
+    /// Empties this thread's spare list and returns what it held.
+    fn take_spares() -> Vec<Vec<u8>> {
+        SPARE.with(Cell::take)
+    }
+
+    #[test]
+    fn a_returned_buffer_holds_no_earlier_bytes() {
+        take_spares();
+        let key = [0xa5; 48];
+        let body = Writer::build(|w| {
+            w.put_array(&key);
+        });
+        assert_eq!(body, key);
+        drop(body);
+        // It sits in the list over its written length, every byte zero.
+        let spares = take_spares();
+        assert_eq!(spares.len(), 1);
+        assert_eq!(spares[0], [0; 48]);
+        // A copy and a clone are recycled the same way.
+        let copy = Body::from(&key[..]);
+        drop(copy.clone());
+        drop(copy);
+        let spares = take_spares();
+        assert_eq!(spares.len(), 2);
+        assert!(spares.iter().all(|buf| *buf == [0; 48]));
+        // The next writer takes a spare and starts empty on it.
+        drop(Writer::build(|w| {
+            w.put_array(&key);
+        }));
+        let w = Writer::new();
+        assert!(w.is_empty());
+        assert!(take_spares().is_empty());
+    }
+
+    #[test]
+    fn the_spare_list_never_exceeds_its_cap() {
+        take_spares();
+        let bodies: Vec<Body> = (0..2 * SPARE_BUFFERS)
+            .map(|i| {
+                Writer::build(|w| {
+                    w.put_u64(i as u64);
+                })
+            })
+            .collect();
+        drop(Body::from(vec![0x5a; SPARE_CAPACITY + 1]));
+        assert!(take_spares().is_empty(), "an oversized buffer is freed");
+        drop(bodies);
+        let spares = take_spares();
+        assert_eq!(spares.len(), SPARE_BUFFERS);
+        assert!(spares
+            .iter()
+            .all(|buf| buf.capacity() <= SPARE_CAPACITY && buf.iter().all(|&b| b == 0)));
+    }
+
+    #[test]
+    fn a_short_message_takes_the_smallest_spare_with_room() {
+        take_spares();
+        let long = Body::from(vec![1; 1000]);
+        let written = Writer::build(|w| {
+            w.put_u8(1);
+        });
+        drop((long, written, Body::from(vec![2; 300])));
+        // 64 bytes: the 128-byte writer buffer, not the longer two.
+        let short = Body::from(&[3; 64][..]);
+        let mut left: Vec<usize> = take_spares().iter().map(Vec::len).collect();
+        left.sort_unstable();
+        assert_eq!(left, [300, 1000]);
+        drop(short);
+        assert_eq!(take_spares().len(), 1);
     }
 
     proptest::proptest! {

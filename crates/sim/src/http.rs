@@ -9,8 +9,10 @@
 //! A message is framed in place: `write_to` appends head and body to a
 //! buffer the caller owns (a TLS record about to be sealed) and `to_bytes`
 //! is that into a fresh one. A request names its resource by a shared
-//! handle ([`SharedPaths`]), which its engine leg and trace records hold too.
+//! handle ([`SharedPaths`]), which its engine leg and trace records hold too,
+//! and both message types carry their body in a recycled [`Body`].
 
+use crate::codec::Body;
 use crate::SimError;
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
@@ -75,7 +77,7 @@ impl SharedPaths {
 }
 
 /// An HTTP request.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
@@ -84,31 +86,31 @@ pub struct HttpRequest {
     /// Header name/value pairs (names match case-insensitively).
     pub headers: Vec<(String, String)>,
     /// Message body.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl HttpRequest {
     /// Creates a request with an empty header set.
     #[must_use]
-    pub fn new(method: Method, path: impl Into<Rc<str>>, body: Vec<u8>) -> Self {
+    pub fn new(method: Method, path: impl Into<Rc<str>>, body: impl Into<Body>) -> Self {
         HttpRequest {
             method,
             path: path.into(),
             headers: Vec::new(),
-            body,
+            body: body.into(),
         }
     }
 
     /// Convenience POST constructor (the dominant SBI verb).
     #[must_use]
-    pub fn post(path: impl Into<Rc<str>>, body: Vec<u8>) -> Self {
+    pub fn post(path: impl Into<Rc<str>>, body: impl Into<Body>) -> Self {
         Self::new(Method::Post, path, body)
     }
 
     /// Convenience GET constructor.
     #[must_use]
     pub fn get(path: impl Into<Rc<str>>) -> Self {
-        Self::new(Method::Get, path, Vec::new())
+        Self::new(Method::Get, path, Body::default())
     }
 
     /// Adds a header (builder style).
@@ -175,24 +177,24 @@ impl HttpRequest {
 }
 
 /// An HTTP response.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HttpResponse {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Header name/value pairs.
     pub headers: Vec<(String, String)>,
     /// Message body.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl HttpResponse {
     /// A 200 response with `body`.
     #[must_use]
-    pub fn ok(body: Vec<u8>) -> Self {
+    pub fn ok(body: impl Into<Body>) -> Self {
         HttpResponse {
             status: 200,
             headers: Vec::new(),
-            body,
+            body: body.into(),
         }
     }
 
@@ -202,7 +204,7 @@ impl HttpResponse {
         HttpResponse {
             status,
             headers: Vec::new(),
-            body: message.into().into_bytes(),
+            body: message.into().into(),
         }
     }
 
@@ -348,7 +350,7 @@ type Headers = Vec<(String, String)>;
 
 /// Splits a message into its first line, its headers without
 /// `Content-Length`, and the body that header must account for exactly.
-fn parse(bytes: &[u8]) -> Result<(&str, Headers, Vec<u8>), SimError> {
+fn parse(bytes: &[u8]) -> Result<(&str, Headers, Body), SimError> {
     let sep = bytes
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -375,7 +377,7 @@ fn parse(bytes: &[u8]) -> Result<(&str, Headers, Vec<u8>), SimError> {
     if declared != body.len() {
         return Err(malformed("content-length mismatch"));
     }
-    Ok((first, headers, body.to_vec()))
+    Ok((first, headers, Body::from(body)))
 }
 
 #[cfg(test)]

@@ -252,7 +252,7 @@ pub fn establish(
 
     // Traffic keys from the ephemeral secret + transcript; each direction
     // is keyed once and shared by its two ends.
-    let key_data = kdf_x963(&shared_c, &transcript, 96);
+    let key_data = kdf_x963::<96>(&shared_c, &transcript);
     let mut c2s_key = [0u8; 16];
     let mut s2c_key = [0u8; 16];
     c2s_key.copy_from_slice(&key_data[0..16]);

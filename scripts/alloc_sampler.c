@@ -1,8 +1,9 @@
 // LD_PRELOAD allocation sampler for `scripts/profile.sh --allocs`: every
 // 4th malloc/calloc/realloc call on the main thread walks the rbp chain
 // from the call site and keeps the raw return addresses; at exit it writes
-// the PIE base and one line per sample to $PROFILE_OUT, in the format of
-// profile_sampler.c, so scripts/profile_report.py reads it unchanged.
+// the PIE base, the sampling period and one line per sample to
+// $PROFILE_OUT, in the format of profile_sampler.c plus `every N` on the
+// header line, which scripts/profile_report.py reads to count per op.
 // Build it with -fno-omit-frame-pointer: the walk starts in this file.
 #define _GNU_SOURCE
 #include <stdint.h>
@@ -76,7 +77,7 @@ __attribute__((destructor)) static void finish(void) {
     on_main = 0;
     FILE *out = buf ? fopen(getenv("PROFILE_OUT"), "w") : NULL;
     if (!out) return;
-    fprintf(out, "base %lx\n", base);
+    fprintf(out, "base %lx every %d\n", base, EVERY);
     for (size_t at = 0; at < used; at += buf[at] + 1) {
         for (size_t i = 1; i <= buf[at]; i++) fprintf(out, "%lx ", buf[at + i]);
         fputc('\n', out);

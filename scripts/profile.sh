@@ -15,12 +15,15 @@
 #
 # --allocs preloads scripts/alloc_sampler.c instead: one sample per 4th
 # malloc/calloc/realloc on the main thread, so a sample is 4 allocations
-# and the inclusive list names the sites that allocate.
+# and the inclusive list names the sites that allocate. Each row then also
+# gives the site's allocations per op (samples x 4 / the run's attempted
+# ops). Either way the set-up's own calls of `frame` (its warm-ups) are
+# left out, so the shares and counts are the timed phase's.
 set -euo pipefail
 
 sampler=profile_sampler
 if [ "${1:-}" = --allocs ]; then sampler=alloc_sampler; shift; fi
-[ $# -ge 1 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 workload="$1" seconds="${2:-10}"
 case "$workload" in
@@ -40,4 +43,5 @@ PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$dir/$sampler.so" \
   "$bin" --workload "$workload" --seed 300 --seconds "$seconds" --trace 0 \
   --out "$dir/out" --repo "$root" > "$dir/run.log"
 tail -n 1 "$dir/run.log" | cut -c 1-200
-python3 "$root/scripts/profile_report.py" "$bin" "$dir/samples.txt" "$frame"
+ops="$(tail -n 1 "$dir/run.log" | sed -n 's/.*"attempted": \([0-9]*\).*/\1/p')"
+python3 "$root/scripts/profile_report.py" "$bin" "$dir/samples.txt" "$frame" --ops "$ops"

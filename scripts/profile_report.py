@@ -1,22 +1,40 @@
 #!/usr/bin/env python3
-"""Symbolises scripts/profile_sampler.c output against `nm -C -n` of the
-PIE it sampled and prints top self / inclusive shares over the samples
-whose stack contains FRAME. Usage: profile_report.py BINARY SAMPLES FRAME [TOP]"""
-import bisect, collections, re, subprocess, sys
+"""Symbolises scripts/profile_sampler.c (or alloc_sampler.c) output against
+`nm -C -n` of the PIE it sampled and prints top self / inclusive shares over
+the samples whose stack contains FRAME.
 
-binary, samples_path, frame = sys.argv[1:4]
-top = int(sys.argv[4]) if len(sys.argv) > 4 else 25
+Usage: profile_report.py BINARY SAMPLES FRAME [TOP] [--ops N]
+
+The benchmark runs FRAME in its set-up (warm-ups) before the timed phase,
+along another call path. When the matching samples reach FRAME along more
+than one path (return addresses from the root down to FRAME), the path of
+the first one is the set-up's and its samples are left out.
+
+With --ops N (the run's `attempted`) and an allocation sample file (whose
+header names the sampler's `every`), each row also gives its allocations
+per op: samples x every / N."""
+import argparse, bisect, collections, re, subprocess
+
+parser = argparse.ArgumentParser()
+parser.add_argument("binary")
+parser.add_argument("samples")
+parser.add_argument("frame")
+parser.add_argument("top", nargs="?", type=int, default=25)
+parser.add_argument("--ops", type=int)
+args = parser.parse_args()
 
 starts, names = [], []
-for row in subprocess.run(["nm", "-C", "-n", "--defined-only", binary],
+for row in subprocess.run(["nm", "-C", "-n", "--defined-only", args.binary],
                           check=True, capture_output=True, text=True).stdout.splitlines():
     addr, kind, name = row.split(" ", 2)
     if kind in "tTwW":
         starts.append(int(addr, 16))
         names.append(re.sub(r"::h[0-9a-f]{16}$", "", name))
 
-with open(samples_path) as f:
-    base = int(f.readline().split()[1], 16)
+with open(args.samples) as f:
+    header = f.readline().split()
+    base = int(header[1], 16)
+    every = int(header[3]) if len(header) > 3 and header[2] == "every" else None
     stacks = [[int(a, 16) - base for a in row.split()] for row in f]
 
 
@@ -26,16 +44,35 @@ def symbol(offset):
     return names[at] if at >= 0 and offset < starts[-1] + (1 << 20) else "[outside the binary]"
 
 
-self_time, inclusive, kept = collections.Counter(), collections.Counter(), 0
+# Each matching sample with its path: the return addresses from the root
+# down to the call of the innermost frame matching FRAME.
+matching = []
 for stack in stacks:
     symbols = [symbol(offset) for offset in stack]
-    if symbols and any(frame in s for s in symbols):
-        kept += 1
-        self_time[symbols[0]] += 1
-        inclusive.update(set(symbols))
+    hits = [i for i, s in enumerate(symbols) if args.frame in s]
+    if hits:
+        matching.append((symbols, tuple(stack[hits[0] + 1:])))
+paths = {path for _, path in matching}
+setup = matching[0][1] if len(paths) > 1 else None
 
-print(f"{len(stacks)} samples, {kept} with a frame matching {frame!r}")
+self_time, inclusive, kept, skipped = collections.Counter(), collections.Counter(), 0, 0
+for symbols, path in matching:
+    if path == setup:
+        skipped += 1
+        continue
+    kept += 1
+    self_time[symbols[0]] += 1
+    inclusive.update(set(symbols))
+
+per_op = every and args.ops
+print(f"{len(stacks)} samples, {kept} with a frame matching {args.frame!r}"
+      f" ({skipped} more on the set-up path left out)")
+if per_op:
+    print(f"{every * kept / args.ops:.2f} allocations per op over {args.ops} ops"
+          f" (one sample per {every} allocations)")
 for title, counts in (("self", self_time), ("inclusive", inclusive)):
-    print(f"\ntop {top} {title} (share of the {kept} matching samples)")
-    for name, n in counts.most_common(top):
-        print(f"{100 * n / max(kept, 1):6.1f} %  {n:7d}  {name[:150]}")
+    print(f"\ntop {args.top} {title} (share of the {kept} matching samples"
+          + (", allocations per op)" if per_op else ")"))
+    for name, n in counts.most_common(args.top):
+        column = f"  {every * n / args.ops:7.2f}" if per_op else ""
+        print(f"{100 * n / max(kept, 1):6.1f} %  {n:7d}{column}  {name[:150]}")

@@ -39,6 +39,16 @@ fn registration_succeeds_in_all_deployments() {
 }
 
 #[test]
+fn a_registration_leaves_no_call_in_the_breakers_table() {
+    let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()), 3);
+    let mut sim = GnbSim::new(&slice);
+    sim.register_ues(&mut env, &slice, 2).unwrap();
+    let breaker = slice.breaker.borrow();
+    assert!(breaker.total_samples() > 0, "the breaker guarded the calls");
+    assert_eq!(breaker.calls_in_flight(), 0);
+}
+
+#[test]
 fn sgx_and_container_runs_agree_on_protocol_outcomes() {
     // Same seed: identical RANDs, identical SUCIs, identical GUTIs — the
     // deployment changes timing, never the protocol.

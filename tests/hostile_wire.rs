@@ -19,7 +19,7 @@ use shield5g::nf::messages::{NasDownlink, NasUplink, Ngap};
 use shield5g::nf::nas_security::{NasSecurityContext, ProtectedNas};
 use shield5g::nf::wire::Wire;
 use shield5g::nf::NfError;
-use shield5g::sim::codec::{Reader, Writer};
+use shield5g::sim::codec::{Body, Reader, Writer};
 use shield5g::sim::http::{HttpRequest, HttpResponse, Method};
 use shield5g::sim::tls::{establish, TlsIdentity, TlsSession};
 use shield5g::sim::SimError;
@@ -119,7 +119,7 @@ proptest! {
             // The lie lands on either length prefix.
             let len_at = if word & 0x80 == 0 { 0 } else { 4 + data.len() };
             let bytes = mutate(&valid, &other, word, lie_at(len_at));
-            let read = |bytes: &[u8]| -> Result<Vec<u8>, SimError> {
+            let read = |bytes: &[u8]| -> Result<Body, SimError> {
                 let mut r = Reader::new(bytes);
                 let (data, text, tail) = (r.bytes_ref()?, r.str_ref()?, r.u16()?);
                 r.finish()?;
@@ -192,13 +192,17 @@ proptest! {
         for word in script {
             // NGAP: tag, ran_ue_id, then the length-prefixed NAS.
             let hostile = mutate(&ngap, &uplink, word, lie_at(9));
-            match Ngap::decode(&hostile) {
+            let owned = Ngap::decode(&hostile);
+            match &owned {
                 Ok(got) => prop_assert_eq!(&got.encode(), &hostile),
                 Err(e) => prop_assert!(matches!(
                     e,
                     NfError::Sim(SimError::MalformedHttp(_)) | NfError::Protocol(_)
                 )),
             }
+            // What the gNB and the AMF read: the owned decoder, uncopied.
+            let borrowed = Ngap::borrow(&hostile).map(|msg| msg.map(<[u8]>::to_vec));
+            prop_assert_eq!(borrowed, owned);
             // Protected NAS: count, mac, then the length-prefixed ciphertext.
             let hostile = mutate(&pdu, &ngap, word, lie_at(8));
             let owned = ProtectedNas::decode(&hostile);
@@ -277,7 +281,7 @@ proptest! {
         });
         let mut owned = Writer::new();
         owned.put_bytes(&lead);
-        let mut owned = owned.into_bytes();
+        let mut owned = owned.into_bytes().to_vec();
         owned.extend_from_slice(&amf_b.protect(&downlink.encode()).encode());
         prop_assert_eq!(in_place, owned);
     }

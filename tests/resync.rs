@@ -18,6 +18,7 @@ use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::{ChallengeOutcome, Usim};
 use shield5g::scale::avcache::{AvCache, AvCacheConfig};
 use shield5g::scale::pool::{EnclavePool, PoolConfig};
+use shield5g::sim::http::SharedPaths;
 use shield5g::sim::Env;
 
 /// Full NAS-level regression: a UE registered against a shielded
@@ -109,15 +110,18 @@ fn pool_failover_resync_restores_the_av_stream() {
     align(&mut cache, &mut generator);
 
     let batch_req = |env: &mut Env, cache: &AvCache| {
-        GenerateAvBatch::request(&UdmAkaBatchRequest {
-            supi: sub.supi,
-            opc: sub.opc.into(),
-            rand_seed: env.rng.bytes(),
-            sqn_start: cache.next_sqn(&supi),
-            amf_field: [0x80, 0],
-            snn,
-            count: cache.batch_size(),
-        })
+        GenerateAvBatch::request(
+            &mut SharedPaths::default(),
+            &UdmAkaBatchRequest {
+                supi: sub.supi,
+                opc: sub.opc.into(),
+                rand_seed: env.rng.bytes(),
+                sqn_start: cache.next_sqn(&supi),
+                amf_field: [0x80, 0],
+                snn,
+                count: cache.batch_size(),
+            },
+        )
     };
 
     // Consume a full batch through the primary; every AV authenticates
@@ -165,7 +169,11 @@ fn pool_failover_resync_restores_the_av_stream() {
         rand: stale.rand,
         auts,
     };
-    let (resp, _, _) = pool.serve_on(&mut env, survivor, Resync::request(&resync));
+    let (resp, _, _) = pool.serve_on(
+        &mut env,
+        survivor,
+        Resync::request(&mut SharedPaths::default(), &resync),
+    );
     assert!(
         resp.is_success(),
         "AUTS must verify on the promoted replica"
