@@ -14,7 +14,7 @@
 //! an OCALL and secrets live in the encrypted enclave vault.
 
 use crate::CoreError;
-use shield5g_crypto::secret::{KeySink, SecretBytes};
+use shield5g_crypto::secret::{KeySink, SecretBytes, Zeroize};
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_infra::host::{ContainerHandle, Host};
 use shield5g_infra::image::{ContainerImage, Registry};
@@ -210,8 +210,8 @@ pub struct PakaModule {
     userspace_net: bool,
     tls_identity: TlsIdentity,
     crash_recoveries: u64,
-    /// Where a request's key slot name `k:{supi}` is spelled, so serving
-    /// does not format one per request.
+    /// Where a key slot name `k:{supi}` is spelled ([`key_slot`]), so
+    /// neither serving nor provisioning formats one per subscriber.
     key_slot: String,
 }
 
@@ -244,6 +244,14 @@ impl KeySink for Scratch<'_> {
             c.plain_memory.write(self.slot.to_owned(), key.to_vec());
         }
     }
+}
+
+/// Spells `k:{supi}`, the slot of subscriber `supi`'s K, into `buf`.
+fn key_slot<'a>(buf: &'a mut String, supi: &str) -> &'a str {
+    buf.clear();
+    buf.push_str("k:");
+    buf.push_str(supi);
+    buf
 }
 
 /// Builds the module's container image for the registry.
@@ -484,10 +492,11 @@ impl PakaModule {
                 detail: "container deployment holds no sealing key; cannot unseal".into(),
             });
         };
-        let k = shield5g_hmee::seal::unseal(libos.enclave(), blob)?;
+        let mut k = shield5g_hmee::seal::unseal(libos.enclave(), blob)?;
         libos
             .enclave_mut()
-            .vault_write(env, &format!("k:{supi}"), &k);
+            .vault_write(env, key_slot(&mut self.key_slot, supi), &k);
+        k.zeroize();
         Ok(())
     }
 
@@ -510,45 +519,52 @@ impl PakaModule {
     /// Provisions a subscriber's long-term key into the module's secret
     /// store (enclave vault when shielded; plain memory otherwise).
     pub fn provision_subscriber_key(&mut self, env: &mut Env, supi: &str, k: [u8; 16]) {
+        let slot = key_slot(&mut self.key_slot, supi);
         let mut c = self.container.borrow_mut();
-        let slot = format!("k:{supi}");
         if let Some(libos) = c.shielded.as_mut() {
-            libos.enclave_mut().vault_write(env, &slot, &k);
+            libos.enclave_mut().vault_write(env, slot, &k);
         } else {
             c.plain_memory.write(slot, k.to_vec());
         }
     }
 
+    /// Reads subscriber `supi`'s K straight into its secret: the enclave
+    /// decrypts into a local array, the container copies out of plain
+    /// memory, and the local is zeroized once wrapped, so no plaintext
+    /// copy of K is left in freed memory in either deployment.
     fn load_subscriber_key(
         &mut self,
         env: &mut Env,
         supi: &str,
     ) -> Result<SecretBytes<16>, NfError> {
-        let slot = &mut self.key_slot;
-        slot.clear();
-        slot.push_str("k:");
-        slot.push_str(supi);
+        let slot = key_slot(&mut self.key_slot, supi);
+        let wrong_length = || NfError::Backend("stored key has wrong length".into());
+        let mut k = [0u8; 16];
         let mut c = self.container.borrow_mut();
-        let bytes = if let Some(libos) = c.shielded.as_mut() {
+        if let Some(libos) = c.shielded.as_mut() {
             libos
                 .enclave_mut()
-                .vault_read(env, slot)
+                .vault_read_into(env, slot, &mut k)
                 .map_err(|e| match e {
                     shield5g_hmee::HmeeError::UnknownSlot(_) => {
                         NfError::SubscriberUnknown(supi.to_owned())
                     }
+                    shield5g_hmee::HmeeError::ValueLength { .. } => wrong_length(),
                     other => NfError::Backend(other.to_string()),
-                })?
+                })?;
         } else {
-            c.plain_memory
+            let stored = c
+                .plain_memory
                 .read(slot)
-                .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?
-                .to_vec()
-        };
-        bytes
-            .try_into()
-            .map(SecretBytes::new)
-            .map_err(|_| NfError::Backend("stored key has wrong length".into()))
+                .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?;
+            if stored.len() != k.len() {
+                return Err(wrong_length());
+            }
+            k.copy_from_slice(stored);
+        }
+        let key = SecretBytes::new(k);
+        k.zeroize();
+        Ok(key)
     }
 
     /// Leaves `key` in the module's working memory under `slot`.
@@ -1170,6 +1186,38 @@ mod tests {
         assert!(
             c.plain_memory.read("scratch:kausf").is_some(),
             "derived key in plain memory"
+        );
+    }
+
+    /// Both deployments read K the same way: the stored key, or
+    /// `SubscriberUnknown` for a SUPI with no slot, or a backend error
+    /// for a slot that does not hold 16 bytes.
+    #[test]
+    fn both_deployments_load_the_same_key_and_the_same_errors() {
+        const LONG: &str = "imsi-001010000000002";
+        const ABSENT: &str = "imsi-001010000000003";
+        let outcomes = [false, true].map(|shielded| {
+            let (mut env, mut module) = deploy(shielded, PakaKind::EUdm);
+            {
+                let slot = format!("k:{LONG}");
+                let mut c = module.container.borrow_mut();
+                match c.shielded.as_mut() {
+                    Some(libos) => libos.enclave_mut().vault_write(&mut env, &slot, &[7; 17]),
+                    None => c.plain_memory.write(slot, vec![7; 17]),
+                }
+            }
+            let key = module.load_subscriber_key(&mut env, SUPI).unwrap();
+            assert!(key == K, "shielded: {shielded}");
+            let mut load = |supi| module.load_subscriber_key(&mut env, supi).map(|_| ());
+            (load(ABSENT), load(LONG))
+        });
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!(
+            outcomes[0],
+            (
+                Err(NfError::SubscriberUnknown(ABSENT.into())),
+                Err(NfError::Backend("stored key has wrong length".into()))
+            )
         );
     }
 

@@ -765,21 +765,45 @@ impl Enclave {
         }
     }
 
-    /// Reads and decrypts a vault slot, verifying integrity: every page's
-    /// image must have the length the slot's trusted record implies and is
-    /// MAC-checked whole — every materialised line — before any of it is
-    /// trusted; then only the bytes the value occupies are decrypted (CTR
-    /// is seekable from the start of a page, and the line padding is never
-    /// returned).
+    /// Reads and decrypts a vault slot into a fresh buffer of the value's
+    /// length: [`Enclave::vault_read_into`] a `vec![0; len]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Enclave::vault_read_into`], which cannot refuse the buffer.
+    pub fn vault_read(&mut self, env: &mut Env, slot: &str) -> Result<Vec<u8>, HmeeError> {
+        // An unknown slot gets an empty buffer, which allocates nothing.
+        let len = self.vault.get(slot).map_or(0, |meta| meta.len);
+        let mut out = vec![0; len];
+        self.vault_read_into(env, slot, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads and decrypts a vault slot into `out`, verifying integrity:
+    /// every page's image must have the length the slot's trusted record
+    /// implies and is MAC-checked whole — every materialised line — before
+    /// any of it is trusted; then only the bytes the value occupies are
+    /// decrypted (CTR is seekable from the start of a page, and the line
+    /// padding is never returned). The caller owns where the plaintext
+    /// lands: a fixed-size key read into its secret leaves no copy in
+    /// freed heap.
     ///
     /// # Errors
     ///
     /// * [`HmeeError::UnknownSlot`] when nothing was written under `slot`.
     /// * [`HmeeError::IntegrityViolation`] when the EPC ciphertext was
-    ///   altered from outside (wrong image length or tag mismatch).
+    ///   altered from outside (wrong image length or tag mismatch); `out`
+    ///   may then hold the pages decrypted before the failing one.
     /// * [`HmeeError::EnclaveLost`] after a crash (until
     ///   [`Enclave::reload`]).
-    pub fn vault_read(&mut self, env: &mut Env, slot: &str) -> Result<Vec<u8>, HmeeError> {
+    /// * [`HmeeError::ValueLength`] when `out` is not exactly the value's
+    ///   length; nothing is read or charged.
+    pub fn vault_read_into(
+        &mut self,
+        env: &mut Env,
+        slot: &str,
+        out: &mut [u8],
+    ) -> Result<(), HmeeError> {
         if self.lost {
             return Err(HmeeError::EnclaveLost(self.name.clone()));
         }
@@ -787,13 +811,18 @@ impl Enclave {
             .vault
             .get(slot)
             .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?;
-        let mut out = Vec::with_capacity(meta.len);
+        if out.len() != meta.len {
+            return Err(HmeeError::ValueLength {
+                stored: meta.len,
+                buffer: out.len(),
+            });
+        }
+        let mut start = 0;
         for &idx in &meta.page_indices {
             let page = self
                 .epc
                 .page(idx)
                 .ok_or_else(|| HmeeError::IntegrityViolation("page vanished".into()))?;
-            let start = out.len();
             let take = (meta.len - start).min(PAGE_SIZE);
             if page.ciphertext.len() != EncryptedPage::image_len(take) {
                 return Err(HmeeError::IntegrityViolation(format!(
@@ -807,13 +836,15 @@ impl Enclave {
                     "slot {slot:?} page {idx} failed EPCM verification"
                 )));
             }
-            out.extend_from_slice(&page.ciphertext[..take]);
+            let dst = &mut out[start..start + take];
+            dst.copy_from_slice(&page.ciphertext[..take]);
             self.epc_cipher
-                .ctr_apply(&Self::page_nonce(page.version), &mut out[start..]);
+                .ctr_apply(&Self::page_nonce(page.version), dst);
+            start += take;
         }
         let pages = meta.page_indices.len() as u64;
         env.clock.advance(self.cost.mee_transfer(pages));
-        Ok(out)
+        Ok(())
     }
 
     /// Lists vault slot names (sorted).
@@ -1737,6 +1768,68 @@ mod tests {
                     proptest::prop_assert_eq!(&read.unwrap(), value);
                 }
             }
+        }
+
+        /// `vault_read_into` is `vault_read` without the allocation: the
+        /// same bytes or the same error, and the same charge, whatever
+        /// was done to the slot's pages; a buffer of another length is
+        /// refused before anything is read or charged.
+        #[test]
+        fn vault_read_into_is_vault_read(
+            len in 0usize..3 * PAGE_SIZE,
+            fill in 0u8..,
+            attack in 0u8..5,
+            at in 0usize..,
+        ) {
+            let (mut env, platform) = world();
+            let mut e = small_enclave(&mut env, &platform);
+            let value: Vec<u8> = (0..len).map(|i| fill ^ i as u8).collect();
+            e.vault_write(&mut env, "k", b"an older value");
+            e.vault_write(&mut env, "k", &value);
+            let pages = e.vault["k"].page_indices.clone();
+            let page = pages[at % pages.len()];
+            match attack {
+                1 => {
+                    let image = e.epc.page(page).unwrap().ciphertext.len();
+                    proptest::prop_assert!(e.epc_tamper(page, at % image));
+                }
+                2 => {
+                    e.evict_page(&mut env, page).unwrap();
+                }
+                3 => {
+                    // The stale blob is refused and the page stays out.
+                    let stale = e.evict_page(&mut env, page).unwrap();
+                    e.reload_page(&mut env, page, stale.clone()).unwrap();
+                    e.vault_write(&mut env, "k", &value);
+                    e.evict_page(&mut env, page).unwrap();
+                    proptest::prop_assert!(e.reload_page(&mut env, page, stale).is_err());
+                }
+                4 => e.mark_lost(&mut env),
+                _ => {}
+            }
+            for slot in ["k", "absent"] {
+                let t0 = env.clock.now();
+                let owned = e.vault_read(&mut env, slot);
+                let t1 = env.clock.now();
+                let mut out = vec![0; owned.as_ref().map_or(len, Vec::len)];
+                let filled = e.vault_read_into(&mut env, slot, &mut out).map(|()| out);
+                proptest::prop_assert_eq!(env.clock.now() - t1, t1 - t0);
+                proptest::prop_assert_eq!(filled, owned);
+            }
+            let mut wrong = vec![0; len + 1];
+            let t0 = env.clock.now();
+            let refused = e.vault_read_into(&mut env, "k", &mut wrong);
+            proptest::prop_assert_eq!(env.clock.now(), t0);
+            proptest::prop_assert_eq!(wrong, vec![0; len + 1]);
+            let expected = if attack == 4 {
+                HmeeError::EnclaveLost("test".into())
+            } else {
+                HmeeError::ValueLength {
+                    stored: len,
+                    buffer: len + 1,
+                }
+            };
+            proptest::prop_assert_eq!(refused, Err(expected));
         }
     }
 }

@@ -95,6 +95,13 @@ pub enum HmeeError {
         /// The field that is non-finite or out of range.
         field: &'static str,
     },
+    /// A vault value was asked into a buffer of another length.
+    ValueLength {
+        /// Bytes the slot holds.
+        stored: usize,
+        /// Bytes the buffer has.
+        buffer: usize,
+    },
 }
 
 impl fmt::Display for HmeeError {
@@ -123,6 +130,9 @@ impl fmt::Display for HmeeError {
             HmeeError::InvalidCostModel { field } => {
                 write!(f, "cost model field {field} is non-finite or out of range")
             }
+            HmeeError::ValueLength { stored, buffer } => {
+                write!(f, "vault value of {stored} bytes asked into {buffer}")
+            }
         }
     }
 }
@@ -145,6 +155,12 @@ mod tests {
             .to_string()
             .contains('4'));
         assert!(HmeeError::UnknownSlot("k".into()).to_string().contains('k'));
+        assert!(HmeeError::ValueLength {
+            stored: 17,
+            buffer: 16
+        }
+        .to_string()
+        .contains("17"));
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn probe_service_time(seed: u64) -> SimDuration {
         },
     );
     let supi = test_subscriber(0);
-    pool.provision_subscriber(&mut env, supi.as_str(), K);
+    pool.provision_subscriber(&mut env, supi, K);
     let (mut paths, mut sqn) = (SharedPaths::default(), [0; 6]);
     let id = pool.ready_ids()[0];
     let samples: Vec<SimDuration> = (0..25)

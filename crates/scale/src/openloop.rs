@@ -35,6 +35,8 @@
 //!   (cache on and not browned out at send time).
 //! * **Retransmission copy** of a request only when retries are enabled;
 //!   a cache hit allocates nothing.
+//! * **One completions buffer.** `Engine::run_until` drains into a `Vec`
+//!   the run keeps, and each settle pass empties it.
 
 use crate::avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy};
 use crate::health::{HealthEvent, HealthPolicy};
@@ -194,7 +196,7 @@ impl Run {
         }
     }
 
-    /// Absorbs a batch of engine completions: probe outcomes feed the
+    /// Drains `done`, a batch of engine completions: probe outcomes feed the
     /// health tracker; successes feed the cache, the recorder and the
     /// class tallies; failures are retransmitted (re-routed through the
     /// pool's *current* ring, never earlier than `floor`) until the
@@ -208,9 +210,9 @@ impl Run {
         pool: &mut EnclavePool,
         env: &mut Env,
         floor: SimTime,
-        done: Vec<Completion>,
+        done: &mut Vec<Completion>,
     ) {
-        for completion in done {
+        for completion in done.drain(..) {
             let pending = self
                 .in_flight
                 .remove(&completion.tag)
@@ -335,8 +337,8 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     let ues = sc.workload.ues as usize;
     let supis: Vec<Supi> = (0..=sc.workload.ues).map(test_subscriber).collect();
     let provisioned = if sc.health.is_some() { ues + 1 } else { ues };
-    for supi in &supis[..provisioned] {
-        pool.provision_subscriber(&mut env, supi.as_str(), K);
+    for &supi in &supis[..provisioned] {
+        pool.provision_subscriber(&mut env, supi, K);
     }
     if sc.thrash_pages > 0 {
         for replica in pool.replicas() {
@@ -377,14 +379,16 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         last_event: env.clock.now(),
     };
 
+    // Completions pass through one buffer for the whole run.
+    let mut done = Vec::new();
     for (i, arrival) in arrivals.enumerate() {
         let idx = i as u32;
         let ue = arrival.ue as usize;
         // Drain everything that finished before this arrival so the
         // frontend cache reflects completed batch refills.
         let horizon = arrival.at.max(env.clock.now());
-        let done = engine.run_until(&mut env, horizon);
-        run.settle(&mut engine, &mut pool, &mut env, horizon, done);
+        engine.run_until(&mut env, horizon, &mut done);
+        run.settle(&mut engine, &mut pool, &mut env, horizon, &mut done);
 
         if sc.kill_at == Some(idx) {
             let victim = pool.route(run.supis[ue].as_str());
@@ -467,12 +471,12 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     // Drain: each settle pass may retransmit or probe, scheduling fresh
     // work.
     while !run.in_flight.is_empty() {
-        let done = engine.run_until_idle(&mut env);
+        let mut done = engine.run_until_idle(&mut env);
         if done.is_empty() {
             break;
         }
         let floor = env.clock.now();
-        run.settle(&mut engine, &mut pool, &mut env, floor, done);
+        run.settle(&mut engine, &mut pool, &mut env, floor, &mut done);
     }
     assert!(run.in_flight.is_empty(), "requests left in flight");
 

@@ -202,7 +202,7 @@ pub struct EnclavePool {
     next_id: ReplicaId,
     /// Subscriber keys provisioned so far — replayed into newly spawned
     /// replicas so standbys can serve any routed SUPI.
-    provisioned: Vec<(String, [u8; 16])>,
+    provisioned: Vec<(Supi, [u8; 16])>,
     /// Span table shared by every replica endpoint's [`ObsLayer`].
     obs_core: ObsCoreHandle,
     /// Arms/disarms fault injection across every replica endpoint at
@@ -273,7 +273,7 @@ impl EnclavePool {
             PakaModule::deploy_sgx(env, &mut host, &self.registry, self.kind, self.cfg.sgx)
                 .expect("pool replica deploy");
         for (supi, k) in &self.provisioned {
-            module.provision_subscriber_key(env, supi, *k);
+            module.provision_subscriber_key(env, supi.as_str(), *k);
         }
         let mut replica = Replica {
             id,
@@ -624,13 +624,13 @@ impl EnclavePool {
 
     /// Provisions a subscriber key into every replica (current and, via
     /// the replay list, future ones).
-    pub fn provision_subscriber(&mut self, env: &mut Env, supi: &str, k: [u8; 16]) {
-        self.provisioned.push((supi.to_owned(), k));
+    pub fn provision_subscriber(&mut self, env: &mut Env, supi: Supi, k: [u8; 16]) {
+        self.provisioned.push((supi, k));
         for replica in &mut self.replicas {
             replica
                 .module
                 .borrow_mut()
-                .provision_subscriber_key(env, supi, k);
+                .provision_subscriber_key(env, supi.as_str(), k);
         }
     }
 
@@ -714,7 +714,7 @@ fn warmup_udm_request() -> UdmAkaRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_ran::workload::test_supi;
+    use shield5g_ran::workload::{test_subscriber, test_supi};
 
     fn pool(env: &mut Env, replicas: u32, standby: u32) -> EnclavePool {
         EnclavePool::deploy(
@@ -753,7 +753,7 @@ mod tests {
         let mut env = env();
         let mut p = pool(&mut env, 2, 0);
         for i in 0..4 {
-            p.provision_subscriber(&mut env, &test_supi(i), [0x46; 16]);
+            p.provision_subscriber(&mut env, test_subscriber(i), [0x46; 16]);
         }
         // Find SUPIs owned by each replica and serve them there.
         let (mut on0, mut on1) = (0u32, 0u32);
@@ -806,7 +806,7 @@ mod tests {
     fn promoted_standby_serves_warm() {
         let mut env = env();
         let mut p = pool(&mut env, 1, 1);
-        p.provision_subscriber(&mut env, &test_supi(0), [0x46; 16]);
+        p.provision_subscriber(&mut env, test_subscriber(0), [0x46; 16]);
         let (id, _) = p.scale_up(&mut env);
         // The standby absorbed its cold first request during preheat, so
         // its first production request is stable-speed.
@@ -845,7 +845,7 @@ mod tests {
         let mut env = env();
         let mut p = pool(&mut env, 2, 1);
         for i in 0..8 {
-            p.provision_subscriber(&mut env, &test_supi(i), [0x46; 16]);
+            p.provision_subscriber(&mut env, test_subscriber(i), [0x46; 16]);
         }
         let owners: Vec<(String, ReplicaId)> = (0..8)
             .map(|i| {
@@ -903,7 +903,7 @@ mod tests {
     fn dead_endpoint_fails_fast_on_engine() {
         let mut env = env();
         let mut p = pool(&mut env, 1, 1);
-        p.provision_subscriber(&mut env, &test_supi(0), [0x46; 16]);
+        p.provision_subscriber(&mut env, test_subscriber(0), [0x46; 16]);
         let mut engine = shield5g_sim::engine::Engine::new();
         p.register_on(&mut engine);
         let dead_addr = p.replica(0).addr().to_owned();

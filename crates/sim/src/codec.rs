@@ -20,9 +20,13 @@
 //! steady-state registration therefore encodes its messages into the
 //! buffers its earlier messages released, and no buffer carries one
 //! message's bytes (a K_SEAF, an OPc) into the next. The list is bounded
-//! by two constants, not a setting: at most [`SPARE_BUFFERS`] buffers of
-//! at most [`SPARE_CAPACITY`] bytes each; a larger or surplus buffer is
-//! zeroed and freed.
+//! by constants, not a setting: at most [`SPARE_BUFFERS`] buffers, each
+//! holding at least the room a fresh writer gets (128 bytes) and at most
+//! [`SPARE_CAPACITY`] bytes. A buffer outside that range, or past the
+//! count, is zeroed and freed. The lower bound keeps the short `String`
+//! bodies of error replies (a shed, an injected fault) out of the list:
+//! no writer could use one, and 32 of them would leave every
+//! [`Writer::new`] allocating afresh.
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;
@@ -38,7 +42,7 @@ pub const SPARE_CAPACITY: usize = 4096;
 
 /// Capacity of a fresh buffer: room for the SBI / NAS / NGAP messages
 /// of a registration (all under 128 bytes), so pushing their fields
-/// does not regrow it.
+/// does not regrow it. Also the least capacity a kept spare has.
 const FRESH_CAPACITY: usize = 128;
 
 thread_local! {
@@ -72,10 +76,11 @@ fn spare_buffer(len: usize) -> Vec<u8> {
 }
 
 /// Zeroes `buf` over its written length and keeps it for reuse, unless
-/// it is empty, too large, or the list is full.
+/// it is smaller than a fresh writer buffer, too large, or the list is
+/// full.
 fn recycle(mut buf: Vec<u8>) {
     buf.fill(0);
-    if buf.capacity() == 0 || buf.capacity() > SPARE_CAPACITY {
+    if !(FRESH_CAPACITY..=SPARE_CAPACITY).contains(&buf.capacity()) {
         return;
     }
     // Past thread exit there is no list, and the buffer is freed.
@@ -503,7 +508,7 @@ mod tests {
     #[test]
     fn a_returned_buffer_holds_no_earlier_bytes() {
         take_spares();
-        let key = [0xa5; 48];
+        let key = [0xa5; FRESH_CAPACITY];
         let body = Writer::build(|w| {
             w.put_array(&key);
         });
@@ -512,19 +517,39 @@ mod tests {
         // It sits in the list over its written length, every byte zero.
         let spares = take_spares();
         assert_eq!(spares.len(), 1);
-        assert_eq!(spares[0], [0; 48]);
+        assert_eq!(spares[0], [0; FRESH_CAPACITY]);
         // A copy and a clone are recycled the same way.
         let copy = Body::from(&key[..]);
         drop(copy.clone());
         drop(copy);
         let spares = take_spares();
         assert_eq!(spares.len(), 2);
-        assert!(spares.iter().all(|buf| *buf == [0; 48]));
+        assert!(spares.iter().all(|buf| *buf == [0; FRESH_CAPACITY]));
         // The next writer takes a spare and starts empty on it.
         drop(Writer::build(|w| {
             w.put_array(&key);
         }));
         let w = Writer::new();
+        assert!(w.is_empty());
+        assert!(take_spares().is_empty());
+    }
+
+    #[test]
+    fn error_bodies_do_not_crowd_out_writer_buffers() {
+        take_spares();
+        let long = Writer::build(|w| {
+            w.put_array(&[0x5a; 1000]);
+        });
+        let room = long.0.capacity();
+        let errors: Vec<Body> = (0..SPARE_BUFFERS)
+            .map(|i| Body::from(format!("injected upstream failure {i}")))
+            .collect();
+        drop(errors);
+        assert!(take_spares().is_empty(), "short bodies are freed");
+        drop(long);
+        // The writer-sized buffer is the one the next writer gets.
+        let w = Writer::new();
+        assert_eq!(w.buf.0.capacity(), room);
         assert!(w.is_empty());
         assert!(take_spares().is_empty());
     }
@@ -544,9 +569,10 @@ mod tests {
         drop(bodies);
         let spares = take_spares();
         assert_eq!(spares.len(), SPARE_BUFFERS);
-        assert!(spares
-            .iter()
-            .all(|buf| buf.capacity() <= SPARE_CAPACITY && buf.iter().all(|&b| b == 0)));
+        assert!(spares.iter().all(|buf| {
+            (FRESH_CAPACITY..=SPARE_CAPACITY).contains(&buf.capacity())
+                && buf.iter().all(|&b| b == 0)
+        }));
     }
 
     #[test]

@@ -912,18 +912,22 @@ impl Engine {
     }
 
     /// Runs every event with `at <= until`, leaves the clock at `until`,
-    /// and drains the completions so far.
-    pub fn run_until(&mut self, env: &mut Env, until: SimTime) -> Vec<Completion> {
+    /// and drains the completions so far onto the end of `done`, in
+    /// completion order. A driver that keeps `done` for its whole run
+    /// (and empties it after each call) moves completions through
+    /// buffers that stop growing once they have held the largest batch.
+    pub fn run_until(&mut self, env: &mut Env, until: SimTime, done: &mut Vec<Completion>) {
         while self.heap.peek().is_some_and(|Reverse(ev)| ev.at <= until) {
             if let Some(Reverse(ev)) = self.heap.pop() {
                 self.process(env, ev);
             }
         }
         env.clock.set(until);
-        std::mem::take(&mut self.completions)
+        done.append(&mut self.completions);
     }
 
-    /// Runs until no events remain and drains the completions.
+    /// Runs until no events remain and drains the completions, as
+    /// [`Engine::run_until`] does, into a fresh `Vec`.
     pub fn run_until_idle(&mut self, env: &mut Env) -> Vec<Completion> {
         while let Some(Reverse(ev)) = self.heap.pop() {
             self.process(env, ev);
@@ -1255,7 +1259,7 @@ impl Engine {
 }
 
 /// The 502 a leg to, or resumed at, an unregistered address resolves to.
-fn unknown_endpoint(addr: &str, marker: &str) -> HttpResponse {
+fn unknown_endpoint(addr: &str, marker: &'static str) -> HttpResponse {
     HttpResponse::error(502, format!("unknown endpoint {addr}")).with_header(ERROR_HEADER, marker)
 }
 
@@ -1496,7 +1500,9 @@ mod tests {
             let t0 = env.clock.now();
             engine.schedule_request(t0, "front", HttpRequest::get("/x"));
             let half_way = t0 + SimDuration::from_nanos(5_000);
-            assert!(engine.run_until(&mut env, half_way).is_empty());
+            let mut done = Vec::new();
+            engine.run_until(&mut env, half_way, &mut done);
+            assert!(done.is_empty());
             assert!(engine.deregister(if callee_goes { "echo" } else { "front" }));
             let done = engine.run_until_idle(&mut env);
             assert_eq!(done.len(), 1);
@@ -1712,7 +1718,9 @@ mod tests {
             engine.schedule_request(t0, "echo", HttpRequest::post("/x", vec![i]));
         }
         let half_way = t0 + SimDuration::from_nanos(5_000);
-        assert!(engine.run_until(env, half_way).is_empty());
+        let mut done = Vec::new();
+        engine.run_until(env, half_way, &mut done);
+        assert!(done.is_empty());
         assert_eq!(engine.stats().live_contexts, 3);
         engine
     }
@@ -2043,9 +2051,13 @@ mod tests {
         let mut engine = engine_with_echo(1, 1_000);
         engine.schedule_request(SimTime::from_nanos(100), "echo", HttpRequest::get("/a"));
         engine.schedule_request(SimTime::from_nanos(50_000), "echo", HttpRequest::get("/b"));
-        let first = engine.run_until(&mut env, SimTime::from_nanos(10_000));
-        assert_eq!(first.len(), 1);
+        let mut done = Vec::new();
+        engine.run_until(&mut env, SimTime::from_nanos(10_000), &mut done);
+        assert_eq!(done.len(), 1);
         assert_eq!(env.clock.now(), SimTime::from_nanos(10_000));
+        // Nothing more is due: the completion already drained stays.
+        engine.run_until(&mut env, SimTime::from_nanos(20_000), &mut done);
+        assert_eq!(done.len(), 1);
         let rest = engine.run_until_idle(&mut env);
         assert_eq!(rest.len(), 1);
     }

@@ -11,10 +11,16 @@
 //! is that into a fresh one. A request names its resource by a shared
 //! handle ([`SharedPaths`]), which its engine leg and trace records hold too,
 //! and both message types carry their body in a recycled [`Body`].
+//!
+//! A header name or value is a [`Cow<'static, str>`](Cow): the headers the
+//! simulator itself attaches (a shed marker, an injected-fault marker, a
+//! priority class) are constants and are borrowed, so marking a reply
+//! allocates nothing; a parsed message owns what it read.
 
 use crate::codec::Body;
 use crate::SimError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// HTTP request methods used on the SBIs.
@@ -84,7 +90,7 @@ pub struct HttpRequest {
     /// Absolute path, e.g. `/nudm-ueau/v1/generate-auth-data`.
     pub path: Rc<str>,
     /// Header name/value pairs (names match case-insensitively).
-    pub headers: Vec<(String, String)>,
+    pub headers: Vec<(Cow<'static, str>, Cow<'static, str>)>,
     /// Message body.
     pub body: Body,
 }
@@ -113,9 +119,14 @@ impl HttpRequest {
         Self::new(Method::Get, path, Body::default())
     }
 
-    /// Adds a header (builder style).
+    /// Adds a header (builder style): a `&'static str` is borrowed, a
+    /// `String` moved in.
     #[must_use]
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
@@ -182,7 +193,7 @@ pub struct HttpResponse {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Header name/value pairs.
-    pub headers: Vec<(String, String)>,
+    pub headers: Vec<(Cow<'static, str>, Cow<'static, str>)>,
     /// Message body.
     pub body: Body,
 }
@@ -214,9 +225,14 @@ impl HttpResponse {
         (200..300).contains(&self.status)
     }
 
-    /// Adds a header (builder style).
+    /// Adds a header (builder style): a `&'static str` is borrowed, a
+    /// `String` moved in.
     #[must_use]
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
@@ -298,7 +314,7 @@ fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
 
 /// What both message types write after their first line: the header
 /// lines, the `Content-Length` line, the blank line and the body.
-fn write_tail(out: &mut Vec<u8>, headers: &[(String, String)], body: &[u8]) {
+fn write_tail(out: &mut Vec<u8>, headers: &[Header], body: &[u8]) {
     for (n, v) in headers {
         out.extend_from_slice(n.as_bytes());
         out.extend_from_slice(b": ");
@@ -313,7 +329,7 @@ fn write_tail(out: &mut Vec<u8>, headers: &[(String, String)], body: &[u8]) {
 }
 
 /// Bytes [`write_tail`] writes.
-fn tail_len(headers: &[(String, String)], body: &[u8]) -> usize {
+fn tail_len(headers: &[Header], body: &[u8]) -> usize {
     let lines: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
     lines + CONTENT_LENGTH.len() + ": \r\n\r\n".len() + digits(body.len()) + body.len()
 }
@@ -339,14 +355,17 @@ fn reason(status: u16) -> &'static str {
 
 /// The one header lookup of both message types: first match, names
 /// compared case-insensitively (RFC 9110 §5.1).
-fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+fn find_header<'a>(headers: &'a [Header], name: &str) -> Option<&'a str> {
     headers
         .iter()
         .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
+        .map(|(_, v)| &**v)
 }
 
-type Headers = Vec<(String, String)>;
+/// One header line: a name and a value, borrowed when constant.
+type Header = (Cow<'static, str>, Cow<'static, str>);
+
+type Headers = Vec<Header>;
 
 /// Splits a message into its first line, its headers without
 /// `Content-Length`, and the body that header must account for exactly.
@@ -366,7 +385,7 @@ fn parse(bytes: &[u8]) -> Result<(&str, Headers, Body), SimError> {
             .split_once(": ")
             .ok_or_else(|| malformed("bad header line"))?;
         if !name.eq_ignore_ascii_case(CONTENT_LENGTH) {
-            headers.push((name.to_owned(), value.to_owned()));
+            headers.push((name.to_owned().into(), value.to_owned().into()));
         } else if declared.is_none() {
             declared = Some(value);
         }

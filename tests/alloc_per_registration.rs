@@ -1,7 +1,11 @@
-//! Heap allocations of one steady-state registration, counted in
-//! process: a regression in the per-message buffers (the recycled wire
-//! `Body`, the borrowed NGAP NAS PDU, the breaker's call table) fails
-//! `cargo test`, not only the benchmark's allocation ratchet.
+//! Heap allocations of one steady-state registration, and of one arrival
+//! at a faulted eUDM pool, counted in process: a regression in the
+//! per-message buffers (the recycled wire `Body` and which buffers the
+//! spare list keeps, the borrowed NGAP NAS PDU, the breaker's call table)
+//! or on the pool path (the completions buffer the open-loop driver
+//! keeps, the subscriber key read into its secret, the static headers of
+//! shed and fault replies) fails `cargo test`, not only the benchmark's
+//! allocation ratchet.
 //!
 //! The counter is this binary's global allocator: it forwards every call
 //! to the system allocator and counts `alloc`, `alloc_zeroed` and
@@ -12,7 +16,14 @@
 
 use shield5g::core::paka::SgxConfig;
 use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
+use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};
+use shield5g::mw::RetryPolicy;
 use shield5g::ran::gnbsim::GnbSim;
+use shield5g::ran::workload::WorkloadSpec;
+use shield5g::scale::openloop::{run_scenario, Scenario};
+use shield5g::scale::pool::PoolConfig;
+use shield5g::scale::queue::QueueConfig;
+use shield5g::sim::time::SimDuration;
 use shield5g::sim::Env;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -102,4 +113,76 @@ fn a_steady_state_registration_allocates_a_fixed_count_under_the_ceiling() {
     eprintln!("allocations per registration: {counts:?}");
     assert_eq!(counts[0], counts[1], "two consecutive registrations");
     assert!(counts[0] <= CEILING, "{} > {CEILING}", counts[0]);
+}
+
+/// Most allocations one more arrival at a faulted, retrying eUDM pool
+/// may add. This run reads ≈ 0.6 (the benchmark's `pool_faulted`, set-up
+/// included, ≈ 1.1 per op); with short error bodies crowding the spare
+/// list and the key read into a `Vec`, it read ≈ 5.4.
+const ARRIVAL_CEILING: f64 = 0.75;
+
+/// Arrivals of the shorter run; the longer one offers twice as many.
+const ARRIVALS: u32 = 400;
+
+/// Allocations of one open-loop run of `arrivals` at 2800/s on four
+/// replicas (the benchmark's admission queue), with 10 % SBI faults and
+/// supervision retries.
+fn faulted_pool_run(arrivals: u32) -> u64 {
+    let scenario = Scenario {
+        name: "alloc",
+        pool: PoolConfig {
+            replicas: 4,
+            warm_standby: 0,
+            queue: QueueConfig {
+                capacity: 16,
+                deadline: SimDuration::from_millis(100),
+            },
+            ..PoolConfig::default()
+        },
+        workload: WorkloadSpec {
+            ues: 40,
+            arrivals,
+            rate_per_sec: 2800.0,
+        },
+        emergency_period: 0,
+        cache: None,
+        retry: RetryPolicy::supervision(),
+        health: None,
+        brownout: None,
+        thrash_pages: 0,
+        kill_at: None,
+        crash_at: None,
+        aex_storm: 0,
+    };
+    let faults = FaultConfig {
+        drop_rate: 0.1 / 3.0,
+        delay_rate: 0.1 / 3.0,
+        error_rate: 0.1 / 3.0,
+        ..FaultConfig::default()
+    };
+    let mut plan = None;
+    let count = allocations(|| {
+        let outcome = run_scenario(300, &scenario, |switch, env| {
+            plan = SbiFaultPlan::install(switch, env, faults);
+        });
+        assert_eq!(outcome.pool.arrivals, u64::from(arrivals));
+        assert!(outcome.tallies.retry.retries > 0, "no fault was retried");
+    });
+    let injected = plan.expect("an armed plan").borrow().counts().total();
+    assert!(injected > 0, "no fault was injected");
+    count
+}
+
+#[test]
+fn an_open_loop_arrival_allocates_almost_nothing() {
+    // Warm the spare list and the tables the way a steady-state pool is.
+    faulted_pool_run(ARRIVALS);
+    let short = faulted_pool_run(ARRIVALS);
+    let long = faulted_pool_run(2 * ARRIVALS);
+    let per_arrival = long.saturating_sub(short) as f64 / f64::from(ARRIVALS);
+    eprintln!("allocations: {short} at {ARRIVALS} arrivals, {long} at twice that");
+    assert!(
+        per_arrival <= ARRIVAL_CEILING,
+        "{per_arrival:.2} allocations per arrival > {ARRIVAL_CEILING}"
+    );
 }

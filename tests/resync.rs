@@ -88,7 +88,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     );
     let sub = Subscriber::test(0);
     let supi = sub.supi.to_string();
-    pool.provision_subscriber(&mut env, &supi, sub.k);
+    pool.provision_subscriber(&mut env, sub.supi, sub.k);
 
     let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
     let mut usim = Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
