@@ -114,8 +114,10 @@ pub fn run_sweep<T: Send>(
 ) -> (Vec<T>, RunnerStats) {
     let threads = threads.max(1);
     let job_count = jobs.len();
-    // Wall-clock speedup measurement, quarantined in RunnerStats (the
-    // maskable "runner" artifact line). shield5g-lint: allow(DT001)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock speedup, quarantined in RunnerStats (the maskable \"runner\" line)"
+    )]
     let started = std::time::Instant::now();
 
     let queue: Mutex<VecDeque<(usize, Job<T>)>> =
@@ -133,8 +135,10 @@ pub fn run_sweep<T: Send>(
                     let next = queue.lock().expect("queue poisoned").pop_front();
                     let Some((index, job)) = next else { break };
                     let job_hub = ObsHandle::new();
-                    // Per-job busy-time sample for RunnerStats, never
-                    // recorded to the hub. shield5g-lint: allow(DT001)
+                    #[expect(
+                        clippy::disallowed_types,
+                        reason = "per-job busy time for RunnerStats, never recorded to the hub"
+                    )]
                     let job_started = std::time::Instant::now();
                     let result = {
                         let _scope = hub::scoped(&job_hub);

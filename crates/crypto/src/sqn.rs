@@ -311,7 +311,7 @@ mod tests {
         #[test]
         fn generator_never_repeats(n in 1usize..200) {
             let mut g = SqnGenerator::new();
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..n {
                 proptest::prop_assert!(seen.insert(g.next_sqn()));
             }

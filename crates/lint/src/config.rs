@@ -1,6 +1,7 @@
 //! The lint's knowledge of the repository: which types carry secrets,
-//! which files are enclave-side, and which crates feed the
-//! byte-exact simulation trace.
+//! which files are enclave-side or constant-time, and which crates are
+//! NF service code. The determinism perimeter is not here: it is the
+//! root `clippy.toml`.
 
 /// A registered secret-bearing type.
 #[derive(Clone, Debug)]
@@ -26,10 +27,6 @@ pub struct Config {
     /// paper runs inside an SGX enclave, where direct `std::fs`/`net`/
     /// `time` calls would bypass the LibOS shim layer.
     pub enclave_files: Vec<String>,
-    /// Path prefixes (relative to the repo root) of trace-affecting
-    /// crates (rules DT001/DT002): anything here feeds the byte-exact
-    /// deterministic simulation trace.
-    pub trace_dirs: Vec<String>,
     /// Path prefixes of NF service crates (rule MW001): code here must
     /// not construct retriers, consult fault injectors, or manage
     /// admission queues — those concerns live in the middleware stack
@@ -108,30 +105,6 @@ impl Config {
                 s("hmee/src/epc.rs"),
                 // Everything in the crypto crate may execute enclave-side.
                 s("crypto/src/"),
-            ],
-            trace_dirs: vec![
-                s("crates/sim/src"),
-                s("crates/nf/src"),
-                s("crates/scale/src"),
-                s("crates/core/src"),
-                s("crates/faults/src"),
-                // The observability layer promises zero perturbation and
-                // deterministic exports; a wall-clock read or a
-                // default-hasher map in a span/metric path would leak
-                // nondeterminism straight into the artifacts.
-                s("crates/obs/src"),
-                // The middleware stack sits on every endpoint's hot
-                // path: layer hooks run between trace notes, so any
-                // nondeterminism here lands directly in the engine
-                // trace.
-                s("crates/mw/src"),
-                // The bench sweep runner merges per-job observability
-                // in canonical order and promises thread-count-
-                // invariant artifacts; ambient randomness or an
-                // unmarked wall-clock read here would break the
-                // byte-identity gate. (The runner's own wall-time
-                // measurement carries justified allow markers.)
-                s("crates/bench/src"),
             ],
             mw_boundary_dirs: vec![s("crates/nf/src")],
             panic_budget: Vec::new(),

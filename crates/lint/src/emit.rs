@@ -10,7 +10,7 @@ use crate::Report;
 
 /// `(id, short description)` for every rule the linter can emit —
 /// SARIF consumers surface these next to each result.
-pub const RULE_TABLE: [(&str, &str); 11] = [
+pub const RULE_TABLE: [(&str, &str); 8] = [
     (
         "SH001",
         "Registered secret type derives or hand-writes a leaking Debug/Display/Serialize",
@@ -23,14 +23,6 @@ pub const RULE_TABLE: [(&str, &str); 11] = [
     (
         "EB001",
         "Enclave-side module calls std::fs/net/time/thread/process directly",
-    ),
-    (
-        "DT001",
-        "Trace-affecting code reads a wall clock or ambient randomness",
-    ),
-    (
-        "DT002",
-        "Trace-affecting code iterates a default-hasher HashMap/HashSet",
     ),
     (
         "PB001",
@@ -47,10 +39,6 @@ pub const RULE_TABLE: [(&str, &str); 11] = [
     (
         "CT001",
         "Constant-time file branches (if/while/match/&&/||/?) outside cfg(test)",
-    ),
-    (
-        "LN001",
-        "Stale shield5g-lint allow marker suppresses nothing",
     ),
 ];
 
@@ -148,10 +136,7 @@ mod tests {
         let ids: Vec<&str> = RULE_TABLE.iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
-            [
-                "SH001", "SH002", "SH003", "EB001", "DT001", "DT002", "PB001", "MW001", "MW002",
-                "CT001", "LN001",
-            ]
+            ["SH001", "SH002", "SH003", "EB001", "PB001", "MW001", "MW002", "CT001"]
         );
     }
 }

@@ -11,9 +11,6 @@
 //! * **Enclave boundary** (EB001) — enclave-side modules must not call
 //!   `std::fs`/`net`/`time`/`thread`/`process` directly; host-OS access
 //!   goes through the LibOS shim.
-//! * **Determinism** (DT001/DT002) — trace-affecting crates must not
-//!   read wall clocks, ambient randomness, or iterate default-hasher
-//!   maps; the engine's byte-exact trace depends on it.
 //! * **Panic budget** (PB001) — `.unwrap()`/`.expect(` in non-test code
 //!   is capped by a checked-in, ratchet-down baseline.
 //! * **Middleware boundary** (MW001) — NF service crates must not
@@ -25,12 +22,10 @@
 //! * **Constant time** (CT001) — files of field arithmetic on
 //!   secret-derived values (`constant_time_files`) contain no `if`,
 //!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
-//! * **Suppression hygiene** (LN001) — allow markers that no longer
-//!   suppress a live finding are themselves findings.
 //!
-//! Findings can be locally suppressed with a
-//! `// shield5g-lint: allow(RULE)` marker on the offending or the
-//! preceding line.
+//! Determinism (no host clock, no default-hasher map) is checked by
+//! clippy's `disallowed_types` over the root `clippy.toml`, not here.
+//! No finding of this linter can be waived.
 //!
 //! The linter is dependency-free: a small lexer ([`lexer`]) blanks
 //! comments and literal bodies so the rules can use honest substring
@@ -54,7 +49,7 @@ use std::path::Path;
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`SH001`, `EB001`, `DT002`, `PB001`, …).
+    /// Rule identifier (`SH001`, `EB001`, `PB001`, …).
     pub rule: String,
     /// Repo-relative path of the offending file (or crate for PB001).
     pub path: String,
@@ -84,23 +79,20 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-/// Runs every rule family — per-file passes, then the per-crate panic
-/// budget, then suppression hygiene (which must come last: it audits the
-/// markers the other passes consumed).
+/// Runs every rule family: the per-file passes, then the per-crate panic
+/// budget.
 #[must_use]
 pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();
     for analysis in analyses {
         rules::secret_hygiene::check(analysis, config, &mut findings);
         rules::enclave_boundary::check(analysis, config, &mut findings);
-        rules::determinism::check(analysis, config, &mut findings);
         rules::mw_boundary::check(analysis, config, &mut findings);
         rules::layer_order::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);
     }
     let panic_counts = rules::panic_budget::count(analyses);
     rules::panic_budget::check(&panic_counts, &config.panic_budget, &mut findings);
-    rules::suppressions::check(analyses, &mut findings);
     findings.sort_by(|a, b| (&a.rule, &a.path, a.line).cmp(&(&b.rule, &b.path, b.line)));
     // Nested fns are analysed in both their own and the enclosing
     // body; collapse duplicate reports of the same site.

@@ -10,8 +10,7 @@
 //!   arithmetic selects are all that such code needs, so the branching
 //!   constructs are banned outright rather than proved public. It is
 //!   token-level: a zero-argument closure (`||`) or a double reference
-//!   (`&&x`) trips it as well and has to be written another way or
-//!   carry an allow marker.
+//!   (`&&x`) trips it as well and has to be written another way.
 
 use crate::config::Config;
 use crate::lexer::find_word;
@@ -49,14 +48,10 @@ pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Findin
         if analysis.in_test(at) {
             continue;
         }
-        let line = analysis.line(at);
-        if analysis.allowed("CT001", line) {
-            continue;
-        }
         findings.push(Finding {
             rule: "CT001".to_owned(),
             path: analysis.rel_path.clone(),
-            line,
+            line: analysis.line(at),
             message: format!(
                 "constant-time file uses `{token}`; select with masks and loop over \
                  public ranges so no branch depends on a secret-derived value"

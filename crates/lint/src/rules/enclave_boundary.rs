@@ -42,14 +42,10 @@ pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Findin
             if analysis.in_test(at) {
                 continue;
             }
-            let line = analysis.line(at);
-            if analysis.allowed("EB001", line) {
-                continue;
-            }
             findings.push(Finding {
                 rule: "EB001".to_owned(),
                 path: analysis.rel_path.clone(),
-                line,
+                line: analysis.line(at),
                 message: format!(
                     "enclave-side module calls `{pattern}` directly; route host-OS access \
                      through the LibOS shim"

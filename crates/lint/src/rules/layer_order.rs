@@ -42,14 +42,10 @@ pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Findin
             let inner_idx = chain.iter().position(|(_, l)| l == inner);
             if let (Some(oi), Some(ii)) = (outer_idx, inner_idx) {
                 if oi > ii {
-                    let line = analysis.line(chain[ii].0);
-                    if analysis.allowed("MW002", line) {
-                        continue;
-                    }
                     findings.push(Finding {
                         rule: "MW002".to_owned(),
                         path: analysis.rel_path.clone(),
-                        line,
+                        line: analysis.line(chain[ii].0),
                         message: format!(
                             "`{inner}` composed outside `{outer}`; the declared layer order \
                              requires `{outer}` outside `{inner}` (first `.with()` is outermost)"

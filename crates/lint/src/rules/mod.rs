@@ -6,10 +6,8 @@
 //! [`Finding`]: crate::Finding
 
 pub mod constant_time;
-pub mod determinism;
 pub mod enclave_boundary;
 pub mod layer_order;
 pub mod mw_boundary;
 pub mod panic_budget;
 pub mod secret_hygiene;
-pub mod suppressions;

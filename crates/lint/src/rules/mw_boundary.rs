@@ -40,14 +40,10 @@ pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Findin
             if analysis.in_test(at) {
                 continue;
             }
-            let line = analysis.line(at);
-            if analysis.allowed("MW001", line) {
-                continue;
-            }
             findings.push(Finding {
                 rule: "MW001".to_owned(),
                 path: analysis.rel_path.clone(),
-                line,
+                line: analysis.line(at),
                 message: format!(
                     "NF code references `{pattern}`; retry/fault/admission concerns \
                      belong in the middleware stack (shield5g-mw), not in the NF"

@@ -1,8 +1,6 @@
 //! File discovery and per-file analysis state shared by all rules.
 
 use crate::lexer::{clean_source, line_of, test_spans};
-use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// A source file prepared for rule passes.
@@ -15,9 +13,6 @@ pub struct FileAnalysis {
     pub clean: String,
     /// Byte spans of `#[cfg(test)]` items in `clean`.
     pub test_spans: Vec<(usize, usize)>,
-    /// `(rule, marker line)` of every allow marker that suppressed a
-    /// finding this run — consumed by the LN001 stale-marker pass.
-    used_allows: RefCell<BTreeSet<(String, usize)>>,
 }
 
 /// Is this path an integration-test tree (workspace `tests/` or a
@@ -56,7 +51,6 @@ impl FileAnalysis {
             raw,
             clean,
             test_spans: spans,
-            used_allows: RefCell::new(BTreeSet::new()),
         })
     }
 
@@ -70,7 +64,6 @@ impl FileAnalysis {
             raw: raw.to_owned(),
             clean,
             test_spans: spans,
-            used_allows: RefCell::new(BTreeSet::new()),
         }
     }
 
@@ -86,43 +79,6 @@ impl FileAnalysis {
     #[must_use]
     pub fn line(&self, offset: usize) -> usize {
         line_of(&self.clean, offset)
-    }
-
-    /// Is a finding of `rule` at `line` suppressed by an inline
-    /// `// shield5g-lint: allow(RULE)` marker on the same or the
-    /// preceding line? A hit is recorded so the LN001 pass can tell
-    /// live markers from stale ones.
-    #[must_use]
-    pub fn allowed(&self, rule: &str, line: usize) -> bool {
-        let marker = format!("shield5g-lint: allow({rule})");
-        let has = |idx: usize| {
-            self.raw
-                .lines()
-                .nth(idx)
-                .is_some_and(|l| l.contains(&marker))
-        };
-        if has(line.saturating_sub(1)) {
-            self.used_allows
-                .borrow_mut()
-                .insert((rule.to_owned(), line));
-            return true;
-        }
-        if line >= 2 && has(line - 2) {
-            self.used_allows
-                .borrow_mut()
-                .insert((rule.to_owned(), line - 1));
-            return true;
-        }
-        false
-    }
-
-    /// Did a marker for `rule` on `marker_line` suppress a finding this
-    /// run?
-    #[must_use]
-    pub fn marker_was_used(&self, rule: &str, marker_line: usize) -> bool {
-        self.used_allows
-            .borrow()
-            .contains(&(rule.to_owned(), marker_line))
     }
 }
 
@@ -178,13 +134,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_test_and_allow_markers() {
-        let src = "fn live() { x.unwrap(); }\n// shield5g-lint: allow(PB001)\nfn shh() { y.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() {} }\n";
+    fn in_test_spans() {
+        let src = "fn live() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() {} }\n";
         let a = FileAnalysis::from_source("x.rs", src);
-        assert!(a.allowed("PB001", 3));
-        assert!(a.marker_was_used("PB001", 2));
-        assert!(!a.allowed("PB001", 1));
-        assert!(!a.marker_was_used("PB001", 1));
         let test_start = a.clean.find("#[cfg(test)]").unwrap();
         assert!(a.in_test(test_start + 5));
         assert!(!a.in_test(0));

@@ -1,10 +1,6 @@
-//! A miniature repo tree whose only source file violates both
-//! determinism rules, used to assert the CLI's non-zero exit.
+//! A miniature repo tree whose only source file spends a panic site
+//! with no baseline to cover it, used to assert the CLI's non-zero exit.
 
-use std::collections::HashMap;
-
-pub fn now_keyed() -> HashMap<String, u64> {
-    let mut m = HashMap::new();
-    m.insert("t".to_string(), Instant::now().elapsed().as_nanos() as u64);
-    m
+pub fn first(v: &[u64]) -> u64 {
+    *v.first().unwrap()
 }

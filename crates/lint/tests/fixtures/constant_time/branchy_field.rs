@@ -69,9 +69,6 @@ impl Fe {
         let word = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
         Some(Fe([word, 0, 0, 0]))
     }
-
-    // shield5g-lint: allow(CT001)
-    fn is_zero(&self) -> bool { matches!(self.0, [0, 0, 0, 0]) || false }
 }
 
 #[cfg(test)]

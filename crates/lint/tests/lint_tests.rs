@@ -116,82 +116,6 @@ fn enclave_boundary_fixture_violations_are_caught() {
 }
 
 #[test]
-fn determinism_fixture_violations_are_caught() {
-    let mut config = Config::default();
-    config.trace_dirs.push("determinism".into());
-    let report = run_rules(&[fixture("determinism/wallclock.rs")], &config);
-    let rules = rules_of(&report.findings);
-    assert!(rules.contains(&"DT001"), "{:?}", report.findings);
-    assert!(rules.contains(&"DT002"), "{:?}", report.findings);
-}
-
-#[test]
-fn obs_crate_is_determinism_covered() {
-    // The repo config must treat the observability layer as
-    // trace-affecting: a wall-clock span stamp or a default-hasher
-    // registry would leak nondeterminism into the exported artifacts.
-    let config = Config::repo_default();
-    assert!(
-        config.trace_dirs.iter().any(|d| d == "crates/obs/src"),
-        "crates/obs/src missing from trace_dirs: {:?}",
-        config.trace_dirs
-    );
-    let src = "pub fn stamp() -> u64 {\n    std::time::SystemTime::now()\n        .duration_since(std::time::UNIX_EPOCH)\n        .map(|d| d.as_nanos() as u64)\n        .unwrap_or(0)\n}\n";
-    let report = run_rules(
-        &[FileAnalysis::from_source("crates/obs/src/clock.rs", src)],
-        &config,
-    );
-    let rules = rules_of(&report.findings);
-    assert!(rules.contains(&"DT001"), "{:?}", report.findings);
-}
-
-#[test]
-fn mw_crate_is_determinism_covered() {
-    // The middleware stack runs between trace notes on every endpoint's
-    // hot path; it must sit inside the determinism perimeter.
-    let config = Config::repo_default();
-    assert!(
-        config.trace_dirs.iter().any(|d| d == "crates/mw/src"),
-        "crates/mw/src missing from trace_dirs: {:?}",
-        config.trace_dirs
-    );
-    let src = "pub fn jitter() -> u64 {\n    std::collections::hash_map::RandomState::new();\n    u64::from(rand::random::<u32>())\n}\n";
-    let report = run_rules(
-        &[FileAnalysis::from_source("crates/mw/src/sloppy.rs", src)],
-        &config,
-    );
-    assert!(
-        rules_of(&report.findings).contains(&"DT001"),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn bench_runner_is_determinism_covered() {
-    // The sweep runner promises thread-count-invariant artifacts; an
-    // unmarked wall-clock read or ambient randomness in the bench crate
-    // would break the byte-identity gate without any test noticing on a
-    // single machine.
-    let config = Config::repo_default();
-    assert!(
-        config.trace_dirs.iter().any(|d| d == "crates/bench/src"),
-        "crates/bench/src missing from trace_dirs: {:?}",
-        config.trace_dirs
-    );
-    let src = "pub fn stamp() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
-    let report = run_rules(
-        &[FileAnalysis::from_source("crates/bench/src/sloppy.rs", src)],
-        &config,
-    );
-    assert!(
-        rules_of(&report.findings).contains(&"DT001"),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn mw_boundary_fixture_violations_are_caught() {
     let mut config = Config::default();
     config.mw_boundary_dirs.push("mw_boundary".into());
@@ -238,8 +162,7 @@ fn constant_time_fixture_violations_are_caught() {
     let report = run_rules(&[fixture("constant_time/branchy_field.rs")], &config);
     // `if borrow != 0` in sub, `while top != 0` in from_wide, the `&&`
     // of is_small and the `?`s of parse (one finding per token and
-    // line); the comment, the marked line and the cfg(test) module are
-    // not findings.
+    // line); the comment and the cfg(test) module are not findings.
     assert_eq!(
         rule_lines(&report.findings),
         vec![("CT001", 26), ("CT001", 47), ("CT001", 65), ("CT001", 69)],
@@ -296,25 +219,11 @@ fn panic_budget_fixture_exceeds_baseline() {
 }
 
 #[test]
-fn allow_marker_suppresses_findings() {
-    let src = "// shield5g-lint: allow(DT002)\nuse std::collections::HashMap;\n";
-    let mut config = Config::default();
-    config.trace_dirs.push("determinism".into());
-    let report = run_rules(
-        &[FileAnalysis::from_source("determinism/x.rs", src)],
-        &config,
-    );
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-}
-
-#[test]
 fn test_code_is_exempt() {
-    let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn t() { let _: HashMap<u8, u8> = HashMap::new(); foo().unwrap(); }\n}\n";
-    let mut config = Config::default();
-    config.trace_dirs.push("determinism".into());
+    let src = "#[cfg(test)]\nmod tests {\n    fn t() { foo().unwrap(); }\n}\n";
     let report = run_rules(
-        &[FileAnalysis::from_source("determinism/y.rs", src)],
-        &config,
+        &[FileAnalysis::from_source("y.rs", src)],
+        &Config::default(),
     );
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.panic_counts.get("root"), Some(&0));
@@ -330,14 +239,8 @@ fn cli_exits_nonzero_on_violating_tree() {
         .expect("run shield5g-lint");
     assert!(!out.status.success(), "expected non-zero exit");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("DT001"), "stdout: {stdout}");
-    assert!(stdout.contains("DT002"), "stdout: {stdout}");
-    // The seeded obs-crate violation (wall-clock span stamp) is caught
-    // too: the observability layer is inside the determinism perimeter.
-    assert!(stdout.contains("bad_obs.rs"), "stdout: {stdout}");
-    // And the seeded mw-crate violation: the middleware stack is inside
-    // the determinism perimeter as well.
-    assert!(stdout.contains("bad_mw.rs"), "stdout: {stdout}");
+    // The fixture tree has no baseline, so its one `unwrap` is over budget.
+    assert!(stdout.contains("PB001 sim:0"), "stdout: {stdout}");
 }
 
 #[test]
@@ -351,6 +254,67 @@ fn cli_exits_zero_on_repo() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stdout: {stdout}");
     assert!(stdout.contains("shield5g-lint: clean"), "stdout: {stdout}");
+}
+
+/// The determinism perimeter lives in the root `clippy.toml`, which
+/// `cargo clippy --workspace --all-targets -D warnings` applies to every
+/// crate: it lists the host clocks and the default-hasher collections,
+/// and `shield5g-hmee` is the one crate that opts out.
+#[test]
+fn clippy_config_pins_the_determinism_perimeter() -> std::io::Result<()> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let toml = std::fs::read_to_string(root.join("clippy.toml"))?;
+    let live: Vec<&str> = toml
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .collect();
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant",
+        "std::time::SystemTime",
+    ] {
+        let entry = format!("path = \"{path}\"");
+        assert!(
+            live.iter().any(|l| l.contains(&entry)),
+            "clippy.toml no longer disallows {path}"
+        );
+    }
+
+    // Crates that opt out of the list wholesale: by an inner attribute
+    // at the crate root, or by a `[lints]` table in the manifest.
+    let mut roots = vec![root.join("src/lib.rs")];
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates"))?.flatten() {
+        roots.push(entry.path().join("src/lib.rs"));
+        manifests.push(entry.path().join("Cargo.toml"));
+    }
+    let mut opted_out: Vec<String> = roots
+        .iter()
+        .filter_map(|p| FileAnalysis::load(&root, p))
+        .filter(|a| inner_attribute_names(&a.clean, "disallowed_types"))
+        .map(|a| a.rel_path)
+        .collect();
+    opted_out.sort();
+    assert_eq!(opted_out, ["crates/hmee/src/lib.rs"]);
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest)?;
+        assert!(
+            !text.contains("disallowed"),
+            "{} configures disallowed_types",
+            manifest.display()
+        );
+    }
+    Ok(())
+}
+
+/// Does an inner attribute (`#![…]`) of this lexed file name `lint`?
+fn inner_attribute_names(clean: &str, lint: &str) -> bool {
+    clean.match_indices("#![").any(|(at, _)| {
+        let body = &clean[at..];
+        let end = body.find(")]").unwrap_or(body.len());
+        body[..end].contains(lint)
+    })
 }
 
 #[test]
@@ -398,16 +362,6 @@ fn layer_order_fixture_breaker_misorder_is_caught() {
         "{:?}",
         report.findings
     );
-}
-
-#[test]
-fn suppressions_fixture_flags_only_the_stale_marker() {
-    let mut config = Config::repo_default();
-    config.trace_dirs.push("suppressions".into());
-    let report = run_rules(&[fixture("suppressions/stale.rs")], &config);
-    let rules = rules_of(&report.findings);
-    assert_eq!(rules, vec!["LN001"], "{:?}", report.findings);
-    assert!(report.findings[0].message.contains("DT002"));
 }
 
 /// Minimal JSON well-formedness checker (the linter is dependency-free,
@@ -528,7 +482,7 @@ fn sarif_output_is_valid_and_lists_findings() {
     for needle in [
         "\"version\": \"2.1.0\"",
         "\"name\": \"shield5g-lint\"",
-        "\"ruleId\": \"DT001\"",
+        "\"ruleId\": \"PB001\"",
         "physicalLocation",
     ] {
         assert!(doc.contains(needle), "missing {needle}");

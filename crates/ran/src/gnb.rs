@@ -12,7 +12,7 @@ use shield5g_sim::http::HttpRequest;
 use shield5g_sim::latency::LinkProfile;
 use shield5g_sim::Env;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// RRC messages exchanged during connection establishment (RACH preamble,
@@ -31,7 +31,7 @@ pub struct Gnb {
     backhaul: LinkProfile,
     broadcast_plmn: Plmn,
     next_ran_ue_id: u64,
-    tunnels: HashMap<u64, u32>,
+    tunnels: BTreeMap<u64, u32>,
     /// The N2 request path, shared by every NGAP request and its leg.
     ngap_path: Rc<str>,
 }
@@ -54,7 +54,7 @@ impl Gnb {
             backhaul: LinkProfile::backhaul(),
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
-            tunnels: HashMap::new(),
+            tunnels: BTreeMap::new(),
             ngap_path: "/ngap".into(),
         }
     }
@@ -69,7 +69,7 @@ impl Gnb {
             backhaul: LinkProfile::loopback(),
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
-            tunnels: HashMap::new(),
+            tunnels: BTreeMap::new(),
             ngap_path: "/ngap".into(),
         }
     }

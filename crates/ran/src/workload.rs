@@ -150,7 +150,7 @@ mod tests {
         let trace = poisson_registrations(&mut rng, SimTime::from_nanos(0), &spec());
         assert!(trace.iter().all(|a| a.ue < 16));
         // A population smaller than the arrival count repeats subscribers.
-        let distinct: std::collections::HashSet<u32> = trace.iter().map(|a| a.ue).collect();
+        let distinct: std::collections::BTreeSet<u32> = trace.iter().map(|a| a.ue).collect();
         assert_eq!(distinct.len(), 16);
     }
 
