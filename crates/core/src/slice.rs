@@ -142,6 +142,10 @@ pub struct Slice {
     pub hn_key_id: u8,
     /// Typed AMF handle (it is also registered on the engine).
     pub amf: Rc<RefCell<AmfService>>,
+    /// Typed AUSF handle.
+    pub ausf: Rc<RefCell<AusfService>>,
+    /// Typed UDM handle.
+    pub udm: Rc<RefCell<UdmService>>,
     /// Typed SMF handle.
     pub smf: Rc<RefCell<SmfService>>,
     /// Typed UPF handle.
@@ -367,7 +371,9 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
 
     // The VNF service chain.
     let udm = UdmService::new(hn_key.clone(), SbiClient::new(), addr::UDR, udm_backend);
+    let udm = Rc::new(RefCell::new(udm));
     let ausf = AusfService::new(SbiClient::new(), addr::UDM, ausf_backend);
+    let ausf = Rc::new(RefCell::new(ausf));
     let amf = Rc::new(RefCell::new(AmfService::new(
         SbiClient::new(),
         addr::AUSF,
@@ -387,12 +393,8 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
             LEAF_WORKERS,
             stacked(Engine::leaf(service_handle(udr))),
         );
-        e.register(addr::UDM, VNF_WORKERS, stacked(Rc::new(RefCell::new(udm))));
-        e.register(
-            addr::AUSF,
-            VNF_WORKERS,
-            stacked(Rc::new(RefCell::new(ausf))),
-        );
+        e.register(addr::UDM, VNF_WORKERS, stacked(udm.clone()));
+        e.register(addr::AUSF, VNF_WORKERS, stacked(ausf.clone()));
         e.register(addr::AMF, VNF_WORKERS, stacked(amf.clone()));
         e.register(addr::SMF, VNF_WORKERS, stacked(smf.clone()));
         e.register(addr::UPF, LEAF_WORKERS, stacked(Engine::leaf(upf.clone())));
@@ -445,6 +447,8 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         hn_public: hn_key.public().clone(),
         hn_key_id: hn_key.id(),
         amf,
+        ausf,
+        udm,
         smf,
         upf,
         nrf,

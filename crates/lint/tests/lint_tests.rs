@@ -259,7 +259,8 @@ fn cli_exits_zero_on_repo() {
 /// The determinism perimeter lives in the root `clippy.toml`, which
 /// `cargo clippy --workspace --all-targets -D warnings` applies to every
 /// crate: it lists the host clocks and the default-hasher collections,
-/// and `shield5g-hmee` is the one crate that opts out.
+/// beside `Any` (continuations are typed), and `shield5g-hmee` is the one
+/// crate that opts out.
 #[test]
 fn clippy_config_pins_the_determinism_perimeter() -> std::io::Result<()> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -273,6 +274,7 @@ fn clippy_config_pins_the_determinism_perimeter() -> std::io::Result<()> {
         "std::collections::HashSet",
         "std::time::Instant",
         "std::time::SystemTime",
+        "std::any::Any",
     ] {
         let entry = format!("path = \"{path}\"");
         assert!(

@@ -23,11 +23,10 @@
 
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{Layer, LegMeta, Resume, Step, SHED_HEADER};
+use shield5g_sim::engine::{Layer, LegMeta, Parked, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::HttpResponse;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -148,7 +147,6 @@ struct Peer {
 /// A call admitted by [`BreakerCore::admit_call`] and not yet settled.
 #[derive(Debug)]
 struct Call<K> {
-    id: u64,
     peer: K,
     probe: bool,
 }
@@ -163,14 +161,14 @@ struct Call<K> {
 ///
 /// A caller that cannot carry an admitted call's peer and probe flag to
 /// its outcome hands the core a call id instead ([`Self::admit_call`],
-/// [`Self::settle`]); the core keeps the calls in flight in a small
-/// table that is reused, so a call allocates nothing.
+/// [`Self::settle`]); the core parks the calls in flight by id
+/// ([`Parked`]), so a call allocates nothing.
 #[derive(Debug)]
 pub struct BreakerCore<K: Ord + Clone = Rc<str>> {
     policy: BreakerPolicy,
     peers: BTreeMap<K, Peer>,
     stats: BreakerStats,
-    calls: Vec<Call<K>>,
+    calls: Parked<Call<K>>,
 }
 
 impl<K: Ord + Clone> BreakerCore<K> {
@@ -181,7 +179,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
             policy,
             peers: BTreeMap::new(),
             stats: BreakerStats::default(),
-            calls: Vec::new(),
+            calls: Parked::new(),
         }
     }
 
@@ -306,12 +304,9 @@ impl<K: Ord + Clone> BreakerCore<K> {
     pub fn admit_call(&mut self, id: u64, peer: &K, now: SimTime) -> BreakerDecision {
         let decision = self.admit(peer, now);
         if decision != BreakerDecision::Reject {
-            self.abandon(id);
-            self.calls.push(Call {
-                id,
-                peer: peer.clone(),
-                probe: decision == BreakerDecision::Probe,
-            });
+            let probe = decision == BreakerDecision::Probe;
+            let peer = peer.clone();
+            self.calls.park(id, Call { peer, probe });
         }
         decision
     }
@@ -324,17 +319,14 @@ impl<K: Ord + Clone> BreakerCore<K> {
         ok: bool,
         now: SimTime,
     ) -> Option<(K, Option<BreakerTransition>)> {
-        let at = self.calls.iter().position(|call| call.id == id)?;
-        let call = self.calls.swap_remove(at);
+        let call = self.calls.take(id)?;
         let transition = self.on_outcome(&call.peer, call.probe, ok, now);
         Some((call.peer, transition))
     }
 
     /// Forgets call `id` without an outcome (its caller finished first).
     pub fn abandon(&mut self, id: u64) {
-        if let Some(at) = self.calls.iter().position(|call| call.id == id) {
-            self.calls.swap_remove(at);
-        }
+        self.calls.take(id);
     }
 
     /// Calls admitted and neither settled nor abandoned.
@@ -365,10 +357,10 @@ pub type BreakerHandle = Rc<RefCell<BreakerCore<Rc<str>>>>;
 /// [`crate::AdmissionLayer`] — inbound shedding happens at the door,
 /// breaking happens on the way out.
 ///
-/// A guarded call leaves its continuation state alone: the core keeps
-/// its peer and probe flag under the calling leg's [`LegMeta::id`] (a leg
-/// has one call out at a time), settles it on the response and, should
-/// the leg finish without one reaching this layer, drops it on delivery.
+/// The core parks a guarded call's peer and probe flag under the calling
+/// leg's [`LegMeta::id`] (a leg has one call out at a time), settles it
+/// on the response and, should the leg finish without one reaching this
+/// layer, drops it on delivery.
 pub struct BreakerLayer {
     core: BreakerHandle,
 }
@@ -439,7 +431,7 @@ impl BreakerLayer {
 impl Layer for BreakerLayer {
     fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {
         match step {
-            Step::CallOut { dest, req, state } => {
+            Step::CallOut { dest, req } => {
                 let decision = self
                     .core
                     .borrow_mut()
@@ -449,7 +441,7 @@ impl Layer for BreakerLayer {
                         if decision == BreakerDecision::Probe {
                             obs::count(&leg.dest, &dest, labels::BREAKER_PROBES, 1);
                         }
-                        Step::CallOut { dest, req, state }
+                        Step::CallOut { dest, req }
                     }
                     BreakerDecision::Reject => {
                         obs::count(&leg.dest, &dest, labels::BREAKER_REJECTED, 1);
@@ -469,20 +461,14 @@ impl Layer for BreakerLayer {
         }
     }
 
-    fn on_response(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
+    fn on_response(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
         let ok = resp.status < 500;
         let settled = self.core.borrow_mut().settle(leg.id, ok, env.clock.now());
         if let Some((peer, Some(t))) = settled {
             let state_now = self.core.borrow().state(&peer);
             Self::note_transition(env, &leg.dest, &peer, t, state_now);
         }
-        Resume::Continue(state, resp)
+        Resume::Continue(resp)
     }
 
     fn on_deliver(&mut self, _env: &mut Env, leg: &LegMeta, _resp: &HttpResponse) {
@@ -512,11 +498,10 @@ mod tests {
         }
     }
 
-    fn callout(inner: Box<dyn Any>) -> Step {
+    fn callout() -> Step {
         Step::CallOut {
             dest: "ausf.oai".into(),
             req: shield5g_sim::http::HttpRequest::post("/p", vec![1]),
-            state: inner,
         }
     }
 
@@ -621,17 +606,18 @@ mod tests {
         let mut layer = BreakerLayer::new(BreakerPolicy::default());
         // Trip via the layer: wrap + fail the same callout repeatedly.
         for _ in 0..6 {
-            let step = layer.on_step(&mut env, &leg(), callout(Box::new(0u8)));
-            let Step::CallOut { state, .. } = step else {
-                panic!("expected callout while closed/tripping");
-            };
-            let _ = layer.on_response(&mut env, &leg(), state, HttpResponse::error(504, "drop"));
+            let step = layer.on_step(&mut env, &leg(), callout());
+            assert!(
+                matches!(step, Step::CallOut { .. }),
+                "expected callout while closed/tripping"
+            );
+            let _ = layer.on_response(&mut env, &leg(), HttpResponse::error(504, "drop"));
             if layer.stats().opened > 0 {
                 break;
             }
         }
         assert_eq!(layer.stats().opened, 1, "circuit never opened");
-        let step = layer.on_step(&mut env, &leg(), callout(Box::new(0u8)));
+        let step = layer.on_step(&mut env, &leg(), callout());
         let Step::Reply(resp) = step else {
             panic!("open circuit must fail fast");
         };
@@ -641,19 +627,16 @@ mod tests {
     }
 
     #[test]
-    fn layer_passes_foreign_state_through() {
+    fn a_response_for_a_leg_with_nothing_parked_passes_through_untouched() {
         let mut env = env();
         let mut layer = BreakerLayer::new(BreakerPolicy::default());
-        let out = layer.on_response(
-            &mut env,
-            &leg(),
-            Box::new("foreign"),
-            HttpResponse::ok(vec![]),
-        );
+        let out = layer.on_response(&mut env, &leg(), HttpResponse::error(504, "x"));
         match out {
-            Resume::Continue(state, _) => assert!(state.downcast::<&str>().is_ok()),
-            Resume::Break(_) => panic!("foreign state must pass through"),
+            Resume::Continue(resp) => assert_eq!((resp.status, &resp.body[..]), (504, &b"x"[..])),
+            Resume::Break(_) => panic!("an unguarded response must pass through"),
         }
+        assert_eq!(layer.stats(), BreakerStats::default());
+        assert_eq!(layer.core().borrow().total_samples(), 0);
     }
 
     #[test]
@@ -661,16 +644,16 @@ mod tests {
         let mut env = env();
         let mut layer = BreakerLayer::new(BreakerPolicy::default());
         for _ in 0..32 {
-            let step = layer.on_step(&mut env, &leg(), callout(Box::new(3u32)));
-            let Step::CallOut { state, .. } = step else {
-                panic!("healthy callouts must pass");
-            };
-            match layer.on_response(&mut env, &leg(), state, HttpResponse::ok(vec![])) {
-                Resume::Continue(inner, _) => {
-                    assert_eq!(*inner.downcast::<u32>().unwrap(), 3);
-                }
+            let step = layer.on_step(&mut env, &leg(), callout());
+            assert!(
+                matches!(step, Step::CallOut { .. }),
+                "healthy callouts must pass"
+            );
+            match layer.on_response(&mut env, &leg(), HttpResponse::ok(vec![])) {
+                Resume::Continue(resp) => assert!(resp.is_success()),
                 Resume::Break(_) => panic!("healthy responses must continue"),
             }
+            assert_eq!(layer.core().borrow().calls_in_flight(), 0);
         }
         assert_eq!(layer.stats(), BreakerStats::default());
     }

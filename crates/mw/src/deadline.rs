@@ -9,7 +9,6 @@ use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::collections::BTreeMap;
 
 fn expired_resp() -> HttpResponse {
@@ -69,19 +68,15 @@ impl Layer for DeadlineLayer {
         Gate::Admit
     }
 
-    fn on_response(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
+    fn on_response(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
         if self.past_deadline(leg, env.clock.now()) {
+            // The chain is dead: the response is dropped here, and what
+            // inner layers and the service parked for the leg goes when
+            // the engine delivers the 503.
             obs::count(&leg.dest, &leg.path, labels::SHED_DEADLINE, 1);
-            let _ = (state, resp); // the chain is dead; drop the continuation
             return Resume::Break(Step::Reply(expired_resp()));
         }
-        Resume::Continue(state, resp)
+        Resume::Continue(resp)
     }
 
     fn on_request(&mut self, env: &mut Env, leg: &LegMeta, _req: &HttpRequest) {

@@ -8,7 +8,6 @@ use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -180,16 +179,10 @@ impl Layer for ObsLayer {
         obs::enter_span(entry.service);
     }
 
-    fn on_response(
-        &mut self,
-        _env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
+    fn on_response(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
         let service = self.core.borrow().legs.get(&leg.id).and_then(|e| e.service);
         obs::enter_span(service);
-        Resume::Continue(state, resp)
+        Resume::Continue(resp)
     }
 
     fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {

@@ -10,24 +10,24 @@
 //! reach its AUSF sheds cleanly instead of hanging forever.
 //!
 //! As a layer the mechanism is transparent to the service: on the way
-//! out ([`crate::Layer::on_step`]) the layer wraps each `CallOut`'s
-//! continuation state and keeps a clone of the outbound request; on the
-//! way back in ([`crate::Layer::on_response`]) a failed-but-retryable
-//! response waits out the backoff (charged on the caller's timeline —
-//! the worker is held, thread-per-request, like every other wait in the
-//! model) and re-issues the stored request as a fresh `CallOut`;
-//! anything else unwraps and proceeds. With retries disabled — the
-//! default — the wrapper is never created, so fault-free traces are
-//! byte-identical to a stack without this layer.
+//! out ([`crate::Layer::on_step`]) the layer parks a clone of each
+//! `CallOut`'s request under the calling leg's id; on the way back in
+//! ([`crate::Layer::on_response`]) a failed-but-retryable response waits
+//! out the backoff (charged on the caller's timeline — the worker is
+//! held, thread-per-request, like every other wait in the model) and
+//! re-issues the parked request as a fresh `CallOut`; anything else
+//! unparks it and proceeds. A call whose leg finished unresumed (an
+//! outer layer failed it fast or broke the response off) is dropped on
+//! delivery. With retries disabled — the default — nothing is parked, so
+//! fault-free traces are byte-identical to a stack without this layer.
 //!
 //! All jitter comes from the seeded [`Env`] RNG: same seed, same fault
 //! schedule, same backoff sequence, byte-identical trace.
 
-use shield5g_sim::engine::{Layer, LegMeta, Resume, Step, ERROR_HEADER};
+use shield5g_sim::engine::{Layer, LegMeta, Parked, Resume, Step, ERROR_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -116,13 +116,18 @@ impl RetryStats {
 /// Shared counter handle (the harness keeps a clone to read after runs).
 pub type RetryStatsHandle = Rc<RefCell<RetryStats>>;
 
-/// Continuation wrapper carried through the engine for a guarded call.
-struct RetryState {
+/// One guarded call in flight: what a retransmission re-sends, and how
+/// often it has.
+#[derive(Debug)]
+pub struct RetryCall {
     dest: Rc<str>,
     req: HttpRequest,
     attempt: u32,
-    inner: Box<dyn Any>,
 }
+
+/// The guarded calls in flight, by calling leg (clone to read after a
+/// run: empty once every leg is delivered).
+pub type RetryCalls = Rc<RefCell<Parked<RetryCall>>>;
 
 /// Whether a response is worth retransmitting for: transport-level 5xx
 /// (including injected faults and supervision-timeout 504s), but never
@@ -136,6 +141,7 @@ fn retryable(resp: &HttpResponse) -> bool {
 pub struct RetryLayer {
     policy: RetryPolicy,
     stats: RetryStatsHandle,
+    calls: RetryCalls,
 }
 
 impl std::fmt::Debug for RetryLayer {
@@ -154,6 +160,7 @@ impl RetryLayer {
         RetryLayer {
             policy,
             stats: Rc::new(RefCell::new(RetryStats::default())),
+            calls: Rc::new(RefCell::new(Parked::new())),
         }
     }
 
@@ -180,47 +187,40 @@ impl RetryLayer {
     pub fn stats_handle(&self) -> RetryStatsHandle {
         self.stats.clone()
     }
+
+    /// The shared table of guarded calls in flight.
+    #[must_use]
+    pub fn calls(&self) -> RetryCalls {
+        self.calls.clone()
+    }
 }
 
 impl Layer for RetryLayer {
-    fn on_step(&mut self, _env: &mut Env, _leg: &LegMeta, step: Step) -> Step {
+    fn on_step(&mut self, _env: &mut Env, leg: &LegMeta, step: Step) -> Step {
         if !self.policy.enabled() {
             return step;
         }
-        match step {
-            Step::CallOut { dest, req, state } => {
-                self.stats.borrow_mut().calls += 1;
-                let wrapped = RetryState {
-                    dest: dest.clone(),
-                    req: req.clone(),
-                    attempt: 0,
-                    inner: state,
-                };
-                Step::CallOut {
-                    dest,
-                    req,
-                    state: Box::new(wrapped),
-                }
-            }
-            reply @ Step::Reply(_) => reply,
+        if let Step::CallOut { dest, req } = &step {
+            self.stats.borrow_mut().calls += 1;
+            let call = RetryCall {
+                dest: dest.clone(),
+                req: req.clone(),
+                attempt: 0,
+            };
+            self.calls.borrow_mut().park(leg.id, call);
         }
+        step
     }
 
-    fn on_response(
-        &mut self,
-        env: &mut Env,
-        _leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
-        let mut rs = match state.downcast::<RetryState>() {
-            Ok(rs) => *rs,
-            Err(other) => return Resume::Continue(other, resp),
+    fn on_response(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
+        let mut calls = self.calls.borrow_mut();
+        let Some(call) = calls.get_mut(leg.id) else {
+            return Resume::Continue(resp);
         };
-        if retryable(&resp) && rs.attempt < self.policy.max_retries {
-            rs.attempt += 1;
+        if retryable(&resp) && call.attempt < self.policy.max_retries {
+            call.attempt += 1;
             self.stats.borrow_mut().retries += 1;
-            let backoff = self.policy.backoff(rs.attempt);
+            let backoff = self.policy.backoff(call.attempt);
             let jittered = env.rng.jitter(backoff.as_nanos(), self.policy.jitter);
             env.clock.advance(SimDuration::from_nanos(jittered));
             env.log.record(
@@ -228,19 +228,19 @@ impl Layer for RetryLayer {
                 "retry",
                 format_args!(
                     "retransmit {} {} (attempt {}/{})",
-                    rs.dest, rs.req.path, rs.attempt, self.policy.max_retries
+                    call.dest, call.req.path, call.attempt, self.policy.max_retries
                 ),
             );
-            let req = rs.req.clone();
             return Resume::Break(Step::CallOut {
-                dest: rs.dest.clone(),
-                req,
-                state: Box::new(rs),
+                dest: call.dest.clone(),
+                req: call.req.clone(),
             });
         }
+        let attempt = call.attempt;
+        calls.take(leg.id);
         {
             let mut stats = self.stats.borrow_mut();
-            if rs.attempt > 0 {
+            if attempt > 0 {
                 if retryable(&resp) {
                     stats.exhausted += 1;
                 } else {
@@ -254,7 +254,11 @@ impl Layer for RetryLayer {
                 stats.exhausted += 1;
             }
         }
-        Resume::Continue(rs.inner, resp)
+        Resume::Continue(resp)
+    }
+
+    fn on_deliver(&mut self, _env: &mut Env, leg: &LegMeta, _resp: &HttpResponse) {
+        self.calls.borrow_mut().take(leg.id);
     }
 }
 
@@ -278,56 +282,48 @@ mod tests {
         }
     }
 
-    fn callout(body: Vec<u8>, inner: Box<dyn Any>) -> Step {
+    fn callout(body: Vec<u8>) -> Step {
         Step::CallOut {
             dest: "ausf.oai".into(),
             req: HttpRequest::post("/p", body),
-            state: inner,
         }
     }
 
     #[test]
-    fn disabled_policy_passes_state_through_unwrapped() {
+    fn disabled_policy_parks_nothing() {
         let mut env = env();
         let mut layer = RetryLayer::disabled();
-        let step = layer.on_step(&mut env, &leg(), callout(vec![1, 2], Box::new(7u32)));
-        let Step::CallOut { state, .. } = step else {
+        let step = layer.on_step(&mut env, &leg(), callout(vec![1, 2]));
+        let Step::CallOut { req, .. } = step else {
             panic!("expected callout");
         };
-        // No wrapper: the state is the inner value itself.
-        assert_eq!(*state.downcast::<u32>().unwrap(), 7);
+        assert_eq!(req.body, vec![1, 2]);
+        assert!(layer.calls().borrow().is_empty());
         assert_eq!(layer.stats(), RetryStats::default());
     }
 
     #[test]
-    fn foreign_state_proceeds_untouched() {
+    fn a_response_for_a_leg_with_nothing_parked_passes_through_untouched() {
         let mut env = env();
         let mut layer = RetryLayer::new(RetryPolicy::supervision());
-        let out = layer.on_response(
-            &mut env,
-            &leg(),
-            Box::new("not-a-retry-state"),
-            HttpResponse::error(504, "x"),
-        );
+        let before = env.clock.now();
+        let out = layer.on_response(&mut env, &leg(), HttpResponse::error(504, "x"));
         match out {
-            Resume::Continue(state, resp) => {
-                assert!(state.downcast::<&str>().is_ok());
-                assert_eq!(resp.status, 504);
-            }
-            Resume::Break(_) => panic!("foreign state must not be retried"),
+            Resume::Continue(resp) => assert_eq!((resp.status, &resp.body[..]), (504, &b"x"[..])),
+            Resume::Break(_) => panic!("an unguarded response must not be retried"),
         }
+        assert_eq!(env.clock.now(), before);
+        assert_eq!(layer.stats(), RetryStats::default());
     }
 
     #[test]
     fn retryable_5xx_is_retransmitted_with_backoff() {
         let mut env = env();
         let mut layer = RetryLayer::new(RetryPolicy::supervision());
-        let step = layer.on_step(&mut env, &leg(), callout(vec![9], Box::new(1u8)));
-        let Step::CallOut { state, .. } = step else {
-            panic!("expected callout");
-        };
+        let step = layer.on_step(&mut env, &leg(), callout(vec![9]));
+        assert!(matches!(step, Step::CallOut { .. }));
         let before = env.clock.now();
-        let out = layer.on_response(&mut env, &leg(), state, HttpResponse::error(504, "drop"));
+        let out = layer.on_response(&mut env, &leg(), HttpResponse::error(504, "drop"));
         let Resume::Break(Step::CallOut { dest, req, .. }) = out else {
             panic!("expected a retransmission");
         };
@@ -347,26 +343,19 @@ mod tests {
             ..RetryPolicy::supervision()
         };
         let mut layer = RetryLayer::new(policy);
-        let mut step = layer.on_step(&mut env, &leg(), callout(vec![], Box::new(5i64)));
+        let step = layer.on_step(&mut env, &leg(), callout(vec![]));
+        assert!(matches!(step, Step::CallOut { .. }));
         for _ in 0..2 {
-            let Step::CallOut { state, .. } = step else {
-                panic!("expected callout");
-            };
-            match layer.on_response(&mut env, &leg(), state, HttpResponse::error(503, "x")) {
-                Resume::Break(s) => step = s,
-                Resume::Continue(..) => panic!("budget not yet spent"),
+            match layer.on_response(&mut env, &leg(), HttpResponse::error(503, "x")) {
+                Resume::Break(Step::CallOut { .. }) => {}
+                _ => panic!("budget not yet spent"),
             }
         }
-        let Step::CallOut { state, .. } = step else {
-            panic!("expected callout");
-        };
-        match layer.on_response(&mut env, &leg(), state, HttpResponse::error(503, "x")) {
-            Resume::Continue(inner, resp) => {
-                assert_eq!(*inner.downcast::<i64>().unwrap(), 5);
-                assert_eq!(resp.status, 503);
-            }
+        match layer.on_response(&mut env, &leg(), HttpResponse::error(503, "x")) {
+            Resume::Continue(resp) => assert_eq!(resp.status, 503),
             Resume::Break(_) => panic!("budget exceeded"),
         }
+        assert!(layer.calls().borrow().is_empty());
         let s = layer.stats();
         assert_eq!((s.calls, s.retries, s.exhausted, s.recovered), (1, 2, 1, 0));
         assert!((s.amplification() - 3.0).abs() < 1e-9);
@@ -376,17 +365,15 @@ mod tests {
     fn success_after_retry_counts_as_recovered() {
         let mut env = env();
         let mut layer = RetryLayer::new(RetryPolicy::supervision());
-        let step = layer.on_step(&mut env, &leg(), callout(vec![], Box::new(0u8)));
-        let Step::CallOut { state, .. } = step else {
-            panic!("expected callout");
-        };
-        let Resume::Break(Step::CallOut { state, .. }) =
-            layer.on_response(&mut env, &leg(), state, HttpResponse::error(502, "x"))
+        let step = layer.on_step(&mut env, &leg(), callout(vec![]));
+        assert!(matches!(step, Step::CallOut { .. }));
+        let Resume::Break(Step::CallOut { .. }) =
+            layer.on_response(&mut env, &leg(), HttpResponse::error(502, "x"))
         else {
             panic!("expected a retransmission");
         };
-        match layer.on_response(&mut env, &leg(), state, HttpResponse::ok(vec![1])) {
-            Resume::Continue(_, resp) => assert!(resp.is_success()),
+        match layer.on_response(&mut env, &leg(), HttpResponse::ok(vec![1])) {
+            Resume::Continue(resp) => assert!(resp.is_success()),
             Resume::Break(_) => panic!("success must not retry"),
         }
         let s = layer.stats();
@@ -397,13 +384,11 @@ mod tests {
     fn call_loops_are_never_retried() {
         let mut env = env();
         let mut layer = RetryLayer::new(RetryPolicy::supervision());
-        let step = layer.on_step(&mut env, &leg(), callout(vec![], Box::new(0u8)));
-        let Step::CallOut { state, .. } = step else {
-            panic!("expected callout");
-        };
+        let step = layer.on_step(&mut env, &leg(), callout(vec![]));
+        assert!(matches!(step, Step::CallOut { .. }));
         let resp = HttpResponse::error(508, "loop").with_header(ERROR_HEADER, "loop");
-        match layer.on_response(&mut env, &leg(), state, resp) {
-            Resume::Continue(_, resp) => assert_eq!(resp.status, 508),
+        match layer.on_response(&mut env, &leg(), resp) {
+            Resume::Continue(resp) => assert_eq!(resp.status, 508),
             Resume::Break(_) => panic!("loops must fail immediately"),
         }
     }
@@ -423,16 +408,10 @@ mod tests {
             let mut env = Env::new(77);
             let mut layer = RetryLayer::new(RetryPolicy::supervision());
             let mut times = Vec::new();
-            let mut step = layer.on_step(&mut env, &leg(), callout(vec![], Box::new(0u8)));
+            layer.on_step(&mut env, &leg(), callout(vec![]));
             for _ in 0..3 {
-                let Step::CallOut { state, .. } = step else {
-                    panic!("expected callout");
-                };
-                match layer.on_response(&mut env, &leg(), state, HttpResponse::error(504, "x")) {
-                    Resume::Break(s) => {
-                        times.push(env.clock.now());
-                        step = s;
-                    }
+                match layer.on_response(&mut env, &leg(), HttpResponse::error(504, "x")) {
+                    Resume::Break(_) => times.push(env.clock.now()),
                     Resume::Continue(..) => break,
                 }
             }

@@ -4,7 +4,6 @@
 use shield5g_sim::engine::{EngineService, EngineServiceHandle, Layer, LegMeta, Resume, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -61,32 +60,20 @@ impl EngineService for Stack {
         self.outbound(env, leg, step, n)
     }
 
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
-        let mut carried = Resume::Continue(state, resp);
-        let mut from = self.layers.len();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let Resume::Continue(state, resp) = carried else {
-                unreachable!("loop breaks on Resume::Break");
-            };
-            carried = layer.on_response(env, leg, state, resp);
-            if matches!(carried, Resume::Break(_)) {
-                from = i;
-                break;
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, mut resp: HttpResponse) -> Step {
+        for from in 0..self.layers.len() {
+            match self.layers[from].on_response(env, leg, resp) {
+                Resume::Continue(passed) => resp = passed,
+                Resume::Break(step) => return self.outbound(env, leg, step, from),
             }
         }
-        let step = match carried {
-            Resume::Break(step) => step,
-            Resume::Continue(state, resp) => {
-                self.service.borrow_mut().resume(env, leg, state, resp)
-            }
-        };
-        self.outbound(env, leg, step, from)
+        let step = self.service.borrow_mut().resume(env, leg, resp);
+        let n = self.layers.len();
+        self.outbound(env, leg, step, n)
+    }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.service.borrow_mut().delivered(leg);
     }
 
     fn layers(&mut self) -> &mut [Box<dyn Layer>] {
@@ -165,13 +152,7 @@ mod tests {
     /// Breaks the response chain with a canned reply.
     struct Abandoner;
     impl Layer for Abandoner {
-        fn on_response(
-            &mut self,
-            _env: &mut Env,
-            _leg: &LegMeta,
-            _state: Box<dyn Any>,
-            _resp: HttpResponse,
-        ) -> Resume {
+        fn on_response(&mut self, _env: &mut Env, _leg: &LegMeta, _resp: HttpResponse) -> Resume {
             Resume::Break(Step::Reply(HttpResponse::error(503, "abandoned")))
         }
     }
@@ -184,16 +165,9 @@ mod tests {
             Step::CallOut {
                 dest: self.next.clone(),
                 req,
-                state: Box::new(()),
             }
         }
-        fn resume(
-            &mut self,
-            _env: &mut Env,
-            _leg: &LegMeta,
-            _state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
+        fn resume(&mut self, _env: &mut Env, _leg: &LegMeta, resp: HttpResponse) -> Step {
             Step::Reply(resp)
         }
     }

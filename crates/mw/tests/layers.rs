@@ -9,14 +9,13 @@ use shield5g_mw::{
 };
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_sim::engine::{
-    AdmissionPolicy, Engine, EngineService, EngineServiceHandle, FaultAction, LegMeta, Step,
-    FAULT_HEADER,
+    AdmissionPolicy, Engine, EngineService, EngineServiceHandle, FaultAction, LegMeta, Parked,
+    Step, FAULT_HEADER,
 };
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::{service_handle, Service};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -33,29 +32,36 @@ impl Service for SlowEcho {
     }
 }
 
-/// A relay that forwards to `next` and returns the response unchanged.
+/// A relay that forwards to `next` and returns the response unchanged,
+/// parking each leg's request path until its response resumes it.
 struct Relay {
     next: Rc<str>,
+    sent: Parked<Rc<str>>,
 }
 
 impl EngineService for Relay {
-    fn start(&mut self, _env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-        Step::CallOut {
-            dest: self.next.clone(),
-            req,
-            state: Box::new(()),
-        }
+    fn start(&mut self, _env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
+        let path = req.path.clone();
+        self.sent.call_out(leg, self.next.clone(), req, path)
     }
 
-    fn resume(
-        &mut self,
-        _env: &mut Env,
-        _leg: &LegMeta,
-        _state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
+    fn resume(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+        let sent = self.sent.take(leg.id);
+        assert_eq!(sent.as_deref(), Some("/x"), "the path `start` sent");
         Step::Reply(resp)
     }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.sent.take(leg.id);
+    }
+}
+
+/// A [`Relay`] to `echo`.
+fn relay() -> Rc<RefCell<Relay>> {
+    Rc::new(RefCell::new(Relay {
+        next: "echo".into(),
+        sent: Parked::new(),
+    }))
 }
 
 fn echo_leaf(nanos: u64) -> EngineServiceHandle {
@@ -216,10 +222,7 @@ fn dropped_request_leg_times_out_before_reaching_service() {
         timeout: SimDuration::from_nanos(50_000),
     }])));
     engine.register("echo", 1, echo_leaf(5_000));
-    let front = Stack::new(Rc::new(RefCell::new(Relay {
-        next: "echo".into(),
-    })))
-    .with(FaultLayer::new(switch.clone()));
+    let front = Stack::new(relay()).with(FaultLayer::new(switch.clone()));
     engine.register("front", 1, front.into_handle());
     let t0 = env.clock.now();
     let resp = engine
@@ -255,13 +258,13 @@ fn the_breakers_call_table_is_empty_after_a_faulted_open_loop() {
     // still out: their entries go when the leg is delivered.
     let breaker = BreakerLayer::new(BreakerPolicy::default());
     let core = breaker.core();
-    let relay: EngineServiceHandle = Rc::new(RefCell::new(Relay {
-        next: "echo".into(),
-    }));
-    let front = Stack::new(relay)
+    let retry = RetryLayer::new(RetryPolicy::supervision());
+    let calls = retry.calls();
+    let relay = relay();
+    let front = Stack::new(relay.clone())
         .with(DeadlineLayer::new(SimDuration::from_nanos(60_000)))
         .with(breaker)
-        .with(RetryLayer::new(RetryPolicy::supervision()));
+        .with(retry);
     engine.register("front", 4, front.into_handle());
     for i in 0..120 {
         let at = SimTime::from_nanos(i * 7_000);
@@ -272,7 +275,16 @@ fn the_breakers_call_table_is_empty_after_a_faulted_open_loop() {
     assert!(done.iter().any(|c| c.response.status == 503));
     let core = core.borrow();
     assert!(core.stats().opened > 0, "the faults tripped the circuit");
+    assert!(
+        core.stats().rejected > 0,
+        "the open circuit failed calls fast"
+    );
     assert_eq!(core.calls_in_flight(), 0);
+    // The breaker's fail-fast replaced calls the relay and the retry layer
+    // had parked, and the deadline broke responses off before either saw
+    // them: both tables drop those flows when the leg is delivered.
+    assert!(relay.borrow().sent.is_empty());
+    assert!(calls.borrow().is_empty());
 }
 
 #[test]
@@ -298,13 +310,7 @@ fn disarmed_fault_layer_leaves_trace_byte_identical() {
             }
         };
         engine.register("echo", 2, wrap(echo_leaf(7_000)));
-        engine.register(
-            "front",
-            2,
-            wrap(Rc::new(RefCell::new(Relay {
-                next: "echo".into(),
-            }))),
-        );
+        engine.register("front", 2, wrap(relay()));
         for i in 0u64..3 {
             engine.schedule_request(
                 SimTime::from_nanos(i * 500),
@@ -378,13 +384,10 @@ fn deadline_outside_retry_vetoes_dead_retransmissions() {
         let deadline = DeadlineLayer::new(SimDuration::from_nanos(50_000));
         let retry = RetryLayer::new(RetryPolicy::supervision());
         let stats = retry.stats_handle();
-        let relay: EngineServiceHandle = Rc::new(RefCell::new(Relay {
-            next: "echo".into(),
-        }));
         let front = if deadline_outside {
-            Stack::new(relay).with(deadline).with(retry)
+            Stack::new(relay()).with(deadline).with(retry)
         } else {
-            Stack::new(relay).with(retry).with(deadline)
+            Stack::new(relay()).with(retry).with(deadline)
         };
         engine.register("front", 1, front.into_handle());
         let t0 = env.clock.now();
@@ -454,10 +457,7 @@ fn deadline_sheds_mid_chain_on_late_response() {
     ])));
     let echo = Stack::new(echo_leaf(5_000)).with(FaultLayer::new(switch.clone()));
     engine.register("echo", 1, echo.into_handle());
-    let front = Stack::new(Rc::new(RefCell::new(Relay {
-        next: "echo".into(),
-    })) as EngineServiceHandle)
-    .with(DeadlineLayer::new(SimDuration::from_nanos(50_000)));
+    let front = Stack::new(relay()).with(DeadlineLayer::new(SimDuration::from_nanos(50_000)));
     engine.register("front", 1, front.into_handle());
     let resp = engine
         .dispatch(&mut env, "front", HttpRequest::post("/x", b"hi".to_vec()))

@@ -22,11 +22,10 @@ use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Body, Writer};
-use shield5g_sim::engine::{EngineService, LegMeta, Step};
+use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -80,6 +79,7 @@ pub struct AmfService {
     next_tmsi: u32,
     registrations_completed: u64,
     deregistrations: u64,
+    flows: Parked<AmfFlow>,
 }
 
 impl std::fmt::Debug for AmfService {
@@ -116,6 +116,7 @@ impl AmfService {
             next_tmsi: 0x0100_0000,
             registrations_completed: 0,
             deregistrations: 0,
+            flows: Parked::new(),
         }
     }
 
@@ -125,19 +126,28 @@ impl AmfService {
         self.registrations_completed
     }
 
-    /// Charges the SBI send cost and yields the call to the engine.
-    /// Supervision retries live in the middleware stack
-    /// (`shield5g_mw::RetryLayer`), not in the NF.
+    /// Charges the SBI send cost, parks `flow` under the serving leg and
+    /// yields the call to the engine. The NF does not retransmit: a failed
+    /// call resumes `flow` with the error. The slice's stack (obs →
+    /// breaker → fault) installs no `shield5g_mw::RetryLayer`, and the
+    /// open-loop driver retransmits whole requests on its own.
     fn call_out(
-        &self,
+        &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         dest: Rc<str>,
         path: &str,
         body: Body,
-        state: Box<dyn Any>,
+        flow: AmfFlow,
     ) -> Step {
         let req = self.client.send(env, path, body);
-        Step::CallOut { dest, req, state }
+        self.flows.call_out(leg, dest, req, flow)
+    }
+
+    /// Flows parked across a call-out; 0 whenever no request is in flight.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.flows.len()
     }
 
     /// Completed deregistrations.
@@ -175,6 +185,7 @@ impl AmfService {
     fn start_authentication(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         ran_ue_id: u64,
         identity: UeIdentity,
         resync_attempts: u8,
@@ -202,20 +213,22 @@ impl AmfService {
         };
         Ok(self.call_out(
             env,
+            leg,
             self.ausf_addr.clone(),
             "/nausf-auth/authenticate",
             req.encode(),
-            Box::new(AmfFlow::AwaitAusfAuth {
+            AmfFlow::AwaitAusfAuth {
                 ran_ue_id,
                 identity,
                 resync_attempts,
-            }),
+            },
         ))
     }
 
     fn handle_auth_response(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         ran_ue_id: u64,
         res_star: [u8; 16],
     ) -> Result<Step, NfError> {
@@ -251,10 +264,11 @@ impl AmfService {
         };
         Ok(self.call_out(
             env,
+            leg,
             self.ausf_addr.clone(),
             "/nausf-auth/confirm",
             confirm.encode(),
-            Box::new(AmfFlow::AwaitConfirm { ran_ue_id }),
+            AmfFlow::AwaitConfirm { ran_ue_id },
         ))
     }
 
@@ -275,6 +289,7 @@ impl AmfService {
     fn handle_auth_failure(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         ran_ue_id: u64,
         cause: AuthFailureCause,
     ) -> Result<Step, NfError> {
@@ -325,19 +340,29 @@ impl AmfService {
                     };
                     return Ok(self.call_out(
                         env,
+                        leg,
                         crate::addr::UDM.into(),
                         "/nudm-ueau/generate-auth-data",
                         req.encode(),
-                        Box::new(AmfFlow::AwaitSupiResolve {
+                        AmfFlow::AwaitSupiResolve {
                             ran_ue_id,
                             identity,
                             rand,
                             auts,
                             resync_attempts,
-                        }),
+                        },
                     ));
                 };
-                self.send_resync(env, ran_ue_id, identity, supi, rand, &auts, resync_attempts)
+                self.send_resync(
+                    env,
+                    leg,
+                    ran_ue_id,
+                    identity,
+                    supi,
+                    rand,
+                    &auts,
+                    resync_attempts,
+                )
             }
         }
     }
@@ -347,6 +372,7 @@ impl AmfService {
     fn send_resync(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         ran_ue_id: u64,
         identity: UeIdentity,
         supi: Supi,
@@ -361,14 +387,15 @@ impl AmfService {
         };
         Ok(self.call_out(
             env,
+            leg,
             self.ausf_addr.clone(),
             "/nausf-auth/resync",
             resync.encode(),
-            Box::new(AmfFlow::AwaitResync {
+            AmfFlow::AwaitResync {
                 ran_ue_id,
                 identity,
                 resync_attempts,
-            }),
+            },
         ))
     }
 
@@ -390,6 +417,7 @@ impl AmfService {
     fn handle_secured_uplink(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         ran_ue_id: u64,
         pdu: &ProtectedNas<&[u8]>,
     ) -> Result<Step, NfError> {
@@ -480,6 +508,7 @@ impl AmfService {
                             .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
                         Ok(self.call_out(
                             env,
+                            leg,
                             self.smf_addr.clone(),
                             "/nsmf-pdusession/create",
                             CreateSessionRequest {
@@ -487,10 +516,10 @@ impl AmfService {
                                 pdu_session_id,
                             }
                             .encode(),
-                            Box::new(AmfFlow::AwaitSmf {
+                            AmfFlow::AwaitSmf {
                                 ran_ue_id,
                                 pdu_session_id,
-                            }),
+                            },
                         ))
                     }
                     other => Err(NfError::Protocol(format!(
@@ -544,7 +573,12 @@ impl AmfService {
         Step::Reply(HttpResponse::ok(ngap.encode()))
     }
 
-    fn process_ngap(&mut self, env: &mut Env, ngap: &Ngap<&[u8]>) -> Result<Step, NfError> {
+    fn process_ngap(
+        &mut self,
+        env: &mut Env,
+        leg: &LegMeta,
+        ngap: &Ngap<&[u8]>,
+    ) -> Result<Step, NfError> {
         env.clock
             .advance(SimDuration::from_nanos(AMF_NAS_HANDLER_NANOS));
         let ran_ue_id = ngap.ran_ue_id();
@@ -561,17 +595,17 @@ impl AmfService {
         );
         if has_sec_context {
             let pdu = ProtectedNas::borrow(nas_bytes)?;
-            self.handle_secured_uplink(env, ran_ue_id, &pdu)
+            self.handle_secured_uplink(env, leg, ran_ue_id, &pdu)
         } else {
             match NasUplink::decode(nas_bytes)? {
                 NasUplink::RegistrationRequest { identity } => {
-                    self.start_authentication(env, ran_ue_id, identity, 0)
+                    self.start_authentication(env, leg, ran_ue_id, identity, 0)
                 }
                 NasUplink::AuthenticationResponse { res_star } => {
-                    self.handle_auth_response(env, ran_ue_id, res_star)
+                    self.handle_auth_response(env, leg, ran_ue_id, res_star)
                 }
                 NasUplink::AuthenticationFailure { cause } => {
-                    self.handle_auth_failure(env, ran_ue_id, cause)
+                    self.handle_auth_failure(env, leg, ran_ue_id, cause)
                 }
                 NasUplink::IdentityResponse { suci } => {
                     if !matches!(
@@ -581,7 +615,7 @@ impl AmfService {
                         return Err(NfError::Protocol("unsolicited identity response".into()));
                     }
                     self.contexts.remove(&ran_ue_id);
-                    self.start_authentication(env, ran_ue_id, UeIdentity::Suci(suci), 0)
+                    self.start_authentication(env, leg, ran_ue_id, UeIdentity::Suci(suci), 0)
                 }
                 other => Err(NfError::Protocol(format!(
                     "unexpected plain NAS: {other:?}"
@@ -594,6 +628,7 @@ impl AmfService {
     fn resume_flow(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         flow: AmfFlow,
         resp: HttpResponse,
     ) -> Result<Step, NfError> {
@@ -640,15 +675,14 @@ impl AmfService {
                 };
                 match self.backend.begin(env, &req) {
                     BackendOp::Done(kamf) => Ok(self.enter_security_mode(ran_ue_id, supi, &kamf?)),
-                    BackendOp::Call { dest, req, token } => Ok(Step::CallOut {
-                        dest,
-                        req,
-                        state: Box::new(AmfFlow::AwaitKamf {
+                    BackendOp::Call { dest, req, token } => {
+                        let flow = AmfFlow::AwaitKamf {
                             ran_ue_id,
                             supi,
                             token,
-                        }),
-                    }),
+                        };
+                        Ok(self.flows.call_out(leg, dest, req, flow))
+                    }
                 }
             }
             AmfFlow::AwaitKamf {
@@ -668,7 +702,16 @@ impl AmfService {
             } => {
                 let body = self.client.receive(env, crate::addr::UDM, resp)?;
                 let supi = crate::sbi::UdmAuthGetResponse::decode(&body)?.supi;
-                self.send_resync(env, ran_ue_id, identity, supi, rand, &auts, resync_attempts)
+                self.send_resync(
+                    env,
+                    leg,
+                    ran_ue_id,
+                    identity,
+                    supi,
+                    rand,
+                    &auts,
+                    resync_attempts,
+                )
             }
             AmfFlow::AwaitResync {
                 ran_ue_id,
@@ -681,7 +724,7 @@ impl AmfService {
                     "aka",
                     format_args!("SQN re-synchronised; restarting AKA"),
                 );
-                self.start_authentication(env, ran_ue_id, identity, resync_attempts + 1)
+                self.start_authentication(env, leg, ran_ue_id, identity, resync_attempts + 1)
             }
             AmfFlow::AwaitSmf {
                 ran_ue_id,
@@ -702,7 +745,8 @@ impl AmfService {
     }
 }
 
-/// Continuation state across the AMF's outbound SBI round trips.
+/// Continuation state across the AMF's outbound SBI round trips, parked
+/// under the serving leg's id while its call is out.
 #[allow(clippy::enum_variant_names)] // every variant awaits a distinct peer
 enum AmfFlow {
     /// Waiting for the AUSF's SE AV (authenticate).
@@ -738,34 +782,31 @@ enum AmfFlow {
 }
 
 impl EngineService for AmfService {
-    fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
+    fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
         if &*req.path != "/ngap" {
             return Step::Reply(HttpResponse::error(
                 404,
                 format!("no handler for {}", req.path),
             ));
         }
-        match Ngap::borrow(&req.body).and_then(|ngap| self.process_ngap(env, &ngap)) {
+        match Ngap::borrow(&req.body).and_then(|ngap| self.process_ngap(env, leg, &ngap)) {
             Ok(step) => step,
             Err(e) => Step::Reply(Self::ngap_error(e)),
         }
     }
 
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        _leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
-        let flow = match state.downcast::<AmfFlow>() {
-            Ok(f) => *f,
-            Err(_) => return Step::Reply(HttpResponse::error(500, "amf: foreign state")),
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+        let Some(flow) = self.flows.take(leg.id) else {
+            return Step::Reply(HttpResponse::error(500, "amf: no parked flow"));
         };
-        match self.resume_flow(env, flow, resp) {
+        match self.resume_flow(env, leg, flow, resp) {
             Ok(step) => step,
             Err(e) => Step::Reply(Self::ngap_error(e)),
         }
+    }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.flows.take(leg.id);
     }
 }
 
@@ -909,7 +950,8 @@ mod tests {
         let complete = ue
             .protect(&NasUplink::SecurityModeComplete.encode())
             .encode();
-        amf.handle_secured_uplink(&mut env, 2, &ProtectedNas::borrow(&complete).unwrap())
+        let pdu = ProtectedNas::borrow(&complete).unwrap();
+        amf.handle_secured_uplink(&mut env, &leg(), 2, &pdu)
             .unwrap();
         assert_eq!(amf.active_contexts(), 1);
         assert!(!amf.is_registered(1));
@@ -918,7 +960,7 @@ mod tests {
             .protect(&NasUplink::DeregistrationRequest { switch_off: false }.encode())
             .encode();
         let Err(NfError::Protocol(why)) =
-            amf.handle_secured_uplink(&mut env, 1, &ProtectedNas::borrow(&nas).unwrap())
+            amf.handle_secured_uplink(&mut env, &leg(), 1, &ProtectedNas::borrow(&nas).unwrap())
         else {
             panic!("expected the typed protocol error");
         };
@@ -927,6 +969,11 @@ mod tests {
         let resp = reply(&mut amf, &mut env, HttpRequest::post("/ngap", ngap));
         assert_eq!(resp.status, 400);
         assert_eq!(amf.active_contexts(), 1);
+    }
+
+    #[test]
+    fn a_response_with_no_parked_flow_is_500() {
+        crate::tests::assert_no_parked_flow(&mut amf(), "amf");
     }
 
     #[test]

@@ -16,11 +16,10 @@ use crate::NfError;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
-use shield5g_sim::engine::{EngineService, LegMeta, Step};
+use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -41,6 +40,7 @@ pub struct AusfService {
     backend: Box<dyn AkaBackend<DeriveSe>>,
     contexts: BTreeMap<u64, AuthContext>,
     next_ctx: u64,
+    flows: Parked<AusfFlow>,
 }
 
 impl std::fmt::Debug for AusfService {
@@ -66,6 +66,7 @@ impl AusfService {
             backend,
             contexts: BTreeMap::new(),
             next_ctx: 1,
+            flows: Parked::new(),
         }
     }
 
@@ -73,6 +74,12 @@ impl AusfService {
     #[must_use]
     pub fn pending_contexts(&self) -> usize {
         self.contexts.len()
+    }
+
+    /// Flows parked across a call-out; 0 whenever no request is in flight.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.flows.len()
     }
 
     /// Error mapping shared by the authenticate and resync handler paths.
@@ -169,7 +176,8 @@ impl AusfService {
     }
 }
 
-/// Continuation state across the AUSF's outbound round trips.
+/// Continuation state across the AUSF's outbound round trips, parked
+/// under the serving leg's id while its call is out.
 #[allow(clippy::enum_variant_names)] // every variant awaits a distinct peer
 enum AusfFlow {
     /// Waiting on the UDM's HE AV.
@@ -185,7 +193,7 @@ enum AusfFlow {
 }
 
 impl EngineService for AusfService {
-    fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
+    fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
         match &*req.path {
             "/nausf-auth/authenticate" => {
                 env.clock
@@ -201,16 +209,10 @@ impl EngineService for AusfService {
                     Err(e) => return Step::Reply(Self::upstream_error(implausible(e))),
                 };
                 // Forward to UDM for the HE AV.
-                {
-                    let req =
-                        self.client
-                            .send(env, "/nudm-ueau/generate-auth-data", decoded.encode());
-                    Step::CallOut {
-                        dest: self.udm_addr.clone(),
-                        req,
-                        state: Box::new(AusfFlow::AwaitUdm { snn }),
-                    }
-                }
+                let path = "/nudm-ueau/generate-auth-data";
+                let req = self.client.send(env, path, decoded.encode());
+                let flow = AusfFlow::AwaitUdm { snn };
+                self.flows.call_out(leg, self.udm_addr.clone(), req, flow)
             }
             "/nausf-auth/confirm" => {
                 match ConfirmRequest::decode(&req.body).and_then(|r| self.confirm(env, &r)) {
@@ -224,11 +226,8 @@ impl EngineService for AusfService {
                 match ResyncRequest::decode(&req.body) {
                     Ok(decoded) => {
                         let req = self.client.send(env, "/nudm-ueau/resync", decoded.encode());
-                        Step::CallOut {
-                            dest: self.udm_addr.clone(),
-                            req,
-                            state: Box::new(AusfFlow::AwaitUdmResync),
-                        }
+                        let flow = AusfFlow::AwaitUdmResync;
+                        self.flows.call_out(leg, self.udm_addr.clone(), req, flow)
                     }
                     Err(e) => Step::Reply(Self::upstream_error(e)),
                 }
@@ -237,16 +236,9 @@ impl EngineService for AusfService {
         }
     }
 
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        _leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
-        let flow = match state.downcast::<AusfFlow>() {
-            Ok(f) => *f,
-            Err(_) => return Step::Reply(HttpResponse::error(500, "ausf: foreign state")),
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+        let Some(flow) = self.flows.take(leg.id) else {
+            return Step::Reply(HttpResponse::error(500, "ausf: no parked flow"));
         };
         match flow {
             AusfFlow::AwaitUdm { snn } => {
@@ -270,11 +262,10 @@ impl EngineService for AusfService {
                         self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf)
                     }
                     BackendOp::Done(Err(e)) => Step::Reply(Self::upstream_error(e)),
-                    BackendOp::Call { dest, req, token } => Step::CallOut {
-                        dest,
-                        req,
-                        state: Box::new(AusfFlow::AwaitSe { supi, he_av, token }),
-                    },
+                    BackendOp::Call { dest, req, token } => {
+                        let flow = AusfFlow::AwaitSe { supi, he_av, token };
+                        self.flows.call_out(leg, dest, req, flow)
+                    }
                 }
             }
             AusfFlow::AwaitSe { supi, he_av, token } => {
@@ -288,6 +279,10 @@ impl EngineService for AusfService {
                 Err(e) => Step::Reply(Self::upstream_error(e)),
             },
         }
+    }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.flows.take(leg.id);
     }
 }
 
@@ -477,6 +472,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.status, 400);
+    }
+
+    #[test]
+    fn a_response_with_no_parked_flow_is_500() {
+        let backend = Box::new(LocalAka::default());
+        let mut ausf = AusfService::new(SbiClient::new(), crate::addr::UDM, backend);
+        crate::tests::assert_no_parked_flow(&mut ausf, "ausf");
     }
 
     #[test]

@@ -142,10 +142,34 @@ impl From<SimError> for NfError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_sim::engine::{EngineService, LegMeta};
 
     /// A SUPI from its `imsi-` text, for the crate's tests.
     pub(crate) fn imsi(text: &str) -> shield5g_crypto::ident::Supi {
         shield5g_crypto::ident::Supi::parse(text).unwrap()
+    }
+
+    /// Resumes `service` on a leg it parked nothing under: the reply is
+    /// `500 "<nf>: no parked flow"`.
+    pub(crate) fn assert_no_parked_flow(service: &mut dyn EngineService, nf: &str) {
+        use shield5g_sim::engine::{PriorityClass, Step};
+        use shield5g_sim::time::SimTime;
+        let leg = LegMeta {
+            id: 77,
+            dest: nf.into(),
+            path: "/".into(),
+            submitted: SimTime::ZERO,
+            arrived: SimTime::ZERO,
+            root: true,
+            class: PriorityClass::Normal,
+        };
+        let mut env = shield5g_sim::Env::new(1);
+        let resp = shield5g_sim::http::HttpResponse::ok(vec![1]);
+        let Step::Reply(reply) = service.resume(&mut env, &leg, resp) else {
+            panic!("{nf} resumed a flow it never parked");
+        };
+        let want = format!("{nf}: no parked flow");
+        assert_eq!((reply.status, &reply.body[..]), (500, want.as_bytes()));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 use crate::sbi::{CreateSessionRequest, CreateSessionResponse, SbiClient};
 use crate::wire::wire;
 use shield5g_crypto::ident::Supi;
-use shield5g_sim::engine::{EngineService, LegMeta, Step};
+use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -45,6 +44,8 @@ pub struct SmfService {
     client: SbiClient,
     upf_addr: Rc<str>,
     sessions: BTreeMap<(Supi, u8), SmfSession>,
+    /// Sessions waiting for the UPF's N4 acknowledgement, by serving leg.
+    pending: Parked<SmfSession>,
     next_ip_suffix: u8,
     next_teid: u32,
 }
@@ -65,6 +66,7 @@ impl SmfService {
             client,
             upf_addr: upf_addr.into(),
             sessions: BTreeMap::new(),
+            pending: Parked::new(),
             next_ip_suffix: 2,
             next_teid: 0x1000,
         }
@@ -76,7 +78,13 @@ impl SmfService {
         self.sessions.len()
     }
 
-    fn start_create(&mut self, env: &mut Env, req: &CreateSessionRequest) -> Step {
+    /// Flows parked across a call-out; 0 whenever no request is in flight.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn start_create(&mut self, env: &mut Env, leg: &LegMeta, req: &CreateSessionRequest) -> Step {
         env.clock
             .advance(SimDuration::from_nanos(SMF_HANDLER_NANOS));
         if let Some(existing) = self.sessions.get(&(req.supi, req.pdu_session_id)) {
@@ -97,48 +105,31 @@ impl SmfService {
         let out = self
             .client
             .send(env, "/n4/establish", N4Establish { teid, ue_ip }.encode());
-        Step::CallOut {
-            dest: self.upf_addr.clone(),
-            req: out,
-            state: Box::new(SmfFlow::AwaitUpf {
-                session: SmfSession {
-                    supi: req.supi,
-                    pdu_session_id: req.pdu_session_id,
-                    ue_ip,
-                    teid,
-                },
-            }),
-        }
+        let session = SmfSession {
+            supi: req.supi,
+            pdu_session_id: req.pdu_session_id,
+            ue_ip,
+            teid,
+        };
+        self.pending
+            .call_out(leg, self.upf_addr.clone(), out, session)
     }
 }
 
-/// Continuation state across the SMF's N4 round trip.
-enum SmfFlow {
-    /// Waiting for the UPF to acknowledge the N4 establishment.
-    AwaitUpf { session: SmfSession },
-}
-
 impl EngineService for SmfService {
-    fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
+    fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
         match &*req.path {
             "/nsmf-pdusession/create" => match CreateSessionRequest::decode(&req.body) {
-                Ok(decoded) => self.start_create(env, &decoded),
+                Ok(decoded) => self.start_create(env, leg, &decoded),
                 Err(e) => Step::Reply(HttpResponse::error(400, e.to_string())),
             },
             other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
         }
     }
 
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        _leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
-        let SmfFlow::AwaitUpf { session } = match state.downcast::<SmfFlow>() {
-            Ok(f) => *f,
-            Err(_) => return Step::Reply(HttpResponse::error(500, "smf: foreign state")),
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+        let Some(session) = self.pending.take(leg.id) else {
+            return Step::Reply(HttpResponse::error(500, "smf: no parked flow"));
         };
         if let Err(e) = self.client.receive(env, &self.upf_addr, resp) {
             return Step::Reply(HttpResponse::error(400, e.to_string()));
@@ -158,6 +149,10 @@ impl EngineService for SmfService {
         self.sessions
             .insert((session.supi, session.pdu_session_id), session);
         Step::Reply(HttpResponse::ok(reply.encode()))
+    }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.pending.take(leg.id);
     }
 }
 
@@ -224,6 +219,13 @@ mod tests {
             ue_ip: [10, 0, 0, 7],
         };
         assert_eq!(N4Establish::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn a_response_with_no_parked_flow_is_500() {
+        let mut smf = SmfService::new(SbiClient::new(), crate::addr::UPF);
+        crate::tests::assert_no_parked_flow(&mut smf, "smf");
+        assert_eq!(smf.parked(), 0);
     }
 
     #[test]

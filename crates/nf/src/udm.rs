@@ -21,11 +21,10 @@ use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::{HeAv, ServingNetworkName};
 use shield5g_crypto::CryptoError;
-use shield5g_sim::engine::{EngineService, LegMeta, Step};
+use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::any::Any;
 use std::rc::Rc;
 
 /// ECIES Profile A de-concealment compute time (X25519 + KDF + AES-CTR on
@@ -40,6 +39,7 @@ pub struct UdmService {
     client: SbiClient,
     udr_addr: Rc<str>,
     backend: Box<dyn UdmAkaBackend>,
+    flows: Parked<UdmFlow>,
 }
 
 impl std::fmt::Debug for UdmService {
@@ -64,6 +64,7 @@ impl UdmService {
             client,
             udr_addr: udr_addr.into(),
             backend,
+            flows: Parked::new(),
         }
     }
 
@@ -71,6 +72,12 @@ impl UdmService {
     #[must_use]
     pub fn hn_key_id(&self) -> u8 {
         self.sidf_key.id()
+    }
+
+    /// Flows parked across a call-out; 0 whenever no request is in flight.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.flows.len()
     }
 
     fn resolve_supi(&mut self, env: &mut Env, req: &UdmAuthGetRequest) -> Result<Supi, NfError> {
@@ -110,17 +117,13 @@ impl UdmService {
     }
 
     /// Issues the UDR subscription-data fetch shared by both flows.
-    fn fetch_auth_data(&mut self, env: &mut Env, supi: Supi, next: UdmFlow) -> Step {
+    fn fetch_auth_data(&mut self, env: &mut Env, leg: &LegMeta, supi: Supi, next: UdmFlow) -> Step {
         let req = self.client.send(
             env,
             "/nudr-dr/auth-data",
             UdrAuthDataRequest { supi }.encode(),
         );
-        Step::CallOut {
-            dest: self.udr_addr.clone(),
-            req,
-            state: Box::new(next),
-        }
+        self.flows.call_out(leg, self.udr_addr.clone(), req, next)
     }
 
     fn finish_av(&mut self, env: &mut Env, supi: Supi, he_av: HeAv) -> Step {
@@ -145,6 +148,7 @@ impl UdmService {
     fn start_av(
         &mut self,
         env: &mut Env,
+        leg: &LegMeta,
         snn: ServingNetworkName,
         supi: Supi,
         body: &[u8],
@@ -167,30 +171,27 @@ impl UdmService {
         match AkaBackend::<GenerateAv>::begin(&mut *self.backend, env, &aka_req) {
             BackendOp::Done(Ok(av)) => self.finish_av(env, supi, av),
             BackendOp::Done(Err(e)) => Step::Reply(Self::auth_error(e)),
-            BackendOp::Call { dest, req, token } => Step::CallOut {
-                dest,
-                req,
-                state: Box::new(UdmFlow::AwaitAv { supi, token }),
-            },
+            BackendOp::Call { dest, req, token } => {
+                let flow = UdmFlow::AwaitAv { supi, token };
+                self.flows.call_out(leg, dest, req, flow)
+            }
         }
     }
 
     /// After MAC-S checked out: push SQN_MS back to the UDR.
-    fn push_resync(&mut self, env: &mut Env, supi: Supi, sqn_ms: [u8; 6]) -> Step {
+    fn push_resync(&mut self, env: &mut Env, leg: &LegMeta, supi: Supi, sqn_ms: [u8; 6]) -> Step {
         let req = self.client.send(
             env,
             "/nudr-dr/resync",
             UdrResyncRequest { supi, sqn_ms }.encode(),
         );
-        Step::CallOut {
-            dest: self.udr_addr.clone(),
-            req,
-            state: Box::new(UdmFlow::AwaitUdrResync { supi }),
-        }
+        let flow = UdmFlow::AwaitUdrResync { supi };
+        self.flows.call_out(leg, self.udr_addr.clone(), req, flow)
     }
 }
 
-/// Continuation state across the UDM's outbound round trips.
+/// Continuation state across the UDM's outbound round trips, parked
+/// under the serving leg's id while its call is out.
 enum UdmFlow {
     /// Auth-data flow: waiting on the UDR subscription fetch.
     AwaitAuthData { snn: ServingNetworkName, supi: Supi },
@@ -205,7 +206,7 @@ enum UdmFlow {
 }
 
 impl EngineService for UdmService {
-    fn start(&mut self, env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
+    fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
         match &*req.path {
             "/nudm-ueau/generate-auth-data" => {
                 env.clock
@@ -225,7 +226,7 @@ impl EngineService for UdmService {
                     Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
                 // Fetch OPc / fresh SQN / AMF field from the UDR.
-                self.fetch_auth_data(env, supi, UdmFlow::AwaitAuthData { snn, supi })
+                self.fetch_auth_data(env, leg, supi, UdmFlow::AwaitAuthData { snn, supi })
             }
             "/nudm-ueau/resync" => {
                 env.clock
@@ -236,22 +237,16 @@ impl EngineService for UdmService {
                 };
                 // Need the OPc to check MAC-S; fetch subscription data
                 // (the extra SQN this burns is inconsequential).
-                self.fetch_auth_data(env, decoded.supi, UdmFlow::ResyncAuthData { req: decoded })
+                let supi = decoded.supi;
+                self.fetch_auth_data(env, leg, supi, UdmFlow::ResyncAuthData { req: decoded })
             }
             other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
         }
     }
 
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        _leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step {
-        let flow = match state.downcast::<UdmFlow>() {
-            Ok(f) => *f,
-            Err(_) => return Step::Reply(HttpResponse::error(500, "udm: foreign state")),
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+        let Some(flow) = self.flows.take(leg.id) else {
+            return Step::Reply(HttpResponse::error(500, "udm: no parked flow"));
         };
         match flow {
             UdmFlow::AwaitAuthData { snn, supi } => {
@@ -259,7 +254,7 @@ impl EngineService for UdmService {
                     Ok(b) => b,
                     Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
-                self.start_av(env, snn, supi, &body)
+                self.start_av(env, leg, snn, supi, &body)
             }
             UdmFlow::AwaitAv { supi, token } => {
                 match AkaBackend::<GenerateAv>::finish(&mut *self.backend, env, token, resp) {
@@ -284,18 +279,17 @@ impl EngineService for UdmService {
                     auts: req.auts,
                 };
                 match AkaBackend::<Resync>::begin(&mut *self.backend, env, &aka_req) {
-                    BackendOp::Done(Ok(sqn_ms)) => self.push_resync(env, supi, sqn_ms),
+                    BackendOp::Done(Ok(sqn_ms)) => self.push_resync(env, leg, supi, sqn_ms),
                     BackendOp::Done(Err(e)) => Step::Reply(Self::resync_error(e)),
-                    BackendOp::Call { dest, req, token } => Step::CallOut {
-                        dest,
-                        req,
-                        state: Box::new(UdmFlow::AwaitModuleResync { supi, token }),
-                    },
+                    BackendOp::Call { dest, req, token } => {
+                        let flow = UdmFlow::AwaitModuleResync { supi, token };
+                        self.flows.call_out(leg, dest, req, flow)
+                    }
                 }
             }
             UdmFlow::AwaitModuleResync { supi, token } => {
                 match AkaBackend::<Resync>::finish(&mut *self.backend, env, token, resp) {
-                    Ok(sqn_ms) => self.push_resync(env, supi, sqn_ms),
+                    Ok(sqn_ms) => self.push_resync(env, leg, supi, sqn_ms),
                     Err(e) => Step::Reply(Self::resync_error(e)),
                 }
             }
@@ -313,6 +307,10 @@ impl EngineService for UdmService {
                 }
             }
         }
+    }
+
+    fn delivered(&mut self, leg: &LegMeta) {
+        self.flows.take(leg.id);
     }
 }
 
@@ -350,6 +348,14 @@ mod tests {
         );
         engine.register(crate::addr::UDM, 4, Rc::new(RefCell::new(udm)));
         (env, engine, hn)
+    }
+
+    #[test]
+    fn a_response_with_no_parked_flow_is_500() {
+        let hn = HomeNetworkKeyPair::from_private(1, [7; 32]);
+        let backend = Box::new(LocalAka::default());
+        let mut udm = UdmService::new(hn, SbiClient::new(), crate::addr::UDR, backend);
+        crate::tests::assert_no_parked_flow(&mut udm, "udm");
     }
 
     fn auth_get(identity: UeIdentity) -> Body {

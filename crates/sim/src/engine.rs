@@ -70,7 +70,6 @@ use crate::http::{HttpRequest, HttpResponse};
 use crate::service::{Env, ServiceHandle};
 use crate::time::{SimDuration, SimTime};
 use crate::SimError;
-use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -167,8 +166,10 @@ pub enum Step {
     /// travels back to the caller (or completes the root context).
     Reply(HttpResponse),
     /// The service needs a downstream round trip. The context keeps its
-    /// worker (thread-per-request, as in OAI's NFs); `state` is handed
-    /// back verbatim to [`EngineService::resume`] with the response.
+    /// worker (thread-per-request, as in OAI's NFs) and the response
+    /// resumes the same leg through [`EngineService::resume`]. The step
+    /// carries no state: a service that needs some across the call parks
+    /// it under the serving leg's [`LegMeta::id`] ([`Parked`]).
     CallOut {
         /// Destination endpoint address: the handle the caller keeps for
         /// its peer, shared by the leg and every trace record naming it.
@@ -177,8 +178,6 @@ pub enum Step {
         /// transfer) must already be charged: the arrival is scheduled at
         /// the clock instant this step is returned.
         req: HttpRequest,
-        /// Continuation state, returned to `resume` untouched.
-        state: Box<dyn Any>,
     },
 }
 
@@ -186,7 +185,7 @@ impl std::fmt::Debug for Step {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Step::Reply(r) => f.debug_tuple("Reply").field(&r.status).finish(),
-            Step::CallOut { dest, req, .. } => f
+            Step::CallOut { dest, req } => f
                 .debug_struct("CallOut")
                 .field("dest", dest)
                 .field("path", &req.path)
@@ -247,17 +246,17 @@ pub trait EngineService {
     /// to the instant the request reached a free worker.
     fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step;
 
-    /// Continues after the downstream response to an earlier
-    /// [`Step::CallOut`]. `state` is the continuation state that call
-    /// carried. Response-side latency (link transfer, TLS record) is
-    /// charged here by the service's client helper.
-    fn resume(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Step;
+    /// Continues leg `leg` after the downstream response to the
+    /// [`Step::CallOut`] it made; what the service parked under
+    /// `leg.id` for that call is its continuation. Response-side latency
+    /// (link transfer, TLS record) is charged here by the service's
+    /// client helper.
+    fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step;
+
+    /// A leg addressed to this service was delivered: answered, shed, or
+    /// broken off by a layer. Nothing it parked under `leg.id` will be
+    /// resumed, so drop it here. Nothing to drop by default.
+    fn delivered(&mut self, _leg: &LegMeta) {}
 
     /// The layers whose scheduler hooks the engine fans out for this
     /// endpoint, outermost first. None by default.
@@ -267,11 +266,12 @@ pub trait EngineService {
 }
 
 /// What a layer's [`Layer::on_response`] decided about a resumed
-/// downstream response.
+/// downstream response. Only the response travels inward: each layer and
+/// the service find their own state for the leg where they parked it.
 pub enum Resume {
-    /// Hand `(state, resp)` to the next layer inward (and eventually to
-    /// the service's own `resume`).
-    Continue(Box<dyn Any>, HttpResponse),
+    /// Hand the response to the next layer inward (and eventually to the
+    /// service's own `resume`).
+    Continue(HttpResponse),
     /// Consume the response and substitute this [`Step`] — a
     /// retransmission, a synthesized abandon-reply. Inner layers and the
     /// service never see the response; the step traverses only the
@@ -344,16 +344,12 @@ pub trait Layer {
     /// (outermost layer first).
     fn on_request(&mut self, env: &mut Env, leg: &LegMeta, req: &HttpRequest) {}
 
-    /// Inbound: a downstream response is resuming the continuation.
-    /// Layers see it outermost-first; see [`Resume`].
-    fn on_response(
-        &mut self,
-        env: &mut Env,
-        leg: &LegMeta,
-        state: Box<dyn Any>,
-        resp: HttpResponse,
-    ) -> Resume {
-        Resume::Continue(state, resp)
+    /// Inbound: a downstream response is resuming leg `leg`. Layers see
+    /// it outermost-first; see [`Resume`]. A layer that keeps state
+    /// across the call parks it under `leg.id` and drops what a break
+    /// left behind in [`Layer::on_deliver`].
+    fn on_response(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
+        Resume::Continue(resp)
     }
 
     /// Outbound: the produced [`Step`] on its way back to the scheduler
@@ -387,6 +383,70 @@ fn fate(
 /// Shared handle to an engine service.
 pub type EngineServiceHandle = Rc<RefCell<dyn EngineService>>;
 
+/// What services and layers carry across a [`Step::CallOut`], parked by
+/// the leg that made the call. A leg has one call out at a time, so each
+/// keeps its flow under the serving leg's [`LegMeta::id`] and takes it
+/// back when the response resumes that leg. A flow whose leg finished
+/// unresumed (a layer replaced its call or broke its response off) is
+/// dropped when the engine reports the delivery
+/// ([`EngineService::delivered`], [`Layer::on_deliver`]). The table is as
+/// long as the legs in flight: a `Vec` searched linearly, whose capacity
+/// is reused, so parking a flow allocates nothing once it has grown.
+#[derive(Clone, Debug)]
+pub struct Parked<T> {
+    flows: Vec<(u64, T)>,
+}
+
+impl<T> Default for Parked<T> {
+    fn default() -> Self {
+        Parked { flows: Vec::new() }
+    }
+}
+
+impl<T> Parked<T> {
+    /// An empty table.
+    #[must_use]
+    pub const fn new() -> Self {
+        Parked { flows: Vec::new() }
+    }
+
+    /// Parks `flow` under leg `id`, replacing what was parked there.
+    pub fn park(&mut self, id: u64, flow: T) {
+        self.take(id);
+        self.flows.push((id, flow));
+    }
+
+    /// Parks `flow` under `leg` and yields the call it waits on.
+    pub fn call_out(&mut self, leg: &LegMeta, dest: Rc<str>, req: HttpRequest, flow: T) -> Step {
+        self.park(leg.id, flow);
+        Step::CallOut { dest, req }
+    }
+
+    /// Unparks the flow of leg `id`, if any.
+    pub fn take(&mut self, id: u64) -> Option<T> {
+        let at = self.flows.iter().position(|(leg, _)| *leg == id)?;
+        Some(self.flows.swap_remove(at).1)
+    }
+
+    /// The flow parked under leg `id`, in place.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        let entry = self.flows.iter_mut().find(|(leg, _)| *leg == id);
+        entry.map(|(_, flow)| flow)
+    }
+
+    /// Flows parked now.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.flows.len()
+    }
+
+    /// True when nothing is parked.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.flows.is_empty()
+    }
+}
+
 /// Compatibility shim: adapts a plain synchronous [`crate::service::Service`]
 /// (a *leaf* — it never calls out) to the engine trait.
 struct LeafService {
@@ -398,13 +458,7 @@ impl EngineService for LeafService {
         Step::Reply(self.inner.borrow_mut().handle(env, req))
     }
 
-    fn resume(
-        &mut self,
-        _env: &mut Env,
-        _leg: &LegMeta,
-        _state: Box<dyn Any>,
-        _resp: HttpResponse,
-    ) -> Step {
+    fn resume(&mut self, _env: &mut Env, _leg: &LegMeta, _resp: HttpResponse) -> Step {
         Step::Reply(HttpResponse::error(500, "leaf service cannot resume"))
     }
 }
@@ -460,17 +514,13 @@ struct Endpoint {
     depth_peak: usize,
 }
 
-struct ParentLink {
-    ctx: u64,
-    state: Box<dyn Any>,
-}
-
 struct Ctx {
     leg: LegMeta,
     /// Name-table ids of `leg.dest` and `leg.path`, learnt at minting.
     ids: (u32, u32),
     req: Option<HttpRequest>,
-    parent: Option<ParentLink>,
+    /// The context that made this leg's call-out; none for a root leg.
+    parent: Option<u64>,
     tag: u64,
     queued: SimDuration,
 }
@@ -900,7 +950,7 @@ impl Engine {
     /// endpoint. Every ancestor is still in the table: a context is only
     /// removed once its own response is delivered, after its children's.
     fn loops(&self, ctx: &Ctx) -> bool {
-        let up = |c: &Ctx| c.parent.as_ref().and_then(|link| self.ctxs.get(&link.ctx));
+        let up = |c: &Ctx| c.parent.and_then(|parent| self.ctxs.get(&parent));
         let mut ancestor = up(ctx);
         while let Some(a) = ancestor {
             if a.leg.dest == ctx.leg.dest {
@@ -1085,7 +1135,7 @@ impl Engine {
                 let (at, kind) = self.carry(now, id, ids, action, Some(resp));
                 self.push_event(at, kind);
             }
-            Step::CallOut { dest, req, state } => {
+            Step::CallOut { dest, req } => {
                 let child = self.next_ctx;
                 self.next_ctx += 1;
                 let ids = (self.intern(&dest), self.intern(&req.path));
@@ -1134,7 +1184,7 @@ impl Engine {
                     leg: child_leg,
                     ids,
                     req: Some(req),
-                    parent: Some(ParentLink { ctx: id, state }),
+                    parent: Some(id),
                     tag,
                     queued: SimDuration::ZERO,
                 };
@@ -1213,12 +1263,16 @@ impl Engine {
         } = self.ctxs.remove(&id).expect("delivered context exists");
         // The destination stack sees every delivery for its legs —
         // service-produced and engine-synthesized alike (an obs layer
-        // closes the leg's request span here). A leg to an unregistered
-        // address has no stack to notify.
+        // closes the leg's request span here), then the service itself,
+        // which drops what it parked under the leg: no response will
+        // resume it. A leg to an unregistered address has no stack to
+        // notify.
         if let Some(ep) = self.endpoints.get(&leg.dest) {
-            for layer in ep.service.borrow_mut().layers() {
+            let mut service = ep.service.borrow_mut();
+            for layer in service.layers() {
                 layer.on_deliver(env, &leg, &resp);
             }
+            service.delivered(&leg);
         }
         match parent {
             None => {
@@ -1231,28 +1285,20 @@ impl Engine {
                     queued,
                 });
             }
-            Some(link) => {
-                let parent = self.ctxs.get(&link.ctx).expect("parent context exists");
+            Some(caller) => {
+                let parent = self.ctxs.get(&caller).expect("parent context exists");
                 let (parent_leg, parent_ids) = (parent.leg.clone(), parent.ids);
                 self.note(now, RESUME, parent_ids.0, ids.1);
                 let Some(ep) = self.endpoints.get(&parent_leg.dest) else {
                     // Parent's endpoint was deregistered mid-flight: the
                     // whole chain collapses with a synthesized error.
                     let resp = unknown_endpoint(&parent_leg.dest, "unknown-endpoint");
-                    self.push_event(
-                        now,
-                        EventKind::Deliver {
-                            ctx: link.ctx,
-                            resp,
-                        },
-                    );
+                    self.push_event(now, EventKind::Deliver { ctx: caller, resp });
                     return;
                 };
                 let service = ep.service.clone();
-                let step = service
-                    .borrow_mut()
-                    .resume(env, &parent_leg, link.state, resp);
-                self.apply_step(env, link.ctx, step);
+                let step = service.borrow_mut().resume(env, &parent_leg, resp);
+                self.apply_step(env, caller, step);
             }
         }
     }
@@ -1290,17 +1336,10 @@ mod tests {
             Step::CallOut {
                 dest: self.next.clone(),
                 req,
-                state: Box::new(()),
             }
         }
 
-        fn resume(
-            &mut self,
-            _env: &mut Env,
-            _leg: &LegMeta,
-            _state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
+        fn resume(&mut self, _env: &mut Env, _leg: &LegMeta, resp: HttpResponse) -> Step {
             Step::Reply(resp)
         }
     }
@@ -1316,14 +1355,12 @@ mod tests {
             self.service.borrow_mut().start(env, leg, req)
         }
 
-        fn resume(
-            &mut self,
-            env: &mut Env,
-            leg: &LegMeta,
-            state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
-            self.service.borrow_mut().resume(env, leg, state, resp)
+        fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+            self.service.borrow_mut().resume(env, leg, resp)
+        }
+
+        fn delivered(&mut self, leg: &LegMeta) {
+            self.service.borrow_mut().delivered(leg);
         }
 
         fn layers(&mut self) -> &mut [Box<dyn Layer>] {
@@ -1419,33 +1456,22 @@ mod tests {
         }
     }
 
-    /// Calls `next` twice in sequence from one context, then replies.
+    /// Calls `next` twice in sequence from one context, then replies;
+    /// `first` holds, per leg, whether its first call is the one out.
     struct TwiceRelay {
         next: Rc<str>,
+        first: Parked<bool>,
     }
 
     impl EngineService for TwiceRelay {
-        fn start(&mut self, _env: &mut Env, _leg: &LegMeta, req: HttpRequest) -> Step {
-            Step::CallOut {
-                dest: self.next.clone(),
-                req,
-                state: Box::new(true),
-            }
+        fn start(&mut self, _env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
+            self.first.call_out(leg, self.next.clone(), req, true)
         }
 
-        fn resume(
-            &mut self,
-            _env: &mut Env,
-            _leg: &LegMeta,
-            state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
-            if state.downcast_ref() == Some(&true) {
-                Step::CallOut {
-                    dest: self.next.clone(),
-                    req: HttpRequest::post("/again", resp.body),
-                    state: Box::new(false),
-                }
+        fn resume(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+            if self.first.take(leg.id) == Some(true) {
+                let again = HttpRequest::post("/again", resp.body);
+                self.first.call_out(leg, self.next.clone(), again, false)
             } else {
                 Step::Reply(resp)
             }
@@ -1456,10 +1482,11 @@ mod tests {
     fn sequential_callouts_to_one_peer_are_not_a_loop() {
         let mut env = Env::new(12);
         let mut engine = engine_with_echo(1, 1_000);
-        let front = TwiceRelay {
+        let front = Rc::new(RefCell::new(TwiceRelay {
             next: "echo".into(),
-        };
-        engine.register("front", 1, Rc::new(RefCell::new(front)));
+            first: Parked::new(),
+        }));
+        engine.register("front", 1, front.clone());
         let t0 = env.clock.now();
         let resp = engine
             .dispatch(&mut env, "front", HttpRequest::post("/x", b"hi".to_vec()))
@@ -1467,6 +1494,7 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"hi");
         assert_eq!(env.clock.now() - t0, SimDuration::from_nanos(2_000));
+        assert!(front.borrow().first.is_empty());
     }
 
     /// Holds every outbound request leg `.0` in flight.
@@ -2101,6 +2129,8 @@ mod tests {
         /// Where a relay forwards; `None` is a leaf, which replies itself.
         next: Option<Rc<str>>,
         dice: Rc<std::cell::Cell<u64>>,
+        /// The path each leg's call went out on, until it resumes.
+        sent: Parked<Rc<str>>,
     }
 
     const PATHS: [&str; 3] = ["/x", "/nudm-ueau/generate-auth-data", "/x/y"];
@@ -2168,20 +2198,18 @@ mod tests {
                 return self.reply(env, leg, HttpResponse::error(status, "leaf"));
             };
             let req = HttpRequest::post(PATHS[self.roll(3) as usize], req.body);
-            let state = Box::new(req.path.clone());
-            Step::CallOut { dest, req, state }
+            let path = req.path.clone();
+            self.sent.call_out(leg, dest, req, path)
         }
 
-        fn resume(
-            &mut self,
-            env: &mut Env,
-            leg: &LegMeta,
-            state: Box<dyn Any>,
-            resp: HttpResponse,
-        ) -> Step {
-            let sent = state.downcast::<Rc<str>>().expect("the path `start` sent");
+        fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
+            let sent = self.sent.take(leg.id).expect("the path `start` sent");
             self.say(env, "resume", &leg.dest, sent);
             self.reply(env, leg, resp)
+        }
+
+        fn delivered(&mut self, leg: &LegMeta) {
+            self.sent.take(leg.id);
         }
     }
 
@@ -2253,6 +2281,8 @@ mod tests {
         decisions: usize,
         completions: String,
         stats: EngineStats,
+        /// Paths still parked across the world's services at the end.
+        parked: usize,
     }
 
     /// Plays `script` on a fresh world: relays `a` → `b` → `c`, `d` → an
@@ -2270,6 +2300,7 @@ mod tests {
         let (mut env, mut engine) = (Env::new(18), Engine::new());
         engine.set_trace(trace);
         let oracle = Rc::new(RefCell::new(Vec::new()));
+        let mut services = Vec::new();
         let mut at = SimTime::ZERO;
         for &word in script {
             let [op, who, path, gap] = [word, word >> 8, word >> 16, word >> 24];
@@ -2278,8 +2309,15 @@ mod tests {
                 if !engine.knows(name) {
                     let (oracle, next) = (oracle.clone(), next.map(Rc::from));
                     let dice = Rc::new(std::cell::Cell::new(word | 1));
-                    let witness = Witness { oracle, next, dice };
+                    let sent = Parked::new();
+                    let witness = Witness {
+                        oracle,
+                        next,
+                        dice,
+                        sent,
+                    };
                     let service = Rc::new(RefCell::new(witness.clone()));
+                    services.push(service.clone());
                     let workers = 1 + (gap % 2) as u32;
                     engine.register(name, workers, layered(service, vec![Box::new(witness)]));
                 }
@@ -2305,6 +2343,7 @@ mod tests {
             decisions: engine.trace().len(),
             completions: format!("{:?}", engine.completions),
             stats: engine.stats(),
+            parked: services.iter().map(|s| s.borrow().sent.len()).sum(),
         }
     }
 
@@ -2316,6 +2355,7 @@ mod tests {
             let traced = witnessed(&script, true);
             proptest::prop_assert_eq!(&traced.lines, &traced.oracle);
             proptest::prop_assert_eq!(traced.stats.live_contexts, 0);
+            proptest::prop_assert_eq!(traced.parked, 0);
             // Tracing is scheduling-invisible: the same script untraced
             // decides, completes and counts the same, storing no record.
             let blind = witnessed(&script, false);

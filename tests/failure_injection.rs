@@ -35,6 +35,15 @@ fn ausf_outage_rejects_registrations_cleanly() {
     );
     assert!(!ue.is_registered());
     assert_eq!(slice.amf.borrow().registrations_completed(), 0);
+    // The AMF's call to the vanished AUSF resumed with the 502: nothing
+    // stays parked anywhere.
+    let parked = [
+        slice.amf.borrow().parked(),
+        slice.ausf.borrow().parked(),
+        slice.udm.borrow().parked(),
+        slice.smf.borrow().parked(),
+    ];
+    assert_eq!(parked, [0; 4], "AMF, AUSF, UDM, SMF");
 }
 
 #[test]

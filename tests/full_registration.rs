@@ -43,9 +43,19 @@ fn a_registration_leaves_no_call_in_the_breakers_table() {
     let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()), 3);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
+    sim.register_with_session(&mut env, &slice, 2).unwrap();
     let breaker = slice.breaker.borrow();
     assert!(breaker.total_samples() > 0, "the breaker guarded the calls");
     assert_eq!(breaker.calls_in_flight(), 0);
+    // Nor a flow parked across a call-out, in any NF that makes one.
+    let parked = [
+        slice.amf.borrow().parked(),
+        slice.ausf.borrow().parked(),
+        slice.udm.borrow().parked(),
+        slice.smf.borrow().parked(),
+    ];
+    assert_eq!(parked, [0; 4], "AMF, AUSF, UDM, SMF");
+    assert_eq!(slice.smf.borrow().session_count(), 1);
 }
 
 #[test]
