@@ -1,6 +1,6 @@
 //! The paper's evaluation harness: [`experiments::EXPERIMENTS`] is the
 //! table of every figure, table and extension sweep the `experiments`
-//! bench prints and `tests/{experiments,paper_reproduction}.rs` check;
+//! bench prints and `tests/experiments.rs` gates, row by row;
 //! [`sweeps`] builds the parallel sweeps on the deterministic [`runner`].
 //! The criterion microbenches in `benches/` time the substrates.
 

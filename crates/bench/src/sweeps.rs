@@ -11,8 +11,14 @@
 //! the golden and merge-determinism tests call them directly.
 
 use crate::runner::{self, Job, RunnerStats};
-use shield5g_core::harness::ablation_optimizations;
+use shield5g_core::harness::{
+    deploy_module, measure_response_times, standard_request, ModuleDeployment,
+};
+use shield5g_core::paka::{PakaKind, SgxConfig};
+use shield5g_core::remote::PakaClient;
+use shield5g_core::stats::Summary;
 use shield5g_faults::{self as faults, DegradationReport, FaultReport};
+use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_scale::avcache::AvCacheConfig;
@@ -22,6 +28,8 @@ use shield5g_scale::harness::{
 use shield5g_scale::metrics::PoolReport;
 use shield5g_scale::queue::QueueConfig;
 use shield5g_sim::time::SimDuration;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One executed sweep: what to print, what to export, and how fast the
 /// runner got it done. `lines` and `points` are in canonical point
@@ -387,59 +395,118 @@ pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> 
 /// Table lines and BENCH points one ablation-sweep job rendered.
 type Rendered = (Vec<String>, Vec<String>);
 
+/// What one ablation-sweep job measured.
+pub enum AblationPoint {
+    /// The optimisation ablation on eUDM: each configuration's label and
+    /// stable response times, the SGX baseline first.
+    Optimisations(Box<[(&'static str, Summary); 3]>),
+    /// One horizontal-scaling instance count.
+    Scaling(ScalingRow),
+}
+
 /// The §V-B7 ablation sweep: the optimisation ablation (one job — its
 /// rows share an engine run) plus one job per horizontal-scaling
-/// instance count. Each job renders its own lines and points, so the
-/// merge is their concatenation in job order. The single-replica
-/// capacity probe runs on the calling thread.
-#[must_use]
-pub fn ablation_sweep(hub: &ObsHandle, threads: usize, smoke: bool, reps: u32) -> SweepRun {
+/// instance count. The lines and points are rendered in job order, and
+/// the measurements come back beside them for the `ablation` row's
+/// checks. The single-replica capacity probe runs on the calling thread.
+///
+/// # Errors
+///
+/// A module call of the optimisation ablation that failed.
+pub fn ablation_sweep(
+    hub: &ObsHandle,
+    threads: usize,
+    smoke: bool,
+    reps: u32,
+) -> Result<(SweepRun, Vec<AblationPoint>), String> {
     let _scope = hub::scoped(hub);
     let max_instances = if smoke { 2 } else { 4 };
     let scaling_reps = (reps / 4).max(10);
     let service = probe_service_time(1900);
 
-    let mut jobs: Vec<Job<Rendered>> = vec![Box::new(move || ablation_rows(1800, reps))];
+    let mut jobs: Vec<Job<Result<AblationPoint, String>>> = vec![Box::new(move || {
+        ablation_optimizations(1800, reps).map(|rows| AblationPoint::Optimisations(Box::new(rows)))
+    })];
     for point in scaling_points(1900, scaling_reps, max_instances, service) {
-        jobs.push(Box::new(move || scaling_row(&run_scaling_point(&point))));
+        jobs.push(Box::new(move || {
+            Ok(AblationPoint::Scaling(run_scaling_point(&point)))
+        }));
     }
     let (outputs, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
     let mut points = Vec::new();
-    for (job_lines, job_points) in outputs {
+    let measured = outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    for point in &measured {
+        let (job_lines, job_points) = match point {
+            AblationPoint::Optimisations(rows) => ablation_rows(&rows[..]),
+            AblationPoint::Scaling(row) => scaling_row(row),
+        };
         lines.extend(job_lines);
         points.extend(job_points);
     }
-    SweepRun {
+    let run = SweepRun {
         name: "ablation",
         lines,
         points,
         stats,
+    };
+    Ok((run, measured))
+}
+
+/// The §V-B7 optimisations on eUDM: the SGX baseline, Gramine's exitless
+/// OCALLs, and a user-level (mTCP/DPDK-style) network stack that handles
+/// the syscall choreography in-enclave.
+fn ablation_optimizations(seed: u64, reps: u32) -> Result<[(&'static str, Summary); 3], String> {
+    let stable = |seed, config| {
+        let sgx = ModuleDeployment::Sgx(config);
+        Summary::of(&measure_response_times(seed, PakaKind::EUdm, sgx, reps).1)
+    };
+    let baseline = stable(seed, SgxConfig::default());
+    let exitless = stable(
+        seed + 1,
+        SgxConfig {
+            exitless: true,
+            ..SgxConfig::default()
+        },
+    );
+    let sgx = ModuleDeployment::Sgx(SgxConfig::default());
+    let (mut env, mut module) = deploy_module(seed + 2, PakaKind::EUdm, sgx);
+    module.set_userspace_net(true);
+    let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
+    let mut client = PakaClient::new(Rc::new(RefCell::new(module)), bridge, "vnf.oai");
+    let request = standard_request(PakaKind::EUdm);
+    for _ in 0..=reps {
+        client
+            .call(&mut env, &request.path, request.body.clone())
+            .map_err(|e| format!("user-level tcp call: {e}"))?;
     }
+    let user_level_tcp = Summary::of(&client.metrics().borrow().response_times[1..]);
+    Ok([
+        ("sgx baseline", baseline),
+        ("exitless ocalls", exitless),
+        ("user-level tcp (mtcp)", user_level_tcp),
+    ])
 }
 
 /// The optimisation-ablation rows against the first (the SGX baseline),
 /// then the header of the horizontal-scaling rows that follow.
-fn ablation_rows(seed: u64, reps: u32) -> Rendered {
-    let rows = ablation_optimizations(seed, reps);
-    let baseline = rows[0].r_stable.median;
+fn ablation_rows(rows: &[(&str, Summary)]) -> Rendered {
+    let baseline = rows.first().map_or(SimDuration::ZERO, |(_, r)| r.median);
     let mut lines = Vec::new();
     let mut points = Vec::new();
-    for row in &rows {
-        let speedup = baseline.as_nanos() as f64 / row.r_stable.median.as_nanos() as f64;
+    for (label, r_stable) in rows {
+        let speedup = baseline.as_nanos() as f64 / r_stable.median.as_nanos() as f64;
         lines.push(format!(
-            "    {:24} {:>26}   {:.2}x vs baseline",
-            row.label,
-            crate::fmt_summary(&row.r_stable),
-            speedup
+            "    {label:24} {:>26}   {speedup:.2}x vs baseline",
+            crate::fmt_summary(r_stable),
         ));
         points.push(
             JsonObj::new()
                 .str("scenario", "ablation")
-                .str("label", &row.label)
+                .str("label", label)
                 .f64("speedup_vs_baseline", speedup)
-                .raw("r_stable", &row.r_stable.to_json())
+                .raw("r_stable", &r_stable.to_json())
                 .render(),
         );
     }

@@ -92,7 +92,10 @@ fn degradation_sweep_is_thread_count_invariant() {
 fn ablation_is_thread_count_invariant() {
     let run_at = |threads: usize| {
         let hub = ObsHandle::new();
-        render(&hub, ablation_sweep(&hub, threads, true, 1))
+        match ablation_sweep(&hub, threads, true, 1) {
+            Ok((run, _)) => render(&hub, run),
+            Err(e) => panic!("ablation: {e}"),
+        }
     };
     let serial = run_at(1);
     assert_identical(&serial, &run_at(4), "ablation 1 vs 4 threads");

@@ -1,10 +1,10 @@
-//! Table II, Table III and Fig. 9/10 as hard gates, one test per
-//! published shape. Each test runs its row of the `experiments` table
-//! (once per test binary: the `fig9`, `fig10` and `table3` rows are shared
-//! by the tests that read them) and asserts that the row's checks of that
-//! shape are all in band. The bands themselves are written once, in the
-//! row; a cost-model change that breaks one fails here by the check's
-//! name. The other rows are `experiments.rs`'s.
+//! Table II, Table III and Fig. 9/10 by published shape. Each test runs
+//! its row of the `experiments` table (once per test binary: the `fig9`,
+//! `fig10` and `table3` rows are shared by the tests that read them) and
+//! asserts that the row's checks of that shape are all in band. The
+//! bands themselves are written once, in the row, and
+//! `tests/experiments.rs` gates every check of these rows too; a
+//! cost-model change that breaks one fails here by the check's name.
 
 use shield5g_bench::experiments::{Check, EXPERIMENTS};
 use std::sync::OnceLock;
@@ -51,20 +51,20 @@ fn is_ratio(name: &str) -> bool {
 
 #[test]
 fn table3_empty_workload_exact() {
-    let checks = checks(&TABLE3, "table3", 16);
+    let checks = checks(&TABLE3, "table3", 22);
     assert_shape(checks, |n| n.starts_with("empty "), 1);
 }
 
 #[test]
 fn table3_one_ue_rows_match_paper_within_noise() {
-    let checks = checks(&TABLE3, "table3", 16);
-    assert_shape(checks, |n| n.contains(" 1 UE "), 9);
+    let checks = checks(&TABLE3, "table3", 22);
+    assert_shape(checks, |n| n.contains(" 1 UE "), 12);
 }
 
 #[test]
 fn per_registration_cost_is_about_90_transitions() {
-    let checks = checks(&TABLE3, "table3", 16);
-    assert_shape(checks, |n| n.ends_with(" per UE"), 6);
+    let checks = checks(&TABLE3, "table3", 22);
+    assert_shape(checks, |n| n.ends_with(" per UE"), 9);
 }
 
 #[test]

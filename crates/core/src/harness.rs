@@ -1,23 +1,20 @@
-//! The §V characterization harness: every module-level experiment the
-//! paper reports, as reusable functions over the simulated testbed.
+//! Single-module deploy and measure helpers over the simulated testbed.
 //!
-//! Each experiment builds fresh deterministic worlds from a base seed,
-//! deploys the module(s) under test, runs the workload, and returns
-//! [`Summary`] statistics matching the paper's box plots and tables. The
-//! end-to-end and OTA experiments (which need the RAN) live in
-//! `shield5g-ran`.
+//! [`deploy_module`] builds one P-AKA module, container or SGX, in a fresh
+//! deterministic world and [`standard_request`] is its Table I request.
+//! [`measure_lf_lt`] and [`measure_response_times`] serve that request
+//! and return the §V-A2 latencies; [`module_engine`] and
+//! [`concurrency_sweep`] put the module behind a discrete-event engine
+//! endpoint. The paper's figures and tables are rows of
+//! `shield5g_bench::experiments`, which build on these helpers.
 
-use crate::paka::{paka_image, populate_registry, PakaKind, PakaModule, SgxConfig};
+use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
 use crate::stats::Summary;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
-use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::host::Host;
 use shield5g_infra::image::Registry;
-use shield5g_libos::gsc::{transform, ImageSpec};
-use shield5g_libos::libos::GramineLibos;
-use shield5g_libos::manifest::Manifest;
 use shield5g_nf::backend::{
     AkaOp, AmfAkaRequest, AusfAkaRequest, DeriveKamf, DeriveSe, GenerateAv, UdmAkaRequest,
 };
@@ -104,100 +101,6 @@ pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) ->
     (env, module)
 }
 
-/// **Figure 7**: enclave load time per P-AKA module.
-///
-/// Each repetition deploys a fresh enclave (slice creation / migration,
-/// §V-B1) and records the time until the module is operational.
-#[must_use]
-pub fn fig7_enclave_load(base_seed: u64, reps: u32) -> Vec<(PakaKind, Summary)> {
-    PakaKind::all()
-        .into_iter()
-        .map(|kind| {
-            let samples: Vec<SimDuration> = (0..reps)
-                .map(|i| {
-                    let (_env, module) = deploy_module(
-                        base_seed + u64::from(i),
-                        kind,
-                        ModuleDeployment::Sgx(SgxConfig::default()),
-                    );
-                    module.boot_report().expect("sgx boot report").load_time
-                })
-                .collect();
-            (kind, Summary::of(&samples))
-        })
-        .collect()
-}
-
-/// One configuration row of the Figure 8 sweep.
-#[derive(Clone, Debug)]
-pub struct Fig8Row {
-    /// Row label, e.g. `"threads=4 epc=512M"` or `"non-SGX"`.
-    pub label: String,
-    /// Functional latency summary.
-    pub lf: Summary,
-    /// Total latency summary.
-    pub lt: Summary,
-}
-
-/// **Figure 8**: eUDM L_F/L_T under varying `sgx.max_threads` and EPC
-/// size, plus the non-SGX baseline.
-#[must_use]
-pub fn fig8_threads_epc(base_seed: u64, reps: u32) -> Vec<Fig8Row> {
-    let gib = 1024 * 1024 * 1024;
-    let configs: [(String, Option<SgxConfig>); 5] = [
-        (
-            "threads=4 epc=512M".into(),
-            Some(SgxConfig {
-                max_threads: 4,
-                enclave_size_bytes: 512 * 1024 * 1024,
-                preheat: true,
-                exitless: false,
-            }),
-        ),
-        (
-            "threads=10 epc=512M".into(),
-            Some(SgxConfig {
-                max_threads: 10,
-                enclave_size_bytes: 512 * 1024 * 1024,
-                preheat: true,
-                exitless: false,
-            }),
-        ),
-        // §V-B2: "Increasing the EPC size from 512MB to 2GB does not have
-        // any effect on the performance of the modules."
-        (
-            "threads=10 epc=2G".into(),
-            Some(SgxConfig {
-                max_threads: 10,
-                enclave_size_bytes: 2 * gib,
-                preheat: true,
-                exitless: false,
-            }),
-        ),
-        (
-            "threads=50 epc=8G".into(),
-            Some(SgxConfig {
-                max_threads: 50,
-                enclave_size_bytes: 8 * gib,
-                preheat: true,
-                exitless: false,
-            }),
-        ),
-        ("non-SGX".into(), None),
-    ];
-    configs
-        .into_iter()
-        .map(|(label, cfg)| {
-            let deployment = match cfg {
-                Some(c) => ModuleDeployment::Sgx(c),
-                None => ModuleDeployment::Container,
-            };
-            let (lf, lt) = measure_lf_lt(base_seed, PakaKind::EUdm, deployment, reps);
-            Fig8Row { label, lf, lt }
-        })
-        .collect()
-}
-
 /// Serves `reps` requests after warmup and summarises L_F / L_T.
 #[must_use]
 pub fn measure_lf_lt(
@@ -217,88 +120,6 @@ pub fn measure_lf_lt(
         lt.push(m.total);
     }
     (Summary::of(&lf), Summary::of(&lt))
-}
-
-/// One module row of Figure 9 (and the L_F/L_T columns of Table II).
-#[derive(Clone, Debug)]
-pub struct Fig9Row {
-    /// The module.
-    pub kind: PakaKind,
-    /// Container-mode functional latency.
-    pub lf_container: Summary,
-    /// SGX functional latency.
-    pub lf_sgx: Summary,
-    /// Container-mode total latency.
-    pub lt_container: Summary,
-    /// SGX total latency.
-    pub lt_sgx: Summary,
-}
-
-impl Fig9Row {
-    /// L_F overhead ratio (Table II column `L_F`).
-    #[must_use]
-    pub fn lf_ratio(&self) -> f64 {
-        self.lf_sgx.median_ratio_to(&self.lf_container)
-    }
-
-    /// L_T overhead ratio (Table II column `L_T`).
-    #[must_use]
-    pub fn lt_ratio(&self) -> f64 {
-        self.lt_sgx.median_ratio_to(&self.lt_container)
-    }
-}
-
-/// **Figure 9**: functional and total latency, container vs SGX, for all
-/// three modules.
-#[must_use]
-pub fn fig9_latency(base_seed: u64, reps: u32) -> Vec<Fig9Row> {
-    PakaKind::all()
-        .into_iter()
-        .map(|kind| {
-            let (lf_container, lt_container) =
-                measure_lf_lt(base_seed, kind, ModuleDeployment::Container, reps);
-            let (lf_sgx, lt_sgx) = measure_lf_lt(
-                base_seed + 1000,
-                kind,
-                ModuleDeployment::Sgx(SgxConfig::default()),
-                reps,
-            );
-            Fig9Row {
-                kind,
-                lf_container,
-                lf_sgx,
-                lt_container,
-                lt_sgx,
-            }
-        })
-        .collect()
-}
-
-/// One module row of Figure 10 (and the R columns of Table II).
-#[derive(Clone, Debug)]
-pub struct Fig10Row {
-    /// The module.
-    pub kind: PakaKind,
-    /// Container-mode stable response time R^C.
-    pub r_container: Summary,
-    /// SGX stable response time R_S^SGX.
-    pub r_sgx_stable: Summary,
-    /// SGX initial response time R_I^SGX (first request after deploy).
-    pub r_sgx_initial: Summary,
-}
-
-impl Fig10Row {
-    /// R_S^SGX / R^C (Table II).
-    #[must_use]
-    pub fn rs_ratio(&self) -> f64 {
-        self.r_sgx_stable.median_ratio_to(&self.r_container)
-    }
-
-    /// R_I^SGX / R_S^SGX (Table II).
-    #[must_use]
-    pub fn ri_over_rs(&self) -> f64 {
-        self.r_sgx_initial.median_ratio_to(&self.r_sgx_stable)
-    }
 }
 
 /// Measures VNF-side response times for one deployment; the first-request
@@ -329,178 +150,6 @@ pub fn measure_response_times(
     let m = metrics.borrow();
     let initial = m.response_times[0];
     (initial, m.response_times[1..].to_vec())
-}
-
-/// **Figure 10**: stable and initial response times of the P-AKA modules,
-/// with the container baseline for Table II's ratios.
-#[must_use]
-pub fn fig10_response(base_seed: u64, stable_reps: u32, initial_reps: u32) -> Vec<Fig10Row> {
-    PakaKind::all()
-        .into_iter()
-        .map(|kind| {
-            let (_, rc) =
-                measure_response_times(base_seed, kind, ModuleDeployment::Container, stable_reps);
-            let (_, rs) = measure_response_times(
-                base_seed + 2000,
-                kind,
-                ModuleDeployment::Sgx(SgxConfig::default()),
-                stable_reps,
-            );
-            // Initial responses need fresh deployments per sample.
-            let initials: Vec<SimDuration> = (0..initial_reps)
-                .map(|i| {
-                    let (initial, _) = measure_response_times(
-                        base_seed + 3000 + u64::from(i),
-                        kind,
-                        ModuleDeployment::Sgx(SgxConfig::default()),
-                        1,
-                    );
-                    initial
-                })
-                .collect();
-            Fig10Row {
-                kind,
-                r_container: Summary::of(&rc),
-                r_sgx_stable: Summary::of(&rs),
-                r_sgx_initial: Summary::of(&initials),
-            }
-        })
-        .collect()
-}
-
-/// One (module, UE count) row of Table III.
-#[derive(Clone, Copy, Debug)]
-pub struct Table3Row {
-    /// The module.
-    pub kind: PakaKind,
-    /// UEs registered.
-    pub ues: u32,
-    /// Counter totals after the registrations.
-    pub counters: SgxCounters,
-}
-
-/// **Table III**: SGX-specific operational statistics. Registers `1..=
-/// max_ues` UEs against fresh module deployments and reports the counter
-/// totals, plus the empty-workload (bare GSC) baseline.
-#[must_use]
-pub fn table3_sgx_metrics(base_seed: u64, max_ues: u32) -> (Vec<Table3Row>, SgxCounters) {
-    let mut rows = Vec::new();
-    for kind in PakaKind::all() {
-        for ues in 1..=max_ues {
-            let (mut env, mut module) = deploy_module(
-                base_seed + u64::from(ues),
-                kind,
-                ModuleDeployment::Sgx(SgxConfig::default()),
-            );
-            let request = standard_request(kind);
-            for _ in 0..ues {
-                let (resp, _) = module.serve(&mut env, request.clone());
-                assert!(resp.is_success(), "module request failed");
-            }
-            rows.push(Table3Row {
-                kind,
-                ues,
-                counters: module.sgx_stats().expect("sgx counters"),
-            });
-        }
-    }
-    (rows, empty_workload_counters(base_seed))
-}
-
-/// Boots the bare GSC base image ("Empty workload" row of Table III).
-#[must_use]
-pub fn empty_workload_counters(seed: u64) -> SgxCounters {
-    let mut env = Env::new(seed);
-    env.log.disable();
-    let platform = SgxPlatform::new(&mut env);
-    let image = ImageSpec::synthetic("empty-workload", "/gramine/app", 1_900_000_000, 209)
-        .with_working_set(2 * 1024 * 1024);
-    let manifest = Manifest::paka_default("x").with_enclave_size(192 * 1024 * 1024);
-    let shielded = transform(&image, manifest, &[9; 32]).expect("gsc transform");
-    let libos = GramineLibos::boot(&mut env, &shielded, &platform).expect("boot");
-    libos.sgx_stats()
-}
-
-/// Per-UE-registration transition delta for a module (§V-B5: "around 90").
-#[must_use]
-pub fn per_registration_delta(seed: u64, kind: PakaKind) -> SgxCounters {
-    let (mut env, mut module) =
-        deploy_module(seed, kind, ModuleDeployment::Sgx(SgxConfig::default()));
-    let request = standard_request(kind);
-    let _ = module.serve(&mut env, request.clone());
-    let before = module.sgx_stats().expect("counters");
-    let _ = module.serve(&mut env, request);
-    module.sgx_stats().expect("counters").delta_since(&before)
-}
-
-/// §V-B7 ablation result: stable response times under optimisations.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Configuration label.
-    pub label: String,
-    /// Stable response-time summary.
-    pub r_stable: Summary,
-}
-
-/// **§V-B7 ablations**: baseline SGX vs Gramine exitless OCALLs vs a
-/// user-level network stack inside the enclave (mTCP-style), on eUDM.
-#[must_use]
-pub fn ablation_optimizations(base_seed: u64, reps: u32) -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-    // Baseline.
-    let (_, rs) = measure_response_times(
-        base_seed,
-        PakaKind::EUdm,
-        ModuleDeployment::Sgx(SgxConfig::default()),
-        reps,
-    );
-    rows.push(AblationRow {
-        label: "sgx baseline".into(),
-        r_stable: Summary::of(&rs),
-    });
-    // Exitless.
-    let (_, rs) = measure_response_times(
-        base_seed + 1,
-        PakaKind::EUdm,
-        ModuleDeployment::Sgx(SgxConfig {
-            exitless: true,
-            ..SgxConfig::default()
-        }),
-        reps,
-    );
-    rows.push(AblationRow {
-        label: "exitless ocalls".into(),
-        r_stable: Summary::of(&rs),
-    });
-    // User-level TCP (mTCP/DPDK-style): syscall choreography handled
-    // in-enclave.
-    let (mut env, mut module) = deploy_module(
-        base_seed + 2,
-        PakaKind::EUdm,
-        ModuleDeployment::Sgx(SgxConfig::default()),
-    );
-    module.set_userspace_net(true);
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let mut client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
-    let request = standard_request(PakaKind::EUdm);
-    for _ in 0..=reps {
-        client
-            .call(&mut env, &request.path, request.body.clone())
-            .expect("call");
-    }
-    let metrics = client.metrics();
-    let samples = metrics.borrow().response_times[1..].to_vec();
-    rows.push(AblationRow {
-        label: "user-level tcp (mtcp)".into(),
-        r_stable: Summary::of(&samples),
-    });
-    rows
 }
 
 /// One row of the concurrency sweep.
@@ -592,181 +241,9 @@ pub fn concurrency_sweep(
     rows
 }
 
-// The §V-B7 horizontal-scaling experiment lives in `shield5g-scale`
-// (`shield5g_scale::harness::{scaling_points, run_scaling_point}`, run by
-// `shield5g_bench::sweeps::ablation_sweep`), which drives real replica
-// pools instead of extrapolating from a single instance.
-
-/// Verification that the Table I parameter sizes hold on the wire.
-#[derive(Clone, Copy, Debug)]
-pub struct Table1Row {
-    /// The module.
-    pub kind: PakaKind,
-    /// Cryptographic input bytes (Table I "Enclave Input" total).
-    pub input_bytes: usize,
-    /// Cryptographic output bytes (Table I "Enclave Output" total).
-    pub output_bytes: usize,
-}
-
-/// **Table I**: the enclave I/O parameter sizes.
-#[must_use]
-pub fn table1_parameter_sizes() -> Vec<Table1Row> {
-    vec![
-        // eUDM in: OPc 16 + RAND 16 + SQN 6 + AMF 2 = 40;
-        //      out: RAND 16 + XRES* 16 + KAUSF 32 + AUTN 16 = 80.
-        Table1Row {
-            kind: PakaKind::EUdm,
-            input_bytes: 16 + 16 + 6 + 2,
-            output_bytes: 16 + 16 + 32 + 16,
-        },
-        // eAUSF in: RAND 16 + XRES* 16 + SNN 2(id) + KAUSF 32 = 66;
-        //       out: KSEAF 32 + HXRES* 16 = 48 (the paper lists HXRES* as
-        //       8 bytes; TS 33.501 A.5 defines 128 bits — we follow the
-        //       spec and note the deviation in EXPERIMENTS.md).
-        Table1Row {
-            kind: PakaKind::EAusf,
-            input_bytes: 16 + 16 + 2 + 32,
-            output_bytes: 32 + 16,
-        },
-        // eAMF in: KSEAF 32; out: KAMF 32.
-        Table1Row {
-            kind: PakaKind::EAmf,
-            input_bytes: 32,
-            output_bytes: 32,
-        },
-    ]
-}
-
-/// Fig. 7 supporting detail: image bytes hashed per module (why eUDM
-/// loads slowest).
-#[must_use]
-pub fn module_image_bytes(kind: PakaKind) -> u64 {
-    paka_image(kind).spec.total_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig7_loads_are_about_a_minute_and_ordered() {
-        let rows = fig7_enclave_load(100, 3);
-        assert_eq!(rows.len(), 3);
-        for (kind, s) in &rows {
-            assert!(
-                s.median > SimDuration::from_secs(50) && s.median < SimDuration::from_secs(70),
-                "{} load {}",
-                kind.name(),
-                s.median
-            );
-        }
-        // eUDM (largest image) slowest.
-        assert!(rows[0].1.median > rows[1].1.median);
-        assert!(rows[1].1.median > rows[2].1.median);
-    }
-
-    #[test]
-    fn fig9_ratios_in_paper_bands() {
-        let rows = fig9_latency(200, 40);
-        let expected = [(1.1, 1.35), (1.2, 1.45), (1.3, 1.65)];
-        for (row, (lo, hi)) in rows.iter().zip(expected) {
-            let r = row.lf_ratio();
-            assert!(r >= lo && r < hi, "{} L_F ratio {r:.2}", row.kind.name());
-            let lt = row.lt_ratio();
-            assert!(
-                lt > 1.6 && lt < 3.0,
-                "{} L_T ratio {lt:.2}",
-                row.kind.name()
-            );
-        }
-        // L_T overhead grows as the function shrinks (paper Table II).
-        assert!(rows[2].lt_ratio() > rows[0].lt_ratio());
-    }
-
-    #[test]
-    fn fig10_shapes() {
-        let rows = fig10_response(300, 30, 3);
-        for row in &rows {
-            let rs = row.rs_ratio();
-            assert!(
-                rs > 1.9 && rs < 3.3,
-                "{} R_S ratio {rs:.2}",
-                row.kind.name()
-            );
-            let ri = row.ri_over_rs();
-            assert!(
-                ri > 12.0 && ri < 30.0,
-                "{} R_I/R_S {ri:.1}",
-                row.kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn fig8_sweep_shapes() {
-        let rows = fig8_threads_epc(400, 25);
-        assert_eq!(rows.len(), 5);
-        let base = &rows[0];
-        let two_gig = &rows[2];
-        let big_epc = &rows[3];
-        let native = &rows[4];
-        // Non-SGX is fastest; 8G EPC (over-committed) is slowest/noisiest.
-        assert!(native.lf.median < base.lf.median);
-        assert!(big_epc.lf.median >= base.lf.median);
-        assert!(
-            big_epc.lf.iqr() > base.lf.iqr(),
-            "paging should widen the IQR"
-        );
-        // §V-B2: 2 GB EPC performs like 512 MB (within 5%).
-        let drift = two_gig.lf.median.as_nanos() as f64 / base.lf.median.as_nanos() as f64;
-        assert!((0.95..1.05).contains(&drift), "2G vs 512M drift {drift:.3}");
-    }
-
-    #[test]
-    fn table3_shape_matches_paper() {
-        let (rows, empty) = table3_sgx_metrics(500, 2);
-        // Empty workload: exactly the paper's 762/680/49674.
-        assert_eq!(empty.eenter, 762);
-        assert_eq!(empty.eexit, 680);
-        assert_eq!(empty.aex, 49_674);
-        for pair in rows.chunks(2) {
-            let one = &pair[0];
-            let two = &pair[1];
-            // EENTER/EEXIT grow ~91/UE; AEX stays flat.
-            let d_enter = two.counters.eenter - one.counters.eenter;
-            assert!((85..=100).contains(&d_enter), "{d_enter} eenter/UE");
-            let aex_diff = two.counters.aex.abs_diff(one.counters.aex);
-            assert!(aex_diff < 200, "AEX drift {aex_diff}");
-            // Totals in the paper's 1400-1800 band at 1-2 UEs.
-            assert!(
-                (1300..=1900).contains(&one.counters.eenter),
-                "{}",
-                one.counters.eenter
-            );
-            // EENTER exceeds EEXIT by a near-constant (~94).
-            let gap = one.counters.eenter - one.counters.eexit;
-            assert!((80..=110).contains(&gap), "gap {gap}");
-        }
-    }
-
-    #[test]
-    fn per_registration_delta_is_about_91() {
-        let d = per_registration_delta(600, PakaKind::EAusf);
-        assert!((88..=96).contains(&d.eenter), "{}", d.eenter);
-        assert_eq!(d.eenter, d.eexit);
-    }
-
-    #[test]
-    fn ablations_improve_response_time() {
-        let rows = ablation_optimizations(700, 15);
-        assert_eq!(rows.len(), 3);
-        let baseline = rows[0].r_stable.median;
-        assert!(
-            rows[1].r_stable.median < baseline,
-            "exitless should be faster"
-        );
-        assert!(rows[2].r_stable.median < baseline, "mtcp should be faster");
-    }
 
     #[test]
     fn concurrency_needs_threads() {
@@ -902,19 +379,5 @@ mod tests {
             .collect();
         let frac = crate::stats::Summary::outlier_fraction(&samples);
         assert!(frac < 0.05, "outlier fraction {frac:.3}");
-    }
-
-    #[test]
-    fn table1_sizes() {
-        let rows = table1_parameter_sizes();
-        assert_eq!(rows[0].input_bytes, 40);
-        assert_eq!(rows[0].output_bytes, 80);
-        assert_eq!(rows[2].input_bytes, 32);
-    }
-
-    #[test]
-    fn image_bytes_ordering_drives_fig7() {
-        assert!(module_image_bytes(PakaKind::EUdm) > module_image_bytes(PakaKind::EAusf));
-        assert!(module_image_bytes(PakaKind::EAusf) > module_image_bytes(PakaKind::EAmf));
     }
 }

@@ -20,8 +20,8 @@
 //!   [`slice::AkaDeployment`], and wires everything together.
 //! * [`stats`] — sample summaries (median/quartiles) matching the paper's
 //!   box plots.
-//! * [`harness`] — the §V experiments: enclave load time, thread/EPC
-//!   sweeps, functional/total latency, response times, SGX metrics.
+//! * [`harness`] — single-module deploy and measure helpers (L_F/L_T,
+//!   response times, engine endpoints) the §V experiments build on.
 //! * [`ki`] — the §VI 3GPP Key Issue analysis (Table V), substantiated by
 //!   attacker scenarios run against the simulated infrastructure.
 //! * [`testbed`] — the Table IV testbed configuration descriptor.
