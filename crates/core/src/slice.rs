@@ -260,12 +260,12 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
     }
     let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
     let engine = Rc::new(RefCell::new(engine));
-    // One span table and one fault switch per slice, shared by every
-    // endpoint's middleware stack (canonical order: Obs outermost, then
-    // Breaker, then Fault — admission/retry layers are added by
-    // harnesses that need them). The breaker only acts on sustained
-    // outbound failures, so a fault-free slice traces byte-identically
-    // to one without it.
+    // One span table, one circuit table and one fault switch per slice,
+    // shared by every endpoint's middleware stack; the order is the rank
+    // table in `mw::stack`. A harness that needs admission builds its
+    // own stack, as `scale::pool` does. The breaker only acts on
+    // sustained outbound failures, so a fault-free slice traces
+    // byte-identically to one without it.
     let obs_core: ObsCoreHandle = ObsLayer::core();
     let fault_switch = FaultSwitch::new();
     let breaker = BreakerLayer::new(BreakerPolicy::default()).core();

@@ -35,11 +35,6 @@ pub struct Config {
     /// Per-crate panic budget (rule PB001), loaded from the checked-in
     /// baseline. Crates not listed have budget zero.
     pub panic_budget: Vec<(String, usize)>,
-    /// Declared middleware layer partial order (rule MW002):
-    /// `(outer, inner)` pairs — when both appear in one `Stack::with`
-    /// chain, `outer` must be added first. Mirrors the dynamic
-    /// permutation pins in `crates/mw/tests/layers.rs`.
-    pub layer_order: Vec<(String, String)>,
     /// Path suffixes of files that must be straight-line outside
     /// `cfg(test)` (rule CT001): arithmetic on secret-derived values,
     /// where a branch would make timing depend on the key.
@@ -108,24 +103,6 @@ impl Config {
             ],
             mw_boundary_dirs: vec![s("crates/nf/src")],
             panic_budget: Vec::new(),
-            layer_order: vec![
-                // The pairs `crates/mw/tests/layers.rs` pins dynamically:
-                // obs counts shed arrivals only from outside admission;
-                // deadline vetoes dead retransmissions only from outside
-                // retry; admission spares fault-plan draws only from
-                // outside fault.
-                (s("ObsLayer"), s("AdmissionLayer")),
-                (s("DeadlineLayer"), s("RetryLayer")),
-                (s("AdmissionLayer"), s("FaultLayer")),
-                // The breaker sits between admission (inbound shedding
-                // happens at the door) and fault/retry (an open circuit
-                // must fail injected legs fast and cut retransmission
-                // storms off).
-                (s("ObsLayer"), s("BreakerLayer")),
-                (s("AdmissionLayer"), s("BreakerLayer")),
-                (s("BreakerLayer"), s("FaultLayer")),
-                (s("BreakerLayer"), s("RetryLayer")),
-            ],
             constant_time_files: vec![
                 s("crates/crypto/src/x25519.rs"),
                 s("crates/crypto/src/x25519/comb.rs"),

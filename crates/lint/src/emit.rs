@@ -10,7 +10,7 @@ use crate::Report;
 
 /// `(id, short description)` for every rule the linter can emit —
 /// SARIF consumers surface these next to each result.
-pub const RULE_TABLE: [(&str, &str); 8] = [
+pub const RULE_TABLE: [(&str, &str); 7] = [
     (
         "SH001",
         "Registered secret type derives or hand-writes a leaking Debug/Display/Serialize",
@@ -31,10 +31,6 @@ pub const RULE_TABLE: [(&str, &str); 8] = [
     (
         "MW001",
         "NF code re-grows retry/fault/admission machinery owned by the mw stack",
-    ),
-    (
-        "MW002",
-        "Stack::with chain composes layers against the declared partial order",
     ),
     (
         "CT001",
@@ -136,7 +132,7 @@ mod tests {
         let ids: Vec<&str> = RULE_TABLE.iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
-            ["SH001", "SH002", "SH003", "EB001", "PB001", "MW001", "MW002", "CT001"]
+            ["SH001", "SH002", "SH003", "EB001", "PB001", "MW001", "CT001"]
         );
     }
 }

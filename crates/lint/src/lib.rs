@@ -2,8 +2,9 @@
 //! workspace.
 //!
 //! Rule families, each guarding an invariant the compiler cannot (what a
-//! type can hold — raw key bytes stay inside `shield5g_crypto`, spans
-//! close — is held by a type or a runtime check instead, not here):
+//! type can hold — raw key bytes stay inside `shield5g_crypto`, a
+//! middleware stack's layer order — is held by a type, and spans close
+//! by a runtime check, not here):
 //!
 //! * **Secret hygiene** (SH001–SH003) — registered key-bearing types
 //!   must redact `Debug`/`Display`/`Serialize` output and zeroize on
@@ -16,9 +17,6 @@
 //! * **Middleware boundary** (MW001) — NF service crates must not
 //!   construct retriers, consult fault injectors, or manage admission
 //!   queues; those concerns live in the `shield5g-mw` layer stack.
-//! * **Layer order** (MW002) — `Stack::with` chains must respect the
-//!   declared layer partial order (obs outside admission, deadline
-//!   outside retry, admission outside fault).
 //! * **Constant time** (CT001) — files of field arithmetic on
 //!   secret-derived values (`constant_time_files`) contain no `if`,
 //!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
@@ -88,7 +86,6 @@ pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
         rules::secret_hygiene::check(analysis, config, &mut findings);
         rules::enclave_boundary::check(analysis, config, &mut findings);
         rules::mw_boundary::check(analysis, config, &mut findings);
-        rules::layer_order::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);
     }
     let panic_counts = rules::panic_budget::count(analyses);

@@ -34,8 +34,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "shield5g-lint: secret-hygiene, enclave-boundary, panic-budget, \
-                     mw-boundary, layer-order and constant-time checks (determinism is \
-                     clippy.toml's disallowed-types)\n\n\
+                     mw-boundary and constant-time checks (determinism is clippy.toml's \
+                     disallowed-types, layer order is mw::Stack's type)\n\n\
                      USAGE: shield5g-lint [--root PATH] [--update-baseline]\n\n\
                      Findings print as text; with $SHIELD5G_OBS_DIR set, a SARIF \
                      copy goes to $SHIELD5G_OBS_DIR/lint_findings.sarif."

@@ -7,7 +7,6 @@
 
 pub mod constant_time;
 pub mod enclave_boundary;
-pub mod layer_order;
 pub mod mw_boundary;
 pub mod panic_budget;
 pub mod secret_hygiene;

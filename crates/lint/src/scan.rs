@@ -15,15 +15,6 @@ pub struct FileAnalysis {
     pub test_spans: Vec<(usize, usize)>,
 }
 
-/// Is this path an integration-test tree (workspace `tests/` or a
-/// crate's `tests/` directory)? Such files are exercised by the panic
-/// budget and the per-file pattern rules, but the layer-order rule
-/// (MW002) skips them: tests compose mis-ordered stacks on purpose.
-#[must_use]
-pub fn is_test_path(rel_path: &str) -> bool {
-    rel_path.starts_with("tests/") || rel_path.contains("/tests/")
-}
-
 impl FileAnalysis {
     /// Loads and pre-lexes one file.
     #[must_use]
@@ -38,8 +29,8 @@ impl FileAnalysis {
             .replace('\\', "/");
         // The workspace-level integration suite is test code end to
         // end and stays fully exempt. Crate-level `tests/`, `examples/`
-        // and `benches/` are walked as regular code (only their
-        // `#[cfg(test)]` islands are exempt): they ship in the repo,
+        // and `benches/` are walked as regular code by every rule (only
+        // their `#[cfg(test)]` islands are exempt): they ship in the repo,
         // run in CI, and their panic sites count against the budget.
         let spans = if rel.starts_with("tests/") {
             vec![(0, clean.len())]
@@ -140,14 +131,5 @@ mod tests {
         let test_start = a.clean.find("#[cfg(test)]").unwrap();
         assert!(a.in_test(test_start + 5));
         assert!(!a.in_test(0));
-    }
-
-    #[test]
-    fn test_path_classification() {
-        assert!(is_test_path("tests/determinism.rs"));
-        assert!(is_test_path("crates/mw/tests/layers.rs"));
-        assert!(!is_test_path("crates/mw/src/stack.rs"));
-        assert!(!is_test_path("examples/quickstart.rs"));
-        assert!(!is_test_path("crates/bench/benches/experiments.rs"));
     }
 }

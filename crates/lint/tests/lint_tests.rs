@@ -335,37 +335,6 @@ fn repo_is_lint_clean() {
     );
 }
 
-#[test]
-fn layer_order_fixture_violation_is_caught() {
-    let config = Config::repo_default();
-    let report = run_rules(&[fixture("layer_order/bad_stack.rs")], &config);
-    let rules = rules_of(&report.findings);
-    assert_eq!(rules, vec!["MW002"], "{:?}", report.findings);
-    assert!(
-        report.findings[0].message.contains("ObsLayer")
-            && report.findings[0].message.contains("AdmissionLayer"),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn layer_order_fixture_breaker_misorder_is_caught() {
-    // The overload-control pairs: a breaker composed outside admission
-    // violates (AdmissionLayer, BreakerLayer), and only that pair — the
-    // clean twin in the same file covers the full canonical chain.
-    let config = Config::repo_default();
-    let report = run_rules(&[fixture("layer_order/bad_breaker.rs")], &config);
-    let rules = rules_of(&report.findings);
-    assert_eq!(rules, vec!["MW002"], "{:?}", report.findings);
-    assert!(
-        report.findings[0].message.contains("BreakerLayer")
-            && report.findings[0].message.contains("AdmissionLayer"),
-        "{:?}",
-        report.findings
-    );
-}
-
 /// Minimal JSON well-formedness checker (the linter is dependency-free,
 /// so the test brings its own): verifies balanced structure, string
 /// escaping, and that the document parses as one value.

@@ -352,10 +352,10 @@ impl<K: Ord + Clone> BreakerCore<K> {
 pub type BreakerHandle = Rc<RefCell<BreakerCore<Rc<str>>>>;
 
 /// Guards every `CallOut` the wrapped service emits with a per-peer
-/// circuit breaker. Slot it outside [`crate::RetryLayer`] so an open
+/// circuit breaker. It ranks outside [`crate::RetryLayer`] so an open
 /// circuit also cuts retransmission storms off, and inside
 /// [`crate::AdmissionLayer`] — inbound shedding happens at the door,
-/// breaking happens on the way out.
+/// breaking happens on the way out ([`crate::stack`]).
 ///
 /// The core parks a guarded call's peer and probe flag under the calling
 /// leg's [`LegMeta::id`] (a leg has one call out at a time), settles it

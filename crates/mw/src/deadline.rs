@@ -26,9 +26,9 @@ fn expired_resp() -> HttpResponse {
 ///   (`x-sim-shed: deadline`) without running the service's resume. The
 ///   caller's supervision timer has fired — any further work is wasted.
 ///
-/// Place *outside* [`crate::RetryLayer`]: the deadline must veto
-/// retransmissions for requests that are already dead (the permutation
-/// test in `tests/layers.rs` pins the difference).
+/// It ranks *outside* [`crate::RetryLayer`] ([`crate::stack`]): the
+/// deadline must veto retransmissions for requests that are already
+/// dead (`tests/layers.rs` pins it).
 #[derive(Debug)]
 pub struct DeadlineLayer {
     timeout: SimDuration,

@@ -44,27 +44,16 @@
 //!   layer) produced traverses the layers it passed through inbound, in
 //!   reverse (innermost first), on its way back to the scheduler.
 //!
-//! ## Ordering rules
+//! ## Ordering
 //!
-//! `.with()` adds layers outermost-first; order is behaviour, not style:
-//!
-//! * **Obs outermost** — it must count arrivals *before* admission sheds
-//!   them and close spans around everything inner layers do.
-//! * **Deadline outside Retry** — otherwise a retransmission can be
-//!   issued for a request whose deadline already passed.
-//! * **Admission outside Fault/Retry** — shed requests must not consult
-//!   the fault plan or consume retry budget.
-//! * **Admission outside Breaker, Breaker outside Fault/Retry** — the
-//!   breaker gates what the service sends *out*; it must see outbound
-//!   retransmissions (so an open circuit cuts retry storms off) but not
-//!   inbound arrivals admission already shed.
-//!
-//! The canonical order is the snippet above. The permutation tests in
-//! `tests/layers.rs` pin the observable differences.
+//! `.with()` adds layers outermost-first, in the snippet's order. Each
+//! layer's rank ([`Slot`]) and its reason are in [`stack`]'s table; a
+//! chain that breaks the order does not build. `tests/layers.rs` pins
+//! what the order does.
 //!
 //! All layers uphold the determinism contract: virtual clock only,
-//! randomness only from the seeded env RNG, `BTreeMap` state — this
-//! crate is on shield5g-lint's DT trace path like the engine itself.
+//! randomness only from the seeded env RNG, `BTreeMap` state. The root
+//! `clippy.toml` holds this crate to it like the engine itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,7 +75,7 @@ pub use deadline::DeadlineLayer;
 pub use fault::{FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch};
 pub use obs::{ObsCore, ObsCoreHandle, ObsLayer};
 pub use retry::{RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
-pub use stack::Stack;
+pub use stack::{Slot, Stack};
 
 // Re-exported so layers and stack construction sites need only this
 // crate plus the engine handle types.

@@ -1,18 +1,79 @@
 //! The [`Stack`] combinator that composes [`Layer`]s around an
-//! [`EngineService`].
+//! [`EngineService`], and the [`Slot`] ranks that fix their order.
+//!
+//! [`Stack::with`] adds layers outermost-first and takes only a layer
+//! ranked inside the stack's innermost, by a `const` assertion `cargo
+//! build` and `cargo test` evaluate (`cargo check` does not). This builds:
+//!
+//! ```
+//! # use shield5g_mw::*; use shield5g_sim::{engine::Engine, http::*, service::*};
+//! # struct Echo; impl Service for Echo {
+//! #     fn handle(&mut self, _: &mut Env, r: HttpRequest) -> HttpResponse { HttpResponse::ok(r.body) } }
+//! # let (obs, admission) = (ObsLayer::new(ObsLayer::core()), AdmissionLayer::default());
+//! let _ = Stack::new(Engine::leaf(service_handle(Echo))).with(obs).with(admission);
+//! ```
+//!
+//! and its twin, admission outside obs, fails with E0080:
+//!
+//! ```compile_fail,E0080
+//! # use shield5g_mw::*; use shield5g_sim::{engine::Engine, http::*, service::*};
+//! # struct Echo; impl Service for Echo {
+//! #     fn handle(&mut self, _: &mut Env, r: HttpRequest) -> HttpResponse { HttpResponse::ok(r.body) } }
+//! # let (obs, admission) = (ObsLayer::new(ObsLayer::core()), AdmissionLayer::default());
+//! let _ = Stack::new(Engine::leaf(service_handle(Echo))).with(admission).with(obs);
+//! ```
 
+use crate::{AdmissionLayer, BreakerLayer, DeadlineLayer, FaultLayer, ObsLayer, RetryLayer};
 use shield5g_sim::engine::{EngineService, EngineServiceHandle, Layer, LegMeta, Resume, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::Env;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
-/// An [`EngineService`] built from an inner service and an ordered set
-/// of [`Layer`]s ([`Stack::with`] adds outermost-first). The stack runs
-/// the layers' traversal around the service's segments; the engine asks
-/// the same layers its scheduler hooks, through
-/// [`EngineService::layers`].
-pub struct Stack {
+/// A layer's place in a [`Stack`]: lower ranks sit further out.
+pub trait Slot: Layer + 'static {
+    /// The layer's rank.
+    const RANK: u8;
+}
+
+/// A stack's innermost "layer" before it has one; never added itself.
+pub enum Bare {}
+
+impl Layer for Bare {}
+
+macro_rules! slots {
+    ($($(#[$why:meta])* $layer:ty = $rank:literal;)*) => {
+        $($(#[$why])* impl Slot for $layer {
+            const RANK: u8 = $rank;
+        })*
+    };
+}
+
+slots! {
+    /// Nothing yet: any layer may go first.
+    Bare = 0;
+    /// **Obs outermost**: it counts the arrivals admission sheds and spans all inside it.
+    ObsLayer = 1;
+    /// **Deadline outside Retry and Breaker**: it breaks off a late response before either acts.
+    DeadlineLayer = 2;
+    /// **Admission outside Breaker, Fault and Retry**: a shed request costs none of them.
+    AdmissionLayer = 3;
+    /// **Breaker outside Fault and Retry**: an open circuit cuts injected legs and retry storms.
+    BreakerLayer = 4;
+    /// **Fault before Retry**: fates and retries share no hook, so this place is convention.
+    FaultLayer = 5;
+    /// **Retry innermost**: it resends only what every outer layer passed.
+    RetryLayer = 6;
+}
+
+/// A service and the [`Layer`]s around it, `Inner` the innermost so far.
+/// The stack runs the layers' traversal around the service's segments;
+/// the engine asks them its scheduler hooks ([`EngineService::layers`]).
+pub struct Stack<Inner = Bare>(Layered, PhantomData<Inner>);
+
+/// What a [`Stack`] registers: its order is checked, so no longer typed.
+struct Layered {
     service: EngineServiceHandle,
     layers: Vec<Box<dyn Layer>>,
 }
@@ -20,27 +81,43 @@ pub struct Stack {
 impl Stack {
     /// A stack with no layers around `service` — behaviourally identical
     /// to registering `service` directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `service` has layers of its own: the engine asks only
+    /// the outer stack's layers its scheduler hooks.
     #[must_use]
     pub fn new(service: EngineServiceHandle) -> Self {
-        Stack {
-            service,
-            layers: Vec::new(),
-        }
+        assert!(
+            service.borrow_mut().layers().is_empty(),
+            "a stack cannot wrap a layered service: the engine would skip its gates and fates"
+        );
+        let layers = Vec::new();
+        Stack(Layered { service, layers }, PhantomData)
     }
+}
 
+impl<Inner: Slot> Stack<Inner> {
     /// Adds the next layer inward (the first `.with()` is outermost).
+    /// `layer` must rank inside every layer already on the stack; see
+    /// the [module docs](self).
     #[must_use]
-    pub fn with(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
+    pub fn with<L: Slot>(mut self, layer: L) -> Stack<L> {
+        const {
+            assert!(Inner::RANK < L::RANK, "out-of-order `Stack::with` chain");
+        }
+        self.0.layers.push(Box::new(layer));
+        Stack(self.0, PhantomData)
     }
 
     /// Finishes the stack into a registrable service handle.
     #[must_use]
     pub fn into_handle(self) -> EngineServiceHandle {
-        Rc::new(RefCell::new(self))
+        Rc::new(RefCell::new(self.0))
     }
+}
 
+impl Layered {
     /// Runs `step` outward through layers `0..from` in reverse.
     fn outbound(&mut self, env: &mut Env, leg: &LegMeta, mut step: Step, from: usize) -> Step {
         for layer in self.layers[..from].iter_mut().rev() {
@@ -50,14 +127,13 @@ impl Stack {
     }
 }
 
-impl EngineService for Stack {
+impl EngineService for Layered {
     fn start(&mut self, env: &mut Env, leg: &LegMeta, req: HttpRequest) -> Step {
         for layer in &mut self.layers {
             layer.on_request(env, leg, &req);
         }
         let step = self.service.borrow_mut().start(env, leg, req);
-        let n = self.layers.len();
-        self.outbound(env, leg, step, n)
+        self.outbound(env, leg, step, self.layers.len())
     }
 
     fn resume(&mut self, env: &mut Env, leg: &LegMeta, mut resp: HttpResponse) -> Step {
@@ -68,8 +144,7 @@ impl EngineService for Stack {
             }
         }
         let step = self.service.borrow_mut().resume(env, leg, resp);
-        let n = self.layers.len();
-        self.outbound(env, leg, step, n)
+        self.outbound(env, leg, step, self.layers.len())
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
@@ -96,13 +171,17 @@ mod tests {
         }
     }
 
-    /// Records the traversal order of every seam it sees.
-    struct Tracer {
+    /// Records the traversal order of every seam it sees, at rank `R`.
+    struct Tracer<const R: u8> {
         name: &'static str,
         log: Rc<RefCell<Vec<String>>>,
     }
 
-    impl Layer for Tracer {
+    impl<const R: u8> Slot for Tracer<R> {
+        const RANK: u8 = R;
+    }
+
+    impl<const R: u8> Layer for Tracer<R> {
         fn on_request(&mut self, _env: &mut Env, _leg: &LegMeta, _req: &HttpRequest) {
             self.log.borrow_mut().push(format!("{}:req", self.name));
         }
@@ -124,11 +203,11 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new();
         let stack = Stack::new(Engine::leaf(service_handle(Echo)))
-            .with(Tracer {
+            .with(Tracer::<1> {
                 name: "outer",
                 log: log.clone(),
             })
-            .with(Tracer {
+            .with(Tracer::<2> {
                 name: "inner",
                 log: log.clone(),
             });
@@ -151,6 +230,9 @@ mod tests {
 
     /// Breaks the response chain with a canned reply.
     struct Abandoner;
+    impl Slot for Abandoner {
+        const RANK: u8 = 1;
+    }
     impl Layer for Abandoner {
         fn on_response(&mut self, _env: &mut Env, _leg: &LegMeta, _resp: HttpResponse) -> Resume {
             Resume::Break(Step::Reply(HttpResponse::error(503, "abandoned")))
@@ -217,5 +299,16 @@ mod tests {
         let bare = run(false);
         assert!(!bare.is_empty());
         assert_eq!(bare, run(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "a stack cannot wrap a layered service")]
+    fn a_stack_cannot_wrap_a_stack() {
+        // The engine would fan the scheduler hooks out over the outer
+        // stack's layers only: the inner admission gate would never run.
+        let inner = Stack::new(Engine::leaf(service_handle(Echo)))
+            .with(crate::AdmissionLayer::new(Default::default()))
+            .into_handle();
+        let _ = Stack::new(inner);
     }
 }

@@ -338,9 +338,9 @@ impl EnclavePool {
             return;
         }
         let workers = replica.module.borrow().app_threads();
-        // Canonical layer order (outermost first): Obs sees every
-        // arrival including the ones Admission sheds; Fault only decides
-        // fates for legs that were admitted.
+        // Outermost first, in the rank order of `mw::stack`'s table: Obs
+        // counts the arrivals Admission sheds, and Fault decides fates
+        // only for admitted legs.
         let stack = Stack::new(Engine::leaf(service_handle(ReplicaService {
             module: replica.module.clone(),
             served: replica.served.clone(),

@@ -27,7 +27,7 @@ export SHIELD5G_OBS_DIR
 
 mkdir -p "$SHIELD5G_OBS_DIR"
 
-echo "==> shield5g-lint (secret hygiene / enclave boundary / mw boundary / layer order / constant time / panic budget)"
+echo "==> shield5g-lint (secret hygiene / enclave boundary / mw boundary / constant time / panic budget)"
 cargo run --offline -q -p shield5g-lint
 echo "    ok $SHIELD5G_OBS_DIR/lint_findings.sarif ($(wc -c < "$SHIELD5G_OBS_DIR/lint_findings.sarif") bytes)"
 
