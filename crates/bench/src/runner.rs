@@ -132,6 +132,7 @@ pub fn run_sweep<T: Send>(
                 // outside its installed hub), not an obs-off run.
                 hub::set_strict(true);
                 loop {
+                    #[expect(clippy::expect_used, reason = "held only across a panic-free pop")]
                     let next = queue.lock().expect("queue poisoned").pop_front();
                     let Some((index, job)) = next else { break };
                     let job_hub = ObsHandle::new();
@@ -146,8 +147,9 @@ pub fn run_sweep<T: Send>(
                     };
                     let elapsed = job_started.elapsed();
                     let recorded = job_hub.with(std::mem::take);
-                    slots.lock().expect("slots poisoned")[index] =
-                        Some((result, recorded, elapsed));
+                    #[expect(clippy::expect_used, reason = "held only for an in-bounds store")]
+                    let mut filled = slots.lock().expect("slots poisoned");
+                    filled[index] = Some((result, recorded, elapsed));
                 }
                 hub::set_strict(false);
             });
@@ -156,7 +158,10 @@ pub fn run_sweep<T: Send>(
 
     let mut results = Vec::with_capacity(job_count);
     let mut busy = Duration::ZERO;
-    for slot in slots.into_inner().expect("slots poisoned") {
+    #[expect(clippy::expect_used, reason = "no worker panicked holding this lock")]
+    let slots = slots.into_inner().expect("slots poisoned");
+    for slot in slots {
+        #[expect(clippy::expect_used, reason = "each job filled its slot or panicked")]
         let (result, recorded, elapsed) = slot.expect("worker died before delivering its job");
         // Canonical-order merge: job 0's spans and metrics land first,
         // then job 1's, … — independent of which worker ran what when.

@@ -130,6 +130,7 @@ pub fn pool_scaling_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Sweep
     let mut next = reports.iter();
     for &_replicas in replica_counts {
         for &load_factor in load_factors {
+            #[expect(clippy::expect_used, reason = "one report per job, in job order")]
             let report = next.next().expect("throughput report");
             lines.push(format!("      rho={load_factor:.1} {report}"));
             points.push(pool_point("throughput_sweep", load_factor, 0, report));
@@ -137,11 +138,14 @@ pub fn pool_scaling_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Sweep
         lines.push(String::new());
     }
     lines.push("    AV pre-generation ablation (1 replica, repeat subscribers):".to_owned());
+    #[expect(clippy::expect_used, reason = "one report per job, in job order")]
     let off = next.next().expect("cache-off report");
     lines.push(format!("      cache off: {off}"));
     points.push(pool_point("av_ablation", 0.5, 0, off));
     for &batch_size in batch_sizes {
+        #[expect(clippy::expect_used, reason = "one report per job, in job order")]
         let on = next.next().expect("cache-on report");
+        #[expect(clippy::expect_used, reason = "cache-on jobs set `cache: Some(..)`")]
         let cache = on.cache.as_ref().expect("cache stats");
         lines.push(format!(
             "      batch {batch_size:>2}:  {on} (hit rate {:.0}%)",
@@ -231,6 +235,7 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
                 ));
             }
             "replica_kill" => {
+                #[expect(clippy::expect_used, reason = "this point's `kill_at` fires")]
                 let failover = report.failover.as_ref().expect("kill_at fired");
                 lines.push(String::new());
                 lines

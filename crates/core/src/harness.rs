@@ -86,10 +86,12 @@ pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) ->
     let platform = SgxPlatform::new(&mut env);
     let mut host = Host::with_sgx("r450", platform);
     let mut module = match deployment {
+        #[expect(clippy::expect_used, reason = "the harness registry holds every image")]
         ModuleDeployment::Container => {
             PakaModule::deploy_container(&mut env, &mut host, &registry, kind)
                 .expect("container deploy")
         }
+        #[expect(clippy::expect_used, reason = "all images registered; host has SGX")]
         ModuleDeployment::Sgx(cfg) => {
             PakaModule::deploy_sgx(&mut env, &mut host, &registry, kind, cfg).expect("sgx deploy")
         }
@@ -142,6 +144,7 @@ pub fn measure_response_times(
     );
     let request = standard_request(kind);
     for _ in 0..=reps {
+        #[expect(clippy::expect_used, reason = "the standard request fits its module")]
         client
             .call(&mut env, &request.path, request.body.clone())
             .expect("module call");

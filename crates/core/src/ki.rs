@@ -164,12 +164,14 @@ pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
     let mut attacker = Attacker::new("co-tenant");
     // The §III premise (≈90% success; retry until placed).
     while attacker.gain_co_residency(env, &slice.host).is_err() {}
+    #[expect(clippy::expect_used, reason = "co-resident, on a vulnerable engine")]
     attacker
         .escape_to_host(env, &slice.host)
         .expect("vulnerable engine");
 
     // KI 7/15: memory introspection for the subscriber's long-term key.
     let k = slice.subscribers[0].k;
+    #[expect(clippy::expect_used, reason = "root can always read host memory")]
     let findings = attacker
         .introspect_memory(env, &slice.host, &k)
         .expect("root attacker can introspect");
@@ -240,6 +242,7 @@ pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
             let enclave = c.shielded.as_ref().map(|l| l.enclave());
             if let Some(enclave) = enclave {
                 let report = Report::create(enclave, [0x42; 64]);
+                #[expect(clippy::expect_used, reason = "quotes a report of its own enclave")]
                 let quote = platform.quote(&report).expect("honest quote");
                 let mut policy = QuotePolicy::exact(*enclave.mrenclave());
                 policy.allow_debug = true; // stats builds are debug-mode

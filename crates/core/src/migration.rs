@@ -105,6 +105,7 @@ pub fn migrate_module(
 
     // 1. Deploy on the target (pays enclave load).
     let mut new_module = PakaModule::deploy_sgx(env, target, &slice.registry, kind, cfg)?;
+    #[expect(clippy::expect_used, reason = "SGX deployments record a boot report")]
     let target_load_time = new_module
         .boot_report()
         .expect("sgx deployment has boot report")
@@ -134,6 +135,7 @@ pub fn migrate_module(
             let old = module_handle.borrow_mut();
             let container = old.container();
             let mut container = container.borrow_mut();
+            #[expect(clippy::expect_used, reason = "slots came from its shielded enclave")]
             let libos = container.shielded.as_mut().expect("old module shielded");
             libos
                 .enclave_mut()

@@ -347,6 +347,7 @@ impl PakaModule {
         // instructions") plus a few timer-thread event injections.
         let boot_report = {
             let mut c = container.borrow_mut();
+            #[expect(clippy::expect_used, reason = "a GSC container is built with a LibOS")]
             let libos = c.shielded.as_mut().expect("gsc container has libos");
             let server_init_start = env.clock.now();
             libos.enclave_mut().ocalls(env, repeat_n((64, 0), 650));
@@ -759,6 +760,7 @@ impl PakaModule {
             return 0;
         }
         let mut c = self.container.borrow_mut();
+        #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
         let libos = c.shielded.as_mut().expect("shielded module");
         let enclave = libos.enclave_mut();
         enclave.compute(
@@ -784,6 +786,7 @@ impl PakaModule {
         if self.shielded {
             let kind = self.kind;
             let mut c = self.container.borrow_mut();
+            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
             let libos = c.shielded.as_mut().expect("shielded module");
             let extra = kind.cold_extra_ocalls() as usize;
             libos.enclave_mut().ocalls(env, repeat_n((256, 0), extra));
@@ -813,6 +816,7 @@ impl PakaModule {
         }
         if self.shielded {
             let mut c = self.container.borrow_mut();
+            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
             let libos = c.shielded.as_mut().expect("shielded module");
             libos.run(env, calls);
         } else {
@@ -824,6 +828,7 @@ impl PakaModule {
     fn charge_compute(&mut self, env: &mut Env, nanos: u64) {
         if self.shielded {
             let mut c = self.container.borrow_mut();
+            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
             let libos = c.shielded.as_mut().expect("shielded module");
             libos
                 .enclave_mut()

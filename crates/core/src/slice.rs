@@ -94,9 +94,11 @@ impl Subscriber {
     #[must_use]
     pub fn test(i: u32) -> Self {
         let supi = Supi::numbered(Plmn::test_network(), u64::from(i) + 1, 10);
+        #[expect(clippy::expect_used, reason = "the constant is 32 hex digits")]
         let mut k = shield5g_crypto::hex::decode_array::<16>("465b5ce8b199b49faa5f0a2ee238a6bc")
             .expect("valid hex");
         k[12..16].copy_from_slice(&i.to_be_bytes());
+        #[expect(clippy::expect_used, reason = "the constant is 32 hex digits")]
         let opc = shield5g_crypto::hex::decode_array::<16>("cd63cb71954a9f4e48a5994e37a02baf")
             .expect("valid hex");
         Subscriber { supi, k, opc }

@@ -10,10 +10,11 @@ use crate::CryptoError;
 /// ```
 #[must_use]
 pub fn encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }

@@ -158,17 +158,17 @@ impl Milenage {
     /// `f1`: network authentication code MAC-A (64 bits).
     #[must_use]
     pub fn f1(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
-        self.out1(rand, sqn, amf)[0..8]
-            .try_into()
-            .expect("8-byte slice")
+        let mut mac_a = [0u8; 8];
+        mac_a.copy_from_slice(&self.out1(rand, sqn, amf)[0..8]);
+        mac_a
     }
 
     /// `f1*`: re-synchronisation message authentication code MAC-S (64 bits).
     #[must_use]
     pub fn f1_star(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
-        self.out1(rand, sqn, amf)[8..16]
-            .try_into()
-            .expect("8-byte slice")
+        let mut mac_s = [0u8; 8];
+        mac_s.copy_from_slice(&self.out1(rand, sqn, amf)[8..16]);
+        mac_s
     }
 
     /// `f2`, `f3`, `f4`, `f5` computed together from one RAND.
@@ -178,11 +178,15 @@ impl Milenage {
         let out2 = self.out_i(&temp, 2);
         let out3 = self.out_i(&temp, 3);
         let out4 = self.out_i(&temp, 4);
+        let mut res = [0u8; 8];
+        res.copy_from_slice(&out2[8..16]);
+        let mut ak = [0u8; 6];
+        ak.copy_from_slice(&out2[0..6]);
         F2345Output {
-            res: out2[8..16].try_into().expect("8-byte slice"),
+            res,
             ck: SecretBytes::new(out3),
             ik: SecretBytes::new(out4),
-            ak: out2[0..6].try_into().expect("6-byte slice"),
+            ak,
         }
     }
 
@@ -190,7 +194,9 @@ impl Milenage {
     #[must_use]
     pub fn f5_star(&self, rand: &[u8; 16]) -> [u8; 6] {
         let temp = self.temp(rand);
-        self.out_i(&temp, 5)[0..6].try_into().expect("6-byte slice")
+        let mut ak = [0u8; 6];
+        ak.copy_from_slice(&self.out_i(&temp, 5)[0..6]);
+        ak
     }
 }
 

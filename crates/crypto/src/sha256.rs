@@ -146,6 +146,7 @@ impl Sha256 {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
+        #[expect(clippy::expect_used, reason = "`chunks_exact(4)` yields 4-byte chunks")]
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }

@@ -77,6 +77,7 @@ impl SgxCounters {
     /// grow, so that indicates snapshots taken out of order.
     #[must_use]
     pub fn delta_since(&self, earlier: &SgxCounters) -> SgxCounters {
+        #[expect(clippy::expect_used, reason = "counters only grow; `earlier` is first")]
         let sub = |a: u64, b: u64| a.checked_sub(b).expect("counter snapshot out of order");
         SgxCounters {
             eenter: sub(self.eenter, earlier.eenter),

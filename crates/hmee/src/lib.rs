@@ -44,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The one crate outside the `clippy.toml` determinism perimeter.
-#![allow(
+#![expect(
     clippy::disallowed_types,
     reason = "the vault and attestation maps are looked up by key (`vault_slots` sorts), \
               and as BTreeMaps they cost +5.3 %/+5.9 % peak heap and +3.0 %/+2.8 % \

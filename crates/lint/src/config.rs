@@ -32,9 +32,6 @@ pub struct Config {
     /// admission queues — those concerns live in the middleware stack
     /// (`shield5g-mw`) composed at slice/pool construction.
     pub mw_boundary_dirs: Vec<String>,
-    /// Per-crate panic budget (rule PB001), loaded from the checked-in
-    /// baseline. Crates not listed have budget zero.
-    pub panic_budget: Vec<(String, usize)>,
     /// Path suffixes of files that must be straight-line outside
     /// `cfg(test)` (rule CT001): arithmetic on secret-derived values,
     /// where a branch would make timing depend on the key.
@@ -102,7 +99,6 @@ impl Config {
                 s("crypto/src/"),
             ],
             mw_boundary_dirs: vec![s("crates/nf/src")],
-            panic_budget: Vec::new(),
             constant_time_files: vec![
                 s("crates/crypto/src/x25519.rs"),
                 s("crates/crypto/src/x25519/comb.rs"),

@@ -12,8 +12,6 @@
 //! * **Enclave boundary** (EB001) — enclave-side modules must not call
 //!   `std::fs`/`net`/`time`/`thread`/`process` directly; host-OS access
 //!   goes through the LibOS shim.
-//! * **Panic budget** (PB001) — `.unwrap()`/`.expect(` in non-test code
-//!   is capped by a checked-in, ratchet-down baseline.
 //! * **Middleware boundary** (MW001) — NF service crates must not
 //!   construct retriers, consult fault injectors, or manage admission
 //!   queues; those concerns live in the `shield5g-mw` layer stack.
@@ -22,14 +20,15 @@
 //!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
 //!
 //! Determinism (no host clock, no default-hasher map) is checked by
-//! clippy's `disallowed_types` over the root `clippy.toml`, not here.
-//! No finding of this linter can be waived.
+//! clippy's `disallowed_types` over the root `clippy.toml`, and panic
+//! sites by clippy's `unwrap_used`/`expect_used` over the workspace
+//! `[lints]` table, not here. No finding of this linter can be waived.
 //!
 //! The linter is dependency-free: a small lexer ([`lexer`]) blanks
 //! comments and literal bodies so the rules can use honest substring
 //! and word matching, with `#[cfg(test)]` spans excluded; every rule is
-//! a pass over one file's lexed text. [`emit`] renders findings as JSON
-//! or SARIF for CI annotation.
+//! a pass over one file's lexed text, and every file is under a crate's
+//! `src/`. [`emit`] renders findings as SARIF for CI annotation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,11 +46,11 @@ use std::path::Path;
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`SH001`, `EB001`, `PB001`, …).
+    /// Rule identifier (`SH001`, `EB001`, `CT001`, …).
     pub rule: String,
-    /// Repo-relative path of the offending file (or crate for PB001).
+    /// Repo-relative path of the offending file.
     pub path: String,
-    /// 1-based line number; 0 when the finding is file/crate level.
+    /// 1-based line number; 0 when the finding is file level.
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
@@ -71,14 +70,11 @@ impl std::fmt::Display for Finding {
 pub struct Report {
     /// All findings, ordered by rule then path.
     pub findings: Vec<Finding>,
-    /// Per-crate panic-path counts (for baseline updates).
-    pub panic_counts: std::collections::BTreeMap<String, usize>,
     /// Number of files analysed (for the self-benchmark line).
     pub files_scanned: usize,
 }
 
-/// Runs every rule family: the per-file passes, then the per-crate panic
-/// budget.
+/// Runs every rule family over every file.
 #[must_use]
 pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();
@@ -88,31 +84,22 @@ pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
         rules::mw_boundary::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);
     }
-    let panic_counts = rules::panic_budget::count(analyses);
-    rules::panic_budget::check(&panic_counts, &config.panic_budget, &mut findings);
     findings.sort_by(|a, b| (&a.rule, &a.path, a.line).cmp(&(&b.rule, &b.path, b.line)));
     // Nested fns are analysed in both their own and the enclosing
     // body; collapse duplicate reports of the same site.
     findings.dedup();
     Report {
         findings,
-        panic_counts,
         files_scanned: analyses.len(),
     }
 }
 
-/// Lints the repository rooted at `root` with the project registry and
-/// the checked-in panic baseline.
+/// Lints the repository rooted at `root` with the project registry.
 #[must_use]
 pub fn run_repo(root: &Path) -> Report {
-    let mut config = Config::repo_default();
-    let baseline_path = root.join("crates/lint/panic_baseline.txt");
-    if let Ok(text) = std::fs::read_to_string(&baseline_path) {
-        config.panic_budget = rules::panic_budget::parse_baseline(&text);
-    }
     let analyses: Vec<FileAnalysis> = scan::collect_files(root)
         .iter()
         .filter_map(|p| FileAnalysis::load(root, p))
         .collect();
-    run_rules(&analyses, &config)
+    run_rules(&analyses, &Config::repo_default())
 }

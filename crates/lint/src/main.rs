@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p shield5g-lint                        # lint the repo, exit 1 on findings
 //! cargo run -p shield5g-lint -- --root PATH         # lint another tree
-//! cargo run -p shield5g-lint -- --update-baseline
 //! ```
 //!
 //! Findings go to stdout as text, one per line. When `$SHIELD5G_OBS_DIR`
@@ -19,7 +18,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut update_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -30,13 +28,13 @@ fn main() -> ExitCode {
                 };
                 root = PathBuf::from(p);
             }
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 println!(
-                    "shield5g-lint: secret-hygiene, enclave-boundary, panic-budget, \
-                     mw-boundary and constant-time checks (determinism is clippy.toml's \
-                     disallowed-types, layer order is mw::Stack's type)\n\n\
-                     USAGE: shield5g-lint [--root PATH] [--update-baseline]\n\n\
+                    "shield5g-lint: secret-hygiene, enclave-boundary, mw-boundary and \
+                     constant-time checks over crates/*/src (determinism is clippy.toml's \
+                     disallowed-types, panic sites are clippy's unwrap_used/expect_used, \
+                     layer order is mw::Stack's type)\n\n\
+                     USAGE: shield5g-lint [--root PATH]\n\n\
                      Findings print as text; with $SHIELD5G_OBS_DIR set, a SARIF \
                      copy goes to $SHIELD5G_OBS_DIR/lint_findings.sarif."
                 );
@@ -63,16 +61,6 @@ fn main() -> ExitCode {
         report.findings.len()
     );
 
-    if update_baseline {
-        let text = shield5g_lint::rules::panic_budget::baseline_text(&report.panic_counts);
-        let path = root.join("crates/lint/panic_baseline.txt");
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-
     // Machine-readable copy for CI artifact upload.
     if let Ok(dir) = std::env::var("SHIELD5G_OBS_DIR") {
         if !dir.is_empty() {
@@ -85,23 +73,17 @@ fn main() -> ExitCode {
         }
     }
 
-    let findings: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| !(update_baseline && f.rule == "PB001"))
-        .collect();
-    for finding in &findings {
+    for finding in &report.findings {
         println!("{finding}");
     }
-    if findings.is_empty() {
-        let total: usize = report.panic_counts.values().sum();
+    if report.findings.is_empty() {
         println!(
-            "shield5g-lint: clean ({} panic-path sites within budget)",
-            total
+            "shield5g-lint: clean ({} files under crates/*/src)",
+            report.files_scanned
         );
         ExitCode::SUCCESS
     } else {
-        println!("shield5g-lint: {} finding(s)", findings.len());
+        println!("shield5g-lint: {} finding(s)", report.findings.len());
         ExitCode::FAILURE
     }
 }

@@ -8,5 +8,4 @@
 pub mod constant_time;
 pub mod enclave_boundary;
 pub mod mw_boundary;
-pub mod panic_budget;
 pub mod secret_hygiene;

@@ -20,29 +20,12 @@ impl FileAnalysis {
     #[must_use]
     pub fn load(root: &Path, path: &Path) -> Option<Self> {
         let raw = std::fs::read_to_string(path).ok()?;
-        let clean = clean_source(&raw);
-        let spans = test_spans(&clean);
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        // The workspace-level integration suite is test code end to
-        // end and stays fully exempt. Crate-level `tests/`, `examples/`
-        // and `benches/` are walked as regular code by every rule (only
-        // their `#[cfg(test)]` islands are exempt): they ship in the repo,
-        // run in CI, and their panic sites count against the budget.
-        let spans = if rel.starts_with("tests/") {
-            vec![(0, clean.len())]
-        } else {
-            spans
-        };
-        Some(FileAnalysis {
-            rel_path: rel,
-            raw,
-            clean,
-            test_spans: spans,
-        })
+        Some(Self::from_source(&rel, &raw))
     }
 
     /// Builds an analysis directly from source text (fixture tests).
@@ -73,35 +56,17 @@ impl FileAnalysis {
     }
 }
 
-/// Collects the `.rs` files the lint walks: each crate's `src/`,
-/// `tests/`, `examples/` and `benches/`, plus the top-level `src/`,
-/// `tests/`, `examples/` and `benches/`. Vendored crates, build output
-/// and the lint's own violation fixtures are excluded.
+/// Collects the `.rs` files the lint walks: each crate's `src/`, the
+/// only place any rule's registry points at. Tests, examples, benches,
+/// vendored shims and build output lie outside it.
 #[must_use]
 pub fn collect_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
-            for sub in ["src", "tests", "examples", "benches"] {
-                walk(&entry.path().join(sub), &mut out);
-            }
+            walk(&entry.path().join("src"), &mut out);
         }
     }
-    for sub in ["src", "tests", "examples", "benches"] {
-        walk(&root.join(sub), &mut out);
-    }
-    out.retain(|p| {
-        let s = p
-            .strip_prefix(root)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        !s.starts_with("vendor/")
-            && !s.contains("/vendor/")
-            && !s.contains("/target/")
-            && !s.contains("lint/tests/fixtures/")
-    });
     out.sort();
     out
 }

@@ -90,7 +90,7 @@ impl Layer for ObsLayer {
     fn on_admitted(&mut self, _env: &mut Env, leg: &LegMeta, depth: usize) {
         // gauge_max keeps the running maximum, so feeding it the current
         // depth reproduces the old engine's depth-peak series exactly.
-        #[allow(clippy::cast_precision_loss)]
+        #[expect(clippy::cast_precision_loss, reason = "depths stay far below 2^52")]
         obs::gauge_max(&leg.dest, &leg.path, labels::DEPTH_PEAK, depth as f64);
     }
 

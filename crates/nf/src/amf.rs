@@ -368,7 +368,7 @@ impl AmfService {
     }
 
     /// Pushes the AUTS to the AUSF resync endpoint.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "resync inputs arrive unbundled")]
     fn send_resync(
         &mut self,
         env: &mut Env,
@@ -747,7 +747,7 @@ impl AmfService {
 
 /// Continuation state across the AMF's outbound SBI round trips, parked
 /// under the serving leg's id while its call is out.
-#[allow(clippy::enum_variant_names)] // every variant awaits a distinct peer
+#[expect(clippy::enum_variant_names, reason = "variants await distinct peers")]
 enum AmfFlow {
     /// Waiting for the AUSF's SE AV (authenticate).
     AwaitAusfAuth {

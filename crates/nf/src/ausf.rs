@@ -178,7 +178,7 @@ impl AusfService {
 
 /// Continuation state across the AUSF's outbound round trips, parked
 /// under the serving leg's id while its call is out.
-#[allow(clippy::enum_variant_names)] // every variant awaits a distinct peer
+#[expect(clippy::enum_variant_names, reason = "variants await distinct peers")]
 enum AusfFlow {
     /// Waiting on the UDM's HE AV.
     AwaitUdm { snn: ServingNetworkName },

@@ -62,7 +62,6 @@ pub mod addr {
 
 /// 5G network function types (for NRF profiles).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-#[allow(clippy::upper_case_acronyms)]
 pub enum NfType {
     /// Network Repository Function.
     NRF,

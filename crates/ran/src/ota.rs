@@ -73,6 +73,7 @@ impl OtaTestbed {
     pub fn assemble(seed: u64, deployment: AkaDeployment) -> Self {
         let mut env = Env::new(seed);
         env.log.disable();
+        #[expect(clippy::expect_used, reason = "the fixed slice config always deploys")]
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -192,10 +193,12 @@ pub fn session_setup_comparison(seed: u64, reps: u32) -> SessionSetupComparison 
     let measure = |deployment: AkaDeployment, seed: u64| -> (SimDuration, SimDuration) {
         let mut testbed = OtaTestbed::assemble(seed, deployment);
         // Warm the modules (the paper measures steady-state setup).
+        #[expect(clippy::expect_used, reason = "an honest, provisioned UE completes")]
         let _ = testbed.run().expect("warmup run");
         let mut setups = Vec::new();
         let mut paka = Vec::new();
         for _ in 0..reps {
+            #[expect(clippy::expect_used, reason = "an honest, provisioned UE completes")]
             let report = testbed.run().expect("measured run");
             setups.push(report.session_setup);
             paka.push(report.paka_time);

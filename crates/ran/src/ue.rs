@@ -320,9 +320,11 @@ impl CotsUe {
             "setup_time_ns",
             (env.clock.now() - t0).as_nanos(),
         );
+        #[expect(clippy::expect_used, reason = "only Accept sets it and ends the loop")]
+        let guti = self.guti.expect("registered");
         Ok(RegistrationReport {
             setup_time: env.clock.now() - t0,
-            guti: self.guti.expect("registered"),
+            guti,
             resyncs,
         })
     }

@@ -213,6 +213,7 @@ impl Run {
         done: &mut Vec<Completion>,
     ) {
         for completion in done.drain(..) {
+            #[expect(clippy::expect_used, reason = "every completion's tag was scheduled")]
             let pending = self
                 .in_flight
                 .remove(&completion.tag)
@@ -240,6 +241,7 @@ impl Run {
             if ok {
                 self.recovery.success(finished);
                 if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
+                    #[expect(clippy::expect_used, reason = "ok batch replies are module-encoded")]
                     let avs = Vec::decode(&completion.response.body).expect("batch wire");
                     let supi = self.supis[pending.ue as usize].as_str();
                     c.put_batch(supi, avs);

@@ -164,6 +164,7 @@ impl Replica {
     /// Transition counters accumulated since preheat finished.
     #[must_use]
     pub fn counters_delta(&self) -> SgxCounters {
+        #[expect(clippy::expect_used, reason = "SGX pool replicas keep stats")]
         let now = self
             .module
             .borrow()
@@ -269,6 +270,7 @@ impl EnclavePool {
         let spawned_at = env.clock.now();
         let platform = SgxPlatform::new(env);
         let mut host = Host::with_sgx(format!("pool-{}-{id}", self.kind.name()), platform);
+        #[expect(clippy::expect_used, reason = "image registered; each host has SGX")]
         let mut module =
             PakaModule::deploy_sgx(env, &mut host, &self.registry, self.kind, self.cfg.sgx)
                 .expect("pool replica deploy");
@@ -557,6 +559,7 @@ impl EnclavePool {
                     obs::count("pool", self.replica(id).addr(), labels::REPLICA_EJECTED, 1);
                     Some(HealthEvent::Ejected(id))
                 } else {
+                    #[expect(clippy::expect_used, reason = "`health` was checked above")]
                     self.health
                         .as_mut()
                         .expect("tracker present")
@@ -670,6 +673,7 @@ impl EnclavePool {
     ///
     /// Panics on an unknown id.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "spawned ids are never removed")]
     pub fn replica(&self, id: ReplicaId) -> &Replica {
         self.replicas
             .iter()
@@ -677,6 +681,7 @@ impl EnclavePool {
             .expect("unknown replica id")
     }
 
+    #[expect(clippy::expect_used, reason = "spawned ids are never removed")]
     fn replica_mut(&mut self, id: ReplicaId) -> &mut Replica {
         self.replicas
             .iter_mut()

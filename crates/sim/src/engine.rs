@@ -292,7 +292,7 @@ pub enum Resume {
 /// to act is byte-invisible in the trace. The three *traversal* methods
 /// (`on_request`, `on_response`, `on_step`) wrap the service's
 /// resumable segments; the stack that owns the layers calls them.
-#[allow(unused_variables)]
+#[expect(unused_variables, reason = "a default hook ignores its arguments")]
 pub trait Layer {
     /// A root leg for the endpoint was posted via
     /// [`Engine::schedule_request`] (clock may not be at
@@ -858,6 +858,7 @@ impl Engine {
                 }
                 return Ok(done.response);
             }
+            #[expect(clippy::expect_used, reason = "the pending root has a queued event")]
             let ev = self
                 .heap
                 .pop()
@@ -1032,6 +1033,7 @@ impl Engine {
 
     fn on_arrive(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
+        #[expect(clippy::expect_used, reason = "Arrive is queued for a live context")]
         let ctx = self.ctxs.get(&id).expect("arriving context exists");
         let (leg, ids, looped) = (ctx.leg.clone(), ctx.ids, self.loops(ctx));
         self.note(now, ARRIVE, ids.0, ids.1);
@@ -1088,11 +1090,14 @@ impl Engine {
     fn run_begin(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
         let (leg, ids, wait, req) = {
+            #[expect(clippy::expect_used, reason = "Begin is queued for a live context")]
             let ctx = self.ctxs.get_mut(&id).expect("beginning context exists");
             ctx.queued = now - ctx.leg.arrived;
+            #[expect(clippy::expect_used, reason = "only its one Begin takes the request")]
             let req = ctx.req.take().expect("request not yet started");
             (ctx.leg.clone(), ctx.ids, ctx.queued, req)
         };
+        #[expect(clippy::expect_used, reason = "arrival found this leg's endpoint")]
         let ep = self.endpoints.get_mut(&leg.dest).expect("endpoint exists");
         let service = ep.service.clone();
         if let Gate::Shed { resp, note } = gate(service.borrow_mut().layers(), |layer| {
@@ -1115,6 +1120,7 @@ impl Engine {
         let now = env.clock.now();
         match step {
             Step::Reply(resp) => {
+                #[expect(clippy::expect_used, reason = "a step applies to its live context")]
                 let ctx = self.ctxs.get(&id).expect("replying context");
                 let (leg, ids) = (ctx.leg.clone(), ctx.ids);
                 self.note(now, REPLY, ids.0, STATUS_BIT | u32::from(resp.status));
@@ -1139,6 +1145,7 @@ impl Engine {
                 let child = self.next_ctx;
                 self.next_ctx += 1;
                 let ids = (self.intern(&dest), self.intern(&req.path));
+                #[expect(clippy::expect_used, reason = "a step applies to its live context")]
                 let parent = self.ctxs.get(&id).expect("calling context");
                 let (tag, parent_leg) = (parent.tag, parent.leg.clone());
                 // A callout inherits the caller's priority class unless
@@ -1253,6 +1260,7 @@ impl Engine {
 
     fn on_deliver(&mut self, env: &mut Env, id: u64, resp: HttpResponse) {
         let now = env.clock.now();
+        #[expect(clippy::expect_used, reason = "one Deliver per live context")]
         let Ctx {
             leg,
             ids,
@@ -1286,6 +1294,7 @@ impl Engine {
                 });
             }
             Some(caller) => {
+                #[expect(clippy::expect_used, reason = "a parent outlives its call-outs")]
                 let parent = self.ctxs.get(&caller).expect("parent context exists");
                 let (parent_leg, parent_ids) = (parent.leg.clone(), parent.ids);
                 self.note(now, RESUME, parent_ids.0, ids.1);

@@ -45,6 +45,7 @@ impl SimTime {
     /// Panics if `earlier` is later than `self` — time never runs backwards
     /// in the simulator, so this indicates a harness bug.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "virtual time never runs backwards")]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -154,6 +155,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "a duration is never negative")]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative duration"))
     }

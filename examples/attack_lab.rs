@@ -21,7 +21,7 @@ use shield5g::infra::image::ContainerImage;
 use shield5g::libos::gsc::ImageSpec;
 use shield5g::sim::Env;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== attack lab: the §III co-residency attacker ==\n");
 
     for deployment in [
@@ -36,24 +36,19 @@ fn main() {
                 deployment,
                 subscriber_count: 2,
             },
-        )
-        .expect("slice deploys");
+        )?;
 
         // Drive one AKA round so derived keys (K_AUSF/K_SEAF/K_AMF) are
         // resident in module memory.
         let mut client = slice
             .client_for(PakaKind::EUdm, "udm.oai")
-            .expect("modules deployed");
+            .ok_or("slice has an eUDM module")?;
         let req = standard_request(PakaKind::EUdm);
-        client
-            .call(&mut env, &req.path, req.body.clone())
-            .expect("AKA round");
+        client.call(&mut env, &req.path, req.body.clone())?;
 
         // Tap the bridge and push one more request across it.
         slice.bridge.borrow_mut().enable_tap();
-        client
-            .call(&mut env, &req.path, req.body.clone())
-            .expect("AKA round");
+        client.call(&mut env, &req.path, req.body.clone())?;
         let opc_on_wire = slice
             .bridge
             .borrow()
@@ -80,8 +75,7 @@ fn main() {
     let platform = shield5g::hmee::platform::SgxPlatform::new(&mut env);
     let enclave = shield5g::hmee::enclave::EnclaveBuilder::new("amf")
         .heap_bytes(64 * 1024 * 1024)
-        .build(&mut env, &platform)
-        .expect("enclave builds");
+        .build(&mut env, &platform)?;
     let blob = seal(
         &mut env,
         &enclave,
@@ -124,4 +118,5 @@ fn main() {
             ki.mechanism
         );
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use shield5g::core::stats::Summary;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::sim::Env;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let count: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -27,18 +27,27 @@ fn main() {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
             subscriber_count: count as u32,
         },
-    )
-    .expect("slice deploys");
+    )?;
     let mut sim = GnbSim::new(&slice);
 
     let mut snapshots = Vec::new();
     let mut setups = Vec::new();
     for i in 0..count {
-        let regs = sim.register_ues(&mut env, &slice, 1).expect("registration");
+        let regs = sim.register_ues(&mut env, &slice, 1)?;
         setups.push(regs[0].report.setup_time);
         let _ = i;
-        snapshots
-            .push(PakaKind::all().map(|k| slice.module(k).unwrap().borrow().sgx_stats().unwrap()));
+        let row = PakaKind::all()
+            .into_iter()
+            .map(|k| {
+                let module = slice.module(k).ok_or("sgx slice has modules")?;
+                let stats = module
+                    .borrow()
+                    .sgx_stats()
+                    .ok_or("sgx module keeps stats")?;
+                Ok(stats)
+            })
+            .collect::<Result<Vec<_>, &str>>()?;
+        snapshots.push(row);
     }
 
     println!(
@@ -76,4 +85,5 @@ fn main() {
             println!("  {:6} mean ΔEENTER/UE = {avg:.1}", kind.name());
         }
     }
+    Ok(())
 }

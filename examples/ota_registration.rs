@@ -16,7 +16,7 @@ use shield5g::ran::ue::CotsUe;
 use shield5g::ran::usim::Usim;
 use shield5g::ran::RanError;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = TestbedConfig::paper();
     println!("== OTA feasibility test (paper §V-B6) ==");
     println!(
@@ -29,7 +29,7 @@ fn main() {
     // Failure mode 1: custom PLMN — the phone never detects the cell.
     let mut testbed = OtaTestbed::assemble(60, AkaDeployment::Sgx(SgxConfig::default()));
     let sub = testbed.slice().subscribers[0].clone();
-    let foreign = Supi::new(Plmn::new("310", "260").unwrap(), "0000000001").unwrap();
+    let foreign = Supi::new(Plmn::new("310", "260")?, "0000000001")?;
     testbed.swap_ue(CotsUe::oneplus8(Usim::program(
         foreign,
         sub.k,
@@ -70,7 +70,7 @@ fn main() {
 
     // The successful run: Test1-1 → OpenAirInterface.
     let mut testbed = OtaTestbed::assemble(62, AkaDeployment::Sgx(SgxConfig::default()));
-    let report = testbed.run().expect("validated configuration registers");
+    let report = testbed.run()?;
     println!("\n[3] validated configuration:");
     println!(
         "    registered through P-AKA enclaves: {}",
@@ -82,7 +82,7 @@ fn main() {
         "    first session setup: {} (includes enclave cold start)",
         report.session_setup
     );
-    let warm = testbed.run().expect("steady-state run");
+    let warm = testbed.run()?;
     println!(
         "    steady-state setup:  {} (paper: 62.38 ms)",
         warm.session_setup
@@ -98,4 +98,5 @@ fn main() {
         cmp.sgx_delta,
         cmp.sgx_share_of_setup() * 100.0
     );
+    Ok(())
 }

@@ -16,7 +16,7 @@ use shield5g::core::stats::Summary;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::sim::Env;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== deployment comparison: monolithic vs container vs SGX ==\n");
 
     // 1. Full registrations through each deployment.
@@ -33,12 +33,9 @@ fn main() {
                 deployment,
                 subscriber_count: 3,
             },
-        )
-        .expect("slice deploys");
+        )?;
         let mut sim = GnbSim::new(&slice);
-        let regs = sim
-            .register_ues(&mut env, &slice, 3)
-            .expect("registrations succeed");
+        let regs = sim.register_ues(&mut env, &slice, 3)?;
         let setup: Vec<_> = regs.iter().map(|r| r.report.setup_time).collect();
         println!(
             "{:10}: 3/3 UEs registered, setup {} median",
@@ -87,4 +84,5 @@ fn main() {
         );
     }
     println!("\nPaper bands: L_F 1.2-1.5x, R_S 2.2-2.9x, R_I ~20x of R_S.");
+    Ok(())
 }

@@ -15,7 +15,7 @@ use shield5g::hmee::platform::SgxPlatform;
 use shield5g::infra::host::Host;
 use shield5g::sim::Env;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== slice migration: eUDM enclave, host r450 -> r451 ==\n");
     let mut env = Env::new(4321);
     env.log.disable();
@@ -25,14 +25,13 @@ fn main() {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
             subscriber_count: 5,
         },
-    )
-    .expect("slice deploys");
+    )?;
 
-    let mut client = slice.client_for(PakaKind::EUdm, "udm.oai").expect("module");
+    let mut client = slice
+        .client_for(PakaKind::EUdm, "udm.oai")
+        .ok_or("slice has an eUDM module")?;
     let req = standard_request(PakaKind::EUdm);
-    let before = client
-        .call(&mut env, &req.path, req.body.clone())
-        .expect("AV");
+    let before = client.call(&mut env, &req.path, req.body.clone())?;
     println!(
         "pre-migration:  eUDM serving on r450 (AV generated, {} bytes)",
         before.len()
@@ -66,16 +65,13 @@ fn main() {
         &mut target,
         &service,
         SgxConfig::default(),
-    )
-    .expect("migration succeeds");
+    )?;
     println!(
         "migration:      attested={} keys={} enclave load {} total {}",
         report.attested, report.keys_transferred, report.target_load_time, report.total_time
     );
 
-    let after = client
-        .call(&mut env, &req.path, req.body.clone())
-        .expect("AV");
+    let after = client.call(&mut env, &req.path, req.body.clone())?;
     println!(
         "post-migration: same client handle, identical AV bytes: {}",
         before == after
@@ -90,4 +86,5 @@ fn main() {
     );
     println!("\nMigration cost is dominated by the Fig. 7 enclave load — exactly");
     println!("why the paper flags load time as the metric for slice migration.");
+    Ok(())
 }

@@ -15,6 +15,11 @@
 //! allocator never allocates itself). Each test runs on its own thread,
 //! so only its own allocations are counted.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use shield5g::core::paka::SgxConfig;
 use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
 use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};

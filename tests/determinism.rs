@@ -1,6 +1,12 @@
 //! Determinism guarantees: identical seeds replay bit-for-bit; distinct
 //! seeds vary. Everything the benches print is reproducible.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use shield5g::core::harness::{measure_lf_lt, measure_response_times, ModuleDeployment};
 use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, build_traced_slice, AkaDeployment, Slice, SliceConfig};

@@ -1,6 +1,11 @@
 //! End-to-end integration: full-stack UE registrations across all three
 //! AKA deployments, exercising every crate in the workspace at once.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, build_traced_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;

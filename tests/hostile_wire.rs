@@ -13,6 +13,11 @@
 //! `to_bytes` / `encode` / `protect` / `seal` on arbitrary inputs: the
 //! owned forms are wrappers, and stay so.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use proptest::prelude::*;
 use shield5g::crypto::ident::Guti;
 use shield5g::nf::messages::{NasDownlink, NasUplink, Ngap};

@@ -2,6 +2,11 @@
 //! decomposes the harness-reported latency exactly, and every exporter
 //! is a pure function of the seed.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use shield5g::core::paka::SgxConfig;
 use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
 use shield5g::obs::export;

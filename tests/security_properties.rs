@@ -1,6 +1,11 @@
 //! Security-property integration tests: the paper's §III/§VI claims
 //! verified across crate boundaries.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
+
 use shield5g::core::harness::standard_request;
 use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
