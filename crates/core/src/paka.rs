@@ -241,7 +241,7 @@ impl KeySink for Scratch<'_> {
         if let Some(libos) = c.shielded.as_mut() {
             libos.enclave_mut().vault_write(self.env, self.slot, key);
         } else {
-            c.plain_memory.write(self.slot.to_owned(), key.to_vec());
+            c.plain_memory.write(self.slot, key);
         }
     }
 }
@@ -525,7 +525,7 @@ impl PakaModule {
         if let Some(libos) = c.shielded.as_mut() {
             libos.enclave_mut().vault_write(env, slot, &k);
         } else {
-            c.plain_memory.write(slot, k.to_vec());
+            c.plain_memory.write(slot, &k);
         }
     }
 
@@ -1208,7 +1208,7 @@ mod tests {
                 let mut c = module.container.borrow_mut();
                 match c.shielded.as_mut() {
                     Some(libos) => libos.enclave_mut().vault_write(&mut env, &slot, &[7; 17]),
-                    None => c.plain_memory.write(slot, vec![7; 17]),
+                    None => c.plain_memory.write(&slot, &[7; 17]),
                 }
             }
             let key = module.load_subscriber_key(&mut env, SUPI).unwrap();

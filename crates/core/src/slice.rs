@@ -357,8 +357,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
             if let Some(udm_container) = host.container("udm.oai") {
                 let mut c = udm_container.borrow_mut();
                 for sub in &subscribers {
-                    c.plain_memory
-                        .write(format!("k:{}", sub.supi), sub.k.to_vec());
+                    c.plain_memory.write(&format!("k:{}", sub.supi), &sub.k);
                 }
             }
             (

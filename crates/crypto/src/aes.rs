@@ -185,6 +185,8 @@ impl Aes128 {
     /// transmission order *is* that layout, so each column is one
     /// big-endian word of the block.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(test)]
+        tests::count_block();
         let state = xor(columns(u128::from_be_bytes(*block)), self.schedule[0]);
         *block = join(self.finish(1, state)).to_be_bytes();
     }
@@ -221,6 +223,8 @@ impl Aes128 {
             t[0] ^= TABLES[3][s[3] as u8 as usize];
             let u = xor(round(t, &self.schedule[2]), column_0_lookups(t[0]));
             for chunk in run.chunks_mut(16) {
+                #[cfg(test)]
+                tests::count_block();
                 let low = counter as u8 ^ self.schedule[0][3] as u8;
                 let t0 = t[0] ^ TABLES[3][low as usize];
                 let keystream = join(self.finish(3, xor(u, column_0_lookups(t0))));
@@ -295,10 +299,38 @@ fn join(columns: [u32; 4]) -> u128 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hex;
+    use std::cell::Cell;
     use std::sync::OnceLock;
+
+    thread_local! {
+        static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count_block() {
+        BLOCKS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The blocks `f` encrypts on this thread, one per ECB block or CTR
+    /// keystream block.
+    pub(crate) fn blocks<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = BLOCKS.with(Cell::get);
+        let out = f();
+        (out, BLOCKS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn the_counter_sees_every_block() {
+        let cipher = Aes128::new(&[7; 16]);
+        assert_eq!(blocks(|| cipher.encrypt_block_copy(&[0; 16])).1, 1);
+        // 33 bytes of CTR are three keystream blocks, across a run end.
+        let mut data = [0u8; 33];
+        let icb = [0xff; 16];
+        assert_eq!(blocks(|| cipher.ctr_apply(&icb, &mut data)).1, 3);
+        assert_eq!(blocks(|| Aes128::new(&[7; 16])).1, 0);
+    }
 
     /// The inverse S-box, derived from [`SBOX`] on first use so that no
     /// hand-transcribed second table can disagree with the first.

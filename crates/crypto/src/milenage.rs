@@ -7,6 +7,14 @@
 //! and that the COTS UE's USIM evaluates on its side of the mutual
 //! authentication.
 //!
+//! Every function of one RAND starts from the same block,
+//! `TEMP = E_K(RAND ⊕ OPc)`. The public functions compute it per call;
+//! the crate's challenge paths ([`crate::keys::generate_he_av`] and
+//! [`crate::keys::ue_process_challenge`], which need f1 and f2345 of one
+//! RAND) compute it once and pass it to both, so a challenge costs five
+//! AES blocks (TEMP, OUT1..OUT4), not six. TEMP is held as a
+//! [`SecretBytes`] and wiped when dropped.
+//!
 //! Validated against Test Set 1 of TS 35.207/35.208.
 //!
 //! ```rust
@@ -20,7 +28,7 @@
 //! ```
 
 use crate::aes::Aes128;
-use crate::secret::SecretBytes;
+use crate::secret::{SecretBytes, Zeroize};
 
 /// MILENAGE rotation amounts in bytes (`r1..r5` = 64, 0, 32, 64, 96 bits).
 const ROT: [usize; 5] = [8, 0, 4, 8, 12];
@@ -104,19 +112,22 @@ impl Milenage {
         Self::with_opc(k.expose(), opc.expose())
     }
 
-    /// `TEMP = E_K(RAND ⊕ OPc)`.
-    fn temp(&self, rand: &[u8; 16]) -> [u8; 16] {
+    /// `TEMP = E_K(RAND ⊕ OPc)`, the block every function of one RAND
+    /// starts from. Held as a secret, so it is wiped when dropped.
+    pub(crate) fn temp(&self, rand: &[u8; 16]) -> SecretBytes<16> {
         let mut t = *rand;
         for (b, o) in t.iter_mut().zip(self.opc.expose().iter()) {
             *b ^= o;
         }
-        self.aes.encrypt_block_copy(&t)
+        let temp = SecretBytes::new(self.aes.encrypt_block_copy(&t));
+        t.zeroize();
+        temp
     }
 
     /// `OUT_i = E_K(rot(TEMP ⊕ OPc, r_i) ⊕ c_i) ⊕ OPc` for i in 2..=5.
-    fn out_i(&self, temp: &[u8; 16], i: usize) -> [u8; 16] {
+    fn out_i(&self, temp: &SecretBytes<16>, i: usize) -> [u8; 16] {
         debug_assert!((2..=5).contains(&i));
-        let opc = self.opc.expose();
+        let (temp, opc) = (temp.expose(), self.opc.expose());
         let mut x = [0u8; 16];
         let rot = ROT[i - 1];
         for j in 0..16 {
@@ -131,8 +142,7 @@ impl Milenage {
     }
 
     /// `OUT1` shared by f1 and f1*.
-    fn out1(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 16] {
-        let temp = self.temp(rand);
+    fn out1(&self, temp: &SecretBytes<16>, sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 16] {
         let mut in1 = [0u8; 16];
         in1[0..6].copy_from_slice(sqn);
         in1[6..8].copy_from_slice(amf);
@@ -145,7 +155,7 @@ impl Milenage {
             x[j] = in1[(j + ROT[0]) % 16] ^ opc[(j + ROT[0]) % 16];
         }
         // c1 = 0, so only XOR TEMP in.
-        for (b, t) in x.iter_mut().zip(temp.iter()) {
+        for (b, t) in x.iter_mut().zip(temp.expose().iter()) {
             *b ^= t;
         }
         let mut out = self.aes.encrypt_block_copy(&x);
@@ -158,8 +168,13 @@ impl Milenage {
     /// `f1`: network authentication code MAC-A (64 bits).
     #[must_use]
     pub fn f1(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
+        self.f1_of(&self.temp(rand), sqn, amf)
+    }
+
+    /// [`Milenage::f1`] from the RAND's [`Milenage::temp`].
+    pub(crate) fn f1_of(&self, temp: &SecretBytes<16>, sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
         let mut mac_a = [0u8; 8];
-        mac_a.copy_from_slice(&self.out1(rand, sqn, amf)[0..8]);
+        mac_a.copy_from_slice(&self.out1(temp, sqn, amf)[0..8]);
         mac_a
     }
 
@@ -167,17 +182,21 @@ impl Milenage {
     #[must_use]
     pub fn f1_star(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
         let mut mac_s = [0u8; 8];
-        mac_s.copy_from_slice(&self.out1(rand, sqn, amf)[8..16]);
+        mac_s.copy_from_slice(&self.out1(&self.temp(rand), sqn, amf)[8..16]);
         mac_s
     }
 
     /// `f2`, `f3`, `f4`, `f5` computed together from one RAND.
     #[must_use]
     pub fn f2345(&self, rand: &[u8; 16]) -> F2345Output {
-        let temp = self.temp(rand);
-        let out2 = self.out_i(&temp, 2);
-        let out3 = self.out_i(&temp, 3);
-        let out4 = self.out_i(&temp, 4);
+        self.f2345_of(&self.temp(rand))
+    }
+
+    /// [`Milenage::f2345`] from the RAND's [`Milenage::temp`].
+    pub(crate) fn f2345_of(&self, temp: &SecretBytes<16>) -> F2345Output {
+        let out2 = self.out_i(temp, 2);
+        let out3 = self.out_i(temp, 3);
+        let out4 = self.out_i(temp, 4);
         let mut res = [0u8; 8];
         res.copy_from_slice(&out2[8..16]);
         let mut ak = [0u8; 6];
@@ -193,9 +212,8 @@ impl Milenage {
     /// `f5*`: the re-synchronisation anonymity key AK (48 bits).
     #[must_use]
     pub fn f5_star(&self, rand: &[u8; 16]) -> [u8; 6] {
-        let temp = self.temp(rand);
         let mut ak = [0u8; 6];
-        ak.copy_from_slice(&self.out_i(&temp, 5)[0..6]);
+        ak.copy_from_slice(&self.out_i(&self.temp(rand), 5)[0..6]);
         ak
     }
 }

@@ -4,6 +4,28 @@
 //! SUCI Profile A key derivation, enclave measurement (MRENCLAVE analogue)
 //! and trusted-file hashing in the LibOS.
 //!
+//! # Implementation
+//!
+//! Every hash in the workspace — one-shot digests, streaming updates and
+//! the HMAC pads' chaining states, hence HMAC, both KDFs, NAS MACs,
+//! sim-TLS records, ECIES and the measurements — runs through one block
+//! function, `compress`, in safe portable Rust. It expands the 16
+//! big-endian message words to the 64-word schedule and adds `K[i]` in
+//! once, then runs the 64 rounds straight-line, eight per step of a
+//! `macro_rules!` round that rotates the register *names* instead of
+//! moving eight values. A round computes `Σ1(e)` as
+//! `((e ⋙ 14 ⊕ e) ⋙ 5 ⊕ e) ⋙ 6` and `Σ0(a)` as
+//! `((a ⋙ 9 ⊕ a) ⋙ 11 ⊕ a) ⋙ 2` (three rotations each, two of them
+//! sharing a term), `Ch` as `g ⊕ (e ∧ (f ⊕ g))` and `Maj` as
+//! `b ⊕ ((a ⊕ b) ∧ (b ⊕ c))`, carrying `a ⊕ b` forward as the next
+//! round's `b ⊕ c`. [`Sha256::update`] compresses the full blocks of its
+//! input where they lie and buffers only a partial one.
+//!
+//! FIPS 180-4 §6.2.2 as written, one round per loop iteration, lives with
+//! the tests as the differential reference: a property checks `compress`
+//! against it on random `(state, block)` pairs, and the reference itself
+//! hashes the NIST `"abc"` vector.
+//!
 //! ```rust
 //! use shield5g_crypto::sha256::Sha256;
 //! let digest = Sha256::digest(b"abc");
@@ -93,7 +115,8 @@ impl Sha256 {
         }
     }
 
-    /// Absorbs `data` into the hash state.
+    /// Absorbs `data` into the hash state. Full blocks of `data` are
+    /// compressed where they lie; only a partial block is buffered.
     pub fn update(&mut self, data: &[u8]) {
         self.len += data.len() as u64;
         let mut rest = data;
@@ -103,20 +126,12 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                #[cfg(test)]
-                tests::count_compression();
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            #[cfg(test)]
-            tests::count_compression();
-            self.compress(&b);
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -143,50 +158,64 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        #[expect(clippy::expect_used, reason = "`chunks_exact(4)` yields 4-byte chunks")]
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// One SHA-256 round over registers named in rotated order: the round
+/// writes its new `a` into `$h` and its new `e` into `$d`, so the next
+/// round takes the same names shifted by one instead of eight moves.
+/// `$bc` holds `b ^ c` on entry and `a ^ b`, the next round's, on exit.
+/// The module docs give the refactored `Σ1`, `Σ0`, `Ch` and `Maj`.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $bc:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add((($e.rotate_right(14) ^ $e).rotate_right(5) ^ $e).rotate_right(6))
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($kw);
+        let ab = $a ^ $b;
+        let t2 = (($a.rotate_right(9) ^ $a).rotate_right(11) ^ $a)
+            .rotate_right(2)
+            .wrapping_add($b ^ (ab & $bc));
+        $bc = ab;
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(t2);
+    };
+}
+
+/// Compresses one block into `state`: the message schedule with `K`
+/// folded in, then the 64 rounds eight at a time, straight-line.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(test)]
+    tests::count_compression();
+    let mut w = [0u32; 64];
+    for (w, c) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let mut kw = [0u32; 64];
+    for ((kw, w), k) in kw.iter_mut().zip(w).zip(K) {
+        *kw = w.wrapping_add(k);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    let mut bc = b ^ c;
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, bc, kw[i]);
+        round!(h, a, b, c, d, e, f, g, bc, kw[i + 1]);
+        round!(g, h, a, b, c, d, e, f, bc, kw[i + 2]);
+        round!(f, g, h, a, b, c, d, e, bc, kw[i + 3]);
+        round!(e, f, g, h, a, b, c, d, bc, kw[i + 4]);
+        round!(d, e, f, g, h, a, b, c, bc, kw[i + 5]);
+        round!(c, d, e, f, g, h, a, b, bc, kw[i + 6]);
+        round!(b, c, d, e, f, g, h, a, bc, kw[i + 7]);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -209,6 +238,62 @@ pub(crate) mod tests {
         let before = COMPRESSIONS.with(Cell::get);
         let out = f();
         (out, COMPRESSIONS.with(Cell::get) - before)
+    }
+
+    /// FIPS 180-4 §6.2.2 as written, one round per iteration: the
+    /// differential oracle for [`compress`].
+    fn reference_compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let temp1 = h
+                .wrapping_add(big_s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let temp2 = big_s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(temp1);
+            d = c;
+            c = b;
+            b = a;
+            a = temp1.wrapping_add(temp2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    #[test]
+    fn the_reference_hashes_abc() {
+        // "abc" padded by hand into its one block.
+        let mut block = [0u8; 64];
+        block[..4].copy_from_slice(b"abc\x80");
+        block[63] = 24;
+        let mut state = H0;
+        reference_compress(&mut state, &block);
+        let digest: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        assert_eq!(
+            hex::encode(&digest),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
     }
 
     #[test]
@@ -293,6 +378,18 @@ pub(crate) mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn compress_is_the_reference(
+            state in proptest::array::uniform8(0u32..),
+            block in proptest::collection::vec(0u8.., 64),
+        ) {
+            let block: [u8; 64] = block.try_into().unwrap();
+            let (mut fast, mut slow) = (state, state);
+            compress(&mut fast, &block);
+            reference_compress(&mut slow, &block);
+            proptest::prop_assert_eq!(fast, slow);
+        }
+
         #[test]
         fn chunked_update_is_equivalent(data in proptest::collection::vec(0u8.., 0..300), cuts in proptest::collection::vec(0usize..300, 0..5)) {
             let mut cuts = cuts.into_iter().map(|c| c % (data.len() + 1)).collect::<Vec<_>>();

@@ -294,7 +294,7 @@ mod tests {
             .unwrap();
         c.borrow_mut()
             .plain_memory
-            .write("kausf", b"super-secret-kausf".to_vec());
+            .write("kausf", b"super-secret-kausf");
         let attacker = co_resident_root(&mut env, &host);
         let findings = attacker
             .introspect_memory(&mut env, &host, b"super-secret-kausf")
@@ -368,9 +368,7 @@ mod tests {
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
-        c.borrow_mut()
-            .plain_memory
-            .write("kausf", b"key-material".to_vec());
+        c.borrow_mut().plain_memory.write("kausf", b"key-material");
         let attacker = co_resident_root(&mut env, &host);
         assert!(attacker.tamper_container(&host, "udm-1", "kausf").unwrap());
         // The corrupted value reads back without any error: silent integrity loss.

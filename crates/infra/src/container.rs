@@ -34,9 +34,18 @@ impl PlainMemory {
         Self::default()
     }
 
-    /// Writes a named slot.
-    pub fn write(&mut self, slot: impl Into<String>, bytes: Vec<u8>) {
-        self.slots.insert(slot.into(), bytes);
+    /// Writes a named slot in place: an existing slot's bytes are
+    /// overwritten in its buffer, and only a slot's first write allocates.
+    pub fn write(&mut self, slot: &str, bytes: &[u8]) {
+        match self.slots.get_mut(slot) {
+            Some(v) => {
+                v.clear();
+                v.extend_from_slice(bytes);
+            }
+            None => {
+                self.slots.insert(slot.to_owned(), bytes.to_vec());
+            }
+        }
     }
 
     /// Reads a named slot.
@@ -157,7 +166,7 @@ mod tests {
     #[test]
     fn plain_memory_read_write_wipe() {
         let mut m = PlainMemory::new();
-        m.write("kausf", b"secret-key".to_vec());
+        m.write("kausf", b"secret-key");
         assert_eq!(m.read("kausf").unwrap(), b"secret-key");
         assert!(m.contains(b"secret"));
         assert!(!m.contains(b"missing"));
@@ -168,9 +177,23 @@ mod tests {
     }
 
     #[test]
+    fn a_write_reuses_the_slot_buffer() {
+        let mut m = PlainMemory::new();
+        m.write("kausf", &[1; 32]);
+        let buffer = m.read("kausf").unwrap().as_ptr();
+        m.write("kausf", &[2; 16]);
+        assert_eq!(m.read("kausf").unwrap(), &[2; 16]);
+        m.write("kausf", &[3; 32]);
+        assert_eq!(m.read("kausf").unwrap(), &[3; 32]);
+        assert_eq!(m.read("kausf").unwrap().as_ptr(), buffer);
+        assert!(!m.contains(&[1; 32]));
+        assert_eq!(m.slot_names(), ["kausf"]);
+    }
+
+    #[test]
     fn tamper_respects_bounds() {
         let mut m = PlainMemory::new();
-        m.write("x", vec![1, 2, 3]);
+        m.write("x", &[1, 2, 3]);
         assert!(m.tamper("x", 1, 9));
         assert_eq!(m.read("x").unwrap(), &[1, 9, 3]);
         assert!(!m.tamper("x", 10, 0));
@@ -193,7 +216,7 @@ mod tests {
         // The data-lifecycle issue of KI 5: stopping without wiping leaves
         // secrets behind.
         let mut c = Container::plain("udm", "oai/udm");
-        c.plain_memory.write("key", b"leftover".to_vec());
+        c.plain_memory.write("key", b"leftover");
         c.stop();
         assert!(c.plain_memory.contains(b"leftover"));
     }

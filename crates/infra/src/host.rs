@@ -298,7 +298,7 @@ mod tests {
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
-        c.borrow_mut().plain_memory.write("k", b"leak".to_vec());
+        c.borrow_mut().plain_memory.write("k", b"leak");
         host.remove_container("udm-1", true).unwrap();
         assert!(!c.borrow().plain_memory.contains(b"leak"));
         assert!(host.remove_container("udm-1", true).is_err());
@@ -312,7 +312,7 @@ mod tests {
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
-        c.borrow_mut().plain_memory.write("k", b"leak".to_vec());
+        c.borrow_mut().plain_memory.write("k", b"leak");
         host.remove_container("udm-1", false).unwrap();
         assert!(c.borrow().plain_memory.contains(b"leak"));
     }

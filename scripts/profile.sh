@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Frame-pointer sampling profile of one benchmark workload — the profile
-# ROADMAP item 4's reopen rule asks for. Not part of check.sh or CI; needs
+# ROADMAP item 10's reopen rule asks for. Not part of check.sh or CI; needs
 # gcc, nm and python3 besides cargo.
 #
 #   scripts/profile.sh [--allocs] <workload> [seconds] [frame]
@@ -19,11 +19,18 @@
 # gives the site's allocations per op (samples x 4 / the run's attempted
 # ops). Either way the set-up's own calls of `frame` (its warm-ups) are
 # left out, so the shares and counts are the timed phase's.
+#
+# To see who calls a hot leaf, re-read the last run's samples with the
+# report's callers view: the most common chains of DEPTH (default 4)
+# frames above every leaf matching SYMBOL, with their shares, e.g.
+#
+#   python3 scripts/profile_report.py target/profile/release/shield5g-benchmark \
+#     target/profile/samples.txt RegWorld::op 15 --callers sha256::compress 4
 set -euo pipefail
 
 sampler=profile_sampler
 if [ "${1:-}" = --allocs ]; then sampler=alloc_sampler; shift; fi
-[ $# -ge 1 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,29p' "$0" >&2; exit 2; }
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 workload="$1" seconds="${2:-10}"
 case "$workload" in

@@ -4,6 +4,7 @@
 the samples whose stack contains FRAME.
 
 Usage: profile_report.py BINARY SAMPLES FRAME [TOP] [--ops N]
+                         [--callers SYMBOL [DEPTH]]
 
 The benchmark runs FRAME in its set-up (warm-ups) before the timed phase,
 along another call path. When the matching samples reach FRAME along more
@@ -12,7 +13,12 @@ the first one is the set-up's and its samples are left out.
 
 With --ops N (the run's `attempted`) and an allocation sample file (whose
 header names the sampler's `every`), each row also gives its allocations
-per op: samples x every / N."""
+per op: samples x every / N.
+
+With --callers SYMBOL [DEPTH] (default 4), it prints instead who calls a
+hot leaf: over the matching samples whose leaf symbol contains SYMBOL, the
+TOP most common chains of the DEPTH frames above the leaf, innermost
+first, each with its share of those samples and of all matching ones."""
 import argparse, bisect, collections, re, subprocess
 
 parser = argparse.ArgumentParser()
@@ -21,7 +27,10 @@ parser.add_argument("samples")
 parser.add_argument("frame")
 parser.add_argument("top", nargs="?", type=int, default=25)
 parser.add_argument("--ops", type=int)
+parser.add_argument("--callers", nargs="+", metavar=("SYMBOL", "DEPTH"))
 args = parser.parse_args()
+if args.callers and (len(args.callers) > 2 or not all(d.isdigit() for d in args.callers[1:])):
+    parser.error("--callers takes SYMBOL and an optional integer DEPTH")
 
 starts, names = [], []
 for row in subprocess.run(["nm", "-C", "-n", "--defined-only", args.binary],
@@ -56,6 +65,8 @@ paths = {path for _, path in matching}
 setup = matching[0][1] if len(paths) > 1 else None
 
 self_time, inclusive, kept, skipped = collections.Counter(), collections.Counter(), 0, 0
+callers, leaf = collections.Counter(), 0
+symbol_arg, depth = (args.callers[0], int((args.callers + ["4"])[1])) if args.callers else (None, 0)
 for symbols, path in matching:
     if path == setup:
         skipped += 1
@@ -63,6 +74,9 @@ for symbols, path in matching:
     kept += 1
     self_time[symbols[0]] += 1
     inclusive.update(set(symbols))
+    if symbol_arg and symbol_arg in symbols[0]:
+        leaf += 1
+        callers[" <- ".join(symbols[1:1 + depth])] += 1
 
 per_op = every and args.ops
 print(f"{len(stacks)} samples, {kept} with a frame matching {args.frame!r}"
@@ -70,6 +84,14 @@ print(f"{len(stacks)} samples, {kept} with a frame matching {args.frame!r}"
 if per_op:
     print(f"{every * kept / args.ops:.2f} allocations per op over {args.ops} ops"
           f" (one sample per {every} allocations)")
+if symbol_arg:
+    print(f"\n{leaf} samples ({100 * leaf / max(kept, 1):.1f} % of {kept}) have a leaf"
+          f" matching {symbol_arg!r}; top {args.top} chains of {depth} callers"
+          " (share of those samples, of all matching samples)")
+    for chain, n in callers.most_common(args.top):
+        print(f"{100 * n / max(leaf, 1):6.1f} %  {100 * n / max(kept, 1):6.1f} %  {n:7d}"
+              f"  {chain[:300]}")
+    raise SystemExit
 for title, counts in (("self", self_time), ("inclusive", inclusive)):
     print(f"\ntop {args.top} {title} (share of the {kept} matching samples"
           + (", allocations per op)" if per_op else ")"))
