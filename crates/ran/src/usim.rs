@@ -79,6 +79,12 @@ impl Usim {
         &self.hn_public
     }
 
+    /// The highest SQN accepted so far (`SQN_MS`, as an AUTS reports it).
+    #[must_use]
+    pub fn sqn_ms(&self) -> [u8; 6] {
+        self.sqn.sqn_ms()
+    }
+
     /// Conceals the SUPI into a fresh SUCI (new ECIES ephemeral per call,
     /// so successive registrations are unlinkable).
     #[must_use]

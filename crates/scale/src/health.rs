@@ -158,12 +158,6 @@ impl HealthTracker {
         self.core.failure_ewma(&id)
     }
 
-    /// The replica's service-latency EWMA in nanoseconds, if observed.
-    #[must_use]
-    pub fn latency_ewma(&self, id: ReplicaId) -> Option<f64> {
-        self.latency.get(&id).copied()
-    }
-
     /// The pool-wide mean of the per-replica latency EWMAs (brownout
     /// triggers key off this).
     #[must_use]
@@ -265,7 +259,7 @@ mod tests {
                 .note(2, true, SimDuration::from_micros(5_000), now)
                 .is_none());
         }
-        assert!(t.latency_ewma(2).unwrap() > 4_000_000.0);
+        assert!(t.latency[&2] > 4_000_000.0);
         assert_eq!(t.state(2), BreakerState::Closed);
         assert!(t.pool_latency_ewma().is_some());
     }
@@ -278,6 +272,6 @@ mod tests {
         t.forget(7);
         assert!(!t.is_ejected(7));
         assert_eq!(t.state(7), BreakerState::Closed);
-        assert!(t.latency_ewma(7).is_none());
+        assert!(!t.latency.contains_key(&7));
     }
 }

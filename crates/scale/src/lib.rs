@@ -51,7 +51,7 @@ pub use harness::{
 };
 pub use health::{HealthEvent, HealthPolicy, HealthTracker};
 pub use metrics::{ClassReport, PoolReport, ReplicaLoadStats, RunRecorder};
-pub use openloop::{run_scenario, Outcome, Scenario, Tallies};
+pub use openloop::{run_scenario, Audit, Outcome, Scenario, Tallies};
 pub use pool::{EnclavePool, PoolConfig, Replica, ReplicaState};
 pub use queue::QueueConfig;
 pub use router::{HashRing, ReplicaId};

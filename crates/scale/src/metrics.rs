@@ -250,12 +250,6 @@ impl RunRecorder {
         self.shed += 1;
     }
 
-    /// Requests served so far.
-    #[must_use]
-    pub fn served_count(&self) -> u64 {
-        self.response_samples.len() as u64
-    }
-
     /// Finalises the report against the pool's per-replica state and the
     /// admission counters of the replicas' endpoints on `engine`. A run
     /// that served nothing (e.g. 100% shed under fault injection) yields
@@ -500,7 +494,7 @@ mod tests {
         r.served(t(5), SimDuration::from_millis(2), t(20));
         r.arrival(t(6));
         r.shed();
-        assert_eq!(r.served_count(), 2);
+        assert_eq!(r.response_samples.len(), 2);
         assert_eq!(r.arrivals, 3);
         assert_eq!(r.shed, 1);
         assert_eq!(r.first_arrival, Some(t(0)));

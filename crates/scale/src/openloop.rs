@@ -33,6 +33,9 @@
 //!   advances the clock). Probes go out after every settle pass.
 //! * **Refill on success** only for requests sent as batch prefetches
 //!   (cache on and not browned out at send time).
+//! * **One SQN counter per subscriber** feeds single and batch requests;
+//!   a batch reserves its window when sent. No SQN is sent twice, whether
+//!   two misses overlap or brownout switches paths.
 //! * **Retransmission copy** of a request only when retries are enabled;
 //!   a cache hit allocates nothing.
 //! * **One completions buffer.** `Engine::run_until` drains into a `Vec`
@@ -46,6 +49,7 @@ use crate::router::ReplicaId;
 use shield5g_core::paka::PakaKind;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
+use shield5g_crypto::sqn::sqn_from_bytes;
 use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
 use shield5g_nf::backend::{
     sqn_add, AkaOp, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest,
@@ -146,6 +150,33 @@ pub struct Outcome {
     /// Virtual time from first arrival to the last completion of any
     /// kind (failures and probes included).
     pub span: SimDuration,
+    /// What the run left behind and how fresh its SQNs were.
+    pub audit: Audit,
+}
+
+/// End-of-run audit, counted per run and never per op.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Audit {
+    /// Engine contexts still live after the drain.
+    pub live_contexts: usize,
+    /// AVs still banked in the cache.
+    pub banked_avs: usize,
+    /// Batch heads consumed by the requests that missed.
+    pub batch_heads: u64,
+    /// SQNs sent on first attempts: how many, and their sum.
+    pub sqns_issued: (u64, u64),
+    /// Σ `h` and Σ `h (h + 1) / 2` over the final SQN counters `h`: equal
+    /// to `sqns_issued` when each subscriber was sent `1..=h`, once each.
+    pub sqns_reached: (u64, u64),
+}
+
+impl Audit {
+    /// Tallies `n` SQNs sent, ending at `last`.
+    fn issued(&mut self, n: u32, last: &[u8; 6]) {
+        let (n, last) = (u64::from(n), sqn_from_bytes(last));
+        self.sqns_issued.0 += n;
+        self.sqns_issued.1 += n * last - n * (n - 1) / 2;
+    }
 }
 
 /// One in-flight (possibly retransmitted) pool request.
@@ -175,8 +206,8 @@ struct Run {
     /// subscriber's.
     supis: Vec<Supi>,
     cache: Option<AvCache>,
-    /// Cache-off bookkeeping: the UDM's SQN generator per subscriber,
-    /// indexed like `supis`; all zero before the first request.
+    /// The SQN counter per subscriber, indexed like `supis`: the last SQN
+    /// sent, all zero before the first request.
     sqn_counters: Vec<[u8; 6]>,
     /// The request path handles, one per AV row, shared by every request.
     paths: SharedPaths,
@@ -185,6 +216,7 @@ struct Run {
     recorder: RunRecorder,
     recovery: RecoveryTracker,
     tallies: Tallies,
+    audit: Audit,
     last_event: SimTime,
 }
 
@@ -246,7 +278,7 @@ impl Run {
                     let supi = self.supis[pending.ue as usize].as_str();
                     c.put_batch(supi, avs);
                     // The missing request consumes the batch head itself.
-                    let _ = c.pop_uncounted(supi);
+                    self.audit.batch_heads += u64::from(c.pop_uncounted(supi).is_some());
                 }
                 if pending.attempt > 0 {
                     self.tallies.retry.recovered += 1;
@@ -306,6 +338,7 @@ impl Run {
                 &mut self.sqn_counters[probe],
                 self.supis[probe],
             );
+            self.audit.issued(1, &self.sqn_counters[probe]);
             let tag = engine.schedule_request(floor, addr, req);
             self.tallies.probes += 1;
             obs::count("pool", addr, labels::BREAKER_PROBES, 1);
@@ -378,6 +411,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         recorder: RunRecorder::new(sc.workload.arrivals),
         recovery: RecoveryTracker::new(),
         tallies: Tallies::default(),
+        audit: Audit::default(),
         last_event: env.clock.now(),
     };
 
@@ -441,15 +475,13 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         // already in flight.
         let browned_out = run.brownout.is_some_and(|b| b.active);
         let prefetch = run.cache.as_ref().filter(|_| !browned_out);
+        let (sqn, supi) = (&mut run.sqn_counters[ue], run.supis[ue]);
+        let count = prefetch.map_or(1, AvCache::batch_size);
         let mut request = match prefetch {
-            Some(c) => batch_request(&mut env, &mut run.paths, c, run.supis[ue]),
-            None => single_request(
-                &mut env,
-                &mut run.paths,
-                &mut run.sqn_counters[ue],
-                run.supis[ue],
-            ),
+            Some(_) => batch_request(&mut env, &mut run.paths, sqn, count, supi),
+            None => single_request(&mut env, &mut run.paths, sqn, supi),
         };
+        run.audit.issued(count, sqn);
         let batch = prefetch.is_some();
         if class == PriorityClass::Emergency {
             request = request.with_header(PRIORITY_HEADER, "emergency");
@@ -482,6 +514,14 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     }
     assert!(run.in_flight.is_empty(), "requests left in flight");
 
+    run.audit.live_contexts = engine.stats().live_contexts;
+    for h in run.sqn_counters.iter().map(sqn_from_bytes) {
+        run.audit.sqns_reached.0 += h;
+        run.audit.sqns_reached.1 += h * (h + 1) / 2;
+    }
+    if let Some(c) = &run.cache {
+        run.audit.banked_avs = run.supis.iter().map(|s| c.depth(s.as_str())).sum();
+    }
     let span = run.last_event - first_arrival;
     run.tallies.normal.finish(span);
     run.tallies.emergency.finish(span);
@@ -501,6 +541,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             .sum(),
         brownout: run.brownout,
         span,
+        audit: run.audit,
     }
 }
 
@@ -530,22 +571,26 @@ pub(crate) fn single_request(
     )
 }
 
+/// One batch request for `supi`, reserving its `count` SQNs on `sqn`.
 fn batch_request(
     env: &mut Env,
     paths: &mut SharedPaths,
-    cache: &AvCache,
+    sqn: &mut [u8; 6],
+    count: u32,
     supi: Supi,
 ) -> HttpRequest {
+    let sqn_start = sqn_add(sqn, 1);
+    *sqn = sqn_add(sqn, u64::from(count));
     GenerateAvBatch::request(
         paths,
         &UdmAkaBatchRequest {
             supi,
             opc: OPC.into(),
             rand_seed: env.rng.bytes(),
-            sqn_start: cache.next_sqn(supi.as_str()),
+            sqn_start,
             amf_field: [0x80, 0],
             snn: snn(),
-            count: cache.batch_size(),
+            count,
         },
     )
 }

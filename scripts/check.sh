@@ -92,7 +92,7 @@ for artifact in \
   echo "    ok $path ($(wc -c < "$path") bytes)"
 done
 
-echo "==> non-test lines per crate (scripts/loc.sh; reported, not gated)"
+echo "==> lines per crate, non-test then test (scripts/loc.sh; reported, not gated)"
 sh scripts/loc.sh | sed 's/^/    /'
 
 echo "All checks passed."
