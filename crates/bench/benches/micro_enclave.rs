@@ -9,6 +9,10 @@ use shield5g_hmee::platform::SgxPlatform;
 use shield5g_sim::Env;
 use std::hint::black_box;
 
+#[expect(
+    clippy::expect_used,
+    reason = "a 1 MiB enclave is far below the size limit"
+)]
 fn small_enclave(env: &mut Env, platform: &SgxPlatform) -> Enclave {
     EnclaveBuilder::new("bench")
         .heap_bytes(1 << 20)
@@ -32,6 +36,7 @@ fn bench_enclave(c: &mut Criterion) {
             let secret = vec![0x5a; len];
             b.iter(|| {
                 enclave.vault_write(&mut env, "slot", black_box(&secret));
+                #[expect(clippy::unwrap_used, reason = "the slot was written one line above")]
                 black_box(enclave.vault_read(&mut env, "slot").unwrap());
             });
         });

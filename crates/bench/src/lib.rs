@@ -2,10 +2,13 @@
 //! table of every figure, table and extension sweep the `experiments`
 //! bench prints and `tests/experiments.rs` gates, row by row;
 //! [`sweeps`] builds the parallel sweeps on the deterministic [`runner`].
-//! The criterion microbenches in `benches/` time the substrates.
+//! The criterion microbenches `benches/micro_crypto.rs` and
+//! `benches/micro_enclave.rs` time the substrates (`cargo bench -p
+//! shield5g-bench --bench micro_crypto`); they build by default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod experiments;
 pub mod runner;

@@ -5,10 +5,8 @@
 //! the `experiments` bench and consumed by the RAN's OTA configuration
 //! checks.
 
-use serde::{Deserialize, Serialize};
-
 /// Table IV: hardware and software used for the testbed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TestbedConfig {
     /// Server CPU description.
     pub server_cpus: &'static str,

@@ -34,7 +34,7 @@ pub const MAC_LEN: usize = 8;
 const KEY_DATA_LEN: usize = 16 + 16 + 32;
 
 /// A Profile A ciphertext: what travels inside the SUCI `scheme output`.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EciesCiphertext {
     /// The UE's ephemeral X25519 public key.
     pub ephemeral_public: [u8; 32],

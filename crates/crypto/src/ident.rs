@@ -11,11 +11,10 @@
 
 use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair, HomeNetworkPublicKey};
 use crate::CryptoError;
-use serde::{Deserialize, Serialize};
 
 /// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits),
 /// held inline as ASCII digits.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Plmn {
     /// The MCC, then the MNC; a 2-digit MNC leaves the last byte zero.
     digits: [u8; 6],
@@ -93,7 +92,7 @@ impl std::fmt::Display for Plmn {
 /// Subscription Permanent Identifier in IMSI format: PLMN + MSIN, held
 /// inline as its `imsi-<digits>` text. Equality, order and hash are the
 /// text's.
-#[derive(Clone, Copy, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 pub struct Supi {
     /// `imsi-<MCC><MNC><MSIN>`: at most 5 + 3 + 3 + 10 bytes, zero past
     /// `len`.
@@ -273,7 +272,7 @@ impl std::fmt::Display for Supi {
 }
 
 /// SUCI protection scheme identifiers (TS 33.501 Annex C.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtectionScheme {
     /// Null scheme: the MSIN travels in clear BCD.
     Null,
@@ -307,7 +306,7 @@ impl ProtectionScheme {
 }
 
 /// Subscription Concealed Identifier.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Suci {
     /// Home network PLMN (always in clear; routing needs it).
     pub plmn: Plmn,
@@ -375,7 +374,7 @@ impl std::fmt::Display for Suci {
 }
 
 /// 5G Globally Unique Temporary Identity (TS 23.003 §2.10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Guti {
     /// AMF region identifier.
     pub amf_region_id: u8,

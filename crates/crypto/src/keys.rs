@@ -23,7 +23,6 @@ use crate::milenage::Milenage;
 use crate::secret::{SecretBytes, Zeroize};
 use crate::sha256::Sha256;
 use crate::{ct_eq, CryptoError};
-use serde::{Deserialize, Serialize};
 
 /// FC values from TS 33.501 Annex A.
 mod fc {
@@ -37,7 +36,7 @@ mod fc {
 /// The Serving Network Name: `5G:mnc<MNC>.mcc<MCC>.3gppnetwork.org`
 /// with the MNC zero-padded to three digits (TS 24.501 §9.12.1), held
 /// inline: always exactly 32 bytes (Table I).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServingNetworkName([u8; 32]);
 
 impl ServingNetworkName {
@@ -91,7 +90,7 @@ pub struct HeAv {
     /// Expected response.
     pub xres_star: [u8; 16],
     /// Key shared between UDM and AUSF (zeroizes on drop; wire encoding
-    /// goes through `shield5g_nf::wire::Wire`, never serde).
+    /// goes through `shield5g_nf::wire::Wire`).
     pub kausf: SecretBytes<32>,
 }
 
@@ -107,7 +106,7 @@ impl std::fmt::Debug for HeAv {
 }
 
 /// The Security Edge AV the AUSF hands the AMF (Figure 5).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeAv {
     /// Network challenge (forwarded).
     pub rand: [u8; 16],

@@ -46,7 +46,7 @@
 //!
 //! What the types cannot see, `shield5g-lint` still polices: SH001–SH003
 //! check that each registered key-bearing struct redacts its
-//! `Debug`/`Display`/`Serialize` output, stores no raw key array without
+//! `Debug`/`Display` output, stores no raw key array without
 //! one, and zeroizes on drop.
 
 use std::fmt;

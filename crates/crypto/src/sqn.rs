@@ -10,7 +10,6 @@
 
 use crate::milenage::Milenage;
 use crate::CryptoError;
-use serde::{Deserialize, Serialize};
 
 /// Number of IND slots in the USIM's SQN array (2^IND_BITS).
 pub const IND_SLOTS: usize = 32;
@@ -39,7 +38,7 @@ pub fn sqn_from_bytes(bytes: &[u8; 6]) -> u64 {
 
 /// Home-network side: generates fresh SQNs (TS 33.102 C.1.2, the
 /// time-independent counter scheme).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SqnGenerator {
     seq: u64,
     next_ind: u8,
@@ -77,7 +76,7 @@ impl SqnGenerator {
 
 /// USIM side: the per-IND array of highest accepted SEQ values
 /// (TS 33.102 C.2.2).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SqnVerifier {
     seq_ms: [u64; IND_SLOTS],
 }
@@ -133,7 +132,7 @@ impl SqnVerifier {
 }
 
 /// A re-synchronisation token (TS 33.102 §6.3.3): `AUTS = (SQN_MS ⊕ AK*) || MAC-S`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Auts {
     /// Concealed ME sequence number.
     pub sqn_ms_xor_ak: [u8; 6],

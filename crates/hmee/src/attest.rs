@@ -15,7 +15,6 @@
 use crate::enclave::Enclave;
 use crate::platform::SgxPlatform;
 use crate::HmeeError;
-use serde::{Deserialize, Serialize};
 use shield5g_crypto::hmac::hmac_sha256;
 use std::collections::HashMap;
 
@@ -23,7 +22,7 @@ use std::collections::HashMap;
 pub type ReportData = [u8; 64];
 
 /// A local attestation report (`EREPORT` analogue).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Report {
     /// Measurement of the reporting enclave.
     pub mrenclave: [u8; 32],
@@ -32,9 +31,8 @@ pub struct Report {
     /// Whether the enclave runs in debug mode (verifiers must reject
     /// debug enclaves in production policies).
     pub debug: bool,
-    /// Caller-chosen payload bound into the report (64 bytes, stored as a
-    /// vec because serde lacks impls for arrays past 32).
-    pub report_data: Vec<u8>,
+    /// Caller-chosen payload bound into the report.
+    pub report_data: ReportData,
     mac: [u8; 32],
 }
 
@@ -46,7 +44,7 @@ impl Report {
             mrenclave: *enclave.mrenclave(),
             mrsigner: *enclave.mrsigner(),
             debug: enclave.is_debug(),
-            report_data: report_data.to_vec(),
+            report_data,
             mac: [0; 32],
         };
         r.mac = r.compute_mac(enclave.report_key());
@@ -58,7 +56,7 @@ impl Report {
         b.extend_from_slice(&self.mrenclave);
         b.extend_from_slice(&self.mrsigner);
         b.push(u8::from(self.debug));
-        b.extend_from_slice(&self.report_data[..]);
+        b.extend_from_slice(&self.report_data);
         b
     }
 
@@ -93,7 +91,7 @@ impl Report {
 }
 
 /// A remotely verifiable quote.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Quote {
     /// The platform that produced the quote.
     pub platform_id: u64,
@@ -104,7 +102,7 @@ pub struct Quote {
     /// Debug flag of the quoted enclave.
     pub debug: bool,
     /// Report data carried through from the local report.
-    pub report_data: Vec<u8>,
+    pub report_data: ReportData,
     signature: [u8; 32],
 }
 
@@ -115,7 +113,7 @@ impl Quote {
             mrenclave: report.mrenclave,
             mrsigner: report.mrsigner,
             debug: report.debug,
-            report_data: report.report_data.clone(),
+            report_data: report.report_data,
             signature: [0; 32],
         };
         q.signature = q.compute_signature(qe_key);
@@ -128,13 +126,13 @@ impl Quote {
         b.extend_from_slice(&self.mrenclave);
         b.extend_from_slice(&self.mrsigner);
         b.push(u8::from(self.debug));
-        b.extend_from_slice(&self.report_data[..]);
+        b.extend_from_slice(&self.report_data);
         hmac_sha256(qe_key, &b)
     }
 }
 
 /// Expected identity for quote appraisal.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuotePolicy {
     /// Required MRENCLAVE, if pinned.
     pub mrenclave: Option<[u8; 32]>,

@@ -25,7 +25,6 @@
 //! then on charging a transition is integer addition.
 
 use crate::HmeeError;
-use serde::{Deserialize, Serialize};
 use shield5g_sim::time::SimDuration;
 
 /// EPC page size (SGX uses 4 KiB pages).
@@ -36,7 +35,7 @@ pub const PAGE_SIZE: usize = 4096;
 pub const LINE_SIZE: usize = 64;
 
 /// The platform cost model (Xeon Silver 4314 analogue, 2.40 GHz).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Core clock in GHz; converts cycle costs to nanoseconds.
     pub cpu_ghz: f64,

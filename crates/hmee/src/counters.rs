@@ -6,10 +6,8 @@
 //! the same mechanical points real SGX would: OCALL round trips, ECALLs,
 //! thread entries, faults and interrupts.
 
-use serde::{Deserialize, Serialize};
-
 /// A snapshot of the transition counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SgxCounters {
     /// Synchronous enclave entries (`EENTER`).
     pub eenter: u64,

@@ -50,10 +50,9 @@
 //! degradation).
 
 use crate::cost::{LINE_SIZE, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// One encrypted page plus its integrity metadata (EPCM analogue).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncryptedPage {
     /// Ciphertext of the materialised lines: a whole number of
     /// [`LINE_SIZE`] lines, at least one and at most [`PAGE_SIZE`] bytes.

@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 // The one crate outside the `clippy.toml` determinism perimeter.
 #![expect(
     clippy::disallowed_types,

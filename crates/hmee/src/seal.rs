@@ -9,13 +9,12 @@
 
 use crate::enclave::Enclave;
 use crate::HmeeError;
-use serde::{Deserialize, Serialize};
 use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::hmac_sha256;
 use shield5g_sim::Env;
 
 /// Key-binding policy for sealed data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SealPolicy {
     /// Bind to the exact enclave measurement.
     MrEnclave,
@@ -24,7 +23,7 @@ pub enum SealPolicy {
 }
 
 /// A sealed blob, safe to store in an untrusted container image or volume.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SealedBlob {
     /// The policy the data was sealed under.
     pub policy: SealPolicy,

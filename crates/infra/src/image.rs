@@ -7,13 +7,12 @@
 //! The secure alternative is storing a [`shield5g_hmee::seal::SealedBlob`]
 //! instead, which only the attested enclave can open.
 
-use serde::{Deserialize, Serialize};
 use shield5g_hmee::seal::SealedBlob;
 use shield5g_libos::gsc::ImageSpec;
 use std::collections::BTreeMap;
 
 /// A secret provisioned into a container image.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ProvisionedSecret {
     /// Plaintext credential in the image filesystem (KI 27 anti-pattern).
     Plaintext(Vec<u8>),
@@ -22,7 +21,7 @@ pub enum ProvisionedSecret {
 }
 
 /// A container image.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ContainerImage {
     /// The root-FS spec GSC operates on.
     pub spec: ImageSpec,

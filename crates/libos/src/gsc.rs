@@ -11,7 +11,6 @@
 
 use crate::manifest::{Manifest, TrustedFile};
 use crate::LibosError;
-use serde::{Deserialize, Serialize};
 use shield5g_crypto::hmac::hmac_sha256;
 use shield5g_crypto::sha256::Sha256;
 
@@ -19,7 +18,7 @@ use shield5g_crypto::sha256::Sha256;
 pub const EXCLUDED_PREFIXES: &[&str] = &["/boot", "/dev", "/etc/mtab", "/proc", "/sys"];
 
 /// Transport protocols a containerised workload may require.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// TCP — shielded via OCALL-delegated sockets.
     Tcp,
@@ -39,7 +38,7 @@ impl Protocol {
 }
 
 /// One file in a container image (content optional; size always known).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ImageFile {
     /// Absolute path inside the image.
     pub path: String,
@@ -51,7 +50,7 @@ pub struct ImageFile {
 }
 
 /// A container image as GSC sees it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ImageSpec {
     /// Image name, e.g. `oai/eudm-paka:v1.5.0`.
     pub name: String,
@@ -133,7 +132,7 @@ impl ImageSpec {
 }
 
 /// A GSC-transformed, signed image ready to boot under the LibOS.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShieldedImage {
     /// The source image name.
     pub image_name: String,

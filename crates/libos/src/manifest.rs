@@ -7,11 +7,10 @@
 //! with `stats` and `debug` enabled for metric collection.
 
 use crate::LibosError;
-use serde::{Deserialize, Serialize};
 
 /// One measured (trusted) file: the LibOS verifies its hash before any
 /// read reaches the enclave.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrustedFile {
     /// Path inside the image.
     pub path: String,
@@ -22,7 +21,7 @@ pub struct TrustedFile {
 }
 
 /// The manifest controlling one shielded workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     /// Entrypoint binary path.
     pub entrypoint: String,

@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod amf;
 pub mod ausf;
@@ -61,7 +62,7 @@ pub mod addr {
 }
 
 /// 5G network function types (for NRF profiles).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NfType {
     /// Network Repository Function.
     NRF,

@@ -7,13 +7,15 @@
 //! and the next B−1 authentications for the SUPI are served from VNF
 //! memory without entering the enclave at all.
 //!
-//! Correctness hinges on SQN discipline (TS 33.102): cached AVs embed
-//! consecutive SQNs, so they must be consumed in order and discarded
-//! wholesale whenever the USIM reports a resynchronisation — a stale
-//! cached SQN would push the UE straight back into AUTS resync loops.
+//! Correctness hinges on SQN discipline (TS 33.102). The caller numbers
+//! the AVs: one counter per subscriber, which reserves a batch's SQNs
+//! when the batch is sent. The cache keeps each subscriber's AVs in the
+//! order they were minted, so they are handed out in SQN order, and
+//! [`AvCache::purge_where`] drops them wholesale once they are stale (a
+//! resynchronisation or a failover) — a stale cached SQN would push the
+//! UE straight back into AUTS resync loops.
 
 use shield5g_crypto::keys::HeAv;
-use shield5g_nf::backend::sqn_add;
 use shield5g_obs::{hub as obs, labels};
 use shield5g_sim::time::SimDuration;
 use std::collections::BTreeMap;
@@ -46,7 +48,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// AVs pre-generated in total.
     pub pregenerated: u64,
-    /// AVs dropped by SQN invalidation.
+    /// AVs dropped as stale by [`AvCache::purge_where`].
     pub invalidated: u64,
     /// AVs dropped because a batch overflowed the per-SUPI capacity.
     pub evicted: u64,
@@ -65,19 +67,12 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct SupiEntry {
-    /// Pre-generated AVs in SQN order (front = next to hand out).
-    avs: VecDeque<HeAv>,
-    /// SQN the *next* generated batch must start at.
-    next_sqn: [u8; 6],
-}
-
 /// Per-SUPI FIFO cache of pre-generated HE AVs.
 #[derive(Debug, Default)]
 pub struct AvCache {
     cfg: AvCacheConfig,
-    entries: BTreeMap<String, SupiEntry>,
+    /// Each SUPI's AVs in SQN order (front = next to hand out).
+    entries: BTreeMap<String, VecDeque<HeAv>>,
     stats: CacheStats,
 }
 
@@ -96,7 +91,7 @@ impl AvCache {
     /// counts as a miss; the caller should generate a batch and
     /// [`AvCache::put_batch`] it.
     pub fn take(&mut self, supi: &str) -> Option<HeAv> {
-        match self.entries.get_mut(supi).and_then(|e| e.avs.pop_front()) {
+        match self.entries.get_mut(supi).and_then(VecDeque::pop_front) {
             Some(av) => {
                 self.stats.hits += 1;
                 Some(av)
@@ -112,72 +107,38 @@ impl AvCache {
     /// miss path uses this to consume the first AV of the batch it just
     /// generated (that request already counted as the miss).
     pub fn pop_uncounted(&mut self, supi: &str) -> Option<HeAv> {
-        self.entries.get_mut(supi).and_then(|e| e.avs.pop_front())
+        self.entries.get_mut(supi).and_then(VecDeque::pop_front)
     }
 
-    /// The SQN a new batch for `supi` must start at.
-    #[must_use]
-    pub fn next_sqn(&self, supi: &str) -> [u8; 6] {
-        self.entries
-            .get(supi)
-            .map_or([0, 0, 0, 0, 0, 1], |e| e.next_sqn)
-    }
-
-    /// Stores a freshly generated batch whose first AV carries
-    /// [`AvCache::next_sqn`]; advances the SQN window past the AVs
-    /// actually retained. Overflow beyond the per-SUPI capacity is
+    /// Stores a freshly generated batch, its AVs in SQN order behind
+    /// those already cached. Overflow beyond the per-SUPI capacity is
     /// truncated from the *newest* end (highest SQNs): the front of the
     /// deque is the next AV to hand out, so dropping from the front
-    /// would skip SQNs mid-stream and push UEs into AUTS resync. The
-    /// window restarts at the first evicted SQN so the next batch
-    /// regenerates it.
+    /// would skip SQNs mid-stream and push UEs into AUTS resync.
     pub fn put_batch(&mut self, supi: &str, avs: Vec<HeAv>) {
         let count = avs.len() as u64;
         // The key is allocated on a SUPI's first batch only.
-        let entry = match self.entries.get_mut(supi) {
-            Some(entry) => entry,
+        let cached = match self.entries.get_mut(supi) {
+            Some(cached) => cached,
             None => self.entries.entry(supi.to_owned()).or_default(),
         };
-        if entry.next_sqn == [0; 6] {
-            entry.next_sqn = [0, 0, 0, 0, 0, 1];
-        }
-        let before = entry.avs.len();
-        entry.avs.extend(avs);
-        let evicted = entry.avs.len().saturating_sub(self.cfg.capacity_per_supi);
-        entry.avs.truncate(self.cfg.capacity_per_supi);
-        let accepted = (entry.avs.len() - before) as u64;
-        entry.next_sqn = sqn_add(&entry.next_sqn, accepted);
+        cached.extend(avs);
+        let evicted = cached.len().saturating_sub(self.cfg.capacity_per_supi);
+        cached.truncate(self.cfg.capacity_per_supi);
         self.stats.evicted += evicted as u64;
         self.stats.pregenerated += count;
     }
 
-    /// SQN-aware invalidation: the USIM reported `SQN_MS` via AUTS
-    /// resync, so every cached AV for `supi` is stale. Drops them and
-    /// restarts the window just past the USIM's counter. Returns the
-    /// number of AVs discarded.
-    pub fn invalidate(&mut self, supi: &str, sqn_ms: &[u8; 6]) -> usize {
-        // Only existing entries: an AUTS naming an unknown/spoofed SUPI
-        // must not allocate cache state (unbounded map growth otherwise).
-        let Some(entry) = self.entries.get_mut(supi) else {
-            return 0;
-        };
-        let dropped = entry.avs.len();
-        entry.avs.clear();
-        entry.next_sqn = sqn_add(sqn_ms, 1);
-        self.stats.invalidated += dropped as u64;
-        dropped
-    }
-
     /// Drops every cached AV for the SUPIs selected by `pred` — the
-    /// failover path: AVs pre-generated by a dead replica must not be
-    /// served by its successor (their SQN windows would interleave).
-    /// Entries stay so the SQN window survives; returns AVs discarded.
+    /// resync and failover path: AVs at or behind the USIM's `SQN_MS`,
+    /// or minted by a dead replica, must not be served. Returns AVs
+    /// discarded.
     pub fn purge_where(&mut self, pred: impl Fn(&str) -> bool) -> usize {
         let mut dropped = 0;
-        for (supi, entry) in &mut self.entries {
+        for (supi, cached) in &mut self.entries {
             if pred(supi) {
-                dropped += entry.avs.len();
-                entry.avs.clear();
+                dropped += cached.len();
+                cached.clear();
             }
         }
         self.stats.invalidated += dropped as u64;
@@ -187,7 +148,7 @@ impl AvCache {
     /// Cached AVs currently held for `supi`.
     #[must_use]
     pub fn depth(&self, supi: &str) -> usize {
-        self.entries.get(supi).map_or(0, |e| e.avs.len())
+        self.entries.get(supi).map_or(0, VecDeque::len)
     }
 
     /// Batch size to request on a miss.
@@ -305,28 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn sqn_window_advances_per_batch() {
-        let mut c = AvCache::new(AvCacheConfig::default());
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 0, 1]);
-        c.put_batch("imsi-1", vec![av(1); 8]);
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 0, 9]);
-        c.put_batch("imsi-1", vec![av(2); 8]);
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 0, 17]);
-    }
-
-    #[test]
-    fn resync_drops_cache_and_restarts_window() {
-        let mut c = AvCache::new(AvCacheConfig::default());
-        c.put_batch("imsi-1", vec![av(1), av(2)]);
-        let dropped = c.invalidate("imsi-1", &[0, 0, 0, 0, 1, 0]);
-        assert_eq!(dropped, 2);
-        assert_eq!(c.depth("imsi-1"), 0);
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 1, 1]);
-        assert!(c.take("imsi-1").is_none(), "stale AVs must not survive");
-        assert_eq!(c.stats().invalidated, 2);
-    }
-
-    #[test]
     fn per_supi_capacity_bounds_memory() {
         let mut c = AvCache::new(AvCacheConfig {
             batch_size: 4,
@@ -346,8 +285,8 @@ mod tests {
     fn over_capacity_put_keeps_served_sqns_consecutive() {
         // Regression: front-eviction used to drop the lowest-SQN AVs so
         // consumption skipped SQNs mid-stream. Model each AV's SQN by
-        // its construction index and check the served stream + the SQN
-        // window stay consecutive across an over-capacity put_batch.
+        // its construction index and check the served stream stays
+        // consecutive across an over-capacity put_batch.
         let mut c = AvCache::new(AvCacheConfig {
             batch_size: 8,
             capacity_per_supi: 5,
@@ -357,25 +296,10 @@ mod tests {
         for expect in 1..=5u8 {
             assert_eq!(c.take("imsi-1").unwrap(), av(expect));
         }
-        // The window restarted at the first evicted SQN (6), so the next
-        // batch regenerates it and the stream continues 6, 7, ...
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 0, 6]);
         c.put_batch("imsi-1", (6..=9).map(av).collect());
         for expect in 6..=9u8 {
             assert_eq!(c.take("imsi-1").unwrap(), av(expect));
         }
-    }
-
-    #[test]
-    fn invalidate_unknown_supi_allocates_nothing() {
-        let mut c = AvCache::new(AvCacheConfig::default());
-        c.put_batch("imsi-1", vec![av(1)]);
-        assert_eq!(c.invalidate("imsi-spoofed", &[0, 0, 0, 0, 9, 9]), 0);
-        // No entry was created: the spoofed SUPI still reports the
-        // default starting SQN and the known SUPI is untouched.
-        assert_eq!(c.next_sqn("imsi-spoofed"), [0, 0, 0, 0, 0, 1]);
-        assert_eq!(c.depth("imsi-1"), 1);
-        assert_eq!(c.stats().invalidated, 0);
     }
 
     #[test]
@@ -387,8 +311,6 @@ mod tests {
         assert_eq!(dropped, 2);
         assert_eq!(c.depth("imsi-1"), 0);
         assert_eq!(c.depth("imsi-2"), 1);
-        // SQN window survives the purge.
-        assert_eq!(c.next_sqn("imsi-1"), [0, 0, 0, 0, 0, 3]);
     }
 
     #[test]
@@ -397,7 +319,5 @@ mod tests {
         c.put_batch("imsi-1", vec![av(1)]);
         assert!(c.take("imsi-2").is_none());
         assert_eq!(c.take("imsi-1").unwrap(), av(1));
-        c.invalidate("imsi-1", &[0; 6]);
-        assert_eq!(c.next_sqn("imsi-2"), [0, 0, 0, 0, 0, 1]);
     }
 }

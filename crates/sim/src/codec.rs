@@ -1,6 +1,6 @@
 //! A minimal length-prefixed byte codec for wire messages.
 //!
-//! The workspace's dependency policy has no serde *format* crate, so every
+//! The workspace has no runtime dependency outside itself, so every
 //! NAS, NGAP, SBI and P-AKA message states its field list once, in
 //! `shield5g_nf::wire`, and each field's codec makes the [`Writer`] /
 //! [`Reader`] calls here. That keeps wire sizes deterministic and

@@ -19,12 +19,11 @@
 
 use crate::codec::Body;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::rc::Rc;
 
 /// HTTP request methods used on the SBIs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Resource retrieval.
     Get,

@@ -8,10 +8,9 @@
 
 use crate::service::Env;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A one-way link cost model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkProfile {
     /// One-way propagation + stack traversal latency.
     pub base_ns: u64,

@@ -5,11 +5,10 @@
 //! the narrative output of the examples.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One logged event.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// When the event happened on the virtual timeline.
     pub at: SimTime,

@@ -16,7 +16,6 @@
 //! demonstrates that sniffing the bridge yields ciphertext only.
 
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::{hmac_sha256, HmacKey};
 use shield5g_crypto::kdf::kdf_x963;
@@ -187,7 +186,7 @@ impl TlsSession {
 }
 
 /// Wire transcript sizes produced by a handshake.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HandshakeInfo {
     /// Bytes that crossed the wire during the handshake.
     pub wire_bytes: usize,

@@ -8,10 +8,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (warnings are errors; clippy.toml's disallowed-types hold determinism; unwrap/expect outside tests needs an #[expect] waiver; vendored shims excluded)"
+echo "==> cargo clippy (warnings are errors; clippy.toml's disallowed-types hold determinism; unwrap/expect outside tests needs an #[expect] waiver; an unused dependency edge fails; the criterion microbenches are compiled and linted; vendored shims excluded)"
 cargo clippy --offline --workspace --all-targets \
-  --exclude criterion --exclude proptest --exclude rand \
-  --exclude serde --exclude serde_derive \
+  --exclude criterion --exclude proptest \
   -- -D warnings
 
 # The lint step prints its findings as text and writes a SARIF copy of

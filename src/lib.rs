@@ -59,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use shield5g_core as core;
 pub use shield5g_crypto as crypto;

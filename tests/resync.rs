@@ -9,7 +9,7 @@ use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig, Subscriber};
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::keys::ServingNetworkName;
-use shield5g::crypto::sqn::{sqn_from_bytes, sqn_to_bytes, SqnGenerator};
+use shield5g::crypto::sqn::SqnGenerator;
 use shield5g::nf::backend::{
     AkaOp, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest,
 };
@@ -68,11 +68,12 @@ fn sgx_failover_resync_re_registers_desynced_ue() {
     assert_eq!(slice2.amf.borrow().registrations_completed(), 2);
 }
 
-/// Pool-level regression: the AV frontend's SQN window dies with a
-/// replica failover, the promoted standby mints AVs from SQN 1, and the
-/// USIM (window ahead) reports sync failure. The AUTS must verify on
-/// the promoted replica's `/eudm/resync`, the frontend cache must
-/// re-anchor past `SQN_MS`, and the very next AV must authenticate.
+/// Pool-level regression: the AV frontend's SQN generator dies with a
+/// replica failover, the rebuilt frontend mints AVs from SQN 1 again,
+/// and the USIM (window ahead) reports sync failure. The AUTS must
+/// verify on the promoted replica's `/eudm/resync`, the frontend must
+/// drop its stale AVs and jump its generator past `SQN_MS`, and the very
+/// next AV must authenticate.
 #[test]
 fn pool_failover_resync_restores_the_av_stream() {
     let mut env = Env::new(303);
@@ -94,29 +95,20 @@ fn pool_failover_resync_restores_the_av_stream() {
     let mut usim = Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
     let snn = ServingNetworkName::new("001", "01");
 
-    // The frontend owns the home-network SQN authority: a generator
-    // anchors the cache window on the real SEQ/IND scheme (raw in-batch
-    // `+1` increments then walk the IND slots within the block).
-    let align = |cache: &mut AvCache, generator: &mut SqnGenerator| {
-        let next = generator.next_sqn();
-        // invalidate only touches known SUPIs (spoofed AUTS must not
-        // allocate cache state); an empty put_batch opens the entry.
-        cache.put_batch(&supi, Vec::new());
-        cache.invalidate(&supi, &sqn_to_bytes(sqn_from_bytes(&next).wrapping_sub(1)));
-    };
-
+    // The frontend owns the home-network SQN authority: each batch
+    // starts at its generator's next SQN on the real SEQ/IND scheme (raw
+    // in-batch `+1` increments then walk the IND slots within the block).
     let mut cache = AvCache::new(AvCacheConfig::default());
     let mut generator = SqnGenerator::new();
-    align(&mut cache, &mut generator);
 
-    let batch_req = |env: &mut Env, cache: &AvCache| {
+    let batch_req = |env: &mut Env, cache: &AvCache, generator: &mut SqnGenerator| {
         GenerateAvBatch::request(
             &mut SharedPaths::default(),
             &UdmAkaBatchRequest {
                 supi: sub.supi,
                 opc: sub.opc.into(),
                 rand_seed: env.rng.bytes(),
-                sqn_start: cache.next_sqn(&supi),
+                sqn_start: generator.next_sqn(),
                 amf_field: [0x80, 0],
                 snn,
                 count: cache.batch_size(),
@@ -127,7 +119,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     // Consume a full batch through the primary; every AV authenticates
     // and the USIM window tracks the stream.
     let primary = pool.route(&supi);
-    let req = batch_req(&mut env, &cache);
+    let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, primary, req);
     assert!(resp.is_success());
     cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
@@ -146,12 +138,11 @@ fn pool_failover_resync_restores_the_av_stream() {
     assert_eq!(pool.route(&supi), survivor);
     let mut cache = AvCache::new(AvCacheConfig::default());
     let mut generator = SqnGenerator::new();
-    align(&mut cache, &mut generator);
 
     // The rebuilt frontend restarts its generator from SEQ 0 — at or
     // behind the USIM window — so the challenge comes back as a sync
     // failure.
-    let req = batch_req(&mut env, &cache);
+    let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
     cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
@@ -181,11 +172,11 @@ fn pool_failover_resync_restores_the_av_stream() {
     let sqn_ms = <[u8; 6]>::decode(&resp.body).unwrap();
 
     // Jump the generator past SQN_MS (the UDR `push_resync` step) and
-    // re-anchor the cache: the UE is back in sync on the very next
+    // drop the stale AVs: the UE is back in sync on the very next
     // challenge.
     generator.resynchronise(&sqn_ms);
-    align(&mut cache, &mut generator);
-    let req = batch_req(&mut env, &cache);
+    cache.purge_where(|s| s == supi);
+    let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
     cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
