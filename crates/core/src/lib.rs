@@ -15,7 +15,7 @@
 //!   `shield5g-nf` `AkaBackend` for every row of the operation table, that
 //!   offloads to a P-AKA module over TLS through the OAI bridge (paper
 //!   Fig. 4/5), measuring response times as the VNF sees them.
-//! * [`slice`] — the network-slice builder: provisions subscribers,
+//! * [`slice`](mod@slice) — the network-slice builder: provisions subscribers,
 //!   deploys the core VNFs and P-AKA modules on a host in a chosen
 //!   [`slice::AkaDeployment`], and wires everything together.
 //! * [`stats`] — sample summaries (median/quartiles) matching the paper's

@@ -928,7 +928,6 @@ pub fn syscalls_per_request() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::standard_request;
     use proptest::prelude::*;
     use shield5g_crypto::keys::{HeAv, ServingNetworkName};
     use shield5g_crypto::milenage::Milenage;
@@ -1107,53 +1106,6 @@ mod tests {
         let (rs, _) = sgx.serve(&mut env_s, udm_request());
         // Identical inputs → identical AV bytes, regardless of deployment.
         assert_eq!(rc.body, rs.body);
-    }
-
-    #[test]
-    fn sgx_functional_latency_in_band() {
-        for (kind, lo, hi) in [
-            (PakaKind::EUdm, 1.10, 1.35),
-            (PakaKind::EAusf, 1.20, 1.45),
-            (PakaKind::EAmf, 1.35, 1.65),
-        ] {
-            let (mut env_c, mut container) = deploy(false, kind);
-            let (mut env_s, mut sgx) = deploy(true, kind);
-            let req = standard_request(kind);
-            // Warm both, then measure medians over a few requests.
-            let _ = container.serve(&mut env_c, req.clone());
-            let _ = sgx.serve(&mut env_s, req.clone());
-            let mut lf_c = Vec::new();
-            let mut lf_s = Vec::new();
-            for _ in 0..30 {
-                lf_c.push(container.serve(&mut env_c, req.clone()).1.functional);
-                lf_s.push(sgx.serve(&mut env_s, req.clone()).1.functional);
-            }
-            let c = crate::stats::Summary::of(&lf_c);
-            let s = crate::stats::Summary::of(&lf_s);
-            let ratio = s.median_ratio_to(&c);
-            assert!(
-                (lo..hi).contains(&ratio),
-                "{} L_F ratio {ratio:.2} outside [{lo}, {hi})",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn per_request_transitions_are_about_91() {
-        let (mut env, mut module) = deploy(true, PakaKind::EUdm);
-        let _ = module.serve(&mut env, udm_request()); // cold
-        let before = module.sgx_stats().unwrap();
-        let _ = module.serve(&mut env, udm_request());
-        let delta = module.sgx_stats().unwrap().delta_since(&before);
-        // 91 syscalls + a few vault/AEX events.
-        assert!(
-            (91..=96).contains(&delta.ocalls),
-            "ocalls per request = {}",
-            delta.ocalls
-        );
-        assert_eq!(delta.eenter, delta.ocalls);
-        assert_eq!(delta.eexit, delta.ocalls);
     }
 
     #[test]
@@ -1365,14 +1317,6 @@ mod tests {
         let (resp, _) = module.serve(&mut env, Resync::request(&mut SharedPaths::default(), &req));
         assert!(resp.is_success());
         assert_eq!(resp.body, sqn_ms.to_vec());
-    }
-
-    #[test]
-    fn enclave_load_time_close_to_a_minute() {
-        let (_env, module) = deploy(true, PakaKind::EUdm);
-        let load = module.boot_report().unwrap().load_time;
-        assert!(load > SimDuration::from_secs(50), "{load}");
-        assert!(load < SimDuration::from_secs(70), "{load}");
     }
 
     #[test]

@@ -66,18 +66,3 @@ impl TestbedConfig {
         format!("{}{}", self.mcc, self.mnc)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_testbed_facts() {
-        let t = TestbedConfig::paper();
-        assert_eq!(t.plmn_string(), "00101");
-        assert_eq!(t.prbs, 106);
-        assert!(t.server_cpus.contains("4314"));
-        assert!(t.ue_model.contains("OnePlus 8"));
-        assert!((t.frequency_ghz - 3.6192).abs() < 1e-9);
-    }
-}

@@ -14,7 +14,7 @@
 //! sixteen lookups in four 256-entry tables — table `r` does
 //! `SubBytes`/`MixColumns` for a row-`r` byte, so no lookup is rotated —
 //! with the last round read from the same tables under byte masks. The
-//! tables are computed at compile time from [`SBOX`], so the S-box stays
+//! tables are computed at compile time from `SBOX`, so the S-box stays
 //! the only hand-typed table.
 //!
 //! CTR mode caches what consecutive counters share (Bernstein–Schwabe,
@@ -124,8 +124,8 @@ pub struct Aes128 {
     schedule: [[u32; 4]; 11],
 }
 
-impl std::fmt::Debug for Aes128 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         // Never leak key schedule material through Debug output.
         f.debug_struct("Aes128")
             .field("schedule", &"<redacted>")

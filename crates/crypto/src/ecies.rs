@@ -25,7 +25,8 @@ use crate::kdf::kdf_x963;
 use crate::secret::{Secret, SecretBytes};
 use crate::x25519::{x25519, x25519_base, CombTable};
 use crate::{ct_eq, CryptoError};
-use std::rc::Rc;
+use alloc::rc::Rc;
+use alloc::vec::Vec;
 
 /// Length of the truncated MAC tag (64 bits, per Profile A).
 pub const MAC_LEN: usize = 8;
@@ -133,8 +134,8 @@ pub struct HomeNetworkPublicKey {
     table: Option<Rc<CombTable>>,
 }
 
-impl std::fmt::Debug for HomeNetworkPublicKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for HomeNetworkPublicKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let hex = crate::hex::encode(&self.bytes);
         write!(f, "HomeNetworkPublicKey({hex})")
     }
@@ -222,8 +223,8 @@ pub struct HomeNetworkKeyPair {
     public: HomeNetworkPublicKey,
 }
 
-impl std::fmt::Debug for HomeNetworkKeyPair {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for HomeNetworkKeyPair {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("HomeNetworkKeyPair")
             .field("id", &self.id)
             .field("public", &self.public)

@@ -2,6 +2,7 @@
 //! human-readable reports throughout the workspace.
 
 use crate::CryptoError;
+use alloc::{format, string::String, vec::Vec};
 
 /// Encodes `bytes` as a lowercase hexadecimal string.
 ///

@@ -37,8 +37,8 @@ pub struct HmacKey {
     outer: [u32; 8],
 }
 
-impl std::fmt::Debug for HmacKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("HmacKey(<redacted>)")
     }
 }
@@ -98,8 +98,8 @@ pub struct HmacSha256 {
     key: HmacKey,
 }
 
-impl std::fmt::Debug for HmacSha256 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("HmacSha256")
             .field("key", &"<redacted>")
             .finish()

@@ -11,6 +11,7 @@
 
 use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair, HomeNetworkPublicKey};
 use crate::CryptoError;
+use alloc::{format, vec::Vec};
 
 /// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits),
 /// held inline as ASCII digits.
@@ -74,17 +75,17 @@ impl Plmn {
 
 /// Digits this module validated, as text.
 fn ascii(digits: &[u8]) -> &str {
-    std::str::from_utf8(digits).unwrap_or_default()
+    core::str::from_utf8(digits).unwrap_or_default()
 }
 
-impl std::fmt::Debug for Plmn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for Plmn {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "Plmn({}/{})", self.mcc(), self.mnc())
     }
 }
 
-impl std::fmt::Display for Plmn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Display for Plmn {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}{}", self.mcc(), self.mnc())
     }
 }
@@ -242,31 +243,31 @@ impl PartialEq for Supi {
 impl Eq for Supi {}
 
 impl PartialOrd for Supi {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Supi {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
         self.text.cmp(&other.text)
     }
 }
 
-impl std::hash::Hash for Supi {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl core::hash::Hash for Supi {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
         self.as_str().hash(state);
     }
 }
 
-impl std::fmt::Debug for Supi {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for Supi {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "Supi({:?})", self.as_str())
     }
 }
 
-impl std::fmt::Display for Supi {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Display for Supi {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.as_str())
     }
 }
@@ -358,8 +359,8 @@ impl Suci {
     }
 }
 
-impl std::fmt::Display for Suci {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Display for Suci {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
             "suci-0-{}-{}-{}-{}-{}-{}",
@@ -399,8 +400,8 @@ impl Guti {
     }
 }
 
-impl std::fmt::Display for Guti {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Display for Guti {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
             "5g-guti-{:02x}{:03x}{:02x}-{:08x}",

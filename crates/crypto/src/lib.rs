@@ -51,15 +51,24 @@
 //! # }
 //! ```
 //!
+//! # No host access
+//!
+//! Outside its tests the crate is `no_std` (`core` and `alloc` only): the
+//! paper runs it inside an enclave, and `std::fs`/`net`/`time` do not
+//! resolve here.
+//!
 //! # Security note
 //!
 //! These implementations favour clarity over side-channel hardening: the
 //! crate backs a *simulator* whose threat model (paper §III) explicitly
 //! excludes side channels. Do not reuse it as a production cipher library.
 
+#![cfg_attr(not(test), no_std)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
+extern crate alloc;
 
 pub mod aes;
 pub mod ecies;
@@ -77,8 +86,9 @@ pub mod x25519;
 
 pub use secret::{Secret, SecretBytes, Zeroize};
 
-use std::error::Error;
-use std::fmt;
+use alloc::string::String;
+use core::error::Error;
+use core::fmt;
 
 /// Errors produced by the cryptographic substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

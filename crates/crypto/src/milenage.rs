@@ -53,8 +53,8 @@ pub struct F2345Output {
     pub ak: [u8; 6],
 }
 
-impl std::fmt::Debug for F2345Output {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for F2345Output {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("F2345Output")
             .field("keys", &"<redacted>")
             .finish()
@@ -68,8 +68,8 @@ pub struct Milenage {
     opc: SecretBytes<16>,
 }
 
-impl std::fmt::Debug for Milenage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for Milenage {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Milenage")
             .field("opc", &"<redacted>")
             .finish()

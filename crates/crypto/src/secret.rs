@@ -49,11 +49,12 @@
 //! `Debug`/`Display` output, stores no raw key array without
 //! one, and zeroizes on drop.
 
-use std::fmt;
+use alloc::vec::Vec;
+use core::fmt;
 
 /// Types that can wipe their own memory.
 ///
-/// The zeroing write is followed by [`std::hint::black_box`], which keeps
+/// The zeroing write is followed by [`core::hint::black_box`], which keeps
 /// the store observable to the optimiser so it cannot be elided as a
 /// dead write (the crate forbids `unsafe`, ruling out `write_volatile`).
 pub trait Zeroize {
@@ -90,7 +91,7 @@ impl<T: Zeroize, const N: usize> Zeroize for [T; N] {
         for v in self.iter_mut() {
             v.zeroize();
         }
-        std::hint::black_box(&mut *self);
+        core::hint::black_box(&mut *self);
     }
 }
 
@@ -99,7 +100,7 @@ impl<T: Zeroize> Zeroize for Vec<T> {
         for v in self.iter_mut() {
             v.zeroize();
         }
-        std::hint::black_box(&mut *self);
+        core::hint::black_box(&mut *self);
         self.clear();
     }
 }

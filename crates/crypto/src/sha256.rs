@@ -63,9 +63,9 @@ pub struct Sha256 {
     buf_len: usize,
 }
 
-impl std::fmt::Debug for Sha256 {
+impl core::fmt::Debug for Sha256 {
     // The chaining state may be keyed (HMAC inner hash): redact it.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Sha256")
             .field("len", &self.len)
             .field("state", &"<redacted>")

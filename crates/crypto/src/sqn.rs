@@ -103,7 +103,7 @@ impl SqnVerifier {
             .iter()
             .copied()
             .enumerate()
-            .max_by_key(|&(i, s)| (s, std::cmp::Reverse(i)))
+            .max_by_key(|&(i, s)| (s, core::cmp::Reverse(i)))
             .unwrap_or((0, 0));
         sqn_to_bytes((seq << IND_BITS) | ind as u64)
     }

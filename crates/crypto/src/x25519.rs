@@ -22,12 +22,12 @@
 //! fixed-window walk over a table of the point's multiples on the Edwards
 //! form of the curve: 64 table additions and 4 doublings, about a third of
 //! the ladder's time, for a table that costs two and a half ladders to
-//! build. [`x25519_base`] is the comb on the base point (table built on
-//! first use, once per process); `ecies::HomeNetworkPublicKey` carries the
-//! table of a home network's key. Both routines return the same bytes for
-//! every scalar and every `u` that has a table; a `u` without one (the
-//! twist, 0) stays with the ladder, decided once from the public `u` when
-//! the key is built.
+//! build. [`x25519_base`] is the comb on the base point, whose table the
+//! compiler builds; `ecies::HomeNetworkPublicKey` carries the table of a
+//! home network's key. Both routines return the same bytes for every
+//! scalar and every `u` that has a table; a `u` without one (the twist, 0)
+//! stays with the ladder, decided once from the public `u` when the key is
+//! built.
 //!
 //! # Field arithmetic
 //!
@@ -61,27 +61,21 @@
 //! `match`, `&&`, `||` or `?`: every loop has a public trip count and secret
 //! bits reach the data only through masks (`cswap`, `cmov`), so neither the
 //! instruction stream nor the host cost depends on the scalar or the point.
-//! The workspace linter enforces it (rule `CT001`).
+//! The workspace linter enforces it (rule `CT001`). The comb's table
+//! builder (`comb/table.rs`) is a `const fn` and needs `while`; it only
+//! sees public points, and lives outside the rule's files.
 
 mod comb;
 
 pub(crate) use comb::CombTable;
-use std::sync::OnceLock;
 
 const MASK: u64 = (1 << 51) - 1;
 
 /// `16p` limb by limb: what [`Fe::sub`] adds so no limb goes negative.
-const P16: [u64; 5] = [(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK << 4];
+const P16: Fe = Fe([(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK << 4]);
 
 /// `(486662 - 2) / 4`, the ladder constant.
 const A24: u64 = 121_665;
-
-/// The base point, `u = 9`.
-const BASE_POINT: [u8; 32] = {
-    let mut u = [0; 32];
-    u[0] = 9;
-    u
-};
 
 /// A square root of `-1`: `2^((p-1)/4)`.
 const SQRT_M1: Fe = Fe([
@@ -97,19 +91,19 @@ const SQRT_M1: Fe = Fe([
 #[derive(Clone, Copy)]
 struct Fe([u64; 5]);
 
-impl std::fmt::Debug for Fe {
+impl core::fmt::Debug for Fe {
     // Field elements carry private-scalar-derived ladder state: a derived
     // Debug would print the limbs into any `{:?}` trace. (`Fe` must stay
     // `Copy` for the ladder arithmetic, so it zeroizes via callers, not
     // `Drop`.)
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("Fe(<redacted>)")
     }
 }
 
 /// The full 64 × 64 → 128-bit product.
-fn m(x: u64, y: u64) -> u128 {
-    u128::from(x) * u128::from(y)
+const fn m(x: u64, y: u64) -> u128 {
+    x as u128 * y as u128
 }
 
 impl Fe {
@@ -165,7 +159,7 @@ impl Fe {
 
     /// One parallel carry pass with the `2^255 ≡ 19` wrap: limbs `< 2^64`
     /// in, limbs `< 2^51 + 19·2^13` out. The value is unchanged modulo `p`.
-    fn carry(self) -> Fe {
+    const fn carry(self) -> Fe {
         let l = self.0;
         Fe([
             (l[0] & MASK) + (l[4] >> 51) * 19,
@@ -176,35 +170,38 @@ impl Fe {
         ])
     }
 
-    fn add(self, rhs: Fe) -> Fe {
-        Fe(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
+    const fn add(self, rhs: Fe) -> Fe {
+        let (Fe([a0, a1, a2, a3, a4]), Fe([b0, b1, b2, b3, b4])) = (self, rhs);
+        Fe([a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4])
     }
 
-    fn sub(self, rhs: Fe) -> Fe {
-        Fe(std::array::from_fn(|i| self.0[i] + P16[i] - rhs.0[i])).carry()
+    const fn sub(self, rhs: Fe) -> Fe {
+        let (Fe([a0, a1, a2, a3, a4]), Fe([b0, b1, b2, b3, b4])) = (self.add(P16), rhs);
+        Fe([a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4]).carry()
     }
 
     /// The carry chain shared by `mul`, `square` and `mul_small`: five
     /// column sums `< 2^115` in, a carried element out.
-    fn fold(columns: [u128; 5]) -> Fe {
-        let mut out = [0u64; 5];
-        let mut carry = 0u128;
-        for (limb, column) in out.iter_mut().zip(columns) {
-            let acc = column + carry;
-            *limb = acc as u64 & MASK;
-            carry = acc >> 51;
-        }
+    const fn fold(c: [u128; 5]) -> Fe {
+        let c1 = c[1] + (c[0] >> 51);
+        let c2 = c[2] + (c1 >> 51);
+        let c3 = c[3] + (c2 >> 51);
+        let c4 = c[4] + (c3 >> 51);
         // Column 4 has no ×19 term (< 2^111), so this carry is < 2^60 and
         // its ×19 wrap into limb 0 fits a u64.
-        out[0] += carry as u64 * 19;
-        out[1] += out[0] >> 51;
-        out[0] &= MASK;
-        Fe(out)
+        let l0 = (c[0] as u64 & MASK) + (c4 >> 51) as u64 * 19;
+        Fe([
+            l0 & MASK,
+            (c1 as u64 & MASK) + (l0 >> 51),
+            c2 as u64 & MASK,
+            c3 as u64 & MASK,
+            c4 as u64 & MASK,
+        ])
     }
 
     /// 25-product schoolbook; products that land on `2^255` and above are
     /// folded back with `2^255 ≡ 19`.
-    fn mul(self, rhs: Fe) -> Fe {
+    const fn mul(self, rhs: Fe) -> Fe {
         let (a, b) = (self.0, rhs.0);
         let (b1, b2, b3, b4) = (b[1] * 19, b[2] * 19, b[3] * 19, b[4] * 19);
         Fe::fold([
@@ -217,7 +214,7 @@ impl Fe {
     }
 
     /// 15 products: each cross term is computed once and doubled.
-    fn square(self) -> Fe {
+    const fn square(self) -> Fe {
         let a = self.0;
         let (a3, a4) = (a[3] * 19, a[4] * 19);
         Fe::fold([
@@ -364,21 +361,23 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 }
 
 /// X25519 with the standard base point `u = 9` (public-key generation):
-/// the comb on a table built once per process.
+/// the comb on a table the compiler builds.
 #[must_use]
 pub fn x25519_base(scalar: &[u8; 32]) -> [u8; 32] {
-    static TABLE: OnceLock<CombTable> = OnceLock::new();
-    TABLE.get_or_init(base_table).mul(scalar)
-}
-
-fn base_table() -> CombTable {
-    CombTable::new(&BASE_POINT).0
+    comb::BASE.mul(scalar)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::hex;
+
+    /// The base point, `u = 9`.
+    pub(crate) const BASE_POINT: [u8; 32] = {
+        let mut u = [0; 32];
+        u[0] = 9;
+        u
+    };
 
     /// The u-coordinates of small order below 2^255 (RFC 7748 §6.1,
     /// cr.yp.to/ecdh.html): 0, 1, the two of order 8, p - 1, p, p + 1.

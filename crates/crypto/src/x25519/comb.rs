@@ -12,9 +12,11 @@
 //! of low order included. Only `u` comes back out, so the sign of `v` is
 //! never needed.
 //!
-//! [`CombTable::new`] holds `j·256^i·P` for `j` in `1..=8`, `i` in `0..32`
+//! A [`CombTable`] holds `j·256^i·P` for `j` in `1..=8`, `i` in `0..32`
 //! as affine `(y + x, y - x, 2d·x·y)`: 256 entries of 120 bytes, normalised
-//! with one shared inversion. [`CombTable::mul`] recodes the clamped scalar
+//! with one shared inversion. One `const fn` builds it (the `table` child):
+//! the compiler runs it for the base point ([`BASE`]), [`CombTable::new`]
+//! for a home network's key. [`CombTable::mul`] recodes the clamped scalar
 //! into 64 digits `e_i` in `[-8, 8]` with `Σ e_i·16^i` the scalar, adds the
 //! odd digits' entries, doubles four times, adds the even digits' entries,
 //! and returns `u = (Z + Y)/(Z - Y)`; the neutral element gives 0 as the
@@ -34,13 +36,16 @@
 //! # Constant time
 //!
 //! As in the parent: no `if`, `while`, `match`, `&&`, `||` or `?` outside
-//! `cfg(test)` (lint rule `CT001`). A digit picks its entry by reading all
+//! `cfg(test)` (lint rule `CT001`), except in the table builder, which
+//! sees only public points. A digit picks its entry by reading all
 //! eight of the row and masking one in, and its sign by a masked swap, so
 //! neither the instruction stream nor the addresses touched depend on the
 //! scalar.
 
-use super::{cmov, Fe, A24};
+use super::{cmov, Fe, A24, MASK};
 use crate::secret::Zeroize;
+
+mod table;
 
 /// The Montgomery coefficient `A = 486662`.
 const A: u64 = 4 * A24 + 2;
@@ -63,6 +68,32 @@ const SQRT_NEG_A_PLUS_2: Fe = Fe([
     266_558_006_233_600,
 ]);
 
+/// The base point `u = 9` over the birational map: the limbs
+/// `Point::lift` returns for it, as a literal because `lift` takes a square
+/// root and is not a `const fn`.
+const EDWARDS_BASE: Point = Point {
+    x: Fe([
+        1_624_827_324_158_762,
+        204_986_199_800_747,
+        442_478_007_090_983,
+        1_119_041_790_605_813,
+        1_374_124_393_915_636,
+    ]),
+    // u - 1 = 8 as `Fe::sub` leaves it: 8 + p.
+    y: Fe([MASK - 10, MASK, MASK, MASK, MASK]),
+    z: Fe([10, 0, 0, 0, 0]),
+    t: Fe([
+        399_141_933_852_918,
+        163_988_959_840_598,
+        804_342_368_409_836,
+        2_246_313_320_695_799,
+        198_579_589_658_409,
+    ]),
+};
+
+/// The comb table of the base point, built by the compiler.
+pub(super) static BASE: CombTable = CombTable::from_point(EDWARDS_BASE);
+
 /// A curve point in extended coordinates: `x = X/Z`, `y = Y/Z`,
 /// `x·y = T/Z`.
 #[derive(Clone, Copy)]
@@ -73,11 +104,11 @@ struct Point {
     t: Fe,
 }
 
-impl std::fmt::Debug for Point {
+impl core::fmt::Debug for Point {
     // The accumulator of a multiplication is a multiple of the point by a
     // prefix of the scalar. (`Copy` for the arithmetic, like `Fe`: wiped by
     // `CombTable::mul`, not by `Drop`.)
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("Point(<redacted>)")
     }
 }
@@ -91,9 +122,9 @@ struct Niels {
     t2d: Fe,
 }
 
-impl std::fmt::Debug for Niels {
+impl core::fmt::Debug for Niels {
     // A selected entry names a digit of the scalar.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("Niels(<redacted>)")
     }
 }
@@ -141,7 +172,7 @@ impl Point {
     }
 
     /// The tail `double` and `sum` share (ref10's completed → extended).
-    fn from_efgh(e: Fe, f: Fe, g: Fe, h: Fe) -> Point {
+    const fn from_efgh(e: Fe, f: Fe, g: Fe, h: Fe) -> Point {
         Point {
             x: e.mul(f),
             y: g.mul(h),
@@ -151,7 +182,7 @@ impl Point {
     }
 
     /// `2·self`: four squarings and four multiplications.
-    fn double(self) -> Point {
+    const fn double(self) -> Point {
         let (xx, yy, zz) = (self.x.square(), self.y.square(), self.z.square());
         let g = yy.sub(xx);
         // (x + y)^2 - x^2 - y^2 = 2xy
@@ -160,7 +191,7 @@ impl Point {
     }
 
     /// `self + q` for `q` over the denominator `Z_q`, given `zz = 2·Z·Z_q`.
-    fn sum(self, q: &Niels, zz: Fe) -> Point {
+    const fn sum(self, q: &Niels, zz: Fe) -> Point {
         let a = self.y.add(self.x).carry().mul(q.y_plus_x);
         let b = self.y.sub(self.x).mul(q.y_minus_x);
         let c = self.t.mul(q.t2d);
@@ -173,13 +204,13 @@ impl Point {
     }
 
     /// `self + rhs`, any two points (building the table).
-    fn add(self, rhs: Point) -> Point {
+    const fn add(self, rhs: Point) -> Point {
         let zz = self.z.mul(rhs.z);
         self.sum(&rhs.niels(), zz.add(zz))
     }
 
     /// `(Y + X, Y - X, 2d·T)`, still over `Z`.
-    fn niels(self) -> Niels {
+    const fn niels(self) -> Niels {
         Niels {
             y_plus_x: self.y.add(self.x).carry(),
             y_minus_x: self.y.sub(self.x),
@@ -191,8 +222,8 @@ impl Point {
 /// The clamped scalar as 64 signed radix-16 digits, wiped on drop.
 struct Digits([i8; 64]);
 
-impl std::fmt::Debug for Digits {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl core::fmt::Debug for Digits {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("Digits(<redacted>)")
     }
 }
@@ -240,41 +271,7 @@ impl CombTable {
     /// the ladder. Costs about two and a half ladder multiplications.
     pub(crate) fn new(u: &[u8; 32]) -> (CombTable, bool) {
         let (point, on_curve) = Point::lift(u);
-        // multiples[8·i + j - 1] = j·256^i·P, projective.
-        let mut multiples = [Point::IDENTITY; 256];
-        let mut base = point;
-        for row in multiples.chunks_exact_mut(8) {
-            row[0] = base;
-            for j in 1..8 {
-                row[j] = row[j - 1].add(base);
-            }
-            base = row[7];
-            for _ in 0..5 {
-                base = base.double();
-            }
-        }
-        // Montgomery's trick, one inversion for the 256 denominators:
-        // before[i] = Z_0 ⋯ Z_(i-1), and walking back `inverse` is
-        // 1/(Z_0 ⋯ Z_i).
-        let mut before = [Fe::ONE; 256];
-        let mut product = Fe::ONE;
-        for (slot, multiple) in before.iter_mut().zip(&multiples) {
-            *slot = product;
-            product = product.mul(multiple.z);
-        }
-        let mut inverse = product.invert();
-        let mut table = [[Niels::IDENTITY; 8]; 32];
-        for i in (0..256).rev() {
-            let z_inverse = inverse.mul(before[i]);
-            inverse = inverse.mul(multiples[i].z);
-            let over_z = multiples[i].niels();
-            table[i / 8][i % 8] = Niels {
-                y_plus_x: over_z.y_plus_x.mul(z_inverse),
-                y_minus_x: over_z.y_minus_x.mul(z_inverse),
-                t2d: over_z.t2d.mul(z_inverse),
-            };
-        }
-        (CombTable(table), on_curve == 1)
+        (CombTable::from_point(point), on_curve == 1)
     }
 
     /// `digit·256^row·P` for `digit` in `[-8, 8]`: every entry of the row
@@ -322,8 +319,8 @@ impl CombTable {
 mod tests {
     use super::*;
     use crate::hex;
-    use crate::x25519::tests::{boundary, plus, P_BYTES, SATURATED};
-    use crate::x25519::{clamp, x25519, x25519_base, BASE_POINT as BASE};
+    use crate::x25519::tests::{boundary, plus, BASE_POINT, P_BYTES, SATURATED};
+    use crate::x25519::{clamp, x25519, x25519_base};
 
     fn table(u: &[u8; 32]) -> CombTable {
         let (table, on_curve) = CombTable::new(u);
@@ -361,6 +358,14 @@ mod tests {
     }
 
     #[test]
+    fn the_literal_base_is_the_lifted_base_point() {
+        let (lifted, on_curve) = Point::lift(&BASE_POINT);
+        assert_eq!(on_curve, 1);
+        let coordinates = |p: Point| [p.x, p.y, p.z, p.t].map(Fe::to_bytes);
+        assert_eq!(coordinates(EDWARDS_BASE), coordinates(lifted));
+    }
+
+    #[test]
     fn lifted_points_and_their_multiples_are_on_the_edwards_curve() {
         // 2·(-x^2 + y^2 - 1) = 2d·x^2·y^2, cleared of denominators.
         let on_curve = |p: Point| {
@@ -369,7 +374,11 @@ mod tests {
             assert_eq!(lhs.add(lhs).sub(D2.mul(xx).mul(yy)).is_zero(), 1);
             assert_eq!(p.x.mul(p.y).sub(p.t.mul(p.z)).is_zero(), 1);
         };
-        for u in [BASE, x25519_base(&[0x42; 32]), x25519_base(&[0xa7; 32])] {
+        for u in [
+            BASE_POINT,
+            x25519_base(&[0x42; 32]),
+            x25519_base(&[0xa7; 32]),
+        ] {
             let (p, lifted) = Point::lift(&u);
             assert_eq!(lifted, 1);
             on_curve(p);
@@ -390,7 +399,7 @@ mod tests {
     #[test]
     fn rfc7748_vectors_through_the_comb() {
         // §6.1: Alice's and Bob's public keys.
-        let base = table(&BASE);
+        let base = table(&BASE_POINT);
         for (private, public) in [
             (
                 "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
@@ -420,7 +429,7 @@ mod tests {
         );
         // §5.2, first iterate: k = u = 9.
         assert_eq!(
-            hex::encode(&base.mul(&BASE)),
+            hex::encode(&base.mul(&BASE_POINT)),
             "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
         );
     }
@@ -464,8 +473,8 @@ mod tests {
 
     #[test]
     fn select_returns_the_signed_multiple_and_the_identity() {
-        let (point, _) = Point::lift(&BASE);
-        let table = table(&BASE);
+        let (point, _) = Point::lift(&BASE_POINT);
+        let table = table(&BASE_POINT);
         for row in [0usize, 15, 31] {
             // 256^row·P by doubling, then its multiples by repeated addition.
             let mut multiple = point;
@@ -594,7 +603,7 @@ mod tests {
             arbitrary in proptest::array::uniform32(0u8..),
         ) {
             check_recoding(&k);
-            proptest::prop_assert_eq!(x25519_base(&k), x25519(&k, &BASE));
+            proptest::prop_assert_eq!(x25519_base(&k), x25519(&k, &BASE_POINT));
             let derived = x25519_base(&private);
             proptest::prop_assert_eq!(table(&derived).mul(&k), x25519(&k, &derived));
             let (table, on_curve) = CombTable::new(&arbitrary);

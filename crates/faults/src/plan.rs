@@ -1,7 +1,7 @@
 //! Seed-driven SBI fault plans.
 //!
 //! An [`SbiFaultPlan`] sits behind a world's
-//! [`FaultSwitch`](shield5g_mw::FaultSwitch) — the shared slot every
+//! [`FaultSwitch`] — the shared slot every
 //! endpoint's [`FaultLayer`](shield5g_mw::FaultLayer) consults — and
 //! decides, per delivered message, whether to drop it (the waiting side
 //! eats a supervision timeout), delay it (congestion / rerouting), or

@@ -4,10 +4,10 @@
 //! Two kinds of constants exist:
 //!
 //! 1. **Literature-anchored**: per-transition SGX costs. Weisse et al.
-//!    (HotCalls, the paper's [18]) and Dinh Ngoc et al. (the paper's [19])
+//!    (HotCalls, the paper's \[18\]) and Dinh Ngoc et al. (the paper's \[19\])
 //!    place an `EENTER`/`EEXIT` round trip at 10,000–18,000 cycles; EPC
 //!    paging (`EWB`/`ELDU`) at roughly 40,000 cycles per page
-//!    (Costan & Devadas, the paper's [25]).
+//!    (Costan & Devadas, the paper's \[25\]).
 //! 2. **Testbed-calibrated**: container-mode baselines (handler overheads,
 //!    native syscall cost, bridge latency) fitted once against the paper's
 //!    *container* measurements. SGX-mode results are then **derived** from

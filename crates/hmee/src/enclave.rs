@@ -8,7 +8,7 @@
 //! [`SgxCounters`] exactly as the corresponding hardware events would.
 //!
 //! What a transition costs is fixed when the enclave is built: `build`
-//! turns the platform's [`CostModel`] into nanosecond [`Prices`], each term
+//! turns the platform's [`CostModel`] into nanosecond `Prices`, each term
 //! truncated where the model's getter truncates it, so a charge is integer
 //! addition and a run of OCALLs ([`Enclave::ocalls`]) is priced in one pass
 //! to the nanosecond of the same calls made one by one.

@@ -16,7 +16,7 @@ use crate::InfraError;
 use shield5g_sim::Env;
 
 /// Probability of achieving co-residency with the target on a public
-/// cloud ("over 90% success rate", paper §III-B citing [35]).
+/// cloud ("over 90% success rate", paper §III-B citing \[35\]).
 pub const CO_RESIDENCY_SUCCESS: f64 = 0.9;
 
 /// Attack-chain milestones.

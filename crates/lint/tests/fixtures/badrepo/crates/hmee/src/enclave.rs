@@ -1,4 +1,4 @@
-//! A miniature repo tree whose only source file is enclave-side crypto
+//! A miniature repo tree whose only source file is enclave-side HMEE code
 //! that reads the host file system directly (EB001), used to assert the
 //! CLI's non-zero exit.
 

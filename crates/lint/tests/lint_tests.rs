@@ -223,10 +223,10 @@ fn cli_exits_nonzero_on_violating_tree() {
         .expect("run shield5g-lint");
     assert!(!out.status.success(), "expected non-zero exit");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // The fixture tree's enclave-side crypto file reads the host file
+    // The fixture tree's enclave-side HMEE file reads the host file
     // system directly.
     assert!(
-        stdout.contains("EB001 crates/crypto/src/bad.rs:6"),
+        stdout.contains("EB001 crates/hmee/src/enclave.rs:6"),
         "stdout: {stdout}"
     );
 }
@@ -320,6 +320,31 @@ fn clippy_config_pins_the_determinism_perimeter() -> std::io::Result<()> {
             manifest.display()
         );
     }
+    Ok(())
+}
+
+/// The enclave boundary of `crypto` is a compiler fact, not an EB001
+/// entry: outside its tests the crate is `no_std`, so a host API named
+/// there fails to build (E0433) rather than failing the lint.
+#[test]
+fn crypto_is_no_std_outside_its_tests() -> std::io::Result<()> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lib = std::fs::read_to_string(root.join("crates/crypto/src/lib.rs"))?;
+    assert!(
+        lib.lines().any(|l| l == "#![cfg_attr(not(test), no_std)]"),
+        "crates/crypto/src/lib.rs lost #![cfg_attr(not(test), no_std)]"
+    );
+    assert!(
+        !lib.contains("extern crate std"),
+        "crates/crypto/src/lib.rs links std back in"
+    );
+    assert!(
+        !Config::repo_default()
+            .enclave_files
+            .iter()
+            .any(|f| f.starts_with("crypto/")),
+        "crypto is policed by the compiler, not by EB001"
+    );
     Ok(())
 }
 

@@ -37,10 +37,10 @@
 //! * **Inbound** — `on_request` (fresh request, outermost layer first)
 //!   or `on_response` (a downstream response resuming a continuation).
 //!   `on_response` may *break* the chain ([`Resume::Break`]) and
-//!   substitute its own [`Step`] — a retry layer retransmits, a deadline
+//!   substitute its own [`Step`](shield5g_sim::engine::Step) — a retry layer retransmits, a deadline
 //!   layer abandons — in which case inner layers and the service never
 //!   see the response.
-//! * **Outbound** — `on_step`: the [`Step`] the service (or a breaking
+//! * **Outbound** — `on_step`: the [`Step`](shield5g_sim::engine::Step) the service (or a breaking
 //!   layer) produced traverses the layers it passed through inbound, in
 //!   reverse (innermost first), on its way back to the scheduler.
 //!

@@ -314,7 +314,7 @@ impl Wire for Ngap {
 
 impl Ngap {
     /// Decodes a whole message into an owned one
-    /// ([`Wire::decode`](crate::wire::Wire::decode)).
+    /// ([`Wire::decode`]).
     ///
     /// # Errors
     ///

@@ -38,7 +38,7 @@ pub struct OtaReport {
 
 impl OtaReport {
     /// The SGX share of setup: paka time over total (§V-B4 reports 5.58 %
-    /// for the *added* SGX cost; [`sgx_share_of_setup`] computes that
+    /// for the *added* SGX cost; [`SessionSetupComparison::sgx_share_of_setup`] computes that
     /// differential figure).
     #[must_use]
     pub fn paka_fraction(&self) -> f64 {
@@ -226,39 +226,6 @@ mod tests {
     use shield5g_core::paka::SgxConfig;
 
     #[test]
-    fn ota_succeeds_through_sgx_paka() {
-        let mut testbed = OtaTestbed::assemble(51, AkaDeployment::Sgx(SgxConfig::default()));
-        let cold = testbed.run().unwrap();
-        assert!(
-            cold.registered,
-            "UE must register through the enclave AKA path"
-        );
-        assert!(cold.session_established);
-        assert!(cold.data_echoed, "user-plane echo must come back");
-        assert_eq!(cold.ue_ip[0], 10);
-        // The very first registration pays the modules' initial-response
-        // penalty (R_I ≈ 20 × R_S per module, §V-B4).
-        assert!(
-            cold.session_setup > SimDuration::from_millis(95),
-            "{}",
-            cold.session_setup
-        );
-        // Steady state: the paper's 62.38 ms band.
-        let warm = testbed.run().unwrap();
-        assert!(warm.registered && warm.data_echoed);
-        assert!(
-            warm.session_setup > SimDuration::from_millis(45),
-            "{}",
-            warm.session_setup
-        );
-        assert!(
-            warm.session_setup < SimDuration::from_millis(85),
-            "{}",
-            warm.session_setup
-        );
-    }
-
-    #[test]
     fn wrong_plmn_prevents_detection() {
         // §V-B6: custom MCC/MNC → the device cannot detect the gNB.
         let mut testbed = OtaTestbed::assemble(52, AkaDeployment::Sgx(SgxConfig::default()));
@@ -299,17 +266,5 @@ mod tests {
             testbed.run(),
             Err(RanError::IncompatibleUeBuild(_))
         ));
-    }
-
-    #[test]
-    fn sgx_share_of_session_setup_is_small() {
-        let cmp = session_setup_comparison(54, 3);
-        let share = cmp.sgx_share_of_setup();
-        // Paper: 5.58% — the claim is that SGX is a small fraction.
-        assert!(share > 0.005 && share < 0.12, "SGX share {share:.3}");
-        assert!(cmp.sgx_setup > cmp.container_setup);
-        // Total in the right decade.
-        assert!(cmp.sgx_setup > SimDuration::from_millis(40));
-        assert!(cmp.sgx_setup < SimDuration::from_millis(90));
     }
 }

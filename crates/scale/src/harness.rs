@@ -206,31 +206,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn horizontal_scaling_is_linear() {
-        let service = probe_service_time(900);
-        let rows: Vec<ScalingRow> = scaling_points(900, 10, 3, service)
-            .iter()
-            .map(run_scaling_point)
-            .collect();
-        assert_eq!(rows.len(), 3);
-        let t1 = rows[0].throughput_per_sec;
-        let t3 = rows[2].throughput_per_sec;
-        assert!(t3 > 2.5 * t1 && t3 < 3.5 * t1, "t1={t1:.0}/s t3={t3:.0}/s");
-        // A single enclave sustains several hundred authentications/s.
-        assert!(t1 > 300.0 && t1 < 1500.0, "t1={t1:.0}/s");
-        // Below saturation nothing is shed and responses stay bounded.
-        for row in &rows {
-            assert_eq!(row.shed, 0, "n={} shed {}", row.instances, row.shed);
-            assert!(
-                row.stable_response < SimDuration::from_millis(20),
-                "n={} response {}",
-                row.instances,
-                row.stable_response
-            );
-        }
-    }
-
-    #[test]
     fn saturation_flattens_throughput_and_sheds() {
         let service = probe_service_time(910);
         let capacity = 2.0 / service.as_secs_f64(); // two replicas

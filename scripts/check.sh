@@ -13,6 +13,9 @@ cargo clippy --offline --workspace --all-targets \
   --exclude criterion --exclude proptest \
   -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors: a link that does not resolve, such as a std:: path in the no_std crypto crate, fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # The lint step prints its findings as text and writes a SARIF copy of
 # them into the observability dir so CI can upload it with the other
 # artifacts; the self-benchmark line (files scanned, wall time) goes to
