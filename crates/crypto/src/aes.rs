@@ -52,6 +52,8 @@
 //! assert_eq!(block, cipher.encrypt_block_copy(&original));
 //! ```
 
+use crate::secret::{wipes_through, Secret, SecretBytes, ZeroizeOnDrop};
+
 /// The AES S-box (FIPS-197 figure 7).
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -117,28 +119,17 @@ static TABLES: [[u32; 256]; 4] = {
 /// An expanded AES-128 key.
 ///
 /// Construction performs the full key schedule once; the per-block
-/// operations then only read the schedule.
-#[derive(Clone)]
+/// operations then only read the schedule, a [`Secret`]: redacted in
+/// `Debug`, wiped on drop.
+#[derive(Clone, Debug)]
 pub struct Aes128 {
     /// 11 round keys, each four big-endian column words.
-    schedule: [[u32; 4]; 11],
+    schedule: Secret<[[u32; 4]; 11]>,
 }
 
-impl core::fmt::Debug for Aes128 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // Never leak key schedule material through Debug output.
-        f.debug_struct("Aes128")
-            .field("schedule", &"<redacted>")
-            .finish()
-    }
-}
-
-impl Drop for Aes128 {
-    fn drop(&mut self) {
-        use crate::secret::Zeroize;
-        self.schedule.zeroize();
-    }
-}
+/// Holders in other crates register through an `Aes128` field.
+impl ZeroizeOnDrop for Aes128 {}
+const _: () = wipes_through(|a: &Aes128| &a.schedule);
 
 impl Aes128 {
     /// Expands `key` into the 11-round AES-128 key schedule.
@@ -156,7 +147,9 @@ impl Aes128 {
                 schedule[round][c] = word;
             }
         }
-        Aes128 { schedule }
+        Aes128 {
+            schedule: Secret::new(schedule),
+        }
     }
 
     /// Rounds `from..=10` of the forward cipher on column words: the full
@@ -166,10 +159,11 @@ impl Aes128 {
     /// state stays in registers between them.
     #[inline(always)]
     fn finish(&self, from: usize, mut s: [u32; 4]) -> [u32; 4] {
-        for round_key in &self.schedule[from..10] {
+        let schedule = self.schedule.expose();
+        for round_key in &schedule[from..10] {
             s = round(s, round_key);
         }
-        let mut t = self.schedule[10];
+        let mut t = schedule[10];
         for c in 0..4 {
             t[c] ^= (TABLES[2][(s[c] >> 24) as usize] & 0xff00_0000)
                 ^ (TABLES[3][(s[(c + 1) % 4] >> 16) as u8 as usize] & 0x00ff_0000)
@@ -187,7 +181,10 @@ impl Aes128 {
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(test)]
         tests::count_block();
-        let state = xor(columns(u128::from_be_bytes(*block)), self.schedule[0]);
+        let state = xor(
+            columns(u128::from_be_bytes(*block)),
+            self.schedule.expose()[0],
+        );
         *block = join(self.finish(1, state)).to_be_bytes();
     }
 
@@ -212,20 +209,21 @@ impl Aes128 {
     /// state once and back in per block (the round is linear in its
     /// lookups).
     pub fn ctr_apply(&self, icb: &[u8; 16], data: &mut [u8]) {
+        let schedule = self.schedule.expose();
         let mut counter = u128::from_be_bytes(*icb);
         let mut rest = data;
         while !rest.is_empty() {
             let run_bytes = 16 * (256 - usize::from(counter as u8));
             let (run, tail) = rest.split_at_mut(rest.len().min(run_bytes));
             rest = tail;
-            let s = xor(columns(counter), self.schedule[0]);
-            let mut t = round(s, &self.schedule[1]);
+            let s = xor(columns(counter), schedule[0]);
+            let mut t = round(s, &schedule[1]);
             t[0] ^= TABLES[3][s[3] as u8 as usize];
-            let u = xor(round(t, &self.schedule[2]), column_0_lookups(t[0]));
+            let u = xor(round(t, &schedule[2]), column_0_lookups(t[0]));
             for chunk in run.chunks_mut(16) {
                 #[cfg(test)]
                 tests::count_block();
-                let low = counter as u8 ^ self.schedule[0][3] as u8;
+                let low = counter as u8 ^ schedule[0][3] as u8;
                 let t0 = t[0] ^ TABLES[3][low as usize];
                 let keystream = join(self.finish(3, xor(u, column_0_lookups(t0))));
                 match <&mut [u8; 16]>::try_from(&mut *chunk) {
@@ -244,8 +242,8 @@ impl Aes128 {
 
 /// The schedule of a key held as a secret (a NAS ciphering key), with no
 /// copy of its bytes outside the container.
-impl From<&crate::secret::SecretBytes<16>> for Aes128 {
-    fn from(key: &crate::secret::SecretBytes<16>) -> Self {
+impl From<&SecretBytes<16>> for Aes128 {
+    fn from(key: &SecretBytes<16>) -> Self {
         Aes128::new(key.expose())
     }
 }
@@ -399,16 +397,16 @@ pub(crate) mod tests {
 
         /// Decrypts one 16-byte block in place.
         fn decrypt_block(&self, block: &mut [u8; 16]) {
-            Self::add_round_key(block, &self.schedule[10]);
+            Self::add_round_key(block, &self.schedule.expose()[10]);
             for round in (1..10).rev() {
                 Self::inv_shift_rows(block);
                 Self::inv_sub_bytes(block);
-                Self::add_round_key(block, &self.schedule[round]);
+                Self::add_round_key(block, &self.schedule.expose()[round]);
                 Self::inv_mix_columns(block);
             }
             Self::inv_shift_rows(block);
             Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.schedule[0]);
+            Self::add_round_key(block, &self.schedule.expose()[0]);
         }
     }
 
@@ -519,7 +517,9 @@ pub(crate) mod tests {
             "ac7766f319fadc2128d12941575c006e",
             "d014f9a8c9ee2589e13f0cc8b6630ca6",
         ];
-        for (round, (round_key, expected)) in cipher.schedule.iter().zip(expected).enumerate() {
+        for (round, (round_key, expected)) in
+            cipher.schedule.expose().iter().zip(expected).enumerate()
+        {
             let bytes = join(*round_key).to_be_bytes();
             assert_eq!(hex::encode(&bytes), expected, "round key {round}");
         }

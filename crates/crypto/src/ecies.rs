@@ -23,7 +23,7 @@ use crate::aes::Aes128;
 use crate::hmac::hmac_sha256;
 use crate::kdf::kdf_x963;
 use crate::secret::{Secret, SecretBytes};
-use crate::x25519::{x25519, x25519_base, CombTable};
+use crate::x25519::{agree, x25519, x25519_base, CombTable};
 use crate::{ct_eq, CryptoError};
 use alloc::rc::Rc;
 use alloc::vec::Vec;
@@ -85,8 +85,8 @@ impl EciesCiphertext {
 }
 
 /// What the X9.63 KDF expands a shared secret into, wiped on drop.
-struct KeyData {
-    aes_key: SecretBytes<16>,
+pub(crate) struct KeyData {
+    pub(crate) aes_key: SecretBytes<16>,
     icb: SecretBytes<16>,
     mac_key: SecretBytes<32>,
 }
@@ -216,21 +216,11 @@ pub fn conceal(
 
 /// A home-network ECIES key pair, identified by the 8-bit key identifier
 /// that the UE places in the SUCI.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct HomeNetworkKeyPair {
-    id: u8,
-    private: SecretBytes<32>,
-    public: HomeNetworkPublicKey,
-}
-
-impl core::fmt::Debug for HomeNetworkKeyPair {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("HomeNetworkKeyPair")
-            .field("id", &self.id)
-            .field("public", &self.public)
-            .field("private", &"<redacted>")
-            .finish()
-    }
+    pub(crate) id: u8,
+    pub(crate) private: SecretBytes<32>,
+    pub(crate) public: HomeNetworkPublicKey,
 }
 
 impl HomeNetworkKeyPair {
@@ -268,7 +258,7 @@ impl HomeNetworkKeyPair {
     /// point: the shared secret would be all zeros whatever our private
     /// key, so anyone could compute a tag that verifies.
     pub fn deconceal(&self, ct: &EciesCiphertext) -> Result<Vec<u8>, CryptoError> {
-        let shared = SecretBytes::new(x25519(self.private.expose(), &ct.ephemeral_public));
+        let shared = SecretBytes::new(agree(&self.private, &ct.ephemeral_public));
         if shared == [0u8; 32] {
             return Err(CryptoError::LowOrderPoint);
         }

@@ -15,7 +15,7 @@
 //! assert_eq!(mac.finalize(), hmac_sha256(b"key", b"message"));
 //! ```
 
-use crate::secret::{SecretBytes, Zeroize};
+use crate::secret::{wipes_through, Secret, SecretBytes, Zeroize, ZeroizeOnDrop};
 use crate::sha256::Sha256;
 
 /// SHA-256 block size in bytes.
@@ -29,26 +29,14 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     hmac.finalize()
 }
 
-/// An HMAC-SHA-256 key prepared once: the chaining states after the two
-/// pad blocks, redacted in `Debug` and zeroized on drop.
-#[derive(Clone)]
-pub struct HmacKey {
-    inner: [u32; 8],
-    outer: [u32; 8],
-}
+/// An HMAC-SHA-256 key prepared once: the chaining states after the inner
+/// and the outer pad block, redacted in `Debug` and zeroized on drop.
+#[derive(Clone, Debug)]
+pub struct HmacKey(Secret<[[u32; 8]; 2]>);
 
-impl core::fmt::Debug for HmacKey {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("HmacKey(<redacted>)")
-    }
-}
-
-impl Drop for HmacKey {
-    fn drop(&mut self) {
-        self.inner.zeroize();
-        self.outer.zeroize();
-    }
-}
+/// Holders in other crates register through an `HmacKey` field.
+impl ZeroizeOnDrop for HmacKey {}
+const _: () = wipes_through(|k: &HmacKey| &k.0);
 
 impl HmacKey {
     /// Prepares `key` (any length; keys longer than one block are hashed
@@ -67,14 +55,14 @@ impl HmacKey {
         key_block.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
         let outer = Sha256::block_state(&key_block);
         key_block.zeroize();
-        HmacKey { inner, outer }
+        HmacKey(Secret::new([inner, outer]))
     }
 
     /// Starts one MAC under this key.
     #[must_use]
     pub fn start(&self) -> HmacSha256 {
         HmacSha256 {
-            inner: Sha256::resume(self.inner),
+            inner: Sha256::resume(self.0.expose()[0]),
             key: self.clone(),
         }
     }
@@ -92,18 +80,10 @@ impl<const N: usize> From<&SecretBytes<N>> for HmacKey {
 ///
 /// The keyed inner hash state is secret material: `Debug` is redacted,
 /// and the prepared key it finishes under zeroizes on drop.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    key: HmacKey,
-}
-
-impl core::fmt::Debug for HmacSha256 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("HmacSha256")
-            .field("key", &"<redacted>")
-            .finish()
-    }
+    pub(crate) key: HmacKey,
 }
 
 impl HmacSha256 {
@@ -123,7 +103,7 @@ impl HmacSha256 {
     #[must_use]
     pub fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::resume(self.key.outer);
+        let mut outer = Sha256::resume(self.key.0.expose()[1]);
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -28,7 +28,7 @@
 //! ```
 
 use crate::aes::Aes128;
-use crate::secret::{SecretBytes, Zeroize};
+use crate::secret::{wipes_through, SecretBytes, Zeroize, ZeroizeOnDrop};
 
 /// MILENAGE rotation amounts in bytes (`r1..r5` = 64, 0, 32, 64, 96 bits).
 const ROT: [usize; 5] = [8, 0, 4, 8, 12];
@@ -62,19 +62,15 @@ impl core::fmt::Debug for F2345Output {
 }
 
 /// A MILENAGE instance bound to a subscriber key `K` and operator constant.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Milenage {
     aes: Aes128,
     opc: SecretBytes<16>,
 }
 
-impl core::fmt::Debug for Milenage {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Milenage")
-            .field("opc", &"<redacted>")
-            .finish()
-    }
-}
+/// Holders in other crates register through a `Milenage` field.
+impl ZeroizeOnDrop for Milenage {}
+const _: () = wipes_through(|m: &Milenage| &m.opc);
 
 impl Milenage {
     /// Builds an instance from the subscriber key and the operator variant

@@ -62,7 +62,7 @@ fn m(x: u64, y: u64) -> u128 {
 #[derive(Debug)]
 pub struct Poly1305 {
     /// `r0, r1, r2, 20·r1, 20·r2`.
-    r: Secret<[u64; 5]>,
+    pub(crate) r: Secret<[u64; 5]>,
 }
 
 impl Poly1305 {

@@ -44,11 +44,17 @@
 //! the module leaves the key it derived. Anything else that needs the
 //! bytes is a crypto primitive and lives here.
 //!
-//! What the types cannot see, `shield5g-lint` still polices: SH001–SH003
-//! check that each registered key-bearing struct redacts its
-//! `Debug`/`Display` output, stores no raw key array without
-//! one, and zeroizes on drop.
+//! What a key-bearing struct prints and whether it wipes are held the same
+//! way. A [`SecretBytes`] or [`Secret`] field renders as `<redacted>` and
+//! zeroizes on drop, so a derived `Debug` and the drop glue are safe by
+//! construction. Each crate that declares such a struct keeps one registry
+//! test beside its types: [`redacts`] renders every registered type built
+//! from a canary and from its complement and requires the two `{:?}`
+//! strings to be byte-equal, and [`wipes_through`] names the field each
+//! zeroizing type wipes through, which builds only when that field is
+//! [`ZeroizeOnDrop`].
 
+use alloc::format;
 use alloc::vec::Vec;
 use core::fmt;
 
@@ -187,6 +193,63 @@ impl<const N: usize> Zeroize for SecretBytes<N> {
     }
 }
 
+/// Types whose drop wipes their key material: [`SecretBytes`], [`Secret`],
+/// and the three composites other crates hold (`Aes128`, `HmacKey`,
+/// `Milenage`), each implemented beside the [`wipes_through`] entry that
+/// names its wiping field.
+pub trait ZeroizeOnDrop {}
+
+impl<const N: usize> ZeroizeOnDrop for SecretBytes<N> {}
+
+impl<T: Zeroize> ZeroizeOnDrop for Secret<T> {}
+
+/// A registry entry: `T` wipes its key material on drop through the field
+/// `field` reads. It builds only when that field is [`ZeroizeOnDrop`];
+/// `field` is type-checked, never called. A field whose type hides its
+/// state from `Debug` but never wipes it does not count:
+///
+/// ```compile_fail,E0277
+/// use shield5g_crypto::secret::wipes_through;
+/// struct KeyedHasher {
+///     state: [u32; 8],
+/// }
+/// impl core::fmt::Debug for KeyedHasher {
+///     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+///         f.write_str("KeyedHasher(<redacted>)")
+///     }
+/// }
+/// struct IntegrityContext {
+///     inner: KeyedHasher,
+/// }
+/// wipes_through(|c: &IntegrityContext| &c.inner);
+/// ```
+///
+/// while its twin, whose state is a [`Secret`], builds:
+///
+/// ```
+/// use shield5g_crypto::secret::{wipes_through, Secret};
+/// #[derive(Debug)]
+/// struct KeyedHasher {
+///     state: Secret<[u32; 8]>,
+/// }
+/// struct IntegrityContext {
+///     inner: KeyedHasher,
+/// }
+/// wipes_through(|h: &KeyedHasher| &h.state);
+/// wipes_through(|c: &IntegrityContext| &c.inner.state);
+/// ```
+pub const fn wipes_through<T, F: ZeroizeOnDrop>(_field: fn(&T) -> &F) {}
+
+/// A registry's `Debug` check: a value `build` fills with a canary byte and
+/// its twin filled with the complement render byte-equal under `{:?}`, so no
+/// hex, decimal or byte-list rendering of the filled fields reaches the
+/// output. `build` fills only the secret fields; public ones stay fixed.
+#[must_use]
+pub fn redacts<T: fmt::Debug>(build: impl Fn(u8) -> T) -> bool {
+    const CANARY: u8 = 0x5a;
+    format!("{:?}", build(CANARY)) == format!("{:?}", build(!CANARY))
+}
+
 /// A generic secret container for non-array material (e.g. expanded key
 /// schedules): redacted `Debug`, zeroize-on-drop.
 pub struct Secret<T: Zeroize>(T);
@@ -279,6 +342,115 @@ mod tests {
         assert_eq!(g.expose().as_slice(), &[1, 2, 3, 4]);
         let h = g.clone();
         assert_eq!(h.expose(), g.expose());
+    }
+
+    /// This crate's registry. `Aes128`, `HmacKey` and `Milenage` name the
+    /// field they wipe through beside their marker impls.
+    #[test]
+    fn every_registered_type_redacts_and_wipes() {
+        use crate::aes::Aes128;
+        use crate::ecies::{HomeNetworkKeyPair, KeyData};
+        use crate::hmac::{HmacKey, HmacSha256};
+        use crate::keys::{HeAv, UeChallengeResult};
+        use crate::milenage::{F2345Output, Milenage};
+        use crate::poly1305::Poly1305;
+        use crate::sha256::Sha256;
+        use crate::x25519::comb::{Digits, Niels, Point};
+        use crate::x25519::Fe;
+
+        let hn = HomeNetworkKeyPair::from_private(1, [7; 32]);
+        assert!(redacts(|c| HeAv {
+            rand: [1; 16],
+            autn: [2; 16],
+            xres_star: [c; 16],
+            kausf: SecretBytes::new([c; 32]),
+        }));
+        assert!(redacts(|c| UeChallengeResult {
+            sqn: [c; 6],
+            res_star: [c; 16],
+            kausf: SecretBytes::new([c; 32]),
+            kseaf: SecretBytes::new([c; 32]),
+        }));
+        assert!(redacts(|c| Milenage::with_opc(&[c; 16], &[c; 16])));
+        assert!(redacts(|c| F2345Output {
+            res: [c; 8],
+            ck: SecretBytes::new([c; 16]),
+            ik: SecretBytes::new([c; 16]),
+            ak: [c; 6],
+        }));
+        assert!(redacts(|c| HmacKey::new(&[c; 32])));
+        assert!(redacts(|c| HmacSha256::new(&[c; 32])));
+        assert!(redacts(|c| HomeNetworkKeyPair {
+            id: hn.id,
+            private: SecretBytes::new([c; 32]),
+            public: hn.public.clone(),
+        }));
+        assert!(redacts(|c| Aes128::new(&[c; 16])));
+        assert!(redacts(|c| Poly1305::new(&[c; 16])));
+        assert!(redacts(|c| Digits(Secret::new([c as i8; 64]))));
+        // Redact-only: `Copy` for the arithmetic, or moved out of by
+        // `finalize`, so nothing can wipe them on drop.
+        let fe = |c: u8| Fe([u64::from_ne_bytes([c; 8]); 5]);
+        assert!(redacts(fe));
+        assert!(redacts(|c| Point {
+            x: fe(c),
+            y: fe(c),
+            z: fe(c),
+            t: fe(c),
+        }));
+        assert!(redacts(|c| Niels {
+            y_plus_x: fe(c),
+            y_minus_x: fe(c),
+            t2d: fe(c),
+        }));
+        assert!(redacts(|c| Sha256::resume([u32::from_ne_bytes([c; 4]); 8])));
+
+        wipes_through(|av: &HeAv| &av.kausf);
+        wipes_through(|result: &UeChallengeResult| &result.kausf);
+        wipes_through(|out: &F2345Output| &out.ck);
+        wipes_through(|mac: &HmacSha256| &mac.key);
+        wipes_through(|pair: &HomeNetworkKeyPair| &pair.private);
+        wipes_through(|keys: &KeyData| &keys.aes_key);
+        wipes_through(|digits: &Digits| &digits.0);
+        wipes_through(|mac: &Poly1305| &mac.r);
+    }
+
+    #[test]
+    fn a_derived_debug_over_raw_key_bytes_fails_the_registry() {
+        #[derive(Debug)]
+        #[expect(dead_code, reason = "only the derived Debug reads it: the leak")]
+        struct LeakyKey {
+            k: [u8; 16],
+        }
+        assert!(!redacts(|c| LeakyKey { k: [c; 16] }));
+    }
+
+    #[test]
+    fn a_derived_debug_over_secret_bytes_passes_the_registry() {
+        #[derive(Debug)]
+        struct ShieldedKey {
+            k: SecretBytes<16>,
+        }
+        assert!(redacts(|c| ShieldedKey {
+            k: SecretBytes::new([c; 16]),
+        }));
+        wipes_through(|key: &ShieldedKey| &key.k);
+    }
+
+    #[test]
+    fn a_holder_registers_through_a_composite_with_a_secret_field() {
+        #[derive(Debug)]
+        struct PreparedKey(Secret<[u32; 8]>);
+        impl ZeroizeOnDrop for PreparedKey {}
+        wipes_through(|key: &PreparedKey| &key.0);
+        #[derive(Debug)]
+        struct IntegrityContext {
+            key: PreparedKey,
+        }
+        assert!(redacts(|c| IntegrityContext {
+            key: PreparedKey(Secret::new([u32::from_ne_bytes([c; 4]); 8])),
+        }));
+        wipes_through(|context: &IntegrityContext| &context.key);
     }
 
     #[test]

@@ -65,9 +65,11 @@
 //! builder (`comb/table.rs`) is a `const fn` and needs `while`; it only
 //! sees public points, and lives outside the rule's files.
 
-mod comb;
+pub(crate) mod comb;
 
 pub(crate) use comb::CombTable;
+
+use crate::secret::SecretBytes;
 
 const MASK: u64 = (1 << 51) - 1;
 
@@ -89,7 +91,7 @@ const SQRT_M1: Fe = Fe([
 /// A field element modulo `2^255 - 19`: five little-endian 51-bit limbs,
 /// lazily reduced (see the module docs for the bounds).
 #[derive(Clone, Copy)]
-struct Fe([u64; 5]);
+pub(crate) struct Fe(pub(crate) [u64; 5]);
 
 impl core::fmt::Debug for Fe {
     // Field elements carry private-scalar-derived ladder state: a derived
@@ -358,6 +360,13 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
     x2.mul(z2.invert()).to_bytes()
+}
+
+/// [`x25519`] under a private scalar held as a secret (a static key), whose
+/// bytes never leave the container.
+#[must_use]
+pub fn agree(private: &SecretBytes<32>, u: &[u8; 32]) -> [u8; 32] {
+    x25519(private.expose(), u)
 }
 
 /// X25519 with the standard base point `u = 9` (public-key generation):

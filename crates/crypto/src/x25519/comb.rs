@@ -43,7 +43,7 @@
 //! scalar.
 
 use super::{cmov, Fe, A24, MASK};
-use crate::secret::Zeroize;
+use crate::secret::{Secret, Zeroize};
 
 mod table;
 
@@ -97,11 +97,11 @@ pub(super) static BASE: CombTable = CombTable::from_point(EDWARDS_BASE);
 /// A curve point in extended coordinates: `x = X/Z`, `y = Y/Z`,
 /// `x·y = T/Z`.
 #[derive(Clone, Copy)]
-struct Point {
-    x: Fe,
-    y: Fe,
-    z: Fe,
-    t: Fe,
+pub(crate) struct Point {
+    pub(crate) x: Fe,
+    pub(crate) y: Fe,
+    pub(crate) z: Fe,
+    pub(crate) t: Fe,
 }
 
 impl core::fmt::Debug for Point {
@@ -116,10 +116,10 @@ impl core::fmt::Debug for Point {
 /// A point as the right-hand side of an addition: `(y + x, y - x, 2d·x·y)`,
 /// affine in the table, over the point's `Z` inside [`Point::add`].
 #[derive(Clone, Copy)]
-struct Niels {
-    y_plus_x: Fe,
-    y_minus_x: Fe,
-    t2d: Fe,
+pub(crate) struct Niels {
+    pub(crate) y_plus_x: Fe,
+    pub(crate) y_minus_x: Fe,
+    pub(crate) t2d: Fe,
 }
 
 impl core::fmt::Debug for Niels {
@@ -220,19 +220,8 @@ impl Point {
 }
 
 /// The clamped scalar as 64 signed radix-16 digits, wiped on drop.
-struct Digits([i8; 64]);
-
-impl core::fmt::Debug for Digits {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("Digits(<redacted>)")
-    }
-}
-
-impl Drop for Digits {
-    fn drop(&mut self) {
-        self.0.zeroize();
-    }
-}
+#[derive(Debug)]
+pub(crate) struct Digits(pub(crate) Secret<[i8; 64]>);
 
 impl Digits {
     /// Digits `e_i` in `[-8, 8]` with `Σ e_i·16^i` the scalar clamped per
@@ -255,7 +244,7 @@ impl Digits {
             *digit -= carry << 4;
         }
         e[63] += carry;
-        Digits(e)
+        Digits(Secret::new(e))
     }
 }
 
@@ -294,16 +283,17 @@ impl CombTable {
 
     /// `x25519(scalar, u)` for the `u` this table was built from.
     pub(crate) fn mul(&self, scalar: &[u8; 32]) -> [u8; 32] {
-        let digits = Digits::recode(scalar);
+        let recoded = Digits::recode(scalar);
+        let digits = recoded.0.expose();
         let mut acc = Point::IDENTITY;
         for i in (1..64).step_by(2) {
-            acc = acc.add_affine(&self.select(i / 2, digits.0[i]));
+            acc = acc.add_affine(&self.select(i / 2, digits[i]));
         }
         for _ in 0..4 {
             acc = acc.double();
         }
         for i in (0..64).step_by(2) {
-            acc = acc.add_affine(&self.select(i / 2, digits.0[i]));
+            acc = acc.add_affine(&self.select(i / 2, digits[i]));
         }
         // u = (1 + y)/(1 - y); the neutral element's 2/0 is 0, the
         // ladder's answer for a point of low order.
@@ -438,7 +428,7 @@ mod tests {
     fn evaluate(digits: &Digits) -> [u8; 32] {
         let mut nibbles = [0i8; 64];
         let mut borrow = 0i8;
-        for (nibble, &digit) in nibbles.iter_mut().zip(&digits.0) {
+        for (nibble, &digit) in nibbles.iter_mut().zip(digits.0.expose()) {
             let value = digit - borrow;
             borrow = i8::from(value < 0);
             *nibble = value + 16 * borrow;
@@ -454,7 +444,7 @@ mod tests {
 
     fn check_recoding(scalar: &[u8; 32]) {
         let digits = Digits::recode(scalar);
-        assert!(digits.0.iter().all(|e| (-8..=8).contains(e)));
+        assert!(digits.0.expose().iter().all(|e| (-8..=8).contains(e)));
         assert_eq!(evaluate(&digits), clamp(scalar));
     }
 
@@ -464,7 +454,7 @@ mod tests {
             check_recoding(&scalar);
         }
         // All ones carries into every digit and lands on the top one.
-        assert_eq!(Digits::recode(&[0xff; 32]).0[63], 8);
+        assert_eq!(Digits::recode(&[0xff; 32]).0.expose()[63], 8);
         assert_eq!(
             format!("{:?}", Digits::recode(&[7; 32])),
             "Digits(<redacted>)"

@@ -4,9 +4,7 @@
 //! [`clean_source`] returns a string of the *same byte length* as the
 //! input in which every comment and every string/char-literal body has
 //! been replaced by spaces (newlines are preserved so that byte offsets
-//! and line numbers stay aligned with the original). Rules that need the
-//! original text — e.g. the `<redacted>` check, which looks *inside*
-//! string literals — keep the raw source alongside.
+//! and line numbers stay aligned with the original).
 
 /// Lexer state while sweeping the source.
 enum State {
@@ -312,28 +310,6 @@ pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
 
 fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Returns the span of the brace block starting at the first `{` at or
-/// after `from` in clean text: `(open_index, close_index_exclusive)`.
-#[must_use]
-pub fn brace_block(clean: &str, from: usize) -> Option<(usize, usize)> {
-    let bytes = clean.as_bytes();
-    let open = (from..bytes.len()).find(|&k| bytes[k] == b'{')?;
-    let mut depth = 0i32;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, k + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]

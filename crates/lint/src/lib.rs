@@ -2,13 +2,10 @@
 //! workspace.
 //!
 //! Rule families, each guarding an invariant the compiler cannot (what a
-//! type can hold — raw key bytes stay inside `shield5g_crypto`, a
-//! middleware stack's layer order — is held by a type, and spans close
-//! by a runtime check, not here):
+//! type can hold — raw key bytes stay inside `shield5g_crypto`, key
+//! fields that redact and wipe, a middleware stack's layer order — is
+//! held by a type, and spans close by a runtime check, not here):
 //!
-//! * **Secret hygiene** (SH001–SH003) — registered key-bearing types
-//!   must redact `Debug`/`Display`/`Serialize` output and zeroize on
-//!   drop (see `shield5g_crypto::secret`).
 //! * **Enclave boundary** (EB001) — enclave-side modules must not call
 //!   `std::fs`/`net`/`time`/`thread`/`process` directly; host-OS access
 //!   goes through the LibOS shim.
@@ -47,7 +44,7 @@ use std::path::Path;
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`SH001`, `EB001`, `CT001`, …).
+    /// Rule identifier (`EB001`, `MW001`, `CT001`).
     pub rule: String,
     /// Repo-relative path of the offending file.
     pub path: String,
@@ -80,7 +77,6 @@ pub struct Report {
 pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();
     for analysis in analyses {
-        rules::secret_hygiene::check(analysis, config, &mut findings);
         rules::enclave_boundary::check(analysis, config, &mut findings);
         rules::mw_boundary::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);

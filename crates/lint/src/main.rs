@@ -30,10 +30,10 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "shield5g-lint: secret-hygiene, enclave-boundary, mw-boundary and \
-                     constant-time checks over crates/*/src (determinism is clippy.toml's \
-                     disallowed-types, panic sites are clippy's unwrap_used/expect_used, \
-                     layer order is mw::Stack's type)\n\n\
+                    "shield5g-lint: enclave-boundary, mw-boundary and constant-time checks \
+                     over crates/*/src (determinism is clippy.toml's disallowed-types, \
+                     panic sites are clippy's unwrap_used/expect_used, layer order is \
+                     mw::Stack's type, secret hygiene is crypto::secret's types)\n\n\
                      USAGE: shield5g-lint [--root PATH]\n\n\
                      Findings print as text; with $SHIELD5G_OBS_DIR set, a SARIF \
                      copy goes to $SHIELD5G_OBS_DIR/lint_findings.sarif."

@@ -8,4 +8,3 @@
 pub mod constant_time;
 pub mod enclave_boundary;
 pub mod mw_boundary;
-pub mod secret_hygiene;

@@ -7,8 +7,6 @@ use std::path::{Path, PathBuf};
 pub struct FileAnalysis {
     /// Path relative to the lint root, with `/` separators.
     pub rel_path: String,
-    /// Original source text.
-    pub raw: String,
     /// Source with comments and literal bodies blanked (same length).
     pub clean: String,
     /// Byte spans of `#[cfg(test)]` items in `clean`.
@@ -35,7 +33,6 @@ impl FileAnalysis {
         let spans = test_spans(&clean);
         FileAnalysis {
             rel_path: rel_path.to_owned(),
-            raw: raw.to_owned(),
             clean,
             test_spans: spans,
         }

@@ -7,7 +7,7 @@
     reason = "integration-test helper: a panic is the failure report"
 )]
 
-use shield5g_lint::config::{Config, SecretType};
+use shield5g_lint::config::Config;
 use shield5g_lint::scan::{collect_files, FileAnalysis};
 use shield5g_lint::{run_repo, run_rules};
 use std::collections::BTreeMap;
@@ -28,83 +28,6 @@ fn rules_of(findings: &[shield5g_lint::Finding]) -> Vec<&str> {
 
 fn rule_lines(findings: &[shield5g_lint::Finding]) -> Vec<(&str, usize)> {
     findings.iter().map(|f| (f.rule.as_str(), f.line)).collect()
-}
-
-#[test]
-fn secret_hygiene_fixture_violations_are_caught() {
-    let mut config = Config::default();
-    config.secret_types.push(SecretType {
-        path_suffix: "leaky.rs".into(),
-        name: "LeakyKey".into(),
-        require_zeroize: true,
-    });
-    let report = run_rules(&[fixture("secret_hygiene/leaky.rs")], &config);
-    let rules = rules_of(&report.findings);
-    // Debug derive, Serialize derive and the un-redacted Display each
-    // trip SH001; raw storage trips SH002; no zeroize trips SH003.
-    assert_eq!(
-        rules.iter().filter(|r| **r == "SH001").count(),
-        3,
-        "findings: {:?}",
-        report.findings
-    );
-    assert!(rules.contains(&"SH002"));
-    assert!(rules.contains(&"SH003"));
-}
-
-#[test]
-fn secret_hygiene_clean_fixture_passes() {
-    let mut config = Config::default();
-    config.secret_types.push(SecretType {
-        path_suffix: "shielded.rs".into(),
-        name: "ShieldedKey".into(),
-        require_zeroize: true,
-    });
-    let report = run_rules(&[fixture("secret_hygiene/shielded.rs")], &config);
-    assert!(
-        report.findings.is_empty(),
-        "unexpected: {:?}",
-        report.findings
-    );
-}
-
-/// Registers a fixture's key holder and the key type it holds.
-fn composed_config(file: &str, key_type: &str, key_zeroizes: bool) -> Config {
-    let mut config = Config::default();
-    for (name, require_zeroize) in [(key_type, key_zeroizes), ("IntegrityContext", true)] {
-        config.secret_types.push(SecretType {
-            path_suffix: file.into(),
-            name: name.into(),
-            require_zeroize,
-        });
-    }
-    config
-}
-
-#[test]
-fn a_field_of_a_zeroizing_type_satisfies_sh003() {
-    let config = composed_config("composed.rs", "PreparedKey", true);
-    let report = run_rules(&[fixture("secret_hygiene/composed.rs")], &config);
-    assert!(
-        report.findings.is_empty(),
-        "unexpected: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn a_field_of_a_redact_only_type_does_not_satisfy_sh003() {
-    let config = composed_config("composed_redact_only.rs", "KeyedHasher", false);
-    let report = run_rules(
-        &[fixture("secret_hygiene/composed_redact_only.rs")],
-        &config,
-    );
-    assert_eq!(
-        rule_lines(&report.findings),
-        [("SH003", 17)],
-        "{:?}",
-        report.findings
-    );
 }
 
 #[test]

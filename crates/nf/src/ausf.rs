@@ -27,10 +27,10 @@ use std::rc::Rc;
 const AUSF_HANDLER_NANOS: u64 = 48_000;
 
 /// Stored per pending authentication.
-struct AuthContext {
+pub(crate) struct AuthContext {
     supi: Supi,
     xres_star: [u8; 16],
-    kseaf: SecretBytes<32>,
+    pub(crate) kseaf: SecretBytes<32>,
 }
 
 /// The AUSF service.

@@ -239,7 +239,7 @@ wire!(AusfAkaResponse { hxres_star, kseaf });
 
 /// Inputs to the AMF AKA computation — Table I eAMF enclave input
 /// (K_SEAF 32 B) plus the K_AMF binding parameters.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AmfAkaRequest {
     /// The anchor key released by AUSF after confirmation (zeroizes on
     /// drop).
@@ -248,15 +248,6 @@ pub struct AmfAkaRequest {
     pub supi: Supi,
     /// Anti-bidding-down parameter.
     pub abba: [u8; 2],
-}
-
-impl std::fmt::Debug for AmfAkaRequest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AmfAkaRequest")
-            .field("supi", &self.supi)
-            .field("keys", &"<redacted>")
-            .finish()
-    }
 }
 
 wire!(AmfAkaRequest { kseaf, supi, abba });
@@ -482,7 +473,7 @@ impl<B: AkaBackend<GenerateAv> + AkaBackend<Resync>> UdmAkaBackend for B {}
 /// harvests; the AUSF and AMF rows need none.
 #[derive(Default)]
 pub struct LocalAka {
-    keys: BTreeMap<String, SecretBytes<16>>,
+    pub(crate) keys: BTreeMap<String, SecretBytes<16>>,
 }
 
 impl std::fmt::Debug for LocalAka {

@@ -172,6 +172,105 @@ mod tests {
         assert_eq!((reply.status, &reply.body[..]), (500, want.as_bytes()));
     }
 
+    /// This crate's registry of key-bearing types
+    /// (`shield5g_crypto::secret`): each renders the same `{:?}` for a
+    /// canary and its complement, and each names the field it wipes
+    /// through. `AuthContext` has no `Debug`.
+    #[test]
+    fn every_registered_type_redacts_and_wipes() {
+        use crate::ausf::AuthContext;
+        use crate::backend::{
+            AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, LocalAka, UdmAkaBatchRequest,
+            UdmAkaRequest, UdmAkaResyncRequest,
+        };
+        use crate::nas_security::NasSecurityContext;
+        use crate::sbi::{ConfirmResponse, UdrAuthDataResponse};
+        use crate::udr::SubscriberEntry;
+        use shield5g_crypto::keys::ServingNetworkName;
+        use shield5g_crypto::secret::{redacts, wipes_through};
+        use shield5g_crypto::sqn::{Auts, SqnGenerator};
+        use shield5g_crypto::SecretBytes;
+
+        let supi = imsi("imsi-001010000000001");
+        let snn = ServingNetworkName::new("001", "01");
+        assert!(redacts(|c| UdmAkaRequest {
+            supi,
+            opc: SecretBytes::new([c; 16]),
+            rand: [1; 16],
+            sqn: [0, 0, 0, 0, 0, 1],
+            amf_field: [0x80, 0],
+            snn,
+        }));
+        assert!(redacts(|c| UdmAkaBatchRequest {
+            supi,
+            opc: SecretBytes::new([c; 16]),
+            rand_seed: [1; 16],
+            sqn_start: [0, 0, 0, 0, 0, 1],
+            amf_field: [0x80, 0],
+            snn,
+            count: 8,
+        }));
+        assert!(redacts(|c| UdmAkaResyncRequest {
+            supi,
+            opc: SecretBytes::new([c; 16]),
+            rand: [1; 16],
+            auts: Auts {
+                sqn_ms_xor_ak: [2; 6],
+                mac_s: [3; 8],
+            },
+        }));
+        assert!(redacts(|c| AusfAkaRequest {
+            rand: [1; 16],
+            xres_star: [c; 16],
+            kausf: SecretBytes::new([c; 32]),
+            snn,
+        }));
+        assert!(redacts(|c| AusfAkaResponse {
+            hxres_star: [c; 16],
+            kseaf: SecretBytes::new([c; 32]),
+        }));
+        assert!(redacts(|c| AmfAkaRequest {
+            kseaf: SecretBytes::new([c; 32]),
+            supi,
+            abba: [0, 0],
+        }));
+        assert!(redacts(|c| {
+            let mut aka = LocalAka::default();
+            aka.provision(supi.as_str(), [c; 16]);
+            aka
+        }));
+        assert!(redacts(|c| ConfirmResponse {
+            success: true,
+            supi: Some(supi),
+            kseaf: SecretBytes::new([c; 32]),
+        }));
+        assert!(redacts(|c| UdrAuthDataResponse {
+            opc: SecretBytes::new([c; 16]),
+            sqn: [0, 0, 0, 0, 0, 1],
+            amf_field: [0x80, 0],
+        }));
+        assert!(redacts(|c| NasSecurityContext::from_kamf(&[c; 32], true)));
+        assert!(redacts(|c| SubscriberEntry {
+            opc: SecretBytes::new([c; 16]),
+            amf_field: [0x80, 0],
+            sqn: SqnGenerator::new(),
+        }));
+
+        wipes_through(|req: &UdmAkaRequest| &req.opc);
+        wipes_through(|req: &UdmAkaBatchRequest| &req.opc);
+        wipes_through(|req: &UdmAkaResyncRequest| &req.opc);
+        wipes_through(|req: &AusfAkaRequest| &req.kausf);
+        wipes_through(|resp: &AusfAkaResponse| &resp.kseaf);
+        wipes_through(|req: &AmfAkaRequest| &req.kseaf);
+        // The map's values: the accessor is typed, never called.
+        wipes_through(|aka: &LocalAka| &aka.keys[""]);
+        wipes_through(|context: &AuthContext| &context.kseaf);
+        wipes_through(|resp: &ConfirmResponse| &resp.kseaf);
+        wipes_through(|resp: &UdrAuthDataResponse| &resp.opc);
+        wipes_through(|nas: &NasSecurityContext| &nas.knas_enc);
+        wipes_through(|entry: &SubscriberEntry| &entry.opc);
+    }
+
     #[test]
     fn error_display_and_source() {
         let e = NfError::from(CryptoError::MacMismatch);

@@ -64,24 +64,13 @@ wire!(ProtectedNas {
 });
 
 /// One side's NAS security context (the peer holds the mirror image).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct NasSecurityContext {
     knas_int: HmacKey,
-    knas_enc: SecretBytes<16>,
+    pub(crate) knas_enc: SecretBytes<16>,
     uplink: bool,
     tx_count: u32,
     rx_count: u32,
-}
-
-impl std::fmt::Debug for NasSecurityContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NasSecurityContext")
-            .field("uplink", &self.uplink)
-            .field("tx_count", &self.tx_count)
-            .field("rx_count", &self.rx_count)
-            .field("keys", &"<redacted>")
-            .finish()
-    }
 }
 
 impl NasSecurityContext {

@@ -149,7 +149,7 @@ wire!(ConfirmRequest {
 });
 
 /// Confirmation result (AUSF → AMF): on success, the SUPI and K_SEAF.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfirmResponse {
     /// Whether RES* matched XRES*.
     pub success: bool,
@@ -159,16 +159,6 @@ pub struct ConfirmResponse {
     /// The anchor key (all zeros when `success` is false; zeroizes on
     /// drop).
     pub kseaf: SecretBytes<32>,
-}
-
-impl std::fmt::Debug for ConfirmResponse {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConfirmResponse")
-            .field("success", &self.success)
-            .field("supi", &self.supi)
-            .field("kseaf", &"<redacted>")
-            .finish()
-    }
 }
 
 wire!(ConfirmResponse {

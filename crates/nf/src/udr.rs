@@ -18,10 +18,10 @@ use std::collections::BTreeMap;
 
 /// One subscriber's stored authentication subscription data.
 #[derive(Clone, Debug)]
-struct SubscriberEntry {
-    opc: SecretBytes<16>,
-    amf_field: [u8; 2],
-    sqn: SqnGenerator,
+pub(crate) struct SubscriberEntry {
+    pub(crate) opc: SecretBytes<16>,
+    pub(crate) amf_field: [u8; 2],
+    pub(crate) sqn: SqnGenerator,
 }
 
 /// The UDR service.

@@ -140,6 +140,24 @@ mod tests {
         ServingNetworkName::new("001", "01")
     }
 
+    /// This crate's registry of key-bearing types
+    /// (`shield5g_crypto::secret`): the USIM renders the same `{:?}` for a
+    /// canary and its complement, and wipes through its MILENAGE instance.
+    #[test]
+    fn every_registered_type_redacts_and_wipes() {
+        use shield5g_crypto::secret::{redacts, wipes_through};
+        let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
+        let supi = Supi::new(Plmn::test_network(), "0000000001").unwrap();
+        assert!(redacts(|c| Usim::program(
+            supi,
+            [c; 16],
+            [c; 16],
+            1,
+            hn.public().clone()
+        )));
+        wipes_through(|usim: &Usim| &usim.mil);
+    }
+
     #[test]
     fn accepts_genuine_challenge() {
         let mut usim = usim();

@@ -19,7 +19,8 @@ use crate::SimError;
 use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::{hmac_sha256, HmacKey};
 use shield5g_crypto::kdf::kdf_x963;
-use shield5g_crypto::x25519::{x25519, x25519_base};
+use shield5g_crypto::x25519::{agree, x25519, x25519_base};
+use shield5g_crypto::SecretBytes;
 
 /// Record MAC tag length (bytes).
 pub const TAG_LEN: usize = 16;
@@ -29,20 +30,11 @@ pub const TAG_LEN: usize = 16;
 pub const HANDSHAKE_WIRE_BYTES: usize = 32 + 32 + 32 + 32 + 32 + 32;
 
 /// A static identity key pair for one endpoint.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TlsIdentity {
     name: String,
-    private: [u8; 32],
+    private: SecretBytes<32>,
     public: [u8; 32],
-}
-
-impl std::fmt::Debug for TlsIdentity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TlsIdentity")
-            .field("name", &self.name)
-            .field("private", &"<redacted>")
-            .finish()
-    }
 }
 
 impl TlsIdentity {
@@ -52,7 +44,7 @@ impl TlsIdentity {
         let public = x25519_base(&private);
         TlsIdentity {
             name: name.into(),
-            private,
+            private: SecretBytes::new(private),
             public,
         }
     }
@@ -229,8 +221,8 @@ pub fn establish(
 
     // "Certificate verify" stand-ins: HMAC over the transcript under each
     // static DH result (static-ephemeral agreement authenticates the peer).
-    let client_auth_secret = x25519(&client.private, &server_eph_pub);
-    let server_auth_secret = x25519(&server.private, &client_eph_pub);
+    let client_auth_secret = agree(&client.private, &server_eph_pub);
+    let server_auth_secret = agree(&server.private, &client_eph_pub);
     let client_tag = hmac_sha256(&client_auth_secret, &transcript);
     let server_tag = hmac_sha256(&server_auth_secret, &transcript);
 
@@ -288,6 +280,27 @@ mod tests {
             TlsIdentity::new("udm.oai", [1; 32]),
             TlsIdentity::new("eudm-paka.oai", [2; 32]),
         )
+    }
+
+    /// This crate's registry of key-bearing types
+    /// (`shield5g_crypto::secret`): each renders the same `{:?}` for a
+    /// canary and its complement, and each names the field it wipes
+    /// through.
+    #[test]
+    fn every_registered_type_redacts_and_wipes() {
+        use shield5g_crypto::secret::{redacts, wipes_through};
+        assert!(redacts(|c| TlsIdentity {
+            name: "udm.oai".into(),
+            private: SecretBytes::new([c; 32]),
+            public: [9; 32],
+        }));
+        assert!(redacts(|c| {
+            let client = TlsIdentity::new("udm.oai", [c; 32]);
+            establish(&client, &pair().1, [c; 32], [!c; 32]).unwrap().0
+        }));
+        wipes_through(|identity: &TlsIdentity| &identity.private);
+        wipes_through(|session: &TlsSession| &session.write.cipher);
+        wipes_through(|session: &TlsSession| &session.write.mac);
     }
 
     #[test]
