@@ -55,7 +55,7 @@ pub fn standard_request(kind: PakaKind) -> HttpRequest {
             &mut SharedPaths::default(),
             &AusfAkaRequest {
                 rand: [0x23; 16],
-                xres_star: [0x5a; 16],
+                xres_star: [0x5a; 16].into(),
                 kausf: [0x11; 32].into(),
                 snn,
             },

@@ -1209,7 +1209,7 @@ mod tests {
         let (mut env, mut module) = deploy(true, PakaKind::EAusf);
         let req = AusfAkaRequest {
             rand: [1; 16],
-            xres_star: [2; 16],
+            xres_star: [2; 16].into(),
             kausf: [3; 32].into(),
             snn: ServingNetworkName::new("001", "01"),
         };
@@ -1221,7 +1221,7 @@ mod tests {
         let se = AusfAkaResponse::decode(&resp.body).unwrap();
         assert_eq!(
             se.hxres_star,
-            shield5g_crypto::keys::derive_hxres_star(&[1; 16], &[2; 16])
+            shield5g_crypto::keys::derive_hxres_star(&[1; 16], &SecretBytes::new([2; 16]))
         );
     }
 
@@ -1465,7 +1465,7 @@ mod tests {
             };
             let se = AusfAkaRequest {
                 rand: [1; 16],
-                xres_star: [2; 16],
+                xres_star: [2; 16].into(),
                 kausf: [3; 32].into(),
                 snn,
             };

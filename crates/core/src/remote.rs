@@ -14,6 +14,7 @@
 
 use crate::paka::{PakaKind, PakaModule};
 use crate::CoreError;
+use shield5g_crypto::SecretBytes;
 use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_nf::backend::{reply_error, AkaBackend, AkaOp, BackendOp, CallToken};
 use shield5g_nf::wire::Wire;
@@ -149,8 +150,11 @@ impl PakaClient {
             unset => {
                 let client_id = TlsIdentity::new(self.vnf_name.clone(), env.rng.bytes());
                 let server_id = self.module.borrow().tls_identity().clone();
+                // The two ephemerals in draw order, each a secret as drawn.
+                let client_ephemeral = SecretBytes::new(env.rng.bytes());
+                let server_ephemeral = SecretBytes::new(env.rng.bytes());
                 let (c, s, _info) =
-                    establish(&client_id, &server_id, env.rng.bytes(), env.rng.bytes())
+                    establish(&client_id, &server_id, client_ephemeral, server_ephemeral)
                         .map_err(NfError::Sim)?;
                 unset.insert((c, s))
             }
@@ -504,13 +508,13 @@ mod tests {
         });
         let se = AusfAkaRequest {
             rand: [1; 16],
-            xres_star: [2; 16],
+            xres_star: [2; 16].into(),
             kausf: [3; 32].into(),
             snn: snn(),
         };
         check_row::<DeriveSe>(PakaKind::EAusf, &se, |out| {
             let expected = AusfAkaResponse {
-                hxres_star: keys::derive_hxres_star(&[1; 16], &[2; 16]),
+                hxres_star: keys::derive_hxres_star(&[1; 16], &SecretBytes::new([2; 16])),
                 kseaf: keys::derive_kseaf(&[3; 32].into(), &snn()),
             };
             assert_eq!(out, &expected);

@@ -380,8 +380,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         addr::AUSF,
         addr::SMF,
         amf_backend,
-        "001",
-        "01",
+        Plmn::test_network(),
     )));
     let smf = Rc::new(RefCell::new(SmfService::new(SbiClient::new(), addr::UPF)));
     let upf = Rc::new(RefCell::new(UpfService::new()));
@@ -517,7 +516,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            shield5g_crypto::keys::derive_hxres_star(&resp.se_av.rand, &ue.res_star),
+            shield5g_crypto::keys::derive_hxres_star(
+                &resp.se_av.rand,
+                &shield5g_crypto::SecretBytes::new(ue.res_star)
+            ),
             resp.se_av.hxres_star
         );
     }

@@ -128,6 +128,7 @@ pub struct Aes128 {
 }
 
 /// Holders in other crates register through an `Aes128` field.
+impl crate::secret::sealed::Sealed for Aes128 {}
 impl ZeroizeOnDrop for Aes128 {}
 const _: () = wipes_through(|a: &Aes128| &a.schedule);
 

@@ -21,26 +21,33 @@
 
 use crate::aes::Aes128;
 use crate::hmac::hmac_sha256;
-use crate::kdf::kdf_x963;
-use crate::secret::{Secret, SecretBytes};
+use crate::inline::InlineBytes;
+use crate::kdf::derive_x963;
+use crate::secret::SecretBytes;
 use crate::x25519::{agree, x25519, x25519_base, CombTable};
 use crate::{ct_eq, CryptoError};
 use alloc::rc::Rc;
-use alloc::vec::Vec;
 
 /// Length of the truncated MAC tag (64 bits, per Profile A).
 pub const MAC_LEN: usize = 8;
+
+/// The longest plaintext Profile A conceals here: the one thing it
+/// conceals is an MSIN, at most 10 digits packed into 5 BCD bytes.
+pub const PLAINTEXT_MAX: usize = crate::ident::MSIN_BCD_MAX;
+
+/// The longest `scheme output`: ephemeral key, ciphertext and tag.
+pub const SCHEME_OUTPUT_MAX: usize = 32 + PLAINTEXT_MAX + MAC_LEN;
 
 /// Key data layout produced by the X9.63 KDF: AES key, ICB, MAC key.
 const KEY_DATA_LEN: usize = 16 + 16 + 32;
 
 /// A Profile A ciphertext: what travels inside the SUCI `scheme output`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EciesCiphertext {
     /// The UE's ephemeral X25519 public key.
     pub ephemeral_public: [u8; 32],
     /// AES-128-CTR encrypted plaintext (the BCD-packed MSIN for SUCI).
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: InlineBytes<PLAINTEXT_MAX>,
     /// HMAC-SHA-256 tag truncated to [`MAC_LEN`] bytes.
     pub mac: [u8; MAC_LEN],
 }
@@ -49,12 +56,8 @@ impl EciesCiphertext {
     /// Serialises to the flat `scheme output` byte layout:
     /// `ephemeral_public || ciphertext || mac`.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.ciphertext.len() + MAC_LEN);
-        out.extend_from_slice(&self.ephemeral_public);
-        out.extend_from_slice(&self.ciphertext);
-        out.extend_from_slice(&self.mac);
-        out
+    pub fn to_bytes(&self) -> InlineBytes<SCHEME_OUTPUT_MAX> {
+        InlineBytes::concat(&[&self.ephemeral_public, &self.ciphertext, &self.mac])
     }
 
     /// Parses the flat `scheme output` layout.
@@ -62,12 +65,14 @@ impl EciesCiphertext {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidLength`] when `bytes` is too short to
-    /// contain an ephemeral key and a MAC tag.
+    /// contain an ephemeral key and a MAC tag, or longer than
+    /// [`SCHEME_OUTPUT_MAX`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() < 32 + MAC_LEN {
+        let expected = bytes.len().clamp(32 + MAC_LEN, SCHEME_OUTPUT_MAX);
+        if bytes.len() != expected {
             return Err(CryptoError::InvalidLength {
                 what: "ECIES scheme output",
-                expected: 32 + MAC_LEN,
+                expected,
                 actual: bytes.len(),
             });
         }
@@ -78,7 +83,7 @@ impl EciesCiphertext {
         mac.copy_from_slice(&bytes[mac_start..]);
         Ok(EciesCiphertext {
             ephemeral_public,
-            ciphertext: bytes[32..mac_start].to_vec(),
+            ciphertext: InlineBytes::concat(&[&bytes[32..mac_start]]),
             mac,
         })
     }
@@ -93,17 +98,11 @@ pub(crate) struct KeyData {
 
 impl KeyData {
     fn derive(shared: &SecretBytes<32>, ephemeral_public: &[u8; 32]) -> KeyData {
-        fn part<const N: usize>(bytes: &[u8]) -> SecretBytes<N> {
-            let mut out = [0u8; N];
-            out.copy_from_slice(bytes);
-            SecretBytes::new(out)
-        }
-        let kd = Secret::new(kdf_x963::<KEY_DATA_LEN>(shared.expose(), ephemeral_public));
-        let kd = kd.expose();
+        let kd: SecretBytes<KEY_DATA_LEN> = derive_x963(shared, ephemeral_public);
         KeyData {
-            aes_key: part(&kd[..16]),
-            icb: part(&kd[16..32]),
-            mac_key: part(&kd[32..]),
+            aes_key: kd.part::<0, 16>(),
+            icb: kd.part::<16, 16>(),
+            mac_key: kd.part::<32, 32>(),
         }
     }
 
@@ -198,13 +197,13 @@ impl HomeNetworkPublicKey {
 /// deterministic under a seeded RNG.
 #[must_use]
 pub fn conceal(
-    plaintext: &[u8],
+    plaintext: &InlineBytes<PLAINTEXT_MAX>,
     hn_public: &HomeNetworkPublicKey,
     ephemeral_private: &[u8; 32],
 ) -> EciesCiphertext {
     let ephemeral_public = x25519_base(ephemeral_private);
     let keys = KeyData::derive(&hn_public.agree(ephemeral_private), &ephemeral_public);
-    let mut ciphertext = plaintext.to_vec();
+    let mut ciphertext = *plaintext;
     keys.apply_keystream(&mut ciphertext);
     let mac = keys.tag(&ciphertext);
     EciesCiphertext {
@@ -248,7 +247,7 @@ impl HomeNetworkKeyPair {
         &self.public
     }
 
-    /// De-conceals a Profile A ciphertext.
+    /// De-conceals a Profile A ciphertext, on the stack.
     ///
     /// # Errors
     ///
@@ -257,7 +256,10 @@ impl HomeNetworkKeyPair {
     /// [`CryptoError::LowOrderPoint`] when the ephemeral key is a low-order
     /// point: the shared secret would be all zeros whatever our private
     /// key, so anyone could compute a tag that verifies.
-    pub fn deconceal(&self, ct: &EciesCiphertext) -> Result<Vec<u8>, CryptoError> {
+    pub fn deconceal(
+        &self,
+        ct: &EciesCiphertext,
+    ) -> Result<InlineBytes<PLAINTEXT_MAX>, CryptoError> {
         let shared = SecretBytes::new(agree(&self.private, &ct.ephemeral_public));
         if shared == [0u8; 32] {
             return Err(CryptoError::LowOrderPoint);
@@ -266,7 +268,7 @@ impl HomeNetworkKeyPair {
         if !ct_eq(&keys.tag(&ct.ciphertext), &ct.mac) {
             return Err(CryptoError::MacMismatch);
         }
-        let mut plaintext = ct.ciphertext.clone();
+        let mut plaintext = ct.ciphertext;
         keys.apply_keystream(&mut plaintext);
         Ok(plaintext)
     }
@@ -280,27 +282,30 @@ mod tests {
         HomeNetworkKeyPair::from_private(1, [0x42; 32])
     }
 
+    /// The MSIN `0000000001` in BCD, as a SUCI conceals it.
+    fn msin() -> InlineBytes<PLAINTEXT_MAX> {
+        InlineBytes::new(&[0x00, 0x00, 0x00, 0x00, 0x10]).unwrap()
+    }
+
     #[test]
     fn conceal_deconceal_round_trip() {
         let hn = hn();
-        let msin = b"0000000001";
-        let ct = conceal(msin, hn.public(), &[0x99; 32]);
-        assert_eq!(hn.deconceal(&ct).unwrap(), msin);
+        let ct = conceal(&msin(), hn.public(), &[0x99; 32]);
+        assert_eq!(hn.deconceal(&ct).unwrap(), msin());
     }
 
     #[test]
     fn ciphertext_hides_plaintext() {
         let hn = hn();
-        let msin = b"0000000001";
-        let ct = conceal(msin, hn.public(), &[0x99; 32]);
-        assert_ne!(&ct.ciphertext[..], &msin[..]);
+        let ct = conceal(&msin(), hn.public(), &[0x99; 32]);
+        assert_ne!(ct.ciphertext, msin());
     }
 
     #[test]
     fn distinct_ephemerals_randomise_ciphertext() {
         let hn = hn();
-        let ct1 = conceal(b"0000000001", hn.public(), &[0x01; 32]);
-        let ct2 = conceal(b"0000000001", hn.public(), &[0x02; 32]);
+        let ct1 = conceal(&msin(), hn.public(), &[0x01; 32]);
+        let ct2 = conceal(&msin(), hn.public(), &[0x02; 32]);
         assert_ne!(ct1.ciphertext, ct2.ciphertext);
         assert_ne!(ct1.ephemeral_public, ct2.ephemeral_public);
     }
@@ -308,7 +313,7 @@ mod tests {
     #[test]
     fn tampered_ciphertext_fails_mac() {
         let hn = hn();
-        let mut ct = conceal(b"0000000001", hn.public(), &[0x99; 32]);
+        let mut ct = conceal(&msin(), hn.public(), &[0x99; 32]);
         ct.ciphertext[0] ^= 1;
         assert_eq!(hn.deconceal(&ct), Err(CryptoError::MacMismatch));
     }
@@ -316,7 +321,7 @@ mod tests {
     #[test]
     fn tampered_ephemeral_key_fails_mac() {
         let hn = hn();
-        let mut ct = conceal(b"0000000001", hn.public(), &[0x99; 32]);
+        let mut ct = conceal(&msin(), hn.public(), &[0x99; 32]);
         ct.ephemeral_public[5] ^= 0x10;
         assert_eq!(hn.deconceal(&ct), Err(CryptoError::MacMismatch));
     }
@@ -325,7 +330,7 @@ mod tests {
     fn wrong_home_key_fails_mac() {
         let hn = hn();
         let other = HomeNetworkKeyPair::from_private(2, [0x43; 32]);
-        let ct = conceal(b"0000000001", hn.public(), &[0x99; 32]);
+        let ct = conceal(&msin(), hn.public(), &[0x99; 32]);
         assert_eq!(other.deconceal(&ct), Err(CryptoError::MacMismatch));
     }
 
@@ -338,7 +343,7 @@ mod tests {
         for point in crate::x25519::tests::LOW_ORDER_POINTS {
             let ephemeral_public = crate::hex::decode_array::<32>(point).unwrap();
             let keys = KeyData::derive(&SecretBytes::new([0; 32]), &ephemeral_public);
-            let mut ciphertext = b"0000000001".to_vec();
+            let mut ciphertext = msin();
             keys.apply_keystream(&mut ciphertext);
             let mac = keys.tag(&ciphertext);
             let forged = EciesCiphertext {
@@ -347,8 +352,8 @@ mod tests {
                 mac,
             };
             assert_eq!(hn.deconceal(&forged), Err(CryptoError::LowOrderPoint));
-            let honest = conceal(b"0000000001", hn.public(), &[0x99; 32]);
-            assert_eq!(hn.deconceal(&honest).unwrap(), b"0000000001");
+            let honest = conceal(&msin(), hn.public(), &[0x99; 32]);
+            assert_eq!(hn.deconceal(&honest).unwrap(), msin());
         }
     }
 
@@ -385,14 +390,14 @@ mod tests {
         assert!(key.table.is_none());
         assert!(hn().public().table.is_some());
         let eph = [0x99; 32];
-        let ct = conceal(b"0000000001", &key, &eph);
+        let ct = conceal(&msin(), &key, &eph);
         assert_eq!(ct.ephemeral_public, x25519_base(&eph));
         let shared = SecretBytes::new(x25519(&eph, &u));
         let keys = KeyData::derive(&shared, &ct.ephemeral_public);
         assert_eq!(keys.tag(&ct.ciphertext), ct.mac);
-        let mut plaintext = ct.ciphertext.clone();
+        let mut plaintext = ct.ciphertext;
         keys.apply_keystream(&mut plaintext);
-        assert_eq!(plaintext, b"0000000001");
+        assert_eq!(plaintext, msin());
     }
 
     #[test]
@@ -410,12 +415,13 @@ mod tests {
     #[test]
     fn byte_layout_round_trip() {
         let hn = hn();
-        let ct = conceal(b"314159265358", hn.public(), &[0x77; 32]);
+        let pi = InlineBytes::new(&[0x13, 0x14, 0x95]).unwrap();
+        let ct = conceal(&pi, hn.public(), &[0x77; 32]);
         let bytes = ct.to_bytes();
-        assert_eq!(bytes.len(), 32 + 12 + MAC_LEN);
+        assert_eq!(bytes.len(), 32 + 3 + MAC_LEN);
         let parsed = EciesCiphertext::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, ct);
-        assert_eq!(hn.deconceal(&parsed).unwrap(), b"314159265358");
+        assert_eq!(hn.deconceal(&parsed).unwrap(), pi);
     }
 
     #[test]
@@ -427,11 +433,27 @@ mod tests {
     }
 
     #[test]
+    fn from_bytes_rejects_a_ciphertext_longer_than_an_msin() {
+        let longest = conceal(&msin(), hn().public(), &[0x99; 32]).to_bytes();
+        assert_eq!(longest.len(), SCHEME_OUTPUT_MAX);
+        assert!(EciesCiphertext::from_bytes(&longest).is_ok());
+        let longer = [&longest[..], &[0]].concat();
+        assert_eq!(
+            EciesCiphertext::from_bytes(&longer),
+            Err(CryptoError::InvalidLength {
+                what: "ECIES scheme output",
+                expected: SCHEME_OUTPUT_MAX,
+                actual: SCHEME_OUTPUT_MAX + 1,
+            })
+        );
+    }
+
+    #[test]
     fn empty_plaintext_round_trips() {
         let hn = hn();
-        let ct = conceal(b"", hn.public(), &[0x99; 32]);
+        let ct = conceal(&InlineBytes::new(&[]).unwrap(), hn.public(), &[0x99; 32]);
         assert!(ct.ciphertext.is_empty());
-        assert_eq!(hn.deconceal(&ct).unwrap(), Vec::<u8>::new());
+        assert!(hn.deconceal(&ct).unwrap().is_empty());
     }
 
     #[test]
@@ -478,8 +500,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
         #[test]
-        fn round_trip_arbitrary_plaintext(pt in proptest::collection::vec(0u8.., 0..64), eph in proptest::array::uniform32(1u8..)) {
+        fn round_trip_arbitrary_plaintext(pt in proptest::collection::vec(0u8.., 0..=PLAINTEXT_MAX), eph in proptest::array::uniform32(1u8..)) {
             let hn = hn();
+            let pt = InlineBytes::new(&pt).unwrap();
             let ct = conceal(&pt, hn.public(), &eph);
             proptest::prop_assert_eq!(hn.deconceal(&ct).unwrap(), pt);
         }

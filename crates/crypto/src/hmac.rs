@@ -35,6 +35,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 pub struct HmacKey(Secret<[[u32; 8]; 2]>);
 
 /// Holders in other crates register through an `HmacKey` field.
+impl crate::secret::sealed::Sealed for HmacKey {}
 impl ZeroizeOnDrop for HmacKey {}
 const _: () = wipes_through(|k: &HmacKey| &k.0);
 

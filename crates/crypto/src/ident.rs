@@ -6,12 +6,18 @@
 //! UE only attaches when the SIM is programmed with the test network
 //! `001/01`, which this module models.
 //!
-//! [`Plmn`] and [`Supi`] are inline `Copy` values: naming a subscriber or
-//! a network never allocates, and no constructor builds a malformed one.
+//! [`Plmn`], [`Supi`] and [`Suci`] are inline `Copy` values: naming a
+//! subscriber or a network never allocates, and no constructor builds a
+//! malformed one. A SUCI's scheme output is at most
+//! [`ecies::SCHEME_OUTPUT_MAX`] bytes; a longer one cannot be held.
 
 use crate::ecies::{self, EciesCiphertext, HomeNetworkKeyPair, HomeNetworkPublicKey};
+use crate::inline::InlineBytes;
 use crate::CryptoError;
-use alloc::{format, vec::Vec};
+use alloc::format;
+
+/// The most bytes an MSIN packs into: 10 digits, two to a BCD byte.
+pub const MSIN_BCD_MAX: usize = 5;
 
 /// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits),
 /// held inline as ASCII digits.
@@ -194,6 +200,14 @@ impl Supi {
         ascii(&self.text[8 + usize::from(self.mnc_len)..usize::from(self.len)])
     }
 
+    /// The MSIN packed into BCD, low nibble first, an odd count padded
+    /// with `0xF`: what a SUCI's scheme output carries, in clear or
+    /// concealed.
+    #[must_use]
+    pub fn msin_bcd(&self) -> InlineBytes<MSIN_BCD_MAX> {
+        bcd_encode(self.msin().as_bytes())
+    }
+
     /// Conceals this SUPI into a SUCI with the null scheme (MSIN in clear).
     ///
     /// 3GPP permits the null scheme for unauthenticated emergency sessions;
@@ -206,7 +220,7 @@ impl Supi {
             routing_indicator: 0,
             hn_key_id: 0,
             scheme: ProtectionScheme::Null,
-            scheme_output: bcd_encode(self.msin()),
+            scheme_output: InlineBytes::concat(&[&self.msin_bcd()]),
         }
     }
 
@@ -221,7 +235,7 @@ impl Supi {
         hn_public: &HomeNetworkPublicKey,
         ephemeral_private: &[u8; 32],
     ) -> Suci {
-        let ct = ecies::conceal(&bcd_encode(self.msin()), hn_public, ephemeral_private);
+        let ct = ecies::conceal(&self.msin_bcd(), hn_public, ephemeral_private);
         Suci {
             plmn: self.plmn(),
             routing_indicator: 0,
@@ -307,7 +321,7 @@ impl ProtectionScheme {
 }
 
 /// Subscription Concealed Identifier.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Suci {
     /// Home network PLMN (always in clear; routing needs it).
     pub plmn: Plmn,
@@ -319,7 +333,7 @@ pub struct Suci {
     pub scheme: ProtectionScheme,
     /// Scheme output: clear BCD for null, `ephemeral || ct || mac` for
     /// Profile A.
-    pub scheme_output: Vec<u8>,
+    pub scheme_output: InlineBytes<{ ecies::SCHEME_OUTPUT_MAX }>,
 }
 
 impl Suci {
@@ -337,14 +351,14 @@ impl Suci {
     pub fn deconceal(&self, hn_key: &HomeNetworkKeyPair) -> Result<Supi, CryptoError> {
         let opened;
         let msin_bcd = match self.scheme {
-            ProtectionScheme::Null => &self.scheme_output,
+            ProtectionScheme::Null => &self.scheme_output[..],
             ProtectionScheme::ProfileA => {
                 if self.hn_key_id != hn_key.id() {
                     return Err(CryptoError::UnknownKeyId(self.hn_key_id));
                 }
                 let ct = EciesCiphertext::from_bytes(&self.scheme_output)?;
                 opened = hn_key.deconceal(&ct)?;
-                &opened
+                &opened[..]
             }
         };
         // The digits unpack straight into the SUPI; eleven are already too
@@ -410,18 +424,17 @@ impl core::fmt::Display for Guti {
     }
 }
 
-/// Packs decimal digits into BCD, low nibble first, padding odd lengths
-/// with `0xF` (TS 24.501 conventions).
-#[must_use]
-pub fn bcd_encode(digits: &str) -> Vec<u8> {
-    digits
-        .as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            let hi = pair.get(1).map_or(0xF, |d| d - b'0');
-            (pair[0] - b'0') | (hi << 4)
-        })
-        .collect()
+/// Packs the first ten of `digits` (ASCII) into BCD, low nibble first,
+/// padding an odd count with `0xF` (TS 24.501 conventions).
+fn bcd_encode(digits: &[u8]) -> InlineBytes<MSIN_BCD_MAX> {
+    let mut bcd = [0; MSIN_BCD_MAX];
+    let pairs = digits.chunks(2).take(MSIN_BCD_MAX);
+    let len = pairs.len();
+    for (byte, pair) in bcd.iter_mut().zip(pairs) {
+        let hi = pair.get(1).map_or(0xF, |d| d - b'0');
+        *byte = (pair[0] - b'0') | (hi << 4);
+    }
+    InlineBytes::concat(&[&bcd[..len]])
 }
 
 /// The ASCII digits of a BCD string, low nibble first, up to a `0xF`
@@ -505,11 +518,11 @@ mod tests {
         let hn = HomeNetworkKeyPair::from_private(3, [9; 32]);
         let suci = supi.conceal_profile_a(3, hn.public(), &[0x55; 32]);
         // The clear BCD must not appear in the scheme output.
-        let clear = bcd_encode("0000000001");
+        let clear = supi.msin_bcd();
         assert!(!suci
             .scheme_output
             .windows(clear.len())
-            .any(|w| w == clear.as_slice()));
+            .any(|w| w == &*clear));
     }
 
     #[test]
@@ -531,8 +544,10 @@ mod tests {
     #[test]
     fn bcd_round_trips_even_and_odd() {
         for digits in ["", "1", "12", "123", "0000000001", "9876543210"] {
-            assert_eq!(bcd_decode(&bcd_encode(digits)).unwrap(), digits);
+            assert_eq!(bcd_decode(&bcd_encode(digits.as_bytes())).unwrap(), digits);
         }
+        // An MSIN has ten digits at most; the packer stops there.
+        assert_eq!(bcd_encode(b"987654321012").len(), MSIN_BCD_MAX);
     }
 
     #[test]
@@ -557,8 +572,8 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn bcd_round_trip_property(digits in "[0-9]{0,20}") {
-            proptest::prop_assert_eq!(bcd_decode(&bcd_encode(&digits)).unwrap(), digits);
+        fn bcd_round_trip_property(digits in "[0-9]{0,10}") {
+            proptest::prop_assert_eq!(bcd_decode(&bcd_encode(digits.as_bytes())).unwrap(), digits);
         }
     }
 }

@@ -5,9 +5,11 @@
 //!   Its key comes prepared ([`HmacKey`]), so a key with two outputs
 //!   (CK‖IK: K_AUSF and RES*; K_AMF: both NAS keys) is keyed once.
 //! * [`kdf_x963`] — the ANSI X9.63 KDF with SHA-256, used by the SUCI ECIES
-//!   protection scheme Profile A (TS 33.501 Annex C.3.4.1).
+//!   protection scheme Profile A (TS 33.501 Annex C.3.4.1) and the sim-TLS
+//!   key schedule, both through [`derive_x963`].
 
 use crate::hmac::HmacKey;
+use crate::secret::SecretBytes;
 use crate::sha256::Sha256;
 
 /// The generic 3GPP key-derivation function (TS 33.220 B.2.0).
@@ -62,6 +64,17 @@ pub fn kdf_x963<const N: usize>(z: &[u8], shared_info: &[u8]) -> [u8; N] {
         block.copy_from_slice(&h.finalize()[..block.len()]);
     }
     out
+}
+
+/// [`kdf_x963`] from a shared secret held as a secret, into key data held
+/// as one ([`SecretBytes::part`] splits it into keys): neither the secret
+/// nor the key data leaves a container.
+#[must_use]
+pub fn derive_x963<const N: usize, const Z: usize>(
+    z: &SecretBytes<Z>,
+    shared_info: &[u8],
+) -> SecretBytes<N> {
+    SecretBytes::new(kdf_x963(z.expose(), shared_info))
 }
 
 #[cfg(test)]
@@ -185,5 +198,15 @@ mod tests {
             kdf_3gpp(&key, 0x6C, &[snn]),
             kdf_3gpp(&HmacKey::new(&[0u8; 32]), 0x6C, &[snn])
         );
+    }
+
+    #[test]
+    fn derive_x963_is_kdf_x963_in_containers() {
+        let z = SecretBytes::new([0x17; 32]);
+        let kd: SecretBytes<96> = derive_x963(&z, b"transcript");
+        assert_eq!(kd, kdf_x963::<96>(&[0x17; 32], b"transcript"));
+        let whole = kdf_x963::<96>(&[0x17; 32], b"transcript");
+        assert_eq!(kd.part::<32, 32>().expose(), &whole[32..64]);
+        assert_eq!(kd.part::<80, 16>().expose(), &whole[80..]);
     }
 }

@@ -88,8 +88,9 @@ pub struct HeAv {
     pub rand: [u8; 16],
     /// Authentication token `SQN⊕AK || AMF || MAC-A`.
     pub autn: [u8; 16],
-    /// Expected response.
-    pub xres_star: [u8; 16],
+    /// Expected response (zeroizes on drop: the AUSF holds it until the
+    /// UE answers).
+    pub xres_star: SecretBytes<16>,
     /// Key shared between UDM and AUSF (zeroizes on drop; wire encoding
     /// goes through `shield5g_nf::wire::Wire`).
     pub kausf: SecretBytes<32>,
@@ -148,12 +149,12 @@ pub fn derive_res_star(
 }
 
 /// HXRES* (TS 33.501 A.5): the 128 most-significant bits of
-/// `SHA-256(RAND || XRES*)`.
+/// `SHA-256(RAND || XRES*)`. The SEAF hashes the UE's RES* the same way.
 #[must_use]
-pub fn derive_hxres_star(rand: &[u8; 16], xres_star: &[u8; 16]) -> [u8; 16] {
+pub fn derive_hxres_star(rand: &[u8; 16], xres_star: &SecretBytes<16>) -> [u8; 16] {
     let mut h = Sha256::new();
     h.update(rand);
-    h.update(xres_star);
+    h.update(xres_star.expose());
     let digest = h.finalize();
     core::array::from_fn(|i| digest[i])
 }
@@ -225,16 +226,17 @@ pub fn generate_he_av(
     let mac_a = mil.f1_of(&temp, sqn, amf);
     let out = mil.f2345_of(&temp);
     drop(temp);
-    let autn = build_autn(sqn, &out.ak, amf, &mac_a);
+    let ak = out.ak.expose();
+    let autn = build_autn(sqn, ak, amf, &mac_a);
     let mut sqn_xor_ak = [0u8; 6];
     for i in 0..6 {
-        sqn_xor_ak[i] = sqn[i] ^ out.ak[i];
+        sqn_xor_ak[i] = sqn[i] ^ ak[i];
     }
     let ck_ik = ck_ik_key(out.ck.expose(), out.ik.expose());
     HeAv {
         rand: *rand,
         autn,
-        xres_star: derive_res_star(&ck_ik, snn, rand, &out.res),
+        xres_star: SecretBytes::new(derive_res_star(&ck_ik, snn, rand, &out.res)),
         kausf: SecretBytes::new(derive_kausf(&ck_ik, snn, &sqn_xor_ak)),
     }
 }
@@ -280,9 +282,10 @@ pub fn ue_process_challenge(
     let (sqn_xor_ak, amf, mac_a) = split_autn(autn);
     let temp = mil.temp(rand);
     let out = mil.f2345_of(&temp);
+    let ak = out.ak.expose();
     let mut sqn = [0u8; 6];
     for i in 0..6 {
-        sqn[i] = sqn_xor_ak[i] ^ out.ak[i];
+        sqn[i] = sqn_xor_ak[i] ^ ak[i];
     }
     let expected_mac = mil.f1_of(&temp, &sqn, &amf);
     drop(temp);
@@ -369,7 +372,7 @@ mod tests {
         // SEAF verifies HXRES* = SHA-256(RAND || RES*)[0..16].
         assert_eq!(
             derive_hxres_star(&rand, &av.xres_star),
-            derive_hxres_star(&rand, &ue.res_star)
+            derive_hxres_star(&rand, &SecretBytes::new(ue.res_star))
         );
     }
 

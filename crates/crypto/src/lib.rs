@@ -17,7 +17,8 @@
 //!   supplied by the caller (Poly1305-AES for EPC pages).
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748).
 //! * [`ecies`] — SUCI ECIES protection scheme Profile A (TS 33.501 Annex C).
-//! * [`ident`] — SUPI / SUCI / 5G-GUTI subscriber identifiers.
+//! * [`ident`] — SUPI / SUCI / 5G-GUTI subscriber identifiers, held
+//!   inline as fixed-size values ([`inline`]).
 //! * [`sqn`] — sequence-number management and re-synchronisation
 //!   (TS 33.102 Annex C).
 //! * [`keys`] — the 5G key hierarchy: K_AUSF, K_SEAF, K_AMF, RES*/XRES*,
@@ -75,6 +76,7 @@ pub mod ecies;
 pub mod hex;
 pub mod hmac;
 pub mod ident;
+pub mod inline;
 pub mod kdf;
 pub mod keys;
 pub mod milenage;

@@ -49,8 +49,8 @@ pub struct F2345Output {
     pub ck: SecretBytes<16>,
     /// `f4`: the 128-bit integrity key IK (zeroizes on drop).
     pub ik: SecretBytes<16>,
-    /// `f5`: the 48-bit anonymity key AK.
-    pub ak: [u8; 6],
+    /// `f5`: the 48-bit anonymity key AK (zeroizes on drop).
+    pub ak: SecretBytes<6>,
 }
 
 impl core::fmt::Debug for F2345Output {
@@ -69,6 +69,7 @@ pub struct Milenage {
 }
 
 /// Holders in other crates register through a `Milenage` field.
+impl crate::secret::sealed::Sealed for Milenage {}
 impl ZeroizeOnDrop for Milenage {}
 const _: () = wipes_through(|m: &Milenage| &m.opc);
 
@@ -201,7 +202,7 @@ impl Milenage {
             res,
             ck: SecretBytes::new(out3),
             ik: SecretBytes::new(out4),
-            ak,
+            ak: SecretBytes::new(ak),
         }
     }
 
@@ -261,7 +262,7 @@ mod tests {
             hex::encode(out.ik.expose()),
             "f769bcd751044604127672711c6d3441"
         );
-        assert_eq!(hex::encode(&out.ak), "aa689c648370");
+        assert_eq!(hex::encode(out.ak.expose()), "aa689c648370");
     }
 
     #[test]

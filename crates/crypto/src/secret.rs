@@ -6,7 +6,8 @@
 //! memory and logs; the enclave split keeps long-lived keys out of both.
 //! On the simulation side the equivalent discipline is *type-level*:
 //! every struct field that stores key material (K, OPc, K_AUSF, K_SEAF,
-//! K_AMF, CK/IK, NAS keys, HMAC key blocks, ECIES private scalars) holds
+//! K_AMF, CK/IK, AK, XRES*, NAS keys, HMAC key blocks, ECIES and sim-TLS
+//! private scalars) holds
 //! a [`SecretBytes`] instead of a bare array, so
 //!
 //! * `{:?}`/`{}` formatting can never print the bytes (no accidental
@@ -133,6 +134,16 @@ impl<const N: usize> SecretBytes<N> {
         &self.0
     }
 
+    /// The `M` bytes at `AT`, as a secret of their own: how key data
+    /// splits into keys. A range past the end fails to build.
+    #[must_use]
+    pub fn part<const AT: usize, const M: usize>(&self) -> SecretBytes<M> {
+        const { assert!(AT + M <= N) };
+        let mut out = [0; M];
+        out.copy_from_slice(&self.0[AT..AT + M]);
+        SecretBytes(out)
+    }
+
     /// Copies the key into `sink`: the one way its bytes leave this crate.
     pub fn write_to(&self, sink: &mut impl KeySink) {
         sink.put_key(&self.0);
@@ -197,10 +208,37 @@ impl<const N: usize> Zeroize for SecretBytes<N> {
 /// and the three composites other crates hold (`Aes128`, `HmacKey`,
 /// `Milenage`), each implemented beside the [`wipes_through`] entry that
 /// names its wiping field.
-pub trait ZeroizeOnDrop {}
+///
+/// The trait is sealed: only this crate decides what wipes, so a holder in
+/// another crate cannot declare its own type wiping and register through
+/// it. That fails to build:
+///
+/// ```compile_fail,E0277
+/// use shield5g_crypto::secret::{wipes_through, ZeroizeOnDrop};
+/// struct KeyedHasher {
+///     state: [u32; 8],
+/// }
+/// impl ZeroizeOnDrop for KeyedHasher {}
+/// struct IntegrityContext {
+///     inner: KeyedHasher,
+/// }
+/// wipes_through(|c: &IntegrityContext| &c.inner);
+/// ```
+///
+/// while its twin, registering through a [`Secret`] field, builds (the
+/// second example on [`wipes_through`]).
+pub trait ZeroizeOnDrop: sealed::Sealed {}
 
+/// The seal on [`ZeroizeOnDrop`]: nameable in this crate only.
+pub(crate) mod sealed {
+    /// Implemented beside each [`super::ZeroizeOnDrop`] impl.
+    pub trait Sealed {}
+}
+
+impl<const N: usize> sealed::Sealed for SecretBytes<N> {}
 impl<const N: usize> ZeroizeOnDrop for SecretBytes<N> {}
 
+impl<T: Zeroize> sealed::Sealed for Secret<T> {}
 impl<T: Zeroize> ZeroizeOnDrop for Secret<T> {}
 
 /// A registry entry: `T` wipes its key material on drop through the field
@@ -362,7 +400,7 @@ mod tests {
         assert!(redacts(|c| HeAv {
             rand: [1; 16],
             autn: [2; 16],
-            xres_star: [c; 16],
+            xres_star: SecretBytes::new([c; 16]),
             kausf: SecretBytes::new([c; 32]),
         }));
         assert!(redacts(|c| UeChallengeResult {
@@ -376,7 +414,7 @@ mod tests {
             res: [c; 8],
             ck: SecretBytes::new([c; 16]),
             ik: SecretBytes::new([c; 16]),
-            ak: [c; 6],
+            ak: SecretBytes::new([c; 6]),
         }));
         assert!(redacts(|c| HmacKey::new(&[c; 32])));
         assert!(redacts(|c| HmacSha256::new(&[c; 32])));
@@ -406,8 +444,10 @@ mod tests {
         assert!(redacts(|c| Sha256::resume([u32::from_ne_bytes([c; 4]); 8])));
 
         wipes_through(|av: &HeAv| &av.kausf);
+        wipes_through(|av: &HeAv| &av.xres_star);
         wipes_through(|result: &UeChallengeResult| &result.kausf);
         wipes_through(|out: &F2345Output| &out.ck);
+        wipes_through(|out: &F2345Output| &out.ak);
         wipes_through(|mac: &HmacSha256| &mac.key);
         wipes_through(|pair: &HomeNetworkKeyPair| &pair.private);
         wipes_through(|keys: &KeyData| &keys.aes_key);
@@ -441,6 +481,7 @@ mod tests {
     fn a_holder_registers_through_a_composite_with_a_secret_field() {
         #[derive(Debug)]
         struct PreparedKey(Secret<[u32; 8]>);
+        impl sealed::Sealed for PreparedKey {}
         impl ZeroizeOnDrop for PreparedKey {}
         wipes_through(|key: &PreparedKey| &key.0);
         #[derive(Debug)]

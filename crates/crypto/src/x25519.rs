@@ -369,6 +369,13 @@ pub fn agree(private: &SecretBytes<32>, u: &[u8; 32]) -> [u8; 32] {
     x25519(private.expose(), u)
 }
 
+/// [`x25519_base`] under a private scalar held as a secret: its public key
+/// (an ephemeral key's, say), by the comb.
+#[must_use]
+pub fn public_of(private: &SecretBytes<32>) -> [u8; 32] {
+    x25519_base(private.expose())
+}
+
 /// X25519 with the standard base point `u = 9` (public-key generation):
 /// the comb on a table the compiler builds.
 #[must_use]

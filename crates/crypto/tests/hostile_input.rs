@@ -4,10 +4,19 @@
 //! so any byte string can reach `EciesCiphertext::from_bytes`,
 //! `HomeNetworkKeyPair::deconceal` and `Auts::verify`. Each must answer
 //! with a typed `CryptoError`, never a panic, and a refused input must
-//! not disturb the key that refused it.
+//! not disturb the key that refused it. A scheme output parses only at
+//! 40 to 45 bytes: an ephemeral key and a tag around a BCD MSIN.
+
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helper: a panic is the failure report"
+)]
 
 use proptest::prelude::*;
-use shield5g_crypto::ecies::{conceal, EciesCiphertext, HomeNetworkKeyPair, MAC_LEN};
+use shield5g_crypto::ecies::{
+    conceal, EciesCiphertext, HomeNetworkKeyPair, MAC_LEN, SCHEME_OUTPUT_MAX,
+};
+use shield5g_crypto::inline::InlineBytes;
 use shield5g_crypto::milenage::Milenage;
 use shield5g_crypto::sqn::Auts;
 use shield5g_crypto::CryptoError;
@@ -20,12 +29,13 @@ fn home() -> HomeNetworkKeyPair {
 }
 
 fn honest(hn: &HomeNetworkKeyPair) -> Vec<u8> {
-    conceal(&MSIN, hn.public(), &[0x99; 32]).to_bytes()
+    let msin = InlineBytes::new(&MSIN).expect("five bytes");
+    conceal(&msin, hn.public(), &[0x99; 32]).to_bytes().to_vec()
 }
 
 /// What the home network does with a scheme output: parse, then open.
 fn open(hn: &HomeNetworkKeyPair, bytes: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    EciesCiphertext::from_bytes(bytes).and_then(|ct| hn.deconceal(&ct))
+    EciesCiphertext::from_bytes(bytes).and_then(|ct| Ok(hn.deconceal(&ct)?.to_vec()))
 }
 
 #[test]
@@ -59,8 +69,8 @@ proptest! {
         let hn = home();
         match EciesCiphertext::from_bytes(&bytes) {
             Ok(ct) => {
-                prop_assert!(bytes.len() >= 32 + MAC_LEN);
-                prop_assert_eq!(ct.to_bytes(), bytes);
+                prop_assert!((32 + MAC_LEN..=SCHEME_OUTPUT_MAX).contains(&bytes.len()));
+                prop_assert_eq!(ct.to_bytes().to_vec(), bytes);
                 let refused = hn.deconceal(&ct);
                 prop_assert!(
                     matches!(refused, Err(CryptoError::MacMismatch | CryptoError::LowOrderPoint)),
@@ -68,7 +78,7 @@ proptest! {
                 );
             }
             Err(e) => {
-                prop_assert!(bytes.len() < 32 + MAC_LEN);
+                prop_assert!(!(32 + MAC_LEN..=SCHEME_OUTPUT_MAX).contains(&bytes.len()));
                 let is_length_error = matches!(e, CryptoError::InvalidLength { .. });
                 prop_assert!(is_length_error, "{:?}", e);
             }

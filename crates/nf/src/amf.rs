@@ -17,7 +17,7 @@ use crate::sbi::{
 };
 use crate::wire::Wire;
 use crate::NfError;
-use shield5g_crypto::ident::{Guti, Supi};
+use shield5g_crypto::ident::{Guti, Plmn, Supi};
 use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
@@ -70,8 +70,9 @@ pub struct AmfService {
     ausf_addr: Rc<str>,
     smf_addr: Rc<str>,
     backend: Box<dyn AkaBackend<DeriveKamf>>,
-    serving_mcc: String,
-    serving_mnc: String,
+    /// The serving PLMN's MCC and MNC, built once from the `Plmn` this AMF
+    /// was given and lent to each request it encodes.
+    serving_plmn: (String, String),
     contexts: BTreeMap<u64, UeState>,
     pending_teid: BTreeMap<u64, u32>,
     pending_teardown: BTreeSet<u64>,
@@ -92,23 +93,21 @@ impl std::fmt::Debug for AmfService {
 }
 
 impl AmfService {
-    /// Creates an AMF for the serving PLMN `mcc`/`mnc`.
+    /// Creates an AMF for the serving PLMN `serving`.
     #[must_use]
     pub fn new(
         client: SbiClient,
         ausf_addr: impl Into<Rc<str>>,
         smf_addr: impl Into<Rc<str>>,
         backend: Box<dyn AkaBackend<DeriveKamf>>,
-        mcc: &str,
-        mnc: &str,
+        serving: Plmn,
     ) -> Self {
         AmfService {
             client,
             ausf_addr: ausf_addr.into(),
             smf_addr: smf_addr.into(),
             backend,
-            serving_mcc: mcc.to_owned(),
-            serving_mnc: mnc.to_owned(),
+            serving_plmn: (serving.mcc().to_owned(), serving.mnc().to_owned()),
             contexts: BTreeMap::new(),
             pending_teid: BTreeMap::new(),
             pending_teardown: BTreeSet::new(),
@@ -182,6 +181,21 @@ impl AmfService {
         }
     }
 
+    /// [`AuthenticateRequest`] for `identity`, encoded, with the serving
+    /// PLMN's strings lent to it and taken back.
+    fn auth_request(&mut self, identity: UeIdentity, known_supi: Option<Supi>) -> Body {
+        let (snn_mcc, snn_mnc) = std::mem::take(&mut self.serving_plmn);
+        let req = AuthenticateRequest {
+            identity,
+            known_supi: known_supi.map_or_else(String::new, |supi| supi.to_string()),
+            snn_mcc,
+            snn_mnc,
+        };
+        let body = req.encode();
+        self.serving_plmn = (req.snn_mcc, req.snn_mnc);
+        body
+    }
+
     fn start_authentication(
         &mut self,
         env: &mut Env,
@@ -194,9 +208,9 @@ impl AmfService {
         // field; unknown GUTIs would require an Identity Request (we
         // reject, forcing the UE to fall back to SUCI).
         let known_supi = match &identity {
-            UeIdentity::Suci(_) => String::new(),
+            UeIdentity::Suci(_) => None,
             UeIdentity::Guti(guti) => match self.guti_to_supi.get(&guti.tmsi) {
-                Some(supi) => supi.to_string(),
+                Some(supi) => Some(*supi),
                 None => {
                     // TS 23.502 §4.2.2.2.2: the AMF cannot resolve the 5G-GUTI
                     // and asks the UE for its (concealed) permanent identity.
@@ -205,18 +219,13 @@ impl AmfService {
                 }
             },
         };
-        let req = AuthenticateRequest {
-            identity: identity.clone(),
-            known_supi,
-            snn_mcc: self.serving_mcc.clone(),
-            snn_mnc: self.serving_mnc.clone(),
-        };
+        let body = self.auth_request(identity, known_supi);
         Ok(self.call_out(
             env,
             leg,
             self.ausf_addr.clone(),
             "/nausf-auth/authenticate",
-            req.encode(),
+            body,
             AmfFlow::AwaitAusfAuth {
                 ran_ue_id,
                 identity,
@@ -246,7 +255,7 @@ impl AmfService {
         let (auth_ctx_id, rand, hxres_star) = (*auth_ctx_id, *rand, *hxres_star);
 
         // SEAF check: HRES* against HXRES* (TS 33.501 §6.1.3.2 step 9).
-        let hres_star = derive_hxres_star(&rand, &res_star);
+        let hres_star = derive_hxres_star(&rand, &SecretBytes::new(res_star));
         if !shield5g_crypto::ct_eq(&hres_star, &hxres_star) {
             self.contexts.remove(&ran_ue_id);
             env.log.record(
@@ -332,25 +341,21 @@ impl AmfService {
                     UeIdentity::Guti(guti) => self.guti_to_supi.get(&guti.tmsi).copied(),
                 };
                 let Some(supi) = supi else {
-                    let req = crate::sbi::UdmAuthGetRequest {
-                        identity: identity.clone(),
-                        known_supi: String::new(),
-                        snn_mcc: self.serving_mcc.clone(),
-                        snn_mnc: self.serving_mnc.clone(),
-                    };
+                    // The UDM's auth-data request is the same message.
+                    let body = self.auth_request(identity, None);
                     return Ok(self.call_out(
                         env,
                         leg,
                         crate::addr::UDM.into(),
                         "/nudm-ueau/generate-auth-data",
-                        req.encode(),
-                        AmfFlow::AwaitSupiResolve {
+                        body,
+                        AmfFlow::AwaitSupiResolve(Box::new(SupiResolve {
                             ran_ue_id,
                             identity,
                             rand,
                             auts,
                             resync_attempts,
-                        },
+                        })),
                     ));
                 };
                 self.send_resync(
@@ -693,13 +698,14 @@ impl AmfService {
                 let kamf = self.backend.finish(env, token, resp)?;
                 Ok(self.enter_security_mode(ran_ue_id, supi, &kamf))
             }
-            AmfFlow::AwaitSupiResolve {
-                ran_ue_id,
-                identity,
-                rand,
-                auts,
-                resync_attempts,
-            } => {
+            AmfFlow::AwaitSupiResolve(resolve) => {
+                let SupiResolve {
+                    ran_ue_id,
+                    identity,
+                    rand,
+                    auts,
+                    resync_attempts,
+                } = *resolve;
                 let body = self.client.receive(env, crate::addr::UDM, resp)?;
                 let supi = crate::sbi::UdmAuthGetResponse::decode(&body)?.supi;
                 self.send_resync(
@@ -763,14 +769,10 @@ enum AmfFlow {
         supi: Supi,
         token: CallToken,
     },
-    /// Waiting for a UDM round that de-conceals the SUCI for a resync.
-    AwaitSupiResolve {
-        ran_ue_id: u64,
-        identity: UeIdentity,
-        rand: [u8; 16],
-        auts: Auts,
-        resync_attempts: u8,
-    },
+    /// Waiting for a UDM round that de-conceals the SUCI for a resync:
+    /// the rarest flow and the largest, boxed so that it does not set the
+    /// size of every slot of the parked table.
+    AwaitSupiResolve(Box<SupiResolve>),
     /// Waiting for the AUSF resync acknowledgement.
     AwaitResync {
         ran_ue_id: u64,
@@ -779,6 +781,15 @@ enum AmfFlow {
     },
     /// Waiting for the SMF's PDU-session anchor.
     AwaitSmf { ran_ue_id: u64, pdu_session_id: u8 },
+}
+
+/// What a SUCI resync carries across its UDM round.
+struct SupiResolve {
+    ran_ue_id: u64,
+    identity: UeIdentity,
+    rand: [u8; 16],
+    auts: Auts,
+    resync_attempts: u8,
 }
 
 impl EngineService for AmfService {
@@ -827,8 +838,7 @@ mod tests {
             crate::addr::AUSF,
             crate::addr::SMF,
             Box::new(LocalAka::default()),
-            "001",
-            "01",
+            Plmn::test_network(),
         )
     }
 

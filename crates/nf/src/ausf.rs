@@ -29,7 +29,8 @@ const AUSF_HANDLER_NANOS: u64 = 48_000;
 /// Stored per pending authentication.
 pub(crate) struct AuthContext {
     supi: Supi,
-    xres_star: [u8; 16],
+    /// Held until the UE's RES* arrives, wiped with the context.
+    pub(crate) xres_star: SecretBytes<16>,
     pub(crate) kseaf: SecretBytes<32>,
 }
 
@@ -107,7 +108,7 @@ impl AusfService {
             ctx_id,
             AuthContext {
                 supi,
-                xres_star: he_av.xres_star,
+                xres_star: he_av.xres_star.clone(),
                 kseaf,
             },
         );
@@ -141,7 +142,7 @@ impl AusfService {
         let ctx = self.contexts.remove(&req.auth_ctx_id).ok_or_else(|| {
             NfError::Protocol(format!("unknown auth context {}", req.auth_ctx_id))
         })?;
-        if shield5g_crypto::ct_eq(&ctx.xres_star, &req.res_star) {
+        if ctx.xres_star == req.res_star {
             shield5g_obs::hub::count(
                 "ausf",
                 "/nausf-auth/confirm",
@@ -208,9 +209,10 @@ impl EngineService for AusfService {
                     Ok(plmn) => ServingNetworkName::of(&plmn),
                     Err(e) => return Step::Reply(Self::upstream_error(implausible(e))),
                 };
-                // Forward to UDM for the HE AV.
+                // Forward the body to the UDM for the HE AV: it decoded,
+                // so it is the bytes a re-encoding would write.
                 let path = "/nudm-ueau/generate-auth-data";
-                let req = self.client.send(env, path, decoded.encode());
+                let req = self.client.send(env, path, req.body);
                 let flow = AusfFlow::AwaitUdm { snn };
                 self.flows.call_out(leg, self.udm_addr.clone(), req, flow)
             }
@@ -253,7 +255,7 @@ impl EngineService for AusfService {
                 // SE parameters via the (possibly enclave-hosted) backend.
                 let aka_req = AusfAkaRequest {
                     rand: he_av.rand,
-                    xres_star: he_av.xres_star,
+                    xres_star: he_av.xres_star.clone(),
                     kausf: he_av.kausf.clone(),
                     snn,
                 };
@@ -293,10 +295,12 @@ mod tests {
     use crate::messages::UeIdentity;
     use crate::udm::UdmService;
     use crate::udr::UdrService;
+    use crate::wire::Wire;
     use shield5g_crypto::ecies::HomeNetworkKeyPair;
     use shield5g_crypto::ident::Supi;
     use shield5g_crypto::keys::derive_hxres_star;
     use shield5g_crypto::milenage::Milenage;
+    use shield5g_sim::codec::{Body, Writer};
     use shield5g_sim::engine::Engine;
     use shield5g_sim::service::service_handle;
     use std::cell::RefCell;
@@ -372,7 +376,7 @@ mod tests {
         // SEAF check: HXRES* must match the hash of the honest response.
         let res_star = ue_answer(&auth.se_av.rand, &auth.se_av.autn);
         assert_eq!(
-            derive_hxres_star(&auth.se_av.rand, &res_star),
+            derive_hxres_star(&auth.se_av.rand, &SecretBytes::new(res_star)),
             auth.se_av.hxres_star
         );
         // Confirm with AUSF.
@@ -472,6 +476,81 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.status, 400);
+    }
+
+    /// The wire form of an authenticate request, field by field, so a
+    /// scheme output no `Suci` can hold can still be sent.
+    fn request_bytes(identity: impl FnOnce(&mut Writer), known_supi: &str, mcc: &str) -> Body {
+        Writer::build(|w| {
+            identity(w);
+            w.put_str(known_supi).put_str(mcc).put_str("01");
+        })
+    }
+
+    #[test]
+    fn malformed_identity_fields_are_refused_400_at_both_hops() {
+        let (mut env, mut engine, hn) = world();
+        let suci = Supi::parse(SUPI)
+            .unwrap()
+            .conceal_profile_a(1, hn.public(), &[7; 32]);
+        let suci_with = |output: &[u8]| {
+            let output = output.to_vec();
+            move |w: &mut Writer| {
+                w.put_u8(0).put_str("001").put_str("01").put_u16(0);
+                w.put_u8(1).put_u8(1).put_bytes(&output);
+            }
+        };
+        let guti = |w: &mut Writer| {
+            UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)).encode_into(w);
+        };
+        // The honest request, byte for byte as `Wire` writes it, passes.
+        let honest = request_bytes(suci_with(&suci.scheme_output), "", "001");
+        assert_eq!(
+            honest,
+            AuthenticateRequest {
+                identity: UeIdentity::Suci(suci),
+                known_supi: String::new(),
+                snn_mcc: "001".into(),
+                snn_mnc: "01".into(),
+            }
+            .encode()
+            .to_vec()
+        );
+        // One byte longer than Profile A's around a 10-digit MSIN: refused
+        // at decode, before any X25519 agreement.
+        let longer = [&suci.scheme_output[..], &[0]].concat();
+        let cases = [
+            (
+                "a 46-byte scheme output",
+                request_bytes(suci_with(&longer), "", "001"),
+            ),
+            (
+                "a malformed known SUPI",
+                request_bytes(guti, "imsi-12", "001"),
+            ),
+            (
+                "a malformed serving PLMN",
+                request_bytes(suci_with(&suci.scheme_output), "", "0a1"),
+            ),
+        ];
+        for (what, body) in cases {
+            for (addr, path) in [
+                (crate::addr::AUSF, "/nausf-auth/authenticate"),
+                (crate::addr::UDM, "/nudm-ueau/generate-auth-data"),
+            ] {
+                let req = HttpRequest::post(path, body.to_vec());
+                let resp = engine.dispatch(&mut env, addr, req).unwrap();
+                assert_eq!(resp.status, 400, "{what} at {addr}");
+            }
+        }
+        let req = HttpRequest::post("/nausf-auth/authenticate", honest);
+        assert_eq!(
+            engine
+                .dispatch(&mut env, crate::addr::AUSF, req)
+                .unwrap()
+                .status,
+            200
+        );
     }
 
     #[test]

@@ -193,8 +193,8 @@ wire!(UdmAkaResyncRequest {
 pub struct AusfAkaRequest {
     /// Challenge randomness from the HE AV.
     pub rand: [u8; 16],
-    /// Expected response from the HE AV.
-    pub xres_star: [u8; 16],
+    /// Expected response from the HE AV (zeroizes on drop).
+    pub xres_star: SecretBytes<16>,
     /// UDM/AUSF shared key from the HE AV (zeroizes on drop).
     pub kausf: SecretBytes<32>,
     /// Serving network name.
@@ -709,7 +709,7 @@ mod tests {
 
         let se = AusfAkaRequest {
             rand: [0; 16],
-            xres_star: [0; 16],
+            xres_star: [0; 16].into(),
             kausf: [0; 32].into(),
             snn: snn(),
         };

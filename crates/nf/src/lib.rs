@@ -221,7 +221,7 @@ mod tests {
         }));
         assert!(redacts(|c| AusfAkaRequest {
             rand: [1; 16],
-            xres_star: [c; 16],
+            xres_star: SecretBytes::new([c; 16]),
             kausf: SecretBytes::new([c; 32]),
             snn,
         }));
@@ -260,11 +260,13 @@ mod tests {
         wipes_through(|req: &UdmAkaBatchRequest| &req.opc);
         wipes_through(|req: &UdmAkaResyncRequest| &req.opc);
         wipes_through(|req: &AusfAkaRequest| &req.kausf);
+        wipes_through(|req: &AusfAkaRequest| &req.xres_star);
         wipes_through(|resp: &AusfAkaResponse| &resp.kseaf);
         wipes_through(|req: &AmfAkaRequest| &req.kseaf);
         // The map's values: the accessor is typed, never called.
         wipes_through(|aka: &LocalAka| &aka.keys[""]);
         wipes_through(|context: &AuthContext| &context.kseaf);
+        wipes_through(|context: &AuthContext| &context.xres_star);
         wipes_through(|resp: &ConfirmResponse| &resp.kseaf);
         wipes_through(|resp: &UdrAuthDataResponse| &resp.opc);
         wipes_through(|nas: &NasSecurityContext| &nas.knas_enc);

@@ -11,8 +11,8 @@ use shield5g_crypto::ident::{Guti, Suci};
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Body, Reader, Writer};
 
-/// How the UE identifies itself in a registration request.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// How the UE identifies itself in a registration request: a value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UeIdentity {
     /// Concealed permanent identifier (initial registration).
     Suci(Suci),

@@ -340,7 +340,7 @@ mod tests {
             he_av: HeAv {
                 rand: [1; 16],
                 autn: [2; 16],
-                xres_star: [3; 16],
+                xres_star: [3; 16].into(),
                 kausf: [4; 32].into(),
             },
         };

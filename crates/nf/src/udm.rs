@@ -437,6 +437,7 @@ mod tests {
     #[test]
     fn low_order_suci_is_answered_like_a_bad_mac() {
         use shield5g_crypto::ecies::EciesCiphertext;
+        use shield5g_crypto::inline::InlineBytes;
         use shield5g_crypto::{aes::Aes128, hmac::hmac_sha256, kdf::kdf_x963};
         let (mut env, mut engine, hn) = world();
         let supi = Supi::parse(SUPI).unwrap();
@@ -448,7 +449,7 @@ mod tests {
             );
             engine.dispatch(&mut env, crate::addr::UDM, req).unwrap()
         };
-        let mut tampered = honest.clone();
+        let mut tampered = honest;
         *tampered.scheme_output.last_mut().unwrap() ^= 1;
         let bad_mac = ask(tampered);
         assert_eq!(bad_mac.status, 403);
@@ -464,15 +465,16 @@ mod tests {
         (p_minus_1[0], p_minus_1[31]) = (0xec, 0x7f);
         for low_order in [[0; 32], one, p_minus_1] {
             let kd = kdf_x963::<64>(&[0; 32], &low_order);
-            let mut body = msin_bcd.clone();
+            let mut body = msin_bcd;
             Aes128::new(kd[..16].try_into().unwrap())
                 .ctr_apply(kd[16..32].try_into().unwrap(), &mut body);
             let tag = hmac_sha256(&kd[32..], &body);
-            let mut forged = honest.clone();
-            forged.scheme_output = [&low_order[..], &body, &tag[..8]].concat();
+            let mut forged = honest;
+            let bytes = [&low_order[..], &body, &tag[..8]].concat();
+            forged.scheme_output = InlineBytes::new(&bytes).unwrap();
             let resp = ask(forged);
             assert_eq!((resp.status, &resp.body), (bad_mac.status, &bad_mac.body));
-            assert_eq!(ask(honest.clone()).status, 200);
+            assert_eq!(ask(honest).status, 200);
         }
     }
 
@@ -487,7 +489,7 @@ mod tests {
             .conceal_profile_a(1, hn.public(), &[9; 32]);
         for (mcc, mnc) in [("!!", "01"), ("0001", "01"), ("001", "1")] {
             let req = UdmAuthGetRequest {
-                identity: UeIdentity::Suci(suci.clone()),
+                identity: UeIdentity::Suci(suci),
                 known_supi: String::new(),
                 snn_mcc: mcc.into(),
                 snn_mnc: mnc.into(),

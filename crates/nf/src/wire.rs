@@ -27,6 +27,7 @@
 
 use crate::{NfError, NfType};
 use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci, Supi};
+use shield5g_crypto::inline::InlineBytes;
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
@@ -262,7 +263,8 @@ impl Wire for Guti {
 }
 
 /// A SUCI, for NAS (registration request, identity response) and the SBI
-/// bodies that forward it.
+/// bodies that forward it. A scheme output longer than a Profile A one
+/// around a 10-digit MSIN is implausible.
 impl Wire for Suci {
     fn encode_into(&self, w: &mut Writer) {
         w.put_str(self.plmn.mcc())
@@ -279,7 +281,7 @@ impl Wire for Suci {
         let routing_indicator = r.u16()?;
         let scheme = ProtectionScheme::from_id(r.u8()?).map_err(implausible)?;
         let hn_key_id = r.u8()?;
-        let scheme_output = r.bytes()?;
+        let scheme_output = InlineBytes::new(r.bytes_ref()?).map_err(implausible)?;
         Ok(Suci {
             plmn: Plmn::new(mcc, mnc).map_err(implausible)?,
             routing_indicator,

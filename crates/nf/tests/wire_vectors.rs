@@ -156,7 +156,7 @@ fn he_av(tag: u8) -> HeAv {
     HeAv {
         rand: [tag; 16],
         autn: [tag + 1; 16],
-        xres_star: [tag + 2; 16],
+        xres_star: [tag + 2; 16].into(),
         kausf: SecretBytes::new([tag + 3; 32]),
     }
 }
@@ -493,7 +493,7 @@ fn paka(supi: &Supi) -> Vec<Vector> {
             "paka.ausf_aka_request",
             AusfAkaRequest {
                 rand: [1; 16],
-                xres_star: [2; 16],
+                xres_star: [2; 16].into(),
                 kausf: [3; 32].into(),
                 snn: snn(),
             },

@@ -21,6 +21,7 @@ use shield5g_obs::hub::StageSpan;
 use shield5g_sim::codec::{Body, Writer};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
+use std::borrow::Cow;
 
 /// Modem/AP processing per NAS message on a phone-class SoC.
 const UE_NAS_PROC_NANOS: u64 = 450_000;
@@ -53,7 +54,7 @@ enum UeState {
 pub struct CotsUe {
     usim: Usim,
     model: &'static str,
-    os_build: String,
+    os_build: Cow<'static, str>,
     build_validated: bool,
     state: UeState,
     sec: Option<NasSecurityContext>,
@@ -79,7 +80,7 @@ impl CotsUe {
         CotsUe {
             usim,
             model: "OnePlus 8",
-            os_build: VALIDATED_ONEPLUS8_BUILD.to_owned(),
+            os_build: Cow::Borrowed(VALIDATED_ONEPLUS8_BUILD),
             build_validated: true,
             state: UeState::Deregistered,
             sec: None,
@@ -95,7 +96,7 @@ impl CotsUe {
         CotsUe {
             usim,
             model: "gnbsim-ue",
-            os_build: "n/a".to_owned(),
+            os_build: Cow::Borrowed("n/a"),
             build_validated: false,
             state: UeState::Deregistered,
             sec: None,
@@ -108,7 +109,7 @@ impl CotsUe {
     /// Overrides the OS build (to reproduce the §V-B6 finding that other
     /// builds fail to complete the end-to-end connection).
     #[must_use]
-    pub fn with_os_build(mut self, build: impl Into<String>) -> Self {
+    pub fn with_os_build(mut self, build: impl Into<Cow<'static, str>>) -> Self {
         self.os_build = build.into();
         self
     }
@@ -197,7 +198,7 @@ impl CotsUe {
         identity: UeIdentity,
     ) -> Result<RegistrationReport, RanError> {
         if self.build_validated && self.os_build != VALIDATED_ONEPLUS8_BUILD {
-            return Err(RanError::IncompatibleUeBuild(self.os_build.clone()));
+            return Err(RanError::IncompatibleUeBuild(self.os_build.to_string()));
         }
         // A (re-)registration starts from a clean NAS state.
         self.state = UeState::Deregistered;

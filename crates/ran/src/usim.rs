@@ -14,8 +14,9 @@ use shield5g_sim::Env;
 /// The outcome of a USIM challenge evaluation (TS 33.501 §6.1.3.2).
 #[derive(Debug)]
 pub enum ChallengeOutcome {
-    /// Challenge accepted; RES* and keys derived.
-    Success(Box<UeChallengeResult>),
+    /// Challenge accepted; RES* and keys derived (held inline: the
+    /// outcome is a value the UE matches on once).
+    Success(UeChallengeResult),
     /// MAC-A failed: the network is not genuine.
     MacFailure,
     /// MAC verified but SQN out of window: re-synchronise.
@@ -109,7 +110,7 @@ impl Usim {
         match keys::ue_process_challenge(&self.mil, rand, autn, snn) {
             Err(_) => ChallengeOutcome::MacFailure,
             Ok(result) => match self.sqn.accept(&result.sqn) {
-                Ok(()) => ChallengeOutcome::Success(Box::new(result)),
+                Ok(()) => ChallengeOutcome::Success(result),
                 Err(_) => ChallengeOutcome::SyncFailure(Auts::generate(
                     &self.mil,
                     rand,

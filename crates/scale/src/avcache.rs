@@ -248,7 +248,7 @@ mod tests {
         HeAv {
             rand: [i; 16],
             autn: [i; 16],
-            xres_star: [i; 16],
+            xres_star: [i; 16].into(),
             kausf: [i; 32].into(),
         }
     }

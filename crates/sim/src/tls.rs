@@ -17,9 +17,9 @@
 
 use crate::SimError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::{hmac_sha256, HmacKey};
-use shield5g_crypto::kdf::kdf_x963;
-use shield5g_crypto::x25519::{agree, x25519, x25519_base};
+use shield5g_crypto::hmac::HmacKey;
+use shield5g_crypto::kdf::derive_x963;
+use shield5g_crypto::x25519::{agree, public_of, x25519_base};
 use shield5g_crypto::SecretBytes;
 
 /// Record MAC tag length (bytes).
@@ -71,10 +71,10 @@ struct DirectionKeys {
 }
 
 impl DirectionKeys {
-    fn new(key: &[u8; 16], mac_key: &[u8]) -> Self {
+    fn new(key: &SecretBytes<16>, mac_key: &SecretBytes<32>) -> Self {
         DirectionKeys {
-            cipher: Aes128::new(key),
-            mac: HmacKey::new(mac_key),
+            cipher: Aes128::from(key),
+            mac: HmacKey::from(mac_key),
             seq: 0,
         }
     }
@@ -192,7 +192,8 @@ pub struct HandshakeInfo {
 /// Both endpoints live in the same world, so the function returns the two
 /// session halves directly; the *cost* of the handshake (round trips,
 /// bytes, crypto time) is charged by the caller's channel model using the
-/// returned [`HandshakeInfo`].
+/// returned [`HandshakeInfo`]. The ephemeral scalars, every agreed secret
+/// and the key data are held as secrets, wiped when the handshake returns.
 ///
 /// # Errors
 ///
@@ -201,13 +202,14 @@ pub struct HandshakeInfo {
 pub fn establish(
     client: &TlsIdentity,
     server: &TlsIdentity,
-    client_ephemeral: [u8; 32],
-    server_ephemeral: [u8; 32],
+    client_ephemeral: impl Into<SecretBytes<32>>,
+    server_ephemeral: impl Into<SecretBytes<32>>,
 ) -> Result<(TlsSession, TlsSession, HandshakeInfo), SimError> {
-    let client_eph_pub = x25519_base(&client_ephemeral);
-    let server_eph_pub = x25519_base(&server_ephemeral);
-    let shared_c = x25519(&client_ephemeral, &server_eph_pub);
-    debug_assert_eq!(shared_c, x25519(&server_ephemeral, &client_eph_pub));
+    let (client_ephemeral, server_ephemeral) = (client_ephemeral.into(), server_ephemeral.into());
+    let client_eph_pub = public_of(&client_ephemeral);
+    let server_eph_pub = public_of(&server_ephemeral);
+    let shared_c = SecretBytes::new(agree(&client_ephemeral, &server_eph_pub));
+    debug_assert!(shared_c == agree(&server_ephemeral, &client_eph_pub));
 
     // Transcript binds both ephemerals, both certificates (name + static
     // public key) — as a real TLS transcript hash would.
@@ -221,15 +223,13 @@ pub fn establish(
 
     // "Certificate verify" stand-ins: HMAC over the transcript under each
     // static DH result (static-ephemeral agreement authenticates the peer).
-    let client_auth_secret = agree(&client.private, &server_eph_pub);
-    let server_auth_secret = agree(&server.private, &client_eph_pub);
-    let client_tag = hmac_sha256(&client_auth_secret, &transcript);
-    let server_tag = hmac_sha256(&server_auth_secret, &transcript);
+    let client_tag = transcript_tag(&client.private, &server_eph_pub, &transcript);
+    let server_tag = transcript_tag(&server.private, &client_eph_pub, &transcript);
 
     // Each side recomputes the peer's expected tag from the pinned static
     // public key.
-    let expect_client = hmac_sha256(&x25519(&server_ephemeral, &client.public), &transcript);
-    let expect_server = hmac_sha256(&x25519(&client_ephemeral, &server.public), &transcript);
+    let expect_client = transcript_tag(&server_ephemeral, &client.public, &transcript);
+    let expect_server = transcript_tag(&client_ephemeral, &server.public, &transcript);
     if !shield5g_crypto::ct_eq(&client_tag, &expect_client) {
         return Err(SimError::TlsRecordRejected(
             "client authentication failed".into(),
@@ -243,13 +243,9 @@ pub fn establish(
 
     // Traffic keys from the ephemeral secret + transcript; each direction
     // is keyed once and shared by its two ends.
-    let key_data = kdf_x963::<96>(&shared_c, &transcript);
-    let mut c2s_key = [0u8; 16];
-    let mut s2c_key = [0u8; 16];
-    c2s_key.copy_from_slice(&key_data[0..16]);
-    s2c_key.copy_from_slice(&key_data[16..32]);
-    let c2s = DirectionKeys::new(&c2s_key, &key_data[32..64]);
-    let s2c = DirectionKeys::new(&s2c_key, &key_data[64..96]);
+    let key_data: SecretBytes<96> = derive_x963(&shared_c, &transcript);
+    let c2s = DirectionKeys::new(&key_data.part::<0, 16>(), &key_data.part::<32, 32>());
+    let s2c = DirectionKeys::new(&key_data.part::<16, 16>(), &key_data.part::<64, 32>());
 
     let client_session = TlsSession {
         peer_name: server.name.clone(),
@@ -269,6 +265,14 @@ pub fn establish(
             round_trips: 2,
         },
     ))
+}
+
+/// HMAC over `transcript` under `x25519(private, public)`, the agreed
+/// secret held only as the prepared key.
+fn transcript_tag(private: &SecretBytes<32>, public: &[u8; 32], transcript: &[u8]) -> [u8; 32] {
+    let mut mac = HmacKey::from(&SecretBytes::new(agree(private, public))).start();
+    mac.update(transcript);
+    mac.finalize()
 }
 
 #[cfg(test)]

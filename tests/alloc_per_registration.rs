@@ -1,12 +1,20 @@
-//! Heap allocations of one steady-state registration, and of one arrival
-//! at a faulted eUDM pool, counted in process: a regression in the
-//! per-message buffers (the recycled wire `Body` and which buffers the
-//! spare list keeps, the borrowed NGAP NAS PDU, the breaker's call table,
-//! the NFs' flows parked by leg instead of boxed per call-out) or on the
-//! pool path (the completions buffer the open-loop driver
-//! keeps, the subscriber key read into its secret, the static headers of
-//! shed and fault replies) fails `cargo test`, not only the benchmark's
-//! allocation ratchet.
+//! Heap allocations of one steady-state registration, of the identity
+//! path inside it, and of one arrival at a faulted eUDM pool, counted in
+//! process: a regression in the per-message buffers (the recycled wire
+//! `Body` and which buffers the spare list keeps, the borrowed NGAP NAS
+//! PDU, the breaker's call table, the NFs' flows parked by leg instead of
+//! boxed per call-out), in the identities (a SUCI, its scheme output and
+//! the ECIES ciphertext inside it are inline values, concealed and opened
+//! on the stack; the AUSF forwards the body it decoded; the USIM's
+//! challenge outcome is not boxed) or on the pool path (the completions
+//! buffer the open-loop driver keeps, the subscriber key read into its
+//! secret, the static headers of shed and fault replies) fails
+//! `cargo test`, not only the benchmark's allocation ratchet.
+//!
+//! What a registration still allocates is `AuthenticateRequest`'s two
+//! serving-PLMN strings, decoded by the AUSF and by the UDM (the AMF keeps
+//! the request it sends, so it builds them once): four, pinned by
+//! `the_identity_path_allocates_only_the_plmn_strings`.
 //!
 //! The counter is this binary's global allocator: it forwards every call
 //! to the system allocator and counts `alloc`, `alloc_zeroed` and
@@ -21,10 +29,15 @@
 )]
 
 use shield5g::core::paka::SgxConfig;
-use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
+use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig, Subscriber};
+use shield5g::crypto::ecies::HomeNetworkKeyPair;
+use shield5g::crypto::hex;
 use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};
 use shield5g::mw::RetryPolicy;
+use shield5g::nf::messages::{NasUplink, UeIdentity};
+use shield5g::nf::sbi::AuthenticateRequest;
 use shield5g::ran::gnbsim::GnbSim;
+use shield5g::ran::usim::Usim;
 use shield5g::ran::workload::WorkloadSpec;
 use shield5g::scale::openloop::{run_scenario, Scenario};
 use shield5g::scale::pool::PoolConfig;
@@ -79,9 +92,12 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Most allocations one steady-state SGX registration plus PDU session
-/// may make: this run reads 17 (the benchmark's `reg_sgx` ≈ 17.7 per op);
-/// with each call-out's continuation boxed, it read 25.
-const CEILING: u64 = 18;
+/// may make: this run reads 4 (the benchmark's `reg_sgx` 4.72 per op),
+/// `AuthenticateRequest`'s serving-PLMN strings decoded at the AUSF and
+/// the UDM. With each SUCI's scheme output, ECIES ciphertext and opened
+/// MSIN on the heap and the strings built per request it read 17; with
+/// each call-out's continuation boxed as well, 25.
+const CEILING: u64 = 4;
 
 /// Subscribers of the slice; the warm-up registers each twice.
 const SUBSCRIBERS: usize = 20;
@@ -120,6 +136,43 @@ fn a_steady_state_registration_allocates_a_fixed_count_under_the_ceiling() {
     eprintln!("allocations per registration: {counts:?}");
     assert_eq!(counts[0], counts[1], "two consecutive registrations");
     assert!(counts[0] <= CEILING, "{} > {CEILING}", counts[0]);
+}
+
+#[test]
+fn the_identity_path_allocates_only_the_plmn_strings() {
+    // The pinned SBI request, as `wire_vectors.txt` holds it.
+    let golden = include_str!("../crates/nf/tests/golden/wire_vectors.txt");
+    let line = golden
+        .lines()
+        .find_map(|l| l.strip_prefix("sbi.authenticate_request.suci "))
+        .expect("the pinned authenticate request");
+    let request = hex::decode(line).expect("hex");
+    let mut env = Env::new(300);
+    let sub = Subscriber::test(0);
+    let hn = HomeNetworkKeyPair::from_private(1, [0x8f; 32]);
+    let usim = Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
+    let uplink = NasUplink::RegistrationRequest {
+        identity: UeIdentity::Suci(usim.conceal_identity(&mut env)),
+    }
+    .encode();
+
+    let decoded = allocations(|| {
+        let req = AuthenticateRequest::decode(&request).expect("the pinned request");
+        assert_eq!((req.snn_mcc.as_str(), req.snn_mnc.as_str()), ("001", "01"));
+    });
+    assert_eq!(decoded, 2, "the request's two serving-PLMN strings");
+    let identity = allocations(|| {
+        let decoded = NasUplink::decode(&uplink).expect("own uplink");
+        assert!(matches!(
+            decoded,
+            NasUplink::RegistrationRequest {
+                identity: UeIdentity::Suci(_)
+            }
+        ));
+        let suci = usim.conceal_identity(&mut env);
+        assert_eq!(suci.deconceal(&hn), Ok(sub.supi));
+    });
+    assert_eq!(identity, 0, "NAS decode, concealment and de-concealment");
 }
 
 /// Most allocations one more arrival at a faulted, retrying eUDM pool

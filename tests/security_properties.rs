@@ -254,8 +254,6 @@ fn suci_concealment_hides_the_imsi_on_the_air() {
     }
     .encode();
     // The BCD-coded MSIN must not appear in the registration request.
-    let msin_bcd = shield5g::crypto::ident::bcd_encode(sub.supi.msin());
-    assert!(!nas
-        .windows(msin_bcd.len())
-        .any(|w| w == msin_bcd.as_slice()));
+    let msin_bcd = sub.supi.msin_bcd();
+    assert!(!nas.windows(msin_bcd.len()).any(|w| w == &*msin_bcd));
 }
