@@ -595,8 +595,8 @@ mod tests {
         let req = UdmAuthGetRequest {
             identity: UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)),
             known_supi: STRANGER.into(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let resp = engine
             .dispatch(

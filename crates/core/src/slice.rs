@@ -492,8 +492,8 @@ mod tests {
         let req = AuthenticateRequest {
             identity: UeIdentity::Suci(suci),
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let body = slice
             .engine

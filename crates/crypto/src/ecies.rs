@@ -225,12 +225,13 @@ pub struct HomeNetworkKeyPair {
 impl HomeNetworkKeyPair {
     /// Builds a key pair from a private scalar, deriving the public key.
     #[must_use]
-    pub fn from_private(id: u8, private: [u8; 32]) -> Self {
+    pub fn from_private(id: u8, private: impl Into<SecretBytes<32>>) -> Self {
+        let private = private.into();
         // A clamped multiple of the base point is never of low order.
-        let public = HomeNetworkPublicKey::with_table(x25519_base(&private));
+        let public = HomeNetworkPublicKey::with_table(x25519_base(private.expose()));
         HomeNetworkKeyPair {
             id,
-            private: SecretBytes::new(private),
+            private,
             public,
         }
     }

@@ -46,13 +46,12 @@ impl Plmn {
     /// Returns [`CryptoError::MalformedIdentifier`] unless the MCC is
     /// exactly 3 digits and the MNC is 2 or 3 digits.
     pub fn new(mcc: &str, mnc: &str) -> Result<Self, CryptoError> {
-        let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
-        if mcc.len() != 3 || !digits(mcc) {
+        if mcc.len() != 3 || code(mcc).is_none() {
             return Err(CryptoError::MalformedIdentifier(format!(
                 "MCC must be 3 digits: {mcc:?}"
             )));
         }
-        if !(2..=3).contains(&mnc.len()) || !digits(mnc) {
+        if code(mnc).is_none() {
             return Err(CryptoError::MalformedIdentifier(format!(
                 "MNC must be 2-3 digits: {mnc:?}"
             )));
@@ -68,15 +67,47 @@ impl Plmn {
 
     /// The mobile country code.
     #[must_use]
-    pub fn mcc(&self) -> &str {
-        ascii(&self.digits[..3])
+    pub fn mcc(&self) -> &'static str {
+        code(ascii(&self.digits[..3])).unwrap_or_default()
     }
 
     /// The mobile network code.
     #[must_use]
-    pub fn mnc(&self) -> &str {
-        ascii(&self.digits[3..3 + usize::from(self.mnc_len)])
+    pub fn mnc(&self) -> &'static str {
+        code(ascii(&self.digits[3..3 + usize::from(self.mnc_len)])).unwrap_or_default()
     }
+}
+
+/// Every 3-digit code in order, `000001002…999`: code `n` is the text at
+/// `3n`, and a 2-digit code `n` begins the 3-digit code `10n`, at `30n`.
+static CODES: &str = match core::str::from_utf8(&DIGITS) {
+    Ok(codes) => codes,
+    Err(_) => "",
+};
+
+/// [`CODES`]' bytes, built by the compiler.
+const DIGITS: [u8; 3000] = {
+    let mut digits = [0; 3000];
+    let mut n = 0;
+    while n < 1000 {
+        digits[3 * n] = b'0' + (n / 100) as u8;
+        digits[3 * n + 1] = b'0' + (n / 10 % 10) as u8;
+        digits[3 * n + 2] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    digits
+};
+
+/// The static text of an MCC or MNC: `Some` for exactly 2 or 3 ASCII
+/// digits, so a decoded code is a slice of one table, not a copy.
+#[must_use]
+pub fn code(s: &str) -> Option<&'static str> {
+    if !(2..=3).contains(&s.len()) || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let n = s.bytes().fold(0, |n, b| 10 * n + usize::from(b - b'0'));
+    let at = if s.len() == 2 { 30 * n } else { 3 * n };
+    CODES.get(at..at + s.len())
 }
 
 /// Digits this module validated, as text.
@@ -475,6 +506,20 @@ mod tests {
     }
 
     #[test]
+    fn every_code_is_its_static_text() {
+        for n in 0..1000 {
+            for text in [format!("{n:03}"), format!("{:02}", n % 100)] {
+                assert_eq!(code(&text), Some(text.as_str()));
+            }
+        }
+        for text in [
+            "", "1", "0011", "00101", "0a", "a01", "0 1", "+01", "0\u{661}",
+        ] {
+            assert_eq!(code(text), None, "{text:?}");
+        }
+    }
+
+    #[test]
     fn supi_display_and_parse_round_trip() {
         let supi = test_supi();
         assert_eq!(supi.to_string(), "imsi-001010000000001");
@@ -571,6 +616,12 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn a_plmn_names_its_codes(mcc in "[0-9]{3}", mnc in "[0-9]{2,3}") {
+            let plmn = Plmn::new(&mcc, &mnc).unwrap();
+            proptest::prop_assert_eq!((plmn.mcc(), plmn.mnc()), (mcc.as_str(), mnc.as_str()));
+        }
+
         #[test]
         fn bcd_round_trip_property(digits in "[0-9]{0,10}") {
             proptest::prop_assert_eq!(bcd_decode(&bcd_encode(digits.as_bytes())).unwrap(), digits);

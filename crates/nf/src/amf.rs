@@ -70,9 +70,8 @@ pub struct AmfService {
     ausf_addr: Rc<str>,
     smf_addr: Rc<str>,
     backend: Box<dyn AkaBackend<DeriveKamf>>,
-    /// The serving PLMN's MCC and MNC, built once from the `Plmn` this AMF
-    /// was given and lent to each request it encodes.
-    serving_plmn: (String, String),
+    /// The serving PLMN, named in each authentication request.
+    serving: Plmn,
     contexts: BTreeMap<u64, UeState>,
     pending_teid: BTreeMap<u64, u32>,
     pending_teardown: BTreeSet<u64>,
@@ -107,7 +106,7 @@ impl AmfService {
             ausf_addr: ausf_addr.into(),
             smf_addr: smf_addr.into(),
             backend,
-            serving_plmn: (serving.mcc().to_owned(), serving.mnc().to_owned()),
+            serving,
             contexts: BTreeMap::new(),
             pending_teid: BTreeMap::new(),
             pending_teardown: BTreeSet::new(),
@@ -181,19 +180,15 @@ impl AmfService {
         }
     }
 
-    /// [`AuthenticateRequest`] for `identity`, encoded, with the serving
-    /// PLMN's strings lent to it and taken back.
-    fn auth_request(&mut self, identity: UeIdentity, known_supi: Option<Supi>) -> Body {
-        let (snn_mcc, snn_mnc) = std::mem::take(&mut self.serving_plmn);
-        let req = AuthenticateRequest {
+    /// [`AuthenticateRequest`] for `identity` in the serving PLMN, encoded.
+    fn auth_request(&self, identity: UeIdentity, known_supi: Option<Supi>) -> Body {
+        AuthenticateRequest {
             identity,
             known_supi: known_supi.map_or_else(String::new, |supi| supi.to_string()),
-            snn_mcc,
-            snn_mnc,
-        };
-        let body = req.encode();
-        self.serving_plmn = (req.snn_mcc, req.snn_mnc);
-        body
+            snn_mcc: self.serving.mcc(),
+            snn_mnc: self.serving.mnc(),
+        }
+        .encode()
     }
 
     fn start_authentication(

@@ -11,9 +11,8 @@ use crate::sbi::{
     AuthenticateRequest, AuthenticateResponse, ConfirmRequest, ConfirmResponse, ResyncRequest,
     SbiClient, UdmAuthGetResponse,
 };
-use crate::wire::implausible;
 use crate::NfError;
-use shield5g_crypto::ident::{Plmn, Supi};
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
@@ -205,9 +204,9 @@ impl EngineService for AusfService {
                 };
                 // The SEAF's PLMN becomes the SNN the keys bind: refuse
                 // one no serving network can have.
-                let snn = match Plmn::new(&decoded.snn_mcc, &decoded.snn_mnc) {
-                    Ok(plmn) => ServingNetworkName::of(&plmn),
-                    Err(e) => return Step::Reply(Self::upstream_error(implausible(e))),
+                let snn = match decoded.serving_network() {
+                    Ok(snn) => snn,
+                    Err(e) => return Step::Reply(Self::upstream_error(e)),
                 };
                 // Forward the body to the UDM for the HE AV: it decoded,
                 // so it is the bytes a re-encoding would write.
@@ -346,8 +345,8 @@ mod tests {
         let req = AuthenticateRequest {
             identity: UeIdentity::Suci(suci),
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let body = engine
             .dispatch_ok(
@@ -465,8 +464,8 @@ mod tests {
         let req = AuthenticateRequest {
             identity: UeIdentity::Suci(supi.conceal_null()),
             known_supi: String::new(),
-            snn_mcc: "!!".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "!!",
+            snn_mnc: "01",
         };
         let resp = engine
             .dispatch(
@@ -480,10 +479,14 @@ mod tests {
 
     /// The wire form of an authenticate request, field by field, so a
     /// scheme output no `Suci` can hold can still be sent.
-    fn request_bytes(identity: impl FnOnce(&mut Writer), known_supi: &str, mcc: &str) -> Body {
+    fn request_bytes(
+        identity: impl FnOnce(&mut Writer),
+        known_supi: &str,
+        (mcc, mnc): (&str, &str),
+    ) -> Body {
         Writer::build(|w| {
             identity(w);
-            w.put_str(known_supi).put_str(mcc).put_str("01");
+            w.put_str(known_supi).put_str(mcc).put_str(mnc);
         })
     }
 
@@ -504,14 +507,14 @@ mod tests {
             UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)).encode_into(w);
         };
         // The honest request, byte for byte as `Wire` writes it, passes.
-        let honest = request_bytes(suci_with(&suci.scheme_output), "", "001");
+        let honest = request_bytes(suci_with(&suci.scheme_output), "", ("001", "01"));
         assert_eq!(
             honest,
             AuthenticateRequest {
                 identity: UeIdentity::Suci(suci),
                 known_supi: String::new(),
-                snn_mcc: "001".into(),
-                snn_mnc: "01".into(),
+                snn_mcc: "001",
+                snn_mnc: "01",
             }
             .encode()
             .to_vec()
@@ -519,20 +522,35 @@ mod tests {
         // One byte longer than Profile A's around a 10-digit MSIN: refused
         // at decode, before any X25519 agreement.
         let longer = [&suci.scheme_output[..], &[0]].concat();
-        let cases = [
+        let mut cases = vec![
             (
-                "a 46-byte scheme output",
-                request_bytes(suci_with(&longer), "", "001"),
+                "a 46-byte scheme output".to_owned(),
+                request_bytes(suci_with(&longer), "", ("001", "01")),
             ),
             (
-                "a malformed known SUPI",
-                request_bytes(guti, "imsi-12", "001"),
-            ),
-            (
-                "a malformed serving PLMN",
-                request_bytes(suci_with(&suci.scheme_output), "", "0a1"),
+                "a malformed known SUPI".to_owned(),
+                request_bytes(guti, "imsi-12", ("001", "01")),
             ),
         ];
+        // A serving PLMN is implausible, not mis-framed: a code that is
+        // not 2-3 ASCII digits fails at decode, a 2-digit MCC at the PLMN.
+        for plmn in [
+            ("1", "01"),
+            ("0011", "01"),
+            ("0a1", "01"),
+            ("01", "01"),
+            ("001", "1"),
+            ("001", "0101"),
+            ("001", "a1"),
+        ] {
+            let body = request_bytes(suci_with(&suci.scheme_output), "", plmn);
+            let refused = AuthenticateRequest::decode(&body).and_then(|r| r.serving_network());
+            assert!(
+                matches!(refused, Err(NfError::Protocol(_))),
+                "{plmn:?}: {refused:?}"
+            );
+            cases.push((format!("the serving PLMN {plmn:?}"), body));
+        }
         for (what, body) in cases {
             for (addr, path) in [
                 (crate::addr::AUSF, "/nausf-auth/authenticate"),
@@ -568,8 +586,8 @@ mod tests {
         let req = AuthenticateRequest {
             identity: UeIdentity::Suci(suci),
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let resp = engine
             .dispatch(

@@ -3,10 +3,10 @@
 //! field list).
 
 use crate::messages::UeIdentity;
-use crate::wire::wire;
+use crate::wire::{implausible, wire};
 use crate::NfError;
-use shield5g_crypto::ident::Supi;
-use shield5g_crypto::keys::{HeAv, SeAv};
+use shield5g_crypto::ident::{Plmn, Supi};
+use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::Body;
@@ -109,10 +109,11 @@ pub struct AuthenticateRequest {
     /// SUPI already resolved by the AMF (GUTI re-authentication); empty
     /// for initial SUCI registrations.
     pub known_supi: String,
-    /// Serving network name asserted by the SEAF.
-    pub snn_mcc: String,
+    /// MCC of the serving network the SEAF asserts: a code's static text
+    /// ([`shield5g_crypto::ident::code`]).
+    pub snn_mcc: &'static str,
     /// MNC part of the serving network.
-    pub snn_mnc: String,
+    pub snn_mnc: &'static str,
 }
 
 wire!(AuthenticateRequest {
@@ -121,6 +122,20 @@ wire!(AuthenticateRequest {
     snn_mcc,
     snn_mnc
 });
+
+impl AuthenticateRequest {
+    /// The serving network name the keys bind, from the SEAF's PLMN.
+    ///
+    /// # Errors
+    ///
+    /// [`NfError::Protocol`] unless the MCC is 3 digits and the MNC 2 or 3
+    /// (the wire admits a 2-digit MCC).
+    pub fn serving_network(&self) -> Result<ServingNetworkName, NfError> {
+        Plmn::new(self.snn_mcc, self.snn_mnc)
+            .map(|plmn| ServingNetworkName::of(&plmn))
+            .map_err(implausible)
+    }
+}
 
 /// `Nausf_UEAuthentication_Authenticate` response (AUSF → AMF): the SE AV
 /// plus a context reference for the confirmation step.
@@ -295,8 +310,8 @@ mod tests {
         let req = AuthenticateRequest {
             identity: UeIdentity::Suci(suci),
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         assert_eq!(AuthenticateRequest::decode(&req.encode()).unwrap(), req);
         let resp = AuthenticateResponse {
@@ -331,8 +346,8 @@ mod tests {
         let req = UdmAuthGetRequest {
             identity: UeIdentity::Guti(guti),
             known_supi: "imsi-001010000000001".into(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         assert_eq!(UdmAuthGetRequest::decode(&req.encode()).unwrap(), req);
         let resp = UdmAuthGetResponse {

@@ -18,7 +18,7 @@ use crate::sbi::{
 use crate::wire::implausible;
 use crate::NfError;
 use shield5g_crypto::ecies::HomeNetworkKeyPair;
-use shield5g_crypto::ident::{Plmn, Supi};
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::keys::{HeAv, ServingNetworkName};
 use shield5g_crypto::CryptoError;
 use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
@@ -217,9 +217,9 @@ impl EngineService for UdmService {
                 };
                 // The serving PLMN becomes the SNN the keys bind: refuse
                 // one no serving network can have, as the AUSF does.
-                let snn = match Plmn::new(&decoded.snn_mcc, &decoded.snn_mnc) {
-                    Ok(plmn) => ServingNetworkName::of(&plmn),
-                    Err(e) => return Step::Reply(Self::auth_error(implausible(e))),
+                let snn = match decoded.serving_network() {
+                    Ok(snn) => snn,
+                    Err(e) => return Step::Reply(Self::auth_error(e)),
                 };
                 let supi = match self.resolve_supi(env, &decoded) {
                     Ok(s) => s,
@@ -362,8 +362,8 @@ mod tests {
         UdmAuthGetRequest {
             identity,
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         }
         .encode()
     }
@@ -491,8 +491,8 @@ mod tests {
             let req = UdmAuthGetRequest {
                 identity: UeIdentity::Suci(suci),
                 known_supi: String::new(),
-                snn_mcc: mcc.into(),
-                snn_mnc: mnc.into(),
+                snn_mcc: mcc,
+                snn_mnc: mnc,
             };
             let resp = engine
                 .dispatch(
@@ -511,8 +511,8 @@ mod tests {
         let req = UdmAuthGetRequest {
             identity: UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)),
             known_supi: String::new(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let resp = engine
             .dispatch(
@@ -530,8 +530,8 @@ mod tests {
         let req = UdmAuthGetRequest {
             identity: UeIdentity::Guti(shield5g_crypto::ident::Guti::new(1, 1, 1, 1)),
             known_supi: SUPI.into(),
-            snn_mcc: "001".into(),
-            snn_mnc: "01".into(),
+            snn_mcc: "001",
+            snn_mnc: "01",
         };
         let body = engine
             .dispatch_ok(

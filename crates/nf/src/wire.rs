@@ -15,6 +15,15 @@
 //! wire!(enum UeIdentity { 0 => Suci(suci), 1 => Guti(guti) });
 //! ```
 //!
+//! The leaf impls are the integers, `bool`, length-prefixed text and bytes
+//! (`String`, `Vec<u8>`), unframed arrays and keys (`[u8; N]`,
+//! `SecretBytes<N>`) and the identifiers (`Supi`, `Option<Supi>`, `Suci`,
+//! `Guti`, `ServingNetworkName`, `NfType`). An MCC or MNC is a
+//! `&'static str`: it decodes to the text [`code`] returns, a slice of one
+//! static table, so a serving PLMN crosses a hop without a copy. Of these
+//! leaves, `String` (a resolved SUPI, an NF address) and `Vec<u8>` (a
+//! carried PDU) decode onto the heap.
+//!
 //! An enum leads with a one-byte tag per variant. `wire!(impl ..)` writes
 //! only the trait impl (for the crypto types); the plain form also gives
 //! the message inherent `encode` / `decode` that forward to the trait, so
@@ -26,7 +35,7 @@
 //! re-encodes to exactly the bytes it was given.
 
 use crate::{NfError, NfType};
-use shield5g_crypto::ident::{Guti, Plmn, ProtectionScheme, Suci, Supi};
+use shield5g_crypto::ident::{code, Guti, Plmn, ProtectionScheme, Suci, Supi};
 use shield5g_crypto::inline::InlineBytes;
 use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
@@ -200,6 +209,19 @@ impl Wire for String {
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
         Ok(r.str()?)
+    }
+}
+
+/// An MCC or MNC: exactly 2 or 3 ASCII digits, borrowed while checked and
+/// decoded to its static text.
+impl Wire for &'static str {
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
+        let s = r.str_ref()?;
+        code(s).ok_or_else(|| NfError::Protocol(format!("not a 2-3 digit code: {s:?}")))
     }
 }
 

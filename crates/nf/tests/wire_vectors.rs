@@ -323,8 +323,8 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
             AuthenticateRequest {
                 identity: profile_a(supi),
                 known_supi: String::new(),
-                snn_mcc: "001".into(),
-                snn_mnc: "01".into(),
+                snn_mcc: "001",
+                snn_mnc: "01",
             },
         ),
         wire(
@@ -332,8 +332,8 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
             AuthenticateRequest {
                 identity: UeIdentity::Guti(guti()),
                 known_supi: SUPI.into(),
-                snn_mcc: "001".into(),
-                snn_mnc: "01".into(),
+                snn_mcc: "001",
+                snn_mnc: "01",
             },
         ),
         wire(
@@ -367,8 +367,8 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
             UdmAuthGetRequest {
                 identity: UeIdentity::Suci(supi.conceal_null()),
                 known_supi: String::new(),
-                snn_mcc: "001".into(),
-                snn_mnc: "01".into(),
+                snn_mcc: "001",
+                snn_mnc: "01",
             },
         ),
         wire(
@@ -376,8 +376,8 @@ fn sbi(supi: &Supi) -> Vec<Vector> {
             UdmAuthGetRequest {
                 identity: UeIdentity::Guti(guti()),
                 known_supi: SUPI.into(),
-                snn_mcc: "310".into(),
-                snn_mnc: "260".into(),
+                snn_mcc: "310",
+                snn_mnc: "260",
             },
         ),
         wire(

@@ -8,7 +8,7 @@ use shield5g_crypto::ident::{Plmn, Suci, Supi};
 use shield5g_crypto::keys::{self, ServingNetworkName, UeChallengeResult};
 use shield5g_crypto::milenage::Milenage;
 use shield5g_crypto::sqn::{Auts, SqnVerifier};
-use shield5g_crypto::Zeroize;
+use shield5g_crypto::{SecretBytes, Zeroize};
 use shield5g_sim::Env;
 
 /// The outcome of a USIM challenge evaluation (TS 33.501 §6.1.3.2).
@@ -48,14 +48,14 @@ impl Usim {
     #[must_use]
     pub fn program(
         supi: Supi,
-        k: [u8; 16],
-        opc: [u8; 16],
+        k: impl Into<SecretBytes<16>>,
+        opc: impl Into<SecretBytes<16>>,
         hn_key_id: u8,
         hn_public: HomeNetworkPublicKey,
     ) -> Self {
         Usim {
             supi,
-            mil: Milenage::with_opc(&k, &opc),
+            mil: Milenage::new(&k.into(), &opc.into()),
             sqn: SqnVerifier::new(),
             hn_key_id,
             hn_public,

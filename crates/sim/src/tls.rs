@@ -19,7 +19,7 @@ use crate::SimError;
 use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::HmacKey;
 use shield5g_crypto::kdf::derive_x963;
-use shield5g_crypto::x25519::{agree, public_of, x25519_base};
+use shield5g_crypto::x25519::{agree, public_of};
 use shield5g_crypto::SecretBytes;
 
 /// Record MAC tag length (bytes).
@@ -40,12 +40,12 @@ pub struct TlsIdentity {
 impl TlsIdentity {
     /// Creates an identity from a name and a private scalar.
     #[must_use]
-    pub fn new(name: impl Into<String>, private: [u8; 32]) -> Self {
-        let public = x25519_base(&private);
+    pub fn new(name: impl Into<String>, private: impl Into<SecretBytes<32>>) -> Self {
+        let private = private.into();
         TlsIdentity {
             name: name.into(),
-            private: SecretBytes::new(private),
-            public,
+            public: public_of(&private),
+            private,
         }
     }
 

@@ -19,7 +19,11 @@ With --callers SYMBOL [DEPTH] (default 4), it prints instead who calls a
 hot leaf: over the matching samples whose leaf symbol contains SYMBOL, the
 TOP most common chains of the DEPTH frames above the leaf, innermost
 first, each with its share of those samples and of all matching ones."""
-import argparse, bisect, collections, re, subprocess
+import argparse, bisect, collections, re, signal, subprocess
+
+# Piped into `head`, exit quietly when it closes the pipe, as a shell tool
+# does, instead of raising BrokenPipeError.
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 parser = argparse.ArgumentParser()
 parser.add_argument("binary")
