@@ -10,7 +10,7 @@
 //! image secrets stay sealed; attestation distinguishes hosts).
 
 use crate::paka::PakaKind;
-use crate::slice::{AkaDeployment, Slice};
+use crate::slice::{AkaDeployment, Slice, Subscriber};
 use shield5g_hmee::attest::{AttestationService, QuotePolicy, Report};
 use shield5g_infra::attacker::Attacker;
 use shield5g_sim::Env;
@@ -169,8 +169,9 @@ pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
         .escape_to_host(env, &slice.host)
         .expect("vulnerable engine");
 
-    // KI 7/15: memory introspection for the subscriber's long-term key.
-    let k = slice.subscribers[0].k;
+    // KI 7/15: memory introspection for the subscriber's long-term key
+    // (the slice's first subscriber is test subscriber 0).
+    let (k, _) = Subscriber::test_credentials(0);
     #[expect(clippy::expect_used, reason = "root can always read host memory")]
     let findings = attacker
         .introspect_memory(env, &slice.host, &k)

@@ -136,4 +136,24 @@ mod tests {
         assert!(m.to_string().contains("eudm"));
         assert!(Error::source(&m).is_none());
     }
+
+    /// This crate's registry of key-bearing types
+    /// (`shield5g_crypto::secret`): a subscriber renders the same `{:?}`
+    /// for a canary and its complement, and wipes through K and OPc.
+    #[test]
+    fn every_registered_type_redacts_and_wipes() {
+        use crate::slice::Subscriber;
+        use shield5g_crypto::ident::{Plmn, Supi};
+        use shield5g_crypto::secret::{redacts, wipes_through};
+        use shield5g_crypto::SecretBytes;
+
+        let supi = Supi::numbered(Plmn::test_network(), 1, 10);
+        assert!(redacts(|c| Subscriber {
+            supi,
+            k: SecretBytes::new([c; 16]),
+            opc: SecretBytes::new([c; 16]),
+        }));
+        wipes_through(|sub: &Subscriber| &sub.k);
+        wipes_through(|sub: &Subscriber| &sub.opc);
+    }
 }

@@ -32,6 +32,7 @@ use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::TlsIdentity;
 use shield5g_sim::Env;
+use std::cell::RefCell;
 use std::iter::repeat_n;
 
 /// Non-crypto handler work per request outside the AKA function itself
@@ -225,14 +226,29 @@ impl std::fmt::Debug for PakaModule {
     }
 }
 
-/// A module's working memory, where a row leaves the key it derived: the
-/// EPC vault when shielded, the container's plain memory otherwise. One of
-/// the two places a `SecretBytes` may copy its bytes to (see
-/// `shield5g_crypto::secret`); only [`PakaModule::store_scratch`] builds one.
+/// A module's working memory, where a subscriber's K is provisioned and a
+/// row leaves the key it derived: the EPC vault when shielded, the
+/// container's plain memory otherwise. One of the two places a
+/// `SecretBytes` may copy its bytes to (see `shield5g_crypto::secret`);
+/// only [`write_key`] builds one.
 struct Scratch<'a> {
     container: &'a ContainerHandle,
     env: &'a mut Env,
-    slot: &'static str,
+    slot: &'a str,
+}
+
+/// Leaves `key` in `container`'s working memory under `slot`.
+pub(crate) fn write_key<const N: usize>(
+    container: &ContainerHandle,
+    env: &mut Env,
+    slot: &str,
+    key: &SecretBytes<N>,
+) {
+    key.write_to(&mut Scratch {
+        container,
+        env,
+        slot,
+    });
 }
 
 impl KeySink for Scratch<'_> {
@@ -254,9 +270,26 @@ fn key_slot<'a>(buf: &'a mut String, supi: &str) -> &'a str {
     buf
 }
 
-/// Builds the module's container image for the registry.
+thread_local! {
+    /// Each module's image, built the first time it is asked for: every
+    /// deployment of a kind boots the same image, so the pools of a sweep
+    /// share one file table instead of each spelling its paths afresh.
+    static IMAGES: RefCell<[Option<ContainerImage>; 3]> = const { RefCell::new([None, None, None]) };
+}
+
+/// The module's container image for the registry: a copy of the kind's
+/// one image, sharing its file paths.
 #[must_use]
 pub fn paka_image(kind: PakaKind) -> ContainerImage {
+    IMAGES.with(|images| {
+        images.borrow_mut()[kind as usize]
+            .get_or_insert_with(|| build_image(kind))
+            .clone()
+    })
+}
+
+/// Builds the module's container image.
+fn build_image(kind: PakaKind) -> ContainerImage {
     let (bytes, files, working_set) = kind.image_params();
     let spec = ImageSpec::synthetic(
         kind.image_name(),
@@ -519,14 +552,14 @@ impl PakaModule {
 
     /// Provisions a subscriber's long-term key into the module's secret
     /// store (enclave vault when shielded; plain memory otherwise).
-    pub fn provision_subscriber_key(&mut self, env: &mut Env, supi: &str, k: [u8; 16]) {
+    pub fn provision_subscriber_key(
+        &mut self,
+        env: &mut Env,
+        supi: &str,
+        k: impl Into<SecretBytes<16>>,
+    ) {
         let slot = key_slot(&mut self.key_slot, supi);
-        let mut c = self.container.borrow_mut();
-        if let Some(libos) = c.shielded.as_mut() {
-            libos.enclave_mut().vault_write(env, slot, &k);
-        } else {
-            c.plain_memory.write(slot, &k);
-        }
+        write_key(&self.container, env, slot, &k.into());
     }
 
     /// Reads subscriber `supi`'s K straight into its secret: the enclave
@@ -568,15 +601,6 @@ impl PakaModule {
         Ok(key)
     }
 
-    /// Leaves `key` in the module's working memory under `slot`.
-    fn store_scratch(&self, env: &mut Env, slot: &'static str, key: &SecretBytes<32>) {
-        key.write_to(&mut Scratch {
-            container: &self.container,
-            env,
-            slot,
-        });
-    }
-
     /// Runs one row of the operation table with `K` from this module's
     /// secret store, leaving the row's derived key (if any) in the
     /// module's working memory under `scratch`.
@@ -595,7 +619,7 @@ impl PakaModule {
             self.charge_compute(env, extra);
         }
         if let Some((slot, key)) = scratch(&resp) {
-            self.store_scratch(env, slot, key);
+            write_key(&self.container, env, slot, key);
         }
         Ok(resp.encode())
     }

@@ -12,11 +12,12 @@
 //! The builder also provisions subscribers end to end: UDR records, the
 //! module/backend key tables, and [`Subscriber`] credentials for USIMs.
 
-use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
+use crate::paka::{populate_registry, write_key, PakaKind, PakaModule, SgxConfig};
 use crate::remote::{ModuleMetricsLog, PakaClient};
 use crate::CoreError;
 use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
 use shield5g_crypto::ident::{Plmn, Supi};
+use shield5g_crypto::SecretBytes;
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_infra::host::Host;
@@ -74,26 +75,41 @@ impl AkaDeployment {
 }
 
 /// A provisioned subscriber: what the USIM and the home network share.
+/// `Debug` redacts both keys, and both are wiped on drop.
 #[derive(Clone, Debug)]
 pub struct Subscriber {
     /// Permanent identity.
     pub supi: Supi,
     /// Long-term key K.
-    pub k: [u8; 16],
+    pub k: SecretBytes<16>,
     /// Operator variant constant OPc.
-    pub opc: [u8; 16],
+    pub opc: SecretBytes<16>,
 }
 
 impl Subscriber {
     /// The `i`-th test subscriber on PLMN 001/01 (credentials derived
     /// from the TS 35.208 test-set constants).
+    #[must_use]
+    pub fn test(i: u32) -> Self {
+        let supi = Supi::numbered(Plmn::test_network(), u64::from(i) + 1, 10);
+        let (k, opc) = Self::test_credentials(i);
+        Subscriber {
+            supi,
+            k: k.into(),
+            opc: opc.into(),
+        }
+    }
+
+    /// The bytes of [`Subscriber::test`]`(i)`'s K and OPc: the TS 35.208
+    /// test-set K with `i` in its last four bytes, and the test-set OPc.
+    /// Published constants, not secrets: what an attack demonstration
+    /// searches captured memory and traffic for.
     ///
     /// # Panics
     ///
     /// Never: the two credential constants are valid hex.
     #[must_use]
-    pub fn test(i: u32) -> Self {
-        let supi = Supi::numbered(Plmn::test_network(), u64::from(i) + 1, 10);
+    pub fn test_credentials(i: u32) -> ([u8; 16], [u8; 16]) {
         #[expect(clippy::expect_used, reason = "the constant is 32 hex digits")]
         let mut k = shield5g_crypto::hex::decode_array::<16>("465b5ce8b199b49faa5f0a2ee238a6bc")
             .expect("valid hex");
@@ -101,7 +117,7 @@ impl Subscriber {
         #[expect(clippy::expect_used, reason = "the constant is 32 hex digits")]
         let opc = shield5g_crypto::hex::decode_array::<16>("cd63cb71954a9f4e48a5994e37a02baf")
             .expect("valid hex");
-        Subscriber { supi, k, opc }
+        (k, opc)
     }
 }
 
@@ -291,7 +307,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
     // UDR with subscription data.
     let mut udr = UdrService::new();
     for sub in &subscribers {
-        udr.provision(sub.supi.to_string(), sub.opc, [0x80, 0]);
+        udr.provision(sub.supi.to_string(), sub.opc.clone(), [0x80, 0]);
     }
 
     // VNF containers on the host (attack surface bookkeeping).
@@ -323,7 +339,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         };
         if kind == PakaKind::EUdm {
             for sub in &subscribers {
-                module.provision_subscriber_key(env, &sub.supi.to_string(), sub.k);
+                module.provision_subscriber_key(env, sub.supi.as_str(), sub.k.clone());
             }
         }
         let workers = module.app_threads();
@@ -349,15 +365,15 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         AkaDeployment::Monolithic => {
             let mut local = LocalAka::default();
             for sub in &subscribers {
-                local.provision(sub.supi.to_string(), sub.k);
+                local.provision(sub.supi.to_string(), sub.k.clone());
             }
             // Monolithic VNF process memory holds the raw keys — mirror
             // them into the UDM container so introspection sees what a
             // memory dump of the OAI UDM would contain.
             if let Some(udm_container) = host.container("udm.oai") {
-                let mut c = udm_container.borrow_mut();
                 for sub in &subscribers {
-                    c.plain_memory.write(&format!("k:{}", sub.supi), &sub.k);
+                    let slot = format!("k:{}", sub.supi);
+                    write_key(&udm_container, env, &slot, &sub.k);
                 }
             }
             (
@@ -506,7 +522,7 @@ mod tests {
             .unwrap()
             .body;
         let resp = AuthenticateResponse::decode(&body).unwrap();
-        let mil = shield5g_crypto::milenage::Milenage::with_opc(&sub.k, &sub.opc);
+        let mil = shield5g_crypto::milenage::Milenage::new(&sub.k, &sub.opc);
         let snn = ServingNetworkName::new("001", "01");
         let ue = shield5g_crypto::keys::ue_process_challenge(
             &mil,

@@ -32,7 +32,9 @@ use shield5g_obs::hub as obs;
 use shield5g_obs::span::SpanKind;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Hard ceiling on enclave virtual size (64 GiB), mirroring practical
 /// SGXv2 limits; requests beyond it fail at build time.
@@ -205,9 +207,11 @@ impl EnclaveBuilder {
             mrenclave,
             mrsigner,
             debug: self.debug,
-            epc_cipher: Aes128::new(&enc_key),
-            epc_mac: Poly1305::new(&mac_r),
-            epc_pad: Aes128::new(&pad_key),
+            keys: PageKeys {
+                cipher: Aes128::new(&enc_key),
+                mac: Poly1305::new(&mac_r),
+                pad: Aes128::new(&pad_key),
+            },
             report_key: platform.report_key(),
             seal_base: platform.derive_key("seal-base", &mrsigner),
             cost,
@@ -227,11 +231,125 @@ impl EnclaveBuilder {
     }
 }
 
-/// Metadata for one named vault slot.
-#[derive(Debug, Default)]
+/// A vault slot's name: inline up to [`SlotName::INLINE`] bytes (every
+/// slot this tree names, `k:` and a SUPI among them), boxed past that.
+/// Hashes and compares as its text, so the vault is looked up by `&str`.
+#[derive(Debug)]
+enum SlotName {
+    Inline {
+        len: u8,
+        bytes: [u8; SlotName::INLINE],
+    },
+    Boxed(Box<str>),
+}
+
+impl SlotName {
+    /// Longest name held inline.
+    const INLINE: usize = 32;
+
+    fn new(name: &str) -> Self {
+        let mut bytes = [0; Self::INLINE];
+        match bytes.get_mut(..name.len()) {
+            Some(inline) => {
+                inline.copy_from_slice(name.as_bytes());
+                SlotName::Inline {
+                    len: name.len() as u8,
+                    bytes,
+                }
+            }
+            None => SlotName::Boxed(name.into()),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            // Copied from a `&str` whole, so always UTF-8.
+            SlotName::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).unwrap_or_default()
+            }
+            SlotName::Boxed(name) => name,
+        }
+    }
+}
+
+impl Borrow<str> for SlotName {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for SlotName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for SlotName {}
+
+impl Hash for SlotName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+/// Metadata for one named vault slot: the value's length and the page
+/// indices that hold it, in order. A value has at least one page, whose
+/// index is held inline; `rest` stays unallocated for a one-page value.
+#[derive(Debug)]
 struct SlotMeta {
-    page_indices: Vec<usize>,
     len: usize,
+    first: usize,
+    rest: Vec<usize>,
+}
+
+impl SlotMeta {
+    /// The slot's page indices, in value order.
+    fn pages(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
+/// The three per-instance EPC keys: the page cipher, and the Poly1305
+/// key `r` and AES pad key `k` of the page tag.
+struct PageKeys {
+    cipher: Aes128,
+    mac: Poly1305,
+    pad: Aes128,
+}
+
+impl PageKeys {
+    /// The per-version block `version ‖ 0⁶⁴`: the CTR initial counter
+    /// block under the page-cipher key, the pad input under the pad key.
+    fn nonce(version: u64) -> [u8; 16] {
+        let mut nonce = [0u8; 16];
+        nonce[..8].copy_from_slice(&version.to_be_bytes());
+        nonce
+    }
+
+    /// The Poly1305-AES tag of a page: `(Poly1305_r(ciphertext) +
+    /// AES_k(version ‖ 0⁶⁴)) mod 2¹²⁸`. The version is bound through the
+    /// pad, so the same ciphertext under another version has an unrelated
+    /// tag.
+    fn tag(&self, version: u64, ciphertext: &[u8]) -> [u8; 16] {
+        let pad = self.pad.encrypt_block_copy(&Self::nonce(version));
+        self.mac.tag(ciphertext, &pad)
+    }
+
+    /// Encrypts `chunk`, zero-padded to the image's length — whole lines,
+    /// not the whole page ([`EncryptedPage::image_len`]) — into `image`
+    /// under `version`, and returns the tag. The version is both the CTR
+    /// nonce and the input of the tag's pad, and the enclave's counter
+    /// only ever moves forward, so neither key ever meets a version twice
+    /// — the rule the cipher *and* the Carter–Wegman tag stand on. The
+    /// tag covers every materialised line and, through the pad, the
+    /// version.
+    fn seal(&self, version: u64, chunk: &[u8], image: &mut [u8]) -> [u8; 16] {
+        let (value, pad) = image.split_at_mut(chunk.len());
+        value.copy_from_slice(chunk);
+        pad.fill(0);
+        self.cipher.ctr_apply(&Self::nonce(version), image);
+        self.tag(version, image)
+    }
 }
 
 /// A running enclave.
@@ -240,16 +358,14 @@ pub struct Enclave {
     mrenclave: [u8; 32],
     mrsigner: [u8; 32],
     debug: bool,
-    epc_cipher: Aes128,
-    epc_mac: Poly1305,
-    epc_pad: Aes128,
+    keys: PageKeys,
     report_key: [u8; 32],
     seal_base: [u8; 32],
     cost: CostModel,
     price: Prices,
     counters: SgxCounters,
     epc: EpcRegion,
-    vault: HashMap<String, SlotMeta>,
+    vault: HashMap<SlotName, SlotMeta>,
     heap_pages: u64,
     max_threads: u32,
     threads_inside: u32,
@@ -659,7 +775,7 @@ impl Enclave {
                 page.ciphertext.len()
             )));
         }
-        let expected_tag = self.page_tag(page.version, &page.ciphertext);
+        let expected_tag = self.keys.tag(page.version, &page.ciphertext);
         if !shield5g_crypto::ct_eq(&expected_tag, &page.tag) {
             return Err(HmeeError::IntegrityViolation(format!(
                 "page {index} failed MAC on reload"
@@ -701,68 +817,57 @@ impl Enclave {
     /// for the excess; a shorter one releases the slot's surplus pages,
     /// whose indices are retired.
     ///
+    /// A page image that keeps its line count is sealed in place in the
+    /// EPC's image region, so a rewrite allocates nothing, and a new slot
+    /// of one page allocates nothing once the region and the vault map
+    /// have grown to hold it: its name (up to 32 bytes) and its first page
+    /// index are held inline.
+    ///
     /// A page that is evicted when its slot is rewritten is re-created
     /// resident, and its version-tree record moves to the new version:
     /// the blob still in untrusted memory is stale from then on and
     /// [`Enclave::reload_page`] rejects it as a rollback.
     pub fn vault_write(&mut self, env: &mut Env, slot: &str, plaintext: &[u8]) {
-        let (name, mut meta) = self
-            .vault
-            .remove_entry(slot)
-            .unwrap_or_else(|| (slot.to_owned(), SlotMeta::default()));
-        let indices = &mut meta.page_indices;
+        let held = self.vault.remove_entry(slot);
         // Zero-length writes still occupy one page (one all-padding line).
         let pages = plaintext.len().div_ceil(PAGE_SIZE).max(1);
         let mut chunks = plaintext.chunks(PAGE_SIZE);
-        for i in 0..pages {
+        let mut seal = |at: Option<usize>| {
             let chunk = chunks.next().unwrap_or_default();
-            match indices.get(i) {
-                Some(&idx) => {
-                    let buf = self.epc.take_page(idx).map(|old| old.ciphertext);
-                    let page = self.seal_page(chunk, buf.unwrap_or_default());
-                    if let Some(expected) = self.evicted_versions.get_mut(&idx) {
-                        *expected = page.version;
-                    }
-                    self.epc.replace_page(idx, page);
-                }
-                None => {
-                    let page = self.seal_page(chunk, Vec::new());
-                    indices.push(self.epc.push_page(page));
-                }
+            self.version_counter += 1;
+            let version = self.version_counter;
+            let keys = &self.keys;
+            let len = EncryptedPage::image_len(chunk.len());
+            let idx = self
+                .epc
+                .seal_page(at, len, version, |image| keys.seal(version, chunk, image));
+            if let Some(expected) = self.evicted_versions.get_mut(&idx) {
+                *expected = version;
+            }
+            idx
+        };
+        let first = seal(held.as_ref().map(|(_, meta)| meta.first));
+        let (name, mut meta) = held.unwrap_or_else(|| {
+            let meta = SlotMeta {
+                len: 0,
+                first,
+                rest: Vec::new(),
+            };
+            (SlotName::new(slot), meta)
+        });
+        for i in 1..pages {
+            let idx = seal(meta.rest.get(i - 1).copied());
+            if meta.rest.len() < i {
+                meta.rest.push(idx);
             }
         }
-        for idx in indices.drain(pages..) {
+        for idx in meta.rest.drain(pages - 1..) {
             self.epc.release_page(idx);
             self.evicted_versions.remove(&idx);
         }
         meta.len = plaintext.len();
         self.vault.insert(name, meta);
         env.clock.advance(self.cost.mee_transfer(pages as u64));
-    }
-
-    /// Encrypts `chunk`, zero-padded to [`EncryptedPage::image_len`] — whole lines,
-    /// not the whole page — into `buf` under the next version. The version
-    /// is both the CTR nonce and the input of the tag's pad, and the
-    /// counter only ever moves forward, so neither key ever meets a
-    /// version twice — the rule the cipher *and* the Carter–Wegman tag
-    /// stand on. The tag covers every materialised line and, through the
-    /// pad, the version.
-    fn seal_page(&mut self, chunk: &[u8], mut buf: Vec<u8>) -> EncryptedPage {
-        self.version_counter += 1;
-        let version = self.version_counter;
-        let len = EncryptedPage::image_len(chunk.len());
-        buf.clear();
-        buf.reserve_exact(len);
-        buf.extend_from_slice(chunk);
-        buf.resize(len, 0);
-        self.epc_cipher
-            .ctr_apply(&Self::page_nonce(version), &mut buf);
-        let tag = self.page_tag(version, &buf);
-        EncryptedPage {
-            ciphertext: buf,
-            tag,
-            version,
-        }
     }
 
     /// Reads and decrypts a vault slot into a fresh buffer of the value's
@@ -818,7 +923,7 @@ impl Enclave {
             });
         }
         let mut start = 0;
-        for &idx in &meta.page_indices {
+        for idx in meta.pages() {
             let page = self
                 .epc
                 .page(idx)
@@ -830,7 +935,7 @@ impl Enclave {
                     page.ciphertext.len()
                 )));
             }
-            let expected = self.page_tag(page.version, &page.ciphertext);
+            let expected = self.keys.tag(page.version, page.ciphertext);
             if !shield5g_crypto::ct_eq(&expected, &page.tag) {
                 return Err(HmeeError::IntegrityViolation(format!(
                     "slot {slot:?} page {idx} failed EPCM verification"
@@ -838,11 +943,12 @@ impl Enclave {
             }
             let dst = &mut out[start..start + take];
             dst.copy_from_slice(&page.ciphertext[..take]);
-            self.epc_cipher
-                .ctr_apply(&Self::page_nonce(page.version), dst);
+            self.keys
+                .cipher
+                .ctr_apply(&PageKeys::nonce(page.version), dst);
             start += take;
         }
-        let pages = meta.page_indices.len() as u64;
+        let pages = 1 + meta.rest.len() as u64;
         env.clock.advance(self.cost.mee_transfer(pages));
         Ok(())
     }
@@ -850,26 +956,9 @@ impl Enclave {
     /// Lists vault slot names (sorted).
     #[must_use]
     pub fn vault_slots(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.vault.keys().cloned().collect();
+        let mut v: Vec<String> = self.vault.keys().map(|k| k.as_str().to_owned()).collect();
         v.sort_unstable();
         v
-    }
-
-    /// The per-version block `version ‖ 0⁶⁴`: the CTR initial counter block
-    /// under the page-cipher key, the pad input under the pad key.
-    fn page_nonce(version: u64) -> [u8; 16] {
-        let mut nonce = [0u8; 16];
-        nonce[..8].copy_from_slice(&version.to_be_bytes());
-        nonce
-    }
-
-    /// The Poly1305-AES tag of a page: `(Poly1305_r(ciphertext) +
-    /// AES_k(version ‖ 0⁶⁴)) mod 2¹²⁸`. The version is bound through the
-    /// pad, so the same ciphertext under another version has an unrelated
-    /// tag.
-    fn page_tag(&self, version: u64, ciphertext: &[u8]) -> [u8; 16] {
-        let pad = self.epc_pad.encrypt_block_copy(&Self::page_nonce(version));
-        self.epc_mac.tag(ciphertext, &pad)
     }
 
     /// **Attacker interface**: what memory introspection sees.
@@ -1229,6 +1318,64 @@ mod tests {
     }
 
     #[test]
+    fn a_same_size_rewrite_does_not_grow_the_image_region() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        e.vault_write(&mut env, "k:imsi-001010000000001", &[0x46; 16]);
+        e.vault_write(&mut env, "scratch:kausf", &[0x11; 32]);
+        let region = e.epc.region_len();
+        assert_eq!(region, 2 * LINE_SIZE);
+        for i in 0..1_000u32 {
+            let mut value = [0x22u8; 32];
+            value[..4].copy_from_slice(&i.to_be_bytes());
+            e.vault_write(&mut env, "scratch:kausf", &value);
+            e.vault_write(&mut env, "k:imsi-001010000000001", &value[..16]);
+        }
+        assert_eq!(e.epc.region_len(), region, "sealed in place");
+        // A rewrite that changes the line count takes a fresh range; the
+        // ranges left behind are packed away, not kept.
+        for i in 0..1_000usize {
+            let value = vec![i as u8; if i % 2 == 0 { 200 } else { 16 }];
+            e.vault_write(&mut env, "scratch:kausf", &value);
+            assert_eq!(e.vault_read(&mut env, "scratch:kausf").unwrap(), value);
+        }
+        assert!(e.epc.region_len() <= 2 * (LINE_SIZE + 4 * LINE_SIZE) + 4 * LINE_SIZE);
+        let mut k = [0x22; 16];
+        k[..4].copy_from_slice(&999u32.to_be_bytes());
+        assert_eq!(e.vault_read(&mut env, "k:imsi-001010000000001").unwrap(), k);
+    }
+
+    #[test]
+    fn a_slot_name_past_the_inline_length_round_trips() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        let long = "k:imsi-001010000000001/session/0042"; // 35 bytes
+        let longer = "slot-name-of-exactly-forty-bytes-0123456";
+        let inline = "slot-name-of-thirty-two-bytes-01";
+        assert_eq!((long.len(), longer.len(), inline.len()), (35, 40, 32));
+        for (i, name) in [longer, long, inline].into_iter().enumerate() {
+            e.vault_write(&mut env, name, &[i as u8; 16]);
+        }
+        e.vault_write(&mut env, longer, b"rewritten");
+        assert_eq!(e.vault_read(&mut env, longer).unwrap(), b"rewritten");
+        assert_eq!(e.vault_read(&mut env, long).unwrap(), [1; 16]);
+        assert_eq!(e.vault_read(&mut env, inline).unwrap(), [2; 16]);
+        assert_eq!(e.vault_slots(), [long, longer, inline]);
+        // A name is the whole text: neither its inline prefix nor a longer
+        // name with it as prefix finds it.
+        for ghost in [
+            &longer[..32],
+            &longer[..39],
+            "slot-name-of-exactly-forty-bytes-01234567",
+        ] {
+            assert!(matches!(
+                e.vault_read(&mut env, ghost),
+                Err(HmeeError::UnknownSlot(_))
+            ));
+        }
+    }
+
+    #[test]
     fn rewrite_across_page_counts_reuses_then_releases() {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
@@ -1284,7 +1431,7 @@ mod tests {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "s", b"same-bytes");
-        let first = e.epc.page(0).unwrap().clone();
+        let first = e.epc.page(0).unwrap().to_page();
         e.vault_write(&mut env, "s", b"same-bytes");
         let second = e.epc.page(0).unwrap();
         assert_ne!(first.version, second.version);
@@ -1312,16 +1459,16 @@ mod tests {
         ];
         for (fill, len) in rewrites {
             let value = vec![fill; len];
-            let previous = e.epc.page(0).unwrap().clone();
+            let previous = e.epc.page(0).unwrap().to_page();
             e.vault_write(&mut env, "s", &value);
-            let page = e.epc.page(0).unwrap().clone();
+            let page = e.epc.page(0).unwrap().to_page();
             assert!(page.version > previous.version);
-            let icb = u128::from_be_bytes(Enclave::page_nonce(page.version));
+            let icb = u128::from_be_bytes(PageKeys::nonce(page.version));
             let mut expected = value.clone();
             expected.resize(len.div_ceil(LINE_SIZE).max(1) * LINE_SIZE, 0);
             for (i, block) in expected.chunks_mut(16).enumerate() {
                 let counter = (icb + i as u128).to_be_bytes();
-                let keystream = e.epc_cipher.encrypt_block_copy(&counter);
+                let keystream = e.keys.cipher.encrypt_block_copy(&counter);
                 for (b, k) in block.iter_mut().zip(keystream) {
                     *b ^= k;
                 }
@@ -1337,7 +1484,7 @@ mod tests {
             for (i, (new, old)) in blocks.enumerate() {
                 assert_ne!(new, old, "block {i} kept its old ciphertext");
             }
-            assert_eq!(e.page_tag(page.version, &page.ciphertext), page.tag);
+            assert_eq!(e.keys.tag(page.version, &page.ciphertext), page.tag);
             assert_eq!(e.vault_read(&mut env, "s").unwrap(), value);
         }
     }
@@ -1396,7 +1543,7 @@ mod tests {
         e.vault_write(&mut env, "other", b"neighbour");
         let value = [0x6b; 200];
         e.vault_write(&mut env, "k", &value);
-        let genuine = e.epc.page(1).unwrap().clone();
+        let genuine = e.epc.page(1).unwrap().to_page();
         assert_eq!(genuine.ciphertext.len(), 4 * LINE_SIZE);
         let mut cut = genuine.clone();
         cut.ciphertext.truncate(LINE_SIZE);
@@ -1459,8 +1606,8 @@ mod tests {
         e.vault_write(&mut env, "k", b"secret");
         let blob = e.evict_page(&mut env, 0).unwrap();
         // Same ciphertext, another version: another pad, another tag.
-        assert_eq!(e.page_tag(blob.version, &blob.ciphertext), blob.tag);
-        assert_ne!(e.page_tag(blob.version + 1, &blob.ciphertext), blob.tag);
+        assert_eq!(e.keys.tag(blob.version, &blob.ciphertext), blob.tag);
+        assert_ne!(e.keys.tag(blob.version + 1, &blob.ciphertext), blob.tag);
         // An edited version field trips the version tree ...
         let mut edited = blob.clone();
         edited.version += 1;
@@ -1480,8 +1627,8 @@ mod tests {
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "a", b"same-bytes");
         e.vault_write(&mut env, "b", b"same-bytes");
-        let a = e.epc.page(0).unwrap().clone();
-        let b = e.epc.page(1).unwrap().clone();
+        let a = e.epc.page(0).unwrap().to_page();
+        let b = e.epc.page(1).unwrap().to_page();
         // A's ciphertext under B's tag and version, then with A's tag too.
         for tag in [b.tag, a.tag] {
             let spliced = EncryptedPage {
@@ -1719,7 +1866,7 @@ mod tests {
                 Aes128::new(&u128::from(seed).to_be_bytes()).ctr_apply(&[0; 16], &mut value);
                 let slot = format!("slot{}", slot % 3);
                 e.vault_write(&mut env, &slot, &value);
-                for &idx in &e.vault[&slot].page_indices {
+                for idx in e.vault[slot.as_str()].pages() {
                     let version = e.epc.page(idx).unwrap().version;
                     proptest::prop_assert!(version > newest, "version {version} after {newest}");
                     newest = version;
@@ -1730,10 +1877,10 @@ mod tests {
             let mut pages = 0;
             for (slot, value) in &last {
                 proptest::prop_assert_eq!(&e.vault_read(&mut env, slot).unwrap(), value);
-                let indices = &e.vault[slot].page_indices;
+                let indices: Vec<usize> = e.vault[slot.as_str()].pages().collect();
                 proptest::prop_assert_eq!(indices.len(), value.len().div_ceil(PAGE_SIZE).max(1));
                 let mut chunks = value.chunks(PAGE_SIZE);
-                for &idx in indices {
+                for &idx in &indices {
                     let lines = chunks.next().unwrap_or_default().len().div_ceil(LINE_SIZE).max(1);
                     proptest::prop_assert_eq!(e.epc.page(idx).unwrap().ciphertext.len(), lines * LINE_SIZE);
                 }
@@ -1762,7 +1909,7 @@ mod tests {
             proptest::prop_assert!(e.epc_tamper(page, byte));
             for (slot, value) in &last {
                 let read = e.vault_read(&mut env, slot);
-                if e.vault[slot].page_indices.contains(&page) {
+                if e.vault[slot.as_str()].pages().any(|idx| idx == page) {
                     proptest::prop_assert!(matches!(read, Err(HmeeError::IntegrityViolation(_))));
                 } else {
                     proptest::prop_assert_eq!(&read.unwrap(), value);
@@ -1786,7 +1933,7 @@ mod tests {
             let value: Vec<u8> = (0..len).map(|i| fill ^ i as u8).collect();
             e.vault_write(&mut env, "k", b"an older value");
             e.vault_write(&mut env, "k", &value);
-            let pages = e.vault["k"].page_indices.clone();
+            let pages: Vec<usize> = e.vault["k"].pages().collect();
             let page = pages[at % pages.len()];
             match attack {
                 1 => {

@@ -44,6 +44,18 @@
 //! version it was sealed under. An image's length comes back from
 //! untrusted memory; the enclave checks it before slicing.
 //!
+//! The images of all resident pages share one byte region, back to back,
+//! and each page index has a record of where its image lies, with the
+//! tag and version the EPCM holds for it. A rewrite of the same line
+//! count is sealed in place over the old image; any other rewrite, and a
+//! reloaded page, takes a fresh range at the end, and the range it left
+//! is zeroed. When zeroed ranges outweigh the live images the region is
+//! packed. So sealing a page allocates nothing once the region has
+//! grown to the enclave's working set. [`EpcRegion::page`] lends a
+//! resident page as a [`PageView`]; the owned [`EncryptedPage`] is the
+//! blob that leaves the enclave on eviction (`EWB`) and is handed back
+//! on reload (`ELDU`).
+//!
 //! The region also tracks *accounted* occupancy (heap pages pre-faulted by
 //! Gramine's `preheat_enclave`), which can exceed the physical EPC and
 //! triggers the paging behaviour behind the paper's Figure 8 (8 GB EPC
@@ -51,7 +63,9 @@
 
 use crate::cost::{LINE_SIZE, PAGE_SIZE};
 
-/// One encrypted page plus its integrity metadata (EPCM analogue).
+/// One encrypted page plus its integrity metadata (EPCM analogue), as an
+/// owned blob: what eviction hands to untrusted memory and reload takes
+/// back.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncryptedPage {
     /// Ciphertext of the materialised lines: a whole number of
@@ -82,11 +96,50 @@ impl EncryptedPage {
     }
 }
 
-/// The per-enclave page store. Slots may be transiently empty while a
-/// page is evicted to untrusted main memory (`EWB`).
+/// A resident page, lent by [`EpcRegion::page`]: its image in the region
+/// and its EPCM entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PageView<'a> {
+    /// The materialised lines, as they lie in the region.
+    pub ciphertext: &'a [u8],
+    /// The page's tag (see [`EncryptedPage::tag`]).
+    pub tag: [u8; 16],
+    /// The page's version (see [`EncryptedPage::version`]).
+    pub version: u64,
+}
+
+impl PageView<'_> {
+    /// An owned copy of the page, as eviction would write it out.
+    #[must_use]
+    pub fn to_page(&self) -> EncryptedPage {
+        EncryptedPage {
+            ciphertext: self.ciphertext.to_vec(),
+            tag: self.tag,
+            version: self.version,
+        }
+    }
+}
+
+/// Where a resident page's image lies in the region, and its EPCM entry.
+#[derive(Clone, Copy, Debug)]
+struct PageRecord {
+    start: usize,
+    len: usize,
+    tag: [u8; 16],
+    version: u64,
+}
+
+/// The per-enclave page store. A page index may be transiently empty
+/// while its page is evicted to untrusted main memory (`EWB`).
 #[derive(Clone, Debug, Default)]
 pub struct EpcRegion {
-    data_pages: Vec<Option<EncryptedPage>>,
+    /// Every resident page's image, back to back (module docs).
+    images: Vec<u8>,
+    /// Per page index: where its image lies, `None` while evicted and
+    /// after release.
+    records: Vec<Option<PageRecord>>,
+    /// Bytes of `images` no resident page holds; all zero.
+    dead: usize,
     accounted_pages: u64,
 }
 
@@ -100,27 +153,25 @@ impl EpcRegion {
     /// Appends an encrypted page, returning its index.
     pub fn push_page(&mut self, page: EncryptedPage) -> usize {
         debug_assert!(page.is_well_formed());
-        self.data_pages.push(Some(page));
-        self.accounted_pages += 1;
-        self.data_pages.len() - 1
+        self.store(None, &page)
     }
 
-    /// Removes the page at `index` for eviction (`EWB`), leaving the slot
+    /// Removes the page at `index` for eviction (`EWB`), leaving the index
     /// empty until [`EpcRegion::restore_page`].
     pub fn take_page(&mut self, index: usize) -> Option<EncryptedPage> {
-        self.data_pages.get_mut(index).and_then(Option::take)
+        let page = self.page(index)?.to_page();
+        self.vacate(index);
+        Some(page)
     }
 
-    /// Reinstates an evicted page (`ELDU`). Returns `false` when the slot
+    /// Reinstates an evicted page (`ELDU`). Returns `false` when the index
     /// does not exist or is still occupied.
     pub fn restore_page(&mut self, index: usize, page: EncryptedPage) -> bool {
-        match self.data_pages.get_mut(index) {
-            Some(slot @ None) => {
-                *slot = Some(page);
-                true
-            }
-            _ => false,
+        if !matches!(self.records.get(index), Some(None)) {
+            return false;
         }
+        self.store(Some(index), &page);
+        true
     }
 
     /// Replaces the page at `index` — resident or evicted — without
@@ -132,33 +183,123 @@ impl EpcRegion {
     /// always use indices they allocated).
     pub fn replace_page(&mut self, index: usize, page: EncryptedPage) {
         debug_assert!(page.is_well_formed());
-        self.data_pages[index] = Some(page);
+        self.store(Some(index), &page);
     }
 
-    /// Frees the page at `index` (`EREMOVE`): the slot is emptied for good
-    /// — indices are never handed out twice — and its accounted page is
-    /// given back.
+    /// Seals a `len`-byte image under `version` at `index` — resident or
+    /// evicted, as [`EpcRegion::replace_page`] — or, for `None`, at a
+    /// fresh index as [`EpcRegion::push_page`], and returns the index.
+    /// `seal` writes the image into the region and returns its tag; what
+    /// the range held before is not defined (a rewrite of the same length
+    /// hands it the old image). Allocates nothing when the image is
+    /// rewritten in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of bounds.
+    pub(crate) fn seal_page(
+        &mut self,
+        index: Option<usize>,
+        len: usize,
+        version: u64,
+        seal: impl FnOnce(&mut [u8]) -> [u8; 16],
+    ) -> usize {
+        let index = index.unwrap_or_else(|| {
+            self.records.push(None);
+            self.accounted_pages += 1;
+            self.records.len() - 1
+        });
+        let start = self.place(index, len);
+        let tag = seal(&mut self.images[start..start + len]);
+        self.records[index] = Some(PageRecord {
+            start,
+            len,
+            tag,
+            version,
+        });
+        index
+    }
+
+    /// [`EpcRegion::seal_page`] with an image already sealed.
+    fn store(&mut self, index: Option<usize>, page: &EncryptedPage) -> usize {
+        self.seal_page(index, page.ciphertext.len(), page.version, |image| {
+            image.copy_from_slice(&page.ciphertext);
+            page.tag
+        })
+    }
+
+    /// The start of a `len`-byte range for `index`'s next image: the range
+    /// it holds when that has `len` bytes, else a fresh one at the end
+    /// (packing the region first when zeroed ranges outweigh the live
+    /// ones), `index` having been vacated.
+    fn place(&mut self, index: usize, len: usize) -> usize {
+        match self.records[index] {
+            Some(held) if held.len == len => return held.start,
+            _ => self.vacate(index),
+        }
+        if 2 * self.dead > self.images.len() {
+            self.pack();
+        }
+        let start = self.images.len();
+        self.images.resize(start + len, 0);
+        start
+    }
+
+    /// Empties `index`, zeroing the range its image held.
+    fn vacate(&mut self, index: usize) {
+        if let Some(record) = self.records[index].take() {
+            self.images[record.start..record.start + record.len].fill(0);
+            self.dead += record.len;
+        }
+    }
+
+    /// Moves the live images together, in page-index order.
+    fn pack(&mut self) {
+        let mut packed = Vec::with_capacity(self.images.len() - self.dead);
+        for record in self.records.iter_mut().flatten() {
+            let from = record.start;
+            record.start = packed.len();
+            packed.extend_from_slice(&self.images[from..from + record.len]);
+        }
+        self.images = packed;
+        self.dead = 0;
+    }
+
+    /// Frees the page at `index` (`EREMOVE`): the index is emptied for
+    /// good — indices are never handed out twice — and its accounted page
+    /// is given back.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of bounds (enclave-internal callers
     /// always use indices they allocated).
     pub fn release_page(&mut self, index: usize) {
-        self.data_pages[index] = None;
+        self.vacate(index);
         self.accounted_pages -= 1;
     }
 
     /// Reads the page at `index`, if present and resident.
     #[must_use]
-    pub fn page(&self, index: usize) -> Option<&EncryptedPage> {
-        self.data_pages.get(index).and_then(Option::as_ref)
+    pub fn page(&self, index: usize) -> Option<PageView<'_>> {
+        let record = self.records.get(index).copied().flatten()?;
+        Some(PageView {
+            ciphertext: &self.images[record.start..record.start + record.len],
+            tag: record.tag,
+            version: record.version,
+        })
     }
 
-    /// Number of data page slots ever allocated: resident, evicted and
+    /// Number of data page indices ever allocated: resident, evicted and
     /// released ones alike.
     #[must_use]
     pub fn data_page_count(&self) -> usize {
-        self.data_pages.len()
+        self.records.len()
+    }
+
+    /// Bytes the image region spans, zeroed ranges included.
+    #[cfg(test)]
+    pub(crate) fn region_len(&self) -> usize {
+        self.images.len()
     }
 
     /// Adds `n` accounted-but-unmaterialised pages (heap pre-faulting).
@@ -179,9 +320,9 @@ impl EpcRegion {
     /// access. Returns `false` when the page is not resident or
     /// `byte_index` is past its materialised lines: nothing is there.
     pub fn tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
-        match self.data_pages.get_mut(page_index) {
-            Some(Some(p)) if byte_index < p.ciphertext.len() => {
-                p.ciphertext[byte_index] ^= 0xff;
+        match self.records.get(page_index) {
+            Some(Some(record)) if byte_index < record.len => {
+                self.images[record.start + byte_index] ^= 0xff;
                 true
             }
             _ => false,
@@ -193,10 +334,10 @@ impl EpcRegion {
     pub fn snapshot(&self) -> EpcSnapshot {
         EpcSnapshot {
             pages: self
-                .data_pages
+                .records
                 .iter()
                 .flatten()
-                .map(|p| p.ciphertext.clone())
+                .map(|r| self.images[r.start..r.start + r.len].to_vec())
                 .collect(),
         }
     }
@@ -342,6 +483,52 @@ mod tests {
         epc.replace_page(idx, page(3));
         assert_eq!(epc.page(idx).unwrap().ciphertext[0], 3);
         assert_eq!(epc.accounted_pages(), 1);
+    }
+
+    #[test]
+    fn a_same_length_image_is_replaced_in_place() {
+        let mut epc = EpcRegion::new();
+        let a = epc.push_page(image(1, LINE_SIZE));
+        let b = epc.push_page(image(2, 2 * LINE_SIZE));
+        epc.replace_page(a, image(3, LINE_SIZE));
+        assert_eq!(epc.region_len(), 3 * LINE_SIZE);
+        assert_eq!(epc.page(a).unwrap().ciphertext, [3; LINE_SIZE]);
+        // Another length takes a fresh range; the old one is zeroed.
+        epc.replace_page(a, image(4, 2 * LINE_SIZE));
+        assert_eq!(epc.region_len(), 5 * LINE_SIZE);
+        assert_eq!(epc.images[..LINE_SIZE], [0; LINE_SIZE]);
+        assert_eq!(epc.page(b).unwrap().ciphertext, [2; 2 * LINE_SIZE]);
+        assert_eq!(epc.snapshot().total_bytes(), 4 * LINE_SIZE);
+    }
+
+    #[test]
+    fn evicted_and_released_ranges_are_zeroed_then_packed_away() {
+        let mut epc = EpcRegion::new();
+        let pages: Vec<usize> = (1..=4)
+            .map(|fill| epc.push_page(image(fill, LINE_SIZE)))
+            .collect();
+        let taken = epc.take_page(pages[1]).unwrap();
+        epc.release_page(pages[2]);
+        assert_eq!(epc.images[LINE_SIZE..3 * LINE_SIZE], [0; 2 * LINE_SIZE]);
+        assert_eq!(epc.region_len(), 4 * LINE_SIZE);
+        // Half the region is dead: the next fresh range packs it first.
+        epc.replace_page(pages[0], image(5, 2 * LINE_SIZE));
+        assert_eq!(epc.region_len(), 3 * LINE_SIZE);
+        assert!(epc.restore_page(pages[1], taken));
+        let live: Vec<Vec<u8>> = pages
+            .iter()
+            .filter_map(|&idx| epc.page(idx).map(|p| p.ciphertext.to_vec()))
+            .collect();
+        assert_eq!(
+            live,
+            [
+                vec![5; 2 * LINE_SIZE],
+                vec![2; LINE_SIZE],
+                vec![4; LINE_SIZE]
+            ]
+        );
+        assert_eq!(epc.snapshot().total_bytes(), epc.region_len());
+        assert_eq!(epc.accounted_pages(), 3);
     }
 
     #[test]

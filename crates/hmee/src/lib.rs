@@ -48,7 +48,7 @@
 #![expect(
     clippy::disallowed_types,
     reason = "the vault and attestation maps are looked up by key (`vault_slots` sorts), \
-              and as BTreeMaps they cost +5.3 %/+5.9 % peak heap and +3.0 %/+2.8 % \
+              and as BTreeMaps they cost +7.5 %/+6.9 % peak heap and +10.1 %/+2.3 % \
               allocations per op on the pool_open/pool_faulted benchmark workloads"
 )]
 

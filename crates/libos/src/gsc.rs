@@ -13,6 +13,8 @@ use crate::manifest::{Manifest, TrustedFile};
 use crate::LibosError;
 use shield5g_crypto::hmac::hmac_sha256;
 use shield5g_crypto::sha256::Sha256;
+use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Directories GSC excludes from the trusted list (platform-specific).
 pub const EXCLUDED_PREFIXES: &[&str] = &["/boot", "/dev", "/etc/mtab", "/proc", "/sys"];
@@ -40,8 +42,9 @@ impl Protocol {
 /// One file in a container image (content optional; size always known).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ImageFile {
-    /// Absolute path inside the image.
-    pub path: String,
+    /// Absolute path inside the image, shared with the [`TrustedFile`]
+    /// entry of every manifest [`transform`] builds from the image.
+    pub path: Rc<str>,
     /// File size in bytes.
     pub size: u64,
     /// Stable content fingerprint (hash input when real bytes are not
@@ -78,17 +81,20 @@ impl ImageSpec {
     ) -> Self {
         let name = name.into();
         let entrypoint = entrypoint.into();
-        let mut files = Vec::with_capacity(file_count as usize + 1);
+        let mut files = Vec::with_capacity(file_count as usize + 4);
         let per_file = total_bytes / u64::from(file_count.max(1));
+        let mut path = String::new();
         for i in 0..file_count {
+            path.clear();
+            let _ = write!(path, "/usr/lib/{name}/lib{i:04}.so");
             files.push(ImageFile {
-                path: format!("/usr/lib/{name}/lib{i:04}.so"),
+                path: Rc::from(path.as_str()),
                 size: per_file,
                 fingerprint: u64::from(i) ^ 0x5134_7a5e,
             });
         }
         files.push(ImageFile {
-            path: entrypoint.clone(),
+            path: Rc::from(entrypoint.as_str()),
             size: 4 * 1024 * 1024,
             fingerprint: 0xE47,
         });
@@ -171,6 +177,7 @@ pub fn transform(
         }
     }
     manifest.entrypoint = image.entrypoint.clone();
+    manifest.trusted_files.reserve(image.files.len());
     for file in &image.files {
         if EXCLUDED_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
             continue;
@@ -249,7 +256,7 @@ mod tests {
             .manifest
             .trusted_files
             .iter()
-            .map(|f| f.path.as_str())
+            .map(|f| &*f.path)
             .collect();
         assert!(paths.iter().any(|p| p.starts_with("/usr/lib/")));
         assert!(!paths.iter().any(|p| p.starts_with("/proc")));

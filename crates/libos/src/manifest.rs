@@ -7,13 +7,14 @@
 //! with `stats` and `debug` enabled for metric collection.
 
 use crate::LibosError;
+use std::rc::Rc;
 
 /// One measured (trusted) file: the LibOS verifies its hash before any
 /// read reaches the enclave.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrustedFile {
-    /// Path inside the image.
-    pub path: String,
+    /// Path inside the image (shared with the image file it measures).
+    pub path: Rc<str>,
     /// Size in bytes (drives verification time).
     pub size: u64,
     /// Expected SHA-256 of the content.

@@ -487,8 +487,8 @@ impl std::fmt::Debug for LocalAka {
 
 impl LocalAka {
     /// Provisions a subscriber's long-term key.
-    pub fn provision(&mut self, supi: impl Into<String>, k: [u8; 16]) {
-        self.keys.insert(supi.into(), SecretBytes::new(k));
+    pub fn provision(&mut self, supi: impl Into<String>, k: impl Into<SecretBytes<16>>) {
+        self.keys.insert(supi.into(), k.into());
     }
 }
 

@@ -38,11 +38,16 @@ impl UdrService {
     }
 
     /// Provisions a subscriber (OPc + AMF field; SQN starts at zero).
-    pub fn provision(&mut self, supi: impl Into<String>, opc: [u8; 16], amf_field: [u8; 2]) {
+    pub fn provision(
+        &mut self,
+        supi: impl Into<String>,
+        opc: impl Into<SecretBytes<16>>,
+        amf_field: [u8; 2],
+    ) {
         self.subscribers.insert(
             supi.into(),
             SubscriberEntry {
-                opc: SecretBytes::new(opc),
+                opc: opc.into(),
                 amf_field,
                 sqn: SqnGenerator::new(),
             },

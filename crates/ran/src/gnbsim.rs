@@ -51,8 +51,8 @@ impl GnbSim {
         let sub = &slice.subscribers[index];
         let usim = Usim::program(
             sub.supi,
-            sub.k,
-            sub.opc,
+            sub.k.clone(),
+            sub.opc.clone(),
             slice.hn_key_id,
             slice.hn_public.clone(),
         );

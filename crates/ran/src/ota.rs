@@ -86,8 +86,8 @@ impl OtaTestbed {
         let sub = &slice.subscribers[0];
         let usim = Usim::program(
             sub.supi,
-            sub.k,
-            sub.opc,
+            sub.k.clone(),
+            sub.opc.clone(),
             slice.hn_key_id,
             slice.hn_public.clone(),
         );

@@ -15,9 +15,10 @@
 use crate::health::{HealthEvent, HealthPolicy, HealthTracker};
 use crate::queue::QueueConfig;
 use crate::router::{HashRing, ReplicaId};
-use shield5g_core::paka::{populate_registry, PakaKind, PakaModule, ServeMetrics, SgxConfig};
+use shield5g_core::paka::{paka_image, PakaKind, PakaModule, ServeMetrics, SgxConfig};
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
+use shield5g_crypto::secret::SecretBytes;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::host::Host;
@@ -203,7 +204,7 @@ pub struct EnclavePool {
     next_id: ReplicaId,
     /// Subscriber keys provisioned so far — replayed into newly spawned
     /// replicas so standbys can serve any routed SUPI.
-    provisioned: Vec<(Supi, [u8; 16])>,
+    provisioned: Vec<(Supi, SecretBytes<16>)>,
     /// Span table shared by every replica endpoint's [`ObsLayer`].
     obs_core: ObsCoreHandle,
     /// Arms/disarms fault injection across every replica endpoint at
@@ -236,8 +237,10 @@ impl EnclavePool {
     /// before any traffic.
     #[must_use]
     pub fn deploy(env: &mut Env, kind: PakaKind, cfg: PoolConfig) -> Self {
+        // Replicas boot only this pool's module, so its image is the one
+        // the registry needs.
         let mut registry = Registry::new();
-        populate_registry(&mut registry);
+        registry.push(paka_image(kind));
         let mut pool = EnclavePool {
             kind,
             cfg,
@@ -275,7 +278,7 @@ impl EnclavePool {
             PakaModule::deploy_sgx(env, &mut host, &self.registry, self.kind, self.cfg.sgx)
                 .expect("pool replica deploy");
         for (supi, k) in &self.provisioned {
-            module.provision_subscriber_key(env, supi.as_str(), *k);
+            module.provision_subscriber_key(env, supi.as_str(), k.clone());
         }
         let mut replica = Replica {
             id,
@@ -627,14 +630,20 @@ impl EnclavePool {
 
     /// Provisions a subscriber key into every replica (current and, via
     /// the replay list, future ones).
-    pub fn provision_subscriber(&mut self, env: &mut Env, supi: Supi, k: [u8; 16]) {
-        self.provisioned.push((supi, k));
+    pub fn provision_subscriber(
+        &mut self,
+        env: &mut Env,
+        supi: Supi,
+        k: impl Into<SecretBytes<16>>,
+    ) {
+        let k = k.into();
         for replica in &mut self.replicas {
             replica
                 .module
                 .borrow_mut()
-                .provision_subscriber_key(env, supi.as_str(), k);
+                .provision_subscriber_key(env, supi.as_str(), k.clone());
         }
+        self.provisioned.push((supi, k));
     }
 
     /// Re-snapshots every replica's counter baseline. Experiments call

@@ -8,6 +8,7 @@
 //! would dump every cached AV and SQN window at once).
 
 use std::collections::BTreeSet;
+use std::io::Write as _;
 
 /// Identifier of a pool replica.
 pub type ReplicaId = u32;
@@ -29,6 +30,17 @@ pub fn hash64(bytes: &[u8]) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     h ^ (h >> 33)
+}
+
+/// Ring point of replica `id`'s virtual node `v`: the hash of the label
+/// `replica-{id}/vnode-{v}`, spelled into a stack buffer (35 bytes at
+/// most).
+fn vnode_point(id: ReplicaId, v: u32) -> u64 {
+    let mut label = [0u8; 40];
+    let mut rest = &mut label[..];
+    let _ = write!(rest, "replica-{id}/vnode-{v}");
+    let len = 40 - rest.len();
+    hash64(&label[..len])
 }
 
 /// A consistent-hash ring with virtual nodes.
@@ -61,9 +73,9 @@ impl HashRing {
         if !self.replicas.insert(id) {
             return;
         }
+        self.points.reserve(self.vnodes as usize);
         for v in 0..self.vnodes {
-            let point = hash64(format!("replica-{id}/vnode-{v}").as_bytes());
-            self.points.push((point, id));
+            self.points.push((vnode_point(id, v), id));
         }
         self.points.sort_unstable();
     }
@@ -123,6 +135,23 @@ mod tests {
 
     fn keys(n: u32) -> Vec<String> {
         (0..n).map(shield5g_ran::workload::test_supi).collect()
+    }
+
+    #[test]
+    fn ring_points_are_the_hashes_of_the_vnode_labels() {
+        let ring = ring_of(3);
+        let mut expected: Vec<(u64, ReplicaId)> = (0..3)
+            .flat_map(|id| {
+                (0..64).map(move |v| (hash64(format!("replica-{id}/vnode-{v}").as_bytes()), id))
+            })
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(ring.points, expected);
+        // The longest label a replica id and vnode index can spell fits.
+        assert_eq!(
+            vnode_point(u32::MAX, u32::MAX),
+            hash64(format!("replica-{}/vnode-{}", u32::MAX, u32::MAX).as_bytes())
+        );
     }
 
     #[test]

@@ -208,13 +208,15 @@ impl HttpResponse {
         }
     }
 
-    /// An error response with a text body.
+    /// An error response with a text body, copied into a spare [`Body`]
+    /// buffer: a constant message (a shed, an injected fault) allocates
+    /// nothing once the thread's spare list holds one.
     #[must_use]
-    pub fn error(status: u16, message: impl Into<String>) -> Self {
+    pub fn error(status: u16, message: impl AsRef<str>) -> Self {
         HttpResponse {
             status,
             headers: Vec::new(),
-            body: message.into().into(),
+            body: Body::from(message.as_ref().as_bytes()),
         }
     }
 
@@ -425,6 +427,25 @@ mod tests {
         assert_eq!(parsed.status, 404);
         assert!(!parsed.is_success());
         assert_eq!(parsed.body, b"no such subscriber");
+    }
+
+    #[test]
+    fn a_constant_error_reply_takes_a_spare_buffer() {
+        // A dropped body leaves its buffer on this thread's spare list ...
+        let spare = crate::codec::Writer::build(|w| {
+            w.put_u64(7);
+        });
+        let buffer = spare.as_ptr();
+        drop(spare);
+        // ... and the error text is copied into it: no allocation.
+        let shed = HttpResponse::error(503, "admission queue full");
+        assert_eq!(shed.body.as_ptr(), buffer);
+        assert_eq!(shed.body, b"admission queue full");
+        drop(shed);
+        // The reply gives the buffer back for the next one.
+        let again = HttpResponse::error(503, String::from("admission deadline exceeded"));
+        assert_eq!(again.body.as_ptr(), buffer);
+        assert_eq!(again.body, b"admission deadline exceeded");
     }
 
     #[test]

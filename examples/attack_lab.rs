@@ -14,7 +14,7 @@
 use shield5g::core::harness::standard_request;
 use shield5g::core::ki::{demonstrate, table5, Resolution};
 use shield5g::core::paka::{PakaKind, SgxConfig};
-use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
+use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig, Subscriber};
 use shield5g::hmee::seal::{seal, SealPolicy};
 use shield5g::infra::attacker::Attacker;
 use shield5g::infra::image::ContainerImage;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let opc_on_wire = slice
             .bridge
             .borrow()
-            .captured_contains(&slice.subscribers[0].opc);
+            .captured_contains(&Subscriber::test_credentials(0).1);
         println!(
             "  bridge tap:       {} frames captured, OPc visible in clear: {}",
             slice.bridge.borrow().captured().len(),

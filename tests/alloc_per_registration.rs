@@ -1,16 +1,19 @@
 //! Heap allocations of one steady-state registration, of the identity
-//! path inside it, and of one arrival at a faulted eUDM pool, counted in
-//! process: a regression in the per-message buffers (the recycled wire
+//! path inside it, of one arrival at a faulted eUDM pool and of one more
+//! subscriber provisioned into an eUDM enclave, counted in process: a
+//! regression in the per-message buffers (the recycled wire
 //! `Body` and which buffers the spare list keeps, the borrowed NGAP NAS
 //! PDU, the breaker's call table, the NFs' flows parked by leg instead of
 //! boxed per call-out), in the identities (a SUCI, its scheme output and
 //! the ECIES ciphertext inside it are inline values, concealed and opened
 //! on the stack; the AUSF forwards the body it decoded; a serving PLMN's
-//! codes decode to static text; the USIM's challenge outcome is not boxed)
-//! or on the pool path (the completions buffer the open-loop driver keeps,
-//! the subscriber key read into its secret, the static headers of shed and
-//! fault replies) fails `cargo test`, not only the benchmark's allocation
-//! ratchet.
+//! codes decode to static text; the USIM's challenge outcome is not boxed),
+//! on the pool path (the completions buffer the open-loop driver keeps,
+//! the subscriber key read into its secret, the static headers and text of
+//! shed and fault replies, copied into spare bodies) or in the vault (a
+//! slot's name and first page index held inline, every page image in the
+//! EPC's one image region) fails `cargo test`, not only the benchmark's
+//! allocation ratchet.
 //!
 //! A steady-state registration allocates nothing: the benchmark's 0.72
 //! per `reg_sgx` op is the AMF's B-tree map nodes, allocated when an
@@ -29,10 +32,12 @@
     reason = "integration-test helper: a panic is the failure report"
 )]
 
-use shield5g::core::paka::SgxConfig;
+use shield5g::core::harness::{deploy_module, ModuleDeployment};
+use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig, Subscriber};
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::hex;
+use shield5g::crypto::ident::{Plmn, Supi};
 use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};
 use shield5g::mw::RetryPolicy;
 use shield5g::nf::messages::{NasUplink, UeIdentity};
@@ -178,9 +183,10 @@ fn the_identity_path_allocates_nothing() {
 }
 
 /// Most allocations one more arrival at a faulted, retrying eUDM pool
-/// may add. This run reads ≈ 0.6 (the benchmark's `pool_faulted`, set-up
-/// included, ≈ 1.1 per op); with short error bodies crowding the spare
-/// list and the key read into a `Vec`, it read ≈ 5.4.
+/// may add. This run reads ≈ 0.55 (the benchmark's `pool_faulted`, set-up
+/// included, ≈ 0.63 per op); with shed and fault text in fresh `String`
+/// bodies it read ≈ 0.6, with short error bodies crowding the spare list
+/// and the key read into a `Vec`, ≈ 5.4.
 const ARRIVAL_CEILING: f64 = 0.75;
 
 /// Arrivals of the shorter run; the longer one offers twice as many.
@@ -246,5 +252,40 @@ fn an_open_loop_arrival_allocates_almost_nothing() {
     assert!(
         per_arrival <= ARRIVAL_CEILING,
         "{per_arrival:.2} allocations per arrival > {ARRIVAL_CEILING}"
+    );
+}
+
+/// Most allocations 400 more subscribers may add to provisioning a
+/// deployed SGX eUDM module: one growth step each of the vault map, the
+/// EPC's page records and its image region (this run reads 3). With each
+/// slot's name, page list and page image on the heap it read 1202.
+const PROVISION_CEILING: u64 = 6;
+
+/// Allocations of provisioning `subscribers` keys into a freshly deployed
+/// SGX eUDM module.
+fn provisioning(subscribers: u32) -> u64 {
+    let (mut env, mut module) = deploy_module(
+        300,
+        PakaKind::EUdm,
+        ModuleDeployment::Sgx(SgxConfig::default()),
+    );
+    allocations(|| {
+        // The harness provisioned subscriber 1.
+        for i in 0..u64::from(subscribers) {
+            let supi = Supi::numbered(Plmn::test_network(), i + 2, 10);
+            module.provision_subscriber_key(&mut env, supi.as_str(), [0x46; 16]);
+        }
+    })
+}
+
+#[test]
+fn provisioning_allocates_per_module_not_per_subscriber() {
+    let short = provisioning(ARRIVALS);
+    let long = provisioning(2 * ARRIVALS);
+    eprintln!("allocations: {short} provisioning {ARRIVALS} keys, {long} twice that");
+    assert!(
+        long.saturating_sub(short) <= PROVISION_CEILING,
+        "{} more allocations for {ARRIVALS} more subscribers > {PROVISION_CEILING}",
+        long.saturating_sub(short)
     );
 }

@@ -134,7 +134,7 @@ fn subscriber_with_wrong_key_is_rejected() {
     let usim = shield5g::ran::usim::Usim::program(
         sub.supi,
         [0xEE; 16], // wrong K
-        sub.opc,
+        sub.opc.clone(),
         slice.hn_key_id,
         slice.hn_public.clone(),
     );

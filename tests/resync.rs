@@ -89,10 +89,16 @@ fn pool_failover_resync_restores_the_av_stream() {
     );
     let sub = Subscriber::test(0);
     let supi = sub.supi.to_string();
-    pool.provision_subscriber(&mut env, sub.supi, sub.k);
+    pool.provision_subscriber(&mut env, sub.supi, sub.k.clone());
 
     let hn = HomeNetworkKeyPair::from_private(1, [9; 32]);
-    let mut usim = Usim::program(sub.supi, sub.k, sub.opc, 1, hn.public().clone());
+    let mut usim = Usim::program(
+        sub.supi,
+        sub.k.clone(),
+        sub.opc.clone(),
+        1,
+        hn.public().clone(),
+    );
     let snn = ServingNetworkName::new("001", "01");
 
     // The frontend owns the home-network SQN authority: each batch
@@ -106,7 +112,7 @@ fn pool_failover_resync_restores_the_av_stream() {
             &mut SharedPaths::default(),
             &UdmAkaBatchRequest {
                 supi: sub.supi,
-                opc: sub.opc.into(),
+                opc: sub.opc.clone(),
                 rand_seed: env.rng.bytes(),
                 sqn_start: generator.next_sqn(),
                 amf_field: [0x80, 0],
@@ -156,7 +162,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     // under the subscriber key it was provisioned with.
     let resync = UdmAkaResyncRequest {
         supi: sub.supi,
-        opc: sub.opc.into(),
+        opc: sub.opc.clone(),
         rand: stale.rand,
         auts,
     };

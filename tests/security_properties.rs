@@ -40,7 +40,7 @@ fn attacked_slice(
 
 #[test]
 fn long_term_key_leaks_from_container_not_from_enclave() {
-    let k = shield5g::core::slice::Subscriber::test(0).k;
+    let (k, _) = shield5g::core::slice::Subscriber::test_credentials(0);
 
     let (mut env, slice, attacker) = attacked_slice(AkaDeployment::Container, 11);
     let findings = attacker
@@ -120,7 +120,7 @@ fn bridge_traffic_is_ciphertext_even_for_the_root_attacker() {
     let bridge = slice.bridge.borrow();
     assert!(!bridge.captured().is_empty());
     // The OPc travels in the request; it must not appear in any frame.
-    assert!(!bridge.captured_contains(&shield5g::core::slice::Subscriber::test(0).opc));
+    assert!(!bridge.captured_contains(&shield5g::core::slice::Subscriber::test_credentials(0).1));
     assert!(!bridge.captured_contains(b"generate-av"));
 }
 
