@@ -34,6 +34,7 @@ use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Hard ceiling on enclave virtual size (64 GiB), mirroring practical
@@ -233,9 +234,13 @@ impl EnclaveBuilder {
 
 /// A vault slot's name: inline up to [`SlotName::INLINE`] bytes (every
 /// slot this tree names, `k:` and a SUPI among them), boxed past that.
-/// Hashes and compares as its text, so the vault is looked up by `&str`.
-#[derive(Debug)]
-enum SlotName {
+/// Hashes and compares as its text, so the vault is looked up by `&str`,
+/// and [`HmeeError::UnknownSlot`] carries one without allocating.
+#[derive(Clone)]
+pub struct SlotName(Name);
+
+#[derive(Clone)]
+enum Name {
     Inline {
         len: u8,
         bytes: [u8; SlotName::INLINE],
@@ -245,30 +250,40 @@ enum SlotName {
 
 impl SlotName {
     /// Longest name held inline.
-    const INLINE: usize = 32;
+    pub const INLINE: usize = 32;
 
-    fn new(name: &str) -> Self {
+    /// The name `name`, held inline when it fits.
+    #[must_use]
+    pub fn new(name: &str) -> Self {
         let mut bytes = [0; Self::INLINE];
-        match bytes.get_mut(..name.len()) {
+        SlotName(match bytes.get_mut(..name.len()) {
             Some(inline) => {
                 inline.copy_from_slice(name.as_bytes());
-                SlotName::Inline {
+                Name::Inline {
                     len: name.len() as u8,
                     bytes,
                 }
             }
-            None => SlotName::Boxed(name.into()),
-        }
+            None => Name::Boxed(name.into()),
+        })
     }
 
-    fn as_str(&self) -> &str {
-        match self {
+    /// The name's text.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
             // Copied from a `&str` whole, so always UTF-8.
-            SlotName::Inline { len, bytes } => {
+            Name::Inline { len, bytes } => {
                 std::str::from_utf8(&bytes[..usize::from(*len)]).unwrap_or_default()
             }
-            SlotName::Boxed(name) => name,
+            Name::Boxed(name) => name,
         }
+    }
+}
+
+impl fmt::Debug for SlotName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -729,13 +744,14 @@ impl Enclave {
     ///
     /// # Errors
     ///
-    /// Returns [`HmeeError::UnknownSlot`] when the page does not exist or
+    /// Returns [`HmeeError::UnknownPage`] when the page does not exist or
     /// is already evicted.
     pub fn evict_page(&mut self, env: &mut Env, index: usize) -> Result<EncryptedPage, HmeeError> {
-        let page = self
-            .epc
-            .take_page(index)
-            .ok_or_else(|| HmeeError::UnknownSlot(format!("page {index} not resident")))?;
+        let missing = HmeeError::UnknownPage {
+            index,
+            expected: "resident",
+        };
+        let page = self.epc.take_page(index).ok_or(missing)?;
         self.evicted_versions.insert(index, page.version);
         let t0 = env.clock.now().as_nanos();
         self.counters.ewb += 1;
@@ -753,16 +769,18 @@ impl Enclave {
     ///
     /// Returns [`HmeeError::IntegrityViolation`] for a stale (rolled-back),
     /// tampered or malformed blob — the eviction stays pending — and
-    /// [`HmeeError::UnknownSlot`] when no eviction is pending for `index`.
+    /// [`HmeeError::UnknownPage`] when no eviction is pending for `index`.
     pub fn reload_page(
         &mut self,
         env: &mut Env,
         index: usize,
         page: EncryptedPage,
     ) -> Result<(), HmeeError> {
-        let expected_version = *self.evicted_versions.get(&index).ok_or_else(|| {
-            HmeeError::UnknownSlot(format!("no eviction pending for page {index}"))
-        })?;
+        let missing = HmeeError::UnknownPage {
+            index,
+            expected: "evicted",
+        };
+        let expected_version = *self.evicted_versions.get(&index).ok_or(missing)?;
         if page.version != expected_version {
             return Err(HmeeError::IntegrityViolation(format!(
                 "page {index} version {} does not match the version tree ({expected_version}) — rollback attempt",
@@ -915,7 +933,7 @@ impl Enclave {
         let meta = self
             .vault
             .get(slot)
-            .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?;
+            .ok_or_else(|| HmeeError::UnknownSlot(SlotName::new(slot)))?;
         if out.len() != meta.len {
             return Err(HmeeError::ValueLength {
                 stored: meta.len,
@@ -1157,7 +1175,7 @@ mod tests {
         let mut e = small_enclave(&mut env, &platform);
         assert!(matches!(
             e.vault_read(&mut env, "ghost"),
-            Err(HmeeError::UnknownSlot(_))
+            Err(HmeeError::UnknownSlot(name)) if name.as_str() == "ghost"
         ));
     }
 
@@ -1398,7 +1416,10 @@ mod tests {
         assert_eq!(e.epc_snapshot().pages.len(), 2);
         assert!(matches!(
             e.evict_page(&mut env, 2),
-            Err(HmeeError::UnknownSlot(_))
+            Err(HmeeError::UnknownPage {
+                index: 2,
+                expected: "resident"
+            })
         ));
         assert_eq!(e.vault_read(&mut env, "other").unwrap(), b"neighbour");
     }
@@ -1659,11 +1680,17 @@ mod tests {
         };
         assert!(matches!(
             e.reload_page(&mut env, 0, page),
-            Err(HmeeError::UnknownSlot(_))
+            Err(HmeeError::UnknownPage {
+                index: 0,
+                expected: "evicted"
+            })
         ));
         assert!(matches!(
             e.evict_page(&mut env, 99),
-            Err(HmeeError::UnknownSlot(_))
+            Err(HmeeError::UnknownPage {
+                index: 99,
+                expected: "resident"
+            })
         ));
     }
 

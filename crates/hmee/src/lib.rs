@@ -87,7 +87,14 @@ pub enum HmeeError {
         max_threads: u32,
     },
     /// A vault slot was not found.
-    UnknownSlot(String),
+    UnknownSlot(enclave::SlotName),
+    /// An EPC page is not in the state an operation needs.
+    UnknownPage {
+        /// The page index.
+        index: usize,
+        /// The state it is not in (`resident`, `evicted`).
+        expected: &'static str,
+    },
     /// Integrity verification failed: the EPC content was altered from
     /// outside (SGX would raise a machine check; we surface an error).
     IntegrityViolation(String),
@@ -129,6 +136,9 @@ impl fmt::Display for HmeeError {
                 write!(f, "all {max_threads} TCS slots busy")
             }
             HmeeError::UnknownSlot(s) => write!(f, "unknown vault slot {s:?}"),
+            HmeeError::UnknownPage { index, expected } => {
+                write!(f, "epc page {index} is not {expected}")
+            }
             HmeeError::IntegrityViolation(w) => write!(f, "epc integrity violation: {w}"),
             HmeeError::AttestationFailed(w) => write!(f, "attestation failed: {w}"),
             HmeeError::UnsealDenied(w) => write!(f, "unseal denied: {w}"),
@@ -162,7 +172,15 @@ mod tests {
         assert!(HmeeError::ThreadLimit { max_threads: 4 }
             .to_string()
             .contains('4'));
-        assert!(HmeeError::UnknownSlot("k".into()).to_string().contains('k'));
+        assert!(HmeeError::UnknownSlot(enclave::SlotName::new("k"))
+            .to_string()
+            .contains("\"k\""));
+        assert!(HmeeError::UnknownPage {
+            index: 7,
+            expected: "evicted"
+        }
+        .to_string()
+        .contains("page 7 is not evicted"));
         assert!(HmeeError::ValueLength {
             stored: 17,
             buffer: 16

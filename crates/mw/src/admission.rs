@@ -8,7 +8,7 @@
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{AdmissionPolicy, Gate, Layer, LegMeta, PriorityClass, SHED_HEADER};
-use shield5g_sim::http::HttpResponse;
+use shield5g_sim::http::{marker, Header, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::cell::RefCell;
@@ -114,6 +114,9 @@ impl AdmissionLayer {
     }
 }
 
+static QUEUE_FULL: Header = marker(SHED_HEADER, "queue-full");
+static DEADLINE: Header = marker(SHED_HEADER, "deadline");
+
 impl Layer for AdmissionLayer {
     fn on_arrive(&mut self, _env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
         if let Some(cap) = self.capacity_for(leg.class) {
@@ -121,8 +124,7 @@ impl Layer for AdmissionLayer {
                 obs::count(&leg.dest, &leg.path, labels::SHED_QUEUE_FULL, 1);
                 self.count_class_shed(leg);
                 return Gate::Shed {
-                    resp: HttpResponse::error(503, "admission queue full")
-                        .with_header(SHED_HEADER, "queue-full"),
+                    resp: HttpResponse::error(503, "admission queue full").with_marker(&QUEUE_FULL),
                     note: "shed-full",
                 };
             }
@@ -136,7 +138,7 @@ impl Layer for AdmissionLayer {
             self.count_class_shed(leg);
             return Gate::Shed {
                 resp: HttpResponse::error(503, "admission deadline exceeded")
-                    .with_header(SHED_HEADER, "deadline"),
+                    .with_marker(&DEADLINE),
                 note: "shed-deadline",
             };
         }

@@ -24,7 +24,7 @@
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{Layer, LegMeta, Parked, Resume, Step, SHED_HEADER};
-use shield5g_sim::http::HttpResponse;
+use shield5g_sim::http::{marker, Header, HttpResponse};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
 use std::cell::RefCell;
@@ -306,7 +306,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
         if decision != BreakerDecision::Reject {
             let probe = decision == BreakerDecision::Probe;
             let peer = peer.clone();
-            self.calls.park(id, Call { peer, probe });
+            self.calls.insert(id, Call { peer, probe });
         }
         decision
     }
@@ -319,14 +319,14 @@ impl<K: Ord + Clone> BreakerCore<K> {
         ok: bool,
         now: SimTime,
     ) -> Option<(K, Option<BreakerTransition>)> {
-        let call = self.calls.take(id)?;
+        let call = self.calls.remove(id)?;
         let transition = self.on_outcome(&call.peer, call.probe, ok, now);
         Some((call.peer, transition))
     }
 
     /// Forgets call `id` without an outcome (its caller finished first).
     pub fn abandon(&mut self, id: u64) {
-        self.calls.take(id);
+        self.calls.remove(id);
     }
 
     /// Calls admitted and neither settled nor abandoned.
@@ -428,6 +428,8 @@ impl BreakerLayer {
     }
 }
 
+static BREAKER_OPEN: Header = marker(SHED_HEADER, "breaker-open");
+
 impl Layer for BreakerLayer {
     fn on_step(&mut self, env: &mut Env, leg: &LegMeta, step: Step) -> Step {
         match step {
@@ -452,7 +454,7 @@ impl Layer for BreakerLayer {
                         );
                         Step::Reply(
                             HttpResponse::error(503, "upstream circuit open")
-                                .with_header(SHED_HEADER, "breaker-open"),
+                                .with_marker(&BREAKER_OPEN),
                         )
                     }
                 }

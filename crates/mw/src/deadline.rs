@@ -6,13 +6,15 @@
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
-use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::http::{marker, Header, HttpRequest, HttpResponse};
+use shield5g_sim::table::IdTable;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::collections::BTreeMap;
+
+static EXPIRED: Header = marker(SHED_HEADER, "deadline");
 
 fn expired_resp() -> HttpResponse {
-    HttpResponse::error(503, "deadline exceeded").with_header(SHED_HEADER, "deadline")
+    HttpResponse::error(503, "deadline exceeded").with_marker(&EXPIRED)
 }
 
 /// Stamps every arriving leg with `now + timeout` and sheds it the
@@ -32,7 +34,7 @@ fn expired_resp() -> HttpResponse {
 #[derive(Debug)]
 pub struct DeadlineLayer {
     timeout: SimDuration,
-    deadlines: BTreeMap<u64, SimTime>,
+    deadlines: IdTable<SimTime>,
 }
 
 impl DeadlineLayer {
@@ -41,12 +43,12 @@ impl DeadlineLayer {
     pub fn new(timeout: SimDuration) -> Self {
         DeadlineLayer {
             timeout,
-            deadlines: BTreeMap::new(),
+            deadlines: IdTable::new(),
         }
     }
 
     fn past_deadline(&self, leg: &LegMeta, now: SimTime) -> bool {
-        self.deadlines.get(&leg.id).is_some_and(|d| now > *d)
+        self.deadlines.get(leg.id).is_some_and(|d| now > *d)
     }
 }
 
@@ -83,11 +85,10 @@ impl Layer for DeadlineLayer {
         // Ensure direct run_begin paths (never queued, no on_arrive gate
         // consulted twice) still carry a stamp for mid-chain checks.
         self.deadlines
-            .entry(leg.id)
-            .or_insert(env.clock.now() + self.timeout);
+            .get_or_insert_with(leg.id, || env.clock.now() + self.timeout);
     }
 
     fn on_deliver(&mut self, _env: &mut Env, leg: &LegMeta, _resp: &HttpResponse) {
-        self.deadlines.remove(&leg.id);
+        self.deadlines.remove(leg.id);
     }
 }

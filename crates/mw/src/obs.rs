@@ -6,10 +6,10 @@ use shield5g_obs::labels;
 use shield5g_obs::span::{SpanId, SpanKind};
 use shield5g_sim::engine::{Gate, Layer, LegMeta, Resume, Step, SHED_HEADER};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::table::IdTable;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -27,7 +27,7 @@ struct LegSpans {
 /// engine (slice, pool), `Rc`-shared into each endpoint's layer.
 #[derive(Debug, Default)]
 pub struct ObsCore {
-    legs: BTreeMap<u64, LegSpans>,
+    legs: IdTable<LegSpans>,
 }
 
 /// Shared handle to an [`ObsCore`].
@@ -96,7 +96,7 @@ impl Layer for ObsLayer {
 
     fn on_queued(&mut self, env: &mut Env, leg: &LegMeta) {
         let mut core = self.core.borrow_mut();
-        let entry = core.legs.entry(leg.id).or_default();
+        let entry = core.legs.get_or_insert_with(leg.id, LegSpans::default);
         entry.queue = obs::open_child(
             SpanKind::Queue,
             entry.request,
@@ -111,7 +111,7 @@ impl Layer for ObsLayer {
             .core
             .borrow_mut()
             .legs
-            .get_mut(&leg.id)
+            .get_mut(leg.id)
             .and_then(|e| e.queue.take());
         obs::close_span(queue, env.clock.now().as_nanos());
         obs::observe(
@@ -126,7 +126,7 @@ impl Layer for ObsLayer {
     fn on_callout(&mut self, env: &mut Env, parent: &LegMeta, child: &LegMeta) {
         obs::count(&child.dest, &child.path, labels::CALLOUTS, 1);
         let mut core = self.core.borrow_mut();
-        let parent_service = core.legs.get(&parent.id).and_then(|e| e.service);
+        let parent_service = core.legs.get(parent.id).and_then(|e| e.service);
         let request = obs::open_child(
             SpanKind::Request,
             parent_service,
@@ -148,7 +148,7 @@ impl Layer for ObsLayer {
             .core
             .borrow_mut()
             .legs
-            .remove(&leg.id)
+            .remove(leg.id)
             .unwrap_or_default();
         if resp.header(SHED_HEADER).is_some() {
             obs::span_attr(spans.request, "shed", 1);
@@ -168,7 +168,7 @@ impl Layer for ObsLayer {
 
     fn on_request(&mut self, env: &mut Env, leg: &LegMeta, _req: &HttpRequest) {
         let mut core = self.core.borrow_mut();
-        let entry = core.legs.entry(leg.id).or_default();
+        let entry = core.legs.get_or_insert_with(leg.id, LegSpans::default);
         entry.service = obs::open_child(
             SpanKind::Service,
             entry.request,
@@ -180,7 +180,7 @@ impl Layer for ObsLayer {
     }
 
     fn on_response(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Resume {
-        let service = self.core.borrow().legs.get(&leg.id).and_then(|e| e.service);
+        let service = self.core.borrow().legs.get(leg.id).and_then(|e| e.service);
         obs::enter_span(service);
         Resume::Continue(resp)
     }
@@ -192,13 +192,13 @@ impl Layer for ObsLayer {
                     .core
                     .borrow_mut()
                     .legs
-                    .get_mut(&leg.id)
+                    .get_mut(leg.id)
                     .and_then(|e| e.service.take());
                 obs::exit_span(service);
                 obs::close_span(service, env.clock.now().as_nanos());
             }
             Step::CallOut { .. } => {
-                let service = self.core.borrow().legs.get(&leg.id).and_then(|e| e.service);
+                let service = self.core.borrow().legs.get(leg.id).and_then(|e| e.service);
                 obs::exit_span(service);
             }
         }

@@ -207,7 +207,7 @@ impl Layer for RetryLayer {
                 req: req.clone(),
                 attempt: 0,
             };
-            self.calls.borrow_mut().park(leg.id, call);
+            self.calls.borrow_mut().insert(leg.id, call);
         }
         step
     }
@@ -237,7 +237,7 @@ impl Layer for RetryLayer {
             });
         }
         let attempt = call.attempt;
-        calls.take(leg.id);
+        calls.remove(leg.id);
         {
             let mut stats = self.stats.borrow_mut();
             if attempt > 0 {
@@ -258,13 +258,16 @@ impl Layer for RetryLayer {
     }
 
     fn on_deliver(&mut self, _env: &mut Env, leg: &LegMeta, _resp: &HttpResponse) {
-        self.calls.borrow_mut().take(leg.id);
+        self.calls.borrow_mut().remove(leg.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_sim::http::{marker, Header};
+
+    static LOOP: Header = marker(ERROR_HEADER, "loop");
 
     fn env() -> Env {
         Env::new(42)
@@ -386,7 +389,7 @@ mod tests {
         let mut layer = RetryLayer::new(RetryPolicy::supervision());
         let step = layer.on_step(&mut env, &leg(), callout(vec![]));
         assert!(matches!(step, Step::CallOut { .. }));
-        let resp = HttpResponse::error(508, "loop").with_header(ERROR_HEADER, "loop");
+        let resp = HttpResponse::error(508, "loop").with_marker(&LOOP);
         match layer.on_response(&mut env, &leg(), resp) {
             Resume::Continue(resp) => assert_eq!(resp.status, 508),
             Resume::Break(_) => panic!("loops must fail immediately"),

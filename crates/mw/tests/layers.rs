@@ -47,13 +47,13 @@ impl EngineService for Relay {
     }
 
     fn resume(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-        let sent = self.sent.take(leg.id);
+        let sent = self.sent.remove(leg.id);
         assert_eq!(sent.as_deref(), Some("/x"), "the path `start` sent");
         Step::Reply(resp)
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
-        self.sent.take(leg.id);
+        self.sent.remove(leg.id);
     }
 }
 

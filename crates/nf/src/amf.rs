@@ -24,9 +24,9 @@ use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Body, Writer};
 use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::table::IdTable;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// NAS decode/validate/route overhead per message on the OAI C++ path.
@@ -72,10 +72,11 @@ pub struct AmfService {
     backend: Box<dyn AkaBackend<DeriveKamf>>,
     /// The serving PLMN, named in each authentication request.
     serving: Plmn,
-    contexts: BTreeMap<u64, UeState>,
-    pending_teid: BTreeMap<u64, u32>,
-    pending_teardown: BTreeSet<u64>,
-    guti_to_supi: BTreeMap<u32, Supi>,
+    contexts: IdTable<UeState>,
+    pending_teid: IdTable<u32>,
+    pending_teardown: IdTable<()>,
+    /// Subscribers by the TMSI of their current 5G-GUTI.
+    guti_to_supi: IdTable<Supi>,
     next_tmsi: u32,
     registrations_completed: u64,
     deregistrations: u64,
@@ -107,10 +108,10 @@ impl AmfService {
             smf_addr: smf_addr.into(),
             backend,
             serving,
-            contexts: BTreeMap::new(),
-            pending_teid: BTreeMap::new(),
-            pending_teardown: BTreeSet::new(),
-            guti_to_supi: BTreeMap::new(),
+            contexts: IdTable::new(),
+            pending_teid: IdTable::new(),
+            pending_teardown: IdTable::new(),
+            guti_to_supi: IdTable::new(),
             next_tmsi: 0x0100_0000,
             registrations_completed: 0,
             deregistrations: 0,
@@ -164,7 +165,7 @@ impl AmfService {
     #[must_use]
     pub fn is_registered(&self, ran_ue_id: u64) -> bool {
         matches!(
-            self.contexts.get(&ran_ue_id),
+            self.contexts.get(ran_ue_id),
             Some(UeState::Registered { .. })
         )
     }
@@ -204,7 +205,7 @@ impl AmfService {
         // reject, forcing the UE to fall back to SUCI).
         let known_supi = match &identity {
             UeIdentity::Suci(_) => None,
-            UeIdentity::Guti(guti) => match self.guti_to_supi.get(&guti.tmsi) {
+            UeIdentity::Guti(guti) => match self.guti_to_supi.get(guti.tmsi.into()) {
                 Some(supi) => Some(*supi),
                 None => {
                     // TS 23.502 §4.2.2.2.2: the AMF cannot resolve the 5G-GUTI
@@ -241,7 +242,7 @@ impl AmfService {
             rand,
             hxres_star,
             ..
-        }) = self.contexts.get(&ran_ue_id)
+        }) = self.contexts.get(ran_ue_id)
         else {
             return Err(NfError::Protocol(
                 "authentication response without pending auth".into(),
@@ -252,7 +253,7 @@ impl AmfService {
         // SEAF check: HRES* against HXRES* (TS 33.501 §6.1.3.2 step 9).
         let hres_star = derive_hxres_star(&rand, &SecretBytes::new(res_star));
         if !shield5g_crypto::ct_eq(&hres_star, &hxres_star) {
-            self.contexts.remove(&ran_ue_id);
+            self.contexts.remove(ran_ue_id);
             env.log.record(
                 env.clock.now(),
                 "aka",
@@ -302,7 +303,7 @@ impl AmfService {
             rand,
             resync_attempts,
             ..
-        }) = self.contexts.remove(&ran_ue_id)
+        }) = self.contexts.remove(ran_ue_id)
         else {
             return Err(NfError::Protocol(
                 "authentication failure without pending auth".into(),
@@ -333,7 +334,7 @@ impl AmfService {
                 // round first (which also returns the SUPI).
                 let supi = match &identity {
                     UeIdentity::Suci(_) => None,
-                    UeIdentity::Guti(guti) => self.guti_to_supi.get(&guti.tmsi).copied(),
+                    UeIdentity::Guti(guti) => self.guti_to_supi.get(guti.tmsi.into()).copied(),
                 };
                 let Some(supi) = supi else {
                     // The UDM's auth-data request is the same message.
@@ -407,10 +408,10 @@ impl AmfService {
         // temporary identity must not keep resolving), and with it the
         // registration it named: one `Registered` context per subscriber.
         self.guti_to_supi.retain(|_, s| *s != supi);
-        self.contexts.retain(|&id, state| {
+        self.contexts.retain(|id, state| {
             id == ran_ue_id || !matches!(state, UeState::Registered { supi: s, .. } if *s == supi)
         });
-        self.guti_to_supi.insert(tmsi, supi);
+        self.guti_to_supi.insert(tmsi.into(), supi);
         Guti::new(1, 1, 1, tmsi)
     }
 
@@ -423,7 +424,7 @@ impl AmfService {
     ) -> Result<Step, NfError> {
         let state = self
             .contexts
-            .remove(&ran_ue_id)
+            .remove(ran_ue_id)
             .ok_or_else(|| NfError::Protocol("secured NAS without context".into()))?;
         match state {
             UeState::SecurityMode { supi, mut sec } => {
@@ -483,7 +484,7 @@ impl AmfService {
                         // accept still rides the (dying) security context,
                         // which `encode_downlink` picks up from the
                         // tombstone before `finish_ngap` clears it.
-                        self.guti_to_supi.remove(&guti.tmsi);
+                        self.guti_to_supi.remove(guti.tmsi.into());
                         self.deregistrations += 1;
                         shield5g_obs::hub::count(
                             "amf",
@@ -491,7 +492,7 @@ impl AmfService {
                             shield5g_obs::labels::DEREGISTRATIONS,
                             1,
                         );
-                        self.pending_teardown.insert(ran_ue_id);
+                        self.pending_teardown.insert(ran_ue_id, ());
                         env.log.record(
                             env.clock.now(),
                             "aka",
@@ -537,7 +538,7 @@ impl AmfService {
     /// a security context exists for the association (post security-mode
     /// messages are protected).
     fn encode_downlink(&mut self, ran_ue_id: u64, msg: &NasDownlink) -> Body {
-        Writer::build(|w| match self.contexts.get_mut(&ran_ue_id) {
+        Writer::build(|w| match self.contexts.get_mut(ran_ue_id) {
             // The SecurityModeCommand itself and everything after travel
             // under the new context.
             Some(
@@ -557,11 +558,11 @@ impl AmfService {
         let nas = self.encode_downlink(ran_ue_id, msg);
         // A deregistration tears the context down after the (protected)
         // accept has been encoded.
-        if self.pending_teardown.remove(&ran_ue_id) {
-            self.contexts.remove(&ran_ue_id);
+        if self.pending_teardown.remove(ran_ue_id).is_some() {
+            self.contexts.remove(ran_ue_id);
         }
         let nas = &nas[..];
-        let ngap = if let Some(teid) = self.pending_teid.remove(&ran_ue_id) {
+        let ngap = if let Some(teid) = self.pending_teid.remove(ran_ue_id) {
             Ngap::InitialContextSetup {
                 ran_ue_id,
                 nas,
@@ -586,7 +587,7 @@ impl AmfService {
 
         // Secured PDUs only exist once a context is past SecurityMode.
         let has_sec_context = matches!(
-            self.contexts.get(&ran_ue_id),
+            self.contexts.get(ran_ue_id),
             Some(
                 UeState::SecurityMode { .. }
                     | UeState::AcceptSent { .. }
@@ -609,12 +610,12 @@ impl AmfService {
                 }
                 NasUplink::IdentityResponse { suci } => {
                     if !matches!(
-                        self.contexts.get(&ran_ue_id),
+                        self.contexts.get(ran_ue_id),
                         Some(UeState::AwaitingIdentity)
                     ) {
                         return Err(NfError::Protocol("unsolicited identity response".into()));
                     }
-                    self.contexts.remove(&ran_ue_id);
+                    self.contexts.remove(ran_ue_id);
                     self.start_authentication(env, leg, ran_ue_id, UeIdentity::Suci(suci), 0)
                 }
                 other => Err(NfError::Protocol(format!(
@@ -664,7 +665,7 @@ impl AmfService {
                 let body = self.client.receive(env, &self.ausf_addr, resp)?;
                 let confirm = ConfirmResponse::decode(&body)?;
                 let Some(supi) = confirm.supi.filter(|_| confirm.success) else {
-                    self.contexts.remove(&ran_ue_id);
+                    self.contexts.remove(ran_ue_id);
                     return Ok(self.finish_ngap(ran_ue_id, &NasDownlink::AuthenticationReject));
                 };
                 // K_AMF via the (possibly enclave-hosted) backend.
@@ -802,7 +803,7 @@ impl EngineService for AmfService {
     }
 
     fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-        let Some(flow) = self.flows.take(leg.id) else {
+        let Some(flow) = self.flows.remove(leg.id) else {
             return Step::Reply(HttpResponse::error(500, "amf: no parked flow"));
         };
         match self.resume_flow(env, leg, flow, resp) {
@@ -812,7 +813,7 @@ impl EngineService for AmfService {
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
-        self.flows.take(leg.id);
+        self.flows.remove(leg.id);
     }
 }
 
@@ -950,7 +951,8 @@ mod tests {
             },
             UeState::SecurityMode { supi, sec },
         );
-        amf.contexts.extend([(1, old), (2, new)]);
+        amf.contexts.insert(1, old);
+        amf.contexts.insert(2, new);
         let mut ue = NasSecurityContext::from_kamf(&kamf, true);
         let complete = ue
             .protect(&NasUplink::SecurityModeComplete.encode())

@@ -17,9 +17,9 @@ use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::engine::{EngineService, LegMeta, Parked, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
+use shield5g_sim::table::IdTable;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// AUSF handler parsing/auth-service-authorisation overhead.
@@ -38,7 +38,7 @@ pub struct AusfService {
     client: SbiClient,
     udm_addr: Rc<str>,
     backend: Box<dyn AkaBackend<DeriveSe>>,
-    contexts: BTreeMap<u64, AuthContext>,
+    contexts: IdTable<AuthContext>,
     next_ctx: u64,
     flows: Parked<AusfFlow>,
 }
@@ -64,7 +64,7 @@ impl AusfService {
             client,
             udm_addr: udm_addr.into(),
             backend,
-            contexts: BTreeMap::new(),
+            contexts: IdTable::new(),
             next_ctx: 1,
             flows: Parked::new(),
         }
@@ -138,7 +138,7 @@ impl AusfService {
     fn confirm(&mut self, env: &mut Env, req: &ConfirmRequest) -> Result<ConfirmResponse, NfError> {
         env.clock
             .advance(SimDuration::from_nanos(AUSF_HANDLER_NANOS / 2));
-        let ctx = self.contexts.remove(&req.auth_ctx_id).ok_or_else(|| {
+        let ctx = self.contexts.remove(req.auth_ctx_id).ok_or_else(|| {
             NfError::Protocol(format!("unknown auth context {}", req.auth_ctx_id))
         })?;
         if ctx.xres_star == req.res_star {
@@ -238,7 +238,7 @@ impl EngineService for AusfService {
     }
 
     fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-        let Some(flow) = self.flows.take(leg.id) else {
+        let Some(flow) = self.flows.remove(leg.id) else {
             return Step::Reply(HttpResponse::error(500, "ausf: no parked flow"));
         };
         match flow {
@@ -283,7 +283,7 @@ impl EngineService for AusfService {
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
-        self.flows.take(leg.id);
+        self.flows.remove(leg.id);
     }
 }
 

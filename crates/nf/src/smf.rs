@@ -128,7 +128,7 @@ impl EngineService for SmfService {
     }
 
     fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-        let Some(session) = self.pending.take(leg.id) else {
+        let Some(session) = self.pending.remove(leg.id) else {
             return Step::Reply(HttpResponse::error(500, "smf: no parked flow"));
         };
         if let Err(e) = self.client.receive(env, &self.upf_addr, resp) {
@@ -152,7 +152,7 @@ impl EngineService for SmfService {
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
-        self.pending.take(leg.id);
+        self.pending.remove(leg.id);
     }
 }
 

@@ -245,7 +245,7 @@ impl EngineService for UdmService {
     }
 
     fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-        let Some(flow) = self.flows.take(leg.id) else {
+        let Some(flow) = self.flows.remove(leg.id) else {
             return Step::Reply(HttpResponse::error(500, "udm: no parked flow"));
         };
         match flow {
@@ -310,7 +310,7 @@ impl EngineService for UdmService {
     }
 
     fn delivered(&mut self, leg: &LegMeta) {
-        self.flows.take(leg.id);
+        self.flows.remove(leg.id);
     }
 }
 

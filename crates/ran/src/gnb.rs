@@ -10,9 +10,9 @@ use shield5g_sim::codec::Body;
 use shield5g_sim::engine::Engine;
 use shield5g_sim::http::HttpRequest;
 use shield5g_sim::latency::LinkProfile;
+use shield5g_sim::table::IdTable;
 use shield5g_sim::Env;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// RRC messages exchanged during connection establishment (RACH preamble,
@@ -31,7 +31,7 @@ pub struct Gnb {
     backhaul: LinkProfile,
     broadcast_plmn: Plmn,
     next_ran_ue_id: u64,
-    tunnels: BTreeMap<u64, u32>,
+    tunnels: IdTable<u32>,
     /// The N2 request path, shared by every NGAP request and its leg.
     ngap_path: Rc<str>,
 }
@@ -54,7 +54,7 @@ impl Gnb {
             backhaul: LinkProfile::backhaul(),
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
-            tunnels: BTreeMap::new(),
+            tunnels: IdTable::new(),
             ngap_path: "/ngap".into(),
         }
     }
@@ -69,7 +69,7 @@ impl Gnb {
             backhaul: LinkProfile::loopback(),
             broadcast_plmn: plmn,
             next_ran_ue_id: 1,
-            tunnels: BTreeMap::new(),
+            tunnels: IdTable::new(),
             ngap_path: "/ngap".into(),
         }
     }
@@ -110,7 +110,7 @@ impl Gnb {
 
     /// RRC release of connection `ran_ue_id`: its GTP tunnel goes with it.
     pub fn release(&mut self, ran_ue_id: u64) {
-        self.tunnels.remove(&ran_ue_id);
+        self.tunnels.remove(ran_ue_id);
     }
 
     /// GTP tunnels of the connections not yet released.
@@ -186,7 +186,7 @@ impl Gnb {
         ran_ue_id: u64,
         payload: &[u8],
     ) -> Result<Body, RanError> {
-        let teid = *self.tunnels.get(&ran_ue_id).ok_or_else(|| {
+        let teid = *self.tunnels.get(ran_ue_id).ok_or_else(|| {
             RanError::Protocol(format!("no GTP tunnel for ran_ue_id {ran_ue_id}"))
         })?;
         self.radio_transfer(env, payload.len());

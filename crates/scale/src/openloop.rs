@@ -60,11 +60,11 @@ use shield5g_ran::workload::{poisson_arrivals, test_subscriber, WorkloadSpec};
 use shield5g_sim::engine::{
     Completion, Engine, PriorityClass, ERROR_HEADER, FAULT_HEADER, PRIORITY_HEADER,
 };
-use shield5g_sim::http::{HttpRequest, SharedPaths};
+use shield5g_sim::http::{marker, Header, HttpRequest, SharedPaths};
 use shield5g_sim::rng::DetRng;
+use shield5g_sim::table::IdTable;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::collections::BTreeMap;
 
 /// Long-term key of every workload subscriber (the standard test K).
 pub(crate) const K: [u8; 16] = [0x46; 16];
@@ -73,6 +73,9 @@ const OPC: [u8; 16] = [0xcd; 16];
 /// VNF-side cost of serving an authentication from the AV cache: a hash
 /// lookup and a vector copy in frontend memory — no enclave, no TLS hop.
 const CACHE_HIT_NANOS: u64 = 1_500;
+
+/// The priority marker an emergency request carries.
+static EMERGENCY: Header = marker(PRIORITY_HEADER, "emergency");
 
 /// One open-loop pool experiment, as plain data.
 #[derive(Clone, Copy, Debug)]
@@ -212,7 +215,7 @@ struct Run {
     /// The request path handles, one per AV row, shared by every request.
     paths: SharedPaths,
     brownout: Option<Brownout>,
-    in_flight: BTreeMap<u64, Pending>,
+    in_flight: IdTable<Pending>,
     recorder: RunRecorder,
     recovery: RecoveryTracker,
     tallies: Tallies,
@@ -248,7 +251,7 @@ impl Run {
             #[expect(clippy::expect_used, reason = "every completion's tag was scheduled")]
             let pending = self
                 .in_flight
-                .remove(&completion.tag)
+                .remove(completion.tag)
                 .expect("completion for unscheduled tag");
             let finished = completion.finished;
             self.last_event = self.last_event.max(finished);
@@ -407,7 +410,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         supis,
         cache: sc.cache.map(AvCache::new),
         brownout: sc.brownout.map(Brownout::new),
-        in_flight: BTreeMap::new(),
+        in_flight: IdTable::new(),
         recorder: RunRecorder::new(sc.workload.arrivals),
         recovery: RecoveryTracker::new(),
         tallies: Tallies::default(),
@@ -484,7 +487,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         run.audit.issued(count, sqn);
         let batch = prefetch.is_some();
         if class == PriorityClass::Emergency {
-            request = request.with_header(PRIORITY_HEADER, "emergency");
+            request = request.with_marker(&EMERGENCY);
         }
         run.tallies.retry.calls += 1;
         let replica = pool.route(run.supis[ue].as_str());

@@ -31,7 +31,7 @@ use shield5g_nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
 use shield5g_sim::engine::{AdmissionPolicy, Engine, FAULT_HEADER};
-use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
+use shield5g_sim::http::{marker, Header, HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::{service_handle, Service};
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
@@ -47,14 +47,15 @@ struct ReplicaService {
     dead: Rc<Cell<bool>>,
 }
 
+static REPLICA_DEAD: Header = marker(FAULT_HEADER, "replica-dead");
+
 impl Service for ReplicaService {
     fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
         if self.dead.get() {
             // The replica's host is gone: anything still queued at this
             // endpoint fails fast (connection refused), so callers retry
             // against the survivors instead of waiting out a reload.
-            return HttpResponse::error(503, "replica dead")
-                .with_header(FAULT_HEADER, "replica-dead");
+            return HttpResponse::error(503, "replica dead").with_marker(&REPLICA_DEAD);
         }
         let (response, _metrics) = self.module.borrow_mut().serve(env, req);
         self.served.set(self.served.get() + 1);

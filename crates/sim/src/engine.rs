@@ -66,8 +66,9 @@
 //! reads anything outside its own world, its trace is byte-identical
 //! whether it ran alone or beside fifteen others.
 
-use crate::http::{HttpRequest, HttpResponse};
+use crate::http::{marker, Header, HttpRequest, HttpResponse};
 use crate::service::{Env, ServiceHandle};
+use crate::table::IdTable;
 use crate::time::{SimDuration, SimTime};
 use crate::SimError;
 use std::cell::RefCell;
@@ -101,6 +102,15 @@ pub const FAULT_HEADER: &str = "x-sim-fault";
 /// carries the class on [`LegMeta`], so admission layers can shed by
 /// class at arrival time — before the request body is in reach.
 pub const PRIORITY_HEADER: &str = "x-sim-priority";
+
+/// The markers of the replies the engine synthesizes, each borrowed by
+/// its reply ([`HttpResponse::with_marker`]).
+static LOOP: Header = marker(ERROR_HEADER, "loop");
+static UNKNOWN_ROOT: Header = marker(ERROR_HEADER, "unknown-root");
+static UNKNOWN_ENDPOINT: Header = marker(ERROR_HEADER, "unknown-endpoint");
+static DROPPED: Header = marker(FAULT_HEADER, "drop");
+static DELAYED: Header = marker(FAULT_HEADER, "delay");
+static INJECTED_5XX: Header = marker(FAULT_HEADER, "injected-5xx");
 
 /// Priority class of a request leg, derived from [`PRIORITY_HEADER`].
 /// Emergency registrations (TS 23.501 §5.16.4 emergency services) must
@@ -386,64 +396,19 @@ pub type EngineServiceHandle = Rc<RefCell<dyn EngineService>>;
 /// What services and layers carry across a [`Step::CallOut`], parked by
 /// the leg that made the call. A leg has one call out at a time, so each
 /// keeps its flow under the serving leg's [`LegMeta::id`] and takes it
-/// back when the response resumes that leg. A flow whose leg finished
-/// unresumed (a layer replaced its call or broke its response off) is
-/// dropped when the engine reports the delivery
-/// ([`EngineService::delivered`], [`Layer::on_deliver`]). The table is as
-/// long as the legs in flight: a `Vec` searched linearly, whose capacity
-/// is reused, so parking a flow allocates nothing once it has grown.
-#[derive(Clone, Debug)]
-pub struct Parked<T> {
-    flows: Vec<(u64, T)>,
-}
+/// back ([`IdTable::remove`]) when the response resumes that leg. A flow
+/// whose leg finished unresumed (a layer replaced its call or broke its
+/// response off) is dropped when the engine reports the delivery
+/// ([`EngineService::delivered`], [`Layer::on_deliver`]). It is the
+/// world's one per-request table, so parking a flow allocates nothing
+/// once the table has grown.
+pub type Parked<T> = IdTable<T>;
 
-impl<T> Default for Parked<T> {
-    fn default() -> Self {
-        Parked { flows: Vec::new() }
-    }
-}
-
-impl<T> Parked<T> {
-    /// An empty table.
-    #[must_use]
-    pub const fn new() -> Self {
-        Parked { flows: Vec::new() }
-    }
-
-    /// Parks `flow` under leg `id`, replacing what was parked there.
-    pub fn park(&mut self, id: u64, flow: T) {
-        self.take(id);
-        self.flows.push((id, flow));
-    }
-
+impl<T> IdTable<T> {
     /// Parks `flow` under `leg` and yields the call it waits on.
     pub fn call_out(&mut self, leg: &LegMeta, dest: Rc<str>, req: HttpRequest, flow: T) -> Step {
-        self.park(leg.id, flow);
+        self.insert(leg.id, flow);
         Step::CallOut { dest, req }
-    }
-
-    /// Unparks the flow of leg `id`, if any.
-    pub fn take(&mut self, id: u64) -> Option<T> {
-        let at = self.flows.iter().position(|(leg, _)| *leg == id)?;
-        Some(self.flows.swap_remove(at).1)
-    }
-
-    /// The flow parked under leg `id`, in place.
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let entry = self.flows.iter_mut().find(|(leg, _)| *leg == id);
-        entry.map(|(_, flow)| flow)
-    }
-
-    /// Flows parked now.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when nothing is parked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 }
 
@@ -660,7 +625,7 @@ pub struct EngineStats {
 pub struct Engine {
     endpoints: BTreeMap<Rc<str>, Endpoint>,
     heap: BinaryHeap<Reverse<Event>>,
-    ctxs: BTreeMap<u64, Ctx>,
+    ctxs: IdTable<Ctx>,
     next_ctx: u64,
     next_seq: u64,
     /// Instant of the last event processed.
@@ -697,7 +662,7 @@ impl Engine {
         Engine {
             endpoints: BTreeMap::new(),
             heap: BinaryHeap::new(),
-            ctxs: BTreeMap::new(),
+            ctxs: IdTable::new(),
             next_ctx: 1,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -750,7 +715,7 @@ impl Engine {
     pub fn deregister(&mut self, addr: &str) -> bool {
         let gone = self.endpoints.remove(addr);
         for &ctx in gone.iter().flat_map(|ep| &ep.waiting) {
-            let resp = unknown_endpoint(addr, "unknown-endpoint");
+            let resp = unknown_endpoint(addr, &UNKNOWN_ENDPOINT);
             self.push_event(self.now, EventKind::Deliver { ctx, resp });
         }
         gone.is_some()
@@ -951,7 +916,7 @@ impl Engine {
     /// endpoint. Every ancestor is still in the table: a context is only
     /// removed once its own response is delivered, after its children's.
     fn loops(&self, ctx: &Ctx) -> bool {
-        let up = |c: &Ctx| c.parent.and_then(|parent| self.ctxs.get(&parent));
+        let up = |c: &Ctx| c.parent.and_then(|parent| self.ctxs.get(parent));
         let mut ancestor = up(ctx);
         while let Some(a) = ancestor {
             if a.leg.dest == ctx.leg.dest {
@@ -1034,12 +999,12 @@ impl Engine {
     fn on_arrive(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
         #[expect(clippy::expect_used, reason = "Arrive is queued for a live context")]
-        let ctx = self.ctxs.get(&id).expect("arriving context exists");
+        let ctx = self.ctxs.get(id).expect("arriving context exists");
         let (leg, ids, looped) = (ctx.leg.clone(), ctx.ids, self.loops(ctx));
         self.note(now, ARRIVE, ids.0, ids.1);
         if looped {
             let resp = HttpResponse::error(508, format!("call loop through {}", leg.dest))
-                .with_header(ERROR_HEADER, "loop");
+                .with_marker(&LOOP);
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
         }
@@ -1047,9 +1012,9 @@ impl Engine {
             // Roots get a distinct marker so `dispatch` can surface a hard
             // error; nested callers see an ordinary 502 they can map.
             let marker = if leg.root {
-                "unknown-root"
+                &UNKNOWN_ROOT
             } else {
-                "unknown-endpoint"
+                &UNKNOWN_ENDPOINT
             };
             let resp = unknown_endpoint(&leg.dest, marker);
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
@@ -1091,7 +1056,7 @@ impl Engine {
         let now = env.clock.now();
         let (leg, ids, wait, req) = {
             #[expect(clippy::expect_used, reason = "Begin is queued for a live context")]
-            let ctx = self.ctxs.get_mut(&id).expect("beginning context exists");
+            let ctx = self.ctxs.get_mut(id).expect("beginning context exists");
             ctx.queued = now - ctx.leg.arrived;
             #[expect(clippy::expect_used, reason = "only its one Begin takes the request")]
             let req = ctx.req.take().expect("request not yet started");
@@ -1121,7 +1086,7 @@ impl Engine {
         match step {
             Step::Reply(resp) => {
                 #[expect(clippy::expect_used, reason = "a step applies to its live context")]
-                let ctx = self.ctxs.get(&id).expect("replying context");
+                let ctx = self.ctxs.get(id).expect("replying context");
                 let (leg, ids) = (ctx.leg.clone(), ctx.ids);
                 self.note(now, REPLY, ids.0, STATUS_BIT | u32::from(resp.status));
                 // The worker did its work regardless of what happens to
@@ -1146,7 +1111,7 @@ impl Engine {
                 self.next_ctx += 1;
                 let ids = (self.intern(&dest), self.intern(&req.path));
                 #[expect(clippy::expect_used, reason = "a step applies to its live context")]
-                let parent = self.ctxs.get(&id).expect("calling context");
+                let parent = self.ctxs.get(id).expect("calling context");
                 let (tag, parent_leg) = (parent.tag, parent.leg.clone());
                 // A callout inherits the caller's priority class unless
                 // the outbound request re-marks itself — an emergency
@@ -1222,16 +1187,16 @@ impl Engine {
                     Some(_) => "injected response drop",
                     None => "injected request drop",
                 };
-                let resp = HttpResponse::error(504, what).with_header(FAULT_HEADER, "drop");
+                let resp = HttpResponse::error(504, what).with_marker(&DROPPED);
                 (Some(FAULT_DROP), now + timeout, Some(resp))
             }
             FaultAction::Delay(d) => {
-                let reply = reply.map(|resp| resp.with_header(FAULT_HEADER, "delay"));
+                let reply = reply.map(|resp| resp.with_marker(&DELAYED));
                 (Some(FAULT_DELAY), now + d, reply)
             }
             FaultAction::Error { status } => {
                 let resp = HttpResponse::error(status, "injected upstream failure")
-                    .with_header(FAULT_HEADER, "injected-5xx");
+                    .with_marker(&INJECTED_5XX);
                 (Some(FAULT_5XX), now, Some(resp))
             }
         };
@@ -1268,7 +1233,7 @@ impl Engine {
             tag,
             queued,
             ..
-        } = self.ctxs.remove(&id).expect("delivered context exists");
+        } = self.ctxs.remove(id).expect("delivered context exists");
         // The destination stack sees every delivery for its legs —
         // service-produced and engine-synthesized alike (an obs layer
         // closes the leg's request span here), then the service itself,
@@ -1295,13 +1260,13 @@ impl Engine {
             }
             Some(caller) => {
                 #[expect(clippy::expect_used, reason = "a parent outlives its call-outs")]
-                let parent = self.ctxs.get(&caller).expect("parent context exists");
+                let parent = self.ctxs.get(caller).expect("parent context exists");
                 let (parent_leg, parent_ids) = (parent.leg.clone(), parent.ids);
                 self.note(now, RESUME, parent_ids.0, ids.1);
                 let Some(ep) = self.endpoints.get(&parent_leg.dest) else {
                     // Parent's endpoint was deregistered mid-flight: the
                     // whole chain collapses with a synthesized error.
-                    let resp = unknown_endpoint(&parent_leg.dest, "unknown-endpoint");
+                    let resp = unknown_endpoint(&parent_leg.dest, &UNKNOWN_ENDPOINT);
                     self.push_event(now, EventKind::Deliver { ctx: caller, resp });
                     return;
                 };
@@ -1314,8 +1279,8 @@ impl Engine {
 }
 
 /// The 502 a leg to, or resumed at, an unregistered address resolves to.
-fn unknown_endpoint(addr: &str, marker: &'static str) -> HttpResponse {
-    HttpResponse::error(502, format!("unknown endpoint {addr}")).with_header(ERROR_HEADER, marker)
+fn unknown_endpoint(addr: &str, marker: &'static Header) -> HttpResponse {
+    HttpResponse::error(502, format!("unknown endpoint {addr}")).with_marker(marker)
 }
 
 #[cfg(test)]
@@ -1478,7 +1443,7 @@ mod tests {
         }
 
         fn resume(&mut self, _env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-            if self.first.take(leg.id) == Some(true) {
+            if self.first.remove(leg.id) == Some(true) {
                 let again = HttpRequest::post("/again", resp.body);
                 self.first.call_out(leg, self.next.clone(), again, false)
             } else {
@@ -2212,13 +2177,13 @@ mod tests {
         }
 
         fn resume(&mut self, env: &mut Env, leg: &LegMeta, resp: HttpResponse) -> Step {
-            let sent = self.sent.take(leg.id).expect("the path `start` sent");
+            let sent = self.sent.remove(leg.id).expect("the path `start` sent");
             self.say(env, "resume", &leg.dest, sent);
             self.reply(env, leg, resp)
         }
 
         fn delivered(&mut self, leg: &LegMeta) {
-            self.sent.take(leg.id);
+            self.sent.remove(leg.id);
         }
     }
 
@@ -2269,9 +2234,11 @@ mod tests {
                 break;
             };
             let unseen = match &ev.kind {
-                EventKind::Arrive { ctx } => Some((&engine.ctxs[ctx].leg, "arrive", None)),
+                EventKind::Arrive { ctx } => {
+                    Some((&engine.ctxs.get(*ctx).unwrap().leg, "arrive", None))
+                }
                 EventKind::Deliver { ctx, resp } => {
-                    let leg = &engine.ctxs[ctx].leg;
+                    let leg = &engine.ctxs.get(*ctx).unwrap().leg;
                     leg.root.then_some((leg, "complete", Some(resp.status)))
                 }
                 _ => None,

@@ -12,10 +12,12 @@
 //! handle ([`SharedPaths`]), which its engine leg and trace records hold too,
 //! and both message types carry their body in a recycled [`Body`].
 //!
-//! A header name or value is a [`Cow<'static, str>`](Cow): the headers the
-//! simulator itself attaches (a shed marker, an injected-fault marker, a
-//! priority class) are constants and are borrowed, so marking a reply
-//! allocates nothing; a parsed message owns what it read.
+//! A header name or value is a [`Cow<'static, str>`](Cow), and a message's
+//! header list a `Cow<'static, [Header]>`. The headers the simulator itself
+//! attaches (a shed marker, an injected-fault marker, a priority class) are
+//! `static` pairs ([`marker`]), and [`HttpResponse::with_marker`] borrows
+//! one as a one-pair list, so marking a message allocates nothing; a parsed
+//! message owns what it read.
 
 use crate::codec::Body;
 use crate::SimError;
@@ -89,7 +91,7 @@ pub struct HttpRequest {
     /// Absolute path, e.g. `/nudm-ueau/v1/generate-auth-data`.
     pub path: Rc<str>,
     /// Header name/value pairs (names match case-insensitively).
-    pub headers: Vec<(Cow<'static, str>, Cow<'static, str>)>,
+    pub headers: Cow<'static, [Header]>,
     /// Message body.
     pub body: Body,
 }
@@ -101,7 +103,7 @@ impl HttpRequest {
         HttpRequest {
             method,
             path: path.into(),
-            headers: Vec::new(),
+            headers: Cow::Borrowed(&[]),
             body: body.into(),
         }
     }
@@ -126,7 +128,15 @@ impl HttpRequest {
         name: impl Into<Cow<'static, str>>,
         value: impl Into<Cow<'static, str>>,
     ) -> Self {
-        self.headers.push((name.into(), value.into()));
+        self.headers.to_mut().push((name.into(), value.into()));
+        self
+    }
+
+    /// Adds a constant header (builder style): on a message with no
+    /// headers yet, `marker` is borrowed and nothing is allocated.
+    #[must_use]
+    pub fn with_marker(mut self, marker: &'static Header) -> Self {
+        mark(&mut self.headers, marker);
         self
     }
 
@@ -192,7 +202,7 @@ pub struct HttpResponse {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Header name/value pairs.
-    pub headers: Vec<(Cow<'static, str>, Cow<'static, str>)>,
+    pub headers: Cow<'static, [Header]>,
     /// Message body.
     pub body: Body,
 }
@@ -203,7 +213,7 @@ impl HttpResponse {
     pub fn ok(body: impl Into<Body>) -> Self {
         HttpResponse {
             status: 200,
-            headers: Vec::new(),
+            headers: Cow::Borrowed(&[]),
             body: body.into(),
         }
     }
@@ -215,7 +225,7 @@ impl HttpResponse {
     pub fn error(status: u16, message: impl AsRef<str>) -> Self {
         HttpResponse {
             status,
-            headers: Vec::new(),
+            headers: Cow::Borrowed(&[]),
             body: Body::from(message.as_ref().as_bytes()),
         }
     }
@@ -234,7 +244,15 @@ impl HttpResponse {
         name: impl Into<Cow<'static, str>>,
         value: impl Into<Cow<'static, str>>,
     ) -> Self {
-        self.headers.push((name.into(), value.into()));
+        self.headers.to_mut().push((name.into(), value.into()));
+        self
+    }
+
+    /// Adds a constant header (builder style): on a message with no
+    /// headers yet, `marker` is borrowed and nothing is allocated.
+    #[must_use]
+    pub fn with_marker(mut self, marker: &'static Header) -> Self {
+        mark(&mut self.headers, marker);
         self
     }
 
@@ -364,9 +382,25 @@ fn find_header<'a>(headers: &'a [Header], name: &str) -> Option<&'a str> {
 }
 
 /// One header line: a name and a value, borrowed when constant.
-type Header = (Cow<'static, str>, Cow<'static, str>);
+pub type Header = (Cow<'static, str>, Cow<'static, str>);
 
-type Headers = Vec<Header>;
+/// A constant header line, for a `static` that
+/// [`HttpResponse::with_marker`] borrows.
+#[must_use]
+pub const fn marker(name: &'static str, value: &'static str) -> Header {
+    (Cow::Borrowed(name), Cow::Borrowed(value))
+}
+
+/// Appends `marker` to `headers`, borrowing it when the list is empty.
+fn mark(headers: &mut Cow<'static, [Header]>, marker: &'static Header) {
+    if headers.is_empty() {
+        *headers = Cow::Borrowed(std::slice::from_ref(marker));
+    } else {
+        headers.to_mut().push(marker.clone());
+    }
+}
+
+type Headers = Cow<'static, [Header]>;
 
 /// Splits a message into its first line, its headers without
 /// `Content-Length`, and the body that header must account for exactly.
@@ -397,7 +431,7 @@ fn parse(bytes: &[u8]) -> Result<(&str, Headers, Body), SimError> {
     if declared != body.len() {
         return Err(malformed("content-length mismatch"));
     }
-    Ok((first, headers, Body::from(body)))
+    Ok((first, Cow::Owned(headers), Body::from(body)))
 }
 
 #[cfg(test)]
@@ -410,6 +444,28 @@ mod tests {
             .with_header("Accept", "application/json");
         let parsed = HttpRequest::from_bytes(&req.to_bytes()).unwrap();
         assert_eq!(parsed, req);
+    }
+
+    #[test]
+    fn a_header_list_is_as_small_as_a_vec() {
+        // Every engine context and event carries one of these.
+        assert_eq!(size_of::<Headers>(), size_of::<Vec<Header>>());
+        assert_eq!(size_of::<HttpRequest>(), 72);
+        assert_eq!(size_of::<HttpResponse>(), 56);
+    }
+
+    #[test]
+    fn a_marker_is_borrowed_until_a_second_header() {
+        static SHED: Header = marker("x-sim-shed", "queue-full");
+        let resp = HttpResponse::error(503, "shed").with_marker(&SHED);
+        assert!(matches!(resp.headers, Cow::Borrowed(_)));
+        assert_eq!(resp.header("X-Sim-Shed"), Some("queue-full"));
+        let resp = resp.with_marker(&SHED).with_header("a", "b");
+        assert!(matches!(resp.headers, Cow::Owned(_)));
+        assert_eq!(resp.headers.len(), 3);
+        let parsed = HttpResponse::from_bytes(&resp.to_bytes()).unwrap();
+        assert_eq!(parsed, resp);
+        assert!(matches!(parsed.headers, Cow::Owned(_)));
     }
 
     #[test]

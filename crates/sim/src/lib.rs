@@ -24,6 +24,8 @@
 //!   network call is an event on a `(virtual_time, seq)`-ordered queue,
 //!   services yield at outbound-call points, and per-endpoint worker
 //!   pools make queueing and admission shedding emerge mechanistically.
+//! * [`table`] — the id-ordered table every piece of per-request state
+//!   (engine contexts, spans, parked flows, NF contexts) is kept in.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@ pub mod latency;
 pub mod log;
 pub mod rng;
 pub mod service;
+pub mod table;
 pub mod time;
 pub mod tls;
 
