@@ -14,6 +14,7 @@
 //! an OCALL and secrets live in the encrypted enclave vault.
 
 use crate::CoreError;
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::secret::{KeySink, SecretBytes, Zeroize};
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_infra::host::{ContainerHandle, Host};
@@ -32,6 +33,7 @@ use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::TlsIdentity;
 use shield5g_sim::Env;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::iter::repeat_n;
 
@@ -569,9 +571,9 @@ impl PakaModule {
     fn load_subscriber_key(
         &mut self,
         env: &mut Env,
-        supi: &str,
+        supi: Supi,
     ) -> Result<SecretBytes<16>, NfError> {
-        let slot = key_slot(&mut self.key_slot, supi);
+        let slot = key_slot(&mut self.key_slot, supi.as_str());
         let wrong_length = || NfError::Backend("stored key has wrong length".into());
         let mut k = [0u8; 16];
         let mut c = self.container.borrow_mut();
@@ -580,9 +582,7 @@ impl PakaModule {
                 .enclave_mut()
                 .vault_read_into(env, slot, &mut k)
                 .map_err(|e| match e {
-                    shield5g_hmee::HmeeError::UnknownSlot(_) => {
-                        NfError::SubscriberUnknown(supi.to_owned())
-                    }
+                    shield5g_hmee::HmeeError::UnknownSlot(_) => NfError::SubscriberUnknown(supi),
                     shield5g_hmee::HmeeError::ValueLength { .. } => wrong_length(),
                     other => NfError::Backend(other.to_string()),
                 })?;
@@ -590,7 +590,7 @@ impl PakaModule {
             let stored = c
                 .plain_memory
                 .read(slot)
-                .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?;
+                .ok_or(NfError::SubscriberUnknown(supi))?;
             if stored.len() != k.len() {
                 return Err(wrong_length());
             }
@@ -608,7 +608,7 @@ impl PakaModule {
         &mut self,
         env: &mut Env,
         body: &[u8],
-        scratch: impl FnOnce(&O::Response) -> Option<(&'static str, &SecretBytes<32>)>,
+        scratch: impl FnOnce(&O::Response) -> Option<(&'static str, Cow<'_, SecretBytes<32>>)>,
     ) -> Result<Body, NfError> {
         let req = O::Request::decode(body)?;
         let resp = O::compute(&req, |supi| self.load_subscriber_key(env, supi))?;
@@ -619,30 +619,32 @@ impl PakaModule {
             self.charge_compute(env, extra);
         }
         if let Some((slot, key)) = scratch(&resp) {
-            write_key(&self.container, env, slot, key);
+            write_key(&self.container, env, slot, &key);
         }
-        Ok(resp.encode())
+        Ok(resp.into_body())
     }
 
     /// The AKA endpoint handlers (the code "inside" the module): which
     /// rows of the operation table this module kind hosts.
     fn dispatch(&mut self, env: &mut Env, path: &str, body: &[u8]) -> Result<Body, NfError> {
         match (self.kind, path) {
-            (PakaKind::EUdm, GenerateAv::PATH) => {
-                self.run::<GenerateAv>(env, body, |av| Some(("scratch:kausf", &av.kausf)))
-            }
+            (PakaKind::EUdm, GenerateAv::PATH) => self.run::<GenerateAv>(env, body, |av| {
+                Some(("scratch:kausf", Cow::Borrowed(&av.kausf)))
+            }),
             (PakaKind::EUdm, GenerateAvBatch::PATH) => {
-                self.run::<GenerateAvBatch>(env, body, |avs| {
-                    avs.last().map(|av| ("scratch:kausf", &av.kausf))
+                self.run::<GenerateAvBatch>(env, body, |batch| {
+                    batch
+                        .last_kausf()
+                        .map(|kausf| ("scratch:kausf", Cow::Owned(kausf)))
                 })
             }
             (PakaKind::EUdm, Resync::PATH) => self.run::<Resync>(env, body, |_| None),
-            (PakaKind::EAusf, DeriveSe::PATH) => {
-                self.run::<DeriveSe>(env, body, |se| Some(("scratch:kseaf", &se.kseaf)))
-            }
-            (PakaKind::EAmf, DeriveKamf::PATH) => {
-                self.run::<DeriveKamf>(env, body, |kamf| Some(("scratch:kamf", kamf)))
-            }
+            (PakaKind::EAusf, DeriveSe::PATH) => self.run::<DeriveSe>(env, body, |se| {
+                Some(("scratch:kseaf", Cow::Borrowed(&se.kseaf)))
+            }),
+            (PakaKind::EAmf, DeriveKamf::PATH) => self.run::<DeriveKamf>(env, body, |kamf| {
+                Some(("scratch:kamf", Cow::Borrowed(kamf)))
+            }),
             _ => Err(NfError::Protocol(format!(
                 "module {} has no handler for {path}",
                 self.kind.name()
@@ -958,7 +960,7 @@ mod tests {
     use shield5g_crypto::sqn::Auts;
     use shield5g_hmee::platform::SgxPlatform;
     use shield5g_nf::backend::{
-        AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest,
+        AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, AvBatch, UdmAkaBatchRequest, UdmAkaRequest,
         UdmAkaResyncRequest, MAX_AV_BATCH,
     };
     use shield5g_sim::http::SharedPaths;
@@ -1187,16 +1189,16 @@ mod tests {
                     None => c.plain_memory.write(&slot, &[7; 17]),
                 }
             }
-            let key = module.load_subscriber_key(&mut env, SUPI).unwrap();
+            let key = module.load_subscriber_key(&mut env, imsi(SUPI)).unwrap();
             assert!(key == K, "shielded: {shielded}");
-            let mut load = |supi| module.load_subscriber_key(&mut env, supi).map(|_| ());
+            let mut load = |supi| module.load_subscriber_key(&mut env, imsi(supi)).map(|_| ());
             (load(ABSENT), load(LONG))
         });
         assert_eq!(outcomes[0], outcomes[1]);
         assert_eq!(
             outcomes[0],
             (
-                Err(NfError::SubscriberUnknown(ABSENT.into())),
+                Err(NfError::SubscriberUnknown(imsi(ABSENT))),
                 Err(NfError::Backend("stored key has wrong length".into()))
             )
         );
@@ -1287,12 +1289,12 @@ mod tests {
             GenerateAvBatch::request(&mut SharedPaths::default(), &req),
         );
         assert!(resp.is_success());
-        let avs = Vec::<HeAv>::decode(&resp.body).unwrap();
+        let avs = AvBatch::decode(&resp.body).unwrap();
         assert_eq!(avs.len(), 8);
         // Every AV in the batch passes USIM verification.
         let mil = Milenage::with_opc(&K, &OPC);
         let snn = ServingNetworkName::new("001", "01");
-        for av in &avs {
+        for av in avs.iter() {
             let ue = shield5g_crypto::keys::ue_process_challenge(&mil, &av.rand, &av.autn, &snn)
                 .unwrap();
             assert_eq!(ue.res_star, av.xres_star);

@@ -497,6 +497,7 @@ mod tests {
         check_row::<GenerateAv>(PakaKind::EUdm, &av_request(), usim_accepts);
         // The batch steps SQN across a byte carry and RAND per SQN.
         check_row::<GenerateAvBatch>(PakaKind::EUdm, &batch_request(3), |avs| {
+            let avs: Vec<HeAv> = avs.iter().collect();
             assert_eq!(avs.len(), 3);
             avs.iter().for_each(usim_accepts);
             assert_ne!(avs[1].rand, avs[2].rand);
@@ -533,7 +534,7 @@ mod tests {
     fn failures_are_the_same_error_in_every_deployment() {
         let mut stranger = av_request();
         stranger.supi = imsi(STRANGER);
-        let unknown = NfError::SubscriberUnknown(STRANGER.into());
+        let unknown = NfError::SubscriberUnknown(imsi(STRANGER));
         assert_eq!(
             three_ways::<GenerateAv>(PakaKind::EUdm, &stranger),
             [Err(unknown.clone()), Err(unknown.clone()), Err(unknown)]

@@ -210,7 +210,15 @@ impl Supi {
     /// The `imsi-<digits>` text, as `Display` writes it.
     #[must_use]
     pub fn as_str(&self) -> &str {
-        ascii(&self.text[..usize::from(self.len)])
+        ascii(self.as_bytes())
+    }
+
+    /// The bytes of [`Supi::as_str`], without its UTF-8 check: they order
+    /// as the text does, so a lookup that compares many SUPIs compares
+    /// these.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.text[..usize::from(self.len)]
     }
 
     /// The home PLMN.

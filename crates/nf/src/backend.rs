@@ -32,10 +32,10 @@ use shield5g_crypto::milenage::Milenage;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_crypto::CryptoError;
-use shield5g_sim::codec::{Reader, Writer};
+use shield5g_sim::codec::{Body, Reader, Writer};
 use shield5g_sim::http::{HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::time::{SimDuration, SimTime};
-use shield5g_sim::Env;
+use shield5g_sim::{Env, SimError};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -143,28 +143,158 @@ pub fn batch_rand(rand_seed: &[u8; 16], sqn: &[u8; 6]) -> [u8; 16] {
     rand
 }
 
-/// A count-prefixed batch of HE AVs on the module wire; a count above
-/// [`MAX_AV_BATCH`] is refused before anything is allocated for it.
-impl Wire for Vec<HeAv> {
+/// Bytes of one HE AV on the module wire: RAND, AUTN, XRES* and K_AUSF.
+pub const HE_AV_LEN: usize = 16 + 16 + 16 + 32;
+
+/// A batch of HE AVs as its wire bytes: a `u32` count, then each AV's
+/// [`HE_AV_LEN`] bytes, in SQN order.
+///
+/// The module writes each AV straight into the reply buffer and the
+/// frontend reads them straight out of the reply body ([`AvBatch::avs`]),
+/// so neither side builds a list of `HeAv`s. Decoding is all or nothing:
+/// a count above [`MAX_AV_BATCH`] ([`NfError::Protocol`]), a truncated AV
+/// or a trailing byte ([`NfError::Sim`]) refuses the whole batch before
+/// any AV is read. The buffer is a [`Body`], zeroed when dropped; `Debug`
+/// shows each AV as `HeAv` does, keys redacted.
+#[derive(PartialEq, Eq)]
+pub struct AvBatch(Body);
+
+impl AvBatch {
+    /// The batch of `avs`, in order.
+    pub fn from_avs<'a>(avs: impl ExactSizeIterator<Item = &'a HeAv>) -> Self {
+        let mut w = Writer::with_capacity(Self::wire_len(avs.len()));
+        w.put_u32(avs.len() as u32);
+        for av in avs {
+            av.encode_into(&mut w);
+        }
+        AvBatch(w.into_bytes())
+    }
+
+    /// Wire length of a batch of `count` AVs.
+    #[must_use]
+    pub const fn wire_len(count: usize) -> usize {
+        4 + HE_AV_LEN * count
+    }
+
+    /// Checks that `bytes` is one whole batch, then reads its AVs in
+    /// order, one per step of the iterator: nothing is read from a body
+    /// that is refused.
+    ///
+    /// # Errors
+    ///
+    /// [`NfError::Protocol`] for a count above [`MAX_AV_BATCH`],
+    /// [`NfError::Sim`] for a truncated AV or trailing bytes.
+    pub fn avs(bytes: &[u8]) -> Result<Avs<'_>, NfError> {
+        let count = Self::count(&mut Reader::new(bytes))?;
+        let avs = bytes.get(4..).unwrap_or_default();
+        let want = HE_AV_LEN * count;
+        if avs.len() != want {
+            return Err(SimError::MalformedHttp(format!(
+                "AV batch of {count} is {want} bytes, have {}",
+                avs.len()
+            ))
+            .into());
+        }
+        Ok(Avs(avs.chunks_exact(HE_AV_LEN)))
+    }
+
+    /// Reads a batch's count, refusing one above [`MAX_AV_BATCH`] before
+    /// anything is read or allocated for it.
+    fn count(r: &mut Reader<'_>) -> Result<usize, NfError> {
+        let count = r.u32()?;
+        if count > MAX_AV_BATCH {
+            return Err(NfError::Protocol(format!("implausible AV batch {count}")));
+        }
+        Ok(count as usize)
+    }
+
+    /// This batch's AVs, in order.
+    #[must_use]
+    pub fn iter(&self) -> Avs<'_> {
+        Avs(self.0.get(4..).unwrap_or_default().chunks_exact(HE_AV_LEN))
+    }
+
+    /// AVs in the batch.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.iter().len()
+    }
+
+    /// Whether the batch holds no AV.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// K_AUSF of the last AV, the one the module leaves in its working
+    /// memory.
+    #[must_use]
+    pub fn last_kausf(&self) -> Option<SecretBytes<32>> {
+        self.iter().next_back().map(|av| av.kausf)
+    }
+}
+
+impl Wire for AvBatch {
     fn encode_into(&self, w: &mut Writer) {
         w.put_u32(self.len() as u32);
-        for av in self {
+        for av in self.iter() {
             av.encode_into(w);
         }
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, NfError> {
-        let count = r.u32()?;
-        if count > MAX_AV_BATCH {
-            return Err(NfError::Protocol(format!("implausible AV batch {count}")));
-        }
-        let mut avs = Vec::with_capacity(count as usize);
+        let count = Self::count(r)?;
+        let mut w = Writer::with_capacity(Self::wire_len(count));
+        w.put_u32(count as u32);
         for _ in 0..count {
-            avs.push(HeAv::decode_from(r)?);
+            HeAv::decode_from(r)?.encode_into(&mut w);
         }
-        Ok(avs)
+        Ok(AvBatch(w.into_bytes()))
+    }
+
+    fn into_body(self) -> Body {
+        self.0
     }
 }
+
+impl std::fmt::Debug for AvBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The AVs of a checked batch ([`AvBatch::avs`]), decoded one at a time.
+pub struct Avs<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Avs<'_> {
+    /// An AV's bytes are fixed-size fields, so a whole chunk always decodes.
+    #[inline]
+    fn decode(chunk: &[u8]) -> Option<HeAv> {
+        HeAv::decode_from(&mut Reader::new(chunk)).ok()
+    }
+}
+
+impl Iterator for Avs<'_> {
+    type Item = HeAv;
+
+    // Inlined into the cache's extend, in another crate.
+    #[inline]
+    fn next(&mut self) -> Option<HeAv> {
+        self.0.next().and_then(Self::decode)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Avs<'_> {
+    fn next_back(&mut self) -> Option<HeAv> {
+        self.0.next_back().and_then(Self::decode)
+    }
+}
+
+impl ExactSizeIterator for Avs<'_> {}
 
 /// Inputs to the UDM AUTS check — Table I eUDM re-synchronisation inputs
 /// (OPc 16 B, RAND 16 B, AUTS 14 B) plus the SUPI that selects `K`.
@@ -254,9 +384,9 @@ wire!(AmfAkaRequest { kseaf, supi, abba });
 
 /// Resolves a SUPI to the subscriber's long-term key `K`, wherever the
 /// deployment keeps it.
-pub trait KeySource: FnMut(&str) -> Result<SecretBytes<16>, NfError> {}
+pub trait KeySource: FnMut(Supi) -> Result<SecretBytes<16>, NfError> {}
 
-impl<F: FnMut(&str) -> Result<SecretBytes<16>, NfError>> KeySource for F {}
+impl<F: FnMut(Supi) -> Result<SecretBytes<16>, NfError>> KeySource for F {}
 
 /// One row of the operation table: a sensitive function the paper moves
 /// behind the enclave boundary.
@@ -303,7 +433,7 @@ impl AkaOp for GenerateAv {
     type Response = HeAv;
 
     fn compute(req: &UdmAkaRequest, mut key_of: impl KeySource) -> Result<HeAv, NfError> {
-        let mil = Milenage::new(&key_of(req.supi.as_str())?, &req.opc);
+        let mil = Milenage::new(&key_of(req.supi)?, &req.opc);
         Ok(keys::generate_he_av(
             &mil,
             &req.rand,
@@ -322,23 +452,24 @@ impl AkaOp for GenerateAvBatch {
     const PATH: &'static str = "/eudm/generate-av-batch";
     const FUNC_NANOS: u64 = UDM_FUNC_NANOS;
     type Request = UdmAkaBatchRequest;
-    type Response = Vec<HeAv>;
+    type Response = AvBatch;
 
-    fn compute(req: &UdmAkaBatchRequest, mut key_of: impl KeySource) -> Result<Vec<HeAv>, NfError> {
+    fn compute(req: &UdmAkaBatchRequest, mut key_of: impl KeySource) -> Result<AvBatch, NfError> {
         if req.count == 0 || req.count > MAX_AV_BATCH {
             return Err(NfError::Protocol(format!(
                 "AV batch count {} outside 1..={MAX_AV_BATCH}",
                 req.count
             )));
         }
-        let mil = Milenage::new(&key_of(req.supi.as_str())?, &req.opc);
-        Ok((0..req.count)
-            .map(|i| {
-                let sqn = sqn_add(&req.sqn_start, u64::from(i));
-                let rand = batch_rand(&req.rand_seed, &sqn);
-                keys::generate_he_av(&mil, &rand, &sqn, &req.amf_field, &req.snn)
-            })
-            .collect())
+        let mil = Milenage::new(&key_of(req.supi)?, &req.opc);
+        let mut w = Writer::with_capacity(AvBatch::wire_len(req.count as usize));
+        w.put_u32(req.count);
+        for i in 0..req.count {
+            let sqn = sqn_add(&req.sqn_start, u64::from(i));
+            let rand = batch_rand(&req.rand_seed, &sqn);
+            keys::generate_he_av(&mil, &rand, &sqn, &req.amf_field, &req.snn).encode_into(&mut w);
+        }
+        Ok(AvBatch(w.into_bytes()))
     }
 
     fn executions(req: &UdmAkaBatchRequest) -> u32 {
@@ -356,7 +487,7 @@ impl AkaOp for Resync {
     type Response = [u8; 6];
 
     fn compute(req: &UdmAkaResyncRequest, mut key_of: impl KeySource) -> Result<[u8; 6], NfError> {
-        let mil = Milenage::new(&key_of(req.supi.as_str())?, &req.opc);
+        let mil = Milenage::new(&key_of(req.supi)?, &req.opc);
         Ok(req.auts.verify(&mil, &req.rand)?)
     }
 }
@@ -393,15 +524,14 @@ impl AkaOp for DeriveKamf {
 }
 
 /// Module side of the error mapping: the HTTP reply to a failed
-/// operation.
+/// operation, its body the error's display form (a crypto failure's own)
+/// formatted into a spare buffer, so a refusal allocates nothing.
 #[must_use]
 pub fn error_reply(e: &NfError) -> HttpResponse {
     match e {
-        NfError::SubscriberUnknown(supi) => {
-            HttpResponse::error(404, format!("unknown subscriber {supi}"))
-        }
-        NfError::Crypto(e) => HttpResponse::error(403, e.to_string()),
-        e => HttpResponse::error(400, e.to_string()),
+        NfError::SubscriberUnknown(_) => HttpResponse::error(404, e),
+        NfError::Crypto(e) => HttpResponse::error(403, e),
+        e => HttpResponse::error(400, e),
     }
 }
 
@@ -409,14 +539,17 @@ pub fn error_reply(e: &NfError) -> HttpResponse {
 /// stands for. Inverts [`error_reply`] for every cause a row's `compute`
 /// can raise (a 400 body is the error's display form, hence `Protocol`'s
 /// lead-in), so a VNF sees the same error whichever deployment ran the
-/// function.
+/// function. A 404 whose text names no SUPI is the module's own failure.
 #[must_use]
 pub fn reply_error(status: u16, detail: &str) -> NfError {
     let after = |lead: &str| detail.strip_prefix(lead).unwrap_or(detail).to_owned();
-    match status {
-        404 => NfError::SubscriberUnknown(after("unknown subscriber ")),
-        403 => NfError::Crypto(CryptoError::MacMismatch),
-        400 => NfError::Protocol(after("protocol violation: ")),
+    let unknown = detail
+        .strip_prefix("unknown subscriber ")
+        .and_then(|supi| Supi::parse(supi).ok());
+    match (status, unknown) {
+        (404, Some(supi)) => NfError::SubscriberUnknown(supi),
+        (403, _) => NfError::Crypto(CryptoError::MacMismatch),
+        (400, _) => NfError::Protocol(after("protocol violation: ")),
         _ => NfError::Backend(format!("module replied {status}: {detail}")),
     }
 }
@@ -494,9 +627,9 @@ impl LocalAka {
 
 impl<O: AkaOp> AkaBackend<O> for LocalAka {
     fn begin(&mut self, env: &mut Env, req: &O::Request) -> BackendOp<O::Response> {
-        let out = O::compute(req, |supi| match self.keys.get(supi) {
+        let out = O::compute(req, |supi| match self.keys.get(supi.as_str()) {
             Some(k) => Ok(k.clone()),
-            None => Err(NfError::SubscriberUnknown(supi.to_owned())),
+            None => Err(NfError::SubscriberUnknown(supi)),
         });
         // A request refused up front (unknown SUPI, out-of-range batch)
         // never runs the function and is not charged for it.
@@ -627,22 +760,72 @@ mod tests {
 
     #[test]
     fn output_decoders_refuse_implausible_bodies() {
-        assert_eq!(
-            Vec::<HeAv>::decode(&Vec::<HeAv>::new().encode()),
-            Ok(vec![])
-        );
+        let empty = AvBatch::from_avs([].iter());
+        assert_eq!(AvBatch::decode(&empty.encode()), Ok(empty));
         let mut bogus = Writer::new();
         bogus.put_u32(MAX_AV_BATCH + 1);
-        assert!(Vec::<HeAv>::decode(&bogus.into_bytes()).is_err());
+        assert!(AvBatch::decode(&bogus.into_bytes()).is_err());
         assert!(HeAv::decode(&[0; 10]).is_err());
         assert!(<[u8; 6]>::decode(&[0; 7]).is_err());
         assert!(SecretBytes::<32>::decode(&[0; 31]).is_err());
     }
 
     #[test]
+    fn a_batch_decodes_all_or_nothing() {
+        let av = |tag: u8| HeAv {
+            rand: [tag; 16],
+            autn: [tag; 16],
+            xres_star: [tag; 16].into(),
+            kausf: [tag; 32].into(),
+        };
+        let batch = AvBatch::from_avs([av(1), av(2)].iter());
+        let bytes = batch.encode();
+        assert_eq!(bytes.len(), AvBatch::wire_len(2));
+        assert_eq!(
+            AvBatch::avs(&bytes).unwrap().collect::<Vec<_>>(),
+            [av(1), av(2)]
+        );
+        assert_eq!(batch.last_kausf(), Some(av(2).kausf));
+        let mut over = Writer::new();
+        over.put_u32(MAX_AV_BATCH + 1);
+        let over = [&over.into_bytes()[..], &[0; HE_AV_LEN]].concat();
+        assert!(matches!(AvBatch::avs(&over), Err(NfError::Protocol(_))));
+        assert!(matches!(AvBatch::decode(&over), Err(NfError::Protocol(_))));
+        for framing in [&bytes[..bytes.len() - 1], &[&bytes[..], &[0]].concat()] {
+            assert!(matches!(AvBatch::avs(framing), Err(NfError::Sim(_))));
+            assert!(matches!(AvBatch::decode(framing), Err(NfError::Sim(_))));
+        }
+    }
+
+    #[test]
+    fn the_module_writes_the_batch_the_avs_encode_to() {
+        let req = UdmAkaBatchRequest {
+            supi: crate::tests::imsi(SUPI),
+            opc: [0xcd; 16].into(),
+            rand_seed: [0x23; 16],
+            sqn_start: [0, 0, 0, 0, 0, 0xfe],
+            amf_field: [0x80, 0],
+            snn: snn(),
+            count: 3,
+        };
+        let batch = GenerateAvBatch::compute(&req, |_| Ok([0x46; 16].into())).unwrap();
+        let mil = Milenage::with_opc(&[0x46; 16], &[0xcd; 16]);
+        let avs: Vec<HeAv> = (0..3)
+            .map(|i| {
+                let sqn = sqn_add(&req.sqn_start, i);
+                let rand = batch_rand(&req.rand_seed, &sqn);
+                keys::generate_he_av(&mil, &rand, &sqn, &req.amf_field, &req.snn)
+            })
+            .collect();
+        assert_eq!(batch, AvBatch::from_avs(avs.iter()));
+        assert_eq!(batch.iter().collect::<Vec<_>>(), avs);
+        assert_eq!(batch.last_kausf(), Some(avs[2].kausf.clone()));
+    }
+
+    #[test]
     fn error_mapping_round_trips_for_every_cause_a_row_raises() {
         for (cause, status) in [
-            (NfError::SubscriberUnknown(SUPI.into()), 404),
+            (NfError::SubscriberUnknown(crate::tests::imsi(SUPI)), 404),
             (NfError::Crypto(CryptoError::MacMismatch), 403),
             (
                 NfError::Protocol("AV batch count 0 outside 1..=256".into()),
@@ -659,6 +842,10 @@ mod tests {
         let truncated = UdmAkaRequest::decode(&[0; 3]).unwrap_err();
         assert_eq!(error_reply(&truncated).status, 400);
         assert!(matches!(reply_error(503, "busy"), NfError::Backend(_)));
+        assert!(matches!(
+            reply_error(404, "no handler for /x"),
+            NfError::Backend(_)
+        ));
     }
 
     #[test]
@@ -679,7 +866,7 @@ mod tests {
         let t0 = env.clock.now();
         assert_eq!(
             run::<GenerateAv>(&mut env, &mut LocalAka::default(), &udm_request()),
-            Err(NfError::SubscriberUnknown(SUPI.into()))
+            Err(NfError::SubscriberUnknown(crate::tests::imsi(SUPI)))
         );
         assert_eq!(env.clock.now(), t0);
     }

@@ -38,6 +38,7 @@ pub mod udr;
 pub mod upf;
 pub mod wire;
 
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::CryptoError;
 use shield5g_sim::SimError;
 use std::error::Error;
@@ -94,8 +95,9 @@ pub enum NfError {
     Crypto(CryptoError),
     /// A transport/bus failure.
     Sim(SimError),
-    /// The subscriber is not provisioned.
-    SubscriberUnknown(String),
+    /// The subscriber is not provisioned (the SUPI inline, so the refusal
+    /// allocates nothing).
+    SubscriberUnknown(Supi),
     /// Authentication was rejected.
     AuthenticationRejected(String),
     /// A backend (P-AKA module) failure.
@@ -180,13 +182,13 @@ mod tests {
     fn every_registered_type_redacts_and_wipes() {
         use crate::ausf::AuthContext;
         use crate::backend::{
-            AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, LocalAka, UdmAkaBatchRequest,
+            AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, AvBatch, LocalAka, UdmAkaBatchRequest,
             UdmAkaRequest, UdmAkaResyncRequest,
         };
         use crate::nas_security::NasSecurityContext;
         use crate::sbi::{ConfirmResponse, UdrAuthDataResponse};
         use crate::udr::SubscriberEntry;
-        use shield5g_crypto::keys::ServingNetworkName;
+        use shield5g_crypto::keys::{HeAv, ServingNetworkName};
         use shield5g_crypto::secret::{redacts, wipes_through};
         use shield5g_crypto::sqn::{Auts, SqnGenerator};
         use shield5g_crypto::SecretBytes;
@@ -249,6 +251,15 @@ mod tests {
             sqn: [0, 0, 0, 0, 0, 1],
             amf_field: [0x80, 0],
         }));
+        assert!(redacts(|c| {
+            let av = HeAv {
+                rand: [1; 16],
+                autn: [2; 16],
+                xres_star: SecretBytes::new([c; 16]),
+                kausf: SecretBytes::new([c; 32]),
+            };
+            AvBatch::from_avs([av.clone(), av].iter())
+        }));
         assert!(redacts(|c| NasSecurityContext::from_kamf(&[c; 32], true)));
         assert!(redacts(|c| SubscriberEntry {
             opc: SecretBytes::new([c; 16]),
@@ -271,6 +282,8 @@ mod tests {
         wipes_through(|resp: &UdrAuthDataResponse| &resp.opc);
         wipes_through(|nas: &NasSecurityContext| &nas.knas_enc);
         wipes_through(|entry: &SubscriberEntry| &entry.opc);
+        // `AvBatch` holds its keys in a wire `Body`, which the codec zeroes
+        // when it drops; only `crypto` types are `ZeroizeOnDrop`.
     }
 
     #[test]
@@ -278,9 +291,9 @@ mod tests {
         let e = NfError::from(CryptoError::MacMismatch);
         assert!(e.to_string().contains("crypto"));
         assert!(Error::source(&e).is_some());
-        assert!(NfError::SubscriberUnknown("imsi-1".into())
+        assert!(NfError::SubscriberUnknown(imsi("imsi-001010000000001"))
             .to_string()
-            .contains("imsi-1"));
+            .contains("imsi-001010000000001"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::sbi::{UdrAuthDataRequest, UdrAuthDataResponse, UdrResyncRequest};
 use crate::NfError;
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::SqnGenerator;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
@@ -66,11 +67,11 @@ impl UdrService {
         self.subscribers.get(supi).map(|e| e.sqn.seq())
     }
 
-    fn auth_data(&mut self, supi: &str) -> Result<UdrAuthDataResponse, NfError> {
+    fn auth_data(&mut self, supi: Supi) -> Result<UdrAuthDataResponse, NfError> {
         let entry = self
             .subscribers
-            .get_mut(supi)
-            .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?;
+            .get_mut(supi.as_str())
+            .ok_or(NfError::SubscriberUnknown(supi))?;
         Ok(UdrAuthDataResponse {
             opc: entry.opc.clone(),
             sqn: entry.sqn.next_sqn(),
@@ -78,11 +79,11 @@ impl UdrService {
         })
     }
 
-    fn resync(&mut self, supi: &str, sqn_ms: &[u8; 6]) -> Result<(), NfError> {
+    fn resync(&mut self, supi: Supi, sqn_ms: &[u8; 6]) -> Result<(), NfError> {
         let entry = self
             .subscribers
-            .get_mut(supi)
-            .ok_or_else(|| NfError::SubscriberUnknown(supi.to_owned()))?;
+            .get_mut(supi.as_str())
+            .ok_or(NfError::SubscriberUnknown(supi))?;
         entry.sqn.resynchronise(sqn_ms);
         Ok(())
     }
@@ -94,24 +95,18 @@ impl Service for UdrService {
         env.clock.advance(SimDuration::from_micros(35));
         match &*req.path {
             "/nudr-dr/auth-data" => {
-                match UdrAuthDataRequest::decode(&req.body)
-                    .and_then(|r| self.auth_data(r.supi.as_str()))
-                {
+                match UdrAuthDataRequest::decode(&req.body).and_then(|r| self.auth_data(r.supi)) {
                     Ok(resp) => HttpResponse::ok(resp.encode()),
-                    Err(NfError::SubscriberUnknown(s)) => {
-                        HttpResponse::error(404, format!("unknown subscriber {s}"))
-                    }
-                    Err(e) => HttpResponse::error(400, e.to_string()),
+                    Err(e @ NfError::SubscriberUnknown(_)) => HttpResponse::error(404, e),
+                    Err(e) => HttpResponse::error(400, e),
                 }
             }
             "/nudr-dr/resync" => match UdrResyncRequest::decode(&req.body)
-                .and_then(|r| self.resync(r.supi.as_str(), &r.sqn_ms))
+                .and_then(|r| self.resync(r.supi, &r.sqn_ms))
             {
                 Ok(()) => HttpResponse::ok(Vec::new()),
-                Err(NfError::SubscriberUnknown(s)) => {
-                    HttpResponse::error(404, format!("unknown subscriber {s}"))
-                }
-                Err(e) => HttpResponse::error(400, e.to_string()),
+                Err(e @ NfError::SubscriberUnknown(_)) => HttpResponse::error(404, e),
+                Err(e) => HttpResponse::error(400, e),
             },
             other => HttpResponse::error(404, format!("no handler for {other}")),
         }

@@ -62,6 +62,13 @@ pub trait Wire: Sized {
         Writer::build(|w| self.encode_into(w))
     }
 
+    /// The wire bytes, taking the message: a type that holds its own
+    /// wire bytes hands its buffer over instead of copying it.
+    #[must_use]
+    fn into_body(self) -> Body {
+        self.encode()
+    }
+
     /// Decodes a whole message: bytes left over are a framing violation.
     ///
     /// # Errors
@@ -414,6 +421,7 @@ mod tests {
 
             let peer = Supi::new(Plmn::new(&peer_mcc, &peer_mnc).unwrap(), &peer_msin).unwrap();
             prop_assert_eq!(supi.cmp(&peer), text.cmp(&peer.to_string()));
+            prop_assert_eq!(supi.as_bytes().cmp(peer.as_bytes()), supi.cmp(&peer));
             prop_assert_eq!(supi == peer, text == peer.to_string());
 
             let snn = format!("5G:mnc{mnc:0>3}.mcc{mcc}.3gppnetwork.org");

@@ -17,7 +17,7 @@ use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_nf::backend::{
-    AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest,
+    AmfAkaRequest, AusfAkaRequest, AusfAkaResponse, AvBatch, UdmAkaBatchRequest, UdmAkaRequest,
     UdmAkaResyncRequest,
 };
 use shield5g_nf::messages::{AuthFailureCause, NasDownlink, NasUplink, Ngap, UeIdentity};
@@ -487,8 +487,11 @@ fn paka(supi: &Supi) -> Vec<Vector> {
             },
         ),
         wire("paka.he_av", he_av(0x10)),
-        wire("paka.he_av_batch", vec![he_av(0x10), he_av(0x20)]),
-        wire("paka.he_av_batch.empty", Vec::<HeAv>::new()),
+        wire(
+            "paka.he_av_batch",
+            AvBatch::from_avs([he_av(0x10), he_av(0x20)].iter()),
+        ),
+        wire("paka.he_av_batch.empty", AvBatch::from_avs([].iter())),
         wire(
             "paka.ausf_aka_request",
             AusfAkaRequest {

@@ -14,12 +14,24 @@
 //! [`AvCache::purge_where`] drops them wholesale once they are stale (a
 //! resynchronisation or a failover) — a stale cached SQN would push the
 //! UE straight back into AUTS resync loops.
+//!
+//! A batch reaches the cache as the module's reply bytes and its AVs are
+//! read out of them straight into the SUPI's queue
+//! (`shield5g_nf::backend::AvBatch::avs`, which refuses a malformed body
+//! before reading any AV, so a refused batch leaves the cache as it was).
+//! Keys are inline [`Supi`] values, looked up by the bytes of their text:
+//! no parse, and no UTF-8 check per comparison.
+//! What still allocates is one storage block per SUPI per cache, sized
+//! from the SUPI's first batch, and its growth, at most to
+//! `capacity_per_supi`, when a batch lands on AVs still queued; a hit,
+//! and a later batch that fits, allocate nothing.
 
+use shield5g_crypto::ident::Supi;
 use shield5g_crypto::keys::HeAv;
 use shield5g_obs::{hub as obs, labels};
 use shield5g_sim::time::SimDuration;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cache parameters.
 #[derive(Clone, Copy, Debug)]
@@ -67,12 +79,23 @@ impl CacheStats {
     }
 }
 
+/// A cache key: a SUPI, found by the bytes of its text, which order as
+/// the `Supi` does.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(Supi);
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+}
+
 /// Per-SUPI FIFO cache of pre-generated HE AVs.
 #[derive(Debug, Default)]
 pub struct AvCache {
     cfg: AvCacheConfig,
     /// Each SUPI's AVs in SQN order (front = next to hand out).
-    entries: BTreeMap<String, VecDeque<HeAv>>,
+    entries: BTreeMap<Key, VecDeque<HeAv>>,
     stats: CacheStats,
 }
 
@@ -91,7 +114,11 @@ impl AvCache {
     /// counts as a miss; the caller should generate a batch and
     /// [`AvCache::put_batch`] it.
     pub fn take(&mut self, supi: &str) -> Option<HeAv> {
-        match self.entries.get_mut(supi).and_then(VecDeque::pop_front) {
+        match self
+            .entries
+            .get_mut(supi.as_bytes())
+            .and_then(VecDeque::pop_front)
+        {
             Some(av) => {
                 self.stats.hits += 1;
                 Some(av)
@@ -107,26 +134,40 @@ impl AvCache {
     /// miss path uses this to consume the first AV of the batch it just
     /// generated (that request already counted as the miss).
     pub fn pop_uncounted(&mut self, supi: &str) -> Option<HeAv> {
-        self.entries.get_mut(supi).and_then(VecDeque::pop_front)
+        self.entries
+            .get_mut(supi.as_bytes())
+            .and_then(VecDeque::pop_front)
     }
 
     /// Stores a freshly generated batch, its AVs in SQN order behind
     /// those already cached. Overflow beyond the per-SUPI capacity is
     /// truncated from the *newest* end (highest SQNs): the front of the
     /// deque is the next AV to hand out, so dropping from the front
-    /// would skip SQNs mid-stream and push UEs into AUTS resync.
-    pub fn put_batch(&mut self, supi: &str, avs: Vec<HeAv>) {
-        let count = avs.len() as u64;
-        // The key is allocated on a SUPI's first batch only.
-        let cached = match self.entries.get_mut(supi) {
-            Some(cached) => cached,
-            None => self.entries.entry(supi.to_owned()).or_default(),
+    /// would skip SQNs mid-stream and push UEs into AUTS resync. Only
+    /// the AVs that fit are stored, so the queue never grows past the
+    /// capacity. A `supi` that is no SUPI's text has no storage: its
+    /// AVs count as evicted.
+    pub fn put_batch(&mut self, supi: &str, avs: impl IntoIterator<Item = HeAv>) {
+        let mut avs = avs.into_iter();
+        let cached = match self.entries.get_mut(supi.as_bytes()) {
+            Some(cached) => Some(cached),
+            // A SUPI's key is parsed on its first batch only.
+            None => Supi::parse(supi)
+                .ok()
+                .map(|key| self.entries.entry(Key(key)).or_default()),
         };
-        cached.extend(avs);
-        let evicted = cached.len().saturating_sub(self.cfg.capacity_per_supi);
-        cached.truncate(self.cfg.capacity_per_supi);
+        let mut stored = 0;
+        if let Some(cached) = cached {
+            let before = cached.len();
+            cached.extend(
+                avs.by_ref()
+                    .take(self.cfg.capacity_per_supi.saturating_sub(before)),
+            );
+            stored = cached.len() - before;
+        }
+        let evicted = avs.count();
         self.stats.evicted += evicted as u64;
-        self.stats.pregenerated += count;
+        self.stats.pregenerated += (stored + evicted) as u64;
     }
 
     /// Drops every cached AV for the SUPIs selected by `pred` — the
@@ -136,7 +177,7 @@ impl AvCache {
     pub fn purge_where(&mut self, pred: impl Fn(&str) -> bool) -> usize {
         let mut dropped = 0;
         for (supi, cached) in &mut self.entries {
-            if pred(supi) {
+            if pred(supi.0.as_str()) {
                 dropped += cached.len();
                 cached.clear();
             }
@@ -148,7 +189,7 @@ impl AvCache {
     /// Cached AVs currently held for `supi`.
     #[must_use]
     pub fn depth(&self, supi: &str) -> usize {
-        self.entries.get(supi).map_or(0, VecDeque::len)
+        self.entries.get(supi.as_bytes()).map_or(0, VecDeque::len)
     }
 
     /// Batch size to request on a miss.
@@ -243,6 +284,13 @@ impl Brownout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_nf::backend::{AvBatch, MAX_AV_BATCH};
+    use shield5g_nf::wire::Wire;
+    use shield5g_nf::NfError;
+    use shield5g_sim::codec::Writer;
+
+    const S1: &str = "imsi-001010000000001";
+    const S2: &str = "imsi-001010000000002";
 
     fn av(i: u8) -> HeAv {
         HeAv {
@@ -256,10 +304,10 @@ mod tests {
     #[test]
     fn miss_then_hits_in_fifo_order() {
         let mut c = AvCache::new(AvCacheConfig::default());
-        assert!(c.take("imsi-1").is_none());
-        c.put_batch("imsi-1", vec![av(1), av(2), av(3)]);
-        assert_eq!(c.take("imsi-1").unwrap(), av(1));
-        assert_eq!(c.take("imsi-1").unwrap(), av(2));
+        assert!(c.take(S1).is_none());
+        c.put_batch(S1, vec![av(1), av(2), av(3)]);
+        assert_eq!(c.take(S1).unwrap(), av(1));
+        assert_eq!(c.take(S1).unwrap(), av(2));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.pregenerated), (2, 1, 3));
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
@@ -271,11 +319,11 @@ mod tests {
             batch_size: 4,
             capacity_per_supi: 5,
         });
-        c.put_batch("imsi-1", (0..8).map(av).collect());
-        assert_eq!(c.depth("imsi-1"), 5);
+        c.put_batch(S1, (0..8).map(av));
+        assert_eq!(c.depth(S1), 5);
         // Overflow is truncated from the newest end: the front — the
         // next AV handed out — is still AV 0.
-        assert_eq!(c.take("imsi-1").unwrap(), av(0));
+        assert_eq!(c.take(S1).unwrap(), av(0));
         let s = c.stats();
         assert_eq!(s.evicted, 3);
         assert_eq!(s.invalidated, 0, "capacity evictions are not resyncs");
@@ -292,32 +340,68 @@ mod tests {
             capacity_per_supi: 5,
         });
         // Batch carries SQNs 1..=8; only 1..=5 fit.
-        c.put_batch("imsi-1", (1..=8).map(av).collect());
+        c.put_batch(S1, (1..=8).map(av));
         for expect in 1..=5u8 {
-            assert_eq!(c.take("imsi-1").unwrap(), av(expect));
+            assert_eq!(c.take(S1).unwrap(), av(expect));
         }
-        c.put_batch("imsi-1", (6..=9).map(av).collect());
+        c.put_batch(S1, (6..=9).map(av));
         for expect in 6..=9u8 {
-            assert_eq!(c.take("imsi-1").unwrap(), av(expect));
+            assert_eq!(c.take(S1).unwrap(), av(expect));
         }
     }
 
     #[test]
     fn purge_where_drops_only_selected_supis() {
         let mut c = AvCache::new(AvCacheConfig::default());
-        c.put_batch("imsi-1", vec![av(1), av(2)]);
-        c.put_batch("imsi-2", vec![av(3)]);
-        let dropped = c.purge_where(|s| s == "imsi-1");
+        c.put_batch(S1, vec![av(1), av(2)]);
+        c.put_batch(S2, vec![av(3)]);
+        let dropped = c.purge_where(|s| s == S1);
         assert_eq!(dropped, 2);
-        assert_eq!(c.depth("imsi-1"), 0);
-        assert_eq!(c.depth("imsi-2"), 1);
+        assert_eq!(c.depth(S1), 0);
+        assert_eq!(c.depth(S2), 1);
     }
 
     #[test]
     fn supis_are_isolated() {
         let mut c = AvCache::new(AvCacheConfig::default());
-        c.put_batch("imsi-1", vec![av(1)]);
-        assert!(c.take("imsi-2").is_none());
-        assert_eq!(c.take("imsi-1").unwrap(), av(1));
+        c.put_batch(S1, vec![av(1)]);
+        assert!(c.take(S2).is_none());
+        assert_eq!(c.take(S1).unwrap(), av(1));
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_the_cache_as_it_was() {
+        let mut c = AvCache::new(AvCacheConfig::default());
+        c.put_batch(S1, vec![av(1)]);
+        let before = (c.depth(S1), c.stats());
+        let valid = AvBatch::from_avs([av(2), av(3)].iter()).encode();
+        let mut over = Writer::new();
+        over.put_u32(MAX_AV_BATCH + 1);
+        let bodies = [
+            (over.into_bytes().to_vec(), "a count above the cap"),
+            (valid[..valid.len() - 1].to_vec(), "a truncated AV"),
+            ([&valid[..], &[0]].concat(), "a trailing byte"),
+        ];
+        for (body, what) in &bodies {
+            match AvBatch::avs(body) {
+                Ok(avs) => panic!("{what} accepted: {} AVs", avs.len()),
+                Err(NfError::Protocol(_)) => assert_eq!(*what, "a count above the cap"),
+                Err(NfError::Sim(_)) => assert_ne!(*what, "a count above the cap"),
+                Err(e) => panic!("{what} refused as {e:?}"),
+            }
+            assert_eq!((c.depth(S1), c.stats()), before, "{what}");
+        }
+        c.put_batch(S1, AvBatch::avs(&valid).unwrap());
+        assert_eq!(c.depth(S1), 3);
+        assert_eq!([c.take(S1), c.take(S1)], [Some(av(1)), Some(av(2))]);
+    }
+
+    #[test]
+    fn a_key_that_is_no_supi_stores_nothing() {
+        let mut c = AvCache::new(AvCacheConfig::default());
+        c.put_batch("imsi-1", vec![av(1), av(2)]);
+        assert_eq!(c.depth("imsi-1"), 0);
+        let s = c.stats();
+        assert_eq!((s.pregenerated, s.evicted), (2, 2));
     }
 }

@@ -52,9 +52,8 @@ use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_crypto::sqn::sqn_from_bytes;
 use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
 use shield5g_nf::backend::{
-    sqn_add, AkaOp, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest,
+    sqn_add, AkaOp, AvBatch, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest,
 };
-use shield5g_nf::wire::Wire;
 use shield5g_obs::{hub as obs, labels};
 use shield5g_ran::workload::{poisson_arrivals, test_subscriber, WorkloadSpec};
 use shield5g_sim::engine::{
@@ -276,8 +275,9 @@ impl Run {
             if ok {
                 self.recovery.success(finished);
                 if let (true, Some(c)) = (pending.batch, self.cache.as_mut()) {
+                    // Checked whole before any AV reaches the cache.
                     #[expect(clippy::expect_used, reason = "ok batch replies are module-encoded")]
-                    let avs = Vec::decode(&completion.response.body).expect("batch wire");
+                    let avs = AvBatch::avs(&completion.response.body).expect("batch wire");
                     let supi = self.supis[pending.ue as usize].as_str();
                     c.put_batch(supi, avs);
                     // The missing request consumes the batch head itself.

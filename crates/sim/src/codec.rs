@@ -15,18 +15,22 @@
 //! That buffer is a [`Body`], and a buffer is written once and recycled
 //! zeroed: when a `Body` drops, its written bytes are overwritten with
 //! zeros and the buffer joins a small per-thread spare list, where the
-//! next [`Writer::new`] (or [`Body::from`] a slice) picks it up — the
-//! smallest spare with room, so short messages keep short buffers. A
+//! next [`Writer::new`] (or [`Writer::with_capacity`], [`Body::from`] a
+//! slice, [`Body::display`]) picks it up — the smallest spare with room,
+//! so short messages keep short buffers. A
 //! steady-state registration therefore encodes its messages into the
 //! buffers its earlier messages released, and no buffer carries one
 //! message's bytes (a K_SEAF, an OPc) into the next. The list is bounded
 //! by constants, not a setting: at most [`SPARE_BUFFERS`] buffers, each
 //! holding at least the room a fresh writer gets (128 bytes) and at most
-//! [`SPARE_CAPACITY`] bytes. A buffer outside that range, or past the
-//! count, is zeroed and freed. The lower bound keeps the short `String`
-//! bodies of error replies (a shed, an injected fault) out of the list:
-//! no writer could use one, and 32 of them would leave every
-//! [`Writer::new`] allocating afresh.
+//! [`SPARE_CAPACITY`] bytes. A buffer outside that range is zeroed and
+//! freed, and so is one past the count unless it is larger than the
+//! smallest spare, whose place it then takes: a list full of short
+//! buffers would otherwise leave every long message (an AV batch)
+//! allocating afresh. The lower bound keeps short `String` bodies out of
+//! the list: no writer could use one, and 32 of them would leave every
+//! [`Writer::new`] allocating afresh. An error reply's text is formatted
+//! into a writer-sized buffer instead ([`Body::display`]).
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;
@@ -76,8 +80,9 @@ fn spare_buffer(len: usize) -> Vec<u8> {
 }
 
 /// Zeroes `buf` over its written length and keeps it for reuse, unless
-/// it is smaller than a fresh writer buffer, too large, or the list is
-/// full.
+/// it is smaller than a fresh writer buffer or too large. On a full list
+/// it takes the place of the smallest spare if it is larger, so a long
+/// message's buffer is not lost to a list of short ones.
 fn recycle(mut buf: Vec<u8>) {
     buf.fill(0);
     if !(FRESH_CAPACITY..=SPARE_CAPACITY).contains(&buf.capacity()) {
@@ -90,6 +95,12 @@ fn recycle(mut buf: Vec<u8>) {
             // The list itself is allocated once, at its cap.
             list.reserve_exact(SPARE_BUFFERS - list.len());
             list.push(buf);
+        } else if let Some(smallest) = list
+            .iter_mut()
+            .min_by_key(|spare| spare.capacity())
+            .filter(|spare| spare.capacity() < buf.capacity())
+        {
+            *smallest = buf;
         }
         spare.set(list);
     });
@@ -151,6 +162,36 @@ impl From<String> for Body {
     }
 }
 
+impl Body {
+    /// The text `message` formats, written straight into a spare buffer
+    /// with room for it, with no `String` in between: an error reply's
+    /// text. With no spare to take, a short text gets a fresh buffer of a
+    /// writer's room, which the list keeps once the body drops.
+    #[must_use]
+    pub fn display(message: impl fmt::Display) -> Self {
+        /// Counts formatted bytes and, given a buffer, appends them to it.
+        struct Text<'a>(usize, Option<&'a mut Vec<u8>>);
+
+        impl fmt::Write for Text<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                if let Some(buf) = self.1.as_mut() {
+                    buf.extend_from_slice(s.as_bytes());
+                }
+                Ok(())
+            }
+        }
+
+        // Neither pass can fail but through `message`'s own `Display`,
+        // which leaves the text it wrote before the error.
+        let mut len = Text(0, None);
+        let _ = fmt::write(&mut len, format_args!("{message}"));
+        let mut buf = spare_buffer(len.0.max(FRESH_CAPACITY));
+        let _ = fmt::write(&mut Text(0, Some(&mut buf)), format_args!("{message}"));
+        Body(buf)
+    }
+}
+
 impl Clone for Body {
     fn clone(&self) -> Self {
         Body::from(&self[..])
@@ -195,6 +236,17 @@ impl Writer {
     pub fn new() -> Self {
         Writer {
             buf: Body(spare_buffer(FRESH_CAPACITY)),
+        }
+    }
+
+    /// An empty writer on a spare buffer with room for `len` bytes (the
+    /// smallest that has it), or on a fresh one of exactly that room: for
+    /// a message whose length is known up front and may exceed what
+    /// [`Writer::new`] provides.
+    #[must_use]
+    pub fn with_capacity(len: usize) -> Self {
+        Writer {
+            buf: Body(spare_buffer(len)),
         }
     }
 
@@ -573,6 +625,48 @@ mod tests {
             (FRESH_CAPACITY..=SPARE_CAPACITY).contains(&buf.capacity())
                 && buf.iter().all(|&b| b == 0)
         }));
+    }
+
+    #[test]
+    fn a_long_buffer_takes_the_place_of_the_smallest_spare_of_a_full_list() {
+        take_spares();
+        let short: Vec<Body> = (0..SPARE_BUFFERS)
+            .map(|_| Writer::new().into_bytes())
+            .collect();
+        drop(short);
+        // Full of writer-sized buffers: a long one displaces one of them,
+        // one no larger than the smallest is freed.
+        let long = Writer::with_capacity(1000).into_bytes();
+        let room = long.0.capacity();
+        drop(long);
+        drop(Body::from(vec![0; FRESH_CAPACITY]));
+        let spares = take_spares();
+        assert_eq!(spares.len(), SPARE_BUFFERS);
+        assert_eq!(
+            spares.iter().filter(|buf| buf.capacity() == room).count(),
+            1
+        );
+        // The long message then finds it.
+        spares.into_iter().for_each(recycle);
+        assert_eq!(Writer::with_capacity(1000).buf.0.capacity(), room);
+        take_spares();
+    }
+
+    #[test]
+    fn error_text_is_formatted_into_a_spare_a_writer_can_reuse() {
+        take_spares();
+        let body = Body::display(format_args!(
+            "unknown subscriber {}",
+            "imsi-001010000000001"
+        ));
+        assert_eq!(&body[..], b"unknown subscriber imsi-001010000000001");
+        let room = body.0.capacity();
+        assert_eq!(room, FRESH_CAPACITY);
+        drop(body);
+        assert_eq!(Writer::new().buf.0.capacity(), room);
+        let long = "x".repeat(300);
+        assert_eq!(&Body::display(&long)[..], long.as_bytes());
+        take_spares();
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use crate::codec::Body;
 use crate::SimError;
 use std::borrow::Cow;
+use std::fmt;
 use std::rc::Rc;
 
 /// HTTP request methods used on the SBIs.
@@ -218,15 +219,17 @@ impl HttpResponse {
         }
     }
 
-    /// An error response with a text body, copied into a spare [`Body`]
-    /// buffer: a constant message (a shed, an injected fault) allocates
-    /// nothing once the thread's spare list holds one.
+    /// An error response whose body is the text `message` formats,
+    /// written into a spare [`Body`] buffer ([`Body::display`]): a
+    /// constant message (a shed, an injected fault) or one formatted from
+    /// inline values (an unknown SUPI) allocates nothing once the
+    /// thread's spare list holds one.
     #[must_use]
-    pub fn error(status: u16, message: impl AsRef<str>) -> Self {
+    pub fn error(status: u16, message: impl fmt::Display) -> Self {
         HttpResponse {
             status,
             headers: Cow::Borrowed(&[]),
-            body: Body::from(message.as_ref().as_bytes()),
+            body: Body::display(message),
         }
     }
 

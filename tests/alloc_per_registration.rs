@@ -1,7 +1,8 @@
 //! Heap allocations of steady-state registrations, of the identity
-//! path inside them, of one arrival at a faulted eUDM pool, of one more
-//! subscriber provisioned into an eUDM enclave and of the id table at
-//! steady size, counted in process: a
+//! path inside them, of one arrival at a faulted and at an AV-cached eUDM
+//! pool, of an unknown subscriber's refusal, of one more subscriber
+//! provisioned into an eUDM enclave and of the id table at steady size,
+//! counted in process: a
 //! regression in the per-message buffers (the recycled wire
 //! `Body` and which buffers the spare list keeps, the borrowed NGAP NAS
 //! PDU, the breaker's call table, the NFs' flows parked by leg instead of
@@ -15,8 +16,10 @@
 //! slot's name and first page index held inline, every page image in the
 //! EPC's one image region) or in the per-request state (engine contexts,
 //! spans, parked flows and the NFs' contexts in `sim::table::IdTable`s, the
-//! simulator's markers borrowed as `static` header pairs) fails
-//! `cargo test`, not only the benchmark's allocation ratchet.
+//! simulator's markers borrowed as `static` header pairs) or on the AV
+//! cache's miss path (a batch kept as its wire bytes, read straight into
+//! the cache under inline `Supi` keys) or in a refusal (an unknown SUPI's
+//! 404) fails `cargo test`, not only the benchmark's allocation ratchet.
 //!
 //! A cycle of steady-state registrations allocates only the P-AKA
 //! modules' R logs growing, 3 allocations when they double (the
@@ -40,16 +43,20 @@ use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig, Subs
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::hex;
 use shield5g::crypto::ident::{Plmn, Supi};
+use shield5g::crypto::keys::ServingNetworkName;
 use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};
 use shield5g::mw::RetryPolicy;
+use shield5g::nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g::nf::messages::{NasUplink, UeIdentity};
 use shield5g::nf::sbi::AuthenticateRequest;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::Usim;
 use shield5g::ran::workload::WorkloadSpec;
+use shield5g::scale::avcache::AvCacheConfig;
 use shield5g::scale::openloop::{run_scenario, Scenario};
 use shield5g::scale::pool::PoolConfig;
 use shield5g::scale::queue::QueueConfig;
+use shield5g::sim::http::SharedPaths;
 use shield5g::sim::table::IdTable;
 use shield5g::sim::time::SimDuration;
 use shield5g::sim::Env;
@@ -272,6 +279,109 @@ fn an_open_loop_arrival_allocates_almost_nothing() {
         per_arrival <= ARRIVAL_CEILING,
         "{per_arrival:.2} allocations per arrival > {ARRIVAL_CEILING}"
     );
+}
+
+/// Most allocations one more arrival at an AV-cached eUDM pool may add.
+/// This run reads 0.0075 (3 more for 400 more arrivals). With each batch
+/// built in a `Vec<HeAv>` in the module and decoded into another at the
+/// frontend, under a `String` key per SUPI, it read 0.25 (100 more).
+const CACHED_ARRIVAL_CEILING: f64 = 0.02;
+
+/// Allocations of one open-loop run of `arrivals` at 2800/s on four
+/// replicas (the benchmark's admission queue) behind the default AV
+/// cache, 40 subscribers.
+fn cached_pool_run(arrivals: u32) -> u64 {
+    let scenario = Scenario {
+        name: "alloc",
+        pool: PoolConfig {
+            replicas: 4,
+            warm_standby: 0,
+            queue: QueueConfig {
+                capacity: 16,
+                deadline: SimDuration::from_millis(100),
+            },
+            ..PoolConfig::default()
+        },
+        workload: WorkloadSpec {
+            ues: 40,
+            arrivals,
+            rate_per_sec: 2800.0,
+        },
+        emergency_period: 0,
+        cache: Some(AvCacheConfig::default()),
+        retry: RetryPolicy::disabled(),
+        health: None,
+        brownout: None,
+        thrash_pages: 0,
+        kill_at: None,
+        crash_at: None,
+        aex_storm: 0,
+    };
+    allocations(|| {
+        let outcome = run_scenario(300, &scenario, |_, _| {});
+        assert_eq!(outcome.pool.arrivals, u64::from(arrivals));
+        let stats = outcome.pool.cache.expect("the cache was on");
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+    })
+}
+
+#[test]
+fn a_cached_arrival_allocates_almost_nothing() {
+    // Warm the spare list the way a steady-state pool is.
+    cached_pool_run(ARRIVALS);
+    let short = cached_pool_run(ARRIVALS);
+    let long = cached_pool_run(2 * ARRIVALS);
+    let per_arrival = long.saturating_sub(short) as f64 / f64::from(ARRIVALS);
+    eprintln!("allocations: {short} at {ARRIVALS} arrivals, {long} at twice that");
+    assert!(
+        per_arrival <= CACHED_ARRIVAL_CEILING,
+        "{per_arrival:.4} allocations per arrival > {CACHED_ARRIVAL_CEILING}"
+    );
+}
+
+/// A GenerateAv for an unprovisioned SUPI is refused 404 by a warm SGX
+/// eUDM module without allocating: the error carries the inline `Supi`
+/// and its text is formatted into a spare body. With the SUPI copied into
+/// a `String` and the text `format!`ted, each refusal allocated 4.
+#[test]
+fn a_warm_unknown_subscriber_refusal_allocates_nothing() {
+    let (mut env, mut module) = deploy_module(
+        300,
+        PakaKind::EUdm,
+        ModuleDeployment::Sgx(SgxConfig::default()),
+    );
+    // The harness provisioned subscriber 1 only.
+    let stranger = Supi::numbered(Plmn::test_network(), 777, 10);
+    let mut paths = SharedPaths::default();
+    let mut request = || {
+        GenerateAv::request(
+            &mut paths,
+            &UdmAkaRequest {
+                supi: stranger,
+                opc: [0xcd; 16].into(),
+                rand: [0x23; 16],
+                sqn: [0, 0, 0, 0, 0, 1],
+                amf_field: [0x80, 0],
+                snn: ServingNetworkName::of(&Plmn::test_network()),
+            },
+        )
+    };
+    // Warm the spare list and the module's logs.
+    for _ in 0..8 {
+        let (resp, _) = module.serve(&mut env, request());
+        assert_eq!(resp.status, 404);
+    }
+    let counts: Vec<u64> = (0..4)
+        .map(|_| {
+            let req = request();
+            allocations(|| {
+                let (resp, _) = module.serve(&mut env, req);
+                assert_eq!(resp.status, 404);
+                assert_eq!(&resp.body[..], b"unknown subscriber imsi-001010000000777");
+            })
+        })
+        .collect();
+    assert_eq!(counts, [0; 4], "a refused GenerateAv serve allocated");
 }
 
 /// Most allocations 400 more subscribers may add to provisioning a

@@ -11,7 +11,7 @@ use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::keys::ServingNetworkName;
 use shield5g::crypto::sqn::SqnGenerator;
 use shield5g::nf::backend::{
-    AkaOp, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest,
+    AkaOp, AvBatch, GenerateAvBatch, Resync, UdmAkaBatchRequest, UdmAkaResyncRequest,
 };
 use shield5g::nf::wire::Wire;
 use shield5g::ran::gnbsim::GnbSim;
@@ -128,7 +128,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, primary, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
+    cache.put_batch(&supi, AvBatch::avs(&resp.body).unwrap());
     while let Some(av) = cache.take(&supi) {
         match usim.evaluate_challenge(&av.rand, &av.autn, &snn) {
             ChallengeOutcome::Success(_) => {}
@@ -151,7 +151,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
+    cache.put_batch(&supi, AvBatch::avs(&resp.body).unwrap());
     let stale = cache.take(&supi).unwrap();
     let auts = match usim.evaluate_challenge(&stale.rand, &stale.autn, &snn) {
         ChallengeOutcome::SyncFailure(auts) => auts,
@@ -185,7 +185,7 @@ fn pool_failover_resync_restores_the_av_stream() {
     let req = batch_req(&mut env, &cache, &mut generator);
     let (resp, _, _) = pool.serve_on(&mut env, survivor, req);
     assert!(resp.is_success());
-    cache.put_batch(&supi, Vec::decode(&resp.body).unwrap());
+    cache.put_batch(&supi, AvBatch::avs(&resp.body).unwrap());
     let fresh = cache.take(&supi).unwrap();
     assert!(
         matches!(
