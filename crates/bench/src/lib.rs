@@ -52,7 +52,7 @@ pub fn smoke() -> bool {
 
 /// Formats a summary as `median [p25..p75]`.
 #[must_use]
-pub fn fmt_summary(s: &Summary) -> String {
+pub(crate) fn fmt_summary(s: &Summary) -> String {
     format!("{} [{}..{}]", s.median, s.p25, s.p75)
 }
 
@@ -60,6 +60,7 @@ pub fn fmt_summary(s: &Summary) -> String {
 /// (`$SHIELD5G_OBS_DIR`, default `target/obs`). An empty artifact is an
 /// exporter bug: the bench exits non-zero so CI fails the build instead
 /// of archiving a hollow file.
+/// Public for `benches/experiments.rs`.
 pub fn write_obs_artifact(name: &str, contents: &str) {
     match export::write_artifact(&export::obs_dir(), name, contents) {
         Ok(path) => println!("    wrote {}", path.display()),
@@ -72,6 +73,7 @@ pub fn write_obs_artifact(name: &str, contents: &str) {
 
 /// Dumps a recording hub's registry (Prometheus text + JSONL) and span
 /// log (JSONL) under `<prefix>_…` in the artifact directory.
+/// Public for `benches/experiments.rs`.
 pub fn export_hub(prefix: &str, hub: &ObsHandle) {
     hub.with(|o| {
         write_obs_artifact(

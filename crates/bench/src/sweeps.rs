@@ -197,6 +197,7 @@ fn fault_point(scenario: &str, rate: f64, report: &FaultReport) -> String {
 /// The fault-injection recovery sweep: the SBI-rate availability curve,
 /// a replica kill with warm-standby failover, and an enclave crash with
 /// AEX storm — every point an independent job.
+/// Public for `tests/golden_sweeps.rs` and `tests/merge_determinism.rs`.
 ///
 /// # Panics
 ///
@@ -328,6 +329,7 @@ fn degradation_point(scenario: &str, rate: f64, report: &DegradationReport) -> S
 /// full overload-control stack (priority admission, health-gated
 /// routing, brownout), plus the cache-brownout scenario — every point
 /// an independent job.
+/// Public for `tests/golden_sweeps.rs` and `tests/merge_determinism.rs`.
 #[must_use]
 pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> SweepRun {
     let _scope = hub::scoped(hub);
@@ -414,6 +416,7 @@ pub enum AblationPoint {
 /// instance count. The lines and points are rendered in job order, and
 /// the measurements come back beside them for the `ablation` row's
 /// checks. The single-replica capacity probe runs on the calling thread.
+/// Public for `tests/merge_determinism.rs`.
 ///
 /// # Errors
 ///

@@ -3,10 +3,10 @@
 //! [`deploy_module`] builds one P-AKA module, container or SGX, in a fresh
 //! deterministic world and [`standard_request`] is its Table I request.
 //! [`measure_lf_lt`] and [`measure_response_times`] serve that request
-//! and return the §V-A2 latencies; [`module_engine`] and
-//! [`concurrency_sweep`] put the module behind a discrete-event engine
-//! endpoint. The paper's figures and tables are rows of
-//! `shield5g_bench::experiments`, which build on these helpers.
+//! and return the §V-A2 latencies; [`concurrency_sweep`] puts the module
+//! behind a discrete-event engine endpoint. The paper's figures and
+//! tables are rows of `shield5g_bench::experiments`, which build on these
+//! helpers.
 
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
 use crate::stats::Summary;
@@ -170,7 +170,7 @@ pub struct ConcurrencyRow {
 /// its own engine (worker count = the module's serving-thread budget) and
 /// returns `(env, engine)` ready for scheduled arrivals.
 #[must_use]
-pub fn module_engine(
+pub(crate) fn module_engine(
     seed: u64,
     kind: PakaKind,
     deployment: ModuleDeployment,

@@ -51,7 +51,7 @@ pub struct MigrationReport {
 ///
 /// Returns [`CoreError::Hmee`] when the quote fails verification (wrong
 /// platform, forged measurement, or an unregistered host).
-pub fn attest_module(
+pub(crate) fn attest_module(
     module: &PakaModule,
     host: &Host,
     service: &AttestationService,

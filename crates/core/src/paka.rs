@@ -79,7 +79,7 @@ impl PakaKind {
 
     /// Container image name.
     #[must_use]
-    pub fn image_name(self) -> &'static str {
+    pub(crate) fn image_name(self) -> &'static str {
         match self {
             PakaKind::EUdm => "oai/eudm-paka:v1.5.0",
             PakaKind::EAusf => "oai/eausf-paka:v1.5.0",
@@ -100,7 +100,7 @@ impl PakaKind {
     /// Native execution time of the module's AKA function (container-mode
     /// L_F, from `shield5g-nf`'s calibrated constants).
     #[must_use]
-    pub fn func_nanos(self) -> u64 {
+    pub(crate) fn func_nanos(self) -> u64 {
         match self {
             PakaKind::EUdm => shield5g_nf::backend::UDM_FUNC_NANOS,
             PakaKind::EAusf => shield5g_nf::backend::AUSF_FUNC_NANOS,
@@ -304,7 +304,7 @@ fn build_image(kind: PakaKind) -> ContainerImage {
 }
 
 /// Pushes all three module images (plus the VNF images) into a registry.
-pub fn populate_registry(registry: &mut Registry) {
+pub(crate) fn populate_registry(registry: &mut Registry) {
     for kind in PakaKind::all() {
         registry.push(paka_image(kind));
     }
@@ -318,7 +318,7 @@ impl PakaModule {
     ///
     /// Returns [`CoreError::Infra`] when the image is missing or the host
     /// refuses the container.
-    pub fn deploy_container(
+    pub(crate) fn deploy_container(
         env: &mut Env,
         host: &mut Host,
         registry: &Registry,
@@ -420,7 +420,7 @@ impl PakaModule {
 
     /// The module kind.
     #[must_use]
-    pub fn kind(&self) -> PakaKind {
+    pub(crate) fn kind(&self) -> PakaKind {
         self.kind
     }
 
@@ -432,12 +432,6 @@ impl PakaModule {
     #[must_use]
     pub fn app_threads(&self) -> u32 {
         self.max_threads.saturating_sub(3).max(1)
-    }
-
-    /// Whether this deployment is enclave-shielded.
-    #[must_use]
-    pub fn is_shielded(&self) -> bool {
-        self.shielded
     }
 
     /// Requests served so far.
@@ -455,7 +449,7 @@ impl PakaModule {
     /// The module's TLS server identity (what clients pin; in the SGX
     /// deployment its key hash is bound into attestation quotes).
     #[must_use]
-    pub fn tls_identity(&self) -> &TlsIdentity {
+    pub(crate) fn tls_identity(&self) -> &TlsIdentity {
         &self.tls_identity
     }
 
@@ -469,7 +463,7 @@ impl PakaModule {
     /// Returns [`CoreError::Module`] for container deployments (no
     /// enclave, nothing to quote) and [`CoreError::Hmee`] when the
     /// platform refuses the report.
-    pub fn quote_tls_binding(
+    pub(crate) fn quote_tls_binding(
         &self,
         platform: &shield5g_hmee::platform::SgxPlatform,
     ) -> Result<shield5g_hmee::attest::Quote, CoreError> {
@@ -547,7 +541,7 @@ impl PakaModule {
     /// identity as SHA-256(signing key), and the enclave measurement
     /// hashes that identity again.
     #[must_use]
-    pub fn expected_mrsigner() -> [u8; 32] {
+    pub(crate) fn expected_mrsigner() -> [u8; 32] {
         let signer = shield5g_crypto::sha256::Sha256::digest(&Self::signing_key());
         shield5g_crypto::sha256::Sha256::digest(&signer)
     }
@@ -703,7 +697,7 @@ impl PakaModule {
     /// sealed state. Called from [`PakaModule::serve`] so the first request
     /// after a crash pays the recovery; harnesses may also call it
     /// directly to model supervised restarts.
-    pub fn recover_from_crash(&mut self, env: &mut Env) -> bool {
+    pub(crate) fn recover_from_crash(&mut self, env: &mut Env) -> bool {
         let load_time = self
             .boot_report
             .map_or_else(|| SimDuration::from_secs(60), |r| r.load_time);
@@ -941,14 +935,13 @@ const TEARDOWN_SYSCALLS: [Syscall; 21] = choreography(&[
     (Syscall::Futex, 2),
 ]);
 
-/// Total syscalls per served request (what drives the per-registration
-/// EENTER/EEXIT delta of ~91 in Table III).
-#[must_use]
-pub fn syscalls_per_request() -> usize {
-    SETUP_SYSCALLS.len()
-        + read_syscalls(0).len()
-        + write_syscalls(0).len()
-        + TEARDOWN_SYSCALLS.len()
+#[cfg(test)]
+impl PakaModule {
+    /// Whether this deployment is enclave-shielded.
+    #[must_use]
+    pub(crate) fn is_shielded(&self) -> bool {
+        self.shielded
+    }
 }
 
 #[cfg(test)]
@@ -1012,7 +1005,13 @@ mod tests {
 
     #[test]
     fn choreography_totals_91_syscalls() {
-        assert_eq!(syscalls_per_request(), 91);
+        // What drives the per-registration EENTER/EEXIT delta of ~91
+        // in Table III.
+        let total = SETUP_SYSCALLS.len()
+            + read_syscalls(0).len()
+            + write_syscalls(0).len()
+            + TEARDOWN_SYSCALLS.len();
+        assert_eq!(total, 91);
     }
 
     /// One warm eUDM serve, captured at the commit before the one-pass
@@ -1061,7 +1060,7 @@ mod tests {
             &TEARDOWN_SYSCALLS,
         ]
         .concat();
-        assert_eq!(calls.len(), syscalls_per_request());
+        assert_eq!(calls.len(), 91);
         let record = |drive: &dyn Fn(&mut dyn SyscallInterface, &mut Env)| {
             let (mut env, module) = deploy(true, PakaKind::EUdm);
             let hub = shield5g_obs::hub::ObsHandle::new();

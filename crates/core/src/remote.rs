@@ -8,8 +8,8 @@
 //! `R` exactly as §V-A2 experiment 4 defines it — "from when a request is
 //! sent to the P-AKA module (i.e., from the OAI VNF) until the reception
 //! of a response". It is also the one remote [`AkaBackend`]: for any row
-//! of `shield5g-nf`'s operation table, `begin` is [`PakaClient::begin_call`]
-//! on the row's path and `finish` is [`PakaClient::finish_call`] plus the
+//! of `shield5g-nf`'s operation table, `begin` is `PakaClient::begin_call`
+//! on the row's path and `finish` is `PakaClient::finish_call` plus the
 //! row's response codec.
 
 use crate::paka::{PakaKind, PakaModule};
@@ -133,7 +133,7 @@ impl PakaClient {
 
     /// Builds the engine-side endpoint for this client's module.
     #[must_use]
-    pub fn endpoint(&self) -> PakaEndpoint {
+    pub(crate) fn endpoint(&self) -> PakaEndpoint {
         PakaEndpoint {
             module: self.module.clone(),
         }
@@ -231,7 +231,7 @@ impl PakaClient {
     ///
     /// Returns [`CoreError::Nf`] when the TLS session to the module cannot
     /// be established.
-    pub fn begin_call(
+    pub(crate) fn begin_call(
         &mut self,
         env: &mut Env,
         path: &str,
@@ -265,7 +265,7 @@ impl PakaClient {
     /// # Errors
     ///
     /// Returns [`CoreError::Module`] for non-2xx module responses.
-    pub fn finish_call(
+    pub(crate) fn finish_call(
         &mut self,
         env: &mut Env,
         resp: HttpResponse,

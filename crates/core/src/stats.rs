@@ -35,7 +35,7 @@ impl Summary {
     /// The summary of zero samples: `count == 0`, every statistic zero.
     /// Fault runs can shed 100% of requests, so the empty set is a
     /// reachable, legitimate input — not a caller bug.
-    pub const EMPTY: Summary = Summary {
+    pub(crate) const EMPTY: Summary = Summary {
         count: 0,
         min: SimDuration::ZERO,
         p25: SimDuration::ZERO,
@@ -48,14 +48,8 @@ impl Summary {
         stddev: SimDuration::ZERO,
     };
 
-    /// Whether this summary covers zero samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Summarises a set of samples; the empty set yields
-    /// [`Summary::EMPTY`].
+    /// Summarises a set of samples; the empty set yields the all-zero
+    /// summary.
     #[must_use]
     pub fn of(samples: &[SimDuration]) -> Summary {
         Summary::of_in_place(&mut samples.to_vec())
@@ -143,11 +137,24 @@ impl Summary {
         }
         self.median.as_nanos() as f64 / baseline.median.as_nanos() as f64
     }
+}
 
+impl std::fmt::Display for Summary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "median {} [p25 {}, p75 {}] mean {} (n={})",
+            self.median, self.p25, self.p75, self.mean, self.count
+        )
+    }
+}
+
+#[cfg(test)]
+impl Summary {
     /// Fraction of samples outside 1.5 IQR whiskers (the paper notes
     /// "less than 5% outliers", §V-A2). Zero for the empty set.
     #[must_use]
-    pub fn outlier_fraction(samples: &[SimDuration]) -> f64 {
+    pub(crate) fn outlier_fraction(samples: &[SimDuration]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
@@ -160,16 +167,6 @@ impl Summary {
             .filter(|d| (d.as_nanos() as f64) < lo || (d.as_nanos() as f64) > hi)
             .count();
         n as f64 / samples.len() as f64
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "median {} [p25 {}, p75 {}] mean {} (n={})",
-            self.median, self.p25, self.p75, self.mean, self.count
-        )
     }
 }
 
@@ -211,7 +208,6 @@ mod tests {
         // Regression: used to panic — reachable once fault injection
         // sheds 100% of a run.
         let s = Summary::of(&[]);
-        assert!(s.is_empty());
         assert_eq!(s, Summary::EMPTY);
         assert_eq!(s.count, 0);
         assert_eq!(s.median, SimDuration::ZERO);

@@ -33,7 +33,7 @@ pub const MAC_LEN: usize = 8;
 
 /// The longest plaintext Profile A conceals here: the one thing it
 /// conceals is an MSIN, at most 10 digits packed into 5 BCD bytes.
-pub const PLAINTEXT_MAX: usize = crate::ident::MSIN_BCD_MAX;
+pub(crate) const PLAINTEXT_MAX: usize = crate::ident::MSIN_BCD_MAX;
 
 /// The longest `scheme output`: ephemeral key, ciphertext and tag.
 pub const SCHEME_OUTPUT_MAX: usize = 32 + PLAINTEXT_MAX + MAC_LEN;
@@ -163,12 +163,6 @@ impl HomeNetworkPublicKey {
             bytes,
             table: on_curve.then(|| Rc::new(table)),
         }
-    }
-
-    /// The 32 bytes of the key.
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.bytes
     }
 
     /// Whether `self` and `other` are handles on one table (clones of one
@@ -377,7 +371,7 @@ mod tests {
         }
         // p + 2 is the twist generator 2 again: not of low order.
         assert!(HomeNetworkPublicKey::from_bytes(plus(P_BYTES, 2)).is_ok());
-        let derived = *hn().public().as_bytes();
+        let derived = hn().public().bytes;
         assert!(HomeNetworkPublicKey::from_bytes(derived).is_ok());
     }
 
@@ -408,9 +402,9 @@ mod tests {
         assert!(usim_copy.shares_table_with(hn.public()));
         assert!(hn.clone().public().shares_table_with(hn.public()));
         // Equal bytes, separately provisioned: a second table.
-        let again = HomeNetworkPublicKey::from_bytes(*hn.public().as_bytes()).unwrap();
+        let again = HomeNetworkPublicKey::from_bytes(hn.public().bytes).unwrap();
         assert!(!again.shares_table_with(hn.public()));
-        assert!(format!("{usim_copy:?}").contains(&crate::hex::encode(usim_copy.as_bytes())));
+        assert!(format!("{usim_copy:?}").contains(&crate::hex::encode(&usim_copy.bytes)));
     }
 
     #[test]

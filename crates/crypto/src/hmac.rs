@@ -41,7 +41,7 @@ const _: () = wipes_through(|k: &HmacKey| &k.0);
 
 impl HmacKey {
     /// Prepares `key` (any length; keys longer than one block are hashed
-    /// first, per RFC 2104).
+    /// first, per RFC 2104). Public for the module and `kdf_3gpp` doctests.
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK];
@@ -91,7 +91,7 @@ impl HmacSha256 {
     /// Creates an HMAC context keyed with `key`, prepared for this one MAC
     /// (`HmacKey::new(key).start()`).
     #[must_use]
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         HmacKey::new(key).start()
     }
 

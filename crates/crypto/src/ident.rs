@@ -17,7 +17,7 @@ use crate::CryptoError;
 use alloc::format;
 
 /// The most bytes an MSIN packs into: 10 digits, two to a BCD byte.
-pub const MSIN_BCD_MAX: usize = 5;
+pub(crate) const MSIN_BCD_MAX: usize = 5;
 
 /// A Public Land Mobile Network identity: MCC (3 digits) + MNC (2–3 digits),
 /// held inline as ASCII digits.
@@ -235,7 +235,7 @@ impl Supi {
 
     /// The mobile subscriber identification number.
     #[must_use]
-    pub fn msin(&self) -> &str {
+    pub(crate) fn msin(&self) -> &str {
         ascii(&self.text[8 + usize::from(self.mnc_len)..usize::from(self.len)])
     }
 

@@ -13,6 +13,7 @@ use crate::secret::SecretBytes;
 use crate::sha256::Sha256;
 
 /// The generic 3GPP key-derivation function (TS 33.220 B.2.0).
+/// Public for its doctest.
 ///
 /// Computes `HMAC-SHA-256(key, S)` where
 /// `S = FC || P0 || L0 || P1 || L1 || ... || Pn || Ln`

@@ -26,11 +26,11 @@ use crate::{ct_eq, CryptoError};
 
 /// FC values from TS 33.501 Annex A.
 mod fc {
-    pub const KAUSF: u8 = 0x6A;
-    pub const RES_STAR: u8 = 0x6B;
-    pub const KSEAF: u8 = 0x6C;
-    pub const KAMF: u8 = 0x6D;
-    pub const NAS_ALG: u8 = 0x69;
+    pub(crate) const KAUSF: u8 = 0x6A;
+    pub(crate) const RES_STAR: u8 = 0x6B;
+    pub(crate) const KSEAF: u8 = 0x6C;
+    pub(crate) const KAMF: u8 = 0x6D;
+    pub(crate) const NAS_ALG: u8 = 0x69;
 }
 
 /// The Serving Network Name: `5G:mnc<MNC>.mcc<MCC>.3gppnetwork.org`
@@ -131,14 +131,18 @@ fn ck_ik_key(ck: &[u8; 16], ik: &[u8; 16]) -> HmacKey {
 /// K_AUSF (TS 33.501 A.2): `KDF(CK||IK, 0x6A, SNN, SQN⊕AK)`, under
 /// `CK||IK` prepared once.
 #[must_use]
-pub fn derive_kausf(ck_ik: &HmacKey, snn: &ServingNetworkName, sqn_xor_ak: &[u8; 6]) -> [u8; 32] {
+pub(crate) fn derive_kausf(
+    ck_ik: &HmacKey,
+    snn: &ServingNetworkName,
+    sqn_xor_ak: &[u8; 6],
+) -> [u8; 32] {
     kdf_3gpp(ck_ik, fc::KAUSF, &[snn.as_bytes(), sqn_xor_ak])
 }
 
 /// RES*/XRES* (TS 33.501 A.4): the 128 least-significant bits of
 /// `KDF(CK||IK, 0x6B, SNN, RAND, RES)`, under `CK||IK` prepared once.
 #[must_use]
-pub fn derive_res_star(
+pub(crate) fn derive_res_star(
     ck_ik: &HmacKey,
     snn: &ServingNetworkName,
     rand: &[u8; 16],
@@ -192,7 +196,7 @@ pub fn derive_nas_key(kamf: &HmacKey, alg_type: u8, alg_id: u8) -> SecretBytes<1
 
 /// Assembles AUTN = `(SQN ⊕ AK) || AMF || MAC-A` (TS 33.102 §6.3.2).
 #[must_use]
-pub fn build_autn(sqn: &[u8; 6], ak: &[u8; 6], amf: &[u8; 2], mac_a: &[u8; 8]) -> [u8; 16] {
+pub(crate) fn build_autn(sqn: &[u8; 6], ak: &[u8; 6], amf: &[u8; 2], mac_a: &[u8; 8]) -> [u8; 16] {
     let mut autn = [0u8; 16];
     for i in 0..6 {
         autn[i] = sqn[i] ^ ak[i];
@@ -204,7 +208,7 @@ pub fn build_autn(sqn: &[u8; 6], ak: &[u8; 6], amf: &[u8; 2], mac_a: &[u8; 8]) -
 
 /// Splits an AUTN into `(SQN⊕AK, AMF, MAC-A)`.
 #[must_use]
-pub fn split_autn(autn: &[u8; 16]) -> ([u8; 6], [u8; 2], [u8; 8]) {
+pub(crate) fn split_autn(autn: &[u8; 16]) -> ([u8; 6], [u8; 2], [u8; 8]) {
     (
         core::array::from_fn(|i| autn[i]),
         [autn[6], autn[7]],

@@ -76,6 +76,7 @@ const _: () = wipes_through(|m: &Milenage| &m.opc);
 impl Milenage {
     /// Builds an instance from the subscriber key and the operator variant
     /// algorithm configuration field `OP`, deriving `OPc = E_K(OP) ⊕ OP`.
+    /// Public for `tests/hostile_input.rs`.
     #[must_use]
     pub fn with_op(k: &[u8; 16], op: &[u8; 16]) -> Self {
         let aes = Aes128::new(k);
@@ -162,13 +163,8 @@ impl Milenage {
         out
     }
 
-    /// `f1`: network authentication code MAC-A (64 bits).
-    #[must_use]
-    pub fn f1(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
-        self.f1_of(&self.temp(rand), sqn, amf)
-    }
-
-    /// [`Milenage::f1`] from the RAND's [`Milenage::temp`].
+    /// `f1`: network authentication code MAC-A (64 bits), from the RAND's
+    /// [`Milenage::temp`].
     pub(crate) fn f1_of(&self, temp: &SecretBytes<16>, sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
         let mut mac_a = [0u8; 8];
         mac_a.copy_from_slice(&self.out1(temp, sqn, amf)[0..8]);
@@ -177,7 +173,7 @@ impl Milenage {
 
     /// `f1*`: re-synchronisation message authentication code MAC-S (64 bits).
     #[must_use]
-    pub fn f1_star(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
+    pub(crate) fn f1_star(&self, rand: &[u8; 16], sqn: &[u8; 6], amf: &[u8; 2]) -> [u8; 8] {
         let mut mac_s = [0u8; 8];
         mac_s.copy_from_slice(&self.out1(&self.temp(rand), sqn, amf)[8..16]);
         mac_s
@@ -208,7 +204,7 @@ impl Milenage {
 
     /// `f5*`: the re-synchronisation anonymity key AK (48 bits).
     #[must_use]
-    pub fn f5_star(&self, rand: &[u8; 16]) -> [u8; 6] {
+    pub(crate) fn f5_star(&self, rand: &[u8; 16]) -> [u8; 6] {
         let mut ak = [0u8; 6];
         ak.copy_from_slice(&self.out_i(&self.temp(rand), 5)[0..6]);
         ak
@@ -242,7 +238,10 @@ mod tests {
     #[test]
     fn test_set_1_f1_and_f1_star() {
         let (mil, rand, sqn, amf) = test_set_1();
-        assert_eq!(hex::encode(&mil.f1(&rand, &sqn, &amf)), "4a9ffac354dfafb3");
+        assert_eq!(
+            hex::encode(&mil.f1_of(&mil.temp(&rand), &sqn, &amf)),
+            "4a9ffac354dfafb3"
+        );
         assert_eq!(
             hex::encode(&mil.f1_star(&rand, &sqn, &amf)),
             "01cfaf9ec4e871e9"
@@ -277,14 +276,20 @@ mod tests {
         let k = hex::decode_array::<16>("465b5ce8b199b49faa5f0a2ee238a6bc").unwrap();
         let opc = *mil.opc.expose();
         let mil2 = Milenage::with_opc(&k, &opc);
-        assert_eq!(mil.f1(&rand, &sqn, &amf), mil2.f1(&rand, &sqn, &amf));
+        assert_eq!(
+            mil.f1_of(&mil.temp(&rand), &sqn, &amf),
+            mil2.f1_of(&mil2.temp(&rand), &sqn, &amf)
+        );
         assert_eq!(mil.f2345(&rand).res, mil2.f2345(&rand).res);
     }
 
     #[test]
     fn mac_a_differs_from_mac_s() {
         let (mil, rand, sqn, amf) = test_set_1();
-        assert_ne!(mil.f1(&rand, &sqn, &amf), mil.f1_star(&rand, &sqn, &amf));
+        assert_ne!(
+            mil.f1_of(&mil.temp(&rand), &sqn, &amf),
+            mil.f1_star(&rand, &sqn, &amf)
+        );
     }
 
     #[test]
@@ -292,7 +297,10 @@ mod tests {
         let (mil, rand, sqn, amf) = test_set_1();
         let mut sqn2 = sqn;
         sqn2[5] ^= 1;
-        assert_ne!(mil.f1(&rand, &sqn, &amf), mil.f1(&rand, &sqn2, &amf));
+        assert_ne!(
+            mil.f1_of(&mil.temp(&rand), &sqn, &amf),
+            mil.f1_of(&mil.temp(&rand), &sqn2, &amf)
+        );
         // f2..f5 do not depend on SQN at all.
         assert_eq!(mil.f2345(&rand).res, mil.f2345(&rand).res);
     }

@@ -139,9 +139,9 @@ mod tests {
     /// above: schoolbook arithmetic on little-endian `u32` limbs,
     /// `h = ((h + block) · r) mod p` block by block.
     mod reference {
-        pub type Big = Vec<u32>;
+        pub(crate) type Big = Vec<u32>;
 
-        pub fn from_le(bytes: &[u8]) -> Big {
+        pub(crate) fn from_le(bytes: &[u8]) -> Big {
             bytes
                 .chunks(4)
                 .map(|c| {
@@ -152,7 +152,7 @@ mod tests {
                 .collect()
         }
 
-        pub fn add(a: &[u32], b: &[u32]) -> Big {
+        pub(crate) fn add(a: &[u32], b: &[u32]) -> Big {
             let mut out = Vec::new();
             let mut carry = 0u64;
             for i in 0..a.len().max(b.len()) {
@@ -166,7 +166,7 @@ mod tests {
             out
         }
 
-        pub fn mul(a: &[u32], b: &[u32]) -> Big {
+        pub(crate) fn mul(a: &[u32], b: &[u32]) -> Big {
             let mut out = vec![0u32; a.len() + b.len() + 1];
             for (i, &x) in a.iter().enumerate() {
                 let mut carry = 0u64;
@@ -187,7 +187,7 @@ mod tests {
         }
 
         /// `x << bits`.
-        pub fn shl(x: &[u32], bits: usize) -> Big {
+        pub(crate) fn shl(x: &[u32], bits: usize) -> Big {
             let mut shift = vec![0u32; bits / 32 + 1];
             shift[bits / 32] = 1 << (bits % 32);
             mul(x, &shift)
@@ -204,7 +204,7 @@ mod tests {
         }
 
         /// `x mod (2^130 - 5)`.
-        pub fn mod_p(x: &[u32]) -> Big {
+        pub(crate) fn mod_p(x: &[u32]) -> Big {
             let mut x = x.to_vec();
             loop {
                 let (lo, hi) = split130(&x);
@@ -223,7 +223,7 @@ mod tests {
         }
 
         /// The low 128 bits, as 16 little-endian bytes.
-        pub fn low128(x: &[u32]) -> [u8; 16] {
+        pub(crate) fn low128(x: &[u32]) -> [u8; 16] {
             let mut out = [0u8; 16];
             for (chunk, limb) in out.chunks_mut(4).zip(x) {
                 chunk.copy_from_slice(&limb.to_le_bytes());
@@ -231,7 +231,7 @@ mod tests {
             out
         }
 
-        pub fn poly1305(r: &[u8; 16], message: &[u8], pad: &[u8; 16]) -> [u8; 16] {
+        pub(crate) fn poly1305(r: &[u8; 16], message: &[u8], pad: &[u8; 16]) -> [u8; 16] {
             let mut r = *r;
             for i in [3, 7, 11, 15] {
                 r[i] &= 15;

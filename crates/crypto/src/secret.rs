@@ -295,7 +295,7 @@ pub struct Secret<T: Zeroize>(T);
 impl<T: Zeroize> Secret<T> {
     /// Wraps `value` as secret material.
     #[must_use]
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         Secret(value)
     }
 

@@ -12,11 +12,11 @@ use crate::milenage::Milenage;
 use crate::CryptoError;
 
 /// Number of IND slots in the USIM's SQN array (2^IND_BITS).
-pub const IND_SLOTS: usize = 32;
+pub(crate) const IND_SLOTS: usize = 32;
 /// Bits of the SQN devoted to the index.
-pub const IND_BITS: u32 = 5;
+pub(crate) const IND_BITS: u32 = 5;
 /// Maximum jump in SEQ the USIM accepts before declaring desynchronisation.
-pub const DELTA: u64 = 1 << 28;
+pub(crate) const DELTA: u64 = 1 << 28;
 
 /// Packs a SQN value into its 6-byte big-endian wire form, wrapping
 /// modulo 2^48 — the same masked arithmetic as `sqn_add` on the NF
@@ -90,7 +90,7 @@ impl SqnVerifier {
 
     /// The highest SEQ accepted in any slot (`SEQ_MS`).
     #[must_use]
-    pub fn highest_seq(&self) -> u64 {
+    pub(crate) fn highest_seq(&self) -> u64 {
         self.seq_ms.iter().copied().max().unwrap_or(0)
     }
 
@@ -114,7 +114,7 @@ impl SqnVerifier {
     ///
     /// Returns [`CryptoError::SqnOutOfRange`] when the SEQ is not greater
     /// than the stored value for its IND slot, or jumps past the allowed
-    /// [`DELTA`] — both trigger the AUTS re-synchronisation procedure.
+    /// `DELTA` — both trigger the AUTS re-synchronisation procedure.
     pub fn accept(&mut self, sqn: &[u8; 6]) -> Result<(), CryptoError> {
         let v = sqn_from_bytes(sqn);
         let seq = v >> IND_BITS;
@@ -141,7 +141,7 @@ pub struct Auts {
 }
 
 /// The AMF value used in re-synchronisation (all zeros, TS 33.102 §6.3.3).
-pub const RESYNC_AMF: [u8; 2] = [0, 0];
+pub(crate) const RESYNC_AMF: [u8; 2] = [0, 0];
 
 impl Auts {
     /// Builds an AUTS on the USIM given the RAND that failed verification.

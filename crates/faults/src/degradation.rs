@@ -12,11 +12,10 @@
 //!   `emergency_headroom` queue slots for it, so under overload the
 //!   normal class is shed first and emergency availability degrades
 //!   strictly slower.
-//! * **Health-gated routing** — client-observed completions feed
-//!   [`EnclavePool::note_outcome`](shield5g_scale::EnclavePool::note_outcome);
-//!   replicas whose failure EWMA trips are ejected from the ring,
-//!   half-open probed after the hold-off, and reinstated on probe
-//!   success.
+//! * **Health-gated routing** — client-observed completions feed the
+//!   pool's [`HealthTracker`](shield5g_scale::HealthTracker); replicas
+//!   whose failure EWMA trips are ejected from the ring, half-open probed
+//!   after the hold-off, and reinstated on probe success.
 //! * **Brownout** — when the response-latency EWMA climbs past
 //!   `enter_above` the frontend stops AV batch prefetching (each miss
 //!   pays one single-AV round trip instead of a batch) and serves hits

@@ -67,7 +67,7 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// Whether this config can ever inject anything.
     #[must_use]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.drop_rate > 0.0 || self.delay_rate > 0.0 || self.error_rate > 0.0
     }
 }
@@ -126,12 +126,6 @@ impl SbiFaultPlan {
     #[must_use]
     pub fn counts(&self) -> FaultCounts {
         self.counts
-    }
-
-    /// The installed config.
-    #[must_use]
-    pub fn config(&self) -> FaultConfig {
-        self.cfg
     }
 
     /// One decision for one message. Always draws the same three chances

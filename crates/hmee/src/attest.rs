@@ -70,23 +70,12 @@ impl Report {
     /// # Errors
     ///
     /// Returns [`HmeeError::AttestationFailed`] on MAC mismatch.
-    pub fn verify(&self, report_key: &[u8; 32]) -> Result<(), HmeeError> {
+    pub(crate) fn verify(&self, report_key: &[u8; 32]) -> Result<(), HmeeError> {
         if shield5g_crypto::ct_eq(&self.compute_mac(report_key), &self.mac) {
             Ok(())
         } else {
             Err(HmeeError::AttestationFailed("report MAC mismatch".into()))
         }
-    }
-
-    /// Verifies this report from inside another enclave on the same
-    /// platform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HmeeError::AttestationFailed`] when the report was not
-    /// produced on `verifier`'s platform or was tampered with.
-    pub fn verify_local(&self, verifier: &Enclave) -> Result<(), HmeeError> {
-        self.verify(verifier.report_key())
     }
 }
 
@@ -247,7 +236,7 @@ mod tests {
             .build(&mut env, &platform)
             .unwrap();
         let report = Report::create(&enclave, [7; 64]);
-        report.verify_local(&verifier).unwrap();
+        report.verify(verifier.report_key()).unwrap();
     }
 
     #[test]
@@ -259,7 +248,7 @@ mod tests {
             .build(&mut env, &other_platform)
             .unwrap();
         let report = Report::create(&enclave, [7; 64]);
-        assert!(report.verify_local(&other).is_err());
+        assert!(report.verify(other.report_key()).is_err());
     }
 
     #[test]

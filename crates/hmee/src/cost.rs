@@ -20,7 +20,7 @@
 //! The [`CostModel`] is the single source of these constants, but not what
 //! a transition reads when it is charged: an enclave converts the model to
 //! nanosecond prices once, when it is built (`EnclaveBuilder::build`,
-//! after [`CostModel::validate`]), through the getters below — so every
+//! after `CostModel::validate`), through the getters below — so every
 //! term is truncated exactly where its getter truncates it — and from
 //! then on charging a transition is integer addition.
 
@@ -28,11 +28,11 @@ use crate::HmeeError;
 use shield5g_sim::time::SimDuration;
 
 /// EPC page size (SGX uses 4 KiB pages).
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Cache-line size: the unit the Memory Encryption Engine protects, and
 /// the unit in which a vault page's image is materialised.
-pub const LINE_SIZE: usize = 64;
+pub(crate) const LINE_SIZE: usize = 64;
 
 /// The platform cost model (Xeon Silver 4314 analogue, 2.40 GHz).
 #[derive(Clone, Debug, PartialEq)]
@@ -106,7 +106,7 @@ impl CostModel {
     /// # Errors
     ///
     /// Returns [`HmeeError::InvalidCostModel`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), HmeeError> {
+    pub(crate) fn validate(&self) -> Result<(), HmeeError> {
         let field = if !(self.cpu_ghz.is_finite() && self.cpu_ghz > 0.0) {
             "cpu_ghz"
         } else if !(self.epc_compute_factor.is_finite() && self.epc_compute_factor >= 1.0) {
@@ -121,7 +121,7 @@ impl CostModel {
 
     /// Converts a cycle count to a [`SimDuration`].
     #[must_use]
-    pub fn cycles(&self, n: u64) -> SimDuration {
+    pub(crate) fn cycles(&self, n: u64) -> SimDuration {
         SimDuration::from_nanos((n as f64 / self.cpu_ghz) as u64)
     }
 
@@ -133,19 +133,19 @@ impl CostModel {
 
     /// Cost of one `EEXIT`.
     #[must_use]
-    pub fn eexit(&self) -> SimDuration {
+    pub(crate) fn eexit(&self) -> SimDuration {
         self.cycles(self.eexit_cycles)
     }
 
     /// Cost of one `AEX`.
     #[must_use]
-    pub fn aex(&self) -> SimDuration {
+    pub(crate) fn aex(&self) -> SimDuration {
         self.cycles(self.aex_cycles)
     }
 
     /// Cost of one `ERESUME`.
     #[must_use]
-    pub fn eresume(&self) -> SimDuration {
+    pub(crate) fn eresume(&self) -> SimDuration {
         self.cycles(self.eresume_cycles)
     }
 
@@ -167,7 +167,7 @@ impl CostModel {
 
     /// Page eviction + reload pair.
     #[must_use]
-    pub fn paging_round_trip(&self) -> SimDuration {
+    pub(crate) fn paging_round_trip(&self) -> SimDuration {
         self.cycles(self.ewb_cycles + self.eldu_cycles)
     }
 
@@ -176,13 +176,13 @@ impl CostModel {
     /// accounted page, deliberately not per materialised line (moving it
     /// is a virtual-time change: ROADMAP item 2's cause table).
     #[must_use]
-    pub fn mee_transfer(&self, pages: u64) -> SimDuration {
+    pub(crate) fn mee_transfer(&self, pages: u64) -> SimDuration {
         self.cycles(pages * PAGE_SIZE as u64 / 2)
     }
 
     /// In-enclave compute time for work that takes `native` outside.
     #[must_use]
-    pub fn enclave_compute(&self, native: SimDuration) -> SimDuration {
+    pub(crate) fn enclave_compute(&self, native: SimDuration) -> SimDuration {
         SimDuration::from_nanos((native.as_nanos() as f64 * self.epc_compute_factor) as u64)
     }
 

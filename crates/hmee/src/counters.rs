@@ -36,7 +36,7 @@ impl SgxCounters {
     }
 
     /// Records `n` OCALL round trips: each an exit then a re-entry.
-    pub fn record_ocalls(&mut self, n: u64) {
+    pub(crate) fn record_ocalls(&mut self, n: u64) {
         self.ocalls += n;
         self.eexit += n;
         self.eenter += n;
@@ -44,24 +44,24 @@ impl SgxCounters {
 
     /// Records an ECALL (entry that will eventually EEXIT when it returns;
     /// long-running server ECALLs may never return).
-    pub fn record_ecall(&mut self) {
+    pub(crate) fn record_ecall(&mut self) {
         self.ecalls += 1;
         self.eenter += 1;
     }
 
     /// Records the synchronous return of an ECALL.
-    pub fn record_ecall_return(&mut self) {
+    pub(crate) fn record_ecall_return(&mut self) {
         self.eexit += 1;
     }
 
     /// Records an asynchronous exit plus its resumption.
-    pub fn record_aex_resume(&mut self) {
+    pub(crate) fn record_aex_resume(&mut self) {
         self.aex += 1;
         self.eresume += 1;
     }
 
     /// Records a page eviction/reload pair.
-    pub fn record_paging(&mut self) {
+    pub(crate) fn record_paging(&mut self) {
         self.ewb += 1;
         self.eldu += 1;
     }

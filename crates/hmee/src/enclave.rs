@@ -232,7 +232,7 @@ impl EnclaveBuilder {
     }
 }
 
-/// A vault slot's name: inline up to [`SlotName::INLINE`] bytes (every
+/// A vault slot's name: inline up to `SlotName::INLINE` bytes (every
 /// slot this tree names, `k:` and a SUPI among them), boxed past that.
 /// Hashes and compares as its text, so the vault is looked up by `&str`,
 /// and [`HmeeError::UnknownSlot`] carries one without allocating.
@@ -250,11 +250,11 @@ enum Name {
 
 impl SlotName {
     /// Longest name held inline.
-    pub const INLINE: usize = 32;
+    pub(crate) const INLINE: usize = 32;
 
     /// The name `name`, held inline when it fits.
     #[must_use]
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         let mut bytes = [0; Self::INLINE];
         SlotName(match bytes.get_mut(..name.len()) {
             Some(inline) => {
@@ -270,7 +270,7 @@ impl SlotName {
 
     /// The name's text.
     #[must_use]
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             // Copied from a `&str` whole, so always UTF-8.
             Name::Inline { len, bytes } => {
@@ -414,12 +414,6 @@ impl std::fmt::Debug for Enclave {
 }
 
 impl Enclave {
-    /// The enclave's name (for logs and reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// MRENCLAVE: the build measurement.
     #[must_use]
     pub fn mrenclave(&self) -> &[u8; 32] {
@@ -434,7 +428,7 @@ impl Enclave {
 
     /// Whether the enclave runs in debug mode.
     #[must_use]
-    pub fn is_debug(&self) -> bool {
+    pub(crate) fn is_debug(&self) -> bool {
         self.debug
     }
 
@@ -458,12 +452,6 @@ impl Enclave {
     #[must_use]
     pub fn counters(&self) -> SgxCounters {
         self.counters
-    }
-
-    /// Configured TCS count.
-    #[must_use]
-    pub fn max_threads(&self) -> u32 {
-        self.max_threads
     }
 
     /// Emits one [`SpanKind::Enclave`] span covering a transition charge
@@ -632,7 +620,7 @@ impl Enclave {
     /// working set cannot be fully resident and requests may incur paging
     /// ([`Enclave::maybe_page`]).
     #[must_use]
-    pub fn epc_pressure(&self) -> f64 {
+    pub(crate) fn epc_pressure(&self) -> f64 {
         (self.epc.accounted_pages() + self.thrash_pages) as f64 / self.physical_epc_pages as f64
     }
 
@@ -701,16 +689,10 @@ impl Enclave {
 
     /// **Fault interface**: imposes `pages` of external EPC occupancy
     /// (co-resident enclaves competing for physical EPC), raising
-    /// [`Enclave::epc_pressure`] and with it the [`Enclave::maybe_page`]
+    /// `Enclave::epc_pressure` and with it the [`Enclave::maybe_page`]
     /// miss probability. Pass `0` to lift the pressure.
     pub fn set_thrash_pages(&mut self, pages: u64) {
         self.thrash_pages = pages;
-    }
-
-    /// Currently imposed external EPC occupancy in pages.
-    #[must_use]
-    pub fn thrash_pages(&self) -> u64 {
-        self.thrash_pages
     }
 
     /// Possibly incurs `EWB`/`ELDU` paging for one request, with

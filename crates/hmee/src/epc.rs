@@ -30,10 +30,10 @@
 //!
 //! The MEE works per 64-byte cache line, and so does the vault: a page's
 //! image is `(chunk ‖ 0-pad to the next line, at least one line) ⊕
-//! keystream(version)` — a whole number of [`LINE_SIZE`] lines, `1..=64`
+//! keystream(version)` — a whole number of `LINE_SIZE` lines, `1..=64`
 //! — under one tag over exactly those lines. The rest of the page is
 //! *accounted* enclave memory with no ciphertext behind it, as the
-//! pre-faulted heap has always been ([`EpcRegion::account_pages`]):
+//! pre-faulted heap has always been (`EpcRegion::account_pages`):
 //! occupancy, EPC pressure and every charged cycle count whole pages.
 //! The observer thus learns a value's length to 64-byte granularity (K
 //! and the keys derived from it are one line each, alike in size); past
@@ -51,8 +51,8 @@
 //! reloaded page, takes a fresh range at the end, and the range it left
 //! is zeroed. When zeroed ranges outweigh the live images the region is
 //! packed. So sealing a page allocates nothing once the region has
-//! grown to the enclave's working set. [`EpcRegion::page`] lends a
-//! resident page as a [`PageView`]; the owned [`EncryptedPage`] is the
+//! grown to the enclave's working set. `EpcRegion::page` lends a
+//! resident page as a `PageView`; the owned [`EncryptedPage`] is the
 //! blob that leaves the enclave on eviction (`EWB`) and is handed back
 //! on reload (`ELDU`).
 //!
@@ -69,7 +69,7 @@ use crate::cost::{LINE_SIZE, PAGE_SIZE};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncryptedPage {
     /// Ciphertext of the materialised lines: a whole number of
-    /// [`LINE_SIZE`] lines, at least one and at most [`PAGE_SIZE`] bytes.
+    /// `LINE_SIZE` lines, at least one and at most `PAGE_SIZE` bytes.
     pub ciphertext: Vec<u8>,
     /// Poly1305-AES tag over the ciphertext under this version's pad. Held
     /// in the (tamper-proof) EPCM, not in RAM — an attacker can flip
@@ -99,7 +99,7 @@ impl EncryptedPage {
 /// A resident page, lent by [`EpcRegion::page`]: its image in the region
 /// and its EPCM entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PageView<'a> {
+pub(crate) struct PageView<'a> {
     /// The materialised lines, as they lie in the region.
     pub ciphertext: &'a [u8],
     /// The page's tag (see [`EncryptedPage::tag`]).
@@ -111,7 +111,7 @@ pub struct PageView<'a> {
 impl PageView<'_> {
     /// An owned copy of the page, as eviction would write it out.
     #[must_use]
-    pub fn to_page(&self) -> EncryptedPage {
+    pub(crate) fn to_page(self) -> EncryptedPage {
         EncryptedPage {
             ciphertext: self.ciphertext.to_vec(),
             tag: self.tag,
@@ -132,7 +132,7 @@ struct PageRecord {
 /// The per-enclave page store. A page index may be transiently empty
 /// while its page is evicted to untrusted main memory (`EWB`).
 #[derive(Clone, Debug, Default)]
-pub struct EpcRegion {
+pub(crate) struct EpcRegion {
     /// Every resident page's image, back to back (module docs).
     images: Vec<u8>,
     /// Per page index: where its image lies, `None` while evicted and
@@ -146,19 +146,13 @@ pub struct EpcRegion {
 impl EpcRegion {
     /// An empty region.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Appends an encrypted page, returning its index.
-    pub fn push_page(&mut self, page: EncryptedPage) -> usize {
-        debug_assert!(page.is_well_formed());
-        self.store(None, &page)
     }
 
     /// Removes the page at `index` for eviction (`EWB`), leaving the index
     /// empty until [`EpcRegion::restore_page`].
-    pub fn take_page(&mut self, index: usize) -> Option<EncryptedPage> {
+    pub(crate) fn take_page(&mut self, index: usize) -> Option<EncryptedPage> {
         let page = self.page(index)?.to_page();
         self.vacate(index);
         Some(page)
@@ -166,7 +160,7 @@ impl EpcRegion {
 
     /// Reinstates an evicted page (`ELDU`). Returns `false` when the index
     /// does not exist or is still occupied.
-    pub fn restore_page(&mut self, index: usize, page: EncryptedPage) -> bool {
+    pub(crate) fn restore_page(&mut self, index: usize, page: EncryptedPage) -> bool {
         if !matches!(self.records.get(index), Some(None)) {
             return false;
         }
@@ -174,21 +168,9 @@ impl EpcRegion {
         true
     }
 
-    /// Replaces the page at `index` — resident or evicted — without
-    /// changing the accounted occupancy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of bounds (enclave-internal callers
-    /// always use indices they allocated).
-    pub fn replace_page(&mut self, index: usize, page: EncryptedPage) {
-        debug_assert!(page.is_well_formed());
-        self.store(Some(index), &page);
-    }
-
     /// Seals a `len`-byte image under `version` at `index` — resident or
-    /// evicted, as [`EpcRegion::replace_page`] — or, for `None`, at a
-    /// fresh index as [`EpcRegion::push_page`], and returns the index.
+    /// evicted, without changing the accounted occupancy — or, for `None`,
+    /// at a fresh index, and returns the index.
     /// `seal` writes the image into the region and returns its tag; what
     /// the range held before is not defined (a rewrite of the same length
     /// hands it the old image). Allocates nothing when the image is
@@ -273,14 +255,14 @@ impl EpcRegion {
     ///
     /// Panics when `index` is out of bounds (enclave-internal callers
     /// always use indices they allocated).
-    pub fn release_page(&mut self, index: usize) {
+    pub(crate) fn release_page(&mut self, index: usize) {
         self.vacate(index);
         self.accounted_pages -= 1;
     }
 
     /// Reads the page at `index`, if present and resident.
     #[must_use]
-    pub fn page(&self, index: usize) -> Option<PageView<'_>> {
+    pub(crate) fn page(&self, index: usize) -> Option<PageView<'_>> {
         let record = self.records.get(index).copied().flatten()?;
         Some(PageView {
             ciphertext: &self.images[record.start..record.start + record.len],
@@ -289,27 +271,14 @@ impl EpcRegion {
         })
     }
 
-    /// Number of data page indices ever allocated: resident, evicted and
-    /// released ones alike.
-    #[must_use]
-    pub fn data_page_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Bytes the image region spans, zeroed ranges included.
-    #[cfg(test)]
-    pub(crate) fn region_len(&self) -> usize {
-        self.images.len()
-    }
-
     /// Adds `n` accounted-but-unmaterialised pages (heap pre-faulting).
-    pub fn account_pages(&mut self, n: u64) {
+    pub(crate) fn account_pages(&mut self, n: u64) {
         self.accounted_pages += n;
     }
 
     /// Total accounted occupancy in pages.
     #[must_use]
-    pub fn accounted_pages(&self) -> u64 {
+    pub(crate) fn accounted_pages(&self) -> u64 {
         self.accounted_pages
     }
 
@@ -319,7 +288,7 @@ impl EpcRegion {
     /// region; integrity protection means the *enclave* detects it on next
     /// access. Returns `false` when the page is not resident or
     /// `byte_index` is past its materialised lines: nothing is there.
-    pub fn tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
+    pub(crate) fn tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
         match self.records.get(page_index) {
             Some(Some(record)) if byte_index < record.len => {
                 self.images[record.start + byte_index] ^= 0xff;
@@ -331,7 +300,7 @@ impl EpcRegion {
 
     /// **Attacker interface**: a copy of everything visible in RAM.
     #[must_use]
-    pub fn snapshot(&self) -> EpcSnapshot {
+    pub(crate) fn snapshot(&self) -> EpcSnapshot {
         EpcSnapshot {
             pages: self
                 .records
@@ -367,6 +336,39 @@ impl EpcSnapshot {
     #[must_use]
     pub fn total_bytes(&self) -> usize {
         self.pages.iter().map(Vec::len).sum()
+    }
+}
+
+#[cfg(test)]
+impl EpcRegion {
+    /// Appends an encrypted page, returning its index.
+    pub(crate) fn push_page(&mut self, page: EncryptedPage) -> usize {
+        debug_assert!(page.is_well_formed());
+        self.store(None, &page)
+    }
+
+    /// Replaces the page at `index` — resident or evicted — without
+    /// changing the accounted occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of bounds (enclave-internal callers
+    /// always use indices they allocated).
+    pub(crate) fn replace_page(&mut self, index: usize, page: EncryptedPage) {
+        debug_assert!(page.is_well_formed());
+        self.store(Some(index), &page);
+    }
+
+    /// Number of data page indices ever allocated: resident, evicted and
+    /// released ones alike.
+    #[must_use]
+    pub(crate) fn data_page_count(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Bytes the image region spans, zeroed ranges included.
+    pub(crate) fn region_len(&self) -> usize {
+        self.images.len()
     }
 }
 

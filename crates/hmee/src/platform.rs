@@ -14,7 +14,7 @@ use shield5g_sim::Env;
 
 /// Usable EPC per CPU in the paper's testbed (§V-B2: "8GB, maximum for a
 /// single CPU in our experimental setup").
-pub const DEFAULT_EPC_BYTES: u64 = 8 * 1024 * 1024 * 1024;
+pub(crate) const DEFAULT_EPC_BYTES: u64 = 8 * 1024 * 1024 * 1024;
 
 /// A physical SGX-capable host.
 #[derive(Clone)]
@@ -48,13 +48,6 @@ impl SgxPlatform {
         }
     }
 
-    /// Overrides the usable EPC size.
-    #[must_use]
-    pub fn with_epc_bytes(mut self, bytes: u64) -> Self {
-        self.epc_pages = bytes / PAGE_SIZE as u64;
-        self
-    }
-
     /// Overrides the cost model.
     #[must_use]
     pub fn with_cost(mut self, cost: CostModel) -> Self {
@@ -64,13 +57,13 @@ impl SgxPlatform {
 
     /// A stable platform identifier (used to key attestation registries).
     #[must_use]
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Physical EPC capacity in pages.
     #[must_use]
-    pub fn epc_pages(&self) -> u64 {
+    pub(crate) fn epc_pages(&self) -> u64 {
         self.epc_pages
     }
 
@@ -85,7 +78,7 @@ impl SgxPlatform {
     /// This models the SGX `EGETKEY` hierarchy: all enclave keys descend
     /// from fused hardware secrets plus enclave identity.
     #[must_use]
-    pub fn derive_key(&self, label: &str, context: &[u8]) -> [u8; 32] {
+    pub(crate) fn derive_key(&self, label: &str, context: &[u8]) -> [u8; 32] {
         let mut input = Vec::with_capacity(label.len() + 1 + context.len());
         input.extend_from_slice(label.as_bytes());
         input.push(0);
@@ -96,7 +89,7 @@ impl SgxPlatform {
     /// The platform-wide report key (shared by all enclaves on this host;
     /// the basis of *local* attestation).
     #[must_use]
-    pub fn report_key(&self) -> [u8; 32] {
+    pub(crate) fn report_key(&self) -> [u8; 32] {
         self.derive_key("report", &[])
     }
 
@@ -116,6 +109,16 @@ impl SgxPlatform {
     pub fn quote(&self, report: &Report) -> Result<Quote, HmeeError> {
         report.verify(&self.report_key())?;
         Ok(Quote::sign(self.id, &self.qe_key(), report))
+    }
+}
+
+#[cfg(test)]
+impl SgxPlatform {
+    /// Overrides the usable EPC size.
+    #[must_use]
+    pub(crate) fn with_epc_bytes(mut self, bytes: u64) -> Self {
+        self.epc_pages = bytes / PAGE_SIZE as u64;
+        self
     }
 }
 

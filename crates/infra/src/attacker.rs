@@ -17,7 +17,7 @@ use shield5g_sim::Env;
 
 /// Probability of achieving co-residency with the target on a public
 /// cloud ("over 90% success rate", paper §III-B citing \[35\]).
-pub const CO_RESIDENCY_SUCCESS: f64 = 0.9;
+pub(crate) const CO_RESIDENCY_SUCCESS: f64 = 0.9;
 
 /// Attack-chain milestones.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,18 +56,6 @@ impl Attacker {
             name: name.into(),
             progress: Vec::new(),
         }
-    }
-
-    /// The attacker's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Steps achieved so far.
-    #[must_use]
-    pub fn progress(&self) -> &[AttackStep] {
-        &self.progress
     }
 
     fn achieved(&self, step: AttackStep) -> bool {

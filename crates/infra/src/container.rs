@@ -30,7 +30,7 @@ pub struct PlainMemory {
 impl PlainMemory {
     /// Empty memory.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -55,7 +55,7 @@ impl PlainMemory {
     }
 
     /// Clears all slots (what a compliant runtime does on teardown, KI 5).
-    pub fn wipe(&mut self) {
+    pub(crate) fn wipe(&mut self) {
         self.slots.clear();
     }
 
@@ -71,7 +71,7 @@ impl PlainMemory {
 
     /// Overwrites one byte in a slot (tampering primitive). Returns whether
     /// the target existed.
-    pub fn tamper(&mut self, slot: &str, index: usize, value: u8) -> bool {
+    pub(crate) fn tamper(&mut self, slot: &str, index: usize, value: u8) -> bool {
         match self.slots.get_mut(slot) {
             Some(v) if index < v.len() => {
                 v[index] = value;
@@ -79,12 +79,6 @@ impl PlainMemory {
             }
             _ => false,
         }
-    }
-
-    /// Slot names, sorted.
-    #[must_use]
-    pub fn slot_names(&self) -> Vec<String> {
-        self.slots.keys().cloned().collect()
     }
 }
 
@@ -116,7 +110,7 @@ impl std::fmt::Debug for Container {
 impl Container {
     /// Creates a plain (unshielded) container.
     #[must_use]
-    pub fn plain(name: impl Into<String>, image: impl Into<String>) -> Self {
+    pub(crate) fn plain(name: impl Into<String>, image: impl Into<String>) -> Self {
         Container {
             name: name.into(),
             image: image.into(),
@@ -128,7 +122,7 @@ impl Container {
 
     /// Creates a shielded container wrapping a booted LibOS.
     #[must_use]
-    pub fn shielded(
+    pub(crate) fn shielded(
         name: impl Into<String>,
         image: impl Into<String>,
         libos: GramineLibos,
@@ -144,17 +138,17 @@ impl Container {
 
     /// Whether the container's sensitive state lives in an enclave.
     #[must_use]
-    pub fn is_shielded(&self) -> bool {
+    pub(crate) fn is_shielded(&self) -> bool {
         self.shielded.is_some()
     }
 
     /// Marks the container running.
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         self.state = ContainerState::Running;
     }
 
     /// Marks the container stopped (memory retained).
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.state = ContainerState::Stopped;
     }
 }
@@ -173,7 +167,7 @@ mod tests {
         assert!(!m.contains(b""));
         m.wipe();
         assert!(m.read("kausf").is_none());
-        assert!(m.slot_names().is_empty());
+        assert!(m.slots.is_empty());
     }
 
     #[test]
@@ -187,7 +181,7 @@ mod tests {
         assert_eq!(m.read("kausf").unwrap(), &[3; 32]);
         assert_eq!(m.read("kausf").unwrap().as_ptr(), buffer);
         assert!(!m.contains(&[1; 32]));
-        assert_eq!(m.slot_names(), ["kausf"]);
+        assert!(m.slots.keys().eq(["kausf"]));
     }
 
     #[test]

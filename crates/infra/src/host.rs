@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 /// 3GPP-style trust classification of an NFVI host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TrustDomain {
+pub(crate) enum TrustDomain {
     /// Shared 3rd-party infrastructure without hardware security (KI 20).
     Untrusted,
     /// Operator-managed virtualisation without HMEE.
@@ -56,18 +56,6 @@ impl std::fmt::Debug for Host {
 }
 
 impl Host {
-    /// A host without SGX (standard trust domain at best).
-    #[must_use]
-    pub fn without_sgx(name: impl Into<String>) -> Self {
-        Host {
-            name: name.into(),
-            platform: None,
-            containers: BTreeMap::new(),
-            engine_vulnerable: true,
-            multi_tenant: true,
-        }
-    }
-
     /// An SGX-capable host (the paper's PowerEdge R450).
     #[must_use]
     pub fn with_sgx(name: impl Into<String>, platform: SgxPlatform) -> Self {
@@ -94,7 +82,7 @@ impl Host {
 
     /// The 3GPP trust domain this host qualifies for.
     #[must_use]
-    pub fn trust_domain(&self) -> TrustDomain {
+    pub(crate) fn trust_domain(&self) -> TrustDomain {
         match (&self.platform, self.multi_tenant) {
             (Some(_), _) => TrustDomain::HmeeCapable,
             (None, false) => TrustDomain::Standard,
@@ -189,7 +177,7 @@ impl Host {
 
     /// All containers (for iteration by the attacker).
     #[must_use]
-    pub fn containers(&self) -> Vec<ContainerHandle> {
+    pub(crate) fn containers(&self) -> Vec<ContainerHandle> {
         self.containers.values().cloned().collect()
     }
 
@@ -210,6 +198,21 @@ impl Host {
             c.plain_memory.wipe();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Host {
+    /// A host without SGX (standard trust domain at best).
+    #[must_use]
+    pub(crate) fn without_sgx(name: impl Into<String>) -> Self {
+        Host {
+            name: name.into(),
+            platform: None,
+            containers: BTreeMap::new(),
+            engine_vulnerable: true,
+            multi_tenant: true,
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Directories GSC excludes from the trusted list (platform-specific).
-pub const EXCLUDED_PREFIXES: &[&str] = &["/boot", "/dev", "/etc/mtab", "/proc", "/sys"];
+pub(crate) const EXCLUDED_PREFIXES: &[&str] = &["/boot", "/dev", "/etc/mtab", "/proc", "/sys"];
 
 /// Transport protocols a containerised workload may require.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -34,7 +34,7 @@ pub enum Protocol {
 impl Protocol {
     /// Whether the LibOS can shield this protocol.
     #[must_use]
-    pub fn is_shieldable(self) -> bool {
+    pub(crate) fn is_shieldable(self) -> bool {
         !matches!(self, Protocol::Sctp)
     }
 }

@@ -29,7 +29,7 @@ const OCALLS_PER_TRUSTED_FILE: u32 = 3;
 
 /// In-enclave threads Gramine starts besides the application thread: IPC
 /// helper, timer/async-event helper, pipe-TLS helper (§V-B2).
-pub const HELPER_THREADS: u32 = 3;
+pub(crate) const HELPER_THREADS: u32 = 3;
 
 /// One-way event injections at boot: host-to-enclave notifications
 /// (signal and timer deliveries) enter via `EENTER` at a dedicated
@@ -187,11 +187,6 @@ impl GramineLibos {
         self.enclave.inject_event_entry();
         env.clock.advance(self.enclave.cost().eenter());
     }
-
-    /// Services one hardware interrupt while enclave code runs (AEX).
-    pub fn interrupt(&mut self, env: &mut Env) {
-        self.enclave.aex(env);
-    }
 }
 
 impl SyscallInterface for GramineLibos {
@@ -333,21 +328,17 @@ mod tests {
     }
 
     /// Drives a fresh `interface` under `cost` and returns what moved:
-    /// nanoseconds on the clock, SGX counters, native call count.
+    /// nanoseconds on the clock and SGX counters.
     fn moved_by(
         interface: Interface,
         cost: &CostModel,
         drive: impl Fn(&mut dyn SyscallInterface, &mut Env),
-    ) -> (u64, SgxCounters, u64) {
+    ) -> (u64, SgxCounters) {
         let mut env = Env::new(6);
         if let Interface::Native = interface {
             let mut sys = NativeSyscalls::new(cost.clone());
             drive(&mut sys, &mut env);
-            return (
-                env.clock.now().as_nanos(),
-                SgxCounters::new(),
-                sys.call_count(),
-            );
+            return (env.clock.now().as_nanos(), SgxCounters::new());
         }
         let platform = SgxPlatform::new(&mut env).with_cost(cost.clone());
         let image = ImageSpec::synthetic("run", "/app", 1_000_000, 5);
@@ -358,7 +349,7 @@ mod tests {
         let (t0, before) = (env.clock.now(), libos.sgx_stats());
         drive(&mut libos, &mut env);
         let spent = (env.clock.now() - t0).as_nanos();
-        (spent, libos.sgx_stats().delta_since(&before), 0)
+        (spent, libos.sgx_stats().delta_since(&before))
     }
 
     /// 8400 / 2.3 and 9600 / 2.3 are not integers: truncating each term
@@ -409,10 +400,10 @@ mod tests {
 
     proptest::proptest! {
         /// The one-pass charge is the per-call sum: on every interface and
-        /// under both models a run leaves the clock, the counters and the
-        /// call count where the same calls leave them split in two runs
-        /// and issued one by one — and where the model's own getters,
-        /// truncating per term, say they should be.
+        /// under both models a run leaves the clock and the counters where
+        /// the same calls leave them split in two runs and issued one by
+        /// one — and where the model's own getters, truncating per term,
+        /// say they should be.
         #[test]
         fn a_run_is_the_sum_of_its_calls(
             calls in proptest::collection::vec(0usize..17 * 8193, 0..=128),
@@ -452,8 +443,7 @@ mod tests {
                         eenter: ocalls,
                         ..SgxCounters::new()
                     };
-                    let native_calls = if let Interface::Native = interface { n } else { 0 };
-                    let expected = (calls.iter().map(each).sum::<u64>(), counters, native_calls);
+                    let expected = (calls.iter().map(each).sum::<u64>(), counters);
                     proptest::prop_assert!(
                         whole == expected,
                         "{:?} against the model: {:?} != {:?}", interface, whole, expected
@@ -477,7 +467,7 @@ mod tests {
     fn interrupt_is_aex() {
         let (mut env, mut libos) = boot_world(true);
         let before = libos.sgx_stats();
-        libos.interrupt(&mut env);
+        libos.enclave.aex(&mut env);
         let delta = libos.sgx_stats().delta_since(&before);
         assert_eq!(delta.aex, 1);
         assert_eq!(delta.eresume, 1);

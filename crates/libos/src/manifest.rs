@@ -93,7 +93,7 @@ impl Manifest {
 
     /// Total bytes of trusted files (verification workload at boot).
     #[must_use]
-    pub fn trusted_bytes(&self) -> u64 {
+    pub(crate) fn trusted_bytes(&self) -> u64 {
         self.trusted_files.iter().map(|f| f.size).sum()
     }
 
@@ -108,7 +108,7 @@ impl Manifest {
     ///
     /// Returns [`LibosError::ManifestInvalid`] for `max_threads < 4`, a
     /// zero-sized enclave, stats without debug, or an empty entrypoint.
-    pub fn validate(&self) -> Result<(), LibosError> {
+    pub(crate) fn validate(&self) -> Result<(), LibosError> {
         if self.entrypoint.is_empty() {
             return Err(LibosError::ManifestInvalid("empty entrypoint".into()));
         }

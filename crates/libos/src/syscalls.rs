@@ -125,28 +125,19 @@ pub trait SyscallInterface {
 #[derive(Clone, Debug)]
 pub struct NativeSyscalls {
     cost: CostModel,
-    calls: u64,
 }
 
 impl NativeSyscalls {
     /// Creates a native syscall interface under `cost`.
     #[must_use]
     pub fn new(cost: CostModel) -> Self {
-        NativeSyscalls { cost, calls: 0 }
-    }
-
-    /// Total syscalls issued (for parity assertions against the shielded
-    /// path: same workload, same count).
-    #[must_use]
-    pub fn call_count(&self) -> u64 {
-        self.calls
+        NativeSyscalls { cost }
     }
 }
 
 impl SyscallInterface for NativeSyscalls {
     fn run(&mut self, env: &mut Env, calls: &[Syscall]) {
         let n = calls.len() as u64;
-        self.calls += n;
         let host: u64 = calls.iter().map(Syscall::host_ns).sum();
         env.clock
             .advance(self.cost.native_syscall() * n + SimDuration::from_nanos(host));
@@ -179,7 +170,6 @@ mod tests {
         let t0 = env.clock.now();
         sys.syscall(&mut env, Syscall::Accept);
         assert!(env.clock.now() > t0);
-        assert_eq!(sys.call_count(), 1);
         assert!(!sys.is_shielded());
     }
 

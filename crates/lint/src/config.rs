@@ -28,6 +28,7 @@ fn s(v: &str) -> String {
 
 impl Config {
     /// The registry for this repository.
+    /// Public for `tests/lint_tests.rs`.
     #[must_use]
     pub fn repo_default() -> Self {
         Config {

@@ -10,7 +10,7 @@ use crate::Report;
 
 /// `(id, short description)` for every rule the linter can emit —
 /// SARIF consumers surface these next to each result.
-pub const RULE_TABLE: [(&str, &str); 3] = [
+pub(crate) const RULE_TABLE: [(&str, &str); 3] = [
     (
         "EB001",
         "Enclave-side module calls std::fs/net/time/thread/process directly",
@@ -43,6 +43,7 @@ fn esc(s: &str) -> String {
 }
 
 /// SARIF 2.1.0 document with one run and one result per finding.
+/// Public for the `shield5g-lint` binary (`src/main.rs`).
 #[must_use]
 pub fn to_sarif(report: &Report) -> String {
     let mut out = String::from(

@@ -17,6 +17,7 @@ enum State {
 
 /// Returns `source` with comments and literal contents blanked to
 /// spaces, preserving length and line structure.
+/// Public for `tests/lexer_props.rs`.
 #[must_use]
 pub fn clean_source(source: &str) -> String {
     let bytes = source.as_bytes();
@@ -214,7 +215,7 @@ fn is_char_literal(bytes: &[u8], i: usize) -> bool {
 
 /// 1-based line number of byte `offset` in `text`.
 #[must_use]
-pub fn line_of(text: &str, offset: usize) -> usize {
+pub(crate) fn line_of(text: &str, offset: usize) -> usize {
     text.as_bytes()[..offset.min(text.len())]
         .iter()
         .filter(|&&b| b == b'\n')
@@ -224,6 +225,7 @@ pub fn line_of(text: &str, offset: usize) -> usize {
 
 /// Byte spans of items annotated `#[cfg(test)]` in *clean* source
 /// (typically the `mod tests` block), so rules can skip test-only code.
+/// Public for `tests/lexer_props.rs`.
 #[must_use]
 pub fn test_spans(clean: &str) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
@@ -292,7 +294,7 @@ pub fn test_spans(clean: &str) -> Vec<(usize, usize)> {
 /// Finds the next occurrence of `word` in `text[from..]` that is not
 /// part of a larger identifier; returns its byte offset.
 #[must_use]
-pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
+pub(crate) fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
     let bytes = text.as_bytes();
     let mut start = from;
     while let Some(rel) = text[start..].find(word) {

@@ -73,6 +73,7 @@ pub struct Report {
 }
 
 /// Runs every rule family over every file.
+/// Public for `tests/lint_tests.rs`.
 #[must_use]
 pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();

@@ -24,7 +24,7 @@ const KEYWORDS: [&str; 3] = ["if", "while", "match"];
 const OPERATORS: [&str; 3] = ["&&", "||", "?"];
 
 /// Runs the constant-time pass over one file.
-pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
+pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
     if !config
         .constant_time_files
         .iter()

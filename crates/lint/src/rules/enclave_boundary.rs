@@ -21,7 +21,7 @@ const FORBIDDEN: [&str; 5] = [
 ];
 
 /// Runs the enclave-boundary pass over one file.
-pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
+pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
     if !config
         .enclave_files
         .iter()

@@ -25,7 +25,7 @@ const MW001_PATTERNS: [&str; 5] = [
 ];
 
 /// Runs the middleware-boundary pass over one file.
-pub fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
+pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
     if !config
         .mw_boundary_dirs
         .iter()

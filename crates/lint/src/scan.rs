@@ -27,6 +27,7 @@ impl FileAnalysis {
     }
 
     /// Builds an analysis directly from source text (fixture tests).
+    /// Public for `tests/lint_tests.rs`.
     #[must_use]
     pub fn from_source(rel_path: &str, raw: &str) -> Self {
         let clean = clean_source(raw);
@@ -39,6 +40,7 @@ impl FileAnalysis {
     }
 
     /// Is this byte offset inside a `#[cfg(test)]` item?
+    /// Public for `tests/lint_tests.rs`.
     #[must_use]
     pub fn in_test(&self, offset: usize) -> bool {
         self.test_spans
@@ -56,6 +58,7 @@ impl FileAnalysis {
 /// Collects the `.rs` files the lint walks: each crate's `src/`, the
 /// only place any rule's registry points at. Tests, examples, benches,
 /// vendored shims and build output lie outside it.
+/// Public for `tests/lint_tests.rs` and `tests/lexer_props.rs`.
 #[must_use]
 pub fn collect_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();

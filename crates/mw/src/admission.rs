@@ -83,12 +83,6 @@ impl AdmissionLayer {
         self
     }
 
-    /// The shared per-class shed counters (clone to read after a run).
-    #[must_use]
-    pub fn class_sheds(&self) -> ClassShedsHandle {
-        self.class_sheds.clone()
-    }
-
     /// The capacity ceiling `class` arrivals are admitted under.
     fn capacity_for(&self, class: PriorityClass) -> Option<usize> {
         self.policy.capacity.map(|cap| match class {
@@ -183,7 +177,7 @@ mod tests {
         // ...while emergency still has the reserved slots.
         let gate = layer.on_arrive(&mut env, &leg_with_class(PriorityClass::Emergency), 8);
         assert!(matches!(gate, Gate::Admit));
-        let sheds = *layer.class_sheds().borrow();
+        let sheds = *layer.class_sheds.borrow();
         assert_eq!((sheds.normal, sheds.emergency), (1, 0));
     }
 
@@ -193,7 +187,7 @@ mod tests {
         let mut layer = bounded(10, 2);
         let gate = layer.on_arrive(&mut env, &leg_with_class(PriorityClass::Emergency), 10);
         assert!(matches!(gate, Gate::Shed { .. }));
-        assert_eq!(layer.class_sheds().borrow().emergency, 1);
+        assert_eq!(layer.class_sheds.borrow().emergency, 1);
     }
 
     #[test]

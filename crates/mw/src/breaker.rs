@@ -79,7 +79,7 @@ pub enum BreakerState {
 impl BreakerState {
     /// Stable label for logs and artifacts.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
@@ -89,7 +89,7 @@ impl BreakerState {
 
     /// Numeric encoding for the `breaker_state` gauge.
     #[must_use]
-    pub fn as_gauge(self) -> f64 {
+    pub(crate) fn as_gauge(self) -> f64 {
         match self {
             BreakerState::Closed => 0.0,
             BreakerState::Open => 1.0,
@@ -160,8 +160,8 @@ struct Call<K> {
 /// decision is a pure function of (policy, history, virtual now).
 ///
 /// A caller that cannot carry an admitted call's peer and probe flag to
-/// its outcome hands the core a call id instead ([`Self::admit_call`],
-/// [`Self::settle`]); the core parks the calls in flight by id
+/// its outcome hands the core a call id instead (`BreakerCore::admit_call`,
+/// `BreakerCore::settle`); the core parks the calls in flight by id
 /// ([`Parked`]), so a call allocates nothing.
 #[derive(Debug)]
 pub struct BreakerCore<K: Ord + Clone = Rc<str>> {
@@ -185,7 +185,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
 
     /// The trip/recovery thresholds in force.
     #[must_use]
-    pub fn policy(&self) -> BreakerPolicy {
+    pub(crate) fn policy(&self) -> BreakerPolicy {
         self.policy
     }
 
@@ -204,6 +204,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
     }
 
     /// The peer's current failure EWMA (0.0 for peers never seen).
+    /// Public for `tests/breaker_props.rs`.
     #[must_use]
     pub fn failure_ewma(&self, peer: &K) -> f64 {
         self.peers.get(peer).map_or(0.0, |p| p.ewma)
@@ -301,7 +302,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
     /// [`Self::admit`] for call `id`, whose peer and probe flag are kept
     /// until [`Self::settle`] or [`Self::abandon`] names the id again. An
     /// id still in flight is replaced: one caller has one call out.
-    pub fn admit_call(&mut self, id: u64, peer: &K, now: SimTime) -> BreakerDecision {
+    pub(crate) fn admit_call(&mut self, id: u64, peer: &K, now: SimTime) -> BreakerDecision {
         let decision = self.admit(peer, now);
         if decision != BreakerDecision::Reject {
             let probe = decision == BreakerDecision::Probe;
@@ -313,7 +314,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
 
     /// [`Self::on_outcome`] for call `id`: its peer and the transition
     /// taken, or `None` when no call `id` is in flight.
-    pub fn settle(
+    pub(crate) fn settle(
         &mut self,
         id: u64,
         ok: bool,
@@ -325,7 +326,7 @@ impl<K: Ord + Clone> BreakerCore<K> {
     }
 
     /// Forgets call `id` without an outcome (its caller finished first).
-    pub fn abandon(&mut self, id: u64) {
+    pub(crate) fn abandon(&mut self, id: u64) {
         self.calls.remove(id);
     }
 
@@ -395,12 +396,6 @@ impl BreakerLayer {
     #[must_use]
     pub fn core(&self) -> BreakerHandle {
         self.core.clone()
-    }
-
-    /// Counter snapshot across all peers.
-    #[must_use]
-    pub fn stats(&self) -> BreakerStats {
-        self.core.borrow().stats()
     }
 
     /// Records a transition into metrics, the current span and the log.
@@ -614,18 +609,22 @@ mod tests {
                 "expected callout while closed/tripping"
             );
             let _ = layer.on_response(&mut env, &leg(), HttpResponse::error(504, "drop"));
-            if layer.stats().opened > 0 {
+            if layer.core.borrow().stats().opened > 0 {
                 break;
             }
         }
-        assert_eq!(layer.stats().opened, 1, "circuit never opened");
+        assert_eq!(
+            layer.core.borrow().stats().opened,
+            1,
+            "circuit never opened"
+        );
         let step = layer.on_step(&mut env, &leg(), callout());
         let Step::Reply(resp) = step else {
             panic!("open circuit must fail fast");
         };
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header(SHED_HEADER), Some("breaker-open"));
-        assert_eq!(layer.stats().rejected, 1);
+        assert_eq!(layer.core.borrow().stats().rejected, 1);
     }
 
     #[test]
@@ -637,7 +636,7 @@ mod tests {
             Resume::Continue(resp) => assert_eq!((resp.status, &resp.body[..]), (504, &b"x"[..])),
             Resume::Break(_) => panic!("an unguarded response must pass through"),
         }
-        assert_eq!(layer.stats(), BreakerStats::default());
+        assert_eq!(layer.core.borrow().stats(), BreakerStats::default());
         assert_eq!(layer.core().borrow().total_samples(), 0);
     }
 
@@ -657,6 +656,6 @@ mod tests {
             }
             assert_eq!(layer.core().borrow().calls_in_flight(), 0);
         }
-        assert_eq!(layer.stats(), BreakerStats::default());
+        assert_eq!(layer.core.borrow().stats(), BreakerStats::default());
     }
 }

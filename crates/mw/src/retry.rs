@@ -164,25 +164,8 @@ impl RetryLayer {
         }
     }
 
-    /// A layer that never retries (pass-through, no wrapping).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::new(RetryPolicy::disabled())
-    }
-
-    /// The active policy.
-    #[must_use]
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// A snapshot of the counters.
-    #[must_use]
-    pub fn stats(&self) -> RetryStats {
-        *self.stats.borrow()
-    }
-
     /// The shared counter handle (clone to read after a run).
+    /// Public for `tests/layers.rs`.
     #[must_use]
     pub fn stats_handle(&self) -> RetryStatsHandle {
         self.stats.clone()
@@ -295,14 +278,14 @@ mod tests {
     #[test]
     fn disabled_policy_parks_nothing() {
         let mut env = env();
-        let mut layer = RetryLayer::disabled();
+        let mut layer = RetryLayer::new(RetryPolicy::disabled());
         let step = layer.on_step(&mut env, &leg(), callout(vec![1, 2]));
         let Step::CallOut { req, .. } = step else {
             panic!("expected callout");
         };
         assert_eq!(req.body, vec![1, 2]);
         assert!(layer.calls().borrow().is_empty());
-        assert_eq!(layer.stats(), RetryStats::default());
+        assert_eq!(*layer.stats.borrow(), RetryStats::default());
     }
 
     #[test]
@@ -316,7 +299,7 @@ mod tests {
             Resume::Break(_) => panic!("an unguarded response must not be retried"),
         }
         assert_eq!(env.clock.now(), before);
-        assert_eq!(layer.stats(), RetryStats::default());
+        assert_eq!(*layer.stats.borrow(), RetryStats::default());
     }
 
     #[test]
@@ -335,7 +318,7 @@ mod tests {
         assert_eq!(req.body, vec![9]);
         // The backoff was charged on the caller's timeline.
         assert!(env.clock.now() - before >= SimDuration::from_micros(3_000));
-        assert_eq!(layer.stats().retries, 1);
+        assert_eq!(layer.stats.borrow().retries, 1);
     }
 
     #[test]
@@ -359,7 +342,7 @@ mod tests {
             Resume::Break(_) => panic!("budget exceeded"),
         }
         assert!(layer.calls().borrow().is_empty());
-        let s = layer.stats();
+        let s = *layer.stats.borrow();
         assert_eq!((s.calls, s.retries, s.exhausted, s.recovered), (1, 2, 1, 0));
         assert!((s.amplification() - 3.0).abs() < 1e-9);
     }
@@ -379,7 +362,7 @@ mod tests {
             Resume::Continue(resp) => assert!(resp.is_success()),
             Resume::Break(_) => panic!("success must not retry"),
         }
-        let s = layer.stats();
+        let s = *layer.stats.borrow();
         assert_eq!((s.recovered, s.exhausted), (1, 0));
     }
 

@@ -33,7 +33,7 @@ use std::rc::Rc;
 const AMF_NAS_HANDLER_NANOS: u64 = 62_000;
 
 /// The ABBA parameter (TS 33.501: all zeros pending feature sets).
-pub const ABBA: [u8; 2] = [0, 0];
+pub(crate) const ABBA: [u8; 2] = [0, 0];
 
 /// Registration progress for one UE association.
 enum UeState {
@@ -161,15 +161,6 @@ impl AmfService {
         self.contexts.len()
     }
 
-    /// Whether the UE association is in the `Registered` state.
-    #[must_use]
-    pub fn is_registered(&self, ran_ue_id: u64) -> bool {
-        matches!(
-            self.contexts.get(ran_ue_id),
-            Some(UeState::Registered { .. })
-        )
-    }
-
     /// Error mapping of the NGAP handler path.
     fn ngap_error(e: NfError) -> HttpResponse {
         match e {
@@ -177,7 +168,7 @@ impl AmfService {
             NfError::Sim(shield5g_sim::SimError::ServiceFailure { status, .. }) => {
                 HttpResponse::error(status, "upstream failure")
             }
-            e => HttpResponse::error(400, e.to_string()),
+            e => HttpResponse::error(400, e),
         }
     }
 
@@ -793,7 +784,7 @@ impl EngineService for AmfService {
         if &*req.path != "/ngap" {
             return Step::Reply(HttpResponse::error(
                 404,
-                format!("no handler for {}", req.path),
+                format_args!("no handler for {}", req.path),
             ));
         }
         match Ngap::borrow(&req.body).and_then(|ngap| self.process_ngap(env, leg, &ngap)) {
@@ -814,6 +805,18 @@ impl EngineService for AmfService {
 
     fn delivered(&mut self, leg: &LegMeta) {
         self.flows.remove(leg.id);
+    }
+}
+
+#[cfg(test)]
+impl AmfService {
+    /// Whether the UE association is in the `Registered` state.
+    #[must_use]
+    pub(crate) fn is_registered(&self, ran_ue_id: u64) -> bool {
+        matches!(
+            self.contexts.get(ran_ue_id),
+            Some(UeState::Registered { .. })
+        )
     }
 }
 

@@ -70,12 +70,6 @@ impl AusfService {
         }
     }
 
-    /// Pending authentication contexts (diagnostics).
-    #[must_use]
-    pub fn pending_contexts(&self) -> usize {
-        self.contexts.len()
-    }
-
     /// Flows parked across a call-out; 0 whenever no request is in flight.
     #[must_use]
     pub fn parked(&self) -> usize {
@@ -88,7 +82,7 @@ impl AusfService {
             NfError::Sim(shield5g_sim::SimError::ServiceFailure { status, .. }) => {
                 HttpResponse::error(status, "upstream failure")
             }
-            e => HttpResponse::error(400, e.to_string()),
+            e => HttpResponse::error(400, e),
         }
     }
 
@@ -218,7 +212,7 @@ impl EngineService for AusfService {
             "/nausf-auth/confirm" => {
                 match ConfirmRequest::decode(&req.body).and_then(|r| self.confirm(env, &r)) {
                     Ok(resp) => Step::Reply(HttpResponse::ok(resp.encode())),
-                    Err(e) => Step::Reply(HttpResponse::error(400, e.to_string())),
+                    Err(e) => Step::Reply(HttpResponse::error(400, e)),
                 }
             }
             "/nausf-auth/resync" => {
@@ -233,7 +227,10 @@ impl EngineService for AusfService {
                     Err(e) => Step::Reply(Self::upstream_error(e)),
                 }
             }
-            other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
+            other => Step::Reply(HttpResponse::error(
+                404,
+                format_args!("no handler for {other}"),
+            )),
         }
     }
 

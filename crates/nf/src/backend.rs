@@ -92,7 +92,7 @@ pub struct UdmAkaBatchRequest {
     pub supi: Supi,
     /// Operator variant constant (secret subscriber data; zeroizes on drop).
     pub opc: SecretBytes<16>,
-    /// Seed for the per-AV challenge randomness (see [`batch_rand`]).
+    /// Seed for the per-AV challenge randomness (see `batch_rand`).
     pub rand_seed: [u8; 16],
     /// SQN of the first AV; AV `i` uses `sqn_start + i`.
     pub sqn_start: [u8; 6],
@@ -134,7 +134,7 @@ pub fn sqn_add(sqn: &[u8; 6], delta: u64) -> [u8; 6] {
 /// of SHA-256(seed ‖ sqn). Distinct SQNs give independent-looking RANDs
 /// from a single seed, so the batch request stays Table-I-sized.
 #[must_use]
-pub fn batch_rand(rand_seed: &[u8; 16], sqn: &[u8; 6]) -> [u8; 16] {
+pub(crate) fn batch_rand(rand_seed: &[u8; 16], sqn: &[u8; 6]) -> [u8; 16] {
     let mut buf = [0u8; 22];
     buf[..16].copy_from_slice(rand_seed);
     buf[16..].copy_from_slice(sqn);
@@ -144,10 +144,10 @@ pub fn batch_rand(rand_seed: &[u8; 16], sqn: &[u8; 6]) -> [u8; 16] {
 }
 
 /// Bytes of one HE AV on the module wire: RAND, AUTN, XRES* and K_AUSF.
-pub const HE_AV_LEN: usize = 16 + 16 + 16 + 32;
+pub(crate) const HE_AV_LEN: usize = 16 + 16 + 16 + 32;
 
 /// A batch of HE AVs as its wire bytes: a `u32` count, then each AV's
-/// [`HE_AV_LEN`] bytes, in SQN order.
+/// `HE_AV_LEN` bytes, in SQN order.
 ///
 /// The module writes each AV straight into the reply buffer and the
 /// frontend reads them straight out of the reply body ([`AvBatch::avs`]),
@@ -172,7 +172,7 @@ impl AvBatch {
 
     /// Wire length of a batch of `count` AVs.
     #[must_use]
-    pub const fn wire_len(count: usize) -> usize {
+    pub(crate) const fn wire_len(count: usize) -> usize {
         4 + HE_AV_LEN * count
     }
 
@@ -445,7 +445,7 @@ impl AkaOp for GenerateAv {
 }
 
 /// eUDM: a batch of HE AVs for one connection choreography; AV `i` uses
-/// `sqn_start + i` and [`batch_rand`] of it.
+/// `sqn_start + i` and `batch_rand` of it.
 pub struct GenerateAvBatch;
 
 impl AkaOp for GenerateAvBatch {

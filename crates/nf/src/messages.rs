@@ -193,7 +193,7 @@ pub enum Ngap<B = Vec<u8>> {
 // rather than by `wire!`, which knows no borrowed field.
 impl<B: AsRef<[u8]>> Ngap<B> {
     /// Writes the wire form into `w`.
-    pub fn encode_into(&self, w: &mut Writer) {
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         let tag = match self {
             Ngap::InitialUeMessage { .. } => 1,
             Ngap::UplinkNasTransport { .. } => 2,
@@ -229,7 +229,7 @@ impl<B: AsRef<[u8]>> Ngap<B> {
 impl<B> Ngap<B> {
     /// The RAN UE identifier.
     #[must_use]
-    pub fn ran_ue_id(&self) -> u64 {
+    pub(crate) fn ran_ue_id(&self) -> u64 {
         match self {
             Ngap::InitialUeMessage { ran_ue_id, .. }
             | Ngap::UplinkNasTransport { ran_ue_id, .. }

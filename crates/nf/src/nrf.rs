@@ -34,12 +34,6 @@ impl NrfService {
         Self::default()
     }
 
-    /// Registered profiles, sorted by address.
-    #[must_use]
-    pub fn profiles(&self) -> Vec<NfProfile> {
-        self.profiles.values().cloned().collect()
-    }
-
     /// First registered instance of `nf_type`.
     #[must_use]
     pub fn discover(&self, nf_type: NfType) -> Option<&NfProfile> {
@@ -61,7 +55,7 @@ impl Service for NrfService {
                     self.profiles.insert(profile.addr.clone(), profile);
                     HttpResponse::ok(Vec::new())
                 }
-                Err(e) => HttpResponse::error(400, e.to_string()),
+                Err(e) => HttpResponse::error(400, e),
             },
             "/nnrf-disc/search" => {
                 let wanted = String::from_utf8_lossy(&req.body).to_string();
@@ -71,10 +65,10 @@ impl Service for NrfService {
                     .find(|p| p.nf_type.to_string() == wanted)
                 {
                     Some(p) => HttpResponse::ok(p.addr.clone().into_bytes()),
-                    None => HttpResponse::error(404, format!("no {wanted} registered")),
+                    None => HttpResponse::error(404, format_args!("no {wanted} registered")),
                 }
             }
-            other => HttpResponse::error(404, format!("no handler for {other}")),
+            other => HttpResponse::error(404, format_args!("no handler for {other}")),
         }
     }
 }

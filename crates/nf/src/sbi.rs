@@ -130,7 +130,7 @@ impl AuthenticateRequest {
     ///
     /// [`NfError::Protocol`] unless the MCC is 3 digits and the MNC 2 or 3
     /// (the wire admits a 2-digit MCC).
-    pub fn serving_network(&self) -> Result<ServingNetworkName, NfError> {
+    pub(crate) fn serving_network(&self) -> Result<ServingNetworkName, NfError> {
         Plmn::new(self.snn_mcc, self.snn_mnc)
             .map(|plmn| ServingNetworkName::of(&plmn))
             .map_err(implausible)

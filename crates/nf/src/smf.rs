@@ -28,7 +28,7 @@ wire!(N4Establish { teid, ue_ip });
 
 /// One established session.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SmfSession {
+pub(crate) struct SmfSession {
     /// Owning subscriber.
     pub supi: Supi,
     /// UE-side session identity.
@@ -121,9 +121,12 @@ impl EngineService for SmfService {
         match &*req.path {
             "/nsmf-pdusession/create" => match CreateSessionRequest::decode(&req.body) {
                 Ok(decoded) => self.start_create(env, leg, &decoded),
-                Err(e) => Step::Reply(HttpResponse::error(400, e.to_string())),
+                Err(e) => Step::Reply(HttpResponse::error(400, e)),
             },
-            other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
+            other => Step::Reply(HttpResponse::error(
+                404,
+                format_args!("no handler for {other}"),
+            )),
         }
     }
 
@@ -132,7 +135,7 @@ impl EngineService for SmfService {
             return Step::Reply(HttpResponse::error(500, "smf: no parked flow"));
         };
         if let Err(e) = self.client.receive(env, &self.upf_addr, resp) {
-            return Step::Reply(HttpResponse::error(400, e.to_string()));
+            return Step::Reply(HttpResponse::error(400, e));
         }
         let reply = CreateSessionResponse {
             ue_ip: session.ue_ip,

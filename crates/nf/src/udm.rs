@@ -68,12 +68,6 @@ impl UdmService {
         }
     }
 
-    /// The home-network key identifier.
-    #[must_use]
-    pub fn hn_key_id(&self) -> u8 {
-        self.sidf_key.id()
-    }
-
     /// Flows parked across a call-out; 0 whenever no request is in flight.
     #[must_use]
     pub fn parked(&self) -> usize {
@@ -105,14 +99,6 @@ impl UdmService {
                 HttpResponse::error(404, "subscriber not found")
             }
             e => backend::error_reply(&e),
-        }
-    }
-
-    /// Error mapping of the resync handler path.
-    fn resync_error(e: NfError) -> HttpResponse {
-        match e {
-            NfError::Crypto(e) => HttpResponse::error(403, e.to_string()),
-            e => HttpResponse::error(400, e.to_string()),
         }
     }
 
@@ -233,14 +219,17 @@ impl EngineService for UdmService {
                     .advance(SimDuration::from_nanos(UDM_HANDLER_NANOS));
                 let decoded = match ResyncRequest::decode(&req.body) {
                     Ok(r) => r,
-                    Err(e) => return Step::Reply(Self::resync_error(e)),
+                    Err(e) => return Step::Reply(backend::error_reply(&e)),
                 };
                 // Need the OPc to check MAC-S; fetch subscription data
                 // (the extra SQN this burns is inconsequential).
                 let supi = decoded.supi;
                 self.fetch_auth_data(env, leg, supi, UdmFlow::ResyncAuthData { req: decoded })
             }
-            other => Step::Reply(HttpResponse::error(404, format!("no handler for {other}"))),
+            other => Step::Reply(HttpResponse::error(
+                404,
+                format_args!("no handler for {other}"),
+            )),
         }
     }
 
@@ -265,11 +254,11 @@ impl EngineService for UdmService {
             UdmFlow::ResyncAuthData { req } => {
                 let body = match self.client.receive(env, &self.udr_addr, resp) {
                     Ok(b) => b,
-                    Err(e) => return Step::Reply(Self::resync_error(e)),
+                    Err(e) => return Step::Reply(backend::error_reply(&e)),
                 };
                 let auth_data = match UdrAuthDataResponse::decode(&body) {
                     Ok(d) => d,
-                    Err(e) => return Step::Reply(Self::resync_error(e)),
+                    Err(e) => return Step::Reply(backend::error_reply(&e)),
                 };
                 let supi = req.supi;
                 let aka_req = UdmAkaResyncRequest {
@@ -280,7 +269,7 @@ impl EngineService for UdmService {
                 };
                 match AkaBackend::<Resync>::begin(&mut *self.backend, env, &aka_req) {
                     BackendOp::Done(Ok(sqn_ms)) => self.push_resync(env, leg, supi, sqn_ms),
-                    BackendOp::Done(Err(e)) => Step::Reply(Self::resync_error(e)),
+                    BackendOp::Done(Err(e)) => Step::Reply(backend::error_reply(&e)),
                     BackendOp::Call { dest, req, token } => {
                         let flow = UdmFlow::AwaitModuleResync { supi, token };
                         self.flows.call_out(leg, dest, req, flow)
@@ -290,7 +279,7 @@ impl EngineService for UdmService {
             UdmFlow::AwaitModuleResync { supi, token } => {
                 match AkaBackend::<Resync>::finish(&mut *self.backend, env, token, resp) {
                     Ok(sqn_ms) => self.push_resync(env, leg, supi, sqn_ms),
-                    Err(e) => Step::Reply(Self::resync_error(e)),
+                    Err(e) => Step::Reply(backend::error_reply(&e)),
                 }
             }
             UdmFlow::AwaitUdrResync { supi } => {
@@ -303,7 +292,7 @@ impl EngineService for UdmService {
                         );
                         Step::Reply(HttpResponse::ok(Vec::new()))
                     }
-                    Err(e) => Step::Reply(Self::resync_error(e)),
+                    Err(e) => Step::Reply(backend::error_reply(&e)),
                 }
             }
         }
@@ -330,12 +319,15 @@ mod tests {
     const K: [u8; 16] = [0x46; 16];
     const OPC: [u8; 16] = [0xcd; 16];
     const SUPI: &str = "imsi-001010000000001";
+    /// Known to the UDR; the module holds no key for it.
+    const UDR_ONLY: &str = "imsi-001010000000002";
 
     fn world() -> (Env, Engine, HomeNetworkKeyPair) {
         let mut env = Env::new(3);
         let mut engine = Engine::new();
         let mut udr = UdrService::new();
         udr.provision(SUPI, OPC, [0x80, 0]);
+        udr.provision(UDR_ONLY, OPC, [0x80, 0]);
         engine.register(crate::addr::UDR, 4, Engine::leaf(service_handle(udr)));
         let hn = HomeNetworkKeyPair::from_private(1, env.rng.bytes());
         let mut backend = LocalAka::default();
@@ -571,6 +563,30 @@ mod tests {
             "resync failed: {:?}",
             String::from_utf8_lossy(&resp.body)
         );
+    }
+
+    #[test]
+    fn a_subscriber_without_a_module_key_is_404_on_both_paths() {
+        let (mut env, mut engine, hn) = world();
+        let supi = crate::tests::imsi(UDR_ONLY);
+        let suci = supi.conceal_profile_a(1, hn.public(), &[9; 32]);
+        let auth = HttpRequest::post(
+            "/nudm-ueau/generate-auth-data",
+            auth_get(UeIdentity::Suci(suci)),
+        );
+        let resync = ResyncRequest {
+            supi,
+            rand: [0x23; 16],
+            auts: shield5g_crypto::sqn::Auts {
+                sqn_ms_xor_ak: [1; 6],
+                mac_s: [2; 8],
+            },
+        };
+        let resync = HttpRequest::post("/nudm-ueau/resync", resync.encode());
+        for req in [auth, resync] {
+            let resp = engine.dispatch(&mut env, crate::addr::UDM, req).unwrap();
+            assert_eq!(resp.status, 404, "{}", String::from_utf8_lossy(&resp.body));
+        }
     }
 
     #[test]

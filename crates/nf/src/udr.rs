@@ -55,18 +55,6 @@ impl UdrService {
         );
     }
 
-    /// Number of provisioned subscribers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Current SEQ for a subscriber (test/diagnostic use).
-    #[must_use]
-    pub fn current_seq(&self, supi: &str) -> Option<u64> {
-        self.subscribers.get(supi).map(|e| e.sqn.seq())
-    }
-
     fn auth_data(&mut self, supi: Supi) -> Result<UdrAuthDataResponse, NfError> {
         let entry = self
             .subscribers
@@ -108,7 +96,7 @@ impl Service for UdrService {
                 Err(e @ NfError::SubscriberUnknown(_)) => HttpResponse::error(404, e),
                 Err(e) => HttpResponse::error(400, e),
             },
-            other => HttpResponse::error(404, format!("no handler for {other}")),
+            other => HttpResponse::error(404, format_args!("no handler for {other}")),
         }
     }
 }
@@ -141,7 +129,12 @@ mod tests {
         let d2 = UdrAuthDataResponse::decode(&r2.body).unwrap();
         assert_eq!(d1.opc, [0xcd; 16]);
         assert!(sqn_from_bytes(&d2.sqn) > sqn_from_bytes(&d1.sqn));
-        assert_eq!(udr.current_seq("imsi-001010000000001"), Some(2));
+        assert_eq!(
+            udr.subscribers
+                .get("imsi-001010000000001")
+                .map(|e| e.sqn.seq()),
+            Some(2)
+        );
     }
 
     #[test]
@@ -172,7 +165,13 @@ mod tests {
         assert!(udr
             .handle(&mut env, HttpRequest::post("/nudr-dr/resync", req))
             .is_success());
-        assert!(udr.current_seq("imsi-001010000000001").unwrap() > 500);
+        assert!(
+            udr.subscribers
+                .get("imsi-001010000000001")
+                .map(|e| e.sqn.seq())
+                .unwrap()
+                > 500
+        );
     }
 
     #[test]
@@ -189,8 +188,8 @@ mod tests {
     #[test]
     fn provisioning_counts() {
         let mut udr = udr();
-        assert_eq!(udr.subscriber_count(), 1);
+        assert_eq!(udr.subscribers.len(), 1);
         udr.provision("imsi-001010000000002", [1; 16], [0x80, 0]);
-        assert_eq!(udr.subscriber_count(), 2);
+        assert_eq!(udr.subscribers.len(), 2);
     }
 }

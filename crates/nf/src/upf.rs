@@ -31,7 +31,6 @@ wire!(GtpPacket { teid, payload });
 #[derive(Debug, Default)]
 pub struct UpfService {
     sessions: BTreeMap<u32, [u8; 4]>,
-    packets_forwarded: u64,
 }
 
 impl UpfService {
@@ -46,12 +45,6 @@ impl UpfService {
     pub fn session_count(&self) -> usize {
         self.sessions.len()
     }
-
-    /// Total user-plane packets forwarded.
-    #[must_use]
-    pub fn packets_forwarded(&self) -> u64 {
-        self.packets_forwarded
-    }
 }
 
 impl Service for UpfService {
@@ -63,22 +56,21 @@ impl Service for UpfService {
                     self.sessions.insert(msg.teid, msg.ue_ip);
                     HttpResponse::ok(Vec::new())
                 }
-                Err(e) => HttpResponse::error(400, e.to_string()),
+                Err(e) => HttpResponse::error(400, e),
             },
             "/gtp/uplink" => match GtpPacket::decode(&req.body) {
                 Ok(pkt) => match self.sessions.get(&pkt.teid) {
                     Some(_ue_ip) => {
                         env.clock.advance(SimDuration::from_nanos(FORWARD_NANOS));
-                        self.packets_forwarded += 1;
                         // N6 echo: the payload comes straight back (a
                         // stand-in for the internet-side ping target).
                         HttpResponse::ok(pkt.payload)
                     }
-                    None => HttpResponse::error(404, format!("no tunnel {}", pkt.teid)),
+                    None => HttpResponse::error(404, format_args!("no tunnel {}", pkt.teid)),
                 },
-                Err(e) => HttpResponse::error(400, e.to_string()),
+                Err(e) => HttpResponse::error(400, e),
             },
-            other => HttpResponse::error(404, format!("no handler for {other}")),
+            other => HttpResponse::error(404, format_args!("no handler for {other}")),
         }
     }
 }
@@ -108,7 +100,6 @@ mod tests {
         let resp = upf.handle(&mut env, HttpRequest::post("/gtp/uplink", pkt));
         assert!(resp.is_success());
         assert_eq!(resp.body, b"ping");
-        assert_eq!(upf.packets_forwarded(), 1);
     }
 
     #[test]
@@ -125,7 +116,6 @@ mod tests {
                 .status,
             404
         );
-        assert_eq!(upf.packets_forwarded(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 /// Escapes a string for embedding in a JSON string literal.
 #[must_use]
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -34,7 +34,7 @@ pub fn json_escape(s: &str) -> String {
 /// Renders a finite float deterministically (non-finite values become
 /// `0`, which JSON cannot represent otherwise).
 #[must_use]
-pub fn json_num(v: f64) -> String {
+pub(crate) fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -356,7 +356,7 @@ mod tests {
     }
 
     fn sample_registry() -> Registry {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.add("amf", "/ngap", "requests", 41);
         r.set_gauge("pool", "r0", "depth_peak", 3.0);
         r.observe("udm", "/av", "latency_ns", 1_000);

@@ -64,14 +64,14 @@ impl Obs {
     }
 
     /// Pushes a span onto the current-execution stack.
-    pub fn push_current(&mut self, id: SpanId) {
+    pub(crate) fn push_current(&mut self, id: SpanId) {
         self.current.push(id);
     }
 
     /// Pops the top of the current-execution stack if it is `id`
     /// (defensive: unbalanced pops are dropped rather than corrupting
     /// the stack).
-    pub fn pop_current(&mut self, id: SpanId) {
+    pub(crate) fn pop_current(&mut self, id: SpanId) {
         if self.current.last() == Some(&id) {
             self.current.pop();
         }
@@ -123,12 +123,12 @@ pub fn set_strict(strict: bool) {
 
 /// Installs `hub` as this thread's recording context (replacing any
 /// previous one). Prefer [`scoped`] in tests and harnesses.
-pub fn install(hub: &ObsHandle) {
+pub(crate) fn install(hub: &ObsHandle) {
     ACTIVE.with(|a| *a.borrow_mut() = Some(hub.clone()));
 }
 
 /// Removes the thread's recording context.
-pub fn uninstall() {
+pub(crate) fn uninstall() {
     ACTIVE.with(|a| *a.borrow_mut() = None);
 }
 
@@ -286,12 +286,6 @@ impl StageSpan {
         let id = open_span(SpanKind::Stage, nf, name, start_ns);
         enter_span(id);
         StageSpan { id }
-    }
-
-    /// The underlying span id.
-    #[must_use]
-    pub fn id(&self) -> Option<SpanId> {
-        self.id
     }
 
     /// Exits and closes the span at `end_ns`.
@@ -489,7 +483,7 @@ mod tests {
         let hub = ObsHandle::new();
         let _scope = scoped(&hub);
         let stage = StageSpan::open("ue", "reg", 0);
-        assert!(stage.id().is_some());
+        assert!(stage.id.is_some());
         stage.close(100);
         hub.with(|o| assert_eq!(o.spans.finished().len(), 1));
 

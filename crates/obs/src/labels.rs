@@ -9,7 +9,7 @@
 //! known series (see `label_registry_covers_every_emitted_key` in
 //! `tests/observability.rs`).
 //!
-//! Grouped by emitter. [`ALL`] enumerates every constant; keep it in
+//! Grouped by emitter. `ALL` enumerates every constant; keep it in
 //! sync when adding one (the membership test fails on an emitted label
 //! missing from the registry, which is exactly the drift being guarded).
 
@@ -57,28 +57,28 @@ pub const HE_AV_GENERATED: &str = "he_av_generated";
 // --- UE / RAN registration harness (ran/src/ue.rs) ---
 
 /// UE registrations completed.
-pub const COMPLETED: &str = "completed";
+pub(crate) const COMPLETED: &str = "completed";
 /// SQN resynchronisations performed during registration.
-pub const RESYNCS: &str = "resyncs";
+pub(crate) const RESYNCS: &str = "resyncs";
 /// End-to-end session setup time histogram, nanoseconds.
-pub const SETUP_TIME_NS: &str = "setup_time_ns";
+pub(crate) const SETUP_TIME_NS: &str = "setup_time_ns";
 
 // --- SGX transition counters (hmee/src/enclave.rs) ---
 
 /// Enclave entries.
-pub const EENTER: &str = "eenter";
+pub(crate) const EENTER: &str = "eenter";
 /// Enclave exits.
-pub const EEXIT: &str = "eexit";
+pub(crate) const EEXIT: &str = "eexit";
 /// OCALLs issued from inside the enclave.
-pub const OCALLS: &str = "ocalls";
+pub(crate) const OCALLS: &str = "ocalls";
 /// Asynchronous enclave exits.
-pub const AEX: &str = "aex";
+pub(crate) const AEX: &str = "aex";
 /// Enclave resumes after an AEX.
-pub const ERESUME: &str = "eresume";
+pub(crate) const ERESUME: &str = "eresume";
 /// EPC pages written back (evicted).
-pub const EWB: &str = "ewb";
+pub(crate) const EWB: &str = "ewb";
 /// EPC pages loaded back in.
-pub const ELDU: &str = "eldu";
+pub(crate) const ELDU: &str = "eldu";
 
 // --- pool scaling (scale/src/metrics.rs PoolReport) ---
 
@@ -157,7 +157,7 @@ pub const BROWNOUT_EXITS: &str = "brownout_exits";
 /// Every label constant above — the closed set of series names. The
 /// observability test suite asserts each emitted metric key's label is
 /// in this list.
-pub const ALL: &[&str] = &[
+pub(crate) const ALL: &[&str] = &[
     ARRIVALS,
     CALLOUTS,
     COMPLETIONS,

@@ -24,7 +24,7 @@ pub struct Key {
 impl Key {
     /// Builds a key from its three parts.
     #[must_use]
-    pub fn new(nf: &str, endpoint: &str, label: &str) -> Key {
+    pub(crate) fn new(nf: &str, endpoint: &str, label: &str) -> Key {
         Key {
             nf: nf.to_owned(),
             endpoint: endpoint.to_owned(),
@@ -109,25 +109,13 @@ impl Histogram {
 
     /// Sum of recorded samples (saturating).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Exact minimum sample (zero when empty).
-    #[must_use]
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Exact maximum sample (zero when empty).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Arithmetic mean (zero when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -189,7 +177,7 @@ impl Histogram {
 
     /// Pools another histogram's samples into this one (bucket-wise
     /// addition; min/max/count/sum fold exactly).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -214,7 +202,7 @@ impl Histogram {
     /// (count, min, p25, median, p75, p95, p99, max, mean), extracted
     /// from the buckets.
     #[must_use]
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             min: self.min,
@@ -269,14 +257,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
     /// Adds `n` to a counter, creating it at zero first.
-    pub fn add(&mut self, nf: &str, endpoint: &str, label: &str, n: u64) {
+    pub(crate) fn add(&mut self, nf: &str, endpoint: &str, label: &str, n: u64) {
         *self
             .counters
             .entry(Key::new(nf, endpoint, label))
@@ -293,7 +275,7 @@ impl Registry {
     }
 
     /// Sets a gauge to an absolute value.
-    pub fn set_gauge(&mut self, nf: &str, endpoint: &str, label: &str, v: f64) {
+    pub(crate) fn set_gauge(&mut self, nf: &str, endpoint: &str, label: &str, v: f64) {
         let key = Key::new(nf, endpoint, label);
         self.max_only.remove(&key);
         self.gauges.insert(key, v);
@@ -301,7 +283,7 @@ impl Registry {
 
     /// Raises a gauge to `v` if `v` exceeds its current value
     /// (high-water marks: peak queue depth, peak pool occupancy).
-    pub fn max_gauge(&mut self, nf: &str, endpoint: &str, label: &str, v: f64) {
+    pub(crate) fn max_gauge(&mut self, nf: &str, endpoint: &str, label: &str, v: f64) {
         let key = Key::new(nf, endpoint, label);
         match self.gauges.entry(key.clone()) {
             std::collections::btree_map::Entry::Vacant(e) => {
@@ -316,14 +298,8 @@ impl Registry {
         }
     }
 
-    /// Reads a gauge (`None` when never set).
-    #[must_use]
-    pub fn gauge(&self, nf: &str, endpoint: &str, label: &str) -> Option<f64> {
-        self.gauges.get(&Key::new(nf, endpoint, label)).copied()
-    }
-
     /// Records a sample into a histogram, creating it first.
-    pub fn observe(&mut self, nf: &str, endpoint: &str, label: &str, v: u64) {
+    pub(crate) fn observe(&mut self, nf: &str, endpoint: &str, label: &str, v: u64) {
         self.histograms
             .entry(Key::new(nf, endpoint, label))
             .or_default()
@@ -351,18 +327,12 @@ impl Registry {
         self.histograms.iter()
     }
 
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Folds `other` into this registry, reproducing what one registry
     /// would hold had both recording sequences run against it in order
     /// (this one first): counters add, histograms pool, `max_gauge`-only
     /// gauges raise, and gauges `other` last wrote with `set_gauge`
     /// overwrite.
-    pub fn merge(&mut self, other: Registry) {
+    pub(crate) fn merge(&mut self, other: Registry) {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
@@ -387,6 +357,15 @@ impl Registry {
         for (k, h) in other.histograms {
             self.histograms.entry(k).or_default().merge(&h);
         }
+    }
+}
+
+#[cfg(test)]
+impl Registry {
+    /// Reads a gauge (`None` when never set).
+    #[must_use]
+    pub(crate) fn gauge(&self, nf: &str, endpoint: &str, label: &str) -> Option<f64> {
+        self.gauges.get(&Key::new(nf, endpoint, label)).copied()
     }
 }
 
@@ -427,8 +406,8 @@ mod tests {
             let err = (got as f64 - exact as f64).abs() / exact as f64;
             assert!(err < 0.07, "q={q}: got {got}, exact {exact}, err {err}");
         }
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 10_000);
+        assert_eq!(h.min, 1);
+        assert_eq!(h.max, 10_000);
         assert_eq!(h.count(), 10_000);
     }
 
@@ -439,8 +418,8 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.quantile(0.5), 3);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 15);
+        assert_eq!(h.min, 0);
+        assert_eq!(h.max, 15);
     }
 
     #[test]
@@ -468,7 +447,7 @@ mod tests {
 
     #[test]
     fn registry_counters_gauges_histograms() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.add("amf", "/ngap", "requests", 2);
         r.add("amf", "/ngap", "requests", 3);
         assert_eq!(r.counter("amf", "/ngap", "requests"), 5);
@@ -484,12 +463,11 @@ mod tests {
         r.observe("udm", "/av", "latency_ns", 3_000);
         let h = r.histogram("udm", "/av", "latency_ns").unwrap();
         assert_eq!(h.count(), 2);
-        assert!(!r.is_empty());
     }
 
     #[test]
     fn registry_iteration_is_key_ordered() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.add("z", "e", "l", 1);
         r.add("a", "e", "l", 1);
         r.add("m", "e", "l", 1);
@@ -549,7 +527,7 @@ mod tests {
     #[test]
     fn registry_merge_matches_serial_recording() {
         // Serial reference: one registry sees both recording sequences.
-        let mut serial = Registry::new();
+        let mut serial = Registry::default();
         serial.add("amf", "/ngap", "requests", 2);
         serial.set_gauge("pool", "r0", "replicas", 4.0);
         serial.max_gauge("pool", "r0", "peak_depth", 7.0);
@@ -560,12 +538,12 @@ mod tests {
         serial.observe("udm", "/av", "latency_ns", 9_000);
 
         // Parallel shape: two registries, merged in recording order.
-        let mut first = Registry::new();
+        let mut first = Registry::default();
         first.add("amf", "/ngap", "requests", 2);
         first.set_gauge("pool", "r0", "replicas", 4.0);
         first.max_gauge("pool", "r0", "peak_depth", 7.0);
         first.observe("udm", "/av", "latency_ns", 1_000);
-        let mut second = Registry::new();
+        let mut second = Registry::default();
         second.add("amf", "/ngap", "requests", 3);
         second.set_gauge("pool", "r0", "replicas", 2.0);
         second.max_gauge("pool", "r0", "peak_depth", 5.0);
@@ -595,10 +573,10 @@ mod tests {
     fn set_gauge_after_max_gauge_clears_high_water_semantics() {
         // A set_gauge downstream of max_gauge makes the key absolute:
         // a later merge must overwrite, not raise.
-        let mut first = Registry::new();
+        let mut first = Registry::default();
         first.max_gauge("pool", "r0", "depth", 9.0);
         first.set_gauge("pool", "r0", "depth", 9.0);
-        let mut second = Registry::new();
+        let mut second = Registry::default();
         second.set_gauge("pool", "r0", "depth", 1.0);
         first.merge(second);
         assert_eq!(first.gauge("pool", "r0", "depth"), Some(1.0));

@@ -94,7 +94,7 @@ impl Span {
 /// emit millions of enclave-transition spans; past the cap new spans are
 /// counted as dropped (reported by the exporters — never silently) while
 /// metrics keep aggregating.
-pub const DEFAULT_SPAN_CAP: usize = 250_000;
+pub(crate) const DEFAULT_SPAN_CAP: usize = 250_000;
 
 /// An open span under construction.
 #[derive(Clone, Debug)]
@@ -137,15 +137,10 @@ impl SpanLog {
         }
     }
 
-    /// Overrides the retained-span ceiling.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap;
-    }
-
     /// Opens a span. `parent = None` starts a new trace rooted at this
     /// span. Returns `None` once the retention cap is reached — callers
     /// treat that exactly like a disabled hub.
-    pub fn open(
+    pub(crate) fn open(
         &mut self,
         kind: SpanKind,
         parent: Option<SpanId>,
@@ -181,7 +176,7 @@ impl SpanLog {
     /// Closes a span at `end_ns`, moving it to the finished list. A
     /// close for an id that is not open (capped, double-closed, or
     /// abandoned) is a no-op.
-    pub fn close(&mut self, id: SpanId, end_ns: u64) {
+    pub(crate) fn close(&mut self, id: SpanId, end_ns: u64) {
         if let Some(span) = self.open.remove(&id) {
             self.finished.push(Span {
                 id,
@@ -198,7 +193,7 @@ impl SpanLog {
     }
 
     /// Discards an open span without recording it (error-path unwinding).
-    pub fn abandon(&mut self, id: SpanId) {
+    pub(crate) fn abandon(&mut self, id: SpanId) {
         self.open.remove(&id);
     }
 
@@ -208,7 +203,7 @@ impl SpanLog {
     /// one log in this order. `other`'s open spans are discarded (a
     /// merged job context has nothing mid-flight); its drop count
     /// carries over, and this log's retention cap keeps applying.
-    pub fn absorb(&mut self, other: SpanLog) {
+    pub(crate) fn absorb(&mut self, other: SpanLog) {
         let base = self.next_id - 1;
         self.dropped += other.dropped;
         for span in other.finished {
@@ -227,7 +222,7 @@ impl SpanLog {
     }
 
     /// Adds `n` to an attribute of an *open* span, creating it at zero.
-    pub fn add_attr(&mut self, id: SpanId, key: &'static str, n: u64) {
+    pub(crate) fn add_attr(&mut self, id: SpanId, key: &'static str, n: u64) {
         if let Some(span) = self.open.get_mut(&id) {
             match span.attrs.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, v)) => *v += n,
@@ -238,7 +233,7 @@ impl SpanLog {
 
     /// Trace id a span (open or finished) belongs to.
     #[must_use]
-    pub fn trace_of(&self, id: SpanId) -> Option<u64> {
+    pub(crate) fn trace_of(&self, id: SpanId) -> Option<u64> {
         if let Some(open) = self.open.get(&id) {
             return Some(open.trace);
         }
@@ -361,6 +356,14 @@ impl SpanLog {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl SpanLog {
+    /// Overrides the retained-span ceiling.
+    pub(crate) fn set_cap(&mut self, cap: usize) {
+        self.cap = cap;
     }
 }
 

@@ -47,7 +47,7 @@ impl std::fmt::Debug for Gnb {
 impl Gnb {
     /// A USRP-backed OAI gNB broadcasting `plmn` (the OTA radio profile).
     #[must_use]
-    pub fn usrp(engine: Rc<RefCell<Engine>>, plmn: Plmn) -> Self {
+    pub(crate) fn usrp(engine: Rc<RefCell<Engine>>, plmn: Plmn) -> Self {
         Gnb {
             engine,
             radio: LinkProfile::radio_5g(),
@@ -76,7 +76,7 @@ impl Gnb {
 
     /// The PLMN this cell broadcasts in SIB1.
     #[must_use]
-    pub fn broadcast_plmn(&self) -> &Plmn {
+    pub(crate) fn broadcast_plmn(&self) -> &Plmn {
         &self.broadcast_plmn
     }
 
@@ -88,7 +88,7 @@ impl Gnb {
     /// Returns [`RanError::NetworkNotFound`] when the PLMNs differ — the
     /// §V-B6 observation that "if custom mobile country or network codes
     /// were used, the device would be unable to detect the OAI gNB".
-    pub fn rrc_connect(&mut self, env: &mut Env, sim_plmn: &Plmn) -> Result<u64, RanError> {
+    pub(crate) fn rrc_connect(&mut self, env: &mut Env, sim_plmn: &Plmn) -> Result<u64, RanError> {
         if sim_plmn != &self.broadcast_plmn {
             return Err(RanError::NetworkNotFound {
                 sim_plmn: sim_plmn.to_string(),
@@ -137,7 +137,7 @@ impl Gnb {
     ///
     /// Returns [`RanError::Rejected`] for AMF-level rejections and
     /// [`RanError::Transport`] for bus failures.
-    pub fn nas_exchange(
+    pub(crate) fn nas_exchange(
         &mut self,
         env: &mut Env,
         ran_ue_id: u64,
@@ -180,7 +180,7 @@ impl Gnb {
     ///
     /// Returns [`RanError::Protocol`] when no tunnel exists for the UE and
     /// [`RanError::Rejected`] when the UPF refuses the packet.
-    pub fn gtp_uplink(
+    pub(crate) fn gtp_uplink(
         &mut self,
         env: &mut Env,
         ran_ue_id: u64,

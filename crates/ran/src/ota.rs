@@ -105,12 +105,6 @@ impl OtaTestbed {
         self.ue = ue;
     }
 
-    /// Access to the world's environment (for inspection after a run).
-    #[must_use]
-    pub fn env(&self) -> &Env {
-        &self.env
-    }
-
     /// The deployed slice.
     #[must_use]
     pub fn slice(&self) -> &Slice {

@@ -30,7 +30,7 @@ const UE_SUCI_NANOS: u64 = 800_000;
 /// USIM challenge evaluation (MILENAGE on the secure element).
 const UE_USIM_NANOS: u64 = 350_000;
 /// The OS build the OTA testbed validated (Table IV).
-pub const VALIDATED_ONEPLUS8_BUILD: &str = "Oxygen 11.0.11.11.IN21DA";
+pub(crate) const VALIDATED_ONEPLUS8_BUILD: &str = "Oxygen 11.0.11.11.IN21DA";
 
 /// Result of a successful registration.
 #[derive(Clone, Debug)]
@@ -136,12 +136,6 @@ impl CotsUe {
     #[must_use]
     pub fn ran_ue_id(&self) -> Option<u64> {
         self.ran_ue_id
-    }
-
-    /// The UE IP once a PDU session is up.
-    #[must_use]
-    pub fn ue_ip(&self) -> Option<[u8; 4]> {
-        self.ue_ip
     }
 
     fn serving_network(&self, gnb: &Gnb) -> ServingNetworkName {
@@ -545,6 +539,6 @@ mod tests {
         let ue = CotsUe::oneplus8(usim());
         assert!(!ue.is_registered());
         assert!(ue.guti().is_none());
-        assert!(ue.ue_ip().is_none());
+        assert!(ue.ue_ip.is_none());
     }
 }

@@ -64,20 +64,14 @@ impl Usim {
 
     /// The home PLMN the SIM is programmed for.
     #[must_use]
-    pub fn plmn(&self) -> Plmn {
+    pub(crate) fn plmn(&self) -> Plmn {
         self.supi.plmn()
     }
 
     /// The permanent identity (never leaves the UE unconcealed).
     #[must_use]
-    pub fn supi(&self) -> &Supi {
+    pub(crate) fn supi(&self) -> &Supi {
         &self.supi
-    }
-
-    /// The home-network public key the SIM conceals under.
-    #[must_use]
-    pub fn hn_public(&self) -> &HomeNetworkPublicKey {
-        &self.hn_public
     }
 
     /// The highest SQN accepted so far (`SQN_MS`, as an AUTS reports it).
@@ -118,6 +112,15 @@ impl Usim {
                 )),
             },
         }
+    }
+}
+
+#[cfg(test)]
+impl Usim {
+    /// The home-network public key the SIM conceals under.
+    #[must_use]
+    pub(crate) fn hn_public(&self) -> &HomeNetworkPublicKey {
+        &self.hn_public
     }
 }
 

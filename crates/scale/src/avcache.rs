@@ -133,7 +133,7 @@ impl AvCache {
     /// Pops the next AV without touching the hit/miss statistics — the
     /// miss path uses this to consume the first AV of the batch it just
     /// generated (that request already counted as the miss).
-    pub fn pop_uncounted(&mut self, supi: &str) -> Option<HeAv> {
+    pub(crate) fn pop_uncounted(&mut self, supi: &str) -> Option<HeAv> {
         self.entries
             .get_mut(supi.as_bytes())
             .and_then(VecDeque::pop_front)
@@ -188,7 +188,7 @@ impl AvCache {
 
     /// Cached AVs currently held for `supi`.
     #[must_use]
-    pub fn depth(&self, supi: &str) -> usize {
+    pub(crate) fn depth(&self, supi: &str) -> usize {
         self.entries.get(supi.as_bytes()).map_or(0, VecDeque::len)
     }
 
@@ -200,7 +200,7 @@ impl AvCache {
 
     /// Running statistics.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -249,7 +249,7 @@ pub struct Brownout {
 impl Brownout {
     /// Prefetching on, nothing observed yet.
     #[must_use]
-    pub fn new(policy: BrownoutPolicy) -> Self {
+    pub(crate) fn new(policy: BrownoutPolicy) -> Self {
         Brownout {
             policy,
             latency_ewma_ns: None,
@@ -261,7 +261,7 @@ impl Brownout {
 
     /// Folds one observed pool round trip into the EWMA and switches
     /// the mode with hysteresis.
-    pub fn observe(&mut self, latency: SimDuration) {
+    pub(crate) fn observe(&mut self, latency: SimDuration) {
         let sample = latency.as_nanos() as f64;
         let ewma = match self.latency_ewma_ns {
             Some(e) => self.policy.alpha * sample + (1.0 - self.policy.alpha) * e,

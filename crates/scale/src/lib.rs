@@ -15,7 +15,7 @@
 //! - [`queue`] — the per-replica admission parameters; admission itself
 //!   is [`shield5g_mw::AdmissionLayer`] on every replica endpoint, so
 //!   overload is shed before it burns enclave transitions.
-//! - [`health`] — per-replica failure/latency EWMAs driving health-gated
+//! - [`health`] — per-replica failure EWMAs driving health-gated
 //!   routing: unhealthy replicas are ejected from the ring, probed
 //!   half-open after a hold-off, and reinstated on probe success.
 //! - [`avcache`] — batched AV pre-generation at the eUDM with SQN-aware

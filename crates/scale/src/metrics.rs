@@ -61,7 +61,7 @@ pub struct PoolReport {
 impl PoolReport {
     /// Fraction of offered arrivals shed.
     #[must_use]
-    pub fn shed_fraction(&self) -> f64 {
+    pub(crate) fn shed_fraction(&self) -> f64 {
         if self.arrivals == 0 {
             0.0
         } else {
@@ -72,23 +72,12 @@ impl PoolReport {
     /// Mean EENTER transitions per *served* request across the pool —
     /// the figure the AV cache drives down.
     #[must_use]
-    pub fn eenter_per_served(&self) -> f64 {
+    pub(crate) fn eenter_per_served(&self) -> f64 {
         let eenter: u64 = self.per_replica.iter().map(|r| r.eenter_delta).sum();
         if self.served == 0 {
             0.0
         } else {
             eenter as f64 / self.served as f64
-        }
-    }
-
-    /// Mean AEX per served request across the pool.
-    #[must_use]
-    pub fn aex_per_served(&self) -> f64 {
-        let aex: u64 = self.per_replica.iter().map(|r| r.aex_delta).sum();
-        if self.served == 0 {
-            0.0
-        } else {
-            aex as f64 / self.served as f64
         }
     }
 
@@ -192,7 +181,7 @@ pub struct ClassReport {
 
 impl ClassReport {
     /// Fills in the derived figures once the tallies are final.
-    pub(crate) fn finish(&mut self, span: SimDuration) {
+    pub fn finish(&mut self, span: SimDuration) {
         self.availability = if self.arrivals == 0 {
             1.0
         } else {
@@ -218,7 +207,7 @@ impl RunRecorder {
     /// An empty recorder with room for the samples of `arrivals` served
     /// requests, reserved once.
     #[must_use]
-    pub fn new(arrivals: u32) -> Self {
+    pub(crate) fn new(arrivals: u32) -> Self {
         let n = arrivals as usize;
         RunRecorder {
             response_samples: Vec::with_capacity(n),
@@ -228,7 +217,7 @@ impl RunRecorder {
     }
 
     /// Records an arrival (served or not).
-    pub fn arrival(&mut self, at: SimTime) {
+    pub(crate) fn arrival(&mut self, at: SimTime) {
         self.arrivals += 1;
         if self.first_arrival.is_none() {
             self.first_arrival = Some(at);
@@ -236,7 +225,7 @@ impl RunRecorder {
     }
 
     /// Records a served request's timing.
-    pub fn served(&mut self, arrival: SimTime, queued: SimDuration, finish: SimTime) {
+    pub(crate) fn served(&mut self, arrival: SimTime, queued: SimDuration, finish: SimTime) {
         self.response_samples.push(finish - arrival);
         self.queued_samples.push(queued);
         self.last_finish = Some(match self.last_finish {
@@ -246,7 +235,7 @@ impl RunRecorder {
     }
 
     /// Records a shed request.
-    pub fn shed(&mut self) {
+    pub(crate) fn shed(&mut self) {
         self.shed += 1;
     }
 
@@ -255,7 +244,7 @@ impl RunRecorder {
     /// that served nothing (e.g. 100% shed under fault injection) yields
     /// empty summaries and zero rates.
     #[must_use]
-    pub fn finish(
+    pub(crate) fn finish(
         mut self,
         pool: &EnclavePool,
         engine: &Engine,
@@ -381,7 +370,7 @@ impl std::fmt::Display for RecoveryStats {
 /// *successful* completion observed at or after its injection instant,
 /// because that is when the system demonstrably serves subscribers again.
 #[derive(Debug, Default)]
-pub struct RecoveryTracker {
+pub(crate) struct RecoveryTracker {
     pending: Vec<SimTime>,
     recovery_samples: Vec<SimDuration>,
     faults: u64,
@@ -394,26 +383,26 @@ pub struct RecoveryTracker {
 impl RecoveryTracker {
     /// An empty tracker.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a fault injected at `at`.
-    pub fn fault(&mut self, at: SimTime) {
+    pub(crate) fn fault(&mut self, at: SimTime) {
         self.faults += 1;
         self.pending.push(at);
         self.touch(at);
     }
 
     /// Records a failed completion.
-    pub fn failure(&mut self, at: SimTime) {
+    pub(crate) fn failure(&mut self, at: SimTime) {
         self.failed += 1;
         self.touch(at);
     }
 
     /// Records a successful completion at `at`, resolving every fault
     /// injected at or before that instant.
-    pub fn success(&mut self, at: SimTime) {
+    pub(crate) fn success(&mut self, at: SimTime) {
         self.successes += 1;
         self.touch(at);
         self.pending.retain(|&f| {
@@ -426,18 +415,12 @@ impl RecoveryTracker {
         });
     }
 
-    /// Faults injected so far.
-    #[must_use]
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
     /// Finalises the stats. `retry` is the `(first attempts,
     /// retransmissions)` pair from the supervision timers. Faults never
     /// followed by a success count into `mttr_max` as unrecovered-at-end
     /// (measured to the last observed event).
     #[must_use]
-    pub fn finish(mut self, retry: (u64, u64)) -> RecoveryStats {
+    pub(crate) fn finish(mut self, retry: (u64, u64)) -> RecoveryStats {
         let end = self.last_event.unwrap_or_default();
         for f in self.pending.drain(..) {
             self.recovery_samples.push(end.max(f) - f);
@@ -536,7 +519,6 @@ mod tests {
         };
         assert!((report.shed_fraction() - 0.2).abs() < 1e-9);
         assert!((report.eenter_per_served() - 96.0).abs() < 1e-9);
-        assert!((report.aex_per_served() - 0.5).abs() < 1e-9);
         assert!(report.to_string().contains("EENTER/req"));
     }
 
@@ -551,7 +533,7 @@ mod tests {
         r.fault(t(40));
         r.fault(t(50));
         r.success(t(100)); // resolves both: 60 ms and 50 ms
-        assert_eq!(r.faults(), 3);
+        assert_eq!(r.faults, 3);
         let stats = r.finish((100, 25));
         assert_eq!(stats.faults, 3);
         assert_eq!(stats.failed, 1);

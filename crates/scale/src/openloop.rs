@@ -264,8 +264,7 @@ impl Run {
                 continue;
             }
             let latency = finished - completion.submitted;
-            if let Some(HealthEvent::Ejected(_)) =
-                pool.note_outcome(pending.replica, ok, latency, finished)
+            if let Some(HealthEvent::Ejected(_)) = pool.note_outcome(pending.replica, ok, finished)
             {
                 self.tallies.ejections += 1;
             }

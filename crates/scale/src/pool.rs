@@ -4,8 +4,8 @@
 //! about a minute per module (Fig. 7). A pool that spawns enclaves on
 //! demand would therefore stall scale-up behind a 60 s cold load. This
 //! pool keeps `warm_standby` fully preheated replicas *outside* the
-//! routing ring; [`EnclavePool::scale_up`] promotes one onto the ring in
-//! microseconds and back-fills the standby bench off the request path.
+//! routing ring, and a failover promotes one onto the ring in
+//! microseconds.
 //!
 //! Each replica is a complete, independent deployment: its own host, its
 //! own SGX platform, its own enclave with its own transition counters —
@@ -153,19 +153,19 @@ impl Replica {
     /// policy, so the open-loop harness routes by SUPI and then schedules
     /// on the owner's address.
     #[must_use]
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 
     /// Requests served by this replica (direct serves and engine serves).
     #[must_use]
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.served.get()
     }
 
     /// Transition counters accumulated since preheat finished.
     #[must_use]
-    pub fn counters_delta(&self) -> SgxCounters {
+    pub(crate) fn counters_delta(&self) -> SgxCounters {
         #[expect(clippy::expect_used, reason = "SGX pool replicas keep stats")]
         let now = self
             .module
@@ -180,7 +180,7 @@ impl Replica {
 
     /// Shared handle to the replica's enclave module.
     #[must_use]
-    pub fn module(&self) -> Rc<RefCell<PakaModule>> {
+    pub(crate) fn module(&self) -> Rc<RefCell<PakaModule>> {
         self.module.clone()
     }
 }
@@ -268,7 +268,7 @@ impl EnclavePool {
     /// Spawns and preheats a fresh replica, leaving it in standby.
     /// Returns its id. This is the slow path: full GSC enclave load plus
     /// the cold first request.
-    pub fn spawn_replica(&mut self, env: &mut Env) -> ReplicaId {
+    pub(crate) fn spawn_replica(&mut self, env: &mut Env) -> ReplicaId {
         let id = self.next_id;
         self.next_id += 1;
         let spawned_at = env.clock.now();
@@ -321,7 +321,7 @@ impl EnclavePool {
     /// serving-thread budget, admission policy = the pool's queue
     /// config). The open-loop harness then schedules routed arrivals and
     /// lets queueing, overlap, and shedding fall out of event ordering.
-    pub fn register_on(&self, engine: &mut Engine) {
+    pub(crate) fn register_on(&self, engine: &mut Engine) {
         for replica in self
             .replicas
             .iter()
@@ -334,7 +334,7 @@ impl EnclavePool {
     /// Registers one ready replica as an engine endpoint (used by the
     /// failover path to bring a promoted standby online mid-run). No-op
     /// when the address is already registered.
-    pub fn register_replica_on(&self, engine: &mut Engine, id: ReplicaId) {
+    pub(crate) fn register_replica_on(&self, engine: &mut Engine, id: ReplicaId) {
         self.register_replica(engine, self.replica(id));
     }
 
@@ -370,7 +370,7 @@ impl EnclavePool {
     /// Pool-wide per-priority-class shed totals, aggregated across every
     /// replica endpoint (including ones since killed).
     #[must_use]
-    pub fn class_sheds(&self) -> ClassSheds {
+    pub(crate) fn class_sheds(&self) -> ClassSheds {
         *self.class_sheds.borrow()
     }
 
@@ -378,7 +378,7 @@ impl EnclavePool {
     /// endpoint registered by this pool (see
     /// [`shield5g_mw::FaultSwitch`]).
     #[must_use]
-    pub fn fault_switch(&self) -> &FaultSwitch {
+    pub(crate) fn fault_switch(&self) -> &FaultSwitch {
         &self.fault_switch
     }
 
@@ -388,7 +388,7 @@ impl EnclavePool {
     /// # Panics
     ///
     /// Panics when `id` is not a standby replica.
-    pub fn promote(&mut self, id: ReplicaId) {
+    pub(crate) fn promote(&mut self, id: ReplicaId) {
         let replica = self.replica_mut(id);
         assert_eq!(
             replica.state,
@@ -404,7 +404,7 @@ impl EnclavePool {
     /// standby (microseconds); falls back to a cold spawn (~1 min of
     /// virtual time) only when the bench is empty. Returns the promoted
     /// replica id and whether a standby was available.
-    pub fn scale_up(&mut self, env: &mut Env) -> (ReplicaId, bool) {
+    pub(crate) fn scale_up(&mut self, env: &mut Env) -> (ReplicaId, bool) {
         let standby = self
             .replicas
             .iter()
@@ -425,33 +425,6 @@ impl EnclavePool {
                 (id, false)
             }
         }
-    }
-
-    /// Re-fills the standby bench up to the configured level (the slow
-    /// part of scale-up, run off the request path).
-    pub fn refill_standby(&mut self, env: &mut Env) {
-        while self.standby_count() < self.cfg.warm_standby as usize {
-            self.spawn_replica(env);
-        }
-    }
-
-    /// Takes a replica off the ring. Its SUPIs remap to the survivors;
-    /// the enclave is kept for final counter reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not a ready replica, or when retiring it would
-    /// empty the ring.
-    pub fn retire(&mut self, id: ReplicaId) {
-        assert!(self.ring.len() > 1, "cannot retire the last ready replica");
-        let replica = self.replica_mut(id);
-        assert_eq!(
-            replica.state,
-            ReplicaState::Ready,
-            "retire needs a ready replica"
-        );
-        replica.state = ReplicaState::Retired;
-        self.ring.remove(id);
     }
 
     /// **Fault interface**: kills a ready replica — the host dies, taking
@@ -502,7 +475,7 @@ impl EnclavePool {
     /// replacement replica is registered as a live endpoint so routed
     /// arrivals can reach it mid-run. The dead endpoint stays registered
     /// and fails fast, which is what its still-queued requests deserve.
-    pub fn fail_over_on_engine(
+    pub(crate) fn fail_over_on_engine(
         &mut self,
         env: &mut Env,
         engine: &mut Engine,
@@ -523,7 +496,7 @@ impl EnclavePool {
     /// [`EnclavePool::note_outcome`] feed a per-replica failure EWMA,
     /// and replicas that trip it are ejected from the ring until a
     /// half-open probe succeeds.
-    pub fn enable_health(&mut self, policy: HealthPolicy) {
+    pub(crate) fn enable_health(&mut self, policy: HealthPolicy) {
         self.health = Some(HealthTracker::new(policy));
     }
 
@@ -538,12 +511,12 @@ impl EnclavePool {
     /// replica's circuit, the replica is ejected from the ring — its
     /// SUPIs remap to the survivors — unless it is the last ring member
     /// (a degraded replica still beats an empty ring; its circuit is
-    /// force-closed instead). No-op without [`EnclavePool::enable_health`].
-    pub fn note_outcome(
+    /// force-closed instead). No-op unless health-gated routing is on
+    /// ([`crate::openloop::Scenario::health`]).
+    pub(crate) fn note_outcome(
         &mut self,
         id: ReplicaId,
         ok: bool,
-        latency: SimDuration,
         now: SimTime,
     ) -> Option<HealthEvent> {
         let tracker = self.health.as_mut()?;
@@ -556,7 +529,7 @@ impl EnclavePool {
         if !ready || tracker.is_ejected(id) {
             return None;
         }
-        match tracker.note(id, ok, latency, now) {
+        match tracker.note(id, ok, now) {
             Some(HealthEvent::Ejected(id)) => {
                 if self.ring.len() > 1 {
                     self.ring.remove(id);
@@ -579,7 +552,7 @@ impl EnclavePool {
     /// claimed its half-open probe slot, and the caller must send one
     /// probe request to it and report the outcome through
     /// [`EnclavePool::note_probe`]. Empty without health gating.
-    pub fn due_probes(&mut self, now: SimTime) -> Vec<ReplicaId> {
+    pub(crate) fn due_probes(&mut self, now: SimTime) -> Vec<ReplicaId> {
         let Some(tracker) = self.health.as_mut() else {
             return Vec::new();
         };
@@ -593,7 +566,12 @@ impl EnclavePool {
     /// **Health interface**: report a half-open probe's outcome. A
     /// success reinstates the replica onto the ring; a failure keeps it
     /// ejected for another hold-off.
-    pub fn note_probe(&mut self, id: ReplicaId, ok: bool, now: SimTime) -> Option<HealthEvent> {
+    pub(crate) fn note_probe(
+        &mut self,
+        id: ReplicaId,
+        ok: bool,
+        now: SimTime,
+    ) -> Option<HealthEvent> {
         let ev = self.health.as_mut()?.note_probe(id, ok, now);
         if let Some(HealthEvent::Reinstated(id)) = ev {
             self.ring.add(id);
@@ -650,7 +628,7 @@ impl EnclavePool {
     /// Re-snapshots every replica's counter baseline. Experiments call
     /// this after bulk subscriber provisioning so counter deltas measure
     /// request serving alone.
-    pub fn rebaseline(&mut self) {
+    pub(crate) fn rebaseline(&mut self) {
         for replica in &mut self.replicas {
             replica.baseline = replica.module.borrow().sgx_stats();
         }
@@ -658,13 +636,13 @@ impl EnclavePool {
 
     /// Ready replica ids, ascending.
     #[must_use]
-    pub fn ready_ids(&self) -> Vec<ReplicaId> {
+    pub(crate) fn ready_ids(&self) -> Vec<ReplicaId> {
         self.ring.replica_ids()
     }
 
     /// Number of warm standbys on the bench.
     #[must_use]
-    pub fn standby_count(&self) -> usize {
+    pub(crate) fn standby_count(&self) -> usize {
         self.replicas
             .iter()
             .filter(|r| r.state == ReplicaState::Standby)
@@ -673,7 +651,7 @@ impl EnclavePool {
 
     /// All replicas (any state).
     #[must_use]
-    pub fn replicas(&self) -> &[Replica] {
+    pub(crate) fn replicas(&self) -> &[Replica] {
         &self.replicas
     }
 
@@ -684,7 +662,7 @@ impl EnclavePool {
     /// Panics on an unknown id.
     #[must_use]
     #[expect(clippy::expect_used, reason = "spawned ids are never removed")]
-    pub fn replica(&self, id: ReplicaId) -> &Replica {
+    pub(crate) fn replica(&self, id: ReplicaId) -> &Replica {
         self.replicas
             .iter()
             .find(|r| r.id == id)
@@ -697,18 +675,6 @@ impl EnclavePool {
             .iter_mut()
             .find(|r| r.id == id)
             .expect("unknown replica id")
-    }
-
-    /// The module kind this pool serves.
-    #[must_use]
-    pub fn kind(&self) -> PakaKind {
-        self.kind
-    }
-
-    /// The pool configuration.
-    #[must_use]
-    pub fn config(&self) -> &PoolConfig {
-        &self.cfg
     }
 }
 
@@ -723,6 +689,28 @@ fn warmup_udm_request() -> UdmAkaRequest {
         sqn: [0; 6],
         amf_field: [0x80, 0],
         snn: ServingNetworkName::of(&home),
+    }
+}
+
+#[cfg(test)]
+impl EnclavePool {
+    /// Takes a replica off the ring. Its SUPIs remap to the survivors;
+    /// the enclave is kept for final counter reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a ready replica, or when retiring it would
+    /// empty the ring.
+    pub(crate) fn retire(&mut self, id: ReplicaId) {
+        assert!(self.ring.len() > 1, "cannot retire the last ready replica");
+        let replica = self.replica_mut(id);
+        assert_eq!(
+            replica.state,
+            ReplicaState::Ready,
+            "retire needs a ready replica"
+        );
+        replica.state = ReplicaState::Retired;
+        self.ring.remove(id);
     }
 }
 
@@ -812,9 +800,6 @@ mod tests {
         let (_, was_warm) = p.scale_up(&mut env);
         assert!(!was_warm);
         assert!(env.clock.now() - t1 > SimDuration::from_secs(50));
-        // Refill brings the bench back (cold, but off the request path).
-        p.refill_standby(&mut env);
-        assert_eq!(p.standby_count(), 1);
     }
 
     #[test]
@@ -954,7 +939,7 @@ mod tests {
     /// default policy somehow refuses.
     fn eject(p: &mut EnclavePool, id: ReplicaId, now: SimTime) -> bool {
         for _ in 0..8 {
-            match p.note_outcome(id, false, SimDuration::from_micros(900), now) {
+            match p.note_outcome(id, false, now) {
                 Some(HealthEvent::Ejected(e)) => {
                     assert_eq!(e, id);
                     return true;
@@ -980,13 +965,11 @@ mod tests {
             assert_eq!(p.route(&test_supi(i)), 1);
         }
         // Outcomes against an ejected replica are inert.
-        assert!(p
-            .note_outcome(0, false, SimDuration::from_micros(900), t0)
-            .is_none());
+        assert!(p.note_outcome(0, false, t0).is_none());
 
         // Inside the hold-off: no probe yet.
         assert!(p.due_probes(t0).is_empty());
-        let hold_off = p.health().unwrap().policy().breaker.open_for;
+        let hold_off = HealthPolicy::default().breaker.open_for;
         let later = t0 + hold_off;
         assert_eq!(p.due_probes(later), vec![0]);
         // The slot is claimed until the probe resolves.
@@ -1007,7 +990,7 @@ mod tests {
         let t0 = env.clock.now();
         assert!(eject(&mut p, 1, t0));
 
-        let hold_off = p.health().unwrap().policy().breaker.open_for;
+        let hold_off = HealthPolicy::default().breaker.open_for;
         let later = t0 + hold_off;
         assert_eq!(p.due_probes(later), vec![1]);
         assert_eq!(
@@ -1029,9 +1012,7 @@ mod tests {
         // Hammer the only replica: the tracker must force-close instead
         // of leaving the ring empty.
         for _ in 0..32 {
-            assert!(p
-                .note_outcome(0, false, SimDuration::from_micros(900), now)
-                .is_none());
+            assert!(p.note_outcome(0, false, now).is_none());
         }
         assert_eq!(p.ready_ids(), vec![0]);
         assert!(!p.health().unwrap().is_ejected(0));
@@ -1047,7 +1028,7 @@ mod tests {
         let report = p.kill_replica(&mut env, 0);
         assert!(report.standby_promoted);
         // The dead replica's circuit history died with it: no probes due.
-        let hold_off = p.health().unwrap().policy().breaker.open_for;
+        let hold_off = HealthPolicy::default().breaker.open_for;
         assert!(p.due_probes(now + hold_off).is_empty());
         assert!(!p.health().unwrap().is_ejected(0));
     }

@@ -19,7 +19,7 @@ pub type ReplicaId = u32;
 /// which skews ring placement badly; the avalanche mix spreads it across
 /// the full word, which is what the sorted-point binary search compares.
 #[must_use]
-pub fn hash64(bytes: &[u8]) -> u64 {
+pub(crate) fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -81,7 +81,7 @@ impl HashRing {
     }
 
     /// Removes a replica's virtual nodes; no-op if absent.
-    pub fn remove(&mut self, id: ReplicaId) {
+    pub(crate) fn remove(&mut self, id: ReplicaId) {
         if self.replicas.remove(&id) {
             self.points.retain(|&(_, r)| r != id);
         }
@@ -104,20 +104,14 @@ impl HashRing {
 
     /// Replicas currently on the ring, ascending.
     #[must_use]
-    pub fn replica_ids(&self) -> Vec<ReplicaId> {
+    pub(crate) fn replica_ids(&self) -> Vec<ReplicaId> {
         self.replicas.iter().copied().collect()
     }
 
     /// Number of replicas on the ring.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.replicas.len()
-    }
-
-    /// Whether the ring has no replicas.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
     }
 }
 

@@ -20,7 +20,7 @@ pub struct Clock {
 impl Clock {
     /// Creates a clock at `t = 0`.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -48,7 +48,7 @@ impl Clock {
     /// timeline. Outside the engine's event loop, prefer
     /// [`Clock::advance`] — rewinding time mid-measurement invalidates
     /// interval arithmetic.
-    pub fn set(&self, t: SimTime) {
+    pub(crate) fn set(&self, t: SimTime) {
         self.nanos.store(t.as_nanos(), Ordering::Relaxed);
     }
 }

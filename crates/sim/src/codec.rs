@@ -16,21 +16,21 @@
 //! zeroed: when a `Body` drops, its written bytes are overwritten with
 //! zeros and the buffer joins a small per-thread spare list, where the
 //! next [`Writer::new`] (or [`Writer::with_capacity`], [`Body::from`] a
-//! slice, [`Body::display`]) picks it up — the smallest spare with room,
+//! slice, `Body::display`) picks it up — the smallest spare with room,
 //! so short messages keep short buffers. A
 //! steady-state registration therefore encodes its messages into the
 //! buffers its earlier messages released, and no buffer carries one
 //! message's bytes (a K_SEAF, an OPc) into the next. The list is bounded
-//! by constants, not a setting: at most [`SPARE_BUFFERS`] buffers, each
-//! holding at least the room a fresh writer gets (128 bytes) and at most
-//! [`SPARE_CAPACITY`] bytes. A buffer outside that range is zeroed and
+//! by constants, not a setting: at most `SPARE_BUFFERS` (32) buffers,
+//! each holding at least the room a fresh writer gets (128 bytes) and at
+//! most `SPARE_CAPACITY` (4096) bytes. A buffer outside that range is zeroed and
 //! freed, and so is one past the count unless it is larger than the
 //! smallest spare, whose place it then takes: a list full of short
 //! buffers would otherwise leave every long message (an AV batch)
 //! allocating afresh. The lower bound keeps short `String` bodies out of
 //! the list: no writer could use one, and 32 of them would leave every
 //! [`Writer::new`] allocating afresh. An error reply's text is formatted
-//! into a writer-sized buffer instead ([`Body::display`]).
+//! into a writer-sized buffer instead (`Body::display`).
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;
@@ -39,10 +39,10 @@ use std::fmt;
 use std::ops::{Deref, DerefMut, Range};
 
 /// Most buffers a thread keeps for reuse.
-pub const SPARE_BUFFERS: usize = 32;
+pub(crate) const SPARE_BUFFERS: usize = 32;
 
 /// Largest capacity, in bytes, of a buffer kept for reuse.
-pub const SPARE_CAPACITY: usize = 4096;
+pub(crate) const SPARE_CAPACITY: usize = 4096;
 
 /// Capacity of a fresh buffer: room for the SBI / NAS / NGAP messages
 /// of a registration (all under 128 bytes), so pushing their fields
@@ -168,7 +168,7 @@ impl Body {
     /// text. With no spare to take, a short text gets a fresh buffer of a
     /// writer's room, which the list keeps once the body drops.
     #[must_use]
-    pub fn display(message: impl fmt::Display) -> Self {
+    pub(crate) fn display(message: impl fmt::Display) -> Self {
         /// Counts formatted bytes and, given a buffer, appends them to it.
         struct Text<'a>(usize, Option<&'a mut Vec<u8>>);
 

@@ -127,20 +127,11 @@ pub enum PriorityClass {
 impl PriorityClass {
     /// Reads the class a request announces via [`PRIORITY_HEADER`].
     #[must_use]
-    pub fn of(req: &HttpRequest) -> PriorityClass {
+    pub(crate) fn of(req: &HttpRequest) -> PriorityClass {
         if req.header(PRIORITY_HEADER) == Some("emergency") {
             PriorityClass::Emergency
         } else {
             PriorityClass::Normal
-        }
-    }
-
-    /// Stable label for metrics and artifacts.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PriorityClass::Normal => "normal",
-            PriorityClass::Emergency => "emergency",
         }
     }
 }
@@ -727,14 +718,6 @@ impl Engine {
         self.endpoints.contains_key(addr)
     }
 
-    /// All registered addresses, sorted.
-    #[must_use]
-    pub fn addresses(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.endpoints.keys().map(|k| k.to_string()).collect();
-        out.sort();
-        out
-    }
-
     /// `(at arrival, at begin)`: the legs the endpoint's layers shed, by
     /// whichever layer. A pool replica's only shedding layer is its
     /// admission layer, so these are its queue-full and deadline sheds.
@@ -1003,7 +986,7 @@ impl Engine {
         let (leg, ids, looped) = (ctx.leg.clone(), ctx.ids, self.loops(ctx));
         self.note(now, ARRIVE, ids.0, ids.1);
         if looped {
-            let resp = HttpResponse::error(508, format!("call loop through {}", leg.dest))
+            let resp = HttpResponse::error(508, format_args!("call loop through {}", leg.dest))
                 .with_marker(&LOOP);
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
@@ -1280,7 +1263,7 @@ impl Engine {
 
 /// The 502 a leg to, or resumed at, an unregistered address resolves to.
 fn unknown_endpoint(addr: &str, marker: &'static Header) -> HttpResponse {
-    HttpResponse::error(502, format!("unknown endpoint {addr}")).with_marker(marker)
+    HttpResponse::error(502, format_args!("unknown endpoint {addr}")).with_marker(marker)
 }
 
 #[cfg(test)]

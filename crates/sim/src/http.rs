@@ -143,7 +143,7 @@ impl HttpRequest {
 
     /// First value of header `name` (case-insensitive), if present.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         find_header(&self.headers, name)
     }
 
@@ -220,7 +220,7 @@ impl HttpResponse {
     }
 
     /// An error response whose body is the text `message` formats,
-    /// written into a spare [`Body`] buffer ([`Body::display`]): a
+    /// written into a spare [`Body`] buffer (`Body::display`): a
     /// constant message (a shed, an injected fault) or one formatted from
     /// inline values (an unknown SUPI) allocates nothing once the
     /// thread's spare list holds one.
@@ -486,6 +486,9 @@ mod tests {
         assert_eq!(parsed.status, 404);
         assert!(!parsed.is_success());
         assert_eq!(parsed.body, b"no such subscriber");
+        let other = "/x";
+        let formatted = HttpResponse::error(404, format_args!("no handler for {other}"));
+        assert_eq!(formatted.body, b"no handler for /x");
     }
 
     #[test]

@@ -91,10 +91,13 @@ impl LinkProfile {
         env.clock.advance(d);
         d
     }
+}
 
+#[cfg(test)]
+impl LinkProfile {
     /// Mean one-way delay for `bytes` (no sampling, no clock).
     #[must_use]
-    pub fn mean_delay(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn mean_delay(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos(self.base_ns + self.per_byte_ns * bytes as u64)
     }
 }

@@ -31,18 +31,13 @@ pub struct EventLog {
 impl EventLog {
     /// Creates an empty, enabled log.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Stops recording (already-recorded events are kept).
     pub fn disable(&mut self) {
         self.disabled = true;
-    }
-
-    /// Resumes recording.
-    pub fn enable(&mut self) {
-        self.disabled = false;
     }
 
     /// Records an event; while disabled, a no-op that never renders `message`.
@@ -63,7 +58,10 @@ impl EventLog {
     }
 
     /// Events in a given category.
-    pub fn in_category<'a>(&'a self, category: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
+    pub(crate) fn in_category<'a>(
+        &'a self,
+        category: &'a str,
+    ) -> impl Iterator<Item = &'a Event> + 'a {
         self.events.iter().filter(move |e| e.category == category)
     }
 
@@ -119,7 +117,7 @@ mod tests {
         log.disable();
         log.record(SimTime::ZERO, "a", format_args!("dropped"));
         assert_eq!(log.len(), 1);
-        log.enable();
+        log.disabled = false;
         log.record(SimTime::ZERO, "a", format_args!("kept2"));
         assert_eq!(log.len(), 2);
     }
@@ -140,7 +138,7 @@ mod tests {
         log.disable();
         log.record(SimTime::ZERO, "a", format_args!("{counted} once"));
         assert_eq!((counted.0.get(), log.len()), (0, 0));
-        log.enable();
+        log.disabled = false;
         log.record(SimTime::ZERO, "a", format_args!("{counted} once"));
         assert_eq!(counted.0.get(), 1);
         assert_eq!(log.events()[0].message, "counted once");

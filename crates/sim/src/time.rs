@@ -41,7 +41,7 @@ impl SimTime {
     /// in the simulator, so this indicates a harness bug.
     #[must_use]
     #[expect(clippy::expect_used, reason = "virtual time never runs backwards")]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -82,12 +82,6 @@ impl SimDuration {
     #[must_use]
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// The span in (truncated) microseconds.
-    #[must_use]
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The span as fractional microseconds.
@@ -209,7 +203,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
+        assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }

@@ -23,11 +23,11 @@ use shield5g_crypto::x25519::{agree, public_of};
 use shield5g_crypto::SecretBytes;
 
 /// Record MAC tag length (bytes).
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 /// Bytes exchanged during the handshake (client hello + server hello +
 /// finished tags); used by the latency model when charging the wire.
-pub const HANDSHAKE_WIRE_BYTES: usize = 32 + 32 + 32 + 32 + 32 + 32;
+pub(crate) const HANDSHAKE_WIRE_BYTES: usize = 32 + 32 + 32 + 32 + 32 + 32;
 
 /// A static identity key pair for one endpoint.
 #[derive(Clone, Debug)]
@@ -47,12 +47,6 @@ impl TlsIdentity {
             public: public_of(&private),
             private,
         }
-    }
-
-    /// The endpoint name (certificate subject stand-in).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The static public key peers pin.
@@ -129,7 +123,6 @@ impl DirectionKeys {
 /// [`establish`] returns one for each peer with mirrored directions.
 #[derive(Clone)]
 pub struct TlsSession {
-    peer_name: String,
     write: DirectionKeys,
     read: DirectionKeys,
 }
@@ -137,22 +130,15 @@ pub struct TlsSession {
 impl std::fmt::Debug for TlsSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TlsSession")
-            .field("peer_name", &self.peer_name)
             .field("keys", &"<redacted>")
             .finish()
     }
 }
 
 impl TlsSession {
-    /// The authenticated name of the remote peer.
-    #[must_use]
-    pub fn peer_name(&self) -> &str {
-        &self.peer_name
-    }
-
     /// Encrypts and authenticates the outgoing record whose plaintext
-    /// `record` holds, in the same buffer (it grows by [`TAG_LEN`]), which
-    /// holds ciphertext from here on.
+    /// `record` holds, in the same buffer (it grows by the 16-byte tag),
+    /// which holds ciphertext from here on.
     pub fn seal_in_place(&mut self, record: &mut Vec<u8>) {
         self.write.seal_in_place(record);
     }
@@ -248,12 +234,10 @@ pub fn establish(
     let s2c = DirectionKeys::new(&key_data.part::<16, 16>(), &key_data.part::<64, 32>());
 
     let client_session = TlsSession {
-        peer_name: server.name.clone(),
         write: c2s.clone(),
         read: s2c.clone(),
     };
     let server_session = TlsSession {
-        peer_name: client.name.clone(),
         write: s2c,
         read: c2s,
     };
@@ -312,8 +296,6 @@ mod tests {
         let (c, s) = pair();
         let (mut cs, mut ss, info) = establish(&c, &s, [3; 32], [4; 32]).unwrap();
         assert_eq!(info.round_trips, 2);
-        assert_eq!(cs.peer_name(), "eudm-paka.oai");
-        assert_eq!(ss.peer_name(), "udm.oai");
 
         let record = cs.seal(b"generate-auth-data");
         assert_ne!(&record[..18], b"generate-auth-data");
