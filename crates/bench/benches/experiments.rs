@@ -5,15 +5,19 @@
 //! cargo bench -p shield5g-bench --bench experiments -- fig9 setup # some
 //! ```
 //!
-//! Prints each row's table and its paper checks (`ok` / `OUT OF BAND`),
-//! writes the sweeps' `BENCH_<name>.json` (and `pool_scaling`'s metrics
-//! and spans) into `$SHIELD5G_OBS_DIR`, and exits non-zero when a row
-//! fails or a check is out of band. `SHIELD5G_REPS` scales the sample
-//! counts (a value that is not a positive integer exits with status 2),
-//! `SHIELD5G_BENCH_SMOKE` shrinks the sweeps and
-//! `SHIELD5G_BENCH_THREADS` sets their worker count.
+//! Prints each row's block (its table and its paper checks, `ok` /
+//! `OUT OF BAND`), writes the sweeps' `BENCH_<name>.json` (and
+//! `pool_scaling`'s metrics and spans) into `$SHIELD5G_OBS_DIR`, and
+//! exits non-zero when a row fails or a check is out of band. A run of
+//! every row also writes `BENCH_paper.json` (one record per check) and
+//! `EXPERIMENTS.md` (the committed file with each row's block spliced
+//! in) there, for `scripts/check.sh` to compare with the committed
+//! copies. `SHIELD5G_REPS` scales the sample counts (a value that is
+//! not a positive integer exits with status 2), `SHIELD5G_BENCH_SMOKE`
+//! shrinks the sweeps and `SHIELD5G_BENCH_THREADS` sets their worker
+//! count.
 
-use shield5g_bench::experiments::{Outcome, EXPERIMENTS};
+use shield5g_bench::experiments::{splice, Outcome, EXPERIMENTS};
 use shield5g_bench::{export_hub, reps, smoke, write_obs_artifact};
 use shield5g_obs::export;
 use std::process::ExitCode;
@@ -39,17 +43,31 @@ fn main() -> ExitCode {
     }
 
     let mut failures = Vec::new();
+    let (mut blocks, mut records) = (Vec::new(), Vec::new());
     for row in EXPERIMENTS.iter().filter(|r| named(r.id)) {
         println!("\n=== {} ===", row.title);
         println!("    (reproduces {})", row.paper);
         match (row.run)(row.seed, reps, smoke()) {
             Ok(outcome) => {
-                report(&outcome);
-                for check in outcome.checks.iter().filter(|c| !c.ok) {
-                    failures.push(format!("{}: {} out of band", row.id, check.name));
+                let block = outcome.block();
+                print!("{block}");
+                blocks.push((row.id, block));
+                for check in &outcome.checks {
+                    records.push(check.to_json(row.id));
+                    if !check.ok {
+                        failures.push(format!("{}: {} out of band", row.id, check.name));
+                    }
                 }
+                export_sweep(&outcome);
             }
             Err(e) => failures.push(format!("{}: {e}", row.id)),
+        }
+    }
+    if blocks.len() == EXPERIMENTS.len() {
+        write_obs_artifact("BENCH_paper.json", &export::bench_json("paper", &records));
+        match splice(include_str!("../../../EXPERIMENTS.md"), &blocks) {
+            Ok(doc) => write_obs_artifact("EXPERIMENTS.md", &doc),
+            Err(e) => failures.push(e),
         }
     }
     if failures.is_empty() {
@@ -63,15 +81,8 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Prints a row's lines and checks, and writes a sweep's artifacts.
-fn report(outcome: &Outcome) {
-    let sweep_lines = outcome.sweep.iter().flat_map(|run| &run.lines);
-    for line in outcome.lines.iter().chain(sweep_lines) {
-        println!("{line}");
-    }
-    for check in &outcome.checks {
-        println!("{check}");
-    }
+/// Prints a sweep's wall-clock stats and writes its artifacts.
+fn export_sweep(outcome: &Outcome) {
     let Some(run) = &outcome.sweep else { return };
     let stats = &run.stats;
     println!(
@@ -81,7 +92,7 @@ fn report(outcome: &Outcome) {
         stats.wall.as_secs_f64(),
         stats.speedup(),
     );
-    let doc = export::bench_json_with_runner(run.name, &run.points, &stats.to_json());
+    let doc = export::bench_json(run.name, &run.points);
     write_obs_artifact(&format!("BENCH_{}.json", run.name), &doc);
     if let Some(hub) = &outcome.hub {
         export_hub(run.name, hub);

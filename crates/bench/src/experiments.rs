@@ -9,7 +9,9 @@
 //! must lie in — written once here, asserted by the tests and reported
 //! (`ok` / `OUT OF BAND`) by the bench.
 //! A number a check reports is not printed again; what each row shows
-//! and why is EXPERIMENTS.md's section for it.
+//! and why is EXPERIMENTS.md's section for it. A full bench run records
+//! every check in `BENCH_paper.json` ([`Check::to_json`]) and [`splice`]s
+//! each row's printed [`Outcome::block`] into EXPERIMENTS.md.
 
 use crate::fmt_summary;
 use crate::runner::threads;
@@ -37,6 +39,7 @@ use shield5g_libos::gsc::{transform, ImageSpec};
 use shield5g_libos::libos::GramineLibos;
 use shield5g_libos::manifest::Manifest;
 use shield5g_nf::backend::{AmfAkaRequest, AusfAkaRequest, UdmAkaRequest};
+use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::ObsHandle;
 use shield5g_ran::ota::{session_setup_comparison, OtaTestbed};
 use shield5g_sim::time::SimDuration;
@@ -102,7 +105,31 @@ impl Display for Check {
     }
 }
 
+impl Check {
+    /// Its record in `BENCH_paper.json`, as row `row`'s.
+    #[must_use]
+    pub fn to_json(&self, row: &str) -> String {
+        JsonObj::new()
+            .str("row", row)
+            .str("check", &self.name)
+            .str("measured", &self.measured)
+            .str("paper", &self.paper)
+            .raw("ok", &self.ok.to_string())
+            .render()
+    }
+}
+
 impl Outcome {
+    /// What the bench prints for the row and EXPERIMENTS.md shows: its
+    /// lines, a sweep's lines, then its checks, each line ended.
+    #[must_use]
+    pub fn block(&self) -> String {
+        let sweep_lines = self.sweep.iter().flat_map(|run| run.lines.iter().cloned());
+        let checks = self.checks.iter().map(ToString::to_string);
+        let lines = self.lines.iter().cloned().chain(sweep_lines).chain(checks);
+        lines.map(|line| line + "\n").collect()
+    }
+
     fn say(&mut self, line: impl Into<String>) {
         self.lines.push(line.into());
     }
@@ -253,6 +280,46 @@ pub static EXPERIMENTS: [Experiment; 14] = [
         run: degradation_sweep,
     },
 ];
+
+/// Row `<id>`'s block in EXPERIMENTS.md runs from the comment
+/// `<!-- experiments:<id> -->` to [`CLOSE`].
+const OPEN: &str = "<!-- experiments:";
+const CLOSE: &str = "<!-- /experiments -->";
+
+/// `doc` with each marked block's body replaced by its row's block in a
+/// `text` fence; the text outside the markers comes back as it was.
+///
+/// # Errors
+///
+/// A row of `blocks` with no marked block or with two, or a marker that
+/// names no row of `blocks` or is not closed; the message names the id.
+pub fn splice(doc: &str, blocks: &[(&str, String)]) -> Result<String, String> {
+    let (mut out, mut rest, mut seen) = (String::new(), doc, Vec::new());
+    while let Some(at) = rest.find(OPEN) {
+        let (id, body) = rest[at + OPEN.len()..]
+            .split_once(" -->")
+            .unwrap_or(("", ""));
+        let Some((_, block)) = blocks.iter().find(|(row, _)| *row == id) else {
+            return Err(format!("EXPERIMENTS.md marks `{id}`, which is no row"));
+        };
+        if seen.contains(&id) {
+            return Err(format!("EXPERIMENTS.md marks row `{id}` twice"));
+        }
+        seen.push(id);
+        let end = body.find(CLOSE).filter(|&end| !body[..end].contains(OPEN));
+        let Some(end) = end else {
+            return Err(format!("EXPERIMENTS.md does not close row `{id}`'s block"));
+        };
+        out.push_str(&rest[..at + OPEN.len() + id.len() + " -->".len()]);
+        out.push_str(&format!("\n```text\n{block}```\n"));
+        rest = &body[end..];
+    }
+    out.push_str(rest);
+    match blocks.iter().find(|(row, _)| !seen.contains(row)) {
+        Some((id, _)) => Err(format!("EXPERIMENTS.md has no block for row `{id}`")),
+        None => Ok(out),
+    }
+}
 
 /// `band` in interval notation, e.g. `[1.1, 1.35)` or `(95, +inf)`.
 fn interval<T: Display>(band: &impl RangeBounds<T>) -> String {
@@ -785,6 +852,48 @@ fn degradation_sweep(_seed: u64, _reps: u32, smoke: bool) -> Result<Outcome, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn blocks() -> Vec<(&'static str, String)> {
+        vec![("fig7", "a\n".into()), ("fig8", "b\n".into())]
+    }
+
+    #[test]
+    fn the_splice_leaves_the_text_outside_the_markers_alone() {
+        let doc = "# T\n\n<!-- experiments:fig8 -->\nold\n<!-- /experiments -->\n\
+                   prose\n<!-- experiments:fig7 --><!-- /experiments -->\ntail";
+        let spliced = splice(doc, &blocks()).unwrap();
+        assert_eq!(
+            spliced,
+            "# T\n\n<!-- experiments:fig8 -->\n```text\nb\n```\n<!-- /experiments -->\n\
+             prose\n<!-- experiments:fig7 -->\n```text\na\n```\n<!-- /experiments -->\ntail"
+        );
+        // A spliced document is a fixed point, as the committed one is.
+        assert_eq!(splice(&spliced, &blocks()).unwrap(), spliced);
+    }
+
+    #[test]
+    fn a_missing_doubled_unknown_or_open_marker_names_its_row() {
+        let pair = |id: &str| format!("<!-- experiments:{id} -->x<!-- /experiments -->\n");
+        let cases = [
+            (pair("fig7"), "no block for row `fig8`"),
+            (
+                pair("fig7") + &pair("fig8") + &pair("fig7"),
+                "row `fig7` twice",
+            ),
+            (
+                pair("fig7") + &pair("fig8") + &pair("fig9"),
+                "`fig9`, which is no row",
+            ),
+            (
+                "<!-- experiments:fig8 -->x\n".to_owned() + &pair("fig7"),
+                "close row `fig8`",
+            ),
+        ];
+        for (doc, error) in cases {
+            let err = splice(&doc, &blocks()).unwrap_err();
+            assert!(err.contains(error), "{doc:?}: {err}");
+        }
+    }
 
     #[test]
     fn image_bytes_ordering_drives_fig7() {

@@ -20,10 +20,9 @@
 //! * jobs always run on spawned workers — never inline on the caller's
 //!   thread — so the caller's own ambient hub survives untouched;
 //! * wall-clock time is measured but quarantined in [`RunnerStats`],
-//!   which renders into the artifacts' one maskable `"runner"` line —
-//!   it never touches the hub or the merged results.
+//!   which the bench prints to stdout — it never touches the hub, the
+//!   merged results or an artifact.
 
-use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::{self, Obs, ObsHandle};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -34,9 +33,9 @@ use std::time::Duration;
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// What the runner measured about a sweep execution. Wall-clock figures
-/// live here — and only here — so the merged results stay byte-
-/// identical across thread counts while each BENCH artifact still
-/// reports how fast the sweep ran.
+/// live here — and only here — so the merged results and every BENCH
+/// artifact stay byte-identical across thread counts, while the bench
+/// still prints how fast the sweep ran.
 #[derive(Clone, Copy, Debug)]
 pub struct RunnerStats {
     /// Worker threads the sweep ran on.
@@ -61,21 +60,6 @@ impl RunnerStats {
         } else {
             self.busy.as_secs_f64() / wall
         }
-    }
-
-    /// Renders the `"runner"` block for [`bench_json_with_runner`]
-    /// (`threads`, `jobs`, `wall_time_s`, `busy_time_s`, `speedup`).
-    ///
-    /// [`bench_json_with_runner`]: shield5g_obs::export::bench_json_with_runner
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("threads", self.threads as u64)
-            .u64("jobs", self.jobs as u64)
-            .f64("wall_time_s", self.wall.as_secs_f64())
-            .f64("busy_time_s", self.busy.as_secs_f64())
-            .f64("speedup", self.speedup())
-            .render()
     }
 }
 
@@ -116,7 +100,7 @@ pub fn run_sweep<T: Send>(
     let job_count = jobs.len();
     #[expect(
         clippy::disallowed_types,
-        reason = "wall-clock speedup, quarantined in RunnerStats (the maskable \"runner\" line)"
+        reason = "wall-clock speedup, quarantined in RunnerStats and printed, never exported"
     )]
     let started = std::time::Instant::now();
 
@@ -260,17 +244,6 @@ mod tests {
         assert!(results.is_empty());
         assert_eq!(stats.jobs, 0);
         assert!(stats.speedup() >= 0.0);
-    }
-
-    #[test]
-    fn stats_render_a_runner_block() {
-        let hub = ObsHandle::new();
-        let (_, stats) = run_sweep(&hub, 2, job_list(4));
-        let json = stats.to_json();
-        assert!(json.contains("\"threads\":2"));
-        assert!(json.contains("\"jobs\":4"));
-        assert!(json.contains("\"wall_time_s\":"));
-        assert!(json.contains("\"speedup\":"));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct SweepRun {
     pub lines: Vec<String>,
     /// Pre-rendered BENCH JSON point objects.
     pub points: Vec<String>,
-    /// Runner measurements for the artifact's `"runner"` block.
+    /// Runner measurements (wall clock), printed beside the artifact.
     pub stats: RunnerStats,
 }
 

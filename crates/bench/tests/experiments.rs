@@ -3,15 +3,36 @@
 //! (`golden_sweeps.rs` and `merge_determinism.rs` run those) runs at its
 //! bench seed with fewer repetitions, and every check it reports must be
 //! in band. A cost-model change that breaks a published shape fails here
-//! by the check's name.
+//! by the check's name. The committed record, `BENCH_paper.json`, holds
+//! one line per check: a row's live checks must be its records, by name
+//! and in order, so a row cannot lose a check or gain one unrecorded.
 
-use shield5g_bench::experiments::EXPERIMENTS;
+use shield5g_bench::experiments::{splice, EXPERIMENTS};
+use shield5g_obs::export::JsonObj;
 
 const REPS: u32 = 50;
 
-/// Runs row `id` and asserts its `checks` paper checks (counted, so a
-/// row that lost one cannot pass vacuously) are all in band.
-fn run(id: &str, checks: usize) {
+/// The committed record's check lines, one JSON object each.
+fn records() -> impl Iterator<Item = &'static str> {
+    let record = include_str!("../../../BENCH_paper.json");
+    record
+        .lines()
+        .filter(|l| l.starts_with('{') && !l.starts_with("{\"bench\""))
+}
+
+/// The row a record names: `{"row":"<row>",…`.
+fn row_of(record: &str) -> &str {
+    record.split('"').nth(3).unwrap_or_default()
+}
+
+/// `{"row":…,"check":…}`: a record (or a live check) without its numbers.
+fn key(row: &str, check: &str) -> String {
+    JsonObj::new().str("row", row).str("check", check).render()
+}
+
+/// Runs row `id` and asserts its checks are the row's records in the
+/// committed record, in order, and all in band.
+fn run(id: &str) {
     let Some(row) = EXPERIMENTS.iter().find(|r| r.id == id) else {
         panic!("no experiment {id}");
     };
@@ -20,7 +41,17 @@ fn run(id: &str, checks: usize) {
         Err(e) => panic!("{id}: {e}"),
     };
     assert!(!outcome.lines.is_empty(), "{id} printed nothing");
-    assert_eq!(outcome.checks.len(), checks, "{id}: checks");
+    let live: Vec<String> = outcome.checks.iter().map(|c| key(id, &c.name)).collect();
+    let recorded: Vec<String> = records()
+        .filter(|l| row_of(l) == id)
+        .filter_map(|l| l.split_once(",\"measured\":"))
+        .map(|(k, _)| format!("{k}}}"))
+        .collect();
+    assert!(
+        !recorded.is_empty(),
+        "BENCH_paper.json has no check of {id}"
+    );
+    assert_eq!(live, recorded, "{id}: checks vs BENCH_paper.json");
     let out_of_band: Vec<String> = outcome
         .checks
         .iter()
@@ -30,32 +61,40 @@ fn run(id: &str, checks: usize) {
     assert!(out_of_band.is_empty(), "{id}:\n{}", out_of_band.join("\n"));
 }
 
-/// One test per row, so the rows run in parallel: `id: paper checks`.
-/// Also emits `GATED`, the ids in table order.
+/// One test per row, so the rows run in parallel. Also emits `GATED`,
+/// the ids in table order.
 macro_rules! rows {
-    ($($id:ident: $checks:expr),* $(,)?) => {
+    ($($id:ident),* $(,)?) => {
         const GATED: &[&str] = &[$(stringify!($id)),*];
         $(
             #[test]
             fn $id() {
-                run(stringify!($id), $checks);
+                run(stringify!($id));
             }
         )*
     };
 }
 
 rows! {
-    fig7: 4,
-    fig8: 3,
-    fig9: 20,
-    fig10: 16,
-    setup: 3,
-    table1: 3,
-    table3: 22,
-    table4: 5,
-    table5: 2,
-    ota: 3,
-    ablation: 5,
+    fig7, fig8, fig9, fig10, setup, table1, table3, table4, table5, ota, ablation,
+}
+
+/// The committed record names only rows of the table, and every record
+/// in it is in band; EXPERIMENTS.md marks one block per row.
+#[test]
+fn the_record_is_the_table_in_band() {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|r| r.id).collect();
+    for record in records() {
+        assert!(
+            ids.contains(&row_of(record)),
+            "BENCH_paper.json names no row: {record}"
+        );
+        let ok = record.trim_end_matches(',').ends_with("\"ok\":true}");
+        assert!(ok, "BENCH_paper.json records a check out of band: {record}");
+    }
+    let blocks: Vec<(&str, String)> = ids.iter().map(|id| (*id, String::new())).collect();
+    let spliced = splice(include_str!("../../../EXPERIMENTS.md"), &blocks);
+    assert!(spliced.is_ok(), "{spliced:?}");
 }
 
 /// A new row cannot land ungated: the table above is every row but the

@@ -1,8 +1,8 @@
 //! Thread-count byte-identity: the sweep runner's canonical-order merge
 //! makes every bench artifact a pure function of the job list. Running
 //! the same smoke sweep on 1, 2, and 4 threads must render
-//! byte-identical BENCH points, Prometheus text, metrics JSONL, and
-//! span JSONL — only the (masked) `"runner"` wall-time block may vary.
+//! byte-identical BENCH documents, Prometheus text, metrics JSONL, and
+//! span JSONL; the runner's wall-clock stats go to stdout, not into them.
 
 use shield5g_bench::sweeps::{
     ablation_sweep, degradation_curve_sweep, fault_recovery_sweep, pool_scaling_sweep, SweepRun,
@@ -99,25 +99,6 @@ fn ablation_is_thread_count_invariant() {
     };
     let serial = run_at(1);
     assert_identical(&serial, &run_at(4), "ablation 1 vs 4 threads");
-}
-
-#[test]
-fn runner_block_is_excluded_from_the_identity() {
-    // The full artifact (with the runner line) masks down to the same
-    // document whatever the stats say — the invariant check.sh and CI
-    // enforce with `grep -v '"runner"'`.
-    let hub = ObsHandle::new();
-    let run = fault_recovery_sweep(&hub, 2, true);
-    let doc = export::bench_json_with_runner("fault_sweep", &run.points, &run.stats.to_json());
-    let masked: Vec<&str> = doc.lines().filter(|l| !l.contains("\"runner\"")).collect();
-    assert_eq!(
-        masked.len(),
-        doc.lines().count() - 1,
-        "exactly one runner line to mask"
-    );
-    assert!(doc.contains("\"threads\":2"));
-    assert!(doc.contains("\"wall_time_s\":"));
-    assert!(doc.contains("\"speedup\":"));
 }
 
 #[test]

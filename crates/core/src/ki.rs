@@ -233,42 +233,41 @@ pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
     });
 
     // KI 13: attestation cannot be forged from outside the platform.
-    if let Some(platform) = slice.host.platform() {
-        let mut svc = AttestationService::new();
-        svc.register_platform(platform);
-        if let Some(module) = slice.module(PakaKind::EUdm) {
-            let m = module.borrow();
-            let c = m.container();
-            let c = c.borrow();
-            let enclave = c.shielded.as_ref().map(|l| l.enclave());
-            if let Some(enclave) = enclave {
-                let report = Report::create(enclave, [0x42; 64]);
-                #[expect(clippy::expect_used, reason = "quotes a report of its own enclave")]
-                let quote = platform.quote(&report).expect("honest quote");
-                let mut policy = QuotePolicy::exact(*enclave.mrenclave());
-                policy.allow_debug = true; // stats builds are debug-mode
-                let genuine_ok = svc.verify(&quote, &policy).is_ok();
-                let mut forged = quote.clone();
-                forged.mrenclave[0] ^= 1;
-                let forgery_rejected = svc
-                    .verify(
-                        &forged,
-                        &QuotePolicy {
-                            mrenclave: Some(forged.mrenclave),
-                            mrsigner: None,
-                            allow_debug: true,
-                        },
-                    )
-                    .is_err();
-                out.push(Demonstration {
-                    ki: 13,
-                    claim: "function-level attestation verifies and resists forgery",
-                    upheld: genuine_ok && forgery_rejected,
-                    evidence: format!(
-                        "genuine quote ok={genuine_ok}, forged quote rejected={forgery_rejected}"
-                    ),
-                });
-            }
+    let platform = slice.host.platform();
+    let mut svc = AttestationService::new();
+    svc.register_platform(platform);
+    if let Some(module) = slice.module(PakaKind::EUdm) {
+        let m = module.borrow();
+        let c = m.container();
+        let c = c.borrow();
+        let enclave = c.shielded.as_ref().map(|l| l.enclave());
+        if let Some(enclave) = enclave {
+            let report = Report::create(enclave, [0x42; 64]);
+            #[expect(clippy::expect_used, reason = "quotes a report of its own enclave")]
+            let quote = platform.quote(&report).expect("honest quote");
+            let mut policy = QuotePolicy::exact(*enclave.mrenclave());
+            policy.allow_debug = true; // stats builds are debug-mode
+            let genuine_ok = svc.verify(&quote, &policy).is_ok();
+            let mut forged = quote.clone();
+            forged.mrenclave[0] ^= 1;
+            let forgery_rejected = svc
+                .verify(
+                    &forged,
+                    &QuotePolicy {
+                        mrenclave: Some(forged.mrenclave),
+                        mrsigner: None,
+                        allow_debug: true,
+                    },
+                )
+                .is_err();
+            out.push(Demonstration {
+                ki: 13,
+                claim: "function-level attestation verifies and resists forgery",
+                upheld: genuine_ok && forgery_rejected,
+                evidence: format!(
+                    "genuine quote ok={genuine_ok}, forged quote rejected={forgery_rejected}"
+                ),
+            });
         }
     }
     out

@@ -56,11 +56,7 @@ pub(crate) fn attest_module(
     host: &Host,
     service: &AttestationService,
 ) -> Result<(), CoreError> {
-    let platform = host
-        .platform()
-        .ok_or(shield5g_hmee::HmeeError::AttestationFailed(
-            "target host has no SGX platform".into(),
-        ))?;
+    let platform = host.platform();
     let container = module.container();
     let container = container.borrow();
     let enclave: &Enclave = container.shielded.as_ref().map(|l| l.enclave()).ok_or(

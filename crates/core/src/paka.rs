@@ -325,11 +325,7 @@ impl PakaModule {
         kind: PakaKind,
     ) -> Result<Self, CoreError> {
         let container = host.run_plain(env, registry, kind.image_name(), kind.endpoint())?;
-        let cost = host
-            .platform()
-            .map_or_else(shield5g_hmee::cost::CostModel::default, |p| {
-                p.cost().clone()
-            });
+        let cost = host.platform().cost().clone();
         Ok(PakaModule {
             kind,
             shielded: false,
@@ -397,11 +393,7 @@ impl PakaModule {
             };
             Some(report)
         };
-        let cost = host
-            .platform()
-            .map_or_else(shield5g_hmee::cost::CostModel::default, |p| {
-                p.cost().clone()
-            });
+        let cost = host.platform().cost().clone();
         Ok(PakaModule {
             kind,
             shielded: true,

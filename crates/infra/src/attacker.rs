@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn chain_requires_prerequisites() {
         let mut env = Env::new(1);
-        let host = Host::without_sgx("h1");
+        let host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let mut attacker = Attacker::new("mallory");
         // Escape before co-residency fails.
         assert!(attacker.escape_to_host(&mut env, &host).is_err());
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn single_tenant_host_blocks_co_residency() {
         let mut env = Env::new(2);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         host.multi_tenant = false;
         let mut attacker = Attacker::new("mallory");
         assert!(attacker.gain_co_residency(&mut env, &host).is_err());
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn patched_engine_blocks_escape() {
         let mut env = Env::new(3);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         host.engine_vulnerable = false;
         let mut attacker = Attacker::new("mallory");
         while attacker.gain_co_residency(&mut env, &host).is_err() {}
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn plain_container_leaks_secrets() {
         let mut env = Env::new(4);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn tampering_plain_memory_is_silent() {
         let mut env = Env::new(7);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();

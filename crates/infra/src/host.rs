@@ -1,10 +1,11 @@
-//! Physical hosts and 3GPP trust domains.
+//! Physical hosts.
 //!
-//! Paper §VI (end): "The physical hosts are categorized into trust
-//! domains based on the security features of a host … 3GPP assesses the
-//! trustworthiness of an NFVI based on its HMEE capabilities." A host
-//! combines an SGX platform (or none), a container runtime, a tenancy
-//! model and a patch level — the knobs the attacker model keys on.
+//! Paper §VI (end): "3GPP assesses the trustworthiness of an NFVI based
+//! on its HMEE capabilities." Every host here is the paper's HMEE-capable
+//! PowerEdge R450: it combines an SGX platform, a container runtime, a
+//! tenancy model and a patch level — the knobs the attacker model keys
+//! on. Whether a module runs shielded is the deployment's choice
+//! (`run_plain` or `run_shielded`), not the host's.
 
 use crate::container::Container;
 use crate::image::Registry;
@@ -19,24 +20,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// 3GPP-style trust classification of an NFVI host.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum TrustDomain {
-    /// Shared 3rd-party infrastructure without hardware security (KI 20).
-    Untrusted,
-    /// Operator-managed virtualisation without HMEE.
-    Standard,
-    /// HMEE-capable host: eligible for sensitive NFs.
-    HmeeCapable,
-}
-
 /// A shared handle to a container.
 pub type ContainerHandle = Rc<RefCell<Container>>;
 
 /// A physical host in the NFVI.
 pub struct Host {
     name: String,
-    platform: Option<SgxPlatform>,
+    platform: SgxPlatform,
     containers: BTreeMap<String, ContainerHandle>,
     /// Whether the container engine / hypervisor has unpatched isolation
     /// CVEs (the §III escape prerequisite).
@@ -49,7 +39,6 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("name", &self.name)
-            .field("trust_domain", &self.trust_domain())
             .field("containers", &self.container_names())
             .finish()
     }
@@ -61,7 +50,7 @@ impl Host {
     pub fn with_sgx(name: impl Into<String>, platform: SgxPlatform) -> Self {
         Host {
             name: name.into(),
-            platform: Some(platform),
+            platform,
             containers: BTreeMap::new(),
             engine_vulnerable: true,
             multi_tenant: true,
@@ -74,20 +63,10 @@ impl Host {
         &self.name
     }
 
-    /// The SGX platform, when present.
+    /// The host's SGX platform.
     #[must_use]
-    pub fn platform(&self) -> Option<&SgxPlatform> {
-        self.platform.as_ref()
-    }
-
-    /// The 3GPP trust domain this host qualifies for.
-    #[must_use]
-    pub(crate) fn trust_domain(&self) -> TrustDomain {
-        match (&self.platform, self.multi_tenant) {
-            (Some(_), _) => TrustDomain::HmeeCapable,
-            (None, false) => TrustDomain::Standard,
-            (None, true) => TrustDomain::Untrusted,
-        }
+    pub fn platform(&self) -> &SgxPlatform {
+        &self.platform
     }
 
     /// Runs a plain container from the registry (`docker run`).
@@ -127,8 +106,7 @@ impl Host {
     /// # Errors
     ///
     /// [`shield5g_libos::LibosError::ManifestInvalid`] when the image is
-    /// missing or the host has no SGX platform; GSC transform and boot
-    /// errors as they come.
+    /// missing; GSC transform and boot errors as they come.
     pub fn run_shielded(
         &mut self,
         env: &mut Env,
@@ -141,15 +119,9 @@ impl Host {
         let img = registry.pull(image).ok_or_else(|| {
             shield5g_libos::LibosError::ManifestInvalid(format!("unknown image {image:?}"))
         })?;
-        let platform = self.platform.as_ref().ok_or_else(|| {
-            shield5g_libos::LibosError::ManifestInvalid(format!(
-                "host {} has no SGX platform",
-                self.name
-            ))
-        })?;
         let shielded: ShieldedImage = gsc::transform(&img.spec, manifest, signing_key)?;
         env.clock.advance(SimDuration::from_millis(420)); // gsc container start
-        let libos = GramineLibos::boot(env, &shielded, platform)?;
+        let libos = GramineLibos::boot(env, &shielded, &self.platform)?;
         let name = name.into();
         let mut container = Container::shielded(name.clone(), image, libos);
         container.start();
@@ -202,21 +174,6 @@ impl Host {
 }
 
 #[cfg(test)]
-impl Host {
-    /// A host without SGX (standard trust domain at best).
-    #[must_use]
-    pub(crate) fn without_sgx(name: impl Into<String>) -> Self {
-        Host {
-            name: name.into(),
-            platform: None,
-            containers: BTreeMap::new(),
-            engine_vulnerable: true,
-            multi_tenant: true,
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::container::ContainerState;
@@ -232,48 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn trust_domain_classification() {
-        let mut env = Env::new(1);
-        assert_eq!(
-            Host::without_sgx("edge").trust_domain(),
-            TrustDomain::Untrusted
-        );
-        let mut dedicated = Host::without_sgx("dedicated");
-        dedicated.multi_tenant = false;
-        assert_eq!(dedicated.trust_domain(), TrustDomain::Standard);
-        let platform = SgxPlatform::new(&mut env);
-        assert_eq!(
-            Host::with_sgx("r450", platform).trust_domain(),
-            TrustDomain::HmeeCapable
-        );
-        assert!(TrustDomain::HmeeCapable > TrustDomain::Untrusted);
-    }
-
-    #[test]
     fn run_plain_container() {
         let mut env = Env::new(2);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
         assert_eq!(c.borrow().state, ContainerState::Running);
         assert!(host.container("udm-1").is_some());
         assert!(host.run_plain(&mut env, &registry(), "ghost", "x").is_err());
-    }
-
-    #[test]
-    fn run_shielded_requires_sgx() {
-        let mut env = Env::new(3);
-        let mut host = Host::without_sgx("h1");
-        let err = host.run_shielded(
-            &mut env,
-            &registry(),
-            "oai/udm",
-            "udm-1",
-            Manifest::paka_default("x"),
-            &[1; 32],
-        );
-        assert!(err.is_err());
     }
 
     #[test]
@@ -297,7 +221,7 @@ mod tests {
     #[test]
     fn remove_with_wipe_clears_memory() {
         let mut env = Env::new(5);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();
@@ -311,7 +235,7 @@ mod tests {
     fn remove_without_wipe_leaves_residue() {
         // KI 5: storage reuse without clearing leaks privacy-sensitive data.
         let mut env = Env::new(6);
-        let mut host = Host::without_sgx("h1");
+        let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         let c = host
             .run_plain(&mut env, &registry(), "oai/udm", "udm-1")
             .unwrap();

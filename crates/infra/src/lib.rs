@@ -1,5 +1,5 @@
-//! NFV infrastructure simulator: hosts, container runtime, bridge
-//! networking, trust domains — and the paper's attacker.
+//! NFV infrastructure simulator: SGX-capable hosts, container runtime,
+//! bridge networking — and the paper's attacker.
 //!
 //! Paper §III deploys the 5G core "on COTS hardware on the infrastructure
 //! shared with third-party application providers", where a malicious
@@ -12,7 +12,7 @@
 //! * [`container`] — containers with inspectable plain process memory and
 //!   optionally a shielded ([`shield5g_libos::libos::GramineLibos`])
 //!   payload whose memory is EPC ciphertext.
-//! * [`host`] — a physical host: SGX platform + runtime + trust domain.
+//! * [`host`] — a physical host: SGX platform + container runtime.
 //! * [`bridge`] — the OAI docker bridge with an attacker-accessible tap.
 //! * [`attacker`] — the §III attack chain: co-residency → engine escape →
 //!   lateral movement → memory introspection/tampering, plus image-secret

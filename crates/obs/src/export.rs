@@ -271,26 +271,6 @@ pub fn bench_json(bench: &str, points: &[String]) -> String {
     out
 }
 
-/// Renders a `BENCH_<name>.json` document with a trailing `runner`
-/// block (thread count, wall time, speedup — rendered by the bench
-/// sweep runner). The block occupies exactly one line beginning with
-/// `"runner"`, so thread-count byte-identity checks can mask it with
-/// `grep -v '"runner"'`: everything else in the document is a pure
-/// function of the merged results and must not vary with parallelism.
-#[must_use]
-pub fn bench_json_with_runner(bench: &str, points: &[String], runner_json: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{\"bench\":\"{}\",\"points\":[", json_escape(bench));
-    for (i, point) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(out, "{point}{sep}");
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "\"runner\":{runner_json}");
-    out.push_str("}\n");
-    out
-}
-
 /// The directory observability artifacts are written to:
 /// `$SHIELD5G_OBS_DIR`, defaulting to `target/obs`.
 #[must_use]
@@ -413,38 +393,6 @@ mod tests {
         assert!(doc.trim_end().ends_with("]}"));
         assert_eq!(doc.matches("replicas").count(), 2);
         assert_eq!(doc.matches(",\n").count(), 1);
-    }
-
-    #[test]
-    fn bench_json_runner_block_is_one_maskable_line() {
-        let points = vec![JsonObj::new().u64("replicas", 1).render()];
-        let runner = JsonObj::new()
-            .u64("threads", 4)
-            .f64("wall_time_s", 1.25)
-            .f64("speedup", 3.1)
-            .render();
-        let doc = bench_json_with_runner("pool_scaling", &points, &runner);
-        // Exactly one line carries the runner block; removing it yields
-        // the same line set regardless of thread count.
-        let runner_lines: Vec<&str> = doc.lines().filter(|l| l.contains("\"runner\"")).collect();
-        assert_eq!(runner_lines.len(), 1);
-        assert!(runner_lines[0].starts_with("\"runner\":{"));
-        assert!(runner_lines[0].contains("\"threads\":4"));
-        let masked: Vec<&str> = doc.lines().filter(|l| !l.contains("\"runner\"")).collect();
-        let other = bench_json_with_runner(
-            "pool_scaling",
-            &points,
-            &JsonObj::new()
-                .u64("threads", 1)
-                .f64("wall_time_s", 4.9)
-                .f64("speedup", 1.0)
-                .render(),
-        );
-        let other_masked: Vec<&str> = other
-            .lines()
-            .filter(|l| !l.contains("\"runner\""))
-            .collect();
-        assert_eq!(masked, other_masked);
     }
 
     #[test]

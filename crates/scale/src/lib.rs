@@ -6,9 +6,9 @@
 //! This crate builds that tier for the simulation:
 //!
 //! - [`pool`] — per-kind replica pools with an explicit lifecycle
-//!   (spawn → preheat → standby/ready → retire). Enclave loading costs
-//!   ~60 s (Fig. 7), so pools keep warm standbys to take that cost off
-//!   the request path.
+//!   (spawn → preheat → standby/ready, dead on a kill). Enclave loading
+//!   costs ~60 s (Fig. 7), so pools keep warm standbys to take that cost
+//!   off the request path.
 //! - [`router`] — consistent-hash request routing keyed by SUPI, keeping
 //!   each subscriber's SQN state replica-affine and bounding rebalancing
 //!   churn when the pool grows.

@@ -72,8 +72,6 @@ pub enum ReplicaState {
     Standby,
     /// On the routing ring, taking traffic.
     Ready,
-    /// Removed from the ring; kept for final counter reads.
-    Retired,
     /// Killed by fault injection: enclave lost, endpoint failing fast.
     Dead,
 }
@@ -693,28 +691,6 @@ fn warmup_udm_request() -> UdmAkaRequest {
 }
 
 #[cfg(test)]
-impl EnclavePool {
-    /// Takes a replica off the ring. Its SUPIs remap to the survivors;
-    /// the enclave is kept for final counter reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not a ready replica, or when retiring it would
-    /// empty the ring.
-    pub(crate) fn retire(&mut self, id: ReplicaId) {
-        assert!(self.ring.len() > 1, "cannot retire the last ready replica");
-        let replica = self.replica_mut(id);
-        assert_eq!(
-            replica.state,
-            ReplicaState::Ready,
-            "retire needs a ready replica"
-        );
-        replica.state = ReplicaState::Retired;
-        self.ring.remove(id);
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use shield5g_ran::workload::{test_subscriber, test_supi};
@@ -819,28 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_remaps_only_the_retired_replicas_supis() {
-        let mut env = env();
-        let mut p = pool(&mut env, 3, 0);
-        let owners: Vec<(String, ReplicaId)> = (0..60)
-            .map(|i| {
-                let s = test_supi(i);
-                let id = p.route(&s);
-                (s, id)
-            })
-            .collect();
-        p.retire(1);
-        for (supi, owner) in owners {
-            if owner == 1 {
-                assert_ne!(p.route(&supi), 1);
-            } else {
-                assert_eq!(p.route(&supi), owner);
-            }
-        }
-        assert_eq!(p.replica(1).state, ReplicaState::Retired);
-    }
-
-    #[test]
     fn killed_replica_fails_over_to_warm_standby() {
         let mut env = env();
         let mut p = pool(&mut env, 2, 1);
@@ -925,14 +879,6 @@ mod tests {
         assert_eq!(dead_resp.header(FAULT_HEADER), Some("replica-dead"));
         assert!(by_tag[&t_live].response.is_success());
         assert_eq!(p.replica(0).served(), 0, "dead replica served nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "last ready replica")]
-    fn cannot_retire_last_replica() {
-        let mut env = env();
-        let mut p = pool(&mut env, 1, 0);
-        p.retire(0);
     }
 
     /// Feeds failures to `id` until its circuit trips, panicking if the

@@ -45,45 +45,30 @@ cargo test --offline --release -p shield5g-crypto -p shield5g-hmee -- --include-
 echo "==> allocation + heap budget (benchmark allocs_per_op and peak_heap_mb on all five workloads vs scripts/alloc_budget.txt, +2 %)"
 sh scripts/alloc_budget.sh
 
-echo "==> experiments (every paper figure, table and sweep at bench reps; fails on an out-of-band paper check)"
+echo "==> experiments (every paper figure, table and sweep at bench reps; fails on an out-of-band paper check or on drift from the committed record)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
 # with the *package* directory as cwd, so a relative artifact dir would
-# land under crates/bench/.
-cargo bench --offline -p shield5g-bench --bench experiments
-
-echo "==> thread-count byte-identity (pool_scaling, ablation, fault_sweep and degradation_sweep smokes: 1 vs 2 threads, runner line masked)"
-# The sweep runner promises artifacts that are a pure function of the
-# job list: the same smoke sweep on 1 and 2 threads must render
-# byte-identical BENCH points and observability exports. Only the
-# one-line '"runner"' wall-time block may differ, so it is masked out
-# before comparing. POSIX sh: temp dirs + grep -v, no process
-# substitution.
-IDENT_DIR="$SHIELD5G_OBS_DIR/thread_identity"
-rm -rf "$IDENT_DIR"
-mkdir -p "$IDENT_DIR/t1" "$IDENT_DIR/t2"
-for threads in 1 2; do
-  SHIELD5G_BENCH_SMOKE=1 SHIELD5G_BENCH_THREADS=$threads SHIELD5G_OBS_DIR="$IDENT_DIR/t$threads" \
-    cargo bench --offline -p shield5g-bench --bench experiments -- \
-    pool_scaling ablation fault_sweep degradation_sweep > /dev/null
-done
+# land under crates/bench/. SHIELD5G_REPS and SHIELD5G_BENCH_SMOKE are
+# unset so that a developer's shell cannot cause false drift. A full run
+# writes BENCH_paper.json (one record per paper check), the four sweep
+# BENCH documents and EXPERIMENTS.md with every row's block spliced in;
+# each must be byte-identical to its committed copy at the root.
+env -u SHIELD5G_REPS -u SHIELD5G_BENCH_SMOKE \
+  cargo bench --offline -p shield5g-bench --bench experiments
 for artifact in \
-  BENCH_pool_scaling.json BENCH_ablation.json BENCH_degradation.json BENCH_fault_sweep.json \
-  pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl; do
-  grep -v '"runner"' "$IDENT_DIR/t1/$artifact" > "$IDENT_DIR/t1/$artifact.masked"
-  grep -v '"runner"' "$IDENT_DIR/t2/$artifact" > "$IDENT_DIR/t2/$artifact.masked"
-  if ! cmp -s "$IDENT_DIR/t1/$artifact.masked" "$IDENT_DIR/t2/$artifact.masked"; then
-    echo "thread-count identity broken: $artifact differs between 1 and 2 threads" >&2
-    diff "$IDENT_DIR/t1/$artifact.masked" "$IDENT_DIR/t2/$artifact.masked" >&2 || true
+  BENCH_paper.json BENCH_pool_scaling.json BENCH_ablation.json BENCH_fault_sweep.json \
+  BENCH_degradation.json EXPERIMENTS.md; do
+  if ! cmp -s "$artifact" "$SHIELD5G_OBS_DIR/$artifact"; then
+    echo "$artifact differs from the committed copy (< committed, > this run):" >&2
+    diff "$artifact" "$SHIELD5G_OBS_DIR/$artifact" >&2 || true
+    echo "if the move is intended, run: cp \"\$SHIELD5G_OBS_DIR\"/{EXPERIMENTS.md,BENCH_*.json} ." >&2
     exit 1
   fi
-  echo "    ok $artifact byte-identical across thread counts"
+  echo "    ok $artifact matches the committed copy"
 done
-rm -rf "$IDENT_DIR"
 
 echo "==> observability artifacts (machine-readable bench output, non-empty)"
 for artifact in \
-  BENCH_pool_scaling.json BENCH_ablation.json BENCH_fault_sweep.json \
-  BENCH_degradation.json \
   pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl \
   lint_findings.sarif; do
   path="$SHIELD5G_OBS_DIR/$artifact"

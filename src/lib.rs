@@ -22,7 +22,7 @@
 //! * [`hmee`] — the SGX-class enclave simulator (encrypted EPC, lifecycle
 //!   measurement, transition accounting, attestation, sealing).
 //! * [`libos`] — the Gramine-style LibOS and GSC image pipeline.
-//! * [`infra`] — hosts, containers, bridges, trust domains, and the
+//! * [`infra`] — SGX-capable hosts, containers, bridges, and the
 //!   paper's co-residency attacker.
 //! * [`nf`] — the 5G core (NRF/UDR/UDM/AUSF/AMF/SMF/UPF) with the full
 //!   5G-AKA flow.

@@ -153,7 +153,7 @@ fn attestation_gates_deployment_to_genuine_enclaves() {
         },
     )
     .unwrap();
-    let platform = slice.host.platform().unwrap();
+    let platform = slice.host.platform();
     let mut svc = AttestationService::new();
     svc.register_platform(platform);
     let module = slice.module(PakaKind::EAusf).unwrap();
@@ -186,7 +186,7 @@ fn attested_tls_binding_gates_the_offload_channel() {
         },
     )
     .unwrap();
-    let platform = slice.host.platform().unwrap();
+    let platform = slice.host.platform();
     let mut service = AttestationService::new();
     service.register_platform(platform);
     let mut client = slice.client_for(PakaKind::EUdm, "udm.oai").unwrap();
@@ -206,7 +206,7 @@ fn attested_tls_binding_gates_the_offload_channel() {
         },
     )
     .unwrap();
-    let platform2 = slice2.host.platform().unwrap();
+    let platform2 = slice2.host.platform();
     let mut client2 = slice2.client_for(PakaKind::EUdm, "udm.oai").unwrap();
     assert!(matches!(
         client2.attest_and_pin(platform2, &service),
