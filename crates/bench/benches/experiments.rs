@@ -13,12 +13,11 @@
 //! `EXPERIMENTS.md` (the committed file with each row's block spliced
 //! in) there, for `scripts/check.sh` to compare with the committed
 //! copies. `SHIELD5G_REPS` scales the sample counts (a value that is
-//! not a positive integer exits with status 2), `SHIELD5G_BENCH_SMOKE`
-//! shrinks the sweeps and `SHIELD5G_BENCH_THREADS` sets their worker
-//! count.
+//! not a positive integer exits with status 2); the sweeps run on
+//! every core and write the same bytes on any number of them.
 
 use shield5g_bench::experiments::{splice, Outcome, EXPERIMENTS};
-use shield5g_bench::{export_hub, reps, smoke, write_obs_artifact};
+use shield5g_bench::{export_hub, reps, write_obs_artifact};
 use shield5g_obs::export;
 use std::process::ExitCode;
 
@@ -47,7 +46,7 @@ fn main() -> ExitCode {
     for row in EXPERIMENTS.iter().filter(|r| named(r.id)) {
         println!("\n=== {} ===", row.title);
         println!("    (reproduces {})", row.paper);
-        match (row.run)(row.seed, reps, smoke()) {
+        match (row.run)(row.seed, reps) {
             Ok(outcome) => {
                 let block = outcome.block();
                 print!("{block}");

@@ -61,9 +61,9 @@ pub struct Experiment {
     /// four sweep builders fix their own seeds, which their goldens pin;
     /// for those rows this is the first of them.
     pub seed: u64,
-    /// Runs the experiment: `(seed, reps, smoke)`. `reps` scales the
-    /// sample counts; `smoke` shrinks the sweeps to one cheap point.
-    pub run: fn(u64, u32, bool) -> Result<Outcome, String>,
+    /// Runs the experiment: `(seed, reps)`. `reps` scales the sample
+    /// counts.
+    pub run: fn(u64, u32) -> Result<Outcome, String>,
 }
 
 /// What one experiment run produced.
@@ -353,7 +353,7 @@ fn module_image_bytes(kind: PakaKind) -> u64 {
     paka_image(kind).spec.total_bytes()
 }
 
-fn fig7(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn fig7(seed: u64, reps: u32) -> Result<Outcome, String> {
     let reps = (reps / 10).max(20);
     let mut o = Outcome::default();
     o.say(format!("    {reps} fresh GSC deployments per module"));
@@ -386,7 +386,7 @@ fn fig7(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn fig8(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn fig8(seed: u64, reps: u32) -> Result<Outcome, String> {
     let mut o = Outcome::default();
     o.say(format!("    {reps} requests per configuration\n"));
     let (lf, lt) = ("L_F median [IQR]", "L_T median [IQR]");
@@ -427,7 +427,7 @@ fn fig8(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn fig9(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn fig9(seed: u64, reps: u32) -> Result<Outcome, String> {
     let mut o = Outcome::default();
     o.say(format!("    {reps} requests per module per deployment"));
     // Table II's L_F and L_T ratios with their bands, and Fig. 9's decades.
@@ -466,7 +466,7 @@ fn fig9(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn fig10(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn fig10(seed: u64, reps: u32) -> Result<Outcome, String> {
     let initial = (reps / 10).max(15);
     let mut o = Outcome::default();
     o.say(format!(
@@ -502,7 +502,7 @@ fn fig10(seed: u64, reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn setup(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn setup(seed: u64, _reps: u32) -> Result<Outcome, String> {
     let cmp = session_setup_comparison(seed, 5);
     let (setup, share) = (cmp.sgx_setup, cmp.sgx_share_of_setup());
     let mut o = Outcome::default();
@@ -521,7 +521,7 @@ fn setup(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
 /// Table I from one run of the three functions: the inputs are the
 /// fixed-size fields of each module's request, the outputs what the
 /// derivations return.
-fn table1(_seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn table1(_seed: u64, _reps: u32) -> Result<Outcome, String> {
     let plmn = Plmn::test_network();
     let (supi, snn) = (Supi::numbered(plmn, 1, 10), ServingNetworkName::of(&plmn));
     let udm = UdmAkaRequest {
@@ -602,7 +602,7 @@ fn empty_workload(seed: u64) -> Result<SgxCounters, String> {
     Ok(libos.sgx_stats())
 }
 
-fn table3(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn table3(seed: u64, _reps: u32) -> Result<Outcome, String> {
     let mut o = Outcome::default();
     let line = |m: &str, ues: &str, c: &SgxCounters| {
         let (enter, exit, aex) = (c.eenter, c.eexit, c.aex);
@@ -654,7 +654,7 @@ fn table3(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn table4(_seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn table4(_seed: u64, _reps: u32) -> Result<Outcome, String> {
     let t = TestbedConfig::paper();
     let mut o = Outcome::default();
     let (os, kernel) = (t.server_os, t.server_kernel);
@@ -683,7 +683,7 @@ fn table4(_seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn table5(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn table5(seed: u64, _reps: u32) -> Result<Outcome, String> {
     let mut o = Outcome::default();
     o.say("    ● = HMEE-applicable per 3GPP; + = full; ◐ = partial\n");
     let matrix = key_issues();
@@ -731,7 +731,7 @@ fn table5(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn ota(seed: u64, _reps: u32, _smoke: bool) -> Result<Outcome, String> {
+fn ota(seed: u64, _reps: u32) -> Result<Outcome, String> {
     let mut testbed = OtaTestbed::assemble(seed, AkaDeployment::Sgx(SgxConfig::default()));
     let cold = testbed.run().map_err(|e| format!("first OTA run: {e}"))?;
     let warm = testbed.run().map_err(|e| format!("steady OTA run: {e}"))?;
@@ -770,9 +770,8 @@ fn sweep(run: SweepRun, hub: Option<ObsHandle>) -> Outcome {
     }
 }
 
-fn ablation(_seed: u64, reps: u32, smoke: bool) -> Result<Outcome, String> {
-    let reps = if smoke { 1 } else { reps };
-    let (run, measured) = ablation_sweep(&ObsHandle::new(), threads(), smoke, reps)?;
+fn ablation(_seed: u64, reps: u32) -> Result<Outcome, String> {
+    let (run, measured) = ablation_sweep(&ObsHandle::new(), threads(), false, reps)?;
     let mut o = sweep(run, None);
     o.say(format!("    {reps} stable requests per configuration\n"));
     let mut scaling = Vec::new();
@@ -830,21 +829,21 @@ fn ablation(_seed: u64, reps: u32, smoke: bool) -> Result<Outcome, String> {
     Ok(o)
 }
 
-fn pool_scaling(_seed: u64, _reps: u32, smoke: bool) -> Result<Outcome, String> {
+fn pool_scaling(_seed: u64, _reps: u32) -> Result<Outcome, String> {
     let hub = ObsHandle::new();
-    Ok(sweep(pool_scaling_sweep(&hub, threads(), smoke), Some(hub)))
+    Ok(sweep(pool_scaling_sweep(&hub, threads(), false), Some(hub)))
 }
 
-fn fault_sweep(_seed: u64, _reps: u32, smoke: bool) -> Result<Outcome, String> {
+fn fault_sweep(_seed: u64, _reps: u32) -> Result<Outcome, String> {
     Ok(sweep(
-        fault_recovery_sweep(&ObsHandle::new(), threads(), smoke),
+        fault_recovery_sweep(&ObsHandle::new(), threads(), false),
         None,
     ))
 }
 
-fn degradation_sweep(_seed: u64, _reps: u32, smoke: bool) -> Result<Outcome, String> {
+fn degradation_sweep(_seed: u64, _reps: u32) -> Result<Outcome, String> {
     Ok(sweep(
-        degradation_curve_sweep(&ObsHandle::new(), threads(), smoke),
+        degradation_curve_sweep(&ObsHandle::new(), threads(), false),
         None,
     ))
 }

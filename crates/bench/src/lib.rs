@@ -40,16 +40,6 @@ fn parse_reps(value: Option<&OsStr>) -> Result<u32, String> {
         .ok_or_else(|| format!("SHIELD5G_REPS must be a positive integer, not {value:?}"))
 }
 
-/// True when `SHIELD5G_BENCH_SMOKE` is set to anything but `0`: smoke
-/// mode. The sweep rows shrink to one cheap configuration and a single
-/// repetition so they run in seconds — the point is catching harness
-/// regressions (panics, API drift, degenerate outputs, thread-count
-/// drift), not producing paper-grade statistics.
-#[must_use]
-pub fn smoke() -> bool {
-    std::env::var("SHIELD5G_BENCH_SMOKE").is_ok_and(|v| v != "0")
-}
-
 /// Formats a summary as `median [p25..p75]`.
 #[must_use]
 pub(crate) fn fmt_summary(s: &Summary) -> String {

@@ -63,17 +63,11 @@ impl RunnerStats {
     }
 }
 
-/// Worker-thread count for bench sweeps: `SHIELD5G_BENCH_THREADS` when
-/// set to a positive integer, otherwise the machine's available
-/// parallelism (1 when that is unknowable).
+/// Worker-thread count for bench sweeps: the machine's available
+/// parallelism (1 when that is unknowable). The count never changes a
+/// byte of output, only the wall time.
 #[must_use]
 pub fn threads() -> usize {
-    if let Some(n) = std::env::var("SHIELD5G_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -247,9 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_override_parses() {
-        // Only exercise the parse path indirectly: threads() must be
-        // positive whatever the environment says.
+    fn threads_is_at_least_one() {
         assert!(threads() >= 1);
     }
 }

@@ -6,7 +6,7 @@
 //! assembles the human-readable table lines and machine-readable BENCH
 //! points in **canonical point order** — so both the printed tables and
 //! every artifact rendered from the merged hub are byte-identical
-//! regardless of `SHIELD5G_BENCH_THREADS`. The rows of
+//! whatever the worker count. The rows of
 //! [`crate::experiments`] are thin wrappers over these functions, and
 //! the golden and merge-determinism tests call them directly.
 

@@ -36,7 +36,7 @@ fn run(id: &str) {
     let Some(row) = EXPERIMENTS.iter().find(|r| r.id == id) else {
         panic!("no experiment {id}");
     };
-    let outcome = match (row.run)(row.seed, REPS, false) {
+    let outcome = match (row.run)(row.seed, REPS) {
         Ok(outcome) => outcome,
         Err(e) => panic!("{id}: {e}"),
     };
@@ -110,19 +110,36 @@ fn every_row_but_the_sweeps_is_gated() {
     assert_eq!(GATED, ids.as_slice());
 }
 
+/// The body of DESIGN.md's `## <heading>` section, up to the next one.
+fn design_section(heading: &str) -> &'static str {
+    include_str!("../../../DESIGN.md")
+        .split(&format!("\n## {heading}"))
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .unwrap_or_default()
+}
+
+/// The body rows of a section's tables: every `|` line but the headers
+/// and the `|---` separators.
+fn table_rows(section: &str) -> Vec<&str> {
+    let lines: Vec<&str> = section.lines().collect();
+    lines
+        .iter()
+        .enumerate()
+        .filter(|(i, l)| {
+            let header = lines.get(i + 1).is_some_and(|n| n.starts_with("|-"));
+            l.starts_with('|') && !l.starts_with("|-") && !header
+        })
+        .map(|(_, l)| *l)
+        .collect()
+}
+
 /// DESIGN.md's "Experiment index" names every row, and nothing else, in
 /// its last column.
 #[test]
 fn the_design_index_is_the_table() {
-    let design = include_str!("../../../DESIGN.md");
-    let index = design
-        .split("## Experiment index")
-        .nth(1)
-        .and_then(|s| s.split("\n## ").next())
-        .unwrap_or_default();
-    let named: Vec<&str> = index
-        .lines()
-        .filter(|l| l.starts_with('|') && !l.starts_with("|---") && !l.starts_with("| Exp."))
+    let named: Vec<&str> = table_rows(design_section("Experiment index"))
+        .into_iter()
         .filter_map(|l| l.trim_end_matches('|').rsplit('|').next())
         .flat_map(|cell| cell.split('`').skip(1).step_by(2))
         .collect();
@@ -135,5 +152,58 @@ fn the_design_index_is_the_table() {
             ids.contains(id),
             "DESIGN.md's index names `{id}`, which is no row"
         );
+    }
+}
+
+/// Whether Rust source `text` declares `name` as a `fn`, `struct`,
+/// `enum`, `trait`, `type`, `const` or `mod`.
+fn declares(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    ["fn", "struct", "enum", "trait", "type", "const", "mod"]
+        .iter()
+        .any(|kw| {
+            let decl = format!("{kw} {name}");
+            text.match_indices(&decl).any(|(at, _)| {
+                let before = text[..at].chars().next_back();
+                let after = text[at + decl.len()..].chars().next();
+                !before.is_some_and(ident) && !after.is_some_and(ident)
+            })
+        })
+}
+
+/// Every row of DESIGN.md's two invariant tables names its enforcer as
+/// `` `<repo path>::<name>` ``, and every such reference resolves: the
+/// path exists from the repository root, and `name` is an item a `.rs`
+/// file declares or text another file (`clippy.toml`, `Cargo.toml`)
+/// contains. An invariant whose test is renamed or deleted fails here.
+#[test]
+fn the_design_enforcers_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for heading in ["Enforced invariants", "Invariants every run checks"] {
+        let rows = table_rows(design_section(heading));
+        assert!(!rows.is_empty(), "DESIGN.md has no \"{heading}\" table");
+        for row in rows {
+            let refs: Vec<(&str, &str)> = row
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .filter_map(|span| span.split_once("::"))
+                .filter(|(path, _)| path.contains('.'))
+                .collect();
+            assert!(
+                !refs.is_empty(),
+                "DESIGN.md, \"{heading}\": a row names no `<path>::<name>` enforcer: {row}"
+            );
+            for (path, name) in refs {
+                let text = std::fs::read_to_string(root.join(path))
+                    .unwrap_or_else(|e| panic!("DESIGN.md, \"{heading}\": `{path}::{name}`: {e}"));
+                let found = if path.ends_with(".rs") {
+                    declares(&text, name)
+                } else {
+                    text.contains(name)
+                };
+                assert!(found, "DESIGN.md, \"{heading}\": `{path}` has no `{name}`");
+            }
+        }
     }
 }

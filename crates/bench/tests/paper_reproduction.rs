@@ -22,7 +22,7 @@ fn checks(cell: &'static OnceLock<Vec<Check>>, id: &str, total: usize) -> &'stat
         let Some(row) = EXPERIMENTS.iter().find(|r| r.id == id) else {
             panic!("no experiment {id}");
         };
-        match (row.run)(row.seed, REPS, false) {
+        match (row.run)(row.seed, REPS) {
             Ok(outcome) => outcome.checks,
             Err(e) => panic!("{id}: {e}"),
         }

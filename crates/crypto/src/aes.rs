@@ -36,7 +36,7 @@
 //! The code favours clarity over side-channel hardening: the S-box and the
 //! 4 KiB of round tables are indexed by secret bytes, so neither direction
 //! is constant-time with respect to the cache. The workspace's threat
-//! model excludes side channels (DESIGN.md).
+//! model excludes side channels (DESIGN.md, "Boundaries and assets").
 //!
 //! # Example
 //!

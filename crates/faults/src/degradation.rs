@@ -40,7 +40,6 @@ use shield5g_scale::metrics::PoolReport;
 use shield5g_scale::openloop::{run_scenario, Scenario};
 use shield5g_scale::pool::PoolConfig;
 use shield5g_scale::queue::QueueConfig;
-use shield5g_scale::HealthPolicy;
 use shield5g_sim::time::SimDuration;
 
 pub use shield5g_scale::avcache::BrownoutPolicy;
@@ -73,8 +72,9 @@ pub struct DegradationConfig {
     pub sbi: FaultConfig,
     /// Client supervision retries guarding every pool request.
     pub retry: RetryPolicy,
-    /// Health-gated routing thresholds; `None` disables ejection.
-    pub health: Option<HealthPolicy>,
+    /// Health-gated routing: replicas whose failure EWMA trips are
+    /// ejected from the ring until a half-open probe succeeds.
+    pub health: bool,
     /// Brownout trigger; `None` keeps batch prefetching unconditionally.
     pub brownout: Option<BrownoutPolicy>,
     /// EPC thrash pages charged to every replica for the whole run.
@@ -95,7 +95,7 @@ impl Default for DegradationConfig {
             cache: None,
             sbi: FaultConfig::default(),
             retry: RetryPolicy::supervision(),
-            health: None,
+            health: false,
             brownout: None,
             thrash_pages: 0,
         }
@@ -254,7 +254,7 @@ pub fn pressured_config(arrivals: u32) -> DegradationConfig {
         },
         emergency_headroom: 2,
         emergency_period: 4,
-        health: Some(HealthPolicy::default()),
+        health: true,
         brownout: Some(BrownoutPolicy::default()),
         ..DegradationConfig::default()
     }

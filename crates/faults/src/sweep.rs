@@ -157,7 +157,7 @@ pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
             emergency_period: 0,
             cache: cfg.cache,
             retry: cfg.retry,
-            health: None,
+            health: false,
             brownout: None,
             thrash_pages: cfg.thrash_pages,
             kill_at: cfg.kill_at,

@@ -7,6 +7,10 @@
 //! requests to the SMF. Its K_AMF derivation is delegated to an
 //! [`AkaBackend`] for [`DeriveKamf`] (the eAMF P-AKA module in the paper's
 //! deployments).
+//!
+//! It keeps one `Registered` context per subscriber: a registration under
+//! a new GUTI retires the context the old one named, which the invariants
+//! tier checks after every registration run.
 
 use crate::backend::{AkaBackend, AmfAkaRequest, BackendOp, CallToken, DeriveKamf};
 use crate::messages::{AuthFailureCause, NasDownlink, NasUplink, Ngap, UeIdentity};

@@ -1,6 +1,13 @@
 //! Service-based interface plumbing: the SBI client and the inter-NF
 //! message payloads (CAPIF-style REST bodies, each a [`crate::wire`]
 //! field list).
+//!
+//! [`AuthenticateRequest`] is the one message whose SUPI stays a `String`
+//! and whose serving PLMN is two text codes, because the benchmark's
+//! `nf.sbi_roundtrip_ns` kernel builds it from string literals. Decoding
+//! maps each code to a slice of [`shield5g_crypto::ident::code`]'s static
+//! table, so no hop copies it, and the AUSF and the UDM check the PLMN
+//! through one `serving_network`.
 
 use crate::messages::UeIdentity;
 use crate::wire::{implausible, wire};

@@ -80,7 +80,7 @@ pub fn pool_sweep(seed: u64, cfg: &SweepConfig) -> PoolReport {
             emergency_period: 0,
             cache: cfg.cache,
             retry: RetryPolicy::disabled(),
-            health: None,
+            health: false,
             brownout: None,
             thrash_pages: 0,
             kill_at: None,

@@ -22,13 +22,6 @@ use shield5g_mw::{BreakerCore, BreakerDecision, BreakerPolicy, BreakerTransition
 use shield5g_sim::time::SimTime;
 use std::collections::BTreeSet;
 
-/// Thresholds for ejection and reinstatement.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HealthPolicy {
-    /// The trip/recovery machine: EWMA threshold, hold-off, probes.
-    pub breaker: BreakerPolicy,
-}
-
 /// A routing-relevant health transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealthEvent {
@@ -48,11 +41,12 @@ pub struct HealthTracker {
 }
 
 impl HealthTracker {
-    /// A tracker with no history: every replica starts healthy.
+    /// A tracker with no history: every replica starts healthy, and
+    /// each trips and recovers by the default [`BreakerPolicy`].
     #[must_use]
-    pub(crate) fn new(policy: HealthPolicy) -> Self {
+    pub(crate) fn new() -> Self {
         HealthTracker {
-            core: BreakerCore::new(policy.breaker),
+            core: BreakerCore::new(BreakerPolicy::default()),
             ejected: BTreeSet::new(),
         }
     }
@@ -128,7 +122,7 @@ mod tests {
     use shield5g_mw::BreakerState;
 
     fn tracker() -> HealthTracker {
-        HealthTracker::new(HealthPolicy::default())
+        HealthTracker::new()
     }
 
     fn trip(t: &mut HealthTracker, id: ReplicaId, now: SimTime) {
@@ -157,7 +151,7 @@ mod tests {
         trip(&mut t, 1, t0);
         // Not due inside the hold-off.
         assert!(!t.due_probe(1, t0));
-        let later = t0 + HealthPolicy::default().breaker.open_for;
+        let later = t0 + BreakerPolicy::default().open_for;
         assert!(t.due_probe(1, later));
         // The probe slot is claimed: no second probe until it resolves.
         assert!(!t.due_probe(1, later));
@@ -174,7 +168,7 @@ mod tests {
         let mut t = tracker();
         let t0 = SimTime::from_nanos(0);
         trip(&mut t, 1, t0);
-        let later = t0 + HealthPolicy::default().breaker.open_for;
+        let later = t0 + BreakerPolicy::default().open_for;
         assert!(t.due_probe(1, later));
         assert_eq!(
             t.note_probe(1, false, later),
@@ -183,7 +177,7 @@ mod tests {
         assert!(t.is_ejected(1));
         // Fresh hold-off: not due again until it passes.
         assert!(!t.due_probe(1, later));
-        assert!(t.due_probe(1, later + HealthPolicy::default().breaker.open_for));
+        assert!(t.due_probe(1, later + BreakerPolicy::default().open_for));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use harness::{
     pool_sweep, probe_service_time, run_scaling_point, scaling_points, ScalingPoint, ScalingRow,
     SweepConfig,
 };
-pub use health::{HealthEvent, HealthPolicy, HealthTracker};
+pub use health::{HealthEvent, HealthTracker};
 pub use metrics::{ClassReport, PoolReport, ReplicaLoadStats, RunRecorder};
 pub use openloop::{run_scenario, Audit, Outcome, Scenario, Tallies};
 pub use pool::{EnclavePool, PoolConfig, Replica, ReplicaState};

@@ -42,7 +42,7 @@
 //!   the run keeps, and each settle pass empties it.
 
 use crate::avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy};
-use crate::health::{HealthEvent, HealthPolicy};
+use crate::health::HealthEvent;
 use crate::metrics::{ClassReport, PoolReport, RecoveryStats, RecoveryTracker, RunRecorder};
 use crate::pool::{EnclavePool, FailoverReport, PoolConfig};
 use crate::router::ReplicaId;
@@ -94,8 +94,9 @@ pub struct Scenario {
     pub cache: Option<AvCacheConfig>,
     /// Client supervision retries guarding every pool request.
     pub retry: RetryPolicy,
-    /// Health-gated routing thresholds; `None` disables ejection.
-    pub health: Option<HealthPolicy>,
+    /// Health-gated routing: replicas whose failure EWMA trips are
+    /// ejected from the ring until a half-open probe succeeds.
+    pub health: bool,
     /// Brownout trigger; `None` keeps batch prefetching unconditionally.
     pub brownout: Option<BrownoutPolicy>,
     /// EPC thrash pages charged to every replica for the whole run.
@@ -373,7 +374,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
     let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
     let ues = sc.workload.ues as usize;
     let supis: Vec<Supi> = (0..=sc.workload.ues).map(test_subscriber).collect();
-    let provisioned = if sc.health.is_some() { ues + 1 } else { ues };
+    let provisioned = if sc.health { ues + 1 } else { ues };
     for &supi in &supis[..provisioned] {
         pool.provision_subscriber(&mut env, supi, K);
     }
@@ -386,8 +387,8 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
         }
     }
     pool.rebaseline();
-    if let Some(policy) = sc.health {
-        pool.enable_health(policy);
+    if sc.health {
+        pool.enable_health();
     }
 
     let mut wl_rng = env.rng.fork(&format!("{}-workload", sc.name));

@@ -12,7 +12,7 @@
 //! so per-replica EENTER/AEX deltas in the pool metrics are real counter
 //! reads, not divisions of an aggregate.
 
-use crate::health::{HealthEvent, HealthPolicy, HealthTracker};
+use crate::health::{HealthEvent, HealthTracker};
 use crate::queue::QueueConfig;
 use crate::router::{HashRing, ReplicaId};
 use shield5g_core::paka::{paka_image, PakaKind, PakaModule, ServeMetrics, SgxConfig};
@@ -494,8 +494,8 @@ impl EnclavePool {
     /// [`EnclavePool::note_outcome`] feed a per-replica failure EWMA,
     /// and replicas that trip it are ejected from the ring until a
     /// half-open probe succeeds.
-    pub(crate) fn enable_health(&mut self, policy: HealthPolicy) {
-        self.health = Some(HealthTracker::new(policy));
+    pub(crate) fn enable_health(&mut self) {
+        self.health = Some(HealthTracker::new());
     }
 
     /// The health tracker, when enabled.
@@ -693,6 +693,7 @@ fn warmup_udm_request() -> UdmAkaRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_mw::BreakerPolicy;
     use shield5g_ran::workload::{test_subscriber, test_supi};
 
     fn pool(env: &mut Env, replicas: u32, standby: u32) -> EnclavePool {
@@ -901,7 +902,7 @@ mod tests {
     fn unhealthy_replica_is_ejected_probed_and_reinstated() {
         let mut env = env();
         let mut p = pool(&mut env, 2, 0);
-        p.enable_health(HealthPolicy::default());
+        p.enable_health();
         let t0 = env.clock.now();
 
         assert!(eject(&mut p, 0, t0), "sustained failures must eject");
@@ -915,7 +916,7 @@ mod tests {
 
         // Inside the hold-off: no probe yet.
         assert!(p.due_probes(t0).is_empty());
-        let hold_off = HealthPolicy::default().breaker.open_for;
+        let hold_off = BreakerPolicy::default().open_for;
         let later = t0 + hold_off;
         assert_eq!(p.due_probes(later), vec![0]);
         // The slot is claimed until the probe resolves.
@@ -932,11 +933,11 @@ mod tests {
     fn failed_probe_keeps_replica_off_the_ring() {
         let mut env = env();
         let mut p = pool(&mut env, 2, 0);
-        p.enable_health(HealthPolicy::default());
+        p.enable_health();
         let t0 = env.clock.now();
         assert!(eject(&mut p, 1, t0));
 
-        let hold_off = HealthPolicy::default().breaker.open_for;
+        let hold_off = BreakerPolicy::default().open_for;
         let later = t0 + hold_off;
         assert_eq!(p.due_probes(later), vec![1]);
         assert_eq!(
@@ -953,7 +954,7 @@ mod tests {
     fn last_ring_member_is_never_ejected() {
         let mut env = env();
         let mut p = pool(&mut env, 1, 0);
-        p.enable_health(HealthPolicy::default());
+        p.enable_health();
         let now = env.clock.now();
         // Hammer the only replica: the tracker must force-close instead
         // of leaving the ring empty.
@@ -968,13 +969,13 @@ mod tests {
     fn killed_replica_health_history_is_forgotten() {
         let mut env = env();
         let mut p = pool(&mut env, 2, 1);
-        p.enable_health(HealthPolicy::default());
+        p.enable_health();
         let now = env.clock.now();
         assert!(eject(&mut p, 0, now));
         let report = p.kill_replica(&mut env, 0);
         assert!(report.standby_promoted);
         // The dead replica's circuit history died with it: no probes due.
-        let hold_off = HealthPolicy::default().breaker.open_for;
+        let hold_off = BreakerPolicy::default().open_for;
         assert!(p.due_probes(now + hold_off).is_empty());
         assert!(!p.health().unwrap().is_ejected(0));
     }

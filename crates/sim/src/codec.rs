@@ -31,6 +31,10 @@
 //! the list: no writer could use one, and 32 of them would leave every
 //! [`Writer::new`] allocating afresh. An error reply's text is formatted
 //! into a writer-sized buffer instead (`Body::display`).
+//!
+//! A `Body` is moved, never shared: sender, request, engine, service,
+//! response, caller. Only a retry layer's retransmission copies one, so
+//! reference counting would add an allocation per message and save none.
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;

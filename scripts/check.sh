@@ -48,12 +48,12 @@ sh scripts/alloc_budget.sh
 echo "==> experiments (every paper figure, table and sweep at bench reps; fails on an out-of-band paper check or on drift from the committed record)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
 # with the *package* directory as cwd, so a relative artifact dir would
-# land under crates/bench/. SHIELD5G_REPS and SHIELD5G_BENCH_SMOKE are
-# unset so that a developer's shell cannot cause false drift. A full run
+# land under crates/bench/. SHIELD5G_REPS is unset so that a developer's
+# shell cannot cause false drift. A full run
 # writes BENCH_paper.json (one record per paper check), the four sweep
 # BENCH documents and EXPERIMENTS.md with every row's block spliced in;
 # each must be byte-identical to its committed copy at the root.
-env -u SHIELD5G_REPS -u SHIELD5G_BENCH_SMOKE \
+env -u SHIELD5G_REPS \
   cargo bench --offline -p shield5g-bench --bench experiments
 for artifact in \
   BENCH_paper.json BENCH_pool_scaling.json BENCH_ablation.json BENCH_fault_sweep.json \

@@ -241,7 +241,7 @@ fn faulted_pool_run(arrivals: u32) -> u64 {
         emergency_period: 0,
         cache: None,
         retry: RetryPolicy::supervision(),
-        health: None,
+        health: false,
         brownout: None,
         thrash_pages: 0,
         kill_at: None,
@@ -310,7 +310,7 @@ fn cached_pool_run(arrivals: u32) -> u64 {
         emergency_period: 0,
         cache: Some(AvCacheConfig::default()),
         retry: RetryPolicy::disabled(),
-        health: None,
+        health: false,
         brownout: None,
         thrash_pages: 0,
         kill_at: None,

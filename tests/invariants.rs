@@ -42,7 +42,7 @@ use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::ue::CotsUe;
 use shield5g::ran::workload::WorkloadSpec;
 use shield5g::scale::openloop::{run_scenario, Scenario};
-use shield5g::scale::{AvCacheConfig, BrownoutPolicy, HealthPolicy, PoolConfig, QueueConfig};
+use shield5g::scale::{AvCacheConfig, BrownoutPolicy, PoolConfig, QueueConfig};
 use shield5g::sim::time::SimDuration;
 use shield5g::sim::Env;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -181,7 +181,7 @@ fn scenario(d: [u64; 19]) -> (Scenario, FaultConfig) {
             max_retries: narrow(retries),
             ..RetryPolicy::supervision()
         },
-        health: (health > 0).then(HealthPolicy::default),
+        health: health > 0,
         brownout: (brownout > 0).then(|| BrownoutPolicy {
             enter_above: SimDuration::from_millis(1),
             ..BrownoutPolicy::default()
