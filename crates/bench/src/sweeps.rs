@@ -11,14 +11,10 @@
 //! the golden and merge-determinism tests call them directly.
 
 use crate::runner::{self, Job, RunnerStats};
-use shield5g_core::harness::{
-    deploy_module, measure_response_times, standard_request, ModuleDeployment,
-};
+use shield5g_core::harness::{deploy_module, sample_response_times, ModuleDeployment};
 use shield5g_core::paka::{PakaKind, SgxConfig};
-use shield5g_core::remote::PakaClient;
 use shield5g_core::stats::Summary;
 use shield5g_faults::{self as faults, DegradationReport, FaultReport};
-use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_scale::avcache::AvCacheConfig;
@@ -28,8 +24,6 @@ use shield5g_scale::harness::{
 use shield5g_scale::metrics::PoolReport;
 use shield5g_scale::queue::QueueConfig;
 use shield5g_sim::time::SimDuration;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One executed sweep: what to print, what to export, and how fast the
 /// runner got it done. `lines` and `points` are in canonical point
@@ -466,34 +460,25 @@ pub fn ablation_sweep(
 /// OCALLs, and a user-level (mTCP/DPDK-style) network stack that handles
 /// the syscall choreography in-enclave.
 fn ablation_optimizations(seed: u64, reps: u32) -> Result<[(&'static str, Summary); 3], String> {
-    let stable = |seed, config| {
+    let stable = |seed, config, userspace_net| {
         let sgx = ModuleDeployment::Sgx(config);
-        Summary::of(&measure_response_times(seed, PakaKind::EUdm, sgx, reps).1)
+        let (mut env, mut module) = deploy_module(seed, PakaKind::EUdm, sgx);
+        module.set_userspace_net(userspace_net);
+        let samples =
+            sample_response_times(&mut env, module, reps).map_err(|e| format!("eUDM call: {e}"))?;
+        Ok::<_, String>(Summary::of(&samples[1..]))
     };
-    let baseline = stable(seed, SgxConfig::default());
-    let exitless = stable(
-        seed + 1,
-        SgxConfig {
-            exitless: true,
-            ..SgxConfig::default()
-        },
-    );
-    let sgx = ModuleDeployment::Sgx(SgxConfig::default());
-    let (mut env, mut module) = deploy_module(seed + 2, PakaKind::EUdm, sgx);
-    module.set_userspace_net(true);
-    let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
-    let mut client = PakaClient::new(Rc::new(RefCell::new(module)), bridge, "vnf.oai");
-    let request = standard_request(PakaKind::EUdm);
-    for _ in 0..=reps {
-        client
-            .call(&mut env, &request.path, request.body.clone())
-            .map_err(|e| format!("user-level tcp call: {e}"))?;
-    }
-    let user_level_tcp = Summary::of(&client.metrics().borrow().response_times[1..]);
+    let exitless = SgxConfig {
+        exitless: true,
+        ..SgxConfig::default()
+    };
     Ok([
-        ("sgx baseline", baseline),
-        ("exitless ocalls", exitless),
-        ("user-level tcp (mtcp)", user_level_tcp),
+        ("sgx baseline", stable(seed, SgxConfig::default(), false)?),
+        ("exitless ocalls", stable(seed + 1, exitless, false)?),
+        (
+            "user-level tcp (mtcp)",
+            stable(seed + 2, SgxConfig::default(), true)?,
+        ),
     ])
 }
 

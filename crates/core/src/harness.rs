@@ -9,18 +9,25 @@
 //! helpers.
 
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
+use crate::remote::PakaClient;
 use crate::stats::Summary;
+use crate::CoreError;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_hmee::platform::SgxPlatform;
+use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_infra::host::Host;
 use shield5g_infra::image::Registry;
 use shield5g_nf::backend::{
     AkaOp, AmfAkaRequest, AusfAkaRequest, DeriveKamf, DeriveSe, GenerateAv, UdmAkaRequest,
 };
+use shield5g_sim::engine::Engine;
 use shield5g_sim::http::{HttpRequest, SharedPaths};
+use shield5g_sim::service::service_handle;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const K: [u8; 16] = [0x46; 16];
 const OPC: [u8; 16] = [0xcd; 16];
@@ -134,25 +141,37 @@ pub fn measure_response_times(
     reps: u32,
 ) -> (SimDuration, Vec<SimDuration>) {
     let (mut env, module) = deploy_module(seed, kind, deployment);
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let mut client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
-    let request = standard_request(kind);
-    for _ in 0..=reps {
-        #[expect(clippy::expect_used, reason = "the standard request fits its module")]
-        client
-            .call(&mut env, &request.path, request.body.clone())
-            .expect("module call");
-    }
+    #[expect(clippy::expect_used, reason = "the standard request fits its module")]
+    let mut samples = sample_response_times(&mut env, module, reps).expect("module call");
+    (samples.remove(0), samples)
+}
+
+/// R of each of `reps + 1` [`standard_request`]s to `module` through a
+/// fresh VNF-side client, the initial one first.
+///
+/// # Errors
+///
+/// Returns the first failed call's [`CoreError`].
+pub fn sample_response_times(
+    env: &mut Env,
+    module: PakaModule,
+    reps: u32,
+) -> Result<Vec<SimDuration>, CoreError> {
+    let request = standard_request(module.kind());
+    let mut client = vnf_client(module);
     let metrics = client.metrics();
-    let m = metrics.borrow();
-    let initial = m.response_times[0];
-    (initial, m.response_times[1..].to_vec())
+    (0..=reps)
+        .map(|_| {
+            client.call(env, &request.path, request.body.clone())?;
+            Ok(metrics.get().last)
+        })
+        .collect()
+}
+
+/// A VNF-side client of `module` over a bridge of its own.
+fn vnf_client(module: PakaModule) -> PakaClient {
+    let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
+    PakaClient::new(Rc::new(RefCell::new(module)), bridge, "vnf.oai")
 }
 
 /// One row of the concurrency sweep.
@@ -174,25 +193,16 @@ pub(crate) fn module_engine(
     seed: u64,
     kind: PakaKind,
     deployment: ModuleDeployment,
-) -> (Env, shield5g_sim::engine::Engine) {
+) -> (Env, Engine) {
     let (mut env, mut module) = deploy_module(seed, kind, deployment);
     let _ = module.serve(&mut env, standard_request(kind)); // warm
     let workers = module.app_threads();
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
-    let mut engine = shield5g_sim::engine::Engine::new();
+    let endpoint = vnf_client(module).endpoint();
+    let mut engine = Engine::new();
     engine.register(
         kind.endpoint(),
         workers,
-        shield5g_sim::engine::Engine::leaf(shield5g_sim::service::service_handle(
-            client.endpoint(),
-        )),
+        Engine::leaf(service_handle(endpoint)),
     );
     (env, engine)
 }

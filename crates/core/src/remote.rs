@@ -25,7 +25,7 @@ use shield5g_sim::service::Service;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::tls::{establish, TlsIdentity, TlsSession};
 use shield5g_sim::Env;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// VNF-side client work per offload call (TLS client handshake crypto,
@@ -48,12 +48,17 @@ const HANDSHAKE_FRAMES: [usize; 7] = [74, 74, 66, 517, 1290, 324, 280];
 /// this block, which is as long as the longest.
 static HANDSHAKE_ZEROS: [u8; 1290] = [0; 1290];
 
-/// Latency samples collected at the VNF for one module. L_F and L_T are
-/// the module's own: [`PakaModule::serve`] reports them per request.
-#[derive(Clone, Debug, Default)]
+/// The VNF's running tally of one module's response times (R), fixed in
+/// size; a caller that needs every sample reads `last` after each call.
+/// L_F and L_T are the module's own: [`PakaModule::serve`] reports them.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ModuleMetricsLog {
-    /// Response times (R) as seen by the VNF.
-    pub response_times: Vec<SimDuration>,
+    /// Calls finished, failed ones included.
+    pub calls: u64,
+    /// The sum of their response times.
+    pub total: SimDuration,
+    /// The response time of the latest call.
+    pub last: SimDuration,
 }
 
 /// The module side of the offload path as a discrete-event endpoint: a
@@ -92,7 +97,7 @@ pub struct PakaClient {
     /// here only with the session in hand and sealed in place at once, so
     /// between calls this is ciphertext, never an OPc or a K_AUSF.
     record: Vec<u8>,
-    metrics: Rc<RefCell<ModuleMetricsLog>>,
+    metrics: Rc<Cell<ModuleMetricsLog>>,
 }
 
 impl std::fmt::Debug for PakaClient {
@@ -121,13 +126,13 @@ impl PakaClient {
             paths: SharedPaths::default(),
             sessions: None,
             record: Vec::new(),
-            metrics: Rc::new(RefCell::new(ModuleMetricsLog::default())),
+            metrics: Rc::default(),
         }
     }
 
-    /// The shared metrics log (read by the characterization harness).
+    /// A handle on this client's R tally, which each finished call updates.
     #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
+    pub fn metrics(&self) -> Rc<Cell<ModuleMetricsLog>> {
         self.metrics.clone()
     }
 
@@ -259,8 +264,8 @@ impl PakaClient {
     }
 
     /// Second half of an offloaded call: carries the sealed response record
-    /// back across the bridge, charges the client-side read path, logs the
-    /// response time R, and maps module failures.
+    /// back across the bridge, charges the client-side read path, tallies
+    /// the response time R, and maps module failures.
     ///
     /// # Errors
     ///
@@ -277,10 +282,11 @@ impl PakaClient {
         // Client-side record decrypt + read path.
         env.clock.advance(SimDuration::from_micros(9));
 
-        self.metrics
-            .borrow_mut()
-            .response_times
-            .push(env.clock.now() - token.issued);
+        let mut tally = self.metrics.get();
+        tally.last = env.clock.now() - token.issued;
+        tally.calls += 1;
+        tally.total += tally.last;
+        self.metrics.set(tally);
         if resp.is_success() {
             Ok(resp.body)
         } else {
@@ -292,7 +298,7 @@ impl PakaClient {
         }
     }
 
-    /// One offloaded call: returns the response body and logs R.
+    /// One offloaded call: returns the response body and tallies R.
     /// The synchronous form used by the direct-characterization harness
     /// (§V-A2 experiments 1–3 measure the module in isolation, with no
     /// engine contention in the path).
@@ -613,29 +619,43 @@ mod tests {
         );
     }
 
+    /// Calls `client` `n` times and returns R for each call, read from the
+    /// tally after it.
+    fn sample_r(env: &mut Env, client: &mut PakaClient, n: usize) -> Vec<SimDuration> {
+        let body = av_request().encode();
+        let metrics = client.metrics();
+        (0..n)
+            .map(|_| {
+                client.call(env, GenerateAv::PATH, body.clone()).unwrap();
+                metrics.get().last
+            })
+            .collect()
+    }
+
     #[test]
     fn response_time_logged_and_sgx_slower() {
         let (mut env_c, mut client_c) = setup(false, PakaKind::EUdm);
         let (mut env_s, mut client_s) = setup(true, PakaKind::EUdm);
-        let body = av_request().encode();
         // Warm both, then sample.
-        for _ in 0..=20 {
-            client_c
-                .call(&mut env_c, GenerateAv::PATH, body.clone())
-                .unwrap();
-            client_s
-                .call(&mut env_s, GenerateAv::PATH, body.clone())
-                .unwrap();
-        }
-        let mc = client_c.metrics();
-        let ms = client_s.metrics();
-        let rc = crate::stats::Summary::of(&mc.borrow().response_times[1..]);
-        let rs = crate::stats::Summary::of(&ms.borrow().response_times[1..]);
+        let rc = crate::stats::Summary::of(&sample_r(&mut env_c, &mut client_c, 21)[1..]);
+        let rs = crate::stats::Summary::of(&sample_r(&mut env_s, &mut client_s, 21)[1..]);
         let ratio = rs.median_ratio_to(&rc);
         assert!(ratio > 1.8 && ratio < 3.5, "R_S/R_C = {ratio:.2}");
-        // `call` logs one R per call.
-        assert_eq!(mc.borrow().response_times.len(), 21);
-        assert_eq!(ms.borrow().response_times.len(), 21);
+        // `call` tallies one R per call.
+        assert_eq!(client_c.metrics().get().calls, 21);
+        assert_eq!(client_s.metrics().get().calls, 21);
+    }
+
+    #[test]
+    fn the_tally_counts_every_call_and_sums_their_r() {
+        let (mut env, mut client) = setup(true, PakaKind::EUdm);
+        let samples = sample_r(&mut env, &mut client, 7);
+        let tally = client.metrics().get();
+        assert_eq!(tally.calls, 7);
+        assert_eq!(tally.total, samples.iter().copied().sum());
+        assert_eq!(tally.last, samples[6]);
+        // The initial call pays the cold path, so the samples differ.
+        assert!(samples[0] > samples[1], "{samples:?}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use shield5g_sim::engine::{Engine, EngineServiceHandle};
 use shield5g_sim::http::HttpRequest;
 use shield5g_sim::service::service_handle;
 use shield5g_sim::Env;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Worker threads per leaf service (UDR/UPF/NRF): effectively unbounded —
@@ -178,9 +178,15 @@ pub struct Slice {
     /// [`BreakerLayer`] — one circuit table per peer address, readable
     /// after runs (states, failure EWMAs, trip counters).
     pub breaker: shield5g_mw::BreakerHandle,
-    modules: Vec<(PakaKind, Rc<RefCell<PakaModule>>)>,
-    backend_metrics: Vec<(PakaKind, Rc<RefCell<ModuleMetricsLog>>)>,
+    modules: Vec<Offloaded>,
 }
+
+/// A module of an offloading slice, with its VNF's R tally.
+type Offloaded = (
+    PakaKind,
+    Rc<RefCell<PakaModule>>,
+    Rc<Cell<ModuleMetricsLog>>,
+);
 
 impl std::fmt::Debug for Slice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -196,20 +202,18 @@ impl Slice {
     /// The module of the given kind (None for monolithic slices).
     #[must_use]
     pub fn module(&self, kind: PakaKind) -> Option<Rc<RefCell<PakaModule>>> {
-        self.modules
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m.clone())
+        self.offloaded(kind).map(|(_, m, _)| m.clone())
     }
 
-    /// The in-slice backend metric log for a module (R samples collected
-    /// from real registrations flowing through the slice).
+    /// The R tally of a module's in-slice client as it stands now (None for
+    /// monolithic slices).
     #[must_use]
-    pub fn backend_metrics(&self, kind: PakaKind) -> Option<Rc<RefCell<ModuleMetricsLog>>> {
-        self.backend_metrics
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m.clone())
+    pub fn backend_metrics(&self, kind: PakaKind) -> Option<ModuleMetricsLog> {
+        self.offloaded(kind).map(|(.., tally)| tally.get())
+    }
+
+    fn offloaded(&self, kind: PakaKind) -> Option<&Offloaded> {
+        self.modules.iter().find(|(k, ..)| *k == kind)
     }
 
     /// Builds a fresh [`PakaClient`] against a deployed module — the
@@ -322,7 +326,6 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
 
     // AKA backends per deployment.
     let mut modules = Vec::new();
-    let mut backend_metrics = Vec::new();
     // Deploys one extracted module for `vnf` (container, or enclave under
     // `sgx`) and returns the VNF's client to it. Each module is an engine
     // endpoint whose worker count is the enclave's serving-thread budget:
@@ -345,8 +348,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         let workers = module.app_threads();
         let module = Rc::new(RefCell::new(module));
         let client = PakaClient::new(module.clone(), bridge.clone(), vnf);
-        modules.push((kind, module));
-        backend_metrics.push((kind, client.metrics()));
+        modules.push((kind, module, client.metrics()));
         engine.borrow_mut().register(
             kind.endpoint(),
             workers,
@@ -471,7 +473,6 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         fault_switch,
         breaker,
         modules,
-        backend_metrics,
     })
 }
 
@@ -555,7 +556,7 @@ mod tests {
         authenticate_and_check(&mut env, &slice);
         // The backend metric log captured the module round trips.
         let m = slice.backend_metrics(PakaKind::EUdm).unwrap();
-        assert_eq!(m.borrow().response_times.len(), 1);
+        assert_eq!(m.calls, 1);
     }
 
     #[test]

@@ -168,6 +168,17 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 mod tests {
     use super::*;
 
+    /// The dev profile builds this crate at `opt-level = 2` (root
+    /// `Cargo.toml`); its overflow checks stay on all the same. Release
+    /// builds turn them off, so the test exists only where debug
+    /// assertions do.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "attempt to add with overflow")]
+    fn overflow_checks_stay_on_in_the_dev_build() {
+        let _ = core::hint::black_box(u8::MAX) + 1;
+    }
+
     #[test]
     fn ct_eq_matches_equal_slices() {
         assert!(ct_eq(b"abc", b"abc"));

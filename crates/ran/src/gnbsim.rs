@@ -248,10 +248,10 @@ mod tests {
         assert_eq!(slice.upf.borrow().session_count(), n);
         assert_eq!(sim.gnb_mut().tunnel_count(), 0);
         assert_eq!(slice.engine.borrow().stats().live_contexts, 0);
-        // What a registration world must keep: one R per module call.
+        // Every module call is tallied.
         for kind in PakaKind::all() {
-            let log = slice.backend_metrics(kind).unwrap();
-            assert_eq!(log.borrow().response_times.len(), 3 * n, "{}", kind.name());
+            let tally = slice.backend_metrics(kind).unwrap();
+            assert_eq!(tally.calls, 3 * n as u64, "{}", kind.name());
         }
     }
 

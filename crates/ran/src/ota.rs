@@ -140,13 +140,7 @@ impl OtaTestbed {
         PakaKind::all()
             .iter()
             .filter_map(|&k| self.slice.backend_metrics(k))
-            .map(|m| {
-                m.borrow()
-                    .response_times
-                    .iter()
-                    .copied()
-                    .sum::<SimDuration>()
-            })
+            .map(|m| m.total)
             .sum()
     }
 }

@@ -401,13 +401,13 @@ fn registration_world(d: [u64; 5]) -> Result<(), String> {
     let tunnels = sim.gnb_mut().tunnel_count();
     ensure!(tunnels == 0, "{tunnels} gNB tunnels left");
     for kind in PakaKind::all() {
-        if let (Some(module), Some(log)) = (slice.module(kind), slice.backend_metrics(kind)) {
+        if let (Some(module), Some(tally)) = (slice.module(kind), slice.backend_metrics(kind)) {
             let served = module.borrow().requests_served();
-            let samples = log.borrow().response_times.len() as u64;
             ensure!(
-                samples == served,
-                "{} kept {samples} R samples for {served} calls",
-                kind.name()
+                tally.calls == served,
+                "{} tallied {} R samples for {served} calls",
+                kind.name(),
+                tally.calls
             );
         }
     }
