@@ -793,7 +793,7 @@ fn ablation(_seed: u64, reps: u32) -> Result<Outcome, String> {
     };
     // A single enclave sustains several hundred authentications/s, and
     // N replicas about N times that.
-    let (t1, n) = (one.throughput_per_sec, all.instances);
+    let (t1, n) = (one.throughput_per_sec, all.replicas);
     o.band(
         "1 replica",
         "auth/s",
@@ -815,7 +815,7 @@ fn ablation(_seed: u64, reps: u32) -> Result<Outcome, String> {
     let shed: u64 = scaling.iter().map(|r| r.shed).sum();
     let worst = scaling
         .iter()
-        .map(|r| r.stable_response)
+        .map(|r| r.response.median)
         .fold(SimDuration::ZERO, SimDuration::max);
     let ok = shed == 0 && worst < SimDuration::from_millis(20);
     let measured = format!("{shed} shed, worst R {worst}");

@@ -14,14 +14,13 @@ use crate::runner::{self, Job, RunnerStats};
 use shield5g_core::harness::{deploy_module, sample_response_times, ModuleDeployment};
 use shield5g_core::paka::{PakaKind, SgxConfig};
 use shield5g_core::stats::Summary;
-use shield5g_faults::{self as faults, DegradationReport, FaultReport};
+use shield5g_faults::{self as faults, degradation, sweep, Point};
 use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_scale::avcache::AvCacheConfig;
-use shield5g_scale::harness::{
-    pool_sweep, probe_service_time, run_scaling_point, scaling_points, ScalingRow, SweepConfig,
-};
+use shield5g_scale::harness::{pool_sweep, probe_service_time, SweepConfig};
 use shield5g_scale::metrics::PoolReport;
+use shield5g_scale::openloop::{run_scenario, Outcome};
 use shield5g_scale::queue::QueueConfig;
 use shield5g_sim::time::SimDuration;
 
@@ -164,10 +163,43 @@ fn availability(served: u64, arrivals: u64) -> f64 {
     100.0 * served as f64 / arrivals as f64
 }
 
-fn fault_point(scenario: &str, rate: f64, report: &FaultReport) -> String {
+/// One job per point: the point's run, recorded by `record`.
+fn scenario_jobs(points: &[Point], record: fn(&Outcome)) -> Vec<Job<Outcome>> {
+    points
+        .iter()
+        .map(|&point| {
+            Box::new(move || {
+                let outcome = run_scenario(point.seed, &point.scenario);
+                record(&outcome);
+                outcome
+            }) as Job<Outcome>
+        })
+        .collect()
+}
+
+/// One fault-sweep run on one line: pool, recovery, SBI faults, retries
+/// and crash reloads.
+fn fault_summary(report: &Outcome) -> String {
+    let retry = report.tallies.retry;
+    format!(
+        "{}; {}; sbi drop/delay/5xx {}/{}/{}, {} retransmissions \
+         ({} recovered, {} exhausted), {} crash reloads",
+        report.pool,
+        report.recovery,
+        report.sbi.drops,
+        report.sbi.delays,
+        report.sbi.errors,
+        retry.retries,
+        retry.recovered,
+        retry.exhausted,
+        report.crash_recoveries,
+    )
+}
+
+fn fault_point(spec: &Point, report: &Outcome) -> String {
     JsonObj::new()
-        .str("scenario", scenario)
-        .f64("sbi_fault_rate", rate)
+        .str("scenario", spec.label)
+        .f64("sbi_fault_rate", spec.rate)
         .u64("arrivals", report.pool.arrivals)
         .u64("served", report.pool.served)
         .u64("shed", report.pool.shed)
@@ -182,7 +214,7 @@ fn fault_point(scenario: &str, rate: f64, report: &FaultReport) -> String {
         .u64("sbi_drops", report.sbi.drops)
         .u64("sbi_delays", report.sbi.delays)
         .u64("sbi_errors", report.sbi.errors)
-        .u64("purged_avs", report.purged_avs as u64)
+        .u64("purged_avs", report.tallies.purged_avs as u64)
         .u64("crash_recoveries", report.crash_recoveries)
         .raw("response", &report.pool.response.to_json())
         .render()
@@ -201,10 +233,7 @@ fn fault_point(scenario: &str, rate: f64, report: &FaultReport) -> String {
 pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> SweepRun {
     let _scope = hub::scoped(hub);
     let specs = faults::bench_points(smoke);
-    let jobs: Vec<Job<FaultReport>> = specs
-        .iter()
-        .map(|&spec| Box::new(move || faults::run_point(&spec)) as Job<FaultReport>)
-        .collect();
+    let jobs = scenario_jobs(&specs, sweep::record_obs);
     let (reports, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
@@ -215,7 +244,7 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
         "rate", "avail", "mttr", "goodput/s", "ampl", "drop/dly/5xx"
     ));
     for (spec, report) in specs.iter().zip(&reports) {
-        match spec.scenario {
+        match spec.label {
             "sbi_fault_rate" => {
                 lines.push(format!(
                     "      {:>5.0}%  {:>6.1}%  {:>10}  {:>10.0}  {:>5.2}x  {:>4}/{}/{}",
@@ -231,7 +260,7 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
             }
             "replica_kill" => {
                 #[expect(clippy::expect_used, reason = "this point's `kill_at` fires")]
-                let failover = report.failover.as_ref().expect("kill_at fired");
+                let failover = report.tallies.failover.as_ref().expect("kill_at fired");
                 lines.push(String::new());
                 lines
                     .push("    Replica death with warm-standby failover (AV cache on):".to_owned());
@@ -240,9 +269,9 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
                     availability(report.pool.served, report.pool.arrivals),
                     failover.failover,
                     failover.standby_promoted,
-                    report.purged_avs,
+                    report.tallies.purged_avs,
                 ));
-                lines.push(format!("      {report}"));
+                lines.push(format!("      {}", fault_summary(report)));
             }
             _ => {
                 lines.push(String::new());
@@ -255,10 +284,10 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
                     report.pool.response.max,
                     report.pool.response.max > SimDuration::from_secs(30),
                 ));
-                lines.push(format!("      {report}"));
+                lines.push(format!("      {}", fault_summary(report)));
             }
         }
-        points.push(fault_point(spec.scenario, spec.rate, report));
+        points.push(fault_point(spec, report));
     }
     lines.push(String::new());
     lines.push("    Every run is a pure function of its seed: the fault schedule,".to_owned());
@@ -273,46 +302,36 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
     }
 }
 
-fn degradation_point(scenario: &str, rate: f64, report: &DegradationReport) -> String {
+fn degradation_point(spec: &Point, report: &Outcome) -> String {
+    let (normal, emergency) = (report.tallies.normal, report.tallies.emergency);
+    let brownout = report.brownout;
     let mut obj = JsonObj::new()
-        .str("scenario", scenario)
-        .f64("sbi_fault_rate", rate)
-        .u64(
-            "arrivals",
-            report.normal.arrivals + report.emergency.arrivals,
-        )
-        .u64("normal_arrivals", report.normal.arrivals)
-        .u64("normal_served", report.normal.served)
-        .u64("normal_lost", report.normal.lost)
-        .f64(
-            "normal_availability_pct",
-            100.0 * report.normal.availability,
-        )
-        .f64("normal_goodput_per_sec", report.normal.goodput_per_sec)
-        .u64("emergency_arrivals", report.emergency.arrivals)
-        .u64("emergency_served", report.emergency.served)
-        .u64("emergency_lost", report.emergency.lost)
-        .f64(
-            "emergency_availability_pct",
-            100.0 * report.emergency.availability,
-        )
-        .f64(
-            "emergency_goodput_per_sec",
-            report.emergency.goodput_per_sec,
-        )
+        .str("scenario", spec.label)
+        .f64("sbi_fault_rate", spec.rate)
+        .u64("arrivals", normal.arrivals + emergency.arrivals)
+        .u64("normal_arrivals", normal.arrivals)
+        .u64("normal_served", normal.served)
+        .u64("normal_lost", normal.lost)
+        .f64("normal_availability_pct", 100.0 * normal.availability)
+        .f64("normal_goodput_per_sec", normal.goodput_per_sec)
+        .u64("emergency_arrivals", emergency.arrivals)
+        .u64("emergency_served", emergency.served)
+        .u64("emergency_lost", emergency.lost)
+        .f64("emergency_availability_pct", 100.0 * emergency.availability)
+        .f64("emergency_goodput_per_sec", emergency.goodput_per_sec)
         .u64("shed_normal", report.sheds.normal)
         .u64("shed_emergency", report.sheds.emergency)
-        .u64("retries", report.retry.retries)
+        .u64("retries", report.tallies.retry.retries)
         .u64("sbi_drops", report.sbi.drops)
         .u64("sbi_delays", report.sbi.delays)
         .u64("sbi_errors", report.sbi.errors)
-        .u64("ejections", report.ejections)
-        .u64("reinstatements", report.reinstatements)
-        .u64("probes", report.probes)
-        .u64("brownout_entries", report.brownout_entries)
-        .u64("brownout_exits", report.brownout_exits)
+        .u64("ejections", report.tallies.ejections)
+        .u64("reinstatements", report.tallies.reinstatements)
+        .u64("probes", report.tallies.probes)
+        .u64("brownout_entries", brownout.map_or(0, |b| b.entries))
+        .u64("brownout_exits", brownout.map_or(0, |b| b.exits))
         .u64("span_ns", report.span.as_nanos());
-    if let Some(ewma) = report.latency_ewma_ns {
+    if let Some(ewma) = brownout.and_then(|b| b.latency_ewma_ns) {
         obj = obj.f64("latency_ewma_us", ewma / 1_000.0);
     }
     obj.render()
@@ -328,12 +347,7 @@ fn degradation_point(scenario: &str, rate: f64, report: &DegradationReport) -> S
 pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> SweepRun {
     let _scope = hub::scoped(hub);
     let specs = faults::degradation_points(smoke);
-    let jobs: Vec<Job<DegradationReport>> = specs
-        .iter()
-        .map(|&spec| {
-            Box::new(move || faults::run_degradation_point(&spec)) as Job<DegradationReport>
-        })
-        .collect();
+    let jobs = scenario_jobs(&specs, degradation::record_obs);
     let (reports, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
@@ -347,21 +361,23 @@ pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> 
         "rate", "normal", "emerg", "shed n/e", "eject/back", "retries"
     ));
     for (spec, report) in specs.iter().zip(&reports) {
-        match spec.scenario {
+        let (normal, emergency) = (report.tallies.normal, report.tallies.emergency);
+        match spec.label {
             "fault_ramp" => {
                 lines.push(format!(
                     "      {:>5.0}%  {:>7.1}%  {:>7.1}%  {:>4}/{:<4}  {:>5}/{:<5}  {:>8}",
                     100.0 * spec.rate,
-                    100.0 * report.normal.availability,
-                    100.0 * report.emergency.availability,
+                    100.0 * normal.availability,
+                    100.0 * emergency.availability,
                     report.sheds.normal,
                     report.sheds.emergency,
-                    report.ejections,
-                    report.reinstatements,
-                    report.retry.retries,
+                    report.tallies.ejections,
+                    report.tallies.reinstatements,
+                    report.tallies.retry.retries,
                 ));
             }
             _ => {
+                let brownout = report.brownout;
                 lines.push(String::new());
                 lines.push(
                     "    Cache brownout under EPC thrash (prefetch off, cache-only hits):"
@@ -370,15 +386,15 @@ pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> 
                 lines.push(format!(
                     "      normal {:.1}%, emergency {:.1}%, brownout in/out {}/{}, \
                      latency EWMA {:.0} us",
-                    100.0 * report.normal.availability,
-                    100.0 * report.emergency.availability,
-                    report.brownout_entries,
-                    report.brownout_exits,
-                    report.latency_ewma_ns.unwrap_or(0.0) / 1_000.0,
+                    100.0 * normal.availability,
+                    100.0 * emergency.availability,
+                    brownout.map_or(0, |b| b.entries),
+                    brownout.map_or(0, |b| b.exits),
+                    brownout.and_then(|b| b.latency_ewma_ns).unwrap_or(0.0) / 1_000.0,
                 ));
             }
         }
-        points.push(degradation_point(spec.scenario, spec.rate, report));
+        points.push(degradation_point(spec, report));
     }
     lines.push(String::new());
     lines.push("    Emergency registrations (TS 23.501 §5.16.4) ride reserved queue".to_owned());
@@ -401,9 +417,15 @@ pub enum AblationPoint {
     /// The optimisation ablation on eUDM: each configuration's label and
     /// stable response times, the SGX baseline first.
     Optimisations(Box<[(&'static str, Summary); 3]>),
-    /// One horizontal-scaling instance count.
-    Scaling(ScalingRow),
+    /// One horizontal-scaling instance count: its pool's report.
+    Scaling(Box<PoolReport>),
 }
+
+/// Per-replica utilisation target of the horizontal-scaling jobs: high
+/// enough that throughput tracks offered load, low enough that
+/// consistent-hash load imbalance cannot push a single replica past
+/// saturation.
+const SCALING_UTILISATION: f64 = 0.65;
 
 /// The §V-B7 ablation sweep: the optimisation ablation (one job — its
 /// rows share an engine run) plus one job per horizontal-scaling
@@ -429,9 +451,21 @@ pub fn ablation_sweep(
     let mut jobs: Vec<Job<Result<AblationPoint, String>>> = vec![Box::new(move || {
         ablation_optimizations(1800, reps).map(|rows| AblationPoint::Optimisations(Box::new(rows)))
     })];
-    for point in scaling_points(1900, scaling_reps, max_instances, service) {
+    // Pools of 1..=max_instances replicas at a fixed per-replica
+    // utilisation of the probed capacity, so that below saturation the
+    // throughput is near-linear in the replica count.
+    let per_replica_rate = SCALING_UTILISATION / service.as_secs_f64();
+    for instances in 1..=max_instances {
+        let cfg = SweepConfig {
+            replicas: instances,
+            offered_per_sec: per_replica_rate * f64::from(instances),
+            arrivals: (scaling_reps * 12).max(60) * instances,
+            ues: 40 * instances,
+            ..SweepConfig::default()
+        };
+        let seed = 1900 + u64::from(instances);
         jobs.push(Box::new(move || {
-            Ok(AblationPoint::Scaling(run_scaling_point(&point)))
+            Ok(AblationPoint::Scaling(Box::new(pool_sweep(seed, &cfg))))
         }));
     }
     let (outputs, stats) = runner::run_sweep(hub, threads, jobs);
@@ -442,7 +476,7 @@ pub fn ablation_sweep(
     for point in &measured {
         let (job_lines, job_points) = match point {
             AblationPoint::Optimisations(rows) => ablation_rows(&rows[..]),
-            AblationPoint::Scaling(row) => scaling_row(row),
+            AblationPoint::Scaling(report) => scaling_row(report),
         };
         lines.extend(job_lines);
         points.extend(job_points);
@@ -508,17 +542,18 @@ fn ablation_rows(rows: &[(&str, Summary)]) -> Rendered {
     (lines, points)
 }
 
-fn scaling_row(row: &ScalingRow) -> Rendered {
+fn scaling_row(report: &PoolReport) -> Rendered {
+    let stable = report.response.median;
     let line = format!(
-        "      {} instance(s): stable R {} -> {:.0} authentications/s ({} shed)",
-        row.instances, row.stable_response, row.throughput_per_sec, row.shed
+        "      {} instance(s): stable R {stable} -> {:.0} authentications/s ({} shed)",
+        report.replicas, report.throughput_per_sec, report.shed
     );
     let point = JsonObj::new()
         .str("scenario", "horizontal_scaling")
-        .u64("instances", u64::from(row.instances))
-        .u64("stable_response_ns", row.stable_response.as_nanos())
-        .f64("throughput_per_sec", row.throughput_per_sec)
-        .u64("shed", row.shed)
+        .u64("instances", u64::from(report.replicas))
+        .u64("stable_response_ns", stable.as_nanos())
+        .f64("throughput_per_sec", report.throughput_per_sec)
+        .u64("shed", report.shed)
         .render();
     (vec![line], vec![point])
 }
@@ -530,7 +565,7 @@ mod tests {
     #[test]
     fn fault_points_cover_all_three_layers() {
         let specs = faults::bench_points(true);
-        let scenarios: Vec<&str> = specs.iter().map(|s| s.scenario).collect();
+        let scenarios: Vec<&str> = specs.iter().map(|s| s.label).collect();
         assert_eq!(
             scenarios,
             ["sbi_fault_rate", "replica_kill", "enclave_crash"]
@@ -542,8 +577,8 @@ mod tests {
     #[test]
     fn degradation_points_cover_ramp_and_brownout() {
         let specs = faults::degradation_points(true);
-        assert_eq!(specs.last().map(|s| s.scenario), Some("brownout"));
-        assert!(specs.iter().filter(|s| s.scenario == "fault_ramp").count() >= 2);
+        assert_eq!(specs.last().map(|s| s.label), Some("brownout"));
+        assert!(specs.iter().filter(|s| s.label == "fault_ramp").count() >= 2);
         let full = faults::degradation_points(false);
         assert_eq!(full.len(), 7, "6 ramp rates + brownout");
     }

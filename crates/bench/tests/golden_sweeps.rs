@@ -14,7 +14,8 @@ use shield5g_bench::sweeps::{
 };
 use shield5g_crypto::hex;
 use shield5g_crypto::sha256::Sha256;
-use shield5g_faults::{fault_sweep, FaultConfig, FaultSweepConfig};
+use shield5g_faults::plan::FaultConfig;
+use shield5g_faults::{fault_sweep, FaultSweepConfig};
 use shield5g_obs::export;
 use shield5g_obs::hub::ObsHandle;
 use shield5g_scale::avcache::AvCacheConfig;
@@ -135,7 +136,6 @@ fn pool_faulted_report_matches_golden() {
             drop_rate: 0.1 / 3.0,
             delay_rate: 0.1 / 3.0,
             error_rate: 0.1 / 3.0,
-            ..FaultConfig::default()
         },
         kill_at: Some(pool.arrivals / 2),
         ..FaultSweepConfig::default()

@@ -4,8 +4,8 @@
 //! while faults fire at all three layers the paper's deployment has to
 //! survive:
 //!
-//! 1. **SBI messages** — a seeded [`SbiFaultPlan`] drops, delays, or
-//!    5xx-replaces deliveries on the engine;
+//! 1. **SBI messages** — a seeded [`SbiFaultPlan`](shield5g_mw::SbiFaultPlan)
+//!    drops, delays, or 5xx-replaces deliveries on the engine;
 //! 2. **enclave instances** — a crash marks one replica's enclave lost,
 //!    so its next request pays the full ~60 s reload (Fig. 7) before
 //!    serving again;
@@ -23,20 +23,24 @@
 //!
 //! Everything is a pure function of the seed: workload, fault schedule,
 //! and retry jitter come from separately forked
-//! [`DetRng`](shield5g_sim::rng::DetRng) streams. The run itself is the
-//! shared open-loop driver, [`shield5g_scale::openloop`].
+//! [`DetRng`](shield5g_sim::rng::DetRng) streams. Each point is a
+//! [`Scenario`] for the shared open-loop driver,
+//! [`shield5g_scale::openloop`]; [`bench_points`] lists them, and
+//! [`record_obs`] is what every run of one records.
 
-use crate::plan::{FaultConfig, FaultCounts, SbiFaultPlan};
-use shield5g_mw::{RetryPolicy, RetryStats};
+use crate::Point;
+use shield5g_mw::{FaultConfig, FaultCounts, RetryPolicy, RetryStats};
 use shield5g_obs::{hub as obs, labels};
 use shield5g_ran::workload::WorkloadSpec;
 use shield5g_scale::avcache::AvCacheConfig;
 use shield5g_scale::metrics::{PoolReport, RecoveryStats};
-use shield5g_scale::openloop::{run_scenario, Scenario};
+use shield5g_scale::openloop::{run_scenario, Outcome, Scenario};
 use shield5g_scale::pool::{FailoverReport, PoolConfig};
 use shield5g_scale::queue::QueueConfig;
 
-/// Parameters of one fault-injection experiment.
+/// Parameters of one fault-injection experiment, a builder of its
+/// [`Scenario`].
+/// Public for `benchmark/` (ROADMAP item 2), which names it.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultSweepConfig {
     /// Ready replicas on the ring.
@@ -53,7 +57,7 @@ pub struct FaultSweepConfig {
     pub queue: QueueConfig,
     /// AV pre-generation; `None` = one enclave round trip per request.
     pub cache: Option<AvCacheConfig>,
-    /// SBI message-level fault rates and shapes (layer 1).
+    /// SBI message-level fault rates (layer 1).
     pub sbi: FaultConfig,
     /// Client supervision retries guarding every pool request.
     pub retry: RetryPolicy,
@@ -92,7 +96,9 @@ impl Default for FaultSweepConfig {
     }
 }
 
-/// Results of one fault-injection run.
+/// Results of one fault-injection run: a projection of its [`Outcome`].
+/// Public for `benchmark/` (ROADMAP item 2), which names it and digests
+/// its `Debug` text.
 #[derive(Clone, Debug)]
 pub struct FaultReport {
     /// The usual pool figures (throughput, response, per-replica load).
@@ -111,67 +117,46 @@ pub struct FaultReport {
     pub crash_recoveries: u64,
 }
 
-impl std::fmt::Display for FaultReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}; {}; sbi drop/delay/5xx {}/{}/{}, {} retransmissions \
-             ({} recovered, {} exhausted), {} crash reloads",
-            self.pool,
-            self.recovery,
-            self.sbi.drops,
-            self.sbi.delays,
-            self.sbi.errors,
-            self.retry.retries,
-            self.retry.recovered,
-            self.retry.exhausted,
-            self.crash_recoveries,
-        )
-    }
-}
-
-/// Runs one fault-injection experiment (see the module docs): the
-/// shared open-loop driver with the SBI plan armed.
-///
-/// # Panics
-///
-/// Panics when a cache refill response fails to decode.
-#[must_use]
-pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
-    let mut plan = None;
-    let outcome = run_scenario(
-        seed,
-        &Scenario {
+impl FaultSweepConfig {
+    /// The open-loop scenario this config names.
+    #[must_use]
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
             name: "fault",
             pool: PoolConfig {
-                replicas: cfg.replicas,
-                warm_standby: cfg.warm_standby,
-                queue: cfg.queue,
+                replicas: self.replicas,
+                warm_standby: self.warm_standby,
+                queue: self.queue,
                 ..PoolConfig::default()
             },
             workload: WorkloadSpec {
-                ues: cfg.ues,
-                arrivals: cfg.arrivals,
-                rate_per_sec: cfg.offered_per_sec,
+                ues: self.ues,
+                arrivals: self.arrivals,
+                rate_per_sec: self.offered_per_sec,
             },
             emergency_period: 0,
-            cache: cfg.cache,
-            retry: cfg.retry,
+            cache: self.cache,
+            retry: self.retry,
+            sbi: self.sbi,
             health: false,
             brownout: None,
-            thrash_pages: cfg.thrash_pages,
-            kill_at: cfg.kill_at,
-            crash_at: cfg.crash_at,
-            aex_storm: cfg.aex_storm,
-        },
-        |switch, env| plan = SbiFaultPlan::install(switch, env, cfg.sbi),
-    );
-    let sbi = plan.map_or_else(FaultCounts::default, |p| p.borrow().counts());
+            thrash_pages: self.thrash_pages,
+            kill_at: self.kill_at,
+            crash_at: self.crash_at,
+            aex_storm: self.aex_storm,
+        }
+    }
+}
+
+/// Records one fault-sweep run into the obs registry: recovery figures
+/// under `sweep`, pool figures under `faulted`, and what the SBI plan,
+/// the retries and the crashes did.
+pub fn record_obs(outcome: &Outcome) {
     outcome.recovery.record_obs("sweep");
     outcome.pool.record_obs("faulted");
-    obs::count("faults", "sbi", labels::DROPS, sbi.drops);
-    obs::count("faults", "sbi", labels::DELAYS, sbi.delays);
-    obs::count("faults", "sbi", labels::ERRORS, sbi.errors);
+    obs::count("faults", "sbi", labels::DROPS, outcome.sbi.drops);
+    obs::count("faults", "sbi", labels::DELAYS, outcome.sbi.delays);
+    obs::count("faults", "sbi", labels::ERRORS, outcome.sbi.errors);
     obs::count(
         "faults",
         "retry",
@@ -179,10 +164,23 @@ pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
         outcome.tallies.retry.retries,
     );
     obs::count("faults", "crash", labels::RELOADS, outcome.crash_recoveries);
+}
+
+/// Runs one fault-injection experiment (see the module docs), records
+/// it, and projects its [`Outcome`] into a [`FaultReport`].
+/// Public for `benchmark/` (ROADMAP item 2), which names it.
+///
+/// # Panics
+///
+/// Panics when a cache refill response fails to decode.
+#[must_use]
+pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
+    let outcome = run_scenario(seed, &cfg.scenario());
+    record_obs(&outcome);
     FaultReport {
         pool: outcome.pool,
         recovery: outcome.recovery,
-        sbi,
+        sbi: outcome.sbi,
         retry: outcome.tallies.retry,
         failover: outcome.tallies.failover,
         purged_avs: outcome.tallies.purged_avs,
@@ -190,87 +188,57 @@ pub fn fault_sweep(seed: u64, cfg: &FaultSweepConfig) -> FaultReport {
     }
 }
 
-/// One fully-specified point of the fault-sweep bench: scenario label,
-/// the SBI fault rate the point represents (0 for the instance-failure
-/// scenarios), seed, and config. `Copy + Send`, so a parallel sweep
-/// runner can move points onto worker threads; running a point is a
-/// pure function of this struct.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultSweepPoint {
-    /// Scenario label the bench reports (`sbi_fault_rate`,
-    /// `replica_kill`, `enclave_crash`).
-    pub scenario: &'static str,
-    /// Total SBI fault rate of the point (split evenly across
-    /// drop/delay/5xx).
-    pub rate: f64,
-    /// Seed of this point's run.
-    pub seed: u64,
-    /// The full experiment configuration.
-    pub cfg: FaultSweepConfig,
-}
-
 /// The fault-sweep bench's point list: the SBI-rate availability curve
 /// (layer 1), a replica kill with warm-standby failover (layer 3), and
 /// an enclave crash with AEX storm (layer 2). `smoke` shrinks every
 /// point to CI-smoke size.
 #[must_use]
-pub fn bench_points(smoke: bool) -> Vec<FaultSweepPoint> {
+pub fn bench_points(smoke: bool) -> Vec<Point> {
     let fault_rates: &[f64] = if smoke {
         &[0.06]
     } else {
         &[0.0, 0.02, 0.05, 0.10, 0.20, 0.35]
     };
-    let mut points: Vec<FaultSweepPoint> = fault_rates
+    let point = |label, rate, seed, cfg: FaultSweepConfig| Point {
+        label,
+        rate,
+        seed,
+        scenario: cfg.scenario(),
+    };
+    let mut points: Vec<Point> = fault_rates
         .iter()
-        .map(|&rate| FaultSweepPoint {
-            scenario: "sbi_fault_rate",
-            rate,
-            seed: 900,
-            cfg: FaultSweepConfig {
+        .map(|&rate| {
+            let cfg = FaultSweepConfig {
                 arrivals: if smoke { 80 } else { 240 },
                 sbi: FaultConfig {
                     drop_rate: rate / 3.0,
                     delay_rate: rate / 3.0,
                     error_rate: rate / 3.0,
-                    ..FaultConfig::default()
                 },
                 ..FaultSweepConfig::default()
-            },
+            };
+            point("sbi_fault_rate", rate, 900, cfg)
         })
         .collect();
-    points.push(FaultSweepPoint {
-        scenario: "replica_kill",
-        rate: 0.0,
-        seed: 910,
-        cfg: FaultSweepConfig {
-            arrivals: if smoke { 80 } else { 220 },
-            ues: 12,
-            cache: Some(AvCacheConfig {
-                batch_size: 8,
-                capacity_per_supi: 16,
-            }),
-            kill_at: Some(if smoke { 30 } else { 110 }),
-            ..FaultSweepConfig::default()
-        },
-    });
-    points.push(FaultSweepPoint {
-        scenario: "enclave_crash",
-        rate: 0.0,
-        seed: 920,
-        cfg: FaultSweepConfig {
-            arrivals: if smoke { 80 } else { 160 },
-            crash_at: Some(if smoke { 20 } else { 40 }),
-            aex_storm: 500,
-            ..FaultSweepConfig::default()
-        },
-    });
+    let kill = FaultSweepConfig {
+        arrivals: if smoke { 80 } else { 220 },
+        ues: 12,
+        cache: Some(AvCacheConfig {
+            batch_size: 8,
+            capacity_per_supi: 16,
+        }),
+        kill_at: Some(if smoke { 30 } else { 110 }),
+        ..FaultSweepConfig::default()
+    };
+    points.push(point("replica_kill", 0.0, 910, kill));
+    let crash = FaultSweepConfig {
+        arrivals: if smoke { 80 } else { 160 },
+        crash_at: Some(if smoke { 20 } else { 40 }),
+        aex_storm: 500,
+        ..FaultSweepConfig::default()
+    };
+    points.push(point("enclave_crash", 0.0, 920, crash));
     points
-}
-
-/// Runs one fault-sweep point.
-#[must_use]
-pub fn run_point(point: &FaultSweepPoint) -> FaultReport {
-    fault_sweep(point.seed, &point.cfg)
 }
 
 #[cfg(test)]
@@ -330,7 +298,6 @@ mod tests {
                 drop_rate: 0.04,
                 delay_rate: 0.06,
                 error_rate: 0.04,
-                ..FaultConfig::default()
             },
             kill_at: Some(60),
             ..FaultSweepConfig::default()

@@ -51,6 +51,10 @@
 //! chain that breaks the order does not build. `tests/layers.rs` pins
 //! what the order does.
 //!
+//! What a [`FaultLayer`] injects comes from the [`FaultInjector`] armed on
+//! its [`FaultSwitch`]; [`SbiFaultPlan`] is the seeded one every world
+//! arms, from a [`FaultConfig`] of three message rates.
+//!
 //! All layers uphold the determinism contract: virtual clock only,
 //! randomness only from the seeded env RNG, `BTreeMap` state. The root
 //! `clippy.toml` holds this crate to it like the engine itself.
@@ -73,7 +77,10 @@ pub use breaker::{
     BreakerStats, BreakerTransition,
 };
 pub use deadline::DeadlineLayer;
-pub use fault::{FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch};
+pub use fault::{
+    FaultConfig, FaultCounts, FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch,
+    SbiFaultPlan,
+};
 pub use obs::{ObsCore, ObsCoreHandle, ObsLayer};
 pub use retry::{RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
 pub use stack::{Slot, Stack};

@@ -205,36 +205,20 @@ impl AvCache {
     }
 }
 
-/// Brownout trigger thresholds (hysteresis on the client-observed
-/// response-latency EWMA).
-#[derive(Clone, Copy, Debug)]
-pub struct BrownoutPolicy {
-    /// Enter brownout when the latency EWMA exceeds this.
-    pub enter_above: SimDuration,
-    /// Exit once the EWMA falls below `exit_fraction * enter_above`
-    /// (strictly below the entry threshold, so the mode doesn't
-    /// flap at the boundary).
-    pub exit_fraction: f64,
-    /// EWMA smoothing factor.
-    pub alpha: f64,
-}
-
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        BrownoutPolicy {
-            enter_above: SimDuration::from_millis(5),
-            exit_fraction: 0.7,
-            alpha: 0.3,
-        }
-    }
-}
+/// Brownout exits once the latency EWMA falls below this fraction of the
+/// entry threshold: strictly below it, so the mode doesn't flap at the
+/// boundary.
+const EXIT_FRACTION: f64 = 0.7;
+/// Smoothing factor of the brownout's latency EWMA.
+const ALPHA: f64 = 0.3;
 
 /// The frontend's brownout mode: while [`Brownout::active`], batch
 /// prefetching is off — each miss pays one single-AV round trip and
 /// hits are served from what the cache already banked.
 #[derive(Clone, Copy, Debug)]
 pub struct Brownout {
-    policy: BrownoutPolicy,
+    /// Enter brownout when the latency EWMA exceeds this.
+    enter_above: SimDuration,
     /// Response-latency EWMA in nanoseconds (the trigger signal), once
     /// a pool round trip was observed.
     pub latency_ewma_ns: Option<f64>,
@@ -249,9 +233,9 @@ pub struct Brownout {
 impl Brownout {
     /// Prefetching on, nothing observed yet.
     #[must_use]
-    pub(crate) fn new(policy: BrownoutPolicy) -> Self {
+    pub(crate) fn new(enter_above: SimDuration) -> Self {
         Brownout {
-            policy,
+            enter_above,
             latency_ewma_ns: None,
             active: false,
             entries: 0,
@@ -264,16 +248,16 @@ impl Brownout {
     pub(crate) fn observe(&mut self, latency: SimDuration) {
         let sample = latency.as_nanos() as f64;
         let ewma = match self.latency_ewma_ns {
-            Some(e) => self.policy.alpha * sample + (1.0 - self.policy.alpha) * e,
+            Some(e) => ALPHA * sample + (1.0 - ALPHA) * e,
             None => sample,
         };
         self.latency_ewma_ns = Some(ewma);
-        let enter = self.policy.enter_above.as_nanos() as f64;
+        let enter = self.enter_above.as_nanos() as f64;
         if !self.active && ewma > enter {
             self.active = true;
             self.entries += 1;
             obs::count("faults", "brownout", labels::BROWNOUT_ENTRIES, 1);
-        } else if self.active && ewma < self.policy.exit_fraction * enter {
+        } else if self.active && ewma < EXIT_FRACTION * enter {
             self.active = false;
             self.exits += 1;
             obs::count("faults", "brownout", labels::BROWNOUT_EXITS, 1);

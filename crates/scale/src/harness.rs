@@ -1,12 +1,11 @@
-//! The pool-scaling experiments: real replica pools under open-loop
-//! mass-registration load.
+//! The fault-free pool run and the single-replica capacity probe.
 //!
-//! The seed repository extrapolated §V-B7 horizontal scaling by measuring
-//! one enclave and multiplying. Here every row comes from an actual pool:
-//! distinct enclave replicas, consistent-hash SUPI routing, bounded
-//! admission queues, and (optionally) the batched AV pre-generation
-//! cache. Each run is one pass of the shared open-loop driver
-//! ([`crate::openloop`]) with no fault armed and retries off.
+//! §V-B7 horizontal scaling is measured on actual pools, not by
+//! multiplying one enclave: distinct enclave replicas, consistent-hash
+//! SUPI routing, bounded admission queues, and (optionally) the batched
+//! AV pre-generation cache. [`pool_sweep`] is one pass of the shared
+//! open-loop driver ([`crate::openloop`]) with no fault armed and retries
+//! off.
 
 use crate::avcache::AvCacheConfig;
 use crate::metrics::PoolReport;
@@ -15,13 +14,14 @@ use crate::pool::{EnclavePool, PoolConfig};
 use crate::queue::QueueConfig;
 use shield5g_core::paka::PakaKind;
 use shield5g_core::stats::Summary;
-use shield5g_mw::RetryPolicy;
+use shield5g_mw::{FaultConfig, RetryPolicy};
 use shield5g_ran::workload::{test_subscriber, WorkloadSpec};
 use shield5g_sim::http::SharedPaths;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
 /// Parameters of one pool experiment.
+/// Public for `benchmark/` (ROADMAP item 2), which names it.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
     /// Ready replicas on the ring.
@@ -55,6 +55,7 @@ impl Default for SweepConfig {
 /// Runs one open-loop experiment against a freshly deployed eUDM pool:
 /// the fault-free, classless, retry-less view of
 /// [`run_scenario`].
+/// Public for `benchmark/` (ROADMAP item 2), which names it.
 ///
 /// # Panics
 ///
@@ -80,6 +81,7 @@ pub fn pool_sweep(seed: u64, cfg: &SweepConfig) -> PoolReport {
             emergency_period: 0,
             cache: cfg.cache,
             retry: RetryPolicy::disabled(),
+            sbi: FaultConfig::default(),
             health: false,
             brownout: None,
             thrash_pages: 0,
@@ -87,7 +89,6 @@ pub fn pool_sweep(seed: u64, cfg: &SweepConfig) -> PoolReport {
             crash_at: None,
             aex_storm: 0,
         },
-        |_, _| {},
     );
     assert_eq!(
         outcome.tallies.failed_admitted, 0,
@@ -125,80 +126,6 @@ pub fn probe_service_time(seed: u64) -> SimDuration {
         })
         .collect();
     Summary::of(&samples).median
-}
-
-/// One row of the §V-B7 horizontal-scaling experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalingRow {
-    /// Ready enclave replicas serving in parallel.
-    pub instances: u32,
-    /// Stable per-request response time (median, queueing included).
-    pub stable_response: SimDuration,
-    /// Completed authentications per second across the pool.
-    pub throughput_per_sec: f64,
-    /// Requests shed by admission control (0 below saturation).
-    pub shed: u64,
-}
-
-/// Per-replica utilisation target of the scaling sweep: high enough that
-/// throughput tracks offered load, low enough that consistent-hash load
-/// imbalance cannot push a single replica past saturation.
-const SCALING_UTILISATION: f64 = 0.65;
-
-/// One fully-specified point of the horizontal-scaling sweep: enough to
-/// run `pool_sweep` for it anywhere. `Copy + Send`, so a parallel sweep
-/// runner can move points onto worker threads; running a point is a
-/// pure function of this struct, independent of every other point.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalingPoint {
-    /// Ready enclave replicas this point deploys.
-    pub instances: u32,
-    /// Seed of this point's run.
-    pub seed: u64,
-    /// The derived pool-sweep configuration.
-    pub cfg: SweepConfig,
-}
-
-/// Expands the **§V-B7 horizontal-scaling** sweep into its independent
-/// per-instance-count points: pools of `1..=max_instances` real eUDM
-/// replicas, each driven by a gnbsim-style open-loop registration
-/// workload at a fixed per-replica utilisation, so that below saturation
-/// the measured throughput is near-linear in the replica count.
-/// `service` is the single-replica occupancy from [`probe_service_time`]
-/// — probed once, shared by every point.
-#[must_use]
-pub fn scaling_points(
-    base_seed: u64,
-    reps: u32,
-    max_instances: u32,
-    service: SimDuration,
-) -> Vec<ScalingPoint> {
-    let per_replica_rate = SCALING_UTILISATION / service.as_secs_f64();
-    (1..=max_instances)
-        .map(|instances| ScalingPoint {
-            instances,
-            seed: base_seed + u64::from(instances),
-            cfg: SweepConfig {
-                replicas: instances,
-                offered_per_sec: per_replica_rate * f64::from(instances),
-                arrivals: (reps * 12).max(60) * instances,
-                ues: 40 * instances,
-                ..SweepConfig::default()
-            },
-        })
-        .collect()
-}
-
-/// Runs one horizontal-scaling point.
-#[must_use]
-pub fn run_scaling_point(point: &ScalingPoint) -> ScalingRow {
-    let report = pool_sweep(point.seed, &point.cfg);
-    ScalingRow {
-        instances: point.instances,
-        stable_response: report.response.median,
-        throughput_per_sec: report.throughput_per_sec,
-        shed: report.shed,
-    }
 }
 
 #[cfg(test)]

@@ -20,17 +20,16 @@
 //!   half-open after a hold-off, and reinstated on probe success.
 //! - [`avcache`] — batched AV pre-generation at the eUDM with SQN-aware
 //!   invalidation, amortising the ~91-transition HTTPS choreography over
-//!   a batch of authentications; plus the brownout policy that turns
+//!   a batch of authentications; plus the brownout mode that turns
 //!   prefetching off under latency pressure.
 //! - [`metrics`] — per-pool reports built from real per-replica SGX
 //!   counter deltas, summarised with [`shield5g_core::stats::Summary`].
 //! - [`openloop`] — the one open-loop driver: a gnbsim-style Poisson
-//!   registration workload against a real pool on the engine, with
-//!   retries, health probes, brownout and kill/crash injection. Every
-//!   pool experiment (here and in `shield5g-faults`) is a scenario over
-//!   it.
-//! - [`harness`] — the §V-B7 horizontal-scaling experiment and
-//!   `pool_sweep`, the fault-free view of the driver.
+//!   registration workload against a real pool on the engine, with SBI
+//!   faults, retries, health probes, brownout and kill/crash injection.
+//!   Every pool experiment is a [`Scenario`] run by it.
+//! - [`harness`] — `pool_sweep`, the fault-free view of the driver, and
+//!   the single-replica capacity probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,11 +44,8 @@ pub mod pool;
 pub mod queue;
 pub mod router;
 
-pub use avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy, CacheStats};
-pub use harness::{
-    pool_sweep, probe_service_time, run_scaling_point, scaling_points, ScalingPoint, ScalingRow,
-    SweepConfig,
-};
+pub use avcache::{AvCache, AvCacheConfig, Brownout, CacheStats};
+pub use harness::{pool_sweep, probe_service_time, SweepConfig};
 pub use health::{HealthEvent, HealthTracker};
 pub use metrics::{ClassReport, PoolReport, ReplicaLoadStats, RunRecorder};
 pub use openloop::{run_scenario, Audit, Outcome, Scenario, Tallies};

@@ -33,6 +33,8 @@ pub struct ReplicaLoadStats {
 }
 
 /// Results of one pool experiment run.
+/// Public for `benchmark/` (ROADMAP item 2), which names it and digests
+/// its `Debug` text.
 #[derive(Clone, Debug)]
 pub struct PoolReport {
     /// Ready replicas during the run.
@@ -84,7 +86,8 @@ impl PoolReport {
     /// Mirrors this report into the ambient observability registry under
     /// `("pool", label, …)` — pool occupancy, admission-queue outcomes and
     /// shed counts per configuration point. A no-op when observability is
-    /// off.
+    /// off. Kept while the goldens' Prometheus sections pin these series
+    /// (ROADMAP item 3).
     pub fn record_obs(&self, label: &str) {
         use shield5g_obs::{hub as obs, labels};
         if !obs::is_active() {
@@ -313,7 +316,8 @@ impl RecoveryStats {
     /// Mirrors the recovery figures into the ambient observability
     /// registry under `("faults", label, …)` — fault counts, MTTR and
     /// retry amplification per sweep point. A no-op when observability is
-    /// off.
+    /// off. Kept while the goldens' Prometheus sections pin these series
+    /// (ROADMAP item 3).
     pub fn record_obs(&self, label: &str) {
         use shield5g_obs::{hub as obs, labels};
         if !obs::is_active() {

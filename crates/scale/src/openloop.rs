@@ -5,16 +5,16 @@
 //! on the simulation engine, so who waits, who is shed and when each
 //! request finishes fall out of event ordering over the modules'
 //! *measured* service occupancies. [`run_scenario`] is that shape,
-//! written once; `pool_sweep`, `fault_sweep` and `degradation_sweep` each
-//! map their config onto a [`Scenario`], arm their faults, and project
-//! the [`Outcome`] into their own report.
+//! written once, and a [`Scenario`] is one experiment as data, its SBI
+//! fault plan included: every pool row of the experiment table is a list
+//! of scenarios, and each row renders the [`Outcome`]s it gets back.
 //!
-//! What the three rely on — behaviours of the loop, not options:
+//! What every scenario relies on — behaviours of the loop, not options:
 //!
 //! * **RNG streams.** `DetRng::fork` consumes one draw from the parent,
 //!   so a stream is forked only when it is used: `"{name}-workload"`
-//!   always, `"{name}-retry"` only when the retry policy is enabled (the
-//!   zero-rate rule fault plans follow). `arm` runs between the two.
+//!   always, then `"sbi-fault-plan"` only when a fault rate is non-zero,
+//!   then `"{name}-retry"` only when the retry policy is enabled.
 //! * **Arrivals and subscribers.** Arrivals are drawn lazily from their
 //!   own fork, one ahead of the one being offered, so the driver's memory
 //!   follows work in flight, not trace length. A subscriber is an index
@@ -41,7 +41,7 @@
 //! * **One completions buffer.** `Engine::run_until` drains into a `Vec`
 //!   the run keeps, and each settle pass empties it.
 
-use crate::avcache::{AvCache, AvCacheConfig, Brownout, BrownoutPolicy};
+use crate::avcache::{AvCache, AvCacheConfig, Brownout};
 use crate::health::HealthEvent;
 use crate::metrics::{ClassReport, PoolReport, RecoveryStats, RecoveryTracker, RunRecorder};
 use crate::pool::{EnclavePool, FailoverReport, PoolConfig};
@@ -50,7 +50,7 @@ use shield5g_core::paka::PakaKind;
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_crypto::sqn::sqn_from_bytes;
-use shield5g_mw::{ClassSheds, FaultSwitch, RetryPolicy, RetryStats};
+use shield5g_mw::{ClassSheds, FaultConfig, FaultCounts, RetryPolicy, RetryStats, SbiFaultPlan};
 use shield5g_nf::backend::{
     sqn_add, AkaOp, AvBatch, GenerateAv, GenerateAvBatch, UdmAkaBatchRequest, UdmAkaRequest,
 };
@@ -94,11 +94,15 @@ pub struct Scenario {
     pub cache: Option<AvCacheConfig>,
     /// Client supervision retries guarding every pool request.
     pub retry: RetryPolicy,
+    /// SBI message faults on every pool request and reply; all rates
+    /// zero installs no plan.
+    pub sbi: FaultConfig,
     /// Health-gated routing: replicas whose failure EWMA trips are
     /// ejected from the ring until a half-open probe succeeds.
     pub health: bool,
-    /// Brownout trigger; `None` keeps batch prefetching unconditionally.
-    pub brownout: Option<BrownoutPolicy>,
+    /// Brownout entry threshold on the response-latency EWMA; `None`
+    /// keeps batch prefetching unconditionally.
+    pub brownout: Option<SimDuration>,
     /// EPC thrash pages charged to every replica for the whole run.
     pub thrash_pages: u64,
     /// Kill the replica owning the n-th arrival's SUPI just before that
@@ -148,6 +152,8 @@ pub struct Outcome {
     pub sheds: ClassSheds,
     /// Enclave reloads paid for injected crashes.
     pub crash_recoveries: u64,
+    /// What the SBI plan injected.
+    pub sbi: FaultCounts,
     /// End-of-run brownout state, when the trigger was armed.
     pub brownout: Option<Brownout>,
     /// Virtual time from first arrival to the last completion of any
@@ -359,16 +365,16 @@ impl Run {
 }
 
 /// Runs one open-loop experiment against a freshly deployed eUDM pool
-/// (see the module docs). `arm` is called once with the pool's fault
-/// switch, after the replicas are registered on the engine and before
-/// the first arrival — the place to install a fault plan.
+/// (see the module docs). The scenario's SBI fault plan is installed on
+/// the pool's fault switch once the replicas are registered on the
+/// engine, before the first arrival.
 ///
 /// # Panics
 ///
 /// Panics when a cache refill response fails to decode, or when the
 /// engine leaves requests unsettled.
 #[must_use]
-pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mut Env)) -> Outcome {
+pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
     let mut env = Env::new(seed);
     env.log.disable();
     let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
@@ -397,7 +403,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
 
     let mut engine = Engine::new();
     pool.register_on(&mut engine);
-    arm(pool.fault_switch(), &mut env);
+    let plan = SbiFaultPlan::install(pool.fault_switch(), &mut env, sc.sbi);
 
     let mut run = Run {
         policy: sc.retry,
@@ -542,6 +548,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario, arm: impl FnOnce(&FaultSwitch, &mu
             .iter()
             .map(|r| r.module().borrow().crash_recoveries())
             .sum(),
+        sbi: plan.map_or_else(FaultCounts::default, |p| p.borrow().counts()),
         brownout: run.brownout,
         span,
         audit: run.audit,

@@ -93,6 +93,9 @@ pub struct FailoverReport {
     pub failover: SimDuration,
 }
 
+/// Virtual nodes per replica on the hash ring.
+const VNODES: u32 = 64;
+
 /// Pool deployment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
@@ -100,8 +103,6 @@ pub struct PoolConfig {
     pub replicas: u32,
     /// Preheated spares kept off the ring.
     pub warm_standby: u32,
-    /// Virtual nodes per replica on the hash ring.
-    pub vnodes: u32,
     /// Per-replica admission queue parameters.
     pub queue: QueueConfig,
     /// Admission-queue slots reserved for emergency-class arrivals on
@@ -116,7 +117,6 @@ impl Default for PoolConfig {
         PoolConfig {
             replicas: 1,
             warm_standby: 1,
-            vnodes: 64,
             queue: QueueConfig::default(),
             emergency_headroom: 0,
             sgx: SgxConfig::default(),
@@ -245,7 +245,7 @@ impl EnclavePool {
             cfg,
             registry,
             replicas: Vec::new(),
-            ring: HashRing::new(cfg.vnodes),
+            ring: HashRing::new(VNODES),
             next_id: 0,
             provisioned: Vec::new(),
             obs_core: ObsLayer::core(),

@@ -11,6 +11,7 @@
 use shield5g_sim::time::SimDuration;
 
 /// Admission-control parameters for one replica queue.
+/// Public for `benchmark/` (ROADMAP item 2), which names it.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueConfig {
     /// Maximum requests in flight (serving + waiting).

@@ -56,25 +56,25 @@ impl SimDuration {
 
     /// Constructs a span from nanoseconds.
     #[must_use]
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Constructs a span from microseconds.
     #[must_use]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Constructs a span from milliseconds.
     #[must_use]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Constructs a span from whole seconds.
     #[must_use]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
 

@@ -4,16 +4,29 @@
 # listed in scripts/alloc_budget.txt, reads `allocs_per_op` and
 # `peak_heap_mb` from the JSON result line, and fails when either exceeds
 # its committed number by more than 2 %, or reads more than 5 % below it
-# (a gain is ratcheted in by the change that earns it).
+# (a gain is ratcheted in by the change that earns it). It also reads the
+# `digest <hex>` line, a function of every simulated output of the timed
+# phase, and fails unless it equals the committed digest exactly.
 # Only reads the benchmark's output; nothing under benchmark/ knows it.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 status=0
-while read -r workload allocs heap; do
+while read -r workload allocs heap digest; do
   case "$workload" in '' | '#'*) continue ;; esac
-  result="$(bash benchmark/run.sh --workload "$workload" --seconds 1 | tail -n 1)"
+  output="$(bash benchmark/run.sh --workload "$workload" --seconds 1)"
+  result="$(printf '%s\n' "$output" | tail -n 1)"
+  got="$(printf '%s\n' "$output" | sed -n 's/^digest \([0-9a-f]*\).*/\1/p')"
+  if [ -z "$got" ] || [ -z "$digest" ]; then
+    echo "alloc budget: no digest for $workload (digest line or budget column missing)" >&2
+    exit 1
+  elif [ "$got" != "$digest" ]; then
+    echo "digest moved: $workload $got != $digest; update only for an intended behaviour change" >&2
+    status=1
+  else
+    echo "    ok $workload digest $got"
+  fi
   for pair in "allocs_per_op:$allocs" "peak_heap_mb:$heap"; do
     metric="${pair%%:*}" budget="${pair#*:}"
     got="$(printf '%s\n' "$result" |

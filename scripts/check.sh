@@ -42,8 +42,11 @@ cargo test --offline --workspace -q
 echo "==> crypto + hmee in release (overflow checks off, as shipped; incl. the ignored RFC 7748 million-iteration vector)"
 cargo test --offline --release -p shield5g-crypto -p shield5g-hmee -- --include-ignored
 
-echo "==> allocation + heap budget (benchmark allocs_per_op and peak_heap_mb on all five workloads vs scripts/alloc_budget.txt, +2 %)"
+echo "==> allocation + heap budget and digests (benchmark allocs_per_op and peak_heap_mb on all five workloads vs scripts/alloc_budget.txt, +2 %; each digest exactly)"
 sh scripts/alloc_budget.sh
+
+echo "==> benchmark harness tests (the frozen benchmark/ still builds, in test cfg, against the facade paths it names; builds into the ignored benchmark/target)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> experiments (every paper figure, table and sweep at bench reps; fails on an out-of-band paper check or on drift from the committed record)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries

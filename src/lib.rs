@@ -33,10 +33,10 @@
 //! * [`scale`] — sharded P-AKA enclave pools: consistent-hash routing,
 //!   bounded admission queues, batched AV pre-generation, and the
 //!   horizontal-scaling experiment over real replica pools.
-//! * [`faults`] — deterministic fault injection: seed-driven SBI
-//!   drop/delay/error plans, enclave crash and replica-death
-//!   orchestration, and the `fault_sweep` recovery experiment (MTTR,
-//!   goodput under fault, retry amplification).
+//! * [`faults`] — the fault-injection experiments as pool scenarios:
+//!   SBI drop/delay/error rates, enclave crash and replica death for the
+//!   `fault_sweep` recovery experiment (MTTR, goodput under fault, retry
+//!   amplification), and the `degradation_sweep` overload points.
 //! * [`obs`] — deterministic observability: virtual-time span tracing
 //!   with per-hop/per-enclave-transition flame decomposition, a
 //!   `(nf, endpoint, label)` metrics registry, and Prometheus/JSONL/

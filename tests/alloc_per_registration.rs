@@ -44,8 +44,7 @@ use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::hex;
 use shield5g::crypto::ident::{Plmn, Supi};
 use shield5g::crypto::keys::ServingNetworkName;
-use shield5g::faults::plan::{FaultConfig, SbiFaultPlan};
-use shield5g::mw::RetryPolicy;
+use shield5g::mw::{FaultConfig, RetryPolicy};
 use shield5g::nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g::nf::messages::{NasUplink, UeIdentity};
 use shield5g::nf::sbi::AuthenticateRequest;
@@ -237,6 +236,11 @@ fn faulted_pool_run(arrivals: u32) -> u64 {
         emergency_period: 0,
         cache: None,
         retry: RetryPolicy::supervision(),
+        sbi: FaultConfig {
+            drop_rate: 0.1 / 3.0,
+            delay_rate: 0.1 / 3.0,
+            error_rate: 0.1 / 3.0,
+        },
         health: false,
         brownout: None,
         thrash_pages: 0,
@@ -244,21 +248,13 @@ fn faulted_pool_run(arrivals: u32) -> u64 {
         crash_at: None,
         aex_storm: 0,
     };
-    let faults = FaultConfig {
-        drop_rate: 0.1 / 3.0,
-        delay_rate: 0.1 / 3.0,
-        error_rate: 0.1 / 3.0,
-        ..FaultConfig::default()
-    };
-    let mut plan = None;
+    let mut injected = 0;
     let count = allocations(|| {
-        let outcome = run_scenario(300, &scenario, |switch, env| {
-            plan = SbiFaultPlan::install(switch, env, faults);
-        });
+        let outcome = run_scenario(300, &scenario);
         assert_eq!(outcome.pool.arrivals, u64::from(arrivals));
         assert!(outcome.tallies.retry.retries > 0, "no fault was retried");
+        injected = outcome.sbi.total();
     });
-    let injected = plan.expect("an armed plan").borrow().counts().total();
     assert!(injected > 0, "no fault was injected");
     count
 }
@@ -306,6 +302,7 @@ fn cached_pool_run(arrivals: u32) -> u64 {
         emergency_period: 0,
         cache: Some(AvCacheConfig::default()),
         retry: RetryPolicy::disabled(),
+        sbi: FaultConfig::default(),
         health: false,
         brownout: None,
         thrash_pages: 0,
@@ -314,7 +311,7 @@ fn cached_pool_run(arrivals: u32) -> u64 {
         aex_storm: 0,
     };
     allocations(|| {
-        let outcome = run_scenario(300, &scenario, |_, _| {});
+        let outcome = run_scenario(300, &scenario);
         assert_eq!(outcome.pool.arrivals, u64::from(arrivals));
         let stats = outcome.pool.cache.expect("the cache was on");
         assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");

@@ -241,9 +241,9 @@ fn different_seed_diverging_engine_event_log() {
 
 /// Like [`engine_trace_of`], but with a seeded SBI fault plan installed
 /// on the slice engine before the registrations run.
-fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String> {
+fn faulted_trace_of(seed: u64, cfg: shield5g::mw::FaultConfig) -> Vec<String> {
     let (mut env, slice) = traced_sgx_slice(seed, 2);
-    let _ = shield5g::faults::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
+    let _ = shield5g::mw::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
     let trace = slice.engine.borrow().trace_lines();
@@ -253,10 +253,10 @@ fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String
 
 /// A delay-only plan: every leg has a 50% chance of arriving late, which
 /// reshapes the whole event schedule without failing any registration.
-fn delay_heavy() -> shield5g::faults::FaultConfig {
-    shield5g::faults::FaultConfig {
+fn delay_heavy() -> shield5g::mw::FaultConfig {
+    shield5g::mw::FaultConfig {
         delay_rate: 0.5,
-        ..shield5g::faults::FaultConfig::default()
+        ..shield5g::mw::FaultConfig::default()
     }
 }
 
@@ -266,7 +266,7 @@ fn fault_plan_at_rate_zero_is_trace_invisible() {
     // nothing, so the engine event log is byte-for-byte the pre-fault
     // baseline.
     assert_eq!(
-        faulted_trace_of(300, shield5g::faults::FaultConfig::default()),
+        faulted_trace_of(300, shield5g::mw::FaultConfig::default()),
         engine_trace_of(300)
     );
 }
@@ -307,13 +307,12 @@ fn faulted_gated_trace_of(seed: u64) -> Vec<String> {
     }
 
     let (mut env, slice) = traced_sgx_slice(seed, 6);
-    let cfg = shield5g::faults::FaultConfig {
+    let cfg = shield5g::mw::FaultConfig {
         drop_rate: 0.03,
         delay_rate: 0.15,
         error_rate: 0.08,
-        ..shield5g::faults::FaultConfig::default()
     };
-    let _ = shield5g::faults::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
+    let _ = shield5g::mw::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
     let mut sim = GnbSim::new(&slice);
     for i in 0..6 {
         let _ = sim.register_with_session(&mut env, &slice, i);

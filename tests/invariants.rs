@@ -35,14 +35,13 @@
 use proptest::prelude::*;
 use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig};
-use shield5g::faults::{FaultConfig, SbiFaultPlan};
-use shield5g::mw::RetryPolicy;
+use shield5g::mw::{FaultConfig, RetryPolicy};
 use shield5g::obs::hub::{self, ObsHandle};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::ue::CotsUe;
 use shield5g::ran::workload::WorkloadSpec;
 use shield5g::scale::openloop::{run_scenario, Scenario};
-use shield5g::scale::{AvCacheConfig, BrownoutPolicy, PoolConfig, QueueConfig};
+use shield5g::scale::{AvCacheConfig, PoolConfig, QueueConfig};
 use shield5g::sim::time::SimDuration;
 use shield5g::sim::Env;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -142,7 +141,7 @@ const POOL_FLOOR: [u64; 19] = [0, 1, 0, 1, 10, 500, 2, 5, 0, 0, 0, 0, 0, 0, 0, 0
 /// The open-loop scenario a draw names: the kill and crash points are
 /// quarters of the run, a cache draw is its batch size, and an
 /// emergency draw makes every third arrival an emergency registration.
-fn scenario(d: [u64; 19]) -> (Scenario, FaultConfig) {
+fn scenario(d: [u64; 19]) -> Scenario {
     let [_, replicas, standby, ues, arrivals, rate, queue, deadline_ms, faulted, drop_pm, delay_pm, error_pm, retries, kill, crash, cache, brownout, health, emergency] =
         d;
     let narrow = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
@@ -155,7 +154,7 @@ fn scenario(d: [u64; 19]) -> (Scenario, FaultConfig) {
             0.0
         }
     };
-    let sc = Scenario {
+    Scenario {
         name: "invariants",
         pool: PoolConfig {
             replicas: narrow(replicas),
@@ -181,33 +180,26 @@ fn scenario(d: [u64; 19]) -> (Scenario, FaultConfig) {
             max_retries: narrow(retries),
             ..RetryPolicy::supervision()
         },
+        sbi: FaultConfig {
+            drop_rate: share(drop_pm),
+            delay_rate: share(delay_pm),
+            error_rate: share(error_pm),
+        },
         health: health > 0,
-        brownout: (brownout > 0).then(|| BrownoutPolicy {
-            enter_above: SimDuration::from_millis(1),
-            ..BrownoutPolicy::default()
-        }),
+        brownout: (brownout > 0).then(|| SimDuration::from_millis(1)),
         thrash_pages: 0,
         kill_at: point(kill),
         crash_at: point(crash),
         aex_storm: 0,
-    };
-    let faults = FaultConfig {
-        drop_rate: share(drop_pm),
-        delay_rate: share(delay_pm),
-        error_rate: share(error_pm),
-        ..FaultConfig::default()
-    };
-    (sc, faults)
+    }
 }
 
 fn open_loop_world(d: [u64; 19]) -> Result<(), String> {
-    let (sc, faults) = scenario(d);
+    let sc = scenario(d);
     let run = |seed: u64| {
         let recorder = ObsHandle::new();
         let _scope = hub::scoped(&recorder);
-        let out = run_scenario(seed, &sc, |switch, env| {
-            SbiFaultPlan::install(switch, env, faults);
-        });
+        let out = run_scenario(seed, &sc);
         (out, recorder.with(|o| o.spans.open_count()))
     };
     let (out, open_spans) = run(d[0]);

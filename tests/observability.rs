@@ -196,11 +196,12 @@ fn label_registry_covers_every_emitted_key() {
     // exercises the engine, NF, enclave, pool, faults, and
     // overload-control label families together.
     use shield5g::faults::{
-        brownout_config, degradation_sweep, fault_sweep, pressured_config, FaultConfig,
-        FaultSweepConfig, SbiFaultPlan,
+        brownout_config, degradation, fault_sweep, pressured_config, FaultSweepConfig,
     };
+    use shield5g::mw::{FaultConfig, SbiFaultPlan};
     use shield5g::obs::labels;
     use shield5g::scale::harness::{pool_sweep, SweepConfig};
+    use shield5g::scale::openloop::run_scenario;
     use shield5g::scale::queue::QueueConfig;
     let recorder = ObsHandle::new();
     {
@@ -235,7 +236,6 @@ fn label_registry_covers_every_emitted_key() {
                     drop_rate: 0.1,
                     delay_rate: 0.2,
                     error_rate: 0.1,
-                    ..FaultConfig::default()
                 },
                 ..FaultSweepConfig::default()
             },
@@ -244,9 +244,9 @@ fn label_registry_covers_every_emitted_key() {
         // priority sheds.
         let mut pressured = pressured_config(200);
         pressured.sbi.error_rate = 0.6;
-        let _ = degradation_sweep(804, &pressured);
+        degradation::record_obs(&run_scenario(804, &pressured));
         // Brownout under EPC thrash: entry/exit transitions.
-        let _ = degradation_sweep(803, &brownout_config(160));
+        degradation::record_obs(&run_scenario(803, &brownout_config(160)));
         // An SBI error storm on a slice: the per-endpoint circuit
         // breakers trip and fail subsequent legs fast.
         let mut env = Env::new(708);
