@@ -207,3 +207,89 @@ fn the_design_enforcers_exist() {
         }
     }
 }
+
+/// `BENCH_host.json`, the host-time log `scripts/host_record.sh` appends
+/// to, is one JSON document, and each of its rows (one per line) is well
+/// formed and records every workload `BENCHMARK.json` declares.
+#[test]
+fn every_host_record_row_parses_and_names_every_workload() {
+    let workloads: Vec<&str> = include_str!("../../../BENCHMARK.json")
+        .lines()
+        .filter(|l| l.contains("\"why\""))
+        .filter_map(|l| l.split('"').nth(3))
+        .collect();
+    assert_eq!(workloads.len(), 5, "{workloads:?}");
+    let log = include_str!("../../../BENCH_host.json");
+    assert!(
+        skip_value(log).is_some_and(|rest| rest.trim().is_empty()),
+        "BENCH_host.json is not one JSON document"
+    );
+    let rows: Vec<&str> = log
+        .lines()
+        .filter(|l| l.starts_with("{\"commit\""))
+        .collect();
+    assert!(!rows.is_empty(), "BENCH_host.json has no row");
+    for row in rows {
+        let row = row.trim_end_matches(',');
+        assert_eq!(skip_value(row), Some(""), "a row does not parse: {row}");
+        for w in &workloads {
+            assert!(
+                row.contains(&format!("\"{w}\":{{")),
+                "a row lacks {w}: {row}"
+            );
+        }
+    }
+}
+
+/// The rest of `s` after the JSON value at its front (white space first
+/// skipped), or `None` when no well-formed value starts it.
+fn skip_value(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    match s.chars().next()? {
+        '{' => skip_items(&s[1..], '}', |s| {
+            skip_value(skip_string(s)?.trim_start().strip_prefix(':')?)
+        }),
+        '[' => skip_items(&s[1..], ']', skip_value),
+        '"' => skip_string(s),
+        _ => {
+            let end = s
+                .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)))
+                .unwrap_or(s.len());
+            let token = &s[..end];
+            let literal = matches!(token, "true" | "false" | "null");
+            (literal || token.parse::<f64>().is_ok_and(f64::is_finite)).then(|| &s[end..])
+        }
+    }
+}
+
+/// The rest of `s` after the `"…"` string at its front.
+fn skip_string(s: &str) -> Option<&str> {
+    let body = s.strip_prefix('"')?;
+    let mut escaped = false;
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return Some(&body[i + 1..]),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The rest of `s` after `item, …, item` and `close`, with no item at all
+/// allowed.
+fn skip_items(s: &str, close: char, item: impl Fn(&str) -> Option<&str>) -> Option<&str> {
+    let mut s = s.trim_start();
+    if let Some(rest) = s.strip_prefix(close) {
+        return Some(rest);
+    }
+    loop {
+        s = item(s.trim_start())?.trim_start();
+        match s.chars().next()? {
+            ',' => s = &s[1..],
+            c if c == close => return Some(&s[1..]),
+            _ => return None,
+        }
+    }
+}

@@ -272,26 +272,43 @@ fn key_slot<'a>(buf: &'a mut String, supi: &str) -> &'a str {
     buf
 }
 
+/// The OAI VNFs whose images a slice's registry holds beside the modules'.
+const VNFS: [&str; 7] = ["udm", "ausf", "amf", "udr", "smf", "upf", "nrf"];
+
 thread_local! {
-    /// Each module's image, built the first time it is asked for: every
-    /// deployment of a kind boots the same image, so the pools of a sweep
-    /// share one file table instead of each spelling its paths afresh.
-    static IMAGES: RefCell<[Option<ContainerImage>; 3]> = const { RefCell::new([None, None, None]) };
+    /// Every synthetic image, built the first time it is asked for: the
+    /// modules' at `kind as usize`, then the VNFs' in `VNFS` order. The
+    /// worlds of a thread deploy the same ten images, so they share one
+    /// file table per image instead of each spelling its paths afresh.
+    static IMAGES: RefCell<[Option<ContainerImage>; 10]> = const { RefCell::new([const { None }; 10]) };
+}
+
+/// A copy of the thread's image at `at` in `IMAGES`, sharing its file
+/// table.
+fn cached_image(at: usize) -> ContainerImage {
+    IMAGES.with_borrow_mut(|images| images[at].get_or_insert_with(|| build_image(at)).clone())
 }
 
 /// The module's container image for the registry: a copy of the kind's
-/// one image, sharing its file paths.
+/// one image, sharing its file table.
 #[must_use]
 pub fn paka_image(kind: PakaKind) -> ContainerImage {
-    IMAGES.with(|images| {
-        images.borrow_mut()[kind as usize]
-            .get_or_insert_with(|| build_image(kind))
-            .clone()
-    })
+    cached_image(kind as usize)
 }
 
-/// Builds the module's container image.
-fn build_image(kind: PakaKind) -> ContainerImage {
+/// Builds the image at `at` in `IMAGES`: a module's, or a VNF's for the
+/// host's container view (the attack surface of the monolithic
+/// deployment).
+fn build_image(at: usize) -> ContainerImage {
+    let Some(&kind) = PakaKind::all().get(at) else {
+        let name = VNFS[at - PakaKind::all().len()];
+        return ContainerImage::new(ImageSpec::synthetic(
+            format!("oai/{name}:v1.5.0"),
+            format!("/usr/bin/oai-{name}"),
+            900_000_000,
+            120,
+        ));
+    };
     let (bytes, files, working_set) = kind.image_params();
     let spec = ImageSpec::synthetic(
         kind.image_name(),
@@ -303,10 +320,10 @@ fn build_image(kind: PakaKind) -> ContainerImage {
     ContainerImage::new(spec).with_env("PAKA_MODULE", kind.name())
 }
 
-/// Pushes all three module images (plus the VNF images) into a registry.
+/// Pushes the ten synthetic images into a registry.
 pub(crate) fn populate_registry(registry: &mut Registry) {
-    for kind in PakaKind::all() {
-        registry.push(paka_image(kind));
+    for at in 0..PakaKind::all().len() + VNFS.len() {
+        registry.push(cached_image(at));
     }
 }
 

@@ -21,8 +21,7 @@ use shield5g_crypto::SecretBytes;
 use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_infra::host::Host;
-use shield5g_infra::image::{ContainerImage, Registry};
-use shield5g_libos::gsc::ImageSpec;
+use shield5g_infra::image::Registry;
 use shield5g_mw::{
     BreakerLayer, BreakerPolicy, FaultLayer, FaultSwitch, ObsCoreHandle, ObsLayer, Stack,
 };
@@ -231,15 +230,14 @@ const HN_SIDF_PRIVATE_KEY: [u8; 32] = [
     0xc9, 0x4d, 0x82, 0x9d, 0x3d, 0x7b, 0x5e, 0x1a, 0xd1, 0xba, 0x6f, 0x3e, 0x21, 0x38, 0x28, 0x5f,
 ];
 
-/// VNF images for the host's container view (the attack surface of the
-/// monolithic deployment).
-fn vnf_image(name: &str) -> ContainerImage {
-    ContainerImage::new(ImageSpec::synthetic(
-        format!("oai/{name}:v1.5.0"),
-        format!("/usr/bin/oai-{name}"),
-        900_000_000,
-        120,
-    ))
+thread_local! {
+    /// The home-network SIDF key pair. This is the *operator's* long-term
+    /// key: it is stable across deployments (a USIM provisioned once must
+    /// keep working when the core is redeployed), so it is a fixed
+    /// constant rather than a per-world random draw, and one pair per
+    /// thread serves every slice: their UDMs and USIMs share one comb
+    /// table instead of each building 30 KB of it.
+    static HN_KEY: HomeNetworkKeyPair = HomeNetworkKeyPair::from_private(1, HN_SIDF_PRIVATE_KEY);
 }
 
 /// The AKA backends of the UDM, AUSF and AMF, in that order.
@@ -277,9 +275,6 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
     let mut host = Host::with_sgx("r450", platform);
     let mut registry = Registry::new();
     populate_registry(&mut registry);
-    for vnf in ["udm", "ausf", "amf", "udr", "smf", "upf", "nrf"] {
-        registry.push(vnf_image(vnf));
-    }
     let bridge = Rc::new(RefCell::new(BridgeNetwork::new("br-oai")));
     let engine = Rc::new(RefCell::new(engine));
     // One span table, one circuit table and one fault switch per slice,
@@ -302,11 +297,7 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
     // Subscribers.
     let subscribers: Vec<Subscriber> = (0..config.subscriber_count).map(Subscriber::test).collect();
 
-    // The home-network SIDF key pair. This is the *operator's* long-term
-    // key: it is stable across deployments (a USIM provisioned once must
-    // keep working when the core is redeployed), so it is a fixed
-    // constant rather than a per-world random draw.
-    let hn_key = HomeNetworkKeyPair::from_private(1, HN_SIDF_PRIVATE_KEY);
+    let hn_key = HN_KEY.with(HomeNetworkKeyPair::clone);
 
     // UDR with subscription data.
     let mut udr = UdrService::new();
@@ -613,6 +604,20 @@ mod tests {
             let m = slice.module(kind).unwrap();
             assert!(m.borrow().is_shielded());
             assert!(m.borrow().boot_report().is_some());
+        }
+    }
+
+    #[test]
+    fn worlds_on_one_thread_share_the_sidf_table_and_the_file_tables() {
+        let (_env, a) = build(AkaDeployment::Sgx(SgxConfig::default()));
+        let (_env, b) = build(AkaDeployment::Monolithic);
+        assert!(a.hn_public.shares_table_with(&b.hn_public));
+        let images = |slice: &Slice| slice.registry.images().cloned().collect::<Vec<_>>();
+        let (a, b) = (images(&a), images(&b));
+        assert_eq!((a.len(), b.len()), (10, 10));
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.name(), y.name());
+            assert!(Rc::ptr_eq(&x.spec.files, &y.spec.files), "{}", x.name());
         }
     }
 

@@ -220,6 +220,7 @@ impl EnclaveBuilder {
             counters: SgxCounters::new(),
             epc: EpcRegion::new(),
             vault: HashMap::new(),
+            more_pages: HashMap::new(),
             heap_pages,
             max_threads: self.max_threads,
             threads_inside: 0,
@@ -233,7 +234,8 @@ impl EnclaveBuilder {
 }
 
 /// A vault slot's name: inline up to `SlotName::INLINE` bytes (every
-/// slot this tree names, `k:` and a SUPI among them), boxed past that.
+/// slot this tree names, `k:` and a SUPI at 22 bytes the longest), boxed
+/// past that. Either way it is 32 bytes, so a vault entry is 48.
 /// Hashes and compares as its text, so the vault is looked up by `&str`,
 /// and [`HmeeError::UnknownSlot`] carries one without allocating.
 #[derive(Clone)]
@@ -250,7 +252,7 @@ enum Name {
 
 impl SlotName {
     /// Longest name held inline.
-    pub(crate) const INLINE: usize = 32;
+    pub(crate) const INLINE: usize = 30;
 
     /// The name `name`, held inline when it fits.
     #[must_use]
@@ -307,20 +309,24 @@ impl Hash for SlotName {
     }
 }
 
-/// Metadata for one named vault slot: the value's length and the page
-/// indices that hold it, in order. A value has at least one page, whose
-/// index is held inline; `rest` stays unallocated for a one-page value.
+/// Metadata for one named vault slot: the value's length and the index
+/// of its first page. A value has at least one page; the indices of a
+/// multi-page value's further pages are in [`Enclave`]'s `more_pages`,
+/// under the first one, which the slot keeps for its whole life.
 #[derive(Debug)]
 struct SlotMeta {
     len: usize,
     first: usize,
-    rest: Vec<usize>,
 }
 
 impl SlotMeta {
-    /// The slot's page indices, in value order.
-    fn pages(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.first).chain(self.rest.iter().copied())
+    /// The indices of the value's pages past its first, in value order:
+    /// none, without a look-up, for a one-page value.
+    fn further_pages<'a>(&self, more_pages: &'a HashMap<usize, Vec<usize>>) -> &'a [usize] {
+        if self.len <= PAGE_SIZE {
+            return &[];
+        }
+        more_pages.get(&self.first).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -381,6 +387,8 @@ pub struct Enclave {
     counters: SgxCounters,
     epc: EpcRegion,
     vault: HashMap<SlotName, SlotMeta>,
+    /// The further page indices of each multi-page slot, under its first.
+    more_pages: HashMap<usize, Vec<usize>>,
     heap_pages: u64,
     max_threads: u32,
     threads_inside: u32,
@@ -820,8 +828,9 @@ impl Enclave {
     /// A page image that keeps its line count is sealed in place in the
     /// EPC's image region, so a rewrite allocates nothing, and a new slot
     /// of one page allocates nothing once the region and the vault map
-    /// have grown to hold it: its name (up to 32 bytes) and its first page
-    /// index are held inline.
+    /// have grown to hold it: its name (up to 30 bytes) and its first page
+    /// index are held inline, in a 48-byte map entry. Only a multi-page
+    /// value keeps a list of its further page indices.
     ///
     /// A page that is evicted when its slot is rewritten is re-created
     /// resident, and its version-tree record moves to the new version:
@@ -847,25 +856,30 @@ impl Enclave {
             idx
         };
         let first = seal(held.as_ref().map(|(_, meta)| meta.first));
-        let (name, mut meta) = held.unwrap_or_else(|| {
-            let meta = SlotMeta {
-                len: 0,
-                first,
-                rest: Vec::new(),
-            };
-            (SlotName::new(slot), meta)
-        });
+        let mut rest = match &held {
+            Some((_, meta)) if meta.len > PAGE_SIZE => {
+                self.more_pages.remove(&first).unwrap_or_default()
+            }
+            _ => Vec::new(),
+        };
         for i in 1..pages {
-            let idx = seal(meta.rest.get(i - 1).copied());
-            if meta.rest.len() < i {
-                meta.rest.push(idx);
+            let idx = seal(rest.get(i - 1).copied());
+            if rest.len() < i {
+                rest.push(idx);
             }
         }
-        for idx in meta.rest.drain(pages - 1..) {
+        for idx in rest.drain(pages - 1..) {
             self.epc.release_page(idx);
             self.evicted_versions.remove(&idx);
         }
-        meta.len = plaintext.len();
+        if !rest.is_empty() {
+            self.more_pages.insert(first, rest);
+        }
+        let name = held.map_or_else(|| SlotName::new(slot), |(name, _)| name);
+        let meta = SlotMeta {
+            len: plaintext.len(),
+            first,
+        };
         self.vault.insert(name, meta);
         env.clock.advance(self.cost.mee_transfer(pages as u64));
     }
@@ -922,8 +936,9 @@ impl Enclave {
                 buffer: out.len(),
             });
         }
+        let further = meta.further_pages(&self.more_pages);
         let mut start = 0;
-        for idx in meta.pages() {
+        for idx in std::iter::once(meta.first).chain(further.iter().copied()) {
             let page = self
                 .epc
                 .page(idx)
@@ -948,7 +963,7 @@ impl Enclave {
                 .ctr_apply(&PageKeys::nonce(page.version), dst);
             start += take;
         }
-        let pages = 1 + meta.rest.len() as u64;
+        let pages = 1 + further.len() as u64;
         env.clock.advance(self.cost.mee_transfer(pages));
         Ok(())
     }
@@ -972,6 +987,18 @@ impl Enclave {
     /// materialised lines.
     pub fn epc_tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
         self.epc.tamper(page_index, byte_index)
+    }
+}
+
+#[cfg(test)]
+impl Enclave {
+    /// The page indices of `slot`'s value, in value order.
+    fn slot_pages(&self, slot: &str) -> Vec<usize> {
+        let meta = &self.vault[slot];
+        let further = meta.further_pages(&self.more_pages);
+        std::iter::once(meta.first)
+            .chain(further.iter().copied())
+            .collect()
     }
 }
 
@@ -1351,8 +1378,8 @@ mod tests {
         let mut e = small_enclave(&mut env, &platform);
         let long = "k:imsi-001010000000001/session/0042"; // 35 bytes
         let longer = "slot-name-of-exactly-forty-bytes-0123456";
-        let inline = "slot-name-of-thirty-two-bytes-01";
-        assert_eq!((long.len(), longer.len(), inline.len()), (35, 40, 32));
+        let inline = "slot-name-of-thirty-bytes-0123";
+        assert_eq!((long.len(), longer.len(), inline.len()), (35, 40, 30));
         for (i, name) in [longer, long, inline].into_iter().enumerate() {
             e.vault_write(&mut env, name, &[i as u8; 16]);
         }
@@ -1364,6 +1391,7 @@ mod tests {
         // A name is the whole text: neither its inline prefix nor a longer
         // name with it as prefix finds it.
         for ghost in [
+            &longer[..30],
             &longer[..32],
             &longer[..39],
             "slot-name-of-exactly-forty-bytes-01234567",
@@ -1404,6 +1432,38 @@ mod tests {
             })
         ));
         assert_eq!(e.vault_read(&mut env, "other").unwrap(), b"neighbour");
+    }
+
+    #[test]
+    fn a_vault_entry_is_at_most_six_words() {
+        assert_eq!(std::mem::size_of::<SlotName>(), 32);
+        assert!(std::mem::size_of::<(SlotName, SlotMeta)>() <= 48);
+    }
+
+    #[test]
+    fn a_slot_grows_shrinks_and_grows_again_on_fresh_pages() {
+        let (mut env, platform) = world();
+        let mut e = small_enclave(&mut env, &platform);
+        let value = |pages: usize| -> Vec<u8> {
+            (0..(pages - 1) * PAGE_SIZE + 5)
+                .map(|i| (i % 251) as u8 ^ pages as u8)
+                .collect()
+        };
+        let accounted = e.epc.accounted_pages();
+        let mut released = Vec::new();
+        let mut held = Vec::new();
+        for pages in [1, 3, 1, 2] {
+            let v = value(pages);
+            e.vault_write(&mut env, "s", &v);
+            assert_eq!(e.vault_read(&mut env, "s").unwrap(), v, "{pages} pages");
+            let now = e.slot_pages("s");
+            assert_eq!(now.len(), pages);
+            assert!(now.iter().all(|idx| !released.contains(idx)), "{now:?}");
+            released.extend(held.iter().filter(|idx| !now.contains(idx)));
+            held = now;
+        }
+        assert_eq!((held, released), (vec![0, 3], vec![1, 2]));
+        assert_eq!(e.epc.accounted_pages(), accounted + 2);
     }
 
     #[test]
@@ -1875,7 +1935,7 @@ mod tests {
                 Aes128::new(&u128::from(seed).to_be_bytes()).ctr_apply(&[0; 16], &mut value);
                 let slot = format!("slot{}", slot % 3);
                 e.vault_write(&mut env, &slot, &value);
-                for idx in e.vault[slot.as_str()].pages() {
+                for idx in e.slot_pages(&slot) {
                     let version = e.epc.page(idx).unwrap().version;
                     proptest::prop_assert!(version > newest, "version {version} after {newest}");
                     newest = version;
@@ -1886,7 +1946,7 @@ mod tests {
             let mut pages = 0;
             for (slot, value) in &last {
                 proptest::prop_assert_eq!(&e.vault_read(&mut env, slot).unwrap(), value);
-                let indices: Vec<usize> = e.vault[slot.as_str()].pages().collect();
+                let indices = e.slot_pages(slot);
                 proptest::prop_assert_eq!(indices.len(), value.len().div_ceil(PAGE_SIZE).max(1));
                 let mut chunks = value.chunks(PAGE_SIZE);
                 for &idx in &indices {
@@ -1918,7 +1978,7 @@ mod tests {
             proptest::prop_assert!(e.epc_tamper(page, byte));
             for (slot, value) in &last {
                 let read = e.vault_read(&mut env, slot);
-                if e.vault[slot.as_str()].pages().any(|idx| idx == page) {
+                if e.slot_pages(slot).contains(&page) {
                     proptest::prop_assert!(matches!(read, Err(HmeeError::IntegrityViolation(_))));
                 } else {
                     proptest::prop_assert_eq!(&read.unwrap(), value);
@@ -1942,7 +2002,7 @@ mod tests {
             let value: Vec<u8> = (0..len).map(|i| fill ^ i as u8).collect();
             e.vault_write(&mut env, "k", b"an older value");
             e.vault_write(&mut env, "k", &value);
-            let pages: Vec<usize> = e.vault["k"].pages().collect();
+            let pages = e.slot_pages("k");
             let page = pages[at % pages.len()];
             match attack {
                 1 => {

@@ -45,12 +45,13 @@
 //! untrusted memory; the enclave checks it before slicing.
 //!
 //! The images of all resident pages share one byte region, back to back,
-//! and each page index has a record of where its image lies, with the
-//! tag and version the EPCM holds for it. A rewrite of the same line
-//! count is sealed in place over the old image; any other rewrite, and a
-//! reloaded page, takes a fresh range at the end, and the range it left
-//! is zeroed. When zeroed ranges outweigh the live images the region is
-//! packed. So sealing a page allocates nothing once the region has
+//! and each page index has a 32-byte record of where its image lies
+//! (offset and length counted in lines, as every image is whole lines),
+//! with the tag and version the EPCM holds for it. A rewrite of the same
+//! line count is sealed in place over the old image; any other rewrite,
+//! and a reloaded page, takes a fresh range at the end, and the range it
+//! left is zeroed. When zeroed ranges outweigh the live images the region
+//! is packed. So sealing a page allocates nothing once the region has
 //! grown to the enclave's working set. `EpcRegion::page` lends a
 //! resident page as a `PageView`; the owned [`EncryptedPage`] is the
 //! blob that leaves the enclave on eviction (`EWB`) and is handed back
@@ -62,6 +63,8 @@
 //! degradation).
 
 use crate::cost::{LINE_SIZE, PAGE_SIZE};
+use std::num::NonZeroU8;
+use std::ops::Range;
 
 /// One encrypted page plus its integrity metadata (EPCM analogue), as an
 /// owned blob: what eviction hands to untrusted memory and reload takes
@@ -120,13 +123,24 @@ impl PageView<'_> {
     }
 }
 
-/// Where a resident page's image lies in the region, and its EPCM entry.
+/// Where a resident page's image lies in the region, in whole
+/// `LINE_SIZE` lines, and its EPCM entry. The `u32` line offset bounds the
+/// region at 2³² lines (256 GiB); the line count is `1..=64`, never zero,
+/// so `Option<PageRecord>` is no larger than the record.
 #[derive(Clone, Copy, Debug)]
 struct PageRecord {
-    start: usize,
-    len: usize,
+    start_line: u32,
+    lines: NonZeroU8,
     tag: [u8; 16],
     version: u64,
+}
+
+impl PageRecord {
+    /// The image's byte range in the region.
+    fn range(&self) -> Range<usize> {
+        let start = self.start_line as usize * LINE_SIZE;
+        start..start + usize::from(self.lines.get()) * LINE_SIZE
+    }
 }
 
 /// The per-enclave page store. A page index may be transiently empty
@@ -168,9 +182,9 @@ impl EpcRegion {
         true
     }
 
-    /// Seals a `len`-byte image under `version` at `index` — resident or
-    /// evicted, without changing the accounted occupancy — or, for `None`,
-    /// at a fresh index, and returns the index.
+    /// Seals a `len`-byte image — `1..=64` whole lines — under `version`
+    /// at `index` — resident or evicted, without changing the accounted
+    /// occupancy — or, for `None`, at a fresh index, and returns the index.
     /// `seal` writes the image into the region and returns its tag; what
     /// the range held before is not defined (a rewrite of the same length
     /// hands it the old image). Allocates nothing when the image is
@@ -194,8 +208,8 @@ impl EpcRegion {
         let start = self.place(index, len);
         let tag = seal(&mut self.images[start..start + len]);
         self.records[index] = Some(PageRecord {
-            start,
-            len,
+            start_line: (start / LINE_SIZE) as u32,
+            lines: NonZeroU8::new((len / LINE_SIZE) as u8).unwrap_or(NonZeroU8::MIN),
             tag,
             version,
         });
@@ -216,13 +230,15 @@ impl EpcRegion {
     /// ones), `index` having been vacated.
     fn place(&mut self, index: usize, len: usize) -> usize {
         match self.records[index] {
-            Some(held) if held.len == len => return held.start,
+            Some(held) if held.range().len() == len => return held.range().start,
             _ => self.vacate(index),
         }
         if 2 * self.dead > self.images.len() {
             self.pack();
         }
         let start = self.images.len();
+        // A record counts lines in a `u32` (`PageRecord`).
+        assert!(start < u32::MAX as usize * LINE_SIZE, "EPC past 2³² lines");
         self.images.resize(start + len, 0);
         start
     }
@@ -230,8 +246,8 @@ impl EpcRegion {
     /// Empties `index`, zeroing the range its image held.
     fn vacate(&mut self, index: usize) {
         if let Some(record) = self.records[index].take() {
-            self.images[record.start..record.start + record.len].fill(0);
-            self.dead += record.len;
+            self.images[record.range()].fill(0);
+            self.dead += record.range().len();
         }
     }
 
@@ -239,9 +255,9 @@ impl EpcRegion {
     fn pack(&mut self) {
         let mut packed = Vec::with_capacity(self.images.len() - self.dead);
         for record in self.records.iter_mut().flatten() {
-            let from = record.start;
-            record.start = packed.len();
-            packed.extend_from_slice(&self.images[from..from + record.len]);
+            let from = record.range();
+            record.start_line = (packed.len() / LINE_SIZE) as u32;
+            packed.extend_from_slice(&self.images[from]);
         }
         self.images = packed;
         self.dead = 0;
@@ -265,7 +281,7 @@ impl EpcRegion {
     pub(crate) fn page(&self, index: usize) -> Option<PageView<'_>> {
         let record = self.records.get(index).copied().flatten()?;
         Some(PageView {
-            ciphertext: &self.images[record.start..record.start + record.len],
+            ciphertext: &self.images[record.range()],
             tag: record.tag,
             version: record.version,
         })
@@ -290,8 +306,8 @@ impl EpcRegion {
     /// `byte_index` is past its materialised lines: nothing is there.
     pub(crate) fn tamper(&mut self, page_index: usize, byte_index: usize) -> bool {
         match self.records.get(page_index) {
-            Some(Some(record)) if byte_index < record.len => {
-                self.images[record.start + byte_index] ^= 0xff;
+            Some(Some(record)) if byte_index < record.range().len() => {
+                self.images[record.range().start + byte_index] ^= 0xff;
                 true
             }
             _ => false,
@@ -306,7 +322,7 @@ impl EpcRegion {
                 .records
                 .iter()
                 .flatten()
-                .map(|r| self.images[r.start..r.start + r.len].to_vec())
+                .map(|r| self.images[r.range()].to_vec())
                 .collect(),
         }
     }
@@ -386,6 +402,11 @@ mod tests {
             tag: [0; 16],
             version: 0,
         }
+    }
+
+    #[test]
+    fn a_page_record_is_four_words_with_or_without_a_page() {
+        assert_eq!(std::mem::size_of::<Option<PageRecord>>(), 32);
     }
 
     #[test]

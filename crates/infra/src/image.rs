@@ -97,6 +97,11 @@ impl Registry {
     pub(crate) fn pull(&self, name: &str) -> Option<&ContainerImage> {
         self.images.get(name)
     }
+
+    /// Every image, in name order (public for `shield5g-core`'s tests).
+    pub fn images(&self) -> impl Iterator<Item = &ContainerImage> {
+        self.images.values()
+    }
 }
 
 #[cfg(test)]

@@ -59,8 +59,9 @@ pub struct ImageSpec {
     pub name: String,
     /// Entrypoint binary.
     pub entrypoint: String,
-    /// All files in the image root FS.
-    pub files: Vec<ImageFile>,
+    /// All files in the image root FS. Never mutated, so every clone of
+    /// an image shares this one table.
+    pub files: Rc<[ImageFile]>,
     /// Protocols the workload requires at runtime.
     pub required_protocols: Vec<Protocol>,
     /// Bytes of code/data the workload touches at boot (drives demand
@@ -117,7 +118,7 @@ impl ImageSpec {
         ImageSpec {
             name,
             entrypoint,
-            files,
+            files: files.into(),
             required_protocols: vec![Protocol::Tcp],
             working_set_bytes: 34 * 1024 * 1024,
         }
@@ -178,7 +179,7 @@ pub fn transform(
     }
     manifest.entrypoint = image.entrypoint.clone();
     manifest.trusted_files.reserve(image.files.len());
-    for file in &image.files {
+    for file in image.files.iter() {
         if EXCLUDED_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
             continue;
         }
@@ -265,6 +266,17 @@ mod tests {
         // 200 libs + entrypoint.
         assert_eq!(shielded.manifest.trusted_files.len(), 201);
         assert_eq!(shielded.manifest.entrypoint, "/usr/bin/paka");
+    }
+
+    #[test]
+    fn a_clone_shares_its_file_table_and_transforms_alike() {
+        let img = image();
+        let copy = img.clone();
+        assert!(Rc::ptr_eq(&img.files, &copy.files));
+        let a = transform(&img, Manifest::paka_default("x"), &[7; 32]).unwrap();
+        let b = transform(&copy, Manifest::paka_default("x"), &[7; 32]).unwrap();
+        assert_eq!(a.manifest, b.manifest);
+        assert_eq!(a.signature, b.signature);
     }
 
     #[test]
