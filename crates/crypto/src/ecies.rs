@@ -126,9 +126,10 @@ impl KeyData {
 /// provisioned, and shared by every clone of the handle — hand a USIM a
 /// clone, not the bytes. A 30 KB table is worth building once per key
 /// pair, not per world: the slice builder keeps one SIDF pair per thread,
-/// so every USIM on the thread shares one table. A `u` on the twist has no table (the Edwards form
-/// has no such point) and is multiplied by the ladder; which of the two a
-/// key gets is a property of its public bytes, fixed at construction.
+/// so every USIM on the thread shares one table. A `u` on the twist has
+/// no table (the Edwards form has no such point) and is multiplied by the
+/// ladder; which of the two a key gets is a property of its public bytes,
+/// fixed at construction.
 #[derive(Clone)]
 pub struct HomeNetworkPublicKey {
     bytes: [u8; 32],
