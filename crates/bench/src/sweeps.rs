@@ -1,5 +1,6 @@
 //! Library-level sweep builders for the sweep rows of the experiment
-//! table.
+//! table, with the fault and degradation rows' point lists: each point
+//! an open-loop [`Scenario`] for [`run_scenario`].
 //!
 //! Each builder expands its experiment into independent (sweep-point,
 //! seed) jobs, fans them out through [`runner::run_sweep`], and
@@ -14,13 +15,18 @@ use crate::runner::{self, Job, RunnerStats};
 use shield5g_core::harness::{deploy_module, sample_response_times, ModuleDeployment};
 use shield5g_core::paka::{PakaKind, SgxConfig};
 use shield5g_core::stats::Summary;
-use shield5g_faults::{self as faults, degradation, sweep, Point};
+use shield5g_mw::{FaultConfig, RetryPolicy};
 use shield5g_obs::export::JsonObj;
 use shield5g_obs::hub::{self, ObsHandle};
+use shield5g_obs::labels;
+use shield5g_ran::workload::WorkloadSpec;
 use shield5g_scale::avcache::AvCacheConfig;
-use shield5g_scale::harness::{pool_sweep, probe_service_time, SweepConfig};
+use shield5g_scale::harness::{
+    pool_sweep, probe_service_time, record_fault_obs, FaultSweepConfig, SweepConfig,
+};
 use shield5g_scale::metrics::PoolReport;
-use shield5g_scale::openloop::{run_scenario, Outcome};
+use shield5g_scale::openloop::{run_scenario, Outcome, Scenario};
+use shield5g_scale::pool::PoolConfig;
 use shield5g_scale::queue::QueueConfig;
 use shield5g_sim::time::SimDuration;
 
@@ -163,6 +169,23 @@ fn availability(served: u64, arrivals: u64) -> f64 {
     100.0 * served as f64 / arrivals as f64
 }
 
+/// One point of a fault or degradation row: its label, the total SBI
+/// fault rate it stands for (split evenly across drop/delay/5xx; 0 for
+/// the scenarios that inject no SBI fault), its seed and its scenario.
+/// `Copy + Send`, so the parallel sweep runner can move points onto
+/// worker threads; running one is a pure function of this struct.
+#[derive(Clone, Copy, Debug)]
+struct Point {
+    /// Scenario label the row reports.
+    label: &'static str,
+    /// Total SBI fault rate of the point.
+    rate: f64,
+    /// Seed of this point's run.
+    seed: u64,
+    /// The run itself.
+    scenario: Scenario,
+}
+
 /// One job per point: the point's run, recorded by `record`.
 fn scenario_jobs(points: &[Point], record: fn(&Outcome)) -> Vec<Job<Outcome>> {
     points
@@ -175,6 +198,58 @@ fn scenario_jobs(points: &[Point], record: fn(&Outcome)) -> Vec<Job<Outcome>> {
             }) as Job<Outcome>
         })
         .collect()
+}
+
+/// The fault-sweep bench's point list: the SBI-rate availability curve
+/// (layer 1), a replica kill with warm-standby failover (layer 3), and
+/// an enclave crash with AEX storm (layer 2). `smoke` shrinks every
+/// point to CI-smoke size.
+fn fault_points(smoke: bool) -> Vec<Point> {
+    let fault_rates: &[f64] = if smoke {
+        &[0.06]
+    } else {
+        &[0.0, 0.02, 0.05, 0.10, 0.20, 0.35]
+    };
+    let point = |label, rate, seed, cfg: FaultSweepConfig| Point {
+        label,
+        rate,
+        seed,
+        scenario: cfg.scenario(),
+    };
+    let mut points: Vec<Point> = fault_rates
+        .iter()
+        .map(|&rate| {
+            let cfg = FaultSweepConfig {
+                arrivals: if smoke { 80 } else { 240 },
+                sbi: FaultConfig {
+                    drop_rate: rate / 3.0,
+                    delay_rate: rate / 3.0,
+                    error_rate: rate / 3.0,
+                },
+                ..FaultSweepConfig::default()
+            };
+            point("sbi_fault_rate", rate, 900, cfg)
+        })
+        .collect();
+    let kill = FaultSweepConfig {
+        arrivals: if smoke { 80 } else { 220 },
+        ues: 12,
+        cache: Some(AvCacheConfig {
+            batch_size: 8,
+            capacity_per_supi: 16,
+        }),
+        kill_at: Some(if smoke { 30 } else { 110 }),
+        ..FaultSweepConfig::default()
+    };
+    points.push(point("replica_kill", 0.0, 910, kill));
+    let crash = FaultSweepConfig {
+        arrivals: if smoke { 80 } else { 160 },
+        crash_at: Some(if smoke { 20 } else { 40 }),
+        aex_storm: 500,
+        ..FaultSweepConfig::default()
+    };
+    points.push(point("enclave_crash", 0.0, 920, crash));
+    points
 }
 
 /// One fault-sweep run on one line: pool, recovery, SBI faults, retries
@@ -232,8 +307,8 @@ fn fault_point(spec: &Point, report: &Outcome) -> String {
 #[must_use]
 pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> SweepRun {
     let _scope = hub::scoped(hub);
-    let specs = faults::bench_points(smoke);
-    let jobs = scenario_jobs(&specs, sweep::record_obs);
+    let specs = fault_points(smoke);
+    let jobs = scenario_jobs(&specs, record_fault_obs);
     let (reports, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
@@ -302,6 +377,134 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
     }
 }
 
+/// The unpressured degradation scenario: two replicas and no standby at
+/// 400/s over 24 subscribers; every fourth arrival is an emergency
+/// registration, riding two reserved queue slots; supervision retries;
+/// no fault, cache, health gating or brownout.
+fn degradation_base(arrivals: u32) -> Scenario {
+    Scenario {
+        name: "degradation",
+        pool: PoolConfig {
+            replicas: 2,
+            warm_standby: 0,
+            queue: QueueConfig::default(),
+            emergency_headroom: 2,
+            ..PoolConfig::default()
+        },
+        workload: WorkloadSpec {
+            ues: 24,
+            arrivals,
+            rate_per_sec: 400.0,
+        },
+        emergency_period: 4,
+        cache: None,
+        retry: RetryPolicy::supervision(),
+        sbi: FaultConfig::default(),
+        health: false,
+        brownout: None,
+        thrash_pages: 0,
+        kill_at: None,
+        crash_at: None,
+        aex_storm: 0,
+    }
+}
+
+/// A scenario under pressure: offered load past the pool's comfortable
+/// operating point, a tight priority-aware admission queue, health-gated
+/// routing, and the brownout trigger armed at 5 ms — every arrival pays
+/// a real pool round trip (no AV cache), so the fault ramp bites.
+#[must_use]
+pub fn pressured_config(arrivals: u32) -> Scenario {
+    let base = degradation_base(arrivals);
+    Scenario {
+        pool: PoolConfig {
+            queue: QueueConfig {
+                capacity: 8,
+                deadline: SimDuration::from_millis(40),
+            },
+            ..base.pool
+        },
+        workload: WorkloadSpec {
+            rate_per_sec: 1_200.0,
+            ..base.workload
+        },
+        health: true,
+        brownout: Some(SimDuration::from_millis(5)),
+        ..base
+    }
+}
+
+/// The brownout scenario: the AV cache on, the EPC thrashed, and SBI
+/// delays inflating the latency EWMA past a 2 ms threshold — the
+/// frontend must fall back from batch prefetching to single-AV misses
+/// while serving hits from the cache alone.
+#[must_use]
+pub fn brownout_config(arrivals: u32) -> Scenario {
+    Scenario {
+        cache: Some(AvCacheConfig {
+            batch_size: 8,
+            capacity_per_supi: 16,
+        }),
+        thrash_pages: 4 * 1024 * 1024,
+        sbi: FaultConfig {
+            delay_rate: 0.3,
+            error_rate: 0.1,
+            ..FaultConfig::default()
+        },
+        brownout: Some(SimDuration::from_millis(2)),
+        ..pressured_config(arrivals)
+    }
+}
+
+/// The degradation bench's point list: availability/goodput/shed-rate
+/// curves per priority class as the SBI fault rate ramps, plus the
+/// cache-brownout scenario under EPC thrash. `smoke` shrinks the list
+/// to CI-smoke size.
+fn degradation_points(smoke: bool) -> Vec<Point> {
+    let rates: &[f64] = if smoke {
+        &[0.0, 0.35]
+    } else {
+        &[0.0, 0.05, 0.1, 0.2, 0.35, 0.5]
+    };
+    let arrivals = if smoke { 100 } else { 240 };
+    let mut points: Vec<Point> = rates
+        .iter()
+        .map(|&rate| Point {
+            label: "fault_ramp",
+            rate,
+            seed: 930,
+            scenario: Scenario {
+                sbi: FaultConfig {
+                    drop_rate: rate / 3.0,
+                    delay_rate: rate / 3.0,
+                    error_rate: rate / 3.0,
+                },
+                ..pressured_config(arrivals)
+            },
+        })
+        .collect();
+    points.push(Point {
+        label: "brownout",
+        rate: 0.0,
+        seed: 931,
+        scenario: brownout_config(arrivals),
+    });
+    points
+}
+
+/// Records one degradation run's per-class admission sheds into the obs
+/// registry.
+pub fn record_degradation_obs(outcome: &Outcome) {
+    let sheds = outcome.sheds;
+    hub::count("faults", "degradation", labels::SHED_NORMAL, sheds.normal);
+    hub::count(
+        "faults",
+        "degradation",
+        labels::SHED_EMERGENCY,
+        sheds.emergency,
+    );
+}
+
 fn degradation_point(spec: &Point, report: &Outcome) -> String {
     let (normal, emergency) = (report.tallies.normal, report.tallies.emergency);
     let brownout = report.brownout;
@@ -346,8 +549,8 @@ fn degradation_point(spec: &Point, report: &Outcome) -> String {
 #[must_use]
 pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> SweepRun {
     let _scope = hub::scoped(hub);
-    let specs = faults::degradation_points(smoke);
-    let jobs = scenario_jobs(&specs, degradation::record_obs);
+    let specs = degradation_points(smoke);
+    let jobs = scenario_jobs(&specs, record_degradation_obs);
     let (reports, stats) = runner::run_sweep(hub, threads, jobs);
 
     let mut lines = Vec::new();
@@ -561,25 +764,123 @@ fn scaling_row(report: &PoolReport) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shield5g_mw::ClassSheds;
 
     #[test]
     fn fault_points_cover_all_three_layers() {
-        let specs = faults::bench_points(true);
+        let specs = fault_points(true);
         let scenarios: Vec<&str> = specs.iter().map(|s| s.label).collect();
         assert_eq!(
             scenarios,
             ["sbi_fault_rate", "replica_kill", "enclave_crash"]
         );
-        let full = faults::bench_points(false);
+        let full = fault_points(false);
         assert_eq!(full.len(), 8, "6 rates + kill + crash");
     }
 
     #[test]
     fn degradation_points_cover_ramp_and_brownout() {
-        let specs = faults::degradation_points(true);
+        let specs = degradation_points(true);
         assert_eq!(specs.last().map(|s| s.label), Some("brownout"));
         assert!(specs.iter().filter(|s| s.label == "fault_ramp").count() >= 2);
-        let full = faults::degradation_points(false);
+        let full = degradation_points(false);
         assert_eq!(full.len(), 7, "6 ramp rates + brownout");
+    }
+
+    #[test]
+    fn fault_free_run_serves_both_classes_fully() {
+        let report = run_scenario(800, &degradation_base(120));
+        let (normal, emergency) = (report.tallies.normal, report.tallies.emergency);
+        assert_eq!(normal.arrivals + emergency.arrivals, 120);
+        assert!(emergency.arrivals > 0, "period 4 must mark some");
+        assert_eq!(normal.lost, 0);
+        assert_eq!(emergency.lost, 0);
+        assert!((normal.availability - 1.0).abs() < 1e-9);
+        assert!((emergency.availability - 1.0).abs() < 1e-9);
+        assert_eq!(report.sheds, ClassSheds::default());
+        assert_eq!(report.brownout.map_or(0, |b| b.entries), 0);
+        assert_eq!(report.tallies.ejections, 0);
+    }
+
+    #[test]
+    fn same_seed_same_degradation_report() {
+        let sc = pressured_config(120);
+        let a = run_scenario(801, &sc);
+        let b = run_scenario(801, &sc);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let c = run_scenario(802, &sc);
+        assert_ne!(
+            format!("{a:?}"),
+            format!("{c:?}"),
+            "different seeds must diverge"
+        );
+    }
+
+    #[test]
+    fn emergency_availability_degrades_strictly_slower() {
+        let clean = run_scenario(930, &pressured_config(240));
+        let stressed = run_scenario(
+            930,
+            &Scenario {
+                sbi: FaultConfig {
+                    drop_rate: 0.5 / 3.0,
+                    delay_rate: 0.5 / 3.0,
+                    error_rate: 0.5 / 3.0,
+                },
+                ..pressured_config(240)
+            },
+        );
+        let (clean, stressed_sheds, stressed) = (clean.tallies, stressed.sheds, stressed.tallies);
+        let normal_drop = clean.normal.availability - stressed.normal.availability;
+        let emergency_drop = clean.emergency.availability - stressed.emergency.availability;
+        assert!(
+            normal_drop > 0.0,
+            "the stressed point must actually degrade: {stressed:?}"
+        );
+        assert!(
+            emergency_drop < normal_drop,
+            "emergency must degrade strictly slower: \
+             emergency drop {emergency_drop:.3} vs normal drop {normal_drop:.3} ({stressed:?})"
+        );
+        assert!(
+            stressed_sheds.normal > stressed_sheds.emergency,
+            "the reserved headroom must shed normal first: {stressed_sheds:?}"
+        );
+    }
+
+    #[test]
+    fn brownout_enters_under_thrash_and_counts_transitions() {
+        let report = run_scenario(803, &brownout_config(160));
+        let brownout = report.brownout.expect("the trigger is armed");
+        assert!(
+            brownout.entries > 0,
+            "EPC thrash + delays must push the latency EWMA over: {brownout:?}"
+        );
+        assert!(brownout.entries >= brownout.exits);
+        assert!(
+            report.tallies.normal.availability > 0.8,
+            "brownout degrades freshness, not availability: {:?}",
+            report.tallies
+        );
+    }
+
+    #[test]
+    fn sustained_faults_eject_and_probe_replicas() {
+        let report = run_scenario(
+            804,
+            &Scenario {
+                sbi: FaultConfig {
+                    error_rate: 0.6,
+                    ..FaultConfig::default()
+                },
+                ..pressured_config(200)
+            },
+        );
+        let tallies = report.tallies;
+        assert!(
+            tallies.ejections > 0,
+            "60% 5xx must trip a replica: {tallies:?}"
+        );
+        assert!(tallies.probes > 0, "ejected replicas must be probed");
     }
 }

@@ -14,12 +14,11 @@ use shield5g_bench::sweeps::{
 };
 use shield5g_crypto::hex;
 use shield5g_crypto::sha256::Sha256;
-use shield5g_faults::plan::FaultConfig;
-use shield5g_faults::{fault_sweep, FaultSweepConfig};
+use shield5g_mw::FaultConfig;
 use shield5g_obs::export;
 use shield5g_obs::hub::ObsHandle;
 use shield5g_scale::avcache::AvCacheConfig;
-use shield5g_scale::harness::{pool_sweep, SweepConfig};
+use shield5g_scale::harness::{fault_sweep, pool_sweep, FaultSweepConfig, SweepConfig};
 use shield5g_scale::queue::QueueConfig;
 use shield5g_sim::time::SimDuration;
 

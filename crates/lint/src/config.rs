@@ -1,6 +1,6 @@
 //! The lint's knowledge of the repository: which files are enclave-side
-//! or constant-time, and which crates are NF service code. The
-//! determinism perimeter is not here: it is the root `clippy.toml`.
+//! or constant-time. The determinism perimeter is not here: it is the
+//! root `clippy.toml`.
 
 /// Full lint configuration.
 #[derive(Clone, Debug, Default)]
@@ -11,11 +11,6 @@ pub struct Config {
     /// crate runs enclave-side too but is not listed: it is `no_std`, so
     /// those paths do not resolve there.
     pub enclave_files: Vec<String>,
-    /// Path prefixes of NF service crates (rule MW001): code here must
-    /// not construct retriers, consult fault injectors, or manage
-    /// admission queues — those concerns live in the middleware stack
-    /// (`shield5g-mw`) composed at slice/pool construction.
-    pub mw_boundary_dirs: Vec<String>,
     /// Path suffixes of files that must be straight-line outside
     /// `cfg(test)` (rule CT001): arithmetic on secret-derived values,
     /// where a branch would make timing depend on the key.
@@ -42,7 +37,6 @@ impl Config {
                 s("hmee/src/attest.rs"),
                 s("hmee/src/epc.rs"),
             ],
-            mw_boundary_dirs: vec![s("crates/nf/src")],
             constant_time_files: vec![
                 s("crates/crypto/src/x25519.rs"),
                 s("crates/crypto/src/x25519/comb.rs"),

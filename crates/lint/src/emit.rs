@@ -10,14 +10,10 @@ use crate::Report;
 
 /// `(id, short description)` for every rule the linter can emit —
 /// SARIF consumers surface these next to each result.
-pub(crate) const RULE_TABLE: [(&str, &str); 3] = [
+pub(crate) const RULE_TABLE: [(&str, &str); 2] = [
     (
         "EB001",
         "Enclave-side module calls std::fs/net/time/thread/process directly",
-    ),
-    (
-        "MW001",
-        "NF code re-grows retry/fault/admission machinery owned by the mw stack",
     ),
     (
         "CT001",
@@ -116,6 +112,6 @@ mod tests {
     fn every_emitted_rule_is_in_the_table() {
         // Keep the SARIF rule metadata in sync with what rules emit.
         let ids: Vec<&str> = RULE_TABLE.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, ["EB001", "MW001", "CT001"]);
+        assert_eq!(ids, ["EB001", "CT001"]);
     }
 }

@@ -4,14 +4,12 @@
 //! Rule families, each guarding an invariant the compiler cannot (what a
 //! type can hold — raw key bytes stay inside `shield5g_crypto`, key
 //! fields that redact and wipe, a middleware stack's layer order — is
-//! held by a type, and spans close by a runtime check, not here):
+//! held by a type, what an NF may name by its crate's dependencies, and
+//! spans close by a runtime check, not here):
 //!
 //! * **Enclave boundary** (EB001) — enclave-side modules must not call
 //!   `std::fs`/`net`/`time`/`thread`/`process` directly; host-OS access
 //!   goes through the LibOS shim.
-//! * **Middleware boundary** (MW001) — NF service crates must not
-//!   construct retriers, consult fault injectors, or manage admission
-//!   queues; those concerns live in the `shield5g-mw` layer stack.
 //! * **Constant time** (CT001) — files of field arithmetic on
 //!   secret-derived values (`constant_time_files`) contain no `if`,
 //!   `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
@@ -44,7 +42,7 @@ use std::path::Path;
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`EB001`, `MW001`, `CT001`).
+    /// Rule identifier (`EB001`, `CT001`).
     pub rule: String,
     /// Repo-relative path of the offending file.
     pub path: String,
@@ -79,7 +77,6 @@ pub fn run_rules(analyses: &[FileAnalysis], config: &Config) -> Report {
     let mut findings = Vec::new();
     for analysis in analyses {
         rules::enclave_boundary::check(analysis, config, &mut findings);
-        rules::mw_boundary::check(analysis, config, &mut findings);
         rules::constant_time::check(analysis, config, &mut findings);
     }
     findings.sort_by(|a, b| (&a.rule, &a.path, a.line).cmp(&(&b.rule, &b.path, b.line)));

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "shield5g-lint: enclave-boundary, mw-boundary and constant-time checks \
+                    "shield5g-lint: enclave-boundary and constant-time checks \
                      over crates/*/src (determinism is clippy.toml's disallowed-types, \
                      panic sites are clippy's unwrap_used/expect_used, layer order is \
                      mw::Stack's type, secret hygiene is crypto::secret's types)\n\n\

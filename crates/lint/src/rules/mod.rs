@@ -7,4 +7,3 @@
 
 pub mod constant_time;
 pub mod enclave_boundary;
-pub mod mw_boundary;

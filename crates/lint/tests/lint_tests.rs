@@ -1,6 +1,7 @@
 //! Integration tests: each seeded fixture violation is caught with the
 //! right rule ID, the repository itself is lint-clean, and the clippy
-//! settings and panic-site waivers that replaced retired rules are pinned.
+//! settings, `nf`'s dependency list and the panic-site waivers that
+//! replaced retired rules are pinned.
 
 #![expect(
     clippy::expect_used,
@@ -42,44 +43,6 @@ fn enclave_boundary_fixture_violations_are_caught() {
     let messages: Vec<_> = report.findings.iter().map(|f| &f.message).collect();
     assert!(messages.iter().any(|m| m.contains("std::fs")));
     assert!(messages.iter().any(|m| m.contains("std::time")));
-}
-
-#[test]
-fn mw_boundary_fixture_violations_are_caught() {
-    let mut config = Config::default();
-    config.mw_boundary_dirs.push("mw_boundary".into());
-    let report = run_rules(&[fixture("mw_boundary/bad_nf.rs")], &config);
-    let rules = rules_of(&report.findings);
-    assert!(!rules.is_empty());
-    assert!(rules.iter().all(|r| *r == "MW001"), "{:?}", report.findings);
-    // Every escaped concern is flagged: the retrier field, the injector
-    // install + consult, and the in-service admission policy.
-    let messages: Vec<_> = report.findings.iter().map(|f| &f.message).collect();
-    assert!(messages.iter().any(|m| m.contains("`Retrier`")));
-    assert!(messages.iter().any(|m| m.contains("`set_fault_injector`")));
-    assert!(messages.iter().any(|m| m.contains("`FaultInjector`")));
-    assert!(messages.iter().any(|m| m.contains("`AdmissionPolicy`")));
-}
-
-#[test]
-fn nf_crate_is_mw_boundary_covered() {
-    let config = Config::repo_default();
-    assert!(
-        config.mw_boundary_dirs.iter().any(|d| d == "crates/nf/src"),
-        "crates/nf/src missing from mw_boundary_dirs: {:?}",
-        config.mw_boundary_dirs
-    );
-    let src = "pub struct Amf { retrier: Retrier }\n";
-    let report = run_rules(
-        &[FileAnalysis::from_source("crates/nf/src/amf.rs", src)],
-        &config,
-    );
-    assert_eq!(
-        rules_of(&report.findings),
-        vec!["MW001"],
-        "{:?}",
-        report.findings
-    );
 }
 
 #[test]
@@ -267,6 +230,29 @@ fn crypto_is_no_std_outside_its_tests() -> std::io::Result<()> {
             .iter()
             .any(|f| f.starts_with("crypto/")),
         "crypto is policed by the compiler, not by EB001"
+    );
+    Ok(())
+}
+
+/// `nf` links only `crypto`, `sim` and `obs`, so an NF cannot name a
+/// retry, fault or admission layer (they live in `shield5g-mw`): such a
+/// path fails to build (E0433/E0432) instead of failing a text rule.
+#[test]
+fn nf_links_no_middleware() -> std::io::Result<()> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = std::fs::read_to_string(root.join("crates/nf/Cargo.toml"))?;
+    let deps: Vec<&str> = manifest
+        .lines()
+        .skip_while(|l| *l != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split(['.', ' ', '=']).next())
+        .filter(|name| !name.is_empty())
+        .collect();
+    assert_eq!(
+        deps,
+        ["shield5g-crypto", "shield5g-sim", "shield5g-obs"],
+        "crates/nf/Cargo.toml's [dependencies] changed"
     );
     Ok(())
 }

@@ -7,12 +7,27 @@
 
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{AdmissionPolicy, Gate, Layer, LegMeta, PriorityClass, SHED_HEADER};
+use shield5g_sim::engine::{Gate, Layer, LegMeta, PriorityClass, SHED_HEADER};
 use shield5g_sim::http::{marker, Header, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Admission-control policy of one endpoint. Defaults to unbounded: every
+/// arrival waits as long as it takes. Enforced by [`AdmissionLayer`], not
+/// by the engine's scheduler.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AdmissionPolicy {
+    /// Maximum in-flight requests (serving + waiting); arrivals beyond it
+    /// are shed with a synthesized 503 (`x-sim-shed: queue-full`).
+    pub capacity: Option<usize>,
+    /// Maximum queueing delay: when a worker finally frees up for a
+    /// request that has already waited longer than this, the request is
+    /// shed (503, `x-sim-shed: deadline`) instead of served — the
+    /// caller's supervision timer has long expired.
+    pub deadline: Option<SimDuration>,
+}
 
 /// Per-class shed counters (the harness keeps a clone of the shared
 /// handle to read after runs).

@@ -71,7 +71,7 @@ pub mod obs;
 pub mod retry;
 pub mod stack;
 
-pub use admission::{AdmissionLayer, ClassSheds, ClassShedsHandle};
+pub use admission::{AdmissionLayer, AdmissionPolicy, ClassSheds, ClassShedsHandle};
 pub use breaker::{
     BreakerCore, BreakerDecision, BreakerHandle, BreakerLayer, BreakerPolicy, BreakerState,
     BreakerStats, BreakerTransition,
@@ -87,4 +87,4 @@ pub use stack::{Slot, Stack};
 
 // Re-exported so layers and stack construction sites need only this
 // crate plus the engine handle types.
-pub use shield5g_sim::engine::{AdmissionPolicy, Gate, Layer, Resume};
+pub use shield5g_sim::engine::{Gate, Layer, Resume};

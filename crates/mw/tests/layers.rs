@@ -5,13 +5,12 @@
 //! order to compare with.
 
 use shield5g_mw::{
-    AdmissionLayer, BreakerLayer, BreakerPolicy, DeadlineLayer, FaultInjector, FaultInjectorHandle,
-    FaultLayer, FaultSwitch, ObsLayer, RetryLayer, RetryPolicy, Stack,
+    AdmissionLayer, AdmissionPolicy, BreakerLayer, BreakerPolicy, DeadlineLayer, FaultInjector,
+    FaultInjectorHandle, FaultLayer, FaultSwitch, ObsLayer, RetryLayer, RetryPolicy, Stack,
 };
 use shield5g_obs::hub::{self, ObsHandle};
 use shield5g_sim::engine::{
-    AdmissionPolicy, Engine, EngineService, EngineServiceHandle, FaultAction, LegMeta, Parked,
-    Step, FAULT_HEADER,
+    Engine, EngineService, EngineServiceHandle, FaultAction, LegMeta, Parked, Step, FAULT_HEADER,
 };
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::service::{service_handle, Service};

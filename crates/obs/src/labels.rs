@@ -101,7 +101,7 @@ pub const RESPONSE_P95_NS: &str = "response_p95_ns";
 /// Pool: median queueing delay gauge, nanoseconds.
 pub const QUEUED_P50_NS: &str = "queued_p50_ns";
 
-// --- fault sweep (faults/src/sweep.rs, scale RecoveryStats) ---
+// --- fault sweep (scale/src/harness.rs, scale RecoveryStats) ---
 
 /// Fault sweep: SBI request/response legs dropped.
 pub const DROPS: &str = "drops";
@@ -127,7 +127,7 @@ pub const GOODPUT_PER_SEC: &str = "goodput_per_sec";
 pub const RETRY_AMPLIFICATION: &str = "retry_amplification";
 
 // --- overload control (mw/src/breaker.rs, mw/src/admission.rs,
-// --- scale/src/health.rs, faults/src/degradation.rs) ---
+// --- scale/src/health.rs, bench/src/sweeps.rs) ---
 
 /// Breaker: circuit transitions closed → open (tripped on EWMA failure).
 pub const BREAKER_OPENED: &str = "breaker_opened";

@@ -28,8 +28,9 @@
 //!   registration workload against a real pool on the engine, with SBI
 //!   faults, retries, health probes, brownout and kill/crash injection.
 //!   Every pool experiment is a [`Scenario`] run by it.
-//! - [`harness`] — `pool_sweep`, the fault-free view of the driver, and
-//!   the single-replica capacity probe.
+//! - [`harness`] — `pool_sweep`, the fault-free view of the driver;
+//!   `fault_sweep`, the faulted one with supervision retries and
+//!   warm-standby failover; and the single-replica capacity probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

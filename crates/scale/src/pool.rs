@@ -24,13 +24,13 @@ use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::host::Host;
 use shield5g_infra::image::Registry;
 use shield5g_mw::{
-    AdmissionLayer, ClassSheds, ClassShedsHandle, FaultLayer, FaultSwitch, ObsCoreHandle, ObsLayer,
-    Stack,
+    AdmissionLayer, AdmissionPolicy, ClassSheds, ClassShedsHandle, FaultLayer, FaultSwitch,
+    ObsCoreHandle, ObsLayer, Stack,
 };
 use shield5g_nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{AdmissionPolicy, Engine, FAULT_HEADER};
+use shield5g_sim::engine::{Engine, FAULT_HEADER};
 use shield5g_sim::http::{marker, Header, HttpRequest, HttpResponse, SharedPaths};
 use shield5g_sim::service::{service_handle, Service};
 use shield5g_sim::time::{SimDuration, SimTime};

@@ -419,22 +419,6 @@ impl EngineService for LeafService {
     }
 }
 
-/// Admission-control policy of one endpoint. Defaults to unbounded: every
-/// arrival waits as long as it takes. Enforced by `shield5g-mw`'s
-/// admission layer, not by the scheduler; the type lives here only
-/// because the benchmark's kernels name it at this path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdmissionPolicy {
-    /// Maximum in-flight requests (serving + waiting); arrivals beyond it
-    /// are shed with a synthesized 503 (`x-sim-shed: queue-full`).
-    pub capacity: Option<usize>,
-    /// Maximum queueing delay: when a worker finally frees up for a
-    /// request that has already waited longer than this, the request is
-    /// shed (503, `x-sim-shed: deadline`) instead of served — the
-    /// caller's supervision timer has long expired.
-    pub deadline: Option<SimDuration>,
-}
-
 /// A finished root request from the open-loop API.
 #[derive(Clone, Debug)]
 pub struct Completion {

@@ -29,7 +29,7 @@ export SHIELD5G_OBS_DIR
 
 mkdir -p "$SHIELD5G_OBS_DIR"
 
-echo "==> shield5g-lint (enclave boundary / mw boundary / constant time; secret hygiene is each crate's registry test)"
+echo "==> shield5g-lint (enclave boundary / constant time; secret hygiene is each crate's registry test)"
 cargo run --offline -q -p shield5g-lint
 echo "    ok $SHIELD5G_OBS_DIR/lint_findings.sarif ($(wc -c < "$SHIELD5G_OBS_DIR/lint_findings.sarif") bytes)"
 

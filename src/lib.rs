@@ -32,11 +32,9 @@
 //!   feasibility testbed.
 //! * [`scale`] — sharded P-AKA enclave pools: consistent-hash routing,
 //!   bounded admission queues, batched AV pre-generation, and the
-//!   horizontal-scaling experiment over real replica pools.
-//! * [`faults`] — the fault-injection experiments as pool scenarios:
-//!   SBI drop/delay/error rates, enclave crash and replica death for the
-//!   `fault_sweep` recovery experiment (MTTR, goodput under fault, retry
-//!   amplification), and the `degradation_sweep` overload points.
+//!   horizontal-scaling and fault-injection runs over real replica pools.
+//! * [`mw`] — the engine's middleware layers (admission, deadline,
+//!   breaker, fault, retry, observability) and the seeded SBI fault plan.
 //! * [`obs`] — deterministic observability: virtual-time span tracing
 //!   with per-hop/per-enclave-transition flame decomposition, a
 //!   `(nf, endpoint, label)` metrics registry, and Prometheus/JSONL/
@@ -63,7 +61,6 @@
 
 pub use shield5g_core as core;
 pub use shield5g_crypto as crypto;
-pub use shield5g_faults as faults;
 pub use shield5g_hmee as hmee;
 pub use shield5g_infra as infra;
 pub use shield5g_libos as libos;
@@ -72,4 +69,32 @@ pub use shield5g_nf as nf;
 pub use shield5g_obs as obs;
 pub use shield5g_ran as ran;
 pub use shield5g_scale as scale;
-pub use shield5g_sim as sim;
+
+/// [`shield5g_sim`], with [`mw::AdmissionPolicy`] also at its former
+/// `sim::engine` path.
+pub mod sim {
+    pub use shield5g_sim::*;
+
+    /// [`shield5g_sim::engine`] plus the admission policy.
+    pub mod engine {
+        /// Public for `benchmark/` (ROADMAP item 2), which names it here.
+        pub use shield5g_mw::AdmissionPolicy;
+        pub use shield5g_sim::engine::*;
+    }
+}
+
+/// The fault-injection run at the paths of the former `shield5g-faults`
+/// crate.
+pub mod faults {
+    /// The SBI fault plan's configuration.
+    pub mod plan {
+        /// Public for `benchmark/` (ROADMAP item 2), which names it here.
+        pub use shield5g_mw::FaultConfig;
+    }
+
+    /// The fault-injection run and its report.
+    pub mod sweep {
+        /// Public for `benchmark/` (ROADMAP item 2), which names them here.
+        pub use shield5g_scale::harness::{fault_sweep, FaultReport, FaultSweepConfig};
+    }
+}

@@ -292,8 +292,8 @@ fn same_seed_byte_identical_fault_annotated_trace() {
 /// is shed at begin. Registrations may fail under the plan — the trace
 /// is the product.
 fn faulted_gated_trace_of(seed: u64) -> Vec<String> {
-    use shield5g::mw::{AdmissionLayer, Stack};
-    use shield5g::sim::engine::{AdmissionPolicy, Engine};
+    use shield5g::mw::{AdmissionLayer, AdmissionPolicy, Stack};
+    use shield5g::sim::engine::Engine;
     use shield5g::sim::http::{HttpRequest, HttpResponse};
     use shield5g::sim::service::{service_handle, Service};
     use shield5g::sim::time::SimDuration;

@@ -195,14 +195,12 @@ fn label_registry_covers_every_emitted_key() {
     // error-storm slice run that trips the SBI circuit breaker)
     // exercises the engine, NF, enclave, pool, faults, and
     // overload-control label families together.
-    use shield5g::faults::{
-        brownout_config, degradation, fault_sweep, pressured_config, FaultSweepConfig,
-    };
     use shield5g::mw::{FaultConfig, SbiFaultPlan};
     use shield5g::obs::labels;
-    use shield5g::scale::harness::{pool_sweep, SweepConfig};
+    use shield5g::scale::harness::{fault_sweep, pool_sweep, FaultSweepConfig, SweepConfig};
     use shield5g::scale::openloop::run_scenario;
     use shield5g::scale::queue::QueueConfig;
+    use shield5g_bench::sweeps::{brownout_config, pressured_config, record_degradation_obs};
     let recorder = ObsHandle::new();
     {
         let _scope = hub::scoped(&recorder);
@@ -244,9 +242,9 @@ fn label_registry_covers_every_emitted_key() {
         // priority sheds.
         let mut pressured = pressured_config(200);
         pressured.sbi.error_rate = 0.6;
-        degradation::record_obs(&run_scenario(804, &pressured));
+        record_degradation_obs(&run_scenario(804, &pressured));
         // Brownout under EPC thrash: entry/exit transitions.
-        degradation::record_obs(&run_scenario(803, &brownout_config(160)));
+        record_degradation_obs(&run_scenario(803, &brownout_config(160)));
         // An SBI error storm on a slice: the per-endpoint circuit
         // breakers trip and fail subsequent legs fast.
         let mut env = Env::new(708);
