@@ -592,7 +592,6 @@ fn register(seed: u64, kind: PakaKind, ues: u32) -> Result<(SgxCounters, SgxCoun
 /// The bare GSC base image booted: Table III's "Empty workload" row.
 fn empty_workload(seed: u64) -> Result<SgxCounters, String> {
     let mut env = Env::new(seed);
-    env.log.disable();
     let platform = SgxPlatform::new(&mut env);
     let image = ImageSpec::synthetic("empty-workload", "/gramine/app", 1_900_000_000, 209)
         .with_working_set(2 * 1024 * 1024);
@@ -704,7 +703,6 @@ fn table5(seed: u64, _reps: u32) -> Result<Outcome, String> {
         let label = deployment.label();
         o.say(format!("    --- {label} deployment ---"));
         let mut env = Env::new(seed);
-        env.log.disable();
         let config = SliceConfig {
             deployment,
             subscriber_count: 2,

@@ -87,7 +87,6 @@ pub fn standard_request(kind: PakaKind) -> HttpRequest {
 #[must_use]
 pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) -> (Env, PakaModule) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut registry = Registry::new();
     populate_registry(&mut registry);
     let platform = SgxPlatform::new(&mut env);

@@ -161,12 +161,12 @@ pub struct Demonstration {
 #[must_use]
 pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
     let mut out = Vec::new();
-    let mut attacker = Attacker::new("co-tenant");
+    let mut attacker = Attacker::default();
     // The §III premise (≈90% success; retry until placed).
     while attacker.gain_co_residency(env, &slice.host).is_err() {}
     #[expect(clippy::expect_used, reason = "co-resident, on a vulnerable engine")]
     attacker
-        .escape_to_host(env, &slice.host)
+        .escape_to_host(&slice.host)
         .expect("vulnerable engine");
 
     // KI 7/15: memory introspection for the subscriber's long-term key
@@ -174,7 +174,7 @@ pub fn demonstrate(env: &mut Env, slice: &mut Slice) -> Vec<Demonstration> {
     let (k, _) = Subscriber::test_credentials(0);
     #[expect(clippy::expect_used, reason = "root can always read host memory")]
     let findings = attacker
-        .introspect_memory(env, &slice.host, &k)
+        .introspect_memory(&slice.host, &k)
         .expect("root attacker can introspect");
     let leaked = findings.iter().any(|f| f.found_plaintext);
     let shielded = matches!(slice.deployment, AkaDeployment::Sgx(_));
@@ -281,7 +281,6 @@ mod tests {
 
     fn run(deployment: AkaDeployment) -> Vec<Demonstration> {
         let mut env = Env::new(37);
-        env.log.disable();
         let mut slice = build_slice(
             &mut env,
             &SliceConfig {

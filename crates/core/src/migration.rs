@@ -159,15 +159,6 @@ pub fn migrate_module(
     drop(old_module);
     slice.host.remove_container(&old_container_name, true).ok();
 
-    env.log.record(
-        env.clock.now(),
-        "slice",
-        format_args!(
-            "migrated {} to host {} ({keys_transferred} keys)",
-            kind.name(),
-            target.name()
-        ),
-    );
     Ok(MigrationReport {
         target_load_time,
         attested: true,
@@ -185,7 +176,6 @@ mod tests {
 
     fn sgx_slice(seed: u64) -> (Env, Slice) {
         let mut env = Env::new(seed);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -260,7 +250,6 @@ mod tests {
     #[test]
     fn monolithic_slice_has_nothing_to_migrate() {
         let mut env = Env::new(63);
-        env.log.disable();
         let mut slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -289,7 +278,6 @@ mod tests {
     #[test]
     fn attest_module_rejects_container_deployment() {
         let mut env = Env::new(64);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

@@ -660,12 +660,12 @@ impl PakaModule {
     /// load time before it can be served ([`PakaModule::serve`] performs
     /// the reload). Returns `false` for container deployments, which have
     /// no enclave to lose at this layer.
-    pub fn inject_crash(&mut self, env: &mut Env) -> bool {
+    pub fn inject_crash(&mut self) -> bool {
         let mut c = self.container.borrow_mut();
         let Some(libos) = c.shielded.as_mut() else {
             return false;
         };
-        libos.enclave_mut().mark_lost(env);
+        libos.enclave_mut().mark_lost();
         true
     }
 
@@ -983,7 +983,6 @@ mod tests {
 
     fn deploy(shielded: bool, kind: PakaKind) -> (Env, PakaModule) {
         let mut env = Env::new(17);
-        env.log.disable();
         let reg = registry();
         let platform = SgxPlatform::new(&mut env);
         let mut host = Host::with_sgx("r450", platform);
@@ -1362,7 +1361,7 @@ mod tests {
         assert!(resp.is_success());
         let load = module.boot_report().unwrap().load_time;
 
-        assert!(module.inject_crash(&mut env));
+        assert!(module.inject_crash());
         assert!(module.is_crashed());
         let t0 = env.clock.now();
         let (resp, _) = module.serve(&mut env, udm_request());
@@ -1382,7 +1381,7 @@ mod tests {
     #[test]
     fn crash_is_a_noop_for_container_deployments() {
         let (mut env, mut module) = deploy(false, PakaKind::EUdm);
-        assert!(!module.inject_crash(&mut env));
+        assert!(!module.inject_crash());
         assert!(!module.is_crashed());
         assert!(!module.recover_from_crash(&mut env));
         let (resp, _) = module.serve(&mut env, udm_request());

@@ -374,7 +374,6 @@ mod tests {
 
     fn setup(shielded: bool, kind: PakaKind) -> (Env, PakaClient) {
         let mut env = Env::new(23);
-        env.log.disable();
         let mut reg = Registry::new();
         populate_registry(&mut reg);
         let platform = SgxPlatform::new(&mut env);

@@ -436,16 +436,6 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
             .map_err(|e| CoreError::Nf(shield5g_nf::NfError::Sim(e)))?;
     }
 
-    env.log.record(
-        env.clock.now(),
-        "slice",
-        format_args!(
-            "slice deployed ({}) with {} subscribers",
-            config.deployment.label(),
-            subscribers.len()
-        ),
-    );
-
     Ok(Slice {
         engine,
         host,
@@ -477,7 +467,6 @@ mod tests {
 
     fn build(deployment: AkaDeployment) -> (Env, Slice) {
         let mut env = Env::new(29);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

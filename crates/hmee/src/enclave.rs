@@ -194,15 +194,6 @@ impl EnclaveBuilder {
         mac_r.copy_from_slice(&epc_mac[..16]);
         pad_key.copy_from_slice(&epc_mac[16..]);
 
-        env.log.record(
-            env.clock.now(),
-            "enclave",
-            format_args!(
-                "EINIT {} ({} content pages, {} heap pages)",
-                self.name, content_pages, heap_pages
-            ),
-        );
-
         Ok(Enclave {
             name: self.name,
             mrenclave,
@@ -600,11 +591,6 @@ impl Enclave {
             t0,
             &[("aex", pages), ("eresume", pages)],
         );
-        env.log.record(
-            env.clock.now(),
-            "enclave",
-            format_args!("{}: preheated {pages} heap pages", self.name),
-        );
     }
 
     /// Demand-faults `pages` heap pages lazily (preheat disabled).
@@ -636,17 +622,12 @@ impl Enclave {
     /// or OS-issued `EREMOVE` would. All EPC state becomes unreachable (the
     /// per-boot MEE keys die with the instance) and every entry point fails
     /// closed with [`HmeeError::EnclaveLost`] until [`Enclave::reload`].
-    pub fn mark_lost(&mut self, env: &mut Env) {
+    pub fn mark_lost(&mut self) {
         if self.lost {
             return;
         }
         self.lost = true;
         self.threads_inside = 0;
-        env.log.record(
-            env.clock.now(),
-            "enclave",
-            format_args!("{}: instance lost (crash injected)", self.name),
-        );
     }
 
     /// Whether the enclave instance was destroyed and awaits reload.
@@ -668,15 +649,6 @@ impl Enclave {
         self.lost = false;
         env.clock.advance(load_time);
         self.record_transition(env, "reload", t0, &[("reloads", 1)]);
-        env.log.record(
-            env.clock.now(),
-            "enclave",
-            format_args!(
-                "{}: reloaded after crash ({} ms load time)",
-                self.name,
-                load_time.as_nanos() / 1_000_000
-            ),
-        );
     }
 
     /// **Fault interface**: services a burst of `count` asynchronous exits
@@ -688,11 +660,6 @@ impl Enclave {
         self.counters.eresume += count;
         env.clock.advance(self.price.aex_resume * count);
         self.record_transition(env, "aex_storm", t0, &[("aex", count), ("eresume", count)]);
-        env.log.record(
-            env.clock.now(),
-            "enclave",
-            format_args!("{}: AEX storm ({count} exits)", self.name),
-        );
     }
 
     /// **Fault interface**: imposes `pages` of external EPC occupancy
@@ -1773,7 +1740,7 @@ mod tests {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
         e.vault_write(&mut env, "k", b"secret");
-        e.mark_lost(&mut env);
+        e.mark_lost();
         assert!(e.is_lost());
         assert!(matches!(
             e.ecall_enter(&mut env),
@@ -1783,8 +1750,8 @@ mod tests {
             e.vault_read(&mut env, "k"),
             Err(HmeeError::EnclaveLost(_))
         ));
-        // Re-marking a lost enclave is a no-op (no double log/cost).
-        e.mark_lost(&mut env);
+        // Re-marking a lost enclave is a no-op (no double cost).
+        e.mark_lost();
         let t0 = env.clock.now();
         let load = SimDuration::from_secs(60);
         e.reload(&mut env, load);
@@ -1889,7 +1856,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        e.mark_lost(&mut env);
+                        e.mark_lost();
                         e.reload(&mut env, SimDuration::from_secs(1));
                     }
                 }
@@ -2020,7 +1987,7 @@ mod tests {
                     e.evict_page(&mut env, page).unwrap();
                     proptest::prop_assert!(e.reload_page(&mut env, page, stale).is_err());
                 }
-                4 => e.mark_lost(&mut env),
+                4 => e.mark_lost(),
                 _ => {}
             }
             for slot in ["k", "absent"] {

@@ -42,22 +42,12 @@ pub struct IntrospectionFinding {
 }
 
 /// A malicious co-tenant working through the §III chain.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Attacker {
-    name: String,
     progress: Vec<AttackStep>,
 }
 
 impl Attacker {
-    /// A fresh attacker with no foothold.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Attacker {
-            name: name.into(),
-            progress: Vec::new(),
-        }
-    }
-
     fn achieved(&self, step: AttackStep) -> bool {
         self.progress.contains(&step)
     }
@@ -82,11 +72,6 @@ impl Attacker {
             });
         }
         self.progress.push(AttackStep::CoResident);
-        env.log.record(
-            env.clock.now(),
-            "attacker",
-            format_args!("{} co-resident on {}", self.name, host.name()),
-        );
         Ok(())
     }
 
@@ -96,7 +81,7 @@ impl Attacker {
     ///
     /// Returns [`InfraError::AttackFailed`] without prior co-residency or
     /// on a patched engine.
-    pub fn escape_to_host(&mut self, env: &mut Env, host: &Host) -> Result<(), InfraError> {
+    pub fn escape_to_host(&mut self, host: &Host) -> Result<(), InfraError> {
         if !self.achieved(AttackStep::CoResident) {
             return Err(InfraError::AttackFailed {
                 step: "engine-escape",
@@ -110,11 +95,6 @@ impl Attacker {
             });
         }
         self.progress.push(AttackStep::EscalatedToHost);
-        env.log.record(
-            env.clock.now(),
-            "attacker",
-            format_args!("{} escalated to root on {}", self.name, host.name()),
-        );
         Ok(())
     }
 
@@ -127,7 +107,6 @@ impl Attacker {
     /// Returns [`InfraError::AttackFailed`] without host-root privileges.
     pub fn introspect_memory(
         &self,
-        env: &mut Env,
         host: &Host,
         needle: &[u8],
     ) -> Result<Vec<IntrospectionFinding>, InfraError> {
@@ -148,15 +127,6 @@ impl Attacker {
                 bytes_scanned: scanned,
             });
         }
-        env.log.record(
-            env.clock.now(),
-            "attacker",
-            format_args!(
-                "{} swept {} containers for secrets",
-                self.name,
-                findings.len()
-            ),
-        );
         Ok(findings)
     }
 
@@ -236,10 +206,10 @@ mod tests {
     }
 
     fn co_resident_root(env: &mut Env, host: &Host) -> Attacker {
-        let mut attacker = Attacker::new("mallory");
+        let mut attacker = Attacker::default();
         // Retry the probabilistic step until it lands (deterministic seed).
         while attacker.gain_co_residency(env, host).is_err() {}
-        attacker.escape_to_host(env, host).unwrap();
+        attacker.escape_to_host(host).unwrap();
         attacker
     }
 
@@ -247,11 +217,11 @@ mod tests {
     fn chain_requires_prerequisites() {
         let mut env = Env::new(1);
         let host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
-        let mut attacker = Attacker::new("mallory");
+        let mut attacker = Attacker::default();
         // Escape before co-residency fails.
-        assert!(attacker.escape_to_host(&mut env, &host).is_err());
+        assert!(attacker.escape_to_host(&host).is_err());
         // Introspection before escape fails.
-        assert!(attacker.introspect_memory(&mut env, &host, b"x").is_err());
+        assert!(attacker.introspect_memory(&host, b"x").is_err());
     }
 
     #[test]
@@ -259,7 +229,7 @@ mod tests {
         let mut env = Env::new(2);
         let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         host.multi_tenant = false;
-        let mut attacker = Attacker::new("mallory");
+        let mut attacker = Attacker::default();
         assert!(attacker.gain_co_residency(&mut env, &host).is_err());
     }
 
@@ -268,9 +238,9 @@ mod tests {
         let mut env = Env::new(3);
         let mut host = Host::with_sgx("h1", SgxPlatform::new(&mut env));
         host.engine_vulnerable = false;
-        let mut attacker = Attacker::new("mallory");
+        let mut attacker = Attacker::default();
         while attacker.gain_co_residency(&mut env, &host).is_err() {}
-        assert!(attacker.escape_to_host(&mut env, &host).is_err());
+        assert!(attacker.escape_to_host(&host).is_err());
     }
 
     #[test]
@@ -285,7 +255,7 @@ mod tests {
             .write("kausf", b"super-secret-kausf");
         let attacker = co_resident_root(&mut env, &host);
         let findings = attacker
-            .introspect_memory(&mut env, &host, b"super-secret-kausf")
+            .introspect_memory(&host, b"super-secret-kausf")
             .unwrap();
         assert!(findings.iter().any(|f| f.found_plaintext && !f.shielded));
     }
@@ -313,7 +283,7 @@ mod tests {
             .vault_write(&mut env, "kausf", b"super-secret-kausf");
         let attacker = co_resident_root(&mut env, &host);
         let findings = attacker
-            .introspect_memory(&mut env, &host, b"super-secret-kausf")
+            .introspect_memory(&host, b"super-secret-kausf")
             .unwrap();
         let f = &findings[0];
         assert!(f.shielded);
@@ -367,7 +337,7 @@ mod tests {
     fn image_secret_extraction_ki27() {
         let img = ContainerImage::new(ImageSpec::synthetic("oai/amf", "/bin/amf", 1_000, 2))
             .with_plaintext_secret("tls-key", b"PEM-PRIVATE-KEY".to_vec());
-        let attacker = Attacker::new("mallory");
+        let attacker = Attacker::default();
         let secrets = attacker.extract_image_secrets(&img);
         assert_eq!(secrets.len(), 1);
         assert_eq!(secrets[0].1.as_deref(), Some(&b"PEM-PRIVATE-KEY"[..]));
@@ -389,7 +359,7 @@ mod tests {
         );
         let img = ContainerImage::new(ImageSpec::synthetic("oai/amf", "/bin/amf", 1_000, 2))
             .with_sealed_secret("tls-key", blob);
-        let attacker = Attacker::new("mallory");
+        let attacker = Attacker::default();
         let secrets = attacker.extract_image_secrets(&img);
         assert_eq!(secrets[0].1, None, "sealed secret must not leak");
     }

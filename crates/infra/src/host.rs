@@ -92,11 +92,6 @@ impl Host {
         container.start();
         let handle = Rc::new(RefCell::new(container));
         self.containers.insert(name, handle.clone());
-        env.log.record(
-            env.clock.now(),
-            "infra",
-            format_args!("{}: started plain container {image}", self.name),
-        );
         Ok(handle)
     }
 
@@ -127,11 +122,6 @@ impl Host {
         container.start();
         let handle = Rc::new(RefCell::new(container));
         self.containers.insert(name, handle.clone());
-        env.log.record(
-            env.clock.now(),
-            "infra",
-            format_args!("{}: started shielded container {image}", self.name),
-        );
         Ok(handle)
     }
 

@@ -136,16 +136,6 @@ impl GramineLibos {
         }
 
         let load_time = env.clock.now() - boot_start;
-        env.log.record(
-            env.clock.now(),
-            "libos",
-            format_args!(
-                "{} booted in {} ({} trusted files)",
-                image.image_name,
-                load_time,
-                image.manifest.trusted_files.len()
-            ),
-        );
         let report = BootReport {
             load_time,
             counters: enclave.counters(),

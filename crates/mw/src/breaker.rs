@@ -77,16 +77,6 @@ pub enum BreakerState {
 }
 
 impl BreakerState {
-    /// Stable label for logs and artifacts.
-    #[must_use]
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-
     /// Numeric encoding for the `breaker_state` gauge.
     #[must_use]
     pub(crate) fn as_gauge(self) -> f64 {
@@ -398,14 +388,8 @@ impl BreakerLayer {
         self.core.clone()
     }
 
-    /// Records a transition into metrics, the current span and the log.
-    fn note_transition(
-        env: &mut Env,
-        nf: &str,
-        peer: &str,
-        t: BreakerTransition,
-        state: BreakerState,
-    ) {
+    /// Records a transition into metrics and the current span.
+    fn note_transition(nf: &str, peer: &str, t: BreakerTransition, state: BreakerState) {
         let (label, attr) = match t {
             BreakerTransition::Opened => (labels::BREAKER_OPENED, "breaker_opened"),
             BreakerTransition::Reopened => (labels::BREAKER_REOPENED, "breaker_reopened"),
@@ -415,11 +399,6 @@ impl BreakerLayer {
         obs::gauge(nf, peer, labels::BREAKER_STATE, state.as_gauge());
         let current = obs::with(|o| o.current()).flatten();
         obs::span_attr(current, attr, 1);
-        env.log.record(
-            env.clock.now(),
-            "breaker",
-            format_args!("{nf} -> {peer}: circuit {}", state.name()),
-        );
     }
 }
 
@@ -442,11 +421,6 @@ impl Layer for BreakerLayer {
                     }
                     BreakerDecision::Reject => {
                         obs::count(&leg.dest, &dest, labels::BREAKER_REJECTED, 1);
-                        env.log.record(
-                            env.clock.now(),
-                            "breaker",
-                            format_args!("fail-fast {} {} (circuit open)", dest, req.path),
-                        );
                         Step::Reply(
                             HttpResponse::error(503, "upstream circuit open")
                                 .with_marker(&BREAKER_OPEN),
@@ -463,7 +437,7 @@ impl Layer for BreakerLayer {
         let settled = self.core.borrow_mut().settle(leg.id, ok, env.clock.now());
         if let Some((peer, Some(t))) = settled {
             let state_now = self.core.borrow().state(&peer);
-            Self::note_transition(env, &leg.dest, &peer, t, state_now);
+            Self::note_transition(&leg.dest, &peer, t, state_now);
         }
         Resume::Continue(resp)
     }

@@ -206,14 +206,6 @@ impl Layer for RetryLayer {
             let backoff = self.policy.backoff(call.attempt);
             let jittered = env.rng.jitter(backoff.as_nanos(), self.policy.jitter);
             env.clock.advance(SimDuration::from_nanos(jittered));
-            env.log.record(
-                env.clock.now(),
-                "retry",
-                format_args!(
-                    "retransmit {} {} (attempt {}/{})",
-                    call.dest, call.req.path, call.attempt, self.policy.max_retries
-                ),
-            );
             return Resume::Break(Step::CallOut {
                 dest: call.dest.clone(),
                 req: call.req.clone(),
@@ -221,20 +213,12 @@ impl Layer for RetryLayer {
         }
         let attempt = call.attempt;
         calls.remove(leg.id);
-        {
+        if attempt > 0 {
             let mut stats = self.stats.borrow_mut();
-            if attempt > 0 {
-                if retryable(&resp) {
-                    stats.exhausted += 1;
-                } else {
-                    stats.recovered += 1;
-                }
-            } else if retryable(&resp) {
-                // Budget of zero retries left for a retryable failure
-                // cannot happen (enabled() implies max_retries > 0 and
-                // the branch above would have fired), but a non-5xx
-                // protocol failure on attempt 0 lands here: final.
+            if retryable(&resp) {
                 stats.exhausted += 1;
+            } else {
+                stats.recovered += 1;
             }
         }
         Resume::Continue(resp)

@@ -249,11 +249,6 @@ impl AmfService {
         let hres_star = derive_hxres_star(&rand, &SecretBytes::new(res_star));
         if !shield5g_crypto::ct_eq(&hres_star, &hxres_star) {
             self.contexts.remove(ran_ue_id);
-            env.log.record(
-                env.clock.now(),
-                "aka",
-                format_args!("SEAF HRES* check failed"),
-            );
             return Ok(self.finish_ngap(ran_ue_id, &NasDownlink::AuthenticationReject));
         }
 
@@ -306,11 +301,6 @@ impl AmfService {
         };
         match cause {
             AuthFailureCause::MacFailure => {
-                env.log.record(
-                    env.clock.now(),
-                    "aka",
-                    format_args!("UE reported MAC failure"),
-                );
                 Ok(self.finish_ngap(
                     ran_ue_id,
                     &NasDownlink::RegistrationReject {
@@ -451,11 +441,6 @@ impl AmfService {
                             shield5g_obs::labels::REGISTRATIONS_COMPLETED,
                             1,
                         );
-                        env.log.record(
-                            env.clock.now(),
-                            "aka",
-                            format_args!("{supi} registered as {guti}"),
-                        );
                         self.contexts
                             .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
                         // No downlink NAS needed; answer with a harmless
@@ -474,7 +459,7 @@ impl AmfService {
             } => {
                 let plain = sec.unprotect(pdu)?;
                 match NasUplink::decode(&plain)? {
-                    NasUplink::DeregistrationRequest { switch_off } => {
+                    NasUplink::DeregistrationRequest { .. } => {
                         // Invalidate the GUTI and drop the context; the
                         // accept still rides the (dying) security context,
                         // which `encode_downlink` picks up from the
@@ -488,11 +473,6 @@ impl AmfService {
                             1,
                         );
                         self.pending_teardown.insert(ran_ue_id, ());
-                        env.log.record(
-                            env.clock.now(),
-                            "aka",
-                            format_args!("{supi} deregistered (switch_off={switch_off})"),
-                        );
                         self.contexts
                             .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
                         Ok(self.finish_ngap(ran_ue_id, &NasDownlink::DeregistrationAccept))
@@ -716,11 +696,6 @@ impl AmfService {
                 resync_attempts,
             } => {
                 self.client.receive(env, &self.ausf_addr, resp)?;
-                env.log.record(
-                    env.clock.now(),
-                    "aka",
-                    format_args!("SQN re-synchronised; restarting AKA"),
-                );
                 self.start_authentication(env, leg, ran_ue_id, identity, resync_attempts + 1)
             }
             AmfFlow::AwaitSmf {

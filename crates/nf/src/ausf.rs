@@ -89,7 +89,6 @@ impl AusfService {
     /// Issues the SE AV once XRES*/K_SEAF are known.
     fn finish_authenticate(
         &mut self,
-        env: &mut Env,
         supi: Supi,
         he_av: &HeAv,
         hxres_star: [u8; 16],
@@ -110,11 +109,6 @@ impl AusfService {
             "/nausf-auth/authenticate",
             shield5g_obs::labels::SE_AV_ISSUED,
             1,
-        );
-        env.log.record(
-            env.clock.now(),
-            "aka",
-            format_args!("AUSF issued SE AV (ctx {ctx_id})"),
         );
         Step::Reply(HttpResponse::ok(
             AuthenticateResponse {
@@ -142,11 +136,6 @@ impl AusfService {
                 shield5g_obs::labels::RES_STAR_CONFIRMED,
                 1,
             );
-            env.log.record(
-                env.clock.now(),
-                "aka",
-                format_args!("AUSF confirmed RES* for {}", ctx.supi),
-            );
             Ok(ConfirmResponse {
                 success: true,
                 supi: Some(ctx.supi),
@@ -159,8 +148,6 @@ impl AusfService {
                 shield5g_obs::labels::RES_STAR_REJECTED,
                 1,
             );
-            env.log
-                .record(env.clock.now(), "aka", format_args!("AUSF rejected RES*"));
             Ok(ConfirmResponse {
                 success: false,
                 supi: None,
@@ -257,7 +244,7 @@ impl EngineService for AusfService {
                 };
                 match self.backend.begin(env, &aka_req) {
                     BackendOp::Done(Ok(se)) => {
-                        self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf)
+                        self.finish_authenticate(supi, &he_av, se.hxres_star, se.kseaf)
                     }
                     BackendOp::Done(Err(e)) => Step::Reply(Self::upstream_error(e)),
                     BackendOp::Call { dest, req, token } => {
@@ -268,7 +255,7 @@ impl EngineService for AusfService {
             }
             AusfFlow::AwaitSe { supi, he_av, token } => {
                 match self.backend.finish(env, token, resp) {
-                    Ok(se) => self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf),
+                    Ok(se) => self.finish_authenticate(supi, &he_av, se.hxres_star, se.kseaf),
                     Err(e) => Step::Reply(Self::upstream_error(e)),
                 }
             }

@@ -47,11 +47,6 @@ impl Service for NrfService {
         match &*req.path {
             "/nnrf-nfm/register" => match NfProfile::decode(&req.body) {
                 Ok(profile) => {
-                    env.log.record(
-                        env.clock.now(),
-                        "nrf",
-                        format_args!("registered {} at {}", profile.nf_type, profile.addr),
-                    );
                     self.profiles.insert(profile.addr.clone(), profile);
                     HttpResponse::ok(Vec::new())
                 }

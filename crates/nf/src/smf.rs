@@ -141,14 +141,6 @@ impl EngineService for SmfService {
             ue_ip: session.ue_ip,
             upf_teid: session.teid,
         };
-        env.log.record(
-            env.clock.now(),
-            "session",
-            format_args!(
-                "SMF anchored PDU session {} for {} at 10.0.0.{}",
-                session.pdu_session_id, session.supi, session.ue_ip[3]
-            ),
-        );
         self.sessions
             .insert((session.supi, session.pdu_session_id), session);
         Step::Reply(HttpResponse::ok(reply.encode()))

@@ -112,17 +112,12 @@ impl UdmService {
         self.flows.call_out(leg, self.udr_addr.clone(), req, next)
     }
 
-    fn finish_av(&mut self, env: &mut Env, supi: Supi, he_av: HeAv) -> Step {
+    fn finish_av(supi: Supi, he_av: HeAv) -> Step {
         shield5g_obs::hub::count(
             "udm",
             "/nudm-ueau",
             shield5g_obs::labels::HE_AV_GENERATED,
             1,
-        );
-        env.log.record(
-            env.clock.now(),
-            "aka",
-            format_args!("UDM generated HE AV for {supi}"),
         );
         Step::Reply(HttpResponse::ok(
             UdmAuthGetResponse { supi, he_av }.encode(),
@@ -155,7 +150,7 @@ impl UdmService {
             snn,
         };
         match AkaBackend::<GenerateAv>::begin(&mut *self.backend, env, &aka_req) {
-            BackendOp::Done(Ok(av)) => self.finish_av(env, supi, av),
+            BackendOp::Done(Ok(av)) => Self::finish_av(supi, av),
             BackendOp::Done(Err(e)) => Step::Reply(Self::auth_error(e)),
             BackendOp::Call { dest, req, token } => {
                 let flow = UdmFlow::AwaitAv { supi, token };
@@ -171,7 +166,7 @@ impl UdmService {
             "/nudr-dr/resync",
             UdrResyncRequest { supi, sqn_ms }.encode(),
         );
-        let flow = UdmFlow::AwaitUdrResync { supi };
+        let flow = UdmFlow::AwaitUdrResync;
         self.flows.call_out(leg, self.udr_addr.clone(), req, flow)
     }
 }
@@ -188,7 +183,7 @@ enum UdmFlow {
     /// Resync flow: waiting on the remote AKA module's AUTS verdict.
     AwaitModuleResync { supi: Supi, token: CallToken },
     /// Resync flow: waiting on the UDR SQN update.
-    AwaitUdrResync { supi: Supi },
+    AwaitUdrResync,
 }
 
 impl EngineService for UdmService {
@@ -247,7 +242,7 @@ impl EngineService for UdmService {
             }
             UdmFlow::AwaitAv { supi, token } => {
                 match AkaBackend::<GenerateAv>::finish(&mut *self.backend, env, token, resp) {
-                    Ok(av) => self.finish_av(env, supi, av),
+                    Ok(av) => Self::finish_av(supi, av),
                     Err(e) => Step::Reply(Self::auth_error(e)),
                 }
             }
@@ -282,19 +277,10 @@ impl EngineService for UdmService {
                     Err(e) => Step::Reply(backend::error_reply(&e)),
                 }
             }
-            UdmFlow::AwaitUdrResync { supi } => {
-                match self.client.receive(env, &self.udr_addr, resp) {
-                    Ok(_) => {
-                        env.log.record(
-                            env.clock.now(),
-                            "aka",
-                            format_args!("UDM re-synchronised SQN for {supi}"),
-                        );
-                        Step::Reply(HttpResponse::ok(Vec::new()))
-                    }
-                    Err(e) => Step::Reply(backend::error_reply(&e)),
-                }
-            }
+            UdmFlow::AwaitUdrResync => match self.client.receive(env, &self.udr_addr, resp) {
+                Ok(_) => Step::Reply(HttpResponse::ok(Vec::new())),
+                Err(e) => Step::Reply(backend::error_reply(&e)),
+            },
         }
     }
 

@@ -100,11 +100,6 @@ impl Gnb {
         }
         let id = self.next_ran_ue_id;
         self.next_ran_ue_id += 1;
-        env.log.record(
-            env.clock.now(),
-            "ran",
-            format_args!("RRC connected (ran_ue_id {id})"),
-        );
         Ok(id)
     }
 

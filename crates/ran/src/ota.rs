@@ -72,7 +72,6 @@ impl OtaTestbed {
     #[must_use]
     pub fn assemble(seed: u64, deployment: AkaDeployment) -> Self {
         let mut env = Env::new(seed);
-        env.log.disable();
         #[expect(clippy::expect_used, reason = "the fixed slice config always deploys")]
         let slice = build_slice(
             &mut env,

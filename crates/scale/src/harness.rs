@@ -117,7 +117,6 @@ pub fn pool_sweep(seed: u64, cfg: &SweepConfig) -> PoolReport {
 #[must_use]
 pub fn probe_service_time(seed: u64) -> SimDuration {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut pool = EnclavePool::deploy(
         &mut env,
         PakaKind::EUdm,

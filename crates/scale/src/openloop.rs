@@ -376,7 +376,6 @@ impl Run {
 #[must_use]
 pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, sc.pool);
     let ues = sc.workload.ues as usize;
     let supis: Vec<Supi> = (0..=sc.workload.ues).map(test_subscriber).collect();
@@ -449,7 +448,7 @@ pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
         if sc.crash_at == Some(idx) {
             let module = pool.replica(pool.route(run.supis[ue].as_str())).module();
             let mut m = module.borrow_mut();
-            if m.inject_crash(&mut env) {
+            if m.inject_crash() {
                 run.recovery.fault(env.clock.now());
             }
             if sc.aex_storm > 0 {

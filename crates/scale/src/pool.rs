@@ -451,7 +451,7 @@ impl EnclavePool {
             );
             replica.state = ReplicaState::Dead;
             replica.dead.set(true);
-            replica.module.borrow_mut().inject_crash(env);
+            replica.module.borrow_mut().inject_crash();
         }
         self.ring.remove(id);
         // A dead replica's health history is moot; the replacement
@@ -709,9 +709,7 @@ mod tests {
     }
 
     fn env() -> Env {
-        let mut env = Env::new(7101);
-        env.log.disable();
-        env
+        Env::new(7101)
     }
 
     fn av_request(supi: &str) -> HttpRequest {

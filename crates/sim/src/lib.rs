@@ -12,14 +12,13 @@
 //! * [`time`] — `SimTime` / `SimDuration` newtypes (nanosecond precision).
 //! * [`clock`] — the shared virtual clock.
 //! * [`rng`] — a fork-able deterministic RNG.
-//! * [`log`] — a structured event log for traceability.
 //! * [`latency`] — link profiles (docker bridge, loopback, 5G radio).
 //! * [`http`] — byte-accurate REST/HTTP framing for the service-based
 //!   interfaces (message sizes drive the paper's L_T results).
 //! * [`tls`] — a TLS-like secure channel with a real X25519 handshake and
 //!   AES-CTR + HMAC record protection.
 //! * [`service`] — the leaf `Service` trait and the per-world [`Env`]
-//!   (clock + RNG + log).
+//!   (clock + RNG).
 //! * [`engine`] — the deterministic discrete-event scheduler: every
 //!   network call is an event on a `(virtual_time, seq)`-ordered queue,
 //!   services yield at outbound-call points, and per-endpoint worker
@@ -47,7 +46,6 @@ pub mod codec;
 pub mod engine;
 pub mod http;
 pub mod latency;
-pub mod log;
 pub mod rng;
 pub mod service;
 pub mod table;
@@ -55,7 +53,6 @@ pub mod time;
 pub mod tls;
 
 pub use clock::Clock;
-pub use log::EventLog;
 pub use rng::DetRng;
 pub use service::Env;
 

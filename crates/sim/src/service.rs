@@ -1,13 +1,10 @@
-//! The service abstraction: a per-world [`Env`] (clock, RNG, log) and the
+//! The service abstraction: a per-world [`Env`] (clock and RNG) and the
 //! synchronous [`Service`] trait implemented by *leaf* network functions —
 //! services that answer a request without making downstream calls (UDR,
 //! UPF, NRF, and the sealed P-AKA module endpoints).
 //!
-//! Worlds used to be strictly synchronous: a "network call" was a nested
-//! `Router::call` charging one shared clock on the way in and out, which
-//! could only model back-to-back registrations. Routing now lives in the
-//! discrete-event [`crate::engine::Engine`]: services that call out
-//! (UDM, AUSF, AMF, SMF) implement the continuation-style
+//! Routing lives in the discrete-event [`crate::engine::Engine`]: services
+//! that call out (UDM, AUSF, AMF, SMF) implement the continuation-style
 //! [`crate::engine::EngineService`] and yield a
 //! [`crate::engine::Step::CallOut`] back to the scheduler at each outbound
 //! SBI hop, so concurrent requests genuinely overlap — each one computes
@@ -18,20 +15,32 @@
 
 use crate::clock::Clock;
 use crate::http::{HttpRequest, HttpResponse};
-use crate::log::EventLog;
 use crate::rng::DetRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Shared per-world context threaded through every simulated operation.
-#[derive(Clone, Debug)]
+/// Per-world context threaded through every simulated operation.
+///
+/// Not `Clone`: a copy would share the clock but draw the same random
+/// stream as the original.
+#[derive(Debug)]
 pub struct Env {
     /// The world's virtual clock.
     pub clock: Clock,
     /// The world's deterministic randomness.
     pub rng: DetRng,
-    /// The world's event log.
-    pub log: EventLog,
+    /// See [`LogShim`].
+    pub log: LogShim,
+}
+
+/// Public for benchmark/ (ROADMAP item 2), whose worlds call
+/// [`Env::log`]'s `disable()`; records nothing.
+#[derive(Debug)]
+pub struct LogShim;
+
+impl LogShim {
+    /// Does nothing.
+    pub fn disable(&mut self) {}
 }
 
 impl Env {
@@ -41,7 +50,7 @@ impl Env {
         Env {
             clock: Clock::new(),
             rng: DetRng::new(seed),
-            log: EventLog::new(),
+            log: LogShim,
         }
     }
 }
@@ -86,13 +95,5 @@ mod tests {
             .handle(&mut env, HttpRequest::post("/x", b"hi".to_vec()));
         assert_eq!(resp.body, b"hi");
         assert_eq!(env.clock.now().as_nanos(), 1_000);
-    }
-
-    #[test]
-    fn env_clones_share_clock() {
-        let env = Env::new(7);
-        let other = env.clone();
-        env.clock.advance(SimDuration::from_micros(3));
-        assert_eq!(other.clock.now().as_nanos(), 3_000);
     }
 }

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hardened =
         ContainerImage::new(ImageSpec::synthetic("oai/amf-sealed", "/bin/amf", 1_000, 2))
             .with_sealed_secret("tls-key", blob);
-    let attacker = Attacker::new("mallory");
+    let attacker = Attacker::default();
     for image in [&naive, &hardened] {
         for (name, leaked) in attacker.extract_image_secrets(image) {
             println!(

@@ -20,7 +20,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== gNBSIM mass registration: {count} UEs through SGX P-AKA ==\n");
 
     let mut env = Env::new(77);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {

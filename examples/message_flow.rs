@@ -1,5 +1,5 @@
-//! Narrated message flow: one registration through the SGX slice with
-//! the event log enabled — the paper's Figure 5 sequence, live.
+//! Narrated message flow: one registration through the SGX slice, printed
+//! from the engine trace — the paper's Figure 5 sequence, live.
 //!
 //! ```sh
 //! cargo run --release --example message_flow
@@ -7,14 +7,14 @@
 
 use shield5g::core::harness::concurrency_sweep;
 use shield5g::core::paka::SgxConfig;
-use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
+use shield5g::core::slice::{build_traced_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::sim::Env;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== one UE registration, narrated (paper Fig. 5) ==\n");
     let mut env = Env::new(555);
-    let slice = build_slice(
+    let slice = build_traced_slice(
         &mut env,
         &SliceConfig {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
@@ -22,16 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let mut sim = GnbSim::new(&slice);
-    let mark = env.log.len();
+    // Traced from its first decision, so the count is the next line's index.
+    let mark = slice.engine.borrow().trace().len();
     sim.register_ues(&mut env, &slice, 1)?;
 
-    for event in &env.log.events()[mark..] {
-        println!(
-            "  {:>12}  [{:8}] {}",
-            event.at.to_string(),
-            event.category,
-            event.message
-        );
+    for line in &slice.engine.borrow().trace_lines()[mark..] {
+        println!("  {line}");
     }
 
     println!("\n== concurrency vs thread budget (§V-B2 extension) ==\n");

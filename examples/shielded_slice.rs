@@ -26,7 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AkaDeployment::Sgx(SgxConfig::default()),
     ] {
         let mut env = Env::new(99);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

@@ -2,10 +2,11 @@
 # Lines of Rust per crate, in two columns: non-test lines under
 # crates/<c>/src (every line of a file before its first top-level
 # `#[cfg(test)]`; a file without one counts whole), then test lines (the
-# rest of those files, plus every file under crates/<c>/tests/). A `tests`
-# row counts the workspace's root tests/, and `total` sums both columns.
-# Prints `<crate> <non-test> <test>`. Run from anywhere; reports, never
-# gates.
+# rest of those files, plus every file under crates/<c>/tests/). A
+# `facade` row counts the root src/ the same way, an `examples` row counts
+# the root examples/ whole as non-test, a `tests` row counts the root
+# tests/, and `total` sums both columns. Prints `<crate> <non-test>
+# <test>`. Run from anywhere; reports, never gates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,5 +30,7 @@ count() {
     fi
     echo "$(basename "$dir") $1 $(($2 + tests))"
   done
+  echo "facade $(count src)"
+  echo "examples $(find examples -name '*.rs' -exec cat {} + | wc -l) 0"
   echo "tests 0 $(find tests -name '*.rs' -exec cat {} + | wc -l)"
 } | awk '{ print; n += $2; t += $3 } END { print "total", n, t }'

@@ -139,7 +139,6 @@ fn register(env: &mut Env, slice: &Slice, gnb: &mut GnbSim, index: usize) {
 #[test]
 fn a_steady_state_registration_allocates_a_fixed_count_under_the_ceiling() {
     let mut env = Env::new(300);
-    env.log.disable();
     let config = SliceConfig {
         deployment: AkaDeployment::Sgx(SgxConfig::default()),
         subscriber_count: SUBSCRIBERS as u32,

@@ -52,22 +52,22 @@ fn same_seed_same_registration_transcript() {
         .unwrap();
         let mut sim = GnbSim::new(&slice);
         let regs = sim.register_ues(&mut env, &slice, 2).unwrap();
-        (
+        let transcript = (
             env.clock.now(),
             regs.iter()
                 .map(|r| (r.report.guti, r.report.setup_time))
                 .collect::<Vec<_>>(),
-            env.log.len(),
-        )
+            slice.engine.borrow().stats().events,
+        );
+        transcript
     };
     assert_eq!(run(103), run(103));
 }
 
-/// A fresh SGX slice with `subscribers` provisioned, the event log off
-/// and the engine trace on.
+/// A fresh SGX slice with `subscribers` provisioned and the engine trace
+/// on.
 fn traced_sgx_slice(seed: u64, subscribers: u32) -> (Env, Slice) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let slice = build_traced_slice(
         &mut env,
         &SliceConfig {
@@ -109,7 +109,7 @@ fn assert_matches_golden(file: &str, lines: &[String]) {
 }
 
 /// One SGX-slice registration run with the engine trace on, returning
-/// the byte-exact event log.
+/// its byte-exact lines.
 fn engine_trace_of(seed: u64) -> Vec<String> {
     let (mut env, slice) = traced_sgx_slice(seed, 2);
     let mut sim = GnbSim::new(&slice);
@@ -137,7 +137,6 @@ fn an_untraced_registration_counts_what_its_traced_twin_records() {
     // UE or the scheduler can see.
     let run = |build: fn(&mut Env, &SliceConfig) -> Result<Slice, _>| {
         let mut env = Env::new(300);
-        env.log.disable();
         let config = SliceConfig {
             deployment: AkaDeployment::Sgx(SgxConfig::default()),
             subscriber_count: 2,
@@ -263,7 +262,7 @@ fn delay_heavy() -> shield5g::mw::FaultConfig {
 #[test]
 fn fault_plan_at_rate_zero_is_trace_invisible() {
     // The regression gate: a zero-rate plan installs nothing and draws
-    // nothing, so the engine event log is byte-for-byte the pre-fault
+    // nothing, so the engine trace is byte-for-byte the pre-fault
     // baseline.
     assert_eq!(
         faulted_trace_of(300, shield5g::mw::FaultConfig::default()),
@@ -365,8 +364,8 @@ fn observability_is_zero_perturbation() {
     // The shielding gate for shield5g-obs: recording spans and metrics
     // must not steer the simulation. Observability reads the virtual
     // clock but never advances it, draws no randomness, and enqueues no
-    // events — so the engine event log with a hub installed is
-    // byte-identical to the log without one, same seed.
+    // events — so the engine trace with a hub installed is
+    // byte-identical to the trace without one, same seed.
     let bare = engine_trace_of(300);
     let hub = shield5g::obs::hub::ObsHandle::new();
     let observed = {

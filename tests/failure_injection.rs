@@ -15,7 +15,6 @@ use shield5g::sim::Env;
 #[test]
 fn ausf_outage_rejects_registrations_cleanly() {
     let mut env = Env::new(201);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -49,7 +48,6 @@ fn ausf_outage_rejects_registrations_cleanly() {
 #[test]
 fn module_outage_mid_sequence_recovers_on_redeploy() {
     let mut env = Env::new(202);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -178,7 +176,6 @@ fn sealed_provisioning_end_to_end_and_failure_modes() {
 #[test]
 fn guti_re_registration_skips_suci_and_succeeds() {
     let mut env = Env::new(207);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -201,7 +198,6 @@ fn guti_re_registration_skips_suci_and_succeeds() {
 #[test]
 fn guti_re_registration_without_prior_registration_fails() {
     let mut env = Env::new(208);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -221,7 +217,6 @@ fn guti_re_registration_without_prior_registration_fails() {
 #[test]
 fn stale_guti_after_amf_restart_recovers_via_identity_request() {
     let mut env = Env::new(209);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -235,7 +230,6 @@ fn stale_guti_after_amf_restart_recovers_via_identity_request() {
     ue.register(&mut env, sim.gnb_mut()).unwrap();
     // "Restart" the AMF: a new world with empty GUTI maps.
     let mut env2 = Env::new(210);
-    env2.log.disable();
     let slice2 = build_slice(
         &mut env2,
         &SliceConfig {
@@ -262,7 +256,6 @@ fn stale_guti_after_amf_restart_recovers_via_identity_request() {
 #[test]
 fn amf_survives_nas_garbage_without_panicking() {
     let mut env = Env::new(211);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {

@@ -16,7 +16,6 @@ use shield5g::sim::Env;
 
 fn world(deployment: AkaDeployment, seed: u64) -> (Env, shield5g::core::slice::Slice) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -260,7 +259,6 @@ fn fig5_sequence_flows_through_the_engine() {
     // engine trace is the ground truth: if any NF called another NF
     // directly, its hop would be missing here.
     let mut env = Env::new(12);
-    env.log.disable();
     let config = SliceConfig {
         deployment: AkaDeployment::Sgx(SgxConfig::default()),
         subscriber_count: 4,
@@ -297,24 +295,4 @@ fn fig5_sequence_flows_through_the_engine() {
     assert!(pos("resume udm.oai /nudr-dr") > udm_to_udr);
     assert!(pos("resume udm.oai /eudm/generate-av") > udm_to_eudm);
     assert!(pos("resume amf.oai /eamf/derive-kamf") > amf_to_eamf);
-}
-
-#[test]
-fn event_log_narrates_the_flow() {
-    let mut env = Env::new(9);
-    let slice = build_slice(
-        &mut env,
-        &SliceConfig {
-            deployment: AkaDeployment::Monolithic,
-            subscriber_count: 1,
-        },
-    )
-    .unwrap();
-    let mut sim = GnbSim::new(&slice);
-    sim.register_ues(&mut env, &slice, 1).unwrap();
-    assert!(env.log.contains("aka", "HE AV"));
-    assert!(env.log.contains("aka", "SE AV"));
-    assert!(env.log.contains("aka", "confirmed RES*"));
-    assert!(env.log.contains("aka", "registered as 5g-guti"));
-    assert!(env.log.contains("ran", "RRC connected"));
 }

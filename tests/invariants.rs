@@ -298,7 +298,6 @@ fn deployment(d: u64) -> AkaDeployment {
 
 fn world(seed: u64, deployment: AkaDeployment, subscribers: usize) -> Result<(Env, Slice), String> {
     let mut env = Env::new(seed);
-    env.log.disable();
     let config = SliceConfig {
         deployment,
         subscriber_count: u32::try_from(subscribers).map_err(|e| e.to_string())?,

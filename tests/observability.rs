@@ -21,7 +21,6 @@ fn observed_registration(seed: u64) -> (ObsHandle, u64) {
     let recorder = ObsHandle::new();
     let _scope = hub::scoped(&recorder);
     let mut env = Env::new(seed);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -205,7 +204,6 @@ fn label_registry_covers_every_emitted_key() {
     {
         let _scope = hub::scoped(&recorder);
         let mut env = Env::new(705);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -248,7 +246,6 @@ fn label_registry_covers_every_emitted_key() {
         // An SBI error storm on a slice: the per-endpoint circuit
         // breakers trip and fail subsequent legs fast.
         let mut env = Env::new(708);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

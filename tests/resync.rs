@@ -31,7 +31,6 @@ use shield5g::sim::Env;
 #[test]
 fn sgx_failover_resync_re_registers_desynced_ue() {
     let mut env = Env::new(301);
-    env.log.disable();
     let cfg = SliceConfig {
         deployment: AkaDeployment::Sgx(SgxConfig::default()),
         subscriber_count: 2,
@@ -46,7 +45,6 @@ fn sgx_failover_resync_re_registers_desynced_ue() {
     // derive deterministically) but its SQN generator starts from zero —
     // strictly behind the USIM's window.
     let mut env2 = Env::new(302);
-    env2.log.disable();
     let slice2 = build_slice(&mut env2, &cfg).unwrap();
     let mut sim2 = GnbSim::new(&slice2);
     let report = ue.register(&mut env2, sim2.gnb_mut()).unwrap();
@@ -77,7 +75,6 @@ fn sgx_failover_resync_re_registers_desynced_ue() {
 #[test]
 fn pool_failover_resync_restores_the_av_stream() {
     let mut env = Env::new(303);
-    env.log.disable();
     let mut pool = EnclavePool::deploy(
         &mut env,
         PakaKind::EUdm,

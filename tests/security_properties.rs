@@ -19,7 +19,6 @@ fn attacked_slice(
     seed: u64,
 ) -> (Env, shield5g::core::slice::Slice, Attacker) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -31,9 +30,9 @@ fn attacked_slice(
     // Drive a real registration so session keys are resident everywhere.
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 1).unwrap();
-    let mut attacker = Attacker::new("mallory");
+    let mut attacker = Attacker::default();
     while attacker.gain_co_residency(&mut env, &slice.host).is_err() {}
-    attacker.escape_to_host(&mut env, &slice.host).unwrap();
+    attacker.escape_to_host(&slice.host).unwrap();
     let _ = &mut slice;
     (env, slice, attacker)
 }
@@ -42,19 +41,15 @@ fn attacked_slice(
 fn long_term_key_leaks_from_container_not_from_enclave() {
     let (k, _) = shield5g::core::slice::Subscriber::test_credentials(0);
 
-    let (mut env, slice, attacker) = attacked_slice(AkaDeployment::Container, 11);
-    let findings = attacker
-        .introspect_memory(&mut env, &slice.host, &k)
-        .unwrap();
+    let (_, slice, attacker) = attacked_slice(AkaDeployment::Container, 11);
+    let findings = attacker.introspect_memory(&slice.host, &k).unwrap();
     assert!(
         findings.iter().any(|f| f.found_plaintext),
         "container must leak K"
     );
 
-    let (mut env, slice, attacker) = attacked_slice(AkaDeployment::Sgx(SgxConfig::default()), 12);
-    let findings = attacker
-        .introspect_memory(&mut env, &slice.host, &k)
-        .unwrap();
+    let (_, slice, attacker) = attacked_slice(AkaDeployment::Sgx(SgxConfig::default()), 12);
+    let findings = attacker.introspect_memory(&slice.host, &k).unwrap();
     assert!(
         findings.iter().all(|f| !f.found_plaintext),
         "enclave deployment must never leak K"
@@ -67,7 +62,7 @@ fn long_term_key_leaks_from_container_not_from_enclave() {
 fn derived_session_keys_also_protected() {
     // K_AUSF ends up in eUDM scratch space after AV generation; in the
     // container deployment the attacker can read it, in SGX not.
-    let (mut env, slice, attacker) = attacked_slice(AkaDeployment::Container, 13);
+    let (_, slice, attacker) = attacked_slice(AkaDeployment::Container, 13);
     let module = slice.module(PakaKind::EUdm).unwrap();
     let c = module.borrow().container();
     let kausf = c
@@ -76,9 +71,7 @@ fn derived_session_keys_also_protected() {
         .read("scratch:kausf")
         .map(<[u8]>::to_vec);
     let kausf = kausf.expect("container module stores derived keys in plain memory");
-    let findings = attacker
-        .introspect_memory(&mut env, &slice.host, &kausf)
-        .unwrap();
+    let findings = attacker.introspect_memory(&slice.host, &kausf).unwrap();
     assert!(findings.iter().any(|f| f.found_plaintext));
 
     let (mut env, slice, attacker) = attacked_slice(AkaDeployment::Sgx(SgxConfig::default()), 14);
@@ -95,16 +88,13 @@ fn derived_session_keys_also_protected() {
             .vault_read(&mut env, "scratch:kausf")
             .unwrap()
     };
-    let findings = attacker
-        .introspect_memory(&mut env, &slice.host, &kausf)
-        .unwrap();
+    let findings = attacker.introspect_memory(&slice.host, &kausf).unwrap();
     assert!(findings.iter().all(|f| !f.found_plaintext));
 }
 
 #[test]
 fn bridge_traffic_is_ciphertext_even_for_the_root_attacker() {
     let mut env = Env::new(15);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -144,7 +134,6 @@ fn tampering_with_enclave_state_fails_closed() {
 #[test]
 fn attestation_gates_deployment_to_genuine_enclaves() {
     let mut env = Env::new(17);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -177,7 +166,6 @@ fn attested_tls_binding_gates_the_offload_channel() {
     // provisioning / TLS establishment. An SGX module quotes its TLS key;
     // a container module cannot quote at all.
     let mut env = Env::new(19);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -197,7 +185,6 @@ fn attested_tls_binding_gates_the_offload_channel() {
 
     // Container module: no enclave, no quote.
     let mut env2 = Env::new(20);
-    env2.log.disable();
     let slice2 = build_slice(
         &mut env2,
         &SliceConfig {
