@@ -169,21 +169,26 @@ fn availability(served: u64, arrivals: u64) -> f64 {
     100.0 * served as f64 / arrivals as f64
 }
 
-/// One point of a fault or degradation row: its label, the total SBI
-/// fault rate it stands for (split evenly across drop/delay/5xx; 0 for
-/// the scenarios that inject no SBI fault), its seed and its scenario.
-/// `Copy + Send`, so the parallel sweep runner can move points onto
-/// worker threads; running one is a pure function of this struct.
+/// One point of a fault or degradation row: its label, its seed and its
+/// scenario. `Copy + Send`, so the parallel sweep runner can move points
+/// onto worker threads; running one is a pure function of this struct.
 #[derive(Clone, Copy, Debug)]
 struct Point {
     /// Scenario label the row reports.
     label: &'static str,
-    /// Total SBI fault rate of the point.
-    rate: f64,
     /// Seed of this point's run.
     seed: u64,
     /// The run itself.
     scenario: Scenario,
+}
+
+impl Point {
+    /// The total SBI fault rate the point's scenario injects: its drop,
+    /// delay and 5xx rates summed (0 when it injects no SBI fault).
+    fn sbi_rate(&self) -> f64 {
+        let sbi = self.scenario.sbi;
+        sbi.drop_rate + sbi.delay_rate + sbi.error_rate
+    }
 }
 
 /// One job per point: the point's run, recorded by `record`.
@@ -210,9 +215,8 @@ fn fault_points(smoke: bool) -> Vec<Point> {
     } else {
         &[0.0, 0.02, 0.05, 0.10, 0.20, 0.35]
     };
-    let point = |label, rate, seed, cfg: FaultSweepConfig| Point {
+    let point = |label, seed, cfg: FaultSweepConfig| Point {
         label,
-        rate,
         seed,
         scenario: cfg.scenario(),
     };
@@ -228,7 +232,7 @@ fn fault_points(smoke: bool) -> Vec<Point> {
                 },
                 ..FaultSweepConfig::default()
             };
-            point("sbi_fault_rate", rate, 900, cfg)
+            point("sbi_fault_rate", 900, cfg)
         })
         .collect();
     let kill = FaultSweepConfig {
@@ -241,14 +245,14 @@ fn fault_points(smoke: bool) -> Vec<Point> {
         kill_at: Some(if smoke { 30 } else { 110 }),
         ..FaultSweepConfig::default()
     };
-    points.push(point("replica_kill", 0.0, 910, kill));
+    points.push(point("replica_kill", 910, kill));
     let crash = FaultSweepConfig {
         arrivals: if smoke { 80 } else { 160 },
         crash_at: Some(if smoke { 20 } else { 40 }),
         aex_storm: 500,
         ..FaultSweepConfig::default()
     };
-    points.push(point("enclave_crash", 0.0, 920, crash));
+    points.push(point("enclave_crash", 920, crash));
     points
 }
 
@@ -274,7 +278,7 @@ fn fault_summary(report: &Outcome) -> String {
 fn fault_point(spec: &Point, report: &Outcome) -> String {
     JsonObj::new()
         .str("scenario", spec.label)
-        .f64("sbi_fault_rate", spec.rate)
+        .f64("sbi_fault_rate", spec.sbi_rate())
         .u64("arrivals", report.pool.arrivals)
         .u64("served", report.pool.served)
         .u64("shed", report.pool.shed)
@@ -323,7 +327,7 @@ pub fn fault_recovery_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> Swe
             "sbi_fault_rate" => {
                 lines.push(format!(
                     "      {:>5.0}%  {:>6.1}%  {:>10}  {:>10.0}  {:>5.2}x  {:>4}/{}/{}",
-                    100.0 * spec.rate,
+                    100.0 * spec.sbi_rate(),
                     availability(report.pool.served, report.pool.arrivals),
                     report.recovery.mttr,
                     report.recovery.goodput_per_sec,
@@ -471,7 +475,6 @@ fn degradation_points(smoke: bool) -> Vec<Point> {
         .iter()
         .map(|&rate| Point {
             label: "fault_ramp",
-            rate,
             seed: 930,
             scenario: Scenario {
                 sbi: FaultConfig {
@@ -485,7 +488,6 @@ fn degradation_points(smoke: bool) -> Vec<Point> {
         .collect();
     points.push(Point {
         label: "brownout",
-        rate: 0.0,
         seed: 931,
         scenario: brownout_config(arrivals),
     });
@@ -510,7 +512,7 @@ fn degradation_point(spec: &Point, report: &Outcome) -> String {
     let brownout = report.brownout;
     let mut obj = JsonObj::new()
         .str("scenario", spec.label)
-        .f64("sbi_fault_rate", spec.rate)
+        .f64("sbi_fault_rate", spec.sbi_rate())
         .u64("arrivals", normal.arrivals + emergency.arrivals)
         .u64("normal_arrivals", normal.arrivals)
         .u64("normal_served", normal.served)
@@ -569,7 +571,7 @@ pub fn degradation_curve_sweep(hub: &ObsHandle, threads: usize, smoke: bool) -> 
             "fault_ramp" => {
                 lines.push(format!(
                     "      {:>5.0}%  {:>7.1}%  {:>7.1}%  {:>4}/{:<4}  {:>5}/{:<5}  {:>8}",
-                    100.0 * spec.rate,
+                    100.0 * spec.sbi_rate(),
                     100.0 * normal.availability,
                     100.0 * emergency.availability,
                     report.sheds.normal,

@@ -69,12 +69,9 @@ pub fn clean_source(source: &str) -> String {
                     // with no closing quote right after.
                     if is_char_literal(bytes, i) {
                         state = State::CharLit;
-                        out.push(b);
-                        i += 1;
-                    } else {
-                        out.push(b);
-                        i += 1;
                     }
+                    out.push(b);
+                    i += 1;
                 } else {
                     out.push(b);
                     i += 1;
@@ -123,10 +120,12 @@ pub fn clean_source(source: &str) -> String {
                     }
                 }
                 Some(h) => {
-                    if b == b'"' && closing_hashes(bytes, i + 1) >= h {
+                    let close = i + 1 + h as usize;
+                    let hashes = bytes.get(i + 1..close);
+                    if b == b'"' && hashes.is_some_and(|s| s.iter().all(|&c| c == b'#')) {
                         out.push(b);
-                        out.extend_from_slice(&bytes[i + 1..i + 1 + h as usize]);
-                        i += 1 + h as usize;
+                        out.extend_from_slice(&bytes[i + 1..close]);
+                        i = close;
                         state = State::Normal;
                     } else {
                         blank(&mut out, b);
@@ -189,15 +188,6 @@ fn raw_prefix(bytes: &[u8], i: usize) -> (usize, Option<u32>) {
         return (j - i + 1, None); // b"..." — escaped like a plain string
     }
     (0, None)
-}
-
-/// Counts `#` bytes at `bytes[i..]`.
-fn closing_hashes(bytes: &[u8], i: usize) -> u32 {
-    let mut n = 0;
-    while bytes.get(i + n as usize) == Some(&b'#') {
-        n += 1;
-    }
-    n
 }
 
 /// Distinguishes `'c'` / `'\n'` char literals from `'lifetime` uses.

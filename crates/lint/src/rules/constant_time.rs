@@ -1,6 +1,6 @@
 //! Constant-time rule for field-arithmetic files.
 //!
-//! * **CT001** — a file listed in `constant_time_files` contains an
+//! * **CT001** — a file listed in [`FILES`] contains an
 //!   `if`, `while`, `match`, `&&`, `||` or `?` outside `cfg(test)`.
 //!   Those files hold arithmetic on secret-derived values (the X25519
 //!   ladder state, the Poly1305 key and accumulator), where a
@@ -12,10 +12,20 @@
 //!   token-level: a zero-argument closure (`||`) or a double reference
 //!   (`&&x`) trips it as well and has to be written another way.
 
-use crate::config::Config;
 use crate::lexer::find_word;
 use crate::scan::FileAnalysis;
 use crate::Finding;
+
+/// The rule's id.
+pub(crate) const ID: &str = "CT001";
+
+/// The files that must be straight-line outside `cfg(test)`: the X25519
+/// ladder and comb and the Poly1305 limb arithmetic.
+pub const FILES: [&str; 3] = [
+    "crates/crypto/src/x25519.rs",
+    "crates/crypto/src/x25519/comb.rs",
+    "crates/crypto/src/poly1305.rs",
+];
 
 /// Control-flow keywords that branch on their operand.
 const KEYWORDS: [&str; 3] = ["if", "while", "match"];
@@ -24,12 +34,8 @@ const KEYWORDS: [&str; 3] = ["if", "while", "match"];
 const OPERATORS: [&str; 3] = ["&&", "||", "?"];
 
 /// Runs the constant-time pass over one file.
-pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
-    if !config
-        .constant_time_files
-        .iter()
-        .any(|suffix| analysis.rel_path.ends_with(suffix.as_str()))
-    {
+pub(crate) fn check(analysis: &FileAnalysis, findings: &mut Vec<Finding>) {
+    if !FILES.contains(&analysis.rel_path.as_str()) {
         return;
     }
     let clean = analysis.clean.as_str();
@@ -49,7 +55,7 @@ pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec
             continue;
         }
         findings.push(Finding {
-            rule: "CT001".to_owned(),
+            rule: ID.to_owned(),
             path: analysis.rel_path.clone(),
             line: analysis.line(at),
             message: format!(

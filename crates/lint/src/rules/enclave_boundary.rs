@@ -7,9 +7,26 @@
 //!   model and keeps the TCB measurable; a direct call silently
 //!   escapes both.
 
-use crate::config::Config;
+use crate::lexer::find_word;
 use crate::scan::FileAnalysis;
 use crate::Finding;
+
+/// The rule's id.
+pub(crate) const ID: &str = "EB001";
+
+/// The enclave-side modules: code that the paper runs inside an SGX
+/// enclave, where a direct `std::fs`/`net`/`time` call would bypass the
+/// LibOS shim. The `crypto` crate runs enclave-side too but is not
+/// listed: it is `no_std`, so those paths do not resolve there.
+pub const FILES: [&str; 5] = [
+    // The P-AKA module dispatch.
+    "crates/core/src/paka.rs",
+    // The HMEE model: enclave-side runtime, sealing, attestation and EPC.
+    "crates/hmee/src/enclave.rs",
+    "crates/hmee/src/seal.rs",
+    "crates/hmee/src/attest.rs",
+    "crates/hmee/src/epc.rs",
+];
 
 /// Host-OS facilities enclave-side modules may not touch directly.
 const FORBIDDEN: [&str; 5] = [
@@ -21,29 +38,20 @@ const FORBIDDEN: [&str; 5] = [
 ];
 
 /// Runs the enclave-boundary pass over one file.
-pub(crate) fn check(analysis: &FileAnalysis, config: &Config, findings: &mut Vec<Finding>) {
-    if !config
-        .enclave_files
-        .iter()
-        .any(|suffix| analysis.rel_path.contains(suffix.as_str()))
-    {
+pub(crate) fn check(analysis: &FileAnalysis, findings: &mut Vec<Finding>) {
+    if !FILES.contains(&analysis.rel_path.as_str()) {
         return;
     }
     for pattern in FORBIDDEN {
         let mut from = 0;
-        while let Some(rel) = analysis.clean[from..].find(pattern) {
-            let at = from + rel;
+        // A whole-word match: `std::time` does not swallow `std::time_travel`.
+        while let Some(at) = find_word(&analysis.clean, pattern, from) {
             from = at + pattern.len();
-            // `std::time` must not swallow `std::time_travel` etc.
-            let next = analysis.clean.as_bytes().get(at + pattern.len());
-            if next.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_') {
-                continue;
-            }
             if analysis.in_test(at) {
                 continue;
             }
             findings.push(Finding {
-                rule: "EB001".to_owned(),
+                rule: ID.to_owned(),
                 path: analysis.rel_path.clone(),
                 line: analysis.line(at),
                 message: format!(

@@ -1,4 +1,5 @@
-//! File discovery and per-file analysis state shared by all rules.
+//! Per-file analysis state shared by all rules, and the walk over every
+//! crate's `src/` that the tests use.
 
 use crate::lexer::{clean_source, line_of, test_spans};
 use std::path::{Path, PathBuf};
@@ -14,16 +15,14 @@ pub struct FileAnalysis {
 }
 
 impl FileAnalysis {
-    /// Loads and pre-lexes one file.
-    #[must_use]
-    pub fn load(root: &Path, path: &Path) -> Option<Self> {
-        let raw = std::fs::read_to_string(path).ok()?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        Some(Self::from_source(&rel, &raw))
+    /// Reads and pre-lexes the file at `rel_path` under `root`.
+    ///
+    /// # Errors
+    ///
+    /// The read's error, when the file is missing or unreadable.
+    pub fn load(root: &Path, rel_path: &str) -> std::io::Result<Self> {
+        let raw = std::fs::read_to_string(root.join(rel_path))?;
+        Ok(Self::from_source(rel_path, &raw))
     }
 
     /// Builds an analysis directly from source text (fixture tests).
@@ -55,9 +54,8 @@ impl FileAnalysis {
     }
 }
 
-/// Collects the `.rs` files the lint walks: each crate's `src/`, the
-/// only place any rule's registry points at. Tests, examples, benches,
-/// vendored shims and build output lie outside it.
+/// Collects the `.rs` files under each crate's `src/`; tests, examples,
+/// benches, vendored shims and build output lie outside it.
 /// Public for `tests/lint_tests.rs` and `tests/lexer_props.rs`.
 #[must_use]
 pub fn collect_files(root: &Path) -> Vec<PathBuf> {

@@ -1,41 +1,37 @@
 //! Integration tests: each seeded fixture violation is caught with the
-//! right rule ID, the repository itself is lint-clean, and the clippy
-//! settings, `nf`'s dependency list and the panic-site waivers that
-//! replaced retired rules are pinned.
+//! right rule ID, the repository itself is lint-clean with every listed
+//! file present, and the clippy settings, `nf`'s dependency list and the
+//! panic-site waivers that replaced retired rules are pinned.
 
-#![expect(
-    clippy::expect_used,
-    reason = "integration-test helper: a panic is the failure report"
-)]
-
-use shield5g_lint::config::Config;
+use shield5g_lint::rules::{constant_time, enclave_boundary};
 use shield5g_lint::scan::{collect_files, FileAnalysis};
-use shield5g_lint::{run_repo, run_rules};
+use shield5g_lint::{run_repo, run_rules, Finding};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-fn fixture(rel: &str) -> FileAnalysis {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// The fixture at `rel` under `tests/fixtures/`, lexed as if it sat at
+/// the repo-relative `path`.
+fn fixture(rel: &str, path: &str) -> FileAnalysis {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(rel);
-    let raw = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
-    FileAnalysis::from_source(rel, &raw)
+    let raw = std::fs::read_to_string(&file)
+        .unwrap_or_else(|e| panic!("read fixture {}: {e}", file.display()));
+    FileAnalysis::from_source(path, &raw)
 }
 
-fn rules_of(findings: &[shield5g_lint::Finding]) -> Vec<&str> {
+fn rules_of(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule.as_str()).collect()
 }
 
-fn rule_lines(findings: &[shield5g_lint::Finding]) -> Vec<(&str, usize)> {
+fn rule_lines(findings: &[Finding]) -> Vec<(&str, usize)> {
     findings.iter().map(|f| (f.rule.as_str(), f.line)).collect()
 }
 
 #[test]
 fn enclave_boundary_fixture_violations_are_caught() {
-    let mut config = Config::default();
-    config.enclave_files.push("hostcalls.rs".into());
-    let report = run_rules(&[fixture("enclave_boundary/hostcalls.rs")], &config);
+    let hostcalls = "enclave_boundary/hostcalls.rs";
+    let report = run_rules(&[fixture(hostcalls, enclave_boundary::FILES[0])]);
     let rules = rules_of(&report.findings);
     assert!(!rules.is_empty());
     assert!(rules.iter().all(|r| *r == "EB001"), "{:?}", report.findings);
@@ -43,15 +39,16 @@ fn enclave_boundary_fixture_violations_are_caught() {
     let messages: Vec<_> = report.findings.iter().map(|f| &f.message).collect();
     assert!(messages.iter().any(|m| m.contains("std::fs")));
     assert!(messages.iter().any(|m| m.contains("std::time")));
+    // Not listed, not checked: paths match exactly, so a copy of a listed
+    // file elsewhere in the tree is not that file.
+    let unlisted = run_rules(&[fixture(hostcalls, "tests/crates/hmee/src/enclave.rs")]);
+    assert!(unlisted.findings.is_empty(), "{:?}", unlisted.findings);
 }
 
 #[test]
 fn constant_time_fixture_violations_are_caught() {
-    let mut config = Config::default();
-    config
-        .constant_time_files
-        .push("constant_time/branchy_field.rs".into());
-    let report = run_rules(&[fixture("constant_time/branchy_field.rs")], &config);
+    let field = "constant_time/branchy_field.rs";
+    let report = run_rules(&[fixture(field, constant_time::FILES[0])]);
     // `if borrow != 0` in sub, `while top != 0` in from_wide, the `&&`
     // of is_small and the `?`s of parse (one finding per token and
     // line); the comment and the cfg(test) module are not findings.
@@ -65,10 +62,10 @@ fn constant_time_fixture_violations_are_caught() {
     assert!(report.findings[1].message.contains("`while`"));
     // A comb's table lookup: the `if` on a zero digit and the `match` on
     // its sign; the masked scan next to them is clean.
-    config
-        .constant_time_files
-        .push("constant_time/branchy_comb.rs".into());
-    let comb = run_rules(&[fixture("constant_time/branchy_comb.rs")], &config);
+    let comb = run_rules(&[fixture(
+        "constant_time/branchy_comb.rs",
+        constant_time::FILES[1],
+    )]);
     assert_eq!(
         rule_lines(&comb.findings),
         vec![("CT001", 12), ("CT001", 16)],
@@ -78,56 +75,54 @@ fn constant_time_fixture_violations_are_caught() {
     assert!(comb.findings[0].message.contains("`if`"));
     assert!(comb.findings[1].message.contains("`match`"));
     // Not listed, not checked.
-    let unlisted = run_rules(
-        &[fixture("constant_time/branchy_field.rs")],
-        &Config::default(),
+    let unlisted = run_rules(&[fixture(field, field)]);
+    assert!(unlisted.findings.is_empty(), "{:?}", unlisted.findings);
+    // The list covers the X25519 (ladder and comb) and Poly1305 limb
+    // arithmetic.
+    assert_eq!(
+        constant_time::FILES,
+        [
+            "crates/crypto/src/x25519.rs",
+            "crates/crypto/src/x25519/comb.rs",
+            "crates/crypto/src/poly1305.rs",
+        ]
     );
-    assert!(
-        !rules_of(&unlisted.findings).contains(&"CT001"),
-        "{:?}",
-        unlisted.findings
-    );
-    // The repository's own list covers the X25519 (ladder and comb) and
-    // Poly1305 limb arithmetic.
-    let listed = Config::repo_default().constant_time_files;
-    for file in [
-        "crates/crypto/src/x25519.rs",
-        "crates/crypto/src/x25519/comb.rs",
-        "crates/crypto/src/poly1305.rs",
-    ] {
-        assert!(listed.iter().any(|f| f == file), "{file}");
-    }
 }
 
+/// The fixture tree holds one of the eight listed files, an enclave-side
+/// HMEE file that reads the host file system directly; the other seven
+/// are missing, and each is a file-level finding of the rule listing it.
 #[test]
-fn cli_exits_nonzero_on_violating_tree() {
+fn a_violating_tree_has_findings() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/badrepo");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
-        .args(["--root"])
-        .arg(&root)
-        .output()
-        .expect("run shield5g-lint");
-    assert!(!out.status.success(), "expected non-zero exit");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // The fixture tree's enclave-side HMEE file reads the host file
-    // system directly.
+    let report = run_repo(&root);
+    let lines: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
     assert!(
-        stdout.contains("EB001 crates/hmee/src/enclave.rs:6"),
-        "stdout: {stdout}"
+        lines
+            .iter()
+            .any(|l| l.starts_with("EB001 crates/hmee/src/enclave.rs:6 ")),
+        "{lines:#?}"
     );
-}
-
-#[test]
-fn cli_exits_zero_on_repo() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
-        .args(["--root"])
-        .arg(&root)
-        .output()
-        .expect("run shield5g-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "stdout: {stdout}");
-    assert!(stdout.contains("shield5g-lint: clean"), "stdout: {stdout}");
+    let missing: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .filter(|f| f.line == 0)
+        .map(|f| (f.rule.as_str(), f.path.as_str()))
+        .collect();
+    assert_eq!(
+        missing,
+        [
+            ("CT001", "crates/crypto/src/poly1305.rs"),
+            ("CT001", "crates/crypto/src/x25519.rs"),
+            ("CT001", "crates/crypto/src/x25519/comb.rs"),
+            ("EB001", "crates/core/src/paka.rs"),
+            ("EB001", "crates/hmee/src/attest.rs"),
+            ("EB001", "crates/hmee/src/epc.rs"),
+            ("EB001", "crates/hmee/src/seal.rs"),
+        ],
+        "{lines:#?}"
+    );
+    assert_eq!(report.files_scanned, 1);
 }
 
 /// The determinism perimeter lives in the root `clippy.toml`, which
@@ -179,18 +174,20 @@ fn clippy_config_pins_the_determinism_perimeter() -> std::io::Result<()> {
 
     // Crates that opt out of the list wholesale: by an inner attribute
     // at the crate root, or by a `[lints]` table in the manifest.
-    let mut roots = vec![root.join("src/lib.rs")];
+    let mut roots = vec!["src/lib.rs".to_owned()];
     let mut manifests = vec![root.join("Cargo.toml")];
     for entry in std::fs::read_dir(root.join("crates"))?.flatten() {
-        roots.push(entry.path().join("src/lib.rs"));
+        let name = entry.file_name();
+        roots.push(format!("crates/{}/src/lib.rs", name.to_string_lossy()));
         manifests.push(entry.path().join("Cargo.toml"));
     }
-    let mut opted_out: Vec<String> = roots
-        .iter()
-        .filter_map(|p| FileAnalysis::load(&root, p))
-        .filter(|a| inner_attribute_names(&a.clean, "disallowed_types"))
-        .map(|a| a.rel_path)
-        .collect();
+    let mut opted_out = Vec::new();
+    for krate in &roots {
+        let analysis = FileAnalysis::load(&root, krate)?;
+        if inner_attribute_names(&analysis.clean, "disallowed_types") {
+            opted_out.push(analysis.rel_path);
+        }
+    }
     opted_out.sort();
     assert_eq!(opted_out, ["crates/hmee/src/lib.rs"]);
     for manifest in manifests {
@@ -225,10 +222,9 @@ fn crypto_is_no_std_outside_its_tests() -> std::io::Result<()> {
         "crates/crypto/src/lib.rs links std back in"
     );
     assert!(
-        !Config::repo_default()
-            .enclave_files
+        !enclave_boundary::FILES
             .iter()
-            .any(|f| f.starts_with("crypto/")),
+            .any(|f| f.starts_with("crates/crypto/")),
         "crypto is policed by the compiler, not by EB001"
     );
     Ok(())
@@ -293,13 +289,12 @@ const PANIC_WAIVERS: [(&str, usize); 6] = [
 /// `reason`; no inner attribute waives either lint module-wide, and none
 /// is an `allow`.
 #[test]
-fn panic_site_waivers_are_pinned_per_crate() {
+fn panic_site_waivers_are_pinned_per_crate() -> std::io::Result<()> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut waived: BTreeMap<String, usize> = BTreeMap::new();
     for path in collect_files(&root) {
-        let Some(file) = FileAnalysis::load(&root, &path) else {
-            continue;
-        };
+        let rel = path.strip_prefix(&root).unwrap_or(&path).to_string_lossy();
+        let file = FileAnalysis::load(&root, &rel)?;
         for (at, body) in attributes(&file.clean, "#![") {
             assert!(
                 !PANIC_LINTS.iter().any(|lint| body.contains(lint)),
@@ -335,6 +330,7 @@ fn panic_site_waivers_are_pinned_per_crate() {
         .map(|&(krate, n)| (krate.to_owned(), n))
         .collect();
     assert_eq!(waived, pinned, "edit PANIC_WAIVERS with the site");
+    Ok(())
 }
 
 #[test]
@@ -351,135 +347,5 @@ fn repo_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// Minimal JSON well-formedness checker (the linter is dependency-free,
-/// so the test brings its own): verifies balanced structure, string
-/// escaping, and that the document parses as one value.
-fn assert_well_formed_json(doc: &str) {
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-    fn value(b: &[u8], i: usize) -> Result<usize, String> {
-        let i = skip_ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    i = value(b, i + 1)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or '}}' at {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = value(b, i)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or ']' at {i}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let mut i = i + 1;
-                while i < b.len()
-                    && (b[i].is_ascii_digit() || matches!(b[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    i += 1;
-                }
-                Ok(i)
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if b[i..].starts_with(lit.as_bytes()) {
-                        return Ok(i + lit.len());
-                    }
-                }
-                Err(format!("unexpected byte at {i}"))
-            }
-        }
-    }
-    fn string(b: &[u8], i: usize) -> Result<usize, String> {
-        if b.get(i) != Some(&b'"') {
-            return Err(format!("expected '\"' at {i}"));
-        }
-        let mut i = i + 1;
-        while i < b.len() {
-            match b[i] {
-                b'\\' => i += 2,
-                b'"' => return Ok(i + 1),
-                c if c < 0x20 => return Err(format!("raw control char at {i}")),
-                _ => i += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    let b = doc.as_bytes();
-    let end = value(b, 0).unwrap_or_else(|e| panic!("malformed JSON: {e}\n{doc}"));
-    assert!(
-        doc[end..].trim().is_empty(),
-        "trailing garbage after JSON value"
-    );
-}
-
-/// Lints the bad fixture tree with `$SHIELD5G_OBS_DIR` set to a fresh
-/// directory named after `tag`, asserts the run fails, and returns the
-/// SARIF copy it wrote there.
-fn badrepo_sarif_artifact(tag: &str) -> String {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/badrepo");
-    let dir = std::env::temp_dir().join(format!("lint_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_shield5g-lint"))
-        .args(["--root"])
-        .arg(&root)
-        .env("SHIELD5G_OBS_DIR", &dir)
-        .output()
-        .expect("run shield5g-lint");
-    assert!(!out.status.success(), "badrepo must still fail the lint");
-    let artifact = dir.join("lint_findings.sarif");
-    let doc = std::fs::read_to_string(&artifact).expect("sarif artifact written");
-    let _ = std::fs::remove_dir_all(&dir);
-    doc
-}
-
-#[test]
-fn sarif_output_is_valid_and_lists_findings() {
-    let doc = badrepo_sarif_artifact("sarif_findings");
-    assert_well_formed_json(&doc);
-    for needle in [
-        "\"version\": \"2.1.0\"",
-        "\"name\": \"shield5g-lint\"",
-        "\"ruleId\": \"EB001\"",
-        "physicalLocation",
-    ] {
-        assert!(doc.contains(needle), "missing {needle}");
-    }
-}
-
-#[test]
-fn obs_dir_gets_a_sarif_artifact() {
-    let doc = badrepo_sarif_artifact("sarif_artifact");
-    assert_well_formed_json(&doc);
+    assert_eq!(report.files_scanned, 8, "every listed file is read");
 }

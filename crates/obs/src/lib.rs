@@ -33,7 +33,7 @@
 //! Everything is deterministic: timestamps come from the virtual clock
 //! (passed in as raw nanoseconds), collections are `BTreeMap`s, and no
 //! ambient randomness or wall-clock source is touched — the crate is
-//! held to shield5g-lint's DT rules like the engine itself.
+//! held to the root `clippy.toml`'s disallowed types like the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

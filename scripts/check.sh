@@ -16,10 +16,8 @@ cargo clippy --offline --workspace --all-targets \
 echo "==> cargo doc (rustdoc warnings are errors: a link that does not resolve, such as a std:: path in the no_std crypto crate, fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-# The lint step prints its findings as text and writes a SARIF copy of
-# them into the observability dir so CI can upload it with the other
-# artifacts; the self-benchmark line (files scanned, wall time) goes to
-# stderr.
+# The observability dir the experiments bench writes its records and
+# artifacts into (CI uploads it).
 SHIELD5G_OBS_DIR="${SHIELD5G_OBS_DIR:-target/obs}"
 case "$SHIELD5G_OBS_DIR" in
   /*) ;;
@@ -29,14 +27,10 @@ export SHIELD5G_OBS_DIR
 
 mkdir -p "$SHIELD5G_OBS_DIR"
 
-echo "==> shield5g-lint (enclave boundary / constant time; secret hygiene is each crate's registry test)"
-cargo run --offline -q -p shield5g-lint
-echo "    ok $SHIELD5G_OBS_DIR/lint_findings.sarif ($(wc -c < "$SHIELD5G_OBS_DIR/lint_findings.sarif") bytes)"
-
 echo "==> cargo build (offline)"
 cargo build --offline --workspace
 
-echo "==> cargo test"
+echo "==> cargo test (includes shield5g-lint's repo_is_lint_clean: enclave boundary and constant time over the files each rule lists)"
 cargo test --offline --workspace -q
 
 echo "==> crypto + hmee in release (overflow checks off, as shipped; incl. the ignored RFC 7748 million-iteration vector)"
@@ -72,8 +66,7 @@ done
 
 echo "==> observability artifacts (machine-readable bench output, non-empty)"
 for artifact in \
-  pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl \
-  lint_findings.sarif; do
+  pool_scaling_metrics.prom pool_scaling_metrics.jsonl pool_scaling_spans.jsonl; do
   path="$SHIELD5G_OBS_DIR/$artifact"
   if [ ! -s "$path" ]; then
     echo "missing or empty observability artifact: $path" >&2
