@@ -280,6 +280,8 @@ thread_local! {
     /// modules' at `kind as usize`, then the VNFs' in `VNFS` order. The
     /// worlds of a thread deploy the same ten images, so they share one
     /// file table per image instead of each spelling its paths afresh.
+    /// Only an image that GSC transforms spells its table: the VNFs' and
+    /// a container deployment's modules' stay virtual.
     static IMAGES: RefCell<[Option<ContainerImage>; 10]> = const { RefCell::new([const { None }; 10]) };
 }
 

@@ -606,7 +606,7 @@ mod tests {
         assert_eq!((a.len(), b.len()), (10, 10));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name(), y.name());
-            assert!(Rc::ptr_eq(&x.spec.files, &y.spec.files), "{}", x.name());
+            assert!(x.spec.shares_files_with(&y.spec), "{}", x.name());
         }
     }
 

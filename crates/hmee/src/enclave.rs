@@ -226,7 +226,7 @@ impl EnclaveBuilder {
 
 /// A vault slot's name: inline up to `SlotName::INLINE` bytes (every
 /// slot this tree names, `k:` and a SUPI at 22 bytes the longest), boxed
-/// past that. Either way it is 32 bytes, so a vault entry is 48.
+/// past that. Either way it is 24 bytes, so a vault entry is 40.
 /// Hashes and compares as its text, so the vault is looked up by `&str`,
 /// and [`HmeeError::UnknownSlot`] carries one without allocating.
 #[derive(Clone)]
@@ -243,7 +243,7 @@ enum Name {
 
 impl SlotName {
     /// Longest name held inline.
-    pub(crate) const INLINE: usize = 30;
+    pub(crate) const INLINE: usize = 22;
 
     /// The name `name`, held inline when it fits.
     #[must_use]
@@ -309,6 +309,8 @@ struct SlotMeta {
     len: usize,
     first: usize,
 }
+
+const _: () = assert!(std::mem::size_of::<(SlotName, SlotMeta)>() == 40);
 
 impl SlotMeta {
     /// The indices of the value's pages past its first, in value order:
@@ -795,8 +797,8 @@ impl Enclave {
     /// A page image that keeps its line count is sealed in place in the
     /// EPC's image region, so a rewrite allocates nothing, and a new slot
     /// of one page allocates nothing once the region and the vault map
-    /// have grown to hold it: its name (up to 30 bytes) and its first page
-    /// index are held inline, in a 48-byte map entry. Only a multi-page
+    /// have grown to hold it: its name (up to 22 bytes) and its first page
+    /// index are held inline, in a 40-byte map entry. Only a multi-page
     /// value keeps a list of its further page indices.
     ///
     /// A page that is evicted when its slot is rewritten is re-created
@@ -1347,6 +1349,13 @@ mod tests {
         let longer = "slot-name-of-exactly-forty-bytes-0123456";
         let inline = "slot-name-of-thirty-bytes-0123";
         assert_eq!((long.len(), longer.len(), inline.len()), (35, 40, 30));
+        // The longest name the tree uses, `k:` and a SUPI, is the longest
+        // held inline.
+        let (supi_slot, one_more) = ("k:imsi-001010000000001", "k:imsi-0010100000000012");
+        assert_eq!((supi_slot.len(), one_more.len()), (SlotName::INLINE, 23));
+        assert!(matches!(SlotName::new(supi_slot).0, Name::Inline { .. }));
+        assert!(matches!(SlotName::new(one_more).0, Name::Boxed(_)));
+        assert_eq!(SlotName::new(one_more).as_str(), one_more);
         for (i, name) in [longer, long, inline].into_iter().enumerate() {
             e.vault_write(&mut env, name, &[i as u8; 16]);
         }
@@ -1358,6 +1367,7 @@ mod tests {
         // A name is the whole text: neither its inline prefix nor a longer
         // name with it as prefix finds it.
         for ghost in [
+            &longer[..22],
             &longer[..30],
             &longer[..32],
             &longer[..39],
@@ -1403,8 +1413,8 @@ mod tests {
 
     #[test]
     fn a_vault_entry_is_at_most_six_words() {
-        assert_eq!(std::mem::size_of::<SlotName>(), 32);
-        assert!(std::mem::size_of::<(SlotName, SlotMeta)>() <= 48);
+        assert_eq!(std::mem::size_of::<SlotName>(), 24);
+        assert!(std::mem::size_of::<(SlotName, SlotMeta)>() <= 40);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub enum ProvisionedSecret {
 }
 
 /// A container image.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct ContainerImage {
     /// The root-FS spec GSC operates on.
     pub spec: ImageSpec,
@@ -45,7 +45,7 @@ impl ContainerImage {
     /// The image name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.spec.name
+        self.spec.name()
     }
 
     /// Adds an environment variable (builder style).

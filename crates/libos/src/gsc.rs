@@ -8,11 +8,15 @@
 //! platform-specific directories e.g., /boot, /dev, /etc/mtab, /proc,
 //! /sys) to the trusted list", which is why enclave load takes close to a
 //! minute.
+//!
+//! A synthetic image's listing is virtual until GSC reads it: the first
+//! [`transform`] of any clone of an [`ImageSpec`] spells its file table.
 
 use crate::manifest::{Manifest, TrustedFile};
 use crate::LibosError;
 use shield5g_crypto::hmac::hmac_sha256;
 use shield5g_crypto::sha256::Sha256;
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -41,7 +45,7 @@ impl Protocol {
 
 /// One file in a container image (content optional; size always known).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ImageFile {
+pub(crate) struct ImageFile {
     /// Absolute path inside the image, shared with the [`TrustedFile`]
     /// entry of every manifest [`transform`] builds from the image.
     pub path: Rc<str>,
@@ -52,21 +56,44 @@ pub struct ImageFile {
     pub fingerprint: u64,
 }
 
+/// Size of a synthetic image's entrypoint binary.
+const ENTRYPOINT_BYTES: u64 = 4 * 1024 * 1024;
+
+/// The platform-specific files of every synthetic image, which GSC
+/// excludes: path, size and fingerprint.
+const PLATFORM_FILES: [(&str, u64, u64); 3] = [
+    ("/proc/cpuinfo", 4096, 1),
+    ("/sys/devices/x", 4096, 2),
+    ("/dev/urandom", 0, 3),
+];
+
 /// A container image as GSC sees it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Its listing is virtual until GSC reads it: the spec records the
+/// listing's shape, and the first [`transform`] spells the file table
+/// into one cell every clone of the spec shares.
+#[derive(Clone, Debug)]
 pub struct ImageSpec {
     /// Image name, e.g. `oai/eudm-paka:v1.5.0`.
-    pub name: String,
+    name: String,
     /// Entrypoint binary.
-    pub entrypoint: String,
-    /// All files in the image root FS. Never mutated, so every clone of
-    /// an image shares this one table.
-    pub files: Rc<[ImageFile]>,
+    entrypoint: String,
+    /// The root FS, shared by every clone.
+    listing: Rc<Listing>,
     /// Protocols the workload requires at runtime.
     pub required_protocols: Vec<Protocol>,
     /// Bytes of code/data the workload touches at boot (drives demand
     /// page-faults, hence the boot AEX count beyond preheating).
     pub working_set_bytes: u64,
+}
+
+/// A synthetic root FS: `file_count` libraries of `per_file` bytes, the
+/// entrypoint and [`PLATFORM_FILES`].
+#[derive(Debug)]
+struct Listing {
+    file_count: u32,
+    per_file: u64,
+    files: OnceCell<Box<[ImageFile]>>,
 }
 
 impl ImageSpec {
@@ -80,45 +107,14 @@ impl ImageSpec {
         total_bytes: u64,
         file_count: u32,
     ) -> Self {
-        let name = name.into();
-        let entrypoint = entrypoint.into();
-        let mut files = Vec::with_capacity(file_count as usize + 4);
-        let per_file = total_bytes / u64::from(file_count.max(1));
-        let mut path = String::new();
-        for i in 0..file_count {
-            path.clear();
-            let _ = write!(path, "/usr/lib/{name}/lib{i:04}.so");
-            files.push(ImageFile {
-                path: Rc::from(path.as_str()),
-                size: per_file,
-                fingerprint: u64::from(i) ^ 0x5134_7a5e,
-            });
-        }
-        files.push(ImageFile {
-            path: Rc::from(entrypoint.as_str()),
-            size: 4 * 1024 * 1024,
-            fingerprint: 0xE47,
-        });
-        // Platform-specific files that GSC will exclude.
-        files.push(ImageFile {
-            path: "/proc/cpuinfo".into(),
-            size: 4096,
-            fingerprint: 1,
-        });
-        files.push(ImageFile {
-            path: "/sys/devices/x".into(),
-            size: 4096,
-            fingerprint: 2,
-        });
-        files.push(ImageFile {
-            path: "/dev/urandom".into(),
-            size: 0,
-            fingerprint: 3,
-        });
         ImageSpec {
-            name,
-            entrypoint,
-            files: files.into(),
+            name: name.into(),
+            entrypoint: entrypoint.into(),
+            listing: Rc::new(Listing {
+                file_count,
+                per_file: total_bytes.checked_div(u64::from(file_count)).unwrap_or(0),
+                files: OnceCell::new(),
+            }),
             required_protocols: vec![Protocol::Tcp],
             working_set_bytes: 34 * 1024 * 1024,
         }
@@ -131,10 +127,56 @@ impl ImageSpec {
         self
     }
 
-    /// Total image size in bytes.
+    /// The image name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Total image size in bytes, from the listing's shape: the file
+    /// table is not spelt.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.size).sum()
+        let platform: u64 = PLATFORM_FILES.iter().map(|&(_, size, _)| size).sum();
+        u64::from(self.listing.file_count) * self.listing.per_file + ENTRYPOINT_BYTES + platform
+    }
+
+    /// Whether `self` and `other` are handles on one file table (clones
+    /// of one spec), not merely equal specs. Spells no table.
+    #[must_use]
+    pub fn shares_files_with(&self, other: &ImageSpec) -> bool {
+        Rc::ptr_eq(&self.listing, &other.listing)
+    }
+
+    /// All files in the root FS, spelt on the first read of any clone.
+    fn files(&self) -> &[ImageFile] {
+        self.listing.files.get_or_init(|| {
+            #[cfg(test)]
+            tests::count_fill();
+            let (file_count, per_file) = (self.listing.file_count, self.listing.per_file);
+            let mut files = Vec::with_capacity(file_count as usize + 1 + PLATFORM_FILES.len());
+            let mut path = String::new();
+            for i in 0..file_count {
+                path.clear();
+                let _ = write!(path, "/usr/lib/{}/lib{i:04}.so", self.name);
+                files.push(ImageFile {
+                    path: Rc::from(path.as_str()),
+                    size: per_file,
+                    fingerprint: u64::from(i) ^ 0x5134_7a5e,
+                });
+            }
+            files.push(ImageFile {
+                path: Rc::from(self.entrypoint.as_str()),
+                size: ENTRYPOINT_BYTES,
+                fingerprint: 0xE47,
+            });
+            files.extend(PLATFORM_FILES.map(|(path, size, fingerprint)| ImageFile {
+                path: path.into(),
+                size,
+                fingerprint,
+            }));
+            files.into_boxed_slice()
+        })
     }
 }
 
@@ -178,8 +220,9 @@ pub fn transform(
         }
     }
     manifest.entrypoint = image.entrypoint.clone();
-    manifest.trusted_files.reserve(image.files.len());
-    for file in image.files.iter() {
+    let files = image.files();
+    manifest.trusted_files.reserve(files.len());
+    for file in files {
         if EXCLUDED_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
             continue;
         }
@@ -245,9 +288,111 @@ fn sign_manifest(key: &[u8; 32], manifest: &Manifest) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static FILLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_fill() {
+        FILLS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The file tables `f` spells on this thread.
+    fn fills<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = FILLS.with(Cell::get);
+        let out = f();
+        (out, FILLS.with(Cell::get) - before)
+    }
 
     fn image() -> ImageSpec {
         ImageSpec::synthetic("oai/eudm-paka", "/usr/bin/paka", 2_000_000_000, 200)
+    }
+
+    /// `ImageSpec::synthetic`'s table as it was spelt when the spec was
+    /// made, before the listing went lazy: the oracle for [`ImageSpec::files`].
+    fn eager_files(
+        name: &str,
+        entrypoint: &str,
+        total_bytes: u64,
+        file_count: u32,
+    ) -> Vec<ImageFile> {
+        let mut files = Vec::with_capacity(file_count as usize + 4);
+        let per_file = total_bytes / u64::from(file_count.max(1));
+        let mut path = String::new();
+        for i in 0..file_count {
+            path.clear();
+            let _ = write!(path, "/usr/lib/{name}/lib{i:04}.so");
+            files.push(ImageFile {
+                path: Rc::from(path.as_str()),
+                size: per_file,
+                fingerprint: u64::from(i) ^ 0x5134_7a5e,
+            });
+        }
+        files.push(ImageFile {
+            path: Rc::from(entrypoint),
+            size: 4 * 1024 * 1024,
+            fingerprint: 0xE47,
+        });
+        files.push(ImageFile {
+            path: "/proc/cpuinfo".into(),
+            size: 4096,
+            fingerprint: 1,
+        });
+        files.push(ImageFile {
+            path: "/sys/devices/x".into(),
+            size: 4096,
+            fingerprint: 2,
+        });
+        files.push(ImageFile {
+            path: "/dev/urandom".into(),
+            size: 0,
+            fingerprint: 3,
+        });
+        files
+    }
+
+    #[test]
+    fn the_lazy_table_is_the_eager_one() {
+        for file_count in [0, 1, 120, 200, 209, 210] {
+            let (name, entry, total) = ("oai/eausf-paka", "/usr/bin/eausf", 1_900_000_007);
+            let lazy = ImageSpec::synthetic(name, entry, total, file_count);
+            let files = eager_files(name, entry, total, file_count);
+            let eager = ImageSpec {
+                listing: Rc::new(Listing {
+                    file_count,
+                    per_file: lazy.listing.per_file,
+                    files: OnceCell::from(files.clone().into_boxed_slice()),
+                }),
+                ..lazy.clone()
+            };
+            let eager_total: u64 = files.iter().map(|f| f.size).sum();
+            assert_eq!(lazy.total_bytes(), eager_total, "{file_count} files");
+            assert_eq!(lazy.files(), files.as_slice(), "{file_count} files");
+            let a = transform(&lazy, Manifest::paka_default("x"), &[7; 32]).unwrap();
+            let b = transform(&eager, Manifest::paka_default("x"), &[7; 32]).unwrap();
+            assert_eq!(a.manifest, b.manifest, "{file_count} files");
+            assert_eq!(a.signature, b.signature, "{file_count} files");
+        }
+    }
+
+    #[test]
+    fn only_the_first_transform_spells_the_file_table() {
+        let ((img, copy, total), made) = fills(|| {
+            let img = image();
+            let copy = img.clone();
+            let total = copy.total_bytes();
+            (img, copy, total)
+        });
+        assert_eq!(
+            (made, total),
+            (0, 200 * 10_000_000 + 4 * 1024 * 1024 + 8192)
+        );
+        let (first, filled) = fills(|| transform(&img, Manifest::paka_default("x"), &[7; 32]));
+        assert_eq!(filled, 1);
+        let (again, refilled) = fills(|| transform(&copy, Manifest::paka_default("x"), &[7; 32]));
+        assert_eq!(refilled, 0);
+        assert_eq!(first.unwrap().manifest, again.unwrap().manifest);
     }
 
     #[test]
@@ -272,7 +417,8 @@ mod tests {
     fn a_clone_shares_its_file_table_and_transforms_alike() {
         let img = image();
         let copy = img.clone();
-        assert!(Rc::ptr_eq(&img.files, &copy.files));
+        assert!(img.shares_files_with(&copy));
+        assert!(!img.shares_files_with(&image()), "equal, not shared");
         let a = transform(&img, Manifest::paka_default("x"), &[7; 32]).unwrap();
         let b = transform(&copy, Manifest::paka_default("x"), &[7; 32]).unwrap();
         assert_eq!(a.manifest, b.manifest);

@@ -3,8 +3,16 @@
 `nm -C -n` of the PIE it sampled and prints top self / inclusive shares over
 the samples whose stack contains FRAME.
 
+With heap_sampler.c output (header `base B peak P`), it prints instead
+the TOP symbols by the KB that the call sites under them held at the
+heap's peak, each with its share of the snapshot, over the sites whose
+stack contains FRAME (an empty FRAME keeps every site). With --at-mb X
+(the run's own `peak_heap_mb`) the snapshot is the last one taken at or
+below X MB + 4 KiB, so a peak the process set after it read X is left out;
+without it, the last one.
+
 Usage: profile_report.py BINARY SAMPLES FRAME [TOP] [--ops N]
-                         [--callers SYMBOL [DEPTH]]
+                         [--callers SYMBOL [DEPTH]] [--at-mb X]
 
 The benchmark runs FRAME in its set-up (warm-ups) before the timed phase,
 along another call path. When the matching samples reach FRAME along more
@@ -32,6 +40,7 @@ parser.add_argument("frame")
 parser.add_argument("top", nargs="?", type=int, default=25)
 parser.add_argument("--ops", type=int)
 parser.add_argument("--callers", nargs="+", metavar=("SYMBOL", "DEPTH"))
+parser.add_argument("--at-mb", type=float)
 args = parser.parse_args()
 if args.callers and (len(args.callers) > 2 or not all(d.isdigit() for d in args.callers[1:])):
     parser.error("--callers takes SYMBOL and an optional integer DEPTH")
@@ -48,13 +57,41 @@ with open(args.samples) as f:
     header = f.readline().split()
     base = int(header[1], 16)
     every = int(header[3]) if len(header) > 3 and header[2] == "every" else None
-    stacks = [[int(a, 16) - base for a in row.split()] for row in f]
+    rows = [row.split() for row in f]
 
 
 def symbol(offset):
     # Shared libraries and the vDSO sit far above the PIE's last symbol.
     at = bisect.bisect_right(starts, offset) - 1
     return names[at] if at >= 0 and offset < starts[-1] + (1 << 20) else "[outside the binary]"
+
+
+if header[2:3] == ["peak"]:
+    sites, snapshots = {}, []
+    for row in rows:
+        if row[0] == "site":
+            sites[row[1]] = {symbol(int(a, 16) - base) for a in row[2:]}
+            sites[row[1]].discard("[outside the binary]")  # the tracker's hook, libc
+        elif row[0] == "at":
+            snapshots.append((int(row[1]), []))
+        else:
+            snapshots[-1][1].append((row[0], int(row[1])))
+    limit = args.at_mb * 2**20 + 4096 if args.at_mb is not None else float("inf")
+    peak, held = max((s for s in snapshots if s[0] <= limit), default=(0, []))
+    inclusive, matched = collections.Counter(), 0
+    for site, size in held:
+        if not args.frame or any(args.frame in s for s in sites[site]):
+            matched += size
+            inclusive.update(dict.fromkeys(sites[site], size))
+    print(f"peak {peak / 2**20:.4f} MB in {len(held)} of {len(sites)} call sites"
+          f" (the process's own peak {int(header[3]) / 2**20:.4f} MB),"
+          f" {matched / 1024:.1f} KB under a frame matching {args.frame!r}"
+          + ("; OVERFLOW: some blocks went untracked" if len(header) > 4 else ""))
+    print(f"\ntop {args.top} inclusive (share of the peak, KB held at it)")
+    for name, size in inclusive.most_common(args.top):
+        print(f"{100 * size / max(peak, 1):6.1f} %  {size / 1024:9.1f}  {name[:150]}")
+    raise SystemExit
+stacks = [[int(a, 16) - base for a in row] for row in rows]
 
 
 # Each matching sample with its path: the return addresses from the root
