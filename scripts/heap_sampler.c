@@ -179,9 +179,9 @@ static void untrack(void *p) {
 
 enum kind { MALLOC, CALLOC, REALLOC, MEMALIGN };
 
-// Allocates under the lock and tracks the new block of `size` bytes,
-// after giving back `old`'s. Inlined into each hook, so the walk starts
-// at the hook's frame.
+// Allocates under the lock and tracks the new block's bytes, after giving
+// back `old`'s. Inlined into each hook, so the walk starts at the hook's
+// frame.
 __attribute__((always_inline)) static inline void *allocate(enum kind kind, void *old,
                                                              size_t align, size_t n,
                                                              size_t size) {
@@ -237,8 +237,8 @@ __attribute__((constructor)) static void start(void) {
     char exe[4096], line[4352];
     busy = 1;
     ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
-    FILE *maps = fopen("/proc/self/maps", "r");
-    if (n < 0 || !maps || !getenv("PROFILE_OUT")) return;
+    FILE *maps = n < 0 || !getenv("PROFILE_OUT") ? NULL : fopen("/proc/self/maps", "r");
+    if (!maps) return;
     exe[n] = 0;
     while (fgets(line, sizeof line, maps)) {
         uintptr_t lo;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Host-time record (ROADMAP item 22): runs each benchmark workload N times
+# Host-time record (ROADMAP item 10): runs each benchmark workload N times
 # at `--seconds 10`, then tier-1's clean test compile and its test run, and
 # appends one row to BENCH_host.json. A log, not a gate; needs python3
 # besides cargo.

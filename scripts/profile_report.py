@@ -71,7 +71,7 @@ if header[2:3] == ["peak"]:
     for row in rows:
         if row[0] == "site":
             sites[row[1]] = {symbol(int(a, 16) - base) for a in row[2:]}
-            sites[row[1]].discard("[outside the binary]")  # the tracker's hook, libc
+            sites[row[1]].discard("[outside the binary]")  # libc's own frames
         elif row[0] == "at":
             snapshots.append((int(row[1]), []))
         else:
