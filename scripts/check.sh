@@ -5,6 +5,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Building benchmark/ (alloc_budget.sh, the harness tests) lets cargo
+# rewrite its stale Cargo.lock: keep the committed copy and put it back
+# on every exit, pass or fail, so the gate leaves the tree as it found it.
+lock_copy="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
+trap 'exit 1' INT TERM
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

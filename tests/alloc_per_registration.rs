@@ -18,8 +18,9 @@
 //! spans, parked flows and the NFs' contexts in `sim::table::IdTable`s, the
 //! simulator's markers borrowed as `static` header pairs) or on the AV
 //! cache's miss path (a batch kept as its wire bytes, read straight into
-//! the cache under inline `Supi` keys) or in a refusal (an unknown SUPI's
-//! 404) fails `cargo test`, not only the benchmark's allocation ratchet.
+//! the cache under inline `Supi` keys, into slots every SUPI shares) or
+//! in a refusal (an unknown SUPI's 404) fails `cargo test`, not only the
+//! benchmark's allocation ratchet.
 //!
 //! A cycle of steady-state registrations allocates only the P-AKA
 //! modules' R logs growing, 3 allocations when they double (the
@@ -43,15 +44,15 @@ use shield5g::core::slice::{build_slice, AkaDeployment, Slice, SliceConfig, Subs
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::hex;
 use shield5g::crypto::ident::{Plmn, Supi};
-use shield5g::crypto::keys::ServingNetworkName;
+use shield5g::crypto::keys::{HeAv, ServingNetworkName};
 use shield5g::mw::{FaultConfig, RetryPolicy};
 use shield5g::nf::backend::{AkaOp, GenerateAv, UdmAkaRequest};
 use shield5g::nf::messages::{NasUplink, UeIdentity};
 use shield5g::nf::sbi::AuthenticateRequest;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::Usim;
-use shield5g::ran::workload::WorkloadSpec;
-use shield5g::scale::avcache::AvCacheConfig;
+use shield5g::ran::workload::{test_supi, WorkloadSpec};
+use shield5g::scale::avcache::{AvCache, AvCacheConfig};
 use shield5g::scale::openloop::{run_scenario, Scenario};
 use shield5g::scale::pool::PoolConfig;
 use shield5g::scale::queue::QueueConfig;
@@ -328,6 +329,45 @@ fn a_cached_arrival_allocates_almost_nothing() {
     assert!(
         per_arrival <= CACHED_ARRIVAL_CEILING,
         "{per_arrival:.4} allocations per arrival > {CACHED_ARRIVAL_CEILING}"
+    );
+}
+
+/// Most allocations an AV cache may make for a batch of 8 for each of
+/// 400 SUPIs, all taken, twice over: the AVs share blocks of slots, so
+/// the 3 200 live AVs take 13 blocks and the second round reuses the
+/// first's slots; the rest is the block list's growth and the SUPI
+/// keys' B-tree nodes (this run reads 82). With one `VecDeque` per SUPI
+/// it read 466, one per SUPI plus the nodes.
+const AV_CACHE_CEILING: u64 = 100;
+
+#[test]
+fn an_av_cache_allocates_per_block_not_per_subscriber() {
+    let supis: Vec<String> = (0..400).map(test_supi).collect();
+    let batch: Vec<HeAv> = (0..8u8)
+        .map(|i| HeAv {
+            rand: [i; 16],
+            autn: [i; 16],
+            xres_star: [i; 16].into(),
+            kausf: [i; 32].into(),
+        })
+        .collect();
+    let count = allocations(|| {
+        let mut cache = AvCache::new(AvCacheConfig::default());
+        for _ in 0..2 {
+            for supi in &supis {
+                cache.put_batch(supi, batch.iter().cloned());
+            }
+            for supi in &supis {
+                for av in &batch {
+                    assert_eq!(cache.take(supi).as_ref(), Some(av));
+                }
+            }
+        }
+    });
+    eprintln!("allocations: {count} for 400 SUPIs' batches, twice");
+    assert!(
+        count <= AV_CACHE_CEILING,
+        "{count} allocations > {AV_CACHE_CEILING}"
     );
 }
 
