@@ -569,6 +569,25 @@ impl PakaModule {
         write_key(&self.container, env, slot, &k.into());
     }
 
+    /// Provisions `keys` in order, as [`Self::provision_subscriber_key`]
+    /// does, once a shielded module's vault has made room for all of them
+    /// and for the key serving leaves in scratch: the batch grows the
+    /// vault by one step, not one per key, and its first request none.
+    pub fn provision_subscriber_keys(&mut self, env: &mut Env, keys: &[(Supi, SecretBytes<16>)]) {
+        // A replica spawned before any key was provisioned makes no room.
+        if keys.is_empty() {
+            return;
+        }
+        if let Some(libos) = self.container.borrow_mut().shielded.as_mut() {
+            // K and the derived scratch key (at most 32 bytes) are one
+            // page each.
+            libos.enclave_mut().vault_reserve(keys.len() + 1, 32);
+        }
+        for (supi, k) in keys {
+            self.provision_subscriber_key(env, supi.as_str(), k.clone());
+        }
+    }
+
     /// Reads subscriber `supi`'s K straight into its secret: the enclave
     /// decrypts into a local array, the container copies out of plain
     /// memory, and the local is zeroized once wrapped, so no plaintext

@@ -797,9 +797,10 @@ impl Enclave {
     /// A page image that keeps its line count is sealed in place in the
     /// EPC's image region, so a rewrite allocates nothing, and a new slot
     /// of one page allocates nothing once the region and the vault map
-    /// have grown to hold it: its name (up to 22 bytes) and its first page
-    /// index are held inline, in a 40-byte map entry. Only a multi-page
-    /// value keeps a list of its further page indices.
+    /// have room for it ([`Enclave::vault_reserve`] makes it for a batch):
+    /// its name (up to 22 bytes) and its first page index are held inline,
+    /// in a 40-byte map entry. Only a multi-page value keeps a list of its
+    /// further page indices.
     ///
     /// A page that is evicted when its slot is rewritten is re-created
     /// resident, and its version-tree record moves to the new version:
@@ -851,6 +852,17 @@ impl Enclave {
         };
         self.vault.insert(name, meta);
         env.clock.advance(self.cost.mee_transfer(pages as u64));
+    }
+
+    /// Makes room for `slots` more vault slots of up to `len` bytes each
+    /// (map entries, page records and image bytes), amortised as
+    /// `Vec::reserve` is, so that writing them allocates nothing. Charges
+    /// nothing: the room is host memory, not EPC.
+    pub fn vault_reserve(&mut self, slots: usize, len: usize) {
+        let pages = slots * len.div_ceil(PAGE_SIZE).max(1);
+        self.vault.reserve(slots);
+        self.epc
+            .reserve(pages, pages * EncryptedPage::image_len(len.min(PAGE_SIZE)));
     }
 
     /// Reads and decrypts a vault slot into a fresh buffer of the value's

@@ -263,6 +263,13 @@ impl EpcRegion {
         self.dead = 0;
     }
 
+    /// Makes room for `pages` more page records and `bytes` more image
+    /// bytes.
+    pub(crate) fn reserve(&mut self, pages: usize, bytes: usize) {
+        self.records.reserve(pages);
+        self.images.reserve(bytes);
+    }
+
     /// Frees the page at `index` (`EREMOVE`): the index is emptied for
     /// good — indices are never handed out twice — and its accounted page
     /// is given back.

@@ -36,8 +36,11 @@
 //! * **One SQN counter per subscriber** feeds single and batch requests;
 //!   a batch reserves its window when sent. No SQN is sent twice, whether
 //!   two misses overlap or brownout switches paths.
-//! * **Retransmission copy** of a request only when retries are enabled;
-//!   a cache hit allocates nothing.
+//! * **Retransmission from the draws.** A request keeps what it drew
+//!   when first sent (its RAND or RAND seed, and its first SQN) only when
+//!   retries are enabled, and a retransmission is encoded from them by
+//!   the function that encoded the first send, so it is that send again
+//!   and no request is copied. A cache hit allocates nothing.
 //! * **One completions buffer.** `Engine::run_until` drains into a `Vec`
 //!   the run keeps, and each settle pass empties it.
 
@@ -188,13 +191,22 @@ impl Audit {
     }
 }
 
+/// What a pool request drew when it was first sent: its RAND (a batch's
+/// RAND seed) and its first SQN. With the subscriber, the batch size and
+/// the class they are the whole request ([`encode`]).
+#[derive(Clone, Copy)]
+struct Draws {
+    rand: [u8; 16],
+    sqn: [u8; 6],
+}
+
 /// One in-flight (possibly retransmitted) pool request.
 #[derive(Default)]
 struct Pending {
     /// The subscriber, as an index into `Run::supis`.
     ue: u32,
-    /// Retransmission copy; kept only while retries are enabled.
-    req: Option<HttpRequest>,
+    /// What the first send drew; kept only while retries are enabled.
+    draws: Option<Draws>,
     attempt: u32,
     class: PriorityClass,
     /// The replica the request was scheduled on (health accounting).
@@ -305,8 +317,8 @@ impl Run {
             self.recovery.failure(finished);
             let retryable = completion.response.status >= 500
                 && completion.response.header(ERROR_HEADER) != Some("loop");
-            match (self.retry_rng.as_mut(), &pending.req) {
-                (Some(rng), Some(req))
+            match (self.retry_rng.as_mut(), pending.draws) {
+                (Some(rng), Some(draws))
                     if retryable && pending.attempt < self.policy.max_retries =>
                 {
                     let attempt = pending.attempt + 1;
@@ -316,9 +328,14 @@ impl Run {
                         SimDuration::from_nanos(rng.jitter(backoff.as_nanos(), self.policy.jitter));
                     // Not before `floor`: the engine has already run up to it.
                     let at = (finished + jittered).max(floor);
-                    let replica = pool.route(self.supis[pending.ue as usize].as_str());
+                    let supi = self.supis[pending.ue as usize];
+                    let batch = pending
+                        .batch
+                        .then(|| self.cache.as_ref().map_or(1, AvCache::batch_size));
+                    let req = encode(&mut self.paths, supi, draws, batch, pending.class);
+                    let replica = pool.route(supi.as_str());
                     let addr = pool.replica(replica).addr();
-                    let tag = engine.schedule_request(at, addr, req.clone());
+                    let tag = engine.schedule_request(at, addr, req);
                     self.in_flight.insert(
                         tag,
                         Pending {
@@ -380,9 +397,10 @@ pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
     let ues = sc.workload.ues as usize;
     let supis: Vec<Supi> = (0..=sc.workload.ues).map(test_subscriber).collect();
     let provisioned = if sc.health { ues + 1 } else { ues };
-    for &supi in &supis[..provisioned] {
-        pool.provision_subscriber(&mut env, supi, K);
-    }
+    pool.provision_subscribers(
+        &mut env,
+        supis[..provisioned].iter().map(|&s| (s, K.into())),
+    );
     if sc.thrash_pages > 0 {
         for replica in pool.replicas() {
             replica
@@ -484,28 +502,22 @@ pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
         let browned_out = run.brownout.is_some_and(|b| b.active);
         let prefetch = run.cache.as_ref().filter(|_| !browned_out);
         let (sqn, supi) = (&mut run.sqn_counters[ue], run.supis[ue]);
-        let count = prefetch.map_or(1, AvCache::batch_size);
-        let mut request = match prefetch {
-            Some(_) => batch_request(&mut env, &mut run.paths, sqn, count, supi),
-            None => single_request(&mut env, &mut run.paths, sqn, supi),
-        };
+        let batch = prefetch.map(AvCache::batch_size);
+        let count = batch.unwrap_or(1);
+        let draws = draw(&mut env, sqn, count);
         run.audit.issued(count, sqn);
-        let batch = prefetch.is_some();
-        if class == PriorityClass::Emergency {
-            request = request.with_marker(&EMERGENCY);
-        }
+        let request = encode(&mut run.paths, supi, draws, batch, class);
         run.tallies.retry.calls += 1;
-        let replica = pool.route(run.supis[ue].as_str());
-        let copy = run.retry_rng.is_some().then(|| request.clone());
+        let replica = pool.route(supi.as_str());
         let tag = engine.schedule_request(horizon, pool.replica(replica).addr(), request);
         run.in_flight.insert(
             tag,
             Pending {
                 ue: arrival.ue,
-                req: copy,
+                draws: run.retry_rng.is_some().then_some(draws),
                 class,
                 replica,
-                batch,
+                batch: batch.is_some(),
                 ..Pending::default()
             },
         );
@@ -554,10 +566,6 @@ pub fn run_scenario(seed: u64, sc: &Scenario) -> Outcome {
     }
 }
 
-fn snn() -> ServingNetworkName {
-    ServingNetworkName::of(&Plmn::test_network())
-}
-
 /// One single-AV request for `supi`, stepping its SQN counter `sqn`
 /// (zero before the first request, so that one carries SQN 1).
 pub(crate) fn single_request(
@@ -566,40 +574,107 @@ pub(crate) fn single_request(
     sqn: &mut [u8; 6],
     supi: Supi,
 ) -> HttpRequest {
-    *sqn = sqn_add(sqn, 1);
-    GenerateAv::request(
-        paths,
-        &UdmAkaRequest {
-            supi,
-            opc: OPC.into(),
-            rand: env.rng.bytes(),
-            sqn: *sqn,
-            amf_field: [0x80, 0],
-            snn: snn(),
-        },
-    )
+    let draws = draw(env, sqn, 1);
+    encode(paths, supi, draws, None, PriorityClass::Normal)
 }
 
-/// One batch request for `supi`, reserving its `count` SQNs on `sqn`.
-fn batch_request(
-    env: &mut Env,
-    paths: &mut SharedPaths,
-    sqn: &mut [u8; 6],
-    count: u32,
-    supi: Supi,
-) -> HttpRequest {
-    let sqn_start = sqn_add(sqn, 1);
+/// Draws a request's RAND and reserves its `count` SQNs on the counter
+/// `sqn`.
+fn draw(env: &mut Env, sqn: &mut [u8; 6], count: u32) -> Draws {
+    let first = sqn_add(sqn, 1);
     *sqn = sqn_add(sqn, u64::from(count));
-    GenerateAvBatch::request(
-        paths,
-        &UdmAkaBatchRequest {
-            supi,
-            opc: OPC.into(),
-            rand_seed: env.rng.bytes(),
-            sqn_start,
-            amf_field: [0x80, 0],
-            snn: snn(),
-            count,
-        },
-    )
+    Draws {
+        rand: env.rng.bytes(),
+        sqn: first,
+    }
+}
+
+/// The request `draws` make for `supi`: a batch of `count` AVs for
+/// `Some(count)`, else a single AV, marked for the emergency class. The
+/// first send and every retransmission are encoded here, so they are the
+/// same request.
+fn encode(
+    paths: &mut SharedPaths,
+    supi: Supi,
+    draws: Draws,
+    batch: Option<u32>,
+    class: PriorityClass,
+) -> HttpRequest {
+    let (opc, amf_field) = (OPC.into(), [0x80, 0]);
+    let snn = ServingNetworkName::of(&Plmn::test_network());
+    let Draws { rand, sqn } = draws;
+    let request = match batch {
+        None => GenerateAv::request(
+            paths,
+            &UdmAkaRequest {
+                supi,
+                opc,
+                rand,
+                sqn,
+                amf_field,
+                snn,
+            },
+        ),
+        Some(count) => GenerateAvBatch::request(
+            paths,
+            &UdmAkaBatchRequest {
+                supi,
+                opc,
+                rand_seed: rand,
+                sqn_start: sqn,
+                amf_field,
+                snn,
+                count,
+            },
+        ),
+    };
+    match class {
+        PriorityClass::Emergency => request.with_marker(&EMERGENCY),
+        PriorityClass::Normal => request,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_retransmission_is_its_first_attempt() {
+        let mut env = Env::new(300);
+        let mut paths = SharedPaths::default();
+        let (mut sqn, supi) = ([0; 6], test_subscriber(3));
+        for batch in [None, Some(8)] {
+            for class in [PriorityClass::Normal, PriorityClass::Emergency] {
+                let draws = draw(&mut env, &mut sqn, batch.unwrap_or(1));
+                let first = encode(&mut paths, supi, draws, batch, class);
+                // Traffic in between steps the RNG, the SQN counter and
+                // the spare list, none of which a retransmission reads.
+                drop(single_request(&mut env, &mut paths, &mut sqn, supi));
+                let again = encode(&mut paths, supi, draws, batch, class);
+                assert_eq!(
+                    (again.method, &again.path, &again.headers, &again.body[..]),
+                    (first.method, &first.path, &first.headers, &first.body[..]),
+                    "{batch:?} {class:?}"
+                );
+                let emergency = first.headers.contains(&EMERGENCY);
+                assert_eq!(emergency, class == PriorityClass::Emergency);
+                // The request is the one the draws make, not any other.
+                match batch {
+                    None => {
+                        let req = UdmAkaRequest::decode(&first.body).unwrap();
+                        assert_eq!(&*first.path, GenerateAv::PATH);
+                        assert_eq!((req.supi, req.rand, req.sqn), (supi, draws.rand, draws.sqn));
+                    }
+                    Some(count) => {
+                        let req = UdmAkaBatchRequest::decode(&first.body).unwrap();
+                        assert_eq!(&*first.path, GenerateAvBatch::PATH);
+                        assert_eq!(
+                            (req.supi, req.rand_seed, req.sqn_start, req.count),
+                            (supi, draws.rand, draws.sqn, count)
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -276,9 +276,7 @@ impl EnclavePool {
         let mut module =
             PakaModule::deploy_sgx(env, &mut host, &self.registry, self.kind, self.cfg.sgx)
                 .expect("pool replica deploy");
-        for (supi, k) in &self.provisioned {
-            module.provision_subscriber_key(env, supi.as_str(), k.clone());
-        }
+        module.provision_subscriber_keys(env, &self.provisioned);
         let mut replica = Replica {
             id,
             state: ReplicaState::Preheating,
@@ -606,21 +604,33 @@ impl EnclavePool {
     }
 
     /// Provisions a subscriber key into every replica (current and, via
-    /// the replay list, future ones).
+    /// the replay list, future ones), as a batch of one.
     pub fn provision_subscriber(
         &mut self,
         env: &mut Env,
         supi: Supi,
         k: impl Into<SecretBytes<16>>,
     ) {
-        let k = k.into();
+        self.provision_subscribers(env, [(supi, k.into())]);
+    }
+
+    /// Provisions subscriber keys into every replica, standbys included,
+    /// and onto the replay list for future ones. Each replica takes the
+    /// batch whole ([`PakaModule::provision_subscriber_keys`]).
+    pub(crate) fn provision_subscribers(
+        &mut self,
+        env: &mut Env,
+        keys: impl IntoIterator<Item = (Supi, SecretBytes<16>)>,
+    ) {
+        let start = self.provisioned.len();
+        self.provisioned.extend(keys);
+        let batch = &self.provisioned[start..];
         for replica in &mut self.replicas {
             replica
                 .module
                 .borrow_mut()
-                .provision_subscriber_key(env, supi.as_str(), k.clone());
+                .provision_subscriber_keys(env, batch);
         }
-        self.provisioned.push((supi, k));
     }
 
     /// Re-snapshots every replica's counter baseline. Experiments call
@@ -753,6 +763,35 @@ mod tests {
         assert!(d0.eenter >= u64::from(on0) * 85 && d0.eenter <= u64::from(on0) * 110);
         assert!(d1.eenter >= u64::from(on1) * 85 && d1.eenter <= u64::from(on1) * 110);
         assert_eq!(p.replica(0).served(), u64::from(on0));
+    }
+
+    #[test]
+    fn a_batch_provisions_as_key_by_key_does() {
+        let key = |i: u32| (test_subscriber(i), SecretBytes::new([i as u8; 16]));
+        let (mut batch_env, mut key_env) = (env(), env());
+        let mut batched = pool(&mut batch_env, 3, 1);
+        let mut one_by_one = pool(&mut key_env, 3, 1);
+        batched.provision_subscribers(&mut batch_env, (0..40).map(key));
+        for i in 0..40 {
+            let (supi, k) = key(i);
+            one_by_one.provision_subscriber(&mut key_env, supi, k);
+        }
+        assert_eq!(batch_env.clock.now(), key_env.clock.now());
+        let enclave_state = |p: &EnclavePool| -> Vec<_> {
+            p.replicas()
+                .iter()
+                .map(|r| {
+                    let c = r.module().borrow().container();
+                    let c = c.borrow();
+                    let enclave = c.shielded.as_ref().unwrap().enclave();
+                    (enclave.epc_snapshot(), enclave.vault_slots())
+                })
+                .collect()
+        };
+        let (batch_state, key_state) = (enclave_state(&batched), enclave_state(&one_by_one));
+        assert_eq!(batch_state.len(), 4, "three replicas and the standby");
+        assert!(batch_state.iter().all(|(_, slots)| slots.len() == 40));
+        assert_eq!(batch_state, key_state);
     }
 
     #[test]

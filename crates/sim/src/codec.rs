@@ -33,8 +33,11 @@
 //! into a writer-sized buffer instead (`Body::display`).
 //!
 //! A `Body` is moved, never shared: sender, request, engine, service,
-//! response, caller. Only a retry layer's retransmission copies one, so
-//! reference counting would add an allocation per message and save none.
+//! response, caller. Only `mw`'s retry layer copies one, keeping each
+//! call-out for its retransmission; the open-loop pool driver encodes a
+//! retransmission again from what its first send drew, so an arrival
+//! copies no body. Reference counting would add an allocation per message
+//! and save none.
 
 use crate::SimError;
 use shield5g_crypto::secret::KeySink;
