@@ -1,6 +1,7 @@
 //! Single-module deploy and measure helpers over the simulated testbed.
 //!
-//! [`deploy_module`] builds one P-AKA module, container or SGX, in a fresh
+//! [`deploy_module`] builds one P-AKA module, container or SGX (the
+//! [`ModuleDeployment`] that `PakaModule::deploy` takes), in a fresh
 //! deterministic world and [`standard_request`] is its Table I request.
 //! [`measure_lf_lt`] and [`measure_response_times`] serve that request
 //! and return the §V-A2 latencies; [`concurrency_sweep`] puts the module
@@ -8,6 +9,8 @@
 //! tables are rows of `shield5g_bench::experiments`, which build on these
 //! helpers.
 
+/// Public for benchmark/ (ROADMAP item 2), which names it here.
+pub use crate::paka::ModuleDeployment;
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
 use crate::remote::PakaClient;
 use crate::stats::Summary;
@@ -31,15 +34,6 @@ use std::rc::Rc;
 
 const K: [u8; 16] = [0x46; 16];
 const OPC: [u8; 16] = [0xcd; 16];
-
-/// Deployment flavour for a single-module experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModuleDeployment {
-    /// Plain container baseline.
-    Container,
-    /// SGX enclave with the given configuration.
-    Sgx(SgxConfig),
-}
 
 /// The standard AKA request for a module (Table I inputs).
 #[must_use]
@@ -91,17 +85,9 @@ pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) ->
     populate_registry(&mut registry);
     let platform = SgxPlatform::new(&mut env);
     let mut host = Host::with_sgx("r450", platform);
-    let mut module = match deployment {
-        #[expect(clippy::expect_used, reason = "the harness registry holds every image")]
-        ModuleDeployment::Container => {
-            PakaModule::deploy_container(&mut env, &mut host, &registry, kind)
-                .expect("container deploy")
-        }
-        #[expect(clippy::expect_used, reason = "all images registered; host has SGX")]
-        ModuleDeployment::Sgx(cfg) => {
-            PakaModule::deploy_sgx(&mut env, &mut host, &registry, kind, cfg).expect("sgx deploy")
-        }
-    };
+    #[expect(clippy::expect_used, reason = "all images registered; host has SGX")]
+    let mut module = PakaModule::deploy(&mut env, &mut host, &registry, kind, deployment)
+        .expect("module deploy");
     if kind == PakaKind::EUdm {
         let supi = Supi::numbered(Plmn::test_network(), 1, 10);
         module.provision_subscriber_key(&mut env, supi.as_str(), K);

@@ -1,5 +1,5 @@
-//! Slice migration: relocating a P-AKA module to another HMEE-capable
-//! host.
+//! Slice migration: relocating a P-AKA module, enclave or container, to
+//! another HMEE-capable host.
 //!
 //! §V-B1 notes enclave load time "is important to take into account when
 //! considering slice creation or migration time", and §VI's KI 11/12
@@ -12,11 +12,13 @@
 //!    load time),
 //! 2. remote-attest it (quote over MRENCLAVE/MRSIGNER, verified against
 //!    the registered platform),
-//! 3. transfer the subscriber keys over an attested secure channel,
+//! 3. transfer the subscriber keys over an attested secure channel, read
+//!    through the old module from wherever it keeps them (its enclave
+//!    vault, or a container's plain memory),
 //! 4. swap the live traffic to the new instance and retire the old one
 //!    (wiping its resources — the KI 5 lifecycle requirement).
 
-use crate::paka::{PakaKind, PakaModule, SgxConfig};
+use crate::paka::{ModuleDeployment, PakaKind, PakaModule, SgxConfig};
 use crate::slice::Slice;
 use crate::CoreError;
 use shield5g_hmee::attest::{AttestationService, QuotePolicy, Report};
@@ -84,6 +86,7 @@ pub(crate) fn attest_module(
 ///   material is transferred** and the old module keeps serving.
 /// * [`CoreError::Module`] when the slice has no such module (monolithic
 ///   deployment).
+/// * [`CoreError::Nf`] when a stored key does not read back.
 pub fn migrate_module(
     env: &mut Env,
     slice: &mut Slice,
@@ -100,57 +103,30 @@ pub fn migrate_module(
     let t0 = env.clock.now();
 
     // 1. Deploy on the target (pays enclave load).
-    let mut new_module = PakaModule::deploy_sgx(env, target, &slice.registry, kind, cfg)?;
+    let mut new_module = PakaModule::deploy(
+        env,
+        target,
+        &slice.registry,
+        kind,
+        ModuleDeployment::Sgx(cfg),
+    )?;
     #[expect(clippy::expect_used, reason = "SGX deployments record a boot report")]
     let target_load_time = new_module
         .boot_report()
         .expect("sgx deployment has boot report")
         .load_time;
 
-    // 2. Attest before any secret leaves the old enclave (KI 11/12).
+    // 2. Attest before any secret leaves the old module (KI 11/12).
     attest_module(&new_module, target, service)?;
 
-    // 3. Transfer subscriber keys over the attested channel.
-    let slots: Vec<String> = {
-        let old = module_handle.borrow();
-        let container = old.container();
-        let container = container.borrow();
-        match container.shielded.as_ref() {
-            Some(libos) => libos
-                .enclave()
-                .vault_slots()
-                .into_iter()
-                .filter(|s| s.starts_with("k:"))
-                .collect(),
-            None => Vec::new(),
-        }
-    };
-    let mut keys_transferred = 0;
-    for slot in &slots {
-        let key_bytes = {
-            let old = module_handle.borrow_mut();
-            let container = old.container();
-            let mut container = container.borrow_mut();
-            #[expect(clippy::expect_used, reason = "slots came from its shielded enclave")]
-            let libos = container.shielded.as_mut().expect("old module shielded");
-            libos
-                .enclave_mut()
-                .vault_read(env, slot)
-                .map_err(CoreError::Hmee)?
-        };
-        let supi = slot.trim_start_matches("k:");
-        let key: [u8; 16] = key_bytes
-            .as_slice()
-            .try_into()
-            .map_err(|_| CoreError::Module {
-                module: kind.name().to_owned(),
-                status: 500,
-                detail: format!("stored key for {supi} has wrong length"),
-            })?;
+    // 3. Transfer subscriber keys over the attested channel, read from
+    //    whichever memory the old module keeps them in.
+    let keys = module_handle.borrow_mut().subscriber_keys(env)?;
+    let keys_transferred = keys.len();
+    for (supi, k) in keys {
         env.clock
             .advance(SimDuration::from_nanos(KEY_TRANSFER_NANOS));
-        new_module.provision_subscriber_key(env, supi, key);
-        keys_transferred += 1;
+        new_module.provision_subscriber_key(env, supi.as_str(), k);
     }
 
     // 4. Swap live traffic to the new instance; retire and wipe the old.
@@ -223,6 +199,41 @@ mod tests {
             .host
             .container_names()
             .contains(&PakaKind::EUdm.endpoint().to_owned()));
+    }
+
+    /// A container-deployed source has no vault: its keys sit in plain
+    /// memory, and they move all the same.
+    #[test]
+    fn a_container_module_migrates_with_its_keys() {
+        let mut env = Env::new(65);
+        let mut slice = build_slice(
+            &mut env,
+            &SliceConfig {
+                deployment: AkaDeployment::Container,
+                subscriber_count: 3,
+            },
+        )
+        .unwrap();
+        let mut client = slice.client_for(PakaKind::EUdm, "udm.oai").unwrap();
+        let req = standard_request(PakaKind::EUdm);
+        let before = client.call(&mut env, &req.path, req.body.clone()).unwrap();
+
+        let platform = SgxPlatform::new(&mut env);
+        let mut service = AttestationService::new();
+        service.register_platform(&platform);
+        let mut target = Host::with_sgx("r451", platform);
+        let report = migrate_module(
+            &mut env,
+            &mut slice,
+            PakaKind::EUdm,
+            &mut target,
+            &service,
+            SgxConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.keys_transferred, 3);
+        let after = client.call(&mut env, &req.path, req.body.clone()).unwrap();
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! dispatch — which is why SGX's total-latency overhead (L_T) is much
 //! smaller than its response-time overhead (R_S).
 //!
-//! Deployed in a container, syscalls are native and secrets sit in plain
-//! process memory; deployed under GSC (**P-AKA** proper), every syscall is
-//! an OCALL and secrets live in the encrypted enclave vault.
+//! [`PakaModule::deploy`] takes one [`ModuleDeployment`]. In a container,
+//! syscalls are native and secrets sit in plain process memory; under GSC
+//! (**P-AKA** proper), every syscall is an OCALL and secrets live in the
+//! encrypted enclave vault. Afterwards only the container's LibOS says which.
 
 use crate::CoreError;
 use shield5g_crypto::ident::Supi;
@@ -188,6 +189,17 @@ impl Default for SgxConfig {
     }
 }
 
+/// Where a module is deployed: the paper's container baseline or an SGX
+/// enclave via GSC (§IV–V). Only where K lives and the charged time
+/// differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ModuleDeployment {
+    /// Plain container baseline.
+    Container,
+    /// SGX enclave with the given configuration.
+    Sgx(SgxConfig),
+}
+
 /// Per-request latency metrics as the module reports them (§V-A2
 /// experiment 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,7 +215,6 @@ pub struct ServeMetrics {
 /// A deployed AKA module (container or SGX).
 pub struct PakaModule {
     kind: PakaKind,
-    shielded: bool,
     container: ContainerHandle,
     native_sys: NativeSyscalls,
     max_threads: u32,
@@ -222,7 +233,7 @@ impl std::fmt::Debug for PakaModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PakaModule")
             .field("kind", &self.kind.name())
-            .field("shielded", &self.shielded)
+            .field("container", &self.container)
             .field("requests_served", &self.requests_served)
             .finish()
     }
@@ -331,74 +342,51 @@ pub(crate) fn populate_registry(registry: &mut Registry) {
 
 impl PakaModule {
     /// Deploys the module as an unprotected container (the paper's
-    /// baseline for every overhead figure).
+    /// baseline for every overhead figure) or inside an SGX enclave via
+    /// GSC (a **P-AKA** module proper).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Infra`] when the image is missing or the host
-    /// refuses the container.
-    pub(crate) fn deploy_container(
+    /// refuses the container, and [`CoreError::Libos`] for manifest/boot
+    /// failures (including hosts without SGX).
+    pub fn deploy(
         env: &mut Env,
         host: &mut Host,
         registry: &Registry,
         kind: PakaKind,
+        deployment: ModuleDeployment,
     ) -> Result<Self, CoreError> {
-        let container = host.run_plain(env, registry, kind.image_name(), kind.endpoint())?;
-        let cost = host.platform().cost().clone();
-        Ok(PakaModule {
-            kind,
-            shielded: false,
-            container,
-            native_sys: NativeSyscalls::new(cost),
-            max_threads: 4,
-            warm: false,
-            requests_served: 0,
-            boot_report: None,
-            userspace_net: false,
-            tls_identity: TlsIdentity::new(kind.endpoint(), env.rng.bytes()),
-            crash_recoveries: 0,
-            key_slot: String::new(),
-        })
-    }
-
-    /// Deploys the module inside an SGX enclave via GSC (a **P-AKA**
-    /// module proper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Libos`] for manifest/boot failures (including
-    /// hosts without SGX).
-    pub fn deploy_sgx(
-        env: &mut Env,
-        host: &mut Host,
-        registry: &Registry,
-        kind: PakaKind,
-        cfg: SgxConfig,
-    ) -> Result<Self, CoreError> {
-        let manifest = Manifest::paka_default(format!(
-            "/usr/bin/{}-aka-server",
-            kind.name().to_lowercase()
-        ))
-        .with_max_threads(cfg.max_threads)
-        .with_enclave_size(cfg.enclave_size_bytes)
-        .with_preheat(cfg.preheat)
-        .with_exitless(cfg.exitless);
-        let container = host.run_shielded(
-            env,
-            registry,
-            kind.image_name(),
-            kind.endpoint(),
-            manifest,
-            &Self::signing_key(),
-        )?;
+        let (container, max_threads) = match deployment {
+            ModuleDeployment::Container => (
+                host.run_plain(env, registry, kind.image_name(), kind.endpoint())?,
+                4,
+            ),
+            ModuleDeployment::Sgx(cfg) => {
+                let manifest = Manifest::paka_default(format!(
+                    "/usr/bin/{}-aka-server",
+                    kind.name().to_lowercase()
+                ))
+                .with_max_threads(cfg.max_threads)
+                .with_enclave_size(cfg.enclave_size_bytes)
+                .with_preheat(cfg.preheat)
+                .with_exitless(cfg.exitless);
+                let container = host.run_shielded(
+                    env,
+                    registry,
+                    kind.image_name(),
+                    kind.endpoint(),
+                    manifest,
+                    &Self::signing_key(),
+                )?;
+                (container, cfg.max_threads)
+            }
+        };
         // Pistache server init inside the enclave: ~650 extra transitions
         // (paper §V-B5: "deploying the Pistache server inside an SGX
         // enclave contributes to around 650 EENTER and EEXIT
         // instructions") plus a few timer-thread event injections.
-        let boot_report = {
-            let mut c = container.borrow_mut();
-            #[expect(clippy::expect_used, reason = "a GSC container is built with a LibOS")]
-            let libos = c.shielded.as_mut().expect("gsc container has libos");
+        let boot_report = container.borrow_mut().shielded.as_mut().map(|libos| {
             let server_init_start = env.clock.now();
             libos.enclave_mut().ocalls(env, repeat_n((64, 0), 650));
             for _ in 0..12 {
@@ -406,19 +394,17 @@ impl PakaModule {
             }
             // "Enclave load time … for the P-AKA modules to become
             // operational" (§V-B1) covers GSC boot plus server startup.
-            let report = BootReport {
+            BootReport {
                 load_time: libos.boot_report().load_time + (env.clock.now() - server_init_start),
                 counters: libos.sgx_stats(),
-            };
-            Some(report)
-        };
+            }
+        });
         let cost = host.platform().cost().clone();
         Ok(PakaModule {
             kind,
-            shielded: true,
             container,
             native_sys: NativeSyscalls::new(cost),
-            max_threads: cfg.max_threads,
+            max_threads,
             warm: false,
             requests_served: 0,
             boot_report,
@@ -588,6 +574,35 @@ impl PakaModule {
         }
     }
 
+    /// Every subscriber K the module holds, in slot order, each read as
+    /// serving reads it ([`Self::load_subscriber_key`]) from whichever
+    /// memory holds it: what a migration carries to the new instance.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first key that does not load, or
+    /// [`NfError::Crypto`] for a key slot not named after a SUPI.
+    pub(crate) fn subscriber_keys(
+        &mut self,
+        env: &mut Env,
+    ) -> Result<Vec<(Supi, SecretBytes<16>)>, NfError> {
+        let slots = {
+            let c = self.container.borrow();
+            match c.shielded.as_ref() {
+                Some(libos) => libos.enclave().vault_slots(),
+                None => c.plain_memory.slots().map(str::to_owned).collect(),
+            }
+        };
+        slots
+            .iter()
+            .filter_map(|slot| slot.strip_prefix("k:"))
+            .map(|supi| {
+                let supi = Supi::parse(supi)?;
+                Ok((supi, self.load_subscriber_key(env, supi)?))
+            })
+            .collect()
+    }
+
     /// Reads subscriber `supi`'s K straight into its secret: the enclave
     /// decrypts into a local array, the container copies out of plain
     /// memory, and the local is zeroized once wrapped, so no plaintext
@@ -728,17 +743,14 @@ impl PakaModule {
     /// after a crash pays the recovery; harnesses may also call it
     /// directly to model supervised restarts.
     pub(crate) fn recover_from_crash(&mut self, env: &mut Env) -> bool {
-        let load_time = self
-            .boot_report
-            .map_or_else(|| SimDuration::from_secs(60), |r| r.load_time);
         let mut c = self.container.borrow_mut();
-        let Some(libos) = c.shielded.as_mut() else {
+        let (Some(libos), Some(boot)) = (c.shielded.as_mut(), self.boot_report) else {
             return false;
         };
         if !libos.enclave().is_lost() {
             return false;
         }
-        libos.enclave_mut().reload(env, load_time);
+        libos.enclave_mut().reload(env, boot.load_time);
         drop(c);
         self.crash_recoveries += 1;
         // The rebuilt instance starts cold: first request re-pays warmup.
@@ -750,9 +762,7 @@ impl PakaModule {
     /// choreography, and returns the response plus the module-side
     /// latency metrics.
     pub fn serve(&mut self, env: &mut Env, request: HttpRequest) -> (HttpResponse, ServeMetrics) {
-        if self.shielded && self.is_crashed() {
-            self.recover_from_crash(env);
-        }
+        self.recover_from_crash(env);
         let req_bytes = request.wire_len();
         self.requests_served += 1;
         let first_request = !self.warm;
@@ -806,12 +816,10 @@ impl PakaModule {
     /// slowdown extras, EPC paging under over-commit, and timer AEX noise
     /// that grows with the configured thread count (Fig. 8).
     fn functional_window_effects(&mut self, env: &mut Env) -> u64 {
-        if !self.shielded {
-            return 0;
-        }
         let mut c = self.container.borrow_mut();
-        #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
-        let libos = c.shielded.as_mut().expect("shielded module");
+        let Some(libos) = c.shielded.as_mut() else {
+            return 0;
+        };
         let enclave = libos.enclave_mut();
         enclave.compute(
             env,
@@ -833,11 +841,8 @@ impl PakaModule {
     }
 
     fn cold_start(&mut self, env: &mut Env) {
-        if self.shielded {
-            let kind = self.kind;
-            let mut c = self.container.borrow_mut();
-            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
-            let libos = c.shielded.as_mut().expect("shielded module");
+        let kind = self.kind;
+        if let Some(libos) = self.container.borrow_mut().shielded.as_mut() {
             let extra = kind.cold_extra_ocalls() as usize;
             libos.enclave_mut().ocalls(env, repeat_n((256, 0), extra));
             libos.enclave_mut().demand_fault(env, kind.cold_pages());
@@ -864,27 +869,19 @@ impl PakaModule {
             self.charge_compute(env, work.as_nanos());
             return;
         }
-        if self.shielded {
-            let mut c = self.container.borrow_mut();
-            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
-            let libos = c.shielded.as_mut().expect("shielded module");
-            libos.run(env, calls);
-        } else {
-            self.native_sys.run(env, calls);
+        match self.container.borrow_mut().shielded.as_mut() {
+            Some(libos) => libos.run(env, calls),
+            None => self.native_sys.run(env, calls),
         }
     }
 
     /// Charges compute either natively or through the enclave (MEE factor).
     fn charge_compute(&mut self, env: &mut Env, nanos: u64) {
-        if self.shielded {
-            let mut c = self.container.borrow_mut();
-            #[expect(clippy::expect_used, reason = "`shielded` means a LibOS container")]
-            let libos = c.shielded.as_mut().expect("shielded module");
-            libos
-                .enclave_mut()
-                .compute(env, SimDuration::from_nanos(nanos));
+        let nanos = SimDuration::from_nanos(nanos);
+        if let Some(libos) = self.container.borrow_mut().shielded.as_mut() {
+            libos.enclave_mut().compute(env, nanos);
         } else {
-            env.clock.advance(SimDuration::from_nanos(nanos));
+            env.clock.advance(nanos);
         }
     }
 }
@@ -970,7 +967,7 @@ impl PakaModule {
     /// Whether this deployment is enclave-shielded.
     #[must_use]
     pub(crate) fn is_shielded(&self) -> bool {
-        self.shielded
+        self.container.borrow().shielded.is_some()
     }
 }
 
@@ -1007,11 +1004,12 @@ mod tests {
         let reg = registry();
         let platform = SgxPlatform::new(&mut env);
         let mut host = Host::with_sgx("r450", platform);
-        let mut module = if shielded {
-            PakaModule::deploy_sgx(&mut env, &mut host, &reg, kind, SgxConfig::default()).unwrap()
+        let deployment = if shielded {
+            ModuleDeployment::Sgx(SgxConfig::default())
         } else {
-            PakaModule::deploy_container(&mut env, &mut host, &reg, kind).unwrap()
+            ModuleDeployment::Container
         };
+        let mut module = PakaModule::deploy(&mut env, &mut host, &reg, kind, deployment).unwrap();
         if kind == PakaKind::EUdm {
             module.provision_subscriber_key(&mut env, SUPI, K);
         }

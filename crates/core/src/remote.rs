@@ -349,7 +349,7 @@ impl<O: AkaOp> AkaBackend<O> for PakaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paka::{populate_registry, SgxConfig};
+    use crate::paka::{populate_registry, ModuleDeployment, SgxConfig};
     use shield5g_crypto::keys::{self, HeAv, ServingNetworkName};
     use shield5g_crypto::milenage::Milenage;
     use shield5g_crypto::sqn::Auts;
@@ -378,11 +378,12 @@ mod tests {
         populate_registry(&mut reg);
         let platform = SgxPlatform::new(&mut env);
         let mut host = Host::with_sgx("r450", platform);
-        let mut module = if shielded {
-            PakaModule::deploy_sgx(&mut env, &mut host, &reg, kind, SgxConfig::default()).unwrap()
+        let deployment = if shielded {
+            ModuleDeployment::Sgx(SgxConfig::default())
         } else {
-            PakaModule::deploy_container(&mut env, &mut host, &reg, kind).unwrap()
+            ModuleDeployment::Container
         };
+        let mut module = PakaModule::deploy(&mut env, &mut host, &reg, kind, deployment).unwrap();
         if kind == PakaKind::EUdm {
             module.provision_subscriber_key(&mut env, SUPI, K);
         }

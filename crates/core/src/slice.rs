@@ -12,7 +12,9 @@
 //! The builder also provisions subscribers end to end: UDR records, the
 //! module/backend key tables, and [`Subscriber`] credentials for USIMs.
 
-use crate::paka::{populate_registry, write_key, PakaKind, PakaModule, SgxConfig};
+use crate::paka::{
+    populate_registry, write_key, ModuleDeployment, PakaKind, PakaModule, SgxConfig,
+};
 use crate::remote::{ModuleMetricsLog, PakaClient};
 use crate::CoreError;
 use shield5g_crypto::ecies::{HomeNetworkKeyPair, HomeNetworkPublicKey};
@@ -317,20 +319,17 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
 
     // AKA backends per deployment.
     let mut modules = Vec::new();
-    // Deploys one extracted module for `vnf` (container, or enclave under
-    // `sgx`) and returns the VNF's client to it. Each module is an engine
-    // endpoint whose worker count is the enclave's serving-thread budget:
-    // module concurrency (and the Fig. 8 thread-sweep knee) comes from
-    // event ordering.
+    // Deploys one extracted module for `vnf` as `deployment` and returns
+    // the VNF's client to it. Each module is an engine endpoint whose
+    // worker count is the enclave's serving-thread budget: module
+    // concurrency (and the Fig. 8 thread-sweep knee) comes from event
+    // ordering.
     let mut offload = |env: &mut Env,
                        kind: PakaKind,
                        vnf: &str,
-                       sgx: Option<SgxConfig>|
+                       deployment: ModuleDeployment|
      -> Result<PakaClient, CoreError> {
-        let mut module = match sgx {
-            Some(cfg) => PakaModule::deploy_sgx(env, &mut host, &registry, kind, cfg)?,
-            None => PakaModule::deploy_container(env, &mut host, &registry, kind)?,
-        };
+        let mut module = PakaModule::deploy(env, &mut host, &registry, kind, deployment)?;
         if kind == PakaKind::EUdm {
             for sub in &subscribers {
                 module.provision_subscriber_key(env, sub.supi.as_str(), sub.k.clone());
@@ -347,11 +346,11 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
         );
         Ok(client)
     };
-    let mut offload_all = |env: &mut Env, sgx: Option<SgxConfig>| -> Result<Backends, CoreError> {
+    let mut offload_all = |env: &mut Env, d: ModuleDeployment| -> Result<Backends, CoreError> {
         Ok((
-            Box::new(offload(env, PakaKind::EUdm, "udm.oai", sgx)?),
-            Box::new(offload(env, PakaKind::EAusf, "ausf.oai", sgx)?),
-            Box::new(offload(env, PakaKind::EAmf, "amf.oai", sgx)?),
+            Box::new(offload(env, PakaKind::EUdm, "udm.oai", d)?),
+            Box::new(offload(env, PakaKind::EAusf, "ausf.oai", d)?),
+            Box::new(offload(env, PakaKind::EAmf, "amf.oai", d)?),
         ))
     };
     let (udm_backend, ausf_backend, amf_backend): Backends = match config.deployment {
@@ -375,8 +374,8 @@ fn build_on(env: &mut Env, config: &SliceConfig, engine: Engine) -> Result<Slice
                 Box::new(LocalAka::default()),
             )
         }
-        AkaDeployment::Container => offload_all(env, None)?,
-        AkaDeployment::Sgx(cfg) => offload_all(env, Some(cfg))?,
+        AkaDeployment::Container => offload_all(env, ModuleDeployment::Container)?,
+        AkaDeployment::Sgx(cfg) => offload_all(env, ModuleDeployment::Sgx(cfg))?,
     };
 
     // The VNF service chain.

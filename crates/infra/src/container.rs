@@ -54,6 +54,11 @@ impl PlainMemory {
         self.slots.get(slot).map(Vec::as_slice)
     }
 
+    /// The slot names, in order.
+    pub fn slots(&self) -> impl Iterator<Item = &str> {
+        self.slots.keys().map(String::as_str)
+    }
+
     /// Clears all slots (what a compliant runtime does on teardown, KI 5).
     pub(crate) fn wipe(&mut self) {
         self.slots.clear();

@@ -191,10 +191,6 @@ impl SyscallInterface for GramineLibos {
             self.enclave.ocalls(env, calls);
         }
     }
-
-    fn is_shielded(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +252,6 @@ mod tests {
         assert_eq!(delta.ocalls, 1);
         assert_eq!(delta.eenter, 1);
         assert_eq!(delta.eexit, 1);
-        assert!(libos.is_shielded());
     }
 
     #[test]

@@ -116,9 +116,6 @@ pub trait SyscallInterface {
     fn syscall(&mut self, env: &mut Env, call: Syscall) {
         self.run(env, &[call]);
     }
-
-    /// Whether calls cross an enclave boundary.
-    fn is_shielded(&self) -> bool;
 }
 
 /// Direct syscalls: the container / monolithic deployment path.
@@ -141,10 +138,6 @@ impl SyscallInterface for NativeSyscalls {
         let host: u64 = calls.iter().map(Syscall::host_ns).sum();
         env.clock
             .advance(self.cost.native_syscall() * n + SimDuration::from_nanos(host));
-    }
-
-    fn is_shielded(&self) -> bool {
-        false
     }
 }
 
@@ -170,7 +163,6 @@ mod tests {
         let t0 = env.clock.now();
         sys.syscall(&mut env, Syscall::Accept);
         assert!(env.clock.now() > t0);
-        assert!(!sys.is_shielded());
     }
 
     #[test]

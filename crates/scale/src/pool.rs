@@ -15,7 +15,9 @@
 use crate::health::{HealthEvent, HealthTracker};
 use crate::queue::QueueConfig;
 use crate::router::{HashRing, ReplicaId};
-use shield5g_core::paka::{paka_image, PakaKind, PakaModule, ServeMetrics, SgxConfig};
+use shield5g_core::paka::{
+    paka_image, ModuleDeployment, PakaKind, PakaModule, ServeMetrics, SgxConfig,
+};
 use shield5g_crypto::ident::{Plmn, Supi};
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_crypto::secret::SecretBytes;
@@ -273,9 +275,14 @@ impl EnclavePool {
         let platform = SgxPlatform::new(env);
         let mut host = Host::with_sgx(format!("pool-{}-{id}", self.kind.name()), platform);
         #[expect(clippy::expect_used, reason = "image registered; each host has SGX")]
-        let mut module =
-            PakaModule::deploy_sgx(env, &mut host, &self.registry, self.kind, self.cfg.sgx)
-                .expect("pool replica deploy");
+        let mut module = PakaModule::deploy(
+            env,
+            &mut host,
+            &self.registry,
+            self.kind,
+            ModuleDeployment::Sgx(self.cfg.sgx),
+        )
+        .expect("pool replica deploy");
         module.provision_subscriber_keys(env, &self.provisioned);
         let mut replica = Replica {
             id,
