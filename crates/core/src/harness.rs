@@ -4,14 +4,14 @@
 //! [`ModuleDeployment`] that `PakaModule::deploy` takes), in a fresh
 //! deterministic world and [`standard_request`] is its Table I request.
 //! [`measure_lf_lt`] and [`measure_response_times`] serve that request
-//! and return the §V-A2 latencies; [`concurrency_sweep`] puts the module
-//! behind a discrete-event engine endpoint. The paper's figures and
+//! and return the §V-A2 latencies; the tests also put the module behind
+//! a discrete-event engine endpoint. The paper's figures and
 //! tables are rows of `shield5g_bench::experiments`, which build on these
 //! helpers.
 
 /// Public for benchmark/ (ROADMAP item 2), which names it here.
 pub use crate::paka::ModuleDeployment;
-use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
+use crate::paka::{populate_registry, PakaKind, PakaModule};
 use crate::remote::PakaClient;
 use crate::stats::Summary;
 use crate::CoreError;
@@ -24,9 +24,7 @@ use shield5g_infra::image::Registry;
 use shield5g_nf::backend::{
     AkaOp, AmfAkaRequest, AusfAkaRequest, DeriveKamf, DeriveSe, GenerateAv, UdmAkaRequest,
 };
-use shield5g_sim::engine::Engine;
 use shield5g_sim::http::{HttpRequest, SharedPaths};
-use shield5g_sim::service::service_handle;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::cell::RefCell;
@@ -159,89 +157,88 @@ fn vnf_client(module: PakaModule) -> PakaClient {
     PakaClient::new(Rc::new(RefCell::new(module)), bridge, "vnf.oai")
 }
 
-/// One row of the concurrency sweep.
-#[derive(Clone, Debug)]
-pub struct ConcurrencyRow {
-    /// Concurrent UE registration flows hitting the module.
-    pub concurrent_clients: u32,
-    /// `sgx.max_threads` configured.
-    pub max_threads: u32,
-    /// Mean response time across the batch (queueing included).
-    pub mean_response: SimDuration,
-}
-
-/// Registers a freshly deployed module as a discrete-event endpoint on
-/// its own engine (worker count = the module's serving-thread budget) and
-/// returns `(env, engine)` ready for scheduled arrivals.
-#[must_use]
-pub(crate) fn module_engine(
-    seed: u64,
-    kind: PakaKind,
-    deployment: ModuleDeployment,
-) -> (Env, Engine) {
-    let (mut env, mut module) = deploy_module(seed, kind, deployment);
-    let _ = module.serve(&mut env, standard_request(kind)); // warm
-    let workers = module.app_threads();
-    let endpoint = vnf_client(module).endpoint();
-    let mut engine = Engine::new();
-    engine.register(
-        kind.endpoint(),
-        workers,
-        Engine::leaf(service_handle(endpoint)),
-    );
-    (env, engine)
-}
-
-/// **§V-B2 extension**: the paper notes that "increasing the number of
-/// concurrent clients without impacting the performance of the modules
-/// would require changing the maximum allowed number of threads" —
-/// Gramine reserves 3 helper threads, so a module with `max_threads = T`
-/// serves `T − 3` flows in parallel and queues the rest. This sweep fires
-/// `clients` simultaneous arrivals at the module's engine endpoint under
-/// each thread budget: queueing and overlap fall out of event ordering
-/// (busy workers hold their slot for the full service time), not from an
-/// analytic schedule.
-#[must_use]
-pub fn concurrency_sweep(
-    base_seed: u64,
-    clients: &[u32],
-    thread_configs: &[u32],
-) -> Vec<ConcurrencyRow> {
-    let mut rows = Vec::new();
-    for &max_threads in thread_configs {
-        for &n in clients {
-            let cfg = SgxConfig {
-                max_threads,
-                ..SgxConfig::default()
-            };
-            let (mut env, mut engine) = module_engine(
-                base_seed + u64::from(max_threads),
-                PakaKind::EUdm,
-                ModuleDeployment::Sgx(cfg),
-            );
-            let request = standard_request(PakaKind::EUdm);
-            let t0 = env.clock.now();
-            for _ in 0..n {
-                engine.schedule_request(t0, PakaKind::EUdm.endpoint(), request.clone());
-            }
-            let done = engine.run_until_idle(&mut env);
-            assert_eq!(done.len(), n as usize, "all flows must complete");
-            let total = done
-                .iter()
-                .fold(SimDuration::ZERO, |acc, c| acc + (c.finished - c.submitted));
-            rows.push(ConcurrencyRow {
-                concurrent_clients: n,
-                max_threads,
-                mean_response: total / u64::from(n),
-            });
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paka::SgxConfig;
+    use shield5g_sim::engine::Engine;
+    use shield5g_sim::service::service_handle;
+
+    /// One row of the concurrency sweep.
+    #[derive(Clone, Debug)]
+    struct ConcurrencyRow {
+        /// Concurrent UE registration flows hitting the module.
+        concurrent_clients: u32,
+        /// `sgx.max_threads` configured.
+        max_threads: u32,
+        /// Mean response time across the batch (queueing included).
+        mean_response: SimDuration,
+    }
+
+    /// Registers a freshly deployed module as a discrete-event endpoint on
+    /// its own engine (worker count = the module's serving-thread budget) and
+    /// returns `(env, engine)` ready for scheduled arrivals.
+    #[must_use]
+    fn module_engine(seed: u64, kind: PakaKind, deployment: ModuleDeployment) -> (Env, Engine) {
+        let (mut env, mut module) = deploy_module(seed, kind, deployment);
+        let _ = module.serve(&mut env, standard_request(kind)); // warm
+        let workers = module.app_threads();
+        let endpoint = vnf_client(module).endpoint();
+        let mut engine = Engine::new();
+        engine.register(
+            kind.endpoint(),
+            workers,
+            Engine::leaf(service_handle(endpoint)),
+        );
+        (env, engine)
+    }
+
+    /// **§V-B2 extension**: the paper notes that "increasing the number of
+    /// concurrent clients without impacting the performance of the modules
+    /// would require changing the maximum allowed number of threads" —
+    /// Gramine reserves 3 helper threads, so a module with `max_threads = T`
+    /// serves `T − 3` flows in parallel and queues the rest. This sweep fires
+    /// `clients` simultaneous arrivals at the module's engine endpoint under
+    /// each thread budget: queueing and overlap fall out of event ordering
+    /// (busy workers hold their slot for the full service time), not from an
+    /// analytic schedule.
+    #[must_use]
+    fn concurrency_sweep(
+        base_seed: u64,
+        clients: &[u32],
+        thread_configs: &[u32],
+    ) -> Vec<ConcurrencyRow> {
+        let mut rows = Vec::new();
+        for &max_threads in thread_configs {
+            for &n in clients {
+                let cfg = SgxConfig {
+                    max_threads,
+                    ..SgxConfig::default()
+                };
+                let (mut env, mut engine) = module_engine(
+                    base_seed + u64::from(max_threads),
+                    PakaKind::EUdm,
+                    ModuleDeployment::Sgx(cfg),
+                );
+                let request = standard_request(PakaKind::EUdm);
+                let t0 = env.clock.now();
+                for _ in 0..n {
+                    engine.schedule_request(t0, PakaKind::EUdm.endpoint(), request.clone());
+                }
+                let done = engine.run_until_idle(&mut env);
+                assert_eq!(done.len(), n as usize, "all flows must complete");
+                let total = done
+                    .iter()
+                    .fold(SimDuration::ZERO, |acc, c| acc + (c.finished - c.submitted));
+                rows.push(ConcurrencyRow {
+                    concurrent_clients: n,
+                    max_threads,
+                    mean_response: total / u64::from(n),
+                });
+            }
+        }
+        rows
+    }
 
     #[test]
     fn concurrency_needs_threads() {

@@ -11,7 +11,6 @@
 //! container memory (plaintext) or enclave EPC (ciphertext).
 
 use crate::host::Host;
-use crate::image::{ContainerImage, ProvisionedSecret};
 use crate::InfraError;
 use shield5g_sim::Env;
 
@@ -160,23 +159,6 @@ impl Attacker {
         }
     }
 
-    /// KI 27: pull an image from the registry and extract its secrets.
-    /// Plaintext secrets leak immediately; sealed ones are opaque bytes.
-    #[must_use]
-    pub fn extract_image_secrets(&self, image: &ContainerImage) -> Vec<(String, Option<Vec<u8>>)> {
-        image
-            .secrets
-            .iter()
-            .map(|(name, secret)| {
-                let leaked = match secret {
-                    ProvisionedSecret::Plaintext(bytes) => Some(bytes.clone()),
-                    ProvisionedSecret::Sealed(_) => None,
-                };
-                (name.clone(), leaked)
-            })
-            .collect()
-    }
-
     fn require_root(&self) -> Result<(), InfraError> {
         if self.achieved(AttackStep::EscalatedToHost) {
             Ok(())
@@ -190,9 +172,33 @@ impl Attacker {
 }
 
 #[cfg(test)]
+impl Attacker {
+    /// KI 27: pull an image from the registry and extract its secrets.
+    /// Plaintext secrets leak immediately; sealed ones are opaque bytes.
+    #[must_use]
+    pub(crate) fn extract_image_secrets(
+        &self,
+        image: &crate::image::ContainerImage,
+    ) -> Vec<(String, Option<Vec<u8>>)> {
+        use crate::image::ProvisionedSecret;
+        image
+            .secrets
+            .iter()
+            .map(|(name, secret)| {
+                let leaked = match secret {
+                    ProvisionedSecret::Plaintext(bytes) => Some(bytes.clone()),
+                    ProvisionedSecret::Sealed(_) => None,
+                };
+                (name.clone(), leaked)
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Registry;
+    use crate::image::{ContainerImage, Registry};
     use shield5g_hmee::platform::SgxPlatform;
     use shield5g_libos::gsc::ImageSpec;
     use shield5g_libos::manifest::Manifest;

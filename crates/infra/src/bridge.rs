@@ -3,7 +3,8 @@
 //! Paper §IV-A: "The containers communicate over TLS using REST APIs via
 //! the OAI Docker bridge." A privileged attacker on the host can capture
 //! every frame on the bridge; whether that yields anything depends on the
-//! TLS layer above — which the attack-lab example demonstrates.
+//! TLS layer above — which `tests/security_properties.rs`'s
+//! `bridge_traffic_is_ciphertext_even_for_the_root_attacker` demonstrates.
 
 use shield5g_sim::latency::LinkProfile;
 use shield5g_sim::time::{SimDuration, SimTime};

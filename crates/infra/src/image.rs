@@ -54,23 +54,6 @@ impl ContainerImage {
         self.env_vars.insert(key.into(), value.into());
         self
     }
-
-    /// Embeds a plaintext secret (builder style; deliberately insecure —
-    /// used to demonstrate KI 27).
-    #[must_use]
-    pub fn with_plaintext_secret(mut self, name: impl Into<String>, value: Vec<u8>) -> Self {
-        self.secrets
-            .insert(name.into(), ProvisionedSecret::Plaintext(value));
-        self
-    }
-
-    /// Embeds a sealed secret (builder style; the KI 27 mitigation).
-    #[must_use]
-    pub fn with_sealed_secret(mut self, name: impl Into<String>, blob: SealedBlob) -> Self {
-        self.secrets
-            .insert(name.into(), ProvisionedSecret::Sealed(blob));
-        self
-    }
 }
 
 /// An image registry (the attacker can pull from it too — that is the
@@ -101,6 +84,26 @@ impl Registry {
     /// Every image, in name order (public for `shield5g-core`'s tests).
     pub fn images(&self) -> impl Iterator<Item = &ContainerImage> {
         self.images.values()
+    }
+}
+
+#[cfg(test)]
+impl ContainerImage {
+    /// Embeds a plaintext secret (builder style; deliberately insecure —
+    /// used to demonstrate KI 27).
+    #[must_use]
+    pub(crate) fn with_plaintext_secret(mut self, name: impl Into<String>, value: Vec<u8>) -> Self {
+        self.secrets
+            .insert(name.into(), ProvisionedSecret::Plaintext(value));
+        self
+    }
+
+    /// Embeds a sealed secret (builder style; the KI 27 mitigation).
+    #[must_use]
+    pub(crate) fn with_sealed_secret(mut self, name: impl Into<String>, blob: SealedBlob) -> Self {
+        self.secrets
+            .insert(name.into(), ProvisionedSecret::Sealed(blob));
+        self
     }
 }
 

@@ -99,11 +99,6 @@ impl OtaTestbed {
         }
     }
 
-    /// Replaces the UE (e.g. to test an incompatible OS build).
-    pub fn swap_ue(&mut self, ue: CotsUe) {
-        self.ue = ue;
-    }
-
     /// The deployed slice.
     #[must_use]
     pub fn slice(&self) -> &Slice {
@@ -204,6 +199,14 @@ pub fn session_setup_comparison(seed: u64, reps: u32) -> SessionSetupComparison 
         sgx_setup,
         container_setup,
         sgx_delta: sgx_paka.saturating_sub(container_paka),
+    }
+}
+
+#[cfg(test)]
+impl OtaTestbed {
+    /// Replaces the UE (e.g. to test an incompatible OS build).
+    pub(crate) fn swap_ue(&mut self, ue: CotsUe) {
+        self.ue = ue;
     }
 }
 

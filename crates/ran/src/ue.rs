@@ -106,14 +106,6 @@ impl CotsUe {
         }
     }
 
-    /// Overrides the OS build (to reproduce the §V-B6 finding that other
-    /// builds fail to complete the end-to-end connection).
-    #[must_use]
-    pub fn with_os_build(mut self, build: impl Into<Cow<'static, str>>) -> Self {
-        self.os_build = build.into();
-        self
-    }
-
     /// The SIM in the device.
     #[must_use]
     pub fn usim(&self) -> &Usim {
@@ -437,6 +429,17 @@ impl CotsUe {
             | NasDownlink::DeregistrationAccept) => Ok(msg),
             other => Err(RanError::Protocol(format!("unprotected {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+impl CotsUe {
+    /// Overrides the OS build (to reproduce the §V-B6 finding that other
+    /// builds fail to complete the end-to-end connection).
+    #[must_use]
+    pub(crate) fn with_os_build(mut self, build: impl Into<Cow<'static, str>>) -> Self {
+        self.os_build = build.into();
+        self
     }
 }
 

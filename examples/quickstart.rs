@@ -5,60 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use shield5g::core::paka::{PakaKind, SgxConfig};
-use shield5g::core::slice::AkaDeployment;
-use shield5g::ran::ota::OtaTestbed;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== shield5g quickstart ==\n");
-    println!("Deploying an SGX-shielded slice (eUDM/eAUSF/eAMF P-AKA modules)...");
-    let mut testbed = OtaTestbed::assemble(2024, AkaDeployment::Sgx(SgxConfig::default()));
-
-    for kind in PakaKind::all() {
-        let module = testbed
-            .slice()
-            .module(kind)
-            .ok_or("sgx slice has modules")?;
-        let report = module.borrow().boot_report().ok_or("boot report")?;
-        println!(
-            "  {:6} enclave loaded in {} (paper Fig. 7: ~1 minute)",
-            kind.name(),
-            report.load_time
-        );
-    }
-
-    println!("\nRegistering a OnePlus 8 over the air (PLMN 00101)...");
-    let cold = testbed.run()?;
-    println!("  registered:      {}", cold.registered);
-    println!(
-        "  PDU session:     {} (UE IP 10.0.0.{})",
-        cold.session_established, cold.ue_ip[3]
-    );
-    println!("  data echo:       {}", cold.data_echoed);
-    println!(
-        "  session setup:   {} (first registration: includes enclave cold start)",
-        cold.session_setup
-    );
-
-    let warm = testbed.run()?;
-    println!(
-        "  steady state:    {} (paper §V-B4: 62.38 ms), P-AKA share {:.1}%",
-        warm.session_setup,
-        warm.paka_fraction() * 100.0
-    );
-
-    println!("\nSGX transition counters after the runs:");
-    for kind in PakaKind::all() {
-        let module = testbed.slice().module(kind).ok_or("module")?;
-        let stats = module.borrow().sgx_stats().ok_or("stats")?;
-        println!(
-            "  {:6} EENTER={:6} EEXIT={:6} AEX={:6}",
-            kind.name(),
-            stats.eenter,
-            stats.eexit,
-            stats.aex
-        );
-    }
-    println!("\nDone. See EXPERIMENTS.md and `cargo bench` for the full evaluation.");
+    print!("{}", shield5g::quickstart()?);
     Ok(())
 }

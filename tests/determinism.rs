@@ -172,6 +172,25 @@ fn engine_trace_matches_pre_refactor_golden() {
 }
 
 #[test]
+fn quickstart_prints_its_golden() {
+    // What `cargo run --example quickstart` prints, and README.md's
+    // transcript of it. Regenerate only for an intended change to the
+    // quickstart's lines or numbers, then paste the file into README.md.
+    let out = shield5g::quickstart().unwrap();
+    let lines: Vec<String> = out.lines().map(str::to_owned).collect();
+    assert!(!lines.is_empty());
+    assert_matches_golden("quickstart.txt", &lines);
+    let readme = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md present");
+    assert!(
+        readme.contains(&format!(
+            "$ cargo run --release --example quickstart\n{out}```"
+        )),
+        "README.md's quickstart transcript is not tests/golden/quickstart.txt"
+    );
+}
+
+#[test]
 fn bridge_frames_match_golden() {
     // Every frame one seed-300 SGX registration puts on the OAI bridge, as
     // the §III attacker's tap records it: `from to len sha256(payload)`.
